@@ -18,10 +18,10 @@
 //
 //	sac history eventlog/query-*.jsonl
 //
-// -adaptive turns on statistics-driven planning (grid/partition counts
-// from cardinality estimates) and adaptive stage-boundary
-// repartitioning for local sessions; plans then show the picked knobs
-// in their cost clause.
+// -adaptive turns on statistics-driven planning (partition counts from
+// cardinality estimates) and adaptive stage-boundary repartitioning
+// for local sessions; plans then show the picked counts in their cost
+// clause, next to the processor grid every group-by-join plan names.
 package main
 
 import (
@@ -108,30 +108,15 @@ func main() {
 		}
 	}
 
-	// -adaptive only shapes the LOCAL session. Cluster queries are
-	// executed by jobs.QueryParams, which deliberately has no adaptive
-	// knob: SPMD ranks must build byte-identical stage graphs, and
-	// adaptive reshaping is driven by rank-local measurements.
-	s := core.NewSession(core.Config{
-		TileSize:             *tile,
-		MemoryBudget:         budget,
-		ShuffleCostNsPerByte: *shuffleCost,
-		AdaptiveShuffle:      *adaptive,
-		Optimizations: opt.Options{
-			DisableGBJ:         *noGBJ,
-			DisableReduceByKey: *noRBK,
-		},
-	})
-	s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed)
-	s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1)
-	s.RegisterScalar("n", *n)
-
 	// In cluster mode queries execute on registered sacworker
 	// processes; the local session still plans them for -explain and
-	// the "plan:" preview (planning is deterministic, so the preview
-	// matches what every rank chooses).
+	// the "plan:" preview. Planning is a deterministic function of the
+	// inputs and the partition count, so the preview matches what every
+	// rank chooses once both sides use the cluster's partition count
+	// (planParts; 0 is the local default).
 	var clusterSess *jobs.ClusterSession
 	var clusterDrv *cluster.Driver
+	planParts := 0
 	if *clusterAddr != "" {
 		d, err := cluster.NewDriver(cluster.DriverConfig{Addr: *clusterAddr})
 		if err != nil {
@@ -147,9 +132,11 @@ func main() {
 		for _, wi := range d.Workers() {
 			fmt.Printf("  worker %s (shuffle data at %s)\n", wi.ID, wi.DataAddr)
 		}
+		planParts = jobs.DefaultPartitions(len(d.Workers()))
 		clusterSess = jobs.NewClusterSession(d, jobs.QueryParams{
 			N:                    *n,
 			Tile:                 int64(*tile),
+			Partitions:           int64(planParts),
 			SeedA:                *seed,
 			SeedB:                *seed + 1,
 			DisableGBJ:           *noGBJ,
@@ -160,6 +147,25 @@ func main() {
 			Trace: *traceOut != "",
 		}, 10*time.Minute)
 	}
+
+	// -adaptive only shapes the LOCAL session. Cluster queries are
+	// executed by jobs.QueryParams, which deliberately has no adaptive
+	// knob: SPMD ranks must build byte-identical stage graphs, and
+	// adaptive reshaping is driven by rank-local measurements.
+	s := core.NewSession(core.Config{
+		TileSize:             *tile,
+		Partitions:           planParts,
+		MemoryBudget:         budget,
+		ShuffleCostNsPerByte: *shuffleCost,
+		AdaptiveShuffle:      *adaptive,
+		Optimizations: opt.Options{
+			DisableGBJ:         *noGBJ,
+			DisableReduceByKey: *noRBK,
+		},
+	})
+	s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed)
+	s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1)
+	s.RegisterScalar("n", *n)
 
 	if *debugAddr != "" {
 		var src debug.Source = s

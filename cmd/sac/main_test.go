@@ -69,7 +69,7 @@ func TestCLIQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query failed: %v\n%s", err, out)
 	}
-	for _, want := range []string{"SUMMA", "result:", "metrics:"} {
+	for _, want := range []string{"SUMMA", "grid 2x2", "result:", "metrics:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

@@ -3,29 +3,54 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/tiled"
 )
 
-// The headline relations of Figure 4.B at a small scale: SAC GBJ beats
-// MLlib, and the join+groupByKey "SAC" line is the slowest.
-func TestFig4BOrdering(t *testing.T) {
+// The mechanism behind Figure 4.B at a small scale, with no clock in
+// it: the group-by-join shuffles the fewest bytes, join+reduceByKey
+// fewer than join+groupByKey, and only the group-by-join draws no tile
+// beyond its output — the other two materialize one partial-product
+// tile per (i,k,j). Which of them is faster on a given host is the
+// benchmark's business (benchmark/run.sh), not tier-1's.
+func TestFig4BMechanism(t *testing.T) {
+	cfg := Config{TileSize: 50, Partitions: 4}
+	const n, blocks = 400, 8 // 8x8 tiles per matrix
+	run := func(mul func(a, b *tiled.Matrix) *tiled.Matrix) (shuffled, drawn int64) {
+		ctx := newCtx(cfg)
+		defer closeCtx(ctx)
+		a := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 1)
+		b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
+		force(ctx, a.Tiles)
+		force(ctx, b.Tiles)
+		ctx.TilePool().ResetStats()
+		_, m := measure(ctx, func() { forceBlocks(mul(a, b).Tiles) })
+		ps := ctx.TilePool().Stats()
+		return m.ShuffledBytes, ps.Hits + ps.Misses
+	}
+	gbj, gbjDrawn := run((*tiled.Matrix).MultiplyGBJ)
+	rbk, rbkDrawn := run((*tiled.Matrix).Multiply)
+	gbk, gbkDrawn := run((*tiled.Matrix).MultiplyGroupByKey)
+	if !(gbj < rbk && rbk < gbk) {
+		t.Errorf("shuffled bytes: GBJ %d, join+reduceByKey %d, join+groupByKey %d; want strictly increasing", gbj, rbk, gbk)
+	}
+	if gbjDrawn != blocks*blocks {
+		t.Errorf("GBJ drew %d tiles for %d output tiles: it must materialize no partial products", gbjDrawn, blocks*blocks)
+	}
+	if partials := int64(blocks * blocks * blocks); rbkDrawn < partials || gbkDrawn < partials {
+		t.Errorf("join plans drew %d and %d tiles, want at least the %d partial products", rbkDrawn, gbkDrawn, partials)
+	}
+}
+
+func TestFig4BProducesSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	cfg := Config{TileSize: 50, Partitions: 8}
-	s := Fig4B(cfg, []int64{400})
-	p := s.Points[0]
-	gbj, ml, sac := p.Seconds["SAC GBJ"], p.Seconds["MLlib"], p.Seconds["SAC"]
-	if gbj <= 0 || ml <= 0 || sac <= 0 {
-		t.Fatalf("missing timings %+v", p.Seconds)
-	}
-	if gbj >= ml {
-		t.Errorf("SAC GBJ (%.3fs) should beat MLlib (%.3fs)", gbj, ml)
-	}
-	// In-process, GBJ's edge over join+groupBy is ~10% (the paper's
-	// large gap needs real serialization/GC costs; see EXPERIMENTS.md),
-	// so allow timing noise: join+groupBy must not be clearly faster.
-	if sac < gbj*0.75 {
-		t.Errorf("SAC join+groupBy (%.3fs) unexpectedly much faster than GBJ (%.3fs)", sac, gbj)
+	p := Fig4B(Config{TileSize: 50, Partitions: 4}, []int64{200}).Points[0]
+	for _, sys := range []string{"MLlib", "SAC", "SAC GBJ"} {
+		if p.Seconds[sys] <= 0 || p.Shuffled[sys] <= 0 {
+			t.Fatalf("%s: missing measurement: %+v %+v", sys, p.Seconds, p.Shuffled)
+		}
 	}
 }
 
@@ -102,10 +127,6 @@ func TestAblationCoordinateShufflesMore(t *testing.T) {
 	if p.Shuffled["coordinate"] <= p.Shuffled["tiled"] {
 		t.Fatalf("coordinate format should shuffle more: %d vs %d",
 			p.Shuffled["coordinate"], p.Shuffled["tiled"])
-	}
-	if p.Seconds["coordinate"] <= p.Seconds["tiled"] {
-		t.Fatalf("coordinate format should be slower: %v vs %v",
-			p.Seconds["coordinate"], p.Seconds["tiled"])
 	}
 }
 

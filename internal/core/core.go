@@ -56,10 +56,12 @@ type Config struct {
 	ShuffleCostNsPerByte float64
 	// AdaptiveShuffle turns on statistics-driven execution: shuffle
 	// boundaries rebalance skewed partitions at stage granularity, the
-	// cost model's estimated grids/partition counts reshape physical
-	// plans, and measured query profiles feed back into repeat
-	// compilations. Local-only — a session with a Transport ignores it,
-	// because SPMD ranks must build byte-identical plans.
+	// cost model's estimated partition counts reshape physical plans,
+	// and measured query profiles feed back into repeat compilations.
+	// Local-only — a session with a Transport ignores it, because both
+	// read this process's cores and load and SPMD ranks must build
+	// byte-identical plans. (The SUMMA processor grid is not part of
+	// this: it follows from the partition count on every backend.)
 	AdaptiveShuffle bool
 	// AdaptiveSkewFactor is the hot-partition threshold (hot when its
 	// row count exceeds factor x median); 0 uses the engine default.

@@ -134,7 +134,8 @@ func TestSessionMetrics(t *testing.T) {
 }
 
 // TestSessionCostExplain: Explain must show the cost-model decision —
-// chosen strategy, estimated bytes, and the rejected alternatives.
+// chosen strategy, estimated bytes, the rejected alternatives, and (on
+// a plain static session) the processor grid the join runs on.
 func TestSessionCostExplain(t *testing.T) {
 	s := NewSession(Config{TileSize: 3})
 	s.RegisterRandMatrix("A", 6, 6, 0, 2, 2)
@@ -144,7 +145,7 @@ func TestSessionCostExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"[cost: summa-gbj", "shuffle", "rejected:"} {
+	for _, want := range []string{"[cost: summa-gbj", "shuffle", "rejected:", "grid 2x2"} {
 		if !strings.Contains(ex, want) {
 			t.Fatalf("Explain missing %q:\n%s", want, ex)
 		}

@@ -424,8 +424,24 @@ func CoGroup[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[P
 	if numPartitions <= 0 {
 		numPartitions = left.ctx.DefaultPartitions()
 	}
-	lb := exchange(left, numPartitions, pairRoute[K, A](numPartitions), pairOrd[K, A], true)
-	rb := exchange(right, numPartitions, pairRoute[K, B](numPartitions), pairOrd[K, B], true)
+	hash := func(k K) int { return partitionOf(k, numPartitions) }
+	return coGroup(left, right, numPartitions, hash, true)
+}
+
+// CoGroupRouted is CoGroup with the caller placing the keys: route maps
+// a key to its reduce partition in [0, numPartitions) and must be a
+// pure function of the key. A caller that knows its key space (the
+// SUMMA processor grid) can spread it evenly where the hash router
+// would collide a handful of keys into fewer partitions. Both inputs
+// always cross a full exchange, and the output is not hash-partitioned
+// by key, so downstream keyed operators exchange it again.
+func CoGroupRouted[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair[K, B]], numPartitions int, route func(K) int) *Dataset[Pair[K, CoGrouped[A, B]]] {
+	return coGroup(left, right, numPartitions, route, false)
+}
+
+func coGroup[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair[K, B]], numPartitions int, route func(K) int, hashed bool) *Dataset[Pair[K, CoGrouped[A, B]]] {
+	lb := exchange(left, numPartitions, func(p Pair[K, A]) int { return route(p.Key) }, pairOrd[K, A], hashed)
+	rb := exchange(right, numPartitions, func(p Pair[K, B]) int { return route(p.Key) }, pairOrd[K, B], hashed)
 	return newStreamDataset(left.ctx, numPartitions, "cogroup", []*Stage{lb.stage, rb.stage},
 		func(p int, emit func(Pair[K, CoGrouped[A, B]])) {
 			ls := lb.get(p)

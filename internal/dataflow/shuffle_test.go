@@ -151,6 +151,52 @@ func TestCoGroup(t *testing.T) {
 	}
 }
 
+// TestCoGroupRoutedPlacement: the caller's route, not the key hash,
+// decides where a key's group lands — even when both inputs are already
+// hash-partitioned into the same partition count (a hash cogroup would
+// read them narrowly) — the groups are CoGroup's, and the output makes
+// no claim to be hash-partitioned by key.
+func TestCoGroupRoutedPlacement(t *testing.T) {
+	ctx := NewLocalContext()
+	const parts, keys = 4, 12
+	var l []Pair[int, int]
+	var r []Pair[int, string]
+	for k := 0; k < keys; k++ {
+		l = append(l, KV(k, k*10), KV(k, k*10+1))
+		if k%2 == 0 {
+			r = append(r, KV(k, "r"))
+		}
+	}
+	left := PartitionByKey(Parallelize(ctx, l, 3), parts)
+	right := PartitionByKey(Parallelize(ctx, r, 3), parts)
+	route := func(k int) int { return (parts - 1) - k%parts }
+	Count(left) // run the partitionBy shuffles, then count only the cogroup's
+	Count(right)
+	ctx.ResetMetrics()
+	cg := CoGroupRouted(left, right, parts, route)
+	if cg.keyParts != 0 {
+		t.Fatalf("routed cogroup claims hash partitioning into %d", cg.keyParts)
+	}
+	seen := 0
+	for p, rows := range cg.materialize() {
+		for _, g := range rows {
+			seen++
+			if want := route(g.Key); p != want {
+				t.Fatalf("key %d in partition %d, routed to %d", g.Key, p, want)
+			}
+			if len(g.Value.Left) != 2 || len(g.Value.Right) != (g.Key+1)%2 {
+				t.Fatalf("key %d groups %+v", g.Key, g.Value)
+			}
+		}
+	}
+	if seen != keys {
+		t.Fatalf("%d groups, want %d", seen, keys)
+	}
+	if m := ctx.Metrics(); m.ShuffledRecords != int64(len(l)+len(r)) {
+		t.Fatalf("routed cogroup shuffled %d records, want all %d (never a narrow read)", m.ShuffledRecords, len(l)+len(r))
+	}
+}
+
 func TestPartitionByKeyColocation(t *testing.T) {
 	ctx := NewLocalContext()
 	var data []Pair[int, int]

@@ -165,7 +165,7 @@ func init() {
 // stages), so an earlier snapshot would miss most of the work.
 func runQuery(p QueryParams, world int, override func(*core.Config), pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
 	if p.Partitions <= 0 {
-		p.Partitions = int64(defaultPartitions(world))
+		p.Partitions = int64(DefaultPartitions(world))
 	}
 	conf := core.Config{
 		TileSize:             int(p.Tile),
@@ -188,15 +188,21 @@ func runQuery(p QueryParams, world int, override func(*core.Config), pump *telem
 		pump.attach(s, conf.WorkerTag, p.Src)
 		defer pump.finish()
 	}
-	s.RegisterRandMatrix("A", p.N, p.N, 0, 10, p.SeedA)
-	s.RegisterRandMatrix("B", p.N, p.N, 0, 10, p.SeedB)
-	s.RegisterScalar("n", p.N)
+	registerInputs(s, p)
 	res, err := s.Query(p.Src)
 	if err != nil {
 		return nil, s.Metrics(), err
 	}
 	blob, err := EncodeResult(res)
 	return blob, s.Metrics(), err
+}
+
+// registerInputs binds the canonical seeded inputs every rank (and the
+// local reference) regenerates from the params.
+func registerInputs(s *core.Session, p QueryParams) {
+	s.RegisterRandMatrix("A", p.N, p.N, 0, 10, p.SeedA)
+	s.RegisterRandMatrix("B", p.N, p.N, 0, 10, p.SeedB)
+	s.RegisterScalar("n", p.N)
 }
 
 // RunQueryLocal executes the same program on the plain local backend —
@@ -207,7 +213,7 @@ func RunQueryLocal(p QueryParams) ([]byte, error) {
 	return blob, err
 }
 
-// defaultPartitions derives the fallback partition count from the
+// DefaultPartitions derives the fallback partition count from the
 // cluster world size: four partitions per rank so each owns several
 // waves of tasks, floored at the historical single-process default of
 // 8 (world <= 2 collapses to it, so local reference runs are byte-for-
@@ -218,10 +224,14 @@ func RunQueryLocal(p QueryParams) ([]byte, error) {
 // The partition count shapes the stage graph, and SPMD correctness
 // requires every rank to build the byte-identical graph; rank-local
 // inputs here would make the ranks' shuffles disagree silently.
-// Adaptive (statistics-driven) partition choices are likewise local-
-// mode-only for the same reason: core.Config.AdaptiveShuffle is never
-// set on cluster sessions.
-func defaultPartitions(world int) int {
+// Everything a plan derives from it inherits the property: the
+// group-by-join's processor grid is stats.PickGrid of block counts and
+// this partition count, so it is the same on every rank and runs on
+// the cluster as it does locally. Statistics-driven partition counts
+// (stats.PickPartitions) and bucket rebalancing read core counts and
+// runtime load, and stay local-mode-only for that reason:
+// core.Config.AdaptiveShuffle is never set on cluster sessions.
+func DefaultPartitions(world int) int {
 	if p := 4 * world; p > 8 {
 		return p
 	}

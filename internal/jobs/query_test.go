@@ -29,23 +29,34 @@ func baseParams() QueryParams {
 
 func startTestCluster(t *testing.T, workers int) *cluster.Driver {
 	t.Helper()
+	pars := make([]int, workers)
+	for i := range pars {
+		pars[i] = 2
+	}
+	return startTestClusterPar(t, pars)
+}
+
+// startTestClusterPar starts one in-process worker per entry of pars,
+// rank i with pars[i] task slots.
+func startTestClusterPar(t *testing.T, pars []int) *cluster.Driver {
+	t.Helper()
 	d, err := cluster.NewDriver(cluster.DriverConfig{})
 	if err != nil {
 		t.Fatalf("driver: %v", err)
 	}
 	t.Cleanup(d.Close)
-	for i := 0; i < workers; i++ {
+	for i, par := range pars {
 		w, err := cluster.StartWorker(cluster.WorkerConfig{
 			ID:          fmt.Sprintf("w%d", i),
 			DriverAddr:  d.Addr(),
-			Parallelism: 2,
+			Parallelism: par,
 		})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 		t.Cleanup(w.Close)
 	}
-	if err := d.WaitForWorkers(workers, 5*time.Second); err != nil {
+	if err := d.WaitForWorkers(len(pars), 5*time.Second); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 	return d

@@ -12,10 +12,11 @@ import (
 // selection in strategy.go: Choose decides which translations are
 // *applicable* (the paper's Rules 12-19), ChooseWithStats prices the
 // applicable candidates with the internal/stats estimates and records
-// the outcome — chosen estimate, rejected alternatives, and the
-// physical knobs (SUMMA grid, reduce partition counts) derived from
-// the statistics — in a Decision attached to the strategy, which
-// Explain and sac -analyze render.
+// the outcome — chosen estimate, rejected alternatives, the SUMMA
+// processor grid the group-by-join will run on, and (adaptive mode
+// only) the reduce partition counts derived from the statistics — in a
+// Decision attached to the strategy, which Explain and sac -analyze
+// render.
 
 // StatsProvider supplies the estimation inputs at selection time;
 // internal/plan's Catalog implements it over the registered arrays.
@@ -24,10 +25,10 @@ type StatsProvider interface {
 	ArrayStats(name string) (stats.TableStats, bool)
 	// Parallelism is the engine's concurrent-task budget.
 	Parallelism() int
-	// Adaptive reports whether statistics may reshape the physical plan
-	// (coarsened SUMMA grids, estimated partition counts). When false —
-	// static mode, and always under SPMD — the Decision still prices
-	// the candidates but leaves the executors' fixed defaults in place.
+	// Adaptive reports whether estimates may pick reduce-side partition
+	// counts. Those read the core count, which differs between the ranks
+	// of an SPMD job, so it is false there and in static mode; the
+	// Decision then prices the plan at the inputs' partition counts.
 	Adaptive() bool
 }
 
@@ -62,9 +63,9 @@ func (c CostEstimate) render() string {
 type Decision struct {
 	Chosen   CostEstimate
 	Rejected []CostEstimate
-	// GridP x GridQ is the SUMMA processor grid picked for a
-	// group-by-join; 0,0 means the full output-tile grid (the static
-	// default, exact SUMMA replication).
+	// GridP x GridQ is the SUMMA processor grid a chosen group-by-join
+	// runs on — the one tiled.GroupByJoin derives from the same block
+	// and partition counts, and the one Chosen.ShuffleBytes prices.
 	GridP, GridQ int64
 	// Parts is the reduce-side partition count picked from the output
 	// cardinality estimate; 0 means the executor's fixed default.
@@ -137,7 +138,7 @@ func dimAt(s stats.TableStats, pos int) int64 {
 func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider) *Decision {
 	sa, okA := prov.ArrayStats(st.GenA.Name)
 	sb, okB := prov.ArrayStats(st.GenB.Name)
-	if !okA || !okB || sa.Tile <= 0 || sb.Tile <= 0 {
+	if !okA || !okB || sa.Tile <= 0 || sb.Tile <= 0 || sa.Parts <= 0 {
 		return nil
 	}
 	// Orient both inputs into the roles the estimator expects:
@@ -146,15 +147,15 @@ func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider
 	// this also covers the transposed multiplies.
 	aEff := stats.TableStats{Rows: dimAt(sa, st.OutA), Cols: dimAt(sa, st.JoinA), Tile: sa.Tile, Density: sa.Density}
 	bEff := stats.TableStats{Rows: dimAt(sb, st.JoinB), Cols: dimAt(sb, st.OutB), Tile: sb.Tile, Density: sb.Density}
-	par := prov.Parallelism()
-	var gridP, gridQ int64
+	// The cogroup runs at the A input's partition count unless adaptive
+	// planning picks one; the grid follows from whichever it is.
+	parts, pickedParts := sa.Parts, 0
 	if prov.Adaptive() {
-		gridP, gridQ = stats.PickGrid(aEff, bEff, 2*par)
-		if gridP == aEff.BlockRows() && gridQ == bEff.BlockCols() {
-			gridP, gridQ = 0, 0 // full grid: the executor's exact default
-		}
+		pickedParts = stats.PickPartitions(aEff.BlockRows()*bEff.BlockCols(), prov.Parallelism())
+		parts = pickedParts
 	}
-	est := stats.EstimateMatmul(aEff, bEff, gridP, gridQ, 2*par)
+	gridP, gridQ := stats.PickGrid(aEff.BlockRows(), bEff.BlockCols(), aEff.NumTiles(), bEff.NumTiles(), parts)
+	est := stats.EstimateMatmul(aEff, bEff, gridP, gridQ, parts)
 	cands := []CostEstimate{
 		{Strategy: "summa-gbj", ShuffleBytes: est.GBJShuffleBytes},
 		{Strategy: "join+reduceByKey", ShuffleBytes: est.JoinShuffleBytes, TempBytes: est.JoinTempBytes},
@@ -189,12 +190,9 @@ func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider
 		st.UseReduceBy = best == 1
 	}
 
-	d := &Decision{Chosen: cands[best]}
+	d := &Decision{Chosen: cands[best], Parts: pickedParts}
 	if st.UseGBJ {
 		d.GridP, d.GridQ = gridP, gridQ
-	}
-	if prov.Adaptive() {
-		d.Parts = stats.PickPartitions(est.OutTiles, par)
 	}
 	for i := range cands {
 		if i == best {
@@ -240,8 +238,7 @@ func decideTileAgg(st *TileAggStrategy, opts Options, prov StatsProvider) *Decis
 		blockElems *= int64(sm.Tile)
 	}
 	blockBytes := blockElems*8 + 16
-	par := prov.Parallelism()
-	rbk, gbk := stats.EstimateAggregate(sm, groups, 2*par, blockBytes)
+	rbk, gbk := stats.EstimateAggregate(sm, groups, sm.Parts, blockBytes)
 	cands := []CostEstimate{
 		{Strategy: "reduceByKey", ShuffleBytes: rbk},
 		{Strategy: "groupByKey", ShuffleBytes: gbk},
@@ -252,7 +249,7 @@ func decideTileAgg(st *TileAggStrategy, opts Options, prov StatsProvider) *Decis
 	}
 	d := &Decision{Chosen: cands[best]}
 	if prov.Adaptive() {
-		d.Parts = stats.PickPartitions(groups, par)
+		d.Parts = stats.PickPartitions(groups, prov.Parallelism())
 	}
 	r := cands[1-best]
 	if best == 1 {

@@ -7,16 +7,22 @@ import (
 	"repro/internal/stats"
 )
 
-// fakeProvider supplies fixed square-matrix statistics.
+// fakeProvider supplies fixed square-matrix statistics; parts defaults
+// to 8 input partitions.
 type fakeProvider struct {
 	n        int64
 	tile     int
 	par      int
+	parts    int
 	adaptive bool
 }
 
 func (p fakeProvider) ArrayStats(string) (stats.TableStats, bool) {
-	return stats.TableStats{Rows: p.n, Cols: p.n, Tile: p.tile, Density: 1}, true
+	parts := p.parts
+	if parts == 0 {
+		parts = 8
+	}
+	return stats.TableStats{Rows: p.n, Cols: p.n, Tile: p.tile, Density: 1, Parts: parts}, true
 }
 func (p fakeProvider) Parallelism() int { return p.par }
 func (p fakeProvider) Adaptive() bool   { return p.adaptive }
@@ -35,27 +41,28 @@ func chooseStats(t *testing.T, src string, opts Options, prov StatsProvider) Str
 
 // TestCostKeepsGBJ: GBJ materializes no intermediate tiles, so it is
 // never Pareto-dominated and the paper's preferred translation must
-// survive cost ranking on ANY machine shape — including low-core hosts
-// where join+reduceByKey has fewer estimated shuffle bytes.
+// survive cost ranking at ANY partition count — including the full-grid
+// ones (parts >= output tiles) where join+reduceByKey has fewer
+// estimated shuffle bytes.
 func TestCostKeepsGBJ(t *testing.T) {
-	for _, par := range []int{1, 2, 8, 64} {
-		s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100, par: par})
+	for _, parts := range []int{1, 2, 8, 64, 200} {
+		s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100, par: 2, parts: parts})
 		gbj, ok := s.(*GroupByJoinStrategy)
 		if !ok {
-			t.Fatalf("par=%d: got %T", par, s)
+			t.Fatalf("parts=%d: got %T", parts, s)
 		}
 		if !gbj.UseGBJ {
-			t.Fatalf("par=%d: cost ranking flipped UseGBJ off", par)
+			t.Fatalf("parts=%d: cost ranking flipped UseGBJ off", parts)
 		}
 		d := gbj.Decision
 		if d == nil {
-			t.Fatalf("par=%d: no decision attached", par)
+			t.Fatalf("parts=%d: no decision attached", parts)
 		}
 		if d.Chosen.Strategy != "summa-gbj" {
-			t.Fatalf("par=%d: chose %q", par, d.Chosen.Strategy)
+			t.Fatalf("parts=%d: chose %q", parts, d.Chosen.Strategy)
 		}
 		if len(d.Rejected) != 2 {
-			t.Fatalf("par=%d: %d rejected candidates, want 2", par, len(d.Rejected))
+			t.Fatalf("parts=%d: %d rejected candidates, want 2", parts, len(d.Rejected))
 		}
 	}
 }
@@ -83,18 +90,31 @@ func TestCostRespectsAblation(t *testing.T) {
 	}
 }
 
-// TestCostStaticLeavesKnobsAlone: without adaptive mode the decision
-// prices candidates but must not reshape the physical plan.
-func TestCostStaticLeavesKnobsAlone(t *testing.T) {
-	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: 4})
+// TestCostStaticGridFromPartitions: without adaptive mode the decision
+// still carries the processor grid — derived from the inputs' partition
+// count, priced as it will run — but no partition count of its own, and
+// nothing in it moves with the core count (every SPMD rank must render
+// the same plan).
+func TestCostStaticGridFromPartitions(t *testing.T) {
+	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: 4, parts: 8})
 	d := s.(*GroupByJoinStrategy).Decision
-	if d.GridP != 0 || d.GridQ != 0 || d.Parts != 0 {
-		t.Fatalf("static mode set physical knobs: grid %dx%d parts %d", d.GridP, d.GridQ, d.Parts)
+	if d.GridP != 2 || d.GridQ != 4 || d.Parts != 0 {
+		t.Fatalf("static decision: grid %dx%d parts %d, want 2x4 and 0", d.GridP, d.GridQ, d.Parts)
+	}
+	// 32x32 tiles per input, A replicated 4 times and B twice.
+	if want := int64(1024*4+1024*2) * (100*100*8 + 16); d.Chosen.ShuffleBytes != want {
+		t.Fatalf("estimate %d does not price the 2x4 grid (%d)", d.Chosen.ShuffleBytes, want)
+	}
+	for _, par := range []int{1, 2, 64} {
+		o := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: par, parts: 8})
+		if got := o.(*GroupByJoinStrategy).Decision.Summary(); got != d.Summary() {
+			t.Fatalf("par=%d changed the static decision:\n%s\nvs\n%s", par, got, d.Summary())
+		}
 	}
 }
 
-// TestCostAdaptivePicksKnobs: in adaptive mode a large output must get
-// a coarsened grid and an estimated partition count.
+// TestCostAdaptivePicksKnobs: in adaptive mode a large output gets an
+// estimated partition count and the grid that follows from it.
 func TestCostAdaptivePicksKnobs(t *testing.T) {
 	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: 4, adaptive: true})
 	d := s.(*GroupByJoinStrategy).Decision
@@ -110,6 +130,9 @@ func TestCostAdaptivePicksKnobs(t *testing.T) {
 	if d.Parts != stats.PickPartitions(32*32, 4) {
 		t.Fatalf("parts %d disagrees with PickPartitions", d.Parts)
 	}
+	if d.GridP*d.GridQ < int64(d.Parts) {
+		t.Fatalf("grid %dx%d leaves some of the %d picked partitions empty", d.GridP, d.GridQ, d.Parts)
+	}
 }
 
 // TestDecisionSummary: the Explain clause must name the chosen
@@ -117,7 +140,7 @@ func TestCostAdaptivePicksKnobs(t *testing.T) {
 func TestDecisionSummary(t *testing.T) {
 	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100, par: 8, adaptive: true})
 	sum := s.(*GroupByJoinStrategy).Decision.Summary()
-	for _, want := range []string{"cost: summa-gbj", "shuffle", "rejected:", "join+reduceByKey", "join+groupByKey", "parts "} {
+	for _, want := range []string{"cost: summa-gbj", "shuffle", "rejected:", "join+reduceByKey", "join+groupByKey", "grid ", "parts "} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary %q missing %q", sum, want)
 		}

@@ -203,20 +203,20 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 		return nil, fmt.Errorf("plan: contracted dimensions differ: %d vs %d", a.Cols, b.Rows)
 	}
 
-	// The cost model's physical knobs (SUMMA grid, partition count) are
-	// zero unless adaptive planning is on, in which case the tuned
-	// entry points apply them; zero knobs reproduce the static plan.
-	var gridP, gridQ int64
+	// The partition count is zero (the inputs') unless adaptive planning
+	// picked one. The SUMMA grid is not passed down: GroupByJoin derives
+	// it from the partition count it runs with, and the Decision's grid
+	// is that same derivation, recorded for Explain.
 	var pickedParts int
 	if d := s.Decision; d != nil {
-		gridP, gridQ, pickedParts = d.GridP, d.GridQ, d.Parts
+		pickedParts = d.Parts
 	}
 
 	if isMulOfValues(s.CombineExpr, s.Lets, s.GenA.ValueVar, s.GenB.ValueVar) {
 		var out *tiled.Matrix
 		switch {
 		case s.UseGBJ:
-			out = a.MultiplyGBJTuned(b, gridP, gridQ, pickedParts)
+			out = a.MultiplyGBJTuned(b, 0, 0, pickedParts)
 		case s.UseReduceBy:
 			out = a.Multiply(b)
 		default:
@@ -240,7 +240,7 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 	}
 	if s.UseGBJ {
 		out := tiled.GroupByJoin(a, b, tiled.GBJSpec{
-			GridP: gridP, GridQ: gridQ, Parts: pickedParts,
+			Parts:   pickedParts,
 			OutRows: a.Rows, OutCols: b.Cols,
 			GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
 			GX: func(c tiled.Coord) int64 { return c.I },

@@ -73,9 +73,9 @@ func (c *Catalog) StatsCache() *stats.Cache { return c.cache }
 func (c *Catalog) ArrayStats(name string) (stats.TableStats, bool) {
 	switch arr := c.vals[name].(type) {
 	case *tiled.Matrix:
-		return stats.TableStats{Rows: arr.Rows, Cols: arr.Cols, Tile: arr.N, Density: 1}, true
+		return stats.TableStats{Rows: arr.Rows, Cols: arr.Cols, Tile: arr.N, Density: 1, Parts: arr.Tiles.NumPartitions()}, true
 	case *tiled.Vector:
-		return stats.TableStats{Rows: arr.Size, Cols: 1, Tile: arr.N, Density: 1}, true
+		return stats.TableStats{Rows: arr.Size, Cols: 1, Tile: arr.N, Density: 1, Parts: arr.Blocks.NumPartitions()}, true
 	}
 	return stats.TableStats{}, false
 }
@@ -83,10 +83,11 @@ func (c *Catalog) ArrayStats(name string) (stats.TableStats, bool) {
 // Parallelism implements opt.StatsProvider.
 func (c *Catalog) Parallelism() int { return c.ctx.Conf().Parallelism }
 
-// Adaptive implements opt.StatsProvider: physical reshaping is only
-// allowed when the engine runs adaptively and locally — under SPMD
-// every rank must build the byte-identical plan, so estimates may
-// annotate but never reshape.
+// Adaptive implements opt.StatsProvider: estimated partition counts
+// (which read this process's core count) are only allowed when the
+// engine runs adaptively and locally — under SPMD every rank must build
+// the byte-identical plan. The SUMMA grid is not behind this gate: it
+// is a function of block and partition counts alone.
 func (c *Catalog) Adaptive() bool {
 	conf := c.ctx.Conf()
 	return conf.AdaptiveShuffle && conf.Transport == nil

@@ -666,6 +666,58 @@ func TestPlanGenericContractionKernel(t *testing.T) {
 	}
 }
 
+// TestPlanInterpretedGBJGridInvariant: the interpreted-kernel
+// group-by-join has no grid override — its grid follows from the
+// partition count alone. One partition is the 1x1 grid, five give a
+// coarse grid, forty (more than the 4x3 output tiles) the full grid,
+// and all must agree to the bit, with and without a memory budget, and
+// name their grid in Explain.
+func TestPlanInterpretedGBJGridInvariant(t *testing.T) {
+	da := linalg.RandDense(128, 224, -1, 1, 61)
+	db := linalg.RandDense(224, 96, -1, 1, 62)
+	src := `tiled(128,96)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
+	          kk == k, let v = a + 2.0*b, group by (i,j) ]`
+	var want *linalg.Dense
+	for _, c := range []struct {
+		parts  int
+		budget int64
+		grid   string
+	}{
+		{1, 0, "grid 1x1"}, {5, 0, "grid 3x2"}, {40, 0, "grid 4x3"}, {5, 128 << 10, "grid 3x2"},
+	} {
+		ctx := dataflow.NewContext(dataflow.Config{Parallelism: 4, DefaultPartitions: c.parts, MemoryBudget: c.budget})
+		cat := NewCatalog(ctx).
+			BindMatrix("A", tiled.FromDense(ctx, da, 32, c.parts)).
+			BindMatrix("B", tiled.FromDense(ctx, db, 32, c.parts))
+		q, err := Compile(sacparser.MustParse(src), cat, opt.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := q.Explain(); !strings.Contains(ex, c.grid) {
+			t.Fatalf("parts %d: Explain does not name %s:\n%s", c.parts, c.grid, ex)
+		}
+		res, err := q.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Matrix.ToDense()
+		if c.budget > 0 && ctx.Metrics().SpilledBytes == 0 {
+			t.Fatalf("parts %d: a %d-byte budget never spilled", c.parts, c.budget)
+		}
+		if err := ctx.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !got.Equal(want) {
+			t.Fatalf("parts %d budget %d: interpreted GBJ differs from the 1x1 grid (max diff %g)",
+				c.parts, c.budget, got.MaxAbsDiff(want))
+		}
+	}
+}
+
 // Row minimum exercises the min tile-aggregation monoid.
 func TestPlanRowMin(t *testing.T) {
 	f := newFixture(t, 5, 5, 1, 1, 2)

@@ -28,6 +28,10 @@ type TableStats struct {
 	// independent today, but FLOP estimates for the sparse path in
 	// ROADMAP item 3 will not be).
 	Density float64
+	// Parts is the partition count of the array's tile dataset. It is
+	// the cogroup partition count a static group-by-join plan runs with,
+	// and therefore what the SUMMA processor grid is derived from.
+	Parts int
 }
 
 // BlockRows is the number of tile rows.
@@ -152,39 +156,40 @@ func PickPartitions(items int64, parallelism int) int {
 	return int(p)
 }
 
-// PickGrid chooses the SUMMA processor grid for an A[m,k] x B[k,n]
-// group-by-join: the p x q grid (p over output tile rows, q over
-// output tile columns) minimizing the replication volume
-// tilesA*q + tilesB*p subject to p*q >= target cells (enough
-// parallelism), p <= blockRows(A), q <= blockCols(B). Full replication
-// (p = blockRows, q = blockCols) is today's behavior and the fallback
-// whenever the output grid is already no larger than the target.
-func PickGrid(a, b TableStats, target int) (p, q int64) {
-	brA, bcB := a.BlockRows(), b.BlockCols()
-	if brA < 1 {
-		brA = 1
+// PickGrid chooses the SUMMA processor grid for a group-by-join whose
+// output has groupsY x groupsX tile groups: the p x q grid (p over
+// output tile rows, q over output tile columns) minimizing the
+// replication volume tilesA*q + tilesB*p subject to p*q >= parts (every
+// partition of the cogroup gets a cell), p <= groupsY, q <= groupsX;
+// ties go to the grid with fewer cells. When the output grid has no
+// more cells than there are partitions the full grid is returned — one
+// output tile per cell, the most parallelism the operator has.
+//
+// The grid is a pure function of block counts and the partition count:
+// it never reads core counts or load, so every rank of an SPMD job
+// derives the identical grid (PickPartitions does read cores, and is
+// local-adaptive-only for that reason).
+func PickGrid(groupsY, groupsX, tilesA, tilesB int64, parts int) (p, q int64) {
+	if groupsY < 1 {
+		groupsY = 1
 	}
-	if bcB < 1 {
-		bcB = 1
+	if groupsX < 1 {
+		groupsX = 1
 	}
-	if target < 1 {
-		target = 1
+	if parts < 1 {
+		parts = 1
 	}
-	if brA*bcB <= int64(target) {
-		return brA, bcB
+	if groupsY*groupsX <= int64(parts) {
+		return groupsY, groupsX
 	}
-	ta, tbt := a.NumTiles(), b.NumTiles()
-	bestP, bestQ := brA, bcB
-	bestCost := ta*bcB + tbt*brA
-	for cp := int64(1); cp <= brA; cp++ {
-		cq := ceilDiv(int64(target), cp)
-		if cq > bcB {
+	bestP, bestQ := groupsY, groupsX
+	bestCost := tilesA*groupsX + tilesB*groupsY
+	for cp := int64(1); cp <= groupsY; cp++ {
+		cq := ceilDiv(int64(parts), cp)
+		if cq > groupsX {
 			continue
 		}
-		if cq < 1 {
-			cq = 1
-		}
-		cost := ta*cq + tbt*cp
+		cost := tilesA*cq + tilesB*cp
 		if cost < bestCost || (cost == bestCost && cp*cq < bestP*bestQ) {
 			bestP, bestQ, bestCost = cp, cq, cost
 		}

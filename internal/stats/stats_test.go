@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -78,23 +79,55 @@ func TestPickPartitions(t *testing.T) {
 
 func TestPickGrid(t *testing.T) {
 	a, b := sq(1600, 100), sq(1600, 100) // 16x16 output blocks
-	p, q := PickGrid(a, b, 16)
-	if p*q < 16 {
-		t.Fatalf("grid %dx%d under target", p, q)
-	}
-	if p > a.BlockRows() || q > b.BlockCols() {
-		t.Fatalf("grid %dx%d exceeds output blocks", p, q)
-	}
+	p, q := PickGrid(a.BlockRows(), b.BlockCols(), a.NumTiles(), b.NumTiles(), 16)
 	// Square inputs: replication is symmetric, so the minimizer is the
 	// balanced grid.
 	if p != 4 || q != 4 {
 		t.Fatalf("grid %dx%d, want 4x4", p, q)
 	}
-	// Small output: full grid fallback.
+	// The cluster-matmul shape: 10x10 blocks over 8 partitions. 2x4, 3x3
+	// and 4x2 all replicate 600 tiles; the tie goes to the fewest cells
+	// (one per partition), first found.
+	c := sq(1000, 100)
+	if p, q := PickGrid(10, 10, c.NumTiles(), c.NumTiles(), 8); p != 2 || q != 4 {
+		t.Fatalf("grid %dx%d, want 2x4", p, q)
+	}
+	// A much larger than B: replicate A as little as possible.
+	if p, q := PickGrid(8, 8, 8*64, 8, 8); p != 8 || q != 1 {
+		t.Fatalf("grid %dx%d, want 8x1 (A is 64x heavier)", p, q)
+	}
+	// No more output tiles than partitions: full grid fallback.
 	a2, b2 := sq(200, 100), sq(200, 100)
-	p2, q2 := PickGrid(a2, b2, 16)
+	p2, q2 := PickGrid(a2.BlockRows(), b2.BlockCols(), a2.NumTiles(), b2.NumTiles(), 16)
 	if p2 != a2.BlockRows() || q2 != b2.BlockCols() {
 		t.Fatalf("small output should use the full grid, got %dx%d", p2, q2)
+	}
+}
+
+// TestPickGridFeasible: over random block shapes and every partition
+// count 1..40 the grid stays inside the output grid, covers every
+// partition whenever the output has that many tiles, and never
+// replicates more than the full grid does.
+func TestPickGridFeasible(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		gy, gx, bk := rng.Int63n(12)+1, rng.Int63n(12)+1, rng.Int63n(12)+1
+		ta, tb := gy*bk, bk*gx
+		for parts := 1; parts <= 40; parts++ {
+			p, q := PickGrid(gy, gx, ta, tb, parts)
+			if p < 1 || q < 1 || p > gy || q > gx {
+				t.Fatalf("%dx%d groups, parts %d: grid %dx%d outside the output grid", gy, gx, parts, p, q)
+			}
+			if gy*gx >= int64(parts) && p*q < int64(parts) {
+				t.Fatalf("%dx%d groups, parts %d: grid %dx%d leaves partitions without a cell", gy, gx, parts, p, q)
+			}
+			if gy*gx <= int64(parts) && (p != gy || q != gx) {
+				t.Fatalf("%dx%d groups, parts %d: want the full grid, got %dx%d", gy, gx, parts, p, q)
+			}
+			if ta*q+tb*p > ta*gx+tb*gy {
+				t.Fatalf("%dx%d groups, parts %d: grid %dx%d replicates more than the full grid", gy, gx, parts, p, q)
+			}
+		}
 	}
 }
 

@@ -1,17 +1,20 @@
 package tiled
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/linalg"
+	"repro/internal/stats"
 )
 
-// TestMultiplyGBJTunedGridEquality: the cost model may coarsen the SUMMA
-// accumulation grid (several output blocks per grid cell) to cut tile
-// replication. Any grid shape — full, coarse, degenerate 1x1, or the
-// 0,0,0 "engine defaults" — must produce bitwise-identical results: the
+// TestMultiplyGBJTunedGridEquality: any processor grid — the one
+// derived from the partition count, coarse, degenerate 1x1, or one
+// cell per output tile — must produce bitwise-identical results: the
 // grid only changes placement, never the set of (A tile, B tile)
-// matches accumulated into each output block.
+// matches accumulated into each output block nor their order.
 func TestMultiplyGBJTunedGridEquality(t *testing.T) {
 	ctx := tctx()
 	da := linalg.RandDense(24, 20, -1, 1, 21)
@@ -26,18 +29,141 @@ func TestMultiplyGBJTunedGridEquality(t *testing.T) {
 		p, q  int64
 		parts int
 	}{
-		{0, 0, 0}, // engine defaults = full grid
 		{1, 1, 0}, // everything in one cell
 		{2, 3, 0},
 		{3, 2, 5},  // coarse grid + explicit partition count
 		{6, 4, 11}, // full output grid (6x4 blocks), odd parts
 		{9, 9, 0},  // grid larger than the output: must clamp, not break
+		{0, 0, 1},  // derived grid, one partition: 1x1
+		{0, 0, 7},  // derived grid, more cells than partitions
+		{0, 0, 64}, // parts >= output tiles: falls back to the full grid
 	}
 	for _, g := range grids {
 		got := a.MultiplyGBJTuned(b, g.p, g.q, g.parts).ToDense()
 		if !got.Equal(want) {
 			t.Fatalf("grid %dx%d parts %d: result differs from canonical GBJ (max diff %g)",
 				g.p, g.q, g.parts, got.MaxAbsDiff(want))
+		}
+	}
+}
+
+// gbjShape is one group-by-join instance for the grid property tests.
+type gbjShape struct {
+	name string
+	spec func(a, b *Matrix) GBJSpec
+	// dims maps (m, k, n) to the operand shapes.
+	dims func(m, k, n int) (ar, ac, br, bc int)
+	ref  func(da, db *linalg.Dense) *linalg.Dense
+}
+
+var gbjShapes = []gbjShape{
+	{"multiply", multiplySpec,
+		func(m, k, n int) (int, int, int, int) { return m, k, k, n },
+		func(da, db *linalg.Dense) *linalg.Dense { return linalg.Mul(da, db) }},
+	{"transA", multiplyTransASpec,
+		func(m, k, n int) (int, int, int, int) { return k, m, k, n },
+		func(da, db *linalg.Dense) *linalg.Dense { return linalg.Mul(da.Transpose(), db) }},
+	{"transB", multiplyTransBSpec,
+		func(m, k, n int) (int, int, int, int) { return m, k, n, k },
+		func(da, db *linalg.Dense) *linalg.Dense { return linalg.Mul(da, db.Transpose()) }},
+}
+
+// checkGridsIdentical runs one shape on the derived grid, the full-grid
+// override and the 1x1 override and requires the three results to be
+// bitwise identical (and right); it returns the result.
+func checkGridsIdentical(t *testing.T, ctx *dataflow.Context, sh gbjShape, m, k, n, tile, parts int, seed int64) *linalg.Dense {
+	t.Helper()
+	ar, ac, br, bc := sh.dims(m, k, n)
+	da := linalg.RandDense(ar, ac, -1, 1, seed)
+	db := linalg.RandDense(br, bc, -1, 1, seed+1)
+	a := FromDense(ctx, da, tile, parts)
+	b := FromDense(ctx, db, tile, parts)
+	run := func(p, q int64) *linalg.Dense {
+		spec := sh.spec(a, b)
+		spec.GridP, spec.GridQ = p, q
+		return GroupByJoin(a, b, spec).ToDense()
+	}
+	want := run(0, 0)
+	label := fmt.Sprintf("%s %dx%dx%d tile %d parts %d", sh.name, m, k, n, tile, parts)
+	if !want.EqualApprox(sh.ref(da, db), 1e-9) {
+		t.Fatalf("%s: derived-grid result is wrong", label)
+	}
+	spec := sh.spec(a, b)
+	if got := run(spec.GroupsY, spec.GroupsX); !got.Equal(want) {
+		t.Fatalf("%s: full-grid override differs from the derived grid (max diff %g)", label, got.MaxAbsDiff(want))
+	}
+	if got := run(1, 1); !got.Equal(want) {
+		t.Fatalf("%s: 1x1 grid differs from the derived grid (max diff %g)", label, got.MaxAbsDiff(want))
+	}
+	return want
+}
+
+// TestGBJGridsBitwiseIdentical is the property test behind "replace, do
+// not fork": over random square and non-square shapes, ragged edge
+// tiles, all three GEMM orientations and partition counts from 1 to
+// beyond the output tile count, the derived processor grid gives the
+// same bits as one cell per output tile and as a single cell.
+func TestGBJGridsBitwiseIdentical(t *testing.T) {
+	ctx := tctx()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 24; trial++ {
+		tile := rng.Intn(3) + 2
+		m, k, n := rng.Intn(16)+1, rng.Intn(16)+1, rng.Intn(16)+1
+		if trial%3 == 0 {
+			n = m // square
+			k = m
+		}
+		parts := []int{1, 2, 3, 5, 8, 13, 40, 100}[rng.Intn(8)]
+		checkGridsIdentical(t, ctx, gbjShapes[trial%len(gbjShapes)], m, k, n, tile, parts, int64(100+trial))
+	}
+}
+
+// TestOutOfCoreGBJGridsBitwiseIdentical: under a memory budget the
+// shuffle fills its buckets in task-completion order and reads them
+// back through an external merge, and the three grids must still agree
+// to the bit with each other and with the unbudgeted engine — the cell
+// kernel fixes its own accumulation order.
+func TestOutOfCoreGBJGridsBitwiseIdentical(t *testing.T) {
+	const budget = 1 << 20
+	ctx := oocCtx(t, budget)
+	for i, sh := range gbjShapes {
+		got := checkGridsIdentical(t, ctx, sh, 320, 256, 384, 64, 6, int64(300+i))
+		want := checkGridsIdentical(t, tctx(), sh, 320, 256, 384, 64, 6, int64(300+i))
+		if !got.Equal(want) {
+			t.Fatalf("%s: budgeted GBJ differs from in-memory GBJ (max diff %g)", sh.name, got.MaxAbsDiff(want))
+		}
+	}
+	if s := ctx.Metrics(); s.SpilledBytes == 0 {
+		t.Fatalf("GBJ shuffles over a %d-byte budget never spilled: %+v", budget, s)
+	}
+}
+
+// TestGridCellsBalanced: the row-major placement gives every partition
+// floor or ceil of cells/parts cells — over random block shapes and
+// every partition count 1..40 the counts differ by at most one, and no
+// partition is empty once there are as many cells as partitions.
+func TestGridCellsBalanced(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		gy, gx, bk := rng.Int63n(12)+1, rng.Int63n(12)+1, rng.Int63n(12)+1
+		for parts := 1; parts <= 40; parts++ {
+			p, q := stats.PickGrid(gy, gx, gy*bk, bk*gx, parts)
+			count := make([]int, parts)
+			for i := int64(0); i < p; i++ {
+				for j := int64(0); j < q; j++ {
+					count[cellPartition(Coord{I: i, J: j}, q, parts)]++
+				}
+			}
+			lo, hi := count[0], count[0]
+			for _, c := range count {
+				lo, hi = min(lo, c), max(hi, c)
+			}
+			if hi-lo > 1 {
+				t.Fatalf("%dx%d groups, grid %dx%d, parts %d: cells per partition range %d..%d", gy, gx, p, q, parts, lo, hi)
+			}
+			if p*q >= int64(parts) && lo == 0 {
+				t.Fatalf("%dx%d groups, grid %dx%d, parts %d: a partition has no cell", gy, gx, p, q, parts)
+			}
 		}
 	}
 }

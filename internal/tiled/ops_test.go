@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
+	"repro/internal/stats"
 )
 
 func randPair(ctx *dataflow.Context, rows, cols, n int, s1, s2 int64) (*Matrix, *Matrix, *linalg.Dense, *linalg.Dense) {
@@ -138,6 +139,11 @@ func TestMultiplyShuffleAccounting(t *testing.T) {
 
 	a, b = mk()
 	ctx.ResetMetrics()
+	a.MultiplyGBJTuned(b, 6, 6, 0).ToDense()
+	fullGridRecords := ctx.Metrics().ShuffledRecords
+
+	a, b = mk()
+	ctx.ResetMetrics()
 	a.Multiply(b).ToDense()
 	rbk := ctx.Metrics().ShuffledBytes
 
@@ -149,10 +155,19 @@ func TestMultiplyShuffleAccounting(t *testing.T) {
 	if rbk >= gbk {
 		t.Fatalf("reduceByKey should shuffle less than groupByKey: %d vs %d", rbk, gbk)
 	}
-	// g = 24/4 = 6 blocks per side; GBJ replicates each of the 36
-	// tiles per side 6 times: 2 * 6^3 = 432 shuffled records.
-	if gbjRecords != 432 {
-		t.Fatalf("GBJ shuffled records %d, want 432", gbjRecords)
+	// g = 24/4 = 6 blocks per side, 36 tiles per input, 4 partitions:
+	// the processor grid is the p x q PickGrid derives from those, and
+	// A crosses the shuffle q times, B p times.
+	p, q := stats.PickGrid(6, 6, 36, 36, 4)
+	if p*q != 4 {
+		t.Fatalf("grid %dx%d for 4 partitions, want 4 cells", p, q)
+	}
+	if want := 36*q + 36*p; gbjRecords != want {
+		t.Fatalf("GBJ shuffled records %d, want tilesA*q + tilesB*p = %d on the %dx%d grid", gbjRecords, want, p, q)
+	}
+	// One cell per output tile replicates each tile 6 times: 2 * 6^3.
+	if fullGridRecords != 432 {
+		t.Fatalf("full-grid GBJ shuffled records %d, want 432", fullGridRecords)
 	}
 }
 

@@ -1,11 +1,14 @@
 package tiled
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
+	"repro/internal/stats"
 )
 
 // This file implements Section 5.4: the group-by-join (GBJ) physical
@@ -16,11 +19,18 @@ import (
 //	            kx(i,j) == ky(ii,jj), let c = h(a,b),
 //	            group by k: (gx(i,j), gy(ii,jj)) ]
 //
-// evaluated by replicating each A tile across the output's column
-// groups and each B tile across the output's row groups, cogrouping on
-// the output coordinate, and reducing matches locally. Compared to the
-// join+reduceByKey translation it shuffles each input tile a bounded
-// number of times instead of shuffling every partial-product tile.
+// evaluated on a p x q processor grid: contiguous ranges of output tile
+// rows share a grid row and ranges of output tile columns a grid
+// column, each A tile is replicated to the q cells of its grid row and
+// each B tile to the p cells of its grid column, the cogroup on the
+// cell coordinate brings a cell's tiles together, and the cell reduces
+// its matches locally into one output tile per group pair it holds.
+// Compared to the join+reduceByKey translation it shuffles each input
+// tile a bounded number of times instead of shuffling every
+// partial-product tile. The grid is sized to the machine (the cogroup's
+// partition count), not to the tensor tiling: tilesA*q + tilesB*p tiles
+// cross the shuffle, where one cell per output tile would move
+// tilesA*groupsX + tilesB*groupsY.
 
 // keyedTile tags a tile with its join key kx/ky and its group gx/gy —
 // the group travels with the tile so a coarsened grid cell holding
@@ -33,6 +43,14 @@ type keyedTile struct {
 
 // NumBytes reports the tile payload for shuffle accounting.
 func (k keyedTile) NumBytes() int64 { return 16 + k.Tile.NumBytes() }
+
+// byGroupThenKey orders a cell's tiles by group, then join key.
+func byGroupThenKey(x, y keyedTile) int {
+	if c := cmp.Compare(x.G, y.G); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.K, y.K)
+}
 
 // GBJSpec describes a group-by-join instance: coordinate projections
 // for the group (gx, gy) and join keys (kx, ky), the per-match tile
@@ -52,41 +70,51 @@ type GBJSpec struct {
 	// FlopsPerMatch, when positive, is the flop count of one H call;
 	// kernel spans use it to report achieved GFLOP/s.
 	FlopsPerMatch float64
-	// GridP x GridQ, when positive, coarsen the cogroup onto a p x q
-	// processor grid instead of the full GroupsY x GroupsX output grid:
-	// contiguous group ranges share a cell, so each A tile is
-	// replicated GridQ times (instead of GroupsX) and each B tile
-	// GridP times, and a cell emits one output tile per group pair it
-	// holds. Zero means the full grid — exact SUMMA replication and
-	// the cost model's static default.
+	// GridP x GridQ, when both positive, override the processor grid
+	// (clamped to GroupsY x GroupsX). The result is bitwise identical
+	// for every grid — the tests that prove it are the only callers
+	// that set these; left zero, GroupByJoin derives the grid from the
+	// partition count with stats.PickGrid.
 	GridP, GridQ int64
 	// Parts overrides the cogroup's partition count; 0 uses the A
-	// input's (the static default).
+	// input's.
 	Parts int
 }
 
-// GroupByJoin runs the generic GBJ operator on two tiled matrices.
-// With the full grid (GridP/GridQ zero or equal to the group counts)
-// every cell holds exactly one output tile and the plan is the exact
-// SUMMA replication; a coarsened grid trades per-tile replication for
-// multi-group cells, cutting shuffle volume when the output grid is
-// much larger than the machine.
+// cellPartition places grid cell c of a grid with gridQ columns:
+// row-major cell index modulo the partition count, so cells per
+// partition differ by at most one (a hash of the coordinate would
+// collide 8 cells into about 5 of 8 partitions).
+func cellPartition(c Coord, gridQ int64, parts int) int {
+	return int((c.I*gridQ + c.J) % int64(parts))
+}
+
+// GroupByJoin runs the generic GBJ operator on two tiled matrices. The
+// processor grid and the placement of its cells are pure functions of
+// the block counts and the cogroup's partition count, so every rank of
+// an SPMD job builds the same plan whatever its core count. When the
+// output has no more tiles than there are partitions the grid is the
+// full output grid and every cell holds exactly one output tile.
 func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 	parts := spec.Parts
 	if parts <= 0 {
 		parts = a.Tiles.NumPartitions()
 	}
 	n := a.N
+	groupsY, groupsX := spec.GroupsY, spec.GroupsX
 	gridP, gridQ := spec.GridP, spec.GridQ
-	if gridP <= 0 || gridP > spec.GroupsY {
-		gridP = spec.GroupsY
+	if gridP <= 0 || gridQ <= 0 {
+		gridP, gridQ = stats.PickGrid(groupsY, groupsX,
+			a.BlockRows()*a.BlockCols(), b.BlockRows()*b.BlockCols(), parts)
 	}
-	if gridQ <= 0 || gridQ > spec.GroupsX {
-		gridQ = spec.GroupsX
+	if gridP > groupsY {
+		gridP = groupsY
+	}
+	if gridQ > groupsX {
+		gridQ = groupsX
 	}
 	// Contiguous group ranges share a cell; with the full grid this is
-	// the identity, reproducing the exact per-group routing.
-	groupsY, groupsX := spec.GroupsY, spec.GroupsX
+	// the identity, one group pair per cell.
 	cellRow := func(g int64) int64 { return g * gridP / groupsY }
 	cellCol := func(g int64) int64 { return g * gridQ / groupsX }
 
@@ -111,7 +139,7 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 
 	ctx := a.Tiles.Context()
 	pool := ctx.TilePool()
-	cg := dataflow.CoGroup(as, bs, parts)
+	cg := dataflow.CoGroupRouted(as, bs, parts, func(c Coord) int { return cellPartition(c, gridQ, parts) })
 	tiles := dataflow.FlatMap(cg, func(g dataflow.Pair[Coord, dataflow.CoGrouped[keyedTile, keyedTile]]) []Block {
 		sp := ctx.StartSpan("kernel: gbj-cell")
 		var start time.Time
@@ -119,25 +147,27 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 			start = time.Now()
 		}
 		par := ctx.KernelBudget()
-		// Hash the B side by join key; collect each side's distinct
-		// groups in first-seen order — their cross product is the
-		// cell's output tiles (one tile per group pair, exactly the
-		// single cogroup coordinate under the full grid).
+		// Fix the order matches accumulate in: an output tile sums its
+		// contributions by ascending join key whatever order the shuffle
+		// delivered the tiles in (a budgeted shuffle fills its buckets in
+		// task-completion order), so the result is bitwise identical
+		// across grids, backends and memory budgets.
+		slices.SortStableFunc(g.Value.Left, byGroupThenKey)
+		slices.SortStableFunc(g.Value.Right, byGroupThenKey)
+		// Hash the B side by join key; each side's distinct groups (runs,
+		// now that the sides are sorted) cross to the cell's output
+		// tiles, one tile per group pair.
 		right := make(map[int64][]keyedTile, len(g.Value.Right))
-		rseen := make(map[int64]bool)
 		var rgroups []int64
 		for _, kt := range g.Value.Right {
-			if !rseen[kt.G] {
-				rseen[kt.G] = true
+			if len(rgroups) == 0 || rgroups[len(rgroups)-1] != kt.G {
 				rgroups = append(rgroups, kt.G)
 			}
 			right[kt.K] = append(right[kt.K], kt)
 		}
-		lseen := make(map[int64]bool)
 		var lgroups []int64
 		for _, at := range g.Value.Left {
-			if !lseen[at.G] {
-				lseen[at.G] = true
+			if len(lgroups) == 0 || lgroups[len(lgroups)-1] != at.G {
 				lgroups = append(lgroups, at.G)
 			}
 		}
@@ -187,17 +217,22 @@ func (a *Matrix) MultiplyGBJ(b *Matrix) *Matrix {
 	return a.MultiplyGBJTuned(b, 0, 0, 0)
 }
 
-// MultiplyGBJTuned is MultiplyGBJ with the physical knobs the cost
-// model picks exposed: a gridP x gridQ processor grid (0 = the full
-// output-tile grid) and the cogroup partition count (0 = the A
-// input's). The result is numerically identical for any grid choice —
-// only replication volume and cell granularity change.
+// MultiplyGBJTuned is MultiplyGBJ with the physical knobs exposed: a
+// gridP x gridQ processor grid override (0,0 = derived from the
+// partition count) and the cogroup partition count (0 = the A
+// input's). The result is bitwise identical for any grid choice — only
+// replication volume and cell granularity change.
 func (a *Matrix) MultiplyGBJTuned(b *Matrix, gridP, gridQ int64, parts int) *Matrix {
+	spec := multiplySpec(a, b)
+	spec.GridP, spec.GridQ, spec.Parts = gridP, gridQ, parts
+	return GroupByJoin(a, b, spec)
+}
+
+func multiplySpec(a, b *Matrix) GBJSpec {
 	if a.Cols != b.Rows || a.N != b.N {
 		panic("tiled: multiply shape mismatch")
 	}
-	return GroupByJoin(a, b, GBJSpec{
-		GridP: gridP, GridQ: gridQ, Parts: parts,
+	return GBJSpec{
 		OutRows: a.Rows, OutCols: b.Cols,
 		GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
 		GX: func(c Coord) int64 { return c.I },
@@ -208,17 +243,21 @@ func (a *Matrix) MultiplyGBJTuned(b *Matrix, gridP, gridQ int64, parts int) *Mat
 			linalg.GemmBudget(out, x, y, par)
 		},
 		FlopsPerMatch: gemmFlops(a.N, 1),
-	})
+	}
 }
 
 // MultiplyTransAGBJ computes A^T * B without materializing A^T, as a
 // group-by-join with gx(k,i)=i and h = GemmTransA. Used by matrix
 // factorization (E^T x P).
 func (a *Matrix) MultiplyTransAGBJ(b *Matrix) *Matrix {
+	return GroupByJoin(a, b, multiplyTransASpec(a, b))
+}
+
+func multiplyTransASpec(a, b *Matrix) GBJSpec {
 	if a.Rows != b.Rows || a.N != b.N {
 		panic("tiled: multiplyTransA shape mismatch")
 	}
-	return GroupByJoin(a, b, GBJSpec{
+	return GBJSpec{
 		OutRows: a.Cols, OutCols: b.Cols,
 		GroupsX: b.BlockCols(), GroupsY: a.BlockCols(),
 		GX: func(c Coord) int64 { return c.J }, // output row group = A col
@@ -229,17 +268,21 @@ func (a *Matrix) MultiplyTransAGBJ(b *Matrix) *Matrix {
 			linalg.GemmTransABudget(out, x, y, par)
 		},
 		FlopsPerMatch: gemmFlops(a.N, 1),
-	})
+	}
 }
 
 // MultiplyTransBGBJ computes A * B^T without materializing B^T:
 // join key is the column coordinate of both inputs, h = GemmTransB.
 // Used by matrix factorization (P x Q^T).
 func (a *Matrix) MultiplyTransBGBJ(b *Matrix) *Matrix {
+	return GroupByJoin(a, b, multiplyTransBSpec(a, b))
+}
+
+func multiplyTransBSpec(a, b *Matrix) GBJSpec {
 	if a.Cols != b.Cols || a.N != b.N {
 		panic("tiled: multiplyTransB shape mismatch")
 	}
-	return GroupByJoin(a, b, GBJSpec{
+	return GBJSpec{
 		OutRows: a.Rows, OutCols: b.Rows,
 		GroupsX: b.BlockRows(), GroupsY: a.BlockRows(),
 		GX: func(c Coord) int64 { return c.I },
@@ -250,5 +293,5 @@ func (a *Matrix) MultiplyTransBGBJ(b *Matrix) *Matrix {
 			linalg.GemmTransBBudget(out, x, y, par)
 		},
 		FlopsPerMatch: gemmFlops(a.N, 1),
-	})
+	}
 }
