@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet fmt race test benchmark-test bench bench-adaptive bench-shuffle bench-smoke bench-kernels bench-spill spill-test cluster-test obs-test serve-test bench-serve fuzz stages trace check
+.PHONY: all tier1 vet fmt race test benchmark-test bench bench-adaptive bench-smoke bench-kernels bench-spill spill-test cluster-test obs-test serve-test bench-serve fuzz stages trace check
 
 all: tier1
 
@@ -44,18 +44,12 @@ bench-kernels:
 bench-adaptive:
 	$(GO) run ./cmd/sacbench -fig adaptive -json BENCH_adaptive.json
 
-# Streaming shuffle data-plane suite (what the CI shuffle job runs): a
-# real in-process 8-worker cluster runs the repartition and GBJ cases
-# under streaming / no-compress / legacy-blob wire modes, writing wall
-# clock, bytes-on-wire raw vs compressed, and chunk/pool counters to
-# BENCH_shuffle.json.
-bench-shuffle:
-	$(GO) run ./cmd/sacbench -fig shuffle -workers 8 -json BENCH_shuffle.json
-
 # Out-of-core test gate: the end-to-end spill tests under a tight
-# process-wide budget (what the CI spill job runs).
+# process-wide budget, then the cluster parity suites under the same
+# budget (what the CI spill job runs).
 spill-test:
 	SAC_MEMORY_BUDGET=64MiB $(GO) test ./... -run OutOfCore
+	SAC_MEMORY_BUDGET=64MiB $(GO) test ./internal/jobs ./internal/dataflow -run 'Parity|SPMD|ClusterQuery'
 
 # Distributed-runtime gate (what the CI distributed job runs): the
 # cluster protocol/driver/worker tests plus the driver + 3 sacworker

@@ -11,8 +11,6 @@
 //	sacbench -fig 4b -stages      # append the stage table to any figure run
 //	sacbench -fig adaptive -json BENCH_adaptive.json
 //	                              # skewed adaptive-vs-static suite + JSON artifact
-//	sacbench -fig shuffle -workers 8 -json BENCH_shuffle.json
-//	                              # streaming shuffle wire modes on a real in-process cluster
 //	sacbench -fig 4b -json out.json  # machine-readable per-stage doc for any figure
 //	sacbench -trace out.json      # Chrome trace of a GBJ multiply (Perfetto)
 //	sacbench -fig 4b -mem 64MiB   # out-of-core run: spill columns appear in the tables
@@ -33,7 +31,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 4a, 4b, 4c, ablation, kernels, adaptive, shuffle, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 4a, 4b, 4c, ablation, kernels, adaptive, all")
 	tile := flag.Int("tile", 100, "tile size N (the paper used 1000)")
 	parts := flag.Int("parts", 8, "dataset partitions (the paper had 8 executors)")
 	k := flag.Int64("k", 100, "factorization rank k (the paper used 1000)")
@@ -44,8 +42,7 @@ func main() {
 	sizesFlag := flag.String("sizes", "", "comma-separated matrix side lengths, overriding defaults")
 	traceOut := flag.String("trace", "", "run a traced GBJ multiply, write Chrome trace JSON to this file, and exit")
 	debugAddr := flag.String("debug", "", "serve /debug endpoints (pprof, live metrics, stage table) on this address during the run")
-	jsonOut := flag.String("json", "", "write a machine-readable JSON artifact to this file: the adaptive suite for -fig adaptive, the shuffle suite for -fig shuffle, the per-stage/histogram document otherwise")
-	workers := flag.Int("workers", 3, "in-process worker count for -fig shuffle")
+	jsonOut := flag.String("json", "", "write a machine-readable JSON artifact to this file: the adaptive suite for -fig adaptive, the per-stage/histogram document otherwise")
 	flag.Parse()
 
 	budget := memory.BudgetFromEnv(0)
@@ -154,20 +151,6 @@ func main() {
 		fmt.Println(s.Format())
 		writeJSON(s)
 	}
-	runShuffle := func() {
-		scfg := bench.DefaultShuffleConfig()
-		scfg.Workers = *workers
-		if *quick {
-			scfg.N, scfg.Tile = 96, 16
-		}
-		s, err := bench.Shuffle(scfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sacbench: shuffle suite: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(s.Format())
-		writeJSON(s)
-	}
 
 	switch *fig {
 	case "4a":
@@ -185,9 +168,6 @@ func main() {
 		return
 	case "adaptive":
 		runAdaptive()
-		return
-	case "shuffle":
-		runShuffle()
 		return
 	case "all":
 		run4a()

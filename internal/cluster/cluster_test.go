@@ -39,7 +39,7 @@ func init() {
 		}
 		var out bytes.Buffer
 		for r := 0; r < env.World; r++ {
-			blob, err := env.Exchange.Fetch(r, fmt.Sprintf("tok.%d", r))
+			blob, err := fetchAll(env.Exchange, r, fmt.Sprintf("tok.%d", r))
 			if err != nil {
 				return nil, Report{}, err
 			}

@@ -88,8 +88,8 @@ type chunk struct {
 }
 
 // bucket is a published shuffle payload, chunked (and possibly
-// compressed) once at publish time so every fetch — streaming or
-// legacy — serves the same bytes without re-encoding.
+// compressed) once at publish time so every fetch serves the same bytes
+// without re-encoding.
 type bucket struct {
 	chunks   []chunk
 	rawBytes int64
@@ -98,7 +98,8 @@ type bucket struct {
 // makeBucket chunks blob and applies the per-bucket compression
 // heuristic: probe the first chunk, compress the rest only if the
 // probe pays.
-func makeBucket(blob []byte, compress bool) bucket {
+func makeBucket(blob []byte) bucket {
+	compress := true
 	b := bucket{rawBytes: int64(len(blob))}
 	if len(blob) == 0 {
 		return b
@@ -124,24 +125,6 @@ func makeBucket(blob []byte, compress bool) bucket {
 		b.chunks = append(b.chunks, c)
 	}
 	return b
-}
-
-// assemble reconstructs the raw blob — the legacy whole-blob wire path
-// and local self-fetches still see exactly what was published.
-func (b bucket) assemble() ([]byte, error) {
-	out := make([]byte, 0, b.rawBytes)
-	for i, c := range b.chunks {
-		if c.flags&chunkFlagCompressed == 0 {
-			out = append(out, c.data...)
-			continue
-		}
-		raw, err := spill.DecompressBlock(c.data, c.rawLen)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stored chunk %d corrupt: %w", i, err)
-		}
-		out = append(out, raw...)
-	}
-	return out, nil
 }
 
 // jobStore holds one job's locally-produced shuffle buckets. Fetches
@@ -249,9 +232,8 @@ func (p *connPool) drain() {
 // Exchange is one rank's view of a job's shuffle fabric. It satisfies
 // dataflow's Transport interface structurally: Publish writes to the
 // local store (this worker's data server hands the bucket to whoever
-// asks), Fetch pulls a bucket from the owning rank's data server, and
-// FetchReader streams it chunk-by-chunk so consumers can pipeline
-// decode against the network (dataflow's StreamTransport).
+// asks) and FetchReader streams a bucket chunk-by-chunk from the owning
+// rank's data server, so consumers pipeline decode against the network.
 type Exchange struct {
 	jobID int64
 	rank  int
@@ -267,12 +249,10 @@ type Exchange struct {
 	dialBackoff   time.Duration
 	streamRetries int
 
-	compress atomic.Bool                    // compress published buckets (default on)
-	mem      atomic.Pointer[memory.Manager] // bounds per-fetch chunk buffers
+	mem atomic.Pointer[memory.Manager] // bounds per-fetch chunk buffers
 
-	dead   []atomic.Bool // ranks this exchange has given up on
-	legacy []atomic.Bool // ranks that closed a msgFetchStream: whole-blob only
-	pools  []connPool    // idle data connections, indexed by rank
+	dead  []atomic.Bool // ranks this exchange has given up on
+	pools []connPool    // idle data connections, indexed by rank
 
 	// Wire counters for this job's traffic through this rank, folded
 	// into the rank's Report. wireFetchedBytes counts bytes actually
@@ -299,7 +279,7 @@ func (e *Exchange) fillReport(r *Report) {
 }
 
 func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchange {
-	e := &Exchange{
+	return &Exchange{
 		jobID:         jobID,
 		rank:          rank,
 		peers:         peers,
@@ -309,19 +289,12 @@ func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchan
 		dialBackoff:   50 * time.Millisecond,
 		streamRetries: 2,
 		dead:          make([]atomic.Bool, len(peers)),
-		legacy:        make([]atomic.Bool, len(peers)),
 		pools:         make([]connPool, len(peers)),
 	}
-	e.compress.Store(true)
-	return e
 }
 
 func (e *Exchange) Rank() int  { return e.rank }
 func (e *Exchange) World() int { return len(e.peers) }
-
-// SetCompression toggles chunk compression for buckets published
-// through this exchange (on by default). Fetching always handles both.
-func (e *Exchange) SetCompression(on bool) { e.compress.Store(on) }
 
 // SetMemory installs the budget manager that bounds per-fetch chunk
 // buffers; dataflow calls this structurally when the transport is
@@ -332,7 +305,7 @@ func (e *Exchange) SetMemory(m *memory.Manager) { e.mem.Store(m) }
 // bucket is chunked — and, when it pays, compressed — exactly once
 // here; every subsequent fetch serves the stored chunks.
 func (e *Exchange) Publish(key string, blob []byte) error {
-	e.store.put(key, makeBucket(blob, e.compress.Load()))
+	e.store.put(key, makeBucket(blob))
 	return nil
 }
 
@@ -343,30 +316,14 @@ func (e *Exchange) markDead(rank int) {
 	e.pools[rank].drain()
 }
 
-// Fetch returns the bucket key owned by rank as one blob. Self-fetches
-// hit the local store directly; remote fetches stream from the peer's
-// data server. Any returned error means the caller should recompute
-// the bucket from lineage — but only FATAL errors (FetchGone, dial or
-// retry exhaustion) mark the rank dead; a fetch that failed after
-// transient errors was already retried within budget.
-func (e *Exchange) Fetch(rank int, key string) ([]byte, error) {
-	rc, err := e.FetchReader(rank, key)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		return nil, err
-	}
-	return blob, nil
-}
-
-// FetchReader streams the bucket key owned by rank. The reader yields
-// the raw (decompressed) bucket bytes incrementally as chunks arrive,
-// holding at most one chunk — reserved against the memory budget — at
-// a time. Transient stream errors are retried transparently, resuming
-// from the last delivered chunk. If the reader fails with a
+// FetchReader streams the bucket key owned by rank; self-fetches read
+// the local store directly. The reader yields the raw (decompressed)
+// bucket bytes incrementally as chunks arrive, holding at most one
+// chunk — reserved against the memory budget — at a time. Transient
+// stream errors are retried transparently, resuming from the last
+// delivered chunk. Any error means the caller should recompute the
+// bucket from lineage — but only FATAL errors (FetchGone, dial or retry
+// exhaustion) mark the rank dead. If the reader fails with a
 // transport-level error (peer died, bucket gone), its TransportErr
 // method returns it, distinguishing "recompute from lineage" from
 // "payload corrupt".
@@ -436,10 +393,9 @@ type streamReader struct {
 
 	conn     net.Conn
 	br       *bufio.Reader
-	fresh    bool // conn was dialed (not pooled) for this request
-	got      int  // chunks received on the CURRENT connection
-	next     int  // next chunk index expected = resume point
-	attempts int  // transient retries consumed
+	got      int // chunks received on the CURRENT connection
+	next     int // next chunk index expected = resume point
+	attempts int // transient retries consumed
 
 	cur      []byte // decoded bytes of the current chunk, unconsumed
 	reserved int64  // memory reservation held for cur
@@ -533,9 +489,6 @@ func (s *streamReader) retry(err error) error {
 // needed. On return either s.cur holds chunk bytes, s.done is set, or
 // an error is final.
 func (s *streamReader) fill() error {
-	if s.e.legacy[s.rank].Load() {
-		return s.legacyFill()
-	}
 	if s.conn == nil {
 		if err := s.connect(); err != nil {
 			return s.fail(err) // dial exhaustion is fatal
@@ -543,7 +496,6 @@ func (s *streamReader) fill() error {
 		req := fetchStreamMsg{
 			JobID:      s.e.jobID,
 			Key:        s.key,
-			Flags:      fetchFlagAcceptCompressed,
 			FirstChunk: int64(s.next),
 		}
 		_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
@@ -554,16 +506,6 @@ func (s *streamReader) fill() error {
 	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
 	typ, payload, err := readFrame(s.br)
 	if err != nil {
-		if s.fresh && s.got == 0 && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-			// A fresh connection closed before the first reply frame:
-			// the peer predates msgFetchStream and hung up on the
-			// unknown type. Downgrade this rank to the whole-blob
-			// protocol (harmless if wrong — new servers speak it too).
-			s.e.legacy[s.rank].Store(true)
-			s.conn.Close()
-			s.conn, s.br = nil, nil
-			return s.legacyFill()
-		}
 		return s.retry(fmt.Errorf("cluster: read stream from rank %d: %w", s.rank, err))
 	}
 	switch typ {
@@ -631,65 +573,6 @@ func (s *streamReader) fill() error {
 	}
 }
 
-// legacyFill satisfies the whole stream with one msgFetch round trip —
-// the PR 5 wire path, kept for peers that predate chunk streaming.
-func (s *streamReader) legacyFill() error {
-	for {
-		if err := s.connect(); err != nil {
-			return s.fail(err)
-		}
-		blob, err := s.legacyOnce()
-		if err == nil {
-			// Skip what earlier (streamed) attempts already delivered:
-			// chunk boundaries are fixed at publish time.
-			skip := s.next * shuffleChunkSize
-			if skip > len(blob) {
-				skip = len(blob)
-			}
-			s.e.mem.Load().Reserve(int64(len(blob) - skip))
-			s.reserved = int64(len(blob) - skip)
-			s.cur = blob[skip:]
-			s.rawTotal += int64(len(blob) - skip)
-			s.done = true
-			return nil
-		}
-		if rerr := s.retry(err); rerr != nil {
-			return rerr
-		}
-	}
-}
-
-// legacyOnce performs one whole-blob request on the current connection.
-func (s *streamReader) legacyOnce() ([]byte, error) {
-	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
-	req := fetchMsg{JobID: s.e.jobID, Key: s.key}
-	if err := writeFrame(s.conn, msgFetch, req.encode()); err != nil {
-		return nil, fmt.Errorf("cluster: send fetch to rank %d: %w", s.rank, err)
-	}
-	typ, payload, err := readFrame(s.br)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: read fetch reply from rank %d: %w", s.rank, err)
-	}
-	switch typ {
-	case msgFetchOK:
-		s.e.wireFetchedBytes.Add(int64(len(payload)))
-		obsWireFetchedBytes.Add(int64(len(payload)))
-		s.e.wireRawBytes.Add(int64(len(payload)))
-		obsWireRawBytes.Add(int64(len(payload)))
-		// Reusable: the reply ended on a frame boundary.
-		_ = s.conn.SetDeadline(time.Time{})
-		s.e.pools[s.rank].put(s.conn)
-		s.conn, s.br = nil, nil
-		return payload, nil
-	case msgFetchGone:
-		s.e.fetchGone.Add(1)
-		obsFetchGone.Inc()
-		return nil, fmt.Errorf("cluster: rank %d lost bucket %s: %s: %w", s.rank, s.key, payload, errFetchGone)
-	default:
-		return nil, fmt.Errorf("cluster: unexpected reply type %d from rank %d", typ, s.rank)
-	}
-}
-
 // connect acquires a connection to the peer: pooled if available,
 // freshly dialed (with backoff) otherwise.
 func (s *streamReader) connect() error {
@@ -698,7 +581,7 @@ func (s *streamReader) connect() error {
 	}
 	s.got = 0
 	if c := s.e.pools[s.rank].get(); c != nil {
-		s.conn, s.br, s.fresh = c, bufio.NewReader(c), false
+		s.conn, s.br = c, bufio.NewReader(c)
 		s.e.connPoolHits.Add(1)
 		obsConnPoolHits.Inc()
 		return nil
@@ -710,7 +593,7 @@ func (s *streamReader) connect() error {
 		var c net.Conn
 		c, err = net.DialTimeout("tcp", s.e.peers[s.rank], s.e.fetchTimeout)
 		if err == nil {
-			s.conn, s.br, s.fresh = c, bufio.NewReader(c), true
+			s.conn, s.br = c, bufio.NewReader(c)
 			return nil
 		}
 		if attempt >= s.e.dialRetries {

@@ -29,27 +29,15 @@ const (
 	msgJob       = byte(4)  // driver -> worker: run program rank r of w
 	msgJobDone   = byte(5)  // worker -> driver: result or error + report
 	msgJobEnd    = byte(6)  // driver -> worker: job finished, drop its store
-	msgFetch     = byte(7)  // worker -> worker: shuffle bucket request
-	msgFetchOK   = byte(8)  // worker -> worker: bucket payload
-	msgFetchGone = byte(9)  // worker -> worker: bucket unavailable (job failed here)
+	msgFetchGone = byte(9)  // worker -> worker: bucket unavailable (job failed or ended here)
 	msgTelemetry = byte(10) // worker -> driver: span batch + stage rows + counter deltas
 
-	// Streaming data plane (PR 10). A streaming fetch is one
-	// msgFetchStream request answered by zero or more msgStreamChunk
-	// frames and a terminating msgStreamEnd (or msgFetchGone). Old
-	// workers that don't know msgFetchStream close the connection,
-	// which the client detects and downgrades to msgFetch — so mixed
-	// fleets stay wire-compatible in both directions.
+	// The data plane. A fetch is one msgFetchStream request answered by
+	// zero or more msgStreamChunk frames and a terminating msgStreamEnd
+	// (or msgFetchGone).
 	msgFetchStream = byte(11) // worker -> worker: chunked bucket request
 	msgStreamChunk = byte(12) // worker -> worker: one bucket chunk
 	msgStreamEnd   = byte(13) // worker -> worker: stream totals / terminator
-)
-
-// fetchStreamMsg flag bits, set by the requester.
-const (
-	// fetchFlagAcceptCompressed: the requester can decode compressed
-	// chunks; without it the server decompresses before sending.
-	fetchFlagAcceptCompressed = uint64(1) << 0
 )
 
 // streamChunk flag bits, one byte per chunk.
@@ -305,24 +293,6 @@ func decodeJobEnd(p []byte) (jobEndMsg, error) {
 	return m, c.err
 }
 
-type fetchMsg struct {
-	JobID int64
-	Key   string
-}
-
-func (m *fetchMsg) encode() []byte {
-	var w wireBuf
-	w.i64(m.JobID)
-	w.str(m.Key)
-	return w.b
-}
-
-func decodeFetch(p []byte) (fetchMsg, error) {
-	c := wireCur{b: p}
-	m := fetchMsg{JobID: c.i64(), Key: c.str()}
-	return m, c.err
-}
-
 // fetchStreamMsg asks a peer to stream one bucket as chunks, starting
 // at chunk index FirstChunk (non-zero when resuming after a transient
 // connection failure — chunk boundaries are fixed at publish time, so
@@ -330,7 +300,6 @@ func decodeFetch(p []byte) (fetchMsg, error) {
 type fetchStreamMsg struct {
 	JobID      int64
 	Key        string
-	Flags      uint64
 	FirstChunk int64
 }
 
@@ -338,14 +307,13 @@ func (m *fetchStreamMsg) encode() []byte {
 	var w wireBuf
 	w.i64(m.JobID)
 	w.str(m.Key)
-	w.u64(m.Flags)
 	w.i64(m.FirstChunk)
 	return w.b
 }
 
 func decodeFetchStream(p []byte) (fetchStreamMsg, error) {
 	c := wireCur{b: p}
-	m := fetchStreamMsg{JobID: c.i64(), Key: c.str(), Flags: c.u64(), FirstChunk: c.i64()}
+	m := fetchStreamMsg{JobID: c.i64(), Key: c.str(), FirstChunk: c.i64()}
 	if m.FirstChunk < 0 {
 		c.fail("fetch-stream first chunk")
 	}

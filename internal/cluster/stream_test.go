@@ -1,10 +1,10 @@
 package cluster
 
 // Streaming data-plane tests: chunked/compressed fetch parity with the
-// whole-blob path, transparent resume after transient stream errors
-// (the rank must NOT be marked dead), fatal FetchGone classification,
-// connection-pool reuse, legacy-protocol interop in both directions,
-// and memory-bounded fetches.
+// published bytes, transparent resume after transient stream errors
+// (the rank must NOT be marked dead), fatal FetchGone classification —
+// for a failed job and for one that already ended — connection-pool
+// reuse, and memory-bounded fetches.
 
 import (
 	"bufio"
@@ -49,6 +49,16 @@ func clientExchange(jobID int64, serverAddr string) *Exchange {
 	return e
 }
 
+// fetchAll drains one FetchReader.
+func fetchAll(e *Exchange, rank int, key string) ([]byte, error) {
+	rc, err := e.FetchReader(rank, key)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
+}
+
 func testBlobs() map[string][]byte {
 	rng := rand.New(rand.NewSource(42))
 	random := make([]byte, 3*shuffleChunkSize+777) // 4 chunks, incompressible
@@ -62,39 +72,43 @@ func testBlobs() map[string][]byte {
 	}
 }
 
+// TestStreamFetchParity: every blob shape — empty, sub-chunk, several
+// compressible chunks, several incompressible ones — comes back from
+// the data server byte for byte, whichever way the publish-side probe
+// stored its chunks.
 func TestStreamFetchParity(t *testing.T) {
-	for _, compress := range []bool{true, false} {
-		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			w, addr := startDataServer(t)
-			server := newExchange(1, 1, nil, w.storeFor(1))
-			server.SetCompression(compress)
-			e := clientExchange(1, addr)
-			for name, blob := range testBlobs() {
-				if err := server.Publish(name, blob); err != nil {
-					t.Fatalf("publish %s: %v", name, err)
-				}
-				got, err := e.Fetch(1, name)
-				if err != nil {
-					t.Fatalf("fetch %s: %v", name, err)
-				}
-				if !bytes.Equal(got, blob) {
-					t.Fatalf("%s: fetched %d bytes, want %d (content mismatch)", name, len(got), len(blob))
-				}
+	w, addr := startDataServer(t)
+	server := newExchange(1, 1, nil, w.storeFor(1))
+	for name, blob := range testBlobs() {
+		e := clientExchange(1, addr)
+		if err := server.Publish(name, blob); err != nil {
+			t.Fatalf("publish %s: %v", name, err)
+		}
+		got, err := fetchAll(e, 1, name)
+		if err != nil {
+			t.Fatalf("fetch %s: %v", name, err)
+		}
+		if !bytes.Equal(got, blob) {
+			t.Fatalf("%s: fetched %d bytes, want %d (content mismatch)", name, len(got), len(blob))
+		}
+		wire, raw, chunks := e.wireFetchedBytes.Load(), e.wireRawBytes.Load(), e.chunksFetched.Load()
+		if raw != int64(len(blob)) || (chunks == 0) != (len(blob) == 0) {
+			t.Fatalf("%s: counted %d raw bytes in %d chunks for a %d-byte blob", name, raw, chunks, len(blob))
+		}
+		switch name {
+		case "repetitive":
+			if wire >= raw {
+				t.Fatalf("compression saved nothing: wire=%d raw=%d", wire, raw)
 			}
-			if e.chunksFetched.Load() == 0 {
-				t.Fatal("no chunks counted: fetches did not use the streaming path")
+		case "random":
+			// Stored raw by the probe: framing is the only overhead.
+			if wire < raw || wire > raw+16*chunks {
+				t.Fatalf("incompressible blob: wire=%d raw=%d in %d chunks", wire, raw, chunks)
 			}
-			if e.wireRawBytes.Load() == 0 {
-				t.Fatal("wireRawBytes not counted")
-			}
-			if compress && e.wireFetchedBytes.Load() >= e.wireRawBytes.Load() {
-				t.Fatalf("compression saved nothing: wire=%d raw=%d",
-					e.wireFetchedBytes.Load(), e.wireRawBytes.Load())
-			}
-			if e.dead[1].Load() {
-				t.Fatal("healthy rank marked dead")
-			}
-		})
+		}
+		if e.dead[1].Load() {
+			t.Fatal("healthy rank marked dead")
+		}
 	}
 }
 
@@ -105,7 +119,7 @@ func TestConnPoolReuse(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
 		_ = server.Publish(key, bytes.Repeat([]byte{byte(i)}, 10_000))
-		if _, err := e.Fetch(1, key); err != nil {
+		if _, err := fetchAll(e, 1, key); err != nil {
 			t.Fatalf("fetch %s: %v", key, err)
 		}
 	}
@@ -121,7 +135,7 @@ func TestConnPoolReuse(t *testing.T) {
 // and the rank is NOT marked dead.
 func TestTransientStreamErrorResumes(t *testing.T) {
 	blob := bytes.Repeat([]byte("stream-me-"), 4*shuffleChunkSize/10)
-	bkt := makeBucket(blob, true)
+	bkt := makeBucket(blob)
 	if len(bkt.chunks) < 2 {
 		t.Fatal("test bucket must span several chunks")
 	}
@@ -171,7 +185,7 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 		}
 	}()
 	e := clientExchange(3, ln.Addr().String())
-	got, err := e.Fetch(1, "x")
+	got, err := fetchAll(e, 1, "x")
 	if err != nil {
 		t.Fatalf("fetch across mid-stream hangup: %v", err)
 	}
@@ -192,7 +206,7 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 		t.Fatalf("expected a resume with FirstChunk > 0, saw requests %v", seen)
 	}
 	// A later fetch from the same (healthy) rank must still work.
-	if _, err := e.Fetch(1, "x"); err != nil {
+	if _, err := fetchAll(e, 1, "x"); err != nil {
 		t.Fatalf("rank unusable after recovered transient error: %v", err)
 	}
 }
@@ -205,7 +219,7 @@ func TestFetchGoneIsFatal(t *testing.T) {
 	store := w.storeFor(4)
 	store.fail()
 	e := clientExchange(4, addr)
-	if _, err := e.Fetch(1, "anything"); err == nil {
+	if _, err := fetchAll(e, 1, "anything"); err == nil {
 		t.Fatal("fetch from failed store succeeded")
 	}
 	if e.fetchGone.Load() == 0 {
@@ -217,93 +231,42 @@ func TestFetchGoneIsFatal(t *testing.T) {
 	if e.fetchRetries.Load() != 0 {
 		t.Fatalf("fatal FetchGone was retried %d times", e.fetchRetries.Load())
 	}
-	if _, err := e.Fetch(1, "other"); err == nil || !bytes.Contains([]byte(err.Error()), []byte("dead")) {
+	if _, err := fetchAll(e, 1, "other"); err == nil || !bytes.Contains([]byte(err.Error()), []byte("dead")) {
 		t.Fatalf("dead rank not failing fast: %v", err)
 	}
 }
 
-// TestLegacyServerFallback: fetching from a peer that predates the
-// streaming protocol (closes the connection on unknown frame types,
-// answers only msgFetch) must transparently downgrade to whole-blob.
-func TestLegacyServerFallback(t *testing.T) {
-	blob := bytes.Repeat([]byte("old-wire-"), 50_000) // > 1 chunk
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestFetchAfterJobEnd: a straggler fetch for a job the driver already
+// retired here must be answered FetchGone at once. It must not re-create
+// the job's store — nobody would ever fail or drop it, so the map entry
+// would leak and the serving goroutine would wait on it for good.
+func TestFetchAfterJobEnd(t *testing.T) {
+	d, ws := startCluster(t, 1, 3*time.Second)
+	w := ws[0]
+	if _, err := d.Run("test.echo", []byte("x"), 10*time.Second); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				for {
-					typ, payload, err := readFrame(br)
-					if err != nil {
-						return
-					}
-					if typ != msgFetch {
-						return // PR 5 behavior: hang up on anything unknown
-					}
-					if _, err := decodeFetch(payload); err != nil {
-						return
-					}
-					if writeFrame(conn, msgFetchOK, blob) != nil {
-						return
-					}
-				}
-			}(conn)
+	stores := func() int {
+		w.smu.Lock()
+		defer w.smu.Unlock()
+		return len(w.stores)
+	}
+	// Job 0 is this driver's first; its JobEnd trails the Run reply.
+	deadline := time.Now().Add(5 * time.Second)
+	for stores() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job store never retired: %d left", stores())
 		}
-	}()
-	e := clientExchange(5, ln.Addr().String())
-	got, err := e.Fetch(1, "k")
-	if err != nil {
-		t.Fatalf("fetch from legacy server: %v", err)
+		time.Sleep(time.Millisecond)
 	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("legacy fallback returned wrong bytes")
+	// A server parked in waitGet would show as a read timeout instead.
+	e := clientExchange(0, w.DataAddr())
+	e.fetchTimeout, e.streamRetries = time.Second, 0
+	if _, err := fetchAll(e, 1, "x1.0.0"); err == nil || e.fetchGone.Load() != 1 {
+		t.Fatalf("fetch from an ended job: err=%v, %d FetchGone replies", err, e.fetchGone.Load())
 	}
-	if !e.legacy[1].Load() {
-		t.Fatal("peer not remembered as legacy")
-	}
-	if e.dead[1].Load() {
-		t.Fatal("legacy downgrade marked the rank dead")
-	}
-	// Second fetch goes straight to the legacy path.
-	if _, err := e.Fetch(1, "k2"); err != nil {
-		t.Fatalf("second legacy fetch: %v", err)
-	}
-}
-
-// TestLegacyClientAgainstNewServer: an old peer that only speaks
-// msgFetch must still get the exact published bytes from a new server,
-// even when the stored bucket is chunked and compressed.
-func TestLegacyClientAgainstNewServer(t *testing.T) {
-	w, addr := startDataServer(t)
-	server := newExchange(6, 1, nil, w.storeFor(6))
-	blob := bytes.Repeat([]byte("compress-me-"), 3*shuffleChunkSize/12)
-	if err := server.Publish("k", blob); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req := fetchMsg{JobID: 6, Key: "k"}
-	if err := writeFrame(conn, msgFetch, req.encode()); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(bufio.NewReader(conn))
-	if err != nil || typ != msgFetchOK {
-		t.Fatalf("whole-blob reply: type=%d err=%v", typ, err)
-	}
-	if !bytes.Equal(payload, blob) {
-		t.Fatal("whole-blob reply not byte-identical to published bucket")
+	if n := stores(); n != 0 {
+		t.Fatalf("straggler fetch re-created a store: %d stores", n)
 	}
 }
 
@@ -351,9 +314,8 @@ func TestMemoryBoundedFetch(t *testing.T) {
 // buckets and stores incompressible ones raw.
 func TestBucketHeuristic(t *testing.T) {
 	rep := bytes.Repeat([]byte("abcd"), shuffleChunkSize)
-	b := makeBucket(rep, true)
 	stored := 0
-	for _, c := range b.chunks {
+	for _, c := range makeBucket(rep).chunks {
 		if c.flags&chunkFlagCompressed == 0 {
 			t.Fatal("compressible chunk stored raw")
 		}
@@ -362,29 +324,13 @@ func TestBucketHeuristic(t *testing.T) {
 	if stored >= len(rep) {
 		t.Fatalf("compressed bucket not smaller: %d vs %d", stored, len(rep))
 	}
-	back, err := b.assemble()
-	if err != nil || !bytes.Equal(back, rep) {
-		t.Fatalf("assemble mismatch (err=%v)", err)
-	}
 
 	rng := rand.New(rand.NewSource(1))
 	rnd := make([]byte, 2*shuffleChunkSize)
 	rng.Read(rnd)
-	b = makeBucket(rnd, true)
-	for i, c := range b.chunks {
+	for i, c := range makeBucket(rnd).chunks {
 		if c.flags&chunkFlagCompressed != 0 {
 			t.Fatalf("incompressible chunk %d stored compressed", i)
-		}
-	}
-	back, err = b.assemble()
-	if err != nil || !bytes.Equal(back, rnd) {
-		t.Fatalf("raw assemble mismatch (err=%v)", err)
-	}
-
-	b = makeBucket(rep, false)
-	for _, c := range b.chunks {
-		if c.flags != 0 {
-			t.Fatal("compression-off bucket has compressed chunks")
 		}
 	}
 }
@@ -395,7 +341,7 @@ func TestBucketHeuristic(t *testing.T) {
 func FuzzChunkFrame(f *testing.F) {
 	f.Add(encodeChunkFrame(0, 5, []byte("hello")))
 	f.Add(encodeChunkFrame(chunkFlagCompressed, 100, []byte{1, 2, 3}))
-	f.Add((&fetchStreamMsg{JobID: 1, Key: "x1.2.3", Flags: 1, FirstChunk: 7}).encode())
+	f.Add((&fetchStreamMsg{JobID: 1, Key: "x1.2.3", FirstChunk: 7}).encode())
 	f.Add((&streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}).encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})

@@ -7,9 +7,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/spill"
 )
+
+// endedJobsKept bounds the memory of retired job IDs. A straggler fetch
+// is seconds behind its job's end, not endedJobsKept jobs behind.
+const endedJobsKept = 128
 
 // WorkerConfig configures one worker process (or in-process worker in
 // tests).
@@ -29,8 +31,11 @@ type Worker struct {
 	wmu     sync.Mutex // guards control writes (heartbeats vs JobDone)
 	dataLn  net.Listener
 
+	// smu guards the per-job exchange stores and ended, the IDs of the
+	// last endedJobsKept jobs the driver retired here.
 	smu    sync.Mutex
 	stores map[int64]*jobStore
+	ended  []int64
 
 	servedFetches atomic.Int64
 	servedBytes   atomic.Int64
@@ -251,6 +256,10 @@ func (w *Worker) controlLoop(br *bufio.Reader) {
 					s.fail() // release any straggler fetch
 					delete(w.stores, end.JobID)
 				}
+				if len(w.ended) == endedJobsKept {
+					w.ended = append(w.ended[:0], w.ended[1:]...)
+				}
+				w.ended = append(w.ended, end.JobID)
 				w.smu.Unlock()
 			}
 		}
@@ -258,12 +267,22 @@ func (w *Worker) controlLoop(br *bufio.Reader) {
 }
 
 // storeFor returns the job's exchange store, creating it if a peer's
-// fetch arrives before this worker has seen its own Job message.
+// fetch arrives before this worker has seen its own Job message. It
+// returns nil for a job that has ended here: a store made for a
+// straggler's fetch would never be failed or dropped, and would park
+// the goroutine serving it for good. (A set of recent IDs, not a
+// high-water mark: a fetch may precede this worker's own Job message,
+// and job IDs restart at 0 with a new driver.)
 func (w *Worker) storeFor(jobID int64) *jobStore {
 	w.smu.Lock()
 	defer w.smu.Unlock()
 	s, ok := w.stores[jobID]
 	if !ok {
+		for _, id := range w.ended {
+			if id == jobID {
+				return nil
+			}
+		}
 		s = newJobStore()
 		w.stores[jobID] = s
 	}
@@ -272,6 +291,11 @@ func (w *Worker) storeFor(jobID int64) *jobStore {
 
 func (w *Worker) runJob(job jobMsg) {
 	store := w.storeFor(job.JobID)
+	if store == nil {
+		refused := jobDoneMsg{JobID: job.JobID, Err: "cluster: job ID already ended on this worker"}
+		_ = w.send(msgJobDone, refused.encode())
+		return
+	}
 	exch := newExchange(job.JobID, int(job.Rank), job.Peers, store)
 	var telemSeq atomic.Int64
 	env := &JobEnv{
@@ -335,87 +359,45 @@ func (w *Worker) dataLoop() {
 
 // serveData answers bucket requests on one peer connection. The loop
 // handles any number of requests per connection (the client side pools
-// connections), speaking both the chunked streaming protocol and the
-// PR 5 whole-blob protocol — a new worker serves old peers and vice
-// versa. Anything unrecognized closes the connection, which is exactly
-// the signal a NEWER peer uses to downgrade to the messages we do know.
+// connections). Anything unrecognized closes the connection.
 func (w *Worker) serveData(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
 		typ, payload, err := readFrame(br)
-		if err != nil {
+		if err != nil || typ != msgFetchStream {
 			return
 		}
-		switch typ {
-		case msgFetch:
-			req, err := decodeFetch(payload)
-			if err != nil {
-				return
-			}
-			bkt, err := w.storeFor(req.JobID).waitGet(req.Key)
-			if err != nil {
-				if writeFrame(bw, msgFetchGone, []byte(err.Error())) != nil || bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-			blob, err := bkt.assemble()
-			if err != nil {
-				if writeFrame(bw, msgFetchGone, []byte(err.Error())) != nil || bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-			w.servedFetches.Add(1)
-			w.servedBytes.Add(int64(len(blob)))
-			obsWireServedBytes.Add(int64(len(blob)))
-			if writeFrame(bw, msgFetchOK, blob) != nil || bw.Flush() != nil {
-				return
-			}
-		case msgFetchStream:
-			req, err := decodeFetchStream(payload)
-			if err != nil {
-				return
-			}
-			if !w.serveStream(bw, req) {
-				return
-			}
-		default:
+		req, err := decodeFetchStream(payload)
+		if err != nil || !w.serveStream(bw, req) {
 			return
 		}
 	}
 }
 
 // serveStream answers one chunked bucket request: every stored chunk
-// from FirstChunk on, then the totals. Chunks are sent as stored —
-// compressed buckets cost zero re-encoding — unless the requester
-// can't decode compressed chunks, in which case each is inflated
-// before framing. Returns false when the connection is unusable.
+// from FirstChunk on, as stored — compressed buckets cost zero
+// re-encoding — then the totals. Returns false when the connection is
+// unusable.
 func (w *Worker) serveStream(bw *bufio.Writer, req fetchStreamMsg) bool {
-	bkt, err := w.storeFor(req.JobID).waitGet(req.Key)
+	store := w.storeFor(req.JobID)
+	if store == nil {
+		return writeFrame(bw, msgFetchGone, []byte("cluster: job ended on this worker")) == nil && bw.Flush() == nil
+	}
+	bkt, err := store.waitGet(req.Key)
 	if err != nil {
 		return writeFrame(bw, msgFetchGone, []byte(err.Error())) == nil && bw.Flush() == nil
 	}
-	accept := req.Flags&fetchFlagAcceptCompressed != 0
 	var end streamEndMsg
 	for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
 		ch := bkt.chunks[i]
-		flags, body := ch.flags, ch.data
-		if flags&chunkFlagCompressed != 0 && !accept {
-			raw, err := spill.DecompressBlock(ch.data, ch.rawLen)
-			if err != nil {
-				return writeFrame(bw, msgFetchGone, []byte(err.Error())) == nil && bw.Flush() == nil
-			}
-			flags, body = flags&^chunkFlagCompressed, raw
-		}
-		if writeFrame(bw, msgStreamChunk, encodeChunkFrame(flags, ch.rawLen, body)) != nil {
+		if writeFrame(bw, msgStreamChunk, encodeChunkFrame(ch.flags, ch.rawLen, ch.data)) != nil {
 			return false
 		}
 		end.Chunks++
 		end.RawBytes += int64(ch.rawLen)
-		end.WireBytes += int64(len(body))
+		end.WireBytes += int64(len(ch.data))
 	}
 	w.servedFetches.Add(1)
 	w.servedBytes.Add(end.WireBytes)

@@ -75,9 +75,6 @@ type Config struct {
 	// (see dataflow.Config.Transport and internal/cluster). nil is
 	// unchanged local execution.
 	Transport dataflow.Transport
-	// DisableStreamFetch forces whole-blob shuffle fetches even on a
-	// streaming-capable transport (see dataflow.Config.DisableStreamFetch).
-	DisableStreamFetch bool
 	// WorkerTag names this process in distributed diagnostics (span
 	// attributes, per-worker metric rows).
 	WorkerTag string
@@ -117,7 +114,6 @@ func NewSession(conf Config) *Session {
 
 		ShuffleCostNsPerByte: conf.ShuffleCostNsPerByte,
 		Transport:            conf.Transport,
-		DisableStreamFetch:   conf.DisableStreamFetch,
 		WorkerTag:            conf.WorkerTag,
 	})
 	sc := conf.StatsCache

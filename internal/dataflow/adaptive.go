@@ -1,35 +1,45 @@
 package dataflow
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/spill"
+)
 
 // This file implements adaptive stage boundaries: after a shuffle's
-// map side completes, the engine inspects the records-per-partition
-// histogram it just produced (the same Dist that powers skew warnings)
-// and, when one bucket is lopsided, moves whole key groups out of the
-// argmax bucket into the smallest ones before any reduce task runs.
-// One pass both splits the hot partition and fills the tiny ones; the
-// partition *count* never changes, so downstream lineage is untouched.
+// map side completes, the engine inspects the store's rows-per-bucket
+// histogram and, when one bucket is lopsided, re-routes whole key groups
+// out of the argmax bucket into the smallest ones before any reduce
+// task runs. One pass both splits the hot bucket and fills the tiny
+// ones; the partition *count* never changes, so downstream lineage is
+// untouched.
 //
 // Correctness hinges on moving only whole ord-groups (all rows whose
-// spill ordinal — a hash of the key — is equal): per-partition
-// grouping and folding then still see every record of a key in one
-// bucket, so results are exactly those of the static plan, merely
-// distributed differently. The rebalance is skipped on narrow reads
-// (nothing to move), spilled shuffles (buckets live in run files), and
-// under a cluster transport (every rank must build byte-identical
-// plans; see internal/jobs for the SPMD invariant).
+// ordinal — a hash of the key — is equal): per-partition grouping and
+// folding then still see every record of a key in one bucket, in the
+// order the map tasks produced them, so results are exactly those of
+// the static plan, merely distributed differently. The moved rows go
+// back through the shuffle writer, so under a memory budget they
+// reserve and spill like any map output. The rebalance is skipped on
+// narrow reads (nothing to move) and under a cluster transport: every
+// rank would have to reach the same decision from a histogram no rank
+// holds whole, and exchanging one is a protocol this engine does not
+// have.
 
 // adaptiveEnabled reports whether this context rebalances shuffle
-// buckets at stage boundaries. Never under SPMD: adaptive decisions
-// depend on runtime load, and diverging bucket layouts across ranks
-// would break the deterministic-graph contract.
+// buckets at stage boundaries. Never under SPMD: a rank sees only its
+// own map tasks' share of the histogram, and diverging bucket layouts
+// across ranks would break the deterministic-graph contract.
 func (c *Context) adaptiveEnabled() bool {
 	return c.conf.AdaptiveShuffle && c.conf.Transport == nil
 }
 
-// withAdapt opts this shuffle into adaptive rebalancing, using ord —
-// the same key-hash ordinal the spill path sorts by — to delimit the
-// groups that must move atomically. No-op when the context is static.
+// pairOrd is a pair's key-group ordinal: the hash of its key.
+func pairOrd[K comparable, V any](p Pair[K, V]) uint64 { return hashAny(p.Key) }
+
+// withAdapt opts this shuffle into adaptive rebalancing, using ord to
+// delimit the groups that must move atomically. No-op when the context
+// is static.
 func (s *lazyBuckets[T]) withAdapt(ord func(T) uint64) *lazyBuckets[T] {
 	if s.ctx.adaptiveEnabled() {
 		s.adapt = ord
@@ -42,24 +52,26 @@ func (s *lazyBuckets[T]) withAdapt(ord func(T) uint64) *lazyBuckets[T] {
 // whether the output is still co-partitioned by key (it is not once
 // rows may move between buckets).
 func (s *lazyBuckets[T]) mayAdapt() bool {
-	return s.adapt != nil && !s.narrow && s.spill == nil && s.parts > 1
+	return s.adapt != nil && !s.narrow && s.parts > 1
 }
 
 // rebalance runs once per shuffle, single-threaded, at the end of the
-// map-side stage body (after post-processing, before any reduce task
-// reads a bucket). It fires only when the hot bucket is both absolutely
-// large (AdaptiveMinRows) and relatively skewed (AdaptiveSkewFactor ×
-// the median), then greedily moves the hot bucket's largest key groups
-// to the smallest buckets while each move strictly improves balance. A
-// single giant key is unsplittable and stays put.
+// map-side stage body (before any reduce task reads a bucket). It fires
+// only when the hot bucket is both absolutely large (AdaptiveMinRows)
+// and relatively skewed (AdaptiveSkewFactor × the median), then
+// greedily moves the hot bucket's largest key groups to the smallest
+// buckets while each move strictly improves balance. A single giant key
+// is unsplittable and stays put.
 func (s *lazyBuckets[T]) rebalance() {
 	if !s.mayAdapt() {
 		return
 	}
 	conf := s.ctx.conf
 	sizes := make([]int64, s.parts)
-	for b, rows := range s.buckets {
-		sizes[b] = int64(len(rows))
+	for _, sg := range s.seg {
+		for b := range sg {
+			sizes[b] += sg[b].count()
+		}
 	}
 	before := summarizeDist(append([]int64(nil), sizes...))
 	hot := before.ArgMax
@@ -72,23 +84,22 @@ func (s *lazyBuckets[T]) rebalance() {
 		return
 	}
 
-	// Partition the hot bucket into whole ord-groups, preserving
-	// first-seen order so the untouched remainder keeps its layout.
-	type group struct {
-		seen int
-		rows []T
-	}
+	// Size the hot bucket's ord-groups, numbered in first-seen order.
+	hotRows := make([][]T, len(s.seg))
 	idx := make(map[uint64]int)
-	var groups []group
-	for _, r := range s.buckets[hot] {
-		o := s.adapt(r)
-		g, ok := idx[o]
-		if !ok {
-			g = len(groups)
-			idx[o] = g
-			groups = append(groups, group{seen: g})
+	var groups []int64
+	for m, sg := range s.seg {
+		hotRows[m] = s.read(&sg[hot])
+		for _, r := range hotRows[m] {
+			o := s.adapt(r)
+			g, ok := idx[o]
+			if !ok {
+				g = len(groups)
+				idx[o] = g
+				groups = append(groups, 0)
+			}
+			groups[g]++
 		}
-		groups[g].rows = append(groups[g].rows, r)
 	}
 	if len(groups) < 2 {
 		return // one key owns the bucket: splitting it would break grouping
@@ -97,20 +108,12 @@ func (s *lazyBuckets[T]) rebalance() {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		gi, gj := groups[order[i]], groups[order[j]]
-		if len(gi.rows) != len(gj.rows) {
-			return len(gi.rows) > len(gj.rows)
-		}
-		return gi.seen < gj.seen
-	})
+	sort.SliceStable(order, func(i, j int) bool { return groups[order[i]] > groups[order[j]] })
 
-	hotSize := sizes[hot]
-	keep := make([]bool, len(groups))
 	dest := make([]int, len(groups))
 	var movedRecords, movedGroups int64
 	for _, gi := range order {
-		n := int64(len(groups[gi].rows))
+		n := groups[gi]
 		dst := -1
 		for b := 0; b < s.parts; b++ {
 			if b != hot && (dst < 0 || sizes[b] < sizes[dst]) {
@@ -120,13 +123,13 @@ func (s *lazyBuckets[T]) rebalance() {
 		// Move only while the shrunk hot bucket stays at least as large
 		// as the grown destination — otherwise the move just relocates
 		// the skew to another bucket.
-		if hotSize-n < sizes[dst]+n {
-			keep[gi] = true
+		if sizes[hot]-n < sizes[dst]+n {
+			dest[gi] = hot
 			continue
 		}
 		dest[gi] = dst
 		sizes[dst] += n
-		hotSize -= n
+		sizes[hot] -= n
 		movedRecords += n
 		movedGroups++
 	}
@@ -134,16 +137,22 @@ func (s *lazyBuckets[T]) rebalance() {
 		return
 	}
 
-	kept := make([]T, 0, hotSize)
-	for gi := range groups {
-		if keep[gi] {
-			kept = append(kept, groups[gi].rows...)
-		} else {
-			s.buckets[dest[gi]] = append(s.buckets[dest[gi]], groups[gi].rows...)
+	// Re-route: each map task's hot segment goes through the writer
+	// again, the groups that stay into the hot segment, the others into
+	// a further row of segments that every bucket reads after the map
+	// tasks' own.
+	for m, rows := range hotRows {
+		old := &s.seg[m][hot]
+		s.ctx.mem.Release(old.mem)
+		spill.RemoveAll(old.runs)
+		tb := s.newTask()
+		for _, r := range rows {
+			tb.add(dest[idx[s.adapt(r)]], r, estimateSize(r))
 		}
+		tb.finish()
+		*old, tb.buckets[hot] = tb.buckets[hot], bucketed[T]{}
+		s.seg = append(s.seg, tb.buckets)
 	}
-	s.buckets[hot] = kept
-	sizes[hot] = hotSize
 
 	m := &s.ctx.metrics
 	m.adaptiveRebalances.Add(1)

@@ -17,15 +17,26 @@ import (
 	"time"
 )
 
-// adaptCtx builds a context with adaptive rebalancing on and a low
-// row floor so small test inputs qualify.
-func adaptCtx(t *testing.T, adaptive bool) *Context {
+// underAdaptBudgets runs an exact-and-balanced case with no memory
+// budget, and with one so small every map task spills its segments: the
+// rebalance then reads the hot bucket back from run files and re-routes
+// it through a writer that spills again.
+func underAdaptBudgets(t *testing.T, body func(t *testing.T, budget int64)) {
+	for _, budget := range []int64{0, 64} {
+		t.Run(fmt.Sprint("budget=", budget), func(t *testing.T) { body(t, budget) })
+	}
+}
+
+// adaptCtx builds a context with adaptive rebalancing on, a low row
+// floor so small test inputs qualify, and the given memory budget.
+func adaptCtx(t *testing.T, adaptive bool, budget int64) *Context {
 	t.Helper()
 	ctx := NewContext(Config{
 		Parallelism:       8,
 		DefaultPartitions: 8,
 		AdaptiveShuffle:   adaptive,
 		AdaptiveMinRows:   8,
+		MemoryBudget:      budget,
 	})
 	t.Cleanup(func() {
 		if err := ctx.Close(); err != nil {
@@ -55,6 +66,10 @@ func sortedPairs[V any](d *Dataset[Pair[int64, V]]) []Pair[int64, V] {
 // adaptive must produce the exact static result while splitting the
 // hot bucket down to (near) even.
 func TestAdaptiveReduceByKeyExactAndBalanced(t *testing.T) {
+	underAdaptBudgets(t, adaptiveReduceByKeyExactAndBalanced)
+}
+
+func adaptiveReduceByKeyExactAndBalanced(t *testing.T, budget int64) {
 	const parts, nKeys, rowsPerKey = 8, 64, 5
 	keys := collideInto(nKeys, parts, 0)
 	rows := make([]Pair[int64, float64], 0, nKeys*rowsPerKey)
@@ -64,12 +79,15 @@ func TestAdaptiveReduceByKeyExactAndBalanced(t *testing.T) {
 		}
 	}
 	run := func(adaptive bool) ([]Pair[int64, float64], MetricsSnapshot) {
-		ctx := adaptCtx(t, adaptive)
+		ctx := adaptCtx(t, adaptive, budget)
 		red := ReduceByKey(Parallelize(ctx, rows, parts), func(a, b float64) float64 { return a + b }, parts)
 		return sortedPairs(red), ctx.Metrics()
 	}
 	want, staticM := run(false)
 	got, adaptM := run(true)
+	if (adaptM.SpilledBytes > 0) != (budget > 0) {
+		t.Fatalf("budget %d: adaptive run spilled %d bytes", budget, adaptM.SpilledBytes)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("adaptive returned %d pairs, static %d", len(got), len(want))
 	}
@@ -105,6 +123,10 @@ func TestAdaptiveReduceByKeyExactAndBalanced(t *testing.T) {
 // group must stay intact (same members) after rows move between
 // buckets, because ord-groups move atomically.
 func TestAdaptiveGroupByKeyPreservesGroups(t *testing.T) {
+	underAdaptBudgets(t, adaptiveGroupByKeyPreservesGroups)
+}
+
+func adaptiveGroupByKeyPreservesGroups(t *testing.T, budget int64) {
 	const parts, records = 8, 4000
 	rng := rand.New(rand.NewSource(7))
 	zipf := rand.NewZipf(rng, 1.3, 1, 255)
@@ -113,7 +135,7 @@ func TestAdaptiveGroupByKeyPreservesGroups(t *testing.T) {
 		rows[i] = KV(int64(zipf.Uint64()), int64(i))
 	}
 	run := func(adaptive bool) []Pair[int64, []int64] {
-		ctx := adaptCtx(t, adaptive)
+		ctx := adaptCtx(t, adaptive, budget)
 		g := GroupByKey(Parallelize(ctx, rows, parts), parts)
 		out := sortedPairs(g)
 		for _, p := range out {
@@ -148,7 +170,7 @@ func TestAdaptiveSingleGroupNoop(t *testing.T) {
 	for i := range rows {
 		rows[i] = KV(int64(42), float64(i))
 	}
-	ctx := adaptCtx(t, true)
+	ctx := adaptCtx(t, true, 0)
 	g := GroupByKey(Parallelize(ctx, rows, parts), parts)
 	out := sortedPairs(g)
 	if len(out) != 1 || len(out[0].Value) != records {
@@ -181,7 +203,7 @@ func TestAdaptivePartitionByKeyProperty(t *testing.T) {
 				rows[i] = KV(k, v)
 				ref[k] += v
 			}
-			ctx := adaptCtx(t, true)
+			ctx := adaptCtx(t, true, 0)
 			red := ReduceByKey(Parallelize(ctx, rows, parts), func(a, b int64) int64 { return a + b }, parts)
 			got := sortedPairs(red)
 			if len(got) != len(ref) {
@@ -212,7 +234,7 @@ func TestAdaptiveSpreadsDownstreamWork(t *testing.T) {
 	// meet, when non-nil, is called by every downstream task that holds
 	// rows, inside the task.
 	run := func(adaptive bool, meet func()) (held []int, sum float64) {
-		ctx := adaptCtx(t, adaptive)
+		ctx := adaptCtx(t, adaptive, 0)
 		held = make([]int, parts)
 		red := ReduceByKey(Parallelize(ctx, rows, parts), func(a, b float64) float64 { return a + b }, parts)
 		work := MapPartitions(red, func(p int, rows []Pair[int64, float64]) []float64 {

@@ -6,22 +6,24 @@ package dataflow
 // an identical stage DAG with identical stage IDs, and ownership is
 // pure arithmetic — task i of an n-task stage runs on rank i % W.
 //
-// Shuffles become published blobs: the map side encodes each (map
-// task, reduce bucket) with the row type's registered spill codec and
-// publishes it under a key derived from the stage ID; the reduce side
-// reassembles a partition by fetching every map task's bucket from its
-// owner (local buckets never touch the network, and co-partitioned
-// narrow reads are entirely local by construction). Assembly in map
-// task order reproduces the local merge's concatenation order exactly,
-// which is what makes cluster results byte-identical to local ones.
+// A shuffle is the one segment store of shuffle.go with a Transport
+// beside it: a rank holds the segments of the map tasks it ran, and
+// also publishes each, encoded with the row type's registered spill
+// codec, under a key derived from the stage ID. A reduce partition is
+// still every map task's segment in map-task order; the ones this rank
+// does not hold stream in from their owners (co-partitioned narrow
+// reads are entirely local by construction). That order is the local
+// backend's, which is what makes cluster results byte-identical to
+// local ones.
 //
 // Fault tolerance is lineage recompute, the same machinery the local
 // retry path exercises: when a fetch fails because the owning peer
-// died, the reading rank recomputes the lost map task locally from its
+// died, the reading rank runs the lost map task itself from its
 // lineage (sources are deterministic and replicated; narrow chains are
-// local), exactly like Spark resubmitting a lost task. The
-// Resubmissions / FetchFailures counters record it. A job therefore
-// completes as long as at least one rank survives.
+// local), exactly like Spark resubmitting a lost task, and from then on
+// holds its segments like any it owns. The Resubmissions /
+// FetchFailures counters record it. A job therefore completes as long
+// as at least one rank survives.
 
 import (
 	"fmt"
@@ -42,29 +44,19 @@ type Transport interface {
 	// World is the number of ranks in the job.
 	World() int
 	// Publish stores blob under key in this rank's shuffle store,
-	// where peers (and this rank) can fetch it.
+	// where peers can fetch it.
 	Publish(key string, blob []byte) error
-	// Fetch returns the blob published under key by rank. It blocks
-	// until the owner publishes, and fails when the owner is dead or
-	// unreachable — the caller falls back to lineage recompute.
-	Fetch(rank int, key string) ([]byte, error)
-}
-
-// StreamTransport is the optional streaming extension of Transport:
-// FetchReader yields the published blob incrementally, so the consumer
-// decodes while bytes are still arriving and the bucket never has to
-// exist whole on this side. cluster.Exchange implements it with
-// chunked, compressed, connection-pooled transfers.
-//
-// If a returned reader can fail mid-stream for transport reasons (the
-// peer died), it should also implement `TransportErr() error` so the
-// consumer can tell "recompute from lineage" apart from "payload
-// corrupt" — a decode failure with a nil TransportErr is treated as
-// corruption and panics.
-type StreamTransport interface {
-	Transport
-	// FetchReader streams the blob published under key by rank. Like
-	// Fetch, the first read blocks until the owner publishes.
+	// FetchReader streams the blob published under key by rank, so the
+	// consumer decodes while bytes are still arriving. The first read
+	// blocks until the owner publishes; it or any later read fails when
+	// the owner is dead or unreachable, and the caller falls back to
+	// lineage recompute.
+	//
+	// If a returned reader can fail mid-stream for transport reasons
+	// (the peer died), it should also implement `TransportErr() error`
+	// so the consumer can tell "recompute from lineage" apart from
+	// "payload corrupt" — a decode failure with a nil TransportErr is
+	// treated as corruption and panics.
 	FetchReader(rank int, key string) (io.ReadCloser, error)
 }
 
@@ -77,9 +69,9 @@ func transportErr(rc io.ReadCloser) error {
 	return nil
 }
 
-// exchKey names one (exchange, map task, reduce bucket) blob. Stage
-// IDs are deterministic across ranks (the graph is built by the same
-// single-threaded program), so they double as exchange IDs.
+// exchKey names one published segment (exchange, map task, reduce
+// bucket). Stage IDs are deterministic across ranks (the graph is built
+// by the same single-threaded program), so they double as exchange IDs.
 func exchKey(exch int64, m, b int) string {
 	return fmt.Sprintf("x%d.%d.%d", exch, m, b)
 }
@@ -89,249 +81,45 @@ func gatherKey(stage int64, p int) string {
 	return fmt.Sprintf("g%d.%d", stage, p)
 }
 
-// encodeRows / decodeRows frame a bucket's rows with the registered
-// spill codec — the cluster wire format.
-func encodeRows[T any](rows []T, c spill.Codec[T]) []byte {
-	blob, err := spill.EncodeRows(rows, c)
+// publishRows frames rows with the registered spill codec — the cluster
+// wire format — and publishes them under key.
+func publishRows[T any](c *Context, key string, rows []T) {
+	blob, err := spill.EncodeRows(rows, spill.For[T]())
+	if err == nil {
+		err = c.conf.Transport.Publish(key, blob)
+	}
 	if err != nil {
-		panic(fmt.Errorf("dataflow: encode shuffle rows: %w", err))
-	}
-	return blob
-}
-
-// spmdState is the distributed counterpart of spillState: per-exchange
-// bookkeeping for publishing, fetching, and recomputing buckets.
-type spmdState[T any] struct {
-	t        Transport
-	exchID   int64
-	srcParts int
-	codec    spill.Codec[T]
-	// refill recomputes one map task's buckets from lineage; it is both
-	// the primary map-side body and the recompute fallback when the
-	// owning peer died before serving a fetch.
-	refill func(m int) ([]bucketed[T], int64)
-
-	// pmu[p]/done[p] make partition assembly exactly-once per rank, so
-	// post-folds (ReduceByKey) run once and repeated reads share the
-	// assembled slice like the local buckets do.
-	pmu  []sync.Mutex
-	done []bool
-
-	// recomputed caches refill outputs for dead ranks' map tasks, so a
-	// lost peer costs one recompute per map task, not one per bucket.
-	recMu      sync.Mutex
-	recomputed map[int][]bucketed[T]
-}
-
-// runSPMD is the distributed map side of a shuffle stage: each rank
-// runs its owned map tasks via refill, encodes every reduce bucket
-// with the spill codec, and publishes it to the local exchange store
-// for peers to fetch. Narrow (co-partitioned) exchanges publish only
-// bucket m of map task m — the single bucket the task fills — and
-// their reads stay on-rank, so no data crosses the network.
-func (s *lazyBuckets[T]) runSPMD(st *Stage, srcParts int, refill func(m int) ([]bucketed[T], int64)) {
-	c := s.ctx
-	t := c.conf.Transport
-	sd := &spmdState[T]{
-		t:        t,
-		exchID:   st.id,
-		srcParts: srcParts,
-		codec:    spill.For[T](),
-		refill:   refill,
-		pmu:      make([]sync.Mutex, s.parts),
-		done:     make([]bool, s.parts),
-	}
-	s.spmd = sd
-	s.buckets = make([][]T, s.parts)
-	var recs, bytes atomic.Int64
-	c.runTasksOwned(st, srcParts, func(m int) {
-		bk, in := refill(m)
-		st.noteIn(m, in)
-		for b := range bk {
-			if s.narrow && b != m {
-				continue
-			}
-			blob := encodeRows(bk[b].rows, sd.codec)
-			if err := t.Publish(exchKey(sd.exchID, m, b), blob); err != nil {
-				panic(fmt.Errorf("dataflow: %s: publish map task %d bucket %d: %w", s.name, m, b, err))
-			}
-			recs.Add(int64(len(bk[b].rows)))
-			bytes.Add(bk[b].bytes)
-		}
-	})
-	st.recordsOut.Add(recs.Load())
-	st.shuffledBytes.Add(bytes.Load())
-	if !s.narrow {
-		c.metrics.shuffles.Add(1)
-		c.metrics.shuffledRecords.Add(recs.Load())
-		c.metrics.shuffledBytes.Add(bytes.Load())
-		c.chargeShuffleCost(bytes.Load())
+		panic(fmt.Errorf("dataflow: publish %s: %w", key, err))
 	}
 }
 
-// getSPMD assembles reduce partition p on this rank: every map task's
-// bucket, fetched from its owner (or read back from the local store,
-// or recomputed from lineage when the owner died), concatenated in map
-// task order — the exact order the local merge produces. The assembled
-// (and post-folded) slice is cached, so repeated reads behave like the
-// local buckets array.
-func (s *lazyBuckets[T]) getSPMD(p int) []T {
-	sd := s.spmd
-	sd.pmu[p].Lock()
-	defer sd.pmu[p].Unlock()
-	if sd.done[p] {
-		return s.buckets[p]
-	}
-	var rows []T
-	if s.narrow {
-		// Co-partitioned: bucket p was filled only by map task p, and
-		// map task p and reduce task p share an owner, so the read is
-		// always rank-local.
-		rows = s.fetchBucket(p, p)
-	} else {
-		rows = s.assemblePartition(p)
-	}
-	if s.post != nil {
-		rows = s.post(rows)
-	}
-	s.buckets[p] = rows
-	sd.done[p] = true
-	return rows
-}
-
-// streamFetchWindow bounds the concurrent bucket fetches one reduce
-// task keeps in flight while assembling its partition. The window is
-// what pipelines the shuffle: a fetch from a map task that hasn't
-// published yet just blocks its slot while chunks from early-finishing
-// maps decode in the others.
-const streamFetchWindow = 4
-
-// assemblePartition concatenates every map task's bucket for partition
-// p in map-task order — the exact order the local merge produces, so
-// cluster results stay byte-identical — while fetching up to
-// streamFetchWindow buckets concurrently.
-func (s *lazyBuckets[T]) assemblePartition(p int) []T {
-	sd := s.spmd
-	n := sd.srcParts
-	if n == 1 {
-		return s.fetchBucket(0, p)
-	}
-	window := streamFetchWindow
-	if window > n {
-		window = n
-	}
-	parts := make([][]T, n)
-	sem := make(chan struct{}, window)
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[capturedPanic]
-	for m := 0; m < n; m++ {
-		if panicked.Load() != nil {
-			break
+// fetchRows streams the rows rank published under key. ok is false when
+// the transport failed (owner dead, stream torn down mid-transfer) and
+// the caller must recompute them from lineage; payload corruption — a
+// decode failure with no transport error behind it — panics, because
+// recomputing deterministic lineage would produce the same bytes.
+func fetchRows[T any](c *Context, rank int, key string) (rows []T, ok bool) {
+	rc, err := c.conf.Transport.FetchReader(rank, key)
+	if err == nil {
+		cr := &countingReader{r: rc}
+		rows, err = spill.DecodeRowsFrom(cr, spill.For[T]())
+		if err == nil {
+			// Drain the trailing stream terminator so a cleanly-finished
+			// connection goes back to the transport's pool on Close.
+			_, err = io.Copy(io.Discard, cr)
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &capturedPanic{val: r})
-				}
-			}()
-			parts[m] = s.fetchBucket(m, p)
-		}(m)
-	}
-	wg.Wait()
-	if pc := panicked.Load(); pc != nil {
-		panic(pc.val)
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	rows := make([]T, 0, total)
-	for _, part := range parts {
-		rows = append(rows, part...)
-	}
-	return rows
-}
-
-// fetchBucket returns map task m's rows for bucket b: from the local
-// store when this rank owns m, over the network otherwise, and by
-// lineage recompute when the owner is dead. Streaming transports
-// decode rows as chunks arrive; plain transports materialize the blob
-// first.
-func (s *lazyBuckets[T]) fetchBucket(m, b int) []T {
-	sd := s.spmd
-	c := s.ctx
-	owner := m % sd.t.World()
-	key := exchKey(sd.exchID, m, b)
-	if st, ok := sd.t.(StreamTransport); ok && !c.conf.DisableStreamFetch {
-		rows, ok := s.streamBucket(st, owner, m, b, key)
-		if ok {
-			return rows
+		rc.Close()
+		if err == nil {
+			c.metrics.remoteFetches.Add(1)
+			c.metrics.remoteFetchedBytes.Add(cr.n)
+			return rows, true
 		}
-		c.metrics.fetchFailures.Add(1)
-		return s.recomputeBucket(m, b)
-	}
-	blob, err := sd.t.Fetch(owner, key)
-	if err != nil {
-		if owner == sd.t.Rank() {
-			// Our own store never loses a published bucket while we run.
-			panic(fmt.Errorf("dataflow: %s: local bucket (%d,%d) lost: %w", s.name, m, b, err))
+		if transportErr(rc) == nil {
+			panic(fmt.Errorf("dataflow: decode %s from rank %d: %w", key, rank, err))
 		}
-		c.metrics.fetchFailures.Add(1)
-		return s.recomputeBucket(m, b)
 	}
-	if owner != sd.t.Rank() {
-		c.metrics.remoteFetches.Add(1)
-		c.metrics.remoteFetchedBytes.Add(int64(len(blob)))
-	}
-	rows, derr := spill.DecodeRows(blob, sd.codec)
-	if derr != nil {
-		panic(fmt.Errorf("dataflow: %s: decode bucket (%d,%d): %w", s.name, m, b, derr))
-	}
-	return rows
-}
-
-// streamBucket pulls one bucket through the transport's streaming
-// path. The second return is false when the bucket must be recomputed
-// from lineage (owner dead or stream torn down mid-transfer); payload
-// corruption — a decode failure with no transport error behind it —
-// panics, because recomputing deterministic lineage would produce the
-// same bytes.
-func (s *lazyBuckets[T]) streamBucket(st StreamTransport, owner, m, b int, key string) ([]T, bool) {
-	sd := s.spmd
-	c := s.ctx
-	rc, err := st.FetchReader(owner, key)
-	if err != nil {
-		if owner == sd.t.Rank() {
-			panic(fmt.Errorf("dataflow: %s: local bucket (%d,%d) lost: %w", s.name, m, b, err))
-		}
-		return nil, false
-	}
-	cr := &countingReader{r: rc}
-	rows, derr := spill.DecodeRowsFrom(cr, sd.codec)
-	if derr == nil {
-		// Drain the trailing stream terminator so a cleanly-finished
-		// connection goes back to the transport's pool on Close.
-		_, derr = io.Copy(io.Discard, cr)
-	}
-	rc.Close()
-	if derr != nil {
-		if te := transportErr(rc); te != nil {
-			if owner == sd.t.Rank() {
-				panic(fmt.Errorf("dataflow: %s: local bucket (%d,%d) lost: %w", s.name, m, b, te))
-			}
-			return nil, false
-		}
-		panic(fmt.Errorf("dataflow: %s: decode bucket (%d,%d): %w", s.name, m, b, derr))
-	}
-	if owner != sd.t.Rank() {
-		c.metrics.remoteFetches.Add(1)
-		c.metrics.remoteFetchedBytes.Add(cr.n)
-	}
-	return rows, true
+	c.metrics.fetchFailures.Add(1)
+	return nil, false
 }
 
 // countingReader counts the (decompressed) bytes a streaming fetch
@@ -347,24 +135,92 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// recomputeBucket re-executes dead rank's map task m from lineage —
-// the distributed task resubmission path — and serves bucket b from
-// the result. The recompute is cached per map task, so losing a worker
-// costs each surviving rank at most one recompute per lost map task.
-func (s *lazyBuckets[T]) recomputeBucket(m, b int) []T {
-	sd := s.spmd
-	sd.recMu.Lock()
-	defer sd.recMu.Unlock()
-	if sd.recomputed == nil {
-		sd.recomputed = make(map[int][]bucketed[T])
+// publish offers map task m's segments to the peers. Narrow
+// (co-partitioned) exchanges publish only segment m of map task m —
+// the single one the task fills — and their reads stay on-rank, so no
+// data crosses the network. A local context has nobody to publish to.
+func (s *lazyBuckets[T]) publish(m int, sg []bucketed[T]) {
+	if s.ctx.conf.Transport == nil {
+		return
 	}
-	bk, ok := sd.recomputed[m]
-	if !ok {
+	for b := range sg {
+		if !s.narrow || b == m {
+			publishRows(s.ctx, exchKey(s.stage.id, m, b), s.read(&sg[b]))
+		}
+	}
+}
+
+// streamFetchWindow bounds the concurrent segment fetches one reduce
+// task keeps in flight while assembling its partition. The window is
+// what pipelines the shuffle: a fetch from a map task that hasn't
+// published yet just blocks its slot while chunks from early-finishing
+// maps decode in the others.
+const streamFetchWindow = 4
+
+// fetchRemote fills the nil entries of cols — column p of map tasks lo
+// onwards — with the segments this rank does not hold, up to
+// streamFetchWindow fetches at a time. A segment whose owner cannot
+// serve it is recomputed here with the rest of its map task's, and from
+// then on this rank holds them.
+func (s *lazyBuckets[T]) fetchRemote(p, lo int, cols []*bucketed[T]) {
+	var missing []int
+	for i, bk := range cols {
+		if bk == nil {
+			missing = append(missing, lo+i)
+		}
+	}
+	fetch := func(m int) {
+		rows, ok := fetchRows[T](s.ctx, m%s.ctx.conf.Transport.World(), exchKey(s.stage.id, m, p))
+		if ok {
+			cols[m-lo] = &bucketed[T]{rows: rows}
+			return
+		}
+		s.recompute(m)
+		cols[m-lo] = &s.seg[m][p]
+	}
+	if len(missing) <= 1 {
+		for _, m := range missing {
+			fetch(m)
+		}
+		return
+	}
+	sem := make(chan struct{}, streamFetchWindow)
+	var wg sync.WaitGroup
+	var panicked atomic.Pointer[capturedPanic]
+	for _, m := range missing {
+		if panicked.Load() != nil {
+			break
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &capturedPanic{val: r})
+				}
+			}()
+			fetch(m)
+		}(m)
+	}
+	wg.Wait()
+	if pc := panicked.Load(); pc != nil {
+		panic(pc.val)
+	}
+}
+
+// recompute re-executes a dead rank's map task m from lineage — the
+// distributed task resubmission path. Its segments then rest here like
+// those of an owned task, so losing a worker costs each surviving rank
+// at most one recompute per lost map task.
+func (s *lazyBuckets[T]) recompute(m int) {
+	s.recMu.Lock()
+	defer s.recMu.Unlock()
+	if s.seg[m] == nil {
 		s.ctx.metrics.resubmissions.Add(1)
-		bk, _ = sd.refill(m)
-		sd.recomputed[m] = bk
+		s.runTask(m)
 	}
-	return bk[b].rows
 }
 
 // spmdGather runs an action's per-partition computation across the
@@ -374,39 +230,26 @@ func (s *lazyBuckets[T]) recomputeBucket(m, b int) []T {
 // rank returns the identical full set of partials, so every rank
 // drives the identical driver-side fold.
 func spmdGather[T any](c *Context, st *Stage, n int, compute func(p int) []T) [][]T {
-	t := c.conf.Transport
-	codec := spill.For[T]()
 	out := make([][]T, n)
 	c.runTasksOwned(st, n, func(p int) {
-		rows := compute(p)
-		out[p] = rows
-		if err := t.Publish(gatherKey(st.id, p), encodeRows(rows, codec)); err != nil {
-			panic(fmt.Errorf("dataflow: %s: publish partial %d: %w", st.name, p, err))
-		}
+		out[p] = compute(p)
+		publishRows(c, gatherKey(st.id, p), out[p])
 	})
 	for p := 0; p < n; p++ {
-		if c.owns(p) {
-			continue
+		if !c.owns(p) {
+			out[p] = spmdFetchPartial(c, st, p, compute)
 		}
-		out[p] = spmdFetchPartial(c, st, t, codec, p, compute)
 	}
 	return out
 }
 
 // spmdFetchPartial fetches one action partial from its owner, falling
 // back to local recompute when the owner is gone.
-func spmdFetchPartial[T any](c *Context, st *Stage, t Transport, codec spill.Codec[T], p int, compute func(p int) []T) []T {
-	blob, err := t.Fetch(p%t.World(), gatherKey(st.id, p))
-	if err != nil {
-		c.metrics.fetchFailures.Add(1)
+func spmdFetchPartial[T any](c *Context, st *Stage, p int, compute func(p int) []T) []T {
+	rows, ok := fetchRows[T](c, p%c.conf.Transport.World(), gatherKey(st.id, p))
+	if !ok {
 		c.metrics.resubmissions.Add(1)
 		return compute(p)
-	}
-	c.metrics.remoteFetches.Add(1)
-	c.metrics.remoteFetchedBytes.Add(int64(len(blob)))
-	rows, derr := spill.DecodeRows(blob, codec)
-	if derr != nil {
-		panic(fmt.Errorf("dataflow: %s: decode partial %d: %w", st.name, p, derr))
 	}
 	return rows
 }
@@ -416,16 +259,12 @@ func spmdFetchPartial[T any](c *Context, st *Stage, t Transport, codec spill.Cod
 // else fetches or recomputes. All ranks see identical rows, so all
 // ranks stop the scan at the same partition.
 func spmdGatherOne[T any](c *Context, st *Stage, p int, compute func() []T) []T {
-	t := c.conf.Transport
-	codec := spill.For[T]()
 	if c.owns(p) {
 		rows := compute()
-		if err := t.Publish(gatherKey(st.id, p), encodeRows(rows, codec)); err != nil {
-			panic(fmt.Errorf("dataflow: %s: publish partial %d: %w", st.name, p, err))
-		}
+		publishRows(c, gatherKey(st.id, p), rows)
 		c.metrics.tasks.Add(1)
 		st.tasks.Add(1)
 		return rows
 	}
-	return spmdFetchPartial(c, st, t, codec, p, func(int) []T { return compute() })
+	return spmdFetchPartial(c, st, p, func(int) []T { return compute() })
 }

@@ -90,7 +90,11 @@ func (t *memTransport) Publish(key string, blob []byte) error {
 	return nil
 }
 
-func (t *memTransport) Fetch(rank int, key string) ([]byte, error) {
+// FetchReader blocks until rank has published key (or died), then hands
+// the blob back in small reads, forcing incremental decode; a peer death
+// mid-stream surfaces as a transport error, and tearStreams injects torn
+// connections.
+func (t *memTransport) FetchReader(rank int, key string) (io.ReadCloser, error) {
 	h := t.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -99,29 +103,14 @@ func (t *memTransport) Fetch(rank int, key string) ([]byte, error) {
 			return nil, fmt.Errorf("memtransport: rank %d is dead", rank)
 		}
 		if blob, ok := h.blobs[rank][key]; ok {
-			return blob, nil
+			tear := -1
+			if rank != t.rank {
+				tear = h.tearAt[rank]
+			}
+			return &memStreamReader{t: t, from: rank, blob: blob, tear: tear}, nil
 		}
 		h.cond.Wait()
 	}
-}
-
-// FetchReader makes memTransport a StreamTransport, so the SPMD suite
-// exercises the chunk-streaming consumption path: the blob is handed
-// back in small reads (forcing incremental decode), a peer death
-// mid-stream surfaces as a transport error, and tearStreams injects
-// torn connections.
-func (t *memTransport) FetchReader(rank int, key string) (io.ReadCloser, error) {
-	blob, err := t.Fetch(rank, key)
-	if err != nil {
-		return nil, err
-	}
-	tear := -1
-	if rank != t.rank {
-		t.h.mu.Lock()
-		tear = t.h.tearAt[rank]
-		t.h.mu.Unlock()
-	}
-	return &memStreamReader{t: t, from: rank, blob: blob, tear: tear}, nil
 }
 
 type memStreamReader struct {
@@ -222,14 +211,9 @@ func runSPMDProgram(ctx *Context) spmdResult {
 }
 
 // runRanks executes the program on world in-process ranks over hub,
-// returning each rank's result, metrics, and panic value (nil when the
-// rank completed).
-func runRanks(hub *memHub, world int) ([]spmdResult, []MetricsSnapshot, []any) {
-	return runRanksConf(hub, world, nil)
-}
-
-// runRanksConf is runRanks with a per-rank Config hook.
-func runRanksConf(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []MetricsSnapshot, []any) {
+// each rank's Config passed through tweak, returning each rank's
+// result, metrics, and panic value (nil when the rank completed).
+func runRanks(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []MetricsSnapshot, []any) {
 	results := make([]spmdResult, world)
 	metrics := make([]MetricsSnapshot, world)
 	panics := make([]any, world)
@@ -244,9 +228,7 @@ func runRanksConf(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []
 				Transport:   hub.transport(r),
 				WorkerTag:   fmt.Sprintf("worker-%d", r),
 			}
-			if tweak != nil {
-				tweak(&conf)
-			}
+			tweak(&conf)
 			ctx := NewContext(conf)
 			defer ctx.Close()
 			results[r] = runSPMDProgram(ctx)
@@ -257,35 +239,52 @@ func runRanksConf(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []
 	return results, metrics, panics
 }
 
-// TestSPMDMatchesLocal proves the distributed backend's core parity
-// claim: three ranks running the same program produce results exactly
-// equal to the local backend's, on every rank.
-func TestSPMDMatchesLocal(t *testing.T) {
-	local := NewContext(Config{Parallelism: 2})
-	defer local.Close()
-	want := runSPMDProgram(local)
+// spmdBudgets are the memory budgets the SPMD suite runs under: none,
+// and one below any map task's output, so every segment of every
+// shuffle spills on the rank that wrote it.
+var spmdBudgets = []int64{0, 64}
 
-	const world = 3
-	results, metrics, panics := runRanks(newMemHub(world), world)
-	for r := 0; r < world; r++ {
-		if panics[r] != nil {
-			t.Fatalf("rank %d panicked: %v", r, panics[r])
+// localUnderBudget runs the exercise program on the local backend.
+func localUnderBudget(budget int64) spmdResult {
+	local := NewContext(Config{Parallelism: 2, MemoryBudget: budget})
+	defer local.Close()
+	return runSPMDProgram(local)
+}
+
+// TestSPMDMatchesLocal proves the distributed backend's core parity
+// claim: 1, 3 and 8 ranks running the same program produce results
+// exactly equal to the local backend's, on every rank — and a memory
+// budget on every rank changes nothing but where the segments rest.
+func TestSPMDMatchesLocal(t *testing.T) {
+	for _, world := range []int{1, 3, 8} {
+		for _, budget := range spmdBudgets {
+			want := localUnderBudget(budget)
+			results, metrics, panics := runRanks(newMemHub(world), world,
+				func(c *Config) { c.MemoryBudget = budget })
+			var remote, spilled int64
+			for r := 0; r < world; r++ {
+				if panics[r] != nil {
+					t.Fatalf("world %d budget %d: rank %d panicked: %v", world, budget, r, panics[r])
+				}
+				if !reflect.DeepEqual(results[r], want) {
+					t.Errorf("world %d budget %d: rank %d result differs from local\n got: %+v\nwant: %+v",
+						world, budget, r, results[r], want)
+				}
+				if metrics[r].FetchFailures != 0 || metrics[r].Resubmissions != 0 {
+					t.Errorf("rank %d: unexpected failures: fetchFailures=%d resubmissions=%d",
+						r, metrics[r].FetchFailures, metrics[r].Resubmissions)
+				}
+				remote += metrics[r].RemoteFetches
+				spilled += metrics[r].SpilledBytes
+			}
+			// The wide stages must actually have crossed the fabric.
+			if world > 1 && remote == 0 {
+				t.Fatalf("world %d: no remote fetches recorded — the ranks did not exchange data", world)
+			}
+			if (spilled > 0) != (budget > 0) {
+				t.Fatalf("world %d budget %d: the ranks spilled %d bytes", world, budget, spilled)
+			}
 		}
-		if !reflect.DeepEqual(results[r], want) {
-			t.Errorf("rank %d result differs from local\n got: %+v\nwant: %+v", r, results[r], want)
-		}
-		if metrics[r].FetchFailures != 0 || metrics[r].Resubmissions != 0 {
-			t.Errorf("rank %d: unexpected failures: fetchFailures=%d resubmissions=%d",
-				r, metrics[r].FetchFailures, metrics[r].Resubmissions)
-		}
-	}
-	// The wide stages must actually have crossed the fabric.
-	var remote int64
-	for r := 0; r < world; r++ {
-		remote += metrics[r].RemoteFetches
-	}
-	if remote == 0 {
-		t.Fatal("no remote fetches recorded — the ranks did not exchange data")
 	}
 }
 
@@ -293,39 +292,42 @@ func TestSPMDMatchesLocal(t *testing.T) {
 // published buckets vanish with it, like a SIGKILLed worker) and
 // checks the partial-failure contract: the surviving ranks finish with
 // results exactly equal to the local backend, resubmitting the lost
-// map tasks via lineage recompute and counting the fetch failures.
+// map tasks via lineage recompute and counting the fetch failures —
+// with the recomputed segments spilling like any other under a budget.
 func TestSPMDWorkerDeathRecomputes(t *testing.T) {
-	local := NewContext(Config{Parallelism: 2})
-	defer local.Close()
-	want := runSPMDProgram(local)
+	for _, budget := range spmdBudgets {
+		want := localUnderBudget(budget)
+		const world, victim = 3, 2
+		hub := newMemHub(world)
+		hub.killAfter(victim, 3) // dies after 3 published buckets, mid map stage
+		results, metrics, panics := runRanks(hub, world, func(c *Config) { c.MemoryBudget = budget })
 
-	const world, victim = 3, 2
-	hub := newMemHub(world)
-	hub.killAfter(victim, 3) // dies after 3 published buckets, mid map stage
-	results, metrics, panics := runRanks(hub, world)
-
-	if panics[victim] == nil {
-		t.Fatal("victim rank should have died mid-publish")
-	}
-	var resub, fails int64
-	for r := 0; r < world; r++ {
-		if r == victim {
-			continue
+		if panics[victim] == nil {
+			t.Fatal("victim rank should have died mid-publish")
 		}
-		if panics[r] != nil {
-			t.Fatalf("surviving rank %d panicked: %v", r, panics[r])
+		var resub, fails int64
+		for r := 0; r < world; r++ {
+			if r == victim {
+				continue
+			}
+			if panics[r] != nil {
+				t.Fatalf("budget %d: surviving rank %d panicked: %v", budget, r, panics[r])
+			}
+			if !reflect.DeepEqual(results[r], want) {
+				t.Errorf("budget %d: surviving rank %d result differs from local after worker loss", budget, r)
+			}
+			if (metrics[r].SpilledBytes > 0) != (budget > 0) {
+				t.Errorf("budget %d: surviving rank %d spilled %d bytes", budget, r, metrics[r].SpilledBytes)
+			}
+			resub += metrics[r].Resubmissions
+			fails += metrics[r].FetchFailures
 		}
-		if !reflect.DeepEqual(results[r], want) {
-			t.Errorf("surviving rank %d result differs from local after worker loss", r)
+		if resub == 0 {
+			t.Error("expected resubmissions > 0 after worker death")
 		}
-		resub += metrics[r].Resubmissions
-		fails += metrics[r].FetchFailures
-	}
-	if resub == 0 {
-		t.Error("expected resubmissions > 0 after worker death")
-	}
-	if fails == 0 {
-		t.Error("expected fetch failures > 0 after worker death")
+		if fails == 0 {
+			t.Error("expected fetch failures > 0 after worker death")
+		}
 	}
 }
 
@@ -457,7 +459,7 @@ func TestSPMDStreamTearRecomputes(t *testing.T) {
 	const world = 3
 	hub := newMemHub(world)
 	hub.tearStreams(1, 10) // every remote stream from rank 1 tears after 10 bytes
-	results, metrics, panics := runRanks(hub, world)
+	results, metrics, panics := runRanks(hub, world, func(*Config) {})
 	var fails int64
 	for r := 0; r < world; r++ {
 		if panics[r] != nil {
@@ -470,35 +472,5 @@ func TestSPMDStreamTearRecomputes(t *testing.T) {
 	}
 	if fails == 0 {
 		t.Fatal("no fetch failures counted — the tear never happened")
-	}
-}
-
-// TestSPMDLegacyBlobParity runs the same program over the whole-blob
-// (PR 5) fetch path via DisableStreamFetch and checks it remains
-// byte-identical to both the local reference and the streaming path.
-func TestSPMDLegacyBlobParity(t *testing.T) {
-	local := NewContext(Config{Parallelism: 2})
-	defer local.Close()
-	want := runSPMDProgram(local)
-
-	const world = 3
-	legacy, _, panics := runRanksConf(newMemHub(world), world,
-		func(c *Config) { c.DisableStreamFetch = true })
-	for r := 0; r < world; r++ {
-		if panics[r] != nil {
-			t.Fatalf("rank %d panicked on legacy path: %v", r, panics[r])
-		}
-		if !reflect.DeepEqual(legacy[r], want) {
-			t.Errorf("rank %d legacy-blob result differs from local", r)
-		}
-	}
-	streaming, _, panics := runRanks(newMemHub(world), world)
-	for r := 0; r < world; r++ {
-		if panics[r] != nil {
-			t.Fatalf("rank %d panicked on streaming path: %v", r, panics[r])
-		}
-		if !reflect.DeepEqual(streaming[r], legacy[r]) {
-			t.Errorf("rank %d: streaming and legacy-blob paths disagree", r)
-		}
 	}
 }

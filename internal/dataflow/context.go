@@ -65,8 +65,8 @@ type Config struct {
 	ShuffleCostNsPerByte float64
 	// MemoryBudget, when positive, bounds the tracked bytes the
 	// engine's shuffle buffers and Persist caches may pin in memory.
-	// Past the budget, shuffle buckets spill to sorted run files that
-	// are external-merged on read, and caches evict to disk. 0 means
+	// Past the budget, shuffle segments spill to run files that read
+	// back in written order, and caches evict to disk. 0 means
 	// unlimited: the out-of-core layer costs one nil check. Both CLIs
 	// seed it from the SAC_MEMORY_BUDGET environment variable.
 	MemoryBudget int64
@@ -94,16 +94,11 @@ type Config struct {
 	// SPMD execution: this process is one rank of Transport.World()
 	// identical processes all building the same deterministic graph.
 	// Each rank runs the tasks it owns (index % world == rank),
-	// publishes shuffle buckets and action partials through the
+	// publishes their shuffle segments and action partials through the
 	// transport, and fetches (or recomputes from lineage, when the
-	// owning peer died) the rest. nil — the default — is unchanged
+	// owning peer died) the rest. nil — the default — is
 	// single-process execution. See cluster.go.
 	Transport Transport
-	// DisableStreamFetch forces whole-blob bucket fetches even when the
-	// transport supports chunk streaming (StreamTransport) — the PR 5
-	// data path, kept selectable for A/B benchmarks and as an escape
-	// hatch. Results are byte-identical either way.
-	DisableStreamFetch bool
 	// WorkerTag names this process in distributed diagnostics: stage
 	// spans gain a "worker" attribute and formatted tables a worker
 	// column. Empty for local contexts.

@@ -26,7 +26,7 @@ type Metrics struct {
 
 	// Out-of-core counters: rows/bytes written to spill run files (by
 	// shuffle buffers and evicted caches), run files created, and
-	// external merge passes performed on read.
+	// read-back passes over spilled partitions.
 	spilledBytes   atomic.Int64
 	spilledRecords atomic.Int64
 	spillFiles     atomic.Int64
@@ -264,8 +264,8 @@ type MetricsSnapshot struct {
 	PoolReturns int64
 	// SpilledBytes / SpilledRecords / SpillFiles count data written to
 	// spill run files when the memory budget forced shuffle buffers or
-	// Persist caches to disk; MergePasses counts external k-way merges
-	// performed when spilled partitions were read back. All zero when
+	// Persist caches to disk; MergePasses counts the times a spilled
+	// partition's runs were read back. All zero when
 	// no budget is set — the out-of-core layer is idle.
 	SpilledBytes   int64
 	SpilledRecords int64

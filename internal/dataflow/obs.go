@@ -28,7 +28,7 @@ var (
 	obsSpillFiles = obs.Default.Counter("sac_dataflow_spill_files_total",
 		"spill run files created")
 	obsMergePasses = obs.Default.Counter("sac_dataflow_merge_passes_total",
-		"external k-way merge passes over spilled partitions")
+		"read-back passes over spilled shuffle partitions")
 	obsAdaptiveRebalances = obs.Default.Counter("sac_dataflow_adaptive_rebalances_total",
 		"shuffle boundaries rebalanced by the adaptive planner")
 	obsAdaptiveMovedRecords = obs.Default.Counter("sac_dataflow_adaptive_moved_records_total",

@@ -1,21 +1,21 @@
 package dataflow
 
 // Out-of-core execution: when a memory budget is configured
-// (Config.MemoryBudget / SAC_MEMORY_BUDGET), shuffle buckets and
-// Persist caches become spillable. The write path reserves tracked
-// bytes in chunks; a denied reservation spills the task's buckets as
-// sorted run files (sorted by the 64-bit hash of the row's key, "ord"),
-// and reads external-merge the runs back with spill.Merge /
-// spill.MergeGroups. With no budget every hook below degenerates to a
-// nil check and the engine's behavior is byte-identical to the
-// in-memory-only paths.
+// (Config.MemoryBudget / SAC_MEMORY_BUDGET), shuffle segments and
+// Persist caches become spillable. The shuffle writer reserves tracked
+// bytes in chunks; a denied reservation spills the task's segments as
+// run files, and finished segments spill when another holder needs
+// the room. A run holds a segment's rows in the order they were
+// written, so reading a segment back — its runs, then what is still in
+// memory — yields exactly what an unspilled segment would have: the
+// budget moves bytes, never rows. With no budget every hook below
+// degenerates to a nil check.
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/memory"
 	"repro/internal/spill"
 )
 
@@ -24,15 +24,9 @@ import (
 // before asking the manager again, amortizing the reservation cost.
 const spillReserveChunk = 256 << 10
 
-// zeroOrd is the sort key for unkeyed spills (repartition buckets,
-// cache partitions): every row equal, so a stable run preserves
-// insertion order and a merge degenerates to concatenation.
+// zeroOrd is the sort key written into run files: runs are never
+// sorted or merged, only streamed back whole in written order.
 func zeroOrd[T any](T) uint64 { return 0 }
-
-// pairOrd sorts spilled pairs by key hash, so an external merge yields
-// maximal equal-hash groups — each containing every row of the keys
-// hashing there — for streaming fold and group-by.
-func pairOrd[K comparable, V any](p Pair[K, V]) uint64 { return hashAny(p.Key) }
 
 // combinerFlushBytes caps the map-side combiner's per-task working set
 // under a budget: roughly a quarter of the budget split across the
@@ -48,79 +42,29 @@ func combinerFlushBytes(c *Context) int64 {
 	return per
 }
 
-// spillState is the budgeted-mode extension of lazyBuckets: per reduce
-// partition, the spilled runs, the tracked reservation of the
-// in-memory rows, and the flags driving fold-exactly-once and
-// eviction safety.
-type spillState[T any] struct {
-	name  string
-	ord   func(T) uint64
-	codec spill.Codec[T]
-
-	// mu guards the slices below. pmu[p] serializes reads (merge,
-	// group streaming) of one partition; the evictor TryLocks it so a
-	// partition mid-merge is never concurrently respilled.
-	mu       sync.Mutex
-	runs     [][]spill.Run[T]
-	reserved []int64
-	// lent marks partitions whose in-memory slice escaped to a
-	// consumer via get; they are pinned (never evicted), since the
-	// consumer may still be iterating the exact slice.
-	lent []bool
-	// needFold marks partitions whose post-fold (reduceByKey) is still
-	// pending because runs existed at stage end; the fold happens
-	// exactly once, inside the first merged read.
-	needFold []bool
-	pmu      []sync.Mutex
-}
-
-// withSpill names the buckets and, when the context has a memory
-// budget, arms them for out-of-core execution with the given spill
-// sort key. Distributed contexts never arm shuffle spill: published
-// buckets live in the exchange store (the worker's -mem budget still
-// governs caches and kernels), and the byte-identical assembly order
-// of cluster.go depends on the unspilled concatenation path.
-func (s *lazyBuckets[T]) withSpill(name string, ord func(T) uint64) *lazyBuckets[T] {
-	s.name = name
-	if s.ctx.mem == nil || s.ctx.conf.Transport != nil {
-		return s
-	}
-	s.spill = &spillState[T]{
-		name:     name,
-		ord:      ord,
-		codec:    spill.For[T](),
-		runs:     make([][]spill.Run[T], s.parts),
-		reserved: make([]int64, s.parts),
-		lent:     make([]bool, s.parts),
-		needFold: make([]bool, s.parts),
-		pmu:      make([]sync.Mutex, s.parts),
-	}
-	return s
-}
-
-// taskBuckets buffers one map task's routed output. In budgeted mode it
-// reserves tracked bytes in chunks and spills all its buckets as sorted
-// runs when a reservation is denied.
+// taskBuckets is the one shuffle writer: it buffers one map task's
+// routed output, one segment per reduce bucket. Under a budget it
+// reserves tracked bytes in chunks and spills all its segments when a
+// reservation is denied.
 type taskBuckets[T any] struct {
-	lb          *lazyBuckets[T]
-	buckets     []bucketed[T]
-	reserved    int64
-	unres       int64
-	routedRows  int64
-	routedBytes int64
+	lb       *lazyBuckets[T]
+	mem      *memory.Manager // nil without a budget
+	buckets  []bucketed[T]
+	reserved int64
+	unres    int64
 }
 
 func (s *lazyBuckets[T]) newTask() *taskBuckets[T] {
-	return &taskBuckets[T]{lb: s, buckets: make([]bucketed[T], s.parts)}
+	return &taskBuckets[T]{lb: s, mem: s.ctx.mem, buckets: make([]bucketed[T], s.parts)}
 }
 
 // add routes one row of the given estimated size to bucket b.
 func (tb *taskBuckets[T]) add(b int, v T, bytes int64) {
-	tb.buckets[b].rows = append(tb.buckets[b].rows, v)
-	tb.buckets[b].bytes += bytes
-	if tb.lb.spill != nil {
-		tb.routedRows++
-		tb.routedBytes += bytes
+	bk := &tb.buckets[b]
+	bk.rows = append(bk.rows, v)
+	bk.bytes += bytes
+	if tb.mem != nil {
+		bk.mem += bytes
 		tb.unres += bytes
 		if tb.unres >= spillReserveChunk {
 			tb.reserveOrSpill()
@@ -130,313 +74,101 @@ func (tb *taskBuckets[T]) add(b int, v T, bytes int64) {
 
 // reserveOrSpill books the accumulated unreserved bytes against the
 // budget: grant, grant-after-evicting-others, or spill this task's
-// buckets to disk and release everything.
+// segments to disk and release everything.
 func (tb *taskBuckets[T]) reserveOrSpill() {
 	chunk := tb.unres
 	tb.unres = 0
-	mem := tb.lb.ctx.mem
-	if mem.TryReserve(chunk) {
+	if tb.mem.TryReserve(chunk) {
 		tb.reserved += chunk
 		return
 	}
-	mem.Evict(chunk)
-	if mem.TryReserve(chunk) {
+	tb.mem.Evict(chunk)
+	if tb.mem.TryReserve(chunk) {
 		tb.reserved += chunk
 		return
 	}
-	tb.spillAll()
-}
-
-// spillAll writes every nonempty bucket of this task as one sorted run
-// per reduce partition, then releases the task's whole reservation.
-func (tb *taskBuckets[T]) spillAll() {
-	lb, sp := tb.lb, tb.lb.spill
-	span := lb.ctx.StartSpan("spill: " + sp.name)
-	var bytes, rows, files int64
+	span := tb.lb.ctx.StartSpan("spill: " + tb.lb.name)
 	for b := range tb.buckets {
-		bk := &tb.buckets[b]
-		if len(bk.rows) == 0 {
-			continue
+		if _, err := tb.lb.spill(&tb.buckets[b]); err != nil {
+			panic(err)
 		}
-		run, err := spill.WriteRun(lb.ctx.spillDir(), bk.rows, sp.ord, sp.codec)
-		if err != nil {
-			panic(fmt.Errorf("dataflow: %s: %w", sp.name, err))
-		}
-		sp.mu.Lock()
-		sp.runs[b] = append(sp.runs[b], run)
-		sp.mu.Unlock()
-		bytes += run.Bytes
-		rows += run.Rows
-		files++
-		bk.rows, bk.bytes = nil, 0
 	}
-	lb.ctx.metrics.noteSpill(bytes, rows, files)
-	lb.ctx.mem.Release(tb.reserved)
+	tb.mem.Release(tb.reserved)
 	tb.reserved = 0
-	span.SetAttr("bytes", bytes)
-	span.SetAttr("rows", rows)
-	span.SetAttr("files", files)
 	span.End()
 }
 
-// finish hands the task's surviving in-memory rows to the shared reduce
-// buckets, transferring their reservation to the partition ledgers.
+// finish books what the task has not reserved yet. From here on every
+// segment's mem is exactly the reservation it holds.
 func (tb *taskBuckets[T]) finish() {
-	sp := tb.lb.spill
 	if tb.unres > 0 {
 		tb.reserveOrSpill()
 	}
-	rem := tb.reserved
-	tb.reserved = 0
-	sp.mu.Lock()
-	for b := range tb.buckets {
-		bk := &tb.buckets[b]
-		if len(bk.rows) == 0 {
-			continue
-		}
-		tb.lb.buckets[b] = append(tb.lb.buckets[b], bk.rows...)
-		give := bk.bytes
-		if give > rem {
-			give = rem
-		}
-		sp.reserved[b] += give
-		rem -= give
-	}
-	sp.mu.Unlock()
-	if rem > 0 {
-		tb.lb.ctx.mem.Release(rem)
-	}
 }
 
-// runMapSide executes the map side of a shuffle stage: fill routes
-// partition p's rows into tb and returns the input-record count.
-// Without a budget this is exactly the pre-existing per-task
-// bucket-array path; with one, rows land in shared spillable buckets
-// (losing cross-task ordering determinism, which shuffles never
-// promised) and the eviction hook is registered once the stage's data
-// is complete.
-func (s *lazyBuckets[T]) runMapSide(st *Stage, inParts int, fill func(p int, tb *taskBuckets[T]) int64) {
-	if s.ctx.conf.Transport != nil {
-		s.runSPMD(st, inParts, func(m int) ([]bucketed[T], int64) {
-			tb := s.newTask()
-			in := fill(m, tb)
-			return tb.buckets, in
-		})
-		return
+// spill appends the segment's tracked in-memory rows to its runs as one
+// more run file, written in order, and returns their tracked size for
+// the caller to give back. Untracked rows — a narrow read's, a fetched
+// segment's — stay: their owner can produce them again. The rows slice
+// is only read: a reader may still hold it.
+func (s *lazyBuckets[T]) spill(bk *bucketed[T]) (freed int64, err error) {
+	if bk.mem == 0 {
+		return 0, nil
 	}
-	if s.spill == nil {
-		outputs := make([][]bucketed[T], inParts)
-		s.ctx.runTasks(st, inParts, func(p int) {
-			tb := s.newTask()
-			st.noteIn(p, fill(p, tb))
-			outputs[p] = tb.buckets
-		})
-		s.merge(st, outputs)
-		return
-	}
-	sp := s.spill
-	s.buckets = make([][]T, s.parts)
-	var recs, bytes atomic.Int64
-	s.ctx.runTasks(st, inParts, func(p int) {
-		tb := s.newTask()
-		st.noteIn(p, fill(p, tb))
-		tb.finish()
-		recs.Add(tb.routedRows)
-		bytes.Add(tb.routedBytes)
-	})
-	st.recordsOut.Add(recs.Load())
-	st.shuffledBytes.Add(bytes.Load())
-	if !s.narrow {
-		s.ctx.metrics.shuffles.Add(1)
-		s.ctx.metrics.shuffledRecords.Add(recs.Load())
-		s.ctx.metrics.shuffledBytes.Add(bytes.Load())
-		s.ctx.chargeShuffleCost(bytes.Load())
-	}
-	// The stage is complete and single-threaded here: fold run-free
-	// partitions eagerly (the exactly-once contract), defer the rest to
-	// their first merged read.
-	if s.post != nil {
-		for b := range s.buckets {
-			if len(sp.runs[b]) > 0 {
-				sp.needFold[b] = true
-				continue
-			}
-			before := sp.reserved[b]
-			s.buckets[b] = s.post(s.buckets[b])
-			if after := sliceBytes(s.buckets[b]); after < before {
-				sp.reserved[b] = after
-				s.ctx.mem.Release(before - after)
-			}
-		}
-	}
-	s.ctx.mem.RegisterEvictor(func(need int64) int64 { return s.evict(need) })
-}
-
-// getSpilled is the budgeted read path of lazyBuckets.get. Partitions
-// without runs hand out their in-memory slice, pinning it against
-// eviction. Spilled partitions first push their in-memory tail to disk
-// too, then external-merge all runs into a fresh slice handed to the
-// consumer as untracked consumer memory — the runs stay on disk for
-// re-reads, so the engine's tracked footprint for the partition drops
-// back to zero when the merge finishes (the Spark shuffle-read model:
-// reads re-stream from shuffle files, consumers own what they retain).
-// Because every merged record is freshly decoded, a pending post-fold
-// (ReduceByKey) may consume or mutate its inputs safely, and re-reads
-// re-fold identically.
-func (s *lazyBuckets[T]) getSpilled(p int) []T {
-	sp := s.spill
-	sp.pmu[p].Lock()
-	defer sp.pmu[p].Unlock()
-	sp.mu.Lock()
-	if len(sp.runs[p]) == 0 {
-		rows := s.buckets[p]
-		sp.lent[p] = true
-		sp.mu.Unlock()
-		return rows
-	}
-	tail := s.buckets[p]
-	oldResv := sp.reserved[p]
-	s.buckets[p] = nil
-	sp.reserved[p] = 0
-	sp.mu.Unlock()
-	if len(tail) > 0 {
-		run, err := spill.WriteRun(s.ctx.spillDir(), tail, sp.ord, sp.codec)
-		if err != nil {
-			panic(fmt.Errorf("dataflow: %s: %w", sp.name, err))
-		}
-		sp.mu.Lock()
-		sp.runs[p] = append(sp.runs[p], run)
-		sp.mu.Unlock()
-		s.ctx.metrics.noteSpill(run.Bytes, run.Rows, 1)
-	}
-	s.ctx.mem.Release(oldResv)
-	sp.mu.Lock()
-	runs := append([]spill.Run[T](nil), sp.runs[p]...)
-	sp.mu.Unlock()
-
-	var n int
-	for _, r := range runs {
-		n += int(r.Rows)
-	}
-	span := s.ctx.StartSpan("merge: " + sp.name)
-	out := make([]T, 0, n)
-	// Reserve the merge output incrementally as it materializes — with
-	// a pending fold the tracked footprint is the folded size, not the
-	// raw run bytes. Reserving in chunks lets the manager evict other
-	// holders mid-merge instead of overcommitting one huge request.
-	var resv, unres int64
-	account := func(v T) {
-		out = append(out, v)
-		unres += estimateSize(v)
-		if unres >= spillReserveChunk {
-			s.ctx.mem.Reserve(unres)
-			resv += unres
-			unres = 0
-		}
-	}
-	var err error
-	if sp.needFold[p] && s.post != nil {
-		err = spill.MergeGroups(runs, nil, sp.ord, sp.codec, func(_ uint64, g []T) {
-			if len(g) == 1 {
-				account(g[0])
-				return
-			}
-			// Copy: MergeGroups reuses the group buffer between groups.
-			for _, v := range s.post(append([]T(nil), g...)) {
-				account(v)
-			}
-		})
-	} else {
-		err = spill.Merge(runs, nil, sp.ord, sp.codec, account)
-	}
-	s.ctx.metrics.mergePasses.Add(1)
-	obsMergePasses.Inc()
-	// The merged slice is handed to the consumer as untracked consumer
-	// memory; the runs stay on disk as the partition's canonical copy.
-	s.ctx.mem.Release(resv)
+	run, err := spill.WriteRunOrdered(s.ctx.spillDir(), bk.rows, zeroOrd[T], spill.For[T]())
 	if err != nil {
-		panic(fmt.Errorf("dataflow: %s: %w", sp.name, err))
+		return 0, fmt.Errorf("dataflow: %s: %w", s.name, err)
 	}
-	span.SetAttr("runs", len(runs))
-	span.SetAttr("rows", len(out))
-	span.End()
-	return out
+	freed = bk.mem
+	bk.runs = append(bk.runs, run)
+	bk.rows, bk.mem = nil, 0
+	s.ctx.metrics.noteSpill(run.Bytes, run.Rows, 1)
+	return freed, nil
 }
 
-// eachHashGroup streams partition p as maximal equal-key-hash groups —
-// every row of the keys hashing to one value arrives in a single group
-// — external-merging spilled runs with the in-memory tail. The group
-// slice is reused between calls. Budgeted mode only.
-func (s *lazyBuckets[T]) eachHashGroup(p int, fn func(group []T)) {
-	sp := s.spill
-	sp.pmu[p].Lock()
-	defer sp.pmu[p].Unlock()
-	sp.mu.Lock()
-	runs := append([]spill.Run[T](nil), sp.runs[p]...)
-	memRows := s.buckets[p]
-	sp.mu.Unlock()
-	if len(runs) > 0 {
-		s.ctx.metrics.mergePasses.Add(1)
-		obsMergePasses.Inc()
+// read returns the segment's rows in written order: its runs, decoded,
+// then the rows still in memory. An unspilled segment is returned as
+// is.
+func (s *lazyBuckets[T]) read(bk *bucketed[T]) []T {
+	if len(bk.runs) == 0 {
+		return bk.rows
 	}
-	span := s.ctx.StartSpan("merge: " + sp.name)
-	if err := spill.MergeGroups(runs, memRows, sp.ord, sp.codec, func(_ uint64, g []T) { fn(g) }); err != nil {
-		panic(fmt.Errorf("dataflow: %s: %w", sp.name, err))
+	out := make([]T, 0, bk.count())
+	for _, run := range bk.runs {
+		out = appendRun(out, run)
 	}
-	span.SetAttr("runs", len(runs))
-	span.End()
+	return append(out, bk.rows...)
 }
 
-// evict is the shuffle buckets' memory-pressure hook: unlent in-memory
-// reduce partitions respill to runs until need bytes are freed.
-// Partitions currently being merged (pmu held) are skipped rather than
-// waited on.
+// evict is the shuffle's memory-pressure hook: finished segments that
+// no reader has taken move to run files until need bytes are freed.
+// Partitions being read (pmu held) are skipped rather than waited on.
 func (s *lazyBuckets[T]) evict(need int64) int64 {
-	sp := s.spill
 	var freed int64
 	for b := 0; b < s.parts && freed < need; b++ {
-		if !sp.pmu[b].TryLock() {
+		if !s.pmu[b].TryLock() {
 			continue
 		}
-		sp.mu.Lock()
-		rows := s.buckets[b]
-		resv := sp.reserved[b]
-		if sp.lent[b] || len(rows) == 0 || resv == 0 {
-			sp.mu.Unlock()
-			sp.pmu[b].Unlock()
-			continue
+		for _, bk := range s.column(b, 0, len(s.seg)) {
+			if bk == nil {
+				continue
+			}
+			if n, err := s.spill(bk); err == nil {
+				s.ctx.mem.Release(n)
+				freed += n
+			}
 		}
-		s.buckets[b] = nil
-		sp.reserved[b] = 0
-		sp.mu.Unlock()
-		run, err := spill.WriteRun(s.ctx.spillDir(), rows, sp.ord, sp.codec)
-		if err != nil {
-			sp.mu.Lock()
-			s.buckets[b] = rows
-			sp.reserved[b] = resv
-			sp.mu.Unlock()
-			sp.pmu[b].Unlock()
-			continue
-		}
-		sp.mu.Lock()
-		sp.runs[b] = append(sp.runs[b], run)
-		sp.mu.Unlock()
-		sp.pmu[b].Unlock()
-		s.ctx.metrics.noteSpill(run.Bytes, run.Rows, 1)
-		s.ctx.mem.Release(resv)
-		freed += resv
+		s.pmu[b].Unlock()
 	}
 	return freed
 }
 
-// readCachedRun loads a disk-evicted Persist partition back into
-// memory, preserving element order (cache runs are written unsorted).
-func readCachedRun[T any](run spill.Run[T]) []T {
-	out := make([]T, 0, run.Rows)
-	if err := run.Each(spill.For[T](), func(_ uint64, v T) { out = append(out, v) }); err != nil {
-		panic(fmt.Errorf("dataflow: cache read: %w", err))
+// appendRun decodes a run file onto dst, in the order it was written.
+func appendRun[T any](dst []T, run spill.Run[T]) []T {
+	if err := run.Each(spill.For[T](), func(_ uint64, v T) { dst = append(dst, v) }); err != nil {
+		panic(fmt.Errorf("dataflow: read back spilled rows: %w", err))
 	}
-	return out
+	return dst
 }
 
 // cacheStore installs a freshly computed partition in the Persist
@@ -494,7 +226,7 @@ func (d *Dataset[T]) cacheStore(p int, rows []T) []T {
 // cacheToDisk persists a partition the budget refused to admit. The
 // rows are written in their computed order (WriteRunOrdered only reads
 // the slice, which consumers may share) and later reads stream the run
-// back with readCachedRun.
+// back with appendRun.
 func (d *Dataset[T]) cacheToDisk(p int, rows []T) []T {
 	span := d.ctx.StartSpan("spill: cache(" + d.name + ")")
 	run, err := spill.WriteRunOrdered(d.ctx.spillDir(), rows, zeroOrd[T], spill.For[T]())

@@ -7,6 +7,7 @@ package dataflow
 // selects these with -run OutOfCore.
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -177,6 +178,40 @@ func TestOutOfCoreJoinMatchesInMemory(t *testing.T) {
 		}
 	}
 	assertBudget(t, ctx, budget)
+}
+
+// TestOutOfCoreOrderIsAFunctionOfTheMapOutputs: under a budget that
+// forces spills, every reduce partition — its rows, their order, the
+// order inside each group's value list, and so every float fold — is
+// the same whatever the task parallelism, i.e. whatever order the map
+// tasks finished in and whenever the budget made them spill.
+func TestOutOfCoreOrderIsAFunctionOfTheMapOutputs(t *testing.T) {
+	run := func(par int) []any {
+		// 16 x 4096 rows x ~24 tracked bytes, six times the budget.
+		const budget = 256 << 10
+		ctx := NewContext(Config{Parallelism: par, MemoryBudget: budget})
+		defer ctx.Close()
+		base := Generate(ctx, 16, func(p int) []Pair[int64, float64] {
+			rows := make([]Pair[int64, float64], 4096)
+			for i := range rows {
+				g := p*len(rows) + i
+				rows[i] = KV(int64(g%509), 1/float64(g+1))
+			}
+			return rows
+		})
+		sums := ReduceByKey(base, func(a, b float64) float64 { return a + b }, 8)
+		r := []any{sums.materialize(), GroupByKey(base, 8).materialize(), Join(base, sums, 6).materialize()}
+		if s := ctx.Metrics(); s.SpilledBytes == 0 {
+			t.Fatalf("parallelism %d: nothing spilled under a %d-byte budget", par, budget)
+		}
+		return r
+	}
+	want := run(1)
+	for _, par := range []int{2, 8} {
+		if got := run(par); !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: partitions differ from parallelism 1", par)
+		}
+	}
 }
 
 // TestOutOfCoreUnpersistReleasesEverything is the regression test for

@@ -194,7 +194,7 @@ func (d *Dataset[T]) partition(p int) []T {
 	if d.cachedDisk != nil && d.cachedDisk[p].Path != "" {
 		run := d.cachedDisk[p]
 		d.cacheMu.Unlock()
-		return readCachedRun(run)
+		return appendRun(make([]T, 0, run.Rows), run)
 	}
 	persist := d.persist
 	d.cacheMu.Unlock()
@@ -519,18 +519,14 @@ func Repartition[T any](d *Dataset[T], numPartitions int) *Dataset[T] {
 	if numPartitions <= 0 {
 		numPartitions = d.ctx.DefaultPartitions()
 	}
-	lb := (&lazyBuckets[T]{ctx: d.ctx, parts: numPartitions}).
-		withSpill("shuffle(repartition)", zeroOrd[T])
-	lb.stage = d.ctx.newStage(lb.name, d.deps, func(st *Stage) {
-		lb.runMapSide(st, d.parts, func(p int, tb *taskBuckets[T]) int64 {
-			i := 0
-			d.forEach(p, func(v T) {
-				b := (p + i) % numPartitions
-				i++
-				tb.add(b, v, estimateSize(v))
-			})
-			return int64(i)
+	lb := newShuffle(d, "shuffle(repartition)", numPartitions, func(p int, tb *taskBuckets[T]) int64 {
+		i := 0
+		d.forEach(p, func(v T) {
+			b := (p + i) % numPartitions
+			i++
+			tb.add(b, v, estimateSize(v))
 		})
+		return int64(i)
 	})
 	return newSliceDataset(d.ctx, numPartitions, "repartition", []*Stage{lb.stage}, lb.get)
 }

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -194,17 +195,17 @@ func TestQuickPartitionIndependence(t *testing.T) {
 
 func TestLazinessNoComputeBeforeAction(t *testing.T) {
 	ctx := NewLocalContext()
-	computed := false
+	var computed atomic.Bool // both partitions' tasks set it
 	d := Generate(ctx, 2, func(p int) []int {
-		computed = true
+		computed.Store(true)
 		return []int{p}
 	})
 	m := Map(d, func(x int) int { return x + 1 })
-	if computed {
+	if computed.Load() {
 		t.Fatal("transformation should be lazy")
 	}
 	Collect(m)
-	if !computed {
+	if !computed.Load() {
 		t.Fatal("action should trigger compute")
 	}
 }

@@ -1,55 +1,117 @@
 package dataflow
 
-// bucketed is the map-side output of one task for one reduce bucket.
+import (
+	"sync"
+
+	"repro/internal/spill"
+)
+
+// bucketed is one segment of a shuffle's map output: the rows one map
+// task routed to one reduce bucket, in the order the task produced
+// them. Under a memory budget a prefix of them may rest in run files,
+// written in that same order, so runs followed by rows is the task's
+// output order however often, and whenever, the segment was spilled.
 type bucketed[T any] struct {
 	rows  []T
-	bytes int64
+	bytes int64 // estimated payload routed here, spilled rows included
+	runs  []spill.Run[T]
+	// mem is the tracked size of rows: an estimate while the task fills
+	// the segment, the reservation it holds once the task has finished.
+	mem int64
 }
 
-// lazyBuckets is materialized shuffle output: for each reduce partition
-// the rows routed to it. The map-side runs as a first-class Stage;
-// downstream datasets list that stage as a dependency, so the driver
-// scheduler materializes it (concurrently with independent stages)
-// before any task reads a bucket.
+// count is the number of rows routed to the segment.
+func (b *bucketed[T]) count() int64 {
+	n := int64(len(b.rows))
+	for _, r := range b.runs {
+		n += r.Rows
+	}
+	return n
+}
+
+// lazyBuckets is a shuffle: one store of map-output segments, written
+// by the map-side stage and read back per reduce partition. The
+// map-side runs as a first-class Stage; downstream datasets list that
+// stage as a dependency, so the driver scheduler materializes it
+// (concurrently with independent stages) before any task reads a
+// partition.
+//
+// Where a segment rests is a property of the context, not a mode of
+// the shuffle: with a memory budget segments reserve tracked bytes and
+// spill to run files when refused (oocore.go); with a Transport a rank
+// holds the segments of the map tasks it ran, publishes them, and
+// fetches the others from their owners or recomputes them from lineage
+// (cluster.go). The two stack. Either way partition p is the
+// concatenation of seg[0][p], seg[1][p], ... in that order, so the
+// reduce-side row order is a function of the map outputs alone.
 type lazyBuckets[T any] struct {
-	ctx     *Context
-	parts   int
-	stage   *Stage
-	name    string
-	buckets [][]T
-	// post, when set, transforms each bucket exactly once during
-	// materialization. ReduceByKey folds here because combine
-	// functions may mutate their first argument (the Spark contract);
-	// folding lazily per downstream computation would re-mutate the
-	// cached bucket rows.
-	post func([]T) []T
-	// narrow marks a co-partitioned read that moves no data; it is
-	// excluded from the shuffle metrics.
+	ctx   *Context
+	parts int
+	stage *Stage
+	name  string
+	// fold, when set, opens the reduce-side combiner of one partition
+	// read: absorb takes the segments' rows in map-task order, finish
+	// returns the folded partition. ReduceByKey folds here, once per
+	// kept partition, because combine functions may mutate their first
+	// argument (the Spark contract); folding per downstream computation
+	// would re-mutate the kept rows.
+	fold func() (absorb func([]T), finish func() []T)
+	// narrow marks a co-partitioned read that moves no data: map task m
+	// fills only bucket m. It is excluded from the shuffle metrics.
 	narrow bool
-	// spill, when non-nil (context has a memory budget), lets the
-	// buckets overflow to sorted run files; see oocore.go.
-	spill *spillState[T]
-	// spmd, when non-nil (context has a cluster transport), replaces
-	// the in-memory buckets with published blobs fetched from the
-	// owning ranks; see cluster.go.
-	spmd *spmdState[T]
 	// adapt, when non-nil, opts the shuffle into adaptive stage-boundary
 	// rebalancing; it maps a row to its key-group ordinal, the unit that
 	// must move between buckets atomically. See adaptive.go.
 	adapt func(T) uint64
+
+	// fill is the map side: it routes input partition m's rows into tb
+	// and returns the input-record count. It runs once per map task
+	// this rank owns, and again as the lineage recompute of a map task
+	// whose owner is gone.
+	srcParts int
+	fill     func(m int, tb *taskBuckets[T]) int64
+
+	// seg[m][b] is map task m's segment for reduce bucket b; seg[m] is
+	// nil while this rank has not run map task m. mu guards the seg[m]
+	// slots; column p of every seg[m] belongs to whoever holds pmu[p].
+	mu    sync.Mutex
+	seg   [][]bucketed[T]
+	recMu sync.Mutex // one lineage recompute at a time
+
+	// pmu[p] serializes reads of reduce partition p against each other
+	// and against the evictor. out[p] is the assembled partition once
+	// done[p]; a partition with spilled segments is never kept, its
+	// runs stay the canonical copy and every read decodes them afresh.
+	pmu  []sync.Mutex
+	out  [][]T
+	done []bool
 }
 
-// merge concatenates the per-parent bucket outputs into reduce
-// partitions and records shuffle metrics. It runs at the end of the
-// shuffle stage's body.
-func (s *lazyBuckets[T]) merge(st *Stage, outputs [][]bucketed[T]) {
-	s.buckets = make([][]T, s.parts)
+// newShuffle builds the shuffle of d into parts reduce partitions and
+// its map-side stage.
+func newShuffle[T any](d *Dataset[T], name string, parts int, fill func(m int, tb *taskBuckets[T]) int64) *lazyBuckets[T] {
+	s := &lazyBuckets[T]{ctx: d.ctx, parts: parts, name: name, srcParts: d.parts, fill: fill,
+		pmu: make([]sync.Mutex, parts), out: make([][]T, parts), done: make([]bool, parts)}
+	s.stage = d.ctx.newStage(name, d.deps, s.runMapSide)
+	return s
+}
+
+// runMapSide is the map-side stage body: every map task this rank owns
+// fills its segments through the one writer, then the stage accounts
+// for what it produced, rebalances if it may, and opens the store to
+// eviction.
+func (s *lazyBuckets[T]) runMapSide(st *Stage) {
+	s.seg = make([][]bucketed[T], s.srcParts)
+	s.ctx.runTasksOwned(st, s.srcParts, func(m int) {
+		in, sg := s.runTask(m)
+		st.noteIn(m, in)
+		s.publish(m, sg)
+	})
 	var recs, bytes int64
-	for _, parent := range outputs {
-		for b := range parent {
-			s.buckets[b] = append(s.buckets[b], parent[b].rows...)
-			recs += int64(len(parent[b].rows))
-			bytes += parent[b].bytes
+	for _, sg := range s.seg {
+		for b := range sg {
+			recs += sg[b].count()
+			bytes += sg[b].bytes
 		}
 	}
 	st.recordsOut.Add(recs)
@@ -59,31 +121,99 @@ func (s *lazyBuckets[T]) merge(st *Stage, outputs [][]bucketed[T]) {
 		s.ctx.metrics.shuffledRecords.Add(recs)
 		s.ctx.metrics.shuffledBytes.Add(bytes)
 		s.ctx.chargeShuffleCost(bytes)
+		s.rebalance()
+		s.ctx.mem.RegisterEvictor(s.evict)
 	}
-	if s.post != nil {
-		for b := range s.buckets {
-			s.buckets[b] = s.post(s.buckets[b])
-		}
-	}
-	// Post runs first so the histogram sees the folded sizes (one row
-	// per key for reduceByKey), not the pre-combine volume.
-	s.rebalance()
 }
 
-// get reads one reduce partition. The stage must have run (it is a
-// dependency of every downstream dataset); tasks never trigger it.
-// Budgeted partitions with spilled runs external-merge them first.
-func (s *lazyBuckets[T]) get(p int) []T {
-	if s.spmd != nil {
-		return s.getSPMD(p)
+// runTask runs map task m through the writer and stores its segments.
+func (s *lazyBuckets[T]) runTask(m int) (int64, []bucketed[T]) {
+	tb := s.newTask()
+	in := s.fill(m, tb)
+	tb.finish()
+	s.mu.Lock()
+	s.seg[m] = tb.buckets
+	s.mu.Unlock()
+	return in, tb.buckets
+}
+
+// column returns column p of the segments of map tasks lo..hi-1, nil
+// for a map task whose segments this rank does not hold.
+func (s *lazyBuckets[T]) column(p, lo, hi int) []*bucketed[T] {
+	cols := make([]*bucketed[T], hi-lo)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range cols {
+		if sg := s.seg[lo+i]; sg != nil {
+			cols[i] = &sg[p]
+		}
 	}
-	if s.buckets == nil {
+	return cols
+}
+
+// get reads one reduce partition: every map task's segment for it, in
+// map-task order, through the reduce-side fold when there is one. The
+// stage must have run (it is a dependency of every downstream dataset);
+// tasks never trigger it.
+//
+// A partition none of whose segments has spilled is assembled once and
+// kept, taking over the segments' rows and reservations. One with a
+// spilled segment is never kept: the rest of its segments go to disk
+// too, every read decodes the runs afresh — so a fold that mutates its
+// input can run again — and the rows are the consumer's.
+func (s *lazyBuckets[T]) get(p int) []T {
+	if s.seg == nil {
 		panic("dataflow: shuffle read before its stage ran")
 	}
-	if s.spill != nil {
-		return s.getSpilled(p)
+	s.pmu[p].Lock()
+	defer s.pmu[p].Unlock()
+	if s.done[p] {
+		return s.out[p]
 	}
-	return s.buckets[p]
+	lo, hi := 0, len(s.seg)
+	if s.narrow {
+		lo, hi = p, p+1
+	}
+	cols := s.column(p, lo, hi)
+	s.fetchRemote(p, lo, cols)
+	total, onDisk := 0, false
+	for _, bk := range cols {
+		total += int(bk.count())
+		onDisk = onDisk || len(bk.runs) > 0
+	}
+	var rows []T
+	absorb, finish := func(seg []T) { rows = append(rows, seg...) }, func() []T { return rows }
+	if s.fold != nil {
+		absorb, finish = s.fold()
+	} else {
+		rows = make([]T, 0, total)
+	}
+	var held int64
+	for _, bk := range cols {
+		if onDisk {
+			freed, err := s.spill(bk)
+			if err != nil {
+				panic(err)
+			}
+			s.ctx.mem.Release(freed)
+		}
+		absorb(s.read(bk))
+		held += bk.mem
+		bk.rows, bk.mem = nil, 0
+	}
+	rows = finish()
+	if onDisk {
+		s.ctx.metrics.mergePasses.Add(1)
+		obsMergePasses.Inc()
+		return rows
+	}
+	if s.fold != nil && held > 0 {
+		if after := sliceBytes(rows); after < held {
+			s.ctx.mem.Release(held - after)
+		}
+	}
+	s.out[p], s.done[p] = rows, true
+	return rows
 }
 
 // exchange routes every element of d into numPartitions buckets inside
@@ -91,50 +221,25 @@ func (s *lazyBuckets[T]) get(p int) []T {
 // bucket-write sink. keyed marks the route as hash-by-key: when d is
 // already hash-partitioned by key into numPartitions partitions, the
 // exchange degrades to an in-place narrow read (like Spark's
-// partitioner-aware joins). ord is the spill sort key used when a
-// memory budget forces the buckets out of core.
-func exchange[T any](d *Dataset[T], numPartitions int, route func(T) int, ord func(T) uint64, keyed bool) *lazyBuckets[T] {
-	lb := &lazyBuckets[T]{ctx: d.ctx, parts: numPartitions}
+// partitioner-aware joins) — map task p hands its whole partition to
+// bucket p, which the same rank reads back, so nothing moves.
+func exchange[T any](d *Dataset[T], numPartitions int, route func(T) int, keyed bool) *lazyBuckets[T] {
 	if keyed && d.keyParts == numPartitions {
-		lb.narrow = true
-		lb.name = "narrow-read(" + d.name + ")"
-		if d.ctx.conf.Transport != nil {
-			// Distributed: map task p fills exactly bucket p, and both
-			// share the owner rank, so the published bucket is read back
-			// locally — a narrow read still moves nothing.
-			lb.stage = d.ctx.newStage(lb.name, d.deps, func(st *Stage) {
-				lb.runSPMD(st, d.parts, func(m int) ([]bucketed[T], int64) {
-					buckets := make([]bucketed[T], numPartitions)
-					buckets[m].rows = d.partition(m)
-					return buckets, int64(len(buckets[m].rows))
-				})
-			})
-			return lb
-		}
-		lb.stage = d.ctx.newStage(lb.name, d.deps, func(st *Stage) {
-			outputs := make([][]bucketed[T], d.parts)
-			d.ctx.runTasks(st, d.parts, func(p int) {
-				buckets := make([]bucketed[T], numPartitions)
-				buckets[p].rows = d.partition(p)
-				st.noteIn(p, int64(len(buckets[p].rows)))
-				outputs[p] = buckets
-			})
-			lb.merge(st, outputs)
+		lb := newShuffle(d, "narrow-read("+d.name+")", numPartitions, func(m int, tb *taskBuckets[T]) int64 {
+			tb.buckets[m].rows = d.partition(m)
+			return int64(len(tb.buckets[m].rows))
 		})
+		lb.narrow = true
 		return lb
 	}
-	lb.withSpill("shuffle("+d.name+")", ord)
-	lb.stage = d.ctx.newStage(lb.name, d.deps, func(st *Stage) {
-		lb.runMapSide(st, d.parts, func(p int, tb *taskBuckets[T]) int64 {
-			var in int64
-			d.forEach(p, func(v T) {
-				in++
-				tb.add(route(v), v, estimateSize(v))
-			})
-			return in
+	return newShuffle(d, "shuffle("+d.name+")", numPartitions, func(p int, tb *taskBuckets[T]) int64 {
+		var in int64
+		d.forEach(p, func(v T) {
+			in++
+			tb.add(route(v), v, estimateSize(v))
 		})
+		return in
 	})
-	return lb
 }
 
 // Pair is a key-value record, the element type of all keyed operations.
@@ -165,53 +270,65 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(V, V)
 	if numPartitions <= 0 {
 		numPartitions = d.ctx.DefaultPartitions()
 	}
-	lb := (&lazyBuckets[Pair[K, V]]{ctx: d.ctx, parts: numPartitions}).
-		withSpill("shuffle(reduceByKey)", pairOrd[K, V]).
-		withAdapt(pairOrd[K, V])
-	// Reduce side: fold the shuffled partials per key, exactly once
-	// (combine may mutate its first argument). Installed before the
-	// stage body so the budgeted path can fold run-free partitions at
-	// stage end and spilled ones during their merged read.
-	lb.post = func(rows []Pair[K, V]) []Pair[K, V] {
-		return foldPairs(rows, combine)
-	}
 	flushAt := combinerFlushBytes(d.ctx)
-	lb.stage = d.ctx.newStage(lb.name, d.deps, func(st *Stage) {
-		lb.runMapSide(st, d.parts, func(p int, tb *taskBuckets[Pair[K, V]]) int64 {
-			// Map-side combine; under a memory budget the accumulator
-			// flushes to the buckets whenever its working set exceeds
-			// the per-task allowance, trading shuffle volume for a
-			// bounded map-side footprint.
-			acc := make(map[K]V)
-			order := make([]K, 0)
-			var accBytes int64
-			flush := func() {
-				for _, k := range order {
-					kv := KV(k, acc[k])
-					tb.add(partitionOf(k, numPartitions), kv, kv.NumBytes())
-				}
-				acc = make(map[K]V)
-				order = order[:0]
-				accBytes = 0
+	lb := newShuffle(d, "shuffle(reduceByKey)", numPartitions, func(p int, tb *taskBuckets[Pair[K, V]]) int64 {
+		// Map-side combine; under a memory budget the accumulator
+		// flushes to the buckets whenever its working set exceeds the
+		// per-task allowance, trading shuffle volume for a bounded
+		// map-side footprint.
+		acc := make(map[K]V)
+		order := make([]K, 0)
+		var accBytes int64
+		flush := func() {
+			for _, k := range order {
+				kv := KV(k, acc[k])
+				tb.add(partitionOf(k, numPartitions), kv, kv.NumBytes())
 			}
-			var in int64
-			d.forEach(p, func(kv Pair[K, V]) {
-				in++
+			acc = make(map[K]V)
+			order = order[:0]
+			accBytes = 0
+		}
+		var in int64
+		d.forEach(p, func(kv Pair[K, V]) {
+			in++
+			if old, ok := acc[kv.Key]; ok {
+				acc[kv.Key] = combine(old, kv.Value)
+			} else {
+				acc[kv.Key] = kv.Value
+				order = append(order, kv.Key)
+				accBytes += kv.NumBytes()
+				if accBytes >= flushAt {
+					flush()
+				}
+			}
+		})
+		flush()
+		return in
+	}).withAdapt(pairOrd[K, V])
+	// Reduce side: fold the shuffled partials per key, in first-seen key
+	// order.
+	lb.fold = func() (func([]Pair[K, V]), func() []Pair[K, V]) {
+		acc := make(map[K]V)
+		var order []K
+		absorb := func(rows []Pair[K, V]) {
+			for _, kv := range rows {
 				if old, ok := acc[kv.Key]; ok {
 					acc[kv.Key] = combine(old, kv.Value)
 				} else {
 					acc[kv.Key] = kv.Value
 					order = append(order, kv.Key)
-					accBytes += kv.NumBytes()
-					if accBytes >= flushAt {
-						flush()
-					}
 				}
-			})
-			flush()
-			return in
-		})
-	})
+			}
+		}
+		finish := func() []Pair[K, V] {
+			out := make([]Pair[K, V], len(order))
+			for i, k := range order {
+				out[i] = KV(k, acc[k])
+			}
+			return out
+		}
+		return absorb, finish
+	}
 	out := newSliceDataset(d.ctx, numPartitions, "reduceByKey", []*Stage{lb.stage}, lb.get)
 	if lb.mayAdapt() {
 		// Rebalancing may move keys off their hash bucket, so the output
@@ -222,26 +339,6 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(V, V)
 	return out.withKeyParts(numPartitions)
 }
 
-// foldPairs merges a slice of pairs by key preserving first-seen key
-// order, folding values with combine.
-func foldPairs[K comparable, V any](rows []Pair[K, V], combine func(V, V) V) []Pair[K, V] {
-	acc := make(map[K]V, len(rows))
-	order := make([]K, 0, len(rows))
-	for _, kv := range rows {
-		if old, ok := acc[kv.Key]; ok {
-			acc[kv.Key] = combine(old, kv.Value)
-		} else {
-			acc[kv.Key] = kv.Value
-			order = append(order, kv.Key)
-		}
-	}
-	out := make([]Pair[K, V], len(order))
-	for i, k := range order {
-		out[i] = KV(k, acc[k])
-	}
-	return out
-}
-
 // GroupByKey collects all values per key into a slice. Unlike
 // ReduceByKey there is no map-side combining: every record crosses the
 // shuffle, which is exactly the cost difference the paper's Rule (13)
@@ -250,22 +347,13 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) 
 	if numPartitions <= 0 {
 		numPartitions = d.ctx.DefaultPartitions()
 	}
-	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), pairOrd[K, V], true).
+	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), true).
 		withAdapt(pairOrd[K, V])
 	ds := newStreamDataset(d.ctx, numPartitions, "groupByKey", []*Stage{lb.stage},
 		func(p int, emit func(Pair[K, []V])) {
-			if lb.spill != nil {
-				// Budgeted: stream maximal equal-hash groups off the
-				// external merge — every record of a key arrives inside
-				// one group, so grouping is group-local and the whole
-				// partition never materializes at once.
-				lb.eachHashGroup(p, func(g []Pair[K, V]) { emitGroups(g, emit) })
-				return
-			}
-			rows := lb.get(p)
 			acc := make(map[K][]V)
 			order := make([]K, 0)
-			for _, kv := range rows {
+			for _, kv := range lb.get(p) {
 				if _, ok := acc[kv.Key]; !ok {
 					order = append(order, kv.Key)
 				}
@@ -279,44 +367,6 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) 
 		return ds // rebalancing breaks hash-co-partitioning; see ReduceByKey
 	}
 	return ds.withKeyParts(numPartitions)
-}
-
-// emitGroups turns one maximal equal-hash group of pairs into grouped
-// records. Hash collisions mean distinct keys can share a group, so the
-// general case still splits by exact key; the overwhelmingly common
-// single-key group takes the copy-only fast paths. The input slice is
-// reused by the merge and never retained.
-func emitGroups[K comparable, V any](g []Pair[K, V], emit func(Pair[K, []V])) {
-	if len(g) == 1 {
-		emit(KV(g[0].Key, []V{g[0].Value}))
-		return
-	}
-	oneKey := true
-	for _, kv := range g[1:] {
-		if kv.Key != g[0].Key {
-			oneKey = false
-			break
-		}
-	}
-	if oneKey {
-		vs := make([]V, len(g))
-		for i, kv := range g {
-			vs[i] = kv.Value
-		}
-		emit(KV(g[0].Key, vs))
-		return
-	}
-	acc := make(map[K][]V, 2)
-	order := make([]K, 0, 2)
-	for _, kv := range g {
-		if _, ok := acc[kv.Key]; !ok {
-			order = append(order, kv.Key)
-		}
-		acc[kv.Key] = append(acc[kv.Key], kv.Value)
-	}
-	for _, k := range order {
-		emit(KV(k, acc[k]))
-	}
 }
 
 // AggregateByKey folds values per key into an accumulator of a
@@ -380,8 +430,8 @@ func Join[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair
 	if numPartitions <= 0 {
 		numPartitions = left.ctx.DefaultPartitions()
 	}
-	lb := exchange(left, numPartitions, pairRoute[K, A](numPartitions), pairOrd[K, A], true)
-	rb := exchange(right, numPartitions, pairRoute[K, B](numPartitions), pairOrd[K, B], true)
+	lb := exchange(left, numPartitions, pairRoute[K, A](numPartitions), true)
+	rb := exchange(right, numPartitions, pairRoute[K, B](numPartitions), true)
 	return newStreamDataset(left.ctx, numPartitions, "join", []*Stage{lb.stage, rb.stage},
 		func(p int, emit func(Pair[K, JoinedPair[A, B]])) {
 			ls := lb.get(p)
@@ -440,8 +490,8 @@ func CoGroupRouted[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dat
 }
 
 func coGroup[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair[K, B]], numPartitions int, route func(K) int, hashed bool) *Dataset[Pair[K, CoGrouped[A, B]]] {
-	lb := exchange(left, numPartitions, func(p Pair[K, A]) int { return route(p.Key) }, pairOrd[K, A], hashed)
-	rb := exchange(right, numPartitions, func(p Pair[K, B]) int { return route(p.Key) }, pairOrd[K, B], hashed)
+	lb := exchange(left, numPartitions, func(p Pair[K, A]) int { return route(p.Key) }, hashed)
+	rb := exchange(right, numPartitions, func(p Pair[K, B]) int { return route(p.Key) }, hashed)
 	return newStreamDataset(left.ctx, numPartitions, "cogroup", []*Stage{lb.stage, rb.stage},
 		func(p int, emit func(Pair[K, CoGrouped[A, B]])) {
 			ls := lb.get(p)
@@ -477,7 +527,7 @@ func PartitionByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions i
 	if numPartitions <= 0 {
 		numPartitions = d.ctx.DefaultPartitions()
 	}
-	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), pairOrd[K, V], true).
+	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), true).
 		withAdapt(pairOrd[K, V])
 	out := newSliceDataset(d.ctx, numPartitions, "partitionBy", []*Stage{lb.stage}, lb.get)
 	if lb.mayAdapt() {

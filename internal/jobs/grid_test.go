@@ -71,7 +71,7 @@ func TestClusterGridIgnoresParallelism(t *testing.T) {
 	}
 	d := gbjDecision(t, p)
 	for _, pars := range [][]int{{1, 2, 5}, {1, 2, 3, 4, 5, 6, 7, 16}} {
-		drv := startTestClusterPar(t, pars)
+		drv := startTestClusterPar(t, pars, 0)
 		base := p
 		base.Src = ""
 		cs := NewClusterSession(drv, base, time.Minute)

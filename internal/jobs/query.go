@@ -49,12 +49,6 @@ type QueryParams struct {
 	// TelemetryMs overrides the periodic telemetry flush interval in
 	// milliseconds (0 uses the default).
 	TelemetryMs int64
-	// LegacyBlob forces the PR 5 whole-blob shuffle fetch path instead
-	// of chunk streaming; NoCompress publishes shuffle buckets raw.
-	// Both exist for A/B benchmarks (BENCH_shuffle.json) and as escape
-	// hatches — results are byte-identical regardless.
-	LegacyBlob bool
-	NoCompress bool
 }
 
 // Encode serializes the params for the job message.
@@ -77,25 +71,24 @@ func (p *QueryParams) Encode() []byte {
 	if p.Trace {
 		flags |= 4
 	}
-	if p.LegacyBlob {
-		flags |= 8
-	}
-	if p.NoCompress {
-		flags |= 16
-	}
 	b = binary.AppendVarint(b, flags)
 	b = binary.AppendUvarint(b, math.Float64bits(p.ShuffleCostNsPerByte))
 	b = binary.AppendVarint(b, p.TelemetryMs)
 	return b
 }
 
-// DecodeQueryParams parses what Encode wrote.
+// DecodeQueryParams parses what Encode wrote, and nothing else: a
+// truncated buffer, trailing bytes and flag bits Encode never sets are
+// errors. The buffer arrives over the wire, and a rank that silently
+// read zeros for a field the others decoded would build a different
+// stage graph.
 func DecodeQueryParams(b []byte) (QueryParams, error) {
 	var p QueryParams
+	truncated := false
 	u := func() uint64 {
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
-			b = nil
+			truncated, b = true, nil
 			return 0
 		}
 		b = b[n:]
@@ -104,7 +97,7 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 	i := func() int64 {
 		v, n := binary.Varint(b)
 		if n <= 0 {
-			b = nil
+			truncated, b = true, nil
 			return 0
 		}
 		b = b[n:]
@@ -112,7 +105,7 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 	}
 	srcLen := u()
 	if uint64(len(b)) < srcLen {
-		return p, fmt.Errorf("jobs: truncated query params")
+		truncated, srcLen = true, 0
 	}
 	p.Src = string(b[:srcLen])
 	b = b[srcLen:]
@@ -125,11 +118,16 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 	p.DisableGBJ = flags&1 != 0
 	p.DisableRBK = flags&2 != 0
 	p.Trace = flags&4 != 0
-	p.LegacyBlob = flags&8 != 0
-	p.NoCompress = flags&16 != 0
 	p.ShuffleCostNsPerByte = math.Float64frombits(u())
 	p.TelemetryMs = i()
-	if p.Src == "" || p.N <= 0 || p.Tile <= 0 {
+	switch {
+	case truncated:
+		return p, fmt.Errorf("jobs: truncated query params")
+	case len(b) != 0:
+		return p, fmt.Errorf("jobs: %d trailing bytes after query params", len(b))
+	case flags&^7 != 0:
+		return p, fmt.Errorf("jobs: unknown query flag bits %#x", flags&^7)
+	case p.Src == "" || p.N <= 0 || p.Tile <= 0:
 		return p, fmt.Errorf("jobs: invalid query params (src=%q n=%d tile=%d)", p.Src, p.N, p.Tile)
 	}
 	return p, nil
@@ -146,12 +144,10 @@ func init() {
 			pump = newTelemetryPump(env.Telemetry,
 				time.Duration(p.TelemetryMs)*time.Millisecond, p.Trace)
 		}
-		env.Exchange.SetCompression(!p.NoCompress)
 		blob, snap, err := runQuery(p, env.World, func(c *core.Config) {
 			c.Parallelism = env.Parallelism
 			c.MemoryBudget = env.MemoryBudget
 			c.Transport = env.Exchange
-			c.DisableStreamFetch = p.LegacyBlob
 			c.WorkerTag = env.WorkerTag
 		}, pump)
 		return blob, reportFrom(snap), err

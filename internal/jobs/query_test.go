@@ -2,11 +2,15 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 // fig4Queries is the paper's evaluation query set the distributed
@@ -27,18 +31,35 @@ func baseParams() QueryParams {
 	return QueryParams{N: 64, Tile: 16, SeedA: 1, SeedB: 2, Partitions: 6}
 }
 
-func startTestCluster(t *testing.T, workers int) *cluster.Driver {
+// spillingBudget is a memory budget below one map task's output even
+// for the row-sums query, so every shuffle spills.
+const spillingBudget = 256
+
+// localUnderBudget is RunQueryLocal under a memory budget: the reference
+// a budgeted cluster must reproduce byte for byte.
+func localUnderBudget(t *testing.T, p QueryParams, budget int64) []byte {
 	t.Helper()
+	blob, snap, err := runQuery(p, 1, func(c *core.Config) { c.MemoryBudget = budget }, nil)
+	if err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	if (snap.SpilledBytes > 0) != (budget > 0) {
+		t.Fatalf("local under budget %d spilled %d bytes", budget, snap.SpilledBytes)
+	}
+	return blob
+}
+
+func twoSlots(workers int) []int {
 	pars := make([]int, workers)
 	for i := range pars {
 		pars[i] = 2
 	}
-	return startTestClusterPar(t, pars)
+	return pars
 }
 
 // startTestClusterPar starts one in-process worker per entry of pars,
-// rank i with pars[i] task slots.
-func startTestClusterPar(t *testing.T, pars []int) *cluster.Driver {
+// rank i with pars[i] task slots and the given memory budget.
+func startTestClusterPar(t *testing.T, pars []int, budget int64) *cluster.Driver {
 	t.Helper()
 	d, err := cluster.NewDriver(cluster.DriverConfig{})
 	if err != nil {
@@ -47,9 +68,10 @@ func startTestClusterPar(t *testing.T, pars []int) *cluster.Driver {
 	t.Cleanup(d.Close)
 	for i, par := range pars {
 		w, err := cluster.StartWorker(cluster.WorkerConfig{
-			ID:          fmt.Sprintf("w%d", i),
-			DriverAddr:  d.Addr(),
-			Parallelism: par,
+			ID:           fmt.Sprintf("w%d", i),
+			DriverAddr:   d.Addr(),
+			Parallelism:  par,
+			MemoryBudget: budget,
 		})
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
@@ -62,37 +84,85 @@ func startTestClusterPar(t *testing.T, pars []int) *cluster.Driver {
 	return d
 }
 
+// TestQueryParamsRoundTrip: every field survives Encode/Decode, and
+// nothing but a whole encoding decodes — each strict prefix, trailing
+// bytes and a flag bit Encode never sets are errors, not zeros.
+func TestQueryParamsRoundTrip(t *testing.T) {
+	want := QueryParams{Src: "tiledvec(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]", N: 300, Tile: 17,
+		SeedA: -5, SeedB: 1 << 40, Partitions: 12, DisableGBJ: true, DisableRBK: true,
+		ShuffleCostNsPerByte: 2.5, Trace: true, TelemetryMs: 250}
+	for v, i := reflect.ValueOf(want), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s is zero in the round-trip value", v.Type().Field(i).Name)
+		}
+	}
+	enc := want.Encode()
+	got, err := DecodeQueryParams(enc)
+	if err != nil || got != want {
+		t.Fatalf("round trip: %+v (err %v), want %+v", got, err, want)
+	}
+	for n := 0; n < len(enc); n++ {
+		if _, err := DecodeQueryParams(enc[:n]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte encoding decoded", n, len(enc))
+		}
+	}
+	if _, err := DecodeQueryParams(append(append([]byte(nil), enc...), 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	// The flags are one varint byte, followed by the cost and the
+	// telemetry interval.
+	tail := binary.AppendVarint(binary.AppendUvarint(nil, math.Float64bits(want.ShuffleCostNsPerByte)), want.TelemetryMs)
+	at := len(enc) - len(tail) - 1
+	if enc[at] != 7<<1 {
+		t.Fatalf("flags byte not where this test expects it: %#x", enc[at])
+	}
+	for _, bit := range []byte{8, 16} {
+		bad := append([]byte(nil), enc...)
+		bad[at] |= bit << 1
+		if _, err := DecodeQueryParams(bad); err == nil {
+			t.Fatalf("unknown flag bit %d accepted", bit)
+		}
+	}
+}
+
 // TestClusterQueryMatchesLocal is the acceptance-criteria parity test
-// in-process: a 3-worker cluster must return byte-identical results to
-// the local backend on the Fig-4 query set.
+// in-process: clusters of 1, 3 and 8 workers must return byte-identical
+// results to the local backend on the Fig-4 query set — with no memory
+// budget, and with one so small that every rank spills its shuffle
+// segments, against the local backend under the same budget.
 func TestClusterQueryMatchesLocal(t *testing.T) {
-	d := startTestCluster(t, 3)
-	for _, q := range fig4Queries {
-		t.Run(q.name, func(t *testing.T) {
-			p := baseParams()
-			p.Src = q.src
-			p.DisableGBJ = q.gbj
-			want, err := RunQueryLocal(p)
-			if err != nil {
-				t.Fatalf("local: %v", err)
-			}
-			base := baseParams()
-			base.DisableGBJ = q.gbj
-			csq := NewClusterSession(d, base, time.Minute)
-			got, run, err := csq.Query(q.src)
-			if err != nil {
-				t.Fatalf("cluster: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("cluster result (%d bytes) differs from local (%d bytes): %s vs %s",
-					len(got), len(want), FormatResult(got), FormatResult(want))
-			}
-			if len(run.Workers) != 3 {
-				t.Fatalf("want 3 worker rows, got %d", len(run.Workers))
-			}
-			m := csq.Metrics()
-			if len(m.PerWorker) != 3 || m.Tasks == 0 {
-				t.Fatalf("bad aggregated snapshot: %+v", m)
+	for _, c := range []struct {
+		world  int
+		budget int64
+	}{{3, 0}, {1, spillingBudget}, {3, spillingBudget}, {8, spillingBudget}} {
+		t.Run(fmt.Sprintf("world=%d/budget=%d", c.world, c.budget), func(t *testing.T) {
+			d := startTestClusterPar(t, twoSlots(c.world), c.budget)
+			for _, q := range fig4Queries {
+				t.Run(q.name, func(t *testing.T) {
+					p := baseParams()
+					p.Src = q.src
+					p.DisableGBJ = q.gbj
+					want := localUnderBudget(t, p, c.budget)
+					csq := NewClusterSession(d, p, time.Minute)
+					got, run, err := csq.Query(q.src)
+					if err != nil {
+						t.Fatalf("cluster: %v", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("cluster result (%d bytes) differs from local (%d bytes): %s vs %s",
+							len(got), len(want), FormatResult(got), FormatResult(want))
+					}
+					if len(run.Workers) != c.world {
+						t.Fatalf("want %d worker rows, got %d", c.world, len(run.Workers))
+					}
+					m := csq.Metrics()
+					if len(m.PerWorker) != c.world || m.Tasks == 0 {
+						t.Fatalf("bad aggregated snapshot: %+v", m)
+					}
+					if (m.SpilledBytes > 0) != (c.budget > 0) {
+						t.Fatalf("budget %d: the ranks spilled %d bytes", c.budget, m.SpilledBytes)
+					}
+				})
 			}
 		})
 	}

@@ -2,18 +2,18 @@ package jobs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
 
-// TestClusterStreamingModesParity proves the A/B escape hatches really
-// are escape hatches: the default chunk-streaming path, the PR 5
-// whole-blob consumption path (LegacyBlob), and uncompressed publishes
-// (NoCompress) must all return byte-identical results to the local
-// backend — and the default mode must actually stream (chunk counters
-// move).
-func TestClusterStreamingModesParity(t *testing.T) {
-	d := startTestCluster(t, 3)
+// TestClusterStreamingParity: a query whose buckets really compress
+// returns the local backend's bytes through the chunked data plane, with
+// and without a worker memory budget, and the wire counters hold the
+// floor the data plane promises: chunks move, the bytes on the wire
+// exceed the raw payload by at most the per-chunk frame header, and
+// pooled connections outnumber fresh dials.
+func TestClusterStreamingParity(t *testing.T) {
 	// n = 72 at tile 16 leaves the last tile row and column half
 	// padding: zeros the block codec really can shrink. (Full tiles of
 	// random doubles ship raw after the probe chunk, and a group-by-join
@@ -21,49 +21,35 @@ func TestClusterStreamingModesParity(t *testing.T) {
 	p := baseParams()
 	p.N = 72
 	p.Src = fig4Queries[0].src
-	want, err := RunQueryLocal(p)
-	if err != nil {
-		t.Fatalf("local: %v", err)
-	}
-	modes := []struct {
-		name               string
-		legacy, noCompress bool
-	}{
-		{"streaming-compressed", false, false},
-		{"streaming-raw", false, true},
-		{"legacy-blob", true, false},
-		{"legacy-blob-raw", true, true},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			base := p
-			base.LegacyBlob = m.legacy
-			base.NoCompress = m.noCompress
-			cs := NewClusterSession(d, base, time.Minute)
+	for _, budget := range []int64{0, spillingBudget} {
+		t.Run(fmt.Sprint("budget=", budget), func(t *testing.T) {
+			d := startTestClusterPar(t, twoSlots(3), budget)
+			want := localUnderBudget(t, p, budget)
+			cs := NewClusterSession(d, p, time.Minute)
 			got, _, err := cs.Query(p.Src)
 			if err != nil {
-				t.Fatalf("cluster (%s): %v", m.name, err)
+				t.Fatalf("cluster: %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s result differs from local: %s vs %s",
-					m.name, FormatResult(got), FormatResult(want))
+				t.Fatalf("result differs from local: %s vs %s", FormatResult(got), FormatResult(want))
 			}
 			snap := cs.Metrics()
-			if snap.WireChunks == 0 {
-				t.Fatalf("%s: no stream chunks counted — wire path not exercised", m.name)
+			if snap.WireChunks == 0 || snap.WireRawBytes == 0 {
+				t.Fatalf("wire path not exercised: %d chunks, %d raw bytes", snap.WireChunks, snap.WireRawBytes)
 			}
-			if snap.WireRawBytes == 0 {
-				t.Fatalf("%s: WireRawBytes not counted", m.name)
-			}
-			// On-wire bytes may exceed the raw payload only by the
-			// per-chunk frame header (flags byte + rawLen varint).
+			// The flags byte and rawLen varint of each chunk frame.
 			if slack := 16 * snap.WireChunks; snap.WireFetchedBytes > snap.WireRawBytes+slack {
-				t.Fatalf("%s: wire bytes (%d) exceed raw bytes (%d) + framing slack",
-					m.name, snap.WireFetchedBytes, snap.WireRawBytes)
+				t.Fatalf("wire bytes (%d) exceed raw bytes (%d) + framing slack",
+					snap.WireFetchedBytes, snap.WireRawBytes)
 			}
-			if !m.noCompress && snap.WireFetchedBytes >= snap.WireRawBytes {
-				t.Fatalf("%s: compression saved nothing: wire=%d raw=%d",
-					m.name, snap.WireFetchedBytes, snap.WireRawBytes)
+			if snap.WireFetchedBytes >= snap.WireRawBytes {
+				t.Fatalf("compression saved nothing: wire=%d raw=%d", snap.WireFetchedBytes, snap.WireRawBytes)
+			}
+			if snap.ConnPoolHits <= snap.ConnPoolMisses {
+				t.Fatalf("connection pool: %d hits, %d misses", snap.ConnPoolHits, snap.ConnPoolMisses)
+			}
+			if (snap.SpilledBytes > 0) != (budget > 0) {
+				t.Fatalf("budget %d: %d bytes spilled", budget, snap.SpilledBytes)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // from rows reported by EVERY rank, and Analyze must render it with
 // per-worker rows and a merged trace lane per rank.
 func TestClusterMergedStageTable(t *testing.T) {
-	d := startTestCluster(t, 3)
+	d := startTestClusterPar(t, twoSlots(3), 0)
 	p := baseParams()
 	p.TelemetryMs = 50
 	cs := NewClusterSession(d, p, time.Minute)
@@ -103,7 +103,7 @@ func TestClusterMergedStageTable(t *testing.T) {
 // checks the report carries the merged stage table plus one trace lane
 // per rank.
 func TestClusterAnalyzeMergedTrace(t *testing.T) {
-	d := startTestCluster(t, 3)
+	d := startTestClusterPar(t, twoSlots(3), 0)
 	cs := NewClusterSession(d, baseParams(), time.Minute)
 	report, err := cs.Analyze(fig4Queries[2].src)
 	if err != nil {

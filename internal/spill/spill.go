@@ -7,11 +7,11 @@ import (
 	"sort"
 )
 
-// Run is one sorted spill file: records ordered by a 64-bit sort key
-// ("ord", in the shuffle layer the hash of the row's key), each stored
-// as a uvarint ord followed by the codec-encoded payload, after a
-// uvarint row-count header. Runs are written once, merged once, and
-// removed; they are not a durable format.
+// Run is one spill file: records, each stored as a uvarint 64-bit sort
+// key ("ord") followed by the codec-encoded payload, after a uvarint
+// row-count header. WriteRun orders them by ord for Merge; the engine's
+// shuffle segments and caches use WriteRunOrdered and stream a run back
+// whole, in written order, with Each. Runs are not a durable format.
 type Run[T any] struct {
 	Path  string
 	Rows  int64
@@ -54,8 +54,8 @@ func WriteRunOrdered[T any](dir string, items []T, ord func(T) uint64, codec Cod
 	return Run[T]{Path: f.Name(), Rows: int64(len(items)), Bytes: w.Count()}, nil
 }
 
-// Each streams the run's records in file order (i.e. ord order),
-// stopping on the first decode error.
+// Each streams the run's records in file order, stopping on the first
+// decode error.
 func (r Run[T]) Each(codec Codec[T], fn func(ord uint64, v T)) error {
 	f, err := os.Open(r.Path)
 	if err != nil {
@@ -226,32 +226,8 @@ func merge[T any](runs []Run[T], mem []T, ord func(T) uint64, codec Codec[T], em
 
 // Merge streams every record from the runs plus the in-memory tail in
 // ascending ord order (stable across sources). mem is stably sorted in
-// place.
+// place. Its callers are the benchmark's spill.run_write_mbs and
+// spill.merge_mbs layers.
 func Merge[T any](runs []Run[T], mem []T, ord func(T) uint64, codec Codec[T], emit func(v T)) error {
 	return merge(runs, mem, ord, codec, func(_ uint64, v T) { emit(v) })
-}
-
-// MergeGroups streams maximal equal-ord groups in ascending ord order.
-// Because the shuffle layer uses ord = hash(key), a group holds every
-// row whose key hashes to that value (distinct colliding keys
-// included — consumers disambiguate within the group). The group slice
-// is reused between calls; callers must not retain it.
-func MergeGroups[T any](runs []Run[T], mem []T, ord func(T) uint64, codec Codec[T], emit func(ord uint64, group []T)) error {
-	var group []T
-	var cur uint64
-	err := merge(runs, mem, ord, codec, func(o uint64, v T) {
-		if len(group) > 0 && o != cur {
-			emit(cur, group)
-			group = group[:0]
-		}
-		cur = o
-		group = append(group, v)
-	})
-	if err != nil {
-		return err
-	}
-	if len(group) > 0 {
-		emit(cur, group)
-	}
-	return nil
 }

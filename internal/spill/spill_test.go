@@ -156,40 +156,6 @@ func TestMergeIsStableAcrossSources(t *testing.T) {
 	}
 }
 
-func TestMergeGroups(t *testing.T) {
-	dir := t.TempDir()
-	r0, err := WriteRun(dir, []int64{1, 2, 2, 9}, ident, Int64Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r0.Remove()
-	mem := []int64{2, 9, 4}
-	type grp struct {
-		ord uint64
-		n   int
-	}
-	var got []grp
-	if err := MergeGroups([]Run[int64]{r0}, mem, ident, Int64Codec{}, func(o uint64, g []int64) {
-		got = append(got, grp{o, len(g)})
-		for _, v := range g {
-			if uint64(v) != o {
-				t.Fatalf("group %d contains foreign value %d", o, v)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []grp{{1, 1}, {2, 3}, {4, 1}, {9, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("groups %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("groups %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMergeTruncatedRunFails(t *testing.T) {
 	run, err := WriteRun(t.TempDir(), []int64{1, 2, 3, 4, 5}, ident, Int64Codec{})
 	if err != nil {
