@@ -21,7 +21,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Full test suite under the race detector; the stage scheduler runs
-# independent shuffle map-sides concurrently, so -race is load-bearing.
+# independent shuffle map-sides concurrently, and the counter schema's
+# live sets (internal/obs) are written by task goroutines while the
+# telemetry pump reads them, so -race is load-bearing. ./... includes
+# the schema's package and the cluster/jobs Report|Telemetry|Snapshot|
+# ClusterMerged tests that CI's race step selects.
 race:
 	$(GO) test -race ./...
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func init() {
@@ -223,24 +225,33 @@ func TestProtoRoundTrips(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gd, done) {
 		t.Fatalf("jobdone: %+v %v", gd, err)
 	}
-	// Forward compat: a report with extra trailing fields decodes, and
-	// a short report zero-fills.
-	var w wireBuf
-	w.u64(2)
-	w.i64(11)
-	w.i64(22)
-	short, err := decodeReport(w.b)
-	if err != nil || short.Tasks != 11 || short.TaskFailures != 22 || short.Stages != 0 {
-		t.Fatalf("short report: %+v %v", short, err)
+	// A report is this build's schema or an error: a driver/worker
+	// build mismatch must not read as silently-zero counters.
+	for name, bad := range badReports() {
+		if got, err := decodeReport(bad); err == nil {
+			t.Errorf("%s report decoded without error: %+v", name, got)
+		}
+		mis := wireBuf{}
+		mis.i64(9)
+		mis.i64(1)
+		mis.str("")
+		mis.blob([]byte("r"))
+		mis.blob(bad)
+		if _, err := decodeJobDone(mis.b); err == nil {
+			t.Errorf("jobdone with a %s report decoded without error", name)
+		}
 	}
-	var w2 wireBuf
-	w2.u64(20)
-	for i := 0; i < 20; i++ {
-		w2.i64(int64(i))
+	end := streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}
+	if got, err := decodeStreamEnd(end.encode()); err != nil || got != end {
+		t.Fatalf("stream end: %+v %v", got, err)
 	}
-	long, err := decodeReport(w2.b)
-	if err != nil || long.Tasks != 0 || long.TaskFailures != 1 {
-		t.Fatalf("long report: %+v %v", long, err)
+	for cut := 0; cut < len(end.encode()); cut++ {
+		if _, err := decodeStreamEnd(end.encode()[:cut]); err == nil {
+			t.Errorf("stream end cut at %d decoded without error", cut)
+		}
+	}
+	if _, err := decodeStreamEnd(append(end.encode(), 0)); err == nil {
+		t.Error("stream end with a trailing byte decoded without error")
 	}
 	// Truncated payloads error instead of panicking.
 	for _, blob := range [][]byte{job.encode(), done.encode(), reg.encode()} {
@@ -256,6 +267,26 @@ func TestProtoRoundTrips(t *testing.T) {
 				_, _ = decodeRegister(blob[:cut])
 			}()
 		}
+	}
+}
+
+// badReports are counter-set blobs no decoder may accept: a field count
+// one short of and one past this build's schema, and a well-formed set
+// followed by one more byte.
+func badReports() map[string][]byte {
+	counted := func(n int) []byte {
+		var w wireBuf
+		w.u64(uint64(n))
+		for i := 0; i < n; i++ {
+			w.i64(int64(i))
+		}
+		return w.b
+	}
+	n := len(obs.Schema)
+	return map[string][]byte{
+		"short":         counted(n - 1),
+		"long":          counted(n + 1),
+		"trailing-byte": append(encodeReport(Report{Tasks: 1}), 0),
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -53,7 +54,7 @@ type RankTelemetry struct {
 	Final        bool // the pre-reply flush arrived (rank finished cleanly)
 	DroppedSpans int64
 	Spans        []trace.SpanRec
-	Stages       []StageRow
+	Stages       []obs.StageMetric
 	Report       Report
 }
 

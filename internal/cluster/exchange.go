@@ -16,28 +16,6 @@ import (
 	"repro/internal/spill"
 )
 
-// Process-wide wire gauges: shuffle traffic in and out of this worker,
-// scrapable mid-query at /debug/metrics. The per-job equivalents ride
-// the Report so the driver can attribute traffic to ranks.
-var (
-	obsWireFetchedBytes = obs.Default.Counter("sac_cluster_wire_fetched_bytes_total",
-		"shuffle bytes pulled over TCP from peer data servers (post-compression)")
-	obsWireRawBytes = obs.Default.Counter("sac_cluster_wire_raw_bytes_total",
-		"decompressed shuffle bytes represented by fetched chunks")
-	obsWireServedBytes = obs.Default.Counter("sac_cluster_wire_served_bytes_total",
-		"shuffle bytes served over TCP to peer workers")
-	obsChunksFetched = obs.Default.Counter("sac_cluster_chunks_fetched_total",
-		"shuffle chunks pulled from peer data servers")
-	obsConnPoolHits = obs.Default.Counter("sac_cluster_conn_pool_hits_total",
-		"data-plane fetches that reused a pooled peer connection")
-	obsConnPoolMisses = obs.Default.Counter("sac_cluster_conn_pool_misses_total",
-		"data-plane fetches that had to dial a fresh peer connection")
-	obsFetchRetries = obs.Default.Counter("sac_cluster_fetch_retries_total",
-		"fetch attempts retried after a transient dial or stream error")
-	obsFetchGone = obs.Default.Counter("sac_cluster_fetch_gone_total",
-		"FetchGone replies received (peer lost the bucket, forcing recompute)")
-)
-
 const (
 	// shuffleChunkSize is the raw-byte chunking granularity of published
 	// buckets. It bounds both sides of a streaming fetch: the server
@@ -254,28 +232,9 @@ type Exchange struct {
 	dead  []atomic.Bool // ranks this exchange has given up on
 	pools []connPool    // idle data connections, indexed by rank
 
-	// Wire counters for this job's traffic through this rank, folded
-	// into the rank's Report. wireFetchedBytes counts bytes actually
-	// pulled over TCP (post-compression); wireRawBytes what they
-	// decompress to.
-	wireFetchedBytes atomic.Int64
-	wireRawBytes     atomic.Int64
-	chunksFetched    atomic.Int64
-	connPoolHits     atomic.Int64
-	connPoolMisses   atomic.Int64
-	fetchRetries     atomic.Int64
-	fetchGone        atomic.Int64
-}
-
-// fillReport copies the exchange's wire counters into a Report.
-func (e *Exchange) fillReport(r *Report) {
-	r.WireFetchedBytes = e.wireFetchedBytes.Load()
-	r.WireRawBytes = e.wireRawBytes.Load()
-	r.ChunksFetched = e.chunksFetched.Load()
-	r.ConnPoolHits = e.connPoolHits.Load()
-	r.ConnPoolMisses = e.connPoolMisses.Load()
-	r.FetchRetries = e.fetchRetries.Load()
-	r.FetchGoneEvents = e.fetchGone.Load()
+	// c counts this job's wire traffic through this rank (the schema's
+	// data-plane counters); the worker merges it into the rank's Report.
+	c obs.LiveCounters
 }
 
 func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchange {
@@ -480,8 +439,7 @@ func (s *streamReader) retry(err error) error {
 		return s.fail(err)
 	}
 	s.attempts++
-	s.e.fetchRetries.Add(1)
-	obsFetchRetries.Inc()
+	s.e.c.FetchRetries.Add(1)
 	return nil
 }
 
@@ -541,12 +499,9 @@ func (s *streamReader) fill() error {
 		s.next++
 		s.got++
 		s.rawTotal += int64(rawLen)
-		s.e.wireFetchedBytes.Add(int64(len(payload)))
-		obsWireFetchedBytes.Add(int64(len(payload)))
-		s.e.wireRawBytes.Add(int64(rawLen))
-		obsWireRawBytes.Add(int64(rawLen))
-		s.e.chunksFetched.Add(1)
-		obsChunksFetched.Inc()
+		s.e.c.WireFetchedBytes.Add(int64(len(payload)))
+		s.e.c.WireRawBytes.Add(int64(rawLen))
+		s.e.c.ChunksFetched.Add(1)
 		return nil
 	case msgStreamEnd:
 		end, err := decodeStreamEnd(payload)
@@ -565,8 +520,7 @@ func (s *streamReader) fill() error {
 		s.done = true
 		return nil
 	case msgFetchGone:
-		s.e.fetchGone.Add(1)
-		obsFetchGone.Inc()
+		s.e.c.FetchGoneEvents.Add(1)
 		return s.fail(fmt.Errorf("cluster: rank %d lost bucket %s: %s: %w", s.rank, s.key, payload, errFetchGone))
 	default:
 		return s.fail(fmt.Errorf("cluster: unexpected frame type %d from rank %d", typ, s.rank))
@@ -582,12 +536,10 @@ func (s *streamReader) connect() error {
 	s.got = 0
 	if c := s.e.pools[s.rank].get(); c != nil {
 		s.conn, s.br = c, bufio.NewReader(c)
-		s.e.connPoolHits.Add(1)
-		obsConnPoolHits.Inc()
+		s.e.c.ConnPoolHits.Add(1)
 		return nil
 	}
-	s.e.connPoolMisses.Add(1)
-	obsConnPoolMisses.Inc()
+	s.e.c.ConnPoolMisses.Add(1)
 	var err error
 	for attempt := 0; ; attempt++ {
 		var c net.Conn
@@ -599,8 +551,7 @@ func (s *streamReader) connect() error {
 		if attempt >= s.e.dialRetries {
 			return fmt.Errorf("cluster: dial rank %d (%s): %w", s.rank, s.e.peers[s.rank], err)
 		}
-		s.e.fetchRetries.Add(1)
-		obsFetchRetries.Inc()
+		s.e.c.FetchRetries.Add(1)
 		time.Sleep(s.e.dialBackoff << uint(attempt))
 	}
 }

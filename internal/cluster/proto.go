@@ -18,6 +18,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/obs"
 )
 
 // Control- and data-plane message types. A frame is one type byte, a
@@ -105,6 +107,15 @@ func (c *wireCur) fail(what string) {
 	if c.err == nil {
 		c.err = fmt.Errorf("cluster: truncated %s", what)
 	}
+}
+
+// end reports the sticky error, or the bytes left over after what —
+// for frames whose reader must not accept more than the writer wrote.
+func (c *wireCur) end(what string) error {
+	if c.err == nil && len(c.b) != 0 {
+		return fmt.Errorf("cluster: %d trailing bytes after %s", len(c.b), what)
+	}
+	return c.err
 }
 
 func (c *wireCur) u64() uint64 {
@@ -262,7 +273,7 @@ func (m *jobDoneMsg) encode() []byte {
 	w.i64(ok)
 	w.str(m.Err)
 	w.blob(m.Result)
-	w.blob(m.Report.encode())
+	w.blob(encodeReport(m.Report))
 	return w.b
 }
 
@@ -351,105 +362,56 @@ func decodeChunkFrame(p []byte) (flags byte, rawLen int, body []byte, err error)
 }
 
 // streamEndMsg closes a chunk stream with totals the client verifies.
-// Encoded field-count-prefixed like Report so future fields append
-// compatibly.
 type streamEndMsg struct {
 	Chunks    int64 // chunks sent in THIS response (from FirstChunk on)
 	RawBytes  int64 // decompressed bytes represented by those chunks
 	WireBytes int64 // bytes as actually framed on the wire
 }
 
-func (m *streamEndMsg) fields() []*int64 {
-	return []*int64{&m.Chunks, &m.RawBytes, &m.WireBytes}
-}
-
 func (m *streamEndMsg) encode() []byte {
 	var w wireBuf
-	fs := m.fields()
-	w.u64(uint64(len(fs)))
-	for _, f := range fs {
-		w.i64(*f)
-	}
+	w.i64(m.Chunks)
+	w.i64(m.RawBytes)
+	w.i64(m.WireBytes)
 	return w.b
 }
 
+// decodeStreamEnd parses what encode wrote, and nothing else: the
+// client checks the totals against what it received, so a short or
+// padded frame is a protocol error, not a set of zeros.
 func decodeStreamEnd(p []byte) (streamEndMsg, error) {
-	var m streamEndMsg
 	c := wireCur{b: p}
-	n := c.u64()
-	fs := m.fields()
-	for i := uint64(0); i < n; i++ {
-		v := c.i64()
-		if c.err != nil {
-			return m, c.err
-		}
-		if i < uint64(len(fs)) {
-			*fs[i] = v
-		}
-	}
-	return m, c.err
+	m := streamEndMsg{Chunks: c.i64(), RawBytes: c.i64(), WireBytes: c.i64()}
+	return m, c.end("stream end")
 }
 
-// Report carries one rank's execution counters back to the driver; the
-// driver surfaces them as per-worker rows in the metrics snapshot. It
-// is encoded as a field count followed by that many varints, so old
-// readers skip fields they don't know and new readers zero-fill fields
-// the sender didn't have.
-type Report struct {
-	Tasks, TaskFailures, Stages         int64
-	ShuffledRecords, ShuffledBytes      int64
-	RemoteFetches, RemoteFetchedBytes   int64
-	FetchFailures, Resubmissions        int64
-	ServedFetches, ServedBytes          int64
-	SpilledBytes, MemoryPeak, WallNanos int64
-	// Wire-level shuffle counters (appended fields — older peers simply
-	// omit or ignore them): bytes pulled over TCP from peer data
-	// servers, dial attempts that had to be retried, and FetchGone
-	// replies received (a peer lost the bucket, forcing recompute).
-	WireFetchedBytes, FetchRetries, FetchGoneEvents int64
-	// Streaming data-plane counters (appended in PR 10): decompressed
-	// bytes represented by fetched chunks (WireFetchedBytes is the
-	// post-compression on-the-wire count, so raw-wire = bytes saved),
-	// chunks fetched, and data-connection pool hits vs fresh dials.
-	WireRawBytes, ChunksFetched, ConnPoolHits, ConnPoolMisses int64
-}
+// Report carries one rank's execution counters back to the driver, which
+// surfaces them as per-worker rows and merges them into the cluster-wide
+// snapshot. It is the schema's counter set; on the wire, the field
+// count followed by one varint per field in schema order.
+type Report = obs.CounterSet
 
-func (r *Report) fields() []*int64 {
-	return []*int64{
-		&r.Tasks, &r.TaskFailures, &r.Stages,
-		&r.ShuffledRecords, &r.ShuffledBytes,
-		&r.RemoteFetches, &r.RemoteFetchedBytes,
-		&r.FetchFailures, &r.Resubmissions,
-		&r.ServedFetches, &r.ServedBytes,
-		&r.SpilledBytes, &r.MemoryPeak, &r.WallNanos,
-		&r.WireFetchedBytes, &r.FetchRetries, &r.FetchGoneEvents,
-		&r.WireRawBytes, &r.ChunksFetched, &r.ConnPoolHits, &r.ConnPoolMisses,
-	}
-}
-
-func (r Report) encode() []byte {
+func encodeReport(r Report) []byte {
 	var w wireBuf
-	fs := r.fields()
-	w.u64(uint64(len(fs)))
-	for _, f := range fs {
-		w.i64(*f)
+	w.u64(uint64(len(obs.Schema)))
+	for _, v := range obs.CounterValues(r) {
+		w.i64(v)
 	}
 	return w.b
 }
 
+// decodeReport parses what encodeReport wrote, and nothing else. A
+// field count other than this binary's schema means the peer was built
+// from a different one, and reading its counters positionally would
+// file them under the wrong names (or as zeros) without a trace.
 func decodeReport(p []byte) (Report, error) {
-	var r Report
 	c := wireCur{b: p}
-	n := c.u64()
-	fs := r.fields()
-	for i := uint64(0); i < n; i++ {
-		v := c.i64()
-		if c.err != nil {
-			return r, c.err
-		}
-		if i < uint64(len(fs)) {
-			*fs[i] = v
-		}
+	vals := make([]int64, len(obs.Schema))
+	if n := c.u64(); c.err == nil && n != uint64(len(vals)) {
+		return Report{}, fmt.Errorf("cluster: report has %d fields, this build's schema has %d", n, len(vals))
 	}
-	return r, c.err
+	for i := range vals {
+		vals[i] = c.i64()
+	}
+	return obs.CountersFrom(vals), c.end("report")
 }

@@ -91,7 +91,7 @@ func TestStreamFetchParity(t *testing.T) {
 		if !bytes.Equal(got, blob) {
 			t.Fatalf("%s: fetched %d bytes, want %d (content mismatch)", name, len(got), len(blob))
 		}
-		wire, raw, chunks := e.wireFetchedBytes.Load(), e.wireRawBytes.Load(), e.chunksFetched.Load()
+		wire, raw, chunks := e.c.WireFetchedBytes.Load(), e.c.WireRawBytes.Load(), e.c.ChunksFetched.Load()
 		if raw != int64(len(blob)) || (chunks == 0) != (len(blob) == 0) {
 			t.Fatalf("%s: counted %d raw bytes in %d chunks for a %d-byte blob", name, raw, chunks, len(blob))
 		}
@@ -123,7 +123,7 @@ func TestConnPoolReuse(t *testing.T) {
 			t.Fatalf("fetch %s: %v", key, err)
 		}
 	}
-	if hits, misses := e.connPoolHits.Load(), e.connPoolMisses.Load(); hits < 3 || misses > 2 {
+	if hits, misses := e.c.ConnPoolHits.Load(), e.c.ConnPoolMisses.Load(); hits < 3 || misses > 2 {
 		t.Fatalf("pool not reused: %d hits, %d misses over 5 fetches", hits, misses)
 	}
 }
@@ -195,7 +195,7 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 	if e.dead[1].Load() {
 		t.Fatal("transient stream error marked the rank dead")
 	}
-	if e.fetchRetries.Load() == 0 {
+	if e.c.FetchRetries.Load() == 0 {
 		t.Fatal("no retry counted for the hangup")
 	}
 	fcMu.Lock()
@@ -222,14 +222,14 @@ func TestFetchGoneIsFatal(t *testing.T) {
 	if _, err := fetchAll(e, 1, "anything"); err == nil {
 		t.Fatal("fetch from failed store succeeded")
 	}
-	if e.fetchGone.Load() == 0 {
+	if e.c.FetchGoneEvents.Load() == 0 {
 		t.Fatal("FetchGone not counted")
 	}
 	if !e.dead[1].Load() {
 		t.Fatal("FetchGone did not mark the rank dead")
 	}
-	if e.fetchRetries.Load() != 0 {
-		t.Fatalf("fatal FetchGone was retried %d times", e.fetchRetries.Load())
+	if e.c.FetchRetries.Load() != 0 {
+		t.Fatalf("fatal FetchGone was retried %d times", e.c.FetchRetries.Load())
 	}
 	if _, err := fetchAll(e, 1, "other"); err == nil || !bytes.Contains([]byte(err.Error()), []byte("dead")) {
 		t.Fatalf("dead rank not failing fast: %v", err)
@@ -262,8 +262,8 @@ func TestFetchAfterJobEnd(t *testing.T) {
 	// A server parked in waitGet would show as a read timeout instead.
 	e := clientExchange(0, w.DataAddr())
 	e.fetchTimeout, e.streamRetries = time.Second, 0
-	if _, err := fetchAll(e, 1, "x1.0.0"); err == nil || e.fetchGone.Load() != 1 {
-		t.Fatalf("fetch from an ended job: err=%v, %d FetchGone replies", err, e.fetchGone.Load())
+	if _, err := fetchAll(e, 1, "x1.0.0"); err == nil || e.c.FetchGoneEvents.Load() != 1 {
+		t.Fatalf("fetch from an ended job: err=%v, %d FetchGone replies", err, e.c.FetchGoneEvents.Load())
 	}
 	if n := stores(); n != 0 {
 		t.Fatalf("straggler fetch re-created a store: %d stores", n)

@@ -13,30 +13,11 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
-
-// DistRow is a wire copy of dataflow.Dist (the per-stage task-duration
-// and records-per-partition summaries). The cluster package stays
-// independent of the dataflow engine, so the rows are mirrored here
-// and converted by the jobs layer.
-type DistRow struct {
-	N, ArgMax          int64
-	Min, P50, P99, Max int64
-}
-
-// StageRow is a wire copy of one completed stage's execution record.
-type StageRow struct {
-	ID                   int64
-	Name                 string
-	StartNs, WallNs      int64
-	Tasks                int64
-	RecordsIn            int64
-	RecordsOut           int64
-	ShuffledBytes        int64
-	TaskDur, PartRecords DistRow
-}
 
 // TelemetryBatch is one flush of observability data from a running
 // program: the spans that ended since the previous flush, the stage
@@ -46,7 +27,7 @@ type TelemetryBatch struct {
 	Final   bool
 	Dropped int64
 	Spans   []trace.SpanRec
-	Stages  []StageRow
+	Stages  []obs.StageMetric
 	Report  Report
 }
 
@@ -56,17 +37,17 @@ type telemetryMsg struct {
 	TelemetryBatch
 }
 
-func (w *wireBuf) dist(d DistRow) {
-	w.i64(d.N)
-	w.i64(d.ArgMax)
+func (w *wireBuf) dist(d obs.Dist) {
+	w.i64(int64(d.N))
 	w.i64(d.Min)
 	w.i64(d.P50)
 	w.i64(d.P99)
 	w.i64(d.Max)
+	w.i64(int64(d.ArgMax))
 }
 
-func (c *wireCur) dist() DistRow {
-	return DistRow{N: c.i64(), ArgMax: c.i64(), Min: c.i64(), P50: c.i64(), P99: c.i64(), Max: c.i64()}
+func (c *wireCur) dist() obs.Dist {
+	return obs.Dist{N: int(c.i64()), Min: c.i64(), P50: c.i64(), P99: c.i64(), Max: c.i64(), ArgMax: int(c.i64())}
 }
 
 func (m *telemetryMsg) encode() []byte {
@@ -94,18 +75,23 @@ func (m *telemetryMsg) encode() []byte {
 	}
 	w.u64(uint64(len(m.Stages)))
 	for _, st := range m.Stages {
+		var startNs int64
+		if !st.Start.IsZero() {
+			startNs = st.Start.UnixNano()
+		}
 		w.i64(st.ID)
 		w.str(st.Name)
-		w.i64(st.StartNs)
-		w.i64(st.WallNs)
+		w.i64(startNs)
+		w.i64(int64(st.Wall))
 		w.i64(st.Tasks)
 		w.i64(st.RecordsIn)
 		w.i64(st.RecordsOut)
 		w.i64(st.ShuffledBytes)
+		w.str(st.Worker)
 		w.dist(st.TaskDur)
 		w.dist(st.PartRecords)
 	}
-	w.blob(m.Report.encode())
+	w.blob(encodeReport(m.Report))
 	return w.b
 }
 
@@ -139,11 +125,15 @@ func decodeTelemetry(p []byte) (telemetryMsg, error) {
 	if c.err == nil && nstages > maxFrame {
 		return m, fmt.Errorf("cluster: telemetry stage count %d exceeds limit", nstages)
 	}
-	m.Stages = make([]StageRow, 0, min(int(nstages), 1024))
+	m.Stages = make([]obs.StageMetric, 0, min(int(nstages), 1024))
 	for i := uint64(0); i < nstages && c.err == nil; i++ {
-		st := StageRow{ID: c.i64(), Name: c.str(), StartNs: c.i64(), WallNs: c.i64(),
-			Tasks: c.i64(), RecordsIn: c.i64(), RecordsOut: c.i64(), ShuffledBytes: c.i64(),
-			TaskDur: c.dist(), PartRecords: c.dist()}
+		st := obs.StageMetric{ID: c.i64(), Name: c.str()}
+		if startNs := c.i64(); startNs != 0 {
+			st.Start = time.Unix(0, startNs)
+		}
+		st.Wall = time.Duration(c.i64())
+		st.Tasks, st.RecordsIn, st.RecordsOut, st.ShuffledBytes = c.i64(), c.i64(), c.i64(), c.i64()
+		st.Worker, st.TaskDur, st.PartRecords = c.str(), c.dist(), c.dist()
 		m.Stages = append(m.Stages, st)
 	}
 	rep, err := decodeReport(c.blob())

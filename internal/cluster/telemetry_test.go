@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -22,7 +23,7 @@ func init() {
 			recs := tr.DrainEnded()
 			if err := env.Telemetry(TelemetryBatch{
 				Spans:  recs,
-				Stages: []StageRow{{ID: 1, Name: "stage: early", Tasks: 2}},
+				Stages: []obs.StageMetric{{ID: 1, Name: "stage: early", Tasks: 2}},
 				Report: Report{Tasks: 1},
 			}); err != nil {
 				return nil, Report{}, err
@@ -34,7 +35,7 @@ func init() {
 				Final:   true,
 				Dropped: int64(env.Rank), // distinguishable per rank
 				Spans:   tr.DrainEnded(),
-				Stages:  []StageRow{{ID: 2, Name: "stage: late", Tasks: 3}},
+				Stages:  []obs.StageMetric{{ID: 2, Name: "stage: late", Tasks: 3}},
 				Report:  Report{Tasks: 2},
 			}); err != nil {
 				return nil, Report{}, err
@@ -58,11 +59,11 @@ func sampleTelemetry() telemetryMsg {
 					Keys: []string{"worker", "partitions"}, Vals: []string{"w0", "8"}},
 				{ID: 3, ParentID: 2, Name: "task", StartNs: 200}, // unfinished, no attrs
 			},
-			Stages: []StageRow{
-				{ID: 1, Name: "stage: shuffle", StartNs: 150, WallNs: 650,
+			Stages: []obs.StageMetric{
+				{ID: 1, Name: "stage: shuffle", Start: time.Unix(0, 150), Wall: 650,
 					Tasks: 8, RecordsIn: 1000, RecordsOut: 500, ShuffledBytes: 4096,
-					TaskDur:     DistRow{N: 8, ArgMax: 3, Min: 10, P50: 20, P99: 90, Max: 95},
-					PartRecords: DistRow{N: 8, Min: 100, P50: 120, P99: 150, Max: 151}},
+					TaskDur:     obs.Dist{N: 8, ArgMax: 3, Min: 10, P50: 20, P99: 90, Max: 95},
+					PartRecords: obs.Dist{N: 8, Min: 100, P50: 120, P99: 150, Max: 151}},
 			},
 			Report: Report{Tasks: 8, ShuffledBytes: 4096, WireFetchedBytes: 2048,
 				FetchRetries: 2, FetchGoneEvents: 1},
@@ -87,6 +88,24 @@ func TestTelemetryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStageRowRoundTrip pins the stage record's wire form: what a rank
+// ships is what the driver reads, every field, set or unset.
+func TestStageRowRoundTrip(t *testing.T) {
+	m := telemetryMsg{TelemetryBatch: TelemetryBatch{Stages: []obs.StageMetric{
+		{ID: 5, Name: "stage: shuffle(join)",
+			Start: time.Unix(12, 345), Wall: 90 * time.Millisecond,
+			Tasks: 8, RecordsIn: 100, RecordsOut: 50, ShuffledBytes: 4096,
+			Worker:      "w7",
+			TaskDur:     obs.Dist{N: 8, Min: 1, P50: 5, P99: 80, Max: 90, ArgMax: 3},
+			PartRecords: obs.Dist{N: 8, Min: 10, P50: 12, P99: 15, Max: 16, ArgMax: 1}},
+		{ID: 6, Name: "stage: collect"}, // no Start: the zero time survives
+	}}}
+	got, err := decodeTelemetry(m.encode())
+	if err != nil || !reflect.DeepEqual(got.Stages, m.Stages) {
+		t.Fatalf("round trip drifted: %v\ngot:  %+v\nwant: %+v", err, got.Stages, m.Stages)
+	}
+}
+
 func TestTelemetryTruncationSafe(t *testing.T) {
 	m := sampleTelemetry()
 	blob := m.encode()
@@ -99,6 +118,26 @@ func TestTelemetryTruncationSafe(t *testing.T) {
 			}()
 			_, _ = decodeTelemetry(blob[:cut])
 		}()
+	}
+	// Every proper prefix is short somewhere: a frame cut anywhere must
+	// be an error, never a batch with zero-filled counters.
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := decodeTelemetry(blob[:cut]); err == nil {
+			t.Fatalf("telemetry cut at %d of %d decoded without error", cut, len(blob))
+		}
+	}
+	// So is a report whose field count is not this build's schema's,
+	// one field short or one long, and one with bytes after the last
+	// field.
+	var tail wireBuf
+	tail.blob(encodeReport(m.Report))
+	head := blob[:len(blob)-len(tail.b)]
+	for name, rep := range badReports() {
+		w := wireBuf{b: append([]byte(nil), head...)}
+		w.blob(rep)
+		if _, err := decodeTelemetry(w.b); err == nil {
+			t.Errorf("telemetry with a %s report decoded without error", name)
+		}
 	}
 	// A corrupt span count must not drive a giant allocation.
 	var w wireBuf

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // endedJobsKept bounds the memory of retired job IDs. A straggler fetch
@@ -37,8 +39,9 @@ type Worker struct {
 	stores map[int64]*jobStore
 	ended  []int64
 
-	servedFetches atomic.Int64
-	servedBytes   atomic.Int64
+	// served counts the shuffle fetches and bytes this worker has
+	// answered for its peers, over its lifetime.
+	served obs.LiveCounters
 
 	// amu guards the drain state: the count of jobs this rank is
 	// executing and whether new jobs are being refused.
@@ -308,25 +311,30 @@ func (w *Worker) runJob(job jobMsg) {
 		WorkerTag:    w.cfg.ID,
 	}
 	env.Telemetry = func(b TelemetryBatch) error {
-		b.Report.ServedFetches = w.servedFetches.Load()
-		b.Report.ServedBytes = w.servedBytes.Load()
-		exch.fillReport(&b.Report)
+		b.Report = w.report(b.Report, exch)
 		msg := telemetryMsg{JobID: job.JobID, Seq: telemSeq.Add(1), TelemetryBatch: b}
 		return w.send(msgTelemetry, msg.encode())
 	}
 	start := time.Now()
 	result, rep, err := w.runProgram(job.Program, env)
 	rep.WallNanos = time.Since(start).Nanoseconds()
-	rep.ServedFetches = w.servedFetches.Load()
-	rep.ServedBytes = w.servedBytes.Load()
-	exch.fillReport(&rep)
-	done := jobDoneMsg{JobID: job.JobID, OK: err == nil, Result: result, Report: rep}
+	done := jobDoneMsg{JobID: job.JobID, OK: err == nil, Result: result, Report: w.report(rep, exch)}
 	if err != nil {
 		done.Err = err.Error()
 		// Peers blocked on our buckets must recompute, not hang.
 		store.fail()
 	}
 	_ = w.send(msgJobDone, done.encode())
+}
+
+// report completes a rank's report: the program's own counters merged
+// with the exchange's wire counters and what this worker has served to
+// peers. Both sets are published to the registry here, so a scrape
+// sees them per telemetry flush.
+func (w *Worker) report(rep Report, exch *Exchange) Report {
+	exch.c.Publish()
+	w.served.Publish()
+	return obs.MergeCounters(obs.MergeCounters(rep, exch.c.Snapshot()), w.served.Snapshot())
 }
 
 // runProgram looks up and runs the named program, converting panics
@@ -362,6 +370,7 @@ func (w *Worker) dataLoop() {
 // connections). Anything unrecognized closes the connection.
 func (w *Worker) serveData(conn net.Conn) {
 	defer conn.Close()
+	defer w.served.Publish() // what was served after this rank's last report
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
@@ -399,8 +408,7 @@ func (w *Worker) serveStream(bw *bufio.Writer, req fetchStreamMsg) bool {
 		end.RawBytes += int64(ch.rawLen)
 		end.WireBytes += int64(len(ch.data))
 	}
-	w.servedFetches.Add(1)
-	w.servedBytes.Add(end.WireBytes)
-	obsWireServedBytes.Add(end.WireBytes)
+	w.served.ServedFetches.Add(1)
+	w.served.ServedBytes.Add(end.WireBytes)
 	return writeFrame(bw, msgStreamEnd, end.encode()) == nil && bw.Flush() == nil
 }

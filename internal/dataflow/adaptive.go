@@ -155,11 +155,9 @@ func (s *lazyBuckets[T]) rebalance() {
 	}
 
 	m := &s.ctx.metrics
-	m.adaptiveRebalances.Add(1)
-	m.adaptiveMovedRecords.Add(movedRecords)
-	m.adaptiveMovedGroups.Add(movedGroups)
-	obsAdaptiveRebalances.Inc()
-	obsAdaptiveMovedRecords.Add(movedRecords)
+	m.c.AdaptiveRebalances.Add(1)
+	m.c.AdaptiveMovedRecords.Add(movedRecords)
+	m.c.AdaptiveMovedGroups.Add(movedGroups)
 	m.noteAdaptive(AdaptiveEvent{
 		Stage:        s.name,
 		Before:       before,

@@ -110,15 +110,15 @@ func fetchRows[T any](c *Context, rank int, key string) (rows []T, ok bool) {
 		}
 		rc.Close()
 		if err == nil {
-			c.metrics.remoteFetches.Add(1)
-			c.metrics.remoteFetchedBytes.Add(cr.n)
+			c.metrics.c.RemoteFetches.Add(1)
+			c.metrics.c.RemoteFetchedBytes.Add(cr.n)
 			return rows, true
 		}
 		if transportErr(rc) == nil {
 			panic(fmt.Errorf("dataflow: decode %s from rank %d: %w", key, rank, err))
 		}
 	}
-	c.metrics.fetchFailures.Add(1)
+	c.metrics.c.FetchFailures.Add(1)
 	return nil, false
 }
 
@@ -218,7 +218,7 @@ func (s *lazyBuckets[T]) recompute(m int) {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
 	if s.seg[m] == nil {
-		s.ctx.metrics.resubmissions.Add(1)
+		s.ctx.metrics.c.Resubmissions.Add(1)
 		s.runTask(m)
 	}
 }
@@ -248,7 +248,7 @@ func spmdGather[T any](c *Context, st *Stage, n int, compute func(p int) []T) []
 func spmdFetchPartial[T any](c *Context, st *Stage, p int, compute func(p int) []T) []T {
 	rows, ok := fetchRows[T](c, p%c.conf.Transport.World(), gatherKey(st.id, p))
 	if !ok {
-		c.metrics.resubmissions.Add(1)
+		c.metrics.c.Resubmissions.Add(1)
 		return compute(p)
 	}
 	return rows
@@ -262,7 +262,7 @@ func spmdGatherOne[T any](c *Context, st *Stage, p int, compute func() []T) []T 
 	if c.owns(p) {
 		rows := compute()
 		publishRows(c, gatherKey(st.id, p), rows)
-		c.metrics.tasks.Add(1)
+		c.metrics.c.Tasks.Add(1)
 		st.tasks.Add(1)
 		return rows
 	}

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/memory"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -201,6 +202,7 @@ func NewContext(conf Config) *Context {
 		sem:  make(chan struct{}, conf.Parallelism),
 		mem:  memory.New(conf.MemoryBudget),
 	}
+	ctx.metrics.c.Held = ctx.heldElsewhere
 	if conf.FailureRate > 0 {
 		ctx.failRng = rand.New(rand.NewSource(conf.FailureSeed))
 	}
@@ -260,8 +262,11 @@ func (c *Context) DefaultPartitions() int { return c.conf.DefaultPartitions }
 
 // Metrics returns a snapshot of the accumulated engine metrics,
 // including the tile pool's reuse gauges.
-func (c *Context) Metrics() MetricsSnapshot {
-	s := c.metrics.Snapshot()
+func (c *Context) Metrics() MetricsSnapshot { return c.metrics.Snapshot() }
+
+// heldElsewhere completes a snapshot of the engine's live set with the
+// counters the tile pool and the memory manager keep.
+func (c *Context) heldElsewhere(s obs.CounterSet) obs.CounterSet {
 	ps := c.tilePool.Stats()
 	s.PoolHits, s.PoolMisses, s.PoolReturns = ps.Hits, ps.Misses, ps.Returns
 	ms := c.mem.Stats()
@@ -275,9 +280,10 @@ func (c *Context) Metrics() MetricsSnapshot {
 // (reservations stay reserved); benchmarks call this between measured
 // runs.
 func (c *Context) ResetMetrics() {
-	c.metrics.Reset()
-	c.tilePool.ResetStats()
-	c.mem.ResetPeak()
+	c.metrics.Reset(func() {
+		c.tilePool.ResetStats()
+		c.mem.ResetPeak()
+	})
 }
 
 // TilePool returns the context's tile-buffer pool. Kernels Get output
@@ -469,7 +475,7 @@ func (c *Context) runTaskStride(st *Stage, n, start, stride int, body func(i int
 					panicked.Store(&capturedPanic{val: tp.val})
 					return
 				}
-				c.metrics.taskFailures.Add(1)
+				c.metrics.c.TaskFailures.Add(1)
 				if attempt+1 >= c.conf.MaxTaskRetries {
 					panicked.Store(&capturedPanic{val: fmt.Errorf(
 						"dataflow: task %d failed after %d attempts: %w",
@@ -515,7 +521,7 @@ func (c *Context) tryTask(st *Stage, i int, body func(i int)) (err error) {
 	}
 	if st == nil {
 		body(i)
-		c.metrics.tasks.Add(1)
+		c.metrics.c.Tasks.Add(1)
 		return nil
 	}
 	if sp = st.span.StartChild("task"); sp != nil {
@@ -528,7 +534,7 @@ func (c *Context) tryTask(st *Stage, i int, body func(i int)) (err error) {
 		sp.SetAttr("records", st.recordsOf(i))
 		sp.End()
 	}
-	c.metrics.tasks.Add(1)
+	c.metrics.c.Tasks.Add(1)
 	st.tasks.Add(1)
 	return nil
 }

@@ -3,6 +3,8 @@ package dataflow
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // With failure injection on, tasks are retried from lineage and the
@@ -71,8 +73,8 @@ func TestMetricsCounting(t *testing.T) {
 }
 
 func TestMetricsSub(t *testing.T) {
-	a := MetricsSnapshot{Tasks: 10, ShuffledBytes: 100}
-	b := MetricsSnapshot{Tasks: 4, ShuffledBytes: 60}
+	a := MetricsSnapshot{CounterSet: obs.CounterSet{Tasks: 10, ShuffledBytes: 100}}
+	b := MetricsSnapshot{CounterSet: obs.CounterSet{Tasks: 4, ShuffledBytes: 60}}
 	d := a.Sub(b)
 	if d.Tasks != 6 || d.ShuffledBytes != 40 {
 		t.Fatalf("sub %+v", d)

@@ -10,72 +10,32 @@ import (
 	"time"
 
 	"repro/internal/memory"
+	"repro/internal/obs"
 )
 
-// Metrics accumulates engine counters. All fields are updated atomically
-// by tasks running concurrently.
+// Metrics accumulates engine counters: the scalar counters of the
+// schema (obs.Counters; tasks bump them atomically and concurrently)
+// plus the per-stage and per-rebalance records.
 type Metrics struct {
-	tasks            atomic.Int64
-	taskFailures     atomic.Int64
-	stages           atomic.Int64
-	shuffles         atomic.Int64
-	shuffledRecords  atomic.Int64
-	shuffledBytes    atomic.Int64
-	collectedRecords atomic.Int64
-	cachedBytes      atomic.Int64
-
-	// Out-of-core counters: rows/bytes written to spill run files (by
-	// shuffle buffers and evicted caches), run files created, and
-	// read-back passes over spilled partitions.
-	spilledBytes   atomic.Int64
-	spilledRecords atomic.Int64
-	spillFiles     atomic.Int64
-	mergePasses    atomic.Int64
-
-	// Cluster counters (all zero on local contexts): shuffle blobs and
-	// bytes fetched from peer workers, fetches that failed because the
-	// owning peer died, and map tasks resubmitted — recomputed locally
-	// from lineage — to cover for lost peers.
-	remoteFetches      atomic.Int64
-	remoteFetchedBytes atomic.Int64
-	fetchFailures      atomic.Int64
-	resubmissions      atomic.Int64
-
-	// Adaptive-boundary counters: shuffle map-sides whose buckets were
-	// rebalanced, and the records / whole key groups moved out of hot
-	// buckets. Zero when AdaptiveShuffle is off.
-	adaptiveRebalances   atomic.Int64
-	adaptiveMovedRecords atomic.Int64
-	adaptiveMovedGroups  atomic.Int64
+	c obs.LiveCounters
 
 	stagesInFlight atomic.Int64
-	maxInFlight    atomic.Int64
 
-	stageMu  sync.Mutex
-	perStage []StageMetric
-
-	adaptiveMu     sync.Mutex
+	mu             sync.Mutex // guards the two record logs
+	perStage       []StageMetric
 	adaptiveEvents []AdaptiveEvent
 }
 
-// Dist is a compact distribution summary of one per-task quantity
-// within a stage (nearest-rank percentiles over all samples).
-type Dist struct {
-	N                  int
-	Min, P50, P99, Max int64
-	// ArgMax is the task/partition index that produced Max — the
-	// suspect to look at when the distribution is lopsided.
-	ArgMax int
-}
+// Dist and StageMetric are declared beside the counter schema, with
+// their wire form.
+type (
+	Dist        = obs.Dist
+	StageMetric = obs.StageMetric
+)
 
-// Skew is the p99/p50 ratio, the stage's headline skew statistic
-// (0 when p50 is 0).
-func (d Dist) Skew() float64 {
-	if d.P50 == 0 {
-		return 0
-	}
-	return float64(d.P99) / float64(d.P50)
-}
+// DefaultSkewThreshold is the task-duration p99/p50 ratio above which a
+// stage is flagged as skewed.
+const DefaultSkewThreshold = obs.DefaultSkewThreshold
 
 // summarizeDist computes a Dist over vals, where index i is task or
 // partition i. It sorts vals in place — callers recycle or discard the
@@ -168,37 +128,6 @@ func MergeStageRows(rows []StageMetric) []StageMetric {
 	return out
 }
 
-// StageMetric is the execution record of one completed stage.
-// RecordsIn counts the records that reached the stage's sink (after the
-// fused narrow-operator chain); RecordsOut counts the records the stage
-// emitted across its boundary (shuffle rows written, or results handed
-// to the driver).
-type StageMetric struct {
-	ID            int64
-	Name          string
-	Start         time.Time
-	Wall          time.Duration
-	Tasks         int64
-	RecordsIn     int64
-	RecordsOut    int64
-	ShuffledBytes int64
-	// Worker names the rank behind this row on distributed snapshots:
-	// the owning rank on per-worker rows (WorkerStages), the rank that
-	// contributed the slowest task on cluster-merged rows
-	// (MergeStageRows). Empty on local runs.
-	Worker string
-	// TaskDur summarizes per-task wall time in nanoseconds; a p99 far
-	// above p50 means one straggler task dominated the stage.
-	TaskDur Dist
-	// PartRecords summarizes input records per partition, exposing
-	// data skew independently of compute skew.
-	PartRecords Dist
-}
-
-// DefaultSkewThreshold is the task-duration p99/p50 ratio above which a
-// stage is flagged as skewed.
-const DefaultSkewThreshold = 4.0
-
 // AdaptiveEvent records one adaptive stage-boundary rebalance: the
 // records-per-partition distribution of the shuffle's buckets before
 // and after, and the volume moved out of the hot (argmax) bucket.
@@ -214,113 +143,10 @@ type AdaptiveEvent struct {
 	MovedGroups  int64
 }
 
-// SkewWarning reports a human-readable skew diagnosis when the stage's
-// task-duration p99/p50 exceeds threshold (<= 0 uses
-// DefaultSkewThreshold). Stages with fewer than two timed tasks cannot
-// be skewed and never warn.
-func (st StageMetric) SkewWarning(threshold float64) (string, bool) {
-	if threshold <= 0 {
-		threshold = DefaultSkewThreshold
-	}
-	if st.TaskDur.N < 2 {
-		return "", false
-	}
-	r := st.TaskDur.Skew()
-	if r <= threshold {
-		return "", false
-	}
-	w := fmt.Sprintf("skew: stage %d %s task-duration p99/p50=%.1f (p50=%s p99=%s); suspect partition %d (slowest task, %s)",
-		st.ID, st.Name, r,
-		time.Duration(st.TaskDur.P50).Round(time.Microsecond),
-		time.Duration(st.TaskDur.P99).Round(time.Microsecond),
-		st.TaskDur.ArgMax,
-		time.Duration(st.TaskDur.Max).Round(time.Microsecond))
-	if st.Worker != "" {
-		w += fmt.Sprintf(" on worker %s", st.Worker)
-	}
-	if st.PartRecords.N > 0 && st.PartRecords.Skew() > threshold {
-		w += fmt.Sprintf("; hottest partition %d holds %d records (p50=%d)",
-			st.PartRecords.ArgMax, st.PartRecords.Max, st.PartRecords.P50)
-	}
-	return w, true
-}
-
-// MetricsSnapshot is an immutable copy of the counters.
+// MetricsSnapshot is an immutable copy of the metrics: the counter set
+// (promoted, so snap.Tasks reads as before) and the records.
 type MetricsSnapshot struct {
-	Tasks            int64 // tasks completed successfully
-	TaskFailures     int64 // injected/retried task failures
-	Stages           int64 // stages executed (shuffle map-sides and actions)
-	Shuffles         int64 // wide operations performed
-	ShuffledRecords  int64 // records that crossed a shuffle boundary
-	ShuffledBytes    int64 // estimated payload bytes shuffled
-	CollectedRecords int64 // records returned to the driver
-	CachedBytes      int64 // estimated bytes pinned by Persist caches
-	// PoolHits / PoolMisses / PoolReturns are the context tile pool's
-	// reuse gauges: Get calls served from the pool, Get calls that
-	// allocated, and tiles handed back. A miss-heavy multiply is
-	// allocating a fresh tile per output coordinate.
-	PoolHits    int64
-	PoolMisses  int64
-	PoolReturns int64
-	// SpilledBytes / SpilledRecords / SpillFiles count data written to
-	// spill run files when the memory budget forced shuffle buffers or
-	// Persist caches to disk; MergePasses counts the times a spilled
-	// partition's runs were read back. All zero when
-	// no budget is set — the out-of-core layer is idle.
-	SpilledBytes   int64
-	SpilledRecords int64
-	SpillFiles     int64
-	MergePasses    int64
-	// BudgetWaits counts Reserve calls that had to block for other
-	// holders to release; MemoryOvercommits counts grants issued over
-	// budget to preserve liveness (stall grants and oversized single
-	// requests). MemoryBudget/MemoryUsed/MemoryPeak are the manager's
-	// live gauges (0 when unlimited).
-	BudgetWaits       int64
-	MemoryOvercommits int64
-	MemoryBudget      int64
-	MemoryUsed        int64
-	MemoryPeak        int64
-	// MaxConcurrentStages is the since-reset high-water mark of stages
-	// executing simultaneously (>= 2 proves independent shuffle
-	// map-sides, e.g. both sides of a join, overlapped). Sub recomputes
-	// it over just the diffed stages.
-	MaxConcurrentStages int64
-	// RemoteFetches / RemoteFetchedBytes count shuffle blobs pulled
-	// from peer workers; FetchFailures counts fetches that failed
-	// because the owning peer was dead or unreachable; Resubmissions
-	// counts map tasks recomputed locally from lineage to cover for a
-	// lost peer. All zero on local (non-cluster) contexts.
-	RemoteFetches      int64
-	RemoteFetchedBytes int64
-	FetchFailures      int64
-	Resubmissions      int64
-	// WireFetchedBytes / FetchRetries / FetchGoneEvents are the
-	// wire-level shuffle counters reported by the cluster exchange:
-	// bytes actually pulled over TCP, peer dials that had to be
-	// retried, and FetchGone replies (a peer lost the bucket). Zero on
-	// local contexts; on cluster-merged snapshots they sum the ranks'
-	// reports.
-	WireFetchedBytes int64
-	FetchRetries     int64
-	FetchGoneEvents  int64
-	// Streaming data-plane counters: WireRawBytes is what the fetched
-	// chunks decompress to (so WireRawBytes - WireFetchedBytes = bytes
-	// compression kept off the network), WireChunks counts chunks
-	// fetched, and ConnPoolHits / ConnPoolMisses count data-connection
-	// reuse vs fresh dials. Zero on local contexts.
-	WireRawBytes   int64
-	WireChunks     int64
-	ConnPoolHits   int64
-	ConnPoolMisses int64
-	// AdaptiveRebalances / AdaptiveMovedRecords / AdaptiveMovedGroups
-	// count adaptive stage-boundary rebalances: shuffles whose reduce
-	// buckets were reshaped after the map side completed, and the rows /
-	// whole key groups moved out of hot buckets. All zero when
-	// Config.AdaptiveShuffle is off (the default) and always under SPMD.
-	AdaptiveRebalances   int64
-	AdaptiveMovedRecords int64
-	AdaptiveMovedGroups  int64
+	obs.CounterSet
 	// AdaptiveEvents details each rebalance in completion order.
 	AdaptiveEvents []AdaptiveEvent
 	// PerStage lists every completed stage in completion order with its
@@ -339,8 +165,8 @@ type MetricsSnapshot struct {
 }
 
 // WorkerStat is one worker's row of a distributed job's metrics: the
-// engine counters that worker reported plus its liveness as seen by
-// the driver.
+// counter set that worker reported plus its liveness as seen by the
+// driver.
 type WorkerStat struct {
 	ID   string // worker-supplied identity (host:pid by default)
 	Addr string // shuffle-serving address
@@ -350,34 +176,8 @@ type WorkerStat struct {
 	Alive bool
 	// Lost marks a worker that died before reporting: its row carries
 	// no counters, and its tasks were resubmitted on surviving ranks.
-	Lost               bool
-	Tasks              int64
-	TaskFailures       int64
-	Stages             int64
-	ShuffledRecords    int64
-	ShuffledBytes      int64
-	RemoteFetches      int64
-	RemoteFetchedBytes int64
-	FetchFailures      int64
-	Resubmissions      int64
-	// ServedFetches / ServedBytes count the shuffle blobs this worker
-	// served to its peers.
-	ServedFetches int64
-	ServedBytes   int64
-	// WireFetchedBytes / FetchRetries / FetchGoneEvents mirror the
-	// exchange's wire counters for this rank.
-	WireFetchedBytes int64
-	FetchRetries     int64
-	FetchGoneEvents  int64
-	// Streaming data-plane counters for this rank: decompressed bytes
-	// behind the wire bytes, chunks fetched, and connection-pool reuse.
-	WireRawBytes   int64
-	WireChunks     int64
-	ConnPoolHits   int64
-	ConnPoolMisses int64
-	SpilledBytes   int64
-	MemoryPeak     int64
-	Wall           time.Duration
+	Lost bool
+	obs.CounterSet
 }
 
 // noteStageStart tracks the in-flight stage gauge and its high-water
@@ -385,8 +185,8 @@ type WorkerStat struct {
 func (m *Metrics) noteStageStart() {
 	cur := m.stagesInFlight.Add(1)
 	for {
-		max := m.maxInFlight.Load()
-		if cur <= max || m.maxInFlight.CompareAndSwap(max, cur) {
+		max := m.c.MaxConcurrentStages.Load()
+		if cur <= max || m.c.MaxConcurrentStages.CompareAndSwap(max, cur) {
 			return
 		}
 	}
@@ -397,90 +197,45 @@ func (m *Metrics) noteStageEnd() { m.stagesInFlight.Add(-1) }
 
 // recordStage appends a completed stage's record.
 func (m *Metrics) recordStage(s StageMetric) {
-	m.stageMu.Lock()
+	m.mu.Lock()
 	m.perStage = append(m.perStage, s)
-	m.stageMu.Unlock()
+	m.mu.Unlock()
 }
 
 // noteAdaptive appends one adaptive rebalance record.
 func (m *Metrics) noteAdaptive(e AdaptiveEvent) {
-	m.adaptiveMu.Lock()
+	m.mu.Lock()
 	m.adaptiveEvents = append(m.adaptiveEvents, e)
-	m.adaptiveMu.Unlock()
+	m.mu.Unlock()
 }
 
 // noteSpill credits one spill event: bytes and rows written across
 // files new run files.
 func (m *Metrics) noteSpill(bytes, rows, files int64) {
-	m.spilledBytes.Add(bytes)
-	m.spilledRecords.Add(rows)
-	m.spillFiles.Add(files)
-	obsSpilledBytes.Add(bytes)
-	obsSpillFiles.Add(files)
+	m.c.SpilledBytes.Add(bytes)
+	m.c.SpilledRecords.Add(rows)
+	m.c.SpillFiles.Add(files)
 }
 
-// Snapshot copies the counters.
+// Snapshot copies the counters and the records.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.stageMu.Lock()
-	perStage := append([]StageMetric(nil), m.perStage...)
-	m.stageMu.Unlock()
-	m.adaptiveMu.Lock()
-	adaptive := append([]AdaptiveEvent(nil), m.adaptiveEvents...)
-	m.adaptiveMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return MetricsSnapshot{
-		Tasks:                m.tasks.Load(),
-		TaskFailures:         m.taskFailures.Load(),
-		Stages:               m.stages.Load(),
-		Shuffles:             m.shuffles.Load(),
-		ShuffledRecords:      m.shuffledRecords.Load(),
-		ShuffledBytes:        m.shuffledBytes.Load(),
-		CollectedRecords:     m.collectedRecords.Load(),
-		CachedBytes:          m.cachedBytes.Load(),
-		SpilledBytes:         m.spilledBytes.Load(),
-		SpilledRecords:       m.spilledRecords.Load(),
-		SpillFiles:           m.spillFiles.Load(),
-		MergePasses:          m.mergePasses.Load(),
-		RemoteFetches:        m.remoteFetches.Load(),
-		RemoteFetchedBytes:   m.remoteFetchedBytes.Load(),
-		FetchFailures:        m.fetchFailures.Load(),
-		Resubmissions:        m.resubmissions.Load(),
-		MaxConcurrentStages:  m.maxInFlight.Load(),
-		AdaptiveRebalances:   m.adaptiveRebalances.Load(),
-		AdaptiveMovedRecords: m.adaptiveMovedRecords.Load(),
-		AdaptiveMovedGroups:  m.adaptiveMovedGroups.Load(),
-		AdaptiveEvents:       adaptive,
-		PerStage:             perStage,
+		CounterSet:     m.c.Snapshot(),
+		AdaptiveEvents: slices.Clone(m.adaptiveEvents),
+		PerStage:       slices.Clone(m.perStage),
 	}
 }
 
-// Reset zeroes all counters except the cached-bytes gauge, which tracks
-// live Persist caches rather than work done.
-func (m *Metrics) Reset() {
-	m.tasks.Store(0)
-	m.taskFailures.Store(0)
-	m.stages.Store(0)
-	m.shuffles.Store(0)
-	m.shuffledRecords.Store(0)
-	m.shuffledBytes.Store(0)
-	m.collectedRecords.Store(0)
-	m.spilledBytes.Store(0)
-	m.spilledRecords.Store(0)
-	m.spillFiles.Store(0)
-	m.mergePasses.Store(0)
-	m.remoteFetches.Store(0)
-	m.remoteFetchedBytes.Store(0)
-	m.fetchFailures.Store(0)
-	m.resubmissions.Store(0)
-	m.maxInFlight.Store(0)
-	m.adaptiveRebalances.Store(0)
-	m.adaptiveMovedRecords.Store(0)
-	m.adaptiveMovedGroups.Store(0)
-	m.stageMu.Lock()
-	m.perStage = nil
-	m.stageMu.Unlock()
-	m.adaptiveMu.Lock()
-	m.adaptiveEvents = nil
-	m.adaptiveMu.Unlock()
+// Reset zeroes all counters except the level gauges (cached bytes
+// tracks live Persist caches rather than work done), resetHeld with
+// them, and drops the records.
+func (m *Metrics) Reset(resetHeld func()) {
+	m.c.Reset(resetHeld)
+	m.mu.Lock()
+	m.perStage, m.adaptiveEvents = nil, nil
+	m.mu.Unlock()
 }
 
 // String formats the snapshot as a single diagnostics line.
@@ -564,12 +319,11 @@ func (s MetricsSnapshot) FormatStages() string {
 		if s.WireFetchedBytes > 0 {
 			line += fmt.Sprintf(", %s on the wire", memory.FormatBytes(s.WireFetchedBytes))
 		}
-		if s.WireRawBytes > s.WireFetchedBytes {
-			line += fmt.Sprintf(" (%s raw, %.1fx compression)", memory.FormatBytes(s.WireRawBytes),
-				float64(s.WireRawBytes)/float64(s.WireFetchedBytes))
+		if raw, wire := s.WireRawBytes, s.WireFetchedBytes; raw > wire {
+			line += fmt.Sprintf(" (%s raw, %.1fx compression)", memory.FormatBytes(raw), float64(raw)/float64(wire))
 		}
-		if s.WireChunks > 0 {
-			line += fmt.Sprintf(", %d chunks", s.WireChunks)
+		if s.ChunksFetched > 0 {
+			line += fmt.Sprintf(", %d chunks", s.ChunksFetched)
 		}
 		if gets := s.ConnPoolHits + s.ConnPoolMisses; gets > 0 {
 			line += fmt.Sprintf(", %d/%d conns reused", s.ConnPoolHits, gets)
@@ -619,7 +373,7 @@ func (s MetricsSnapshot) FormatWorkers() string {
 		fmt.Fprintf(&b, "%4d  %-22s %-6s %7d %8d %12d %12d %9d %9d %8d %12s %10s\n",
 			w.Rank, name, state, w.Tasks, w.Stages, w.ShuffledRecords, w.ShuffledBytes,
 			w.RemoteFetches, w.ServedFetches, w.Resubmissions,
-			w.Wall.Round(time.Millisecond), memory.FormatBytes(w.MemoryPeak))
+			time.Duration(w.WallNanos).Round(time.Millisecond), memory.FormatBytes(w.MemoryPeak))
 	}
 	return b.String()
 }
@@ -701,62 +455,19 @@ func (s MetricsSnapshot) StragglerWarnings(threshold float64) []string {
 
 // Sub returns the difference s - t, useful to meter one query when the
 // context is reused: take t before, s after, and Sub reports only the
-// work in between. PerStage keeps only the stages completed after t
-// (the first len(t.PerStage) rows are dropped), and
-// MaxConcurrentStages is recomputed over just those stages by sweeping
-// their [Start, Start+Wall] intervals — the snapshots' own field is a
-// since-reset high-water mark that may predate t. CachedBytes is a
-// live gauge and is taken from s.
+// work in between. Counters diff by the schema's rules (obs.SubCounters:
+// high-water marks and level gauges are taken from s). PerStage keeps
+// only the stages completed after t (the first len(t.PerStage) rows are
+// dropped), and MaxConcurrentStages is recomputed over just those
+// stages by sweeping their [Start, Start+Wall] intervals — the
+// snapshots' own field is a since-reset high-water mark that may
+// predate t.
 func (s MetricsSnapshot) Sub(t MetricsSnapshot) MetricsSnapshot {
-	var per []StageMetric
-	if len(s.PerStage) > len(t.PerStage) {
-		per = s.PerStage[len(t.PerStage):]
-	}
-	var adaptive []AdaptiveEvent
-	if len(s.AdaptiveEvents) > len(t.AdaptiveEvents) {
-		adaptive = s.AdaptiveEvents[len(t.AdaptiveEvents):]
-	}
-	return MetricsSnapshot{
-		Tasks:                s.Tasks - t.Tasks,
-		TaskFailures:         s.TaskFailures - t.TaskFailures,
-		Stages:               s.Stages - t.Stages,
-		Shuffles:             s.Shuffles - t.Shuffles,
-		ShuffledRecords:      s.ShuffledRecords - t.ShuffledRecords,
-		ShuffledBytes:        s.ShuffledBytes - t.ShuffledBytes,
-		CollectedRecords:     s.CollectedRecords - t.CollectedRecords,
-		CachedBytes:          s.CachedBytes,
-		SpilledBytes:         s.SpilledBytes - t.SpilledBytes,
-		SpilledRecords:       s.SpilledRecords - t.SpilledRecords,
-		SpillFiles:           s.SpillFiles - t.SpillFiles,
-		MergePasses:          s.MergePasses - t.MergePasses,
-		BudgetWaits:          s.BudgetWaits - t.BudgetWaits,
-		MemoryOvercommits:    s.MemoryOvercommits - t.MemoryOvercommits,
-		MemoryBudget:         s.MemoryBudget,
-		MemoryUsed:           s.MemoryUsed,
-		MemoryPeak:           s.MemoryPeak,
-		PoolHits:             s.PoolHits - t.PoolHits,
-		PoolMisses:           s.PoolMisses - t.PoolMisses,
-		PoolReturns:          s.PoolReturns - t.PoolReturns,
-		RemoteFetches:        s.RemoteFetches - t.RemoteFetches,
-		RemoteFetchedBytes:   s.RemoteFetchedBytes - t.RemoteFetchedBytes,
-		FetchFailures:        s.FetchFailures - t.FetchFailures,
-		Resubmissions:        s.Resubmissions - t.Resubmissions,
-		WireFetchedBytes:     s.WireFetchedBytes - t.WireFetchedBytes,
-		FetchRetries:         s.FetchRetries - t.FetchRetries,
-		FetchGoneEvents:      s.FetchGoneEvents - t.FetchGoneEvents,
-		WireRawBytes:         s.WireRawBytes - t.WireRawBytes,
-		WireChunks:           s.WireChunks - t.WireChunks,
-		ConnPoolHits:         s.ConnPoolHits - t.ConnPoolHits,
-		ConnPoolMisses:       s.ConnPoolMisses - t.ConnPoolMisses,
-		MaxConcurrentStages:  maxOverlap(per),
-		AdaptiveRebalances:   s.AdaptiveRebalances - t.AdaptiveRebalances,
-		AdaptiveMovedRecords: s.AdaptiveMovedRecords - t.AdaptiveMovedRecords,
-		AdaptiveMovedGroups:  s.AdaptiveMovedGroups - t.AdaptiveMovedGroups,
-		AdaptiveEvents:       adaptive,
-		PerStage:             per,
-		PerWorker:            s.PerWorker,
-		WorkerStages:         s.WorkerStages,
-	}
+	s.CounterSet = obs.SubCounters(s.CounterSet, t.CounterSet)
+	s.PerStage = s.PerStage[min(len(t.PerStage), len(s.PerStage)):]
+	s.AdaptiveEvents = s.AdaptiveEvents[min(len(t.AdaptiveEvents), len(s.AdaptiveEvents)):]
+	s.MaxConcurrentStages = maxOverlap(s.PerStage)
+	return s
 }
 
 // maxOverlap sweeps the stages' [Start, Start+Wall] intervals and

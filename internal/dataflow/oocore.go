@@ -207,7 +207,7 @@ func (d *Dataset[T]) cacheStore(p int, rows []T) []T {
 		d.cachedResv[p] = b
 	}
 	d.cachedBytes += b
-	d.ctx.metrics.cachedBytes.Add(b)
+	d.ctx.metrics.c.CachedBytes.Add(b)
 	d.cacheMu.Unlock()
 	if mem != nil {
 		// Register outside cacheMu: the evictor takes cacheMu, and
@@ -283,7 +283,7 @@ func (d *Dataset[T]) evictCache(need int64) int64 {
 		d.cached[p] = nil
 		d.cachedResv[p] = 0
 		d.cachedBytes -= resv
-		d.ctx.metrics.cachedBytes.Add(-resv)
+		d.ctx.metrics.c.CachedBytes.Add(-resv)
 		d.ctx.metrics.noteSpill(run.Bytes, run.Rows, 1)
 		d.ctx.mem.Release(resv)
 		freed += resv

@@ -3,6 +3,8 @@ package dataflow
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestKernelBudget pins the budget arithmetic: idle contexts hand all
@@ -92,5 +94,35 @@ func TestPoolMetricsFlow(t *testing.T) {
 	}
 	if strings.Contains(after.FormatStages(), "tile pool:") {
 		t.Fatalf("tile pool line printed with zero gets")
+	}
+}
+
+// TestRegistryTotalsSurviveResetMetrics: the process-wide series count
+// every task a context ran, whatever ResetMetrics did in between — a
+// small query, a reset, then a larger one (the server resets before
+// every local query), with records collected after the last stage end
+// and tile-pool traffic the reset zeroes.
+func TestRegistryTotalsSurviveResetMetrics(t *testing.T) {
+	series := func(name string) int64 { return obs.Default.Counter(name, "").Value() }
+	names := []string{"sac_dataflow_tasks_total", "sac_dataflow_stages_total",
+		"sac_dataflow_collected_records_total", "sac_linalg_pool_returns_total"}
+	before := make([]int64, len(names))
+	for i, n := range names {
+		before[i] = series(n)
+	}
+	ctx := NewContext(Config{Parallelism: 2})
+	var want obs.CounterSet
+	for _, parts := range []int{2, 16, 4} {
+		ctx.ResetMetrics()
+		pairs := Map(Parallelize(ctx, intRange(64), parts), func(v int) Pair[int, int] { return KV(v%8, v) })
+		Collect(ReduceByKey(pairs, func(a, b int) int { return a + b }, parts))
+		ctx.TilePool().Put(ctx.TilePool().Get(4, 4))
+		want = obs.MergeCounters(want, ctx.Metrics().CounterSet)
+	}
+	ctx.ResetMetrics()
+	for i, w := range []int64{want.Tasks, want.Stages, want.CollectedRecords, want.PoolReturns} {
+		if got := series(names[i]) - before[i]; got != w || w == 0 {
+			t.Errorf("%s advanced by %d, the context counted %d", names[i], got, w)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func (d *Dataset[T]) Unpersist() *Dataset[T] {
 		d.cachedDisk[p].Remove()
 	}
 	d.cachedDisk = nil
-	d.ctx.metrics.cachedBytes.Add(-d.cachedBytes)
+	d.ctx.metrics.c.CachedBytes.Add(-d.cachedBytes)
 	d.cachedBytes = 0
 	unreg := d.unregEvict
 	d.unregEvict = nil
@@ -363,7 +363,7 @@ func Collect[T any](d *Dataset[T]) []T {
 	for _, p := range parts {
 		out = append(out, p...)
 	}
-	d.ctx.metrics.collectedRecords.Add(int64(n))
+	d.ctx.metrics.c.CollectedRecords.Add(int64(n))
 	return out
 }
 

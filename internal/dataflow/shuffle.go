@@ -117,9 +117,9 @@ func (s *lazyBuckets[T]) runMapSide(st *Stage) {
 	st.recordsOut.Add(recs)
 	st.shuffledBytes.Add(bytes)
 	if !s.narrow {
-		s.ctx.metrics.shuffles.Add(1)
-		s.ctx.metrics.shuffledRecords.Add(recs)
-		s.ctx.metrics.shuffledBytes.Add(bytes)
+		s.ctx.metrics.c.Shuffles.Add(1)
+		s.ctx.metrics.c.ShuffledRecords.Add(recs)
+		s.ctx.metrics.c.ShuffledBytes.Add(bytes)
 		s.ctx.chargeShuffleCost(bytes)
 		s.rebalance()
 		s.ctx.mem.RegisterEvictor(s.evict)
@@ -203,8 +203,7 @@ func (s *lazyBuckets[T]) get(p int) []T {
 	}
 	rows = finish()
 	if onDisk {
-		s.ctx.metrics.mergePasses.Add(1)
-		obsMergePasses.Inc()
+		s.ctx.metrics.c.MergePasses.Add(1)
 		return rows
 	}
 	if s.fold != nil && held > 0 {

@@ -5,7 +5,19 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
+)
+
+// The two histograms of the metrics registry the engine observes
+// itself; its counter series are the schema's (obs.Counters), fed by
+// publishing the context's live set. Both happen once per stage, so the
+// per-record hot paths never touch the registry.
+var (
+	obsStageSeconds = obs.Default.Histogram("sac_dataflow_stage_seconds",
+		"stage wall time", obs.DefSecondsBuckets)
+	obsTaskSeconds = obs.Default.Histogram("sac_dataflow_task_seconds",
+		"per-task wall time", obs.DefSecondsBuckets)
 )
 
 // Stage is a first-class node of the execution DAG: a unit of
@@ -154,7 +166,7 @@ func (s *Stage) ensure() {
 		defer func() {
 			wall := time.Since(start)
 			c.metrics.noteStageEnd()
-			c.metrics.stages.Add(1)
+			c.metrics.c.Stages.Add(1)
 			// The stage is finished: no task can append samples anymore,
 			// so the slices are summarized without copying and then
 			// recycled for later stages.
@@ -174,8 +186,15 @@ func (s *Stage) ensure() {
 				TaskDur:       summarizeDist(durs),
 				PartRecords:   summarizeDist(recs),
 			}
+			c.metrics.c.RecordsIn.Add(sm.RecordsIn)
 			c.metrics.recordStage(sm)
-			obsRecordStage(sm, durs)
+			if obs.Default.Enabled() {
+				c.metrics.c.Publish()
+				obsStageSeconds.Observe(wall.Seconds())
+				for _, ns := range durs {
+					obsTaskSeconds.Observe(float64(ns) / 1e9)
+				}
+			}
 			c.putStatBuf(durs)
 			c.putStatBuf(recs)
 			if sp := s.span; sp != nil {

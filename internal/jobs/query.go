@@ -150,7 +150,7 @@ func init() {
 			c.Transport = env.Exchange
 			c.WorkerTag = env.WorkerTag
 		}, pump)
-		return blob, reportFrom(snap), err
+		return blob, snap.CounterSet, err
 	})
 }
 
@@ -232,22 +232,6 @@ func DefaultPartitions(world int) int {
 		return p
 	}
 	return 8
-}
-
-func reportFrom(m dataflow.MetricsSnapshot) cluster.Report {
-	return cluster.Report{
-		Tasks:              m.Tasks,
-		TaskFailures:       m.TaskFailures,
-		Stages:             m.Stages,
-		ShuffledRecords:    m.ShuffledRecords,
-		ShuffledBytes:      m.ShuffledBytes,
-		RemoteFetches:      m.RemoteFetches,
-		RemoteFetchedBytes: m.RemoteFetchedBytes,
-		FetchFailures:      m.FetchFailures,
-		Resubmissions:      m.Resubmissions,
-		SpilledBytes:       m.SpilledBytes,
-		MemoryPeak:         m.MemoryPeak,
-	}
 }
 
 // Result-blob kinds. The encoding is canonical so the driver can

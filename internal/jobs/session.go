@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/comp"
 	"repro/internal/dataflow"
-	"repro/internal/sacparser"
+	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -81,6 +81,14 @@ func (cs *ClusterSession) Analyze(src string) (string, error) {
 
 // run submits one job and folds its results into the session state.
 func (cs *ClusterSession) run(p QueryParams) (*cluster.RunResult, dataflow.MetricsSnapshot, error) {
+	// The stats-cache key is the same canonical rendering plan.Compile
+	// keys on, so driver-side observations line up with compiler-side
+	// lookups; a source that does not parse fails here, before any rank
+	// is asked to run it.
+	key, err := plan.CanonicalKey(p.Src)
+	if err != nil {
+		return nil, dataflow.MetricsSnapshot{}, err
+	}
 	start := time.Now()
 	run, err := cs.driver.Run(QueryName, p.Encode(), cs.timeout)
 	if err != nil {
@@ -91,7 +99,7 @@ func (cs *ClusterSession) run(p QueryParams) (*cluster.RunResult, dataflow.Metri
 	cs.last = snap
 	cs.lastTrace = run.MergedTrace()
 	cs.mu.Unlock()
-	cs.stats.Record(statsKey(p.Src), stats.FromSnapshot(snap, time.Since(start).Nanoseconds()))
+	cs.stats.Record(key, stats.FromSnapshot(snap, time.Since(start).Nanoseconds()))
 	return run, snap, nil
 }
 
@@ -117,22 +125,12 @@ func (cs *ClusterSession) LastTrace() *trace.Tracer {
 // canonical key core.Session uses.
 func (cs *ClusterSession) StatsCache() *stats.Cache { return cs.stats }
 
-// statsKey canonicalizes a query source the way plan.Compile keys the
-// session stats cache (the desugared expression's rendering), so
-// driver-side observations line up with compiler-side lookups.
-func statsKey(src string) string {
-	e, err := sacparser.Parse(src)
-	if err != nil {
-		return src
-	}
-	return comp.Desugar(e).String()
-}
-
-// snapshotFrom folds per-worker reports into the cluster-wide totals:
-// summed engine counters, one PerWorker row per rank annotated with
-// the driver's liveness view, every telemetry-reporting rank's stage
-// rows (WorkerStages, each stamped with its worker), and the
-// cluster-merged stage table (PerStage).
+// snapshotFrom folds per-worker reports into the cluster-wide
+// snapshot: the ranks' counter sets merged by the schema's rules (sums;
+// high-water marks take the largest), one PerWorker row per rank
+// annotated with the driver's liveness view, every
+// telemetry-reporting rank's stage rows (WorkerStages, each stamped
+// with its worker), and the cluster-merged stage table (PerStage).
 func snapshotFrom(run *cluster.RunResult, infos []cluster.WorkerInfo) dataflow.MetricsSnapshot {
 	alive := make(map[string]bool, len(infos))
 	for _, wi := range infos {
@@ -140,59 +138,13 @@ func snapshotFrom(run *cluster.RunResult, infos []cluster.WorkerInfo) dataflow.M
 	}
 	var snap dataflow.MetricsSnapshot
 	for _, wr := range run.Workers {
-		rep := wr.Report
-		snap.Tasks += rep.Tasks
-		snap.TaskFailures += rep.TaskFailures
-		snap.Stages += rep.Stages
-		snap.ShuffledRecords += rep.ShuffledRecords
-		snap.ShuffledBytes += rep.ShuffledBytes
-		snap.RemoteFetches += rep.RemoteFetches
-		snap.RemoteFetchedBytes += rep.RemoteFetchedBytes
-		snap.FetchFailures += rep.FetchFailures
-		snap.Resubmissions += rep.Resubmissions
-		snap.WireFetchedBytes += rep.WireFetchedBytes
-		snap.FetchRetries += rep.FetchRetries
-		snap.FetchGoneEvents += rep.FetchGoneEvents
-		snap.WireRawBytes += rep.WireRawBytes
-		snap.WireChunks += rep.ChunksFetched
-		snap.ConnPoolHits += rep.ConnPoolHits
-		snap.ConnPoolMisses += rep.ConnPoolMisses
-		snap.SpilledBytes += rep.SpilledBytes
-		if rep.MemoryPeak > snap.MemoryPeak {
-			snap.MemoryPeak = rep.MemoryPeak
-		}
+		snap.CounterSet = obs.MergeCounters(snap.CounterSet, wr.Report)
 		snap.PerWorker = append(snap.PerWorker, dataflow.WorkerStat{
-			ID:                 wr.ID,
-			Addr:               wr.Addr,
-			Rank:               wr.Rank,
-			Alive:              alive[wr.ID],
-			Lost:               wr.Lost,
-			Tasks:              rep.Tasks,
-			TaskFailures:       rep.TaskFailures,
-			Stages:             rep.Stages,
-			ShuffledRecords:    rep.ShuffledRecords,
-			ShuffledBytes:      rep.ShuffledBytes,
-			RemoteFetches:      rep.RemoteFetches,
-			RemoteFetchedBytes: rep.RemoteFetchedBytes,
-			FetchFailures:      rep.FetchFailures,
-			Resubmissions:      rep.Resubmissions,
-			ServedFetches:      rep.ServedFetches,
-			ServedBytes:        rep.ServedBytes,
-			WireFetchedBytes:   rep.WireFetchedBytes,
-			FetchRetries:       rep.FetchRetries,
-			FetchGoneEvents:    rep.FetchGoneEvents,
-			WireRawBytes:       rep.WireRawBytes,
-			WireChunks:         rep.ChunksFetched,
-			ConnPoolHits:       rep.ConnPoolHits,
-			ConnPoolMisses:     rep.ConnPoolMisses,
-			SpilledBytes:       rep.SpilledBytes,
-			MemoryPeak:         rep.MemoryPeak,
-			Wall:               time.Duration(rep.WallNanos),
-		})
-		if wr.Telemetry.Received {
-			for _, row := range wr.Telemetry.Stages {
-				snap.WorkerStages = append(snap.WorkerStages, stageMetricOf(row, wr.ID))
-			}
+			ID: wr.ID, Addr: wr.Addr, Rank: wr.Rank,
+			Alive: alive[wr.ID], Lost: wr.Lost, CounterSet: wr.Report})
+		for _, row := range wr.Telemetry.Stages {
+			row.Worker = wr.ID
+			snap.WorkerStages = append(snap.WorkerStages, row)
 		}
 	}
 	if len(snap.WorkerStages) > 0 {

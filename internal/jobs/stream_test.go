@@ -34,11 +34,11 @@ func TestClusterStreamingParity(t *testing.T) {
 				t.Fatalf("result differs from local: %s vs %s", FormatResult(got), FormatResult(want))
 			}
 			snap := cs.Metrics()
-			if snap.WireChunks == 0 || snap.WireRawBytes == 0 {
-				t.Fatalf("wire path not exercised: %d chunks, %d raw bytes", snap.WireChunks, snap.WireRawBytes)
+			if snap.ChunksFetched == 0 || snap.WireRawBytes == 0 {
+				t.Fatalf("wire path not exercised: %d chunks, %d raw bytes", snap.ChunksFetched, snap.WireRawBytes)
 			}
 			// The flags byte and rawLen varint of each chunk frame.
-			if slack := 16 * snap.WireChunks; snap.WireFetchedBytes > snap.WireRawBytes+slack {
+			if slack := 16 * snap.ChunksFetched; snap.WireFetchedBytes > snap.WireRawBytes+slack {
 				t.Fatalf("wire bytes (%d) exceed raw bytes (%d) + framing slack",
 					snap.WireFetchedBytes, snap.WireRawBytes)
 			}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/trace"
 )
 
@@ -88,11 +87,9 @@ func (p *telemetryPump) flush(final bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	snap := p.sess.Metrics()
-	b := cluster.TelemetryBatch{Final: final, Report: reportFrom(snap)}
+	b := cluster.TelemetryBatch{Final: final, Report: snap.CounterSet}
 	if rows := snap.PerStage; p.sentStages < len(rows) {
-		for _, sm := range rows[p.sentStages:] {
-			b.Stages = append(b.Stages, stageRowOf(sm))
-		}
+		b.Stages = rows[p.sentStages:]
 		p.sentStages = len(rows)
 	}
 	if p.tr != nil {
@@ -126,42 +123,4 @@ func (p *telemetryPump) finish() {
 	close(p.stop)
 	<-p.done
 	p.flush(true)
-}
-
-// distRowOf / distOf convert between the engine's Dist summaries and
-// their wire mirrors (the cluster package is independent of dataflow).
-func distRowOf(d dataflow.Dist) cluster.DistRow {
-	return cluster.DistRow{N: int64(d.N), ArgMax: int64(d.ArgMax),
-		Min: d.Min, P50: d.P50, P99: d.P99, Max: d.Max}
-}
-
-func distOf(r cluster.DistRow) dataflow.Dist {
-	return dataflow.Dist{N: int(r.N), ArgMax: int(r.ArgMax),
-		Min: r.Min, P50: r.P50, P99: r.P99, Max: r.Max}
-}
-
-func stageRowOf(sm dataflow.StageMetric) cluster.StageRow {
-	var startNs int64
-	if !sm.Start.IsZero() {
-		startNs = sm.Start.UnixNano()
-	}
-	return cluster.StageRow{ID: sm.ID, Name: sm.Name,
-		StartNs: startNs, WallNs: int64(sm.Wall),
-		Tasks: sm.Tasks, RecordsIn: sm.RecordsIn, RecordsOut: sm.RecordsOut,
-		ShuffledBytes: sm.ShuffledBytes,
-		TaskDur:       distRowOf(sm.TaskDur), PartRecords: distRowOf(sm.PartRecords)}
-}
-
-// stageMetricOf rebuilds a StageMetric from its wire row, stamping the
-// owning rank into Worker.
-func stageMetricOf(r cluster.StageRow, worker string) dataflow.StageMetric {
-	sm := dataflow.StageMetric{ID: r.ID, Name: r.Name,
-		Wall:  time.Duration(r.WallNs),
-		Tasks: r.Tasks, RecordsIn: r.RecordsIn, RecordsOut: r.RecordsOut,
-		ShuffledBytes: r.ShuffledBytes, Worker: worker,
-		TaskDur: distOf(r.TaskDur), PartRecords: distOf(r.PartRecords)}
-	if r.StartNs != 0 {
-		sm.Start = time.Unix(0, r.StartNs)
-	}
-	return sm
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // TestClusterMergedStageTable is the observability acceptance test:
@@ -94,7 +96,11 @@ func TestClusterMergedStageTable(t *testing.T) {
 	}
 
 	// The run fed the driver-side stats cache under the canonical key.
-	if m, ok := cs.StatsCache().Lookup(statsKey(src)); !ok || m.Runs == 0 {
+	key, err := plan.CanonicalKey(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := cs.StatsCache().Lookup(key); !ok || m.Runs == 0 {
 		t.Fatalf("stats cache missing observation: ok=%v m=%+v", ok, m)
 	}
 }
@@ -129,22 +135,43 @@ func TestClusterAnalyzeMergedTrace(t *testing.T) {
 	}
 }
 
-// TestStageRowRoundTrip pins the StageMetric <-> StageRow conversion.
-func TestStageRowRoundTrip(t *testing.T) {
-	sm := dataflow.StageMetric{
-		ID: 5, Name: "stage: shuffle(join)",
-		Start: time.Unix(12, 345), Wall: 90 * time.Millisecond,
-		Tasks: 8, RecordsIn: 100, RecordsOut: 50, ShuffledBytes: 4096,
-		TaskDur:     dataflow.Dist{N: 8, Min: 1, P50: 5, P99: 80, Max: 90, ArgMax: 3},
-		PartRecords: dataflow.Dist{N: 8, Min: 10, P50: 12, P99: 15, Max: 16, ArgMax: 1},
+// TestClusterMergedSnapshotCarriesEveryCounter: the driver's merged
+// snapshot is the ranks' reports folded by the schema's rules, every
+// counter of them. At the parent commit reportFrom forwarded 11 of the
+// counters, so a budgeted cluster run read "0 files (0 rows), 0 merge
+// passes" however much the ranks spilled.
+func TestClusterMergedSnapshotCarriesEveryCounter(t *testing.T) {
+	d := startTestClusterPar(t, twoSlots(3), 64<<10)
+	p := baseParams()
+	p.N, p.Tile = 128, 32
+	cs := NewClusterSession(d, p, time.Minute)
+	if _, _, err := cs.Query(fig4Queries[0].src); err != nil {
+		t.Fatalf("query: %v", err)
 	}
-	got := stageMetricOf(stageRowOf(sm), "w7")
-	sm.Worker = "w7"
-	if !got.Start.Equal(sm.Start) {
-		t.Fatalf("start drifted: %v vs %v", got.Start, sm.Start)
+	snap := cs.Metrics()
+	if snap.SpillFiles == 0 || snap.SpilledRecords == 0 || snap.MergePasses == 0 || snap.Shuffles == 0 {
+		t.Fatalf("merged snapshot lost the ranks' spill counters: files=%d rows=%d passes=%d shuffles=%d",
+			snap.SpillFiles, snap.SpilledRecords, snap.MergePasses, snap.Shuffles)
 	}
-	got.Start, sm.Start = time.Time{}, time.Time{}
-	if got != sm {
-		t.Fatalf("round trip drifted:\ngot:  %+v\nwant: %+v", got, sm)
+	// Every counter is the per-worker rows merged by its rule: sums add
+	// up, high-water marks take the largest rank.
+	var want obs.CounterSet
+	for _, w := range snap.PerWorker {
+		want = obs.MergeCounters(want, w.CounterSet)
+	}
+	if snap.CounterSet != want {
+		t.Fatalf("merged counters are not the merge of the PerWorker rows:\ngot  %+v\nwant %+v", snap.CounterSet, want)
+	}
+	var files, peak, wall int64
+	for _, w := range snap.PerWorker {
+		files += w.SpillFiles
+		peak, wall = max(peak, w.MemoryPeak), max(wall, w.WallNanos)
+	}
+	if snap.SpillFiles != files || snap.MemoryPeak != peak || snap.WallNanos != wall || wall == 0 {
+		t.Fatalf("files %d (rows sum %d), peak %d (rows max %d), wall %d (rows max %d)",
+			snap.SpillFiles, files, snap.MemoryPeak, peak, snap.WallNanos, wall)
+	}
+	if out := snap.FormatStages(); !strings.Contains(out, "spill: ") || strings.Contains(out, " in 0 files") {
+		t.Fatalf("FormatStages does not report the spill:\n%s", out)
 	}
 }

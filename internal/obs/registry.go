@@ -12,6 +12,10 @@
 // load and an early return, keeping the tracing/metrics-off cost at the
 // one-pointer-check bar the span tracer set.
 //
+// The engine's scalar counters are not registered by hand: counters.go
+// declares each once, as a field of the counter schema, and derives its
+// series (and everything else about it) from that declaration.
+//
 // Naming follows the Prometheus conventions: sac_<layer>_<what>_<unit>
 // with a _total suffix on counters (sac_dataflow_shuffled_bytes_total,
 // sac_cluster_wire_fetched_bytes_total, sac_memory_used_bytes).

@@ -1,6 +1,10 @@
 package plan
 
-import "repro/internal/stats"
+import (
+	"repro/internal/comp"
+	"repro/internal/sacparser"
+	"repro/internal/stats"
+)
 
 // This file gives admission control (internal/server) a peak-resident
 // proxy for a compiled query before it runs: what the engine would
@@ -15,6 +19,18 @@ import "repro/internal/stats"
 // measured profiles under. Whitespace and sugar variants of one query
 // share a key; structurally different queries render differently.
 func (q *Compiled) Key() string { return q.src.String() }
+
+// CanonicalKey computes that key from a query's source without
+// compiling it: parse, desugar, render. It is what every cache outside
+// the compiler (the server's plan cache, the cluster driver's stats
+// cache) keys a source string by; the error is the parse error.
+func CanonicalKey(src string) (string, error) {
+	e, err := sacparser.Parse(src)
+	if err != nil {
+		return "", err
+	}
+	return comp.Desugar(e).String(), nil
+}
 
 // InputStats returns the size statistics of every catalog array the
 // query's generators read (arrays the catalog cannot size are skipped).

@@ -3,9 +3,7 @@ package server
 import (
 	"container/list"
 
-	"repro/internal/comp"
 	"repro/internal/plan"
-	"repro/internal/sacparser"
 	"repro/internal/stats"
 )
 
@@ -61,17 +59,10 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// CanonicalKey computes the level-2 cache key of a query source: the
-// desugared expression's rendering. Exported for the key property
-// tests; the error is the parse error, so invalid queries fail here
-// before touching any cache.
-func CanonicalKey(src string) (string, error) {
-	e, err := sacparser.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return comp.Desugar(e).String(), nil
-}
+// CanonicalKey computes the level-2 cache key of a query source. It
+// forwards to plan.CanonicalKey, the one implementation; the name stays
+// exported here because the benchmark times it (server.canonical_key_us).
+func CanonicalKey(src string) (string, error) { return plan.CanonicalKey(src) }
 
 // lookupAlias is the no-parse fast path.
 func (pc *planCache) lookupAlias(src string) (*plan.Compiled, bool) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataflow"
+	"repro/internal/obs"
 )
 
 func sq(n int64, tile int) TableStats {
@@ -169,8 +170,7 @@ func TestNilCacheSafe(t *testing.T) {
 
 func TestFromSnapshotPicksMostSkewedStage(t *testing.T) {
 	snap := dataflow.MetricsSnapshot{
-		ShuffledBytes:   123,
-		ShuffledRecords: 7,
+		CounterSet: obs.CounterSet{ShuffledBytes: 123, ShuffledRecords: 7},
 		PerStage: []dataflow.StageMetric{
 			{Name: "even", TaskDur: dataflow.Dist{N: 4, P50: 10, P99: 12},
 				PartRecords: dataflow.Dist{N: 4, Max: 5}},
