@@ -23,7 +23,9 @@ fmt:
 # Full test suite under the race detector; the stage scheduler runs
 # independent shuffle map-sides concurrently, and the counter schema's
 # live sets (internal/obs) are written by task goroutines while the
-# telemetry pump reads them, so -race is load-bearing. ./... includes
+# telemetry pump reads them, and internal/plan's row kernels share a
+# pool of scratch frames across concurrent tasks, so -race is
+# load-bearing. ./... includes
 # the schema's package and the cluster/jobs Report|Telemetry|Snapshot|
 # ClusterMerged tests that CI's race step selects.
 race:
@@ -91,8 +93,9 @@ bench-serve:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Short local fuzz pass over the codec/wire targets the nightly CI job
-# runs for 5 minutes each.
+# Short local fuzz pass over the targets the nightly CI job runs for 5
+# minutes each: the codec/wire layer, and the tile-kernel compiler
+# against the reference evaluator.
 fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzStreamPrimitives$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzFloat64SliceCodec$$' -fuzztime 10s
@@ -100,6 +103,7 @@ fuzz:
 	$(GO) test ./internal/dataflow -run '^$$' -fuzz '^FuzzDenseCodecDecode$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzBlockCompress$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzKernelMatchesInterpreter$$' -fuzztime 10s
 
 # Figure 4.B under a memory budget: the tables grow spilled-bytes and
 # merge-pass columns showing the out-of-core subsystem at work.

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
 	"repro/internal/ml"
@@ -57,7 +58,7 @@ func BenchmarkFig4A_Addition_SAC(b *testing.B) {
 			x, y := tiledPair(ctx, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dataflow.Count(x.Add(y).Tiles)
+				dataflow.Count(bench.CompiledAdd(x, y).Tiles)
 			}
 		})
 	}

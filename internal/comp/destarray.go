@@ -232,7 +232,8 @@ func evalDestArrayMatrix(x BuildExpr, env *Env) (Value, bool) {
 		if !touched[cell] {
 			continue
 		}
-		fenv := env
+		// The residual may read the group key, as after Rule 11.
+		fenv := env.Bind(spec.keyVars[0], int64(cell)/m).Bind(spec.keyVars[1], int64(cell)%m)
 		for k, a := range spec.aggs {
 			fenv = fenv.Bind(a.Hole, MonoidFinalize(a.Monoid, accs[k][cell]))
 		}
@@ -294,7 +295,7 @@ func evalDestArrayVector(x BuildExpr, env *Env) (Value, bool) {
 		if !touched[cell] {
 			continue
 		}
-		fenv := env
+		fenv := env.Bind(spec.keyVars[0], int64(cell))
 		for k, a := range spec.aggs {
 			fenv = fenv.Bind(a.Hole, MonoidFinalize(a.Monoid, accs[k][cell]))
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -334,4 +335,52 @@ func TestSessionsShareStatsCache(t *testing.T) {
 	if shared.TotalRuns() != 12 {
 		t.Fatalf("shared cache runs = %d, want 12", shared.TotalRuns())
 	}
+}
+
+// kernelErrorCases are queries whose head, guard or let is wrong in a
+// way only lowering it to a tile kernel finds (ROADMAP 7e): they used to
+// pass Compile and Execute and panic inside a task at the first action.
+// Each has a valid neighbour. The server runs the same three through its plan-cache miss path.
+var kernelErrorCases = []struct{ name, bad, wantErr, good string }{
+	{"unbound variable",
+		"tiled(n,n)[ ((i,j), a*zz) | ((i,j),a) <- A ]", `unbound variable "zz"`,
+		"tiled(n,n)[ ((i,j), a*2.0) | ((i,j),a) <- A ]"},
+	{"bool head",
+		"tiled(n,n)[ ((i,j), a > 1.0) | ((i,j),a) <- A ]", "expected float, got bool",
+		"tiled(n,n)[ ((i,j), if(a > 1.0, 1.0, 0.0)) | ((i,j),a) <- A ]"},
+	{"tuple let",
+		"tiled(n,n)[ ((i,j), x) | ((i,j),a) <- A, let (x,y) = a ]", "cannot inline tuple let",
+		"tiled(n,n)[ ((i,j), x+y) | ((i,j),a) <- A, let (x,y) = (a, 2.0) ]"},
+}
+
+func TestKernelErrorsSurfaceAtCompile(t *testing.T) {
+	s := NewSession(Config{TileSize: 4})
+	defer s.Close()
+	s.RegisterRandMatrix("A", 6, 6, 0, 5, 1)
+	s.RegisterScalar("n", int64(6))
+	for _, c := range kernelErrorCases {
+		if _, err := s.Compile(c.bad); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Compile error %v, want one naming %q", c.name, err, c.wantErr)
+		}
+		if _, err := s.Query(c.bad); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Query error %v, want one naming %q", c.name, err, c.wantErr)
+		}
+		m, err := s.QueryMatrix(c.good)
+		if err != nil {
+			t.Errorf("%s: valid neighbour: %v", c.name, err)
+			continue
+		}
+		m.ToDense() // the first action: where the bad ones used to panic
+	}
+	// Data-dependent failures stay run-time errors with comp's message.
+	m, err := s.QueryMatrix("tiled(n,n)[ ((i,j), i / j) | ((i,j),a) <- A ]")
+	if err != nil {
+		t.Fatalf("integer division compiles: %v", err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "comp: integer division by zero") {
+			t.Fatalf("forcing i / j raised %v", r)
+		}
+	}()
+	m.ToDense()
 }

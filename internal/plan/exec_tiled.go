@@ -11,6 +11,79 @@ import (
 	"repro/internal/tiled"
 )
 
+// genSlots binds a generator's variables to kernel inputs: its element
+// value to value slot val, a matrix's row index to index slot 0, and the
+// column index — or a vector's only index — to slot 1, the one that
+// advances along a row.
+func genSlots(slots map[string]slot, g opt.ArrayGen, val int) {
+	for p, v := range g.IndexVars {
+		if len(g.IndexVars) == 1 {
+			p = 1
+		}
+		slots[v] = slot{index: true, id: p, iota: p == 1}
+	}
+	slots[g.ValueVar] = slot{id: val}
+}
+
+// lowerKernels compiles the chosen tile strategy's expressions into the
+// row kernels its executor runs, so an unbound variable or a type error
+// is a Compile error and a cached plan carries its kernels.
+func (q *Compiled) lowerKernels() (err error) {
+	defer asError(&err, "kernel lowering")
+	slots := map[string]slot{}
+	switch s := q.strategy.(type) {
+	case *opt.MapStrategy:
+		genSlots(slots, s.Gen, 0)
+		q.cell, err = lowerKernel(slots, s.Lets, s.Filters, s.ValExpr)
+	case *opt.ReplicateStrategy:
+		genSlots(slots, s.Gen, 0)
+		q.cell, err = lowerKernel(slots, s.Lets, s.Filters, s.ValExpr)
+	case *opt.ZipStrategy:
+		genSlots(slots, s.GenA, 0)
+		genSlots(slots, s.GenB, 1) // its indices equal GenA's via the join
+		q.cell, err = lowerKernel(slots, s.Lets, nil, s.ValExpr)
+	case *opt.TileAggStrategy:
+		genSlots(slots, s.Gen, 0)
+		vals := make([]comp.Expr, len(s.Aggs))
+		holes := map[string]slot{}
+		for i, a := range s.Aggs {
+			vals[i] = comp.Var{Name: a.Var}
+			holes[a.Hole] = slot{id: i}
+		}
+		for _, p := range s.KeyPos {
+			holes[s.Gen.IndexVars[p]] = slot{index: true, id: 1, iota: true}
+		}
+		if q.cell, err = lowerKernel(slots, s.Lets, s.Filters, vals...); err == nil {
+			q.final, err = lowerKernel(holes, nil, nil, s.FinalExpr)
+		}
+	case *opt.GroupByJoinStrategy:
+		// Index slots i, k, j: the contraction walks rows of B tiles.
+		slots[s.GenA.IndexVars[s.OutA]] = slot{index: true, id: 0}
+		slots[s.GenA.IndexVars[s.JoinA]] = slot{index: true, id: 1}
+		slots[s.GenB.IndexVars[s.JoinB]] = slot{index: true, id: 1}
+		slots[s.GenB.IndexVars[s.OutB]] = slot{index: true, id: 2, iota: true}
+		slots[s.GenA.ValueVar], slots[s.GenB.ValueVar] = slot{id: 0}, slot{id: 1}
+		// The exact product a*b needs no kernel: it goes straight to GEMM.
+		if h := inlineLets(s.CombineExpr, s.Lets); !isMulOfValues(h, s.GenA.ValueVar, s.GenB.ValueVar) {
+			q.cell, err = lowerKernel(slots, nil, nil, h)
+		}
+	case *opt.MatVecStrategy:
+		if !isMulOfValues(inlineLets(s.CombineExpr, s.Lets), s.MatGen.ValueVar, s.VecGen.ValueVar) {
+			err = fmt.Errorf("plan: matrix-vector kernel must be a product of the two values")
+		}
+	}
+	return err
+}
+
+// tileSpan describes the tile at block coordinate key of a rows x cols
+// array with tile size n to the row driver, clipped to the array's
+// bounds. A vector block is the one-row tile (0, key) of a 1 x size
+// array.
+func tileSpan(key tiled.Coord, n int, rows, cols int64, dst []float64, src ...[]float64) span {
+	return span{src: src, dst: dst, stride: n, gi: key.I * int64(n), gj: key.J * int64(n),
+		h: clip(rows, key.I, n), w: clip(cols, key.J, n)}
+}
+
 // execMap runs a tiling-preserving map (Rule 17 degenerate case): a
 // narrow per-tile operation, with the tile coordinate permuted like
 // the element key.
@@ -25,47 +98,30 @@ func (q *Compiled) execMap(s *opt.MapStrategy) (*Result, error) {
 	if q.builder != "tiled" {
 		return nil, fmt.Errorf("plan: map over a matrix must build tiled, got %s", q.builder)
 	}
-	cell := compileCell1(s.Gen, s.Lets, s.Filters, s.ValExpr)
-	n := m.N
-	rows, cols := m.Rows, m.Cols
-	swap := len(s.KeyPerm) == 2 && s.KeyPerm[0] == 1
-
+	n, rows, cols := m.N, m.Rows, m.Cols
+	if len(s.KeyPerm) != 2 || s.KeyPerm[0] != 1 {
+		tiles := dataflow.Map(m.Tiles, func(b tiled.Block) tiled.Block {
+			out := linalg.NewDense(n, n)
+			q.cell.run(tileSpan(b.Key, n, rows, cols, out.Data, b.Value.Data), nil, nil)
+			return dataflow.KV(b.Key, out)
+		})
+		return &Result{Matrix: &tiled.Matrix{Rows: rows, Cols: cols, N: n, Tiles: tiles}}, nil
+	}
+	// Swapped key (transposition): each source row is a strided copy down
+	// an output column; the n rows of a tile revisit the same cache lines.
 	tiles := dataflow.Map(m.Tiles, func(b tiled.Block) tiled.Block {
 		out := linalg.NewDense(n, n)
-		rowOff := b.Key.I * int64(n)
-		colOff := b.Key.J * int64(n)
-		for i := 0; i < n; i++ {
-			gi := rowOff + int64(i)
-			if gi >= rows {
-				break
-			}
-			for j := 0; j < n; j++ {
-				gj := colOff + int64(j)
-				if gj >= cols {
-					break
-				}
-				v, ok := cell([]int64{gi, gj}, b.Value.At(i, j))
-				if !ok {
-					continue
-				}
-				if swap {
-					out.Set(j, i, v)
-				} else {
-					out.Set(i, j, v)
+		q.cell.run(tileSpan(b.Key, n, rows, cols, nil, b.Value.Data), nil, func(i, lo int, vals [][]float64, mask []bool) {
+			col := out.Data[lo*n+i:]
+			for j, v := range vals[0] {
+				if mask == nil || mask[j] {
+					col[j*n] = v
 				}
 			}
-		}
-		key := b.Key
-		if swap {
-			key = tiled.Coord{I: b.Key.J, J: b.Key.I}
-		}
-		return dataflow.KV(key, out)
+		})
+		return dataflow.KV(tiled.Coord{I: b.Key.J, J: b.Key.I}, out)
 	})
-	outRows, outCols := rows, cols
-	if swap {
-		outRows, outCols = cols, rows
-	}
-	return &Result{Matrix: &tiled.Matrix{Rows: outRows, Cols: outCols, N: n, Tiles: tiles}}, nil
+	return &Result{Matrix: &tiled.Matrix{Rows: cols, Cols: rows, N: n, Tiles: tiles}}, nil
 }
 
 // execVectorMap maps over a tiled vector.
@@ -77,21 +133,10 @@ func (q *Compiled) execVectorMap(s *opt.MapStrategy) (*Result, error) {
 	if q.builder != "tiledvec" {
 		return nil, fmt.Errorf("plan: map over a vector must build tiledvec, got %s", q.builder)
 	}
-	cell := compileCell1(s.Gen, s.Lets, s.Filters, s.ValExpr)
 	n, size := v.N, v.Size
 	blocks := dataflow.Map(v.Blocks, func(b tiled.VBlock) tiled.VBlock {
 		out := linalg.NewVector(n)
-		off := b.Key * int64(n)
-		for i := 0; i < n; i++ {
-			gi := off + int64(i)
-			if gi >= size {
-				break
-			}
-			x, ok := cell([]int64{gi}, b.Value.At(i))
-			if ok {
-				out.Set(i, x)
-			}
-		}
+		q.cell.run(tileSpan(tiled.Coord{J: b.Key}, n, 1, size, out.Data, b.Value.Data), nil, nil)
 		return dataflow.KV(b.Key, out)
 	})
 	return &Result{Vector: &tiled.Vector{Size: size, N: n, Blocks: blocks}}, nil
@@ -115,27 +160,12 @@ func (q *Compiled) execZip(s *opt.ZipStrategy) (*Result, error) {
 	if a.Rows != b.Rows || a.Cols != b.Cols || a.N != b.N {
 		return nil, fmt.Errorf("plan: zip on incompatible matrices")
 	}
-	cell := compileCell2(s.GenA, s.GenB, s.Lets, s.ValExpr)
 	n, rows, cols := a.N, a.Rows, a.Cols
 
 	j := dataflow.Join(a.Tiles, b.Tiles, a.Tiles.NumPartitions())
 	tiles := dataflow.Map(j, func(p dataflow.Pair[tiled.Coord, dataflow.JoinedPair[*linalg.Dense, *linalg.Dense]]) tiled.Block {
 		out := linalg.NewDense(n, n)
-		rowOff := p.Key.I * int64(n)
-		colOff := p.Key.J * int64(n)
-		for i := 0; i < n; i++ {
-			gi := rowOff + int64(i)
-			if gi >= rows {
-				break
-			}
-			for jj := 0; jj < n; jj++ {
-				gj := colOff + int64(jj)
-				if gj >= cols {
-					break
-				}
-				out.Set(i, jj, cell([]int64{gi, gj}, p.Value.Left.At(i, jj), p.Value.Right.At(i, jj)))
-			}
-		}
+		q.cell.run(tileSpan(p.Key, n, rows, cols, out.Data, p.Value.Left.Data, p.Value.Right.Data), nil, nil)
 		return dataflow.KV(p.Key, out)
 	})
 	return &Result{Matrix: &tiled.Matrix{Rows: rows, Cols: cols, N: n, Tiles: tiles}}, nil
@@ -157,20 +187,12 @@ func (q *Compiled) execVectorZip(s *opt.ZipStrategy) (*Result, error) {
 	if q.builder != "tiledvec" {
 		return nil, fmt.Errorf("plan: vector zip builds a tiledvec, got %s", q.builder)
 	}
-	cell := compileCell2(s.GenA, s.GenB, s.Lets, s.ValExpr)
 	n, size := a.N, a.Size
 
 	j := dataflow.Join(a.Blocks, b.Blocks, a.Blocks.NumPartitions())
 	blocks := dataflow.Map(j, func(p dataflow.Pair[int64, dataflow.JoinedPair[*linalg.Vector, *linalg.Vector]]) tiled.VBlock {
 		out := linalg.NewVector(n)
-		off := p.Key * int64(n)
-		for i := 0; i < n; i++ {
-			gi := off + int64(i)
-			if gi >= size {
-				break
-			}
-			out.Set(i, cell([]int64{gi}, p.Value.Left.At(i), p.Value.Right.At(i)))
-		}
+		q.cell.run(tileSpan(tiled.Coord{J: p.Key}, n, 1, size, out.Data, p.Value.Left.Data, p.Value.Right.Data), nil, nil)
 		return dataflow.KV(p.Key, out)
 	})
 	return &Result{Vector: &tiled.Vector{Size: size, N: n, Blocks: blocks}}, nil
@@ -212,7 +234,7 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 		pickedParts = d.Parts
 	}
 
-	if isMulOfValues(s.CombineExpr, s.Lets, s.GenA.ValueVar, s.GenB.ValueVar) {
+	if q.cell == nil {
 		var out *tiled.Matrix
 		switch {
 		case s.UseGBJ:
@@ -225,18 +247,13 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 		return &Result{Matrix: out}, nil
 	}
 
-	// Generic combine h(a,b) with + monoid: same plans with an
-	// interpreted contraction kernel.
-	h := compileCell2(s.GenA, s.GenB, s.Lets, s.CombineExpr)
-	contract := func(out, x, y *linalg.Dense) {
-		for i := 0; i < x.Rows; i++ {
-			for k := 0; k < x.Cols; k++ {
-				a := x.At(i, k)
-				for j := 0; j < y.Cols; j++ {
-					out.Add(i, j, h(nil, a, y.At(k, j)))
-				}
-			}
-		}
+	// Generic combine h(a,b) with + monoid: same plans with the compiled
+	// contraction kernel over the in-bounds part of the tiles at output
+	// coordinate g and join key k.
+	n := a.N
+	contract := func(out, x, y *linalg.Dense, g tiled.Coord, k int64) {
+		q.cell.contract(out.Data, x.Data, y.Data, n, g.I*int64(n), k*int64(n), g.J*int64(n),
+			clip(a.Rows, g.I, n), clip(a.Cols, k, n), clip(b.Cols, g.J, n))
 	}
 	if s.UseGBJ {
 		out := tiled.GroupByJoin(a, b, tiled.GBJSpec{
@@ -247,14 +264,12 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 			KX: func(c tiled.Coord) int64 { return c.J },
 			GY: func(c tiled.Coord) int64 { return c.J },
 			KY: func(c tiled.Coord) int64 { return c.I },
-			H: func(out, x, y *linalg.Dense, _ int) {
-				// Interpreted kernel: serial regardless of budget.
-				contract(out, x, y)
-			},
+			// The compiled kernel is serial regardless of budget.
+			H: func(out, x, y *linalg.Dense, g tiled.Coord, k int64, _ int) { contract(out, x, y, g, k) },
 		})
 		return &Result{Matrix: out}, nil
 	}
-	// Join + reduceByKey with the interpreted kernel. Partial-product
+	// Join + reduceByKey with the compiled kernel. Partial-product
 	// tiles come from the context's tile pool and the dead reduce
 	// operand goes back (same ownership argument as tiled.Multiply).
 	parts := a.Tiles.NumPartitions()
@@ -271,9 +286,9 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 	joined := dataflow.Join(left, right, parts)
 	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[tiled.Block, tiled.Block]]) tiled.Block {
 		at, bt := p.Value.Left, p.Value.Right
-		c := pool.Get(a.N, a.N)
-		contract(c, at.Value, bt.Value)
-		return dataflow.KV(tiled.Coord{I: at.Key.I, J: bt.Key.J}, c)
+		c, g := pool.Get(a.N, a.N), tiled.Coord{I: at.Key.I, J: bt.Key.J}
+		contract(c, at.Value, bt.Value, g, p.Key)
+		return dataflow.KV(g, c)
 	})
 	var reduced *dataflow.Dataset[tiled.Block]
 	if s.UseReduceBy {
@@ -295,25 +310,54 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 	return &Result{Matrix: &tiled.Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: reduced}}, nil
 }
 
-// aggMonoid resolves the scalar accumulation for TileAgg strategies.
-func aggMonoid(name string) (zero float64, op func(a, b float64) float64, lift func(v float64) float64, err error) {
-	switch name {
-	case "+":
-		return 0, func(a, b float64) float64 { return a + b }, func(v float64) float64 { return v }, nil
-	case "count":
-		return 0, func(a, b float64) float64 { return a + b }, func(float64) float64 { return 1 }, nil
-	case "*":
-		return 1, func(a, b float64) float64 { return a * b }, func(v float64) float64 { return v }, nil
-	case "min":
-		return inf, minF, func(v float64) float64 { return v }, nil
-	case "max":
-		return -inf, maxF, func(v float64) float64 { return v }, nil
-	default:
-		return 0, nil, nil, fmt.Errorf("plan: unsupported tile aggregation monoid %q", name)
-	}
+// aggMonoid is the scalar accumulation of one TileAgg aggregation.
+type aggMonoid struct {
+	zero float64
+	op   func(a, b float64) float64
+	sum  bool // op is +: folded without the call
+	one  bool // count: every element lifts to 1
 }
 
-var inf = math.Inf(1)
+func lookupAggMonoid(name string) (aggMonoid, error) {
+	add := func(a, b float64) float64 { return a + b }
+	switch name {
+	case "+":
+		return aggMonoid{op: add, sum: true}, nil
+	case "count":
+		return aggMonoid{op: add, one: true}, nil
+	case "*":
+		return aggMonoid{zero: 1, op: func(a, b float64) float64 { return a * b }}, nil
+	case "min":
+		return aggMonoid{zero: math.Inf(1), op: minF}, nil
+	case "max":
+		return aggMonoid{zero: math.Inf(-1), op: maxF}, nil
+	}
+	return aggMonoid{}, fmt.Errorf("plan: unsupported tile aggregation monoid %q", name)
+}
+
+// fold accumulates the live lanes of row v left to right: lane j into
+// acc[j*step], so step 0 folds the row into one accumulator (group by
+// row) and step 1 adds it to a row of accumulators (group by column).
+// Rows arrive top to bottom, which fixes every accumulator's fold order
+// whatever the backend.
+func (m aggMonoid) fold(acc []float64, step int, v []float64, mask []bool) {
+	if m.sum && mask == nil && step == 0 {
+		s := acc[0] // in a register: a row sum is one dependent chain of adds
+		for _, x := range v {
+			s += x
+		}
+		acc[0] = s
+		return
+	}
+	for j, x := range v {
+		if mask == nil || mask[j] {
+			if m.one {
+				x = 1
+			}
+			acc[j*step] = m.op(acc[j*step], x)
+		}
+	}
+}
 
 func minF(a, b float64) float64 {
 	if a <= b {
@@ -363,17 +407,11 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	if len(s.KeyPos) != 1 {
 		return nil, fmt.Errorf("plan: tile aggregation supports one group key, got %d", len(s.KeyPos))
 	}
-	nAggs := len(s.Aggs)
-	zeros := make([]float64, nAggs)
-	ops := make([]func(a, b float64) float64, nAggs)
-	lifts := make([]func(float64) float64, nAggs)
-	cells := make([]cellFn1, nAggs)
+	monoids := make([]aggMonoid, len(s.Aggs))
 	for i, a := range s.Aggs {
-		zeros[i], ops[i], lifts[i], err = aggMonoid(a.Monoid)
-		if err != nil {
+		if monoids[i], err = lookupAggMonoid(a.Monoid); err != nil {
 			return nil, err
 		}
-		cells[i] = compileCell1(s.Gen, s.Lets, s.Filters, comp.Var{Name: a.Var})
 	}
 	byRow := s.KeyPos[0] == 0
 	n, rows, cols := m.N, m.Rows, m.Cols
@@ -382,56 +420,43 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 		parts = d.Parts
 	}
 
-	newBlock := func() *aggBlock {
-		b := &aggBlock{Accs: make([]*linalg.Vector, nAggs), Touched: make([]bool, n)}
-		for i := range b.Accs {
-			b.Accs[i] = linalg.NewVector(n)
-			for j := range b.Accs[i].Data {
-				b.Accs[i].Data[j] = zeros[i]
-			}
-		}
-		return b
-	}
-
 	partials := dataflow.Map(m.Tiles, func(b tiled.Block) dataflow.Pair[int64, *aggBlock] {
-		acc := newBlock()
-		rowOff := b.Key.I * int64(n)
-		colOff := b.Key.J * int64(n)
-		for i := 0; i < n; i++ {
-			gi := rowOff + int64(i)
-			if gi >= rows {
-				break
-			}
-			for j := 0; j < n; j++ {
-				gj := colOff + int64(j)
-				if gj >= cols {
-					break
-				}
-				local := i
-				if !byRow {
-					local = j
-				}
-				for k := range s.Aggs {
-					v, ok := cells[k]([]int64{gi, gj}, b.Value.At(i, j))
-					if !ok {
-						break // filters reject the element for all aggs
-					}
-					acc.Touched[local] = true
-					acc.Accs[k].Data[local] = ops[k](acc.Accs[k].Data[local], lifts[k](v))
-				}
+		acc := &aggBlock{Accs: make([]*linalg.Vector, len(monoids)), Touched: make([]bool, n)}
+		for k, mono := range monoids {
+			acc.Accs[k] = linalg.NewVector(n)
+			for j := range acc.Accs[k].Data {
+				acc.Accs[k].Data[j] = mono.zero
 			}
 		}
 		key := b.Key.I
 		if !byRow {
 			key = b.Key.J
 		}
+		q.cell.run(tileSpan(b.Key, n, rows, cols, nil, b.Value.Data), nil, func(i, lo int, vals [][]float64, mask []bool) {
+			p, step := i, 0 // the row's first accumulator, and the stride between lanes'
+			if !byRow {
+				p, step = lo, 1
+			}
+			if mask == nil && byRow {
+				acc.Touched[i] = true
+			} else {
+				for j := range vals[0] {
+					if mask == nil || mask[j] {
+						acc.Touched[p+j*step] = true
+					}
+				}
+			}
+			for k, v := range vals {
+				monoids[k].fold(acc.Accs[k].Data[p:], step, v, mask)
+			}
+		})
 		return dataflow.KV(key, acc)
 	})
 
 	combine := func(x, y *aggBlock) *aggBlock {
 		for k := range x.Accs {
 			for i := range x.Accs[k].Data {
-				x.Accs[k].Data[i] = ops[k](x.Accs[k].Data[i], y.Accs[k].Data[i])
+				x.Accs[k].Data[i] = monoids[k].op(x.Accs[k].Data[i], y.Accs[k].Data[i])
 			}
 		}
 		for i := range x.Touched {
@@ -453,24 +478,16 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 		})
 	}
 
-	// Finalize: evaluate the residual expression per position with the
-	// hole variables (and the group key) bound.
-	scalars := q.cat.scalarEnv()
-	aggs := s.Aggs
-	final := s.FinalExpr
-	keyVar := s.Gen.IndexVars[s.KeyPos[0]]
+	// Finalize: the residual expression over the accumulators (the hole
+	// variables) and the group key, at the positions some element reached.
 	blocks := dataflow.Map(reduced, func(p dataflow.Pair[int64, *aggBlock]) tiled.VBlock {
 		out := linalg.NewVector(n)
-		for i := 0; i < n; i++ {
-			if !p.Value.Touched[i] {
-				continue
-			}
-			env := scalars.Bind(keyVar, p.Key*int64(n)+int64(i))
-			for k, a := range aggs {
-				env = env.Bind(a.Hole, p.Value.Accs[k].Data[i])
-			}
-			out.Data[i] = comp.MustFloat(comp.EvalFast(final, env))
+		accs := make([][]float64, len(p.Value.Accs))
+		for k, a := range p.Value.Accs {
+			accs[k] = a.Data
 		}
+		q.final.run(span{src: accs, dst: out.Data, stride: n, gj: p.Key * int64(n), h: 1, w: n},
+			func(int) []bool { return p.Value.Touched }, nil)
 		return dataflow.KV(p.Key, out)
 	})
 	size := rows
@@ -527,7 +544,6 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 		}
 		return d
 	}
-	cell := compileCell1(s.Gen, s.Lets, s.Filters, s.ValExpr)
 	n := m.N
 	n64 := int64(n)
 	rows, cols := m.Rows, m.Cols
@@ -542,10 +558,10 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 			var lo, hi int64
 			if pos[c] == 0 {
 				lo = b.Key.I * n64
-				hi = min64(lo+n64, rows)
+				hi = min(lo+n64, rows)
 			} else {
 				lo = b.Key.J * n64
-				hi = min64(lo+n64, cols)
+				hi = min(lo+n64, cols)
 			}
 			for g := lo; g < hi; g++ {
 				d := apply(k, g)
@@ -566,46 +582,40 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 	grouped := dataflow.GroupByKey(replicated, m.Tiles.NumPartitions())
 	tiles := dataflow.Map(grouped, func(g dataflow.Pair[tiled.Coord, []taggedTile]) tiled.Block {
 		out := linalg.NewDense(n, n)
+		want := [2]int64{g.Key.I, g.Key.J}
+		var to [2][]int64 // per key component: offset along its source axis -> position in this tile, or -1
+		to[0], to[1] = make([]int64, n), make([]int64, n)
+		live := make([]bool, n)
 		for _, tt := range g.Value {
-			rowOff := tt.Src.I * n64
-			colOff := tt.Src.J * n64
-			for i := 0; i < n; i++ {
-				gi := rowOff + int64(i)
-				if gi >= rows {
-					break
-				}
-				for j := 0; j < n; j++ {
-					gj := colOff + int64(j)
-					if gj >= cols {
-						break
+			sp := tileSpan(tt.Src, n, rows, cols, nil, tt.Tile.Data)
+			for c, k := range keys {
+				base := [2]int64{sp.gi, sp.gj}[pos[c]]
+				for t := range to[c] {
+					d := apply(k, base+int64(t))
+					if to[c][t] = d % n64; d < 0 || d >= q.dims[c] || d/n64 != want[c] {
+						to[c][t] = -1
 					}
-					gidx := [2]int64{gi, gj}
-					d0 := apply(keys[0], gidx[pos[0]])
-					d1 := apply(keys[1], gidx[pos[1]])
-					if d0 < 0 || d0 >= outRows || d1 < 0 || d1 >= outCols {
-						continue
-					}
-					if d0/n64 != g.Key.I || d1/n64 != g.Key.J {
-						continue
-					}
-					v, ok := cell([]int64{gi, gj}, tt.Tile.At(i, j))
-					if !ok {
-						continue
-					}
-					out.Set(int(d0%n64), int(d1%n64), v)
 				}
 			}
+			// at maps a key component to its destination position for
+			// element (i, j).
+			at := func(c, i, j int) int64 { return to[c][[2]int{i, j}[pos[c]]] }
+			q.cell.run(sp, func(i int) []bool {
+				for j := range live[:sp.w] {
+					live[j] = at(0, i, j) >= 0 && at(1, i, j) >= 0
+				}
+				return live
+			}, func(i, lo int, vals [][]float64, mask []bool) {
+				for j, v := range vals[0] {
+					if mask[j] {
+						out.Data[at(0, i, lo+j)*n64+at(1, i, lo+j)] = v
+					}
+				}
+			})
 		}
 		return dataflow.KV(g.Key, out)
 	})
 	return &Result{Matrix: &tiled.Matrix{Rows: outRows, Cols: outCols, N: n, Tiles: tiles}}, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // execTotalReduce evaluates ⊕/[ e | q ] by running the coordinate
@@ -641,9 +651,6 @@ func (q *Compiled) execMatVec(s *opt.MatVecStrategy) (*Result, error) {
 	}
 	if q.builder != "tiledvec" {
 		return nil, fmt.Errorf("plan: matrix-vector product builds a tiledvec, got %s", q.builder)
-	}
-	if !isMulOfValues(s.CombineExpr, s.Lets, s.MatGen.ValueVar, s.VecGen.ValueVar) {
-		return nil, fmt.Errorf("plan: matrix-vector kernel must be a product of the two values")
 	}
 	if s.JoinPos == 1 {
 		return &Result{Vector: m.MatVec(xv)}, nil

@@ -20,7 +20,7 @@ import (
 // reference evaluator — whatever strategy the optimizer picks.
 func TestFuzzDistributedMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
-	const rounds = 60
+	const rounds = 150
 
 	type queryGen struct {
 		name string
@@ -71,6 +71,34 @@ func TestFuzzDistributedMatchesLocal(t *testing.T) {
 		}},
 		{"filtered", func(n, m int) (string, string) {
 			q := "[ ((i,j), a) | ((i,j),a) <- A, a > 2.5 ]"
+			return fmt.Sprintf("tiled(%d,%d)"+q, n, m), fmt.Sprintf("matrix(%d,%d)"+q, n, m)
+		}},
+		// Heads and guards that read the indices: the kernel compiler
+		// materializes index rows, hoists index-only guards, and keeps
+		// what it cannot type as an opaque leaf.
+		{"index-head", func(n, m int) (string, string) {
+			q := "[ ((i,j), a*i+j) | ((i,j),a) <- A ]"
+			return fmt.Sprintf("tiled(%d,%d)"+q, n, m), fmt.Sprintf("matrix(%d,%d)"+q, n, m)
+		}},
+		{"index-mod-transposed", func(n, m int) (string, string) {
+			q := "[ ((j,i), (i+j) %% 3) | ((i,j),a) <- A ]"
+			return fmt.Sprintf("tiled(%d,%d)"+q, m, n), fmt.Sprintf("matrix(%d,%d)"+q, m, n)
+		}},
+		{"index-guards", func(n, m int) (string, string) {
+			q := fmt.Sprintf("[ ((i,j), a+b) | ((i,j),a) <- A, i >= %d, j < %d, i != j, let b = if(j > 0, i / j, 0) ]",
+				rng.Intn(n), 1+rng.Intn(m))
+			return fmt.Sprintf("tiled(%d,%d)"+q, n, m), fmt.Sprintf("matrix(%d,%d)"+q, n, m)
+		}},
+		{"opaque-head", func(n, m int) (string, string) {
+			q := "[ ((i,j), min(i, 2.5) * a) | ((i,j),a) <- A ]"
+			return fmt.Sprintf("tiled(%d,%d)"+q, n, m), fmt.Sprintf("matrix(%d,%d)"+q, n, m)
+		}},
+		{"index-colsum", func(n, m int) (string, string) {
+			q := "[ (j, +/v) | ((i,j),a) <- A, i %% 2 == 0, let v = a*i, group by j ]"
+			return fmt.Sprintf("tiledvec(%d)"+q, m), fmt.Sprintf("vector(%d)"+q, m)
+		}},
+		{"index-shifted", func(n, m int) (string, string) {
+			q := "[ ((i, j+1), a*j) | ((i,j),a) <- A, i > 0 ]"
 			return fmt.Sprintf("tiled(%d,%d)"+q, n, m), fmt.Sprintf("matrix(%d,%d)"+q, n, m)
 		}},
 	}

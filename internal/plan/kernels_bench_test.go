@@ -1,0 +1,68 @@
+package plan
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/dataflow"
+	"repro/internal/opt"
+	"repro/internal/sacparser"
+	"repro/internal/tiled"
+)
+
+// BenchmarkCompiledVsHandwritten times the three Fig 4.A / Fig 1 shapes
+// through the kernel compiler and through the hand-written tiled
+// operators on the same persisted inputs (n=2000, tile 100, 8
+// partitions) and reports compiled/handwritten — the
+// plan.compiled_vs_handwritten layer metric of ROADMAP item 2, kept here
+// until a benchmark PR lifts it into benchmark/. Both sides are forced
+// with the same Count action; compile time is included on the compiled
+// side, as Session.Query pays it.
+func BenchmarkCompiledVsHandwritten(b *testing.B) {
+	ctx := dataflow.NewLocalContext()
+	defer ctx.Close()
+	const n, tile, parts = 2000, 100, 8
+	ma := tiled.RandMatrix(ctx, n, n, tile, parts, 0, 10, 1).Persist()
+	mb := tiled.RandMatrix(ctx, n, n, tile, parts, 0, 10, 2).Persist()
+	dataflow.Count(ma.Tiles)
+	dataflow.Count(mb.Tiles)
+	cat := NewCatalog(ctx).BindMatrix("A", ma).BindMatrix("B", mb).BindScalar("n", int64(n))
+
+	for _, c := range []struct {
+		name, src string
+		hand      func()
+	}{
+		{"add", "tiled(n,n)[ ((i,j), a+b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]",
+			func() { dataflow.Count(ma.Add(mb).Tiles) }},
+		{"transpose", "tiled(n,n)[ ((j,i), a) | ((i,j),a) <- A ]",
+			func() { dataflow.Count(ma.Transpose().Tiles) }},
+		{"rowsums", "tiledvec(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]",
+			func() { dataflow.Count(ma.RowSums().Blocks) }},
+	} {
+		e := sacparser.MustParse(c.src)
+		compiled := func() {
+			res, err := Run(e, cat, opt.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			forceResult(res)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			compiled() // warm the frame pool and the allocator
+			c.hand()
+			var tc, th time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := time.Now()
+				compiled()
+				tc += time.Since(t)
+				t = time.Now()
+				c.hand()
+				th += time.Since(t)
+			}
+			b.ReportMetric(float64(tc.Milliseconds())/float64(b.N), "compiled-ms")
+			b.ReportMetric(float64(th.Milliseconds())/float64(b.N), "handwritten-ms")
+			b.ReportMetric(float64(tc)/float64(th), "compiled/handwritten")
+		})
+	}
+}

@@ -191,6 +191,10 @@ type Compiled struct {
 	reduce   string // non-empty for total-aggregation queries
 	cat      *Catalog
 	opts     opt.Options
+	// The tile strategy's lowered row kernels (kernels.go): the
+	// per-element head or combine (nil for a combine that is exactly
+	// a*b, which goes to GEMM), and tile aggregation's finalize.
+	cell, final *kernel
 }
 
 // Explain describes the chosen physical translation. Coordinate plans
@@ -490,8 +494,12 @@ func compileBuild(b comp.BuildExpr, cat *Catalog, opts opt.Options) (*Compiled, 
 	} else {
 		strat = &opt.CoordStrategy{Info: info, Reason: "rdd builder"}
 	}
-	return &Compiled{src: b, builder: b.Builder, dims: dims,
-		strategy: strat, info: info, cat: cat, opts: opts}, nil
+	q := &Compiled{src: b, builder: b.Builder, dims: dims,
+		strategy: strat, info: info, cat: cat, opts: opts}
+	if err := q.lowerKernels(); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // extractBare parses a comprehension whose head is not necessarily a
@@ -515,17 +523,21 @@ func Run(e comp.Expr, cat *Catalog, opts opt.Options) (*Result, error) {
 	return q.Execute()
 }
 
+// asError, deferred, returns a panic out of comp or a kernel (both report
+// errors in user input that way) as the caller's error.
+func asError(err *error, what string) {
+	if r := recover(); r != nil {
+		if rerr, ok := r.(error); ok {
+			*err = fmt.Errorf("plan: %s failed: %w", what, rerr)
+			return
+		}
+		*err = fmt.Errorf("plan: %s failed: %v", what, r)
+	}
+}
+
 // Execute runs the compiled query.
 func (q *Compiled) Execute() (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if rerr, ok := r.(error); ok {
-				err = fmt.Errorf("plan: execution failed: %w", rerr)
-				return
-			}
-			err = fmt.Errorf("plan: execution failed: %v", r)
-		}
-	}()
+	defer asError(&err, "execution")
 	if q.reduce != "" {
 		return q.execTotalReduce()
 	}

@@ -489,3 +489,37 @@ func TestConcurrentMixedQueries(t *testing.T) {
 		t.Fatalf("stats cache runs = %d, want >= 48", s.StatsCache().TotalRuns())
 	}
 }
+
+// A query that only fails when its head is lowered to a tile kernel is
+// rejected on the plan-cache miss path with a 400 naming the cause — it
+// used to compile, get cached, and panic in a task — and nothing is
+// cached for it; the valid neighbour runs and its plan, kernels
+// included, is reused.
+func TestKernelErrorsRejectedAtPlanCacheMiss(t *testing.T) {
+	s, ts := newTestServer(t, Config{Sessions: 1})
+	registerAB(t, s)
+	for _, c := range []struct{ bad, wantErr, good string }{
+		{"tiled(6,6)[ ((i,j), a*zz) | ((i,j),a) <- A ]", `unbound variable "zz"`,
+			"tiled(6,6)[ ((i,j), a*2.0) | ((i,j),a) <- A ]"},
+		{"tiled(6,6)[ ((i,j), a > 1.0) | ((i,j),a) <- A ]", "expected float, got bool",
+			"tiled(6,6)[ ((i,j), if(a > 1.0, 1.0, 0.0)) | ((i,j),a) <- A ]"},
+		{"tiled(6,6)[ ((i,j), x) | ((i,j),a) <- A, let (x,y) = a ]", "cannot inline tuple let",
+			"tiled(6,6)[ ((i,j), x+y) | ((i,j),a) <- A, let (x,y) = (a, 2.0) ]"},
+	} {
+		for attempt := 0; attempt < 2; attempt++ {
+			_, code, e := postQuery(t, ts.URL, c.bad)
+			if code != http.StatusBadRequest || e.Reason != "compile" || !strings.Contains(e.Error, c.wantErr) {
+				t.Errorf("%s: attempt %d: status %d %+v, want 400 compile naming %q", c.bad, attempt, code, e, c.wantErr)
+			}
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			out, code, e := postQuery(t, ts.URL, c.good)
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d %+v", c.good, code, e)
+			}
+			if out.Cached != (attempt == 1) {
+				t.Errorf("%s: attempt %d cached=%v", c.good, attempt, out.Cached)
+			}
+		}
+	}
+}

@@ -64,9 +64,10 @@ type GBJSpec struct {
 	GX, KX func(c Coord) int64
 	// GY/KY project a B-tile coordinate to its group and join key.
 	GY, KY func(c Coord) int64
-	// H accumulates the contribution of a matching tile pair into out;
-	// par is the kernel's goroutine budget (Context.KernelBudget).
-	H func(out, a, b *linalg.Dense, par int)
+	// H accumulates the contribution of a matching tile pair into out,
+	// the output tile at coordinate g, for join key k; par is the
+	// kernel's goroutine budget (Context.KernelBudget).
+	H func(out, a, b *linalg.Dense, g Coord, k int64, par int)
 	// FlopsPerMatch, when positive, is the flop count of one H call;
 	// kernel spans use it to report achieved GFLOP/s.
 	FlopsPerMatch float64
@@ -191,7 +192,8 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 		matches := 0
 		for _, at := range g.Value.Left {
 			for _, bt := range right[at.K] {
-				spec.H(out[idx[Coord{I: at.G, J: bt.G}]].Value, at.Tile, bt.Tile, par)
+				g := Coord{I: at.G, J: bt.G}
+				spec.H(out[idx[g]].Value, at.Tile, bt.Tile, g, at.K, par)
 				matches++
 			}
 		}
@@ -239,7 +241,7 @@ func multiplySpec(a, b *Matrix) GBJSpec {
 		KX: func(c Coord) int64 { return c.J },
 		GY: func(c Coord) int64 { return c.J },
 		KY: func(c Coord) int64 { return c.I },
-		H: func(out, x, y *linalg.Dense, par int) {
+		H: func(out, x, y *linalg.Dense, _ Coord, _ int64, par int) {
 			linalg.GemmBudget(out, x, y, par)
 		},
 		FlopsPerMatch: gemmFlops(a.N, 1),
@@ -264,7 +266,7 @@ func multiplyTransASpec(a, b *Matrix) GBJSpec {
 		KX: func(c Coord) int64 { return c.I }, // join on A row
 		GY: func(c Coord) int64 { return c.J },
 		KY: func(c Coord) int64 { return c.I },
-		H: func(out, x, y *linalg.Dense, par int) {
+		H: func(out, x, y *linalg.Dense, _ Coord, _ int64, par int) {
 			linalg.GemmTransABudget(out, x, y, par)
 		},
 		FlopsPerMatch: gemmFlops(a.N, 1),
@@ -289,7 +291,7 @@ func multiplyTransBSpec(a, b *Matrix) GBJSpec {
 		KX: func(c Coord) int64 { return c.J },
 		GY: func(c Coord) int64 { return c.I }, // output col group = B row
 		KY: func(c Coord) int64 { return c.J }, // join on B col
-		H: func(out, x, y *linalg.Dense, par int) {
+		H: func(out, x, y *linalg.Dense, _ Coord, _ int64, par int) {
 			linalg.GemmTransBBudget(out, x, y, par)
 		},
 		FlopsPerMatch: gemmFlops(a.N, 1),
