@@ -52,10 +52,12 @@ bench-adaptive:
 
 # Out-of-core test gate: the end-to-end spill tests under a tight
 # process-wide budget, then the cluster parity suites under the same
-# budget (what the CI spill job runs).
+# budget, then the coordinate fallback (the min-plus product) spilling
+# its comp.Value rows under sac -mem (what the CI spill job runs).
 spill-test:
 	SAC_MEMORY_BUDGET=64MiB $(GO) test ./... -run OutOfCore
 	SAC_MEMORY_BUDGET=64MiB $(GO) test ./internal/jobs ./internal/dataflow -run 'Parity|SPMD|ClusterQuery'
+	$(GO) run ./cmd/sac -mem 64KiB -n 64 -tile 16 -query 'tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]' | grep -E 'spilledBytes=[1-9]'
 
 # Distributed-runtime gate (what the CI distributed job runs): the
 # cluster protocol/driver/worker tests plus the driver + 3 sacworker
@@ -94,8 +96,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Short local fuzz pass over the targets the nightly CI job runs for 5
-# minutes each: the codec/wire layer, and the tile-kernel compiler
-# against the reference evaluator.
+# minutes each: the codec/wire layer (the coordinate path's value codec
+# included), and the tile-kernel compiler against the reference evaluator.
 fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzStreamPrimitives$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzFloat64SliceCodec$$' -fuzztime 10s
@@ -104,6 +106,7 @@ fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzBlockCompress$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzKernelMatchesInterpreter$$' -fuzztime 10s
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzValueCodec$$' -fuzztime 10s
 
 # Figure 4.B under a memory budget: the tables grow spilled-bytes and
 # merge-pass columns showing the out-of-core subsystem at work.

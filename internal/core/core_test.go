@@ -337,10 +337,12 @@ func TestSessionsShareStatsCache(t *testing.T) {
 	}
 }
 
-// kernelErrorCases are queries whose head, guard or let is wrong in a
-// way only lowering it to a tile kernel finds (ROADMAP 7e): they used to
-// pass Compile and Execute and panic inside a task at the first action.
-// Each has a valid neighbour. The server runs the same three through its plan-cache miss path.
+// kernelErrorCases are queries wrong in a way only planning their
+// strategy finds (ROADMAP 7e) — lowering a head, guard or let to a tile
+// kernel, or building the coordinate plan: they used to pass Compile (and
+// Explain a plan that could not run) and fail or panic inside Execute or
+// a task. Each has a valid neighbour. The server runs the same cases
+// through its plan-cache miss path.
 var kernelErrorCases = []struct{ name, bad, wantErr, good string }{
 	{"unbound variable",
 		"tiled(n,n)[ ((i,j), a*zz) | ((i,j),a) <- A ]", `unbound variable "zz"`,
@@ -351,6 +353,21 @@ var kernelErrorCases = []struct{ name, bad, wantErr, good string }{
 	{"tuple let",
 		"tiled(n,n)[ ((i,j), x) | ((i,j),a) <- A, let (x,y) = a ]", "cannot inline tuple let",
 		"tiled(n,n)[ ((i,j), x+y) | ((i,j),a) <- A, let (x,y) = (a, 2.0) ]"},
+	{"coordinate: cartesian product",
+		"+/[ a*b | ((i,j),a) <- A, ((ii,jj),b) <- A ]", "no equi-join condition linking A",
+		"+/[ a*b | ((i,j),a) <- A, ((ii,jj),b) <- A, ii == j, jj == i ]"},
+	{"coordinate: unbound variable",
+		"rdd[ (i, avg/a + zz) | ((i,j),a) <- A, group by i ]", `unbound variable "zz"`,
+		"rdd[ (i, avg/a + n) | ((i,j),a) <- A, group by i ]"},
+	{"coordinate: unknown array",
+		"tiledvec(n)[ (i, avg/a) | ((i,j),a) <- A, ((ii,jj),c) <- C, ii == i, jj == j, group by i ]", `unbound variable "C"`,
+		"tiledvec(n)[ (i, avg/a) | ((i,j),a) <- A, ((ii,jj),c) <- A, ii == i, jj == j, group by i ]"},
+	{"coordinate: vector key of two components",
+		"tiledvec(n)[ ((i,0), avg/a) | ((i,j),a) <- A, group by i ]", "tiledvec key must have 1 component",
+		"tiledvec(n)[ (i, avg/a) | ((i,j),a) <- A, group by i ]"},
+	{"coordinate: no registered array to take a tile size from",
+		"rdd[ (i, x) | let l = [ (k, 1.0) | k <- 0 until 3 ], (i,x) <- l ]", "cannot infer tile size",
+		"rdd[ (i, x) | ((i,j),x) <- A, j == 0 ]"},
 }
 
 func TestKernelErrorsSurfaceAtCompile(t *testing.T) {
@@ -365,12 +382,21 @@ func TestKernelErrorsSurfaceAtCompile(t *testing.T) {
 		if _, err := s.Query(c.bad); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: Query error %v, want one naming %q", c.name, err, c.wantErr)
 		}
-		m, err := s.QueryMatrix(c.good)
+		if _, err := s.Explain(c.bad); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Explain error %v, want one naming %q", c.name, err, c.wantErr)
+		}
+		res, err := s.Query(c.good)
 		if err != nil {
 			t.Errorf("%s: valid neighbour: %v", c.name, err)
 			continue
 		}
-		m.ToDense() // the first action: where the bad ones used to panic
+		// The first action: where the bad tile queries used to panic.
+		switch {
+		case res.Matrix != nil:
+			res.Matrix.ToDense()
+		case res.Vector != nil:
+			res.Vector.ToDense()
+		}
 	}
 	// Data-dependent failures stay run-time errors with comp's message.
 	m, err := s.QueryMatrix("tiled(n,n)[ ((i,j), i / j) | ((i,j),a) <- A ]")

@@ -6,25 +6,38 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/comp"
 	"repro/internal/core"
+	"repro/internal/sacparser"
 )
 
 // fig4Queries is the paper's evaluation query set the distributed
 // runtime must reproduce byte-for-byte: tiled matrix multiply via the
 // group-by-join plan, the same multiply with GBJ disabled (explicit
-// join + group-by), and a row-sum aggregation.
+// join + group-by), and a row-sum aggregation — then the Section 4
+// coordinate fallback on the same seam: a reduceByKey over (sum, count)
+// tuples, a Rule 14 join, and a total and an rdd that have nothing to
+// spill because they never shuffle.
 var fig4Queries = []struct {
-	name string
-	src  string
-	gbj  bool // disable the Section 5.4 group-by-join
+	name      string
+	src       string
+	gbj       bool // disable the Section 5.4 group-by-join
+	noShuffle bool // no shuffle, so no spill under any budget
 }{
-	{"matmul-gbj", "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]", false},
-	{"matmul-join-groupby", "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]", true},
-	{"row-sums", "tiledvec(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]", false},
+	{name: "matmul-gbj", src: "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"},
+	{name: "matmul-join-groupby", src: "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]", gbj: true},
+	{name: "row-sums", src: "tiledvec(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]"},
+	{name: "row-avg", src: "tiledvec(n)[ (i, avg/m) | ((i,j),m) <- A, group by i ]"},
+	{name: "min-plus", src: "tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]"},
+	{name: "trace-total", src: "+/[ m | ((i,j),m) <- A, i == j ]", noShuffle: true},
+	{name: "diagonal-rdd", src: "rdd[ ((i,j),m) | ((i,j),m) <- A, i == j ]", noShuffle: true},
 }
 
 func baseParams() QueryParams {
@@ -37,13 +50,13 @@ const spillingBudget = 256
 
 // localUnderBudget is RunQueryLocal under a memory budget: the reference
 // a budgeted cluster must reproduce byte for byte.
-func localUnderBudget(t *testing.T, p QueryParams, budget int64) []byte {
+func localUnderBudget(t *testing.T, p QueryParams, budget int64, noShuffle bool) []byte {
 	t.Helper()
 	blob, snap, err := runQuery(p, 1, func(c *core.Config) { c.MemoryBudget = budget }, nil)
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
-	if (snap.SpilledBytes > 0) != (budget > 0) {
+	if (snap.SpilledBytes > 0) != (budget > 0 && !noShuffle) {
 		t.Fatalf("local under budget %d spilled %d bytes", budget, snap.SpilledBytes)
 	}
 	return blob
@@ -134,7 +147,7 @@ func TestClusterQueryMatchesLocal(t *testing.T) {
 	for _, c := range []struct {
 		world  int
 		budget int64
-	}{{3, 0}, {1, spillingBudget}, {3, spillingBudget}, {8, spillingBudget}} {
+	}{{1, 0}, {3, 0}, {8, 0}, {1, spillingBudget}, {3, spillingBudget}, {8, spillingBudget}} {
 		t.Run(fmt.Sprintf("world=%d/budget=%d", c.world, c.budget), func(t *testing.T) {
 			d := startTestClusterPar(t, twoSlots(c.world), c.budget)
 			for _, q := range fig4Queries {
@@ -142,7 +155,7 @@ func TestClusterQueryMatchesLocal(t *testing.T) {
 					p := baseParams()
 					p.Src = q.src
 					p.DisableGBJ = q.gbj
-					want := localUnderBudget(t, p, c.budget)
+					want := localUnderBudget(t, p, c.budget, q.noShuffle)
 					csq := NewClusterSession(d, p, time.Minute)
 					got, run, err := csq.Query(q.src)
 					if err != nil {
@@ -159,12 +172,67 @@ func TestClusterQueryMatchesLocal(t *testing.T) {
 					if len(m.PerWorker) != c.world || m.Tasks == 0 {
 						t.Fatalf("bad aggregated snapshot: %+v", m)
 					}
-					if (m.SpilledBytes > 0) != (c.budget > 0) {
+					if (m.SpilledBytes > 0) != (c.budget > 0 && !q.noShuffle) {
 						t.Fatalf("budget %d: the ranks spilled %d bytes", c.budget, m.SpilledBytes)
 					}
 				})
 			}
 		})
+	}
+}
+
+// canonText re-renders the rendered value at the head of s with every
+// list in it — the rows, and the groups inside them — sorted, and numbers
+// to nine digits so the order a sum was taken in does not show. It returns
+// the rest of s.
+func canonText(s string) (string, string) {
+	if s[0] != '(' && s[0] != '[' {
+		end := strings.IndexAny(s, ",)]")
+		if end < 0 {
+			end = len(s)
+		}
+		if f, err := strconv.ParseFloat(s[:end], 64); err == nil {
+			return strconv.FormatFloat(f, 'g', 9, 64), s[end:]
+		}
+		return s[:end], s[end:]
+	}
+	open, closing := s[:1], map[byte]string{'(': ")", '[': "]"}[s[0]]
+	var parts []string
+	for s = s[1:]; !strings.HasPrefix(s, closing); {
+		var part string
+		part, s = canonText(strings.TrimPrefix(s, ", "))
+		parts = append(parts, part)
+	}
+	if open == "[" {
+		sort.Strings(parts)
+	}
+	return open + strings.Join(parts, ", ") + closing, s[1:]
+}
+
+// TestClusterNonCommutativeGroupBy: a group-by whose aggregation does not
+// commute (++) runs as groupByKey on a 3-rank cluster too, and its groups
+// are the reference evaluator's as multisets.
+func TestClusterNonCommutativeGroupBy(t *testing.T) {
+	d := startTestClusterPar(t, twoSlots(3), 0)
+	p := baseParams()
+	p.N, p.Tile = 12, 4
+	s := core.NewSession(core.Config{TileSize: int(p.Tile)})
+	defer s.Close()
+	env := (*comp.Env)(nil).Bind("A", comp.MatrixStorage{M: s.RegisterRandMatrix("A", p.N, p.N, 0, 10, p.SeedA).ToDense()})
+	for _, src := range []string{
+		"rdd[ (i, ++/w) | ((i,j),a) <- A, let w = [a], group by i ]",
+		"rdd[ (i, (+/a, ++/w)) | ((i,j),a) <- A, let w = [a], group by i ]",
+	} {
+		p.Src = src
+		blob, _, err := NewClusterSession(d, p, time.Minute).Query(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got, _ := canonText("[" + strings.ReplaceAll(strings.TrimSpace(string(blob[1:])), "\n", ", ") + "]")
+		want, _ := canonText(comp.Render(comp.MustEval(comp.Desugar(sacparser.MustParse(src)), env)))
+		if got != want {
+			t.Fatalf("%s\n got %s\nwant %s", src, got, want)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestClusterStreamingParity(t *testing.T) {
 	for _, budget := range []int64{0, spillingBudget} {
 		t.Run(fmt.Sprint("budget=", budget), func(t *testing.T) {
 			d := startTestClusterPar(t, twoSlots(3), budget)
-			want := localUnderBudget(t, p, budget)
+			want := localUnderBudget(t, p, budget, false)
 			cs := NewClusterSession(d, p, time.Minute)
 			got, _, err := cs.Query(p.Src)
 			if err != nil {

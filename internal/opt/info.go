@@ -38,6 +38,12 @@ type QueryInfo struct {
 	GroupBy   []string    // group-by key variables (nil when absent)
 	HeadKey   comp.Expr
 	HeadVal   comp.Expr
+	// Quals are the qualifiers before the group-by and PostQuals the lets
+	// and guards after it (a HAVING clause), both in source order: what
+	// the Section 4 coordinate translation evaluates per row and per
+	// group. The fields above classify Quals for the block rules, which
+	// have no per-group step — a query with PostQuals takes the fallback.
+	Quals, PostQuals []comp.Qualifier
 }
 
 // Extract normalizes a desugared comprehension whose head is a
@@ -53,11 +59,20 @@ func Extract(c comp.Comprehension) (*QueryInfo, error) {
 	indexVars := map[string]bool{}
 	seenGroupBy := false
 	for _, q := range c.Quals {
+		_, isGen := q.(comp.Generator)
+		_, isGroupBy := q.(comp.GroupBy)
+		switch {
+		case isGroupBy:
+		case !seenGroupBy:
+			info.Quals = append(info.Quals, q)
+		case isGen:
+			return nil, fmt.Errorf("opt: generators after group-by are unsupported: %s", q)
+		default:
+			info.PostQuals = append(info.PostQuals, q)
+			continue
+		}
 		switch qq := q.(type) {
 		case comp.Generator:
-			if seenGroupBy {
-				return nil, fmt.Errorf("opt: generators after group-by are unsupported: %s", qq)
-			}
 			switch src := qq.Src.(type) {
 			case comp.Var:
 				g, err := parseArrayGen(src.Name, qq.Pat)

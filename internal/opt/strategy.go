@@ -187,10 +187,7 @@ func (s *ReplicateStrategy) Describe() string {
 // CoordStrategy: the Section 4 fallback — sparsify the inputs to
 // coordinate entries and evaluate the comprehension element-wise on
 // the dataflow engine.
-type CoordStrategy struct {
-	Info   *QueryInfo
-	Reason string
-}
+type CoordStrategy struct{ Reason string }
 
 // Kind identifies the strategy.
 func (s *CoordStrategy) Kind() string { return "coordinate" }
@@ -217,13 +214,16 @@ type Options struct {
 // Choose selects the physical strategy for an extracted query.
 func Choose(info *QueryInfo, opts Options) (Strategy, error) {
 	if opts.DisableTilingPreservation {
-		return &CoordStrategy{Info: info, Reason: "tiling preservation disabled"}, nil
+		return &CoordStrategy{Reason: "tiling preservation disabled"}, nil
 	}
 	if info.GroupBy == nil {
 		if s := chooseNonGrouped(info); s != nil {
 			return s, nil
 		}
-		return &CoordStrategy{Info: info, Reason: "no block translation matched"}, nil
+		return &CoordStrategy{Reason: "no block translation matched"}, nil
+	}
+	if len(info.PostQuals) > 0 {
+		return &CoordStrategy{Reason: "qualifiers after the group-by"}, nil
 	}
 	if s := chooseMatVec(info, opts); s != nil {
 		return s, nil
@@ -231,7 +231,7 @@ func Choose(info *QueryInfo, opts Options) (Strategy, error) {
 	if s := chooseGrouped(info, opts); s != nil {
 		return s, nil
 	}
-	return &CoordStrategy{Info: info, Reason: "group-by shape outside block rules"}, nil
+	return &CoordStrategy{Reason: "group-by shape outside block rules"}, nil
 }
 
 func chooseNonGrouped(info *QueryInfo) Strategy {

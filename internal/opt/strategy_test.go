@@ -51,6 +51,27 @@ func TestExtractMatMul(t *testing.T) {
 	}
 }
 
+// Qualifiers keep their source order on both sides of the group-by, and
+// a HAVING clause — which no block rule has a per-group step for — sends
+// an otherwise tile-aggregate query to the coordinate fallback instead of
+// being read as an element filter.
+func TestExtractSplitsAtGroupBy(t *testing.T) {
+	src := "tiledvec(6)[ (i, +/a) | ((i,j),a) <- A, a > 1.0, let b = a*2.0, group by i, let s = +/b, s > 3.0 ]"
+	info := extract(t, src)
+	if len(info.Quals) != 3 || len(info.PostQuals) != 2 || len(info.Lets) != 1 || len(info.Filters) != 1 {
+		t.Fatalf("quals %v post %v lets %v filters %v", info.Quals, info.PostQuals, info.Lets, info.Filters)
+	}
+	if _, ok := info.Quals[0].(comp.Generator); !ok {
+		t.Fatalf("first qualifier %s", info.Quals[0])
+	}
+	if _, ok := info.PostQuals[0].(comp.LetQual); !ok {
+		t.Fatalf("first post-group qualifier %s", info.PostQuals[0])
+	}
+	if k := choose(t, src, Options{}).Kind(); k != "coordinate" {
+		t.Fatalf("having clause chose %s", k)
+	}
+}
+
 func TestExtractRejectsOddShapes(t *testing.T) {
 	for _, src := range []string{
 		"[ x | x <- A ]", // head not a pair

@@ -1,0 +1,116 @@
+package plan
+
+// The coordinate path's one row type and its codec. Every dataset
+// exec_coord.go shuffles, spills or gathers is a comp.Value or a
+// Pair[string, comp.Value], and a comp.Value is drawn from the closed
+// universe of comp/value.go, so one tagged encoding covers them all and
+// none falls back to gob (which cannot encode an interface holding an
+// unregistered comp.Tuple).
+
+import (
+	"fmt"
+
+	"repro/internal/comp"
+	"repro/internal/dataflow"
+	"repro/internal/spill"
+)
+
+const (
+	tagUnit = iota
+	tagInt
+	tagFloat
+	tagFalse
+	tagTrue
+	tagString
+	tagTuple
+	tagList
+
+	// maxValueDepth bounds tuple/list nesting on both sides, so a corrupt
+	// stream cannot recurse the decoder off the stack.
+	maxValueDepth = 64
+)
+
+// valueCodec encodes calculus values: a tag, then a varint, the IEEE
+// bits, a length-prefixed string, or a count and the elements.
+type valueCodec struct{}
+
+func (valueCodec) Encode(w *spill.Writer, v comp.Value) { encodeValue(w, v, 0) }
+func (valueCodec) Decode(r *spill.Reader) comp.Value    { return decodeValue(r, 0) }
+
+func encodeElems(w *spill.Writer, tag uint64, vs []comp.Value, depth int) {
+	if depth == maxValueDepth {
+		w.Fail(fmt.Errorf("plan: value codec: nesting deeper than %d", maxValueDepth))
+		return
+	}
+	w.Uvarint(tag)
+	w.Uvarint(uint64(len(vs)))
+	for _, e := range vs {
+		encodeValue(w, e, depth+1)
+	}
+}
+
+func encodeValue(w *spill.Writer, v comp.Value, depth int) {
+	switch x := v.(type) {
+	case nil:
+		w.Uvarint(tagUnit)
+	case int64:
+		w.Uvarint(tagInt)
+		w.Varint(x)
+	case float64:
+		w.Uvarint(tagFloat)
+		w.F64(x)
+	case bool:
+		if x {
+			w.Uvarint(tagTrue)
+		} else {
+			w.Uvarint(tagFalse)
+		}
+	case string:
+		w.Uvarint(tagString)
+		w.String(x)
+	case comp.Tuple:
+		encodeElems(w, tagTuple, x, depth)
+	case comp.List:
+		encodeElems(w, tagList, x, depth)
+	default:
+		w.Fail(fmt.Errorf("plan: value codec: cannot encode %T", v))
+	}
+}
+
+func decodeValue(r *spill.Reader, depth int) comp.Value {
+	switch tag := r.Uvarint(); tag {
+	case tagUnit:
+		return nil
+	case tagInt:
+		return r.Varint()
+	case tagFloat:
+		return r.F64()
+	case tagFalse, tagTrue:
+		return tag == tagTrue
+	case tagString:
+		return r.String()
+	case tagTuple, tagList:
+		n := r.Uvarint()
+		if depth == maxValueDepth {
+			r.Fail(fmt.Errorf("plan: value codec: nesting deeper than %d", maxValueDepth))
+		}
+		// Grown as elements arrive: a corrupt count runs into the end of
+		// the stream, not into one huge allocation.
+		var vs []comp.Value
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			vs = append(vs, decodeValue(r, depth+1))
+		}
+		if tag == tagTuple {
+			return comp.Tuple(vs)
+		}
+		return comp.List(vs)
+	default:
+		r.Fail(fmt.Errorf("plan: value codec: unknown tag %d", tag))
+		return nil
+	}
+}
+
+func init() {
+	spill.Register[comp.Value](valueCodec{})
+	spill.Register(dataflow.PairCodec[string, comp.Value](spill.StringCodec{}, valueCodec{}))
+}

@@ -2,115 +2,336 @@ package plan
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/comp"
 	"repro/internal/dataflow"
-	"repro/internal/linalg"
-	"repro/internal/opt"
 	"repro/internal/tiled"
 )
 
-// This file implements the Section 4 coordinate-format pipeline: the
+// This file implements the Section 4 coordinate-format translation: the
 // correct-for-everything fallback that sparsifies block arrays into
-// element streams, evaluates the comprehension qualifiers per element
-// on the dataflow engine (deriving joins per Rule 14 and reduceByKey
-// per Rules 12-13 where possible), and rebuilds the requested storage.
+// element rows, evaluates the comprehension qualifiers per row on the
+// dataflow engine (joins derived by Rule 14, group-by as reduceByKey by
+// Rules 12-13 or groupByKey by Rule 11), and rebuilds the requested
+// storage. Like the tile strategies it is planned once, inside Compile
+// (planCoord); Execute only resolves arrays and wires datasets, and
+// Explain formats the plan it is given. Every row the pipeline shuffles
+// is a comp.Value or a Pair[string, comp.Value] (codecs.go), so the
+// fallback runs under a memory budget and on a cluster like any other
+// strategy.
 
-// distGen is a generator over a catalog-bound distributed array.
-type distGen struct {
+// coordGen is a generator over a catalog-bound distributed array.
+type coordGen struct {
 	pat  comp.Pattern
 	name string
 }
 
-// coordQuery is the decomposition of a comprehension for coordinate
-// execution.
-type coordQuery struct {
-	gens      []distGen
-	local     []comp.Qualifier // non-distributed qualifiers, original order
-	groupVars []string
-	postQuals []comp.Qualifier // qualifiers after the group-by
-	headKey   comp.Expr        // nil in bare mode
-	headVal   comp.Expr
+// coordJoin is one Rule 14 step: the chain built so far and the joining
+// generator's rows are keyed by the left and right sides of the equality
+// guards that link them.
+type coordJoin struct{ left, right []comp.Expr }
+
+// coordPlan is the coordinate translation of one comprehension. It is
+// symbolic — names, patterns and expressions with the catalog scalars
+// folded in, no datasets — because an array's tile size and partition
+// count are facts of whatever is bound under its name when the plan
+// runs: a cached plan survives a same-shape re-registration. It is
+// immutable after Compile. Lowering its expressions onto the kernel IR
+// (ROADMAP 2a) would attach here.
+type coordPlan struct {
+	gens []coordGen // distributed generators, in chain order
+	// seedVars, when non-empty, are scalar-bounded range variables whose
+	// cartesian product (seedRanges) seeds the chain, every generator
+	// joining in; otherwise gens[0] seeds it.
+	seedVars   []string
+	seedRanges []comp.Range
+	joins      []coordJoin // one per generator after the seed
+	// expand holds the residual qualifiers in source order; its head is the
+	// pre-group row (key, payload).
+	expand  comp.Comprehension
+	group   []string        // group-by variables; nil without a group-by
+	aggs    []comp.Factored // non-nil: reduceByKey over these (Rules 12-13)
+	monoids []comp.Monoid   // the monoid of each of aggs
+	// payload names what a pre-group row carries beside its key: the
+	// variables aggs reduce, or every lifted variable (groupByKey, Rule 11).
+	payload []string
+	// final yields the output row(s) of one group: a (key, value) tuple over
+	// the holes of aggs, or a comprehension over the lifted lists that also
+	// runs the qualifiers after the group-by.
+	final comp.Expr
 }
 
-// decompose splits the (desugared) comprehension for coordinate
-// execution. bare mode treats the head as a single value.
-func (q *Compiled) decompose(bare bool) (*coordQuery, error) {
-	var body comp.Comprehension
-	switch x := q.src.(type) {
-	case comp.BuildExpr:
-		body = x.Body.(comp.Comprehension)
-	case comp.Reduce:
-		body = x.E.(comp.Comprehension)
-	default:
-		return nil, fmt.Errorf("plan: cannot decompose %T", q.src)
+// String is the detail Explain appends to the strategy line.
+func (p *coordPlan) String() string {
+	detail := fmt.Sprintf("%d generator(s)", len(p.gens))
+	if len(p.gens) > 1 {
+		detail += fmt.Sprintf(", %d-way join chain (Rule 14)", len(p.gens))
 	}
-	cq := &coordQuery{}
-	seenGroup := false
-	for _, qq := range body.Quals {
-		switch qual := qq.(type) {
+	if len(p.seedVars) > 0 {
+		detail += fmt.Sprintf(", seeded by the range product of %v", p.seedVars)
+	}
+	switch {
+	case p.group == nil:
+	case p.aggs != nil:
+		detail += fmt.Sprintf(", group-by via reduceByKey with %d factored aggregation(s) (Rules 12-13)", len(p.aggs))
+	default:
+		detail += ", group-by via groupByKey (general Rule 11)"
+	}
+	return detail
+}
+
+// planCoord builds the coordinate plan from the query's one analysis.
+// Everything that does not depend on the data fails here: a cartesian
+// product, an unbound variable, a head key of the wrong arity.
+func (q *Compiled) planCoord() (*coordPlan, error) {
+	info := q.info
+	p := &coordPlan{group: info.GroupBy}
+	var local []comp.Qualifier
+	var bound []string // the variables the qualifiers bind, in source order
+	for _, qq := range info.Quals {
+		switch g := qq.(type) {
+		case comp.LetQual:
+			bound = g.Pat.Vars(bound)
 		case comp.Generator:
-			if v, ok := qual.Src.(comp.Var); ok {
-				if _, bound := q.cat.lookup(v.Name); bound {
-					if _, isArr := q.cat.vals[v.Name].(*tiled.Matrix); isArr {
-						if seenGroup {
-							return nil, fmt.Errorf("plan: distributed generator after group-by")
-						}
-						cq.gens = append(cq.gens, distGen{pat: qual.Pat, name: v.Name})
-						continue
+			bound = g.Pat.Vars(bound)
+			if v, ok := g.Src.(comp.Var); ok && q.cat.isArray(v.Name) {
+				p.gens = append(p.gens, coordGen{pat: g.Pat, name: v.Name})
+				continue
+			}
+		}
+		local = append(local, qq)
+	}
+	head := comp.TupleExpr{Elems: []comp.Expr{info.HeadKey, info.HeadVal}}
+
+	// Scope check: with the joins binding every distributed generator
+	// first, each variable must be bound by a generator, let or range.
+	scope := make([]comp.Qualifier, 0, len(info.Quals)+len(info.PostQuals))
+	for _, g := range p.gens {
+		scope = append(scope, comp.LetQual{Pat: g.pat, E: comp.Lit{}})
+	}
+	scope = append(append(scope, local...), info.PostQuals...)
+	if free := comp.FreeVars(comp.Comprehension{Head: head, Quals: scope}); len(free) > 0 {
+		names := make([]string, 0, len(free))
+		for v := range free {
+			names = append(names, v)
+		}
+		sort.Strings(names)
+		return nil, fmt.Errorf("plan: unbound variable %q", names[0])
+	}
+	if len(p.gens) == 0 {
+		return nil, fmt.Errorf("plan: cannot infer tile size: no generator ranges over a registered array")
+	}
+	if key, ok := info.HeadKey.(comp.TupleExpr); ok && len(q.dims) > 0 && len(key.Elems) != len(q.dims) {
+		return nil, fmt.Errorf("plan: %s key must have %d component(s), got %s", q.builder, len(q.dims), info.HeadKey)
+	}
+
+	// Seed choice. The first generator seeds the chain unless that fails —
+	// generators that only connect through loop (range) variables:
+	// stencils — or leaves a scalar-bounded range join-linked to generator
+	// variables: expanding such a range per joined row multiplies the work
+	// by the full range size before the guard filters it back. Then the
+	// range product seeds it, if that chain links.
+	var err error
+	if p.joins, p.expand.Quals, err = linkChain(p.gens, nil, local); err != nil || leavesLinkedRanges(p.expand.Quals) {
+		vars, ranges, rest := scalarRanges(local)
+		joins, quals, serr := linkChain(p.gens, vars, rest)
+		if len(vars) == 0 {
+			serr = fmt.Errorf("plan: no scalar-bounded range generators to seed the join chain")
+		}
+		switch {
+		case serr == nil:
+			p.seedVars, p.seedRanges, p.joins, p.expand.Quals = vars, ranges, joins, quals
+		case err != nil:
+			return nil, fmt.Errorf("%w (range-seeded retry: %v)", err, serr)
+		}
+	}
+
+	if p.group == nil {
+		p.expand.Head = head
+		return p, nil
+	}
+	// Rule 12: factor the head into monoid reductions over the lifted
+	// variables. When every occurrence of one is inside such a reduction,
+	// each monoid commutes and nothing follows the group-by, the group-by
+	// is a reduceByKey (Rule 13); otherwise the groups are collected and
+	// each variable lifted to the list of its values (Rule 11).
+	p.final = comp.Comprehension{Head: head, Quals: info.PostQuals}
+	isLifted := map[string]bool{}
+	for _, v := range bound {
+		isLifted[v] = true
+	}
+	for _, v := range p.group {
+		delete(isLifted, v)
+	}
+	for _, v := range bound {
+		if isLifted[v] {
+			p.payload = append(p.payload, v)
+		}
+	}
+	if aggs, final, ok := comp.FactorReductions(info.HeadVal, isLifted); ok && len(info.PostQuals) == 0 {
+		commutative := true
+		monoids, vars := make([]comp.Monoid, len(aggs)), make([]string, len(aggs))
+		for i, a := range aggs {
+			if monoids[i], err = comp.LookupMonoid(a.Monoid); err != nil {
+				return nil, err
+			}
+			commutative = commutative && monoids[i].Commutative
+			vars[i] = a.Var
+		}
+		if commutative {
+			p.aggs, p.monoids, p.payload = aggs, monoids, vars
+			p.final = comp.TupleExpr{Elems: []comp.Expr{info.HeadKey, final}}
+		}
+	}
+	p.expand.Head = comp.TupleExpr{Elems: []comp.Expr{varTuple(p.group), varTuple(p.payload)}}
+	return p, nil
+}
+
+// linkChain derives the Rule 14 joins that bring every generator after
+// the seed — seedVars, or gens[0] when there are none — into the chain:
+// the equality guards with one side over the variables bound so far and
+// the other over the joining generator's. It returns the joins and the
+// qualifiers they did not consume.
+func linkChain(gens []coordGen, seedVars []string, local []comp.Qualifier) ([]coordJoin, []comp.Qualifier, error) {
+	bound := map[string]bool{}
+	for _, v := range seedVars {
+		bound[v] = true
+	}
+	var joins []coordJoin
+	for k, g := range gens {
+		vars := map[string]bool{}
+		for _, v := range comp.PatternVars(g.pat) {
+			vars[v] = true
+		}
+		if k > 0 || len(seedVars) > 0 {
+			var j coordJoin
+			var rest []comp.Qualifier
+			links := func(chain, joining map[string]bool) bool {
+				return len(chain) > 0 && len(joining) > 0 && subset(chain, bound) && subset(joining, vars)
+			}
+			for _, qq := range local {
+				if l, r, ok := equality(qq); ok {
+					lv, rv := comp.FreeVars(l), comp.FreeVars(r)
+					if !links(lv, rv) {
+						l, r, lv, rv = r, l, rv, lv
 					}
-					if _, isVec := q.cat.vals[v.Name].(*tiled.Vector); isVec {
-						if seenGroup {
-							return nil, fmt.Errorf("plan: distributed generator after group-by")
-						}
-						cq.gens = append(cq.gens, distGen{pat: qual.Pat, name: v.Name})
+					if links(lv, rv) {
+						j.left, j.right = append(j.left, l), append(j.right, r)
 						continue
 					}
 				}
+				rest = append(rest, qq)
 			}
-			if seenGroup {
-				cq.postQuals = append(cq.postQuals, qq)
-			} else {
-				cq.local = append(cq.local, qq)
+			if len(j.left) == 0 {
+				return nil, nil, fmt.Errorf("plan: no equi-join condition linking %s into the chain (cartesian products unsupported)", g.name)
 			}
-		case comp.GroupBy:
-			if seenGroup {
-				return nil, fmt.Errorf("plan: multiple group-bys unsupported in coordinate mode")
-			}
-			seenGroup = true
-			cq.groupVars = comp.PatternVars(qual.Pat)
-		default:
-			if seenGroup {
-				cq.postQuals = append(cq.postQuals, qq)
-			} else {
-				cq.local = append(cq.local, qq)
-			}
+			joins, local = append(joins, j), rest
+		}
+		for v := range vars {
+			bound[v] = true
 		}
 	}
-	if len(cq.gens) == 0 {
-		return nil, fmt.Errorf("plan: no distributed generator in coordinate query")
-	}
-	if bare {
-		cq.headVal = body.Head
-	} else {
-		head, ok := body.Head.(comp.TupleExpr)
-		if !ok || len(head.Elems) != 2 {
-			cq.headVal = body.Head
-		} else {
-			cq.headKey = head.Elems[0]
-			cq.headVal = head.Elems[1]
-		}
-	}
-	return cq, nil
+	return joins, local, nil
 }
 
-// sparsifyToRows streams a distributed array as calculus entries.
-func (q *Compiled) sparsifyToRows(name string) (*dataflow.Dataset[comp.Value], error) {
+// equality matches a guard of the form l == r.
+func equality(qq comp.Qualifier) (l, r comp.Expr, ok bool) {
+	if g, isGuard := qq.(comp.Guard); isGuard {
+		if b, isBin := g.E.(comp.BinOp); isBin && b.Op == "==" {
+			return b.L, b.R, true
+		}
+	}
+	return nil, nil, false
+}
+
+func subset(a, b map[string]bool) bool {
+	for v := range a {
+		if !b[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// scalarRanges splits the qualifiers into the range generators whose
+// bounds are constants — the catalog scalars are folded in by Compile, so
+// bounds that fail to evaluate read generator variables — and the rest.
+func scalarRanges(local []comp.Qualifier) (vars []string, ranges []comp.Range, rest []comp.Qualifier) {
+	for _, qq := range local {
+		if g, ok := qq.(comp.Generator); ok {
+			pv, isVar := g.Pat.(comp.PVar)
+			if b, isBin := g.Src.(comp.BinOp); isVar && isBin && (b.Op == "until" || b.Op == "to") {
+				if v, err := comp.Eval(g.Src, nil); err == nil {
+					vars, ranges = append(vars, pv.Name), append(ranges, v.(comp.Range))
+					continue
+				}
+			}
+		}
+		rest = append(rest, qq)
+	}
+	return vars, ranges, rest
+}
+
+// leavesLinkedRanges reports whether a chain's remaining qualifiers hold a
+// scalar-bounded range whose variable an equality guard constrains — the
+// signature of a join the range-seeded chain would have used.
+func leavesLinkedRanges(local []comp.Qualifier) bool {
+	vars, _, rest := scalarRanges(local)
+	isRange := map[string]bool{}
+	for _, v := range vars {
+		isRange[v] = true
+	}
+	for _, qq := range rest {
+		if l, r, ok := equality(qq); ok {
+			for v := range comp.FreeVars(comp.TupleExpr{Elems: []comp.Expr{l, r}}) {
+				if isRange[v] {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// varTuple is the tuple expression (v1, ..., vn).
+func varTuple(vars []string) comp.Expr {
+	elems := make([]comp.Expr, len(vars))
+	for i, v := range vars {
+		elems[i] = comp.Var{Name: v}
+	}
+	return comp.TupleExpr{Elems: elems}
+}
+
+// bind rebuilds the environment of a chain tuple — the seed values, if
+// any, then one entry per joined generator — for its first n generators.
+func (p *coordPlan) bind(tuple comp.Value, n int) (*comp.Env, bool) {
+	entries := comp.MustTuple(tuple)
+	var env *comp.Env
+	if len(p.seedVars) > 0 {
+		vals := comp.MustTuple(entries[0])
+		for i, name := range p.seedVars {
+			env = env.Bind(name, vals[i])
+		}
+		entries = entries[1:]
+	}
+	for i, g := range p.gens[:n] {
+		var ok bool
+		if env, ok = comp.MatchPattern(g.pat, entries[i], env); !ok {
+			return nil, false
+		}
+	}
+	return env, true
+}
+
+// coordSource streams the array bound under name as calculus entries and
+// reports its tile size.
+func (q *Compiled) coordSource(name string) (*dataflow.Dataset[comp.Value], int, error) {
 	switch arr := q.cat.vals[name].(type) {
 	case *tiled.Matrix:
 		return dataflow.Map(arr.Sparsify(), func(e tiled.Entry) comp.Value {
 			return comp.T(comp.T(e.I, e.J), e.V)
-		}), nil
+		}), arr.N, nil
 	case *tiled.Vector:
 		n, size := arr.N, arr.Size
 		return dataflow.FlatMap(arr.Blocks, func(b tiled.VBlock) []comp.Value {
@@ -124,546 +345,142 @@ func (q *Compiled) sparsifyToRows(name string) (*dataflow.Dataset[comp.Value], e
 				out = append(out, comp.T(gi, b.Value.At(i)))
 			}
 			return out
-		}), nil
+		}), arr.N, nil
 	default:
-		return nil, fmt.Errorf("plan: %q is not a distributed array", name)
+		return nil, 0, fmt.Errorf("plan: %q is not a distributed array", name)
 	}
 }
 
-// coordPipeline produces the dataset of T(key, value) rows for the
-// comprehension, after join derivation, local qualifier evaluation,
-// and group-by aggregation.
-func (q *Compiled) coordPipeline(_ *opt.QueryInfo, bare bool) (*dataflow.Dataset[comp.Value], error) {
-	cq, err := q.decompose(bare)
-	if err != nil {
-		return nil, err
-	}
-	scalars := q.cat.scalarEnv()
-
-	// Pre-group emission head: (key payload) pairs; the payload shape
-	// depends on the aggregation mode chosen below.
-	liftedVars := cq.liftedVars()
-	mode, aggs, finalVal := q.chooseAggMode(cq, liftedVars)
-
-	preHead := q.preGroupHead(cq, mode, aggs)
-
-	// Build the join chain, first seeded by the leading generator;
-	// when generators only connect transitively through loop (range)
-	// variables — stencils — retry with the range product as the seed.
-	// Also prefer the seeded chain when the plain chain would leave
-	// scalar-bounded ranges that are join-linked to generator
-	// variables: expanding such a range per joined row multiplies the
-	// work by the full range size before the guard filters it back.
-	cr, err := q.buildChain(cq, scalars, false)
-	if err != nil || leavesLinkedRanges(cr, scalars) {
-		cr2, err2 := q.buildChain(cq, scalars, true)
-		if err2 == nil {
-			cr = cr2
-		} else if err != nil {
-			return nil, fmt.Errorf("%w (range-seeded retry: %v)", err, err2)
+// runCoord wires the plan onto the arrays bound now: the dataset of
+// (key, value) rows after the join chain, the residual qualifiers and the
+// group-by, plus the tile size of the first input.
+func (q *Compiled) runCoord() (*dataflow.Dataset[comp.Value], int, error) {
+	p := q.coord
+	srcs := make([]*dataflow.Dataset[comp.Value], len(p.gens))
+	var tile int
+	for i, g := range p.gens {
+		src, n, err := q.coordSource(g.name)
+		if err != nil {
+			return nil, 0, err
 		}
-	}
-	expand := comp.Comprehension{Head: preHead, Quals: cr.local}
-	bind := cr.bind
-	rows := dataflow.FlatMap(cr.base, func(tuple comp.Value) []comp.Value {
-		env, ok := bind(tuple)
-		if !ok {
-			return nil
-		}
-		return comp.MustList(comp.EvalFast(expand, env))
-	})
-
-	if cq.groupVars == nil {
-		return rows, nil
-	}
-	switch mode {
-	case aggModeReduce:
-		return q.reduceGrouped(cq, rows, aggs, finalVal)
-	default:
-		return q.collectGrouped(cq, rows, liftedVars)
-	}
-}
-
-// liftedVars returns the variables bound before the group-by that are
-// not group keys.
-func (cq *coordQuery) liftedVars() []string {
-	if cq.groupVars == nil {
-		return nil
-	}
-	isGroup := map[string]bool{}
-	for _, v := range cq.groupVars {
-		isGroup[v] = true
-	}
-	var out []string
-	add := func(vs []string) {
-		for _, v := range vs {
-			if v != "_" && !isGroup[v] {
-				out = append(out, v)
-			}
-		}
-	}
-	for _, g := range cq.gens {
-		add(comp.PatternVars(g.pat))
-	}
-	for _, qq := range cq.local {
-		switch qual := qq.(type) {
-		case comp.Generator:
-			add(comp.PatternVars(qual.Pat))
-		case comp.LetQual:
-			add(comp.PatternVars(qual.Pat))
-		}
-	}
-	return out
-}
-
-type aggMode int
-
-const (
-	aggModeNone aggMode = iota
-	aggModeReduce
-	aggModeCollect
-)
-
-// factoredAgg is one recognized reduction ⊕/x over a lifted variable.
-type factoredAgg struct {
-	Monoid string
-	Var    string
-	Hole   string // placeholder variable in the final expression
-}
-
-// chooseAggMode applies Rule 12: factor the head value into monoid
-// reductions over lifted variables. When every lifted-variable
-// occurrence is inside such a reduction (and there are no post-group
-// qualifiers), the group-by runs as reduceByKey (Rule 13); otherwise
-// the groups are collected with groupByKey.
-func (q *Compiled) chooseAggMode(cq *coordQuery, lifted []string) (aggMode, []factoredAgg, comp.Expr) {
-	if cq.groupVars == nil {
-		return aggModeNone, nil, cq.headVal
-	}
-	if len(cq.postQuals) > 0 {
-		return aggModeCollect, nil, cq.headVal
-	}
-	isLifted := map[string]bool{}
-	for _, v := range lifted {
-		isLifted[v] = true
-	}
-	var aggs []factoredAgg
-	counter := 0
-	var rewrite func(e comp.Expr) (comp.Expr, bool)
-	rewrite = func(e comp.Expr) (comp.Expr, bool) {
-		switch x := e.(type) {
-		case comp.Reduce:
-			if v, ok := x.E.(comp.Var); ok && isLifted[v.Name] {
-				hole := fmt.Sprintf("_agg%d", counter)
-				counter++
-				aggs = append(aggs, factoredAgg{Monoid: x.Monoid, Var: v.Name, Hole: hole})
-				return comp.Var{Name: hole}, true
-			}
-			return e, false
-		case comp.Call:
-			if (x.Fn == "count" || x.Fn == "length") && len(x.Args) == 1 {
-				if v, ok := x.Args[0].(comp.Var); ok && isLifted[v.Name] {
-					hole := fmt.Sprintf("_agg%d", counter)
-					counter++
-					aggs = append(aggs, factoredAgg{Monoid: "count", Var: v.Name, Hole: hole})
-					return comp.Var{Name: hole}, true
-				}
-			}
-			args := make([]comp.Expr, len(x.Args))
-			allOK := true
-			for i, a := range x.Args {
-				na, ok := rewrite(a)
-				args[i] = na
-				allOK = allOK && ok
-			}
-			return comp.Call{Fn: x.Fn, Args: args}, allOK
-		case comp.BinOp:
-			l, lok := rewrite(x.L)
-			r, rok := rewrite(x.R)
-			return comp.BinOp{Op: x.Op, L: l, R: r}, lok && rok
-		case comp.UnaryOp:
-			inner, ok := rewrite(x.E)
-			return comp.UnaryOp{Op: x.Op, E: inner}, ok
-		case comp.TupleExpr:
-			elems := make([]comp.Expr, len(x.Elems))
-			allOK := true
-			for i, s := range x.Elems {
-				ne, ok := rewrite(s)
-				elems[i] = ne
-				allOK = allOK && ok
-			}
-			return comp.TupleExpr{Elems: elems}, allOK
-		case comp.IfExpr:
-			c, cok := rewrite(x.Cond)
-			t, tok := rewrite(x.Then)
-			el, eok := rewrite(x.Else)
-			return comp.IfExpr{Cond: c, Then: t, Else: el}, cok && tok && eok
-		default:
-			return e, true
-		}
-	}
-	finalVal, _ := rewrite(cq.headVal)
-	// All lifted vars must be gone from the rewritten expression.
-	for v := range comp.FreeVars(finalVal) {
-		if isLifted[v] {
-			return aggModeCollect, nil, cq.headVal
-		}
-	}
-	if len(aggs) == 0 {
-		return aggModeCollect, nil, cq.headVal
-	}
-	return aggModeReduce, aggs, finalVal
-}
-
-// preGroupHead builds the expression emitted per pre-group row.
-func (q *Compiled) preGroupHead(cq *coordQuery, mode aggMode, aggs []factoredAgg) comp.Expr {
-	if cq.groupVars == nil {
-		key := cq.headKey
-		if key == nil {
-			key = comp.TupleExpr{}
-		}
-		return comp.TupleExpr{Elems: []comp.Expr{key, cq.headVal}}
-	}
-	keyElems := make([]comp.Expr, len(cq.groupVars))
-	for i, v := range cq.groupVars {
-		keyElems[i] = comp.Var{Name: v}
-	}
-	key := comp.Expr(comp.TupleExpr{Elems: keyElems})
-	switch mode {
-	case aggModeReduce:
-		payload := make([]comp.Expr, len(aggs))
-		for i, a := range aggs {
-			payload[i] = comp.Var{Name: a.Var}
-		}
-		return comp.TupleExpr{Elems: []comp.Expr{key, comp.TupleExpr{Elems: payload}}}
-	default:
-		lifted := cq.liftedVars()
-		payload := make([]comp.Expr, len(lifted))
-		for i, v := range lifted {
-			payload[i] = comp.Var{Name: v}
-		}
-		return comp.TupleExpr{Elems: []comp.Expr{key, comp.TupleExpr{Elems: payload}}}
-	}
-}
-
-// chainResult is a built join chain: tuples of bound entries, a binder
-// reconstructing the environment per tuple, and the local qualifiers
-// not consumed by the joins.
-type chainResult struct {
-	base  *dataflow.Dataset[comp.Value]
-	bind  func(tuple comp.Value) (*comp.Env, bool)
-	local []comp.Qualifier
-}
-
-// buildChain derives the Rule 14 joins between all distributed
-// generators. With seedRanges false, the first generator seeds the
-// chain; with seedRanges true, the cartesian product of the
-// scalar-bounded range generators seeds it (loop-domain-driven, the
-// DIABLO stencil case), and every generator joins in.
-func (q *Compiled) buildChain(cq *coordQuery, scalars *comp.Env, seedRanges bool) (*chainResult, error) {
-	local := append([]comp.Qualifier{}, cq.local...)
-	genVars := make([]map[string]bool, len(cq.gens))
-	for i, g := range cq.gens {
-		genVars[i] = map[string]bool{}
-		for _, v := range comp.PatternVars(g.pat) {
-			genVars[i][v] = true
+		if srcs[i] = src; i == 0 {
+			tile = n
 		}
 	}
 
-	boundVars := map[string]bool{}
 	var base *dataflow.Dataset[comp.Value]
-	var seedVars []string
-	firstGen := 0
-
-	if seedRanges {
-		var err error
-		base, seedVars, local, err = q.rangeSeed(local, scalars)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range seedVars {
-			boundVars[v] = true
-		}
+	if len(p.seedVars) > 0 {
+		base = seedProduct(q.cat.ctx, p.seedRanges)
 	} else {
-		src0, err := q.sparsifyToRows(cq.gens[0].name)
-		if err != nil {
-			return nil, err
-		}
-		g0 := cq.gens[0]
-		base = dataflow.FlatMap(src0, func(e comp.Value) []comp.Value {
-			if _, ok := comp.MatchPattern(g0.pat, e, scalars); !ok {
+		g0 := p.gens[0]
+		base = dataflow.FlatMap(srcs[0], func(e comp.Value) []comp.Value {
+			if _, ok := comp.MatchPattern(g0.pat, e, nil); !ok {
 				return nil
 			}
 			return []comp.Value{comp.Value(comp.T(e))}
 		})
-		for v := range genVars[0] {
-			boundVars[v] = true
-		}
-		firstGen = 1
 	}
-
-	// Binder for the accumulated tuple layout: optional seed entry
-	// first, then one entry per chained generator.
-	gens := cq.gens
-	sv := seedVars
-	seeded := seedRanges
-	bind := func(tuple comp.Value) (*comp.Env, bool) {
-		entries := comp.MustTuple(tuple)
-		env := scalars
-		idx := 0
-		if seeded {
-			vals := comp.MustTuple(entries[0])
-			for i, name := range sv {
-				env = env.Bind(name, vals[i])
-			}
-			idx = 1
-		}
-		for _, g := range gens {
-			var ok bool
-			env, ok = comp.MatchPattern(g.pat, entries[idx], env)
-			if !ok {
-				return nil, false
-			}
-			idx++
-		}
-		return env, true
+	for i, j := range p.joins {
+		k := len(p.gens) - len(p.joins) + i
+		base = p.join(base, srcs[k], k, j)
 	}
-
-	for k := firstGen; k < len(cq.gens); k++ {
-		gk := cq.gens[k]
-		// Collect equality guards connecting bound variables to gk's.
-		var leftKeys, rightKeys []comp.Expr
-		var remaining []comp.Qualifier
-		for _, qq := range local {
-			g, ok := qq.(comp.Guard)
-			if !ok {
-				remaining = append(remaining, qq)
-				continue
-			}
-			b, ok := g.E.(comp.BinOp)
-			if !ok || b.Op != "==" {
-				remaining = append(remaining, qq)
-				continue
-			}
-			lv := comp.FreeVars(b.L)
-			rv := comp.FreeVars(b.R)
-			switch {
-			case subset(lv, boundVars) && subset(rv, genVars[k]) && len(lv) > 0 && len(rv) > 0:
-				leftKeys = append(leftKeys, b.L)
-				rightKeys = append(rightKeys, b.R)
-			case subset(lv, genVars[k]) && subset(rv, boundVars) && len(lv) > 0 && len(rv) > 0:
-				leftKeys = append(leftKeys, b.R)
-				rightKeys = append(rightKeys, b.L)
-			default:
-				remaining = append(remaining, qq)
-			}
+	rows := dataflow.FlatMap(base, func(tuple comp.Value) []comp.Value {
+		env, ok := p.bind(tuple, len(p.gens))
+		if !ok {
+			return nil
 		}
-		if len(leftKeys) == 0 {
-			return nil, fmt.Errorf("plan: no equi-join condition linking %s into the chain (cartesian products unsupported)", gk.name)
-		}
-		local = remaining
-
-		srcK, err := q.sparsifyToRows(gk.name)
-		if err != nil {
-			return nil, err
-		}
-		prefixBind := partialBinder(gens[:k], sv, seeded, scalars)
-		lks := leftKeys
-		left := dataflow.FlatMap(base, func(tuple comp.Value) []dataflow.Pair[string, comp.Value] {
-			env, ok := prefixBind(tuple)
-			if !ok {
-				return nil
-			}
-			t := make(comp.Tuple, len(lks))
-			for i, ke := range lks {
-				t[i] = comp.EvalFast(ke, env)
-			}
-			return []dataflow.Pair[string, comp.Value]{dataflow.KV(comp.KeyString(t), tuple)}
-		})
-		rks := rightKeys
-		gkPat := gk.pat
-		right := dataflow.FlatMap(srcK, func(e comp.Value) []dataflow.Pair[string, comp.Value] {
-			env, ok := comp.MatchPattern(gkPat, e, scalars)
-			if !ok {
-				return nil
-			}
-			t := make(comp.Tuple, len(rks))
-			for i, ke := range rks {
-				t[i] = comp.EvalFast(ke, env)
-			}
-			return []dataflow.Pair[string, comp.Value]{dataflow.KV(comp.KeyString(t), e)}
-		})
-		joined := dataflow.Join(left, right, left.NumPartitions())
-		base = dataflow.Map(joined, func(p dataflow.Pair[string, dataflow.JoinedPair[comp.Value, comp.Value]]) comp.Value {
-			prev := comp.MustTuple(p.Value.Left)
-			out := make(comp.Tuple, len(prev)+1)
-			copy(out, prev)
-			out[len(prev)] = p.Value.Right
-			return out
-		})
-		for v := range genVars[k] {
-			boundVars[v] = true
-		}
+		return comp.MustList(comp.EvalFast(p.expand, env))
+	})
+	switch {
+	case p.group == nil:
+	case p.aggs != nil:
+		rows = p.reduceGrouped(rows)
+	default:
+		rows = p.collectGrouped(rows)
 	}
-	return &chainResult{base: base, bind: bind, local: local}, nil
+	return rows, tile, nil
 }
 
-// leavesLinkedRanges reports whether the chain'sremaining local
-// qualifiers contain a scalar-bounded range generator whose variable
-// is constrained by an equality guard — the signature of a join the
-// range-seeded chain would have used.
-func leavesLinkedRanges(cr *chainResult, scalars *comp.Env) bool {
-	rangeVars := map[string]bool{}
-	for _, qq := range cr.local {
-		g, ok := qq.(comp.Generator)
-		if !ok {
-			continue
-		}
-		b, isRange := g.Src.(comp.BinOp)
-		pv, isVar := g.Pat.(comp.PVar)
-		if !isRange || !isVar || (b.Op != "until" && b.Op != "to") {
-			continue
-		}
-		if _, err := comp.Eval(g.Src, scalars); err == nil {
-			rangeVars[pv.Name] = true
-		}
-	}
-	if len(rangeVars) == 0 {
-		return false
-	}
-	for _, qq := range cr.local {
-		g, ok := qq.(comp.Guard)
-		if !ok {
-			continue
-		}
-		b, ok := g.E.(comp.BinOp)
-		if !ok || b.Op != "==" {
-			continue
-		}
-		for v := range comp.FreeVars(b.L) {
-			if rangeVars[v] {
-				return true
-			}
-		}
-		for v := range comp.FreeVars(b.R) {
-			if rangeVars[v] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// partialBinder binds the seed and the first k generator entries.
-func partialBinder(gens []distGen, seedVars []string, seeded bool, scalars *comp.Env) func(comp.Value) (*comp.Env, bool) {
-	return func(tuple comp.Value) (*comp.Env, bool) {
-		entries := comp.MustTuple(tuple)
-		env := scalars
-		idx := 0
-		if seeded {
-			vals := comp.MustTuple(entries[0])
-			for i, name := range seedVars {
-				env = env.Bind(name, vals[i])
-			}
-			idx = 1
-		}
-		for _, g := range gens {
-			var ok bool
-			env, ok = comp.MatchPattern(g.pat, entries[idx], env)
-			if !ok {
-				return nil, false
-			}
-			idx++
-		}
-		return env, true
-	}
-}
-
-// rangeSeed extracts the scalar-bounded range generators from the
-// local qualifiers and materializes their cartesian product as the
-// chain seed, one tuple per index combination.
-func (q *Compiled) rangeSeed(local []comp.Qualifier, scalars *comp.Env) (*dataflow.Dataset[comp.Value], []string, []comp.Qualifier, error) {
-	var names []string
-	var ranges []comp.Range
-	var remaining []comp.Qualifier
-	for _, qq := range local {
-		g, ok := qq.(comp.Generator)
-		if !ok {
-			remaining = append(remaining, qq)
-			continue
-		}
-		b, isRange := g.Src.(comp.BinOp)
-		pv, isVar := g.Pat.(comp.PVar)
-		if !isRange || !isVar || (b.Op != "until" && b.Op != "to") {
-			remaining = append(remaining, qq)
-			continue
-		}
-		v, err := comp.Eval(g.Src, scalars)
-		if err != nil {
-			// Bounds depend on generator variables: keep local.
-			remaining = append(remaining, qq)
-			continue
-		}
-		names = append(names, pv.Name)
-		ranges = append(ranges, v.(comp.Range))
-	}
-	if len(names) == 0 {
-		return nil, nil, nil, fmt.Errorf("plan: no scalar-bounded range generators to seed the join chain")
-	}
+// seedProduct materializes the cartesian product of the seed ranges, one
+// chain tuple per index combination (loop-domain-driven, the DIABLO
+// stencil case).
+func seedProduct(ctx *dataflow.Context, ranges []comp.Range) *dataflow.Dataset[comp.Value] {
 	total := int64(1)
 	for _, r := range ranges {
 		total *= r.Len()
 	}
-	parts := q.cat.ctx.DefaultPartitions()
+	parts := ctx.DefaultPartitions()
 	if int64(parts) > total && total > 0 {
 		parts = int(total)
 	}
 	if parts < 1 {
 		parts = 1
 	}
-	rs := ranges
-	base := dataflow.Generate(q.cat.ctx, parts, func(p int) []comp.Value {
+	return dataflow.Generate(ctx, parts, func(p int) []comp.Value {
 		lo := int64(p) * total / int64(parts)
 		hi := int64(p+1) * total / int64(parts)
 		out := make([]comp.Value, 0, hi-lo)
 		for flat := lo; flat < hi; flat++ {
-			vals := make(comp.Tuple, len(rs))
+			vals := make(comp.Tuple, len(ranges))
 			rem := flat
-			for i := len(rs) - 1; i >= 0; i-- {
-				span := rs[i].Len()
-				vals[i] = rs[i].Lo + rem%span
+			for i := len(ranges) - 1; i >= 0; i-- {
+				span := ranges[i].Len()
+				vals[i] = ranges[i].Lo + rem%span
 				rem /= span
 			}
 			out = append(out, comp.Value(comp.T(comp.Value(vals))))
 		}
 		return out
 	})
-	return base, names, remaining, nil
 }
 
-func subset(a map[string]bool, b map[string]bool) bool {
-	for v := range a {
-		if !b[v] {
-			return false
+// join runs one Rule 14 step: generator k's rows join the chain on the
+// step's key expressions, extending each matching tuple by the entry.
+func (p *coordPlan) join(base, src *dataflow.Dataset[comp.Value], k int, j coordJoin) *dataflow.Dataset[comp.Value] {
+	key := func(keys []comp.Expr, env *comp.Env) string {
+		t := make(comp.Tuple, len(keys))
+		for i, ke := range keys {
+			t[i] = comp.EvalFast(ke, env)
 		}
+		return comp.KeyString(t)
 	}
-	return true
+	left := dataflow.FlatMap(base, func(tuple comp.Value) []dataflow.Pair[string, comp.Value] {
+		env, ok := p.bind(tuple, k)
+		if !ok {
+			return nil
+		}
+		return []dataflow.Pair[string, comp.Value]{dataflow.KV(key(j.left, env), tuple)}
+	})
+	pat := p.gens[k].pat
+	right := dataflow.FlatMap(src, func(e comp.Value) []dataflow.Pair[string, comp.Value] {
+		env, ok := comp.MatchPattern(pat, e, nil)
+		if !ok {
+			return nil
+		}
+		return []dataflow.Pair[string, comp.Value]{dataflow.KV(key(j.right, env), e)}
+	})
+	joined := dataflow.Join(left, right, left.NumPartitions())
+	return dataflow.Map(joined, func(m dataflow.Pair[string, dataflow.JoinedPair[comp.Value, comp.Value]]) comp.Value {
+		prev := comp.MustTuple(m.Value.Left)
+		out := make(comp.Tuple, len(prev)+1)
+		copy(out, prev)
+		out[len(prev)] = m.Value.Right
+		return out
+	})
+}
+
+// bindGroup binds the group-by variables to a group's key.
+func (p *coordPlan) bindGroup(env *comp.Env, key comp.Value) *comp.Env {
+	for i, v := range comp.MustTuple(key) {
+		env = env.Bind(p.group[i], v)
+	}
+	return env
 }
 
 // reduceGrouped implements the Rule 13 path: rows carry
 // (key, (x1..xm)); reduceByKey with the product monoid; finalize.
-func (q *Compiled) reduceGrouped(cq *coordQuery, rows *dataflow.Dataset[comp.Value], aggs []factoredAgg, finalVal comp.Expr) (*dataflow.Dataset[comp.Value], error) {
-	monoids := make([]comp.Monoid, len(aggs))
-	for i, a := range aggs {
-		m, err := comp.LookupMonoid(a.Monoid)
-		if err != nil {
-			return nil, err
-		}
-		if !m.Commutative {
-			return nil, fmt.Errorf("plan: monoid %q is not commutative; cannot use reduceByKey", a.Monoid)
-		}
-		monoids[i] = m
-	}
+func (p *coordPlan) reduceGrouped(rows *dataflow.Dataset[comp.Value]) *dataflow.Dataset[comp.Value] {
+	aggs, monoids := p.aggs, p.monoids
 	keyed := dataflow.Map(rows, func(row comp.Value) dataflow.Pair[string, comp.Value] {
 		t := comp.MustTuple(row)
 		payload := comp.MustTuple(t[1])
@@ -682,103 +499,53 @@ func (q *Compiled) reduceGrouped(cq *coordQuery, rows *dataflow.Dataset[comp.Val
 		}
 		return comp.T(ta[0], out)
 	}, rows.NumPartitions())
-
-	scalars := q.cat.scalarEnv()
-	groupVars := cq.groupVars
-	headKey := cq.headKey
-	return dataflow.Map(combined, func(p dataflow.Pair[string, comp.Value]) comp.Value {
-		t := comp.MustTuple(p.Value)
-		keyVals := comp.MustTuple(t[0])
-		aggVals := comp.MustTuple(t[1])
-		env := scalars
-		for i, v := range groupVars {
-			env = env.Bind(v, keyVals[i])
+	return dataflow.Map(combined, func(kv dataflow.Pair[string, comp.Value]) comp.Value {
+		t := comp.MustTuple(kv.Value)
+		env := p.bindGroup(nil, t[0])
+		for i, acc := range comp.MustTuple(t[1]) {
+			env = env.Bind(aggs[i].Hole, comp.MonoidFinalize(aggs[i].Monoid, acc))
 		}
-		for i, a := range aggs {
-			env = env.Bind(a.Hole, comp.MonoidFinalize(a.Monoid, aggVals[i]))
-		}
-		val := comp.EvalFast(finalVal, env)
-		var key comp.Value = keyVals
-		if headKey != nil {
-			key = comp.EvalFast(headKey, env)
-		}
-		return comp.T(key, val)
-	}), nil
+		return comp.EvalFast(p.final, env)
+	})
 }
 
 // collectGrouped implements the general group-by: groupByKey, lift
 // each variable to the list of its group values (Rule 11), evaluate
 // the post-group qualifiers and head per group.
-func (q *Compiled) collectGrouped(cq *coordQuery, rows *dataflow.Dataset[comp.Value], lifted []string) (*dataflow.Dataset[comp.Value], error) {
+func (p *coordPlan) collectGrouped(rows *dataflow.Dataset[comp.Value]) *dataflow.Dataset[comp.Value] {
 	keyed := dataflow.Map(rows, func(row comp.Value) dataflow.Pair[string, comp.Value] {
-		t := comp.MustTuple(row)
-		return dataflow.KV(comp.KeyString(t[0]), row)
+		return dataflow.KV(comp.KeyString(comp.MustTuple(row)[0]), row)
 	})
 	grouped := dataflow.GroupByKey(keyed, rows.NumPartitions())
-
-	scalars := q.cat.scalarEnv()
-	groupVars := cq.groupVars
-	headKey := cq.headKey
-	headVal := cq.headVal
-	post := cq.postQuals
 	return dataflow.FlatMap(grouped, func(g dataflow.Pair[string, []comp.Value]) []comp.Value {
 		if len(g.Value) == 0 {
 			return nil
 		}
-		first := comp.MustTuple(g.Value[0])
-		keyVals := comp.MustTuple(first[0])
-		lists := make([]comp.List, len(lifted))
+		lists := make([]comp.List, len(p.payload))
 		for _, row := range g.Value {
 			payload := comp.MustTuple(comp.MustTuple(row)[1])
-			for i := range lifted {
+			for i := range lists {
 				lists[i] = append(lists[i], payload[i])
 			}
 		}
-		env := scalars
-		for i, v := range lifted {
+		var env *comp.Env
+		for i, v := range p.payload {
 			env = env.Bind(v, lists[i])
 		}
-		for i, v := range groupVars {
-			env = env.Bind(v, keyVals[i])
-		}
-		// Evaluate post-group qualifiers + head as a comprehension.
-		headElems := []comp.Expr{comp.TupleExpr{}, headVal}
-		if headKey != nil {
-			headElems[0] = headKey
-		} else {
-			headElems[0] = keyLiteral(groupVars)
-		}
-		inner := comp.Comprehension{
-			Head:  comp.TupleExpr{Elems: headElems},
-			Quals: post,
-		}
-		return comp.MustList(comp.EvalFast(inner, env))
-	}), nil
-}
-
-// keyLiteral rebuilds the group key tuple expression from variables.
-func keyLiteral(groupVars []string) comp.Expr {
-	elems := make([]comp.Expr, len(groupVars))
-	for i, v := range groupVars {
-		elems[i] = comp.Var{Name: v}
-	}
-	return comp.TupleExpr{Elems: elems}
+		env = p.bindGroup(env, comp.MustTuple(g.Value[0])[0])
+		return comp.MustList(comp.EvalFast(p.final, env))
+	})
 }
 
 // execCoord runs the fallback strategy end to end and builds the
 // requested output storage.
-func (q *Compiled) execCoord(s *opt.CoordStrategy) (*Result, error) {
-	bare := q.builder == "" || ((q.builder == "rdd" || q.builder == "list") && q.headIsBare())
-	rows, err := q.coordPipeline(s.Info, bare)
+func (q *Compiled) execCoord() (*Result, error) {
+	rows, n, err := q.runCoord()
 	if err != nil {
 		return nil, err
 	}
 	switch q.builder {
 	case "tiled":
-		n, err := q.inputTileSize()
-		if err != nil {
-			return nil, err
-		}
 		entries := dataflow.FlatMap(rows, func(row comp.Value) []tiled.Entry {
 			t := comp.MustTuple(row)
 			key := comp.MustTuple(t[0])
@@ -791,98 +558,31 @@ func (q *Compiled) execCoord(s *opt.CoordStrategy) (*Result, error) {
 		m := tiled.Build(q.cat.ctx, q.dims[0], q.dims[1], n, entries, rows.NumPartitions())
 		return &Result{Matrix: m}, nil
 	case "tiledvec":
-		n, err := q.inputTileSize()
-		if err != nil {
-			return nil, err
-		}
-		v, err := buildTiledVector(q.cat.ctx, q.dims[0], n, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Vector: v}, nil
-	default: // rdd, list
-		collected := dataflow.Collect(rows)
-		out := make(comp.List, 0, len(collected))
-		for _, row := range collected {
+		size := q.dims[0]
+		elems := dataflow.FlatMap(rows, func(row comp.Value) []dataflow.Pair[int64, float64] {
 			t := comp.MustTuple(row)
-			if bare {
-				out = append(out, t[1])
-			} else {
-				out = append(out, comp.Value(comp.T(t[0], t[1])))
+			key := t[0]
+			// A key bound to a tuple by a pattern is data the plan cannot see.
+			if k, ok := key.(comp.Tuple); ok {
+				if len(k) != 1 {
+					panic(fmt.Errorf("plan: vector key must have one component, got %v", comp.Render(key)))
+				}
+				key = k[0]
+			}
+			i := comp.MustInt(key)
+			if i < 0 || i >= size {
+				return nil
+			}
+			return []dataflow.Pair[int64, float64]{dataflow.KV(i, comp.MustFloat(t[1]))}
+		})
+		return &Result{Vector: tiled.BuildVector(size, n, elems, elems.NumPartitions())}, nil
+	default: // rdd, list
+		out := append(comp.List{}, dataflow.Collect(rows)...)
+		if q.bare {
+			for i, row := range out {
+				out[i] = comp.MustTuple(row)[1]
 			}
 		}
 		return &Result{List: out}, nil
 	}
-}
-
-// headIsBare reports whether the original head was not a key-value
-// pair (extractBare wrapped it with a unit key).
-func (q *Compiled) headIsBare() bool {
-	b, ok := q.src.(comp.BuildExpr)
-	if !ok {
-		return true
-	}
-	body := b.Body.(comp.Comprehension)
-	t, ok := body.Head.(comp.TupleExpr)
-	return !ok || len(t.Elems) != 2
-}
-
-// inputTileSize finds the tile size of the first distributed input.
-func (q *Compiled) inputTileSize() (int, error) {
-	cq, err := q.decompose(false)
-	if err != nil {
-		return 0, err
-	}
-	switch arr := q.cat.vals[cq.gens[0].name].(type) {
-	case *tiled.Matrix:
-		return arr.N, nil
-	case *tiled.Vector:
-		return arr.N, nil
-	default:
-		return 0, fmt.Errorf("plan: cannot infer tile size")
-	}
-}
-
-// buildTiledVector groups (i, v) rows into vector blocks.
-func buildTiledVector(ctx *dataflow.Context, size int64, n int, rows *dataflow.Dataset[comp.Value]) (*tiled.Vector, error) {
-	keyed := dataflow.FlatMap(rows, func(row comp.Value) []dataflow.Pair[int64, comp.Value] {
-		t := comp.MustTuple(row)
-		var i int64
-		switch k := t[0].(type) {
-		case comp.Tuple:
-			if len(k) != 1 {
-				panic(fmt.Errorf("plan: vector key must have one component, got %v", comp.Render(t[0])))
-			}
-			i = comp.MustInt(k[0])
-		default:
-			i = comp.MustInt(t[0])
-		}
-		if i < 0 || i >= size {
-			return nil
-		}
-		return []dataflow.Pair[int64, comp.Value]{dataflow.KV(i/int64(n), comp.Value(comp.T(i, t[1])))}
-	})
-	grouped := dataflow.GroupByKey(keyed, keyed.NumPartitions())
-	blocks := dataflow.Map(grouped, func(g dataflow.Pair[int64, []comp.Value]) tiled.VBlock {
-		blk := linalg.NewVector(n)
-		for _, e := range g.Value {
-			t := comp.MustTuple(e)
-			blk.Set(int(comp.MustInt(t[0])-g.Key*int64(n)), comp.MustFloat(t[1]))
-		}
-		return dataflow.KV(g.Key, blk)
-	})
-	// Fill missing blocks with zeros.
-	present := map[int64]bool{}
-	collected := dataflow.Collect(blocks)
-	for _, b := range collected {
-		present[b.Key] = true
-	}
-	nb := (size + int64(n) - 1) / int64(n)
-	for bi := int64(0); bi < nb; bi++ {
-		if !present[bi] {
-			collected = append(collected, dataflow.KV(bi, linalg.NewVector(n)))
-		}
-	}
-	return &tiled.Vector{Size: size, N: n,
-		Blocks: dataflow.Parallelize(ctx, collected, keyed.NumPartitions())}, nil
 }

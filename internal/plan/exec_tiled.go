@@ -25,10 +25,11 @@ func genSlots(slots map[string]slot, g opt.ArrayGen, val int) {
 	slots[g.ValueVar] = slot{id: val}
 }
 
-// lowerKernels compiles the chosen tile strategy's expressions into the
-// row kernels its executor runs, so an unbound variable or a type error
-// is a Compile error and a cached plan carries its kernels.
-func (q *Compiled) lowerKernels() (err error) {
+// lower compiles the chosen strategy's expressions into what its executor
+// runs — a tile strategy's row kernels, the coordinate strategy's plan —
+// so an unbound variable or a type error is a Compile error and a cached
+// plan carries its kernels.
+func (q *Compiled) lower() (err error) {
 	defer asError(&err, "kernel lowering")
 	slots := map[string]slot{}
 	switch s := q.strategy.(type) {
@@ -71,6 +72,8 @@ func (q *Compiled) lowerKernels() (err error) {
 		if !isMulOfValues(inlineLets(s.CombineExpr, s.Lets), s.MatGen.ValueVar, s.VecGen.ValueVar) {
 			err = fmt.Errorf("plan: matrix-vector kernel must be a product of the two values")
 		}
+	case *opt.CoordStrategy:
+		q.coord, err = q.planCoord()
 	}
 	return err
 }
@@ -234,80 +237,34 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 		pickedParts = d.Parts
 	}
 
-	if q.cell == nil {
-		var out *tiled.Matrix
-		switch {
-		case s.UseGBJ:
-			out = a.MultiplyGBJTuned(b, 0, 0, pickedParts)
-		case s.UseReduceBy:
-			out = a.Multiply(b)
-		default:
-			out = a.MultiplyGroupByKey(b)
+	// A combine that is exactly a*b contracts by GEMM; any other h(a,b) by
+	// the compiled kernel over the in-bounds part of the tiles at output
+	// coordinate g and join key k. Either way the plans are tiled's.
+	var contract func(out, x, y *linalg.Dense, g tiled.Coord, k int64)
+	if n := a.N; q.cell != nil {
+		contract = func(out, x, y *linalg.Dense, g tiled.Coord, k int64) {
+			q.cell.contract(out.Data, x.Data, y.Data, n, g.I*int64(n), k*int64(n), g.J*int64(n),
+				clip(a.Rows, g.I, n), clip(a.Cols, k, n), clip(b.Cols, g.J, n))
 		}
-		return &Result{Matrix: out}, nil
 	}
-
-	// Generic combine h(a,b) with + monoid: same plans with the compiled
-	// contraction kernel over the in-bounds part of the tiles at output
-	// coordinate g and join key k.
-	n := a.N
-	contract := func(out, x, y *linalg.Dense, g tiled.Coord, k int64) {
-		q.cell.contract(out.Data, x.Data, y.Data, n, g.I*int64(n), k*int64(n), g.J*int64(n),
-			clip(a.Rows, g.I, n), clip(a.Cols, k, n), clip(b.Cols, g.J, n))
+	switch {
+	case !s.UseGBJ:
+		return &Result{Matrix: tiled.JoinMultiply(a, b, pickedParts, s.UseReduceBy, contract)}, nil
+	case contract == nil:
+		return &Result{Matrix: a.MultiplyGBJTuned(b, 0, 0, pickedParts)}, nil
 	}
-	if s.UseGBJ {
-		out := tiled.GroupByJoin(a, b, tiled.GBJSpec{
-			Parts:   pickedParts,
-			OutRows: a.Rows, OutCols: b.Cols,
-			GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
-			GX: func(c tiled.Coord) int64 { return c.I },
-			KX: func(c tiled.Coord) int64 { return c.J },
-			GY: func(c tiled.Coord) int64 { return c.J },
-			KY: func(c tiled.Coord) int64 { return c.I },
-			// The compiled kernel is serial regardless of budget.
-			H: func(out, x, y *linalg.Dense, g tiled.Coord, k int64, _ int) { contract(out, x, y, g, k) },
-		})
-		return &Result{Matrix: out}, nil
-	}
-	// Join + reduceByKey with the compiled kernel. Partial-product
-	// tiles come from the context's tile pool and the dead reduce
-	// operand goes back (same ownership argument as tiled.Multiply).
-	parts := a.Tiles.NumPartitions()
-	if pickedParts > 0 {
-		parts = pickedParts
-	}
-	pool := a.Tiles.Context().TilePool()
-	left := dataflow.Map(a.Tiles, func(t tiled.Block) dataflow.Pair[int64, tiled.Block] {
-		return dataflow.KV(t.Key.J, t)
+	out := tiled.GroupByJoin(a, b, tiled.GBJSpec{
+		Parts:   pickedParts,
+		OutRows: a.Rows, OutCols: b.Cols,
+		GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
+		GX: func(c tiled.Coord) int64 { return c.I },
+		KX: func(c tiled.Coord) int64 { return c.J },
+		GY: func(c tiled.Coord) int64 { return c.J },
+		KY: func(c tiled.Coord) int64 { return c.I },
+		// The compiled kernel is serial regardless of budget.
+		H: func(out, x, y *linalg.Dense, g tiled.Coord, k int64, _ int) { contract(out, x, y, g, k) },
 	})
-	right := dataflow.Map(b.Tiles, func(t tiled.Block) dataflow.Pair[int64, tiled.Block] {
-		return dataflow.KV(t.Key.I, t)
-	})
-	joined := dataflow.Join(left, right, parts)
-	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[tiled.Block, tiled.Block]]) tiled.Block {
-		at, bt := p.Value.Left, p.Value.Right
-		c, g := pool.Get(a.N, a.N), tiled.Coord{I: at.Key.I, J: bt.Key.J}
-		contract(c, at.Value, bt.Value, g, p.Key)
-		return dataflow.KV(g, c)
-	})
-	var reduced *dataflow.Dataset[tiled.Block]
-	if s.UseReduceBy {
-		reduced = dataflow.ReduceByKey(products, func(x, y *linalg.Dense) *linalg.Dense {
-			linalg.AddInPlace(x, y)
-			pool.Put(y)
-			return x
-		}, parts)
-	} else {
-		grouped := dataflow.GroupByKey(products, parts)
-		reduced = dataflow.Map(grouped, func(g dataflow.Pair[tiled.Coord, []*linalg.Dense]) tiled.Block {
-			acc := pool.Get(a.N, a.N)
-			for _, t := range g.Value {
-				linalg.AddInPlace(acc, t)
-			}
-			return dataflow.KV(g.Key, acc)
-		})
-	}
-	return &Result{Matrix: &tiled.Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: reduced}}, nil
+	return &Result{Matrix: out}, nil
 }
 
 // aggMonoid is the scalar accumulation of one TileAgg aggregation.
@@ -621,7 +578,7 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 // execTotalReduce evaluates ⊕/[ e | q ] by running the coordinate
 // pipeline to produce the lifted values and aggregating them.
 func (q *Compiled) execTotalReduce() (*Result, error) {
-	vals, err := q.coordPipeline(q.info, true)
+	vals, _, err := q.runCoord()
 	if err != nil {
 		return nil, err
 	}

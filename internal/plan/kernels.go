@@ -20,7 +20,7 @@ import (
 
 // inlineLets substitutes let bindings (in order) into an expression so
 // kernels only reference generator-bound variables. Tuple-pattern lets
-// are decomposed when their right side is a tuple expression; one that
+// are taken apart when their right side is a tuple expression; one that
 // cannot be is a lowering error (fail).
 func inlineLets(e comp.Expr, lets []comp.LetQual) comp.Expr {
 	sub := map[string]comp.Expr{}

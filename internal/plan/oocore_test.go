@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/jobs"
 	"repro/internal/linalg"
 	"repro/internal/opt"
 )
@@ -78,5 +80,51 @@ func TestOutOfCoreQueryMatmulNoGBJ(t *testing.T) {
 	}
 	if snap := s.Metrics(); snap.SpilledBytes == 0 || snap.MergePasses == 0 {
 		t.Fatalf("join+group-by query over budget did not spill: %+v", snap)
+	}
+}
+
+// TestOutOfCoreCoordinateFamilies runs the coordinate fallback's query
+// families under a 256-byte budget — every shuffle spills its
+// comp.Value rows through the value codec — and requires the bits of the
+// unbudgeted run.
+func TestOutOfCoreCoordinateFamilies(t *testing.T) {
+	run := func(src string, budget int64) (string, dataflow.MetricsSnapshot) {
+		s := core.NewSession(core.Config{Parallelism: 4, Partitions: 5, TileSize: 4, MemoryBudget: budget})
+		defer func() {
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+		s.RegisterDense("A", linalg.RandDense(10, 9, 0, 5, 51))
+		s.RegisterDense("B", linalg.RandDense(9, 10, 0, 5, 52))
+		s.RegisterScalar("n", int64(10))
+		res, err := s.Query(src)
+		if err != nil {
+			t.Fatalf("budget %d: %s: %v", budget, src, err)
+		}
+		blob, err := jobs.EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob), s.Metrics()
+	}
+	for _, c := range []struct {
+		name, src string
+		shuffles  bool
+	}{
+		{"join chain", `tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]`, true},
+		{"range-seeded stencil", `tiled(n,9)[ ((i,j), 2.0*v) | i <- 0 until n, j <- 0 until 9, ((ii,jj),v) <- A, ii == i-1, jj == j ]`, true},
+		{"having clause", `rdd[ (k, +/a) | ((i,j),a) <- A, group by k: i % 3, count(a) > 27 ]`, true},
+		{"filtered total", `+/[ a | ((i,j),a) <- A, a > 2.5 ]`, false},
+		{"bare rdd head", `rdd[ a*2.0 | ((i,j),a) <- A, i == j ]`, false},
+	} {
+		want, _ := run(c.src, 0)
+		got, snap := run(c.src, 256)
+		if got != want {
+			t.Errorf("%s: the budgeted run differs from the unbudgeted one", c.name)
+		}
+		if (snap.SpilledBytes > 0) != c.shuffles {
+			t.Errorf("%s: spilled %d bytes under a 256-byte budget", c.name, snap.SpilledBytes)
+		}
 	}
 }

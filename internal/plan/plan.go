@@ -93,10 +93,10 @@ func (c *Catalog) Adaptive() bool {
 	return conf.AdaptiveShuffle && conf.Transport == nil
 }
 
-// lookup resolves a name.
-func (c *Catalog) lookup(name string) (any, bool) {
-	v, ok := c.vals[name]
-	return v, ok
+// isArray reports whether name is bound to a distributed array.
+func (c *Catalog) isArray(name string) bool {
+	_, ok := c.ArrayStats(name)
+	return ok
 }
 
 // matrix resolves a name that must be a tiled matrix.
@@ -195,6 +195,11 @@ type Compiled struct {
 	// per-element head or combine (nil for a combine that is exactly
 	// a*b, which goes to GEMM), and tile aggregation's finalize.
 	cell, final *kernel
+	// The coordinate strategy's plan (exec_coord.go); bare marks a head that
+	// was a single value (total reductions, rdd[ e | ... ]), analysed under
+	// a unit key its results drop.
+	coord *coordPlan
+	bare  bool
 }
 
 // Explain describes the chosen physical translation. Coordinate plans
@@ -203,10 +208,8 @@ type Compiled struct {
 // groups.
 func (q *Compiled) Explain() string {
 	desc := q.strategy.Describe()
-	if _, ok := q.strategy.(*opt.CoordStrategy); ok {
-		if detail := q.coordDetail(); detail != "" {
-			desc += "; " + detail
-		}
+	if q.coord != nil {
+		desc += "; " + q.coord.String()
 	}
 	if d := q.Decision(); d != nil {
 		desc += " [" + d.Summary() + "]"
@@ -251,27 +254,6 @@ func (q *Compiled) NoteObserved(m stats.Measured) {
 	if d := q.Decision(); d != nil {
 		d.Observed = m.String()
 	}
-}
-
-// coordDetail inspects the coordinate pipeline the executor would run.
-func (q *Compiled) coordDetail() string {
-	cq, err := q.decompose(q.builder == "" || q.builder == "rdd" && q.headIsBare())
-	if err != nil {
-		return ""
-	}
-	detail := fmt.Sprintf("%d generator(s)", len(cq.gens))
-	if len(cq.gens) > 1 {
-		detail += fmt.Sprintf(", %d-way join chain (Rule 14)", len(cq.gens))
-	}
-	if cq.groupVars != nil {
-		mode, aggs, _ := q.chooseAggMode(cq, cq.liftedVars())
-		if mode == aggModeReduce {
-			detail += fmt.Sprintf(", group-by via reduceByKey with %d factored aggregation(s) (Rules 12-13)", len(aggs))
-		} else {
-			detail += ", group-by via groupByKey (general Rule 11)"
-		}
-	}
-	return detail
 }
 
 // Strategy exposes the selected strategy (for tests and ablations).
@@ -413,93 +395,91 @@ func (q *Compiled) Analyze() (*Result, string, error) {
 // rdd[...], and total reductions ⊕/[...].
 func Compile(e comp.Expr, cat *Catalog, opts opt.Options) (*Compiled, error) {
 	e = comp.Desugar(e)
+	q := &Compiled{src: e, cat: cat, opts: opts}
+	var body comp.Expr
 	switch x := e.(type) {
 	case comp.BuildExpr:
-		return compileBuild(x, cat, opts)
-	case comp.Reduce:
-		inner, ok := x.E.(comp.Comprehension)
-		if !ok {
-			return nil, fmt.Errorf("plan: total reduction needs a comprehension, got %s", x.E)
-		}
-		info, err := extractBare(inner)
-		if err != nil {
+		if err := q.setBuilder(x); err != nil {
 			return nil, err
 		}
-		return &Compiled{src: e, reduce: x.Monoid,
-			strategy: &opt.CoordStrategy{Info: info, Reason: "total aggregation"},
-			info:     info, cat: cat, opts: opts}, nil
+		body = x.Body
+	case comp.Reduce:
+		q.reduce, body = x.Monoid, x.E
 	default:
 		return nil, fmt.Errorf("plan: top-level expression must be a builder or reduction, got %T", e)
 	}
-}
-
-func compileBuild(b comp.BuildExpr, cat *Catalog, opts opt.Options) (*Compiled, error) {
-	body, ok := b.Body.(comp.Comprehension)
+	c, ok := body.(comp.Comprehension)
 	if !ok {
-		return nil, fmt.Errorf("plan: builder body must be a comprehension")
+		return nil, fmt.Errorf("plan: a builder or total reduction needs a comprehension, got %s", body)
 	}
-	dims := make([]int64, len(b.Args))
-	env := cat.scalarEnv()
-	for i, a := range b.Args {
-		v, err := comp.Eval(a, env)
-		if err != nil {
-			return nil, fmt.Errorf("plan: builder dimension %d: %w", i, err)
-		}
-		dims[i] = comp.MustInt(v)
-	}
-	switch b.Builder {
-	case "tiled", "tiledvec", "rdd", "list":
-	default:
-		return nil, fmt.Errorf("plan: unsupported distributed builder %q (use comp.Eval for local builders)", b.Builder)
-	}
-	if b.Builder == "tiled" && len(dims) != 2 {
-		return nil, fmt.Errorf("plan: tiled builder needs (rows, cols)")
-	}
-	if b.Builder == "tiledvec" && len(dims) != 1 {
-		return nil, fmt.Errorf("plan: tiledvec builder needs (size)")
-	}
-
 	// Fold catalog scalars into the body so the affine-key analysis
-	// (Rule 19) sees concrete moduli and offsets.
-	body = comp.FoldConstants(comp.SubstConsts(body, cat.scalarConsts())).(comp.Comprehension)
+	// (Rule 19) sees concrete moduli and offsets, and the coordinate plan
+	// concrete range bounds.
+	c = comp.FoldConstants(comp.SubstConsts(c, cat.scalarConsts())).(comp.Comprehension)
 
-	info, err := opt.Extract(body)
-	if err != nil {
-		// Shapes outside the opt subset still run via the bare
-		// coordinate pipeline when possible.
-		bare, err2 := extractBare(body)
-		if err2 != nil {
+	reason := "total aggregation"
+	if q.reduce == "" {
+		var err error
+		if q.info, err = opt.Extract(c); err != nil {
+			reason = err.Error()
+		}
+	}
+	switch {
+	case q.info == nil:
+		// A head that is not a (key, value) pair — every total reduction's,
+		// and what else Extract refused — still runs via the bare
+		// coordinate pipeline when the qualifiers are in the subset.
+		bare, err := extractBare(c)
+		if err != nil {
 			return nil, err
 		}
-		return &Compiled{src: b, builder: b.Builder, dims: dims,
-			strategy: &opt.CoordStrategy{Info: bare, Reason: err.Error()},
-			info:     bare, cat: cat, opts: opts}, nil
-	}
-
-	info.FuseRanges(cat.dimOf)
-
-	var strat opt.Strategy
-	if b.Builder == "tiled" || b.Builder == "tiledvec" {
-		strat, err = opt.ChooseWithStats(info, opts, cat)
+		q.info, q.bare, q.strategy = bare, true, &opt.CoordStrategy{Reason: reason}
+	case q.builder == "tiled" || q.builder == "tiledvec":
+		q.info.FuseRanges(cat.dimOf)
+		strat, err := opt.ChooseWithStats(q.info, opts, cat)
 		if err != nil {
 			return nil, err
 		}
 		if cat.cache != nil {
-			if m, ok := cat.cache.Lookup(b.String()); ok {
+			if m, ok := cat.cache.Lookup(e.String()); ok {
 				if d := decisionOf(strat); d != nil {
 					d.Observed = m.String()
 				}
 			}
 		}
-	} else {
-		strat = &opt.CoordStrategy{Info: info, Reason: "rdd builder"}
+		q.strategy = strat
+	default:
+		q.strategy = &opt.CoordStrategy{Reason: "rdd builder"}
 	}
-	q := &Compiled{src: b, builder: b.Builder, dims: dims,
-		strategy: strat, info: info, cat: cat, opts: opts}
-	if err := q.lowerKernels(); err != nil {
+	if err := q.lower(); err != nil {
 		return nil, err
 	}
 	return q, nil
+}
+
+// setBuilder records a distributed builder and its dimensions.
+func (q *Compiled) setBuilder(b comp.BuildExpr) error {
+	q.builder, q.dims = b.Builder, make([]int64, len(b.Args))
+	env := q.cat.scalarEnv()
+	for i, a := range b.Args {
+		v, err := comp.Eval(a, env)
+		if err != nil {
+			return fmt.Errorf("plan: builder dimension %d: %w", i, err)
+		}
+		q.dims[i] = comp.MustInt(v)
+	}
+	switch b.Builder {
+	case "tiled", "tiledvec", "rdd", "list":
+	default:
+		return fmt.Errorf("plan: unsupported distributed builder %q (use comp.Eval for local builders)", b.Builder)
+	}
+	if b.Builder == "tiled" && len(q.dims) != 2 {
+		return fmt.Errorf("plan: tiled builder needs (rows, cols)")
+	}
+	if b.Builder == "tiledvec" && len(q.dims) != 1 {
+		return fmt.Errorf("plan: tiledvec builder needs (size)")
+	}
+	return nil
 }
 
 // extractBare parses a comprehension whose head is not necessarily a
@@ -555,7 +535,7 @@ func (q *Compiled) Execute() (res *Result, err error) {
 	case *opt.ReplicateStrategy:
 		return q.execReplicate(s)
 	case *opt.CoordStrategy:
-		return q.execCoord(s)
+		return q.execCoord()
 	default:
 		return nil, fmt.Errorf("plan: no executor for %T", q.strategy)
 	}

@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/comp"
@@ -545,16 +548,93 @@ func TestPlanDotProduct(t *testing.T) {
 	}
 }
 
-// Cartesian products are rejected with a clear error, not a panic.
+// Cartesian products are rejected with a clear error, not a panic — by
+// Compile: there is no plan for Explain to describe.
 func TestPlanCartesianRejected(t *testing.T) {
 	ctx := dataflow.NewLocalContext()
 	cat := NewCatalog(ctx).
 		BindVector("X", tiled.VectorFromDense(ctx, linalg.NewVector(4), 2, 1)).
 		BindVector("Y", tiled.VectorFromDense(ctx, linalg.NewVector(4), 2, 1))
-	_, err := Run(sacparser.MustParse("+/[ a*b | (i,a) <- X, (j,b) <- Y ]"), cat, opt.Options{})
+	_, err := Compile(sacparser.MustParse("+/[ a*b | (i,a) <- X, (j,b) <- Y ]"), cat, opt.Options{})
 	if err == nil || !strings.Contains(err.Error(), "cartesian") {
 		t.Fatalf("expected cartesian rejection, got %v", err)
 	}
+}
+
+// A factored aggregation over a monoid that does not commute (++) cannot
+// be a reduceByKey: it takes the Rule 11 groupByKey path, Explain says
+// so, and the groups agree with the reference evaluator as multisets
+// (bag semantics leave the order within a group open).
+func TestPlanNonCommutativeGroupBy(t *testing.T) {
+	ctx := dataflow.NewLocalContext()
+	d := linalg.RandDense(5, 4, 0, 9, 97)
+	cat := NewCatalog(ctx).BindMatrix("A", tiled.FromDense(ctx, d, 2, 3))
+	env := (*comp.Env)(nil).Bind("A", comp.MatrixStorage{M: d})
+	for _, src := range []string{
+		"rdd[ (i, ++/w) | ((i,j),a) <- A, let w = [a], group by i ]",
+		"rdd[ (i, (+/a, ++/w)) | ((i,j),a) <- A, let w = [a], group by i ]",
+	} {
+		res, q := runQueryCat(t, cat, src)
+		if ex := q.Explain(); !strings.Contains(ex, "groupByKey") || strings.Contains(ex, "reduceByKey") {
+			t.Fatalf("%s\nexplain: %s", src, ex)
+		}
+		want := comp.MustEval(comp.Desugar(sacparser.MustParse(src)), env).(comp.List)
+		if got, want := canonGroups(res.List), canonGroups(want); got != want {
+			t.Fatalf("%s\n got %s\nwant %s", src, got, want)
+		}
+	}
+}
+
+// canonGroups renders a value with every list in it — the rows, and the
+// groups inside them — sorted, and floats to nine digits so the order a
+// sum was taken in does not show.
+func canonGroups(v comp.Value) string {
+	var parts []string
+	switch x := v.(type) {
+	case comp.Tuple:
+		for _, e := range x {
+			parts = append(parts, canonGroups(e))
+		}
+		return "(" + strings.Join(parts, ", ") + ")"
+	case comp.List:
+		for _, e := range x {
+			parts = append(parts, canonGroups(e))
+		}
+		sort.Strings(parts)
+		return "[" + strings.Join(parts, ", ") + "]"
+	case float64:
+		return strconv.FormatFloat(x, 'g', 9, 64)
+	}
+	return comp.Render(v)
+}
+
+// Explain formats the plan Compile built and analyses nothing, so it is
+// safe to call concurrently with itself (the server does, per request).
+// Run under -race.
+func TestPlanExplainConcurrent(t *testing.T) {
+	f := newFixture(t, 6, 4, 4, 6, 2)
+	q, err := Compile(sacparser.MustParse(`tiled(6,6)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
+	          kk == k, let v = a+b, group by (i,j) ]`), f.cat, opt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := q.Explain()
+	if !strings.Contains(want, "2-way join chain (Rule 14)") || !strings.Contains(want, "reduceByKey with 1 factored") {
+		t.Fatalf("explain: %s", want)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := q.Explain(); got != want {
+					t.Errorf("explain changed: %s", got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // A guard after the group-by (a HAVING clause) forces the general
@@ -579,6 +659,20 @@ func TestPlanHavingClause(t *testing.T) {
 	}
 	if sums["0"] != 23 || sums["1"] != 25 { // 10+13, 11+14
 		t.Fatalf("having sums %v", sums)
+	}
+}
+
+// A HAVING clause on a block builder is not an element filter: the query
+// leaves the tile-aggregate rule for the fallback, and rows that fail the
+// clause keep the builder's default 0.
+func TestPlanHavingClauseOnTiledvec(t *testing.T) {
+	ctx := dataflow.NewLocalContext()
+	d := linalg.NewDenseFrom(3, 2, []float64{1, 2, 3, 4, 5, 6})
+	cat := NewCatalog(ctx).BindMatrix("A", tiled.FromDense(ctx, d, 2, 2))
+	res, q := runQueryCat(t, cat, "tiledvec(3)[ (i, +/a) | ((i,j),a) <- A, group by i, +/a > 3.0, +/a < 11.0 ]")
+	wantStrategy(t, q, "coordinate")
+	if got := res.Vector.ToDense().Data; got[0] != 0 || got[1] != 7 || got[2] != 0 {
+		t.Fatalf("having on tiledvec: %v", got)
 	}
 }
 

@@ -490,11 +490,12 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	}
 }
 
-// A query that only fails when its head is lowered to a tile kernel is
-// rejected on the plan-cache miss path with a 400 naming the cause — it
-// used to compile, get cached, and panic in a task — and nothing is
-// cached for it; the valid neighbour runs and its plan, kernels
-// included, is reused.
+// A query that only fails when its strategy is planned — a head lowered
+// to a tile kernel, the coordinate plan built — is rejected on the
+// plan-cache miss path with a 400 naming the cause — it used to compile,
+// get cached, explain a plan that could not run and fail in Execute or
+// panic in a task — and nothing is cached for it; the valid neighbour
+// runs and its plan, kernels included, is reused.
 func TestKernelErrorsRejectedAtPlanCacheMiss(t *testing.T) {
 	s, ts := newTestServer(t, Config{Sessions: 1})
 	registerAB(t, s)
@@ -505,12 +506,26 @@ func TestKernelErrorsRejectedAtPlanCacheMiss(t *testing.T) {
 			"tiled(6,6)[ ((i,j), if(a > 1.0, 1.0, 0.0)) | ((i,j),a) <- A ]"},
 		{"tiled(6,6)[ ((i,j), x) | ((i,j),a) <- A, let (x,y) = a ]", "cannot inline tuple let",
 			"tiled(6,6)[ ((i,j), x+y) | ((i,j),a) <- A, let (x,y) = (a, 2.0) ]"},
+		{"+/[ a*b | ((i,j),a) <- A, ((ii,jj),b) <- B ]", "no equi-join condition linking B",
+			"+/[ a*b | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == j, jj == i ]"},
+		{"rdd[ (i, avg/a + zz) | ((i,j),a) <- A, group by i ]", `unbound variable "zz"`,
+			"rdd[ (i, avg/a + 1.0) | ((i,j),a) <- A, group by i ]"},
+		{"tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, ((ii,jj),c) <- C, ii == i, jj == j, group by i ]", `unbound variable "C"`,
+			"tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, ((ii,jj),c) <- B, ii == i, jj == j, group by i ]"},
+		{"tiledvec(6)[ ((i,0), avg/a) | ((i,j),a) <- A, group by i ]", "tiledvec key must have 1 component",
+			"tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, group by i ]"},
+		{"rdd[ (i, x) | let l = [ (k, 1.0) | k <- 0 until 3 ], (i,x) <- l ]", "cannot infer tile size",
+			"rdd[ (i, x) | ((i,j),x) <- A, j == 0 ]"},
 	} {
+		cached := s.pool.all[0].plans.len()
 		for attempt := 0; attempt < 2; attempt++ {
 			_, code, e := postQuery(t, ts.URL, c.bad)
 			if code != http.StatusBadRequest || e.Reason != "compile" || !strings.Contains(e.Error, c.wantErr) {
 				t.Errorf("%s: attempt %d: status %d %+v, want 400 compile naming %q", c.bad, attempt, code, e, c.wantErr)
 			}
+		}
+		if got := s.pool.all[0].plans.len(); got != cached {
+			t.Errorf("%s: plan cache grew from %d to %d entries", c.bad, cached, got)
 		}
 		for attempt := 0; attempt < 2; attempt++ {
 			out, code, e := postQuery(t, ts.URL, c.good)

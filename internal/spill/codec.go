@@ -41,6 +41,14 @@ func (w *Writer) Err() error { return w.err }
 // Count returns the bytes written so far (buffered included).
 func (w *Writer) Count() int64 { return w.n }
 
+// Fail latches err (if none is latched yet) so a codec can refuse a value
+// it has no encoding for; the run or frame being written then fails.
+func (w *Writer) Fail(err error) {
+	if w.err == nil && err != nil {
+		w.err = err
+	}
+}
+
 // Flush drains the buffer and returns the latched error.
 func (w *Writer) Flush() error {
 	if w.err == nil {

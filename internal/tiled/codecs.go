@@ -51,6 +51,10 @@ func (keyedTileCodec) Decode(r *spill.Reader) keyedTile {
 
 func init() {
 	spill.Register[Entry](entryCodec{})
+	// The rows Build and BuildVector group by block coordinate.
+	spill.Register(dataflow.PairCodec[Coord, Entry](dataflow.CoordCodec{}, entryCodec{}))
+	spill.Register(dataflow.PairCodec[int64, dataflow.Pair[int64, float64]](spill.Int64Codec{},
+		dataflow.PairCodec[int64, float64](spill.Int64Codec{}, spill.Float64Codec{})))
 	spill.Register(dataflow.PairCodec[Coord, taggedTile](dataflow.CoordCodec{}, taggedTileCodec{}))
 	spill.Register(dataflow.PairCodec[Coord, keyedTile](dataflow.CoordCodec{}, keyedTileCodec{}))
 }

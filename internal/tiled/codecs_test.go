@@ -81,4 +81,10 @@ func TestTiledShuffleRowsRegistered(t *testing.T) {
 	if !spill.Registered[dataflow.Pair[Coord, keyedTile]]() {
 		t.Error("keyedTile shuffle row has no registered spill codec")
 	}
+	if !spill.Registered[dataflow.Pair[Coord, Entry]]() {
+		t.Error("Build's shuffle row has no registered spill codec")
+	}
+	if !spill.Registered[dataflow.Pair[int64, dataflow.Pair[int64, float64]]]() {
+		t.Error("BuildVector's shuffle row has no registered spill codec")
+	}
 }

@@ -107,6 +107,19 @@ func TestBuildFillsMissingTiles(t *testing.T) {
 	}
 }
 
+// BuildVector is Build in one dimension: elements land in their blocks,
+// the ragged last block included, and untouched blocks are zero-filled.
+func TestBuildVectorFillsMissingBlocks(t *testing.T) {
+	elems := dataflow.Parallelize(tctx(), []dataflow.Pair[int64, float64]{{Key: 6, Value: 7}, {Key: 1, Value: 5}}, 2)
+	v := BuildVector(7, 2, elems, 3)
+	if got := dataflow.Count(v.Blocks); got != 4 {
+		t.Fatalf("blocks %d, want 4", got)
+	}
+	if d := v.ToDense(); d.At(1) != 5 || d.At(6) != 7 || d.Sum() != 12 {
+		t.Fatalf("built vector wrong: %v", d.Data)
+	}
+}
+
 func TestRandMatrixDeterministic(t *testing.T) {
 	ctx := tctx()
 	a := RandMatrix(ctx, 6, 6, 2, 2, 0, 10, 7).ToDense()

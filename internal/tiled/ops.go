@@ -94,46 +94,84 @@ func (m *Matrix) Transpose() *Matrix {
 // tile datasets on the shared dimension k, multiply matching tiles
 // locally (partial products), and reduce partial products by
 // destination coordinate with tile addition via reduceByKey.
-func (a *Matrix) Multiply(b *Matrix) *Matrix {
+func (a *Matrix) Multiply(b *Matrix) *Matrix { return JoinMultiply(a, b, 0, true, nil) }
+
+// MultiplyGroupByKey is the unoptimized translation that uses
+// groupByKey instead of reduceByKey: all partial product tiles cross
+// the shuffle and are only summed on the reduce side. It exists to
+// measure the Rule 13 optimization (reduceByKey derivation).
+func (a *Matrix) MultiplyGroupByKey(b *Matrix) *Matrix { return JoinMultiply(a, b, 0, false, nil) }
+
+// JoinMultiply is the one join-on-k plan behind Multiply,
+// MultiplyGroupByKey and the planner's join strategies: key A's tiles by
+// column coordinate and B's by row coordinate, join them over parts
+// partitions (0: A's), contract every matching pair into a zeroed
+// partial tile — contract receives the output coordinate and the join
+// key; nil is the GEMM out += x*y — and sum the partials of one output
+// tile by reduceByKey or, with Rule 13 disabled, groupByKey.
+func JoinMultiply(a, b *Matrix, parts int, reduceByKey bool,
+	contract func(out, x, y *linalg.Dense, g Coord, k int64)) *Matrix {
 	if a.Cols != b.Rows || a.N != b.N {
 		panic("tiled: multiply shape mismatch")
 	}
-	parts := a.Tiles.NumPartitions()
+	if parts <= 0 {
+		parts = a.Tiles.NumPartitions()
+	}
+	ctx := a.Tiles.Context()
+	pool := ctx.TilePool()
+	if contract == nil {
+		contract = func(out, x, y *linalg.Dense, _ Coord, _ int64) {
+			linalg.GemmBudget(out, x, y, ctx.KernelBudget())
+		}
+	}
 	left := dataflow.Map(a.Tiles, func(t Block) dataflow.Pair[int64, Block] {
 		return dataflow.KV(t.Key.J, t) // keyed by k = column coordinate
 	})
 	right := dataflow.Map(b.Tiles, func(t Block) dataflow.Pair[int64, Block] {
 		return dataflow.KV(t.Key.I, t) // keyed by k = row coordinate
 	})
-	ctx := a.Tiles.Context()
-	pool := ctx.TilePool()
 	joined := dataflow.Join(left, right, parts)
 	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[Block, Block]]) Block {
 		at, bt := p.Value.Left, p.Value.Right
+		g := Coord{I: at.Key.I, J: bt.Key.J}
 		sp := ctx.StartSpan("kernel: gemm-partial")
 		var start time.Time
 		if sp != nil {
 			start = time.Now()
 		}
 		c, hit := pool.TryGet(a.N, a.N)
-		linalg.GemmBudget(c, at.Value, bt.Value, ctx.KernelBudget())
+		contract(c, at.Value, bt.Value, g, p.Key)
 		if sp != nil {
-			sp.SetAttr("tile", fmt.Sprintf("(%d,%d)", at.Key.I, bt.Key.J))
-			sp.SetAttr("k", at.Key.J)
+			sp.SetAttr("tile", fmt.Sprintf("(%d,%d)", g.I, g.J))
+			sp.SetAttr("k", p.Key)
 			setKernelAttrs(sp, gemmFlops(a.N, 1), time.Since(start), hit)
 			sp.End()
 		}
-		return dataflow.KV(Coord{I: at.Key.I, J: bt.Key.J}, c)
+		return dataflow.KV(g, c)
 	})
-	// The combiner consumes its second argument exactly once (map-side
-	// combine and the one-time reduce fold), so the dead partial goes
-	// back to the pool; the accumulator escapes as the result tile.
-	reduced := dataflow.ReduceByKey(products, func(x, y *linalg.Dense) *linalg.Dense {
-		linalg.AddInPlace(x, y)
-		pool.Put(y)
-		return x
-	}, parts)
-	return &Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: reduced}
+	var summed *dataflow.Dataset[Block]
+	if reduceByKey {
+		// The combiner consumes its second argument exactly once (map-side
+		// combine and the one-time reduce fold), so the dead partial goes
+		// back to the pool; the accumulator escapes as the result tile.
+		summed = dataflow.ReduceByKey(products, func(x, y *linalg.Dense) *linalg.Dense {
+			linalg.AddInPlace(x, y)
+			pool.Put(y)
+			return x
+		}, parts)
+	} else {
+		// The grouped tiles live in materialized shuffle buckets that are
+		// re-served to every later action, so they cannot be recycled here;
+		// only the accumulator comes from the pool.
+		summed = dataflow.Map(dataflow.GroupByKey(products, parts), func(g dataflow.Pair[Coord, []*linalg.Dense]) Block {
+			acc := pool.Get(a.N, a.N)
+			for _, t := range g.Value {
+				linalg.AddInPlace(acc, t)
+			}
+			return dataflow.KV(g.Key, acc)
+		})
+	}
+	return &Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: summed}
 }
 
 // gemmFlops is the flop count of matches n×n tile multiplies.
@@ -153,44 +191,6 @@ func setKernelAttrs(sp *trace.Span, flops float64, elapsed time.Duration, poolHi
 	} else {
 		sp.SetAttr("pool", "miss")
 	}
-}
-
-// MultiplyGroupByKey is the unoptimized translation that uses
-// groupByKey instead of reduceByKey: all partial product tiles cross
-// the shuffle and are only summed on the reduce side. It exists to
-// measure the Rule 13 optimization (reduceByKey derivation).
-func (a *Matrix) MultiplyGroupByKey(b *Matrix) *Matrix {
-	if a.Cols != b.Rows || a.N != b.N {
-		panic("tiled: multiply shape mismatch")
-	}
-	parts := a.Tiles.NumPartitions()
-	left := dataflow.Map(a.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.J, t)
-	})
-	right := dataflow.Map(b.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.I, t)
-	})
-	ctx := a.Tiles.Context()
-	pool := ctx.TilePool()
-	joined := dataflow.Join(left, right, parts)
-	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[Block, Block]]) Block {
-		at, bt := p.Value.Left, p.Value.Right
-		c := pool.Get(a.N, a.N)
-		linalg.GemmBudget(c, at.Value, bt.Value, ctx.KernelBudget())
-		return dataflow.KV(Coord{I: at.Key.I, J: bt.Key.J}, c)
-	})
-	grouped := dataflow.GroupByKey(products, parts)
-	// The grouped tiles live in materialized shuffle buckets that are
-	// re-served to every later action, so they cannot be recycled here;
-	// only the accumulator comes from the pool.
-	summed := dataflow.Map(grouped, func(g dataflow.Pair[Coord, []*linalg.Dense]) Block {
-		acc := pool.Get(a.N, a.N)
-		for _, t := range g.Value {
-			linalg.AddInPlace(acc, t)
-		}
-		return dataflow.KV(g.Key, acc)
-	})
-	return &Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: summed}
 }
 
 // Diagonal extracts the main diagonal as a tiled vector:

@@ -53,6 +53,24 @@ func VectorFromDense(ctx *dataflow.Context, d *linalg.Vector, n int, numPartitio
 	return &Vector{Size: size, N: n, Blocks: dataflow.Parallelize(ctx, blocks, numPartitions)}
 }
 
+// BuildVector is Build's one-dimensional sibling: it groups
+// (index, value) elements by block index i/N and assembles dense blocks,
+// zero-filling the blocks no element reached.
+func BuildVector(size int64, n int, elems *dataflow.Dataset[dataflow.Pair[int64, float64]], numPartitions int) *Vector {
+	keyed := dataflow.Map(elems, func(e dataflow.Pair[int64, float64]) dataflow.Pair[int64, dataflow.Pair[int64, float64]] {
+		return dataflow.KV(e.Key/int64(n), e)
+	})
+	grouped := dataflow.GroupByKey(keyed, numPartitions)
+	blocks := dataflow.Map(grouped, func(g dataflow.Pair[int64, []dataflow.Pair[int64, float64]]) VBlock {
+		blk := linalg.NewVector(n)
+		for _, e := range g.Value {
+			blk.Set(int(e.Key-g.Key*int64(n)), e.Value)
+		}
+		return dataflow.KV(g.Key, blk)
+	})
+	return (&Vector{Size: size, N: n, Blocks: blocks}).fillMissingBlocks()
+}
+
 // ToDense collects the blocks into one driver-side vector.
 func (v *Vector) ToDense() *linalg.Vector {
 	out := linalg.NewVector(int(v.Size))
