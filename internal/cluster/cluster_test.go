@@ -221,7 +221,7 @@ func TestProtoRoundTrips(t *testing.T) {
 	rep := Report{Tasks: 1, Stages: 2, ShuffledBytes: 3, Resubmissions: 4, WallNanos: 5,
 		ServedFetches: 6, MemoryPeak: 7}
 	done := jobDoneMsg{JobID: 9, OK: true, Err: "", Result: []byte("r"), Report: rep}
-	gd, err := decodeJobDone(done.encode())
+	gd, err := decodeJobDone(bytes.Join(done.parts(), nil))
 	if err != nil || !reflect.DeepEqual(gd, done) {
 		t.Fatalf("jobdone: %+v %v", gd, err)
 	}
@@ -254,7 +254,7 @@ func TestProtoRoundTrips(t *testing.T) {
 		t.Error("stream end with a trailing byte decoded without error")
 	}
 	// Truncated payloads error instead of panicking.
-	for _, blob := range [][]byte{job.encode(), done.encode(), reg.encode()} {
+	for _, blob := range [][]byte{job.encode(), bytes.Join(done.parts(), nil), reg.encode()} {
 		for cut := 0; cut < len(blob); cut++ {
 			func() {
 				defer func() {

@@ -24,12 +24,27 @@ const (
 	// memory, not 1 GiB.
 	shuffleChunkSize = 256 << 10
 
-	// compressSavingsDenom gates the per-bucket compression heuristic:
-	// the first chunk is compressed as a probe, and the whole bucket is
-	// stored compressed only when the probe saves at least
-	// 1/compressSavingsDenom of its raw size. Incompressible payloads
-	// (already-random doubles) ship raw and skip the decompress cost.
-	compressSavingsDenom = 8
+	// compressSampleSize is how much of a bucket's head makeBucket
+	// compresses to decide whether the bucket is worth compressing: the
+	// decision costs microseconds whatever the bucket's size.
+	compressSampleSize = 4 << 10
+
+	// compressSavingsDenom is the break-even of that decision: a bucket
+	// (and then each chunk) is stored compressed only when compression
+	// saves at least 1/compressSavingsDenom of the raw size.
+	// spill.CompressBlock runs at about 320 MB/s per core on tile
+	// payloads (the benchmark's spill.compress_mbs), so compressing B
+	// bytes costs B/320 MB/s of CPU and, saving the fraction s, takes
+	// s*B off the wire: it pays only on a link slower than s * 320 MB/s
+	// per core. An eighth (the threshold until PR 19) pays below 40 MB/s;
+	// a third pays up to ~107 MB/s, gigabit Ethernet, the slowest link a
+	// cluster is expected to run on. Measured on a chunk of each payload
+	// (TestBucketHeuristic): dense random tiles save nothing in the
+	// sample and 16 % over a chunk that holds a replicated tile twice,
+	// coordinate rows with random values 20 % — both ship raw; coordinate
+	// rows with whole-number values save 45 %, half-zero tiles 38 %,
+	// tiles 90 % zero 85 % — those compress.
+	compressSavingsDenom = 3
 
 	// maxIdleConns bounds the per-peer data-connection pool.
 	maxIdleConns = 3
@@ -73,36 +88,65 @@ type bucket struct {
 	rawBytes int64
 }
 
+// compressionPays reports whether packed bytes for raw bytes is a saving
+// past the break-even.
+func compressionPays(packed, raw int) bool {
+	return packed <= raw-raw/compressSavingsDenom
+}
+
 // makeBucket chunks blob and applies the per-bucket compression
-// heuristic: probe the first chunk, compress the rest only if the
-// probe pays.
+// heuristic: compress a sample of the head, and compress the chunks only
+// if the sample pays. A chunk that then does not pay is stored raw.
 func makeBucket(blob []byte) bucket {
-	compress := true
 	b := bucket{rawBytes: int64(len(blob))}
 	if len(blob) == 0 {
 		return b
 	}
+	// A bucket no larger than the sample is its own probe.
+	compress := len(blob) <= compressSampleSize ||
+		compressionPays(len(spill.CompressBlock(blob[:compressSampleSize])), compressSampleSize)
 	n := (len(blob) + shuffleChunkSize - 1) / shuffleChunkSize
 	b.chunks = make([]chunk, 0, n)
 	for off := 0; off < len(blob); off += shuffleChunkSize {
-		end := off + shuffleChunkSize
-		if end > len(blob) {
-			end = len(blob)
-		}
-		raw := blob[off:end]
+		raw := blob[off:min(off+shuffleChunkSize, len(blob))]
 		c := chunk{rawLen: len(raw), data: raw}
 		if compress {
-			if packed := spill.CompressBlock(raw); len(packed) <= len(raw)-len(raw)/compressSavingsDenom {
+			if packed := spill.CompressBlock(raw); compressionPays(len(packed), len(raw)) {
 				c.flags, c.data = chunkFlagCompressed, packed
-			} else if off == 0 {
-				// The probe chunk didn't pay; assume the rest of the
-				// bucket is equally incompressible and stop trying.
-				compress = false
 			}
 		}
 		b.chunks = append(b.chunks, c)
 	}
 	return b
+}
+
+// offer is one key of a jobStore: a bucket, or the promise of one. A
+// published bucket is there from the start; an offered one is encoded
+// and chunked by the first fetch that asks for it, and never if none
+// does.
+type offer struct {
+	once   sync.Once
+	encode func() ([]byte, error) // nil for a published bucket
+	b      bucket
+	err    error
+}
+
+// bucket resolves the offer. It runs the encoder, so callers must not
+// hold the store's lock.
+func (o *offer) bucket() (bucket, error) {
+	o.once.Do(func() {
+		if o.encode == nil {
+			return
+		}
+		blob, err := o.encode()
+		o.encode = nil // the encoder pins the rows it would read
+		if err != nil {
+			o.err = fmt.Errorf("cluster: offered bucket withdrawn: %w", err)
+			return
+		}
+		o.b = makeBucket(blob)
+	})
+	return o.b, o.err
 }
 
 // jobStore holds one job's locally-produced shuffle buckets. Fetches
@@ -113,19 +157,19 @@ func makeBucket(blob []byte) bucket {
 type jobStore struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	buckets map[string]bucket
+	buckets map[string]*offer
 	failed  bool
 }
 
 func newJobStore() *jobStore {
-	s := &jobStore{buckets: make(map[string]bucket)}
+	s := &jobStore{buckets: make(map[string]*offer)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-func (s *jobStore) put(key string, b bucket) {
+func (s *jobStore) put(key string, o *offer) {
 	s.mu.Lock()
-	s.buckets[key] = b
+	s.buckets[key] = o
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -133,12 +177,13 @@ func (s *jobStore) put(key string, b bucket) {
 // waitGet blocks until key is present or the store failed.
 func (s *jobStore) waitGet(key string) (bucket, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
-		if b, ok := s.buckets[key]; ok {
-			return b, nil
+		if o, ok := s.buckets[key]; ok {
+			s.mu.Unlock()
+			return o.bucket()
 		}
 		if s.failed {
+			s.mu.Unlock()
 			return bucket{}, fmt.Errorf("cluster: job failed on this worker")
 		}
 		s.cond.Wait()
@@ -147,11 +192,14 @@ func (s *jobStore) waitGet(key string) (bucket, error) {
 
 // get is the non-blocking lookup used for self-fetches, which are
 // always published before they are read.
-func (s *jobStore) get(key string) (bucket, bool) {
+func (s *jobStore) get(key string) (bucket, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[key]
-	return b, ok
+	o, ok := s.buckets[key]
+	s.mu.Unlock()
+	if !ok {
+		return bucket{}, fmt.Errorf("cluster: local bucket %s missing", key)
+	}
+	return o.bucket()
 }
 
 // fail marks the store dead and wakes all waiters with an error.
@@ -264,8 +312,17 @@ func (e *Exchange) SetMemory(m *memory.Manager) { e.mem.Store(m) }
 // bucket is chunked — and, when it pays, compressed — exactly once
 // here; every subsequent fetch serves the stored chunks.
 func (e *Exchange) Publish(key string, blob []byte) error {
-	e.store.put(key, makeBucket(blob))
+	e.store.put(key, &offer{b: makeBucket(blob)})
 	return nil
+}
+
+// Offer registers a bucket no peer is expected to fetch — one bound for
+// this rank's own reduce partitions, which a peer reads only when it
+// takes such a partition over. encode runs at most once, on the first
+// fetch of key, on the goroutine serving that fetch; an error from it
+// reaches the fetching peer as a lost bucket, and the peer recomputes.
+func (e *Exchange) Offer(key string, encode func() ([]byte, error)) {
+	e.store.put(key, &offer{encode: encode})
 }
 
 // markDead gives up on a rank: later fetches fail fast instead of
@@ -291,9 +348,9 @@ func (e *Exchange) FetchReader(rank int, key string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("cluster: fetch from rank %d of %d", rank, len(e.peers))
 	}
 	if rank == e.rank {
-		b, ok := e.store.get(key)
-		if !ok {
-			return nil, fmt.Errorf("cluster: local bucket %s missing", key)
+		b, err := e.store.get(key)
+		if err != nil {
+			return nil, err
 		}
 		return &bucketReader{b: b}, nil
 	}
@@ -356,7 +413,8 @@ type streamReader struct {
 	next     int // next chunk index expected = resume point
 	attempts int // transient retries consumed
 
-	cur      []byte // decoded bytes of the current chunk, unconsumed
+	frame    []byte // frame payloads are read into this one buffer, chunk after chunk
+	cur      []byte // decoded bytes of the current chunk, unconsumed; a raw chunk's lie in frame
 	reserved int64  // memory reservation held for cur
 	rawTotal int64  // raw bytes delivered so far (verified at end)
 	done     bool
@@ -462,10 +520,12 @@ func (s *streamReader) fill() error {
 		}
 	}
 	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
-	typ, payload, err := readFrame(s.br)
+	// cur is empty (Read fills only then), so frame is free to overwrite.
+	typ, payload, err := readFrameInto(s.br, s.frame)
 	if err != nil {
 		return s.retry(fmt.Errorf("cluster: read stream from rank %d: %w", s.rank, err))
 	}
+	s.frame = payload[:0]
 	switch typ {
 	case msgStreamChunk:
 		flags, rawLen, body, err := decodeChunkFrame(payload)

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 
 	"repro/internal/obs"
 )
@@ -53,18 +54,32 @@ const (
 // drive a giant allocation.
 const maxFrame = 1 << 30
 
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = typ
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:1+n]); err != nil {
-		return err
+// writeFrame writes one frame whose payload is the concatenation of
+// parts, each handed to w from where it lies: a caller holding a large
+// body beside a small header (a chunk, a result blob) does not join
+// them first. A TCP connection takes header and parts in one writev.
+func writeFrame(w io.Writer, typ byte, parts ...[]byte) error {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
 	}
-	_, err := w.Write(payload)
+	hdr := make([]byte, 1, 1+binary.MaxVarintLen64)
+	hdr[0] = typ
+	bufs := make(net.Buffers, 0, 1+len(parts))
+	bufs = append(bufs, binary.AppendUvarint(hdr, uint64(size)))
+	bufs = append(bufs, parts...)
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
+// readFrame reads one frame into a payload of its own.
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto reads one frame, reusing buf for the payload when it is
+// large enough; the payload is then only valid until buf's next use.
+func readFrameInto(r *bufio.Reader, buf []byte) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, err
@@ -76,7 +91,10 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	if size > maxFrame {
 		return 0, nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, size)
+	if uint64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	payload := buf[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
@@ -158,6 +176,9 @@ func (c *wireCur) str() string {
 	return s
 }
 
+// blob returns a length-prefixed byte string as a slice of the frame
+// being decoded, not a copy: a frame's payload is allocated per frame
+// (readFrame) and belongs to the message decoded from it.
 func (c *wireCur) blob() []byte {
 	n := c.u64()
 	if c.err != nil {
@@ -167,7 +188,7 @@ func (c *wireCur) blob() []byte {
 		c.fail("blob")
 		return nil
 	}
-	p := append([]byte(nil), c.b[:n]...)
+	p := c.b[:n:n]
 	c.b = c.b[n:]
 	return p
 }
@@ -263,18 +284,21 @@ type jobDoneMsg struct {
 	Report Report
 }
 
-func (m *jobDoneMsg) encode() []byte {
-	var w wireBuf
-	w.i64(m.JobID)
+// parts is the encoded message as writeFrame takes it: what precedes
+// the result (ending in its length), the result itself, and the report
+// after it — an 8 MB result goes to the socket from where it lies.
+func (m *jobDoneMsg) parts() [][]byte {
+	var head, tail wireBuf
+	head.i64(m.JobID)
 	ok := int64(0)
 	if m.OK {
 		ok = 1
 	}
-	w.i64(ok)
-	w.str(m.Err)
-	w.blob(m.Result)
-	w.blob(encodeReport(m.Report))
-	return w.b
+	head.i64(ok)
+	head.str(m.Err)
+	head.u64(uint64(len(m.Result)))
+	tail.blob(encodeReport(m.Report))
+	return [][]byte{head.b, m.Result, tail.b}
 }
 
 func decodeJobDone(p []byte) (jobDoneMsg, error) {
@@ -331,20 +355,19 @@ func decodeFetchStream(p []byte) (fetchStreamMsg, error) {
 	return m, c.err
 }
 
-// encodeChunkFrame frames one chunk payload: a flags byte, the
-// decompressed length, then the body (compressed or raw per the flag).
-func encodeChunkFrame(flags byte, rawLen int, body []byte) []byte {
-	w := wireBuf{b: make([]byte, 0, 1+binary.MaxVarintLen64+len(body))}
-	w.b = append(w.b, flags)
-	w.u64(uint64(rawLen))
-	w.b = append(w.b, body...)
-	return w.b
+// writeChunkFrame writes one chunk as a msgStreamChunk frame: a flags
+// byte, the decompressed length, then the body (compressed or raw per
+// the flag), which goes to w from the stored bucket without a copy.
+func writeChunkFrame(w io.Writer, flags byte, rawLen int, body []byte) error {
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = flags
+	n := binary.PutUvarint(hdr[1:], uint64(rawLen))
+	return writeFrame(w, msgStreamChunk, hdr[:1+n], body)
 }
 
-// decodeChunkFrame reverses encodeChunkFrame. RawLen is bounded by
-// maxFrame so a corrupt header cannot drive a giant decompression
-// allocation; the body is NOT copied (it aliases p, which readFrame
-// already allocated fresh).
+// decodeChunkFrame parses the payload writeChunkFrame framed. RawLen is
+// bounded by maxFrame so a corrupt header cannot drive a giant
+// decompression allocation; the body is NOT copied (it aliases p).
 func decodeChunkFrame(p []byte) (flags byte, rawLen int, body []byte, err error) {
 	if len(p) < 1 {
 		return 0, 0, nil, fmt.Errorf("cluster: empty chunk frame")

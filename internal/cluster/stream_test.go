@@ -9,16 +9,25 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/comp"
+	"repro/internal/dataflow"
+	"repro/internal/linalg"
 	"repro/internal/memory"
+	_ "repro/internal/plan" // registers the coordinate rows' codec
+	"repro/internal/spill"
 )
 
 // startDataServer runs just the worker's data plane: a listener and the
@@ -171,7 +180,7 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 				var end streamEndMsg
 				for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
 					ch := bkt.chunks[i]
-					if writeFrame(conn, msgStreamChunk, encodeChunkFrame(ch.flags, ch.rawLen, ch.data)) != nil {
+					if writeChunkFrame(conn, ch.flags, ch.rawLen, ch.data) != nil {
 						return
 					}
 					end.Chunks++
@@ -208,6 +217,90 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 	// A later fetch from the same (healthy) rank must still work.
 	if _, err := fetchAll(e, 1, "x"); err != nil {
 		t.Fatalf("rank unusable after recovered transient error: %v", err)
+	}
+}
+
+// scriptedPeer is a data server that answers every fetch-stream request
+// by writing reply's bytes and hanging up.
+func scriptedPeer(t *testing.T, reply func(w io.Writer)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if typ, _, err := readFrame(bufio.NewReader(conn)); err == nil && typ == msgFetchStream {
+					reply(conn)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestMalformedChunksAreErrors: what a peer sends is checked before it is
+// believed. A compressed chunk that does not inflate is corrupt payload —
+// an error with no transport error behind it, so the consumer does not
+// recompute what would come out the same — while a raw chunk shorter
+// than its header says, a chunk claiming more than maxFrame raw bytes
+// and a frame longer than maxFrame are the peer's fault and fail the
+// fetch as transport errors, all without allocating what they claim.
+func TestMalformedChunksAreErrors(t *testing.T) {
+	oversized := func(w io.Writer) {
+		hdr := binary.AppendUvarint([]byte{msgStreamChunk}, maxFrame+1)
+		_, _ = w.Write(hdr)
+	}
+	for _, tc := range []struct {
+		name      string
+		reply     func(w io.Writer)
+		transport bool
+	}{
+		{"compressed chunk that does not inflate", func(w io.Writer) {
+			_ = writeChunkFrame(w, chunkFlagCompressed, 1000, []byte{200, 1, 2, 3})
+		}, false},
+		{"raw chunk shorter than its header", func(w io.Writer) {
+			_ = writeChunkFrame(w, 0, 1000, []byte("short"))
+		}, true},
+		{"chunk claiming more than maxFrame", func(w io.Writer) {
+			_ = writeChunkFrame(w, chunkFlagCompressed, maxFrame+1, []byte{1})
+		}, true},
+		{"frame longer than maxFrame", oversized, true},
+	} {
+		e := clientExchange(9, scriptedPeer(t, tc.reply))
+		e.streamRetries = 0
+		mem := memory.New(1 << 30)
+		e.SetMemory(mem)
+		rc, err := e.FetchReader(1, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = io.ReadAll(rc)
+		runtime.ReadMemStats(&after)
+		rc.Close()
+		if err == nil {
+			t.Errorf("%s: read without error", tc.name)
+			continue
+		}
+		terr := rc.(interface{ TransportErr() error }).TransportErr()
+		if (terr != nil) != tc.transport {
+			t.Errorf("%s: transport error %v, want one: %v (read error: %v)", tc.name, terr, tc.transport, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: the failed fetch allocated %d bytes", tc.name, grew)
+		}
+		if mem.Used() != 0 {
+			t.Errorf("%s: the failed fetch left %d bytes reserved", tc.name, mem.Used())
+		}
 	}
 }
 
@@ -270,6 +363,45 @@ func TestFetchAfterJobEnd(t *testing.T) {
 	}
 }
 
+// TestOfferedBucketEncodedOnFirstFetch: an offered bucket costs nothing
+// until a peer asks for it, is encoded once however many ask, serves the
+// bytes a published one would, and reaches the peer as a lost bucket —
+// recompute, do not retry — when its encoder withdraws it.
+func TestOfferedBucketEncodedOnFirstFetch(t *testing.T) {
+	w, addr := startDataServer(t)
+	server := newExchange(8, 1, nil, w.storeFor(8))
+	blob := tileBucket(t, 7, 100, 0.5) // three chunks
+	var encodes atomic.Int64
+	server.Offer("kept", func() ([]byte, error) { encodes.Add(1); return blob, nil })
+	server.Offer("unread", func() ([]byte, error) { encodes.Add(1); return blob, nil })
+	server.Offer("withdrawn", func() ([]byte, error) { return nil, fmt.Errorf("rows already folded") })
+	if encodes.Load() != 0 {
+		t.Fatal("an offer was encoded before any fetch")
+	}
+	e := clientExchange(8, addr)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := fetchAll(e, 1, "kept"); err != nil || !bytes.Equal(got, blob) {
+				t.Errorf("offered bucket fetched as %d bytes (%v), want %d", len(got), err, len(blob))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := encodes.Load(); n != 1 {
+		t.Fatalf("4 fetches of one offer (and none of another) ran %d encodes", n)
+	}
+	if _, err := fetchAll(e, 1, "withdrawn"); err == nil || !strings.Contains(err.Error(), "rows already folded") {
+		t.Fatalf("withdrawn offer: %v", err)
+	}
+	if e.c.FetchGoneEvents.Load() != 1 || e.c.FetchRetries.Load() != 0 || !e.dead[1].Load() {
+		t.Fatalf("withdrawn offer should read as a lost bucket: %d FetchGone, %d retries, dead=%v",
+			e.c.FetchGoneEvents.Load(), e.c.FetchRetries.Load(), e.dead[1].Load())
+	}
+}
+
 // TestMemoryBoundedFetch: streaming a bucket many times the chunk size
 // must reserve at most ~a chunk of budget at a time, never the whole
 // bucket.
@@ -310,28 +442,150 @@ func TestMemoryBoundedFetch(t *testing.T) {
 	}
 }
 
-// TestBucketHeuristic: the publish-side probe compresses compressible
-// buckets and stores incompressible ones raw.
+// tileBucket is a shuffle bucket of the group-by-join: count n x n tiles
+// keyed by the join's k and their coordinates, in the wire encoding.
+// zeros is the share of each tile's cells left zero; the rest are
+// uniform in [0,10), which no block compressor shortens.
+func tileBucket(tb testing.TB, count, n int, zeros float64) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(count)))
+	type row = dataflow.Pair[int64, dataflow.Pair[dataflow.Coord, *linalg.Dense]]
+	rows := make([]row, count)
+	for i := range rows {
+		tile := linalg.NewDense(n, n)
+		for c := range tile.Data {
+			if rng.Float64() >= zeros {
+				tile.Data[c] = 10 * rng.Float64()
+			}
+		}
+		rows[i] = dataflow.KV(int64(i%10), dataflow.KV(dataflow.Coord{I: int64(i / 10), J: int64(i % 10)}, tile))
+	}
+	blob, err := spill.EncodeRows(rows, spill.For[row]())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// coordBucket is a bucket of the coordinate fallback's join: count
+// ((i,k), a) elements under the rendered join key, in the wire encoding.
+// a is uniform in [0,10), or with whole a whole number below 10 (an
+// adjacency or count matrix), whose float64 is six zero bytes in eight.
+func coordBucket(tb testing.TB, count int, whole bool) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(count)))
+	type row = dataflow.Pair[string, comp.Value]
+	if !spill.Registered[row]() {
+		tb.Fatal("the coordinate row type has no registered codec")
+	}
+	rows := make([]row, count)
+	for i := range rows {
+		ik := comp.Tuple{int64(i / 1000), int64(i % 1000)}
+		a := 10 * rng.Float64()
+		if whole {
+			a = math.Floor(a)
+		}
+		rows[i] = dataflow.KV(comp.Render(ik[1]), comp.Value(comp.Tuple{ik, a}))
+	}
+	blob, err := spill.EncodeRows(rows, spill.For[row]())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// storedCompressed counts the bucket's chunks stored compressed and
+// checks every chunk against the raw bytes it stands for.
+func storedCompressed(t *testing.T, blob []byte, b bucket) (compressed int) {
+	t.Helper()
+	var raw []byte
+	for i, c := range b.chunks {
+		if c.flags&chunkFlagCompressed == 0 {
+			raw = append(raw, c.data...)
+			continue
+		}
+		compressed++
+		if !compressionPays(len(c.data), c.rawLen) {
+			t.Fatalf("chunk %d stored compressed at %d of %d bytes, short of the break-even", i, len(c.data), c.rawLen)
+		}
+		plain, err := spill.DecompressBlock(c.data, c.rawLen)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		raw = append(raw, plain...)
+	}
+	if !bytes.Equal(raw, blob) {
+		t.Fatal("the bucket's chunks do not add up to the published bytes")
+	}
+	return compressed
+}
+
+// TestBucketHeuristic: the publish-side probe compresses the buckets on
+// which compression pays and stores the others raw — and finds out from
+// a sample of the bucket's head, not by compressing a chunk of it.
 func TestBucketHeuristic(t *testing.T) {
 	rep := bytes.Repeat([]byte("abcd"), shuffleChunkSize)
-	stored := 0
-	for _, c := range makeBucket(rep).chunks {
-		if c.flags&chunkFlagCompressed == 0 {
-			t.Fatal("compressible chunk stored raw")
-		}
-		stored += len(c.data)
-	}
-	if stored >= len(rep) {
-		t.Fatalf("compressed bucket not smaller: %d vs %d", stored, len(rep))
-	}
-
 	rng := rand.New(rand.NewSource(1))
 	rnd := make([]byte, 2*shuffleChunkSize)
 	rng.Read(rnd)
-	for i, c := range makeBucket(rnd).chunks {
-		if c.flags&chunkFlagCompressed != 0 {
-			t.Fatalf("incompressible chunk %d stored compressed", i)
+	for _, tc := range []struct {
+		name       string
+		blob       []byte
+		compressed bool
+	}{
+		{"repetitive bytes", rep, true},
+		{"random bytes", rnd, false},
+		{"dense random tiles", tileBucket(t, 50, 100, 0), false},
+		{"tiles 90% zero", tileBucket(t, 50, 100, 0.9), true},
+		// Random values leave a fifth to save, short of the break-even.
+		{"coordinate rows", coordBucket(t, 100_000, false), false},
+		{"coordinate rows, whole values", coordBucket(t, 100_000, true), true},
+		{"tiny compressible", bytes.Repeat([]byte{7}, 100), true},
+		{"tiny random", rnd[:100], false},
+	} {
+		if len(tc.blob) > 2*compressSampleSize && len(tc.blob) < 2*shuffleChunkSize {
+			t.Fatalf("%s: a %d-byte bucket does not span the chunks the case is about", tc.name, len(tc.blob))
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b := makeBucket(tc.blob)
+		runtime.ReadMemStats(&after)
+		chunks := len(b.chunks)
+		if got := storedCompressed(t, tc.blob, b); tc.compressed && got != chunks || !tc.compressed && got != 0 {
+			t.Errorf("%s: %d of %d chunks stored compressed", tc.name, got, chunks)
+		}
+		// CompressBlock allocates its input's size for its output, so what
+		// makeBucket allocated bounds what it compressed: for a bucket it
+		// stores raw, the sample (and at most a 64 KiB match table the pool
+		// had dropped), nothing like a chunk.
+		if grew := after.TotalAlloc - before.TotalAlloc; !tc.compressed && grew > shuffleChunkSize/2 {
+			t.Errorf("%s: deciding to store %d bytes raw allocated %d bytes; the decision is to touch only a %d-byte sample",
+				tc.name, len(tc.blob), grew, compressSampleSize)
+		}
+	}
+}
+
+var bucketSink bucket
+
+// BenchmarkMakeBucket is the publish-side cost per bucket byte on the
+// three payloads the exchange sees: dense tiles (stored raw after the
+// sample), zero-heavy tiles and coordinate rows (compressed).
+func BenchmarkMakeBucket(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"dense", tileBucket(b, 3, 100, 0)}, // one chunk, as cluster-matmul publishes them
+		{"sparse", tileBucket(b, 3, 100, 0.9)},
+		{"coord", coordBucket(b, 10_000, true)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.blob)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bucketSink = makeBucket(bc.blob)
+			}
+		})
 	}
 }
 
@@ -339,13 +593,25 @@ func TestBucketHeuristic(t *testing.T) {
 // truncated frames: they must error, never panic, and the frame
 // encoder must round-trip.
 func FuzzChunkFrame(f *testing.F) {
-	f.Add(encodeChunkFrame(0, 5, []byte("hello")))
-	f.Add(encodeChunkFrame(chunkFlagCompressed, 100, []byte{1, 2, 3}))
+	// chunkPayload is the payload of the frame writeChunkFrame writes.
+	chunkPayload := func(flags byte, rawLen int, body []byte) []byte {
+		var frame bytes.Buffer
+		if err := writeChunkFrame(&frame, flags, rawLen, body); err != nil {
+			f.Fatal(err)
+		}
+		typ, payload, err := readFrame(bufio.NewReader(&frame))
+		if err != nil || typ != msgStreamChunk {
+			f.Fatalf("chunk frame read back as type %d: %v", typ, err)
+		}
+		return payload
+	}
+	f.Add(chunkPayload(0, 5, []byte("hello")))
+	f.Add(chunkPayload(chunkFlagCompressed, 100, []byte{1, 2, 3}))
 	f.Add((&fetchStreamMsg{JobID: 1, Key: "x1.2.3", FirstChunk: 7}).encode())
 	f.Add((&streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}).encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	ch := encodeChunkFrame(chunkFlagCompressed, 1<<20, bytes.Repeat([]byte{7}, 64))
+	ch := chunkPayload(chunkFlagCompressed, 1<<20, bytes.Repeat([]byte{7}, 64))
 	f.Add(ch[:len(ch)/2]) // truncated chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flags, rawLen, body, err := decodeChunkFrame(data)
@@ -356,7 +622,7 @@ func FuzzChunkFrame(f *testing.F) {
 			// Re-encoding the decoded values must decode back to the
 			// same values (the encoding is canonical; the input may
 			// have used non-minimal varints).
-			f2, r2, b2, err2 := decodeChunkFrame(encodeChunkFrame(flags, rawLen, body))
+			f2, r2, b2, err2 := decodeChunkFrame(chunkPayload(flags, rawLen, body))
 			if err2 != nil || f2 != flags || r2 != rawLen || !bytes.Equal(b2, body) {
 				t.Fatalf("chunk frame not canonical: %v", err2)
 			}

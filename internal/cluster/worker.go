@@ -198,10 +198,10 @@ func (w *Worker) shutdown() {
 	w.smu.Unlock()
 }
 
-func (w *Worker) send(typ byte, payload []byte) error {
+func (w *Worker) send(typ byte, parts ...[]byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return writeFrame(w.control, typ, payload)
+	return writeFrame(w.control, typ, parts...)
 }
 
 func (w *Worker) heartbeatLoop(period time.Duration) {
@@ -214,7 +214,7 @@ func (w *Worker) heartbeatLoop(period time.Duration) {
 		if w.closed.Load() {
 			return
 		}
-		if err := w.send(msgHeartbeat, nil); err != nil {
+		if err := w.send(msgHeartbeat); err != nil {
 			return
 		}
 	}
@@ -244,7 +244,7 @@ func (w *Worker) controlLoop(br *bufio.Reader) {
 				// Draining: refuse explicitly so the driver fails the
 				// job instead of waiting for a rank that will never run.
 				refused := jobDoneMsg{JobID: job.JobID, OK: false, Err: "cluster: worker draining"}
-				_ = w.send(msgJobDone, refused.encode())
+				_ = w.send(msgJobDone, refused.parts()...)
 				continue
 			}
 			go func() {
@@ -296,7 +296,7 @@ func (w *Worker) runJob(job jobMsg) {
 	store := w.storeFor(job.JobID)
 	if store == nil {
 		refused := jobDoneMsg{JobID: job.JobID, Err: "cluster: job ID already ended on this worker"}
-		_ = w.send(msgJobDone, refused.encode())
+		_ = w.send(msgJobDone, refused.parts()...)
 		return
 	}
 	exch := newExchange(job.JobID, int(job.Rank), job.Peers, store)
@@ -324,7 +324,7 @@ func (w *Worker) runJob(job jobMsg) {
 		// Peers blocked on our buckets must recompute, not hang.
 		store.fail()
 	}
-	_ = w.send(msgJobDone, done.encode())
+	_ = w.send(msgJobDone, done.parts()...)
 }
 
 // report completes a rank's report: the program's own counters merged
@@ -401,7 +401,7 @@ func (w *Worker) serveStream(bw *bufio.Writer, req fetchStreamMsg) bool {
 	var end streamEndMsg
 	for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
 		ch := bkt.chunks[i]
-		if writeFrame(bw, msgStreamChunk, encodeChunkFrame(ch.flags, ch.rawLen, ch.data)) != nil {
+		if writeChunkFrame(bw, ch.flags, ch.rawLen, ch.data) != nil {
 			return false
 		}
 		end.Chunks++

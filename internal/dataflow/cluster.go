@@ -135,19 +135,60 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// publish offers map task m's segments to the peers. Narrow
+// offerer is the optional part of a Transport that can hold a blob as a
+// promise: encode runs at most once, on the first fetch of key, on a
+// goroutine of the transport's; if it fails the fetching peer sees the
+// blob as lost and recomputes it from lineage.
+type offerer interface {
+	Offer(key string, encode func() ([]byte, error))
+}
+
+// publish makes map task m's segments available to the peers. Narrow
 // (co-partitioned) exchanges publish only segment m of map task m —
 // the single one the task fills — and their reads stay on-rank, so no
 // data crosses the network. A local context has nobody to publish to.
+//
+// A segment of a reduce partition this rank owns is read here, from seg,
+// and fetched by a peer only if one takes the partition over; where the
+// transport can hold a promise it is offered, not encoded.
 func (s *lazyBuckets[T]) publish(m int, sg []bucketed[T]) {
-	if s.ctx.conf.Transport == nil {
+	t := s.ctx.conf.Transport
+	if t == nil {
 		return
 	}
+	off, _ := t.(offerer)
 	for b := range sg {
-		if !s.narrow || b == m {
-			publishRows(s.ctx, exchKey(s.stage.id, m, b), s.read(&sg[b]))
+		if s.narrow && b != m {
+			continue
 		}
+		key := exchKey(s.stage.id, m, b)
+		if off != nil && s.ctx.owns(b) {
+			off.Offer(key, func() ([]byte, error) { return s.encodeOffered(b, &sg[b]) })
+			continue
+		}
+		publishRows(s.ctx, key, s.read(&sg[b]))
 	}
+}
+
+// encodeOffered encodes segment bk of reduce partition b when a peer
+// does ask for it. It can do so as long as this rank has not assembled
+// the partition: from then on the segment's rows belong to the partition
+// (and a mutating fold may have changed them), so the offer is withdrawn
+// and the peer recomputes the map task, as it would for a lost rank.
+func (s *lazyBuckets[T]) encodeOffered(b int, bk *bucketed[T]) (blob []byte, err error) {
+	defer func() {
+		// A run file that cannot be read back panics; this is a
+		// transport goroutine, and the peer has lineage to fall back on.
+		if r := recover(); r != nil {
+			err = fmt.Errorf("dataflow: %s: offered segment: %v", s.name, r)
+		}
+	}()
+	s.pmu[b].Lock()
+	defer s.pmu[b].Unlock()
+	if s.done[b] {
+		return nil, fmt.Errorf("dataflow: %s: partition %d already assembled here", s.name, b)
+	}
+	return spill.EncodeRows(s.read(bk), spill.For[T]())
 }
 
 // streamFetchWindow bounds the concurrent segment fetches one reduce

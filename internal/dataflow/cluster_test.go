@@ -8,28 +8,34 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/spill"
 	"repro/internal/trace"
 )
 
 // memHub is an in-process cluster fabric: one blob store per rank with
 // blocking fetches, peer-death simulation (a killed rank's store is
 // dropped, like a SIGKILLed process), and a publish-count trigger that
-// kills a rank mid-shuffle-write.
+// kills a rank mid-shuffle-write. Like cluster.Exchange it takes offers:
+// blobs encoded by the first fetch that asks for them.
 type memHub struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	world  int
-	blobs  []map[string][]byte
-	dead   []bool
-	killAt []int // kill rank r after this many publishes; -1 = never
-	tearAt []int // tear remote streams FROM rank r after this many bytes; -1 = never
-	pubs   []int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	world   int
+	blobs   []map[string][]byte
+	offers  []map[string]*memOffer
+	dead    []bool
+	killAt  []int // kill rank r after this many publishes; -1 = never
+	tearAt  []int // tear remote streams FROM rank r after this many bytes; -1 = never
+	pubs    []int
+	offered int // offers registered, on all ranks
+	encoded int // offers a fetch made good
 }
 
 func newMemHub(world int) *memHub {
 	h := &memHub{
 		world:  world,
 		blobs:  make([]map[string][]byte, world),
+		offers: make([]map[string]*memOffer, world),
 		dead:   make([]bool, world),
 		killAt: make([]int, world),
 		tearAt: make([]int, world),
@@ -38,6 +44,7 @@ func newMemHub(world int) *memHub {
 	h.cond = sync.NewCond(&h.mu)
 	for r := range h.blobs {
 		h.blobs[r] = make(map[string][]byte)
+		h.offers[r] = make(map[string]*memOffer)
 		h.killAt[r] = -1
 		h.tearAt[r] = -1
 	}
@@ -81,6 +88,7 @@ func (t *memTransport) Publish(key string, blob []byte) error {
 	if h.killAt[t.rank] >= 0 && h.pubs[t.rank] >= h.killAt[t.rank] {
 		h.dead[t.rank] = true
 		h.blobs[t.rank] = make(map[string][]byte)
+		h.offers[t.rank] = make(map[string]*memOffer)
 		h.cond.Broadcast()
 		return errors.New("memtransport: killed mid-publish")
 	}
@@ -88,6 +96,27 @@ func (t *memTransport) Publish(key string, blob []byte) error {
 	h.blobs[t.rank][key] = blob
 	h.cond.Broadcast()
 	return nil
+}
+
+// memOffer is a blob the first fetch encodes; every fetch of it sees
+// that one outcome.
+type memOffer struct {
+	once   sync.Once
+	encode func() ([]byte, error)
+	blob   []byte
+	err    error
+}
+
+// Offer registers a blob to be encoded by the first fetch of key.
+func (t *memTransport) Offer(key string, encode func() ([]byte, error)) {
+	h := t.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.dead[t.rank] {
+		h.offers[t.rank][key] = &memOffer{encode: encode}
+		h.offered++
+		h.cond.Broadcast()
+	}
 }
 
 // FetchReader blocks until rank has published key (or died), then hands
@@ -108,6 +137,21 @@ func (t *memTransport) FetchReader(rank int, key string) (io.ReadCloser, error) 
 				tear = h.tearAt[rank]
 			}
 			return &memStreamReader{t: t, from: rank, blob: blob, tear: tear}, nil
+		}
+		if o, ok := h.offers[rank][key]; ok {
+			// The encoder takes the offering shuffle's partition lock, which a
+			// reader waiting on this hub may hold: run it with the hub open.
+			h.mu.Unlock()
+			o.once.Do(func() { o.blob, o.err = o.encode() })
+			h.mu.Lock()
+			if o.err != nil {
+				return nil, fmt.Errorf("memtransport: rank %d withdrew %s: %w", rank, key, o.err)
+			}
+			if _, ok := h.blobs[rank][key]; !ok && !h.dead[rank] {
+				h.encoded++
+				h.blobs[rank][key] = o.blob
+			}
+			continue
 		}
 		h.cond.Wait()
 	}
@@ -472,5 +516,130 @@ func TestSPMDStreamTearRecomputes(t *testing.T) {
 	}
 	if fails == 0 {
 		t.Fatal("no fetch failures counted — the tear never happened")
+	}
+}
+
+// TestSPMDSelfBoundSegmentOnDemand covers the segments a rank writes for
+// its own reduce partitions, which it offers to the transport and no
+// longer encodes: a run without failures encodes none of them; a rank
+// lost mid-shuffle leaves the survivors the answer the local backend
+// gives; and a peer that does ask gets the bytes an eager publish would
+// have stored for as long as the owner can still produce them — until
+// it has assembled the partition in memory, indefinitely once the
+// segment rests in a run file — and a withdrawal, never other bytes,
+// after.
+func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
+	for _, world := range []int{1, 3, 8} {
+		for _, budget := range spmdBudgets {
+			hub := newMemHub(world)
+			_, _, panics := runRanks(hub, world, func(c *Config) { c.MemoryBudget = budget })
+			for r, p := range panics {
+				if p != nil {
+					t.Fatalf("world %d budget %d: rank %d panicked: %v", world, budget, r, p)
+				}
+			}
+			if hub.offered == 0 || hub.encoded != 0 {
+				t.Errorf("world %d budget %d: %d segments offered, %d of them encoded; want some and none",
+					world, budget, hub.offered, hub.encoded)
+			}
+		}
+	}
+
+	for _, budget := range spmdBudgets {
+		want := localUnderBudget(budget)
+		const world, victim = 3, 1
+		hub := newMemHub(world)
+		hub.killAfter(victim, 2)
+		results, metrics, panics := runRanks(hub, world, func(c *Config) { c.MemoryBudget = budget })
+		if panics[victim] == nil {
+			t.Fatal("victim rank should have died mid-publish")
+		}
+		var resub int64
+		for r := 0; r < world; r++ {
+			if r == victim {
+				continue
+			}
+			if panics[r] != nil {
+				t.Fatalf("budget %d: surviving rank %d panicked: %v", budget, r, panics[r])
+			}
+			if !reflect.DeepEqual(results[r], want) {
+				t.Errorf("budget %d: surviving rank %d differs from local after losing a rank that had offered segments", budget, r)
+			}
+			resub += metrics[r].Resubmissions
+		}
+		if resub == 0 {
+			t.Errorf("budget %d: no map task of the lost rank was resubmitted", budget)
+		}
+	}
+
+	for _, budget := range spmdBudgets {
+		// Rank 0 of two runs a shuffle's map side alone; rank 1 never
+		// comes up, and asks only through fetch below.
+		const parts, srcParts = 4, 4
+		hub := newMemHub(2)
+		ctx := NewContext(Config{Parallelism: 2, Transport: hub.transport(0), MemoryBudget: budget})
+		rowsOf := func(m int) []Pair[int64, float64] {
+			rows := make([]Pair[int64, float64], 50)
+			for i := range rows {
+				rows[i] = KV(int64(m*50+i), float64(i)+0.25)
+			}
+			return rows
+		}
+		route := pairRoute[int64, float64](parts)
+		lb := exchange(Generate(ctx, srcParts, rowsOf), parts, route, false)
+		lb.stage.ensure()
+		fetch := func(m, b int) ([]Pair[int64, float64], error) {
+			rc, err := hub.transport(1).FetchReader(0, exchKey(lb.stage.id, m, b))
+			if err != nil {
+				return nil, err
+			}
+			defer rc.Close()
+			return spill.DecodeRowsFrom(rc, spill.For[Pair[int64, float64]]())
+		}
+		segment := func(m, b int) (seg []Pair[int64, float64]) {
+			for _, kv := range rowsOf(m) {
+				if route(kv) == b {
+					seg = append(seg, kv)
+				}
+			}
+			return seg
+		}
+		// Map tasks 0 and 2 are rank 0's, and so are partitions 0 and 2.
+		before := hub.encoded
+		for _, mb := range [][2]int{{0, 0}, {2, 0}, {0, 2}} {
+			got, err := fetch(mb[0], mb[1])
+			if err != nil || !reflect.DeepEqual(got, segment(mb[0], mb[1])) {
+				t.Fatalf("budget %d: offered segment %v fetched as %d rows (%v), want %d",
+					budget, mb, len(got), err, len(segment(mb[0], mb[1])))
+			}
+		}
+		if _, err := fetch(0, 0); err != nil || hub.encoded != before+3 {
+			t.Fatalf("budget %d: second fetch of one offer: %v, %d encodes for 3 offers", budget, err, hub.encoded-before)
+		}
+		// Rank 0 now assembles partition 2 (recomputing absent rank 1's map
+		// tasks). In memory the segments' rows pass to the partition and
+		// the offer of (2,2) lapses; spilled, they stay in their run files.
+		hub.mu.Lock()
+		hub.dead[1] = true
+		hub.cond.Broadcast()
+		hub.mu.Unlock()
+		var all []Pair[int64, float64]
+		for m := 0; m < srcParts; m++ {
+			all = append(all, segment(m, 2)...)
+		}
+		if got := lb.get(2); !reflect.DeepEqual(got, all) {
+			t.Fatalf("budget %d: partition 2 assembled as %d rows, want %d", budget, len(got), len(all))
+		}
+		hub.mu.Lock()
+		hub.dead[1] = false
+		hub.mu.Unlock()
+		got, err := fetch(2, 2)
+		switch {
+		case budget == 0 && err == nil:
+			t.Fatalf("an offer outlived its partition's assembly: fetched %d rows", len(got))
+		case budget > 0 && (err != nil || !reflect.DeepEqual(got, segment(2, 2))):
+			t.Fatalf("budget %d: spilled segment fetched after its partition was read: %d rows, %v", budget, len(got), err)
+		}
+		ctx.Close()
 	}
 }

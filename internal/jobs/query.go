@@ -19,6 +19,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/spill"
 )
 
 // QueryName is the registered program executing one SAC query.
@@ -157,8 +158,9 @@ func init() {
 // runQuery builds a fresh session from the params (plus caller
 // overrides), registers the canonical inputs, executes the query, and
 // serializes the result. The metrics snapshot is taken after
-// serialization: results materialize lazily (ToDense drives the final
-// stages), so an earlier snapshot would miss most of the work.
+// serialization: results materialize lazily (EncodeResult's Collect
+// drives the final stages), so an earlier snapshot would miss most of
+// the work.
 func runQuery(p QueryParams, world int, override func(*core.Config), pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
 	if p.Partitions <= 0 {
 		p.Partitions = int64(DefaultPartitions(world))
@@ -245,20 +247,38 @@ const (
 	kindScalar = 'S'
 )
 
-// EncodeResult canonically serializes a query result.
+// EncodeResult canonically serializes a query result. A matrix or vector
+// blob is allocated once at its final size and each collected tile's rows
+// are converted into it at their offsets; cells no tile covers stay zero,
+// as they do in ToDense.
 func EncodeResult(res *plan.Result) ([]byte, error) {
 	switch res.Kind() {
 	case "matrix":
-		d := res.Matrix.ToDense()
-		b := []byte{kindMatrix}
-		b = binary.AppendVarint(b, int64(d.Rows))
-		b = binary.AppendVarint(b, int64(d.Cols))
-		return appendF64s(b, d.Data), nil
+		m := res.Matrix
+		blob, body := denseBlob(kindMatrix, m.Rows, m.Cols)
+		n := int64(m.N)
+		for _, t := range dataflow.Collect(m.Tiles) {
+			top, left := t.Key.I*n, t.Key.J*n
+			h, w := min(n, m.Rows-top), min(n, m.Cols-left)
+			if w <= 0 {
+				continue
+			}
+			tile := t.Value
+			for i := int64(0); i < h; i++ {
+				spill.PutF64s(body[8*((top+i)*m.Cols+left):], tile.Data[int(i)*tile.Cols:][:w])
+			}
+		}
+		return blob, nil
 	case "vector":
-		v := res.Vector.ToDense()
-		b := []byte{kindVector}
-		b = binary.AppendVarint(b, int64(len(v.Data)))
-		return appendF64s(b, v.Data), nil
+		v := res.Vector
+		blob, body := denseBlob(kindVector, v.Size)
+		n := int64(v.N)
+		for _, b := range dataflow.Collect(v.Blocks) {
+			if h := min(n, v.Size-b.Key*n); h > 0 {
+				spill.PutF64s(body[8*b.Key*n:], b.Value.Data[:h])
+			}
+		}
+		return blob, nil
 	case "list":
 		var sb strings.Builder
 		for _, row := range res.List {
@@ -271,15 +291,27 @@ func EncodeResult(res *plan.Result) ([]byte, error) {
 	}
 }
 
-func appendF64s(b []byte, vals []float64) []byte {
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+// denseBlob allocates a matrix or vector blob — the kind byte, one varint
+// per dimension, then 8 zero bytes per cell — and returns it with its
+// cell area.
+func denseBlob(kind byte, dims ...int64) (blob, body []byte) {
+	cells := int64(1)
+	for _, d := range dims {
+		cells *= d
 	}
-	return b
+	blob = make([]byte, 1, 1+len(dims)*binary.MaxVarintLen64+int(8*cells))
+	blob[0] = kind
+	for _, d := range dims {
+		blob = binary.AppendVarint(blob, d)
+	}
+	blob = blob[:len(blob)+int(8*cells)]
+	return blob, blob[len(blob)-int(8*cells):]
 }
 
 // FormatResult renders a result blob the way the CLI prints local
-// results: kind, shape, and a sum or preview.
+// results: kind, shape, and a sum or preview. The blob may come from a
+// worker's reply, so one whose header does not parse or does not match
+// its length is described, not indexed.
 func FormatResult(blob []byte) string {
 	if len(blob) == 0 {
 		return "empty result"
@@ -287,15 +319,17 @@ func FormatResult(blob []byte) string {
 	kind, body := blob[0], blob[1:]
 	switch kind {
 	case kindMatrix:
-		rows, n := binary.Varint(body)
-		body = body[n:]
-		cols, n := binary.Varint(body)
-		body = body[n:]
-		return fmt.Sprintf("%dx%d tiled matrix (sum=%.4g)", rows, cols, sumF64s(body))
+		dims, cells, ok := denseHeader(body, 2)
+		if !ok {
+			return fmt.Sprintf("malformed result (matrix header in %d bytes)", len(blob))
+		}
+		return fmt.Sprintf("%dx%d tiled matrix (sum=%.4g)", dims[0], dims[1], sumF64s(cells))
 	case kindVector:
-		size, n := binary.Varint(body)
-		body = body[n:]
-		return fmt.Sprintf("block vector of %d (sum=%.4g)", size, sumF64s(body))
+		dims, cells, ok := denseHeader(body, 1)
+		if !ok {
+			return fmt.Sprintf("malformed result (vector header in %d bytes)", len(blob))
+		}
+		return fmt.Sprintf("block vector of %d (sum=%.4g)", dims[0], sumF64s(cells))
 	case kindList:
 		lines := strings.Count(string(body), "\n")
 		return fmt.Sprintf("list of %d rows", lines)
@@ -304,6 +338,22 @@ func FormatResult(blob []byte) string {
 	default:
 		return fmt.Sprintf("unknown result kind %q (%d bytes)", kind, len(blob))
 	}
+}
+
+// denseHeader parses the n dimensions denseBlob wrote and returns them
+// with the cell area; ok is false when a varint is cut short or
+// overflows, a dimension is negative, or the cells are not exactly the
+// dimensions' product.
+func denseHeader(body []byte, n int) (dims []int64, cells []byte, ok bool) {
+	want := uint64(8)
+	for i := 0; i < n; i++ {
+		d, k := binary.Varint(body)
+		if k <= 0 || d < 0 || (d > 0 && want > uint64(len(body))/uint64(d)) {
+			return nil, nil, false
+		}
+		dims, body, want = append(dims, d), body[k:], want*uint64(d)
+	}
+	return dims, body, uint64(len(body)) == want
 }
 
 func sumF64s(b []byte) float64 {
