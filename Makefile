@@ -26,8 +26,9 @@ fmt:
 # telemetry pump reads them, and internal/plan's row kernels share a
 # pool of scratch frames across concurrent tasks, so -race is
 # load-bearing. ./... includes
-# the schema's package and the cluster/jobs Report|Telemetry|Snapshot|
-# ClusterMerged tests that CI's race step selects.
+# the schema's package, the cluster/jobs Report|Telemetry|Snapshot|
+# ClusterMerged tests and the server/core Backend|ClusterBacked tests
+# that CI's race step selects.
 race:
 	$(GO) test -race ./...
 

@@ -34,18 +34,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/comp"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/debug"
-	"repro/internal/diablo"
 	"repro/internal/eventlog"
 	"repro/internal/jobs"
 	"repro/internal/memory"
 	"repro/internal/opt"
-	"repro/internal/plan"
-	"repro/internal/tiled"
 	"repro/internal/trace"
 )
 
@@ -72,6 +66,26 @@ func runHistory(paths []string) int {
 		fmt.Print(run.Format())
 	}
 	return exit
+}
+
+// runLoop is -loop: it reads a DIABLO loop program from stdin,
+// translates it to comprehensions and runs them on s, printing the
+// chosen plans.
+func runLoop(s *core.Session) int {
+	defer s.Close()
+	var plans []string
+	src, err := io.ReadAll(os.Stdin)
+	if err == nil {
+		plans, err = s.RunLoops(string(src))
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sac: %v\n", err)
+		return 1
+	}
+	for _, p := range plans {
+		fmt.Println(p)
+	}
+	return 0
 }
 
 func main() {
@@ -108,71 +122,52 @@ func main() {
 		}
 	}
 
-	// In cluster mode queries execute on registered sacworker
-	// processes; the local session still plans them for -explain and
-	// the "plan:" preview. Planning is a deterministic function of the
-	// inputs and the partition count, so the preview matches what every
-	// rank chooses once both sides use the cluster's partition count
-	// (planParts; 0 is the local default).
-	var clusterSess *jobs.ClusterSession
-	var clusterDrv *cluster.Driver
-	planParts := 0
+	newLocal := func() *core.Session {
+		s := core.NewSession(core.Config{
+			TileSize:             *tile,
+			MemoryBudget:         budget,
+			ShuffleCostNsPerByte: *shuffleCost,
+			AdaptiveShuffle:      *adaptive,
+			Optimizations:        opt.Options{DisableGBJ: *noGBJ, DisableReduceByKey: *noRBK},
+		})
+		s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed)
+		s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1)
+		s.RegisterScalar("n", *n)
+		return s
+	}
+	if *loop {
+		os.Exit(runLoop(newLocal()))
+	}
+
+	// This is the one place that knows where queries run: with -cluster
+	// on registered sacworker processes, through a session that plans on
+	// the driver exactly as its ranks will (same inputs, same partition
+	// count — -adaptive and -mem shape local sessions only, because SPMD
+	// ranks must build byte-identical stage graphs and each worker has
+	// its own budget); otherwise in this process. Everything below holds
+	// a core.Backend.
+	var b core.Backend
 	if *clusterAddr != "" {
-		d, err := cluster.NewDriver(cluster.DriverConfig{Addr: *clusterAddr})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			os.Exit(1)
-		}
-		clusterDrv = d
-		fmt.Printf("cluster driver: listening on %s, waiting for %d worker(s)\n", d.Addr(), *clusterWorkers)
-		if err := d.WaitForWorkers(*clusterWorkers, *clusterWait); err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			os.Exit(1)
-		}
-		for _, wi := range d.Workers() {
-			fmt.Printf("  worker %s (shuffle data at %s)\n", wi.ID, wi.DataAddr)
-		}
-		planParts = jobs.DefaultPartitions(len(d.Workers()))
-		clusterSess = jobs.NewClusterSession(d, jobs.QueryParams{
+		cs, err := jobs.Connect(*clusterAddr, *clusterWorkers, *clusterWait, jobs.QueryParams{
 			N:                    *n,
 			Tile:                 int64(*tile),
-			Partitions:           int64(planParts),
 			SeedA:                *seed,
 			SeedB:                *seed + 1,
 			DisableGBJ:           *noGBJ,
 			DisableRBK:           *noRBK,
 			ShuffleCostNsPerByte: *shuffleCost,
-			// -trace needs spans shipped from every rank; without it
-			// only stage rows and counter reports cross the wire.
-			Trace: *traceOut != "",
-		}, 10*time.Minute)
+		}, func(format string, args ...any) { fmt.Printf(format+"\n", args...) })
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
+			os.Exit(1)
+		}
+		b = cs
+	} else {
+		b = newLocal()
 	}
 
-	// -adaptive only shapes the LOCAL session. Cluster queries are
-	// executed by jobs.QueryParams, which deliberately has no adaptive
-	// knob: SPMD ranks must build byte-identical stage graphs, and
-	// adaptive reshaping is driven by rank-local measurements.
-	s := core.NewSession(core.Config{
-		TileSize:             *tile,
-		Partitions:           planParts,
-		MemoryBudget:         budget,
-		ShuffleCostNsPerByte: *shuffleCost,
-		AdaptiveShuffle:      *adaptive,
-		Optimizations: opt.Options{
-			DisableGBJ:         *noGBJ,
-			DisableReduceByKey: *noRBK,
-		},
-	})
-	s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed)
-	s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1)
-	s.RegisterScalar("n", *n)
-
 	if *debugAddr != "" {
-		var src debug.Source = s
-		if clusterSess != nil {
-			src = clusterSess
-		}
-		srv, err := debug.Serve(*debugAddr, src)
+		srv, err := debug.Serve(*debugAddr, b)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sac: debug endpoint: %v\n", err)
 			os.Exit(1)
@@ -187,21 +182,18 @@ func main() {
 	// counter, so a scripted -run-stdin session leaves an ordered trail.
 	sessionStart := time.Now()
 	queryN := 0
-	logRun := func(src, planStr string, snap dataflow.MetricsSnapshot, wall time.Duration, result string, runErr error) {
+	logRun := func(src string, out *core.Outcome, runErr error) {
 		if *eventlogDir == "" {
 			return
 		}
 		queryN++
 		path := filepath.Join(*eventlogDir, eventlog.FileName(sessionStart, queryN))
 		w, err := eventlog.NewWriter(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: eventlog: %v\n", err)
-			exit = 1
-			return
-		}
-		err = eventlog.LogRun(w, src, planStr, snap, wall, result, runErr)
-		if cerr := w.Close(); err == nil {
-			err = cerr
+		if err == nil {
+			err = eventlog.LogRun(w, src, out, runErr)
+			if cerr := w.Close(); err == nil {
+				err = cerr
+			}
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sac: eventlog: %v\n", err)
@@ -210,185 +202,86 @@ func main() {
 		}
 		fmt.Printf("eventlog: %s\n", path)
 	}
-	// lastLocalTrace holds the most recent local traced execution; the
-	// cluster equivalent lives in clusterSess.LastTrace(). Either feeds
-	// the -trace file written before exit.
-	var lastLocalTrace *trace.Tracer
-	runOne := func(src string) {
+	// lastTrace holds the most recent traced run (-trace or -analyze; a
+	// cluster run records every rank) for the -trace file written before
+	// exit.
+	var lastTrace *trace.Tracer
+	// runOne is the one way a query runs: compile, preview the plan,
+	// run, print. analyze traces the run and prints the EXPLAIN ANALYZE
+	// report instead of the result and metrics lines.
+	runOne := func(src string, analyze bool) {
 		src = strings.TrimSpace(src)
 		if src == "" {
 			return
 		}
-		ex, err := s.Explain(src)
+		out := &core.Outcome{}
+		q, err := b.Compile(src)
+		if err == nil {
+			if !analyze {
+				fmt.Printf("plan: %s\n", q.Explain())
+			}
+			out, err = b.Run(q, src, analyze || *traceOut != "")
+		}
+		if out.Trace != nil {
+			lastTrace = out.Trace
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			logRun(src, "", dataflow.MetricsSnapshot{}, 0, "", err)
+			logRun(src, out, err)
 			exit = 1
 			return
 		}
-		fmt.Printf("plan: %s\n", ex)
-		qstart := time.Now()
-		if clusterSess != nil {
-			blob, run, err := clusterSess.Query(src)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-				logRun(src, ex, dataflow.MetricsSnapshot{}, time.Since(qstart), "", err)
-				exit = 1
-				return
-			}
-			result := jobs.FormatResult(blob)
-			fmt.Printf("result: %s\n", result)
-			m := clusterSess.Metrics()
-			fmt.Printf("metrics: %s\n", m)
-			if tbl := m.FormatWorkers(); tbl != "" {
-				fmt.Print(tbl)
-			}
-			if run.LostWorkers > 0 {
-				fmt.Printf("lost %d worker(s); %d map task(s) resubmitted from lineage\n",
-					run.LostWorkers, run.Resubmissions)
-			}
-			logRun(src, ex, m, time.Since(qstart), result, nil)
-			return
-		}
-		var res *plan.Result
-		if *traceOut != "" {
-			// Traced execution forces lazy results inside the traced
-			// window, so the Chrome file sees every stage.
-			var q *plan.Compiled
-			if q, err = s.Compile(src); err == nil {
-				var tr *trace.Tracer
-				res, tr, err = q.ExecuteTraced()
-				if tr != nil {
-					lastLocalTrace = tr
-				}
-			}
+		if analyze {
+			fmt.Print(out.Report())
 		} else {
-			res, err = s.Query(src)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			logRun(src, ex, s.Metrics(), time.Since(qstart), "", err)
-			exit = 1
-			return
-		}
-		var result string
-		switch res.Kind() {
-		case "matrix":
-			d := res.Matrix.ToDense()
-			result = fmt.Sprintf("%dx%d tiled matrix (sum=%.4g)", res.Matrix.Rows, res.Matrix.Cols, d.Sum())
-			fmt.Printf("result: %s\n", result)
-			if d.Rows <= 8 && d.Cols <= 8 {
-				fmt.Println(d)
-			}
-		case "vector":
-			v := res.Vector.ToDense()
-			result = fmt.Sprintf("block vector of %d (sum=%.4g)", res.Vector.Size, v.Sum())
-			fmt.Printf("result: %s\n", result)
-			if v.Len() <= 16 {
-				fmt.Println(v.Data)
-			}
-		case "list":
-			result = fmt.Sprintf("list of %d rows", len(res.List))
-			fmt.Printf("result: %s\n", result)
-			for i, row := range res.List {
-				if i == 10 {
-					fmt.Println("  ...")
-					break
+			fmt.Printf("result: %s\n", out.Summary)
+			fmt.Printf("metrics: %s\n", out.Metrics)
+			fmt.Print(out.Metrics.FormatWorkers())
+			lost := 0
+			for _, w := range out.Metrics.PerWorker {
+				if w.Lost {
+					lost++
 				}
-				fmt.Printf("  %s\n", comp.Render(row))
 			}
-		default:
-			result = comp.Render(res.Scalar)
-			fmt.Printf("result: %s\n", result)
+			if lost > 0 {
+				fmt.Printf("lost %d worker(s); %d map task(s) resubmitted from lineage\n",
+					lost, out.Metrics.Resubmissions)
+			}
 		}
-		m := s.Metrics()
-		fmt.Printf("metrics: %s\n", m)
-		logRun(src, ex, m, time.Since(qstart), result, nil)
-		s.ResetMetrics()
+		logRun(src, out, nil)
 	}
 
 	switch {
-	case *loop:
-		src, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			os.Exit(1)
-		}
-		prog, err := diablo.Parse(string(src))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			os.Exit(1)
-		}
-		cat := plan.NewCatalog(s.Engine())
-		cat.BindMatrix("A", tiled.RandMatrix(s.Engine(), *n, *n, *tile, 0, 0, 10, *seed))
-		cat.BindMatrix("B", tiled.RandMatrix(s.Engine(), *n, *n, *tile, 0, 0, 10, *seed+1))
-		cat.BindScalar("n", *n)
-		plans, err := diablo.RunDistributed(prog, cat, opt.Options{
-			DisableGBJ: *noGBJ, DisableReduceByKey: *noRBK,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			os.Exit(1)
-		}
-		for _, p := range plans {
-			fmt.Println(p)
-		}
 	case *explain != "":
-		ex, err := s.Explain(*explain)
+		q, err := b.Compile(*explain)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(ex)
+		fmt.Println(q.Explain())
 	case *analyze != "":
-		qstart := time.Now()
-		var report string
-		var err error
-		if clusterSess != nil {
-			// Cluster EXPLAIN ANALYZE: every rank ships spans and stage
-			// rows, and the report shows the merged stage table (with
-			// straggler warnings naming workers) plus one trace lane
-			// per rank.
-			report, err = clusterSess.Analyze(*analyze)
-		} else {
-			report, err = s.Analyze(*analyze)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			logRun(*analyze, "", dataflow.MetricsSnapshot{}, time.Since(qstart), "", err)
-			os.Exit(1)
-		}
-		fmt.Print(report)
-		if clusterSess != nil {
-			logRun(*analyze, "", clusterSess.Metrics(), time.Since(qstart), "", nil)
-		} else {
-			logRun(*analyze, "", s.Metrics(), time.Since(qstart), "", nil)
-		}
+		runOne(*analyze, true)
 	case *query != "":
-		runOne(*query)
+		runOne(*query, false)
 	case *runStdin:
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		for sc.Scan() {
-			runOne(sc.Text())
+			runOne(sc.Text(), false)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *traceOut != "" {
-		tr := lastLocalTrace
-		if clusterSess != nil {
-			tr = clusterSess.LastTrace()
-		}
 		switch {
-		case tr == nil:
-			fmt.Fprintln(os.Stderr, "sac: -trace: no trace recorded (run a query with -query, -run-stdin, or -cluster -analyze)")
+		case lastTrace == nil:
+			fmt.Fprintln(os.Stderr, "sac: -trace: no trace recorded (run a query with -query, -run-stdin, or -analyze)")
 			if exit == 0 {
 				exit = 1
 			}
 		default:
-			if err := tr.WriteChromeFile(*traceOut); err != nil {
+			if err := lastTrace.WriteChromeFile(*traceOut); err != nil {
 				fmt.Fprintf(os.Stderr, "sac: -trace: %v\n", err)
 				exit = 1
 			} else {
@@ -398,10 +291,7 @@ func main() {
 	}
 	// Disconnect workers and remove the session's spill directory
 	// (os.Exit skips defers).
-	if clusterDrv != nil {
-		clusterDrv.Close()
-	}
-	if err := s.Close(); err != nil {
+	if err := b.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "sac: close: %v\n", err)
 		if exit == 0 {
 			exit = 1

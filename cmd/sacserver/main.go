@@ -11,9 +11,12 @@
 //	curl localhost:8080/status
 //
 // With -cluster the server is also the distributed driver: it waits for
-// sacworker registrations and executes every query on the cluster while
-// the local session pool keeps planning them (plan preview, footprint
-// estimates, and the plan cache still apply).
+// sacworker registrations and compiles and runs every query through the
+// cluster session, which plans against the inputs and the partition
+// count its ranks use — the plan preview, the footprint estimate behind
+// admission and the plan cache are about the plan the cluster executes.
+// Those inputs (A, B, n from -n/-tile/-seed) are fixed: POST /data
+// answers 409.
 //
 // SIGTERM/SIGINT drain gracefully: new submissions get 503, in-flight
 // queries run to completion (bounded by -drain-timeout), then the
@@ -28,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/memory"
 	"repro/internal/server"
@@ -81,44 +83,36 @@ func main() {
 		ShuffleCostNsPerByte: *shuffleCost,
 	}
 
-	// In cluster mode, workers generate their inputs from QueryParams —
-	// the same N/tile/seeds the pool registers locally, so the planner's
-	// view matches what the ranks execute on.
-	var drv *cluster.Driver
+	// The one place that knows where queries run. In cluster mode the
+	// workers generate A, B and n from the QueryParams and the session
+	// plans against the same; locally the pool registers them.
 	if *clusterAddr != "" {
-		d, err := cluster.NewDriver(cluster.DriverConfig{Addr: *clusterAddr})
-		if err != nil {
-			fail(err)
-		}
-		drv = d
-		fmt.Printf("sacserver: cluster driver on %s, waiting for %d worker(s)\n", d.Addr(), *clusterWorkers)
-		if err := d.WaitForWorkers(*clusterWorkers, *clusterWait); err != nil {
-			fail(err)
-		}
-		for _, wi := range d.Workers() {
-			fmt.Printf("  worker %s (shuffle data at %s)\n", wi.ID, wi.DataAddr)
-		}
-		cfg.Cluster = jobs.NewClusterSession(d, jobs.QueryParams{
+		cs, err := jobs.Connect(*clusterAddr, *clusterWorkers, *clusterWait, jobs.QueryParams{
 			N:                    *n,
 			Tile:                 int64(*tile),
 			SeedA:                *seed,
 			SeedB:                *seed + 1,
 			ShuffleCostNsPerByte: *shuffleCost,
-		}, 10*time.Minute)
+		}, func(format string, args ...any) { fmt.Printf("sacserver: "+format+"\n", args...) })
+		if err != nil {
+			fail(err)
+		}
+		cfg.Cluster = cs
 	}
-
 	s, err := server.New(cfg)
 	if err != nil {
 		fail(err)
 	}
-	if err := s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed); err != nil {
-		fail(err)
-	}
-	if err := s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1); err != nil {
-		fail(err)
-	}
-	if err := s.RegisterScalar("n", *n); err != nil {
-		fail(err)
+	if cfg.Cluster == nil {
+		if err := s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed); err != nil {
+			fail(err)
+		}
+		if err := s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1); err != nil {
+			fail(err)
+		}
+		if err := s.RegisterScalar("n", *n); err != nil {
+			fail(err)
+		}
 	}
 
 	ln, err := s.Listen(*addr)
@@ -139,9 +133,6 @@ func main() {
 			code = 1
 		} else {
 			fmt.Println("sacserver: drained")
-		}
-		if drv != nil {
-			drv.Close()
 		}
 		drained <- code
 	}()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/eventlog"
 	"repro/internal/obs"
@@ -103,7 +104,7 @@ func TestReportSchemaEndToEnd(t *testing.T) {
 	}
 	in := dataflow.MetricsSnapshot{CounterSet: merged,
 		PerWorker: []dataflow.WorkerStat{{ID: "w0", Alive: true, CounterSet: snap}}}
-	if err := eventlog.LogRun(w, "q", "", in, 0, "", nil); err != nil {
+	if err := eventlog.LogRun(w, "q", &core.Outcome{Metrics: in}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -246,161 +246,87 @@ func hasGroupBy(c Comprehension) bool {
 // fresh name, to prevent capture when its qualifiers are spliced into
 // an outer comprehension.
 func renameComprehension(c Comprehension, f *freshCounter) Comprehension {
-	sub := map[string]string{}
-	renamePat := func(p Pattern) Pattern { return renamePattern(p, sub, f) }
-	renameExpr := func(e Expr) Expr { return substituteVars(e, sub) }
-
+	sub := map[string]Expr{}
 	var quals []Qualifier
 	for _, q := range c.Quals {
 		switch qq := q.(type) {
 		case Generator:
-			src := renameExpr(qq.Src)
-			quals = append(quals, Generator{Pat: renamePat(qq.Pat), Src: src})
+			src := substitute(qq.Src, sub)
+			quals = append(quals, Generator{Pat: renamePattern(qq.Pat, sub, f), Src: src})
 		case LetQual:
-			e := renameExpr(qq.E)
-			quals = append(quals, LetQual{Pat: renamePat(qq.Pat), E: e})
+			e := substitute(qq.E, sub)
+			quals = append(quals, LetQual{Pat: renamePattern(qq.Pat, sub, f), E: e})
 		case Guard:
-			quals = append(quals, Guard{E: renameExpr(qq.E)})
+			quals = append(quals, Guard{E: substitute(qq.E, sub)})
 		case GroupBy:
 			// Group-by keys refer to already-bound (renamed) vars.
 			quals = append(quals, GroupBy{Pat: renameBoundPattern(qq.Pat, sub)})
 		}
 	}
-	return Comprehension{Head: renameExpr(c.Head), Quals: quals}
+	return Comprehension{Head: substitute(c.Head, sub), Quals: quals}
 }
 
-func renamePattern(p Pattern, sub map[string]string, f *freshCounter) Pattern {
+// renamePattern gives every variable p binds a fresh name and records
+// the renaming in sub.
+func renamePattern(p Pattern, sub map[string]Expr, f *freshCounter) Pattern {
+	return mapPattern(p, func(name string) string {
+		if name == "_" {
+			return name
+		}
+		nn := f.fresh(name)
+		sub[name] = Var{Name: nn}
+		return nn
+	})
+}
+
+// renameBoundPattern rewrites a pattern that names variables already
+// bound (a group-by key) along with them: a variable sub maps to another
+// variable is renamed, anything else stays.
+func renameBoundPattern(p Pattern, sub map[string]Expr) Pattern {
+	return mapPattern(p, func(name string) string {
+		if v, ok := sub[name].(Var); ok {
+			return v.Name
+		}
+		return name
+	})
+}
+
+// mapPattern rebuilds p with every variable renamed by fn.
+func mapPattern(p Pattern, fn func(name string) string) Pattern {
 	switch pp := p.(type) {
 	case PVar:
-		if pp.Name == "_" {
-			return pp
-		}
-		nn := f.fresh(pp.Name)
-		sub[pp.Name] = nn
-		return PV(nn)
+		return PV(fn(pp.Name))
 	case PTuple:
 		elems := make([]Pattern, len(pp.Elems))
 		for i, s := range pp.Elems {
-			elems[i] = renamePattern(s, sub, f)
+			elems[i] = mapPattern(s, fn)
 		}
 		return PT(elems...)
 	default:
-		panic(fmt.Sprintf("comp: renamePattern: unknown %T", p))
+		panic(fmt.Sprintf("comp: mapPattern: unknown %T", p))
 	}
 }
 
-func renameBoundPattern(p Pattern, sub map[string]string) Pattern {
-	switch pp := p.(type) {
-	case PVar:
-		if nn, ok := sub[pp.Name]; ok {
-			return PV(nn)
-		}
-		return pp
-	case PTuple:
-		elems := make([]Pattern, len(pp.Elems))
-		for i, s := range pp.Elems {
-			elems[i] = renameBoundPattern(s, sub)
-		}
-		return PT(elems...)
-	default:
-		panic(fmt.Sprintf("comp: renameBoundPattern: unknown %T", p))
-	}
-}
-
-// substituteVars replaces free variable occurrences per sub. Inner
-// comprehensions that rebind a name shadow the substitution.
-func substituteVars(e Expr, sub map[string]string) Expr {
+// substitute is the one substitution: it replaces the free variables of
+// e that sub names. Inside a comprehension a qualifier that rebinds a
+// name shadows it for the qualifiers after it and the head, and a
+// group-by pattern — which names variables already bound — is renamed
+// with them. It is capture-aware rather than capture-avoiding: a literal
+// goes anywhere; a variable is checked against every pattern it is
+// carried past and panics if one would capture it; any larger expression
+// panics at the first comprehension, since its free variables would each
+// need that check (the planner's let-inlined kernel expressions never
+// contain one).
+func substitute(e Expr, sub map[string]Expr) Expr {
 	if len(sub) == 0 {
 		return e
 	}
-	switch x := e.(type) {
-	case Var:
-		if nn, ok := sub[x.Name]; ok {
-			return Var{Name: nn}
+	all := func(es []Expr) []Expr {
+		out := make([]Expr, len(es))
+		for i, s := range es {
+			out[i] = substitute(s, sub)
 		}
-		return x
-	case Lit:
-		return x
-	case TupleExpr:
-		elems := make([]Expr, len(x.Elems))
-		for i, s := range x.Elems {
-			elems[i] = substituteVars(s, sub)
-		}
-		return TupleExpr{Elems: elems}
-	case BinOp:
-		return BinOp{Op: x.Op, L: substituteVars(x.L, sub), R: substituteVars(x.R, sub)}
-	case UnaryOp:
-		return UnaryOp{Op: x.Op, E: substituteVars(x.E, sub)}
-	case Call:
-		args := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			args[i] = substituteVars(s, sub)
-		}
-		return Call{Fn: x.Fn, Args: args}
-	case Index:
-		idxs := make([]Expr, len(x.Idxs))
-		for i, s := range x.Idxs {
-			idxs[i] = substituteVars(s, sub)
-		}
-		return Index{Arr: substituteVars(x.Arr, sub), Idxs: idxs}
-	case Reduce:
-		return Reduce{Monoid: x.Monoid, E: substituteVars(x.E, sub)}
-	case IfExpr:
-		return IfExpr{Cond: substituteVars(x.Cond, sub), Then: substituteVars(x.Then, sub), Else: substituteVars(x.Else, sub)}
-	case BuildExpr:
-		args := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			args[i] = substituteVars(s, sub)
-		}
-		return BuildExpr{Builder: x.Builder, Args: args, Body: substituteVars(x.Body, sub)}
-	case Comprehension:
-		// Respect shadowing: remove substitutions for rebound names.
-		inner := map[string]string{}
-		for k, v := range sub {
-			inner[k] = v
-		}
-		var quals []Qualifier
-		for _, q := range x.Quals {
-			switch qq := q.(type) {
-			case Generator:
-				src := substituteVars(qq.Src, inner)
-				for _, n := range PatternVars(qq.Pat) {
-					delete(inner, n)
-				}
-				quals = append(quals, Generator{Pat: qq.Pat, Src: src})
-			case LetQual:
-				e2 := substituteVars(qq.E, inner)
-				for _, n := range PatternVars(qq.Pat) {
-					delete(inner, n)
-				}
-				quals = append(quals, LetQual{Pat: qq.Pat, E: e2})
-			case Guard:
-				quals = append(quals, Guard{E: substituteVars(qq.E, inner)})
-			case GroupBy:
-				var of Expr
-				if qq.Of != nil {
-					of = substituteVars(qq.Of, inner)
-				}
-				pat := renameBoundPattern(qq.Pat, inner)
-				for _, n := range PatternVars(qq.Pat) {
-					delete(inner, n)
-				}
-				quals = append(quals, GroupBy{Pat: pat, Of: of})
-			}
-		}
-		return Comprehension{Head: substituteVars(x.Head, inner), Quals: quals}
-	default:
-		panic(fmt.Sprintf("comp: substituteVars: unknown %T", e))
-	}
-}
-
-// SubstExpr replaces free variables by expressions. It is used by the
-// planner to inline let bindings into kernel expressions; the input
-// must not contain comprehensions or builders (the planner's kernel
-// expressions never do).
-func SubstExpr(e Expr, sub map[string]Expr) Expr {
-	if len(sub) == 0 {
-		return e
+		return out
 	}
 	switch x := e.(type) {
 	case Var:
@@ -411,35 +337,78 @@ func SubstExpr(e Expr, sub map[string]Expr) Expr {
 	case Lit:
 		return x
 	case TupleExpr:
-		elems := make([]Expr, len(x.Elems))
-		for i, s := range x.Elems {
-			elems[i] = SubstExpr(s, sub)
-		}
-		return TupleExpr{Elems: elems}
+		return TupleExpr{Elems: all(x.Elems)}
 	case BinOp:
-		return BinOp{Op: x.Op, L: SubstExpr(x.L, sub), R: SubstExpr(x.R, sub)}
+		return BinOp{Op: x.Op, L: substitute(x.L, sub), R: substitute(x.R, sub)}
 	case UnaryOp:
-		return UnaryOp{Op: x.Op, E: SubstExpr(x.E, sub)}
+		return UnaryOp{Op: x.Op, E: substitute(x.E, sub)}
 	case Call:
-		args := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			args[i] = SubstExpr(s, sub)
-		}
-		return Call{Fn: x.Fn, Args: args}
+		return Call{Fn: x.Fn, Args: all(x.Args)}
 	case Index:
-		idxs := make([]Expr, len(x.Idxs))
-		for i, s := range x.Idxs {
-			idxs[i] = SubstExpr(s, sub)
-		}
-		return Index{Arr: SubstExpr(x.Arr, sub), Idxs: idxs}
+		return Index{Arr: substitute(x.Arr, sub), Idxs: all(x.Idxs)}
 	case Reduce:
-		return Reduce{Monoid: x.Monoid, E: SubstExpr(x.E, sub)}
+		return Reduce{Monoid: x.Monoid, E: substitute(x.E, sub)}
 	case IfExpr:
-		return IfExpr{Cond: SubstExpr(x.Cond, sub), Then: SubstExpr(x.Then, sub), Else: SubstExpr(x.Else, sub)}
+		return IfExpr{Cond: substitute(x.Cond, sub), Then: substitute(x.Then, sub), Else: substitute(x.Else, sub)}
+	case BuildExpr:
+		return BuildExpr{Builder: x.Builder, Args: all(x.Args), Body: substitute(x.Body, sub)}
+	case Comprehension:
+		inner := make(map[string]Expr, len(sub))
+		for k, r := range sub {
+			switch r.(type) {
+			case Lit, Var:
+				inner[k] = r
+			default:
+				panic(fmt.Sprintf("comp: cannot substitute %s for %s inside a comprehension", r, k))
+			}
+		}
+		// bind shadows the names p binds and refuses to carry a variable
+		// past a pattern that binds its name.
+		bind := func(p Pattern) {
+			for _, name := range PatternVars(p) {
+				delete(inner, name)
+				for k, r := range inner {
+					if v, ok := r.(Var); ok && v.Name == name {
+						panic(fmt.Sprintf("comp: substituting %s for %s would be captured by pattern %s", name, k, p))
+					}
+				}
+			}
+		}
+		quals := make([]Qualifier, 0, len(x.Quals))
+		for _, q := range x.Quals {
+			switch qq := q.(type) {
+			case Generator:
+				src := substitute(qq.Src, inner)
+				bind(qq.Pat)
+				quals = append(quals, Generator{Pat: qq.Pat, Src: src})
+			case LetQual:
+				e2 := substitute(qq.E, inner)
+				bind(qq.Pat)
+				quals = append(quals, LetQual{Pat: qq.Pat, E: e2})
+			case Guard:
+				quals = append(quals, Guard{E: substitute(qq.E, inner)})
+			case GroupBy:
+				var of Expr
+				if qq.Of != nil {
+					of = substitute(qq.Of, inner)
+				}
+				pat := renameBoundPattern(qq.Pat, inner)
+				bind(qq.Pat)
+				quals = append(quals, GroupBy{Pat: pat, Of: of})
+			}
+		}
+		return Comprehension{Head: substitute(x.Head, inner), Quals: quals}
 	default:
-		panic(fmt.Sprintf("comp: SubstExpr: unsupported %T", e))
+		panic(fmt.Sprintf("comp: substitute: unknown %T", e))
 	}
 }
+
+// SubstExpr replaces free variables by expressions. It is used by the
+// planner to inline let bindings into kernel expressions; replacing a
+// variable by anything but a literal or another variable inside a
+// comprehension panics (the planner's kernel expressions never contain
+// one).
+func SubstExpr(e Expr, sub map[string]Expr) Expr { return substitute(e, sub) }
 
 // SubstConsts replaces free occurrences of the given names by literal
 // values throughout an expression, respecting shadowing by patterns.
@@ -447,99 +416,11 @@ func SubstExpr(e Expr, sub map[string]Expr) Expr {
 // counts) into queries so the affine-key analysis of Rule 19 can see
 // them.
 func SubstConsts(e Expr, consts map[string]Value) Expr {
-	if len(consts) == 0 {
-		return e
+	sub := make(map[string]Expr, len(consts))
+	for k, v := range consts {
+		sub[k] = Lit{Val: v}
 	}
-	return substConsts(e, consts)
-}
-
-func substConsts(e Expr, consts map[string]Value) Expr {
-	switch x := e.(type) {
-	case Var:
-		if v, ok := consts[x.Name]; ok {
-			return Lit{Val: v}
-		}
-		return x
-	case Lit:
-		return x
-	case TupleExpr:
-		elems := make([]Expr, len(x.Elems))
-		for i, s := range x.Elems {
-			elems[i] = substConsts(s, consts)
-		}
-		return TupleExpr{Elems: elems}
-	case BinOp:
-		return BinOp{Op: x.Op, L: substConsts(x.L, consts), R: substConsts(x.R, consts)}
-	case UnaryOp:
-		return UnaryOp{Op: x.Op, E: substConsts(x.E, consts)}
-	case Call:
-		args := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			args[i] = substConsts(s, consts)
-		}
-		return Call{Fn: x.Fn, Args: args}
-	case Index:
-		idxs := make([]Expr, len(x.Idxs))
-		for i, s := range x.Idxs {
-			idxs[i] = substConsts(s, consts)
-		}
-		return Index{Arr: substConsts(x.Arr, consts), Idxs: idxs}
-	case Reduce:
-		return Reduce{Monoid: x.Monoid, E: substConsts(x.E, consts)}
-	case IfExpr:
-		return IfExpr{
-			Cond: substConsts(x.Cond, consts),
-			Then: substConsts(x.Then, consts),
-			Else: substConsts(x.Else, consts),
-		}
-	case BuildExpr:
-		args := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			args[i] = substConsts(s, consts)
-		}
-		return BuildExpr{Builder: x.Builder, Args: args, Body: substConsts(x.Body, consts)}
-	case Comprehension:
-		inner := consts
-		var quals []Qualifier
-		shadow := func(p Pattern) {
-			for _, name := range PatternVars(p) {
-				if _, ok := inner[name]; ok {
-					if len(inner) > 0 {
-						copied := make(map[string]Value, len(inner))
-						for k, v := range inner {
-							copied[k] = v
-						}
-						inner = copied
-					}
-					delete(inner, name)
-				}
-			}
-		}
-		for _, q := range x.Quals {
-			switch qq := q.(type) {
-			case Generator:
-				src := substConsts(qq.Src, inner)
-				shadow(qq.Pat)
-				quals = append(quals, Generator{Pat: qq.Pat, Src: src})
-			case LetQual:
-				e2 := substConsts(qq.E, inner)
-				shadow(qq.Pat)
-				quals = append(quals, LetQual{Pat: qq.Pat, E: e2})
-			case Guard:
-				quals = append(quals, Guard{E: substConsts(qq.E, inner)})
-			case GroupBy:
-				var of Expr
-				if qq.Of != nil {
-					of = substConsts(qq.Of, inner)
-				}
-				shadow(qq.Pat)
-				quals = append(quals, GroupBy{Pat: qq.Pat, Of: of})
-			}
-		}
-		return Comprehension{Head: substConsts(x.Head, inner), Quals: quals}
-	default:
-		panic(fmt.Sprintf("comp: SubstConsts: unsupported %T", e))
-	}
+	return substitute(e, sub)
 }
 
 // FoldConstants simplifies literal-only arithmetic subexpressions,

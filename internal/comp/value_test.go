@@ -196,3 +196,37 @@ func TestSubstConstsShadowing(t *testing.T) {
 		t.Fatalf("subst result %v", v)
 	}
 }
+
+// TestSubstituteUnderBinders: the one substitution behind SubstConsts,
+// SubstExpr and the desugarer's alpha-renaming carries literals and
+// variables into a comprehension under the shadowing rule, renames a
+// group-by key with the variable it names, and refuses — by panicking —
+// a variable some pattern would capture and any larger expression.
+func TestSubstituteUnderBinders(t *testing.T) {
+	// [ (i, x + y + n) | x <- xs + y, group by i ]
+	c := Comprehension{
+		Head: TupleExpr{[]Expr{Var{"i"}, BinOp{"+", BinOp{"+", Var{"x"}, Var{"y"}}, Var{"n"}}}},
+		Quals: []Qualifier{
+			Generator{Pat: PV("x"), Src: BinOp{"+", Var{"xs"}, Var{"y"}}},
+			GroupBy{Pat: PV("i")},
+		},
+	}
+	got := SubstExpr(c, map[string]Expr{"x": Var{"z"}, "y": Var{"w"}, "n": Lit{int64(9)}, "i": Var{"k"}}).String()
+	if want := "[ (i, ((x + w) + 9)) | x <- (xs + w), group by k ]"; got != want {
+		t.Fatalf("substituted to %s, want %s", got, want)
+	}
+	panics := func(name string, sub map[string]Expr) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		SubstExpr(c, sub)
+	}
+	panics("captured variable", map[string]Expr{"y": Var{"x"}})
+	panics("compound expression", map[string]Expr{"y": BinOp{"*", Var{"a"}, Var{"b"}}})
+	// Outside a comprehension anything goes.
+	if got := SubstExpr(BinOp{"+", Var{"y"}, Var{"x"}}, map[string]Expr{"y": BinOp{"*", Var{"a"}, Var{"x"}}}).String(); got != "((a * x) + x)" {
+		t.Fatalf("flat substitution gave %s", got)
+	}
+}

@@ -2,7 +2,9 @@
 // that owns a simulated cluster, a catalog of named distributed
 // arrays, and Query/Explain entry points that run the full pipeline —
 // parse, desugar, strategy selection (Rules 13/15/17/19 and the
-// Section 5.4 group-by-join), and execution on the dataflow engine.
+// Section 5.4 group-by-join), and execution on the dataflow engine —
+// and Backend (backend.go), the one interface front ends run a query
+// through whether it executes here or on a worker cluster.
 //
 // A minimal program:
 //
@@ -191,8 +193,8 @@ func (s *Session) Compile(src string) (*plan.Compiled, error) {
 // profile (wall time, shuffled bytes, worst task skew) is recorded in
 // the session stats cache, so a repeat compilation of the same source
 // sees the observation in its Decision. Tiled results are lazy — only
-// stages forced during Execute are captured here; Analyze forces the
-// result and measures it completely.
+// stages forced during Execute are captured here; Run forces the result
+// and measures it completely.
 func (s *Session) Query(src string) (*plan.Result, error) {
 	q, err := s.Compile(src)
 	if err != nil {
@@ -253,19 +255,6 @@ func (s *Session) Explain(src string) (string, error) {
 	return q.Explain(), nil
 }
 
-// Analyze compiles and runs a query with tracing enabled and returns
-// the EXPLAIN ANALYZE-style report: the chosen plan annotated with the
-// measured per-stage table (wall time, records, shuffled bytes, skew)
-// and the full span tree of the execution.
-func (s *Session) Analyze(src string) (string, error) {
-	q, err := s.Compile(src)
-	if err != nil {
-		return "", err
-	}
-	_, report, err := q.Analyze()
-	return report, err
-}
-
 // EvalLocal evaluates a query with the single-node reference
 // evaluator (Sections 2-3 semantics) against local storages.
 func EvalLocal(src string, bindings map[string]comp.Value) (comp.Value, error) {
@@ -283,9 +272,6 @@ func EvalLocal(src string, bindings map[string]comp.Value) (comp.Value, error) {
 // Metrics returns a snapshot of the engine counters (shuffled bytes,
 // tasks, stages).
 func (s *Session) Metrics() dataflow.MetricsSnapshot { return s.ctx.Metrics() }
-
-// ResetMetrics zeroes the engine counters.
-func (s *Session) ResetMetrics() { s.ctx.ResetMetrics() }
 
 // RunLoops parses a DIABLO loop program, translates it to SAC
 // comprehensions, executes the assignments against this session's

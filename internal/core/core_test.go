@@ -123,7 +123,7 @@ func TestSessionMetrics(t *testing.T) {
 	s := NewSession(Config{TileSize: 4})
 	s.RegisterRandMatrix("A", 8, 8, 0, 1, 10)
 	s.RegisterRandMatrix("B", 8, 8, 0, 1, 11)
-	s.ResetMetrics()
+	s.Engine().ResetMetrics()
 	m, err := s.QueryMatrix("tiled(8,8)[ ((i,j), a+b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]")
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Source supplies live engine metrics. *dataflow.Context satisfies it,
-// as does core.Session and jobs.ClusterSession. A nil Source is legal
+// Source supplies live engine metrics: the one method of core.Backend
+// the endpoint calls, so sac hands it whichever backend it runs queries
+// on; *dataflow.Context satisfies it too. A nil Source is legal
 // (sacworker has no session of its own until a job arrives): the
 // registry-backed endpoints still serve, and the snapshot-backed ones
 // answer 503.

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataflow"
 )
 
@@ -108,16 +109,18 @@ func FileName(t time.Time, n int) string {
 
 // LogRun writes one query's complete record: start, plan, per-stage
 // rows, adaptive rebalances, worker losses, spill pressure, the full
-// metrics snapshot, and the finish marker. snap should be the run's
-// metered snapshot (Sub of before/after on a reused session, or the
-// cluster-merged snapshot), so the stage rows are exactly the run's.
-func LogRun(w *Writer, query, plan string, snap dataflow.MetricsSnapshot, wall time.Duration, result string, runErr error) error {
+// metrics snapshot, and the finish marker. o is the run's outcome — its
+// Metrics cover exactly the run, so the stage rows are the run's — or,
+// with runErr set, as much of one as the caller has (a plan that
+// compiled, the wall time before the failure).
+func LogRun(w *Writer, query string, o *core.Outcome, runErr error) error {
+	snap, wall := o.Metrics, o.Wall
 	start := time.Now().Add(-wall)
 	if err := w.Emit(Event{Time: start, Kind: KindQueryStart, Query: query}); err != nil {
 		return err
 	}
-	if plan != "" {
-		if err := w.Emit(Event{Kind: KindPlan, Plan: plan}); err != nil {
+	if o.Plan != nil {
+		if err := w.Emit(Event{Kind: KindPlan, Plan: o.Plan.Explain()}); err != nil {
 			return err
 		}
 	}
@@ -148,7 +151,7 @@ func LogRun(w *Writer, query, plan string, snap dataflow.MetricsSnapshot, wall t
 	if err := w.Emit(Event{Kind: KindMetrics, Metrics: &snap}); err != nil {
 		return err
 	}
-	end := Event{Kind: KindQueryEnd, WallNs: wall.Nanoseconds(), Result: result}
+	end := Event{Kind: KindQueryEnd, WallNs: wall.Nanoseconds(), Result: o.Summary.Head()}
 	if runErr != nil {
 		end.Error = runErr.Error()
 	}

@@ -21,17 +21,16 @@ func runLogged(t *testing.T, dir, src string) (string, string) {
 	s.RegisterRandMatrix("B", 32, 32, 0, 10, 2)
 	s.RegisterScalar("n", int64(32))
 
-	before := s.Metrics()
 	start := time.Now()
-	plan, err := s.Explain(src)
+	q, err := s.Compile(src)
 	if err != nil {
-		t.Fatalf("explain: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	if _, err := s.Query(src); err != nil {
+	out, err := s.Run(q, src, false)
+	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	snap := s.Metrics().Sub(before)
-	wall := time.Since(start)
+	snap := out.Metrics
 	if len(snap.PerStage) == 0 {
 		t.Fatal("query ran no stages; pick an eager query")
 	}
@@ -41,7 +40,7 @@ func runLogged(t *testing.T, dir, src string) (string, string) {
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	if err := LogRun(w, src, plan, snap, wall, "scalar", nil); err != nil {
+	if err := LogRun(w, src, out, nil); err != nil {
 		t.Fatalf("log: %v", err)
 	}
 	if err := w.Close(); err != nil {

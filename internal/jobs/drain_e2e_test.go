@@ -150,7 +150,7 @@ func TestE2EWorkerSIGTERMDrains(t *testing.T) {
 		t.Fatalf("cluster with SIGTERM: %v", out.err)
 	}
 	if !bytes.Equal(out.blob, want) {
-		t.Fatalf("post-SIGTERM result differs from local: %s vs %s", FormatResult(out.blob), FormatResult(want))
+		t.Fatalf("post-SIGTERM result differs from local: %s vs %s", SummarizeBlob(out.blob), SummarizeBlob(want))
 	}
 	// The drained worker must have completed its rank: graceful
 	// shutdown never costs a resubmission.

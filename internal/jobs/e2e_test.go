@@ -99,7 +99,7 @@ func TestE2EDistributedParity(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("distributed result differs from local: %s vs %s",
-					FormatResult(got), FormatResult(want))
+					SummarizeBlob(got), SummarizeBlob(want))
 			}
 			if len(run.Workers) != world || run.LostWorkers != 0 {
 				t.Fatalf("unexpected run shape: %+v", run)

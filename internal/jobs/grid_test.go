@@ -81,7 +81,7 @@ func TestClusterGridIgnoresParallelism(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("world %d with mixed parallelism differs from local: %s vs %s",
-				len(pars), FormatResult(got), FormatResult(want))
+				len(pars), SummarizeBlob(got), SummarizeBlob(want))
 		}
 		snap := cs.Metrics()
 		if est := snap.ShuffledBytes - 16*snap.ShuffledRecords; est != d.Chosen.ShuffleBytes {

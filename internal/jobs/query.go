@@ -17,6 +17,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/linalg"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/spill"
@@ -155,17 +156,14 @@ func init() {
 	})
 }
 
-// runQuery builds a fresh session from the params (plus caller
-// overrides), registers the canonical inputs, executes the query, and
-// serializes the result. The metrics snapshot is taken after
-// serialization: results materialize lazily (EncodeResult's Collect
-// drives the final stages), so an earlier snapshot would miss most of
-// the work.
-func runQuery(p QueryParams, world int, override func(*core.Config), pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
+// sessionConfig is the core.Config a session for these params is built
+// from: every rank's, and the driver-side planner's, which is how a plan
+// preview names the grid the ranks run on.
+func (p QueryParams) sessionConfig(world int) core.Config {
 	if p.Partitions <= 0 {
 		p.Partitions = int64(DefaultPartitions(world))
 	}
-	conf := core.Config{
+	return core.Config{
 		TileSize:             int(p.Tile),
 		Partitions:           int(p.Partitions),
 		ShuffleCostNsPerByte: p.ShuffleCostNsPerByte,
@@ -174,6 +172,16 @@ func runQuery(p QueryParams, world int, override func(*core.Config), pump *telem
 			DisableReduceByKey: p.DisableRBK,
 		},
 	}
+}
+
+// runQuery builds a fresh session from the params (plus caller
+// overrides), registers the canonical inputs, executes the query, and
+// serializes the result. The metrics snapshot is taken after
+// serialization: results materialize lazily (EncodeResult's Collect
+// drives the final stages), so an earlier snapshot would miss most of
+// the work.
+func runQuery(p QueryParams, world int, override func(*core.Config), pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
+	conf := p.sessionConfig(world)
 	if override != nil {
 		override(&conf)
 	}
@@ -195,8 +203,8 @@ func runQuery(p QueryParams, world int, override func(*core.Config), pump *telem
 	return blob, s.Metrics(), err
 }
 
-// registerInputs binds the canonical seeded inputs every rank (and the
-// local reference) regenerates from the params.
+// registerInputs binds the canonical seeded inputs every rank, the
+// local reference and the driver-side planner regenerate from the params.
 func registerInputs(s *core.Session, p QueryParams) {
 	s.RegisterRandMatrix("A", p.N, p.N, 0, 10, p.SeedA)
 	s.RegisterRandMatrix("B", p.N, p.N, 0, 10, p.SeedB)
@@ -308,35 +316,39 @@ func denseBlob(kind byte, dims ...int64) (blob, body []byte) {
 	return blob, blob[len(blob)-int(8*cells):]
 }
 
-// FormatResult renders a result blob the way the CLI prints local
-// results: kind, shape, and a sum or preview. The blob may come from a
+// SummarizeBlob describes a result blob as core.Summarize describes the
+// result it was encoded from, field for field. The blob may come from a
 // worker's reply, so one whose header does not parse or does not match
-// its length is described, not indexed.
-func FormatResult(blob []byte) string {
+// its length is described (kind "malformed"), not indexed.
+func SummarizeBlob(blob []byte) core.Summary {
+	malformed := func(format string, args ...any) core.Summary {
+		return core.Summary{Kind: "malformed", Text: fmt.Sprintf(format, args...)}
+	}
 	if len(blob) == 0 {
-		return "empty result"
+		return malformed("empty result")
 	}
 	kind, body := blob[0], blob[1:]
 	switch kind {
 	case kindMatrix:
 		dims, cells, ok := denseHeader(body, 2)
 		if !ok {
-			return fmt.Sprintf("malformed result (matrix header in %d bytes)", len(blob))
+			return malformed("malformed result (matrix header in %d bytes)", len(blob))
 		}
-		return fmt.Sprintf("%dx%d tiled matrix (sum=%.4g)", dims[0], dims[1], sumF64s(cells))
+		return core.MatrixSummary(linalg.NewDenseFrom(int(dims[0]), int(dims[1]), f64s(cells)))
 	case kindVector:
-		dims, cells, ok := denseHeader(body, 1)
+		_, cells, ok := denseHeader(body, 1)
 		if !ok {
-			return fmt.Sprintf("malformed result (vector header in %d bytes)", len(blob))
+			return malformed("malformed result (vector header in %d bytes)", len(blob))
 		}
-		return fmt.Sprintf("block vector of %d (sum=%.4g)", dims[0], sumF64s(cells))
+		return core.VectorSummary(linalg.NewVectorFrom(f64s(cells)))
 	case kindList:
-		lines := strings.Count(string(body), "\n")
-		return fmt.Sprintf("list of %d rows", lines)
+		text := string(body)
+		head := strings.SplitN(text, "\n", core.ListPreview+1)
+		return core.ListSummary(strings.Count(text, "\n"), func(i int) string { return head[i] })
 	case kindScalar:
-		return string(body)
+		return core.Summary{Kind: "scalar", Text: string(body)}
 	default:
-		return fmt.Sprintf("unknown result kind %q (%d bytes)", kind, len(blob))
+		return malformed("unknown result kind %q (%d bytes)", kind, len(blob))
 	}
 }
 
@@ -356,11 +368,8 @@ func denseHeader(body []byte, n int) (dims []int64, cells []byte, ok bool) {
 	return dims, body, uint64(len(body)) == want
 }
 
-func sumF64s(b []byte) float64 {
-	var sum float64
-	for len(b) >= 8 {
-		sum += math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-	return sum
+func f64s(cells []byte) []float64 {
+	vs := make([]float64, len(cells)/8)
+	spill.GetF64s(vs, cells)
+	return vs
 }

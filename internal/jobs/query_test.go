@@ -163,7 +163,7 @@ func TestClusterQueryMatchesLocal(t *testing.T) {
 					}
 					if !bytes.Equal(got, want) {
 						t.Fatalf("cluster result (%d bytes) differs from local (%d bytes): %s vs %s",
-							len(got), len(want), FormatResult(got), FormatResult(want))
+							len(got), len(want), SummarizeBlob(got), SummarizeBlob(want))
 					}
 					if len(run.Workers) != c.world {
 						t.Fatalf("want %d worker rows, got %d", c.world, len(run.Workers))

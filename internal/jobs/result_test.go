@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/comp"
+	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/plan"
 	"repro/internal/tiled"
 )
 
-// TestFormatResultMalformed: a result blob arrives from a worker, so
-// FormatResult must describe — never index into — a header that is cut
+// TestSummarizeBlobMalformed: a result blob arrives from a worker, so
+// SummarizeBlob must describe — never index into — a header that is cut
 // short, overflows, or disagrees with the blob's length. Every proper
 // prefix of a valid matrix and vector blob is one of those.
-func TestFormatResultMalformed(t *testing.T) {
+func TestSummarizeBlobMalformed(t *testing.T) {
 	ctx := dataflow.NewContext(dataflow.Config{DefaultPartitions: 2})
 	defer ctx.Close()
 	mat, err := EncodeResult(&plan.Result{Matrix: tiled.RandMatrix(ctx, 300, 7, 4, 2, 0, 10, 1)})
@@ -31,11 +34,11 @@ func TestFormatResultMalformed(t *testing.T) {
 		name, prefix string
 		blob         []byte
 	}{{"matrix", "300x7 tiled matrix (sum=", mat}, {"vector", "block vector of 300 (sum=", vec}} {
-		if got := FormatResult(tc.blob); !strings.HasPrefix(got, tc.prefix) {
+		if got := SummarizeBlob(tc.blob).String(); !strings.HasPrefix(got, tc.prefix) {
 			t.Fatalf("%s: valid blob formats as %q", tc.name, got)
 		}
 		for cut := 1; cut < len(tc.blob); cut++ {
-			if got := FormatResult(tc.blob[:cut]); !strings.HasPrefix(got, "malformed result (") {
+			if got := SummarizeBlob(tc.blob[:cut]).String(); !strings.HasPrefix(got, "malformed result (") {
 				t.Fatalf("%s cut at %d of %d bytes formats as %q", tc.name, cut, len(tc.blob), got)
 			}
 		}
@@ -44,8 +47,45 @@ func TestFormatResultMalformed(t *testing.T) {
 	negative := binary.AppendVarint([]byte{kindVector}, -3)
 	huge := binary.AppendVarint(binary.AppendVarint([]byte{kindMatrix}, math.MaxInt64), math.MaxInt64)
 	for name, blob := range map[string][]byte{"overflowing varint": overflow, "negative size": negative, "dimensions past any blob": huge} {
-		if got := FormatResult(blob); !strings.HasPrefix(got, "malformed result (") {
+		if got := SummarizeBlob(blob).String(); !strings.HasPrefix(got, "malformed result (") {
 			t.Errorf("%s formats as %q", name, got)
+		}
+	}
+}
+
+// TestSummarizeBlobMatchesResult: the summary decoded from a result's
+// blob is the summary of the result itself, bit for bit, for every kind
+// — inlined values, list previews past their cut and an empty list
+// included — so a cluster-backed /query reply cannot differ from a local
+// one in anything but where it was computed.
+func TestSummarizeBlobMatchesResult(t *testing.T) {
+	ctx := dataflow.NewContext(dataflow.Config{DefaultPartitions: 3})
+	defer ctx.Close()
+	list := func(n int) comp.List {
+		l := comp.List{}
+		for i := 0; i < n; i++ {
+			l = append(l, comp.Tuple{int64(i), float64(i) / 3})
+		}
+		return l
+	}
+	small := tiled.RandMatrix(ctx, 7, 8, 4, 3, -5, 5, 1)
+	big := tiled.RandMatrix(ctx, 100, 37, 10, 3, -5, 5, 2)
+	for name, res := range map[string]*plan.Result{
+		"inlined matrix": {Matrix: small}, "matrix": {Matrix: big},
+		"inlined vector": {Vector: small.RowSums()}, "vector": {Vector: big.RowSums()},
+		"list": {List: list(3)}, "cut list": {List: list(25)}, "empty list": {List: list(0)},
+		"scalar": {Scalar: 2.5}, "int scalar": {Scalar: int64(7)},
+	} {
+		blob, err := EncodeResult(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, want := SummarizeBlob(blob), core.Summarize(res)
+		if !reflect.DeepEqual(got, want) || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
+			t.Errorf("%s: blob summary %+v, result summary %+v", name, got, want)
+		}
+		if want.Kind == "malformed" || got.String() != want.String() {
+			t.Errorf("%s: prints %q from the blob, %q from the result", name, got, want)
 		}
 	}
 }

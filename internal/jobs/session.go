@@ -1,129 +1,158 @@
 package jobs
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
-// ClusterSession runs SAC queries on a worker cluster through a
-// driver, mirroring core.Session's query-then-metrics shape: Query
-// submits the "sac.query" program and Metrics returns the last job's
-// aggregated counters — cluster-merged per-stage rows (PerStage),
-// every rank's own rows (WorkerStages), and one PerWorker row per
-// rank — which also makes it a debug.Source, so `sac -cluster -debug`
-// serves the same live endpoints as local mode. Each run's measured
-// profile is recorded in a driver-side stats cache keyed like
-// core.Session's, so repeated queries observe their history.
+// ClusterSession is the cluster core.Backend: it runs SAC queries on a
+// worker cluster through a driver. It owns its planner — a core.Session
+// built from the same QueryParams, by the same registerInputs, at the
+// same partition count as the session every rank builds — so a plan
+// preview, a footprint estimate and a plan-cache key are about the plan
+// the ranks execute. Metrics returns the last job's aggregated counters
+// — cluster-merged per-stage rows (PerStage), every rank's own rows
+// (WorkerStages), and one PerWorker row per rank. Each run's measured
+// profile is recorded in the planner's stats cache, so repeated queries
+// observe their history. Safe for concurrent use.
 type ClusterSession struct {
 	driver  *cluster.Driver
+	planner *core.Session
 	base    QueryParams
 	timeout time.Duration
-	stats   *stats.Cache
 
-	mu        sync.Mutex
-	last      dataflow.MetricsSnapshot
-	lastTrace *trace.Tracer
+	mu   sync.Mutex
+	last dataflow.MetricsSnapshot
 }
 
-// NewClusterSession wraps a driver. base supplies the input-generation
-// and planner parameters every query shares (Src is per-query).
+var _ core.Backend = (*ClusterSession)(nil)
+
+// NewClusterSession wraps a driver whose workers have registered. base
+// supplies the input-generation and planner parameters every query
+// shares (Src is per-query); a zero Partitions is fixed here, from the
+// live world size, for the planner and for every job alike.
 func NewClusterSession(d *cluster.Driver, base QueryParams, timeout time.Duration) *ClusterSession {
 	if timeout <= 0 {
 		timeout = 10 * time.Minute
 	}
-	return &ClusterSession{driver: d, base: base, timeout: timeout, stats: stats.NewCache()}
+	world := 0
+	for _, w := range d.Workers() {
+		if w.Alive {
+			world++
+		}
+	}
+	conf := base.sessionConfig(world)
+	base.Partitions = int64(conf.Partitions)
+	planner := core.NewSession(conf)
+	registerInputs(planner, base)
+	return &ClusterSession{driver: d, planner: planner, base: base, timeout: timeout}
+}
+
+// Connect is the driver bring-up sac and sacserver share: listen on addr
+// for sacworker registrations, wait for workers of them, report progress
+// through logf, and wrap the driver in a session that owns it.
+func Connect(addr string, workers int, wait time.Duration, base QueryParams, logf func(format string, args ...any)) (*ClusterSession, error) {
+	d, err := cluster.NewDriver(cluster.DriverConfig{Addr: addr})
+	if err != nil {
+		return nil, err
+	}
+	logf("cluster driver: listening on %s, waiting for %d worker(s)", d.Addr(), workers)
+	if err := d.WaitForWorkers(workers, wait); err != nil {
+		d.Close()
+		return nil, err
+	}
+	for _, wi := range d.Workers() {
+		logf("  worker %s (shuffle data at %s)", wi.ID, wi.DataAddr)
+	}
+	return NewClusterSession(d, base, 0), nil
+}
+
+// Close disconnects the workers and releases the planner.
+func (cs *ClusterSession) Close() error {
+	cs.driver.Close()
+	return cs.planner.Close()
+}
+
+// Compile plans src on the driver, against the catalog the ranks will
+// rebuild.
+func (cs *ClusterSession) Compile(src string) (*plan.Compiled, error) {
+	return cs.planner.Compile(src)
+}
+
+// Run implements core.Backend: the ranks compile src themselves (q is
+// the driver's copy of the plan they will choose), the result summary is
+// decoded from the blob they agreed on, and a traced run merges every
+// rank's spans, one lane each.
+func (cs *ClusterSession) Run(q *plan.Compiled, src string, traced bool) (*core.Outcome, error) {
+	p := cs.base
+	p.Src = src
+	p.Trace = p.Trace || traced
+	run, snap, wall, err := cs.submit(p)
+	if err != nil {
+		return &core.Outcome{Plan: q, Wall: wall}, err
+	}
+	q.NoteObserved(stats.FromSnapshot(snap, wall.Nanoseconds()))
+	return &core.Outcome{Plan: q, Summary: SummarizeBlob(run.Result), Metrics: snap,
+		Trace: run.MergedTrace(), Wall: wall}, nil
 }
 
 // Query runs one SAC query on the cluster and returns the canonical
-// result blob (see EncodeResult / FormatResult) plus the run detail.
-// Span recording follows the session's base.Trace flag.
+// result blob (see EncodeResult / SummarizeBlob) plus the run detail,
+// without planning it on the driver. Span recording follows the
+// session's base.Trace flag.
 func (cs *ClusterSession) Query(src string) ([]byte, *cluster.RunResult, error) {
-	p := cs.base
-	p.Src = src
-	run, _, err := cs.run(p)
+	// The stats-cache key is the same canonical rendering plan.Compile
+	// keys on, so these observations line up with compiler-side lookups;
+	// a source that does not parse fails here, before any rank is asked
+	// to run it.
+	key, err := plan.CanonicalKey(src)
 	if err != nil {
 		return nil, nil, err
 	}
+	p := cs.base
+	p.Src = src
+	run, snap, wall, err := cs.submit(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	cs.StatsCache().Record(key, stats.FromSnapshot(snap, wall.Nanoseconds()))
 	return run.Result, run, nil
 }
 
-// Analyze is the cluster's EXPLAIN ANALYZE: it runs the query with
-// tracing forced on and renders totals, the cluster-merged stage
-// table (skew and straggler warnings naming workers), the per-worker
-// rows, and the merged span tree with one lane per rank.
-func (cs *ClusterSession) Analyze(src string) (string, error) {
-	p := cs.base
-	p.Src = src
-	p.Trace = true
-	run, snap, err := cs.run(p)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "result: %s\n", FormatResult(run.Result))
-	fmt.Fprintf(&b, "totals: %s\n\nstages:\n", snap)
-	b.WriteString(snap.FormatStages())
-	if tr := run.MergedTrace(); tr != nil {
-		b.WriteString("\ntrace:\n")
-		b.WriteString(tr.Tree())
-	}
-	return b.String(), nil
-}
-
-// run submits one job and folds its results into the session state.
-func (cs *ClusterSession) run(p QueryParams) (*cluster.RunResult, dataflow.MetricsSnapshot, error) {
-	// The stats-cache key is the same canonical rendering plan.Compile
-	// keys on, so driver-side observations line up with compiler-side
-	// lookups; a source that does not parse fails here, before any rank
-	// is asked to run it.
-	key, err := plan.CanonicalKey(p.Src)
-	if err != nil {
-		return nil, dataflow.MetricsSnapshot{}, err
-	}
+// submit runs one job and, once it has settled, makes its merged
+// snapshot what Metrics returns.
+func (cs *ClusterSession) submit(p QueryParams) (*cluster.RunResult, dataflow.MetricsSnapshot, time.Duration, error) {
 	start := time.Now()
 	run, err := cs.driver.Run(QueryName, p.Encode(), cs.timeout)
 	if err != nil {
-		return nil, dataflow.MetricsSnapshot{}, err
+		return nil, dataflow.MetricsSnapshot{}, time.Since(start), err
 	}
 	snap := snapshotFrom(run, cs.driver.Workers())
 	cs.mu.Lock()
 	cs.last = snap
-	cs.lastTrace = run.MergedTrace()
 	cs.mu.Unlock()
-	cs.stats.Record(key, stats.FromSnapshot(snap, time.Since(start).Nanoseconds()))
-	return run, snap, nil
+	return run, snap, time.Since(start), nil
 }
 
 // Metrics returns the last completed job's aggregated snapshot
-// (zero-valued before the first query). Satisfies debug.Source.
+// (zero-valued before the first query).
 func (cs *ClusterSession) Metrics() dataflow.MetricsSnapshot {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return cs.last
 }
 
-// LastTrace returns the last job's merged cluster trace (one lane per
-// rank), or nil when no rank shipped spans — tracing off, or no query
-// yet. Render with Tree or export with WriteChrome.
-func (cs *ClusterSession) LastTrace() *trace.Tracer {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.lastTrace
-}
-
-// StatsCache exposes the driver-side measured-statistics cache; each
+// StatsCache exposes the planner's measured-statistics cache; each
 // completed cluster query records its profile here under the same
 // canonical key core.Session uses.
-func (cs *ClusterSession) StatsCache() *stats.Cache { return cs.stats }
+func (cs *ClusterSession) StatsCache() *stats.Cache { return cs.planner.StatsCache() }
 
 // snapshotFrom folds per-worker reports into the cluster-wide
 // snapshot: the ranks' counter sets merged by the schema's rules (sums;

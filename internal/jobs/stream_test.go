@@ -31,7 +31,7 @@ func TestClusterStreamingParity(t *testing.T) {
 				t.Fatalf("cluster: %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("result differs from local: %s vs %s", FormatResult(got), FormatResult(want))
+				t.Fatalf("result differs from local: %s vs %s", SummarizeBlob(got), SummarizeBlob(want))
 			}
 			snap := cs.Metrics()
 			if snap.ChunksFetched == 0 || snap.WireRawBytes == 0 {

@@ -13,18 +13,23 @@ import (
 
 // TestClusterMergedStageTable is the observability acceptance test:
 // a 3-worker cluster query must yield a merged per-stage table built
-// from rows reported by EVERY rank, and Analyze must render it with
-// per-worker rows and a merged trace lane per rank.
+// from rows reported by EVERY rank, and a traced Run's Report must render
+// it with per-worker rows and a merged trace lane per rank.
 func TestClusterMergedStageTable(t *testing.T) {
 	d := startTestClusterPar(t, twoSlots(3), 0)
 	p := baseParams()
 	p.TelemetryMs = 50
 	cs := NewClusterSession(d, p, time.Minute)
 	src := fig4Queries[0].src
-	if _, _, err := cs.Query(src); err != nil {
+	q, err := cs.Compile(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	out, err := cs.Run(q, src, false)
+	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	snap := cs.Metrics()
+	snap := out.Metrics
 
 	// Every rank contributed stage rows, each stamped with its worker.
 	ranks := map[string]int{}
@@ -83,16 +88,16 @@ func TestClusterMergedStageTable(t *testing.T) {
 
 	// The formatted table renders without tracing; the per-worker rows
 	// name every rank.
-	out := snap.FormatStages()
+	table := snap.FormatStages()
 	for i := 0; i < 3; i++ {
-		if !strings.Contains(out, fmt.Sprintf("w%d", i)) {
-			t.Fatalf("FormatStages missing rank w%d:\n%s", i, out)
+		if !strings.Contains(table, fmt.Sprintf("w%d", i)) {
+			t.Fatalf("FormatStages missing rank w%d:\n%s", i, table)
 		}
 	}
 
 	// No tracing was requested, so no merged trace.
-	if cs.LastTrace() != nil {
-		t.Fatal("trace present without Trace flag")
+	if out.Trace != nil {
+		t.Fatal("trace present on an untraced run")
 	}
 
 	// The run fed the driver-side stats cache under the canonical key.
@@ -105,17 +110,23 @@ func TestClusterMergedStageTable(t *testing.T) {
 	}
 }
 
-// TestClusterAnalyzeMergedTrace runs Analyze on a 3-worker cluster and
-// checks the report carries the merged stage table plus one trace lane
-// per rank.
+// TestClusterAnalyzeMergedTrace runs a traced query on a 3-worker
+// cluster and checks its Report carries the merged stage table plus one
+// trace lane per rank.
 func TestClusterAnalyzeMergedTrace(t *testing.T) {
 	d := startTestClusterPar(t, twoSlots(3), 0)
 	cs := NewClusterSession(d, baseParams(), time.Minute)
-	report, err := cs.Analyze(fig4Queries[2].src)
+	src := fig4Queries[2].src
+	q, err := cs.Compile(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	out, err := cs.Run(q, src, true)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	for _, want := range []string{"stages:", "trace:", "totals:"} {
+	report := out.Report()
+	for _, want := range []string{"plan: ", "result: ", "stages:", "trace:", "totals:"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
@@ -130,8 +141,8 @@ func TestClusterAnalyzeMergedTrace(t *testing.T) {
 	if !strings.Contains(report, "stage:") {
 		t.Fatalf("report has no stage spans:\n%s", report)
 	}
-	if tr := cs.LastTrace(); tr == nil {
-		t.Fatal("LastTrace nil after Analyze")
+	if out.Trace == nil {
+		t.Fatal("traced run returned no merged trace")
 	}
 }
 

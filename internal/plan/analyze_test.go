@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 
 const matmulSrc = "tiled(n, n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"
 
-// TestExecuteTraced checks the span hierarchy of a traced matmul:
+// TestExecuteTraced checks the span hierarchy of a traced Force of a matmul:
 // query → plan/execute phases → stage → task, with tile-kernel leaves,
 // and that the result is both correct and forced inside the window.
 func TestExecuteTraced(t *testing.T) {
@@ -21,7 +20,7 @@ func TestExecuteTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := q.ExecuteTraced()
+	res, tr, err := q.Force(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,61 +68,6 @@ func TestExecuteTraced(t *testing.T) {
 
 	// Tracing must be uninstalled afterwards.
 	if f.ctx.Tracer() != nil {
-		t.Fatalf("tracer left installed after ExecuteTraced")
-	}
-}
-
-// TestAnalyzeReport checks the EXPLAIN ANALYZE output: plan line,
-// per-stage table metered over just this query, and the span tree.
-func TestAnalyzeReport(t *testing.T) {
-	f := newFixture(t, 8, 8, 8, 8, 4)
-
-	// Earlier unrelated work on the same context must not leak into the
-	// report (exercises MetricsSnapshot.Sub).
-	warm, err := Compile(sacparser.MustParse("tiled(n, m)[ ((i,j), a + 1.0) | ((i,j),a) <- A ]"), f.cat, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := warm.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	preStages := f.ctx.Metrics().Stages
-
-	q, err := Compile(sacparser.MustParse(matmulSrc), f.cat, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, report, err := q.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matrix == nil {
-		t.Fatalf("no matrix result")
-	}
-	for _, want := range []string{
-		"plan: tiled([8 8]) <- SUMMA group-by-join",
-		"stages:",
-		"taskP99",
-		"trace:",
-		"phase: execute",
-		"stage: ",
-	} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("report missing %q:\n%s", want, report)
-		}
-	}
-	// The report must be metered over only this query: its totals line
-	// shows fewer stages than the context accumulated overall.
-	var reported int64
-	if _, err := fmt.Sscanf(report[strings.Index(report, "stages="):], "stages=%d", &reported); err != nil {
-		t.Fatalf("no stages= in totals line: %v\n%s", err, report)
-	}
-	total := f.ctx.Metrics().Stages
-	if preStages == 0 || reported <= 0 || reported >= total {
-		t.Fatalf("metering wrong: report covers %d stages, context total %d (pre-query %d)",
-			reported, total, preStages)
-	}
-	if strings.Contains(report, "tile-map of A") {
-		t.Fatalf("report leaked the warm-up query's plan:\n%s", report)
+		t.Fatalf("tracer left installed after the traced run")
 	}
 }

@@ -41,11 +41,13 @@ func BenchmarkCompiledVsHandwritten(b *testing.B) {
 	} {
 		e := sacparser.MustParse(c.src)
 		compiled := func() {
-			res, err := Run(e, cat, opt.Options{})
+			q, err := Compile(e, cat, opt.Options{})
+			if err == nil {
+				_, _, err = q.Force(false)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			forceResult(res)
 		}
 		b.Run(c.name, func(b *testing.B) {
 			compiled() // warm the frame pool and the allocator

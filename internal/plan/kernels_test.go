@@ -533,7 +533,7 @@ func TestGroupByJoinCombineReadsIndexVars(t *testing.T) {
 					if k := q.Strategy().Kind(); k != "group-by-join" && k != "join-reduce" {
 						t.Fatalf("%s: strategy %s", src, k)
 					}
-					res, err := q.ExecuteAndForce()
+					res, _, err := q.Force(false)
 					if err != nil {
 						t.Fatalf("%s tile %d opts %+v: %v", src, tile, opts, err)
 					}
@@ -562,7 +562,7 @@ func TestTileKernelAllocsIndependentOfTileSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			if _, err := q.ExecuteAndForce(); err != nil {
+			if _, _, err := q.Force(false); err != nil {
 				t.Fatal(err)
 			}
 		}

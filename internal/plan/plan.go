@@ -9,8 +9,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/comp"
 	"repro/internal/dataflow"
@@ -239,7 +237,7 @@ func decisionOf(s opt.Strategy) *opt.Decision {
 // catalog's stats cache (if installed) and annotates the decision, so
 // a repeat of the same query compiles against observation. Lazy tiled
 // results only account the stages forced before the snapshot was
-// taken; core.Session forces results before recording.
+// taken; core.Session.Run forces results before recording.
 func (q *Compiled) NoteObserved(m stats.Measured) {
 	if q.cat.cache != nil {
 		q.cat.cache.Record(q.src.String(), m)
@@ -259,45 +257,47 @@ func (q *Compiled) NoteObserved(m stats.Measured) {
 // Strategy exposes the selected strategy (for tests and ablations).
 func (q *Compiled) Strategy() opt.Strategy { return q.strategy }
 
-// StageReport renders the engine's per-stage execution table (wall
-// time, tasks, records in/out, shuffled bytes per stage) accumulated
-// since the last metrics reset. Run a query first; combine with
-// Explain to see both the chosen translation and how it executed.
-func (c *Catalog) StageReport() string {
-	return c.ctx.Metrics().FormatStages()
-}
-
-// ExecuteProfiled runs the query against a clean metrics slate and
-// returns the result together with the per-stage execution table, so
-// callers see which physical stages the translation produced and what
-// each cost.
-func (q *Compiled) ExecuteProfiled() (*Result, string, error) {
-	q.cat.ctx.ResetMetrics()
+// Force is the one forcing execution: it runs the query and materializes
+// a lazy tiled result before returning (persisting it, so a later
+// rendering does not repeat the work), which puts every stage the query
+// runs inside the caller's metrics window and admission reservation.
+// With traced set the run records a span tree — a query span holding a
+// plan phase (the chosen translation) and an execute phase under which
+// every engine stage, task and tile kernel attaches; forcing inside the
+// phase is what keeps a lazy result's stages from running untraced at
+// the first later action. The tracer (nil untraced; returned with the
+// error when a traced run fails) is removed from the engine context
+// before Force returns. Execute stays the lazy entry point.
+func (q *Compiled) Force(traced bool) (*Result, *trace.Tracer, error) {
+	var tr *trace.Tracer
+	if traced {
+		tr = trace.New()
+		root := tr.Start(nil, "query")
+		root.SetAttr("builder", q.builderName())
+		defer root.End()
+		pl := root.StartChild("phase: plan")
+		pl.SetAttr("strategy", q.Explain())
+		pl.End()
+		ex := tr.Start(root, "phase: execute")
+		ctx := q.cat.ctx
+		ctx.SetTracer(tr)
+		ctx.SetTraceRoot(ex)
+		defer func() {
+			ctx.SetTracer(nil)
+			ex.End()
+		}()
+	}
 	res, err := q.Execute()
 	if err != nil {
-		return nil, "", err
-	}
-	return res, q.cat.StageReport(), nil
-}
-
-// ExecuteTraced runs the query with hierarchical tracing: a query span
-// containing a plan phase (recording the chosen translation) and an
-// execute phase under which every engine stage, task, and tile kernel
-// records a span. The result is forced inside the traced window —
-// tiled results are lazy, so without forcing their stages would run
-// (untraced) at the first later action. The returned tracer renders
-// via Tree or exports via WriteChrome.
-func (q *Compiled) ExecuteTraced() (*Result, *trace.Tracer, error) {
-	tr := trace.New()
-	root := tr.Start(nil, "query")
-	root.SetAttr("builder", q.builderName())
-	defer root.End()
-	pl := root.StartChild("phase: plan")
-	pl.SetAttr("strategy", q.Explain())
-	pl.End()
-	res, err := q.ExecuteInSpan(tr, root)
-	if err != nil {
 		return nil, tr, err
+	}
+	switch {
+	case res.Matrix != nil:
+		res.Matrix.Tiles.Persist()
+		dataflow.Count(res.Matrix.Tiles)
+	case res.Vector != nil:
+		res.Vector.Blocks.Persist()
+		dataflow.Count(res.Vector.Blocks)
 	}
 	return res, tr, nil
 }
@@ -310,84 +310,6 @@ func (q *Compiled) builderName() string {
 		return "rdd"
 	}
 	return q.builder
-}
-
-// ExecuteInSpan runs the query's execute phase as a child of parent in
-// tr, installing tr on the engine context for the duration (stages and
-// tasks attach under the phase span) and forcing lazy results so their
-// stages execute while the trace is live. The context's tracer is
-// removed again before returning.
-func (q *Compiled) ExecuteInSpan(tr *trace.Tracer, parent *trace.Span) (*Result, error) {
-	ctx := q.cat.ctx
-	ex := tr.Start(parent, "phase: execute")
-	ctx.SetTracer(tr)
-	ctx.SetTraceRoot(ex)
-	defer func() {
-		ctx.SetTracer(nil)
-		ex.End()
-	}()
-	res, err := q.Execute()
-	if err != nil {
-		return nil, err
-	}
-	forceResult(res)
-	return res, nil
-}
-
-// ExecuteAndForce runs the query and materializes lazy results before
-// returning, so the caller's metrics window (and any admission
-// reservation held open around the call) covers every stage the query
-// runs — the server's per-query accounting depends on this. Results
-// are persisted by the forcing, so later renderings do not repeat the
-// work.
-func (q *Compiled) ExecuteAndForce() (*Result, error) {
-	res, err := q.Execute()
-	if err != nil {
-		return nil, err
-	}
-	forceResult(res)
-	return res, nil
-}
-
-// forceResult materializes lazy result datasets (persisting them, so
-// the work is not repeated by a later action) inside the caller's
-// traced/metered window.
-func forceResult(res *Result) {
-	switch {
-	case res.Matrix != nil:
-		res.Matrix.Tiles.Persist()
-		dataflow.Count(res.Matrix.Tiles)
-	case res.Vector != nil:
-		res.Vector.Blocks.Persist()
-		dataflow.Count(res.Vector.Blocks)
-	}
-}
-
-// Analyze is EXPLAIN ANALYZE for SAC queries: it executes the query
-// traced, meters just that execution (exercising MetricsSnapshot.Sub
-// on the reused context), and renders the chosen plan annotated with
-// the per-stage table — wall time, records, shuffled bytes,
-// task-duration p50/p99, and skew warnings naming suspect partitions —
-// followed by the full span tree.
-func (q *Compiled) Analyze() (*Result, string, error) {
-	ctx := q.cat.ctx
-	before := ctx.Metrics()
-	start := time.Now()
-	res, tr, err := q.ExecuteTraced()
-	if err != nil {
-		return nil, "", err
-	}
-	diff := ctx.Metrics().Sub(before)
-	// The traced run forces lazy results, so this measurement is
-	// complete; the plan line below then carries the observation.
-	q.NoteObserved(stats.FromSnapshot(diff, time.Since(start).Nanoseconds()))
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan: %s\n", q.Explain())
-	fmt.Fprintf(&b, "totals: %s\n\nstages:\n", diff)
-	b.WriteString(diff.FormatStages())
-	b.WriteString("\ntrace:\n")
-	b.WriteString(tr.Tree())
-	return res, b.String(), nil
 }
 
 // Compile desugars, analyzes, and plans a query expression against the

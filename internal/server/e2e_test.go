@@ -202,7 +202,7 @@ func TestE2EClusterBackedServer(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if first.Result.Kind != "cluster" || first.Result.Text == "" {
+	if first.Result.Kind != "scalar" || first.Result.Text == "" {
 		t.Fatalf("cluster result: %+v", first.Result)
 	}
 	if _, err := strconv.ParseFloat(strings.TrimSpace(first.Result.Text), 64); err != nil {

@@ -8,14 +8,15 @@ import (
 	"repro/internal/plan"
 )
 
-// slot is one pooled session plus its compiled-plan cache. A slot is
-// owned exclusively between acquire and release, so neither the
-// session (safe for sequential use) nor the plan cache needs internal
-// locking; the pool channel is the synchronization.
+// slot is one pooled backend plus its compiled-plan cache. A slot is
+// owned exclusively between acquire and release, so neither a session
+// backend (safe for sequential use) nor the plan cache needs internal
+// locking; the pool channel is the synchronization. (A backend shared by
+// every slot is safe for concurrent use itself.)
 type slot struct {
-	id    int
-	sess  *core.Session
-	plans *planCache
+	id      int
+	backend core.Backend
+	plans   *planCache
 }
 
 type pool struct {
@@ -23,10 +24,10 @@ type pool struct {
 	all   []*slot
 }
 
-func newPool(sessions []*core.Session, planCap int) *pool {
-	p := &pool{slots: make(chan *slot, len(sessions))}
-	for i, s := range sessions {
-		sl := &slot{id: i, sess: s, plans: newPlanCache(planCap)}
+func newPool(backends []core.Backend, planCap int) *pool {
+	p := &pool{slots: make(chan *slot, len(backends))}
+	for i, b := range backends {
+		sl := &slot{id: i, backend: b, plans: newPlanCache(planCap)}
 		p.all = append(p.all, sl)
 		p.slots <- sl
 	}
@@ -95,22 +96,11 @@ func (sl *slot) compile(src string) (q *plan.Compiled, cached bool, err error) {
 		obsPlanHits.Inc()
 		return q, true, nil
 	}
-	q, err = sl.sess.Compile(src)
+	q, err = sl.backend.Compile(src)
 	if err != nil {
 		return nil, false, err
 	}
 	obsPlanMisses.Inc()
 	sl.plans.insert(canon, q, src)
 	return q, false, nil
-}
-
-// close shuts every pooled session down (spill directories removed).
-func (p *pool) close() error {
-	var first error
-	for _, sl := range p.all {
-		if err := sl.sess.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -1,10 +1,11 @@
 // Package server turns the one-shot SAC engine into a long-running
 // multi-tenant query service: an HTTP/JSON front end over a pool of
-// core.Sessions (or a cluster backend), a compiled-plan cache that
-// amortizes parsing/normalization/planning across parameterized
-// re-runs, and admission control that queues or rejects queries whose
-// estimated memory footprint would breach the budget instead of
-// letting one tenant stall everyone.
+// core.Backends (one core.Session per slot, or every slot sharing a
+// cluster backend), a compiled-plan cache that amortizes
+// parsing/normalization/planning across parameterized re-runs, and
+// admission control that queues or rejects queries whose estimated
+// memory footprint would breach the budget instead of letting one
+// tenant stall everyone.
 //
 // Endpoints:
 //
@@ -12,7 +13,8 @@
 //	POST /query/stream run one query, reply as NDJSON events (plan,
 //	                   per-stage progress, result) as they happen
 //	POST /data         (re)register a dataset or scalar on every
-//	                   pooled session
+//	                   pooled session (409 when the backend's inputs
+//	                   are fixed)
 //	GET  /status       pool, plan-cache, admission, and stats-cache state
 //	GET  /healthz      liveness (503 while draining)
 //	GET  /debug/metrics process-wide instrument registry (Prometheus)
@@ -20,6 +22,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -33,9 +36,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/stats"
 )
 
@@ -67,23 +68,27 @@ type Config struct {
 	// StreamInterval is the stage-telemetry poll period of the NDJSON
 	// endpoint (default 100ms).
 	StreamInterval time.Duration
-	// Cluster, when non-nil, executes queries on a worker cluster
-	// instead of the pooled sessions; the pool still plans (plan cache,
-	// footprint estimates, EXPLAIN preview) against its local catalogs,
-	// which the caller must keep consistent with the cluster's
-	// QueryParams.
-	Cluster *jobs.ClusterSession
+	// Cluster, when non-nil, is the one backend every slot compiles and
+	// runs on (a jobs.ClusterSession, which plans against the catalog its
+	// ranks rebuild) instead of a core.Session of its own; the slots then
+	// only bound concurrency and hold the plan caches. The server closes
+	// it as it closes its own sessions. Its inputs are fixed: registration
+	// is refused.
+	Cluster core.Backend
 }
 
 // Server is the running service. Create with New, attach to a listener
 // with Serve/ListenAndServe (or mount Handler on your own), and stop
 // with Shutdown (graceful) or Close (immediate).
 type Server struct {
-	cfg     Config
-	pool    *pool
-	adm     *admission
-	stats   *stats.Cache
-	cluster *jobs.ClusterSession
+	cfg   Config
+	pool  *pool
+	adm   *admission
+	stats *stats.Cache
+	// local are the sessions this server built, one per slot: what
+	// registration writes to. Empty when every slot shares cfg.Cluster.
+	local   []*core.Session
+	backend string // StatusDoc.Backend
 	start   time.Time
 
 	mu       sync.Mutex
@@ -116,28 +121,33 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StreamInterval <= 0 {
 		cfg.StreamInterval = 100 * time.Millisecond
 	}
-	shared := stats.NewCache()
-	sessions := make([]*core.Session, cfg.Sessions)
-	for i := range sessions {
-		sessions[i] = core.NewSession(core.Config{
+	s := &Server{
+		cfg:      cfg,
+		adm:      newAdmission(cfg.AdmissionBudget, cfg.MaxQueue, cfg.QueueTimeout),
+		stats:    stats.NewCache(),
+		backend:  "local",
+		start:    time.Now(),
+		datasets: map[string][2]int64{},
+	}
+	backends := make([]core.Backend, cfg.Sessions)
+	for i := range backends {
+		if cfg.Cluster != nil {
+			backends[i], s.backend = cfg.Cluster, "cluster"
+			continue
+		}
+		sess := core.NewSession(core.Config{
 			TileSize:             cfg.TileSize,
 			Parallelism:          cfg.Parallelism,
 			Partitions:           cfg.Partitions,
 			MemoryBudget:         cfg.MemoryBudget,
 			AdaptiveShuffle:      cfg.AdaptiveShuffle,
 			ShuffleCostNsPerByte: cfg.ShuffleCostNsPerByte,
-			StatsCache:           shared,
+			StatsCache:           s.stats,
 		})
+		backends[i], s.local = sess, append(s.local, sess)
 	}
-	return &Server{
-		cfg:      cfg,
-		pool:     newPool(sessions, cfg.PlanCacheSize),
-		adm:      newAdmission(cfg.AdmissionBudget, cfg.MaxQueue, cfg.QueueTimeout),
-		stats:    shared,
-		cluster:  cfg.Cluster,
-		start:    time.Now(),
-		datasets: map[string][2]int64{},
-	}, nil
+	s.pool = newPool(backends, cfg.PlanCacheSize)
+	return s, nil
 }
 
 // StatsCache exposes the pool-shared measured-statistics cache.
@@ -150,34 +160,49 @@ func (s *Server) StatsCache() *stats.Cache { return s.stats }
 // parameterized re-run the cache amortizes; a new name or a changed
 // shape clears them (shapes are baked into plans).
 func (s *Server) RegisterRandMatrix(name string, rows, cols int64, lo, hi float64, seed int64) error {
+	shape := [2]int64{rows, cols}
 	s.mu.Lock()
 	prev, existed := s.datasets[name]
-	s.datasets[name] = [2]int64{rows, cols}
 	s.mu.Unlock()
-	keepPlans := existed && prev == [2]int64{rows, cols}
-	return s.pool.withAll(s.registerWait(), func(sl *slot) error {
-		sl.sess.RegisterRandMatrix(name, rows, cols, lo, hi, seed)
-		if !keepPlans {
-			sl.plans.clear()
-		}
-		return nil
+	err := s.register(existed && prev == shape, func(sess *core.Session) {
+		sess.RegisterRandMatrix(name, rows, cols, lo, hi, seed)
 	})
+	if err == nil {
+		s.mu.Lock()
+		s.datasets[name] = shape
+		s.mu.Unlock()
+	}
+	return err
 }
 
 // RegisterScalar registers a scalar constant on every pooled session.
 // Scalars are folded into compiled plans, so this always clears the
 // plan caches.
 func (s *Server) RegisterScalar(name string, v comp.Value) error {
-	return s.pool.withAll(s.registerWait(), func(sl *slot) error {
-		sl.sess.RegisterScalar(name, v)
-		sl.plans.clear()
+	return s.register(false, func(sess *core.Session) { sess.RegisterScalar(name, v) })
+}
+
+// ErrInputsFixed refuses a registration on a server whose backend
+// generates its own inputs: the cluster's ranks rebuild A, B and n from
+// their QueryParams on every query, so a catalog changed here would
+// plan against data they never see.
+var ErrInputsFixed = errors.New("server: the cluster backend's inputs are fixed; nothing was registered")
+
+// register applies one registration to every session the server owns,
+// with each slot held (waiting out the query it is running: the queue
+// timeout plus slack) so the pooled catalogs stay identical.
+func (s *Server) register(keepPlans bool, fn func(*core.Session)) error {
+	if len(s.local) == 0 {
+		return ErrInputsFixed
+	}
+	return s.pool.withAll(s.cfg.QueueTimeout+2*time.Minute, func(sl *slot) error {
+		fn(s.local[sl.id])
+		if !keepPlans {
+			sl.plans.clear()
+		}
 		return nil
 	})
 }
-
-// registerWait bounds how long registration waits for each busy
-// session: the queue timeout plus slack for the query it is running.
-func (s *Server) registerWait() time.Duration { return s.cfg.QueueTimeout + 2*time.Minute }
 
 // errorJSON is the body of every non-200 reply.
 type errorJSON struct {
@@ -192,18 +217,6 @@ type httpErr struct {
 	body   errorJSON
 }
 
-// resultJSON renders a query result: dense payloads are summarized
-// (shape + sum), small ones are inlined.
-type resultJSON struct {
-	Kind   string      `json:"kind"`
-	Rows   int64       `json:"rows,omitempty"`
-	Cols   int64       `json:"cols,omitempty"`
-	Size   int64       `json:"size,omitempty"`
-	Sum    float64     `json:"sum,omitempty"`
-	Values [][]float64 `json:"values,omitempty"`
-	Text   string      `json:"text,omitempty"`
-}
-
 type metricsJSON struct {
 	Stages          int64 `json:"stages"`
 	Tasks           int64 `json:"tasks"`
@@ -213,49 +226,14 @@ type metricsJSON struct {
 }
 
 type queryResponse struct {
-	Plan          string      `json:"plan"`
-	Cached        bool        `json:"cached"`
-	Session       int         `json:"session"`
-	EstimateBytes int64       `json:"estimate_bytes,omitempty"`
-	QueuedMs      float64     `json:"queued_ms"`
-	WallMs        float64     `json:"wall_ms"`
-	Result        resultJSON  `json:"result"`
-	Metrics       metricsJSON `json:"metrics"`
-}
-
-func renderResult(res *plan.Result) resultJSON {
-	switch res.Kind() {
-	case "matrix":
-		d := res.Matrix.ToDense()
-		out := resultJSON{Kind: "matrix", Rows: res.Matrix.Rows, Cols: res.Matrix.Cols, Sum: d.Sum()}
-		if d.Rows <= 8 && d.Cols <= 8 {
-			out.Values = make([][]float64, d.Rows)
-			for i := 0; i < d.Rows; i++ {
-				out.Values[i] = append([]float64(nil), d.Data[i*d.Cols:(i+1)*d.Cols]...)
-			}
-		}
-		return out
-	case "vector":
-		v := res.Vector.ToDense()
-		out := resultJSON{Kind: "vector", Size: res.Vector.Size, Sum: v.Sum()}
-		if v.Len() <= 16 {
-			out.Values = [][]float64{append([]float64(nil), v.Data...)}
-		}
-		return out
-	case "list":
-		var b strings.Builder
-		for i, row := range res.List {
-			if i == 10 {
-				b.WriteString("...\n")
-				break
-			}
-			b.WriteString(comp.Render(row))
-			b.WriteByte('\n')
-		}
-		return resultJSON{Kind: "list", Size: int64(len(res.List)), Text: b.String()}
-	default:
-		return resultJSON{Kind: "scalar", Text: comp.Render(res.Scalar)}
-	}
+	Plan          string       `json:"plan"`
+	Cached        bool         `json:"cached"`
+	Session       int          `json:"session"`
+	EstimateBytes int64        `json:"estimate_bytes,omitempty"`
+	QueuedMs      float64      `json:"queued_ms"`
+	WallMs        float64      `json:"wall_ms"`
+	Result        core.Summary `json:"result"`
+	Metrics       metricsJSON  `json:"metrics"`
 }
 
 func metricsOf(m dataflow.MetricsSnapshot) metricsJSON {
@@ -353,7 +331,6 @@ func (s *Server) runQuery(src string, sink *eventSink, admitted func()) (*queryR
 	obsInflight.Add(1)
 	defer obsInflight.Add(-1)
 	defer s.queriesDone.Add(1)
-	start := time.Now()
 	defer func() { obsQuerySeconds.Observe(time.Since(qStart).Seconds()) }()
 
 	resp := &queryResponse{
@@ -366,50 +343,41 @@ func (s *Server) runQuery(src string, sink *eventSink, admitted func()) (*queryR
 		"queued_ms": resp.QueuedMs,
 	})
 
-	if s.cluster != nil {
-		blob, _, err := s.cluster.Query(src)
-		if err != nil {
-			obsQueryErrors.Inc()
-			return nil, &httpErr{http.StatusInternalServerError, errorJSON{Error: err.Error(), Reason: "execute"}}
-		}
-		resp.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
-		resp.Result = resultJSON{Kind: "cluster", Text: jobs.FormatResult(blob)}
-		resp.Metrics = metricsOf(s.cluster.Metrics())
-		return resp, nil
-	}
-
-	sl.sess.ResetMetrics()
-	stop := s.streamStages(sl.sess, sink)
-	res, err := q.ExecuteAndForce()
+	// Run forces the result, so its metrics window and the admission
+	// reservation held around it cover every stage the query runs, and
+	// feeds the backend's stats cache so repeats (on any slot) plan and
+	// are admitted from observation.
+	stop := s.streamStages(sl, sink)
+	out, err := sl.backend.Run(q, src, false)
 	seen := stop()
 	if err != nil {
 		obsQueryErrors.Inc()
 		return nil, &httpErr{http.StatusInternalServerError, errorJSON{Error: err.Error(), Reason: "execute"}}
 	}
-	wall := time.Since(start)
-	snap := sl.sess.Metrics()
-	// Feed the shared stats cache so repeats (on any pooled session)
-	// plan and are admitted from observation.
-	q.NoteObserved(stats.FromSnapshot(snap, wall.Nanoseconds()))
 	// Flush stage rows the poller had not seen when execution finished.
 	if sink != nil {
-		for _, st := range snap.PerStage[seen:] {
+		for _, st := range out.Metrics.PerStage[seen:] {
 			sink.emit(stageEventOf(st))
 		}
 	}
-	resp.WallMs = float64(wall) / float64(time.Millisecond)
-	resp.Result = renderResult(res)
-	resp.Metrics = metricsOf(snap)
+	resp.WallMs = float64(out.Wall) / float64(time.Millisecond)
+	resp.Result = out.Summary
+	resp.Metrics = metricsOf(out.Metrics)
 	return resp, nil
 }
 
-// streamStages polls the executing session's metrics and emits a
-// stage event for each newly completed stage. The returned stop
-// function ends the poller and reports how many rows were emitted.
-func (s *Server) streamStages(sess *core.Session, sink *eventSink) (stop func() int) {
-	if sink == nil {
+// streamStages polls the executing session's metrics and emits a stage
+// event for each newly completed stage. Only a session this server owns
+// is polled: the slot holds it exclusively, so its live counters are
+// this query's, while a backend every slot shares reports whichever run
+// settled last and streams its rows in the final flush alone. The
+// returned stop function ends the poller and reports how many rows were
+// emitted.
+func (s *Server) streamStages(sl *slot, sink *eventSink) (stop func() int) {
+	if sink == nil || len(s.local) == 0 {
 		return func() int { return 0 }
 	}
+	sess, began := s.local[sl.id], time.Now()
 	done := make(chan struct{})
 	result := make(chan int, 1)
 	go func() {
@@ -420,6 +388,11 @@ func (s *Server) streamStages(sess *core.Session, sink *eventSink) (stop func() 
 			select {
 			case <-t.C:
 				rows := sess.Metrics().PerStage
+				// Run starts the session's metrics over; a tick that beats
+				// it to that still reads the previous query's rows.
+				if len(rows) > 0 && rows[0].Start.Before(began) {
+					continue
+				}
 				for ; seen < len(rows); seen++ {
 					sink.emit(stageEventOf(rows[seen]))
 				}
@@ -568,7 +541,11 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &httpErr{http.StatusBadRequest, errorJSON{Error: "need rows+cols (matrix) or scalar"}})
 		return
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrInputsFixed):
+		writeErr(w, &httpErr{http.StatusConflict, errorJSON{Error: err.Error(), Reason: "cluster-inputs-fixed"}})
+		return
+	case err != nil:
 		writeErr(w, &httpErr{http.StatusServiceUnavailable, errorJSON{Error: err.Error()}})
 		return
 	}
@@ -615,10 +592,7 @@ type StatusDoc struct {
 // own.
 func (s *Server) Status() StatusDoc {
 	var doc StatusDoc
-	doc.Backend = "local"
-	if s.cluster != nil {
-		doc.Backend = "cluster"
-	}
+	doc.Backend = s.backend
 	doc.UptimeMs = time.Since(s.start).Milliseconds()
 	doc.Draining = s.draining.Load()
 	doc.Sessions.Total = len(s.pool.all)
@@ -678,7 +652,7 @@ func (s *Server) Addr() string {
 
 // Shutdown drains gracefully: new submissions get 503 immediately,
 // in-flight queries run to completion (bounded by timeout), then the
-// listener and every pooled session close. Safe to call without a
+// listener and every slot's backend close. Safe to call without a
 // listener (Handler-only use). Returns an error when the deadline
 // passed with queries still running — the sessions are closed anyway.
 func (s *Server) Shutdown(timeout time.Duration) error {
@@ -705,7 +679,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		// Close tears the listener and connections down.
 		srv.Close()
 	}
-	if err := s.pool.close(); err != nil && drainErr == nil {
+	if err := s.closeBackends(); err != nil && drainErr == nil {
 		drainErr = err
 	}
 	return drainErr
@@ -720,7 +694,23 @@ func (s *Server) Close() error {
 	if srv != nil {
 		srv.Close()
 	}
-	return s.pool.close()
+	return s.closeBackends()
+}
+
+// closeBackends shuts every slot's backend down (sessions remove their
+// spill directories, a cluster session disconnects its workers).
+func (s *Server) closeBackends() error {
+	slots := s.pool.all
+	if len(s.local) == 0 {
+		slots = slots[:1] // every slot shares the one backend
+	}
+	var first error
+	for _, sl := range slots {
+		if err := sl.backend.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

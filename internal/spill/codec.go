@@ -198,9 +198,9 @@ func PutF64s(dst []byte, vs []float64) {
 	}
 }
 
-// getF64s is PutF64s reversed: it fills vs from the first 8*len(vs)
+// GetF64s is PutF64s reversed: it fills vs from the first 8*len(vs)
 // bytes of src.
-func getF64s(vs []float64, src []byte) {
+func GetF64s(vs []float64, src []byte) {
 	src = src[:8*len(vs)]
 	i := 0
 	for ; i+4 <= len(vs); i += 4 {
@@ -332,7 +332,7 @@ func (r *Reader) F64s() []float64 {
 				r.err = err
 				return nil
 			}
-			getF64s(out[filled:filled+k], b)
+			GetF64s(out[filled:filled+k], b)
 			r.r.Discard(8 * k)
 			filled += k
 		}
