@@ -38,10 +38,13 @@ test: tier1 race
 bench:
 	$(GO) test -run '^$$' -bench 'NarrowChain|Fig4B' -benchmem -benchtime 10x .
 
-# Local GEMM kernel GFLOP/s table (naive/ikj/blocked/blocked-par) plus
-# Go benchmark numbers with allocation counts for the pooled GBJ path.
+# Local GEMM kernel GFLOP/s table (naive/ikj/blocked/blocked-par), the
+# tile product decomposed per micro-kernel at the engine's size (call =
+# pack-a + pack-b + packed) and inside a group-by-join cell, plus Go
+# benchmark numbers with allocation counts for the pooled GBJ path.
 bench-kernels:
 	$(GO) run ./cmd/sacbench -fig kernels
+	$(GO) test -run '^$$' -bench 'GemmTile|GBJCell' -benchtime 300ms ./internal/linalg
 	$(GO) test -run '^$$' -bench 'Kernels_' -benchmem -benchtime 2x .
 
 # Adaptive-vs-static skew suite (what the CI adaptive job runs):
@@ -98,7 +101,8 @@ bench-smoke:
 
 # Short local fuzz pass over the targets the nightly CI job runs for 5
 # minutes each: the codec/wire layer (the coordinate path's value codec
-# included), and the tile-kernel compiler against the reference evaluator.
+# included), the tile-kernel compiler against the reference evaluator,
+# and GEMM shapes through every micro-kernel this CPU has.
 fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzStreamPrimitives$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzFloat64SliceCodec$$' -fuzztime 10s
@@ -108,6 +112,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzKernelMatchesInterpreter$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzValueCodec$$' -fuzztime 10s
+	$(GO) test ./internal/linalg -run '^$$' -fuzz '^FuzzGemmShapes$$' -fuzztime 10s
 
 # Figure 4.B under a memory budget: the tables grow spilled-bytes and
 # merge-pass columns showing the out-of-core subsystem at work.

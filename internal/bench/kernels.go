@@ -20,8 +20,8 @@ import (
 // same machinery.
 func Kernels(cfg Config, sizes []int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Local GEMM kernels — GFLOP/s (higher is better), %d cores\n",
-		runtime.GOMAXPROCS(0))
+	fmt.Fprintf(&b, "# Local GEMM kernels — GFLOP/s (higher is better), %d cores, blocked = %s\n",
+		runtime.GOMAXPROCS(0), linalg.KernelName())
 	fmt.Fprintf(&b, "%-8s%14s%14s%14s%14s\n", "n", "naive", "ikj", "blocked", "blocked-par")
 	for _, n := range sizes {
 		fmt.Fprintf(&b, "%-8d", n)
@@ -87,10 +87,10 @@ func kernelsPoolLine(cfg Config) string {
 }
 
 // KernelSizes returns the default kernel-benchmark sizes, scaled down
-// in quick mode.
+// in quick mode; 100 is the tile the engine calls the kernel at.
 func KernelSizes(quick bool) []int {
 	if quick {
 		return []int{100, 250}
 	}
-	return []int{250, 500, 1000}
+	return []int{100, 250, 500, 1000}
 }

@@ -52,11 +52,13 @@ type Outcome struct {
 // Report renders the run as EXPLAIN ANALYZE: the chosen plan (carrying
 // the observation this run just recorded), the result, the totals, the
 // stage table with its skew and straggler warnings and per-worker rows,
-// and the span tree of a traced run.
+// and the span tree of a traced run. The totals name this process's GEMM
+// micro-kernel; on a cluster each rank names its own on its kernel
+// spans.
 func (o *Outcome) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: %s\nresult: %s\n", o.Plan.Explain(), o.Summary.Head())
-	fmt.Fprintf(&b, "totals: %s\n\nstages:\n", o.Metrics)
+	fmt.Fprintf(&b, "totals: %s kernel=%s\n\nstages:\n", o.Metrics, linalg.KernelName())
 	b.WriteString(o.Metrics.FormatStages())
 	if o.Trace != nil {
 		b.WriteString("\ntrace:\n")

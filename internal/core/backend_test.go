@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/linalg"
 )
 
 const matmulSrc = "tiled(n, n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"
@@ -46,6 +48,11 @@ func TestBackendAnalyzeReport(t *testing.T) {
 		"result: 8x8 tiled matrix (sum=",
 		"stages:",
 		"taskP99",
+		// The totals line and the group-by-join's cell spans both say
+		// which micro-kernel the GFLOP/s came from.
+		" kernel=" + linalg.KernelName() + "\n",
+		"kernel: gbj-cell",
+		`kernel="` + linalg.KernelName() + `"`,
 		"trace:",
 		"phase: execute",
 		"stage: ",

@@ -33,12 +33,13 @@ var adversarialDims = [][3]int{
 	{1, 300, 5}, // 1×N row vector times panel
 	{300, 1, 5}, // N×1 outcome column
 	{2, 3, 4},
-	{3, 5, 7}, // nothing divisible by microM/microN
+	{3, 5, 7}, // nothing divisible by any micro-tile
 	{4, 4, 4}, // exactly one micro-tile
 	{5, 5, 5},
 	{7, 13, 11},
 	{16, 32, 8},
-	{33, 65, 31}, // straddles 32³ dispatch threshold
+	{33, 65, 31},
+	{7, 9, 8}, // straddles the 8³ dispatch threshold
 	{127, 129, 128},
 	{128, 512, 256}, // exactly Mc × Nc × Kc
 	{129, 513, 257}, // one past every blocking parameter

@@ -2,17 +2,24 @@
 
 package linalg
 
-// useFMAKernel reports whether the AVX2+FMA micro-kernel may run on
-// this CPU. The Go baseline for amd64 (GOAMD64=v1) only guarantees
-// SSE2, so the vector kernel is gated on runtime CPUID/XGETBV checks:
-// the CPU must advertise AVX, AVX2, and FMA, and the OS must have
-// enabled YMM state saving (XCR0 bits 1 and 2).
-var useFMAKernel = detectFMAKernel()
+// kernels lists the micro-kernels this CPU can run, narrowest first.
+// The Go baseline for amd64 (GOAMD64=v1) only guarantees SSE2, so each
+// vector kernel is gated on runtime CPUID/XGETBV checks.
+var kernels = detectKernels()
 
-func detectFMAKernel() bool {
+var (
+	avx2Kernel   = kernel{name: "avx2-4x8", mr: 4, nr: 8, tile: microKernelAVX2}
+	avx512Kernel = kernel{name: "avx512-8x16", mr: 8, nr: 16, tile: microKernelAVX512}
+)
+
+// detectKernels probes the CPU. AVX2 needs AVX, AVX2 and FMA from the
+// CPU and YMM state saving from the OS (XCR0 bits 1 and 2); AVX-512
+// additionally needs AVX512F and opmask/ZMM state (XCR0 bits 5 to 7).
+func detectKernels() []*kernel {
+	ks := []*kernel{&portableKernel}
 	maxID, _, _, _ := cpuidex(0, 0)
 	if maxID < 7 {
-		return false
+		return ks
 	}
 	_, _, ecx1, _ := cpuidex(1, 0)
 	const (
@@ -21,15 +28,23 @@ func detectFMAKernel() bool {
 		avx     = 1 << 28
 	)
 	if ecx1&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+		return ks
 	}
 	xcr0, _ := xgetbv0()
-	if xcr0&0x6 != 0x6 { // SSE and YMM state enabled by the OS
-		return false
-	}
+	const ymmState, zmmState = 0x6, 0xe6
 	_, ebx7, _, _ := cpuidex(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	const (
+		avx2    = 1 << 5
+		avx512f = 1 << 16
+	)
+	if xcr0&ymmState != ymmState || ebx7&avx2 == 0 {
+		return ks
+	}
+	ks = append(ks, &avx2Kernel)
+	if xcr0&zmmState == zmmState && ebx7&avx512f != 0 {
+		ks = append(ks, &avx512Kernel)
+	}
+	return ks
 }
 
 // cpuidex executes CPUID with the given EAX/ECX inputs.
@@ -38,11 +53,20 @@ func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register XCR0.
 func xgetbv0() (eax, edx uint32)
 
-// microKernel4x8FMA computes a full microM×microN tile of C += A·B
-// from packed micro-panels using AVX2 FMA: the 4×8 accumulator block
-// lives in eight YMM registers across the whole k loop, and C is
-// touched once at the end. ldc is C's row stride in elements. Only
-// call when useFMAKernel is true and kc > 0.
+// microKernelAVX2 is kernel.tile for the 4×8 register tile: eight YMM
+// accumulators (two per row) hold the block across the k loop — eight
+// independent FMA chains, what two FMA ports at latency four need — and
+// C is touched once at the end, through VMASKMOVPD when the tile is a
+// fringe.
 //
 //go:noescape
-func microKernel4x8FMA(kc int, ap, bp, c *float64, ldc int)
+func microKernelAVX2(kc int, ap, bp, c []float64, ldc, mr, nr int)
+
+// microKernelAVX512 is kernel.tile for the 8×16 register tile: sixteen
+// ZMM accumulators (two per row), two B vectors and one broadcast A
+// element per row, so a k step is sixteen FMAs against ten loads and
+// both 512-bit FMA ports stay busy. C is updated under opmasks built
+// from nr, full tile or fringe alike.
+//
+//go:noescape
+func microKernelAVX512(kc int, ap, bp, c []float64, ldc, mr, nr int)

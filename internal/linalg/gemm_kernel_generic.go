@@ -2,12 +2,6 @@
 
 package linalg
 
-// useFMAKernel is false off amd64 (or under the purego tag); every
-// micro-tile runs through microKernelGeneric.
-const useFMAKernel = false
-
-// microKernel4x8FMA is never called when useFMAKernel is false; the
-// stub keeps the macro kernel portable.
-func microKernel4x8FMA(kc int, ap, bp, c *float64, ldc int) {
-	panic("linalg: vector micro-kernel unavailable on this platform")
-}
+// kernels lists the micro-kernels this build can run, narrowest first:
+// off amd64 (or under the purego tag) only the portable one.
+var kernels = []*kernel{&portableKernel}

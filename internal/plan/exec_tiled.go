@@ -261,8 +261,7 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 		KX: func(c tiled.Coord) int64 { return c.J },
 		GY: func(c tiled.Coord) int64 { return c.J },
 		KY: func(c tiled.Coord) int64 { return c.I },
-		// The compiled kernel is serial regardless of budget.
-		H: func(out, x, y *linalg.Dense, g tiled.Coord, k int64, _ int) { contract(out, x, y, g, k) },
+		H:  contract,
 	})
 	return &Result{Matrix: out}, nil
 }

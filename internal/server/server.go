@@ -36,6 +36,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -554,7 +555,10 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 
 // StatusDoc is the /status document.
 type StatusDoc struct {
-	Backend  string `json:"backend"`
+	Backend string `json:"backend"`
+	// Kernel is this process's GEMM micro-kernel (linalg.KernelName):
+	// which kernel a local backend's tile products ran on.
+	Kernel   string `json:"kernel"`
 	UptimeMs int64  `json:"uptime_ms"`
 	Draining bool   `json:"draining"`
 	Sessions struct {
@@ -593,6 +597,7 @@ type StatusDoc struct {
 func (s *Server) Status() StatusDoc {
 	var doc StatusDoc
 	doc.Backend = s.backend
+	doc.Kernel = linalg.KernelName()
 	doc.UptimeMs = time.Since(s.start).Milliseconds()
 	doc.Draining = s.draining.Load()
 	doc.Sessions.Total = len(s.pool.all)

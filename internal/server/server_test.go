@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -401,7 +402,7 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if doc.Backend != "local" || doc.Sessions.Total != 2 || doc.Queries.Done != 1 {
+	if doc.Backend != "local" || doc.Kernel != linalg.KernelName() || doc.Sessions.Total != 2 || doc.Queries.Done != 1 {
 		t.Fatalf("status: %+v", doc)
 	}
 	if doc.Admission.BudgetBytes != 1<<30 {

@@ -179,13 +179,15 @@ func gemmFlops(n int, matches int) float64 {
 	return 2 * float64(matches) * float64(n) * float64(n) * float64(n)
 }
 
-// setKernelAttrs records a kernel span's achieved GFLOP/s and whether
-// its output tile was served from the tile pool; sac -analyze and the
-// Perfetto export surface both per tile.
+// setKernelAttrs records a kernel span's achieved GFLOP/s, the GEMM
+// micro-kernel that achieved it and whether its output tile was served
+// from the tile pool; sac -analyze and the Perfetto export surface all
+// three per tile.
 func setKernelAttrs(sp *trace.Span, flops float64, elapsed time.Duration, poolHit bool) {
 	if s := elapsed.Seconds(); s > 0 {
 		sp.SetAttr("GFLOP/s", math.Round(flops/s/1e7)/100)
 	}
+	sp.SetAttr("kernel", linalg.KernelName())
 	if poolHit {
 		sp.SetAttr("pool", "hit")
 	} else {

@@ -52,9 +52,23 @@ func byGroupThenKey(x, y keyedTile) int {
 	return cmp.Compare(x.K, y.K)
 }
 
+// byJoinKey hashes one sorted side of a cell by join key, keeping the
+// sorted order within a key, and lists the side's distinct groups in
+// ascending order.
+func byJoinKey(side []keyedTile) (byKey map[int64][]keyedTile, groups []int64) {
+	byKey = make(map[int64][]keyedTile, len(side))
+	for _, kt := range side {
+		if len(groups) == 0 || groups[len(groups)-1] != kt.G {
+			groups = append(groups, kt.G)
+		}
+		byKey[kt.K] = append(byKey[kt.K], kt)
+	}
+	return byKey, groups
+}
+
 // GBJSpec describes a group-by-join instance: coordinate projections
 // for the group (gx, gy) and join keys (kx, ky), the per-match tile
-// kernel h accumulating into the output tile, and the output grid.
+// contraction accumulating into the output tile, and the output grid.
 type GBJSpec struct {
 	OutRows, OutCols int64 // logical output dims
 	// GroupsX is the number of distinct gy groups (output tile cols);
@@ -65,12 +79,13 @@ type GBJSpec struct {
 	// GY/KY project a B-tile coordinate to its group and join key.
 	GY, KY func(c Coord) int64
 	// H accumulates the contribution of a matching tile pair into out,
-	// the output tile at coordinate g, for join key k; par is the
-	// kernel's goroutine budget (Context.KernelBudget).
-	H func(out, a, b *linalg.Dense, g Coord, k int64, par int)
-	// FlopsPerMatch, when positive, is the flop count of one H call;
-	// kernel spans use it to report achieved GFLOP/s.
-	FlopsPerMatch float64
+	// the output tile at coordinate g, for join key k. Nil is the tile
+	// GEMM out += op(a)·op(b), op transposing when TransA / TransB is
+	// set: the cell then packs each tile once per join key and
+	// multiplies packed operands (linalg.GemmPacked) under the kernel
+	// budget.
+	H              func(out, a, b *linalg.Dense, g Coord, k int64)
+	TransA, TransB bool
 	// GridP x GridQ, when both positive, override the processor grid
 	// (clamped to GroupsY x GroupsX). The result is bitwise identical
 	// for every grid — the tests that prove it are the only callers
@@ -155,23 +170,18 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 		// across grids, backends and memory budgets.
 		slices.SortStableFunc(g.Value.Left, byGroupThenKey)
 		slices.SortStableFunc(g.Value.Right, byGroupThenKey)
-		// Hash the B side by join key; each side's distinct groups (runs,
+		// Hash both sides by join key; each side's distinct groups (runs,
 		// now that the sides are sorted) cross to the cell's output
 		// tiles, one tile per group pair.
-		right := make(map[int64][]keyedTile, len(g.Value.Right))
-		var rgroups []int64
-		for _, kt := range g.Value.Right {
-			if len(rgroups) == 0 || rgroups[len(rgroups)-1] != kt.G {
-				rgroups = append(rgroups, kt.G)
-			}
-			right[kt.K] = append(right[kt.K], kt)
-		}
-		var lgroups []int64
-		for _, at := range g.Value.Left {
-			if len(lgroups) == 0 || lgroups[len(lgroups)-1] != at.G {
-				lgroups = append(lgroups, at.G)
+		left, lgroups := byJoinKey(g.Value.Left)
+		right, rgroups := byJoinKey(g.Value.Right)
+		keys := make([]int64, 0, len(left))
+		for k := range left {
+			if len(right[k]) > 0 {
+				keys = append(keys, k)
 			}
 		}
+		slices.Sort(keys)
 		// The output tiles escape into the result dataset, so they are
 		// drawn from the pool but never Put back here; recycling happens
 		// when the result matrix is drained (Matrix.Recycle / Drain).
@@ -189,12 +199,40 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 				out = append(out, dataflow.KV(c, t))
 			}
 		}
+		// One SUMMA step per join key: with the GEMM contraction every A
+		// and B tile of the step is packed once — |rows| + |cols| packed
+		// tiles of pooled scratch, released before the next step — and
+		// the |rows| x |cols| products read the packed operands.
 		matches := 0
-		for _, at := range g.Value.Left {
-			for _, bt := range right[at.K] {
-				g := Coord{I: at.G, J: bt.G}
-				spec.H(out[idx[g]].Value, at.Tile, bt.Tile, g, at.K, par)
-				matches++
+		var pa, pb []*linalg.Packed
+		for _, k := range keys {
+			ats, bts := left[k], right[k]
+			if spec.H == nil {
+				pa, pb = pa[:0], pb[:0]
+				for _, at := range ats {
+					pa = append(pa, linalg.PackA(at.Tile, spec.TransA))
+				}
+				for _, bt := range bts {
+					pb = append(pb, linalg.PackB(bt.Tile, spec.TransB))
+				}
+			}
+			for i, at := range ats {
+				for j, bt := range bts {
+					g := Coord{I: at.G, J: bt.G}
+					o := out[idx[g]].Value
+					if spec.H != nil {
+						spec.H(o, at.Tile, bt.Tile, g, k)
+					} else {
+						linalg.GemmPacked(o, pa[i], pb[j], par)
+					}
+					matches++
+				}
+			}
+			for _, p := range pa {
+				p.Release()
+			}
+			for _, p := range pb {
+				p.Release()
 			}
 		}
 		if sp != nil {
@@ -203,8 +241,8 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 			sp.SetAttr("right", len(g.Value.Right))
 			sp.SetAttr("tiles", len(out))
 			sp.SetAttr("matches", matches)
-			if spec.FlopsPerMatch > 0 {
-				setKernelAttrs(sp, spec.FlopsPerMatch*float64(matches), time.Since(start), hits == len(out) && len(out) > 0)
+			if spec.H == nil {
+				setKernelAttrs(sp, gemmFlops(n, matches), time.Since(start), hits == len(out) && len(out) > 0)
 			}
 			sp.End()
 		}
@@ -214,7 +252,7 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 }
 
 // MultiplyGBJ computes A * B with the SUMMA-style group-by-join:
-// gx(i,k)=i, kx(i,k)=k, gy(k,j)=j, ky(k,j)=k, h = tile GEMM.
+// gx(i,k)=i, kx(i,k)=k, gy(k,j)=j, ky(k,j)=k, h = tile GEMM (H nil).
 func (a *Matrix) MultiplyGBJ(b *Matrix) *Matrix {
 	return a.MultiplyGBJTuned(b, 0, 0, 0)
 }
@@ -241,15 +279,11 @@ func multiplySpec(a, b *Matrix) GBJSpec {
 		KX: func(c Coord) int64 { return c.J },
 		GY: func(c Coord) int64 { return c.J },
 		KY: func(c Coord) int64 { return c.I },
-		H: func(out, x, y *linalg.Dense, _ Coord, _ int64, par int) {
-			linalg.GemmBudget(out, x, y, par)
-		},
-		FlopsPerMatch: gemmFlops(a.N, 1),
 	}
 }
 
 // MultiplyTransAGBJ computes A^T * B without materializing A^T, as a
-// group-by-join with gx(k,i)=i and h = GemmTransA. Used by matrix
+// group-by-join with gx(k,i)=i and h = the tile GEMM on Aᵀ. Used by matrix
 // factorization (E^T x P).
 func (a *Matrix) MultiplyTransAGBJ(b *Matrix) *Matrix {
 	return GroupByJoin(a, b, multiplyTransASpec(a, b))
@@ -262,19 +296,16 @@ func multiplyTransASpec(a, b *Matrix) GBJSpec {
 	return GBJSpec{
 		OutRows: a.Cols, OutCols: b.Cols,
 		GroupsX: b.BlockCols(), GroupsY: a.BlockCols(),
-		GX: func(c Coord) int64 { return c.J }, // output row group = A col
-		KX: func(c Coord) int64 { return c.I }, // join on A row
-		GY: func(c Coord) int64 { return c.J },
-		KY: func(c Coord) int64 { return c.I },
-		H: func(out, x, y *linalg.Dense, _ Coord, _ int64, par int) {
-			linalg.GemmTransABudget(out, x, y, par)
-		},
-		FlopsPerMatch: gemmFlops(a.N, 1),
+		GX:     func(c Coord) int64 { return c.J }, // output row group = A col
+		KX:     func(c Coord) int64 { return c.I }, // join on A row
+		GY:     func(c Coord) int64 { return c.J },
+		KY:     func(c Coord) int64 { return c.I },
+		TransA: true,
 	}
 }
 
 // MultiplyTransBGBJ computes A * B^T without materializing B^T:
-// join key is the column coordinate of both inputs, h = GemmTransB.
+// join key is the column coordinate of both inputs, h = the tile GEMM on Bᵀ.
 // Used by matrix factorization (P x Q^T).
 func (a *Matrix) MultiplyTransBGBJ(b *Matrix) *Matrix {
 	return GroupByJoin(a, b, multiplyTransBSpec(a, b))
@@ -287,13 +318,10 @@ func multiplyTransBSpec(a, b *Matrix) GBJSpec {
 	return GBJSpec{
 		OutRows: a.Rows, OutCols: b.Rows,
 		GroupsX: b.BlockRows(), GroupsY: a.BlockRows(),
-		GX: func(c Coord) int64 { return c.I },
-		KX: func(c Coord) int64 { return c.J },
-		GY: func(c Coord) int64 { return c.I }, // output col group = B row
-		KY: func(c Coord) int64 { return c.J }, // join on B col
-		H: func(out, x, y *linalg.Dense, _ Coord, _ int64, par int) {
-			linalg.GemmTransBBudget(out, x, y, par)
-		},
-		FlopsPerMatch: gemmFlops(a.N, 1),
+		GX:     func(c Coord) int64 { return c.I },
+		KX:     func(c Coord) int64 { return c.J },
+		GY:     func(c Coord) int64 { return c.I }, // output col group = B row
+		KY:     func(c Coord) int64 { return c.J }, // join on B col
+		TransB: true,
 	}
 }
