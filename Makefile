@@ -101,8 +101,9 @@ bench-smoke:
 
 # Short local fuzz pass over the targets the nightly CI job runs for 5
 # minutes each: the codec/wire layer (the coordinate path's value codec
-# included), the tile-kernel compiler against the reference evaluator,
-# and GEMM shapes through every micro-kernel this CPU has.
+# and the tile-aggregation partial's included), the tile-kernel compiler
+# against the reference evaluator, and GEMM shapes through every
+# micro-kernel this CPU has.
 fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzStreamPrimitives$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzFloat64SliceCodec$$' -fuzztime 10s
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzKernelMatchesInterpreter$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzValueCodec$$' -fuzztime 10s
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzAggBlockCodec$$' -fuzztime 10s
 	$(GO) test ./internal/linalg -run '^$$' -fuzz '^FuzzGemmShapes$$' -fuzztime 10s
 
 # Figure 4.B under a memory budget: the tables grow spilled-bytes and

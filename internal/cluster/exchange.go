@@ -45,9 +45,6 @@ const (
 	// rows with whole-number values save 45 %, half-zero tiles 38 %,
 	// tiles 90 % zero 85 % — those compress.
 	compressSavingsDenom = 3
-
-	// maxIdleConns bounds the per-peer data-connection pool.
-	maxIdleConns = 3
 )
 
 // errFetchGone marks a fetch the peer answered with FetchGone: the
@@ -210,13 +207,16 @@ func (s *jobStore) fail() {
 	s.mu.Unlock()
 }
 
-// connPool keeps a few idle data connections per peer so consecutive
+// connPool keeps a few idle data connections to one peer so consecutive
 // fetches skip the TCP handshake. It is deliberately dumb: any error
 // on a pooled connection drains the whole pool (fail-fast — a peer
 // that broke one connection likely broke them all).
 type connPool struct {
-	mu   sync.Mutex
-	idle []net.Conn
+	max int // idle connections kept
+
+	mu     sync.Mutex
+	idle   []net.Conn
+	closed bool // its owner let go of it: nothing is parked any more
 }
 
 // get pops an idle connection, or returns nil when the caller must
@@ -235,7 +235,7 @@ func (p *connPool) get() net.Conn {
 // put parks a healthy connection for reuse; overflow is closed.
 func (p *connPool) put(c net.Conn) {
 	p.mu.Lock()
-	if len(p.idle) < maxIdleConns {
+	if !p.closed && len(p.idle) < p.max {
 		p.idle = append(p.idle, c)
 		p.mu.Unlock()
 		return
@@ -252,6 +252,69 @@ func (p *connPool) drain() {
 	p.mu.Unlock()
 	for _, c := range idle {
 		c.Close()
+	}
+}
+
+// close drains the pool for good: what is parked later is closed too.
+func (p *connPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.drain()
+}
+
+// peerPools is a worker's idle data connections, one pool per peer data
+// address. They belong to the worker, not to a job: a job's exchange
+// borrows the pools of its peers, so the next job's first fetch finds the
+// sockets the last one parked, and a finished job leaves none behind for
+// the garbage collector's finalizers to close.
+type peerPools struct {
+	maxIdle int
+
+	mu     sync.Mutex
+	byAddr map[string]*connPool
+	closed bool
+}
+
+// newPeerPools keeps up to maxIdle idle connections per peer. A worker
+// sizes it to what its task slots fetch from one peer at once; a pool
+// smaller than dataflow.StreamFetchWindow closes a socket at the end of
+// every burst and dials it again at the start of the next.
+func newPeerPools(maxIdle int) *peerPools {
+	return &peerPools{maxIdle: maxIdle, byAddr: make(map[string]*connPool)}
+}
+
+// borrow returns the pools of a job's peers, indexed by rank. Pools of
+// addresses that are not among them — workers that left — are closed and
+// forgotten: a job that still holds one dials until it ends.
+func (pp *peerPools) borrow(peers []string) []*connPool {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	out := make([]*connPool, len(peers))
+	current := make(map[string]*connPool, len(peers))
+	for r, addr := range peers {
+		p := pp.byAddr[addr]
+		if p == nil {
+			p = &connPool{max: pp.maxIdle, closed: pp.closed}
+		}
+		current[addr], out[r] = p, p
+	}
+	for addr, p := range pp.byAddr {
+		if current[addr] == nil {
+			p.close()
+		}
+	}
+	pp.byAddr = current
+	return out
+}
+
+// close closes every pool, for good: the worker is shutting down.
+func (pp *peerPools) close() {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	pp.closed = true
+	for _, p := range pp.byAddr {
+		p.close()
 	}
 }
 
@@ -278,14 +341,14 @@ type Exchange struct {
 	mem atomic.Pointer[memory.Manager] // bounds per-fetch chunk buffers
 
 	dead  []atomic.Bool // ranks this exchange has given up on
-	pools []connPool    // idle data connections, indexed by rank
+	pools []*connPool   // the worker's idle data connections, indexed by rank
 
 	// c counts this job's wire traffic through this rank (the schema's
 	// data-plane counters); the worker merges it into the rank's Report.
 	c obs.LiveCounters
 }
 
-func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchange {
+func newExchange(jobID int64, rank int, peers []string, store *jobStore, pools *peerPools) *Exchange {
 	return &Exchange{
 		jobID:         jobID,
 		rank:          rank,
@@ -296,7 +359,7 @@ func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchan
 		dialBackoff:   50 * time.Millisecond,
 		streamRetries: 2,
 		dead:          make([]atomic.Bool, len(peers)),
-		pools:         make([]connPool, len(peers)),
+		pools:         pools.borrow(peers),
 	}
 }
 

@@ -18,6 +18,10 @@ type JobEnv struct {
 	Parallelism  int
 	MemoryBudget int64
 	WorkerTag    string
+	// Resident is where the program keeps what the next job should find
+	// again; nil when this worker keeps nothing (it has a memory budget)
+	// or there is no worker (local tests).
+	Resident *Resident
 	// Telemetry, when non-nil, ships one observability batch to the
 	// driver. Programs call it from a periodic ticker with the spans /
 	// stage rows completed since the previous flush, and once more with

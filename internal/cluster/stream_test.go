@@ -52,7 +52,7 @@ func startDataServer(t *testing.T) (*Worker, string) {
 // clientExchange builds a 2-rank exchange where rank 1 is the given
 // data server and the client is rank 0.
 func clientExchange(jobID int64, serverAddr string) *Exchange {
-	e := newExchange(jobID, 0, []string{"unused-self", serverAddr}, newJobStore())
+	e := newExchange(jobID, 0, []string{"unused-self", serverAddr}, newJobStore(), newPeerPools(dataflow.StreamFetchWindow))
 	e.fetchTimeout = 5 * time.Second
 	e.dialBackoff = 5 * time.Millisecond
 	return e
@@ -87,7 +87,7 @@ func testBlobs() map[string][]byte {
 // stored its chunks.
 func TestStreamFetchParity(t *testing.T) {
 	w, addr := startDataServer(t)
-	server := newExchange(1, 1, nil, w.storeFor(1))
+	server := newExchange(1, 1, nil, w.storeFor(1), newPeerPools(0))
 	for name, blob := range testBlobs() {
 		e := clientExchange(1, addr)
 		if err := server.Publish(name, blob); err != nil {
@@ -123,7 +123,7 @@ func TestStreamFetchParity(t *testing.T) {
 
 func TestConnPoolReuse(t *testing.T) {
 	w, addr := startDataServer(t)
-	server := newExchange(2, 1, nil, w.storeFor(2))
+	server := newExchange(2, 1, nil, w.storeFor(2), newPeerPools(0))
 	e := clientExchange(2, addr)
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -369,7 +369,7 @@ func TestFetchAfterJobEnd(t *testing.T) {
 // recompute, do not retry — when its encoder withdraws it.
 func TestOfferedBucketEncodedOnFirstFetch(t *testing.T) {
 	w, addr := startDataServer(t)
-	server := newExchange(8, 1, nil, w.storeFor(8))
+	server := newExchange(8, 1, nil, w.storeFor(8), newPeerPools(0))
 	blob := tileBucket(t, 7, 100, 0.5) // three chunks
 	var encodes atomic.Int64
 	server.Offer("kept", func() ([]byte, error) { encodes.Add(1); return blob, nil })
@@ -407,7 +407,7 @@ func TestOfferedBucketEncodedOnFirstFetch(t *testing.T) {
 // bucket.
 func TestMemoryBoundedFetch(t *testing.T) {
 	w, addr := startDataServer(t)
-	server := newExchange(7, 1, nil, w.storeFor(7))
+	server := newExchange(7, 1, nil, w.storeFor(7), newPeerPools(0))
 	rng := rand.New(rand.NewSource(9))
 	blob := make([]byte, 16*shuffleChunkSize) // 4 MiB bucket
 	rng.Read(blob)

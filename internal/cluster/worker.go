@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/obs"
 )
 
@@ -38,6 +39,11 @@ type Worker struct {
 	smu    sync.Mutex
 	stores map[int64]*jobStore
 	ended  []int64
+
+	// What outlives a job: the idle data connections to peers, and what
+	// the programs keep (nil on a budgeted worker, see StartWorker).
+	pools    *peerPools
+	resident *Resident
 
 	// served counts the shuffle fetches and bytes this worker has
 	// answered for its peers, over its lifetime.
@@ -82,6 +88,16 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		dataLn:  ln,
 		stores:  make(map[int64]*jobStore),
 		done:    make(chan struct{}),
+		// Each task slot keeps a fetch window in flight, and in a world of
+		// two every fetch goes to the one peer.
+		pools: newPeerPools(cfg.Parallelism * dataflow.StreamFetchWindow),
+	}
+	// What a program keeps resident is outside the memory manager, which
+	// is per job. Until a worker has one manager that its jobs and its
+	// store both reserve from (ROADMAP 3), a budgeted worker keeps
+	// nothing, so residency can never push it past the budget.
+	if cfg.MemoryBudget <= 0 {
+		w.resident = &Resident{}
 	}
 	reg := registerMsg{
 		ID:          cfg.ID,
@@ -190,6 +206,8 @@ func (w *Worker) shutdown() {
 	}
 	w.control.Close()
 	w.dataLn.Close()
+	w.pools.close()
+	w.resident.release()
 	// Unblock any peer fetch still parked on a store.
 	w.smu.Lock()
 	for _, s := range w.stores {
@@ -299,7 +317,7 @@ func (w *Worker) runJob(job jobMsg) {
 		_ = w.send(msgJobDone, refused.parts()...)
 		return
 	}
-	exch := newExchange(job.JobID, int(job.Rank), job.Peers, store)
+	exch := newExchange(job.JobID, int(job.Rank), job.Peers, store, w.pools)
 	var telemSeq atomic.Int64
 	env := &JobEnv{
 		Rank:         int(job.Rank),
@@ -309,6 +327,7 @@ func (w *Worker) runJob(job jobMsg) {
 		Parallelism:  w.cfg.Parallelism,
 		MemoryBudget: w.cfg.MemoryBudget,
 		WorkerTag:    w.cfg.ID,
+		Resident:     w.resident,
 	}
 	env.Telemetry = func(b TelemetryBatch) error {
 		b.Report = w.report(b.Report, exch)

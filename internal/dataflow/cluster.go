@@ -191,16 +191,17 @@ func (s *lazyBuckets[T]) encodeOffered(b int, bk *bucketed[T]) (blob []byte, err
 	return spill.EncodeRows(s.read(bk), spill.For[T]())
 }
 
-// streamFetchWindow bounds the concurrent segment fetches one reduce
+// StreamFetchWindow bounds the concurrent segment fetches one reduce
 // task keeps in flight while assembling its partition. The window is
 // what pipelines the shuffle: a fetch from a map task that hasn't
 // published yet just blocks its slot while chunks from early-finishing
-// maps decode in the others.
-const streamFetchWindow = 4
+// maps decode in the others. Exported for the transport: a per-peer
+// connection pool smaller than the window re-dials on every burst.
+const StreamFetchWindow = 4
 
 // fetchRemote fills the nil entries of cols — column p of map tasks lo
 // onwards — with the segments this rank does not hold, up to
-// streamFetchWindow fetches at a time. A segment whose owner cannot
+// StreamFetchWindow fetches at a time. A segment whose owner cannot
 // serve it is recomputed here with the rest of its map task's, and from
 // then on this rank holds them.
 func (s *lazyBuckets[T]) fetchRemote(p, lo int, cols []*bucketed[T]) {
@@ -225,7 +226,7 @@ func (s *lazyBuckets[T]) fetchRemote(p, lo int, cols []*bucketed[T]) {
 		}
 		return
 	}
-	sem := make(chan struct{}, streamFetchWindow)
+	sem := make(chan struct{}, StreamFetchWindow)
 	var wg sync.WaitGroup
 	var panicked atomic.Pointer[capturedPanic]
 	for _, m := range missing {

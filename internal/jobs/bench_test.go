@@ -53,3 +53,51 @@ func BenchmarkQueryCluster3(b *testing.B) {
 		}
 	}
 }
+
+// benchCluster2 is the benchmark harness's cluster shape in-tree: two
+// in-process workers with one task slot each, n = 1000 in 100 x 100 tiles
+// over 8 partitions, warmed with two queries so the input partitions are
+// resident and the peer connections pooled. Beside ns/op and B/op it
+// reports dials/op, the fetches that found no pooled connection.
+func benchCluster2(b *testing.B, src string) {
+	d, err := cluster.NewDriver(cluster.DriverConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 2; i++ {
+		w, err := cluster.StartWorker(cluster.WorkerConfig{ID: fmt.Sprintf("bw%d", i), DriverAddr: d.Addr(), Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+	}
+	if err := d.WaitForWorkers(2, 10*time.Second); err != nil {
+		b.Fatal(err)
+	}
+	cs := NewClusterSession(d, QueryParams{N: 1000, Tile: 100, SeedA: 1, SeedB: 2, Partitions: 8}, time.Minute)
+	var dials int64
+	query := func() {
+		_, run, err := cs.Query(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range run.Workers {
+			dials += w.Report.ConnPoolMisses
+		}
+	}
+	query()
+	query()
+	dials = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	b.ReportMetric(float64(dials)/float64(b.N), "dials/op")
+}
+
+func BenchmarkQueryCluster2Rowsum(b *testing.B) {
+	benchCluster2(b, "tiledvec(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]")
+}
+func BenchmarkQueryCluster2Matmul(b *testing.B) { benchCluster2(b, fig4Queries[0].src) }

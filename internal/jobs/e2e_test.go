@@ -143,18 +143,30 @@ func TestE2EWorkerSIGKILL(t *testing.T) {
 		}(procs[world-1])
 		cs := NewClusterSession(d, pk, 2*time.Minute)
 		got, run, err := cs.Query(pk.Src)
-		d.Close()
 		if err != nil {
+			d.Close()
 			t.Fatalf("cluster with SIGKILL (cost=%v): %v", costNs, err)
 		}
 		if !bytes.Equal(got, want) {
+			d.Close()
 			t.Fatalf("post-SIGKILL result differs from local (cost=%v)", costNs)
 		}
 		if run.Resubmissions > 0 {
 			t.Logf("cost=%vns/B: %d lost worker(s), %d resubmissions — contract proven",
 				costNs, run.LostWorkers, run.Resubmissions)
+			// The survivors (under load the heartbeat timeout may have cost
+			// more than the victim) answer the next query as a smaller
+			// world, from the partitions they kept and the ones they now own.
+			waitAlive(t, d, world-1)
+			got, after, err := NewClusterSession(d, p, 2*time.Minute).Query(p.Src)
+			d.Close()
+			if err != nil || !bytes.Equal(got, want) || len(after.Workers) >= world {
+				t.Fatalf("query after the loss: err %v, %d workers, matches local: %v", err, len(after.Workers), bytes.Equal(got, want))
+			}
+			checkTakeover(t, after, p, 2, nil)
 			return
 		}
+		d.Close()
 		t.Logf("cost=%vns/B: query beat the kill; retrying slower", costNs)
 	}
 	t.Skip("query completed before worker loss at every simulated cost; parity still verified")

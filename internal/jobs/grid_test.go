@@ -46,7 +46,7 @@ func TestGBJEstimateMatchesMeasuredLocal(t *testing.T) {
 	if d.GridP != 2 || d.GridQ != 3 {
 		t.Fatalf("grid %dx%d, want 2x3 for 4x4 output tiles on 6 partitions", d.GridP, d.GridQ)
 	}
-	_, snap, err := runQuery(p, 1, nil, nil)
+	_, snap, err := runQuery(p, 1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/spill"
@@ -151,7 +152,7 @@ func init() {
 			c.MemoryBudget = env.MemoryBudget
 			c.Transport = env.Exchange
 			c.WorkerTag = env.WorkerTag
-		}, pump)
+		}, env.Resident, pump)
 		return blob, snap.CounterSet, err
 	})
 }
@@ -175,12 +176,13 @@ func (p QueryParams) sessionConfig(world int) core.Config {
 }
 
 // runQuery builds a fresh session from the params (plus caller
-// overrides), registers the canonical inputs, executes the query, and
-// serializes the result. The metrics snapshot is taken after
+// overrides), binds the canonical inputs — over the partitions resident
+// keeps, or regenerated from their seeds when it is nil — executes the
+// query, and serializes the result. The metrics snapshot is taken after
 // serialization: results materialize lazily (EncodeResult's Collect
 // drives the final stages), so an earlier snapshot would miss most of
 // the work.
-func runQuery(p QueryParams, world int, override func(*core.Config), pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
+func runQuery(p QueryParams, world int, override func(*core.Config), resident *cluster.Resident, pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
 	conf := p.sessionConfig(world)
 	if override != nil {
 		override(&conf)
@@ -194,28 +196,37 @@ func runQuery(p QueryParams, world int, override func(*core.Config), pump *telem
 		pump.attach(s, conf.WorkerTag, p.Src)
 		defer pump.finish()
 	}
-	registerInputs(s, p)
+	// The session, its context, stage IDs, metrics and plan are this
+	// job's; only the input tiles outlive it (DESIGN §10).
+	metrics := s.Metrics
+	if resident == nil {
+		registerInputs(s, p)
+	} else {
+		var reads obs.LiveCounters
+		kept := residentFor(resident, p, s)
+		kept.bind(s, p, &reads)
+		metrics = func() dataflow.MetricsSnapshot {
+			reads.ResidentBytes.Store(kept.bytes.Load())
+			reads.Publish()
+			snap := s.Metrics()
+			snap.CounterSet = obs.MergeCounters(snap.CounterSet, reads.Snapshot())
+			return snap
+		}
+	}
 	res, err := s.Query(p.Src)
 	if err != nil {
-		return nil, s.Metrics(), err
+		return nil, metrics(), err
 	}
 	blob, err := EncodeResult(res)
-	return blob, s.Metrics(), err
+	return blob, metrics(), err
 }
 
-// registerInputs binds the canonical seeded inputs every rank, the
-// local reference and the driver-side planner regenerate from the params.
-func registerInputs(s *core.Session, p QueryParams) {
-	s.RegisterRandMatrix("A", p.N, p.N, 0, 10, p.SeedA)
-	s.RegisterRandMatrix("B", p.N, p.N, 0, 10, p.SeedB)
-	s.RegisterScalar("n", p.N)
-}
-
-// RunQueryLocal executes the same program on the plain local backend —
-// the reference the distributed runtime's results are byte-compared
-// against in tests and EXPERIMENTS.md.
+// RunQueryLocal executes the same program on the plain local backend,
+// its inputs regenerated from their seeds — the independent reference the
+// distributed runtime's results are byte-compared against in tests and
+// EXPERIMENTS.md.
 func RunQueryLocal(p QueryParams) ([]byte, error) {
-	blob, _, err := runQuery(p, 1, nil, nil)
+	blob, _, err := runQuery(p, 1, nil, nil, nil)
 	return blob, err
 }
 

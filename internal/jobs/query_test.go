@@ -52,7 +52,7 @@ const spillingBudget = 256
 // a budgeted cluster must reproduce byte for byte.
 func localUnderBudget(t *testing.T, p QueryParams, budget int64, noShuffle bool) []byte {
 	t.Helper()
-	blob, snap, err := runQuery(p, 1, func(c *core.Config) { c.MemoryBudget = budget }, nil)
+	blob, snap, err := runQuery(p, 1, func(c *core.Config) { c.MemoryBudget = budget }, nil, nil)
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}

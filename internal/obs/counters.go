@@ -70,6 +70,13 @@ type Counters[T any] struct {
 	ServedFetches    T `prom:"sac_cluster_served_fetches_total" rule:"sum" help:"shuffle fetches this worker answered for its peers"`
 	ServedBytes      T `prom:"sac_cluster_wire_served_bytes_total" rule:"sum" help:"shuffle bytes served over TCP to peer workers"`
 
+	// A worker's resident input partitions (jobs.residentInputs): a task
+	// that reads one finds it generated (hit) or generates it (miss). Zero
+	// on local contexts and on budgeted workers, which keep nothing.
+	ResidentBytes  T `prom:"sac_cluster_resident_bytes" rule:"gauge" help:"bytes of input partitions this worker keeps between jobs"`
+	ResidentHits   T `prom:"sac_cluster_resident_hits_total" rule:"sum" help:"input partition reads served from the worker's resident store"`
+	ResidentMisses T `prom:"sac_cluster_resident_misses_total" rule:"sum" help:"input partitions generated into the worker's resident store"`
+
 	// Adaptive stage-boundary rebalances (zero unless
 	// Config.AdaptiveShuffle is on, and always under SPMD).
 	AdaptiveRebalances   T `prom:"sac_dataflow_adaptive_rebalances_total" rule:"sum" help:"shuffle boundaries rebalanced by the adaptive planner"`

@@ -1,5 +1,10 @@
 package plan
 
+// Codecs for the rows this package shuffles: the coordinate path's one row
+// type, and the tile strategies' two that are not plain tiles (the
+// aggregation partial and the replicated tile). With them no plan's rows
+// reach spill.GobCodec, on a spill file or on the wire.
+//
 // The coordinate path's one row type and its codec. Every dataset
 // exec_coord.go shuffles, spills or gathers is a comp.Value or a
 // Pair[string, comp.Value], and a comp.Value is drawn from the closed
@@ -13,6 +18,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/dataflow"
 	"repro/internal/spill"
+	"repro/internal/tiled"
 )
 
 const (
@@ -110,7 +116,54 @@ func decodeValue(r *spill.Reader, depth int) comp.Value {
 	}
 }
 
+// aggBlockCodec encodes a tile-aggregation partial: a presence flag, the
+// accumulators as bulk float slices, the touched mask as a bitmap.
+type aggBlockCodec struct{}
+
+func (aggBlockCodec) Encode(w *spill.Writer, a *aggBlock) {
+	if a == nil {
+		w.Uvarint(0)
+		return
+	}
+	w.Uvarint(1)
+	w.Uvarint(uint64(len(a.Accs)))
+	for _, acc := range a.Accs {
+		dataflow.VectorCodec{}.Encode(w, acc)
+	}
+	w.Bools(a.Touched)
+}
+
+func (aggBlockCodec) Decode(r *spill.Reader) *aggBlock {
+	if r.Uvarint() == 0 {
+		return nil
+	}
+	a := &aggBlock{}
+	// Grown as accumulators arrive, like a value's elements.
+	for i, n := uint64(0), r.Uvarint(); i < n && r.Err() == nil; i++ {
+		a.Accs = append(a.Accs, dataflow.VectorCodec{}.Decode(r))
+	}
+	a.Touched = r.Bools()
+	return a
+}
+
+// taggedTileCodec encodes a replicated tile with its source coordinate.
+type taggedTileCodec struct{}
+
+func (taggedTileCodec) Encode(w *spill.Writer, t taggedTile) {
+	dataflow.CoordCodec{}.Encode(w, t.Src)
+	dataflow.DenseCodec{}.Encode(w, t.Tile)
+}
+
+func (taggedTileCodec) Decode(r *spill.Reader) taggedTile {
+	src := dataflow.CoordCodec{}.Decode(r)
+	return taggedTile{Src: src, Tile: dataflow.DenseCodec{}.Decode(r)}
+}
+
 func init() {
 	spill.Register[comp.Value](valueCodec{})
 	spill.Register(dataflow.PairCodec[string, comp.Value](spill.StringCodec{}, valueCodec{}))
+	// execTileAgg's partials, through reduceByKey and groupByKey alike, and
+	// execReplicate's tiles.
+	spill.Register(dataflow.PairCodec[int64, *aggBlock](spill.Int64Codec{}, aggBlockCodec{}))
+	spill.Register(dataflow.PairCodec[tiled.Coord, taggedTile](dataflow.CoordCodec{}, taggedTileCodec{}))
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/comp"
 	"repro/internal/dataflow"
+	"repro/internal/linalg"
 	"repro/internal/spill"
+	"repro/internal/tiled"
 )
 
 func encodeVal(v comp.Value) ([]byte, error) {
@@ -136,6 +139,156 @@ func TestCoordShuffleRowsRegistered(t *testing.T) {
 	}
 	if !spill.Registered[dataflow.Pair[string, comp.Value]]() {
 		t.Error("Pair[string, comp.Value] (join sides, reduceByKey, groupByKey) has no registered codec")
+	}
+	// exec_tiled.go's two rows that are not plain tiles.
+	if !spill.Registered[dataflow.Pair[int64, *aggBlock]]() {
+		t.Error("Pair[int64, *aggBlock] (tile-aggregation partials, reduceByKey and groupByKey) has no registered codec")
+	}
+	if !spill.Registered[dataflow.Pair[tiled.Coord, taggedTile]]() {
+		t.Error("Pair[Coord, taggedTile] (Rule 19 replicated tiles) has no registered codec")
+	}
+}
+
+type aggRow = dataflow.Pair[int64, *aggBlock]
+
+func aggRows(b []byte) ([]aggRow, error) { return spill.DecodeRows(b, spill.For[aggRow]()) }
+
+// testAggRow is a row-sums partial of a tile-wide block: one accumulator
+// per monoid, every third position untouched.
+func testAggRow(key int64, n, monoids int) aggRow {
+	a := &aggBlock{Touched: make([]bool, n)}
+	for k := 0; k < monoids; k++ {
+		a.Accs = append(a.Accs, linalg.RandVector(n, -5, 5, key+int64(k)))
+	}
+	for i := range a.Touched {
+		a.Touched[i] = i%3 != 1
+	}
+	return dataflow.KV(key, a)
+}
+
+// TestAggBlockCodecRoundTrip: partials with no, one and several
+// accumulators, adversarial floats, a nil partial and an empty mask come
+// back bit for bit, in a row whose size is the floats plus a few bytes.
+func TestAggBlockCodecRoundTrip(t *testing.T) {
+	odd := testAggRow(-7, 9, 1)
+	copy(odd.Value.Accs[0].Data, []float64{math.Inf(-1), math.Copysign(0, -1), math.Float64frombits(0x7ff8dead00000001)})
+	rows := []aggRow{testAggRow(3, 100, 1), testAggRow(1<<40, 16, 3), odd,
+		{Key: 5}, {Key: 6, Value: &aggBlock{}}, {Key: 7, Value: &aggBlock{Accs: []*linalg.Vector{nil, linalg.NewVector(0)}}}}
+	blob, err := spill.EncodeRows(rows, spill.For[aggRow]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := aggRows(blob)
+	if err != nil || len(got) != len(rows) {
+		t.Fatalf("decoded %d of %d rows: %v", len(got), len(rows), err)
+	}
+	for i, want := range rows {
+		g := got[i]
+		if g.Key != want.Key || (g.Value == nil) != (want.Value == nil) {
+			t.Fatalf("row %d: %+v, want %+v", i, g, want)
+		}
+		if want.Value == nil {
+			continue
+		}
+		if len(g.Value.Accs) != len(want.Value.Accs) || !slices.Equal(g.Value.Touched, want.Value.Touched) {
+			t.Fatalf("row %d: %d accumulators and mask %v", i, len(g.Value.Accs), g.Value.Touched)
+		}
+		for k, acc := range want.Value.Accs {
+			if (acc == nil) != (g.Value.Accs[k] == nil) {
+				t.Fatalf("row %d accumulator %d: nil-ness changed", i, k)
+			}
+			if acc != nil && !slices.EqualFunc(acc.Data, g.Value.Accs[k].Data, func(x, y float64) bool {
+				return math.Float64bits(x) == math.Float64bits(y)
+			}) {
+				t.Fatalf("row %d accumulator %d changed", i, k)
+			}
+		}
+	}
+	one, _ := spill.EncodeRows(rows[:1], spill.For[aggRow]())
+	if over := len(one) - 8*100; over < 0 || over > 24 {
+		t.Fatalf("a 100-wide partial encodes to %d bytes", len(one))
+	}
+}
+
+// TestTaggedTileCodecRoundTrip: a replicated tile keeps its destination,
+// its source coordinate and its values.
+func TestTaggedTileCodecRoundTrip(t *testing.T) {
+	type row = dataflow.Pair[tiled.Coord, taggedTile]
+	rows := []row{
+		dataflow.KV(tiled.Coord{I: 2, J: -1}, taggedTile{Src: tiled.Coord{I: 1 << 33, J: 4}, Tile: linalg.RandDense(3, 5, 0, 1, 9)}),
+		dataflow.KV(tiled.Coord{}, taggedTile{}),
+	}
+	blob, err := spill.EncodeRows(rows, spill.For[row]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := spill.DecodeRows(blob, spill.For[row]())
+	if err != nil || len(got) != 2 {
+		t.Fatalf("decoded %d rows: %v", len(got), err)
+	}
+	if got[0].Key != rows[0].Key || got[0].Value.Src != rows[0].Value.Src ||
+		!slices.Equal(got[0].Value.Tile.Data, rows[0].Value.Tile.Data) || got[0].Value.Tile.Cols != 5 {
+		t.Fatalf("row 0 came back as %+v", got[0])
+	}
+	if got[1].Value.Tile != nil {
+		t.Fatalf("nil tile came back as %+v", got[1].Value.Tile)
+	}
+}
+
+// FuzzAggBlockCodec: arbitrary bytes never panic the decoder of the
+// tile-aggregation rows, and what does decode is a fixed point — it
+// re-encodes to bytes that decode and re-encode to themselves.
+func FuzzAggBlockCodec(f *testing.F) {
+	seed, _ := spill.EncodeRows([]aggRow{testAggRow(3, 20, 2), {Key: -1}}, spill.For[aggRow]())
+	f.Add(seed)
+	f.Add([]byte{1, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 1})
+	f.Add([]byte{1, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f, 0xaa})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := aggRows(data)
+		if err != nil {
+			return
+		}
+		b1, err := spill.EncodeRows(rows, spill.For[aggRow]())
+		if err != nil {
+			t.Fatalf("decoded rows do not encode: %v", err)
+		}
+		again, err := aggRows(b1)
+		if err != nil {
+			t.Fatalf("re-encoded rows do not decode: %v", err)
+		}
+		if b2, _ := spill.EncodeRows(again, spill.For[aggRow]()); !bytes.Equal(b1, b2) {
+			t.Fatalf("rows re-encode differently: %x vs %x", b1, b2)
+		}
+	})
+}
+
+var aggSink []aggRow
+
+// BenchmarkAggBlockCodec round-trips the 16 partials one row-sums query
+// shuffles at the benchmark's shape (tile 100), through the registered
+// codec and through the gob fallback they used to take.
+func BenchmarkAggBlockCodec(b *testing.B) {
+	rows := make([]aggRow, 16)
+	for i := range rows {
+		rows[i] = testAggRow(int64(i), 100, 1)
+	}
+	for _, c := range []struct {
+		name  string
+		codec spill.Codec[aggRow]
+	}{{"typed", spill.For[aggRow]()}, {"gob", spill.GobCodec[aggRow]{}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(16 * 8 * 100)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blob, err := spill.EncodeRows(rows, c.codec)
+				if err == nil {
+					aggSink, err = spill.DecodeRows(blob, c.codec)
+				}
+				if err != nil || len(aggSink) != len(rows) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // Writer is a buffered, sticky-error binary stream writer. Codecs
@@ -215,6 +216,23 @@ func GetF64s(vs []float64, src []byte) {
 	}
 }
 
+// Bools writes a bool slice as a bitmap: its length, then one bit per
+// element, the low bit of each byte first.
+func (w *Writer) Bools(vs []bool) {
+	w.Uvarint(uint64(len(vs)))
+	for len(vs) > 0 && w.err == nil {
+		k := min(8, len(vs))
+		var b byte
+		for i, v := range vs[:k] {
+			if v {
+				b |= 1 << i
+			}
+		}
+		w.filled(append(w.room(1), b))
+		vs = vs[k:]
+	}
+}
+
 // Bytes writes a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
@@ -343,6 +361,35 @@ func (r *Reader) F64s() []float64 {
 	}
 }
 
+// Bools reads a bool slice written by Writer.Bools. The slice grows as
+// the bitmap's bytes arrive, so a corrupt length runs into the end of the
+// stream (io.ErrUnexpectedEOF), not into one huge allocation.
+func (r *Reader) Bools() []bool {
+	n := r.Uvarint()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	if n > 1<<40 {
+		r.err = fmt.Errorf("spill: implausible bitmap length %d", n)
+		return nil
+	}
+	out := make([]bool, 0, min(n, lenCheckChunk))
+	for uint64(len(out)) < n {
+		b, err := r.r.ReadByte()
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			r.err = err
+			return nil
+		}
+		for i := 0; i < 8 && uint64(len(out)) < n; i++ {
+			out = append(out, b>>i&1 != 0)
+		}
+	}
+	return out
+}
+
 // Bytes reads a length-prefixed byte slice.
 func (r *Reader) Bytes() []byte {
 	n := r.Uvarint()
@@ -448,7 +495,15 @@ var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // codecs; correctness, not speed, is its contract.
 type GobCodec[T any] struct{}
 
+// gobUses counts the records GobCodec has encoded or decoded in this
+// process, for the tests that hold a query path to none.
+var gobUses atomic.Int64
+
+// GobUses reads gobUses.
+func GobUses() int64 { return gobUses.Load() }
+
 func (GobCodec[T]) Encode(w *Writer, v T) {
+	gobUses.Add(1)
 	if w.err != nil {
 		return
 	}
@@ -464,6 +519,7 @@ func (GobCodec[T]) Encode(w *Writer, v T) {
 }
 
 func (GobCodec[T]) Decode(r *Reader) T {
+	gobUses.Add(1)
 	var v T
 	b := r.Bytes()
 	if r.err != nil {

@@ -2,6 +2,9 @@ package spill
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"testing"
 )
@@ -91,9 +94,56 @@ type gobRow struct {
 	N    int64
 }
 
+// TestBoolsRoundTrip: bitmaps of every length around a byte and past a
+// stream writer's block come back element for element, over a stream and
+// in memory; one cut short is io.ErrUnexpectedEOF, and a corrupt length
+// does not allocate what it claims.
+func TestBoolsRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 100, 8*writerBufSize + 3} {
+		vs := make([]bool, n)
+		for i := range vs {
+			vs[i] = i%3 == 0 || i%7 == 5
+		}
+		var buf bytes.Buffer
+		w, mem := NewWriter(&buf), Writer{}
+		w.Bools(vs)
+		mem.Bools(vs)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), mem.buf) || len(mem.buf) > n/8+4 {
+			t.Fatalf("n=%d: stream wrote %d bytes, memory %d", n, buf.Len(), len(mem.buf))
+		}
+		r := NewReader(bytes.NewReader(mem.buf))
+		got := r.Bools()
+		if r.Err() != nil || len(got) != n {
+			t.Fatalf("n=%d: %d elements, err %v", n, len(got), r.Err())
+		}
+		for i := range vs {
+			if got[i] != vs[i] {
+				t.Fatalf("n=%d: element %d flipped", n, i)
+			}
+		}
+		if n > 0 {
+			r = NewReader(bytes.NewReader(mem.buf[:len(mem.buf)-1]))
+			if r.Bools(); !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
+				t.Fatalf("n=%d truncated: err %v", n, r.Err())
+			}
+		}
+	}
+	r := NewReader(bytes.NewReader(append(binary.AppendUvarint(nil, 1<<39), 0xff)))
+	if got := r.Bools(); got != nil || !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
+		t.Fatalf("corrupt length: %d elements, err %v", len(got), r.Err())
+	}
+}
+
 func TestGobFallbackRoundTrip(t *testing.T) {
 	v := gobRow{Name: "tile", Vals: []float64{1, 2, math.Inf(1)}, N: -9}
+	before := GobUses()
 	got := roundTrip[gobRow](t, GobCodec[gobRow]{}, v)
+	if used := GobUses() - before; used != 2 {
+		t.Fatalf("one encode and one decode counted as %d gob uses", used)
+	}
 	if got.Name != v.Name || got.N != v.N || len(got.Vals) != len(v.Vals) {
 		t.Fatalf("gob round-trip: %+v -> %+v", v, got)
 	}

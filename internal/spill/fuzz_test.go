@@ -98,6 +98,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 		_ = r.F64()
 		_ = r.F64s()
 		_ = r.Bytes()
+		_ = r.Bools()
 		_ = r.String()
 		c := GobCodec[gobRow]{}
 		_ = c.Decode(r)

@@ -291,9 +291,55 @@ func (m *Matrix) Drain() int64 {
 // matrix on the driver (each tile derives its own PRNG stream).
 func RandMatrix(ctx *dataflow.Context, rows, cols int64, n int, numPartitions int, lo, hi float64, seed int64) *Matrix {
 	return Generate(ctx, rows, cols, n, numPartitions, func(c Coord, _, _ int64, tile *linalg.Dense) {
-		r := linalg.RandDense(tile.Rows, tile.Cols, lo, hi, seed^(c.I*1_000_003+c.J*7_919+1))
-		copy(tile.Data, r.Data)
+		copy(tile.Data, randTile(c, n, lo, hi, seed).Data)
 	})
+}
+
+// randTile is tile c of a RandMatrix before clamping: its own PRNG stream.
+func randTile(c Coord, n int, lo, hi float64, seed int64) *linalg.Dense {
+	return linalg.RandDense(n, n, lo, hi, seed^(c.I*1_000_003+c.J*7_919+1))
+}
+
+// RandSpec names the matrix RandMatrix(ctx, Rows, Cols, N, Parts, Lo, Hi,
+// Seed) builds on a context whose default partition count is not needed
+// (Parts > 0): everything its tiles are a function of. Two equal specs
+// are the same data, partition for partition, which is what lets a
+// process keep a partition and hand it to a later context.
+type RandSpec struct {
+	Rows, Cols int64
+	N, Parts   int
+	Lo, Hi     float64
+	Seed       int64
+}
+
+// NumPartitions is the partition count RandMatrix ends up with: Parts,
+// or one partition per tile when there are fewer tiles than that.
+func (s RandSpec) NumPartitions() int {
+	return max(1, min(s.Parts, int(ceilDiv(s.Rows, int64(s.N))*ceilDiv(s.Cols, int64(s.N)))))
+}
+
+// Partition materialises partition p: the tiles RandMatrix's partition p
+// streams, in its order (dataflow.Parallelize's contiguous split of the
+// row-major tile coordinates).
+func (s RandSpec) Partition(p int) []Block {
+	bcols := ceilDiv(s.Cols, int64(s.N))
+	tiles, parts := int(ceilDiv(s.Rows, int64(s.N))*bcols), s.NumPartitions()
+	lo, hi := p*tiles/parts, (p+1)*tiles/parts
+	out := make([]Block, 0, hi-lo)
+	for t := int64(lo); t < int64(hi); t++ {
+		c := Coord{I: t / bcols, J: t % bcols}
+		tile := randTile(c, s.N, s.Lo, s.Hi, s.Seed)
+		clampTile(tile, s.Rows, s.Cols, c, s.N)
+		out = append(out, dataflow.KV(c, tile))
+	}
+	return out
+}
+
+// FromPartitions is a matrix over tiles that already exist: part(p) is
+// partition p, read by the tasks that run it and never written (it may be
+// shared with other contexts).
+func FromPartitions(ctx *dataflow.Context, rows, cols int64, n, parts int, part func(p int) []Block) *Matrix {
+	return &Matrix{Rows: rows, Cols: cols, N: n, Tiles: dataflow.Generate(ctx, parts, part)}
 }
 
 // ToDenseRows collects rows [lo, hi) onto the driver as a dense

@@ -138,6 +138,55 @@ func TestRandMatrixDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandSpecPartitionsAreRandMatrix: a spec's partitions are the
+// partitions RandMatrix streams — same count, same tiles in the same order,
+// padding clamped — for ragged shapes, one tile and more partitions than
+// tiles, and FromPartitions over them is the same matrix.
+func TestRandSpecPartitionsAreRandMatrix(t *testing.T) {
+	ctx := tctx()
+	type tagged struct {
+		part int
+		b    Block
+	}
+	for _, s := range []RandSpec{
+		{Rows: 64, Cols: 64, N: 16, Parts: 6, Hi: 10, Seed: 1},
+		{Rows: 50, Cols: 23, N: 8, Parts: 5, Lo: -1, Hi: 1, Seed: 7},
+		{Rows: 5, Cols: 5, N: 8, Parts: 4, Hi: 3, Seed: 2},
+		{Rows: 20, Cols: 9, N: 10, Parts: 32, Hi: 3, Seed: 3},
+	} {
+		m := RandMatrix(ctx, s.Rows, s.Cols, s.N, s.Parts, s.Lo, s.Hi, s.Seed)
+		if m.Tiles.NumPartitions() != s.NumPartitions() {
+			t.Fatalf("%+v: RandMatrix has %d partitions, the spec %d", s, m.Tiles.NumPartitions(), s.NumPartitions())
+		}
+		want := dataflow.Collect(dataflow.MapPartitions(m.Tiles, func(p int, rows []Block) []tagged {
+			out := make([]tagged, len(rows))
+			for i, b := range rows {
+				out[i] = tagged{p, b}
+			}
+			return out
+		}))
+		var got []tagged
+		for p := 0; p < s.NumPartitions(); p++ {
+			for _, b := range s.Partition(p) {
+				got = append(got, tagged{p, b})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%+v: %d tiles, RandMatrix has %d", s, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].part != want[i].part || got[i].b.Key != want[i].b.Key || !got[i].b.Value.Equal(want[i].b.Value) {
+				t.Fatalf("%+v: tile %d is %v in partition %d, RandMatrix has %v in %d",
+					s, i, got[i].b.Key, got[i].part, want[i].b.Key, want[i].part)
+			}
+		}
+		back := FromPartitions(ctx, s.Rows, s.Cols, s.N, s.NumPartitions(), s.Partition)
+		if !back.ToDense().Equal(m.ToDense()) {
+			t.Fatalf("%+v: FromPartitions differs from RandMatrix", s)
+		}
+	}
+}
+
 func TestVectorRoundTrip(t *testing.T) {
 	ctx := tctx()
 	v := linalg.RandVector(11, -1, 1, 3)
