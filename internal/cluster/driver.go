@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -86,7 +86,8 @@ func (j *jobState) settled() bool {
 }
 
 // Driver owns worker registration, liveness, job submission, and
-// result cross-checking for one cluster.
+// result merging (which is where the ranks are cross-checked) for one
+// cluster.
 type Driver struct {
 	ln        net.Listener
 	hbTimeout time.Duration
@@ -372,13 +373,17 @@ type WorkerRun struct {
 	Telemetry RankTelemetry
 }
 
-// RunResult is a completed job: the (cross-checked) result bytes plus
-// per-worker execution rows.
+// RunResult is a completed job: the result its program's Merge made of
+// the ranks' replies, plus per-worker execution rows. When the job had to
+// be run again (see Run) the rows are the last attempt's, followed by the
+// rows of the ranks the first attempt lost (ranked as they were in it),
+// and LostWorkers and Resubmissions count every attempt.
 type RunResult struct {
 	Result        []byte
 	Workers       []WorkerRun
 	Resubmissions int64 // total lineage resubmissions across survivors
 	LostWorkers   int   // ranks that died before replying
+	Attempts      int   // times the job was submitted: 1, or 2 after a loss
 }
 
 // MergedTrace reassembles every rank's shipped spans into one tracer
@@ -404,11 +409,43 @@ func (r *RunResult) MergedTrace() *trace.Tracer {
 	return trace.Merge(groups)
 }
 
-// Run submits the named program to every live worker and waits for
-// the job to settle. The job succeeds if at least one rank returns a
-// result; because ranks are SPMD replicas, all successful results must
-// be byte-identical, and Run fails loudly if they are not.
+// Run submits the named program to every live worker, waits for the job
+// to settle, and has the program's Merge make the result of the replies:
+// for a replicated result any one reply, checked equal to the others, so
+// the job succeeds while one rank survives; for a partitioned one every
+// rank's piece, checked to be pieces of one whole. A rank lost before it
+// replied takes its piece with it — no survivor holds it — so Run then
+// submits the job once more, under a new ID, to the workers still alive,
+// within what is left of timeout. Losing every rank, or a rank of the
+// second attempt, is an error.
 func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*RunResult, error) {
+	deadline := time.Now().Add(timeout)
+	first, err := d.runOnce(program, params, timeout)
+	if err == nil {
+		return first, nil
+	}
+	if first == nil || first.LostWorkers == 0 || !errors.Is(err, ErrIncomplete) {
+		return nil, err
+	}
+	res, err := d.runOnce(program, params, time.Until(deadline))
+	if err != nil {
+		return nil, fmt.Errorf("%w (re-run after losing %d worker(s) of the first attempt)", err, first.LostWorkers)
+	}
+	for _, w := range first.Workers {
+		if w.Lost {
+			res.Workers = append(res.Workers, w)
+		}
+	}
+	res.LostWorkers += first.LostWorkers
+	res.Resubmissions += first.Resubmissions
+	res.Attempts += first.Attempts
+	return res, nil
+}
+
+// runOnce is one attempt at a job on the workers alive now. The
+// RunResult comes back with an ErrIncomplete error too, so Run can see
+// whether a loss explains the hole.
+func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (*RunResult, error) {
 	d.mu.Lock()
 	ranks := d.liveWorkersLocked()
 	if len(ranks) == 0 {
@@ -469,10 +506,9 @@ func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*Run
 	d.mu.Unlock()
 	d.endJob(jobID, ranks)
 
-	res := &RunResult{Workers: make([]WorkerRun, len(ranks))}
+	res := &RunResult{Workers: make([]WorkerRun, len(ranks)), Attempts: 1}
 	var firstErr string
-	var result []byte
-	haveResult := false
+	var replies []RankResult
 	for r, ws := range ranks {
 		run := WorkerRun{ID: ws.id, Addr: ws.dataAddr, Rank: r, Telemetry: job.telem[r]}
 		switch {
@@ -483,12 +519,7 @@ func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*Run
 			run.OK = true
 			run.Report = job.replies[r].Report
 			res.Resubmissions += run.Report.Resubmissions
-			got := job.replies[r].Result
-			if !haveResult {
-				result, haveResult = got, true
-			} else if !bytes.Equal(result, got) {
-				return nil, fmt.Errorf("cluster: rank %d result (%d bytes) differs from rank peers (%d bytes) — SPMD determinism violated", r, len(got), len(result))
-			}
+			replies = append(replies, RankResult{Rank: r, Result: job.replies[r].Result})
 		default:
 			run.Err = job.replies[r].Err
 			run.Report = job.replies[r].Report
@@ -498,14 +529,23 @@ func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*Run
 		}
 		res.Workers[r] = run
 	}
-	if !haveResult {
+	if len(replies) == 0 {
 		if firstErr == "" {
 			firstErr = "all workers lost"
 		}
 		return nil, fmt.Errorf("cluster: job %d failed: %s", jobID, firstErr)
 	}
-	res.Result = result
-	return res, nil
+	result, err := mergeFor(program)(replies)
+	switch {
+	case err == nil:
+		res.Result = result
+		return res, nil
+	case errors.Is(err, ErrIncomplete) && firstErr != "":
+		// The hole is the part of a rank that said why it has none.
+		return nil, fmt.Errorf("cluster: job %d failed: %s", jobID, firstErr)
+	default:
+		return res, fmt.Errorf("cluster: job %d: %w", jobID, err)
+	}
 }
 
 // endJob tells the ranks to drop the job's exchange store.

@@ -10,7 +10,9 @@
 // program (queries are data, not closures), each rank executes the
 // task indices it owns, and shuffle buckets cross the network through
 // per-job exchange stores. Lost workers are tolerated by lineage
-// recompute on the surviving ranks — see internal/dataflow/cluster.go.
+// recompute on the surviving ranks — see internal/dataflow/cluster.go —
+// and, where each rank holds a part of the result (a program with a
+// Merge), by the driver running the job again on them.
 package cluster
 
 import (

@@ -337,6 +337,7 @@ func (w *Worker) runJob(job jobMsg) {
 	start := time.Now()
 	result, rep, err := w.runProgram(job.Program, env)
 	rep.WallNanos = time.Since(start).Nanoseconds()
+	exch.c.ResultBytes.Add(int64(len(result)))
 	done := jobDoneMsg{JobID: job.JobID, OK: err == nil, Result: result, Report: w.report(rep, exch)}
 	if err != nil {
 		done.Err = err.Error()

@@ -22,8 +22,17 @@ package dataflow
 // lineage (sources are deterministic and replicated; narrow chains are
 // local), exactly like Spark resubmitting a lost task, and from then on
 // holds its segments like any it owns. The Resubmissions /
-// FetchFailures counters record it. A job therefore completes as long
-// as at least one rank survives.
+// FetchFailures counters record it. Every stage a surviving rank needs
+// therefore completes as long as that rank survives.
+//
+// Actions come in two kinds. One whose value the program itself goes on
+// with (Collect, Count, Reduce, Take) is an all-gather: every rank
+// computes its owned partitions, publishes them, and fetches or
+// recomputes the rest, so all ranks return the same value and stay in
+// step. One whose value leaves the job (CollectOwned: a query result on
+// its way to the driver) stops at the owned partitions — nothing is
+// published or fetched, and a lost rank's partitions are lost with it;
+// the caller above (cluster.Driver) runs the job again.
 
 import (
 	"fmt"

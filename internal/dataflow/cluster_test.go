@@ -643,3 +643,75 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 		ctx.Close()
 	}
 }
+
+// TestCollectOwnedCrossesNothing: under a transport CollectOwned returns
+// each rank the partitions it owns and only those, their union in
+// partition order is what Collect returns locally, and the action itself
+// publishes and fetches nothing — the only keys on the fabric are the
+// shuffle's, and a rank whose peers finished first does not wait for them.
+// A world with more ranks than partitions leaves the extra ranks empty.
+func TestCollectOwnedCrossesNothing(t *testing.T) {
+	program := func(ctx *Context) *Dataset[Pair[int64, float64]] {
+		base := Generate(ctx, 6, func(p int) []Pair[int64, float64] {
+			rows := make([]Pair[int64, float64], 0, 40)
+			for i := 0; i < 40; i++ {
+				rows = append(rows, KV(int64((p*40+i)%17), float64(p*40+i)*0.5))
+			}
+			return rows
+		})
+		return ReduceByKey(base, func(a, b float64) float64 { return a + b }, 4)
+	}
+	local := NewContext(Config{Parallelism: 2})
+	defer local.Close()
+	want := Collect(program(local))
+	whole := CollectOwned(program(local))
+	if len(whole) != 4 {
+		t.Fatalf("a local context owns %d of 4 partitions", len(whole))
+	}
+	for _, world := range []int{1, 2, 3, 8} {
+		hub := newMemHub(world)
+		owned := make([][]OwnedPartition[Pair[int64, float64]], world)
+		collected := make([]int64, world)
+		var wg sync.WaitGroup
+		for r := 0; r < world; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				ctx := NewContext(Config{Parallelism: 2, Transport: hub.transport(r)})
+				defer ctx.Close()
+				owned[r] = CollectOwned(program(ctx))
+				collected[r] = ctx.Metrics().CollectedRecords
+			}(r)
+		}
+		wg.Wait()
+		parts := make([][]Pair[int64, float64], 4)
+		var records int64
+		for r, ops := range owned {
+			for _, op := range ops {
+				if op.Part%world != r || parts[op.Part] != nil {
+					t.Fatalf("world %d: rank %d returned partition %d", world, r, op.Part)
+				}
+				parts[op.Part] = append([]Pair[int64, float64]{}, op.Rows...)
+			}
+			records += collected[r]
+		}
+		var got []Pair[int64, float64]
+		for p, rows := range parts {
+			if rows == nil {
+				t.Fatalf("world %d: no rank returned partition %d", world, p)
+			}
+			got = append(got, rows...)
+		}
+		if !reflect.DeepEqual(got, want) || records != int64(len(want)) {
+			t.Fatalf("world %d: the owned partitions in order (%d records counted) are not the local result (%d)\n got: %v\nwant: %v",
+				world, records, len(want), got, want)
+		}
+		for r := range hub.blobs {
+			for key := range hub.blobs[r] {
+				if key[0] != 'x' {
+					t.Fatalf("world %d: rank %d published %q", world, r, key)
+				}
+			}
+		}
+	}
+}

@@ -406,6 +406,11 @@ func (c *Context) chargeShuffleCost(bytes int64) {
 		}
 		copy(dst[:n], src[:n])
 		remaining -= n
+		// memmove is not a preemption point, and this loop is little else:
+		// without a yield every task slot of a worker can sit in here for
+		// seconds while its heartbeat goroutine waits for a P, and the
+		// driver culls a worker that is only simulating a slow network.
+		runtime.Gosched()
 	}
 }
 

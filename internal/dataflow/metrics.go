@@ -344,16 +344,17 @@ func (s MetricsSnapshot) FormatStages() string {
 
 // FormatWorkers renders the per-worker rows of a distributed job: one
 // line per worker with its reported engine counters, data served to
-// peers, the input partitions it keeps resident (with this job's reads of
-// them: found / generated), and liveness. Empty snapshots render an empty string.
+// peers, the bytes of the result it sent the driver, the input partitions
+// it keeps resident (with this job's reads of them: found / generated),
+// and liveness. Empty snapshots render an empty string.
 func (s MetricsSnapshot) FormatWorkers() string {
 	if len(s.PerWorker) == 0 {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%4s  %-22s %-6s %7s %8s %12s %12s %9s %9s %8s %12s %10s %10s %9s\n",
+	fmt.Fprintf(&b, "%4s  %-22s %-6s %7s %8s %12s %12s %9s %9s %10s %8s %12s %10s %10s %9s\n",
 		"rank", "worker", "state", "tasks", "stages", "shufRecords", "shufBytes",
-		"fetches", "served", "resub", "wall", "memPeak", "resident", "hit/miss")
+		"fetches", "served", "result", "resub", "wall", "memPeak", "resident", "hit/miss")
 	for _, w := range s.PerWorker {
 		state := "alive"
 		switch {
@@ -367,13 +368,13 @@ func (s MetricsSnapshot) FormatWorkers() string {
 			name = name[:19] + "..."
 		}
 		if w.Lost {
-			fmt.Fprintf(&b, "%4d  %-22s %-6s %7s %8s %12s %12s %9s %9s %8s %12s %10s %10s %9s\n",
-				w.Rank, name, state, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
+			fmt.Fprintf(&b, "%4d  %-22s %-6s %7s %8s %12s %12s %9s %9s %10s %8s %12s %10s %10s %9s\n",
+				w.Rank, name, state, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
-		fmt.Fprintf(&b, "%4d  %-22s %-6s %7d %8d %12d %12d %9d %9d %8d %12s %10s %10s %9s\n",
+		fmt.Fprintf(&b, "%4d  %-22s %-6s %7d %8d %12d %12d %9d %9d %10s %8d %12s %10s %10s %9s\n",
 			w.Rank, name, state, w.Tasks, w.Stages, w.ShuffledRecords, w.ShuffledBytes,
-			w.RemoteFetches, w.ServedFetches, w.Resubmissions,
+			w.RemoteFetches, w.ServedFetches, memory.FormatBytes(w.ResultBytes), w.Resubmissions,
 			time.Duration(w.WallNanos).Round(time.Millisecond), memory.FormatBytes(w.MemoryPeak),
 			memory.FormatBytes(w.ResidentBytes), fmt.Sprintf("%d/%d", w.ResidentHits, w.ResidentMisses))
 	}

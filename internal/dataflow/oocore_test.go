@@ -200,7 +200,7 @@ func TestOutOfCoreOrderIsAFunctionOfTheMapOutputs(t *testing.T) {
 			return rows
 		})
 		sums := ReduceByKey(base, func(a, b float64) float64 { return a + b }, 8)
-		r := []any{sums.materialize(), GroupByKey(base, 8).materialize(), Join(base, sums, 6).materialize()}
+		r := []any{sums.materialize(false), GroupByKey(base, 8).materialize(false), Join(base, sums, 6).materialize(false)}
 		if s := ctx.Metrics(); s.SpilledBytes == 0 {
 			t.Fatalf("parallelism %d: nothing spilled under a %d-byte budget", par, budget)
 		}

@@ -227,29 +227,34 @@ func (d *Dataset[T]) runAction(name string, body func(st *Stage)) {
 	d.ctx.newStage(name+"("+d.name+")", d.deps, body).ensure()
 }
 
-// materialize computes every partition in parallel on the worker pool
-// and returns them in partition order. It counts as one stage. Under a
-// cluster transport each rank computes its owned partitions and
-// gathers the rest from the owners (recomputing from lineage when an
-// owner died), so every rank returns the identical full result.
-func (d *Dataset[T]) materialize() [][]T {
+// materialize computes the dataset's partitions in parallel on the worker
+// pool and returns them by partition index. It counts as one stage. Under
+// a cluster transport each rank computes the partitions it owns; what
+// happens to the rest depends on who consumes the result. An action whose
+// value every rank needs to go on (Collect, Take: the SPMD program
+// branches on it) gathers them from their owners, recomputing from lineage
+// when an owner died, so every rank returns the identical full result.
+// With ownedOnly the consumer is outside the job — the driver assembling
+// a query result — and the other ranks' partitions stay nil: nothing is
+// published and nothing fetched.
+func (d *Dataset[T]) materialize(ownedOnly bool) [][]T {
 	out := make([][]T, d.parts)
 	d.runAction("collect", func(st *Stage) {
-		if d.ctx.conf.Transport != nil {
-			parts := spmdGather(d.ctx, st, d.parts, func(p int) []T { return d.partition(p) })
-			for p, rows := range parts {
-				out[p] = rows
-				n := int64(len(rows))
-				st.noteIn(p, n)
-				st.recordsOut.Add(n)
-			}
-			return
-		}
-		d.ctx.runTasks(st, d.parts, func(p int) {
-			out[p] = d.partition(p)
+		note := func(p int) {
 			n := int64(len(out[p]))
 			st.noteIn(p, n)
 			st.recordsOut.Add(n)
+		}
+		if d.ctx.conf.Transport != nil && !ownedOnly {
+			copy(out, spmdGather(d.ctx, st, d.parts, func(p int) []T { return d.partition(p) }))
+			for p := range out {
+				note(p)
+			}
+			return
+		}
+		d.ctx.runTasksOwned(st, d.parts, func(p int) {
+			out[p] = d.partition(p)
+			note(p)
 		})
 	})
 	return out
@@ -354,7 +359,7 @@ func Union[T any](a, b *Dataset[T]) *Dataset[T] {
 // Collect materializes the dataset and returns all elements in
 // partition order.
 func Collect[T any](d *Dataset[T]) []T {
-	parts := d.materialize()
+	parts := d.materialize(false)
 	var n int
 	for _, p := range parts {
 		n += len(p)
@@ -362,6 +367,32 @@ func Collect[T any](d *Dataset[T]) []T {
 	out := make([]T, 0, n)
 	for _, p := range parts {
 		out = append(out, p...)
+	}
+	d.ctx.metrics.c.CollectedRecords.Add(int64(n))
+	return out
+}
+
+// OwnedPartition is one partition of a dataset, as the rank that owns it
+// computed it.
+type OwnedPartition[T any] struct {
+	Part int
+	Rows []T
+}
+
+// CollectOwned is Collect for a result that leaves the job: it runs the
+// final stage for the partitions this rank owns and returns those, in
+// partition order. The ranks' returns are disjoint and together are what
+// Collect returns on each of them, so whoever assembles the result — the
+// cluster driver — receives every partition once, and no rank receives
+// any. A local context owns every partition.
+func CollectOwned[T any](d *Dataset[T]) []OwnedPartition[T] {
+	var out []OwnedPartition[T]
+	var n int
+	for p, rows := range d.materialize(true) {
+		if d.ctx.owns(p) {
+			out = append(out, OwnedPartition[T]{Part: p, Rows: rows})
+			n += len(rows)
+		}
 	}
 	d.ctx.metrics.c.CollectedRecords.Add(int64(n))
 	return out

@@ -178,7 +178,7 @@ func TestCoGroupRoutedPlacement(t *testing.T) {
 		t.Fatalf("routed cogroup claims hash partitioning into %d", cg.keyParts)
 	}
 	seen := 0
-	for p, rows := range cg.materialize() {
+	for p, rows := range cg.materialize(false) {
 		for _, g := range rows {
 			seen++
 			if want := route(g.Key); p != want {
@@ -204,7 +204,7 @@ func TestPartitionByKeyColocation(t *testing.T) {
 		data = append(data, KV(i%6, i))
 	}
 	d := PartitionByKey(Parallelize(ctx, data, 5), 4)
-	parts := d.materialize()
+	parts := d.materialize(false)
 	seen := map[int]int{}
 	for p, rows := range parts {
 		for _, kv := range rows {

@@ -58,7 +58,9 @@ func BenchmarkQueryCluster3(b *testing.B) {
 // in-process workers with one task slot each, n = 1000 in 100 x 100 tiles
 // over 8 partitions, warmed with two queries so the input partitions are
 // resident and the peer connections pooled. Beside ns/op and B/op it
-// reports dials/op, the fetches that found no pooled connection.
+// reports dials/op, the fetches that found no pooled connection, and the
+// bytes that moved: wire_B/op between the ranks (decompressed shuffle
+// chunks) and result_B/op from the ranks to the driver.
 func benchCluster2(b *testing.B, src string) {
 	d, err := cluster.NewDriver(cluster.DriverConfig{})
 	if err != nil {
@@ -76,7 +78,7 @@ func benchCluster2(b *testing.B, src string) {
 		b.Fatal(err)
 	}
 	cs := NewClusterSession(d, QueryParams{N: 1000, Tile: 100, SeedA: 1, SeedB: 2, Partitions: 8}, time.Minute)
-	var dials int64
+	var dials, wire, result int64
 	query := func() {
 		_, run, err := cs.Query(src)
 		if err != nil {
@@ -84,17 +86,21 @@ func benchCluster2(b *testing.B, src string) {
 		}
 		for _, w := range run.Workers {
 			dials += w.Report.ConnPoolMisses
+			wire += w.Report.WireRawBytes
+			result += w.Report.ResultBytes
 		}
 	}
 	query()
 	query()
-	dials = 0
+	dials, wire, result = 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
 	}
 	b.ReportMetric(float64(dials)/float64(b.N), "dials/op")
+	b.ReportMetric(float64(wire)/float64(b.N), "wire_B/op")
+	b.ReportMetric(float64(result)/float64(b.N), "result_B/op")
 }
 
 func BenchmarkQueryCluster2Rowsum(b *testing.B) {

@@ -67,7 +67,7 @@ func spawnWorkers(t *testing.T, bin, driverAddr string, n int) []*exec.Cmd {
 // isolation: a driver plus three sacworker subprocesses must return
 // byte-identical results to the local backend on the Fig-4 query set
 // (tiled matmul via group-by-join, matmul via join + group-by, and a
-// row-sum aggregation).
+// row-sum aggregation), each result shipped to the driver once.
 func TestE2EDistributedParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e skipped in -short mode")
@@ -83,11 +83,30 @@ func TestE2EDistributedParity(t *testing.T) {
 	if err := d.WaitForWorkers(world, 30*time.Second); err != nil {
 		t.Fatalf("workers never registered: %v", err)
 	}
+	// The suite at the usual shape, then the matrix and vector results
+	// again where the tiles do not divide the matrix: each worker process
+	// ships the partitions it owns and the driver's merge must place
+	// clipped edge tiles where the local encoder does.
+	type e2eQuery struct {
+		name, src string
+		gbj       bool
+		n, tile   int64
+	}
+	var queries []e2eQuery
 	for _, q := range fig4Queries {
+		queries = append(queries, e2eQuery{q.name, q.src, q.gbj, 0, 0})
+	}
+	for _, i := range []int{0, 2} {
+		queries = append(queries, e2eQuery{fig4Queries[i].name + "-ragged", fig4Queries[i].src, false, 250, 100})
+	}
+	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
 			p := baseParams()
 			p.Src = q.src
 			p.DisableGBJ = q.gbj
+			if q.n > 0 {
+				p.N, p.Tile = q.n, q.tile
+			}
 			want, err := RunQueryLocal(p)
 			if err != nil {
 				t.Fatalf("local: %v", err)
@@ -101,9 +120,10 @@ func TestE2EDistributedParity(t *testing.T) {
 				t.Fatalf("distributed result differs from local: %s vs %s",
 					SummarizeBlob(got), SummarizeBlob(want))
 			}
-			if len(run.Workers) != world || run.LostWorkers != 0 {
+			if len(run.Workers) != world || run.LostWorkers != 0 || run.Attempts != 1 {
 				t.Fatalf("unexpected run shape: %+v", run)
 			}
+			checkShippedOnce(t, run, got, p)
 		})
 	}
 }
@@ -120,6 +140,9 @@ func TestE2EWorkerSIGKILL(t *testing.T) {
 	world := e2eWorld(t)
 	p := baseParams()
 	p.Src = fig4Queries[0].src
+	// The victim is the last rank, and it has to own something to lose:
+	// with the base 6 partitions a world of 8 leaves it none.
+	p.Partitions = max(p.Partitions, 2*int64(world))
 	want, err := RunQueryLocal(p)
 	if err != nil {
 		t.Fatalf("local: %v", err)

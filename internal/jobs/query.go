@@ -4,24 +4,25 @@
 // generated inputs. Queries travel as data — the DSL source plus the
 // generator parameters — never as closures, so every worker binary
 // that links this package can execute any driver's query.
+//
+// A result goes back as data too, once: a rank replies with the
+// partitions of a matrix or vector it owns (EncodeResult's piece) and
+// the driver assembles the canonical blob (MergeResult, registered as
+// the program's cluster.Merge) — the bytes RunQueryLocal produces. Lists
+// and scalars, which every rank holds, are replied whole and compared.
 package jobs
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/plan"
-	"repro/internal/spill"
 )
 
 // QueryName is the registered program executing one SAC query.
@@ -137,24 +138,30 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 }
 
 func init() {
-	cluster.RegisterProgram(QueryName, func(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
-		p, err := DecodeQueryParams(env.Params)
-		if err != nil {
-			return nil, cluster.Report{}, err
-		}
-		var pump *telemetryPump
-		if env.Telemetry != nil {
-			pump = newTelemetryPump(env.Telemetry,
-				time.Duration(p.TelemetryMs)*time.Millisecond, p.Trace)
-		}
-		blob, snap, err := runQuery(p, env.World, func(c *core.Config) {
-			c.Parallelism = env.Parallelism
-			c.MemoryBudget = env.MemoryBudget
-			c.Transport = env.Exchange
-			c.WorkerTag = env.WorkerTag
-		}, env.Resident, pump)
-		return blob, snap.CounterSet, err
-	})
+	cluster.RegisterProgram(QueryName, queryProgram)
+	cluster.RegisterMerge(QueryName, MergeResult)
+}
+
+// queryProgram is one rank of "sac.query". Its reply is EncodeResult's:
+// this rank's piece of a matrix or vector result, or the whole of a list
+// or scalar, which MergeResult makes the canonical blob of on the driver.
+func queryProgram(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
+	p, err := DecodeQueryParams(env.Params)
+	if err != nil {
+		return nil, cluster.Report{}, err
+	}
+	var pump *telemetryPump
+	if env.Telemetry != nil {
+		pump = newTelemetryPump(env.Telemetry,
+			time.Duration(p.TelemetryMs)*time.Millisecond, p.Trace)
+	}
+	reply, snap, err := runQuery(p, env.World, func(c *core.Config) {
+		c.Parallelism = env.Parallelism
+		c.MemoryBudget = env.MemoryBudget
+		c.Transport = env.Exchange
+		c.WorkerTag = env.WorkerTag
+	}, env.Resident, pump)
+	return reply, snap.CounterSet, err
 }
 
 // sessionConfig is the core.Config a session for these params is built
@@ -178,10 +185,11 @@ func (p QueryParams) sessionConfig(world int) core.Config {
 // runQuery builds a fresh session from the params (plus caller
 // overrides), binds the canonical inputs — over the partitions resident
 // keeps, or regenerated from their seeds when it is nil — executes the
-// query, and serializes the result. The metrics snapshot is taken after
-// serialization: results materialize lazily (EncodeResult's Collect
-// drives the final stages), so an earlier snapshot would miss most of
-// the work.
+// query, and serializes the result (EncodeResult: the whole of it on a
+// local session, this rank's part on a cluster). The metrics snapshot is
+// taken after serialization: results materialize lazily (EncodeResult's
+// collect drives the final stages), so an earlier snapshot would miss
+// most of the work.
 func runQuery(p QueryParams, world int, override func(*core.Config), resident *cluster.Resident, pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
 	conf := p.sessionConfig(world)
 	if override != nil {
@@ -253,134 +261,4 @@ func DefaultPartitions(world int) int {
 		return p
 	}
 	return 8
-}
-
-// Result-blob kinds. The encoding is canonical so the driver can
-// byte-compare ranks: matrices and vectors serialize their dense
-// float64 bits in row-major order, lists and scalars their rendered
-// text.
-const (
-	kindMatrix = 'M'
-	kindVector = 'V'
-	kindList   = 'L'
-	kindScalar = 'S'
-)
-
-// EncodeResult canonically serializes a query result. A matrix or vector
-// blob is allocated once at its final size and each collected tile's rows
-// are converted into it at their offsets; cells no tile covers stay zero,
-// as they do in ToDense.
-func EncodeResult(res *plan.Result) ([]byte, error) {
-	switch res.Kind() {
-	case "matrix":
-		m := res.Matrix
-		blob, body := denseBlob(kindMatrix, m.Rows, m.Cols)
-		n := int64(m.N)
-		for _, t := range dataflow.Collect(m.Tiles) {
-			top, left := t.Key.I*n, t.Key.J*n
-			h, w := min(n, m.Rows-top), min(n, m.Cols-left)
-			if w <= 0 {
-				continue
-			}
-			tile := t.Value
-			for i := int64(0); i < h; i++ {
-				spill.PutF64s(body[8*((top+i)*m.Cols+left):], tile.Data[int(i)*tile.Cols:][:w])
-			}
-		}
-		return blob, nil
-	case "vector":
-		v := res.Vector
-		blob, body := denseBlob(kindVector, v.Size)
-		n := int64(v.N)
-		for _, b := range dataflow.Collect(v.Blocks) {
-			if h := min(n, v.Size-b.Key*n); h > 0 {
-				spill.PutF64s(body[8*b.Key*n:], b.Value.Data[:h])
-			}
-		}
-		return blob, nil
-	case "list":
-		var sb strings.Builder
-		for _, row := range res.List {
-			sb.WriteString(comp.Render(row))
-			sb.WriteByte('\n')
-		}
-		return append([]byte{kindList}, sb.String()...), nil
-	default:
-		return append([]byte{kindScalar}, comp.Render(res.Scalar)...), nil
-	}
-}
-
-// denseBlob allocates a matrix or vector blob — the kind byte, one varint
-// per dimension, then 8 zero bytes per cell — and returns it with its
-// cell area.
-func denseBlob(kind byte, dims ...int64) (blob, body []byte) {
-	cells := int64(1)
-	for _, d := range dims {
-		cells *= d
-	}
-	blob = make([]byte, 1, 1+len(dims)*binary.MaxVarintLen64+int(8*cells))
-	blob[0] = kind
-	for _, d := range dims {
-		blob = binary.AppendVarint(blob, d)
-	}
-	blob = blob[:len(blob)+int(8*cells)]
-	return blob, blob[len(blob)-int(8*cells):]
-}
-
-// SummarizeBlob describes a result blob as core.Summarize describes the
-// result it was encoded from, field for field. The blob may come from a
-// worker's reply, so one whose header does not parse or does not match
-// its length is described (kind "malformed"), not indexed.
-func SummarizeBlob(blob []byte) core.Summary {
-	malformed := func(format string, args ...any) core.Summary {
-		return core.Summary{Kind: "malformed", Text: fmt.Sprintf(format, args...)}
-	}
-	if len(blob) == 0 {
-		return malformed("empty result")
-	}
-	kind, body := blob[0], blob[1:]
-	switch kind {
-	case kindMatrix:
-		dims, cells, ok := denseHeader(body, 2)
-		if !ok {
-			return malformed("malformed result (matrix header in %d bytes)", len(blob))
-		}
-		return core.MatrixSummary(linalg.NewDenseFrom(int(dims[0]), int(dims[1]), f64s(cells)))
-	case kindVector:
-		_, cells, ok := denseHeader(body, 1)
-		if !ok {
-			return malformed("malformed result (vector header in %d bytes)", len(blob))
-		}
-		return core.VectorSummary(linalg.NewVectorFrom(f64s(cells)))
-	case kindList:
-		text := string(body)
-		head := strings.SplitN(text, "\n", core.ListPreview+1)
-		return core.ListSummary(strings.Count(text, "\n"), func(i int) string { return head[i] })
-	case kindScalar:
-		return core.Summary{Kind: "scalar", Text: string(body)}
-	default:
-		return malformed("unknown result kind %q (%d bytes)", kind, len(blob))
-	}
-}
-
-// denseHeader parses the n dimensions denseBlob wrote and returns them
-// with the cell area; ok is false when a varint is cut short or
-// overflows, a dimension is negative, or the cells are not exactly the
-// dimensions' product.
-func denseHeader(body []byte, n int) (dims []int64, cells []byte, ok bool) {
-	want := uint64(8)
-	for i := 0; i < n; i++ {
-		d, k := binary.Varint(body)
-		if k <= 0 || d < 0 || (d > 0 && want > uint64(len(body))/uint64(d)) {
-			return nil, nil, false
-		}
-		dims, body, want = append(dims, d), body[k:], want*uint64(d)
-	}
-	return dims, body, uint64(len(body)) == want
-}
-
-func f64s(cells []byte) []float64 {
-	vs := make([]float64, len(cells)/8)
-	spill.GetF64s(vs, cells)
-	return vs
 }

@@ -11,8 +11,11 @@ import (
 // returns the local backend's bytes through the chunked data plane, with
 // and without a worker memory budget, and the wire counters hold the
 // floor the data plane promises: chunks move, the bytes on the wire
-// exceed the raw payload by at most the per-chunk frame header, and
-// pooled connections outnumber fresh dials.
+// exceed the raw payload by at most the per-chunk frame header, and on
+// the second query pooled connections outnumber fresh dials. (Within one
+// cold query every rank's fetch window dials its peers at once; only the
+// old result gather, one fetch at a time after the shuffle, made hits
+// outnumber misses there.)
 func TestClusterStreamingParity(t *testing.T) {
 	// n = 72 at tile 16 leaves the last tile row and column half
 	// padding: zeros the block codec really can shrink. (Full tiles of
@@ -45,8 +48,11 @@ func TestClusterStreamingParity(t *testing.T) {
 			if snap.WireFetchedBytes >= snap.WireRawBytes {
 				t.Fatalf("compression saved nothing: wire=%d raw=%d", snap.WireFetchedBytes, snap.WireRawBytes)
 			}
-			if snap.ConnPoolHits <= snap.ConnPoolMisses {
-				t.Fatalf("connection pool: %d hits, %d misses", snap.ConnPoolHits, snap.ConnPoolMisses)
+			if again, _, err := cs.Query(p.Src); err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("second query: matches local %v, err %v", bytes.Equal(again, want), err)
+			}
+			if warm := cs.Metrics(); warm.ConnPoolHits <= warm.ConnPoolMisses {
+				t.Fatalf("connection pool on the second query: %d hits, %d misses", warm.ConnPoolHits, warm.ConnPoolMisses)
 			}
 			if (snap.SpilledBytes > 0) != (budget > 0) {
 				t.Fatalf("budget %d: %d bytes spilled", budget, snap.SpilledBytes)

@@ -69,6 +69,7 @@ type Counters[T any] struct {
 	ConnPoolMisses   T `prom:"sac_cluster_conn_pool_misses_total" rule:"sum" help:"data-plane fetches that had to dial a fresh peer connection"`
 	ServedFetches    T `prom:"sac_cluster_served_fetches_total" rule:"sum" help:"shuffle fetches this worker answered for its peers"`
 	ServedBytes      T `prom:"sac_cluster_wire_served_bytes_total" rule:"sum" help:"shuffle bytes served over TCP to peer workers"`
+	ResultBytes      T `prom:"sac_cluster_result_bytes_total" rule:"sum" help:"bytes of the result part of the job replies a rank sent the driver"`
 
 	// A worker's resident input partitions (jobs.residentInputs): a task
 	// that reads one finds it generated (hit) or generates it (miss). Zero
