@@ -101,8 +101,8 @@ bench-smoke:
 
 # Short local fuzz pass over the targets the nightly CI job runs for 5
 # minutes each: the codec/wire layer (the coordinate path's value codec,
-# the tile-aggregation partial's and the driver's merge of result pieces
-# included), the tile-kernel compiler
+# the tile-aggregation partial's, the driver's merge of result pieces and
+# the job message's query params included), the tile-kernel compiler
 # against the reference evaluator, and GEMM shapes through every
 # micro-kernel this CPU has.
 fuzz:
@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzBlockCompress$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzMergeResult$$' -fuzztime 10s
+	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzQueryParams$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzKernelMatchesInterpreter$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzValueCodec$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzAggBlockCodec$$' -fuzztime 10s

@@ -108,7 +108,6 @@ func main() {
 	clusterAddr := flag.String("cluster", "", "run as a distributed driver: listen for sacworker registrations on this address and execute queries on the cluster")
 	clusterWorkers := flag.Int("cluster-workers", 1, "with -cluster: how many workers to wait for before running queries")
 	clusterWait := flag.Duration("cluster-wait", time.Minute, "with -cluster: how long to wait for workers to register")
-	shuffleCost := flag.Float64("shuffle-cost", 0, "simulated serialization/network cost in ns per shuffled byte")
 	traceOut := flag.String("trace", "", "write the last executed query's spans as Chrome trace_event JSON to this file (cluster runs record every rank, one lane per worker)")
 	eventlogDir := flag.String("eventlog", "", "record one replayable JSONL event log per query under this directory (read them back with `sac history <file>`)")
 	flag.Parse()
@@ -124,11 +123,10 @@ func main() {
 
 	newLocal := func() *core.Session {
 		s := core.NewSession(core.Config{
-			TileSize:             *tile,
-			MemoryBudget:         budget,
-			ShuffleCostNsPerByte: *shuffleCost,
-			AdaptiveShuffle:      *adaptive,
-			Optimizations:        opt.Options{DisableGBJ: *noGBJ, DisableReduceByKey: *noRBK},
+			TileSize:        *tile,
+			MemoryBudget:    budget,
+			AdaptiveShuffle: *adaptive,
+			Optimizations:   opt.Options{DisableGBJ: *noGBJ, DisableReduceByKey: *noRBK},
 		})
 		s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed)
 		s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1)
@@ -149,13 +147,12 @@ func main() {
 	var b core.Backend
 	if *clusterAddr != "" {
 		cs, err := jobs.Connect(*clusterAddr, *clusterWorkers, *clusterWait, jobs.QueryParams{
-			N:                    *n,
-			Tile:                 int64(*tile),
-			SeedA:                *seed,
-			SeedB:                *seed + 1,
-			DisableGBJ:           *noGBJ,
-			DisableRBK:           *noRBK,
-			ShuffleCostNsPerByte: *shuffleCost,
+			N:          *n,
+			Tile:       int64(*tile),
+			SeedA:      *seed,
+			SeedB:      *seed + 1,
+			DisableGBJ: *noGBJ,
+			DisableRBK: *noRBK,
 		}, func(format string, args ...any) { fmt.Printf(format+"\n", args...) })
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sac: %v\n", err)

@@ -1,5 +1,5 @@
 // Command sacbench regenerates the paper's evaluation tables
-// (Figure 4.A/B/C) and the ablation studies on the simulated cluster.
+// (Figure 4.A/B/C) and the ablation studies on the in-process engine.
 //
 //	sacbench -fig 4a              # matrix addition series
 //	sacbench -fig 4b -tile 100    # multiplication series
@@ -37,7 +37,6 @@ func main() {
 	k := flag.Int64("k", 100, "factorization rank k (the paper used 1000)")
 	quick := flag.Bool("quick", false, "use small sizes for a fast smoke run")
 	stages := flag.Bool("stages", false, "print a per-stage timing table for a GBJ multiply after the figures")
-	netns := flag.Float64("netns", 0, "simulated serialization/network cost in ns per shuffled byte (0 = off)")
 	mem := flag.String("mem", "", "engine memory budget (e.g. 64MiB); work beyond it spills to disk and the tables gain spill columns. Default: $SAC_MEMORY_BUDGET, else unlimited")
 	sizesFlag := flag.String("sizes", "", "comma-separated matrix side lengths, overriding defaults")
 	traceOut := flag.String("trace", "", "run a traced GBJ multiply, write Chrome trace JSON to this file, and exit")
@@ -57,8 +56,7 @@ func main() {
 		fmt.Printf("memory budget: %s (spilling to disk beyond it)\n", memory.FormatBytes(budget))
 	}
 
-	cfg := bench.Config{TileSize: *tile, Partitions: *parts, ShuffleCostNsPerByte: *netns,
-		MemoryBudget: budget}
+	cfg := bench.Config{TileSize: *tile, Partitions: *parts, MemoryBudget: budget}
 
 	addSizes := []int64{400, 800, 1200, 1600, 2000}
 	mulSizes := []int64{200, 400, 600, 800}

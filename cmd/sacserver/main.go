@@ -64,7 +64,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "how long one query may wait in the admission queue")
 	planCache := flag.Int("plan-cache", 64, "compiled plans cached per pooled session")
 	adaptive := flag.Bool("adaptive", false, "enable statistics-driven planning and adaptive stage-boundary repartitioning")
-	shuffleCost := flag.Float64("shuffle-cost", 0, "simulated serialization/network cost in ns per shuffled byte")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: how long to let in-flight queries finish before closing")
 	clusterAddr := flag.String("cluster", "", "run as a distributed driver: listen for sacworker registrations on this address and execute queries on the cluster")
 	clusterWorkers := flag.Int("cluster-workers", 1, "with -cluster: how many workers to wait for before serving")
@@ -72,15 +71,14 @@ func main() {
 	flag.Parse()
 
 	cfg := server.Config{
-		Sessions:             *sessions,
-		TileSize:             *tile,
-		MemoryBudget:         parseBytesFlag(*mem),
-		AdmissionBudget:      parseBytesFlag(*admissionStr),
-		MaxQueue:             *maxQueue,
-		QueueTimeout:         *queueTimeout,
-		PlanCacheSize:        *planCache,
-		AdaptiveShuffle:      *adaptive,
-		ShuffleCostNsPerByte: *shuffleCost,
+		Sessions:        *sessions,
+		TileSize:        *tile,
+		MemoryBudget:    parseBytesFlag(*mem),
+		AdmissionBudget: parseBytesFlag(*admissionStr),
+		MaxQueue:        *maxQueue,
+		QueueTimeout:    *queueTimeout,
+		PlanCacheSize:   *planCache,
+		AdaptiveShuffle: *adaptive,
 	}
 
 	// The one place that knows where queries run. In cluster mode the
@@ -88,11 +86,10 @@ func main() {
 	// plans against the same; locally the pool registers them.
 	if *clusterAddr != "" {
 		cs, err := jobs.Connect(*clusterAddr, *clusterWorkers, *clusterWait, jobs.QueryParams{
-			N:                    *n,
-			Tile:                 int64(*tile),
-			SeedA:                *seed,
-			SeedB:                *seed + 1,
-			ShuffleCostNsPerByte: *shuffleCost,
+			N:     *n,
+			Tile:  int64(*tile),
+			SeedA: *seed,
+			SeedB: *seed + 1,
 		}, func(format string, args ...any) { fmt.Printf("sacserver: "+format+"\n", args...) })
 		if err != nil {
 			fail(err)

@@ -14,12 +14,12 @@ import (
 )
 
 func main() {
-	// A session owns a simulated cluster; tiles are 100x100 like a
+	// A session owns an in-process engine; tiles are 100x100 like a
 	// scaled-down version of the paper's 1000x1000 setup.
 	s := core.NewSession(core.Config{TileSize: 100})
 
-	// A 600x600 random matrix, generated tile-by-tile on the
-	// "cluster" (no driver-side copy).
+	// A 600x600 random matrix, generated tile-by-tile by the engine's
+	// tasks (no driver-side copy).
 	s.RegisterRandMatrix("M", 600, 600, 0, 10, 42)
 	s.RegisterScalar("n", int64(600))
 

@@ -72,11 +72,10 @@ func adaptiveCtx(cfg Config, adaptive bool) *dataflow.Context {
 		par = cfg.Partitions
 	}
 	ctx := dataflow.NewContext(dataflow.Config{
-		Parallelism:          par,
-		DefaultPartitions:    cfg.Partitions,
-		ShuffleCostNsPerByte: cfg.ShuffleCostNsPerByte,
-		MemoryBudget:         cfg.MemoryBudget,
-		AdaptiveShuffle:      adaptive,
+		Parallelism:       par,
+		DefaultPartitions: cfg.Partitions,
+		MemoryBudget:      cfg.MemoryBudget,
+		AdaptiveShuffle:   adaptive,
 	})
 	currentCtx.Store(ctx)
 	return ctx

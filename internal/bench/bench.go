@@ -1,5 +1,5 @@
 // Package bench regenerates the paper's evaluation (Section 6,
-// Figure 4) on the simulated cluster: matrix addition (4.A), matrix
+// Figure 4) on the in-process engine: matrix addition (4.A), matrix
 // multiplication (4.B), and one gradient-descent factorization
 // iteration (4.C), plus ablations of the individual optimizations.
 // Each data point reports wall-clock seconds and shuffled bytes per
@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/coord"
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
 	"repro/internal/ml"
@@ -32,10 +31,6 @@ type Config struct {
 	TileSize   int
 	Partitions int
 	Parallel   int
-	// ShuffleCostNsPerByte simulates serialization/network cost per
-	// shuffled byte (0 = in-process pointer passing). See
-	// dataflow.Config.ShuffleCostNsPerByte.
-	ShuffleCostNsPerByte float64
 	// MemoryBudget bounds tracked engine memory per measured context;
 	// shuffles and caches beyond it spill to disk and the figure tables
 	// grow spilled-bytes / merge-pass columns. <= 0 disables spilling.
@@ -160,10 +155,9 @@ func CurrentMetrics() dataflow.MetricsSnapshot {
 
 func newCtx(cfg Config) *dataflow.Context {
 	ctx := dataflow.NewContext(dataflow.Config{
-		Parallelism:          cfg.Parallel,
-		DefaultPartitions:    cfg.Partitions,
-		ShuffleCostNsPerByte: cfg.ShuffleCostNsPerByte,
-		MemoryBudget:         cfg.MemoryBudget,
+		Parallelism:       cfg.Parallel,
+		DefaultPartitions: cfg.Partitions,
+		MemoryBudget:      cfg.MemoryBudget,
 	})
 	currentCtx.Store(ctx)
 	return ctx
@@ -376,32 +370,47 @@ func AblationReduceByKey(cfg Config, sizes []int64) Series {
 	return s
 }
 
+// coordMulQuery is the product the planner can only compile with the
+// Section 4 coordinate-format fallback: an rdd head keeps it off the
+// block rules, so it runs as a 2-way join chain (Rule 14) and
+// reduceByKey (Rules 12-13) over one row per element.
+const coordMulQuery = "rdd[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"
+
+// compileCoordMul compiles coordMulQuery over a and b.
+func compileCoordMul(a, b *tiled.Matrix) *plan.Compiled {
+	cat := plan.NewCatalog(a.Tiles.Context()).BindMatrix("A", a).BindMatrix("B", b)
+	q, err := plan.Compile(sacparser.MustParse(coordMulQuery), cat, opt.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 // AblationCoordinate compares tiled against coordinate-format
 // storage for multiplication (the Section 4 vs Section 5 storage
-// decision).
+// decision): the tiled GBJ product, and coordMulQuery compiled and run
+// on the same tiles.
 func AblationCoordinate(cfg Config, sizes []int64) Series {
 	s := Series{Name: "Ablation — storage: tiled GBJ vs coordinate format multiply",
 		Systems: []string{"tiled", "coordinate"}}
 	for _, n := range sizes {
 		p := newPoint(n * n)
-		da := linalg.RandDense(int(n), int(n), 0, 10, 1)
-		db := linalg.RandDense(int(n), int(n), 0, 10, 2)
-		{
+		for _, sys := range s.Systems {
 			ctx := newCtx(cfg)
-			a := tiled.FromDense(ctx, da, cfg.TileSize, cfg.Partitions)
-			b := tiled.FromDense(ctx, db, cfg.TileSize, cfg.Partitions)
+			a := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 1)
+			b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
 			force(ctx, a.Tiles)
 			force(ctx, b.Tiles)
-			sec, m := measure(ctx, func() { forceBlocks(a.MultiplyGBJ(b).Tiles) })
-			p.record("tiled", sec, m)
-			closeCtx(ctx)
-		}
-		{
-			ctx := newCtx(cfg)
-			a := coord.FromDense(ctx, da, cfg.Partitions)
-			b := coord.FromDense(ctx, db, cfg.Partitions)
-			sec, m := measure(ctx, func() { dataflow.Count(a.Multiply(b).Entries) })
-			p.record("coordinate", sec, m)
+			run := func() { forceBlocks(a.MultiplyGBJ(b).Tiles) }
+			if sys == "coordinate" {
+				run = func() {
+					if _, err := compileCoordMul(a, b).Execute(); err != nil {
+						panic(err)
+					}
+				}
+			}
+			sec, m := measure(ctx, run)
+			p.record(sys, sec, m)
 			closeCtx(ctx)
 		}
 		s.Points = append(s.Points, p)

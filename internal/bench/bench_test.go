@@ -128,6 +128,17 @@ func TestAblationCoordinateShufflesMore(t *testing.T) {
 		t.Fatalf("coordinate format should shuffle more: %d vs %d",
 			p.Shuffled["coordinate"], p.Shuffled["tiled"])
 	}
+	// The coordinate row is the compiler's Section 4 path, not a
+	// hand-written copy of it.
+	ctx := newCtx(cfg)
+	defer closeCtx(ctx)
+	a := tiled.RandMatrix(ctx, 100, 100, cfg.TileSize, cfg.Partitions, 0, 10, 1)
+	plan := compileCoordMul(a, a).Explain()
+	for _, want := range []string{"coordinate-format fallback", "2-way join chain (Rule 14)", "group-by via reduceByKey"} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("coordinate ablation plan %q lacks %q", plan, want)
+		}
+	}
 }
 
 func TestAblationTileSize(t *testing.T) {

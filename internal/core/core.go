@@ -1,5 +1,5 @@
 // Package core is the public API of the SAC reproduction: a session
-// that owns a simulated cluster, a catalog of named distributed
+// that owns a dataflow engine context, a catalog of named distributed
 // arrays, and Query/Explain entry points that run the full pipeline —
 // parse, desugar, strategy selection (Rules 13/15/17/19 and the
 // Section 5.4 group-by-join), and execution on the dataflow engine —
@@ -28,10 +28,9 @@ import (
 	"repro/internal/tiled"
 )
 
-// Config selects the cluster simulation and tiling parameters.
+// Config selects the engine and tiling parameters.
 type Config struct {
-	// Parallelism is the simulated executor-core count (default:
-	// GOMAXPROCS).
+	// Parallelism is the concurrent task count (default: GOMAXPROCS).
 	Parallelism int
 	// Partitions is the default dataset partition count.
 	Partitions int
@@ -53,9 +52,6 @@ type Config struct {
 	// SpillDir overrides where spill run files are written (default: a
 	// fresh directory under os.TempDir, removed on Close).
 	SpillDir string
-	// ShuffleCostNsPerByte charges simulated serialization/network
-	// time per shuffled byte (see dataflow.Config).
-	ShuffleCostNsPerByte float64
 	// AdaptiveShuffle turns on statistics-driven execution: shuffle
 	// boundaries rebalance skewed partitions at stage granularity, the
 	// cost model's estimated partition counts reshape physical plans,
@@ -65,12 +61,6 @@ type Config struct {
 	// byte-identical plans. (The SUMMA processor grid is not part of
 	// this: it follows from the partition count on every backend.)
 	AdaptiveShuffle bool
-	// AdaptiveSkewFactor is the hot-partition threshold (hot when its
-	// row count exceeds factor x median); 0 uses the engine default.
-	AdaptiveSkewFactor float64
-	// AdaptiveMinRows is the minimum hot-partition row count worth
-	// rebalancing; 0 uses the engine default.
-	AdaptiveMinRows int
 	// Transport, when non-nil, makes this session one rank of a
 	// multi-process SPMD cluster: it runs the tasks it owns and
 	// exchanges shuffle buckets with its peers through the transport
@@ -97,7 +87,7 @@ type Session struct {
 	stats *stats.Cache
 }
 
-// NewSession creates a session with its own simulated cluster.
+// NewSession creates a session with its own engine context.
 func NewSession(conf Config) *Session {
 	if conf.TileSize <= 0 {
 		conf.TileSize = 100
@@ -109,14 +99,9 @@ func NewSession(conf Config) *Session {
 		FailureSeed:       conf.FailureSeed,
 		MemoryBudget:      conf.MemoryBudget,
 		SpillDir:          conf.SpillDir,
-
-		AdaptiveShuffle:    conf.AdaptiveShuffle,
-		AdaptiveSkewFactor: conf.AdaptiveSkewFactor,
-		AdaptiveMinRows:    conf.AdaptiveMinRows,
-
-		ShuffleCostNsPerByte: conf.ShuffleCostNsPerByte,
-		Transport:            conf.Transport,
-		WorkerTag:            conf.WorkerTag,
+		AdaptiveShuffle:   conf.AdaptiveShuffle,
+		Transport:         conf.Transport,
+		WorkerTag:         conf.WorkerTag,
 	})
 	sc := conf.StatsCache
 	if sc == nil {

@@ -58,7 +58,7 @@ func (s *lazyBuckets[T]) mayAdapt() bool {
 // rebalance runs once per shuffle, single-threaded, at the end of the
 // map-side stage body (before any reduce task reads a bucket). It fires
 // only when the hot bucket is both absolutely large (AdaptiveMinRows)
-// and relatively skewed (AdaptiveSkewFactor × the median), then
+// and relatively skewed (DefaultSkewThreshold × the median), then
 // greedily moves the hot bucket's largest key groups to the smallest
 // buckets while each move strictly improves balance. A single giant key
 // is unsplittable and stays put.
@@ -80,7 +80,7 @@ func (s *lazyBuckets[T]) rebalance() {
 		p50 = 1
 	}
 	if before.Max < int64(conf.AdaptiveMinRows) ||
-		float64(before.Max) <= conf.AdaptiveSkewFactor*float64(p50) {
+		float64(before.Max) <= DefaultSkewThreshold*float64(p50) {
 		return
 	}
 

@@ -106,10 +106,7 @@ func init() {
 	spill.Register(blockCodec)
 	spill.Register(PairCodec[int64, Pair[Coord, *linalg.Dense]](spill.Int64Codec{}, blockCodec))
 	spill.Register(PairCodec[int64, *linalg.Vector](spill.Int64Codec{}, VectorCodec{}))
-	// Coordinate-format entries and their keyed intermediates.
-	spill.Register(PairCodec[Coord, float64](CoordCodec{}, spill.Float64Codec{}))
+	// Keyed scalars (row sums, counts).
 	spill.Register(PairCodec[int64, float64](spill.Int64Codec{}, spill.Float64Codec{}))
-	spill.Register(PairCodec[int64, Pair[Coord, float64]](spill.Int64Codec{},
-		PairCodec[Coord, float64](CoordCodec{}, spill.Float64Codec{})))
 	spill.Register(PairCodec[int64, int64](spill.Int64Codec{}, spill.Int64Codec{}))
 }

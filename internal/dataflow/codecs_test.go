@@ -139,9 +139,7 @@ func TestShuffleRowCodecsRegistered(t *testing.T) {
 		{"Block", spill.Registered[Pair[Coord, *linalg.Dense]]()},
 		{"keyed block", spill.Registered[Pair[int64, Pair[Coord, *linalg.Dense]]]()},
 		{"vector block", spill.Registered[Pair[int64, *linalg.Vector]]()},
-		{"coord entry", spill.Registered[Pair[Coord, float64]]()},
 		{"keyed scalar", spill.Registered[Pair[int64, float64]]()},
-		{"keyed coord entry", spill.Registered[Pair[int64, Pair[Coord, float64]]]()},
 		{"keyed int64", spill.Registered[Pair[int64, int64]]()},
 	}
 	for _, c := range checks {

@@ -1,11 +1,13 @@
-// Package dataflow implements a from-scratch, in-process analogue of the
-// Spark RDD runtime that the paper compiles to. Datasets are immutable
-// partitioned collections evaluated lazily through a push-based
-// pipeline: every narrow transformation (map, filter, flatMap,
-// mapPartitions, union) wraps its parent's per-partition iterator, so a
-// whole chain of narrow operators runs as one fused loop per partition
-// with no intermediate slices. Data materializes only at stage
-// boundaries — shuffle inputs, Persist caches, and actions.
+// Package dataflow implements a from-scratch analogue of the Spark RDD
+// runtime that the paper compiles to. It runs in one process, or as one
+// rank of a worker cluster when Config.Transport is set (cluster.go).
+// Datasets are immutable partitioned collections evaluated lazily
+// through a push-based pipeline: every narrow transformation (map,
+// filter, flatMap, mapPartitions, union) wraps its parent's
+// per-partition iterator, so a whole chain of narrow operators runs as
+// one fused loop per partition with no intermediate slices. Data
+// materializes only at stage boundaries — shuffle inputs, Persist
+// caches, and actions.
 //
 // Wide transformations (groupByKey, reduceByKey, join, cogroup) move
 // data through an explicit hash shuffle and cut the lineage into
@@ -39,7 +41,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Config controls a simulated cluster.
+// Config controls one engine context: a local process, or one rank of a
+// cluster when Transport is set.
 type Config struct {
 	// Parallelism is the number of concurrently executing tasks
 	// (executors x cores). Defaults to GOMAXPROCS.
@@ -56,14 +59,6 @@ type Config struct {
 	FailureSeed int64
 	// MaxTaskRetries bounds recomputation attempts per task (default 4).
 	MaxTaskRetries int
-	// ShuffleCostNsPerByte, when positive, charges simulated
-	// serialization/network time for every byte that crosses a
-	// shuffle boundary by moving that many bytes through a scratch
-	// buffer. In-process shuffles otherwise pass pointers for free,
-	// which hides a cost that dominates on real clusters. A 10 GbE
-	// cluster with JVM serialization corresponds to roughly 1-5
-	// ns/byte end to end.
-	ShuffleCostNsPerByte float64
 	// MemoryBudget, when positive, bounds the tracked bytes the
 	// engine's shuffle buffers and Persist caches may pin in memory.
 	// Past the budget, shuffle segments spill to run files that read
@@ -83,10 +78,6 @@ type Config struct {
 	// under a cluster Transport, where every rank must make identical
 	// decisions.
 	AdaptiveShuffle bool
-	// AdaptiveSkewFactor is the records max/median ratio a reduce
-	// bucket must exceed before it is rebalanced. Defaults to
-	// DefaultSkewThreshold.
-	AdaptiveSkewFactor float64
 	// AdaptiveMinRows is the minimum record count of the hot bucket
 	// before rebalancing is considered, so tiny shuffles are never
 	// touched. Defaults to 32.
@@ -190,9 +181,6 @@ func NewContext(conf Config) *Context {
 	}
 	if conf.MaxTaskRetries <= 0 {
 		conf.MaxTaskRetries = 4
-	}
-	if conf.AdaptiveSkewFactor <= 0 {
-		conf.AdaptiveSkewFactor = DefaultSkewThreshold
 	}
 	if conf.AdaptiveMinRows <= 0 {
 		conf.AdaptiveMinRows = 32
@@ -369,49 +357,6 @@ func (c *Context) shouldFail() bool {
 	c.failMu.Lock()
 	defer c.failMu.Unlock()
 	return c.failRng.Float64() < c.conf.FailureRate
-}
-
-// shuffleScratch holds reusable copy buffers for chargeShuffleCost so
-// concurrent shuffle stages do not allocate 2 MiB of scratch each.
-var shuffleScratch = sync.Pool{
-	New: func() any {
-		b := make([]byte, 2<<20)
-		return &b
-	},
-}
-
-// chargeShuffleCost simulates serialization and network transfer for
-// shuffled bytes by streaming the equivalent volume through a scratch
-// buffer (see Config.ShuffleCostNsPerByte).
-func (c *Context) chargeShuffleCost(bytes int64) {
-	if c.conf.ShuffleCostNsPerByte <= 0 || bytes <= 0 {
-		return
-	}
-	// One memcpy pass moves ~0.1-0.3 ns/byte on commodity hardware;
-	// repeat passes until the requested time-per-byte is simulated.
-	const passNsPerByte = 0.25
-	passes := int(c.conf.ShuffleCostNsPerByte/passNsPerByte + 0.5)
-	if passes < 1 {
-		passes = 1
-	}
-	const chunk = 1 << 20
-	scratch := shuffleScratch.Get().(*[]byte)
-	defer shuffleScratch.Put(scratch)
-	src, dst := (*scratch)[:chunk], (*scratch)[chunk:]
-	remaining := bytes * int64(passes)
-	for remaining > 0 {
-		n := remaining
-		if n > chunk {
-			n = chunk
-		}
-		copy(dst[:n], src[:n])
-		remaining -= n
-		// memmove is not a preemption point, and this loop is little else:
-		// without a yield every task slot of a worker can sit in here for
-		// seconds while its heartbeat goroutine waits for a P, and the
-		// driver culls a worker that is only simulating a slow network.
-		runtime.Gosched()
-	}
 }
 
 // injectedFailure is the error raised by failure injection.

@@ -120,7 +120,6 @@ func (s *lazyBuckets[T]) runMapSide(st *Stage) {
 		s.ctx.metrics.c.Shuffles.Add(1)
 		s.ctx.metrics.c.ShuffledRecords.Add(recs)
 		s.ctx.metrics.c.ShuffledBytes.Add(bytes)
-		s.ctx.chargeShuffleCost(bytes)
 		s.rebalance()
 		s.ctx.mem.RegisterEvictor(s.evict)
 	}

@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -128,10 +130,38 @@ func TestE2EDistributedParity(t *testing.T) {
 	}
 }
 
+// stopProcess SIGSTOPs a process and returns once /proc/<pid>/stat shows
+// it stopped (state T).
+func stopProcess(t *testing.T, p *os.Process) {
+	t.Helper()
+	if err := p.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatalf("stop %d: %v", p.Pid, err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", p.Pid))
+		if err != nil {
+			t.Skipf("no /proc to confirm a stopped process: %v", err)
+		}
+		// pid (comm) state ...: comm may hold spaces and parentheses.
+		if f := strings.Fields(string(stat[bytes.LastIndexByte(stat, ')')+1:])); f[0] == "T" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("process %d never stopped", p.Pid)
+		}
+	}
+}
+
 // TestE2EWorkerSIGKILL kills one subprocess worker with SIGKILL while
 // a query is in flight: the cluster must finish the query with results
-// byte-identical to local and with the lost worker's map tasks
-// resubmitted on the survivors.
+// byte-identical to local, the lost worker's map tasks resubmitted on the
+// survivors, and the next query run on the survivors.
+//
+// Every step waits on an event, none on a delay. The victim is stopped
+// before the query is submitted, so the query cannot finish without it;
+// the kill goes out once a survivor's goroutine profile shows its rank of
+// the job running, which means the job was dispatched with the victim as
+// one of its ranks.
 func TestE2EWorkerSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e skipped in -short mode")
@@ -140,57 +170,60 @@ func TestE2EWorkerSIGKILL(t *testing.T) {
 	world := e2eWorld(t)
 	p := baseParams()
 	p.Src = fig4Queries[0].src
-	// The victim is the last rank, and it has to own something to lose:
-	// with the base 6 partitions a world of 8 leaves it none.
+	// Every rank has to own something to lose: with the base 6
+	// partitions a world of 8 leaves two ranks none.
 	p.Partitions = max(p.Partitions, 2*int64(world))
 	want, err := RunQueryLocal(p)
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
-	// Ladder of simulated shuffle costs: retry slower until the kill
-	// lands while the query is still running.
-	for _, costNs := range []float64{5e3, 5e4, 2e5} {
-		d, err := cluster.NewDriver(cluster.DriverConfig{HeartbeatTimeout: 500 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("driver: %v", err)
-		}
-		procs := spawnWorkers(t, bin, d.Addr(), world)
-		if err := d.WaitForWorkers(world, 30*time.Second); err != nil {
-			t.Fatalf("workers never registered: %v", err)
-		}
-		pk := p
-		pk.ShuffleCostNsPerByte = costNs
-		go func(victim *exec.Cmd) {
-			time.Sleep(30 * time.Millisecond)
-			_ = victim.Process.Kill() // SIGKILL: no goodbye, heartbeats just stop
-		}(procs[world-1])
-		cs := NewClusterSession(d, pk, 2*time.Minute)
-		got, run, err := cs.Query(pk.Src)
-		if err != nil {
-			d.Close()
-			t.Fatalf("cluster with SIGKILL (cost=%v): %v", costNs, err)
-		}
-		if !bytes.Equal(got, want) {
-			d.Close()
-			t.Fatalf("post-SIGKILL result differs from local (cost=%v)", costNs)
-		}
-		if run.Resubmissions > 0 {
-			t.Logf("cost=%vns/B: %d lost worker(s), %d resubmissions — contract proven",
-				costNs, run.LostWorkers, run.Resubmissions)
-			// The survivors (under load the heartbeat timeout may have cost
-			// more than the victim) answer the next query as a smaller
-			// world, from the partitions they kept and the ones they now own.
-			waitAlive(t, d, world-1)
-			got, after, err := NewClusterSession(d, p, 2*time.Minute).Query(p.Src)
-			d.Close()
-			if err != nil || !bytes.Equal(got, want) || len(after.Workers) >= world {
-				t.Fatalf("query after the loss: err %v, %d workers, matches local: %v", err, len(after.Workers), bytes.Equal(got, want))
-			}
-			checkTakeover(t, after, p, 2, nil)
-			return
-		}
-		d.Close()
-		t.Logf("cost=%vns/B: query beat the kill; retrying slower", costNs)
+	// A stopped worker sends no heartbeats; it must not be declared lost
+	// before the job reaches it. Its death shows as its closed connection.
+	d, err := cluster.NewDriver(cluster.DriverConfig{HeartbeatTimeout: 5 * time.Minute})
+	if err != nil {
+		t.Fatalf("driver: %v", err)
 	}
-	t.Skip("query completed before worker loss at every simulated cost; parity still verified")
+	defer d.Close()
+	victim := spawnWorkers(t, bin, d.Addr(), world-1)[0]
+	survivor := spawnDebugWorker(t, bin, d.Addr(), fmt.Sprintf("e2e-w%d", world-1))
+	if err := d.WaitForWorkers(world, 30*time.Second); err != nil {
+		t.Fatalf("workers never registered: %v", err)
+	}
+	stopProcess(t, victim.Process)
+	type outcome struct {
+		blob []byte
+		run  *cluster.RunResult
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		blob, run, err := NewClusterSession(d, p, 2*time.Minute).Query(p.Src)
+		done <- outcome{blob, run, err}
+	}()
+	for deadline := time.Now().Add(time.Minute); !survivor.runningJob(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the survivor never started its rank of the query")
+		}
+	}
+	if err := victim.Process.Kill(); err != nil { // SIGKILL: no goodbye
+		t.Fatalf("kill: %v", err)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("cluster with SIGKILL: %v", out.err)
+	}
+	if !bytes.Equal(out.blob, want) {
+		t.Fatalf("post-SIGKILL result differs from local: %s vs %s", SummarizeBlob(out.blob), SummarizeBlob(want))
+	}
+	if run := out.run; run.LostWorkers != 1 || run.Resubmissions == 0 {
+		t.Fatalf("%d lost, %d resubmissions; want 1 and some", run.LostWorkers, run.Resubmissions)
+	}
+	// The survivors answer the next query as a smaller world, from the
+	// partitions they kept and the ones they now own.
+	waitAlive(t, d, world-1)
+	got, after, err := NewClusterSession(d, p, 2*time.Minute).Query(p.Src)
+	if err != nil || !bytes.Equal(got, want) || len(after.Workers) != world-1 || after.LostWorkers != 0 {
+		t.Fatalf("query after the loss: err %v, %d workers, matches local: %v", err, len(after.Workers), bytes.Equal(got, want))
+	}
+	checkTakeover(t, after, p, 2, nil)
 }

@@ -15,8 +15,6 @@ package jobs
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -41,18 +39,11 @@ type QueryParams struct {
 	Partitions   int64
 	DisableGBJ   bool
 	DisableRBK   bool
-	// ShuffleCostNsPerByte simulates serialization/network time per
-	// shuffled byte; the worker-kill e2e test uses it to hold queries
-	// open long enough to lose a worker mid-shuffle.
-	ShuffleCostNsPerByte float64
 	// Trace asks every rank to record execution spans and stream them
 	// to the driver, which merges them into one cluster-wide trace
 	// (per-rank lanes). Stage rows and counter reports flow regardless;
 	// Trace only controls span recording.
 	Trace bool
-	// TelemetryMs overrides the periodic telemetry flush interval in
-	// milliseconds (0 uses the default).
-	TelemetryMs int64
 }
 
 // Encode serializes the params for the job message.
@@ -75,41 +66,33 @@ func (p *QueryParams) Encode() []byte {
 	if p.Trace {
 		flags |= 4
 	}
-	b = binary.AppendVarint(b, flags)
-	b = binary.AppendUvarint(b, math.Float64bits(p.ShuffleCostNsPerByte))
-	b = binary.AppendVarint(b, p.TelemetryMs)
-	return b
+	return binary.AppendVarint(b, flags)
 }
 
 // DecodeQueryParams parses what Encode wrote, and nothing else: a
-// truncated buffer, trailing bytes and flag bits Encode never sets are
-// errors. The buffer arrives over the wire, and a rank that silently
-// read zeros for a field the others decoded would build a different
-// stage graph.
+// truncated buffer, a padded varint, trailing bytes and flag bits Encode
+// never sets are errors. The buffer arrives over the wire, and a rank
+// that silently read zeros for a field the others decoded would build a
+// different stage graph.
 func DecodeQueryParams(b []byte) (QueryParams, error) {
 	var p QueryParams
-	truncated := false
+	malformed := false
 	u := func() uint64 {
 		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			truncated, b = true, nil
+		if n <= 0 || n > 1 && b[n-1] == 0 {
+			malformed, b = true, nil
 			return 0
 		}
 		b = b[n:]
 		return v
 	}
 	i := func() int64 {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			truncated, b = true, nil
-			return 0
-		}
-		b = b[n:]
-		return v
+		v := u()
+		return int64(v>>1) ^ -int64(v&1)
 	}
 	srcLen := u()
 	if uint64(len(b)) < srcLen {
-		truncated, srcLen = true, 0
+		malformed, srcLen = true, 0
 	}
 	p.Src = string(b[:srcLen])
 	b = b[srcLen:]
@@ -122,11 +105,9 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 	p.DisableGBJ = flags&1 != 0
 	p.DisableRBK = flags&2 != 0
 	p.Trace = flags&4 != 0
-	p.ShuffleCostNsPerByte = math.Float64frombits(u())
-	p.TelemetryMs = i()
 	switch {
-	case truncated:
-		return p, fmt.Errorf("jobs: truncated query params")
+	case malformed:
+		return p, fmt.Errorf("jobs: truncated or malformed query params")
 	case len(b) != 0:
 		return p, fmt.Errorf("jobs: %d trailing bytes after query params", len(b))
 	case flags&^7 != 0:
@@ -152,8 +133,7 @@ func queryProgram(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
 	}
 	var pump *telemetryPump
 	if env.Telemetry != nil {
-		pump = newTelemetryPump(env.Telemetry,
-			time.Duration(p.TelemetryMs)*time.Millisecond, p.Trace)
+		pump = newTelemetryPump(env.Telemetry, p.Trace)
 	}
 	reply, snap, err := runQuery(p, env.World, func(c *core.Config) {
 		c.Parallelism = env.Parallelism
@@ -172,9 +152,8 @@ func (p QueryParams) sessionConfig(world int) core.Config {
 		p.Partitions = int64(DefaultPartitions(world))
 	}
 	return core.Config{
-		TileSize:             int(p.Tile),
-		Partitions:           int(p.Partitions),
-		ShuffleCostNsPerByte: p.ShuffleCostNsPerByte,
+		TileSize:   int(p.Tile),
+		Partitions: int(p.Partitions),
 		Optimizations: opt.Options{
 			DisableGBJ:         p.DisableGBJ,
 			DisableReduceByKey: p.DisableRBK,

@@ -2,19 +2,20 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/comp"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/sacparser"
 )
 
@@ -102,8 +103,7 @@ func startTestClusterPar(t *testing.T, pars []int, budget int64) *cluster.Driver
 // bytes and a flag bit Encode never sets are errors, not zeros.
 func TestQueryParamsRoundTrip(t *testing.T) {
 	want := QueryParams{Src: "tiledvec(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]", N: 300, Tile: 17,
-		SeedA: -5, SeedB: 1 << 40, Partitions: 12, DisableGBJ: true, DisableRBK: true,
-		ShuffleCostNsPerByte: 2.5, Trace: true, TelemetryMs: 250}
+		SeedA: -5, SeedB: 1 << 40, Partitions: 12, DisableGBJ: true, DisableRBK: true, Trace: true}
 	for v, i := reflect.ValueOf(want), 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {
 			t.Fatalf("field %s is zero in the round-trip value", v.Type().Field(i).Name)
@@ -122,20 +122,39 @@ func TestQueryParamsRoundTrip(t *testing.T) {
 	if _, err := DecodeQueryParams(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// The flags are one varint byte, followed by the cost and the
-	// telemetry interval.
-	tail := binary.AppendVarint(binary.AppendUvarint(nil, math.Float64bits(want.ShuffleCostNsPerByte)), want.TelemetryMs)
-	at := len(enc) - len(tail) - 1
-	if enc[at] != 7<<1 {
-		t.Fatalf("flags byte not where this test expects it: %#x", enc[at])
+	// The flags are the last field: one zigzag varint byte.
+	last := len(enc) - 1
+	if enc[last] != 7<<1 {
+		t.Fatalf("flags byte not last: %#x", enc[last])
 	}
 	for _, bit := range []byte{8, 16} {
 		bad := append([]byte(nil), enc...)
-		bad[at] |= bit << 1
+		bad[last] |= bit << 1
 		if _, err := DecodeQueryParams(bad); err == nil {
 			t.Fatalf("unknown flag bit %d accepted", bit)
 		}
 	}
+}
+
+// FuzzQueryParams: decoding arbitrary bytes never panics, and whatever
+// decodes re-encodes to exactly the bytes it came from — the job message
+// has one encoding per value.
+func FuzzQueryParams(f *testing.F) {
+	p := baseParams()
+	p.Src = fig4Queries[0].src
+	f.Add(p.Encode())
+	p.DisableGBJ, p.DisableRBK, p.Trace = true, true, true
+	f.Add(p.Encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodeQueryParams(b)
+		if err != nil {
+			return
+		}
+		if enc := p.Encode(); !bytes.Equal(enc, b) {
+			t.Fatalf("%x decoded to %+v, which encodes as %x", b, p, enc)
+		}
+	})
 }
 
 // TestClusterQueryMatchesLocal is the acceptance-criteria parity test
@@ -236,9 +255,59 @@ func TestClusterNonCommutativeGroupBy(t *testing.T) {
 	}
 }
 
-// TestClusterQueryWorkerKill closes one worker mid-query (its exchange
-// store vanishes); the survivors must finish with resubmissions
-// recorded and a result still byte-identical to local.
+// gateQueryName is sac.query with one rank held mid-shuffle: on the rank
+// run by the installed killGate's victim, every Publish goes through and
+// then blocks until the gate is released, the first one announcing that it
+// has.
+const gateQueryName = "test.sac.query-gate"
+
+type killGate struct {
+	victim    string
+	published chan struct{} // closed by the victim's first Publish
+	once      sync.Once
+	release   chan struct{}
+}
+
+var installedGate atomic.Pointer[killGate]
+
+func init() {
+	cluster.RegisterProgram(gateQueryName, func(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
+		p, err := DecodeQueryParams(env.Params)
+		if err != nil {
+			return nil, cluster.Report{}, err
+		}
+		var tr dataflow.Transport = env.Exchange
+		if g := installedGate.Load(); g != nil && env.WorkerTag == g.victim {
+			tr = gatedTransport{env.Exchange, g}
+		}
+		reply, snap, err := runQuery(p, env.World, func(c *core.Config) {
+			c.Parallelism = env.Parallelism
+			c.Transport = tr
+			c.WorkerTag = env.WorkerTag
+		}, env.Resident, nil)
+		return reply, snap.CounterSet, err
+	})
+	cluster.RegisterMerge(gateQueryName, MergeResult)
+}
+
+type gatedTransport struct {
+	*cluster.Exchange
+	gate *killGate
+}
+
+func (g gatedTransport) Publish(key string, blob []byte) error {
+	err := g.Exchange.Publish(key, blob)
+	g.gate.once.Do(func() { close(g.gate.published) })
+	<-g.gate.release
+	return err
+}
+
+// TestClusterQueryWorkerKill closes one worker mid-shuffle — after it has
+// published one segment and before it can publish the rest — so its peers
+// must recompute its map tasks from lineage, and it takes its partitions
+// of the result with it, so the job runs again on the survivors. The
+// result is still local's byte for byte, and the resubmissions the first
+// attempt's survivors made are in the run and in the session snapshot.
 func TestClusterQueryWorkerKill(t *testing.T) {
 	p := baseParams()
 	p.Src = fig4Queries[0].src
@@ -246,56 +315,55 @@ func TestClusterQueryWorkerKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
-	// Retry with increasing simulated shuffle cost until the kill
-	// lands mid-query; on a fast machine the query can otherwise
-	// finish before the victim dies.
-	// The memcpy-based cost simulation undershoots its nominal ns/byte
-	// on fast memory, so the ladder goes well past the target runtime.
-	for _, costNs := range []float64{5e3, 5e4, 2e5} {
-		d, err := cluster.NewDriver(cluster.DriverConfig{HeartbeatTimeout: 500 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("driver: %v", err)
-		}
-		var victim *cluster.Worker
-		for i := 0; i < 3; i++ {
-			w, err := cluster.StartWorker(cluster.WorkerConfig{
-				ID:          fmt.Sprintf("w%d", i),
-				DriverAddr:  d.Addr(),
-				Parallelism: 2,
-			})
-			if err != nil {
-				t.Fatalf("worker %d: %v", i, err)
-			}
-			defer w.Close()
-			if i == 2 {
-				victim = w
-			}
-		}
-		if err := d.WaitForWorkers(3, 5*time.Second); err != nil {
-			t.Fatalf("wait: %v", err)
-		}
-		pk := p
-		pk.ShuffleCostNsPerByte = costNs
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			victim.Close()
-		}()
-		cs := NewClusterSession(d, pk, time.Minute)
-		got, run, err := cs.Query(pk.Src)
-		d.Close()
-		if err != nil {
-			t.Fatalf("cluster with kill (cost=%v): %v", costNs, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("post-kill result differs from local (cost=%v)", costNs)
-		}
-		if run.Resubmissions > 0 {
-			if run.LostWorkers == 0 {
-				t.Fatalf("resubmissions without a lost worker: %+v", run)
-			}
-			return // the kill landed mid-query: contract proven
-		}
-		t.Logf("cost=%vns/B: query finished before the kill bit; retrying slower", costNs)
+	d, err := cluster.NewDriver(cluster.DriverConfig{})
+	if err != nil {
+		t.Fatalf("driver: %v", err)
 	}
-	t.Skip("query completed before worker loss at every simulated cost; parity still verified")
+	defer d.Close()
+	var victim *cluster.Worker
+	for i := 0; i < 3; i++ {
+		w, err := cluster.StartWorker(cluster.WorkerConfig{ID: fmt.Sprintf("w%d", i), DriverAddr: d.Addr(), Parallelism: 2})
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		defer w.Close()
+		victim = w
+	}
+	if err := d.WaitForWorkers(3, 5*time.Second); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	gate := &killGate{victim: "w2", published: make(chan struct{}), release: make(chan struct{})}
+	installedGate.Store(gate)
+	defer installedGate.Store(nil)
+	defer close(gate.release)
+
+	type outcome struct {
+		run *cluster.RunResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		run, err := d.Run(gateQueryName, p.Encode(), time.Minute)
+		done <- outcome{run, err}
+	}()
+	select {
+	case <-gate.published:
+	case out := <-done:
+		t.Fatalf("the query returned before the victim published: %v", out.err)
+	}
+	victim.Close()
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("cluster with a worker lost mid-shuffle: %v", out.err)
+	}
+	run := out.run
+	if !bytes.Equal(run.Result, want) {
+		t.Fatalf("post-kill result differs from local: %s vs %s", SummarizeBlob(run.Result), SummarizeBlob(want))
+	}
+	if run.LostWorkers != 1 || run.Resubmissions == 0 {
+		t.Fatalf("%d lost, %d resubmissions; want 1 and some", run.LostWorkers, run.Resubmissions)
+	}
+	if snap := snapshotFrom(run, d.Workers()); snap.Resubmissions != run.Resubmissions {
+		t.Fatalf("snapshot counts %d resubmissions, the run %d", snap.Resubmissions, run.Resubmissions)
+	}
 }

@@ -160,6 +160,7 @@ func (cs *ClusterSession) StatsCache() *stats.Cache { return cs.planner.StatsCac
 // annotated with the driver's liveness view, every
 // telemetry-reporting rank's stage rows (WorkerStages, each stamped
 // with its worker), and the cluster-merged stage table (PerStage).
+// Resubmissions is the run's, summed over every attempt.
 func snapshotFrom(run *cluster.RunResult, infos []cluster.WorkerInfo) dataflow.MetricsSnapshot {
 	alive := make(map[string]bool, len(infos))
 	for _, wi := range infos {
@@ -179,5 +180,8 @@ func snapshotFrom(run *cluster.RunResult, infos []cluster.WorkerInfo) dataflow.M
 	if len(snap.WorkerStages) > 0 {
 		snap.PerStage = dataflow.MergeStageRows(snap.WorkerStages)
 	}
+	// A re-run keeps only the last attempt's rows; the recomputation the
+	// first attempt's survivors did is in the run's total.
+	snap.Resubmissions = run.Resubmissions
 	return snap
 }

@@ -17,15 +17,13 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultTelemetryInterval is the periodic flush cadence when the
-// driver does not override it (QueryParams.TelemetryMs).
-const defaultTelemetryInterval = 500 * time.Millisecond
+// telemetryInterval is the periodic flush cadence.
+const telemetryInterval = 500 * time.Millisecond
 
 // telemetryPump streams one rank's observability data to the driver.
 type telemetryPump struct {
-	sink     func(cluster.TelemetryBatch) error
-	interval time.Duration
-	traced   bool
+	sink   func(cluster.TelemetryBatch) error
+	traced bool
 
 	mu         sync.Mutex
 	sess       *core.Session
@@ -37,11 +35,8 @@ type telemetryPump struct {
 	done chan struct{}
 }
 
-func newTelemetryPump(sink func(cluster.TelemetryBatch) error, interval time.Duration, traced bool) *telemetryPump {
-	if interval <= 0 {
-		interval = defaultTelemetryInterval
-	}
-	return &telemetryPump{sink: sink, interval: interval, traced: traced,
+func newTelemetryPump(sink func(cluster.TelemetryBatch) error, traced bool) *telemetryPump {
+	return &telemetryPump{sink: sink, traced: traced,
 		stop: make(chan struct{}), done: make(chan struct{})}
 }
 
@@ -67,7 +62,7 @@ func (p *telemetryPump) attach(s *core.Session, workerTag, src string) {
 
 func (p *telemetryPump) loop() {
 	defer close(p.done)
-	t := time.NewTicker(p.interval)
+	t := time.NewTicker(telemetryInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -17,9 +17,7 @@ import (
 // it with per-worker rows and a merged trace lane per rank.
 func TestClusterMergedStageTable(t *testing.T) {
 	d := startTestClusterPar(t, twoSlots(3), 0)
-	p := baseParams()
-	p.TelemetryMs = 50
-	cs := NewClusterSession(d, p, time.Minute)
+	cs := NewClusterSession(d, baseParams(), time.Minute)
 	src := fig4Queries[0].src
 	q, err := cs.Compile(src)
 	if err != nil {

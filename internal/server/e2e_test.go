@@ -73,59 +73,119 @@ func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	}
 }
 
+// stopProcess SIGSTOPs a process and returns once /proc/<pid>/stat shows
+// it stopped (state T).
+func stopProcess(t *testing.T, p *os.Process) {
+	t.Helper()
+	if err := p.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatalf("stop %d: %v", p.Pid, err)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", p.Pid))
+		if err != nil {
+			t.Skipf("no /proc to confirm a stopped process: %v", err)
+		}
+		// pid (comm) state ...: comm may hold spaces and parentheses.
+		if f := strings.Fields(string(stat[bytes.LastIndexByte(stat, ')')+1:])); f[0] == "T" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("process %d never stopped", p.Pid)
+		}
+	}
+}
+
 // TestE2EServerSIGTERMDrains: a SIGTERM arriving while a query is
 // executing must not kill that query — the client gets its 200 with a
 // full result, new submissions are refused, and the process exits 0.
+//
+// Every step waits on an event, none on a delay. The server is backed by
+// one sacworker, stopped before the query is submitted, so the query
+// cannot finish until the test resumes the worker — which it does only
+// once the server answers /healthz with 503, i.e. is draining.
 func TestE2EServerSIGTERMDrains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e skipped in -short mode")
 	}
-	bin := buildBinary(t, "sacserver")
-	// -shuffle-cost stretches execution so the signal reliably lands
-	// mid-query.
-	cmd, base := startServer(t, bin,
-		"-sessions", "1", "-n", "64", "-tile", "16", "-shuffle-cost", "30000")
+	serverBin := buildBinary(t, "sacserver")
+	workerBin := buildBinary(t, "sacworker")
+	drvPort := freePort(t)
+	worker := exec.Command(workerBin, "-driver", drvPort, "-id", "drain-w0")
+	worker.Stdout = os.Stderr
+	worker.Stderr = os.Stderr
+	if err := worker.Start(); err != nil {
+		t.Fatalf("start worker: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = worker.Process.Kill()
+		_, _ = worker.Process.Wait()
+	})
+	cmd, base := startServer(t, serverBin, "-sessions", "1", "-n", "64", "-tile", "16",
+		"-cluster", drvPort, "-cluster-workers", "1", "-cluster-wait", "60s")
+	stopProcess(t, worker.Process)
 
-	slow := `tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]`
+	post := func(query string) (int, queryResponse) {
+		body, _ := json.Marshal(map[string]string{"query": query})
+		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return -1, queryResponse{}
+		}
+		defer resp.Body.Close()
+		var out queryResponse
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+	product := `tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]`
 	type outcome struct {
 		code int
 		body queryResponse
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		body, _ := json.Marshal(map[string]string{"query": slow})
-		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			done <- outcome{code: -1}
-			return
-		}
-		defer resp.Body.Close()
-		out := outcome{code: resp.StatusCode}
-		json.NewDecoder(resp.Body).Decode(&out.body)
-		done <- out
+		code, body := post(product)
+		done <- outcome{code, body}
 	}()
 
-	// Wait until the query is actually executing, then signal.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/status")
-		busy := 0
-		if err == nil {
-			var doc StatusDoc
-			json.NewDecoder(resp.Body).Decode(&doc)
-			resp.Body.Close()
-			busy = doc.Sessions.Busy
+	// poll waits for cond, failing if the query returns first.
+	poll := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(time.Millisecond) {
+			select {
+			case out := <-done:
+				t.Fatalf("the query returned (HTTP %d) with its worker stopped", out.code)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened", what)
+			}
 		}
-		if busy > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("query never started executing")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	poll("the query executing", func() bool {
+		resp, err := http.Get(base + "/status")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var doc StatusDoc
+		json.NewDecoder(resp.Body).Decode(&doc)
+		return doc.Sessions.Busy > 0
+	})
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
+	}
+	poll("the server draining", func() bool {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusServiceUnavailable
+	})
+	if code, _ := post("+/[ a | ((i,j),a) <- A ]"); code != http.StatusServiceUnavailable {
+		t.Fatalf("a submission during the drain got HTTP %d, want 503", code)
+	}
+	if err := worker.Process.Signal(syscall.SIGCONT); err != nil {
+		t.Fatalf("resume the worker: %v", err)
 	}
 
 	out := <-done

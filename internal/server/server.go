@@ -21,6 +21,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -47,14 +48,12 @@ type Config struct {
 	// Sessions is the pool size — the maximum concurrently executing
 	// queries (default: half the cores, at least 2).
 	Sessions int
-	// TileSize, Parallelism, Partitions, MemoryBudget, AdaptiveShuffle,
-	// and ShuffleCostNsPerByte configure each pooled core.Session.
-	TileSize             int
-	Parallelism          int
-	Partitions           int
-	MemoryBudget         int64
-	AdaptiveShuffle      bool
-	ShuffleCostNsPerByte float64
+	// TileSize, Partitions, MemoryBudget and AdaptiveShuffle configure
+	// each pooled core.Session.
+	TileSize        int
+	Partitions      int
+	MemoryBudget    int64
+	AdaptiveShuffle bool
 	// AdmissionBudget bounds the summed footprint estimates of
 	// concurrently admitted queries; 0 disables admission control.
 	AdmissionBudget int64
@@ -137,13 +136,11 @@ func New(cfg Config) (*Server, error) {
 			continue
 		}
 		sess := core.NewSession(core.Config{
-			TileSize:             cfg.TileSize,
-			Parallelism:          cfg.Parallelism,
-			Partitions:           cfg.Partitions,
-			MemoryBudget:         cfg.MemoryBudget,
-			AdaptiveShuffle:      cfg.AdaptiveShuffle,
-			ShuffleCostNsPerByte: cfg.ShuffleCostNsPerByte,
-			StatsCache:           s.stats,
+			TileSize:        cfg.TileSize,
+			Partitions:      cfg.Partitions,
+			MemoryBudget:    cfg.MemoryBudget,
+			AdaptiveShuffle: cfg.AdaptiveShuffle,
+			StatsCache:      s.stats,
 		})
 		backends[i], s.local = sess, append(s.local, sess)
 	}
@@ -665,6 +662,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		return nil
 	}
 	obsDrains.Inc()
+	deadline := time.Now().Add(timeout)
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -680,8 +678,12 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	srv := s.httpSrv
 	s.mu.Unlock()
 	if srv != nil {
-		// In-flight handlers are done (or abandoned past the deadline);
-		// Close tears the listener and connections down.
+		// The queries are done (or abandoned past the deadline), but their
+		// handlers may still be writing the replies: Shutdown waits for
+		// them within the deadline, Close tears down what is left.
+		ctx, cancel := context.WithDeadline(context.TODO(), deadline)
+		_ = srv.Shutdown(ctx)
+		cancel()
 		srv.Close()
 	}
 	if err := s.closeBackends(); err != nil && drainErr == nil {
