@@ -99,7 +99,7 @@ func BenchmarkFig4B_Multiply_SACJoinGroupBy(b *testing.B) {
 			x, y := tiledPair(ctx, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dataflow.Count(x.MultiplyGroupByKey(y).Tiles)
+				dataflow.Count(tiled.JoinMultiply(x, y, tiled.Product{}, false).Tiles)
 			}
 		})
 	}
@@ -173,7 +173,7 @@ func BenchmarkAblation_Rule13_ReduceByKey(b *testing.B) {
 	x, y := tiledPair(ctx, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dataflow.Count(x.Multiply(y).Tiles)
+		dataflow.Count(tiled.JoinMultiply(x, y, tiled.Product{}, true).Tiles)
 	}
 }
 
@@ -182,7 +182,7 @@ func BenchmarkAblation_Rule13_GroupByKey(b *testing.B) {
 	x, y := tiledPair(ctx, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dataflow.Count(x.MultiplyGroupByKey(y).Tiles)
+		dataflow.Count(tiled.JoinMultiply(x, y, tiled.Product{}, false).Tiles)
 	}
 }
 
@@ -333,7 +333,7 @@ func BenchmarkKernels_GemmIKJ(b *testing.B) {
 func BenchmarkKernels_GemmTransA(b *testing.B) {
 	for _, n := range kernelSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGemmSized(b, n, linalg.GemmTransA)
+			benchGemmSized(b, n, func(c, x, y *linalg.Dense) { linalg.GemmOp(c, x, y, true, false, 1) })
 		})
 	}
 }
@@ -341,7 +341,7 @@ func BenchmarkKernels_GemmTransA(b *testing.B) {
 func BenchmarkKernels_GemmTransB(b *testing.B) {
 	for _, n := range kernelSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGemmSized(b, n, linalg.GemmTransB)
+			benchGemmSized(b, n, func(c, x, y *linalg.Dense) { linalg.GemmOp(c, x, y, false, true, 1) })
 		})
 	}
 }

@@ -251,7 +251,7 @@ func Fig4B(cfg Config, sizes []int64) Series {
 			b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
 			force(ctx, a.Tiles)
 			force(ctx, b.Tiles)
-			sec, m := measure(ctx, func() { forceBlocks(a.MultiplyGroupByKey(b).Tiles) })
+			sec, m := measure(ctx, func() { forceBlocks(tiled.JoinMultiply(a, b, tiled.Product{}, false).Tiles) })
 			p.record("SAC", sec, m)
 			closeCtx(ctx)
 		}
@@ -357,9 +357,9 @@ func AblationReduceByKey(cfg Config, sizes []int64) Series {
 			force(ctx, b.Tiles)
 			var fn func()
 			if variant == "reduceByKey" {
-				fn = func() { forceBlocks(a.Multiply(b).Tiles) }
+				fn = func() { forceBlocks(tiled.JoinMultiply(a, b, tiled.Product{}, true).Tiles) }
 			} else {
-				fn = func() { forceBlocks(a.MultiplyGroupByKey(b).Tiles) }
+				fn = func() { forceBlocks(tiled.JoinMultiply(a, b, tiled.Product{}, false).Tiles) }
 			}
 			sec, m := measure(ctx, fn)
 			p.record(variant, sec, m)

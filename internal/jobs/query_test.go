@@ -25,7 +25,9 @@ import (
 // join + group-by), and a row-sum aggregation — then the Section 4
 // coordinate fallback on the same seam: a reduceByKey over (sum, count)
 // tuples, a Rule 14 join, and a total and an rdd that have nothing to
-// spill because they never shuffle.
+// spill because they never shuffle — and last two oriented products,
+// whose transposed operands are read in place: Aᵀ·B through GEMM, and
+// Aᵀ·Bᵀ with a combine the compiled kernel contracts.
 var fig4Queries = []struct {
 	name      string
 	src       string
@@ -39,6 +41,8 @@ var fig4Queries = []struct {
 	{name: "min-plus", src: "tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]"},
 	{name: "trace-total", src: "+/[ m | ((i,j),m) <- A, i == j ]", noShuffle: true},
 	{name: "diagonal-rdd", src: "rdd[ ((i,j),m) | ((i,j),m) <- A, i == j ]", noShuffle: true},
+	{name: "matmul-gbj-tn", src: "tiled(n,n)[ ((i,j), +/v) | ((k,i),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"},
+	{name: "kernel-combine-tt", src: "tiled(n,n)[ ((i,j), +/v) | ((k,i),a) <- A, ((j,kk),b) <- B, kk == k, let v = a*b+1.0, group by (i,j) ]"},
 }
 
 func baseParams() QueryParams {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/tiled"
 )
 
-// TestGBJBitIdenticalAcrossKernels runs the three group-by-join
+// TestGBJBitIdenticalAcrossKernels runs the four group-by-join
 // orientations, in memory and spilling under a budget, once per kernel
 // of this host: every run must produce the same bits. That is what lets
 // a cluster of mixed CPUs pass the driver's bytes.Equal, and what makes
@@ -19,7 +19,10 @@ func TestGBJBitIdenticalAcrossKernels(t *testing.T) {
 	type run struct {
 		name   string
 		budget int64
-		mul    func(a, b *tiled.Matrix) *tiled.Matrix
+		prod   tiled.Product
+	}
+	orientations := map[string]tiled.Product{
+		"multiply": {}, "transA": {TransA: true}, "transB": {TransB: true}, "transAB": {TransA: true, TransB: true},
 	}
 	var runs []run
 	for _, budget := range []int64{0, 256 << 10} {
@@ -27,10 +30,9 @@ func TestGBJBitIdenticalAcrossKernels(t *testing.T) {
 		if budget > 0 {
 			mem = "spilling"
 		}
-		runs = append(runs,
-			run{"multiply/" + mem, budget, (*tiled.Matrix).MultiplyGBJ},
-			run{"transA/" + mem, budget, (*tiled.Matrix).MultiplyTransAGBJ},
-			run{"transB/" + mem, budget, (*tiled.Matrix).MultiplyTransBGBJ})
+		for o, prod := range orientations {
+			runs = append(runs, run{o + "/" + mem, budget, prod})
+		}
 	}
 	da := linalg.RandDense(n, n, -1, 1, 1)
 	db := linalg.RandDense(n, n, -1, 1, 2)
@@ -38,7 +40,7 @@ func TestGBJBitIdenticalAcrossKernels(t *testing.T) {
 	linalg.ForEachKernel(t, func(t *testing.T) {
 		for _, r := range runs {
 			ctx := dataflow.NewContext(dataflow.Config{Parallelism: 2, DefaultPartitions: 4, MemoryBudget: r.budget})
-			got := r.mul(tiled.FromDense(ctx, da, tile, 4), tiled.FromDense(ctx, db, tile, 4)).ToDense()
+			got := tiled.GroupByJoin(tiled.FromDense(ctx, da, tile, 4), tiled.FromDense(ctx, db, tile, 4), r.prod).ToDense()
 			if r.budget > 0 && ctx.Metrics().SpilledBytes == 0 {
 				t.Errorf("%s: nothing spilled under the budget", r.name)
 			}
@@ -62,7 +64,7 @@ func TestGBJBitIdenticalAcrossKernels(t *testing.T) {
 	if got := first["multiply/in-memory"]; !got.EqualApprox(ref, 1e-9) {
 		t.Fatalf("multiply is wrong (max diff %g)", got.MaxAbsDiff(ref))
 	}
-	for _, o := range []string{"multiply", "transA", "transB"} {
+	for o := range orientations {
 		if !first[o+"/spilling"].Equal(first[o+"/in-memory"]) {
 			t.Errorf("%s: spilling run differs from the in-memory run", o)
 		}

@@ -13,45 +13,40 @@ import (
 //	V(i*N+j) += A(i*N+k) * B(k*N+j)
 //
 // C must be pre-allocated with shape A.Rows x B.Cols.
-func Gemm(c, a, b *Dense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	gemmDispatch(c, a, b, false, false, 1)
-}
+func Gemm(c, a, b *Dense) { GemmOp(c, a, b, false, false, 1) }
 
 // GemmBudget is Gemm with an explicit worker budget: par <= 1 runs
 // serially, par > 1 splits the row dimension over up to par goroutines
 // sharing the packed B slab. Engine call sites pass
 // dataflow.Context.KernelBudget so in-tile parallelism only kicks in
 // when the stage pool has idle cores.
-func GemmBudget(c, a, b *Dense, par int) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	gemmDispatch(c, a, b, false, false, par)
-}
+func GemmBudget(c, a, b *Dense, par int) { GemmOp(c, a, b, false, false, par) }
 
-// gemmDispatch routes a shape-checked multiply to the blocked kernel
-// or, below the packing-payoff threshold, to the simple loops.
-func gemmDispatch(c, a, b *Dense, transA, transB bool, par int) {
-	m, n := c.Rows, c.Cols
-	k := a.Cols
-	if transA {
-		k = a.Rows
+// GemmOp computes C += op(A)·op(B) with at most par workers, op(X)
+// being X, or Xᵀ when its flag is set. A transposed operand is never
+// copied: the blocked kernel packs its panels transposed, which are
+// exactly the panels of the transposed copy, and the small-shape loop
+// reads it through swapped strides in the order it reads the copy — so
+// the result equals Gemm on transposed copies bit for bit.
+func GemmOp(c, a, b *Dense, transA, transB bool, par int) {
+	m, k := opDims(a, transA)
+	kb, n := opDims(b, transB)
+	if k != kb || c.Rows != m || c.Cols != n {
+		panic(ErrShape)
 	}
 	if m*n*k >= blockedMinFlops {
 		gemmBlocked(c, a, b, transA, transB, par)
-		return
+	} else {
+		gemmIKJ(c, a, b, k, transA, transB)
 	}
-	switch {
-	case transA:
-		gemmTransASmall(c, a, b)
-	case transB:
-		gemmTransBSmall(c, a, b)
-	default:
-		gemmRows(c, a, b, 0, a.Rows)
+}
+
+// opDims returns the rows and columns of op(X).
+func opDims(x *Dense, trans bool) (rows, cols int) {
+	if trans {
+		return x.Cols, x.Rows
 	}
+	return x.Rows, x.Cols
 }
 
 // GemmIKJ computes C += A*B with the unblocked i-k-j loop — the kernel
@@ -61,23 +56,33 @@ func GemmIKJ(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(ErrShape)
 	}
-	gemmRows(c, a, b, 0, a.Rows)
+	gemmIKJ(c, a, b, a.Cols, false, false)
 }
 
-// gemmRows computes rows [r0,r1) of C += A*B with the i-k-j order. The
-// dense path is branch-free: zero-skipping moved to the sparse/CSR
-// kernels, where skipping pays; on dense tiles the per-element branch
-// mispredicts and starves the inner loop.
-func gemmRows(c, a, b *Dense, r0, r1 int) {
-	l, m := a.Cols, b.Cols
-	for i := r0; i < r1; i++ {
-		crow := c.Data[i*m : (i+1)*m]
-		arow := a.Data[i*l : (i+1)*l]
-		for k := 0; k < l; k++ {
-			aik := arow[k]
-			brow := b.Data[k*m : (k+1)*m]
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
+// gemmIKJ computes C += op(A)·op(B) with the i-k-j order, k the shared
+// dimension, reading a transposed operand in place: op(A)[i][p] is
+// a.Data[i*ai+p*ap], and row p of op(B) is a row of B or, transposed, a
+// column read with stride b.Cols. The dense path is branch-free:
+// zero-skipping moved to the sparse/CSR kernels, where skipping pays; on
+// dense tiles the per-element branch mispredicts and starves the inner
+// loop.
+func gemmIKJ(c, a, b *Dense, k int, transA, transB bool) {
+	ai, ap := a.Cols, 1
+	if transA {
+		ai, ap = 1, a.Cols
+	}
+	for i := 0; i < c.Rows; i++ {
+		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
+		for p := 0; p < k; p++ {
+			aip := a.Data[i*ai+p*ap]
+			if !transB {
+				for j, bpj := range b.Data[p*b.Cols : (p+1)*b.Cols] {
+					crow[j] += aip * bpj
+				}
+				continue
+			}
+			for j := range crow {
+				crow[j] += aip * b.Data[p+j*b.Cols]
 			}
 		}
 	}
@@ -210,17 +215,6 @@ func ScaleInPlace(a *Dense, s float64) *Dense {
 // Scale returns s*A as a new matrix.
 func Scale(a *Dense, s float64) *Dense { return ScaleInPlace(a.Clone(), s) }
 
-// HadamardInPlace computes A *= B element-wise and returns A.
-func HadamardInPlace(a, b *Dense) *Dense {
-	if !a.SameShape(b) {
-		panic(ErrShape)
-	}
-	for i, v := range b.Data {
-		a.Data[i] *= v
-	}
-	return a
-}
-
 // AXPYInPlace computes A += s*B and returns A; the fused update used by
 // gradient-descent factorization steps P <- P + gamma*(...).
 func AXPYInPlace(a *Dense, s float64, b *Dense) *Dense {
@@ -231,63 +225,4 @@ func AXPYInPlace(a *Dense, s float64, b *Dense) *Dense {
 		a.Data[i] += s * v
 	}
 	return a
-}
-
-// GemmTransA computes C += A^T * B without materializing A^T: the
-// blocked kernel packs A's panels transposed, so the macro and micro
-// kernels are identical to the untransposed case.
-func GemmTransA(c, a, b *Dense) {
-	GemmTransABudget(c, a, b, 1)
-}
-
-// GemmTransABudget is GemmTransA with an explicit worker budget.
-func GemmTransABudget(c, a, b *Dense, par int) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	gemmDispatch(c, a, b, true, false, par)
-}
-
-// gemmTransASmall is the unblocked k-i-j fallback for tiny shapes.
-func gemmTransASmall(c, a, b *Dense) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, aki := range arow {
-			crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-			for j, bkj := range brow {
-				crow[j] += aki * bkj
-			}
-		}
-	}
-}
-
-// GemmTransB computes C += A * B^T without materializing B^T: the
-// blocked kernel packs B's panels transposed (see GemmTransA).
-func GemmTransB(c, a, b *Dense) {
-	GemmTransBBudget(c, a, b, 1)
-}
-
-// GemmTransBBudget is GemmTransB with an explicit worker budget.
-func GemmTransBBudget(c, a, b *Dense, par int) {
-	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(ErrShape)
-	}
-	gemmDispatch(c, a, b, false, true, par)
-}
-
-// gemmTransBSmall is the unblocked dot-product fallback for tiny shapes.
-func gemmTransBSmall(c, a, b *Dense) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k, aik := range arow {
-				s += aik * brow[k]
-			}
-			crow[j] += s
-		}
-	}
 }

@@ -63,7 +63,7 @@ func BenchmarkGemmCrossover(b *testing.B) {
 		c := NewDense(n, n)
 		b.Run(fmt.Sprintf("n=%d/simple", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmRows(c, x, y, 0, n)
+				gemmIKJ(c, x, y, n, false, false)
 			}
 		})
 		for _, k := range kernels {

@@ -20,11 +20,11 @@ package linalg
 //
 // Fringe panels (shape not a multiple of the micro-tile) are packed
 // zero-padded, so the k loop never branches on shape; the kernel masks
-// the padded lanes when it updates C. Transposed operands
-// (GemmTransA/GemmTransB) are handled entirely in packing — the macro
-// and micro kernels are orientation-blind. An operand multiplied more
-// than once can be packed once beforehand (Packed, gemm_packed.go); the
-// loop nest below then reads its panels in place.
+// the padded lanes when it updates C. Transposed operands (GemmOp's
+// flags) are handled entirely in packing — the macro and micro kernels
+// are orientation-blind. An operand multiplied more than once can be
+// packed once beforehand (Packed, gemm_packed.go); the loop nest below
+// then reads its panels in place.
 //
 // Every element of C sees the same operation sequence whatever the
 // kernel, the worker split or the packing route: per Kc block in
@@ -121,7 +121,7 @@ func (o operand) panel(scratch []float64, k0, x0, kc, xc, w int) []float64 {
 
 // gemmBlocked computes C += op(A)·op(B) with op chosen by transA /
 // transB, using at most par concurrent workers. Shapes are validated by
-// the exported wrappers.
+// GemmOp.
 func gemmBlocked(c, a, b *Dense, transA, transB bool, par int) {
 	k := a.Cols
 	if transA {

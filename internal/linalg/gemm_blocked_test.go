@@ -64,6 +64,10 @@ func wantGemm(c, a, b *Dense, transA, transB bool) *Dense {
 	return want
 }
 
+// checkBlockedVariant runs GemmOp in one orientation over
+// adversarialDims — the small-shape loop and the blocked kernel — against
+// the naive oracle, and bit for bit against the untransposed product of
+// the copies the orientation reads.
 func checkBlockedVariant(t *testing.T, transA, transB bool, par int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -80,17 +84,16 @@ func checkBlockedVariant(t *testing.T, transA, transB bool, par int) {
 		}
 		c := randDense(rng, m, n) // nonzero C checks += semantics
 		want := wantGemm(c, a, b, transA, transB)
-		switch {
-		case transA:
-			GemmTransABudget(c, a, b, par)
-		case transB:
-			GemmTransBBudget(c, a, b, par)
-		default:
-			GemmBudget(c, a, b, par)
-		}
+		copied := c.Clone()
+		GemmOp(copied, oa, ob, false, false, par)
+		GemmOp(c, a, b, transA, transB, par)
 		if d := c.MaxAbsDiff(want); d > 1e-9 {
 			t.Fatalf("transA=%v transB=%v par=%d dims=%v: max |diff| = %g",
 				transA, transB, par, dims, d)
+		}
+		if !sameBits(c.Data, copied.Data) {
+			t.Fatalf("transA=%v transB=%v par=%d dims=%v: differs from the product of the transposed copies",
+				transA, transB, par, dims)
 		}
 	}
 }
@@ -110,6 +113,7 @@ func TestGemmTransABlockedMatchesNaive(t *testing.T) {
 func TestGemmTransBBlockedMatchesNaive(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		checkBlockedVariant(t, false, true, par)
+		checkBlockedVariant(t, true, true, par)
 	}
 }
 
@@ -132,7 +136,7 @@ func TestGemmBlockedDirect(t *testing.T) {
 	}
 }
 
-// TestGemmBlockedQuick fuzzes random shapes through all three
+// TestGemmBlockedQuick fuzzes random shapes through all four
 // orientations against the naive oracle.
 func TestGemmBlockedQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -143,7 +147,6 @@ func TestGemmBlockedQuick(t *testing.T) {
 		ob := randDense(lr, k, n)
 		a, b := oa, ob
 		if transA {
-			transB = false
 			a = oa.Transpose()
 		}
 		if transB {
@@ -151,15 +154,7 @@ func TestGemmBlockedQuick(t *testing.T) {
 		}
 		c := randDense(lr, m, n)
 		want := wantGemm(c, a, b, transA, transB)
-		par := 1 + int(ms%3)
-		switch {
-		case transA:
-			GemmTransABudget(c, a, b, par)
-		case transB:
-			GemmTransBBudget(c, a, b, par)
-		default:
-			GemmBudget(c, a, b, par)
-		}
+		GemmOp(c, a, b, transA, transB, 1+int(ms%3))
 		return c.MaxAbsDiff(want) <= 1e-9
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}

@@ -137,16 +137,17 @@ func carveDense(d *Dense) (*Dense, carved) {
 // checkShapeOnEveryKernel computes C(m×n) += A(m×k)·B(k×n) through the
 // blocked path, whatever the size, once per kernel of this host and per
 // orientation (NN, TN with A stored transposed, NT with B stored
-// transposed), operands and C carved out of canary-filled arrays. The
-// portable NN result must match GemmNaive within rounding, every other
-// run must match it bit for bit, and no run may disturb a canary.
+// transposed, TT with both), operands and C carved out of canary-filled
+// arrays. The portable NN result must match GemmNaive within rounding,
+// every other run must match it bit for bit, and no run may disturb a
+// canary.
 func checkShapeOnEveryKernel(t testing.TB, seed int64, m, n, k int) {
 	t.Helper()
 	oa, ob := noiseDense(seed, m, k), noiseDense(seed+1, k, n)
 	c0 := noiseDense(seed+2, m, n) // nonzero C checks += semantics
 	var ref []float64
 	defer func(prev *kernel) { active = prev }(active)
-	for _, o := range []struct{ transA, transB bool }{{false, false}, {true, false}, {false, true}} {
+	for _, o := range orientations {
 		a, b := oa, ob
 		if o.transA {
 			a = oa.Transpose()
@@ -207,8 +208,11 @@ func sweepShapes() [][3]int {
 		[3]int{129, 513, 257}, [3]int{513, 129, 257}, [3]int{513, 17, 513})
 }
 
+// orientations are the four of C += op(A)·op(B): NN, TN, NT and TT.
+var orientations = []struct{ transA, transB bool }{{false, false}, {true, false}, {false, true}, {true, true}}
+
 // TestGemmFringeSweep is the fringe and bounds property test: m, n, k
-// over sweepShapes × {NN, TN, NT} × every kernel.
+// over sweepShapes × {NN, TN, NT, TT} × every kernel.
 func TestGemmFringeSweep(t *testing.T) {
 	for i, d := range sweepShapes() {
 		checkShapeOnEveryKernel(t, int64(i), d[0], d[1], d[2])
@@ -295,7 +299,7 @@ func TestGemmPackedMatchesGemm(t *testing.T) {
 		withKernel(t, kern)
 		for i, d := range adversarialDims {
 			m, n, k := d[0], d[1], d[2]
-			for _, o := range []struct{ transA, transB bool }{{false, false}, {true, false}, {false, true}} {
+			for _, o := range orientations {
 				a, b := noiseDense(int64(i), m, k), noiseDense(int64(i)+1, k, n)
 				if o.transA {
 					a = a.Transpose()

@@ -60,7 +60,7 @@ func (p *Packed) Release() { packedPool.Put(p) }
 
 // GemmPacked computes C += op(A)·op(B) from operands packed by PackA
 // and PackB, with at most par workers. The result equals the matching
-// Gemm / GemmTransA / GemmTransB call bit for bit.
+// GemmOp call bit for bit.
 func GemmPacked(c *Dense, a, b *Packed, par int) {
 	if a.bSide || !b.bSide || a.kern != b.kern || a.k != b.k || c.Rows != a.x || c.Cols != b.x {
 		panic(ErrShape)

@@ -72,9 +72,6 @@ func TestAddSubScaleHadamard(t *testing.T) {
 	if got := Scale(a, 2); !got.Equal(NewDenseFrom(2, 2, []float64{2, 4, 6, 8})) {
 		t.Fatalf("scale %v", got)
 	}
-	if got := HadamardInPlace(a.Clone(), b); !got.Equal(NewDenseFrom(2, 2, []float64{10, 40, 90, 160})) {
-		t.Fatalf("hadamard %v", got)
-	}
 	if got := AXPYInPlace(a.Clone(), 0.5, b); !got.Equal(NewDenseFrom(2, 2, []float64{6, 12, 18, 24})) {
 		t.Fatalf("axpy %v", got)
 	}
@@ -95,9 +92,9 @@ func TestGemmTransA(t *testing.T) {
 	b := RandDense(7, 5, -1, 1, 42)
 	want := Mul(a.Transpose(), b)
 	got := NewDense(4, 5)
-	GemmTransA(got, a, b)
+	GemmOp(got, a, b, true, false, 1)
 	if !got.EqualApprox(want, 1e-9) {
-		t.Fatalf("GemmTransA mismatch %g", got.MaxAbsDiff(want))
+		t.Fatalf("GemmOp transA mismatch %g", got.MaxAbsDiff(want))
 	}
 }
 
@@ -106,9 +103,9 @@ func TestGemmTransB(t *testing.T) {
 	b := RandDense(8, 4, -1, 1, 44)
 	want := Mul(a, b.Transpose())
 	got := NewDense(6, 8)
-	GemmTransB(got, a, b)
+	GemmOp(got, a, b, false, true, 1)
 	if !got.EqualApprox(want, 1e-9) {
-		t.Fatalf("GemmTransB mismatch %g", got.MaxAbsDiff(want))
+		t.Fatalf("GemmOp transB mismatch %g", got.MaxAbsDiff(want))
 	}
 }
 

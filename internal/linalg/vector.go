@@ -78,18 +78,6 @@ func Dot(v, w *Vector) float64 {
 	return s
 }
 
-// Outer returns the outer product v w^T as a dense matrix.
-func Outer(v, w *Vector) *Dense {
-	m := NewDense(len(v.Data), len(w.Data))
-	for i, a := range v.Data {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, b := range w.Data {
-			row[j] = a * b
-		}
-	}
-	return m
-}
-
 // Norm2 returns the Euclidean norm.
 func (v *Vector) Norm2() float64 { return math.Sqrt(Dot(v, v)) }
 

@@ -45,11 +45,6 @@ func TestDotOuterNorm(t *testing.T) {
 	if Dot(v, w) != 11 {
 		t.Fatalf("dot %v", Dot(v, w))
 	}
-	o := Outer(v, w)
-	want := NewDenseFrom(2, 2, []float64{3, 4, 6, 8})
-	if !o.Equal(want) {
-		t.Fatalf("outer %v", o)
-	}
 	if math.Abs(w.Norm2()-5) > 1e-12 {
 		t.Fatalf("norm %v", w.Norm2())
 	}

@@ -8,7 +8,9 @@
 //
 // in three variants: dense single-node (the correctness oracle), SAC
 // on tiled matrices with group-by-join multiplications, and the MLlib
-// BlockMatrix baseline.
+// BlockMatrix baseline. The two transposed products, P Qᵀ and Eᵀ P, are
+// one product oriented by a flag (linalg.GemmOp in the oracle,
+// tiled.Product on tiles): no operand is transposed by copying it.
 package ml
 
 import (
@@ -34,7 +36,7 @@ func StepDense(r, p, q *linalg.Dense, cfg Config) (*linalg.Dense, *linalg.Dense)
 	// E = R - P Q^T
 	e := r.Clone()
 	pq := linalg.NewDense(p.Rows, q.Rows)
-	linalg.GemmTransB(pq, p, q)
+	linalg.GemmOp(pq, p, q, false, true, 1)
 	linalg.SubInPlace(e, pq)
 
 	// P' = P + gamma (2 E Q - lambda P)
@@ -45,7 +47,7 @@ func StepDense(r, p, q *linalg.Dense, cfg Config) (*linalg.Dense, *linalg.Dense)
 
 	// Q' = Q + gamma (2 E^T P - lambda Q)
 	etp := linalg.NewDense(e.Cols, p.Cols)
-	linalg.GemmTransA(etp, e, p)
+	linalg.GemmOp(etp, e, p, true, false, 1)
 	qNew := q.Clone()
 	linalg.AXPYInPlace(qNew, 2*cfg.Gamma, etp)
 	linalg.AXPYInPlace(qNew, -cfg.Gamma*cfg.Lambda, q)
@@ -56,20 +58,9 @@ func StepDense(r, p, q *linalg.Dense, cfg Config) (*linalg.Dense, *linalg.Dense)
 // group-by-join multiplications (the paper's "SAC GBJ" line) and
 // tiling-preserving updates. R is n x m, P is n x k, Q is m x k.
 func StepTiled(r, p, q *tiled.Matrix, cfg Config) (*tiled.Matrix, *tiled.Matrix) {
-	e := r.Sub(p.MultiplyTransBGBJ(q))
+	e := r.Sub(tiled.GroupByJoin(p, q, tiled.Product{TransB: true}))
 	pNew := p.AXPY(2*cfg.Gamma, e.MultiplyGBJ(q)).AXPY(-cfg.Gamma*cfg.Lambda, p)
-	qNew := q.AXPY(2*cfg.Gamma, e.MultiplyTransAGBJ(p)).AXPY(-cfg.Gamma*cfg.Lambda, q)
-	return pNew, qNew
-}
-
-// StepTiledJoin is the same computation with the non-GBJ join +
-// reduceByKey multiplications (ablation; the paper only reports GBJ
-// for factorization). Transposes are materialized since the plain
-// multiply has no transposed variants.
-func StepTiledJoin(r, p, q *tiled.Matrix, cfg Config) (*tiled.Matrix, *tiled.Matrix) {
-	e := r.Sub(p.Multiply(q.Transpose()))
-	pNew := p.AXPY(2*cfg.Gamma, e.Multiply(q)).AXPY(-cfg.Gamma*cfg.Lambda, p)
-	qNew := q.AXPY(2*cfg.Gamma, e.Transpose().Multiply(p)).AXPY(-cfg.Gamma*cfg.Lambda, q)
+	qNew := q.AXPY(2*cfg.Gamma, tiled.GroupByJoin(e, p, tiled.Product{TransA: true})).AXPY(-cfg.Gamma*cfg.Lambda, q)
 	return pNew, qNew
 }
 
@@ -118,5 +109,5 @@ func Factorize(r, p, q *tiled.Matrix, iters int, cfg Config) (*tiled.Matrix, *ti
 // Loss returns the squared Frobenius error ||R - P Q^T||^2 of a tiled
 // factorization, used to check that iterations decrease the objective.
 func Loss(r, p, q *tiled.Matrix) float64 {
-	return r.Sub(p.MultiplyTransBGBJ(q)).FrobeniusNorm2()
+	return r.Sub(tiled.GroupByJoin(p, q, tiled.Product{TransB: true})).FrobeniusNorm2()
 }

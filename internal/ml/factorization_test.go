@@ -35,23 +35,6 @@ func TestStepTiledMatchesDense(t *testing.T) {
 	}
 }
 
-func TestStepTiledJoinMatchesDense(t *testing.T) {
-	ctx := dataflow.NewLocalContext()
-	r, p, q := fixture(10, 8, 4)
-	wantP, wantQ := StepDense(r, p, q, PaperConfig())
-
-	tr := tiled.FromDense(ctx, r, 2, 3)
-	tp := tiled.FromDense(ctx, p, 2, 3)
-	tq := tiled.FromDense(ctx, q, 2, 3)
-	gotP, gotQ := StepTiledJoin(tr, tp, tq, PaperConfig())
-	if !gotP.ToDense().EqualApprox(wantP, 1e-9) {
-		t.Fatal("tiled-join P mismatch")
-	}
-	if !gotQ.ToDense().EqualApprox(wantQ, 1e-9) {
-		t.Fatal("tiled-join Q mismatch")
-	}
-}
-
 func TestStepMLlibMatchesDense(t *testing.T) {
 	ctx := dataflow.NewLocalContext()
 	r, p, q := fixture(12, 10, 4)

@@ -126,13 +126,13 @@ func ChooseWithStats(info *QueryInfo, opts Options, prov StatsProvider) (Strateg
 	return s, nil
 }
 
-// dimAt maps an index-variable position to the array extent it ranges
-// over: position 0 is the row index, position 1 the column index.
-func dimAt(s stats.TableStats, pos int) int64 {
-	if pos == 0 {
-		return s.Rows
+// oriented is s as the operand op(X) of a product: transposed when
+// trans.
+func oriented(s stats.TableStats, trans bool) stats.TableStats {
+	if trans {
+		s.Rows, s.Cols = s.Cols, s.Rows
 	}
-	return s.Cols
+	return s
 }
 
 func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider) *Decision {
@@ -141,12 +141,9 @@ func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider
 	if !okA || !okB || sa.Tile <= 0 || sb.Tile <= 0 || sa.Parts <= 0 {
 		return nil
 	}
-	// Orient both inputs into the roles the estimator expects:
-	// A-role = (output rows x contracted), B-role = (contracted x
-	// output cols); OutA/OutB name which original axis survives, so
-	// this also covers the transposed multiplies.
-	aEff := stats.TableStats{Rows: dimAt(sa, st.OutA), Cols: dimAt(sa, st.JoinA), Tile: sa.Tile, Density: sa.Density}
-	bEff := stats.TableStats{Rows: dimAt(sb, st.JoinB), Cols: dimAt(sb, st.OutB), Tile: sb.Tile, Density: sb.Density}
+	// The estimator prices op(A) (output rows x contracted) times op(B)
+	// (contracted x output cols).
+	aEff, bEff := oriented(sa, st.TransA), oriented(sb, st.TransB)
 	// The cogroup runs at the A input's partition count unless adaptive
 	// planning picks one; the grid follows from whichever it is.
 	parts, pickedParts := sa.Parts, 0

@@ -92,14 +92,16 @@ func (s *ZipStrategy) Describe() string {
 // side, with a monoid aggregation. Execution uses either the SUMMA
 // group-by-join or the Section 5.3 join+reduceByKey, as configured.
 type GroupByJoinStrategy struct {
-	GenA, GenB   ArrayGen
-	JoinA, JoinB int // positions of the contracted index vars
-	OutA, OutB   int // positions of the surviving index vars
-	Monoid       string
-	CombineExpr  comp.Expr // h(a, b)
-	Lets         []comp.LetQual
-	UseGBJ       bool
-	UseReduceBy  bool // false = groupByKey (ablation of Rule 13)
+	GenA, GenB ArrayGen
+	// TransA: GenA binds (k,i), contracting its row index, rather than
+	// (i,k); TransB: GenB binds (j,k) rather than (k,j). The product is
+	// op(A)·op(B) with op transposing where the flag is set.
+	TransA, TransB bool
+	Monoid         string
+	CombineExpr    comp.Expr // h(a, b)
+	Lets           []comp.LetQual
+	UseGBJ         bool
+	UseReduceBy    bool // false = groupByKey (ablation of Rule 13)
 	// Decision, when non-nil, records the cost-model ranking that chose
 	// (or confirmed) this translation; see ChooseWithStats.
 	Decision *Decision
@@ -397,8 +399,7 @@ func chooseGrouped(info *QueryInfo, opts Options) Strategy {
 		}
 		return &GroupByJoinStrategy{
 			GenA: a, GenB: b,
-			JoinA: joinA, JoinB: joinB,
-			OutA: outA, OutB: outB,
+			TransA: outA == 1, TransB: outB == 0,
 			Monoid: monoid, CombineExpr: val, Lets: info.Lets,
 			UseGBJ:      !opts.DisableGBJ,
 			UseReduceBy: !opts.DisableReduceByKey,
@@ -642,9 +643,9 @@ func scalarAggMonoid(name string) bool {
 // contracted index; partial result blocks reduce by destination.
 type MatVecStrategy struct {
 	MatGen, VecGen ArrayGen
-	// JoinPos is the contracted matrix index position: 1 contracts
-	// columns (y = M x), 0 contracts rows (y = M^T x).
-	JoinPos     int
+	// Trans contracts the matrix's row index (y = M^T x) rather than its
+	// column index (y = M x).
+	Trans       bool
 	Monoid      string
 	CombineExpr comp.Expr
 	Lets        []comp.LetQual
@@ -657,7 +658,7 @@ func (s *MatVecStrategy) Kind() string { return "matvec" }
 // Describe renders the Explain line.
 func (s *MatVecStrategy) Describe() string {
 	form := "M x"
-	if s.JoinPos == 0 {
+	if s.Trans {
 		form = "M^T x"
 	}
 	return fmt.Sprintf("matrix-vector group-by-join of %s and %s (%s), per-block partials + reduceByKey",
@@ -699,7 +700,7 @@ func chooseMatVec(info *QueryInfo, opts Options) Strategy {
 		u.find(keys[0].Var) != u.find(mat.IndexVars[out]) {
 		return nil
 	}
-	return &MatVecStrategy{MatGen: mat, VecGen: vec, JoinPos: join,
+	return &MatVecStrategy{MatGen: mat, VecGen: vec, Trans: join == 0,
 		Monoid: monoid, CombineExpr: val, Lets: info.Lets,
 		UseReduceBy: !opts.DisableReduceByKey}
 }

@@ -97,6 +97,24 @@ func TestChooseMatMulVariants(t *testing.T) {
 	if k := choose(t, src, Options{DisableTilingPreservation: true}).Kind(); k != "coordinate" {
 		t.Fatalf("no-tiling kind %s", k)
 	}
+	// Orientation is read off where each generator binds the contracted
+	// index, whichever generator the query lists first.
+	for _, c := range []struct {
+		gens           string
+		transA, transB bool
+	}{
+		{"((i,k),a) <- A, ((kk,j),b) <- B", false, false},
+		{"((k,i),a) <- A, ((kk,j),b) <- B", true, false},
+		{"((i,k),a) <- A, ((j,kk),b) <- B", false, true},
+		{"((k,i),a) <- A, ((j,kk),b) <- B", true, true},
+		{"((j,kk),b) <- B, ((k,i),a) <- A", true, true},
+	} {
+		s := choose(t, "tiled(6,6)[ ((i,j), +/v) | "+c.gens+", kk == k, let v = a*b, group by (i,j) ]", Options{})
+		g, ok := s.(*GroupByJoinStrategy)
+		if !ok || g.GenA.Name != "A" || g.TransA != c.transA || g.TransB != c.transB {
+			t.Fatalf("%s: chose %+v, want A first with transA=%v transB=%v", c.gens, s, c.transA, c.transB)
+		}
+	}
 }
 
 func TestChooseAddition(t *testing.T) {
@@ -274,8 +292,8 @@ func TestChooseMatVecShapes(t *testing.T) {
 	if !ok {
 		t.Fatalf("kind %s", s.Kind())
 	}
-	if mv.JoinPos != 1 {
-		t.Fatalf("join pos %d", mv.JoinPos)
+	if mv.Trans {
+		t.Fatal("M x chosen as transposed")
 	}
 	if !contains(mv.Describe(), "M x") {
 		t.Fatalf("describe %q", mv.Describe())
@@ -283,7 +301,7 @@ func TestChooseMatVecShapes(t *testing.T) {
 	// Transposed orientation.
 	src2 := `tiledvec(4)[ (j, +/v) | ((k,j),a) <- A, (kk,x) <- V, kk == k, let v = a*x, group by j ]`
 	mv2 := choose(t, src2, Options{}).(*MatVecStrategy)
-	if mv2.JoinPos != 0 || !contains(mv2.Describe(), "M^T x") {
+	if !mv2.Trans || !contains(mv2.Describe(), "M^T x") {
 		t.Fatalf("trans matvec %+v", mv2)
 	}
 	// min monoid must not match matvec.

@@ -58,11 +58,18 @@ func (q *Compiled) lower() (err error) {
 			q.final, err = lowerKernel(holes, nil, nil, s.FinalExpr)
 		}
 	case *opt.GroupByJoinStrategy:
-		// Index slots i, k, j: the contraction walks rows of B tiles.
-		slots[s.GenA.IndexVars[s.OutA]] = slot{index: true, id: 0}
-		slots[s.GenA.IndexVars[s.JoinA]] = slot{index: true, id: 1}
-		slots[s.GenB.IndexVars[s.JoinB]] = slot{index: true, id: 1}
-		slots[s.GenB.IndexVars[s.OutB]] = slot{index: true, id: 2, iota: true}
+		// Index slots i, k, j of op(A)[i,k]·op(B)[k,j]: the contraction
+		// walks rows of op(B).
+		i, ka := s.GenA.IndexVars[0], s.GenA.IndexVars[1]
+		if s.TransA {
+			i, ka = ka, i
+		}
+		kb, j := s.GenB.IndexVars[0], s.GenB.IndexVars[1]
+		if s.TransB {
+			kb, j = j, kb
+		}
+		slots[i], slots[j] = slot{index: true, id: 0}, slot{index: true, id: 2, iota: true}
+		slots[ka], slots[kb] = slot{index: true, id: 1}, slot{index: true, id: 1}
 		slots[s.GenA.ValueVar], slots[s.GenB.ValueVar] = slot{id: 0}, slot{id: 1}
 		// The exact product a*b needs no kernel: it goes straight to GEMM.
 		if h := inlineLets(s.CombineExpr, s.Lets); !isMulOfValues(h, s.GenA.ValueVar, s.GenB.ValueVar) {
@@ -202,9 +209,9 @@ func (q *Compiled) execVectorZip(s *opt.ZipStrategy) (*Result, error) {
 }
 
 // execGroupByJoin runs the Section 5.4 / 5.3 translations of
-// join + group-by + aggregation queries (matrix multiplication shape).
-// Non-standard orientations are normalized by transposing inputs
-// (a narrow operation).
+// join + group-by + aggregation queries (matrix multiplication shape) as
+// one tiled.Product, oriented by the strategy's flags: a transposed
+// operand is read in place, never copied.
 func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) {
 	a, err := q.cat.matrix(s.GenA.Name)
 	if err != nil {
@@ -217,53 +224,31 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 	if s.Monoid != "+" {
 		return nil, fmt.Errorf("plan: group-by-join supports the + monoid, got %s", s.Monoid)
 	}
-	// Normalize to out = A' * B' with A' joined on columns, B' on rows.
-	if s.JoinA == 0 {
-		a = a.Transpose()
-	}
-	if s.JoinB == 1 {
-		b = b.Transpose()
-	}
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("plan: contracted dimensions differ: %d vs %d", a.Cols, b.Rows)
-	}
-
 	// The partition count is zero (the inputs') unless adaptive planning
 	// picked one. The SUMMA grid is not passed down: GroupByJoin derives
 	// it from the partition count it runs with, and the Decision's grid
 	// is that same derivation, recorded for Explain.
-	var pickedParts int
+	prod := tiled.Product{TransA: s.TransA, TransB: s.TransB}
 	if d := s.Decision; d != nil {
-		pickedParts = d.Parts
+		prod.Parts = d.Parts
 	}
-
+	rows, inner, cols, err := prod.Dims(a, b)
+	if err != nil {
+		return nil, err
+	}
 	// A combine that is exactly a*b contracts by GEMM; any other h(a,b) by
-	// the compiled kernel over the in-bounds part of the tiles at output
-	// coordinate g and join key k. Either way the plans are tiled's.
-	var contract func(out, x, y *linalg.Dense, g tiled.Coord, k int64)
+	// the compiled kernel over the in-bounds part of op(A) and op(B) at
+	// output coordinate g and join key k.
 	if n := a.N; q.cell != nil {
-		contract = func(out, x, y *linalg.Dense, g tiled.Coord, k int64) {
-			q.cell.contract(out.Data, x.Data, y.Data, n, g.I*int64(n), k*int64(n), g.J*int64(n),
-				clip(a.Rows, g.I, n), clip(a.Cols, k, n), clip(b.Cols, g.J, n))
+		prod.H = func(out, x, y *linalg.Dense, g tiled.Coord, k int64) {
+			q.cell.contract(out.Data, x.Data, y.Data, s.TransA, s.TransB, n,
+				g.I*int64(n), k*int64(n), g.J*int64(n), clip(rows, g.I, n), clip(inner, k, n), clip(cols, g.J, n))
 		}
 	}
-	switch {
-	case !s.UseGBJ:
-		return &Result{Matrix: tiled.JoinMultiply(a, b, pickedParts, s.UseReduceBy, contract)}, nil
-	case contract == nil:
-		return &Result{Matrix: a.MultiplyGBJTuned(b, 0, 0, pickedParts)}, nil
+	if s.UseGBJ {
+		return &Result{Matrix: tiled.GroupByJoin(a, b, prod)}, nil
 	}
-	out := tiled.GroupByJoin(a, b, tiled.GBJSpec{
-		Parts:   pickedParts,
-		OutRows: a.Rows, OutCols: b.Cols,
-		GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
-		GX: func(c tiled.Coord) int64 { return c.I },
-		KX: func(c tiled.Coord) int64 { return c.J },
-		GY: func(c tiled.Coord) int64 { return c.J },
-		KY: func(c tiled.Coord) int64 { return c.I },
-		H:  contract,
-	})
-	return &Result{Matrix: out}, nil
+	return &Result{Matrix: tiled.JoinMultiply(a, b, prod, s.UseReduceBy)}, nil
 }
 
 // aggMonoid is the scalar accumulation of one TileAgg aggregation.
@@ -608,8 +593,5 @@ func (q *Compiled) execMatVec(s *opt.MatVecStrategy) (*Result, error) {
 	if q.builder != "tiledvec" {
 		return nil, fmt.Errorf("plan: matrix-vector product builds a tiledvec, got %s", q.builder)
 	}
-	if s.JoinPos == 1 {
-		return &Result{Vector: m.MatVec(xv)}, nil
-	}
-	return &Result{Vector: m.MatVecTrans(xv)}, nil
+	return &Result{Vector: m.MatVecOp(xv, s.Trans)}, nil
 }

@@ -504,24 +504,42 @@ func (k *kernel) run(s span, in func(i int) []bool, emit func(i, lo int, vals []
 }
 
 // contract is the group-by-join's tile kernel for a combine h that is
-// not a*b: out[i,j] += h(x[i,k], y[k,j]) over h x kw x w in-bounds
-// elements of n x n tiles whose first elements have global indices gi,
-// gk, gj (index slots 0, 1 and the advancing 2). Row k of y meets
-// x[i,k] broadcast along it, k ascending for every output element.
-func (k *kernel) contract(out, x, y []float64, n int, gi, gk, gj int64, h, kw, w int) {
+// not a*b: out[i,j] += h(op(x)[i,k], op(y)[k,j]) over h x kw x w in-bounds
+// elements of n x n tiles, op transposing a tile whose flag is set, with
+// the first elements' global indices gi, gk, gj (index slots 0, 1 and the
+// advancing 2). Row k of op(y) meets op(x)[i,k] broadcast along it, k
+// ascending for every output element; a row of a transposed y is a
+// column of the stored tile, gathered into scratch.
+func (k *kernel) contract(out, x, y []float64, transA, transB bool, n int, gi, gk, gj int64, h, kw, w int) {
 	fr := k.frame()
 	defer k.release(fr)
 	fr.w, fr.idx[2] = w, gj
+	// op(x)[i,kk] is x[i*xi+kk*xk]; row kk of op(y) starts at y[kk*yk].
+	xi, xk, yk := n, 1, n
+	if transA {
+		xi, xk = 1, n
+	}
+	if transB {
+		yk = 1
+	}
 	bcast := buf(fr.f, k.nbuf-1, w) // the driver's ids are free in the float table
+	col := buf(fr.f, k.nbuf-2, w)
 	for i := 0; i < h; i++ {
 		fr.idx[0] = gi + int64(i)
 		o := out[i*n : i*n+w]
 		for kk := 0; kk < kw; kk++ {
 			fr.idx[1] = gk + int64(kk)
 			for j := range bcast {
-				bcast[j] = x[i*n+kk]
+				bcast[j] = x[i*xi+kk*xk]
 			}
-			fr.val[0], fr.val[1] = bcast, y[kk*n:kk*n+w]
+			row := y[kk*yk:]
+			if transB {
+				for j := range col {
+					col[j] = row[j*n]
+				}
+				row = col
+			}
+			fr.val[0], fr.val[1] = bcast, row[:w]
 			k.row(fr, nil)
 			for j, v := range fr.out[0] {
 				o[j] += v

@@ -8,6 +8,9 @@ package plan_test
 // import legal).
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -125,6 +128,53 @@ func TestOutOfCoreCoordinateFamilies(t *testing.T) {
 		}
 		if (snap.SpilledBytes > 0) != c.shuffles {
 			t.Errorf("%s: spilled %d bytes under a 256-byte budget", c.name, snap.SpilledBytes)
+		}
+	}
+}
+
+// TestOutOfCoreRule19Rotation runs the Section 5.2 row rotation, a query
+// that does not preserve tiling, through Rule 19's replicate-and-regroup
+// under a 256-byte budget: every replicated tile spills through the
+// registered codec of its shuffle row, and the result has the bits of
+// the unbudgeted run — row i of A is row (i+1) mod n — on a ragged shape
+// whose wraparound crosses a padded tile and on a larger one.
+func TestOutOfCoreRule19Rotation(t *testing.T) {
+	for _, c := range []struct{ n, m, tile int }{{5, 3, 2}, {70, 48, 16}} {
+		d := linalg.RandDense(c.n, c.m, 0, 9, int64(c.n))
+		src := fmt.Sprintf("tiled(%d,%d)[ (((i+1) %% %d, j), v) | ((i,j),v) <- A ]", c.n, c.m, c.n)
+		run := func(budget int64) (*linalg.Dense, dataflow.MetricsSnapshot) {
+			s := core.NewSession(core.Config{Parallelism: 4, Partitions: 5, TileSize: c.tile, MemoryBudget: budget})
+			defer func() {
+				if err := s.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}()
+			s.RegisterDense("A", d)
+			if plan, err := s.Explain(src); err != nil || !strings.Contains(plan, "Rule 19") {
+				t.Fatalf("%s: plan %q (%v), want Rule 19 replication", src, plan, err)
+			}
+			m, err := s.QueryMatrix(src)
+			if err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
+			}
+			return m.ToDense(), s.Metrics()
+		}
+		want, _ := run(0)
+		got, snap := run(256)
+		for i := 0; i < c.n; i++ {
+			for j := 0; j < c.m; j++ {
+				if want.At((i+1)%c.n, j) != d.At(i, j) {
+					t.Fatalf("%s: row %d did not move to row %d", src, i, (i+1)%c.n)
+				}
+			}
+		}
+		for x := range want.Data {
+			if math.Float64bits(got.Data[x]) != math.Float64bits(want.Data[x]) {
+				t.Fatalf("%s: the budgeted run differs from the unbudgeted one at %d", src, x)
+			}
+		}
+		if snap.SpilledBytes == 0 {
+			t.Fatalf("%s: the replication shuffle did not spill under 256 bytes: %+v", src, snap)
 		}
 	}
 }

@@ -453,7 +453,7 @@ func TestPlanMatVec(t *testing.T) {
 }
 
 // Transposed matrix-vector product: join on the matrix row index.
-func TestPlanMatVecTrans(t *testing.T) {
+func TestPlanMatVecOfTranspose(t *testing.T) {
 	ctx := dataflow.NewLocalContext()
 	d := linalg.RandDense(6, 4, -2, 2, 83)
 	x := linalg.RandVector(6, -1, 1, 84)

@@ -1,8 +1,6 @@
 package tiled
 
-// Spill codecs for the tiled layer's shuffle rows. taggedTile has no
-// exported fields, so the gob fallback cannot encode it — its codec is
-// load-bearing for out-of-core RotateRows, not just an optimization.
+// Spill codecs for the tiled layer's shuffle rows.
 
 import (
 	"repro/internal/dataflow"
@@ -20,19 +18,6 @@ func (entryCodec) Encode(w *spill.Writer, e Entry) {
 
 func (entryCodec) Decode(r *spill.Reader) Entry {
 	return Entry{I: r.Varint(), J: r.Varint(), V: r.F64()}
-}
-
-// taggedTileCodec spills a tile tagged with its source coordinate.
-type taggedTileCodec struct{}
-
-func (taggedTileCodec) Encode(w *spill.Writer, t taggedTile) {
-	dataflow.CoordCodec{}.Encode(w, t.src)
-	dataflow.DenseCodec{}.Encode(w, t.tile)
-}
-
-func (taggedTileCodec) Decode(r *spill.Reader) taggedTile {
-	src := dataflow.CoordCodec{}.Decode(r)
-	return taggedTile{src: src, tile: dataflow.DenseCodec{}.Decode(r)}
 }
 
 // keyedTileCodec spills a tile tagged with its SUMMA join key and
@@ -55,6 +40,5 @@ func init() {
 	spill.Register(dataflow.PairCodec[Coord, Entry](dataflow.CoordCodec{}, entryCodec{}))
 	spill.Register(dataflow.PairCodec[int64, dataflow.Pair[int64, float64]](spill.Int64Codec{},
 		dataflow.PairCodec[int64, float64](spill.Int64Codec{}, spill.Float64Codec{})))
-	spill.Register(dataflow.PairCodec[Coord, taggedTile](dataflow.CoordCodec{}, taggedTileCodec{}))
 	spill.Register(dataflow.PairCodec[Coord, keyedTile](dataflow.CoordCodec{}, keyedTileCodec{}))
 }

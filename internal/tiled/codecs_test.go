@@ -1,9 +1,6 @@
 package tiled
 
-// Round-trip tests for the tiled layer's spill codecs. taggedTile has
-// no exported fields, so its registry entry is load-bearing: if it
-// ever falls back to gob, every out-of-core RotateRows/shift shuffle
-// fails at spill time rather than degrading gracefully.
+// Round-trip tests for the tiled layer's spill codecs.
 
 import (
 	"bytes"
@@ -43,23 +40,6 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaggedTileCodecRoundTrip(t *testing.T) {
-	tile := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{1, math.Inf(-1), math.NaN(), -0.0}}
-	v := taggedTile{src: Coord{I: -3, J: 1 << 33}, tile: tile}
-	got := tiledRoundTrip[taggedTile](t, taggedTileCodec{}, v)
-	if got.src != v.src || got.tile.Rows != 2 || got.tile.Cols != 2 {
-		t.Fatalf("tagged tile %+v -> %+v", v, got)
-	}
-	for i := range tile.Data {
-		if math.Float64bits(got.tile.Data[i]) != math.Float64bits(tile.Data[i]) {
-			t.Fatalf("payload bit drift at %d", i)
-		}
-	}
-	if got := tiledRoundTrip[taggedTile](t, taggedTileCodec{}, taggedTile{}); got.tile != nil {
-		t.Fatalf("nil tile decoded as %+v", got.tile)
-	}
-}
-
 func TestKeyedTileCodecRoundTrip(t *testing.T) {
 	v := keyedTile{K: -42, G: 9, Tile: &linalg.Dense{Rows: 1, Cols: 3, Data: []float64{0, -0.0, 7}}}
 	got := tiledRoundTrip[keyedTile](t, keyedTileCodec{}, v)
@@ -69,14 +49,10 @@ func TestKeyedTileCodecRoundTrip(t *testing.T) {
 }
 
 // TestTiledShuffleRowsRegistered pins the tiled shuffle row types to
-// hand-rolled registry entries; the gob fallback cannot encode the
-// unexported-field rows at all.
+// hand-rolled registry entries.
 func TestTiledShuffleRowsRegistered(t *testing.T) {
 	if !spill.Registered[Entry]() {
 		t.Error("Entry has no registered spill codec")
-	}
-	if !spill.Registered[dataflow.Pair[Coord, taggedTile]]() {
-		t.Error("taggedTile shuffle row has no registered spill codec")
 	}
 	if !spill.Registered[dataflow.Pair[Coord, keyedTile]]() {
 		t.Error("keyedTile shuffle row has no registered spill codec")

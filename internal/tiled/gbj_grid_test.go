@@ -10,12 +10,12 @@ import (
 	"repro/internal/stats"
 )
 
-// TestMultiplyGBJTunedGridEquality: any processor grid — the one
-// derived from the partition count, coarse, degenerate 1x1, or one
-// cell per output tile — must produce bitwise-identical results: the
-// grid only changes placement, never the set of (A tile, B tile)
-// matches accumulated into each output block nor their order.
-func TestMultiplyGBJTunedGridEquality(t *testing.T) {
+// TestGBJGridEquality: any processor grid — the one derived from the
+// partition count, coarse, degenerate 1x1, or one cell per output tile —
+// must produce bitwise-identical results: the grid only changes
+// placement, never the set of (A tile, B tile) matches accumulated into
+// each output block nor their order.
+func TestGBJGridEquality(t *testing.T) {
 	ctx := tctx()
 	da := linalg.RandDense(24, 20, -1, 1, 21)
 	db := linalg.RandDense(20, 16, -1, 1, 22)
@@ -39,7 +39,7 @@ func TestMultiplyGBJTunedGridEquality(t *testing.T) {
 		{0, 0, 64}, // parts >= output tiles: falls back to the full grid
 	}
 	for _, g := range grids {
-		got := a.MultiplyGBJTuned(b, g.p, g.q, g.parts).ToDense()
+		got := GroupByJoin(a, b, Product{gridP: g.p, gridQ: g.q, Parts: g.parts}).ToDense()
 		if !got.Equal(want) {
 			t.Fatalf("grid %dx%d parts %d: result differs from canonical GBJ (max diff %g)",
 				g.p, g.q, g.parts, got.MaxAbsDiff(want))
@@ -47,49 +47,37 @@ func TestMultiplyGBJTunedGridEquality(t *testing.T) {
 	}
 }
 
-// gbjShape is one group-by-join instance for the grid property tests.
-type gbjShape struct {
-	name string
-	spec func(a, b *Matrix) GBJSpec
-	// dims maps (m, k, n) to the operand shapes.
-	dims func(m, k, n int) (ar, ac, br, bc int)
-	ref  func(da, db *linalg.Dense) *linalg.Dense
-}
+// gbjShapes are the four orientations of a Product.
+var gbjShapes = []Product{{}, {TransA: true}, {TransB: true}, {TransA: true, TransB: true}}
 
-var gbjShapes = []gbjShape{
-	{"multiply", multiplySpec,
-		func(m, k, n int) (int, int, int, int) { return m, k, k, n },
-		func(da, db *linalg.Dense) *linalg.Dense { return linalg.Mul(da, db) }},
-	{"transA", multiplyTransASpec,
-		func(m, k, n int) (int, int, int, int) { return k, m, k, n },
-		func(da, db *linalg.Dense) *linalg.Dense { return linalg.Mul(da.Transpose(), db) }},
-	{"transB", multiplyTransBSpec,
-		func(m, k, n int) (int, int, int, int) { return m, k, n, k },
-		func(da, db *linalg.Dense) *linalg.Dense { return linalg.Mul(da, db.Transpose()) }},
-}
-
-// checkGridsIdentical runs one shape on the derived grid, the full-grid
-// override and the 1x1 override and requires the three results to be
-// bitwise identical (and right); it returns the result.
-func checkGridsIdentical(t *testing.T, ctx *dataflow.Context, sh gbjShape, m, k, n, tile, parts int, seed int64) *linalg.Dense {
+// checkGridsIdentical runs one orientation of an m x k by k x n product
+// on the derived grid, the full-grid override and the 1x1 override and
+// requires the three results to be bitwise identical (and right); it
+// returns the result.
+func checkGridsIdentical(t *testing.T, ctx *dataflow.Context, sh Product, m, k, n, tile, parts int, seed int64) *linalg.Dense {
 	t.Helper()
-	ar, ac, br, bc := sh.dims(m, k, n)
-	da := linalg.RandDense(ar, ac, -1, 1, seed)
-	db := linalg.RandDense(br, bc, -1, 1, seed+1)
+	da := linalg.RandDense(m, k, -1, 1, seed)
+	db := linalg.RandDense(k, n, -1, 1, seed+1)
+	ref := linalg.Mul(da, db)
+	// Store each operand as op(X) reads it.
+	if sh.TransA {
+		da = da.Transpose()
+	}
+	if sh.TransB {
+		db = db.Transpose()
+	}
 	a := FromDense(ctx, da, tile, parts)
 	b := FromDense(ctx, db, tile, parts)
 	run := func(p, q int64) *linalg.Dense {
-		spec := sh.spec(a, b)
-		spec.GridP, spec.GridQ = p, q
-		return GroupByJoin(a, b, spec).ToDense()
+		sh.gridP, sh.gridQ = p, q
+		return GroupByJoin(a, b, sh).ToDense()
 	}
 	want := run(0, 0)
-	label := fmt.Sprintf("%s %dx%dx%d tile %d parts %d", sh.name, m, k, n, tile, parts)
-	if !want.EqualApprox(sh.ref(da, db), 1e-9) {
+	label := fmt.Sprintf("transA=%v transB=%v %dx%dx%d tile %d parts %d", sh.TransA, sh.TransB, m, k, n, tile, parts)
+	if !want.EqualApprox(ref, 1e-9) {
 		t.Fatalf("%s: derived-grid result is wrong", label)
 	}
-	spec := sh.spec(a, b)
-	if got := run(spec.GroupsY, spec.GroupsX); !got.Equal(want) {
+	if got := run(ceilDiv(int64(m), int64(tile)), ceilDiv(int64(n), int64(tile))); !got.Equal(want) {
 		t.Fatalf("%s: full-grid override differs from the derived grid (max diff %g)", label, got.MaxAbsDiff(want))
 	}
 	if got := run(1, 1); !got.Equal(want) {
@@ -100,7 +88,7 @@ func checkGridsIdentical(t *testing.T, ctx *dataflow.Context, sh gbjShape, m, k,
 
 // TestGBJGridsBitwiseIdentical is the property test behind "replace, do
 // not fork": over random square and non-square shapes, ragged edge
-// tiles, all three GEMM orientations and partition counts from 1 to
+// tiles, all four GEMM orientations and partition counts from 1 to
 // beyond the output tile count, the derived processor grid gives the
 // same bits as one cell per output tile and as a single cell.
 func TestGBJGridsBitwiseIdentical(t *testing.T) {
@@ -130,7 +118,7 @@ func TestOutOfCoreGBJGridsBitwiseIdentical(t *testing.T) {
 		got := checkGridsIdentical(t, ctx, sh, 320, 256, 384, 64, 6, int64(300+i))
 		want := checkGridsIdentical(t, tctx(), sh, 320, 256, 384, 64, 6, int64(300+i))
 		if !got.Equal(want) {
-			t.Fatalf("%s: budgeted GBJ differs from in-memory GBJ (max diff %g)", sh.name, got.MaxAbsDiff(want))
+			t.Fatalf("%+v: budgeted GBJ differs from in-memory GBJ (max diff %g)", sh, got.MaxAbsDiff(want))
 		}
 	}
 	if s := ctx.Metrics(); s.SpilledBytes == 0 {

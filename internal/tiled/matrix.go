@@ -6,10 +6,11 @@
 //	                    tiles: RDD[((Long,Long), Array[T])])
 //
 // with square N x N tiles. The package provides the tile sparsifier and
-// builder, the tiling-preserving operators (Rule 17), replication-based
-// operators for queries that do not preserve tiling (Rule 19), the
-// reduceByKey translation for group-by queries (Section 5.3), and the
-// SUMMA-style group-by-join (Section 5.4).
+// builder, the tiling-preserving operators (Rule 17), the reduceByKey
+// translation for group-by queries (Section 5.3), and the SUMMA-style
+// group-by-join (Section 5.4) — the last two as the two plans of one
+// Product, oriented by two flags. The planner (internal/plan) compiles
+// every other shape from SAC, including Rule 19 replication.
 package tiled
 
 import (

@@ -13,69 +13,33 @@ import (
 // addition.
 
 // MatVec computes y = M * x for a tiled matrix and block vector.
-func (m *Matrix) MatVec(x *Vector) *Vector {
-	if m.Cols != x.Size || m.N != x.N {
+func (m *Matrix) MatVec(x *Vector) *Vector { return m.MatVecOp(x, false) }
+
+// MatVecOp computes y = op(M) * x, op(M) being M, or Mᵀ when trans,
+// without materializing Mᵀ: a tile joins the vector block of its
+// contracted coordinate — its column, or its row — and its partial lands
+// on the other.
+func (m *Matrix) MatVecOp(x *Vector, trans bool) *Vector {
+	rows, cols := opIndex(m.Rows, m.Cols, trans)
+	if cols != x.Size || m.N != x.N {
 		panic("tiled: matvec shape mismatch")
 	}
 	parts := m.Tiles.NumPartitions()
 	left := dataflow.Map(m.Tiles, func(b Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(b.Key.J, b) // contracted index: column block
+		_, k := opIndex(b.Key.I, b.Key.J, trans)
+		return dataflow.KV(k, b)
 	})
 	joined := dataflow.Join(left, x.Blocks, parts)
 	partials := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[Block, *linalg.Vector]]) VBlock {
-		t := p.Value.Left
-		return dataflow.KV(t.Key.I, linalg.MatVec(t.Value, p.Value.Right))
-	})
-	reduced := dataflow.ReduceByKey(partials, func(a, b *linalg.Vector) *linalg.Vector {
-		return a.AddInPlace(b)
-	}, parts)
-	return &Vector{Size: m.Rows, N: m.N, Blocks: reduced}
-}
-
-// MatVecTrans computes y = M^T * x without materializing M^T.
-func (m *Matrix) MatVecTrans(x *Vector) *Vector {
-	if m.Rows != x.Size || m.N != x.N {
-		panic("tiled: matvec-trans shape mismatch")
-	}
-	parts := m.Tiles.NumPartitions()
-	left := dataflow.Map(m.Tiles, func(b Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(b.Key.I, b) // contracted index: row block
-	})
-	joined := dataflow.Join(left, x.Blocks, parts)
-	partials := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[Block, *linalg.Vector]]) VBlock {
-		t := p.Value.Left
-		return dataflow.KV(t.Key.J, linalg.VecMat(p.Value.Right, t.Value))
-	})
-	reduced := dataflow.ReduceByKey(partials, func(a, b *linalg.Vector) *linalg.Vector {
-		return a.AddInPlace(b)
-	}, parts)
-	return &Vector{Size: m.Cols, N: m.N, Blocks: reduced}
-}
-
-// OuterProduct computes the tiled matrix x y^T from two block vectors,
-// the comprehension
-//
-//	tiled(n,m)[ ((i,j), a*b) | (i,a) <- x, (j,b) <- y ]
-//
-// (a cartesian product of blocks; every block pair produces one tile).
-func OuterProduct(x, y *Vector) *Matrix {
-	if x.N != y.N {
-		panic("tiled: outer product tile mismatch")
-	}
-	// Tag both sides with a unit key and cogroup so each partition
-	// sees the full opposite side; block counts are small relative to
-	// their contents so this broadcast-like join is cheap.
-	xs := dataflow.Map(x.Blocks, func(b VBlock) dataflow.Pair[int, VBlock] { return dataflow.KV(0, b) })
-	ys := dataflow.Map(y.Blocks, func(b VBlock) dataflow.Pair[int, VBlock] { return dataflow.KV(0, b) })
-	cg := dataflow.CoGroup(xs, ys, 1)
-	tiles := dataflow.FlatMap(cg, func(g dataflow.Pair[int, dataflow.CoGrouped[VBlock, VBlock]]) []Block {
-		var out []Block
-		for _, xb := range g.Value.Left {
-			for _, yb := range g.Value.Right {
-				out = append(out, dataflow.KV(Coord{I: xb.Key, J: yb.Key}, linalg.Outer(xb.Value, yb.Value)))
-			}
+		t, v := p.Value.Left, p.Value.Right
+		g, _ := opIndex(t.Key.I, t.Key.J, trans)
+		if trans {
+			return dataflow.KV(g, linalg.VecMat(v, t.Value))
 		}
-		return out
+		return dataflow.KV(g, linalg.MatVec(t.Value, v))
 	})
-	return &Matrix{Rows: x.Size, Cols: y.Size, N: x.N, Tiles: tiles}
+	reduced := dataflow.ReduceByKey(partials, func(a, b *linalg.Vector) *linalg.Vector {
+		return a.AddInPlace(b)
+	}, parts)
+	return &Vector{Size: rows, N: m.N, Blocks: reduced}
 }

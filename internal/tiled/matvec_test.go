@@ -20,13 +20,13 @@ func TestMatVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMatVecTransMatchesDense(t *testing.T) {
+func TestMatVecOpTransposedMatchesDense(t *testing.T) {
 	ctx := tctx()
 	d := linalg.RandDense(7, 5, -2, 2, 63)
 	x := linalg.RandVector(7, -1, 1, 64)
 	m := FromDense(ctx, d, 3, 2)
 	bx := VectorFromDense(ctx, x, 3, 2)
-	got := m.MatVecTrans(bx).ToDense()
+	got := m.MatVecOp(bx, true).ToDense()
 	want := linalg.MatVec(d.Transpose(), x)
 	if !got.EqualApprox(want, 1e-9) {
 		t.Fatal("matvec-trans mismatch")
@@ -43,18 +43,6 @@ func TestMatVecShapePanics(t *testing.T) {
 		}
 	}()
 	m.MatVec(x)
-}
-
-func TestOuterProduct(t *testing.T) {
-	ctx := tctx()
-	x := linalg.RandVector(5, -1, 1, 65)
-	y := linalg.RandVector(7, -1, 1, 66)
-	bx := VectorFromDense(ctx, x, 3, 2)
-	by := VectorFromDense(ctx, y, 3, 2)
-	got := OuterProduct(bx, by).ToDense()
-	if !got.EqualApprox(linalg.Outer(x, y), 1e-12) {
-		t.Fatal("outer product mismatch")
-	}
 }
 
 // Property: M(x + y) = Mx + My on tiled structures.

@@ -84,7 +84,7 @@ func TestOutOfCoreMultiply(t *testing.T) {
 	ctx := oocCtx(t, budget)
 	a := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 1)
 	b := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 2)
-	got := a.Multiply(b).ToDense()
+	got := JoinMultiply(a, b, Product{}, true).ToDense()
 
 	want := linalg.NewDense(n, n)
 	linalg.Gemm(want, a.ToDense(), b.ToDense())
@@ -101,7 +101,7 @@ func TestOutOfCoreMultiplyGroupByKey(t *testing.T) {
 	ctx := oocCtx(t, budget)
 	a := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 3)
 	b := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 4)
-	got := a.MultiplyGroupByKey(b).ToDense()
+	got := JoinMultiply(a, b, Product{}, false).ToDense()
 
 	want := linalg.NewDense(n, n)
 	linalg.Gemm(want, a.ToDense(), b.ToDense())
@@ -109,25 +109,6 @@ func TestOutOfCoreMultiplyGroupByKey(t *testing.T) {
 		t.Fatalf("group-by multiply diverges from local Gemm by %g", d)
 	}
 	checkSpilled(t, ctx, budget)
-}
-
-// TestOutOfCoreRotateRows covers the taggedTile shuffle row — the type
-// with no exported fields whose spill depends on its registered codec
-// (the gob fallback cannot encode it at all).
-func TestOutOfCoreRotateRows(t *testing.T) {
-	budget := oocBudget()
-	const tile = 128
-	n := oocDims(budget, tile)
-	ref := dataflow.NewLocalContext()
-	ctx := oocCtx(t, budget)
-	want := RandMatrix(ref, int64(n), int64(n), tile, 0, 0, 1, 5).RotateRows().ToDense()
-	got := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 5).RotateRows().ToDense()
-	if !got.Equal(want) {
-		t.Fatal("out-of-core RotateRows diverges from in-memory result")
-	}
-	if s := ctx.Metrics(); s.SpilledBytes == 0 {
-		t.Fatalf("rotate shuffle did not spill: %+v", s)
-	}
 }
 
 func TestOutOfCoreSummaMultiply(t *testing.T) {

@@ -47,9 +47,6 @@ func TestSubHadamardAXPYScale(t *testing.T) {
 	if !a.Sub(b).ToDense().EqualApprox(linalg.SubDense(da, db), 1e-12) {
 		t.Fatal("sub mismatch")
 	}
-	if !a.Hadamard(b).ToDense().EqualApprox(linalg.HadamardInPlace(da.Clone(), db), 1e-12) {
-		t.Fatal("hadamard mismatch")
-	}
 	if !a.AXPY(0.5, b).ToDense().EqualApprox(linalg.AXPYInPlace(da.Clone(), 0.5, db), 1e-12) {
 		t.Fatal("axpy mismatch")
 	}
@@ -78,13 +75,13 @@ func TestMultiplyMatchesDense(t *testing.T) {
 	a := FromDense(ctx, da, 2, 3)
 	b := FromDense(ctx, db, 2, 3)
 	want := linalg.Mul(da, db)
-	if got := a.Multiply(b).ToDense(); !got.EqualApprox(want, 1e-9) {
+	if got := JoinMultiply(a, b, Product{}, true).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatalf("multiply mismatch: %g", got.MaxAbsDiff(want))
 	}
 	if got := a.MultiplyGBJ(b).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatalf("GBJ multiply mismatch: %g", got.MaxAbsDiff(want))
 	}
-	if got := a.MultiplyGroupByKey(b).ToDense(); !got.EqualApprox(want, 1e-9) {
+	if got := JoinMultiply(a, b, Product{}, false).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatalf("groupByKey multiply mismatch: %g", got.MaxAbsDiff(want))
 	}
 }
@@ -98,7 +95,7 @@ func TestMultiplyWithPadding(t *testing.T) {
 	a := FromDense(ctx, da, 4, 2)
 	b := FromDense(ctx, db, 4, 2)
 	want := linalg.Mul(da, db)
-	if got := a.Multiply(b).ToDense(); !got.EqualApprox(want, 1e-9) {
+	if got := JoinMultiply(a, b, Product{}, true).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatal("padded multiply mismatch")
 	}
 	if got := a.MultiplyGBJ(b).ToDense(); !got.EqualApprox(want, 1e-9) {
@@ -106,16 +103,32 @@ func TestMultiplyWithPadding(t *testing.T) {
 	}
 }
 
+// TestMultiplyShapePanics: both plans refuse operands whose contracted
+// dimensions or tile sizes differ, whatever the combine.
 func TestMultiplyShapePanics(t *testing.T) {
 	ctx := tctx()
 	a := FromDense(ctx, linalg.NewDense(4, 4), 2, 1)
-	b := FromDense(ctx, linalg.NewDense(6, 4), 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	h := func(out, x, y *linalg.Dense, _ Coord, _ int64) {}
+	for _, b := range []*Matrix{
+		FromDense(ctx, linalg.NewDense(6, 4), 2, 1), // 4 columns against 6 rows
+		FromDense(ctx, linalg.NewDense(4, 4), 4, 1), // tile 2 against tile 4
+	} {
+		for _, prod := range []Product{{}, {H: h}} {
+			for name, plan := range map[string]func(){
+				"gbj":  func() { GroupByJoin(a, b, prod) },
+				"join": func() { JoinMultiply(a, b, prod, true) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s over %dx%d/%d: no panic", name, b.Rows, b.Cols, b.N)
+						}
+					}()
+					plan()
+				}()
+			}
 		}
-	}()
-	a.Multiply(b)
+	}
 }
 
 // Shuffle accounting behind Figure 4.B. Rule 13: reduceByKey's
@@ -139,17 +152,17 @@ func TestMultiplyShuffleAccounting(t *testing.T) {
 
 	a, b = mk()
 	ctx.ResetMetrics()
-	a.MultiplyGBJTuned(b, 6, 6, 0).ToDense()
+	GroupByJoin(a, b, Product{gridP: 6, gridQ: 6}).ToDense()
 	fullGridRecords := ctx.Metrics().ShuffledRecords
 
 	a, b = mk()
 	ctx.ResetMetrics()
-	a.Multiply(b).ToDense()
+	JoinMultiply(a, b, Product{}, true).ToDense()
 	rbk := ctx.Metrics().ShuffledBytes
 
 	a, b = mk()
 	ctx.ResetMetrics()
-	a.MultiplyGroupByKey(b).ToDense()
+	JoinMultiply(a, b, Product{}, false).ToDense()
 	gbk := ctx.Metrics().ShuffledBytes
 
 	if rbk >= gbk {
@@ -171,15 +184,6 @@ func TestMultiplyShuffleAccounting(t *testing.T) {
 	}
 }
 
-func TestDiagonal(t *testing.T) {
-	ctx := tctx()
-	d := linalg.RandDense(6, 6, -3, 3, 14)
-	m := FromDense(ctx, d, 2, 2)
-	if !m.Diagonal().ToDense().Equal(d.Diag()) {
-		t.Fatal("diagonal mismatch")
-	}
-}
-
 func TestRowColSums(t *testing.T) {
 	ctx := tctx()
 	d := linalg.RandDense(7, 5, -2, 2, 15)
@@ -196,7 +200,7 @@ func TestSumAllAndNorm(t *testing.T) {
 	ctx := tctx()
 	d := linalg.RandDense(5, 5, -1, 1, 16)
 	m := FromDense(ctx, d, 2, 2)
-	if !approx(m.SumAll(), d.Sum(), 1e-9) {
+	if !approx(m.RowSums().Sum(), d.Sum(), 1e-9) {
 		t.Fatal("sum mismatch")
 	}
 	want := d.FrobeniusNorm()
@@ -205,58 +209,33 @@ func TestSumAllAndNorm(t *testing.T) {
 	}
 }
 
-func TestRotateRows(t *testing.T) {
-	ctx := tctx()
-	d := linalg.RandDense(6, 4, 0, 9, 17)
-	m := FromDense(ctx, d, 2, 2)
-	got := m.RotateRows().ToDense()
-	// Row i of input becomes row (i+1) % rows.
-	want := linalg.NewDense(6, 4)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 4; j++ {
-			want.Set((i+1)%6, j, d.At(i, j))
-		}
-	}
-	if !got.Equal(want) {
-		t.Fatalf("rotate mismatch:\n%v\n%v", got, want)
-	}
-}
-
-func TestRotateRowsOddSize(t *testing.T) {
-	ctx := tctx()
-	// Rows not a multiple of tile size: wraparound crosses a padded tile.
-	d := linalg.RandDense(5, 3, 0, 9, 18)
-	m := FromDense(ctx, d, 2, 2)
-	got := m.RotateRows().ToDense()
-	want := linalg.NewDense(5, 3)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			want.Set((i+1)%5, j, d.At(i, j))
-		}
-	}
-	if !got.Equal(want) {
-		t.Fatalf("odd rotate mismatch:\n%v\n%v", got, want)
-	}
-}
-
+// TestMultiplyTransVariants: both plans of Aᵀ·B and A·Bᵀ, with the
+// transposed operand read in place.
 func TestMultiplyTransVariants(t *testing.T) {
 	ctx := tctx()
 	da := linalg.RandDense(6, 4, -1, 1, 19)
 	db := linalg.RandDense(6, 5, -1, 1, 20)
-	a := FromDense(ctx, da, 2, 2)
-	b := FromDense(ctx, db, 2, 2)
-	want := linalg.Mul(da.Transpose(), db)
-	if got := a.MultiplyTransAGBJ(b).ToDense(); !got.EqualApprox(want, 1e-9) {
-		t.Fatalf("A^T*B mismatch: %g", got.MaxAbsDiff(want))
-	}
-
 	dc := linalg.RandDense(7, 4, -1, 1, 21)
 	dd := linalg.RandDense(5, 4, -1, 1, 22)
-	c := FromDense(ctx, dc, 2, 2)
-	e := FromDense(ctx, dd, 2, 2)
-	want2 := linalg.Mul(dc, dd.Transpose())
-	if got := c.MultiplyTransBGBJ(e).ToDense(); !got.EqualApprox(want2, 1e-9) {
-		t.Fatalf("A*B^T mismatch: %g", got.MaxAbsDiff(want2))
+	for _, c := range []struct {
+		name string
+		x, y *linalg.Dense
+		prod Product
+		want *linalg.Dense
+	}{
+		{"A^T*B", da, db, Product{TransA: true}, linalg.Mul(da.Transpose(), db)},
+		{"A*B^T", dc, dd, Product{TransB: true}, linalg.Mul(dc, dd.Transpose())},
+	} {
+		a, b := FromDense(ctx, c.x, 2, 2), FromDense(ctx, c.y, 2, 2)
+		for plan, got := range map[string]*Matrix{
+			"gbj":             GroupByJoin(a, b, c.prod),
+			"join+reduce":     JoinMultiply(a, b, c.prod, true),
+			"join+groupByKey": JoinMultiply(a, b, c.prod, false),
+		} {
+			if d := got.ToDense(); !d.EqualApprox(c.want, 1e-9) {
+				t.Fatalf("%s %s mismatch: %g", c.name, plan, d.MaxAbsDiff(c.want))
+			}
+		}
 	}
 }
 
@@ -272,7 +251,7 @@ func TestQuickMultiplyStrategiesAgree(t *testing.T) {
 		a := FromDense(ctx, da, n, 2)
 		b := FromDense(ctx, db, n, 2)
 		want := linalg.Mul(da, db)
-		return a.Multiply(b).ToDense().EqualApprox(want, 1e-9) &&
+		return JoinMultiply(a, b, Product{}, true).ToDense().EqualApprox(want, 1e-9) &&
 			a.MultiplyGBJ(b).ToDense().EqualApprox(want, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -304,60 +283,12 @@ func TestMultiplyWithFailures(t *testing.T) {
 	faulty := dataflow.NewContext(dataflow.Config{FailureRate: 0.2, FailureSeed: 5, MaxTaskRetries: 60})
 	da := linalg.RandDense(8, 8, 0, 1, 23)
 	db := linalg.RandDense(8, 8, 0, 1, 24)
-	want := FromDense(clean, da, 2, 3).Multiply(FromDense(clean, db, 2, 3)).ToDense()
-	got := FromDense(faulty, da, 2, 3).Multiply(FromDense(faulty, db, 2, 3)).ToDense()
+	want := JoinMultiply(FromDense(clean, da, 2, 3), FromDense(clean, db, 2, 3), Product{}, true).ToDense()
+	got := JoinMultiply(FromDense(faulty, da, 2, 3), FromDense(faulty, db, 2, 3), Product{}, true).ToDense()
 	if !got.EqualApprox(want, 1e-9) {
 		t.Fatal("failure injection changed the result")
 	}
 	if faulty.Metrics().TaskFailures == 0 {
 		t.Fatal("no failures injected")
 	}
-}
-
-func TestConcatRowsCols(t *testing.T) {
-	ctx := tctx()
-	da := linalg.RandDense(4, 6, 0, 1, 25) // 4 rows: tile-aligned for N=2
-	db := linalg.RandDense(3, 6, 0, 1, 26)
-	a := FromDense(ctx, da, 2, 2)
-	b := FromDense(ctx, db, 2, 2)
-	got := a.ConcatRows(b).ToDense()
-	if got.Rows != 7 || got.Cols != 6 {
-		t.Fatalf("concat dims %dx%d", got.Rows, got.Cols)
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 6; j++ {
-			if got.At(i, j) != da.At(i, j) {
-				t.Fatal("upper part mismatch")
-			}
-		}
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 6; j++ {
-			if got.At(4+i, j) != db.At(i, j) {
-				t.Fatal("lower part mismatch")
-			}
-		}
-	}
-
-	dc := linalg.RandDense(4, 4, 0, 1, 27)
-	dd := linalg.RandDense(4, 3, 0, 1, 28)
-	got2 := FromDense(ctx, dc, 2, 2).ConcatCols(FromDense(ctx, dd, 2, 2)).ToDense()
-	if got2.Rows != 4 || got2.Cols != 7 {
-		t.Fatalf("concat cols dims %dx%d", got2.Rows, got2.Cols)
-	}
-	if got2.At(1, 5) != dd.At(1, 1) {
-		t.Fatal("right part mismatch")
-	}
-}
-
-func TestConcatRowsAlignmentPanics(t *testing.T) {
-	ctx := tctx()
-	a := FromDense(ctx, linalg.NewDense(3, 4), 2, 1) // 3 rows, not tile-aligned
-	b := FromDense(ctx, linalg.NewDense(2, 4), 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected alignment panic")
-		}
-	}()
-	a.ConcatRows(b)
 }

@@ -132,7 +132,7 @@ func TestQuickSparseDenseAgree(t *testing.T) {
 		sm := SparseFromCOO(ctx, c, 2, 2)
 		dm := FromDense(ctx, d, 2, 2)
 		viaSparse := sm.MultiplyDense(dm).ToDense()
-		viaDense := sm.ToTiled(ctx).Multiply(dm).ToDense()
+		viaDense := JoinMultiply(sm.ToTiled(ctx), dm, Product{}, true).ToDense()
 		return viaSparse.EqualApprox(viaDense, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

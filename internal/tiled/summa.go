@@ -19,12 +19,15 @@ import (
 //	            kx(i,j) == ky(ii,jj), let c = h(a,b),
 //	            group by k: (gx(i,j), gy(ii,jj)) ]
 //
-// evaluated on a p x q processor grid: contiguous ranges of output tile
-// rows share a grid row and ranges of output tile columns a grid
-// column, each A tile is replicated to the q cells of its grid row and
-// each B tile to the p cells of its grid column, the cogroup on the
-// cell coordinate brings a cell's tiles together, and the cell reduces
-// its matches locally into one output tile per group pair it holds.
+// For a 2-D contraction the projections are tile coordinates, and which
+// ones is two bits: the index of A and of B that is contracted
+// (Product's TransA and TransB). It is evaluated on a p x q processor
+// grid: contiguous ranges of output tile rows share a grid row and
+// ranges of output tile columns a grid column, each A tile is
+// replicated to the q cells of its grid row and each B tile to the p
+// cells of its grid column, the cogroup on the cell coordinate brings a
+// cell's tiles together, and the cell reduces its matches locally into
+// one output tile per group pair it holds.
 // Compared to the join+reduceByKey translation it shuffles each input
 // tile a bounded number of times instead of shuffling every
 // partial-product tile. The grid is sized to the machine (the cogroup's
@@ -66,35 +69,49 @@ func byJoinKey(side []keyedTile) (byKey map[int64][]keyedTile, groups []int64) {
 	return byKey, groups
 }
 
-// GBJSpec describes a group-by-join instance: coordinate projections
-// for the group (gx, gy) and join keys (kx, ky), the per-match tile
-// contraction accumulating into the output tile, and the output grid.
-type GBJSpec struct {
-	OutRows, OutCols int64 // logical output dims
-	// GroupsX is the number of distinct gy groups (output tile cols);
-	// GroupsY is the number of distinct gx groups (output tile rows).
-	GroupsX, GroupsY int64
-	// GX/KX project an A-tile coordinate to its group and join key.
-	GX, KX func(c Coord) int64
-	// GY/KY project a B-tile coordinate to its group and join key.
-	GY, KY func(c Coord) int64
-	// H accumulates the contribution of a matching tile pair into out,
-	// the output tile at coordinate g, for join key k. Nil is the tile
-	// GEMM out += op(a)·op(b), op transposing when TransA / TransB is
-	// set: the cell then packs each tile once per join key and
-	// multiplies packed operands (linalg.GemmPacked) under the kernel
-	// budget.
-	H              func(out, a, b *linalg.Dense, g Coord, k int64)
+// Product is one 2-D contraction out = op(A)·op(B) for the two plans
+// that run it, GroupByJoin and JoinMultiply. Orientation is two flags:
+// op(A) is A, or Aᵀ when TransA — the contracted index is A's column, or
+// its row — and op(B) is B, or Bᵀ when TransB. A transposed operand is
+// read in place, never copied: its tiles' coordinates are projected
+// through the flag (opIndex), and the contraction reads the tiles
+// through it.
+type Product struct {
 	TransA, TransB bool
-	// GridP x GridQ, when both positive, override the processor grid
-	// (clamped to GroupsY x GroupsX). The result is bitwise identical
-	// for every grid — the tests that prove it are the only callers
-	// that set these; left zero, GroupByJoin derives the grid from the
-	// partition count with stats.PickGrid.
-	GridP, GridQ int64
-	// Parts overrides the cogroup's partition count; 0 uses the A
-	// input's.
+	// H accumulates the contribution of a matching tile pair into out, the
+	// output tile at coordinate g, for join key k; a and b are the stored
+	// tiles, to be read through TransA and TransB. Nil is the tile GEMM
+	// out += op(a)·op(b).
+	H func(out, a, b *linalg.Dense, g Coord, k int64)
+	// Parts overrides the shuffle's partition count; 0 uses A's.
 	Parts int
+	// gridP x gridQ, when both positive, override GroupByJoin's processor
+	// grid (clamped to the output tile grid). The result is bitwise
+	// identical for every grid; the tests that prove it set these.
+	gridP, gridQ int64
+}
+
+// opIndex maps a (row, column) pair of a stored operand — its dimensions
+// or a tile coordinate — to that pair of op(X): swapped when trans.
+func opIndex(r, c int64, trans bool) (int64, int64) {
+	if trans {
+		return c, r
+	}
+	return r, c
+}
+
+// Dims returns the shape of op(A)·op(B), an m x k by k x n product, or an
+// error naming both operands unless their contracted dimensions and tile
+// sizes agree.
+func (p Product) Dims(a, b *Matrix) (m, k, n int64, err error) {
+	m, k = opIndex(a.Rows, a.Cols, p.TransA)
+	kb, n := opIndex(b.Rows, b.Cols, p.TransB)
+	if k != kb || a.N != b.N {
+		return 0, 0, 0, fmt.Errorf("tiled: product of %dx%d (transA=%v) and %dx%d (transB=%v): "+
+			"contracted dimensions %d and %d, tile sizes %d and %d",
+			a.Rows, a.Cols, p.TransA, b.Rows, b.Cols, p.TransB, k, kb, a.N, b.N)
+	}
+	return m, k, n, nil
 }
 
 // cellPartition places grid cell c of a grid with gridQ columns:
@@ -105,20 +122,27 @@ func cellPartition(c Coord, gridQ int64, parts int) int {
 	return int((c.I*gridQ + c.J) % int64(parts))
 }
 
-// GroupByJoin runs the generic GBJ operator on two tiled matrices. The
-// processor grid and the placement of its cells are pure functions of
-// the block counts and the cogroup's partition count, so every rank of
-// an SPMD job builds the same plan whatever its core count. When the
+// GroupByJoin runs the generic GBJ operator for a product of two tiled
+// matrices: an A tile's group is its row of op(A) and its join key its
+// column, a B tile's join key its row of op(B) and its group its column.
+// The processor grid and the placement of its cells are pure functions
+// of the block counts and the cogroup's partition count, so every rank
+// of an SPMD job builds the same plan whatever its core count. When the
 // output has no more tiles than there are partitions the grid is the
-// full output grid and every cell holds exactly one output tile.
-func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
-	parts := spec.Parts
+// full output grid and every cell holds exactly one output tile. It
+// panics with Dims' error on operands that do not multiply.
+func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
+	rows, _, cols, err := prod.Dims(a, b)
+	if err != nil {
+		panic(err)
+	}
+	parts := prod.Parts
 	if parts <= 0 {
 		parts = a.Tiles.NumPartitions()
 	}
 	n := a.N
-	groupsY, groupsX := spec.GroupsY, spec.GroupsX
-	gridP, gridQ := spec.GridP, spec.GridQ
+	groupsY, groupsX := ceilDiv(rows, int64(n)), ceilDiv(cols, int64(n))
+	gridP, gridQ := prod.gridP, prod.gridQ
 	if gridP <= 0 || gridQ <= 0 {
 		gridP, gridQ = stats.PickGrid(groupsY, groupsX,
 			a.BlockRows()*a.BlockCols(), b.BlockRows()*b.BlockCols(), parts)
@@ -136,8 +160,7 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 
 	as := dataflow.FlatMap(a.Tiles, func(t Block) []dataflow.Pair[Coord, keyedTile] {
 		out := make([]dataflow.Pair[Coord, keyedTile], 0, gridQ)
-		g := spec.GX(t.Key)
-		k := spec.KX(t.Key)
+		g, k := opIndex(t.Key.I, t.Key.J, prod.TransA)
 		for jj := int64(0); jj < gridQ; jj++ {
 			out = append(out, dataflow.KV(Coord{I: cellRow(g), J: jj}, keyedTile{K: k, G: g, Tile: t.Value}))
 		}
@@ -145,8 +168,7 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 	})
 	bs := dataflow.FlatMap(b.Tiles, func(t Block) []dataflow.Pair[Coord, keyedTile] {
 		out := make([]dataflow.Pair[Coord, keyedTile], 0, gridP)
-		g := spec.GY(t.Key)
-		k := spec.KY(t.Key)
+		k, g := opIndex(t.Key.I, t.Key.J, prod.TransB)
 		for ii := int64(0); ii < gridP; ii++ {
 			out = append(out, dataflow.KV(Coord{I: ii, J: cellCol(g)}, keyedTile{K: k, G: g, Tile: t.Value}))
 		}
@@ -207,21 +229,21 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 		var pa, pb []*linalg.Packed
 		for _, k := range keys {
 			ats, bts := left[k], right[k]
-			if spec.H == nil {
+			if prod.H == nil {
 				pa, pb = pa[:0], pb[:0]
 				for _, at := range ats {
-					pa = append(pa, linalg.PackA(at.Tile, spec.TransA))
+					pa = append(pa, linalg.PackA(at.Tile, prod.TransA))
 				}
 				for _, bt := range bts {
-					pb = append(pb, linalg.PackB(bt.Tile, spec.TransB))
+					pb = append(pb, linalg.PackB(bt.Tile, prod.TransB))
 				}
 			}
 			for i, at := range ats {
 				for j, bt := range bts {
 					g := Coord{I: at.G, J: bt.G}
 					o := out[idx[g]].Value
-					if spec.H != nil {
-						spec.H(o, at.Tile, bt.Tile, g, k)
+					if prod.H != nil {
+						prod.H(o, at.Tile, bt.Tile, g, k)
 					} else {
 						linalg.GemmPacked(o, pa[i], pb[j], par)
 					}
@@ -241,87 +263,15 @@ func GroupByJoin(a, b *Matrix, spec GBJSpec) *Matrix {
 			sp.SetAttr("right", len(g.Value.Right))
 			sp.SetAttr("tiles", len(out))
 			sp.SetAttr("matches", matches)
-			if spec.H == nil {
+			if prod.H == nil {
 				setKernelAttrs(sp, gemmFlops(n, matches), time.Since(start), hits == len(out) && len(out) > 0)
 			}
 			sp.End()
 		}
 		return out
 	})
-	return &Matrix{Rows: spec.OutRows, Cols: spec.OutCols, N: n, Tiles: tiles}
+	return &Matrix{Rows: rows, Cols: cols, N: n, Tiles: tiles}
 }
 
-// MultiplyGBJ computes A * B with the SUMMA-style group-by-join:
-// gx(i,k)=i, kx(i,k)=k, gy(k,j)=j, ky(k,j)=k, h = tile GEMM (H nil).
-func (a *Matrix) MultiplyGBJ(b *Matrix) *Matrix {
-	return a.MultiplyGBJTuned(b, 0, 0, 0)
-}
-
-// MultiplyGBJTuned is MultiplyGBJ with the physical knobs exposed: a
-// gridP x gridQ processor grid override (0,0 = derived from the
-// partition count) and the cogroup partition count (0 = the A
-// input's). The result is bitwise identical for any grid choice — only
-// replication volume and cell granularity change.
-func (a *Matrix) MultiplyGBJTuned(b *Matrix, gridP, gridQ int64, parts int) *Matrix {
-	spec := multiplySpec(a, b)
-	spec.GridP, spec.GridQ, spec.Parts = gridP, gridQ, parts
-	return GroupByJoin(a, b, spec)
-}
-
-func multiplySpec(a, b *Matrix) GBJSpec {
-	if a.Cols != b.Rows || a.N != b.N {
-		panic("tiled: multiply shape mismatch")
-	}
-	return GBJSpec{
-		OutRows: a.Rows, OutCols: b.Cols,
-		GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
-		GX: func(c Coord) int64 { return c.I },
-		KX: func(c Coord) int64 { return c.J },
-		GY: func(c Coord) int64 { return c.J },
-		KY: func(c Coord) int64 { return c.I },
-	}
-}
-
-// MultiplyTransAGBJ computes A^T * B without materializing A^T, as a
-// group-by-join with gx(k,i)=i and h = the tile GEMM on Aᵀ. Used by matrix
-// factorization (E^T x P).
-func (a *Matrix) MultiplyTransAGBJ(b *Matrix) *Matrix {
-	return GroupByJoin(a, b, multiplyTransASpec(a, b))
-}
-
-func multiplyTransASpec(a, b *Matrix) GBJSpec {
-	if a.Rows != b.Rows || a.N != b.N {
-		panic("tiled: multiplyTransA shape mismatch")
-	}
-	return GBJSpec{
-		OutRows: a.Cols, OutCols: b.Cols,
-		GroupsX: b.BlockCols(), GroupsY: a.BlockCols(),
-		GX:     func(c Coord) int64 { return c.J }, // output row group = A col
-		KX:     func(c Coord) int64 { return c.I }, // join on A row
-		GY:     func(c Coord) int64 { return c.J },
-		KY:     func(c Coord) int64 { return c.I },
-		TransA: true,
-	}
-}
-
-// MultiplyTransBGBJ computes A * B^T without materializing B^T:
-// join key is the column coordinate of both inputs, h = the tile GEMM on Bᵀ.
-// Used by matrix factorization (P x Q^T).
-func (a *Matrix) MultiplyTransBGBJ(b *Matrix) *Matrix {
-	return GroupByJoin(a, b, multiplyTransBSpec(a, b))
-}
-
-func multiplyTransBSpec(a, b *Matrix) GBJSpec {
-	if a.Cols != b.Cols || a.N != b.N {
-		panic("tiled: multiplyTransB shape mismatch")
-	}
-	return GBJSpec{
-		OutRows: a.Rows, OutCols: b.Rows,
-		GroupsX: b.BlockRows(), GroupsY: a.BlockRows(),
-		GX:     func(c Coord) int64 { return c.I },
-		KX:     func(c Coord) int64 { return c.J },
-		GY:     func(c Coord) int64 { return c.I }, // output col group = B row
-		KY:     func(c Coord) int64 { return c.J }, // join on B col
-		TransB: true,
-	}
-}
+// MultiplyGBJ computes A * B with the SUMMA-style group-by-join.
+func (a *Matrix) MultiplyGBJ(b *Matrix) *Matrix { return GroupByJoin(a, b, Product{}) }

@@ -129,14 +129,6 @@ func (v *Vector) Sum() float64 {
 		func(a, b float64) float64 { return a + b })
 }
 
-// MapBlocks applies a block kernel (narrow).
-func (v *Vector) MapBlocks(f func(*linalg.Vector) *linalg.Vector) *Vector {
-	blocks := dataflow.Map(v.Blocks, func(b VBlock) VBlock {
-		return dataflow.KV(b.Key, f(b.Value))
-	})
-	return &Vector{Size: v.Size, N: v.N, Blocks: blocks}
-}
-
 // AddScalar adds c to every in-bounds element (padding cells of the
 // last block stay zero).
 func (v *Vector) AddScalar(c float64) *Vector {
@@ -153,24 +145,6 @@ func (v *Vector) AddScalar(c float64) *Vector {
 		return dataflow.KV(b.Key, out)
 	})
 	return &Vector{Size: size, N: n, Blocks: blocks}
-}
-
-// Norm1 returns the L1 norm (sum of absolute values).
-func (v *Vector) Norm1() float64 {
-	parts := dataflow.Map(v.Blocks, func(b VBlock) float64 {
-		var s float64
-		for _, x := range b.Value.Data {
-			if x < 0 {
-				s -= x
-			} else {
-				s += x
-			}
-		}
-		return s
-	})
-	return dataflow.Aggregate(parts, 0.0,
-		func(a, x float64) float64 { return a + x },
-		func(a, b float64) float64 { return a + b })
 }
 
 // MaxAbsDiff returns the largest element-wise |v - w|, used for
