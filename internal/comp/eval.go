@@ -232,16 +232,10 @@ func evalCall(x Call, env *Env) Value {
 		return math.Pow(MustFloat(args[0]), MustFloat(args[1]))
 	case "min":
 		need(2)
-		if MustFloat(args[0]) <= MustFloat(args[1]) {
-			return args[0]
-		}
-		return args[1]
+		return pickNum(MinFloat, args[0], args[1])
 	case "max":
 		need(2)
-		if MustFloat(args[0]) >= MustFloat(args[1]) {
-			return args[0]
-		}
-		return args[1]
+		return pickNum(MaxFloat, args[0], args[1])
 	case "count", "length":
 		need(1)
 		return int64(len(asList(args[0])))

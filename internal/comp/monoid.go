@@ -58,22 +58,12 @@ var monoids = map[string]Monoid{
 	"min": {
 		Name: "min", Commutative: true,
 		Zero: func() Value { return math.Inf(1) },
-		Op: func(a, b Value) Value {
-			if MustFloat(a) <= MustFloat(b) {
-				return a
-			}
-			return b
-		},
+		Op:   func(a, b Value) Value { return pickNum(MinFloat, a, b) },
 	},
 	"max": {
 		Name: "max", Commutative: true,
 		Zero: func() Value { return math.Inf(-1) },
-		Op: func(a, b Value) Value {
-			if MustFloat(a) >= MustFloat(b) {
-				return a
-			}
-			return b
-		},
+		Op:   func(a, b Value) Value { return pickNum(MaxFloat, a, b) },
 	},
 	"&&": {
 		Name: "&&", Commutative: true,
@@ -110,6 +100,35 @@ var monoids = map[string]Monoid{
 			return T(MustFloat(ta[0])+MustFloat(tb[0]), MustInt(ta[1])+MustInt(tb[1]))
 		},
 	},
+}
+
+// MinFloat and MaxFloat are min and max on float64 as Go's builtins define
+// them: a NaN operand makes the result NaN, and -0 is less than +0. They are
+// the one float definition that the min and max monoids, the min and max
+// builtins and the tile kernels share. Under it both are associative and
+// commutative on every float64, NaN included, so partials may combine in
+// any order — reduceByKey's, a tiling's, a partition count's — and every
+// strategy returns one answer.
+func MinFloat(x, y float64) float64 { return min(x, y) }
+
+// MaxFloat: see MinFloat.
+func MaxFloat(x, y float64) float64 { return max(x, y) }
+
+// pickNum is min or max (f) of two numbers: f itself for two floats, and
+// otherwise the argument f picks, type included — a tie goes to a, and two
+// ints compare as floats, as they always have.
+func pickNum(f func(x, y float64) float64, a, b Value) Value {
+	x, y := MustFloat(a), MustFloat(b)
+	w := f(x, y)
+	_, af := a.(float64)
+	_, bf := b.(float64)
+	switch {
+	case af && bf:
+		return w
+	case x != x || w == x && math.Signbit(w) == math.Signbit(x):
+		return a
+	}
+	return b
 }
 
 // MonoidLift maps one element into the accumulator domain of the named

@@ -290,7 +290,7 @@ func TestSessionExplainCoordinateDetail(t *testing.T) {
 	s := NewSession(Config{TileSize: 3})
 	s.RegisterRandMatrix("A", 6, 6, 0, 5, 22)
 	s.RegisterScalar("n", int64(6))
-	ex, err := s.Explain(`tiledvec(n)[ (i, avg/a) | ((i,j),a) <- A, group by i ]`)
+	ex, err := s.Explain(`rdd[ (i, avg/a) | ((i,j),a) <- A, group by i ]`)
 	if err != nil {
 		t.Fatal(err)
 	}

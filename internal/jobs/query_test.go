@@ -22,12 +22,14 @@ import (
 // fig4Queries is the paper's evaluation query set the distributed
 // runtime must reproduce byte-for-byte: tiled matrix multiply via the
 // group-by-join plan, the same multiply with GBJ disabled (explicit
-// join + group-by), and a row-sum aggregation — then the Section 4
-// coordinate fallback on the same seam: a reduceByKey over (sum, count)
-// tuples, a Rule 14 join, and a total and an rdd that have nothing to
-// spill because they never shuffle — and last two oriented products,
-// whose transposed operands are read in place: Aᵀ·B through GEMM, and
-// Aᵀ·Bᵀ with a combine the compiled kernel contracts.
+// join + group-by), and a row-sum aggregation; a row avg and a diagonal
+// total, tile aggregations whose sum and count (the avg) and whose
+// per-partition partial (the total, which shuffles nothing) cross the
+// wire; the Section 4 coordinate fallback on the same seam — a Rule 14
+// join, an rdd with nothing to spill because it never shuffles, a
+// reduceByKey over (sum, count) tuples and a total over a join; and two
+// oriented products, whose transposed operands are read in place: Aᵀ·B
+// through GEMM, and Aᵀ·Bᵀ with a combine the compiled kernel contracts.
 var fig4Queries = []struct {
 	name      string
 	src       string
@@ -43,6 +45,8 @@ var fig4Queries = []struct {
 	{name: "diagonal-rdd", src: "rdd[ ((i,j),m) | ((i,j),m) <- A, i == j ]", noShuffle: true},
 	{name: "matmul-gbj-tn", src: "tiled(n,n)[ ((i,j), +/v) | ((k,i),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"},
 	{name: "kernel-combine-tt", src: "tiled(n,n)[ ((i,j), +/v) | ((k,i),a) <- A, ((j,kk),b) <- B, kk == k, let v = a*b+1.0, group by (i,j) ]"},
+	{name: "rdd-avg", src: "rdd[ (i, avg/m) | ((i,j),m) <- A, group by i ]"},
+	{name: "join-total", src: "+/[ m*b | ((i,j),m) <- A, ((ii,jj),b) <- B, ii == i, jj == j, i == j ]"},
 }
 
 func baseParams() QueryParams {

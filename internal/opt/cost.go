@@ -221,6 +221,10 @@ func decideTileAgg(st *TileAggStrategy, opts Options, prov StatsProvider) *Decis
 	if !ok || sm.Tile <= 0 {
 		return nil
 	}
+	if len(st.KeyPos) == 0 {
+		// A total: one partial per partition, merged by the action.
+		return &Decision{Chosen: CostEstimate{Strategy: "aggregate"}}
+	}
 	// Grouped output cardinality in blocks: the product of the kept
 	// axes' block counts. Partial blocks carry Tile elements per kept
 	// axis (a vector block for 1-D group keys).

@@ -168,6 +168,12 @@ func TestCostTileAgg(t *testing.T) {
 	if d2.Chosen.Strategy != "groupByKey" {
 		t.Fatalf("ablated decision chose %q", d2.Chosen.Strategy)
 	}
+	// The empty key (a total) moves nothing and names no shuffle.
+	info, monoid := extractTotal(t, "+/[ m | ((i,j),m) <- M ]")
+	d3 := ChooseTotal(info, monoid, Options{}, fakeProvider{n: 800, tile: 100, par: 8, adaptive: true}).(*TileAggStrategy).Decision
+	if sum := d3.Summary(); d3.Chosen.ShuffleBytes != 0 || d3.Parts != 0 || len(d3.Rejected) != 0 || strings.Contains(sum, "ByKey") {
+		t.Fatalf("total decision %+v: %s", d3, sum)
+	}
 }
 
 // TestChooseWithStatsNilProvider: a nil provider degrades to plain

@@ -123,6 +123,49 @@ func Extract(c comp.Comprehension) (*QueryInfo, error) {
 	return info, nil
 }
 
+// guards lists, in source order, the guards before the group-by that
+// select elements of g, the query's one generator. Those are its Filters
+// and the index equalities Extract files under JoinConds that constrain two
+// of g's indices to be equal — a diagonal's i == j — which, with nothing to
+// join, only select elements; each is written over g's own index variables,
+// the only ones a tile kernel binds. An equality that ties a fused range
+// variable to an index (A[i,j]'s v1 == i) only names it and is left out, so
+// A[i,j] over i == j filters v1 == v2.
+func (info *QueryInfo) guards(g ArrayGen) []comp.Expr {
+	joins := map[[2]string]bool{}
+	for _, jc := range info.JoinConds {
+		joins[jc] = true
+	}
+	u, index := newUnionFind(), map[string]string{} // class -> g's index in it
+	for _, v := range g.IndexVars {
+		index[u.find(v)] = v
+	}
+	var out []comp.Expr
+	for _, q := range info.Quals {
+		gd, ok := q.(comp.Guard)
+		if !ok {
+			continue
+		}
+		a, b, ok := asVarEquality(gd.E)
+		if !ok || !joins[[2]string{a, b}] {
+			out = append(out, gd.E)
+			continue
+		}
+		ca, cb := u.find(a), u.find(b)
+		if ca == cb {
+			continue
+		}
+		ia, ib := index[ca], index[cb]
+		if ia != "" && ib != "" {
+			out = append(out, comp.BinOp{Op: "==", L: comp.Var{Name: ia}, R: comp.Var{Name: ib}})
+		}
+		u.union(a, b)
+		index[u.find(a)] = max(ia, ib) // the one that is set; either, when both are
+
+	}
+	return out
+}
+
 // FuseRanges implements the paper's index-traversal merging
 // (Section 2): a range generator whose variable is equated to an array
 // generator's index variable is redundant when the range provably

@@ -131,11 +131,13 @@ func (s *GroupByJoinStrategy) Describe() string {
 // variables with monoid aggregations — per-tile partial aggregation
 // followed by reduceByKey (Section 5.3; Figure 1 row sums). Multiple
 // aggregations in the head run as one pass over a product monoid
-// (Rule 12), finalized by FinalExpr over the hole variables.
+// (Rule 12), finalized by FinalExpr over the hole variables. The empty
+// key is a total (ChooseTotal): one group, so the partials merge without
+// a shuffle.
 type TileAggStrategy struct {
 	Gen         ArrayGen
-	KeyPos      []int // positions of the grouped index vars
-	Aggs        []comp.Factored
+	KeyPos      []int           // positions of the grouped index vars; none for a total
+	Aggs        []comp.Factored // +, *, count, min or max: an avg is split into + and count
 	FinalExpr   comp.Expr
 	Lets        []comp.LetQual
 	Filters     []comp.Expr // element filters applied before aggregating
@@ -150,16 +152,19 @@ func (s *TileAggStrategy) Kind() string { return "tile-aggregate" }
 
 // Describe renders the Explain line.
 func (s *TileAggStrategy) Describe() string {
-	shuffle := "reduceByKey (Rule 13)"
-	if !s.UseReduceBy {
-		shuffle = "groupByKey (Rule 13 disabled)"
-	}
 	names := make([]string, len(s.Aggs))
 	for i, a := range s.Aggs {
 		names[i] = a.Monoid
 	}
-	return fmt.Sprintf("per-tile partial {%s}-aggregation of %s grouped by %v, %s",
-		strings.Join(names, ","), s.Gen.Name, s.KeyPos, shuffle)
+	partial := fmt.Sprintf("per-tile partial {%s}-aggregation of %s", strings.Join(names, ","), s.Gen.Name)
+	if len(s.KeyPos) == 0 {
+		return partial + ", partials merged in partition order (no shuffle)"
+	}
+	shuffle := "reduceByKey (Rule 13)"
+	if !s.UseReduceBy {
+		shuffle = "groupByKey (Rule 13 disabled)"
+	}
+	return fmt.Sprintf("%s grouped by %v, %s", partial, s.KeyPos, shuffle)
 }
 
 // ReplicateStrategy: a single generator whose output key is affine but
@@ -248,12 +253,12 @@ func chooseNonGrouped(info *QueryInfo) Strategy {
 		// Try a permutation of the generator's index variables.
 		if perm, ok := keyPermutation(keys, g.IndexVars, u); ok {
 			return &MapStrategy{Gen: g, KeyPerm: perm, ValExpr: info.HeadVal,
-				Lets: info.Lets, Filters: info.Filters}
+				Lets: info.Lets, Filters: info.guards(g)}
 		}
 		// Rule 19 replication: affine keys over this generator's vars.
 		if allVarsOf(keys, g.IndexVars, u) && len(keys) == len(g.IndexVars) {
 			return &ReplicateStrategy{Gen: g, Keys: keys, ValExpr: info.HeadVal,
-				Lets: info.Lets, Filters: info.Filters}
+				Lets: info.Lets, Filters: info.guards(g)}
 		}
 		return nil
 	}
@@ -293,15 +298,27 @@ func chooseGrouped(info *QueryInfo, opts Options) Strategy {
 			if perm, ok := keyPermutation(keys, g.IndexVars, u); ok {
 				return &MapStrategy{Gen: g, KeyPerm: perm,
 					ValExpr: rewriteSingletonReductions(info.HeadVal),
-					Lets:    info.Lets, Filters: info.Filters,
+					Lets:    info.Lets, Filters: info.guards(g),
 					ViaRule15: true}
 			}
 			return nil
 		}
 		// Aggregation grouped by a strict subset of index vars
 		// (e.g. row sums grouped by i). Multiple head aggregations are
-		// factored into one product-monoid pass (Rule 12).
+		// factored into one product-monoid pass (Rule 12). The executor
+		// writes group i at position i, so the head key must be the group
+		// key itself; a computed one ((i+1, ...), (0, ...), (i, 0)) is the
+		// coordinate fallback's to shift or reject.
 		if keyPos, ok := subsetPositions(info.GroupBy, g.IndexVars, u); ok {
+			keys, ok := affineKeyComponents(info.HeadKey)
+			if !ok || len(keys) != len(info.GroupBy) {
+				return nil
+			}
+			for x, k := range keys {
+				if !k.Identity() || u.find(k.Var) != u.find(info.GroupBy[x]) {
+					return nil
+				}
+			}
 			lifted := map[string]bool{}
 			for _, v := range g.IndexVars {
 				lifted[v] = true
@@ -324,7 +341,7 @@ func chooseGrouped(info *QueryInfo, opts Options) Strategy {
 			}
 			for _, a := range aggs {
 				if !scalarAggMonoid(a.Monoid) {
-					return nil // e.g. avg: handled by the coordinate fallback
+					return nil // e.g. ++: handled by the coordinate fallback
 				}
 			}
 			// The finalize expression may reference the group key var.
@@ -339,9 +356,12 @@ func chooseGrouped(info *QueryInfo, opts Options) Strategy {
 					return nil
 				}
 			}
+			if aggs, final, ok = splitAvg(aggs, final); !ok {
+				return nil
+			}
 			return &TileAggStrategy{Gen: g, KeyPos: keyPos,
 				Aggs: aggs, FinalExpr: final,
-				Lets: info.Lets, Filters: info.Filters,
+				Lets: info.Lets, Filters: info.guards(g),
 				UseReduceBy: !opts.DisableReduceByKey}
 		}
 		return nil
@@ -628,14 +648,73 @@ func isHole(aggs []comp.Factored, v string) bool {
 	return false
 }
 
-// scalarAggMonoid reports whether the tile-aggregation executor has a
-// float accumulator for this monoid.
+// scalarAggMonoid reports whether the tile-aggregation executor folds this
+// monoid in float accumulators — avg once splitAvg has made it a sum and a
+// count.
 func scalarAggMonoid(name string) bool {
 	switch name {
-	case "+", "*", "min", "max", "count":
+	case "+", "*", "min", "max", "count", "avg":
 		return true
 	}
 	return false
+}
+
+// splitAvg rewrites each avg/x among the factored aggregations into comp's
+// (sum, count) pair, +/x and count/x, and its hole in the finalize into
+// their quotient — 0 when nothing was counted, as comp.MonoidFinalize
+// gives — so the tile executor folds only +, *, count, min and max. ok is
+// false when the finalize holds a comprehension, into which comp cannot
+// substitute the quotient.
+func splitAvg(aggs []comp.Factored, final comp.Expr) (out []comp.Factored, _ comp.Expr, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	sub := map[string]comp.Expr{}
+	for _, a := range aggs {
+		if a.Monoid != "avg" {
+			out = append(out, a)
+			continue
+		}
+		s, c := comp.Var{Name: a.Hole + "s"}, comp.Var{Name: a.Hole + "c"}
+		out = append(out, comp.Factored{Monoid: "+", Var: a.Var, Hole: s.Name},
+			comp.Factored{Monoid: "count", Var: a.Var, Hole: c.Name})
+		sub[a.Hole] = comp.IfExpr{
+			Cond: comp.BinOp{Op: "==", L: c, R: comp.Lit{Val: int64(0)}},
+			Then: comp.Lit{Val: 0.0},
+			Else: comp.BinOp{Op: "/", L: s, R: comp.Call{Fn: "float", Args: []comp.Expr{c}}}}
+	}
+	return out, comp.SubstExpr(final, sub), true
+}
+
+// ChooseTotal selects the strategy of a total reduction ⊕/[ e | quals ],
+// analysed by Extract under a unit key. A total is a tile aggregation
+// with the empty key (Section 5.3): when the quals draw from one array —
+// no second generator, no range — and ⊕ has float accumulators, each
+// partition folds its tiles' e into one partial and the partials merge,
+// with no shuffle. Anything else is the coordinate fallback's, as is a
+// total whose e the tile kernel cannot type as the number the monoid folds
+// (plan decides that when it lowers e).
+func ChooseTotal(info *QueryInfo, monoid string, opts Options, prov StatsProvider) Strategy {
+	if opts.DisableTilingPreservation {
+		return &CoordStrategy{Reason: "tiling preservation disabled"}
+	}
+	if len(info.Gens) != 1 || len(info.RangeGens) > 0 || info.GroupBy != nil || !scalarAggMonoid(monoid) {
+		return &CoordStrategy{Reason: "total aggregation outside the tile rules"}
+	}
+	// e is folded as the value of a let, the form FactorReductions gives a
+	// grouped aggregation's operand.
+	const v, hole = "_total", "_hole"
+	g := info.Gens[0]
+	aggs, final, _ := splitAvg([]comp.Factored{{Monoid: monoid, Var: v, Hole: hole}}, comp.Var{Name: hole})
+	s := &TileAggStrategy{Gen: g, Aggs: aggs, FinalExpr: final,
+		Lets:    append(info.Lets[:len(info.Lets):len(info.Lets)], comp.LetQual{Pat: comp.PVar{Name: v}, E: info.HeadVal}),
+		Filters: info.guards(g)}
+	if prov != nil {
+		s.Decision = decideTileAgg(s, opts, prov)
+	}
+	return s
 }
 
 // MatVecStrategy: the group-by-join shape with a vector operand —

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/comp"
@@ -169,10 +170,101 @@ func TestChooseRowSums(t *testing.T) {
 	}
 }
 
-func TestChooseAvgFallsBack(t *testing.T) {
-	s := choose(t, "tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, group by i ]", Options{})
-	if s.Kind() != "coordinate" {
-		t.Fatalf("avg should fall back, got %s", s.Kind())
+// avg is a tile aggregation, alone and in a Rule 12 mix: it folds as comp's
+// (sum, count) pair, +/a and count/a, and the finalize divides them.
+func TestChooseAvgIsTileAggregate(t *testing.T) {
+	for src, want := range map[string]string{
+		"tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, group by i ]":         "[+ count] if((_hole1c == 0), 0, (_hole1s / float(_hole1c)))",
+		"tiledvec(6)[ (j, avg/a + max/a) | ((i,j),a) <- A, group by j ]": "[+ count max] (if((_hole1c == 0), 0, (_hole1s / float(_hole1c))) + _hole2)",
+	} {
+		s, ok := choose(t, src, Options{}).(*TileAggStrategy)
+		if !ok {
+			t.Fatalf("%s: chose %+v", src, s)
+		}
+		var names []string
+		for _, a := range s.Aggs {
+			names = append(names, a.Monoid)
+		}
+		if got := fmt.Sprintf("%v %s", names, s.FinalExpr); got != want {
+			t.Fatalf("%s: %s, want %s", src, got, want)
+		}
+	}
+	// comp cannot substitute the quotient into a comprehension in the
+	// finalize; that avg is the coordinate fallback's.
+	if k := choose(t, "tiledvec(6)[ (i, avg/a + +/[ 1.0 | x <- 0 until 3 ]) | ((i,j),a) <- A, group by i ]", Options{}).Kind(); k != "coordinate" {
+		t.Fatalf("avg beside a comprehension chose %s", k)
+	}
+}
+
+// The tile aggregation writes group i at position i, so it takes only a
+// head key that is the group key (or a variable equated to it); any other
+// key is the coordinate fallback's, which shifts or rejects it.
+func TestChooseTileAggHeadKey(t *testing.T) {
+	for src, kind := range map[string]string{
+		"tiledvec(6)[ (i, +/a) | ((i,j),a) <- A, group by i ]":         "tile-aggregate",
+		"tiledvec(6)[ (i+1, +/a) | ((i,j),a) <- A, group by i ]":       "coordinate",
+		"tiledvec(6)[ (0, max/a) | ((i,j),a) <- A, group by i ]":       "coordinate",
+		"tiledvec(6)[ ((i,0), avg/a) | ((i,j),a) <- A, group by i ]":   "coordinate",
+		"tiledvec(6)[ (j, +/a) | ((i,j),a) <- A, group by i ]":         "coordinate",
+		"tiledvec(6)[ (i, +/a) | ((i,j),a) <- A, i == j, group by j ]": "tile-aggregate",
+	} {
+		if got := choose(t, src, Options{}).Kind(); got != kind {
+			t.Errorf("%s: %s, want %s", src, got, kind)
+		}
+	}
+}
+
+// extractTotal parses a total reduction ⊕/[ e | quals ] and extracts its
+// body under a unit key, as plan.Compile does.
+func extractTotal(t *testing.T, src string) (*QueryInfo, string) {
+	t.Helper()
+	r, ok := comp.Desugar(sacparser.MustParse(src)).(comp.Reduce)
+	if !ok {
+		t.Fatalf("not a total: %s", src)
+	}
+	c := r.E.(comp.Comprehension)
+	info, err := Extract(comp.Comprehension{Head: comp.TupleExpr{Elems: []comp.Expr{comp.TupleExpr{}, c.Head}}, Quals: c.Quals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info, r.Monoid
+}
+
+// A total over one array with a scalar monoid is a tile aggregation with
+// the empty key, its guards — a diagonal's index equality included — its
+// filters; joins, ranges, &&, || and ++ stay on the coordinate path, as
+// does everything with tiling preservation disabled.
+func TestChooseTotal(t *testing.T) {
+	for _, c := range []struct {
+		src, kind string
+		filters   int
+	}{
+		{"+/[ a | ((i,j),a) <- A ]", "tile-aggregate", 0},
+		{"avg/[ a*2.0 | ((i,j),a) <- A, a > 1.0, let b = a ]", "tile-aggregate", 1},
+		{"+/[ m | ((i,j),m) <- A, i == j ]", "tile-aggregate", 1},
+		{"min/[ x | (i,x) <- V, i < 3 ]", "tile-aggregate", 1},
+		{"count/[ (i,a) | ((i,j),a) <- A ]", "tile-aggregate", 0}, // plan keeps a tuple head on the coordinate path
+		{"&&/[ a > 0.0 | ((i,j),a) <- A ]", "coordinate", 0},
+		{"++/[ [a] | ((i,j),a) <- A ]", "coordinate", 0},
+		{"+/[ a*b | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]", "coordinate", 0},
+		{"+/[ a | ((i,j),a) <- A, k <- 0 until 3, k == i ]", "coordinate", 0},
+	} {
+		info, monoid := extractTotal(t, c.src)
+		s := ChooseTotal(info, monoid, Options{}, nil)
+		if s.Kind() != c.kind {
+			t.Fatalf("%s: %s, want %s", c.src, s.Describe(), c.kind)
+		}
+		if ta, ok := s.(*TileAggStrategy); ok {
+			if len(ta.KeyPos) != 0 || len(ta.Filters) != c.filters || ta.Decision != nil {
+				t.Fatalf("%s: %+v", c.src, ta)
+			}
+			if d := ta.Describe(); !contains(d, "no shuffle") || contains(d, "reduceByKey") {
+				t.Fatalf("%s: describe %q", c.src, d)
+			}
+		}
+		if k := ChooseTotal(info, monoid, Options{DisableTilingPreservation: true}, nil).Kind(); k != "coordinate" {
+			t.Fatalf("%s: tiling preservation disabled chose %s", c.src, k)
+		}
 	}
 }
 
@@ -344,7 +436,7 @@ func TestStrategyDescribeAll(t *testing.T) {
 		"tiled(6,6)[ ((i,j), a+b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]": "tile-zip",
 		"tiledvec(6)[ (i, +/a) | ((i,j),a) <- A, group by i ]":                            "tile-aggregate",
 		"tiled(6,6)[ (((i+1) % 6, j), a) | ((i,j),a) <- A ]":                              "tile-replicate",
-		"tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, group by i ]":                          "coordinate",
+		"tiledvec(6)[ (i+1, avg/a) | ((i,j),a) <- A, group by i ]":                        "coordinate",
 	}
 	for src, kind := range cases {
 		s := choose(t, src, Options{})

@@ -162,8 +162,10 @@ func (taggedTileCodec) Decode(r *spill.Reader) taggedTile {
 func init() {
 	spill.Register[comp.Value](valueCodec{})
 	spill.Register(dataflow.PairCodec[string, comp.Value](spill.StringCodec{}, valueCodec{}))
-	// execTileAgg's partials, through reduceByKey and groupByKey alike, and
+	// execTileAgg's partials, through reduceByKey and groupByKey alike, a
+	// total's per-partition partial gathered across ranks, and
 	// execReplicate's tiles.
 	spill.Register(dataflow.PairCodec[int64, *aggBlock](spill.Int64Codec{}, aggBlockCodec{}))
+	spill.Register[*aggBlock](aggBlockCodec{})
 	spill.Register(dataflow.PairCodec[tiled.Coord, taggedTile](dataflow.CoordCodec{}, taggedTileCodec{}))
 }

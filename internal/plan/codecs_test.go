@@ -144,6 +144,9 @@ func TestCoordShuffleRowsRegistered(t *testing.T) {
 	if !spill.Registered[dataflow.Pair[int64, *aggBlock]]() {
 		t.Error("Pair[int64, *aggBlock] (tile-aggregation partials, reduceByKey and groupByKey) has no registered codec")
 	}
+	if !spill.Registered[*aggBlock]() {
+		t.Error("*aggBlock (a total's partial, gathered by Aggregate) has no registered codec")
+	}
 	if !spill.Registered[dataflow.Pair[tiled.Coord, taggedTile]]() {
 		t.Error("Pair[Coord, taggedTile] (Rule 19 replicated tiles) has no registered codec")
 	}

@@ -537,6 +537,27 @@ func (p *coordPlan) collectGrouped(rows *dataflow.Dataset[comp.Value]) *dataflow
 	})
 }
 
+// execTotalReduce evaluates ⊕/[ e | q ] by running the coordinate
+// pipeline to produce the lifted values and aggregating them.
+func (q *Compiled) execTotalReduce() (*Result, error) {
+	vals, _, err := q.runCoord()
+	if err != nil {
+		return nil, err
+	}
+	mono, err := comp.LookupMonoid(q.reduce)
+	if err != nil {
+		return nil, err
+	}
+	name := q.reduce
+	acc := dataflow.Aggregate(vals, mono.Zero(),
+		func(a comp.Value, row comp.Value) comp.Value {
+			t := comp.MustTuple(row)
+			return mono.Op(a, comp.MonoidLift(name, t[1]))
+		},
+		func(a, b comp.Value) comp.Value { return mono.Op(a, b) })
+	return &Result{Scalar: comp.MonoidFinalize(name, acc)}, nil
+}
+
 // execCoord runs the fallback strategy end to end and builds the
 // requested output storage.
 func (q *Compiled) execCoord() (*Result, error) {

@@ -269,9 +269,9 @@ func lookupAggMonoid(name string) (aggMonoid, error) {
 	case "*":
 		return aggMonoid{zero: 1, op: func(a, b float64) float64 { return a * b }}, nil
 	case "min":
-		return aggMonoid{zero: math.Inf(1), op: minF}, nil
+		return aggMonoid{zero: math.Inf(1), op: comp.MinFloat}, nil
 	case "max":
-		return aggMonoid{zero: math.Inf(-1), op: maxF}, nil
+		return aggMonoid{zero: math.Inf(-1), op: comp.MaxFloat}, nil
 	}
 	return aggMonoid{}, fmt.Errorf("plan: unsupported tile aggregation monoid %q", name)
 }
@@ -300,27 +300,51 @@ func (m aggMonoid) fold(acc []float64, step int, v []float64, mask []bool) {
 	}
 }
 
-func minF(a, b float64) float64 {
-	if a <= b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a >= b {
-		return a
-	}
-	return b
-}
-
 // aggBlock is the partial state of one output block position range:
 // one accumulator vector per factored aggregation plus a touched mask
 // (untouched positions finalize to the builder default 0, not the
-// monoid identity).
+// monoid identity). A total's has one position and no mask.
 type aggBlock struct {
 	Accs    []*linalg.Vector
 	Touched []bool
+}
+
+// newAggBlock is a partial of n positions with every accumulator at its
+// monoid's identity.
+func newAggBlock(ms []aggMonoid, n int, touched bool) *aggBlock {
+	acc := &aggBlock{Accs: make([]*linalg.Vector, len(ms))}
+	if touched {
+		acc.Touched = make([]bool, n)
+	}
+	for k, m := range ms {
+		acc.Accs[k] = linalg.NewVector(n)
+		for j := range acc.Accs[k].Data {
+			acc.Accs[k].Data[j] = m.zero
+		}
+	}
+	return acc
+}
+
+// merge folds partial b into a.
+func (a *aggBlock) merge(ms []aggMonoid, b *aggBlock) *aggBlock {
+	for k, m := range ms {
+		for i := range a.Accs[k].Data {
+			a.Accs[k].Data[i] = m.op(a.Accs[k].Data[i], b.Accs[k].Data[i])
+		}
+	}
+	for i := range a.Touched {
+		a.Touched[i] = a.Touched[i] || b.Touched[i]
+	}
+	return a
+}
+
+// data lists the accumulators' rows, the finalize kernel's value slots.
+func (a *aggBlock) data() [][]float64 {
+	out := make([][]float64, len(a.Accs))
+	for k, v := range a.Accs {
+		out[k] = v.Data
+	}
+	return out
 }
 
 // NumBytes implements shuffle accounting.
@@ -336,8 +360,19 @@ func (a *aggBlock) NumBytes() int64 {
 // grouped aggregations (Figure 1 row sums): per-tile partial blocks —
 // one accumulator per factored aggregation (Rule 12) — then
 // reduceByKey (or groupByKey when Rule 13 is disabled) and a finalize
-// pass evaluating the residual head expression.
+// pass evaluating the residual head expression. The empty key is a
+// total (execTotalAgg).
 func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
+	monoids := make([]aggMonoid, len(s.Aggs))
+	for i, a := range s.Aggs {
+		var err error
+		if monoids[i], err = lookupAggMonoid(a.Monoid); err != nil {
+			return nil, err
+		}
+	}
+	if len(s.KeyPos) == 0 {
+		return q.execTotalAgg(s, monoids)
+	}
 	m, err := q.cat.matrix(s.Gen.Name)
 	if err != nil {
 		return nil, err
@@ -348,12 +383,6 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	if len(s.KeyPos) != 1 {
 		return nil, fmt.Errorf("plan: tile aggregation supports one group key, got %d", len(s.KeyPos))
 	}
-	monoids := make([]aggMonoid, len(s.Aggs))
-	for i, a := range s.Aggs {
-		if monoids[i], err = lookupAggMonoid(a.Monoid); err != nil {
-			return nil, err
-		}
-	}
 	byRow := s.KeyPos[0] == 0
 	n, rows, cols := m.N, m.Rows, m.Cols
 	parts := m.Tiles.NumPartitions()
@@ -362,13 +391,7 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	}
 
 	partials := dataflow.Map(m.Tiles, func(b tiled.Block) dataflow.Pair[int64, *aggBlock] {
-		acc := &aggBlock{Accs: make([]*linalg.Vector, len(monoids)), Touched: make([]bool, n)}
-		for k, mono := range monoids {
-			acc.Accs[k] = linalg.NewVector(n)
-			for j := range acc.Accs[k].Data {
-				acc.Accs[k].Data[j] = mono.zero
-			}
-		}
+		acc := newAggBlock(monoids, n, true)
 		key := b.Key.I
 		if !byRow {
 			key = b.Key.J
@@ -394,17 +417,7 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 		return dataflow.KV(key, acc)
 	})
 
-	combine := func(x, y *aggBlock) *aggBlock {
-		for k := range x.Accs {
-			for i := range x.Accs[k].Data {
-				x.Accs[k].Data[i] = monoids[k].op(x.Accs[k].Data[i], y.Accs[k].Data[i])
-			}
-		}
-		for i := range x.Touched {
-			x.Touched[i] = x.Touched[i] || y.Touched[i]
-		}
-		return x
-	}
+	combine := func(x, y *aggBlock) *aggBlock { return x.merge(monoids, y) }
 	var reduced *dataflow.Dataset[dataflow.Pair[int64, *aggBlock]]
 	if s.UseReduceBy {
 		reduced = dataflow.ReduceByKey(partials, combine, parts)
@@ -423,11 +436,7 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	// variables) and the group key, at the positions some element reached.
 	blocks := dataflow.Map(reduced, func(p dataflow.Pair[int64, *aggBlock]) tiled.VBlock {
 		out := linalg.NewVector(n)
-		accs := make([][]float64, len(p.Value.Accs))
-		for k, a := range p.Value.Accs {
-			accs[k] = a.Data
-		}
-		q.final.run(span{src: accs, dst: out.Data, stride: n, gj: p.Key * int64(n), h: 1, w: n},
+		q.final.run(span{src: p.Value.data(), dst: out.Data, stride: n, gj: p.Key * int64(n), h: 1, w: n},
 			func(int) []bool { return p.Value.Touched }, nil)
 		return dataflow.KV(p.Key, out)
 	})
@@ -436,6 +445,65 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 		size = cols
 	}
 	return &Result{Vector: &tiled.Vector{Size: size, N: n, Blocks: blocks}}, nil
+}
+
+// execTotalAgg runs a tile aggregation with the empty key, a total
+// ⊕/[ e | p <- X, ... ]: one Aggregate action over X's tiles (a vector's
+// blocks as one-row tiles) and no shuffle. Each partition's task continues
+// one running fold across its tiles in the order Sparsify lists their
+// elements — rows top to bottom, lanes left to right, filtered lanes
+// skipped — and the partials merge in partition order: the association of
+// the coordinate path's Aggregate, so the answer has its bits. The finalize
+// runs once over the merged accumulators, and the value has comp's type:
+// int64 for count, float64 otherwise (a min or max of floats is ±Inf over
+// nothing).
+func (q *Compiled) execTotalAgg(s *opt.TileAggStrategy, ms []aggMonoid) (*Result, error) {
+	var acc *aggBlock
+	switch x := q.cat.vals[s.Gen.Name].(type) {
+	case *tiled.Matrix:
+		acc = foldTotal(q.cell, ms, x.Tiles, func(b tiled.Block) span {
+			return tileSpan(b.Key, x.N, x.Rows, x.Cols, nil, b.Value.Data)
+		})
+	case *tiled.Vector:
+		acc = foldTotal(q.cell, ms, x.Blocks, func(b tiled.VBlock) span {
+			return tileSpan(tiled.Coord{J: b.Key}, x.N, 1, x.Size, nil, b.Value.Data)
+		})
+	default:
+		return nil, fmt.Errorf("plan: %q is not a distributed array", s.Gen.Name)
+	}
+	if acc == nil { // no partitions
+		acc = newAggBlock(ms, 1, false)
+	}
+	var v [1]float64
+	q.final.run(span{src: acc.data(), dst: v[:], stride: 1, h: 1, w: 1}, nil, nil)
+	if q.reduce == "count" {
+		return &Result{Scalar: int64(v[0])}, nil
+	}
+	return &Result{Scalar: v[0]}, nil
+}
+
+// foldTotal is execTotalAgg's action over one array's tiles. A partition
+// with no tiles has a nil partial, which merges as the identity.
+func foldTotal[T any](k *kernel, ms []aggMonoid, tiles *dataflow.Dataset[T], spanOf func(T) span) *aggBlock {
+	return dataflow.Aggregate(tiles, nil, func(acc *aggBlock, t T) *aggBlock {
+		if acc == nil {
+			acc = newAggBlock(ms, 1, false)
+		}
+		k.run(spanOf(t), nil, func(_, _ int, vals [][]float64, mask []bool) {
+			for e, v := range vals {
+				ms[e].fold(acc.Accs[e].Data, 0, v, mask)
+			}
+		})
+		return acc
+	}, func(x, y *aggBlock) *aggBlock {
+		if x == nil {
+			return y
+		}
+		if y == nil {
+			return x
+		}
+		return x.merge(ms, y)
+	})
 }
 
 // taggedTile is a tile replicated toward a destination coordinate by
@@ -557,27 +625,6 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 		return dataflow.KV(g.Key, out)
 	})
 	return &Result{Matrix: &tiled.Matrix{Rows: outRows, Cols: outCols, N: n, Tiles: tiles}}, nil
-}
-
-// execTotalReduce evaluates ⊕/[ e | q ] by running the coordinate
-// pipeline to produce the lifted values and aggregating them.
-func (q *Compiled) execTotalReduce() (*Result, error) {
-	vals, _, err := q.runCoord()
-	if err != nil {
-		return nil, err
-	}
-	mono, err := comp.LookupMonoid(q.reduce)
-	if err != nil {
-		return nil, err
-	}
-	name := q.reduce
-	acc := dataflow.Aggregate(vals, mono.Zero(),
-		func(a comp.Value, row comp.Value) comp.Value {
-			t := comp.MustTuple(row)
-			return mono.Op(a, comp.MonoidLift(name, t[1]))
-		},
-		func(a, b comp.Value) comp.Value { return mono.Op(a, b) })
-	return &Result{Scalar: comp.MonoidFinalize(name, acc)}, nil
 }
 
 // execMatVec runs the matrix-vector instance of the group-by-join.

@@ -101,6 +101,25 @@ func TestFuzzDistributedMatchesLocal(t *testing.T) {
 			q := "[ ((i, j+1), a*j) | ((i,j),a) <- A, i > 0 ]"
 			return fmt.Sprintf("tiled(%d,%d)"+q, n, m), fmt.Sprintf("matrix(%d,%d)"+q, n, m)
 		}},
+		// Totals (a tile aggregation with the empty key), avg, and a group
+		// key the head shifts (the coordinate path's: the tile aggregation
+		// writes group i at position i).
+		{"filtered-total", func(n, m int) (string, string) {
+			q := fmt.Sprintf("%s/[ a | ((i,j),a) <- A, a > 2.5, j != %d ]", []string{"+", "min", "count"}[rng.Intn(3)], rng.Intn(m))
+			return q, q
+		}},
+		{"rowavg", func(n, m int) (string, string) {
+			q := "[ (i, avg/a) | ((i,j),a) <- A, group by i ]"
+			return fmt.Sprintf("tiledvec(%d)"+q, n), fmt.Sprintf("vector(%d)"+q, n)
+		}},
+		{"colavg", func(n, m int) (string, string) {
+			q := "[ (j, avg/a) | ((i,j),a) <- A, a < 4.0, group by j ]"
+			return fmt.Sprintf("tiledvec(%d)"+q, m), fmt.Sprintf("vector(%d)"+q, m)
+		}},
+		{"shifted-key", func(n, m int) (string, string) {
+			q := "[ (i+1, +/a) | ((i,j),a) <- A, group by i ]"
+			return fmt.Sprintf("tiledvec(%d)"+q, n), fmt.Sprintf("vector(%d)"+q, n)
+		}},
 	}
 
 	for round := 0; round < rounds; round++ {
@@ -149,6 +168,11 @@ func TestFuzzDistributedMatchesLocal(t *testing.T) {
 			if !res.Vector.ToDense().EqualApprox(w.V, 1e-9) {
 				t.Fatalf("round %d (%s) diverged\nquery: %s\ndist: %v\nlocal: %v",
 					round, g.name, distSrc, res.Vector.ToDense().Data, w.V.Data)
+			}
+		case float64, int64:
+			if fmt.Sprintf("%T", res.Scalar) != fmt.Sprintf("%T", w) || !approxValue(res.Scalar, w) {
+				t.Fatalf("round %d (%s) diverged\nquery: %s\ndist: %v (%T)\nlocal: %v (%T)",
+					round, g.name, distSrc, res.Scalar, res.Scalar, w, w)
 			}
 		default:
 			t.Fatalf("round %d: unexpected local result %T", round, want)
@@ -208,7 +232,8 @@ func TestFuzzStrategyCoverage(t *testing.T) {
 		"tiledvec(6)[ (i, +/a) | ((i,j),a) <- A, group by i ]",
 		"tiled(6,6)[ (((i+1) % 6, j), a) | ((i,j),a) <- A ]",
 		"tiledvec(6)[ (i, +/v) | ((i,k),a) <- A, (kk,x) <- V, kk == k, let v = a*x, group by i ]",
-		"tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, group by i ]",
+		"+/[ a | ((i,j),a) <- A, a > 2.0 ]",
+		"rdd[ (i, avg/a) | ((i,j),a) <- A, group by i ]",
 	} {
 		q, err := Compile(sacparser.MustParse(src), cat, opt.Options{})
 		if err != nil {

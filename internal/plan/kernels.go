@@ -319,6 +319,7 @@ type kernel struct {
 	colGuard *node   // && of those reading only the advancing index: decided once per tile
 	filters  []*node // the rest, in order: each narrows the live lanes for the next
 	vals     []*node // float-typed results, one row each
+	types    []typ   // each value's own type, before the coercion to float
 	nval     int     // value slots
 	nidx     int     // index slots
 	nbuf     int     // scratch rows: one per node plus the driver's two masks
@@ -358,7 +359,10 @@ func lowerKernel(slots map[string]slot, lets []comp.LetQual, filters []comp.Expr
 		*chain = n
 	}
 	for _, v := range vals {
-		k.vals = append(k.vals, root(v, tFloat))
+		v = inlineLets(v, lets)
+		n := c.lower(v)
+		k.types = append(k.types, n.typ)
+		k.vals = append(k.vals, c.as(n, tFloat, v))
 	}
 	k.nbuf = c.next + 2
 	return k, nil
@@ -606,12 +610,13 @@ func compare[T number](op string, d []bool, l, r []T) []bool {
 }
 
 // The builtins and operators that are not worth a loop of their own,
-// with comp.evalCall's exact semantics: min and max compare as floats
-// and return the winning argument.
+// with comp.evalCall's exact semantics: min and max of floats are comp's
+// one float definition, and of ints compare as floats and return the
+// winning argument.
 var (
 	float1 = map[string]func(float64) float64{
 		"neg": func(x float64) float64 { return -x }, "abs": math.Abs, "sqrt": math.Sqrt, "exp": math.Exp, "log": math.Log}
-	float2 = map[string]func(a, b float64) float64{"%": math.Mod, "pow": math.Pow, "min": minF, "max": maxF}
+	float2 = map[string]func(a, b float64) float64{"%": math.Mod, "pow": math.Pow, "min": comp.MinFloat, "max": comp.MaxFloat}
 	int1   = map[string]func(int64) int64{
 		"neg": func(x int64) int64 { return -x }, "abs": func(x int64) int64 { return max(x, -x) }}
 	int2 = map[string]func(a, b int64) int64{

@@ -104,3 +104,34 @@ func BenchmarkCompiledProduct(b *testing.B) {
 		})
 	}
 }
+
+// benchLocalCoord times one of the local-coord workload's two shapes (n =
+// 1000, tile 100, 8 partitions) on a persisted input, compile time
+// included and a vector result forced, with the allocations -benchmem
+// shows: a total and a row avg, both tile aggregations.
+func benchLocalCoord(b *testing.B, src string) {
+	ctx := dataflow.NewLocalContext()
+	defer ctx.Close()
+	const n, tile, parts = 1000, 100, 8
+	ma := tiled.RandMatrix(ctx, n, n, tile, parts, 0, 10, 1).Persist()
+	dataflow.Count(ma.Tiles)
+	cat := NewCatalog(ctx).BindMatrix("A", ma).BindScalar("n", int64(n))
+	e := sacparser.MustParse(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := Compile(e, cat, opt.Options{})
+		if err == nil {
+			_, _, err = q.Force(false)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTotalReduce(b *testing.B) { benchLocalCoord(b, "+/[ a | ((i,j),a) <- A ]") }
+
+func BenchmarkRowAvg(b *testing.B) {
+	benchLocalCoord(b, "tiledvec(n)[ (i, avg/a) | ((i,j),a) <- A, group by i ]")
+}

@@ -342,6 +342,9 @@ func FuzzKernelMatchesInterpreter(f *testing.F) {
 		rng.Read(b)
 		f.Add(b)
 	}
+	// A NaN through min: one input, no guards, head min(sqrt(-1.5), a), on
+	// a ragged 7 x 5 matrix in 3 x 3 tiles.
+	f.Add([]byte{0, 0, 1, 3, 5, 0, 3, 0, 3, 0, 2, 8, 1, 0, 1, 6, 4})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c := &byteChoices{b: b}
 		kc := genKernelCase(c)

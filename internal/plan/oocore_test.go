@@ -118,7 +118,7 @@ func TestOutOfCoreCoordinateFamilies(t *testing.T) {
 		{"join chain", `tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]`, true},
 		{"range-seeded stencil", `tiled(n,9)[ ((i,j), 2.0*v) | i <- 0 until n, j <- 0 until 9, ((ii,jj),v) <- A, ii == i-1, jj == j ]`, true},
 		{"having clause", `rdd[ (k, +/a) | ((i,j),a) <- A, group by k: i % 3, count(a) > 27 ]`, true},
-		{"filtered total", `+/[ a | ((i,j),a) <- A, a > 2.5 ]`, false},
+		{"total over a join", `+/[ a*b | ((i,j),a) <- A, ((jj,ii),b) <- B, ii == i, jj == j, a > 2.5 ]`, true},
 		{"bare rdd head", `rdd[ a*2.0 | ((i,j),a) <- A, i == j ]`, false},
 	} {
 		want, _ := run(c.src, 0)

@@ -339,7 +339,7 @@ func Compile(e comp.Expr, cat *Catalog, opts opt.Options) (*Compiled, error) {
 	// concrete range bounds.
 	c = comp.FoldConstants(comp.SubstConsts(c, cat.scalarConsts())).(comp.Comprehension)
 
-	reason := "total aggregation"
+	var reason string
 	if q.reduce == "" {
 		var err error
 		if q.info, err = opt.Extract(c); err != nil {
@@ -349,34 +349,70 @@ func Compile(e comp.Expr, cat *Catalog, opts opt.Options) (*Compiled, error) {
 	switch {
 	case q.info == nil:
 		// A head that is not a (key, value) pair — every total reduction's,
-		// and what else Extract refused — still runs via the bare
-		// coordinate pipeline when the qualifiers are in the subset.
+		// and what else Extract refused — is analysed under a unit key. A
+		// total is a tile aggregation with the empty key when it fits the
+		// tile rules; the rest runs via the bare coordinate pipeline when the
+		// qualifiers are in the subset.
 		bare, err := extractBare(c)
 		if err != nil {
 			return nil, err
 		}
-		q.info, q.bare, q.strategy = bare, true, &opt.CoordStrategy{Reason: reason}
+		q.info, q.bare = bare, true
+		if q.reduce != "" {
+			q.strategy = q.chooseTotal(opts)
+		} else {
+			q.strategy = &opt.CoordStrategy{Reason: reason}
+		}
 	case q.builder == "tiled" || q.builder == "tiledvec":
 		q.info.FuseRanges(cat.dimOf)
 		strat, err := opt.ChooseWithStats(q.info, opts, cat)
 		if err != nil {
 			return nil, err
 		}
-		if cat.cache != nil {
-			if m, ok := cat.cache.Lookup(e.String()); ok {
-				if d := decisionOf(strat); d != nil {
-					d.Observed = m.String()
-				}
-			}
-		}
 		q.strategy = strat
 	default:
 		q.strategy = &opt.CoordStrategy{Reason: "rdd builder"}
+	}
+	if d := decisionOf(q.strategy); d != nil && cat.cache != nil {
+		if m, ok := cat.cache.Lookup(e.String()); ok {
+			d.Observed = m.String()
+		}
 	}
 	if err := q.lower(); err != nil {
 		return nil, err
 	}
 	return q, nil
+}
+
+// chooseTotal plans a total reduction. opt.ChooseTotal picks the tile
+// aggregation with the empty key from the query's shape; the choice stands
+// only when the generator's pattern has its array's arity — ((i,j),a) over
+// a matrix, (i,a) over a vector — and the head lowers to a number the float
+// fold reproduces: not an opaque value (a tuple, a list), and not an int
+// under min or max, which return the winning element with its int64 type.
+// Any other total runs on the coordinate path.
+func (q *Compiled) chooseTotal(opts opt.Options) opt.Strategy {
+	st := opt.ChooseTotal(q.info, q.reduce, opts, q.cat)
+	s, ok := st.(*opt.TileAggStrategy)
+	if !ok {
+		return st
+	}
+	arity := 0
+	switch q.cat.vals[s.Gen.Name].(type) {
+	case *tiled.Matrix:
+		arity = 2
+	case *tiled.Vector:
+		arity = 1
+	}
+	if len(s.Gen.IndexVars) == arity {
+		slots := map[string]slot{}
+		genSlots(slots, s.Gen, 0)
+		k, err := lowerKernel(slots, s.Lets, s.Filters, comp.Var{Name: s.Aggs[0].Var})
+		if err == nil && k.types[0] != tDyn && (k.types[0] != tInt || q.reduce != "min" && q.reduce != "max") {
+			return s
+		}
+	}
+	return &opt.CoordStrategy{Reason: "total of a head the tile kernel cannot fold"}
 }
 
 // setBuilder records a distributed builder and its dimensions.
@@ -440,9 +476,6 @@ func asError(err *error, what string) {
 // Execute runs the compiled query.
 func (q *Compiled) Execute() (res *Result, err error) {
 	defer asError(&err, "execution")
-	if q.reduce != "" {
-		return q.execTotalReduce()
-	}
 	switch s := q.strategy.(type) {
 	case *opt.MapStrategy:
 		return q.execMap(s)
@@ -457,6 +490,9 @@ func (q *Compiled) Execute() (res *Result, err error) {
 	case *opt.ReplicateStrategy:
 		return q.execReplicate(s)
 	case *opt.CoordStrategy:
+		if q.reduce != "" {
+			return q.execTotalReduce()
+		}
 		return q.execCoord()
 	default:
 		return nil, fmt.Errorf("plan: no executor for %T", q.strategy)

@@ -279,12 +279,11 @@ func TestPlanCoordJoinFallback(t *testing.T) {
 }
 
 // avg after group-by exercises the Rule 12 monoid factoring with a
-// non-trivial lift/finalize, via the coordinate path.
+// non-trivial lift/finalize: a sum and a count per position on the tile
+// path, the (sum, count) tuples of comp's monoid on the coordinate path.
 func TestPlanAvgAggregation(t *testing.T) {
 	f := newFixture(t, 6, 4, 1, 1, 2)
 	src := "tiledvec(6)[ (i, avg/a) | ((i,j),a) <- A, group by i ]"
-	res, q := runQuery(t, f, src, opt.Options{})
-	wantStrategy(t, q, "coordinate")
 	want := linalg.NewVector(6)
 	for i := 0; i < 6; i++ {
 		var s float64
@@ -293,21 +292,34 @@ func TestPlanAvgAggregation(t *testing.T) {
 		}
 		want.Set(i, s/4)
 	}
-	if !res.Vector.ToDense().EqualApprox(want, 1e-9) {
-		t.Fatal("avg mismatch")
+	for opts, kind := range map[opt.Options]string{{}: "tile-aggregate", {DisableTilingPreservation: true}: "coordinate"} {
+		res, q := runQuery(t, f, src, opts)
+		wantStrategy(t, q, kind)
+		if !res.Vector.ToDense().EqualApprox(want, 1e-9) {
+			t.Fatalf("%s: avg mismatch", kind)
+		}
 	}
 }
 
-// Total aggregation queries return scalars.
+// Total aggregation queries return scalars: a total over one array is a
+// tile aggregation with the empty key, and over a join the coordinate
+// fallback's.
 func TestPlanTotalSum(t *testing.T) {
-	f := newFixture(t, 5, 5, 1, 1, 2)
+	f := newFixture(t, 5, 5, 5, 5, 2)
 	res, q := runQuery(t, f, "+/[ a | ((i,j),a) <- A ]", opt.Options{})
-	if q.Strategy().Kind() != "coordinate" {
-		t.Fatalf("strategy %s", q.Strategy().Kind())
-	}
+	wantStrategy(t, q, "tile-aggregate")
 	got := comp.MustFloat(res.Scalar)
 	if d := got - f.da.Sum(); d > 1e-9 || d < -1e-9 {
 		t.Fatalf("total sum %v vs %v", got, f.da.Sum())
+	}
+	res, q = runQuery(t, f, "+/[ a*b | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]", opt.Options{})
+	wantStrategy(t, q, "coordinate")
+	var dot float64
+	for x := range f.da.Data {
+		dot += f.da.Data[x] * f.db.Data[x]
+	}
+	if d := comp.MustFloat(res.Scalar) - dot; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("total of a join %v vs %v", res.Scalar, dot)
 	}
 }
 
