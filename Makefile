@@ -60,7 +60,7 @@ bench-adaptive:
 # its comp.Value rows under sac -mem (what the CI spill job runs).
 spill-test:
 	SAC_MEMORY_BUDGET=64MiB $(GO) test ./... -run OutOfCore
-	SAC_MEMORY_BUDGET=64MiB $(GO) test ./internal/jobs ./internal/dataflow -run 'Parity|SPMD|ClusterQuery'
+	SAC_MEMORY_BUDGET=64MiB $(GO) test ./internal/jobs ./internal/dataflow -run 'Parity|SPMD|ClusterQuery|GBJWire'
 	$(GO) run ./cmd/sac -mem 64KiB -n 64 -tile 16 -query 'tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]' | grep -E 'spilledBytes=[1-9]'
 
 # Distributed-runtime gate (what the CI distributed job runs): the
@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzStreamPrimitives$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzFloat64SliceCodec$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzReaderNeverPanics$$' -fuzztime 10s
+	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzGroupedDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataflow -run '^$$' -fuzz '^FuzzDenseCodecDecode$$' -fuzztime 10s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzBlockCompress$$' -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s

@@ -39,11 +39,11 @@ const (
 	// per core. An eighth (the threshold until PR 19) pays below 40 MB/s;
 	// a third pays up to ~107 MB/s, gigabit Ethernet, the slowest link a
 	// cluster is expected to run on. Measured on a chunk of each payload
-	// (TestBucketHeuristic): dense random tiles save nothing in the
-	// sample and 16 % over a chunk that holds a replicated tile twice,
-	// coordinate rows with random values 20 % — both ship raw; coordinate
-	// rows with whole-number values save 45 %, half-zero tiles 38 %,
-	// tiles 90 % zero 85 % — those compress.
+	// (TestBucketHeuristic): dense random tiles save nothing (a blob
+	// writes a tile it repeats once, so no chunk holds one twice for the
+	// compressor to find), coordinate rows with random values 20 % —
+	// both ship raw; coordinate rows with whole-number values save 45 %,
+	// half-zero tiles 38 %, tiles 90 % zero 85 % — those compress.
 	compressSavingsDenom = 3
 )
 
@@ -77,9 +77,10 @@ type chunk struct {
 	data   []byte
 }
 
-// bucket is a published shuffle payload, chunked (and possibly
-// compressed) once at publish time so every fetch serves the same bytes
-// without re-encoding.
+// bucket is what the store keeps under one key — a shuffle blob (one map
+// task's segments for one rank's reduce partitions) or an action
+// partial — chunked (and possibly compressed) once at publish time so
+// every fetch serves the same bytes without re-encoding.
 type bucket struct {
 	chunks   []chunk
 	rawBytes int64
@@ -379,9 +380,9 @@ func (e *Exchange) Publish(key string, blob []byte) error {
 	return nil
 }
 
-// Offer registers a bucket no peer is expected to fetch — one bound for
-// this rank's own reduce partitions, which a peer reads only when it
-// takes such a partition over. encode runs at most once, on the first
+// Offer registers a bucket no peer is expected to fetch — the blob bound
+// for this rank's own reduce partitions, which a peer reads only when it
+// takes one of them over. encode runs at most once, on the first
 // fetch of key, on the goroutine serving that fetch; an error from it
 // reaches the fetching peer as a lost bucket, and the peer recomputes.
 func (e *Exchange) Offer(key string, encode func() ([]byte, error)) {

@@ -575,7 +575,7 @@ func BenchmarkMakeBucket(b *testing.B) {
 		name string
 		blob []byte
 	}{
-		{"dense", tileBucket(b, 3, 100, 0)}, // one chunk, as cluster-matmul publishes them
+		{"dense", tileBucket(b, 3, 100, 0)}, // one chunk; cluster-matmul's blobs are three or four
 		{"sparse", tileBucket(b, 3, 100, 0.9)},
 		{"coord", coordBucket(b, 10_000, true)},
 	} {

@@ -8,10 +8,14 @@ package dataflow
 //
 // A shuffle is the one segment store of shuffle.go with a Transport
 // beside it: a rank holds the segments of the map tasks it ran, and
-// also publishes each, encoded with the row type's registered spill
-// codec, under a key derived from the stage ID. A reduce partition is
-// still every map task's segment in map-task order; the ones this rank
-// does not hold stream in from their owners (co-partitioned narrow
+// also publishes them, encoded with the row type's registered spill
+// codec, as one blob per map task and destination rank — the segments
+// for the reduce partitions that rank owns, in one grouped blob that
+// writes a value repeated inside it once (spill.EncodeGroups). The first
+// reduce task on a rank that lacks map task m fetches m's blob for that
+// rank once and files its segments beside the rank's own, so sibling
+// partitions read them without fetching again. A reduce partition is
+// still every map task's segment in map-task order (co-partitioned narrow
 // reads are entirely local by construction). That order is the local
 // backend's, which is what makes cluster results byte-identical to
 // local ones.
@@ -78,11 +82,12 @@ func transportErr(rc io.ReadCloser) error {
 	return nil
 }
 
-// exchKey names one published segment (exchange, map task, reduce
-// bucket). Stage IDs are deterministic across ranks (the graph is built
-// by the same single-threaded program), so they double as exchange IDs.
-func exchKey(exch int64, m, b int) string {
-	return fmt.Sprintf("x%d.%d.%d", exch, m, b)
+// blobKey names the shuffle blob map task m of exchange exch publishes
+// for rank r. Stage IDs are deterministic across ranks (the graph is
+// built by the same single-threaded program), so they double as exchange
+// IDs.
+func blobKey(exch int64, m, r int) string {
+	return fmt.Sprintf("x%d.%d.%d", exch, m, r)
 }
 
 // gatherKey names one action partial (stage, partition).
@@ -102,16 +107,24 @@ func publishRows[T any](c *Context, key string, rows []T) {
 	}
 }
 
-// fetchRows streams the rows rank published under key. ok is false when
-// the transport failed (owner dead, stream torn down mid-transfer) and
-// the caller must recompute them from lineage; payload corruption — a
-// decode failure with no transport error behind it — panics, because
-// recomputing deterministic lineage would produce the same bytes.
-func fetchRows[T any](c *Context, rank int, key string) (rows []T, ok bool) {
+// fetchRows streams the rows rank published under key with publishRows.
+func fetchRows[T any](c *Context, rank int, key string) ([]T, bool) {
+	return fetchBlob(c, rank, key, func(r io.Reader) ([]T, error) {
+		return spill.DecodeRowsFrom(r, spill.For[T]())
+	})
+}
+
+// fetchBlob streams the blob rank published under key through decode. ok
+// is false when the transport failed (owner dead, stream torn down
+// mid-transfer) and the caller must recompute it from lineage; payload
+// corruption — a decode failure with no transport error behind it —
+// panics, because recomputing deterministic lineage would produce the
+// same bytes.
+func fetchBlob[R any](c *Context, rank int, key string, decode func(io.Reader) (R, error)) (out R, ok bool) {
 	rc, err := c.conf.Transport.FetchReader(rank, key)
 	if err == nil {
 		cr := &countingReader{r: rc}
-		rows, err = spill.DecodeRowsFrom(cr, spill.For[T]())
+		out, err = decode(cr)
 		if err == nil {
 			// Drain the trailing stream terminator so a cleanly-finished
 			// connection goes back to the transport's pool on Close.
@@ -121,14 +134,15 @@ func fetchRows[T any](c *Context, rank int, key string) (rows []T, ok bool) {
 		if err == nil {
 			c.metrics.c.RemoteFetches.Add(1)
 			c.metrics.c.RemoteFetchedBytes.Add(cr.n)
-			return rows, true
+			return out, true
 		}
 		if transportErr(rc) == nil {
 			panic(fmt.Errorf("dataflow: decode %s from rank %d: %w", key, rank, err))
 		}
 	}
 	c.metrics.c.FetchFailures.Add(1)
-	return nil, false
+	var zero R
+	return zero, false
 }
 
 // countingReader counts the (decompressed) bytes a streaming fetch
@@ -152,67 +166,105 @@ type offerer interface {
 	Offer(key string, encode func() ([]byte, error))
 }
 
-// publish makes map task m's segments available to the peers. Narrow
-// (co-partitioned) exchanges publish only segment m of map task m —
-// the single one the task fills — and their reads stay on-rank, so no
-// data crosses the network. A local context has nobody to publish to.
+// groups lists the reduce partitions the blob of map task m for rank r
+// carries, ascending: those r owns (b ≡ r mod W). A narrow exchange's map
+// task fills only partition m, which m's own rank owns, so its one blob
+// is that rank's and carries that one group; it has none for the others.
+func (s *lazyBuckets[T]) groups(m, r int) []int {
+	w := s.ctx.conf.Transport.World()
+	if s.narrow {
+		if m%w != r {
+			return nil
+		}
+		return []int{m}
+	}
+	var bs []int
+	for b := r; b < s.parts; b += w {
+		bs = append(bs, b)
+	}
+	return bs
+}
+
+// publish makes map task m's segments available to the peers: one blob
+// per rank that owns reduce partitions, holding this task's segments for
+// them. A local context has nobody to publish to.
 //
-// A segment of a reduce partition this rank owns is read here, from seg,
-// and fetched by a peer only if one takes the partition over; where the
-// transport can hold a promise it is offered, not encoded.
+// The blob for this rank's own partitions is read here, from seg, and
+// fetched by a peer only if one takes a partition over; where the
+// transport can hold a promise it is offered, not encoded. A narrow
+// (co-partitioned) exchange has only that blob, so its reads stay on-rank
+// and no data crosses the network.
 func (s *lazyBuckets[T]) publish(m int, sg []bucketed[T]) {
 	t := s.ctx.conf.Transport
 	if t == nil {
 		return
 	}
 	off, _ := t.(offerer)
-	for b := range sg {
-		if s.narrow && b != m {
+	for r := 0; r < t.World(); r++ {
+		bs := s.groups(m, r)
+		if len(bs) == 0 {
 			continue
 		}
-		key := exchKey(s.stage.id, m, b)
-		if off != nil && s.ctx.owns(b) {
-			off.Offer(key, func() ([]byte, error) { return s.encodeOffered(b, &sg[b]) })
+		key := blobKey(s.stage.id, m, r)
+		if off != nil && r == t.Rank() {
+			off.Offer(key, func() ([]byte, error) { return s.encodeOffered(bs, sg) })
 			continue
 		}
-		publishRows(s.ctx, key, s.read(&sg[b]))
+		blob, err := s.encode(bs, sg)
+		if err == nil {
+			err = t.Publish(key, blob)
+		}
+		if err != nil {
+			panic(fmt.Errorf("dataflow: publish %s: %w", key, err))
+		}
 	}
 }
 
-// encodeOffered encodes segment bk of reduce partition b when a peer
-// does ask for it. It can do so as long as this rank has not assembled
-// the partition: from then on the segment's rows belong to the partition
-// (and a mutating fold may have changed them), so the offer is withdrawn
-// and the peer recomputes the map task, as it would for a lost rank.
-func (s *lazyBuckets[T]) encodeOffered(b int, bk *bucketed[T]) (blob []byte, err error) {
+// encode writes map task segments sg of partitions bs as one blob.
+func (s *lazyBuckets[T]) encode(bs []int, sg []bucketed[T]) ([]byte, error) {
+	groups := make([][]T, len(bs))
+	for i, b := range bs {
+		groups[i] = s.read(&sg[b])
+	}
+	return spill.EncodeGroups(groups, spill.For[T]())
+}
+
+// encodeOffered encodes this rank's own blob when a peer does ask for it.
+// It can do so as long as this rank has assembled none of the blob's
+// partitions: from then on that partition's rows are the partition's (and
+// a mutating fold may have changed them), so the offer is withdrawn and
+// the peer recomputes the map task, as it would for a lost rank.
+func (s *lazyBuckets[T]) encodeOffered(bs []int, sg []bucketed[T]) (blob []byte, err error) {
 	defer func() {
 		// A run file that cannot be read back panics; this is a
 		// transport goroutine, and the peer has lineage to fall back on.
 		if r := recover(); r != nil {
-			err = fmt.Errorf("dataflow: %s: offered segment: %v", s.name, r)
+			err = fmt.Errorf("dataflow: %s: offered blob: %v", s.name, r)
 		}
 	}()
-	s.pmu[b].Lock()
-	defer s.pmu[b].Unlock()
-	if s.done[b] {
-		return nil, fmt.Errorf("dataflow: %s: partition %d already assembled here", s.name, b)
+	for _, b := range bs {
+		s.pmu[b].Lock()
+		defer s.pmu[b].Unlock()
+		if s.done[b] {
+			return nil, fmt.Errorf("dataflow: %s: partition %d already assembled here", s.name, b)
+		}
 	}
-	return spill.EncodeRows(s.read(bk), spill.For[T]())
+	return s.encode(bs, sg)
 }
 
-// StreamFetchWindow bounds the concurrent segment fetches one reduce
-// task keeps in flight while assembling its partition. The window is
-// what pipelines the shuffle: a fetch from a map task that hasn't
-// published yet just blocks its slot while chunks from early-finishing
-// maps decode in the others. Exported for the transport: a per-peer
-// connection pool smaller than the window re-dials on every burst.
+// StreamFetchWindow bounds the concurrent blob fetches one reduce task
+// keeps in flight while assembling its partition. The window is what
+// pipelines the shuffle: a fetch from a map task that hasn't published
+// yet just blocks its slot while chunks from early-finishing maps decode
+// in the others. Exported for the transport: a per-peer connection pool
+// smaller than the window re-dials on every burst.
 const StreamFetchWindow = 4
 
 // fetchRemote fills the nil entries of cols — column p of map tasks lo
-// onwards — with the segments this rank does not hold, up to
-// StreamFetchWindow fetches at a time. A segment whose owner cannot
-// serve it is recomputed here with the rest of its map task's, and from
-// then on this rank holds them.
+// onwards — with the segments this rank does not hold, fetching a blob
+// for each, up to StreamFetchWindow at a time. A segment whose owner
+// cannot serve it is recomputed here with the rest of its map task's,
+// and from then on this rank holds them.
 func (s *lazyBuckets[T]) fetchRemote(p, lo int, cols []*bucketed[T]) {
 	var missing []int
 	for i, bk := range cols {
@@ -221,9 +273,8 @@ func (s *lazyBuckets[T]) fetchRemote(p, lo int, cols []*bucketed[T]) {
 		}
 	}
 	fetch := func(m int) {
-		rows, ok := fetchRows[T](s.ctx, m%s.ctx.conf.Transport.World(), exchKey(s.stage.id, m, p))
-		if ok {
-			cols[m-lo] = &bucketed[T]{rows: rows}
+		if bk := s.fetched(m, p); bk != nil {
+			cols[m-lo] = bk
 			return
 		}
 		s.recompute(m)
@@ -259,6 +310,74 @@ func (s *lazyBuckets[T]) fetchRemote(p, lo int, cols []*bucketed[T]) {
 	if pc := panicked.Load(); pc != nil {
 		panic(pc.val)
 	}
+}
+
+// fetchedBlob is one blob (map task, rank) as this rank received it. Its
+// segments are indexed by reduce partition like a map task's, only the
+// rank's own filled; segs stays nil until they are filed, and for good if
+// the fetch failed.
+type fetchedBlob[T any] struct {
+	once sync.Once
+	segs []bucketed[T]
+}
+
+// fetched returns this rank's copy of map task m's segment for partition
+// p, out of the blob m's owner published for p's rank: the first reader
+// fetches the blob and files all its segments, later readers of any of
+// its partitions find them filed. It returns nil if the owner could not
+// serve the blob. p's rank is this one, or — when this rank computes
+// another's partition after a loss — the rank whose buckets the blob
+// holds, which is why the blob is filed under it.
+func (s *lazyBuckets[T]) fetched(m, p int) *bucketed[T] {
+	w := s.ctx.conf.Transport.World()
+	id := [2]int{m, p % w}
+	s.mu.Lock()
+	f := s.got[id]
+	if f == nil {
+		if s.got == nil {
+			s.got = make(map[[2]int]*fetchedBlob[T])
+		}
+		f = &fetchedBlob[T]{}
+		s.got[id] = f
+	}
+	s.mu.Unlock()
+	f.once.Do(func() {
+		bs := s.groups(m, p%w)
+		groups, ok := fetchBlob(s.ctx, m%w, blobKey(s.stage.id, m, p%w), func(r io.Reader) ([][]T, error) {
+			return spill.DecodeGroupsFrom(r, spill.For[T](), len(bs))
+		})
+		if !ok {
+			return
+		}
+		segs := s.rest(bs, groups)
+		s.mu.Lock() // column reads segs under mu; readers past Do need no lock
+		f.segs = segs
+		s.mu.Unlock()
+	})
+	if f.segs == nil {
+		return nil
+	}
+	return &f.segs[p]
+}
+
+// rest files the groups of a fetched blob, partitions bs, as segments
+// resting on this rank like those of a map task it ran: under a budget
+// through the shuffle writer, which reserves their bytes and spills them
+// when refused. So a budgeted rank stays in budget, and a partition read
+// that is not kept finds them again in their run files.
+func (s *lazyBuckets[T]) rest(bs []int, groups [][]T) []bucketed[T] {
+	tb := s.newTask()
+	for i, b := range bs {
+		if tb.mem == nil {
+			tb.buckets[b].rows = groups[i]
+			continue
+		}
+		for _, v := range groups[i] {
+			tb.add(b, v, estimateSize(v))
+		}
+	}
+	tb.finish()
+	return tb.buckets
 }
 
 // recompute re-executes a dead rank's map task m from lineage — the

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/spill"
 	"repro/internal/trace"
 )
@@ -519,15 +520,15 @@ func TestSPMDStreamTearRecomputes(t *testing.T) {
 	}
 }
 
-// TestSPMDSelfBoundSegmentOnDemand covers the segments a rank writes for
-// its own reduce partitions, which it offers to the transport and no
-// longer encodes: a run without failures encodes none of them; a rank
-// lost mid-shuffle leaves the survivors the answer the local backend
-// gives; and a peer that does ask gets the bytes an eager publish would
-// have stored for as long as the owner can still produce them — until
-// it has assembled the partition in memory, indefinitely once the
-// segment rests in a run file — and a withdrawal, never other bytes,
-// after.
+// TestSPMDSelfBoundSegmentOnDemand covers the blob a rank writes for its
+// own reduce partitions, which it offers to the transport and does not
+// encode: a run without failures encodes none of them; a rank lost
+// mid-shuffle leaves the survivors the answer the local backend gives;
+// and a peer that does ask gets the blob an eager publish would have
+// stored — every one of the rank's partitions, as a group — for as long
+// as the owner can still produce it: until it has assembled one of those
+// partitions in memory, indefinitely once the segments rest in run
+// files, and a withdrawal, never other bytes, after.
 func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 	for _, world := range []int{1, 3, 8} {
 		for _, budget := range spmdBudgets {
@@ -588,13 +589,15 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 		route := pairRoute[int64, float64](parts)
 		lb := exchange(Generate(ctx, srcParts, rowsOf), parts, route, false)
 		lb.stage.ensure()
-		fetch := func(m, b int) ([]Pair[int64, float64], error) {
-			rc, err := hub.transport(1).FetchReader(0, exchKey(lb.stage.id, m, b))
+		// Map tasks 0 and 2 are rank 0's, and so are partitions 0 and 2:
+		// its blob of either map task holds those two groups.
+		fetch := func(m int) ([][]Pair[int64, float64], error) {
+			rc, err := hub.transport(1).FetchReader(0, blobKey(lb.stage.id, m, 0))
 			if err != nil {
 				return nil, err
 			}
 			defer rc.Close()
-			return spill.DecodeRowsFrom(rc, spill.For[Pair[int64, float64]]())
+			return spill.DecodeGroupsFrom(rc, spill.For[Pair[int64, float64]](), 2)
 		}
 		segment := func(m, b int) (seg []Pair[int64, float64]) {
 			for _, kv := range rowsOf(m) {
@@ -604,21 +607,18 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 			}
 			return seg
 		}
-		// Map tasks 0 and 2 are rank 0's, and so are partitions 0 and 2.
+		blob := func(m int) [][]Pair[int64, float64] { return [][]Pair[int64, float64]{segment(m, 0), segment(m, 2)} }
 		before := hub.encoded
-		for _, mb := range [][2]int{{0, 0}, {2, 0}, {0, 2}} {
-			got, err := fetch(mb[0], mb[1])
-			if err != nil || !reflect.DeepEqual(got, segment(mb[0], mb[1])) {
-				t.Fatalf("budget %d: offered segment %v fetched as %d rows (%v), want %d",
-					budget, mb, len(got), err, len(segment(mb[0], mb[1])))
-			}
+		if got, err := fetch(0); err != nil || !reflect.DeepEqual(got, blob(0)) {
+			t.Fatalf("budget %d: offered blob of map task 0 fetched as %v (%v), want %v", budget, got, err, blob(0))
 		}
-		if _, err := fetch(0, 0); err != nil || hub.encoded != before+3 {
-			t.Fatalf("budget %d: second fetch of one offer: %v, %d encodes for 3 offers", budget, err, hub.encoded-before)
+		if _, err := fetch(0); err != nil || hub.encoded != before+1 {
+			t.Fatalf("budget %d: second fetch of one offer: %v, %d encodes", budget, err, hub.encoded-before)
 		}
 		// Rank 0 now assembles partition 2 (recomputing absent rank 1's map
 		// tasks). In memory the segments' rows pass to the partition and
-		// the offer of (2,2) lapses; spilled, they stay in their run files.
+		// the offer of map task 2's blob lapses; spilled, they stay in
+		// their run files.
 		hub.mu.Lock()
 		hub.dead[1] = true
 		hub.cond.Broadcast()
@@ -633,12 +633,12 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 		hub.mu.Lock()
 		hub.dead[1] = false
 		hub.mu.Unlock()
-		got, err := fetch(2, 2)
+		got, err := fetch(2)
 		switch {
 		case budget == 0 && err == nil:
-			t.Fatalf("an offer outlived its partition's assembly: fetched %d rows", len(got))
-		case budget > 0 && (err != nil || !reflect.DeepEqual(got, segment(2, 2))):
-			t.Fatalf("budget %d: spilled segment fetched after its partition was read: %d rows, %v", budget, len(got), err)
+			t.Fatalf("an offer outlived its partition's assembly: fetched %v", got)
+		case budget > 0 && (err != nil || !reflect.DeepEqual(got, blob(2))):
+			t.Fatalf("budget %d: spilled blob fetched after its partition was read: %v, %v", budget, got, err)
 		}
 		ctx.Close()
 	}
@@ -711,6 +711,73 @@ func TestCollectOwnedCrossesNothing(t *testing.T) {
 				if key[0] != 'x' {
 					t.Fatalf("world %d: rank %d published %q", world, r, key)
 				}
+			}
+		}
+	}
+}
+
+// TestSPMDReplicatedTileFoldedInPlace pins the aliasing contract of a
+// grouped blob: replicas of a tile that reach a rank in one blob share
+// one tile there, as they share one on the local backend, so a
+// ReduceByKey combine that adds into its first argument sees what it sees
+// locally. Every map task emits its tile under two keys that hash to two
+// partitions of one rank, rank 1 (rank 0 at world 1); the fold of the
+// first partition grows map task 0's tile, which the second partition's
+// fold then starts from — and at worlds 2 and 3 that tile reached rank 1
+// from rank 0. One task slot per rank reads a rank's partitions in
+// partition order, as the local backend reads them. Under a budget every
+// segment rests in a run file, locally and on every rank, and no replica
+// is shared anywhere.
+func TestSPMDReplicatedTileFoldedInPlace(t *testing.T) {
+	const parts, srcParts = 6, 4
+	keyIn := func(p int) Coord {
+		for i := int64(0); ; i++ {
+			if k := (Coord{I: i}); partitionOf(k, parts) == p {
+				return k
+			}
+		}
+	}
+	for _, world := range []int{1, 2, 3} {
+		k1, k2 := keyIn(1%world), keyIn(1%world+world)
+		program := func(ctx *Context) []OwnedPartition[Pair[Coord, *linalg.Dense]] {
+			tiles := Generate(ctx, srcParts, func(m int) []Pair[Coord, *linalg.Dense] {
+				tile := linalg.NewDenseFrom(1, 2, []float64{float64(m + 1), float64(10 * (m + 1))})
+				return []Pair[Coord, *linalg.Dense]{KV(k1, tile), KV(k2, tile)}
+			})
+			return CollectOwned(ReduceByKey(tiles, func(a, b *linalg.Dense) *linalg.Dense {
+				return linalg.AddInPlace(a, b)
+			}, parts))
+		}
+		flatten := func(owned ...[]OwnedPartition[Pair[Coord, *linalg.Dense]]) [][]float64 {
+			byPart := make([][]float64, parts)
+			for _, ops := range owned {
+				for _, op := range ops {
+					for _, kv := range op.Rows {
+						byPart[op.Part] = append(byPart[op.Part], kv.Value.Data...)
+					}
+				}
+			}
+			return byPart
+		}
+		for _, budget := range spmdBudgets {
+			local := NewContext(Config{Parallelism: 1, MemoryBudget: budget})
+			want := flatten(program(local))
+			local.Close()
+			hub := newMemHub(world)
+			owned := make([][]OwnedPartition[Pair[Coord, *linalg.Dense]], world)
+			var wg sync.WaitGroup
+			for r := 0; r < world; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					ctx := NewContext(Config{Parallelism: 1, MemoryBudget: budget, Transport: hub.transport(r)})
+					defer ctx.Close()
+					owned[r] = program(ctx)
+				}(r)
+			}
+			wg.Wait()
+			if got := flatten(owned...); !reflect.DeepEqual(got, want) {
+				t.Errorf("world %d budget %d: folded in place on the cluster %v, locally %v", world, budget, got, want)
 			}
 		}
 	}

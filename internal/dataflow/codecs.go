@@ -24,23 +24,51 @@ func (CoordCodec) Decode(r *spill.Reader) Coord {
 	return Coord{I: r.Varint(), J: r.Varint()}
 }
 
-// DenseCodec spills dense tiles: a presence flag, the dimensions, and
-// the raw IEEE bits of the payload.
+// DenseCodec spills dense tiles: a flag, then for a tile written whole
+// its dimensions and the raw IEEE bits of its payload. Flag 0 is a nil
+// tile and 1 a whole one. Flag 2, followed by a uvarint index, is a tile
+// the grouped blob being written already holds (spill.Writer.Ref): a tile
+// replicated to several cells of one rank crosses to it once and arrives
+// as one pointer, as the local backend hands it out. Run files and
+// EncodeRows have no table, so they never write or accept flag 2.
 type DenseCodec struct{}
+
+const (
+	denseNil = iota
+	denseWhole
+	denseRef
+)
 
 func (DenseCodec) Encode(w *spill.Writer, v *linalg.Dense) {
 	if v == nil {
-		w.Uvarint(0)
+		w.Uvarint(denseNil)
 		return
 	}
-	w.Uvarint(1)
+	if i, seen := w.Ref(v); seen {
+		w.Uvarint(denseRef)
+		w.Uvarint(i)
+		return
+	}
+	w.Uvarint(denseWhole)
 	w.Varint(int64(v.Rows))
 	w.Varint(int64(v.Cols))
 	w.F64s(v.Data)
 }
 
 func (DenseCodec) Decode(r *spill.Reader) *linalg.Dense {
-	if r.Uvarint() == 0 {
+	switch flag := r.Uvarint(); flag {
+	case denseNil:
+		return nil
+	case denseRef:
+		v := r.Deref(r.Uvarint())
+		if t, ok := v.(*linalg.Dense); ok && t != nil {
+			return t
+		}
+		r.Fail(fmt.Errorf("dataflow: tile codec: back-reference to a %T, not a tile", v))
+		return nil
+	case denseWhole:
+	default:
+		r.Fail(fmt.Errorf("dataflow: tile codec: flag %d", flag))
 		return nil
 	}
 	rows, cols := int(r.Varint()), int(r.Varint())
@@ -52,7 +80,9 @@ func (DenseCodec) Decode(r *spill.Reader) *linalg.Dense {
 		r.Fail(fmt.Errorf("dataflow: tile codec: %dx%d header with %d elements", rows, cols, len(data)))
 		return nil
 	}
-	return &linalg.Dense{Rows: rows, Cols: cols, Data: data}
+	t := &linalg.Dense{Rows: rows, Cols: cols, Data: data}
+	r.Bind(t)
+	return t
 }
 
 // VectorCodec spills dense vector blocks.

@@ -9,6 +9,7 @@ package dataflow
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/linalg"
@@ -149,9 +150,49 @@ func TestShuffleRowCodecsRegistered(t *testing.T) {
 	}
 }
 
-// FuzzDenseCodecDecode feeds arbitrary bytes to the tile decoder: it
-// must either fail via the reader's sticky error or produce a tile
-// whose header is consistent with its payload — and never panic.
+// TestDenseCodecBackReference: in a grouped blob a replicated tile is
+// written whole once — flag 1 — and as flag 2 plus an index wherever it
+// recurs, within its group or in another, and it decodes to one pointer;
+// a distinct tile with equal contents is written whole again. A back-
+// reference outside a grouped blob, or to a value that is not a tile, is
+// an error.
+func TestDenseCodecBackReference(t *testing.T) {
+	tile := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	twin := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	groups := [][]*linalg.Dense{{tile, nil, tile}, {twin, tile}}
+	blob, err := spill.EncodeGroups(groups, DenseCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// groups, then per group a row count and its tiles: 1+4+2*32 whole,
+	// two back-references of 2 bytes, one nil flag.
+	if want := 1 + 1 + (1 + 1 + 1 + 1 + 32) + 1 + 2 + 1 + (1 + 1 + 1 + 1 + 32) + 2; len(blob) != want {
+		t.Fatalf("%d-byte blob, want %d", len(blob), want)
+	}
+	got, err := spill.DecodeGroupsFrom(bytes.NewReader(blob), DenseCodec{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, groups) || got[0][0] != got[0][2] || got[0][0] != got[1][1] || got[1][0] == got[0][0] {
+		t.Fatalf("decoded %v with other identities than %v", got, groups)
+	}
+	if _, err := spill.DecodeRows([]byte{1, denseRef, 0}, DenseCodec{}); err == nil {
+		t.Fatal("a back-reference decoded outside a grouped blob")
+	}
+	// A grouped blob of Coord-keyed tiles whose second row refers back
+	// to a position the first bound as a tile: only tiles are bound, so
+	// the index is past the table.
+	block := PairCodec[Coord, *linalg.Dense](CoordCodec{}, DenseCodec{})
+	bad := []byte{1, 2, 0, 0, denseNil, 0, 0, denseRef, 0}
+	if _, err := spill.DecodeGroupsFrom(bytes.NewReader(bad), block, 1); err == nil {
+		t.Fatal("a back-reference to a nil tile decoded")
+	}
+}
+
+// FuzzDenseCodecDecode feeds arbitrary bytes to the tile decoder, alone
+// and as a grouped blob of one group of tiles: it must either fail via
+// the reader's sticky error or produce tiles whose headers are
+// consistent with their payloads — and never panic.
 func FuzzDenseCodecDecode(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0})
@@ -159,18 +200,32 @@ func FuzzDenseCodecDecode(f *testing.F) {
 	w := spill.NewWriter(&buf)
 	DenseCodec{}.Encode(w, &linalg.Dense{Rows: 2, Cols: 3, Data: make([]float64, 6)})
 	w.Flush()
-	f.Add(buf.Bytes())
+	whole := buf.Bytes()
+	f.Add(whole)
+	f.Add([]byte{denseRef, 0})                                 // a back-reference with no table
+	f.Add(append(append([]byte{1, 2}, whole...), denseRef, 5)) // an index past the table
+	f.Add([]byte{1, 2, denseNil, denseRef, 0})                 // a reference to nil, which binds nothing
+	f.Add(append(append([]byte{1, 2}, whole...), denseRef, 0)) // a valid back-reference
 	f.Fuzz(func(t *testing.T, data []byte) {
+		consistent := func(d *linalg.Dense) {
+			if d != nil && len(d.Data) != d.Rows*d.Cols {
+				t.Fatalf("accepted inconsistent tile: %dx%d with %d elements", d.Rows, d.Cols, len(d.Data))
+			}
+		}
 		r := spill.NewReader(bytes.NewReader(data))
 		got := DenseCodec{}.Decode(r)
 		if r.Err() != nil {
 			if got != nil {
 				t.Fatalf("decode returned %+v alongside error %v", got, r.Err())
 			}
-			return
+		} else {
+			consistent(got)
 		}
-		if got != nil && len(got.Data) != got.Rows*got.Cols {
-			t.Fatalf("accepted inconsistent tile: %dx%d with %d elements", got.Rows, got.Cols, len(got.Data))
+		groups, err := spill.DecodeGroupsFrom(bytes.NewReader(data), DenseCodec{}, 1)
+		if err == nil {
+			for _, d := range groups[0] {
+				consistent(d)
+			}
 		}
 	})
 }

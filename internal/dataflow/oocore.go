@@ -108,9 +108,9 @@ func (tb *taskBuckets[T]) finish() {
 
 // spill appends the segment's tracked in-memory rows to its runs as one
 // more run file, written in order, and returns their tracked size for
-// the caller to give back. Untracked rows — a narrow read's, a fetched
-// segment's — stay: their owner can produce them again. The rows slice
-// is only read: a reader may still hold it.
+// the caller to give back. Untracked rows — a narrow read's — stay, and
+// stay the canonical copy: their owner can produce them again. The rows
+// slice is only read: a reader may still hold it.
 func (s *lazyBuckets[T]) spill(bk *bucketed[T]) (freed int64, err error) {
 	if bk.mem == 0 {
 		return 0, nil
@@ -149,10 +149,7 @@ func (s *lazyBuckets[T]) evict(need int64) int64 {
 		if !s.pmu[b].TryLock() {
 			continue
 		}
-		for _, bk := range s.column(b, 0, len(s.seg)) {
-			if bk == nil {
-				continue
-			}
+		for _, bk := range s.resting(b) {
 			if n, err := s.spill(bk); err == nil {
 				s.ctx.mem.Release(n)
 				freed += n

@@ -72,10 +72,15 @@ type lazyBuckets[T any] struct {
 	fill     func(m int, tb *taskBuckets[T]) int64
 
 	// seg[m][b] is map task m's segment for reduce bucket b; seg[m] is
-	// nil while this rank has not run map task m. mu guards the seg[m]
-	// slots; column p of every seg[m] belongs to whoever holds pmu[p].
+	// nil while this rank has not run map task m. got holds, under a
+	// Transport, the blobs fetched from the owners of the map tasks this
+	// rank did not run, keyed by (map task, rank whose buckets the blob
+	// holds), so a blob crosses to a rank once (cluster.go). mu guards the
+	// seg[m] slots and got; column p of every seg[m] and of every filed
+	// blob belongs to whoever holds pmu[p].
 	mu    sync.Mutex
 	seg   [][]bucketed[T]
+	got   map[[2]int]*fetchedBlob[T]
 	recMu sync.Mutex // one lineage recompute at a time
 
 	// pmu[p] serializes reads of reduce partition p against each other
@@ -136,8 +141,9 @@ func (s *lazyBuckets[T]) runTask(m int) (int64, []bucketed[T]) {
 	return in, tb.buckets
 }
 
-// column returns column p of the segments of map tasks lo..hi-1, nil
-// for a map task whose segments this rank does not hold.
+// column returns column p of the segments of map tasks lo..hi-1: the
+// task's own where this rank ran it, else the one a filed blob brought,
+// else nil.
 func (s *lazyBuckets[T]) column(p, lo, hi int) []*bucketed[T] {
 	cols := make([]*bucketed[T], hi-lo)
 	s.mu.Lock()
@@ -145,9 +151,32 @@ func (s *lazyBuckets[T]) column(p, lo, hi int) []*bucketed[T] {
 	for i := range cols {
 		if sg := s.seg[lo+i]; sg != nil {
 			cols[i] = &sg[p]
+		} else if len(s.got) > 0 {
+			if f := s.got[[2]int{lo + i, p % s.ctx.conf.Transport.World()}]; f != nil && f.segs != nil {
+				cols[i] = &f.segs[p]
+			}
 		}
 	}
 	return cols
+}
+
+// resting returns every segment of partition b this rank holds, its map
+// tasks' and its filed blobs', for the evictor.
+func (s *lazyBuckets[T]) resting(b int) []*bucketed[T] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*bucketed[T]
+	for _, sg := range s.seg {
+		if sg != nil {
+			out = append(out, &sg[b])
+		}
+	}
+	for _, f := range s.got {
+		if f.segs != nil {
+			out = append(out, &f.segs[b])
+		}
+	}
+	return out
 }
 
 // get reads one reduce partition: every map task's segment for it, in
@@ -157,9 +186,9 @@ func (s *lazyBuckets[T]) column(p, lo, hi int) []*bucketed[T] {
 //
 // A partition none of whose segments has spilled is assembled once and
 // kept, taking over the segments' rows and reservations. One with a
-// spilled segment is never kept: the rest of its segments go to disk
-// too, every read decodes the runs afresh — so a fold that mutates its
-// input can run again — and the rows are the consumer's.
+// spilled segment is never kept: the rest of its tracked segments go to
+// disk too, every read decodes the runs afresh — so a fold that mutates
+// its input can run again — and the rows are the consumer's.
 func (s *lazyBuckets[T]) get(p int) []T {
 	if s.seg == nil {
 		panic("dataflow: shuffle read before its stage ran")
@@ -197,8 +226,10 @@ func (s *lazyBuckets[T]) get(p int) []T {
 			s.ctx.mem.Release(freed)
 		}
 		absorb(s.read(bk))
-		held += bk.mem
-		bk.rows, bk.mem = nil, 0
+		if !onDisk {
+			held += bk.mem
+			bk.rows, bk.mem = nil, 0
+		}
 	}
 	rows = finish()
 	if onDisk {

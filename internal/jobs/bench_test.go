@@ -8,11 +8,13 @@ import (
 	"repro/internal/cluster"
 )
 
-// BenchmarkQueryLocal / BenchmarkQueryCluster3 measure the distributed
-// runtime's overhead on the Fig-4 matmul: the same query on the local
-// backend versus a 3-worker in-process cluster (real TCP loopback
-// shuffle, but no process isolation). The gap is the wire cost —
-// codec encode/decode plus loopback round trips.
+// BenchmarkQueryLocal / BenchmarkQueryCluster3 run the Fig-4 matmul on
+// the local backend and on a 3-worker in-process cluster (real TCP
+// loopback shuffle, but no process isolation). The gap is not the wire
+// cost alone: RunQueryLocal regenerates its inputs from their seeds on
+// every call, while the cluster's workers keep theirs resident after the
+// first query; the cluster pays the codec, the loopback round trips and
+// the result merge instead.
 func BenchmarkQueryLocal(b *testing.B) {
 	p := baseParams()
 	p.Src = fig4Queries[0].src
@@ -58,9 +60,10 @@ func BenchmarkQueryCluster3(b *testing.B) {
 // in-process workers with one task slot each, n = 1000 in 100 x 100 tiles
 // over 8 partitions, warmed with two queries so the input partitions are
 // resident and the peer connections pooled. Beside ns/op and B/op it
-// reports dials/op, the fetches that found no pooled connection, and the
-// bytes that moved: wire_B/op between the ranks (decompressed shuffle
-// chunks) and result_B/op from the ranks to the driver.
+// reports dials/op, the fetches that found no pooled connection; what
+// crossed between the ranks: fetches/op (shuffle blobs, one per map task
+// and rank), chunks/op and wire_B/op (their decompressed bytes); and
+// result_B/op from the ranks to the driver.
 func benchCluster2(b *testing.B, src string) {
 	d, err := cluster.NewDriver(cluster.DriverConfig{})
 	if err != nil {
@@ -78,7 +81,7 @@ func benchCluster2(b *testing.B, src string) {
 		b.Fatal(err)
 	}
 	cs := NewClusterSession(d, QueryParams{N: 1000, Tile: 100, SeedA: 1, SeedB: 2, Partitions: 8}, time.Minute)
-	var dials, wire, result int64
+	var dials, fetches, chunks, wire, result int64
 	query := func() {
 		_, run, err := cs.Query(src)
 		if err != nil {
@@ -86,21 +89,26 @@ func benchCluster2(b *testing.B, src string) {
 		}
 		for _, w := range run.Workers {
 			dials += w.Report.ConnPoolMisses
+			fetches += w.Report.RemoteFetches
+			chunks += w.Report.ChunksFetched
 			wire += w.Report.WireRawBytes
 			result += w.Report.ResultBytes
 		}
 	}
 	query()
 	query()
-	dials, wire, result = 0, 0, 0
+	dials, fetches, chunks, wire, result = 0, 0, 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
 	}
-	b.ReportMetric(float64(dials)/float64(b.N), "dials/op")
-	b.ReportMetric(float64(wire)/float64(b.N), "wire_B/op")
-	b.ReportMetric(float64(result)/float64(b.N), "result_B/op")
+	for _, m := range []struct {
+		n    int64
+		unit string
+	}{{dials, "dials/op"}, {fetches, "fetches/op"}, {chunks, "chunks/op"}, {wire, "wire_B/op"}, {result, "result_B/op"}} {
+		b.ReportMetric(float64(m.n)/float64(b.N), m.unit)
+	}
 }
 
 func BenchmarkQueryCluster2Rowsum(b *testing.B) {

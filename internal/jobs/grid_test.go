@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/opt"
+	"repro/internal/spill"
 )
 
 // gbjDecision compiles p's query the way runQuery's session would and
@@ -87,6 +88,108 @@ func TestClusterGridIgnoresParallelism(t *testing.T) {
 		if est := snap.ShuffledBytes - 16*snap.ShuffledRecords; est != d.Chosen.ShuffleBytes {
 			t.Fatalf("world %d: measured %d shuffle bytes (less row keys) vs estimated %d on the %dx%d grid",
 				len(pars), est, d.Chosen.ShuffleBytes, d.GridP, d.GridQ)
+		}
+	}
+}
+
+// gbjWire counts what the group-by-join of p's two square inputs moves
+// between ranks (DESIGN §11): cell (I, J) of the gridP × gridQ grid is
+// partition (I·q + J) mod P, on rank that mod W; an op(A) tile of block
+// row g is replicated to cells (cellRow(g), j) for j < q, an op(B) tile
+// of block column g to cells (i, cellCol(g)) for i < p, and the map task
+// that emits a tile is the input partition holding it, on its rank. A
+// tile crosses once to each peer rank one of its replicas is bound for
+// (perRank), or once per such replica when nothing shares it (perReplica).
+func gbjWire(p QueryParams, world int, gridP, gridQ int64) (perRank, perReplica int64) {
+	blocks := (p.N + p.Tile - 1) / p.Tile
+	tiles, parts := blocks*blocks, p.Partitions
+	home := func(t int64) int { // the rank of the input partition holding tile t
+		m := int64(0)
+		for (m+1)*tiles/parts <= t {
+			m++
+		}
+		return int(m) % world
+	}
+	rankOf := func(i, j int64) int { return int((i*gridQ+j)%parts) % world }
+	cross := func(from int, cells [][2]int64) {
+		peers := map[int]bool{}
+		for _, c := range cells {
+			if r := rankOf(c[0], c[1]); r != from {
+				perReplica++
+				peers[r] = true
+			}
+		}
+		perRank += int64(len(peers))
+	}
+	for t := int64(0); t < tiles; t++ {
+		i, j := t/blocks, t%blocks
+		var rowCells, colCells [][2]int64
+		for jj := int64(0); jj < gridQ; jj++ {
+			rowCells = append(rowCells, [2]int64{i * gridP / blocks, jj}) // A tile (i, j): group i
+		}
+		for ii := int64(0); ii < gridP; ii++ {
+			colCells = append(colCells, [2]int64{ii, j * gridQ / blocks}) // B tile (i, j): group j
+		}
+		cross(home(t), rowCells)
+		cross(home(t), colCells)
+	}
+	return perRank, perReplica
+}
+
+// TestGBJWireMatchesRankFormula: on the benchmark's product (n = 1000 in
+// 100 × 100 tiles, the default partitions of each world) over TCP
+// workers, the tiles the ranks decode whole from the blobs they fetch are
+// exactly gbjWire's per-rank count — every replica a peer needs of one
+// tile arrives in one blob, written once — and the wire carries exactly
+// the blobs the ranks published for one another. Under a budget that
+// spills every map task's output before it is published the replicas
+// come back from run files as distinct tiles, so each crosses whole: the
+// per-replica count, what the exchange moved when it knew buckets, not
+// ranks. At world 2 that is 144 tiles where it was 288.
+func TestGBJWireMatchesRankFormula(t *testing.T) {
+	for _, world := range []int{2, 3, 8} {
+		p := QueryParams{N: 1000, Tile: 100, SeedA: 1, SeedB: 2, Partitions: int64(DefaultPartitions(world)), Src: fig4Queries[0].src}
+		want, err := RunQueryLocal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := gbjDecision(t, p)
+		perRank, perReplica := gbjWire(p, world, d.GridP, d.GridQ)
+		t.Logf("world %d: %dx%d grid on %d partitions: %d tiles cross per rank, %d per replica",
+			world, d.GridP, d.GridQ, p.Partitions, perRank, perReplica)
+		if world == 2 && (perRank != 144 || perReplica != 288) {
+			t.Fatalf("world 2: %d tiles per rank and %d per replica, want 144 and 288", perRank, perReplica)
+		}
+		for _, budget := range []int64{0, spillingBudget} {
+			drv := startTestClusterPar(t, twoSlots(world), budget)
+			resetExchangeSpy()
+			before := spill.Bound()
+			run, err := drv.Run(spyQueryName, p.Encode(), time.Minute)
+			if err != nil {
+				t.Fatalf("world %d budget %d: %v", world, budget, err)
+			}
+			crossed := spill.Bound() - before
+			if !bytes.Equal(run.Result, want) {
+				t.Fatalf("world %d budget %d: result differs from local", world, budget)
+			}
+			if wantCrossed := map[bool]int64{true: perRank, false: perReplica}[budget == 0]; crossed != wantCrossed {
+				t.Errorf("world %d budget %d: %d tiles crossed whole, want %d", world, budget, crossed, wantCrossed)
+			}
+			var published, wire int64
+			exchangeSpy.Lock()
+			for key, size := range exchangeSpy.published {
+				if !peerBoundBlob(key) {
+					t.Fatalf("world %d budget %d: published %q", world, budget, key)
+				}
+				published += int64(size)
+			}
+			exchangeSpy.Unlock()
+			for _, w := range run.Workers {
+				wire += w.Report.WireRawBytes
+			}
+			if wire != published {
+				t.Errorf("world %d budget %d: %d raw bytes on the wire, %d published for peers", world, budget, wire, published)
+			}
 		}
 	}
 }

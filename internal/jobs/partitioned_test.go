@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,6 +125,7 @@ func spyProgram(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
 	}
 	reply, snap, err := runQuery(p, env.World, func(c *core.Config) {
 		c.Parallelism = env.Parallelism
+		c.MemoryBudget = env.MemoryBudget
 		c.Transport = spyTransport{env.Exchange}
 		c.WorkerTag = env.WorkerTag
 	}, env.Resident, nil)
@@ -228,11 +228,11 @@ func TestPartitionedResultParity(t *testing.T) {
 }
 
 // TestResultCrossesOnce: for a matrix and a vector result on worlds of 2,
-// 3 and 8 the ranks put nothing on the fabric but shuffle segments — no
-// gather key is published, offered or fetched — and what they fetch from
-// each other is exactly the segments published for a reduce partition of
-// another rank, so no result byte travels between ranks; the driver
-// receives the cells once.
+// 3 and 8 the ranks put nothing on the fabric but shuffle blobs — no
+// gather key is published, offered or fetched — every blob a rank
+// publishes is bound for another rank (its own it only offers), and what
+// the ranks fetch from each other is exactly those blobs, so no result
+// byte travels between ranks; the driver receives the cells once.
 func TestResultCrossesOnce(t *testing.T) {
 	for _, world := range []int{2, 3, 8} {
 		d := startTestClusterPar(t, twoSlots(world), 0)
@@ -256,18 +256,13 @@ func TestResultCrossesOnce(t *testing.T) {
 			exchangeSpy.Lock()
 			var peerBound, fetchedBytes, remoteFetched int64
 			for key, size := range exchangeSpy.published {
-				// rank/x<stage>.<map task>.<reduce partition>
-				rank, key, _ := strings.Cut(key, "/")
-				if key[0] != 'x' {
-					t.Fatalf("world %d: rank %s published %q", world, rank, key)
+				if !peerBoundBlob(key) {
+					t.Fatalf("world %d: published %q", world, key)
 				}
-				bucket, _ := strconv.Atoi(key[strings.LastIndexByte(key, '.')+1:])
-				if r, _ := strconv.Atoi(rank); bucket%world != r {
-					peerBound += int64(size)
-				}
+				peerBound += int64(size)
 			}
 			for key := range exchangeSpy.offered {
-				if _, key, _ := strings.Cut(key, "/"); key[0] != 'x' {
+				if _, k, _ := strings.Cut(key, "/"); k[0] != 'x' || peerBoundBlob(key) {
 					t.Fatalf("world %d: offered %q", world, key)
 				}
 			}
@@ -287,6 +282,18 @@ func TestResultCrossesOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// peerBoundBlob reports whether a key the spy noted,
+// publisher/x<stage>.<map task>.<rank>, is a shuffle blob for a rank other
+// than its publisher.
+func peerBoundBlob(noted string) bool {
+	from, key, _ := strings.Cut(noted, "/")
+	if key == "" || key[0] != 'x' {
+		return false
+	}
+	to := key[strings.LastIndexByte(key, '.')+1:]
+	return to != from
 }
 
 // TestPartitionedQueryMismatchDetected is cluster.TestResultMismatchDetected

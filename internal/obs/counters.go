@@ -52,8 +52,8 @@ type Counters[T any] struct {
 	MaxConcurrentStages T `prom:"sac_dataflow_max_concurrent_stages" rule:"max" help:"high-water mark of stages executing simultaneously"`
 
 	// SPMD shuffle, as the engine sees it (zero on local contexts).
-	RemoteFetches      T `prom:"sac_dataflow_remote_fetches_total" rule:"sum" help:"shuffle buckets pulled from peer workers"`
-	RemoteFetchedBytes T `prom:"sac_dataflow_remote_fetched_bytes_total" rule:"sum" help:"decoded bytes of shuffle buckets pulled from peer workers"`
+	RemoteFetches      T `prom:"sac_dataflow_remote_fetches_total" rule:"sum" help:"shuffle blobs (one per map task and rank) and action partials pulled from peer workers"`
+	RemoteFetchedBytes T `prom:"sac_dataflow_remote_fetched_bytes_total" rule:"sum" help:"decoded bytes of the shuffle blobs and action partials pulled from peer workers"`
 	FetchFailures      T `prom:"sac_dataflow_fetch_failures_total" rule:"sum" help:"fetches that failed because the owning peer was dead or unreachable"`
 	Resubmissions      T `prom:"sac_dataflow_resubmissions_total" rule:"sum" help:"map tasks recomputed from lineage to cover for a lost peer"`
 
@@ -62,7 +62,7 @@ type Counters[T any] struct {
 	// kept off the network.
 	WireFetchedBytes T `prom:"sac_cluster_wire_fetched_bytes_total" rule:"sum" help:"shuffle bytes pulled over TCP from peer data servers (post-compression)"`
 	FetchRetries     T `prom:"sac_cluster_fetch_retries_total" rule:"sum" help:"fetch attempts retried after a transient dial or stream error"`
-	FetchGoneEvents  T `prom:"sac_cluster_fetch_gone_total" rule:"sum" help:"FetchGone replies received (peer lost the bucket, forcing recompute)"`
+	FetchGoneEvents  T `prom:"sac_cluster_fetch_gone_total" rule:"sum" help:"FetchGone replies received (peer lost the blob, forcing recompute)"`
 	WireRawBytes     T `prom:"sac_cluster_wire_raw_bytes_total" rule:"sum" help:"decompressed shuffle bytes represented by fetched chunks"`
 	ChunksFetched    T `prom:"sac_cluster_chunks_fetched_total" rule:"sum" help:"shuffle chunks pulled from peer data servers"`
 	ConnPoolHits     T `prom:"sac_cluster_conn_pool_hits_total" rule:"sum" help:"data-plane fetches that reused a pooled peer connection"`

@@ -40,6 +40,9 @@ type Writer struct {
 	// want is the final size an in-memory writer's caller projects, if it
 	// can: the buffer then grows towards it, not by doubling.
 	want int
+	// refs is the back-reference table of the grouped blob being encoded
+	// (EncodeGroups), nil anywhere else: see Ref.
+	refs map[any]uint64
 }
 
 const (
@@ -245,12 +248,35 @@ func (w *Writer) String(s string) {
 	w.write([]byte(s))
 }
 
+// Ref is the back-reference table of a grouped blob (EncodeGroups), for
+// codecs whose values repeat by identity — a tile replicated to several
+// cells is one pointer. If v was written earlier in the blob it returns
+// the index it was bound to and true, and the codec writes the index in
+// its place; otherwise it binds v to the next index and returns false,
+// and the codec writes v whole. Indices count first sightings, in the
+// order Reader.Bind sees them on decode. Outside a grouped blob — run
+// files, EncodeRows — there is no table: Ref returns false and binds
+// nothing. v must be comparable.
+func (w *Writer) Ref(v any) (uint64, bool) {
+	if w.refs == nil {
+		return 0, false
+	}
+	if i, ok := w.refs[v]; ok {
+		return i, true
+	}
+	w.refs[v] = uint64(len(w.refs))
+	return 0, false
+}
+
 // Reader is the buffered, sticky-error mirror of Writer. After any
 // read error (including a truncated stream) every method returns zero
 // values; callers check Err once per record batch.
 type Reader struct {
 	r   *bufio.Reader
 	err error
+	// refs is the back-reference table of the grouped blob being decoded
+	// (DecodeGroupsFrom), nil anywhere else: see Bind.
+	refs []any
 }
 
 // readerBufSize is the reader's buffer, and so the largest block F64s
@@ -270,6 +296,32 @@ func (r *Reader) Fail(err error) {
 	if r.err == nil && err != nil {
 		r.err = err
 	}
+}
+
+// Bind mirrors a Writer.Ref that returned false: a codec binds each value
+// it decoded whole, so that later back-references find it. Outside a
+// grouped blob it does nothing.
+func (r *Reader) Bind(v any) {
+	if r.refs != nil {
+		r.refs = append(r.refs, v)
+	}
+}
+
+// Deref returns the value bound under back-reference i. A stream that is
+// not a grouped blob has no table, and an index not bound yet points
+// nowhere: either fails the stream and returns nil.
+func (r *Reader) Deref(i uint64) any {
+	switch {
+	case r.err != nil:
+		return nil
+	case r.refs == nil:
+		r.err = fmt.Errorf("spill: back-reference %d outside a grouped blob", i)
+		return nil
+	case i >= uint64(len(r.refs)):
+		r.err = fmt.Errorf("spill: back-reference %d past the %d values bound", i, len(r.refs))
+		return nil
+	}
+	return r.refs[i]
 }
 
 // Uvarint reads an unsigned varint.

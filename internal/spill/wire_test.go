@@ -1,6 +1,8 @@
 package spill
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -87,4 +89,141 @@ func TestWireCodecRegistry(t *testing.T) {
 	if !Registered[[]float64]() {
 		t.Error("[]float64 codec not registered")
 	}
+}
+
+// cell stands in for a tile: a value that recurs by identity when a map
+// task replicates it to several cells.
+type cell struct{ vals []float64 }
+
+// cellCodec writes a *cell the way the engine's tile codec writes a tile:
+// flag 0 for nil, 1 for a cell written whole, 2 and an index for one the
+// grouped blob already holds.
+type cellCodec struct{}
+
+func (cellCodec) Encode(w *Writer, c *cell) {
+	if c == nil {
+		w.Uvarint(0)
+		return
+	}
+	if i, seen := w.Ref(c); seen {
+		w.Uvarint(2)
+		w.Uvarint(i)
+		return
+	}
+	w.Uvarint(1)
+	w.F64s(c.vals)
+}
+
+func (cellCodec) Decode(r *Reader) *cell {
+	switch r.Uvarint() {
+	case 0:
+		return nil
+	case 2:
+		c, _ := r.Deref(r.Uvarint()).(*cell)
+		if c == nil {
+			r.Fail(errors.New("back-reference to something other than a cell"))
+		}
+		return c
+	}
+	c := &cell{vals: r.F64s()}
+	r.Bind(c)
+	return c
+}
+
+// TestGroupedBlobWritesARepeatOnce: a value that recurs by identity in a
+// grouped blob — within a group and across groups — is written whole
+// once, and decodes to one pointer wherever it recurred; equal values
+// that are distinct pointers stay distinct. EncodeRows of the same rows
+// has no table: it writes every occurrence whole, and its decoder refuses
+// a back-reference.
+func TestGroupedBlobWritesARepeatOnce(t *testing.T) {
+	a := &cell{vals: make([]float64, 1000)}
+	b := &cell{vals: []float64{1, 2}}
+	twin := &cell{vals: []float64{1, 2}}
+	groups := [][]*cell{{a, b, a}, nil, {nil, a, twin}}
+	blob, err := EncodeGroups(groups, cellCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) > 8000+100 {
+		t.Fatalf("a %d-byte blob for one 8000-byte cell written thrice", len(blob))
+	}
+	before := Bound()
+	got, err := DecodeGroupsFrom(bytes.NewReader(blob), cellCodec{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Bound() - before; n != 3 {
+		t.Fatalf("%d cells bound; a, b and twin crossed whole", n)
+	}
+	if !reflect.DeepEqual(got, groups) {
+		t.Fatalf("grouped round trip: %v, want %v", got, groups)
+	}
+	if got[0][0] != got[0][2] || got[0][0] != got[2][1] || got[0][1] == got[2][2] {
+		t.Fatal("decoded identities differ from the encoded ones")
+	}
+	if _, err := DecodeGroupsFrom(bytes.NewReader(blob), cellCodec{}, 2); err == nil {
+		t.Fatal("a blob of 3 groups decoded as 2")
+	}
+
+	flat := append(append([]*cell{}, groups[0]...), groups[2]...)
+	rows, err := EncodeRows(flat, cellCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 3*8000 {
+		t.Fatalf("EncodeRows wrote %d bytes for three 8000-byte cells", len(rows))
+	}
+	if back, err := DecodeRows(rows, cellCodec{}); err != nil || !reflect.DeepEqual(back, flat) || back[0] == back[2] {
+		t.Fatalf("EncodeRows round trip: %v", err)
+	}
+	refRow := []byte{1, 2, 0}
+	if _, err := DecodeRows(refRow, cellCodec{}); err == nil {
+		t.Fatal("DecodeRows accepted a back-reference")
+	}
+}
+
+// FuzzGroupedDecode feeds arbitrary bytes to the grouped decoder, as a
+// rank owning two reduce partitions reads a blob: a group count other
+// than two, a row count past the payload, and a back-reference forward or
+// past what the blob bound must all be errors, never panics. Whatever
+// does decode re-encodes to a blob that decodes and re-encodes to the
+// same bytes.
+func FuzzGroupedDecode(f *testing.F) {
+	cellBytes := func(vals ...float64) []byte {
+		var w Writer
+		w.F64s(vals)
+		return w.buf
+	}
+	one := cellBytes(1.5)
+	blob, err := EncodeGroups([][]*cell{{{vals: []float64{1.5}}}, nil}, cellCodec{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add([]byte{3, 0, 0, 0})                               // three groups where the rank owns two
+	f.Add([]byte{2, 5, 1})                                  // a row count past the payload
+	f.Add(append(append([]byte{2, 2, 2, 0, 1}, one...), 0)) // a reference forward to a cell bound later
+	f.Add(append(append([]byte{2, 2, 1}, one...), 2, 7, 0)) // a reference past the table
+	f.Add(append(append([]byte{2, 1, 1}, one...), 1, 2, 0)) // a reference back across groups
+	f.Add([]byte{2, 2, 0, 2, 0, 0})                         // a reference to a nil cell, which binds nothing
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeGroupsFrom(bytes.NewReader(data), cellCodec{}, 2)
+		if err != nil {
+			return
+		}
+		again, err := EncodeGroups(got, cellCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeGroupsFrom(bytes.NewReader(again), cellCodec{}, 2)
+		if err != nil {
+			t.Fatalf("%x decoded, but its re-encoding %x does not: %v", data, again, err)
+		}
+		// Compared as bytes, not with DeepEqual: a NaN payload is equal
+		// to itself only bit for bit, and the bytes pin the sharing too.
+		if twice, err := EncodeGroups(back, cellCodec{}); err != nil || !bytes.Equal(twice, again) {
+			t.Fatalf("%x re-encodes to %x, then to %x (%v)", data, again, twice, err)
+		}
+	})
 }
