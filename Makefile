@@ -56,11 +56,15 @@ bench-adaptive:
 
 # Out-of-core test gate: the end-to-end spill tests under a tight
 # process-wide budget, then the cluster parity suites under the same
-# budget, then the coordinate fallback (the min-plus product) spilling
-# its comp.Value rows under sac -mem (what the CI spill job runs).
+# budget, then under race the row codecs (exact sizes, the
+# construction-time panic, MLlib's product off one process) beside the
+# GBJ wire count, then the coordinate fallback (the min-plus product)
+# spilling its comp.Value rows under sac -mem (what the CI spill job
+# runs).
 spill-test:
 	SAC_MEMORY_BUDGET=64MiB $(GO) test ./... -run OutOfCore
 	SAC_MEMORY_BUDGET=64MiB $(GO) test ./internal/jobs ./internal/dataflow -run 'Parity|SPMD|ClusterQuery|GBJWire'
+	$(GO) test -race -count=1 -run 'GBJWire|RowCodecsRegistered|RowsRegistered|Unregistered|MLlibMultiply|RunBytesAreCodecSizes|GBJEstimate' ./internal/spill ./internal/dataflow ./internal/tiled ./internal/plan ./internal/jobs
 	$(GO) run ./cmd/sac -mem 64KiB -n 64 -tile 16 -query 'tiled(n,n)[ ((i,j), min/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a+b, group by (i,j) ]' | grep -E 'spilledBytes=[1-9]'
 
 # Distributed-runtime gate (what the CI distributed job runs): the

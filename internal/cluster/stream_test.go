@@ -475,9 +475,6 @@ func coordBucket(tb testing.TB, count int, whole bool) []byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(count)))
 	type row = dataflow.Pair[string, comp.Value]
-	if !spill.Registered[row]() {
-		tb.Fatal("the coordinate row type has no registered codec")
-	}
 	rows := make([]row, count)
 	for i := range rows {
 		ik := comp.Tuple{int64(i / 1000), int64(i % 1000)}

@@ -147,7 +147,7 @@ func (s *lazyBuckets[T]) rebalance() {
 		spill.RemoveAll(old.runs)
 		tb := s.newTask()
 		for _, r := range rows {
-			tb.add(dest[idx[s.adapt(r)]], r, estimateSize(r))
+			tb.add(dest[idx[s.adapt(r)]], r)
 		}
 		tb.finish()
 		*old, tb.buckets[hot] = tb.buckets[hot], bucketed[T]{}

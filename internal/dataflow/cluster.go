@@ -8,10 +8,10 @@ package dataflow
 //
 // A shuffle is the one segment store of shuffle.go with a Transport
 // beside it: a rank holds the segments of the map tasks it ran, and
-// also publishes them, encoded with the row type's registered spill
-// codec, as one blob per map task and destination rank — the segments
-// for the reduce partitions that rank owns, in one grouped blob that
-// writes a value repeated inside it once (spill.EncodeGroups). The first
+// also publishes them, encoded with the row type's spill codec, as one
+// blob per map task and destination rank — the segments for the reduce
+// partitions that rank owns, in one grouped blob that writes a value
+// repeated inside it once (spill.EncodeGroups). The first
 // reduce task on a rank that lacks map task m fetches m's blob for that
 // rank once and files its segments beside the rank's own, so sibling
 // partitions read them without fetching again. A reduce partition is
@@ -95,23 +95,16 @@ func gatherKey(stage int64, p int) string {
 	return fmt.Sprintf("g%d.%d", stage, p)
 }
 
-// publishRows frames rows with the registered spill codec — the cluster
-// wire format — and publishes them under key.
-func publishRows[T any](c *Context, key string, rows []T) {
-	blob, err := spill.EncodeRows(rows, spill.For[T]())
+// publishRows frames rows with their codec — the cluster wire format —
+// and publishes them under key.
+func publishRows[T any](c *Context, codec spill.Codec[T], key string, rows []T) {
+	blob, err := spill.EncodeRows(rows, codec)
 	if err == nil {
 		err = c.conf.Transport.Publish(key, blob)
 	}
 	if err != nil {
 		panic(fmt.Errorf("dataflow: publish %s: %w", key, err))
 	}
-}
-
-// fetchRows streams the rows rank published under key with publishRows.
-func fetchRows[T any](c *Context, rank int, key string) ([]T, bool) {
-	return fetchBlob(c, rank, key, func(r io.Reader) ([]T, error) {
-		return spill.DecodeRowsFrom(r, spill.For[T]())
-	})
 }
 
 // fetchBlob streams the blob rank published under key through decode. ok
@@ -226,7 +219,7 @@ func (s *lazyBuckets[T]) encode(bs []int, sg []bucketed[T]) ([]byte, error) {
 	for i, b := range bs {
 		groups[i] = s.read(&sg[b])
 	}
-	return spill.EncodeGroups(groups, spill.For[T]())
+	return spill.EncodeGroups(groups, s.codec)
 }
 
 // encodeOffered encodes this rank's own blob when a peer does ask for it.
@@ -344,7 +337,7 @@ func (s *lazyBuckets[T]) fetched(m, p int) *bucketed[T] {
 	f.once.Do(func() {
 		bs := s.groups(m, p%w)
 		groups, ok := fetchBlob(s.ctx, m%w, blobKey(s.stage.id, m, p%w), func(r io.Reader) ([][]T, error) {
-			return spill.DecodeGroupsFrom(r, spill.For[T](), len(bs))
+			return spill.DecodeGroupsFrom(r, s.codec, len(bs))
 		})
 		if !ok {
 			return
@@ -373,7 +366,7 @@ func (s *lazyBuckets[T]) rest(bs []int, groups [][]T) []bucketed[T] {
 			continue
 		}
 		for _, v := range groups[i] {
-			tb.add(b, v, estimateSize(v))
+			tb.add(b, v)
 		}
 	}
 	tb.finish()
@@ -398,16 +391,18 @@ func (s *lazyBuckets[T]) recompute(m int) {
 // fills in the rest by fetching from the owners — recomputing locally
 // (and counting a resubmission) for partitions whose owner died. Every
 // rank returns the identical full set of partials, so every rank
-// drives the identical driver-side fold.
+// drives the identical driver-side fold. It panics before computing
+// anything if T has no registered codec.
 func spmdGather[T any](c *Context, st *Stage, n int, compute func(p int) []T) [][]T {
+	codec := spill.For[T]()
 	out := make([][]T, n)
 	c.runTasksOwned(st, n, func(p int) {
 		out[p] = compute(p)
-		publishRows(c, gatherKey(st.id, p), out[p])
+		publishRows(c, codec, gatherKey(st.id, p), out[p])
 	})
 	for p := 0; p < n; p++ {
 		if !c.owns(p) {
-			out[p] = spmdFetchPartial(c, st, p, compute)
+			out[p] = spmdFetchPartial(c, codec, st, p, compute)
 		}
 	}
 	return out
@@ -415,8 +410,10 @@ func spmdGather[T any](c *Context, st *Stage, n int, compute func(p int) []T) []
 
 // spmdFetchPartial fetches one action partial from its owner, falling
 // back to local recompute when the owner is gone.
-func spmdFetchPartial[T any](c *Context, st *Stage, p int, compute func(p int) []T) []T {
-	rows, ok := fetchRows[T](c, p%c.conf.Transport.World(), gatherKey(st.id, p))
+func spmdFetchPartial[T any](c *Context, codec spill.Codec[T], st *Stage, p int, compute func(p int) []T) []T {
+	rows, ok := fetchBlob(c, p%c.conf.Transport.World(), gatherKey(st.id, p), func(r io.Reader) ([]T, error) {
+		return spill.DecodeRowsFrom(r, codec)
+	})
 	if !ok {
 		c.metrics.c.Resubmissions.Add(1)
 		return compute(p)
@@ -429,12 +426,13 @@ func spmdFetchPartial[T any](c *Context, st *Stage, p int, compute func(p int) [
 // else fetches or recomputes. All ranks see identical rows, so all
 // ranks stop the scan at the same partition.
 func spmdGatherOne[T any](c *Context, st *Stage, p int, compute func() []T) []T {
+	codec := spill.For[T]()
 	if c.owns(p) {
 		rows := compute()
-		publishRows(c, gatherKey(st.id, p), rows)
+		publishRows(c, codec, gatherKey(st.id, p), rows)
 		c.metrics.c.Tasks.Add(1)
 		st.tasks.Add(1)
 		return rows
 	}
-	return spmdFetchPartial(c, st, p, func(int) []T { return compute() })
+	return spmdFetchPartial(c, codec, st, p, func(int) []T { return compute() })
 }

@@ -255,12 +255,11 @@ func runSPMDProgram(ctx *Context) spmdResult {
 	}
 }
 
-// runRanks executes the program on world in-process ranks over hub,
-// each rank's Config passed through tweak, returning each rank's
-// result, metrics, and panic value (nil when the rank completed).
-func runRanks(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []MetricsSnapshot, []any) {
-	results := make([]spmdResult, world)
-	metrics := make([]MetricsSnapshot, world)
+// onRanks executes program on world in-process ranks over hub, each
+// rank's Config passed through tweak, returning each rank's result and
+// panic value (nil when the rank completed).
+func onRanks[R any](hub *memHub, world int, tweak func(*Config), program func(*Context) R) ([]R, []any) {
+	results := make([]R, world)
 	panics := make([]any, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
@@ -276,11 +275,40 @@ func runRanks(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []Metr
 			tweak(&conf)
 			ctx := NewContext(conf)
 			defer ctx.Close()
-			results[r] = runSPMDProgram(ctx)
-			metrics[r] = ctx.Metrics()
+			results[r] = program(ctx)
 		}(r)
 	}
 	wg.Wait()
+	return results, panics
+}
+
+// RunOnRanks runs program on world in-process ranks and returns each
+// rank's result, failing t if one panicked. It is the SPMD fabric for the
+// external tests of the packages built on dataflow.
+func RunOnRanks[R any](t *testing.T, world int, program func(*Context) R) []R {
+	t.Helper()
+	results, panics := onRanks(newMemHub(world), world, func(*Config) {}, program)
+	for r, p := range panics {
+		if p != nil {
+			t.Fatalf("world %d: rank %d panicked: %v", world, r, p)
+		}
+	}
+	return results
+}
+
+// runRanks executes the exercise program on world in-process ranks over
+// hub, returning each rank's result, metrics and panic value.
+func runRanks(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []MetricsSnapshot, []any) {
+	type run struct {
+		res spmdResult
+		m   MetricsSnapshot
+	}
+	runs, panics := onRanks(hub, world, tweak, func(ctx *Context) run { return run{runSPMDProgram(ctx), ctx.Metrics()} })
+	results := make([]spmdResult, world)
+	metrics := make([]MetricsSnapshot, world)
+	for r, x := range runs {
+		results[r], metrics[r] = x.res, x.m
+	}
 	return results, metrics, panics
 }
 

@@ -1,9 +1,9 @@
 package dataflow
 
-// Spill codecs for the engine's hot shuffle row types. Anything not
-// registered here falls back to spill's gob codec, which is correct
-// but re-encodes type information per record; the types below dominate
-// shuffle and cache traffic, so they get compact hand-rolled encodings.
+// Spill codecs for the engine's row types: coordinates, tiles, vectors,
+// and the pairs of them the tiled layer shuffles and caches. A row type
+// with no registered codec cannot cross a shuffle, a Persist cache or a
+// cluster gather: building one panics, naming the type (spill.For).
 
 import (
 	"fmt"
@@ -23,6 +23,8 @@ func (CoordCodec) Encode(w *spill.Writer, v Coord) {
 func (CoordCodec) Decode(r *spill.Reader) Coord {
 	return Coord{I: r.Varint(), J: r.Varint()}
 }
+
+func (CoordCodec) Size(v Coord) int64 { return spill.VarintSize(v.I) + spill.VarintSize(v.J) }
 
 // DenseCodec spills dense tiles: a flag, then for a tile written whole
 // its dimensions and the raw IEEE bits of its payload. Flag 0 is a nil
@@ -85,7 +87,23 @@ func (DenseCodec) Decode(r *spill.Reader) *linalg.Dense {
 	return t
 }
 
-// VectorCodec spills dense vector blocks.
+// Size counts a tile whole: a stream without a back-reference table, and
+// a local shuffle, hand it over whole wherever it repeats.
+func (DenseCodec) Size(v *linalg.Dense) int64 {
+	if v == nil {
+		return 1
+	}
+	return TileSize(v.Rows, v.Cols, len(v.Data))
+}
+
+// TileSize is what DenseCodec writes for a rows x cols tile of n cells
+// written whole: the flag, the header and 8 bytes a cell.
+func TileSize(rows, cols, n int) int64 {
+	return 1 + spill.VarintSize(int64(rows)) + spill.VarintSize(int64(cols)) + spill.F64sSize(n)
+}
+
+// VectorCodec spills dense vector blocks: flag 0 for nil, 1 and the
+// elements for a vector.
 type VectorCodec struct{}
 
 func (VectorCodec) Encode(w *spill.Writer, v *linalg.Vector) {
@@ -98,10 +116,22 @@ func (VectorCodec) Encode(w *spill.Writer, v *linalg.Vector) {
 }
 
 func (VectorCodec) Decode(r *spill.Reader) *linalg.Vector {
-	if r.Uvarint() == 0 {
+	switch flag := r.Uvarint(); flag {
+	case 0:
+		return nil
+	case 1:
+		return &linalg.Vector{Data: r.F64s()}
+	default:
+		r.Fail(fmt.Errorf("dataflow: vector codec: flag %d", flag))
 		return nil
 	}
-	return &linalg.Vector{Data: r.F64s()}
+}
+
+func (VectorCodec) Size(v *linalg.Vector) int64 {
+	if v == nil {
+		return 1
+	}
+	return 1 + spill.F64sSize(len(v.Data))
 }
 
 // pairCodec composes key and value codecs into a Pair codec.
@@ -119,6 +149,8 @@ func (c pairCodec[K, V]) Decode(r *spill.Reader) Pair[K, V] {
 	k := c.kc.Decode(r)
 	return Pair[K, V]{Key: k, Value: c.vc.Decode(r)}
 }
+
+func (c pairCodec[K, V]) Size(p Pair[K, V]) int64 { return c.kc.Size(p.Key) + c.vc.Size(p.Value) }
 
 // PairCodec builds a codec for Pair[K, V] from its component codecs,
 // so downstream packages can register codecs for their own pair rows.

@@ -2,12 +2,13 @@ package dataflow
 
 // Property tests for the hand-rolled spill codecs: bit-exact round
 // trips over adversarial values, nil handling, corrupt-stream
-// rejection without panics, and registry resolution for every row type
-// the shuffle paths spill. FuzzDenseCodecDecode has a checked-in seed
-// corpus under testdata/fuzz.
+// rejection without panics, Size equal to the bytes Encode writes, and
+// registry resolution for every row type the shuffle paths spill.
+// FuzzDenseCodecDecode has a checked-in seed corpus under testdata/fuzz.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -16,7 +17,9 @@ import (
 	"repro/internal/spill"
 )
 
-func codecRoundTrip[T any](t *testing.T, c spill.Codec[T], v T) T {
+// encoded is what c's Encode writes for v on a stream, after checking
+// that Size says as much.
+func encoded[T any](t *testing.T, c spill.Codec[T], v T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := spill.NewWriter(&buf)
@@ -24,7 +27,15 @@ func codecRoundTrip[T any](t *testing.T, c spill.Codec[T], v T) T {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	r := spill.NewReader(&buf)
+	if n := c.Size(v); n != int64(buf.Len()) {
+		t.Fatalf("%T: Size says %d bytes, Encode wrote %d", c, n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+func codecRoundTrip[T any](t *testing.T, c spill.Codec[T], v T) T {
+	t.Helper()
+	r := spill.NewReader(bytes.NewReader(encoded(t, c, v)))
 	got := c.Decode(r)
 	if err := r.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -126,27 +137,26 @@ func TestPairCodecComposition(t *testing.T) {
 }
 
 // TestShuffleRowCodecsRegistered pins every row type the engine's
-// shuffle and cache paths spill to a hand-rolled registry entry, so a
-// refactor that silently drops one back to the gob fallback (slower,
-// and impossible for unexported-field types) fails here.
+// shuffle and cache paths spill to a registered codec (spill.For panics
+// on one that has none) whose Size is the bytes it writes, at key widths
+// from one varint byte to ten and for nil, empty and full tiles.
 func TestShuffleRowCodecsRegistered(t *testing.T) {
-	checks := []struct {
-		name string
-		ok   bool
-	}{
-		{"Coord", spill.Registered[Coord]()},
-		{"*linalg.Dense", spill.Registered[*linalg.Dense]()},
-		{"*linalg.Vector", spill.Registered[*linalg.Vector]()},
-		{"Block", spill.Registered[Pair[Coord, *linalg.Dense]]()},
-		{"keyed block", spill.Registered[Pair[int64, Pair[Coord, *linalg.Dense]]]()},
-		{"vector block", spill.Registered[Pair[int64, *linalg.Vector]]()},
-		{"keyed scalar", spill.Registered[Pair[int64, float64]]()},
-		{"keyed int64", spill.Registered[Pair[int64, int64]]()},
-	}
-	for _, c := range checks {
-		if !c.ok {
-			t.Errorf("%s has no registered spill codec", c.name)
+	tile := &linalg.Dense{Rows: 3, Cols: 70, Data: make([]float64, 210)}
+	vec := &linalg.Vector{Data: make([]float64, 130)}
+	for _, k := range []int64{0, -1, 63, -64, 64, 1 << 20, math.MinInt64} {
+		c := Coord{I: k, J: -k}
+		encoded(t, spill.For[Coord](), c)
+		for _, d := range []*linalg.Dense{nil, {Cols: 2}, tile} {
+			encoded(t, spill.For[*linalg.Dense](), d)
+			encoded(t, spill.For[Pair[Coord, *linalg.Dense]](), KV(c, d))
+			encoded(t, spill.For[Pair[int64, Pair[Coord, *linalg.Dense]]](), KV(k, KV(c, d)))
 		}
+		for _, v := range []*linalg.Vector{nil, {}, vec} {
+			encoded(t, spill.For[*linalg.Vector](), v)
+			encoded(t, spill.For[Pair[int64, *linalg.Vector]](), KV(k, v))
+		}
+		encoded(t, spill.For[Pair[int64, float64]](), KV(k, math.NaN()))
+		encoded(t, spill.For[Pair[int64, int64]](), KV(k, -k))
 	}
 }
 
@@ -206,11 +216,13 @@ func FuzzDenseCodecDecode(f *testing.F) {
 	f.Add(append(append([]byte{1, 2}, whole...), denseRef, 5)) // an index past the table
 	f.Add([]byte{1, 2, denseNil, denseRef, 0})                 // a reference to nil, which binds nothing
 	f.Add(append(append([]byte{1, 2}, whole...), denseRef, 0)) // a valid back-reference
+	f.Add([]byte{7, 0})                                        // a vector flag that is neither nil nor present
 	f.Fuzz(func(t *testing.T, data []byte) {
 		consistent := func(d *linalg.Dense) {
 			if d != nil && len(d.Data) != d.Rows*d.Cols {
 				t.Fatalf("accepted inconsistent tile: %dx%d with %d elements", d.Rows, d.Cols, len(d.Data))
 			}
+			encoded(t, DenseCodec{}, d)
 		}
 		r := spill.NewReader(bytes.NewReader(data))
 		got := DenseCodec{}.Decode(r)
@@ -226,6 +238,16 @@ func FuzzDenseCodecDecode(f *testing.F) {
 			for _, d := range groups[0] {
 				consistent(d)
 			}
+		}
+		// The same bytes as a vector: flag 0 is nil, 1 a vector, any
+		// other flag an error.
+		r = spill.NewReader(bytes.NewReader(data))
+		v := VectorCodec{}.Decode(r)
+		if r.Err() == nil {
+			if flag, _ := binary.Uvarint(data); flag > 1 {
+				t.Fatalf("vector flag %d decoded as %+v", flag, v)
+			}
+			encoded(t, VectorCodec{}, v)
 		}
 	})
 }

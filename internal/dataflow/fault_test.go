@@ -81,31 +81,6 @@ func TestMetricsSub(t *testing.T) {
 	}
 }
 
-func TestEstimateSize(t *testing.T) {
-	cases := []struct {
-		v    any
-		want int64
-	}{
-		{nil, 0},
-		{true, 1},
-		{int32(1), 4},
-		{int64(1), 8},
-		{3.14, 8},
-		{"hello", 5},
-		{[]float64{1, 2, 3}, 24},
-		{[]byte{1, 2}, 2},
-		{struct{}{}, 16},
-	}
-	for _, c := range cases {
-		if got := estimateSize(c.v); got != c.want {
-			t.Fatalf("estimateSize(%v) = %d want %d", c.v, got, c.want)
-		}
-	}
-	if KV(Coord{1, 2}, []float64{1, 2}).NumBytes() != 16+16 {
-		t.Fatalf("pair bytes %d", KV(Coord{1, 2}, []float64{1, 2}).NumBytes())
-	}
-}
-
 func TestCoordHashSpreads(t *testing.T) {
 	seen := map[int]int{}
 	for i := int64(0); i < 16; i++ {

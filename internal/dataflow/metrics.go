@@ -502,38 +502,3 @@ func maxOverlap(stages []StageMetric) int64 {
 	}
 	return max
 }
-
-// Sizer lets shuffled values report their payload size for shuffle-byte
-// accounting. Values that do not implement Sizer are estimated by
-// defaultSize.
-type Sizer interface{ NumBytes() int64 }
-
-// estimateSize approximates the serialized size of a value.
-func estimateSize(v any) int64 {
-	switch x := v.(type) {
-	case nil:
-		return 0
-	case Sizer:
-		return x.NumBytes()
-	case Coord:
-		return 16 // two int64 coordinates
-	case bool, int8, uint8:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32, float32:
-		return 4
-	case int, int64, uint, uint64, float64:
-		return 8
-	case string:
-		return int64(len(x))
-	case []float64:
-		return int64(len(x)) * 8
-	case []int:
-		return int64(len(x)) * 8
-	case []byte:
-		return int64(len(x))
-	default:
-		return 16 // opaque boxed value
-	}
-}

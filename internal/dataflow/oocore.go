@@ -20,7 +20,7 @@ import (
 )
 
 // spillReserveChunk is the granularity of memory-budget reservations on
-// the shuffle write path: tasks accumulate this many estimated bytes
+// the shuffle write path: tasks accumulate this many encoded bytes
 // before asking the manager again, amortizing the reservation cost.
 const spillReserveChunk = 256 << 10
 
@@ -58,8 +58,9 @@ func (s *lazyBuckets[T]) newTask() *taskBuckets[T] {
 	return &taskBuckets[T]{lb: s, mem: s.ctx.mem, buckets: make([]bucketed[T], s.parts)}
 }
 
-// add routes one row of the given estimated size to bucket b.
-func (tb *taskBuckets[T]) add(b int, v T, bytes int64) {
+// add routes one row to bucket b, charging its encoded size.
+func (tb *taskBuckets[T]) add(b int, v T) {
+	bytes := tb.lb.codec.Size(v)
 	bk := &tb.buckets[b]
 	bk.rows = append(bk.rows, v)
 	bk.bytes += bytes
@@ -115,7 +116,7 @@ func (s *lazyBuckets[T]) spill(bk *bucketed[T]) (freed int64, err error) {
 	if bk.mem == 0 {
 		return 0, nil
 	}
-	run, err := spill.WriteRunOrdered(s.ctx.spillDir(), bk.rows, zeroOrd[T], spill.For[T]())
+	run, err := spill.WriteRunOrdered(s.ctx.spillDir(), bk.rows, zeroOrd[T], s.codec)
 	if err != nil {
 		return 0, fmt.Errorf("dataflow: %s: %w", s.name, err)
 	}
@@ -135,7 +136,7 @@ func (s *lazyBuckets[T]) read(bk *bucketed[T]) []T {
 	}
 	out := make([]T, 0, bk.count())
 	for _, run := range bk.runs {
-		out = appendRun(out, run)
+		out = appendRun(out, run, s.codec)
 	}
 	return append(out, bk.rows...)
 }
@@ -161,8 +162,8 @@ func (s *lazyBuckets[T]) evict(need int64) int64 {
 }
 
 // appendRun decodes a run file onto dst, in the order it was written.
-func appendRun[T any](dst []T, run spill.Run[T]) []T {
-	if err := run.Each(spill.For[T](), func(_ uint64, v T) { dst = append(dst, v) }); err != nil {
+func appendRun[T any](dst []T, run spill.Run[T], c spill.Codec[T]) []T {
+	if err := run.Each(c, func(_ uint64, v T) { dst = append(dst, v) }); err != nil {
 		panic(fmt.Errorf("dataflow: read back spilled rows: %w", err))
 	}
 	return dst
@@ -173,7 +174,7 @@ func appendRun[T any](dst []T, run spill.Run[T]) []T {
 // evicting others, the partition caches to disk instead. Returns the
 // canonical slice (an earlier racer's copy may win).
 func (d *Dataset[T]) cacheStore(p int, rows []T) []T {
-	b := sliceBytes(rows)
+	b := sliceBytes(d.codec, rows)
 	mem := d.ctx.mem
 	if mem != nil && b > 0 && !mem.TryReserve(b) {
 		mem.Evict(b)
@@ -226,7 +227,7 @@ func (d *Dataset[T]) cacheStore(p int, rows []T) []T {
 // back with appendRun.
 func (d *Dataset[T]) cacheToDisk(p int, rows []T) []T {
 	span := d.ctx.StartSpan("spill: cache(" + d.name + ")")
-	run, err := spill.WriteRunOrdered(d.ctx.spillDir(), rows, zeroOrd[T], spill.For[T]())
+	run, err := spill.WriteRunOrdered(d.ctx.spillDir(), rows, zeroOrd[T], d.codec)
 	if err != nil {
 		// Caching is best-effort; the dataset recomputes from lineage.
 		span.End()
@@ -269,7 +270,7 @@ func (d *Dataset[T]) evictCache(need int64) int64 {
 		if rows == nil || resv == 0 {
 			continue
 		}
-		run, err := spill.WriteRunOrdered(d.ctx.spillDir(), rows, zeroOrd[T], spill.For[T]())
+		run, err := spill.WriteRunOrdered(d.ctx.spillDir(), rows, zeroOrd[T], d.codec)
 		if err != nil {
 			continue
 		}

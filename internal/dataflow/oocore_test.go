@@ -48,8 +48,9 @@ func assertBudget(t *testing.T, ctx *Context, budget int64) {
 func TestOutOfCoreGroupBy(t *testing.T) {
 	const budget = 1 << 20
 	ctx := oocContext(t, budget)
-	// Working set: 64 partitions x 8192 rows x ~24 tracked bytes
-	// ≈ 12 MiB, an order of magnitude over the 1 MiB budget.
+	// Working set: 64 partitions x 8192 rows x 10 encoded bytes (a
+	// two-byte key varint and a float) ≈ 5 MiB, five times the 1 MiB
+	// budget.
 	const parts, rowsPer, keys = 64, 8192, 997
 	src := Generate(ctx, parts, func(p int) []Pair[int64, float64] {
 		out := make([]Pair[int64, float64], rowsPer)
@@ -166,7 +167,9 @@ func TestOutOfCoreJoinMatchesInMemory(t *testing.T) {
 		return rows
 	}
 	want := build(oocContext(t, 0))
-	const budget = 1 << 20
+	// The two sides encode to about 400 KiB (a key varint of two bytes,
+	// a value of up to three).
+	const budget = 128 << 10
 	ctx := oocContext(t, budget)
 	got := build(ctx)
 	if len(got) != len(want) {
@@ -187,7 +190,8 @@ func TestOutOfCoreJoinMatchesInMemory(t *testing.T) {
 // tasks finished in and whenever the budget made them spill.
 func TestOutOfCoreOrderIsAFunctionOfTheMapOutputs(t *testing.T) {
 	run := func(par int) []any {
-		// 16 x 4096 rows x ~24 tracked bytes, six times the budget.
+		// 16 x 4096 rows x 10 encoded bytes, two and a half times the
+		// budget.
 		const budget = 256 << 10
 		ctx := NewContext(Config{Parallelism: par, MemoryBudget: budget})
 		defer ctx.Close()

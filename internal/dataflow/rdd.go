@@ -53,6 +53,7 @@ type Dataset[T any] struct {
 	// registration (see oocore.go).
 	cachedDisk []spill.Run[T]
 	cachedResv []int64
+	codec      spill.Codec[T] // set by Persist: sizes and spills the cache
 	unregEvict func()
 	evictOnce  sync.Once
 	persist    bool
@@ -112,11 +113,12 @@ func (d *Dataset[T]) NumPartitions() int { return d.parts }
 func (d *Dataset[T]) Name() string { return d.name }
 
 // Persist marks the dataset to cache partition contents on first
-// computation, like RDD.cache.
+// computation, like RDD.cache. It panics if T has no registered codec.
 func (d *Dataset[T]) Persist() *Dataset[T] {
+	c := spill.For[T]()
 	d.cacheMu.Lock()
 	defer d.cacheMu.Unlock()
-	d.persist = true
+	d.persist, d.codec = true, c
 	return d
 }
 
@@ -194,7 +196,7 @@ func (d *Dataset[T]) partition(p int) []T {
 	if d.cachedDisk != nil && d.cachedDisk[p].Path != "" {
 		run := d.cachedDisk[p]
 		d.cacheMu.Unlock()
-		return appendRun(make([]T, 0, run.Rows), run)
+		return appendRun(make([]T, 0, run.Rows), run, d.codec)
 	}
 	persist := d.persist
 	d.cacheMu.Unlock()
@@ -211,11 +213,11 @@ func (d *Dataset[T]) partition(p int) []T {
 	return rows
 }
 
-// sliceBytes estimates the payload size of a cached partition.
-func sliceBytes[T any](rows []T) int64 {
+// sliceBytes is the encoded size of a partition's rows.
+func sliceBytes[T any](c spill.Codec[T], rows []T) int64 {
 	var b int64
 	for _, v := range rows {
-		b += estimateSize(v)
+		b += c.Size(v)
 	}
 	return b
 }
@@ -500,8 +502,7 @@ func Aggregate[T, A any](d *Dataset[T], zero A, seq func(A, T) A, merge func(A, 
 	partials := make([]A, d.parts)
 	d.runAction("aggregate", func(st *Stage) {
 		if d.ctx.conf.Transport != nil {
-			// Accumulator partials cross ranks with A's registered codec
-			// (gob fallback for unregistered A, so A must be encodable).
+			// Accumulator partials cross ranks with A's registered codec.
 			parts := spmdGather(d.ctx, st, d.parts, func(p int) []A {
 				partial := zero
 				d.forEach(p, func(v T) { partial = seq(partial, v) })
@@ -555,7 +556,7 @@ func Repartition[T any](d *Dataset[T], numPartitions int) *Dataset[T] {
 		d.forEach(p, func(v T) {
 			b := (p + i) % numPartitions
 			i++
-			tb.add(b, v, estimateSize(v))
+			tb.add(b, v)
 		})
 		return int64(i)
 	})

@@ -13,10 +13,11 @@ import (
 // output order however often, and whenever, the segment was spilled.
 type bucketed[T any] struct {
 	rows  []T
-	bytes int64 // estimated payload routed here, spilled rows included
+	bytes int64 // encoded size of the rows routed here, spilled rows included
 	runs  []spill.Run[T]
-	// mem is the tracked size of rows: an estimate while the task fills
-	// the segment, the reservation it holds once the task has finished.
+	// mem is the tracked size of rows: their encoded size while the task
+	// fills the segment, the reservation it holds once the task has
+	// finished.
 	mem int64
 }
 
@@ -49,6 +50,9 @@ type lazyBuckets[T any] struct {
 	parts int
 	stage *Stage
 	name  string
+	// codec is the row type's: it sizes every routed row and writes the
+	// rows to run files and to peers.
+	codec spill.Codec[T]
 	// fold, when set, opens the reduce-side combiner of one partition
 	// read: absorb takes the segments' rows in map-task order, finish
 	// returns the folded partition. ReduceByKey folds here, once per
@@ -93,9 +97,9 @@ type lazyBuckets[T any] struct {
 }
 
 // newShuffle builds the shuffle of d into parts reduce partitions and
-// its map-side stage.
+// its map-side stage. It panics if T has no registered codec.
 func newShuffle[T any](d *Dataset[T], name string, parts int, fill func(m int, tb *taskBuckets[T]) int64) *lazyBuckets[T] {
-	s := &lazyBuckets[T]{ctx: d.ctx, parts: parts, name: name, srcParts: d.parts, fill: fill,
+	s := &lazyBuckets[T]{ctx: d.ctx, parts: parts, name: name, codec: spill.For[T](), srcParts: d.parts, fill: fill,
 		pmu: make([]sync.Mutex, parts), out: make([][]T, parts), done: make([]bool, parts)}
 	s.stage = d.ctx.newStage(name, d.deps, s.runMapSide)
 	return s
@@ -237,7 +241,7 @@ func (s *lazyBuckets[T]) get(p int) []T {
 		return rows
 	}
 	if s.fold != nil && held > 0 {
-		if after := sliceBytes(rows); after < held {
+		if after := sliceBytes(s.codec, rows); after < held {
 			s.ctx.mem.Release(held - after)
 		}
 	}
@@ -265,7 +269,7 @@ func exchange[T any](d *Dataset[T], numPartitions int, route func(T) int, keyed 
 		var in int64
 		d.forEach(p, func(v T) {
 			in++
-			tb.add(route(v), v, estimateSize(v))
+			tb.add(route(v), v)
 		})
 		return in
 	})
@@ -279,11 +283,6 @@ type Pair[K comparable, V any] struct {
 
 // KV constructs a Pair.
 func KV[K comparable, V any](k K, v V) Pair[K, V] { return Pair[K, V]{Key: k, Value: v} }
-
-// NumBytes lets pairs participate in shuffle accounting.
-func (p Pair[K, V]) NumBytes() int64 {
-	return estimateSize(p.Key) + estimateSize(p.Value)
-}
 
 // pairRoute returns the hash route function for pairs.
 func pairRoute[K comparable, V any](numPartitions int) func(Pair[K, V]) int {
@@ -311,7 +310,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(V, V)
 		flush := func() {
 			for _, k := range order {
 				kv := KV(k, acc[k])
-				tb.add(partitionOf(k, numPartitions), kv, kv.NumBytes())
+				tb.add(partitionOf(k, numPartitions), kv)
 			}
 			acc = make(map[K]V)
 			order = order[:0]
@@ -325,7 +324,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(V, V)
 			} else {
 				acc[kv.Key] = kv.Value
 				order = append(order, kv.Key)
-				accBytes += kv.NumBytes()
+				accBytes += tb.lb.codec.Size(kv)
 				if accBytes >= flushAt {
 					flush()
 				}
@@ -445,12 +444,6 @@ type JoinedPair[A, B any] struct {
 	Right B
 }
 
-// NumBytes reports the combined payload so join outputs size correctly
-// when they cross a later shuffle or land in a Persist cache.
-func (j JoinedPair[A, B]) NumBytes() int64 {
-	return estimateSize(j.Left) + estimateSize(j.Right)
-}
-
 // Join computes the inner equi-join of two pair datasets. Both sides
 // are hash-shuffled into co-partitioned buckets — the two map-side
 // stages are independent, so the scheduler runs them concurrently —
@@ -481,19 +474,6 @@ func Join[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair
 type CoGrouped[A, B any] struct {
 	Left  []A
 	Right []B
-}
-
-// NumBytes sums both groups' payloads so cogrouped values size
-// correctly in downstream shuffle and cache accounting.
-func (g CoGrouped[A, B]) NumBytes() int64 {
-	var n int64
-	for i := range g.Left {
-		n += estimateSize(g.Left[i])
-	}
-	for i := range g.Right {
-		n += estimateSize(g.Right[i])
-	}
-	return n
 }
 
 // CoGroup groups both datasets by key simultaneously, like Spark's

@@ -299,7 +299,6 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 // must not re-fold the cached shuffle buckets and double-accumulate.
 func TestReduceByKeyRematerializeWithMutatingCombine(t *testing.T) {
 	ctx := NewLocalContext()
-	type box struct{ v float64 }
 	var data []Pair[int, *box]
 	for i := 0; i < 12; i++ {
 		data = append(data, KV(i%3, &box{v: 1}))

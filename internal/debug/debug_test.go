@@ -29,9 +29,9 @@ func get(t *testing.T, url string) (int, string) {
 func TestServe(t *testing.T) {
 	ctx := dataflow.NewContext(dataflow.Config{Parallelism: 2})
 	// Run something so the snapshot has stages to show.
-	d := dataflow.Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3)
-	pairs := dataflow.Map(d, func(v int) dataflow.Pair[int, int] { return dataflow.KV(v%2, v) })
-	dataflow.Collect(dataflow.ReduceByKey(pairs, func(a, b int) int { return a + b }, 2))
+	d := dataflow.Parallelize(ctx, []int64{1, 2, 3, 4, 5, 6}, 3)
+	pairs := dataflow.Map(d, func(v int64) dataflow.Pair[int64, int64] { return dataflow.KV(v%2, v) })
+	dataflow.Collect(dataflow.ReduceByKey(pairs, func(a, b int64) int64 { return a + b }, 2))
 
 	srv, err := Serve("127.0.0.1:0", ctx)
 	if err != nil {

@@ -37,10 +37,8 @@ func gbjParams() QueryParams {
 }
 
 // TestGBJEstimateMatchesMeasuredLocal: the cost clause prices the grid
-// that runs. The estimate counts 16 key bytes per tile where the
-// engine's rows carry 32 (cell coordinate + join key and group), so the
-// measured shuffle volume minus 16 bytes per record is the estimate,
-// exactly.
+// that runs, in the bytes the codecs write for its rows, so the measured
+// shuffle volume is the estimate, exactly.
 func TestGBJEstimateMatchesMeasuredLocal(t *testing.T) {
 	p := gbjParams()
 	d := gbjDecision(t, p)
@@ -54,8 +52,8 @@ func TestGBJEstimateMatchesMeasuredLocal(t *testing.T) {
 	if want := 16*d.GridQ + 16*d.GridP; snap.ShuffledRecords != want {
 		t.Fatalf("shuffled %d tiles, want tilesA*q + tilesB*p = %d", snap.ShuffledRecords, want)
 	}
-	if got := snap.ShuffledBytes - 16*snap.ShuffledRecords; got != d.Chosen.ShuffleBytes {
-		t.Fatalf("measured %d shuffle bytes (less row keys) vs estimated %d", got, d.Chosen.ShuffleBytes)
+	if snap.ShuffledBytes != d.Chosen.ShuffleBytes {
+		t.Fatalf("measured %d shuffle bytes vs estimated %d", snap.ShuffledBytes, d.Chosen.ShuffleBytes)
 	}
 }
 
@@ -85,9 +83,9 @@ func TestClusterGridIgnoresParallelism(t *testing.T) {
 				len(pars), SummarizeBlob(got), SummarizeBlob(want))
 		}
 		snap := cs.Metrics()
-		if est := snap.ShuffledBytes - 16*snap.ShuffledRecords; est != d.Chosen.ShuffleBytes {
-			t.Fatalf("world %d: measured %d shuffle bytes (less row keys) vs estimated %d on the %dx%d grid",
-				len(pars), est, d.Chosen.ShuffleBytes, d.GridP, d.GridQ)
+		if snap.ShuffledBytes != d.Chosen.ShuffleBytes {
+			t.Fatalf("world %d: measured %d shuffle bytes vs estimated %d on the %dx%d grid",
+				len(pars), snap.ShuffledBytes, d.Chosen.ShuffleBytes, d.GridP, d.GridQ)
 		}
 	}
 }

@@ -213,18 +213,6 @@ func (m *BlockMatrix) Transpose() *BlockMatrix {
 	return &BlockMatrix{Rows: m.Cols, Cols: m.Rows, PerBlock: m.PerBlock, Blocks: blocks}
 }
 
-// placed is a block replicated to one grid partition for the simulated
-// MLlib multiply.
-type placed struct {
-	C    Coord
-	Tile *linalg.Dense
-}
-
-// NumBytes reports the real payload (coordinate + block data) so the
-// baseline's replication shuffle is accounted honestly, matching the
-// SAC side.
-func (p placed) NumBytes() int64 { return 16 + p.Tile.NumBytes() }
-
 // destinationGrid reproduces BlockMatrix.simulateMultiply: for each
 // left block (i,k), the set of result partitions it must reach is the
 // grid cells of the output coordinates (i, j) for all j with a right
@@ -233,7 +221,9 @@ func (p placed) NumBytes() int64 { return 16 + p.Tile.NumBytes() }
 // Multiply mirrors BlockMatrix.multiply: replicate each block to the
 // result partitions that need it (partition-granular, not
 // block-granular), cogroup by partition, compute the local products,
-// and reduce partial products by output coordinate.
+// and reduce partial products by output coordinate. A replica is its
+// block keyed by the grid partition it is bound for, so it crosses the
+// shuffle through the tile codec.
 func (m *BlockMatrix) Multiply(o *BlockMatrix) *BlockMatrix {
 	if m.Cols != o.Rows || m.PerBlock != o.PerBlock {
 		panic("mllib: multiply shape mismatch")
@@ -241,52 +231,44 @@ func (m *BlockMatrix) Multiply(o *BlockMatrix) *BlockMatrix {
 	parts := m.Blocks.NumPartitions()
 	grid := NewGridPartitioner(m.BlockRows(), o.BlockCols(), parts)
 
-	nOutCols := o.BlockCols()
-	nOutRows := m.BlockRows()
-
-	// Left block (i,k) goes to every grid cell hosting outputs (i, *).
-	left := dataflow.FlatMap(m.Blocks, func(b Block) []dataflow.Pair[int, placed] {
-		dests := map[int]bool{}
-		for j := int64(0); j < nOutCols; j++ {
-			dests[grid.Partition(Coord{I: b.Key.I, J: j})] = true
+	// replicate sends block b to every grid partition hosting one of the
+	// n output coordinates at(b, x).
+	replicate := func(n int64, at func(b Block, x int64) Coord) func(Block) []dataflow.Pair[int64, Block] {
+		return func(b Block) []dataflow.Pair[int64, Block] {
+			dests := map[int64]bool{}
+			for x := int64(0); x < n; x++ {
+				dests[int64(grid.Partition(at(b, x)))] = true
+			}
+			out := make([]dataflow.Pair[int64, Block], 0, len(dests))
+			for d := range dests {
+				out = append(out, dataflow.KV(d, b))
+			}
+			return out
 		}
-		out := make([]dataflow.Pair[int, placed], 0, len(dests))
-		for d := range dests {
-			out = append(out, dataflow.KV(d, placed{C: b.Key, Tile: b.Value}))
-		}
-		return out
-	})
-	// Right block (k,j) goes to every grid cell hosting outputs (*, j).
-	right := dataflow.FlatMap(o.Blocks, func(b Block) []dataflow.Pair[int, placed] {
-		dests := map[int]bool{}
-		for i := int64(0); i < nOutRows; i++ {
-			dests[grid.Partition(Coord{I: i, J: b.Key.J})] = true
-		}
-		out := make([]dataflow.Pair[int, placed], 0, len(dests))
-		for d := range dests {
-			out = append(out, dataflow.KV(d, placed{C: b.Key, Tile: b.Value}))
-		}
-		return out
-	})
+	}
+	// Left block (i,k) goes to every grid cell hosting outputs (i, *),
+	// right block (k,j) to every one hosting outputs (*, j).
+	left := dataflow.FlatMap(m.Blocks, replicate(o.BlockCols(), func(b Block, j int64) Coord { return Coord{I: b.Key.I, J: j} }))
+	right := dataflow.FlatMap(o.Blocks, replicate(m.BlockRows(), func(b Block, i int64) Coord { return Coord{I: i, J: b.Key.J} }))
 
 	pool := m.Blocks.Context().TilePool()
 	cg := dataflow.CoGroup(left, right, grid.NumPartitions())
-	products := dataflow.FlatMap(cg, func(g dataflow.Pair[int, dataflow.CoGrouped[placed, placed]]) []Block {
+	products := dataflow.FlatMap(cg, func(g dataflow.Pair[int64, dataflow.CoGrouped[Block, Block]]) []Block {
 		// Index right blocks by their row coordinate k.
-		byK := map[int64][]placed{}
+		byK := map[int64][]Block{}
 		for _, r := range g.Value.Right {
-			byK[r.C.I] = append(byK[r.C.I], r)
+			byK[r.Key.I] = append(byK[r.Key.I], r)
 		}
 		var out []Block
 		for _, l := range g.Value.Left {
-			for _, r := range byK[l.C.J] {
-				dest := Coord{I: l.C.I, J: r.C.J}
-				if grid.Partition(dest) != g.Key {
+			for _, r := range byK[l.Key.J] {
+				dest := Coord{I: l.Key.I, J: r.Key.J}
+				if int64(grid.Partition(dest)) != g.Key {
 					continue // this copy is not responsible for dest
 				}
 				c := pool.Get(m.PerBlock, m.PerBlock)
 				// Single-threaded Breeze stand-in: blocked kernel, budget 1.
-				linalg.GemmBudget(c, l.Tile, r.Tile, 1)
+				linalg.GemmBudget(c, l.Value, r.Value, 1)
 				out = append(out, dataflow.KV(dest, c))
 			}
 		}

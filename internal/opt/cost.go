@@ -227,7 +227,7 @@ func decideTileAgg(st *TileAggStrategy, opts Options, prov StatsProvider) *Decis
 	}
 	// Grouped output cardinality in blocks: the product of the kept
 	// axes' block counts. Partial blocks carry Tile elements per kept
-	// axis (a vector block for 1-D group keys).
+	// axis (a vector block for 1-D group keys) in each accumulator.
 	groups := int64(1)
 	blockElems := int64(1)
 	for _, pos := range st.KeyPos {
@@ -238,8 +238,7 @@ func decideTileAgg(st *TileAggStrategy, opts Options, prov StatsProvider) *Decis
 		}
 		blockElems *= int64(sm.Tile)
 	}
-	blockBytes := blockElems*8 + 16
-	rbk, gbk := stats.EstimateAggregate(sm, groups, sm.Parts, blockBytes)
+	rbk, gbk := stats.EstimateAggregate(sm, groups, sm.Parts, sm.PartialBytes(blockElems, len(st.Aggs)))
 	cands := []CostEstimate{
 		{Strategy: "reduceByKey", ShuffleBytes: rbk},
 		{Strategy: "groupByKey", ShuffleBytes: gbk},

@@ -101,8 +101,10 @@ func TestCostStaticGridFromPartitions(t *testing.T) {
 	if d.GridP != 2 || d.GridQ != 4 || d.Parts != 0 {
 		t.Fatalf("static decision: grid %dx%d parts %d, want 2x4 and 0", d.GridP, d.GridQ, d.Parts)
 	}
-	// 32x32 tiles per input, A replicated 4 times and B twice.
-	if want := int64(1024*4+1024*2) * (100*100*8 + 16); d.Chosen.ShuffleBytes != want {
+	// 32x32 tiles per input, A replicated 4 times and B twice; a replica
+	// is its tile (a flag, three two-byte varints and the cells) and four
+	// one-byte keys.
+	if want := int64(1024*4+1024*2) * (1 + 3*2 + 100*100*8 + 4); d.Chosen.ShuffleBytes != want {
 		t.Fatalf("estimate %d does not price the 2x4 grid (%d)", d.Chosen.ShuffleBytes, want)
 	}
 	for _, par := range []int{1, 2, 64} {

@@ -1,16 +1,14 @@
 package plan
 
-// Codecs for the rows this package shuffles: the coordinate path's one row
-// type, and the tile strategies' two that are not plain tiles (the
-// aggregation partial and the replicated tile). With them no plan's rows
-// reach spill.GobCodec, on a spill file or on the wire.
+// Codecs for the rows this package shuffles, caches and gathers: the
+// coordinate path's one row type, and the tile strategies' two that are
+// not plain tiles (the aggregation partial and the replicated tile). Each
+// codec's Size is the engine's measure of the row.
 //
-// The coordinate path's one row type and its codec. Every dataset
-// exec_coord.go shuffles, spills or gathers is a comp.Value or a
-// Pair[string, comp.Value], and a comp.Value is drawn from the closed
-// universe of comp/value.go, so one tagged encoding covers them all and
-// none falls back to gob (which cannot encode an interface holding an
-// unregistered comp.Tuple).
+// Every dataset exec_coord.go shuffles, spills or gathers is a comp.Value
+// or a Pair[string, comp.Value], and a comp.Value is drawn from the closed
+// universe of comp/value.go, so one tagged encoding covers them all; its
+// size walks a tuple or list the way the encoder does.
 
 import (
 	"fmt"
@@ -42,6 +40,36 @@ type valueCodec struct{}
 
 func (valueCodec) Encode(w *spill.Writer, v comp.Value) { encodeValue(w, v, 0) }
 func (valueCodec) Decode(r *spill.Reader) comp.Value    { return decodeValue(r, 0) }
+func (valueCodec) Size(v comp.Value) int64              { return valueSize(v) }
+
+// valueSize is what encodeValue writes for v. A type encodeValue refuses
+// writes nothing.
+func valueSize(v comp.Value) int64 {
+	switch x := v.(type) {
+	case nil, bool:
+		return 1
+	case int64:
+		return 1 + spill.VarintSize(x)
+	case float64:
+		return 1 + 8
+	case string:
+		return 1 + spill.StringSize(x)
+	case comp.Tuple:
+		return elemsSize(x)
+	case comp.List:
+		return elemsSize(x)
+	default:
+		return 0
+	}
+}
+
+func elemsSize(vs []comp.Value) int64 {
+	n := 1 + spill.UvarintSize(uint64(len(vs)))
+	for _, e := range vs {
+		n += valueSize(e)
+	}
+	return n
+}
 
 func encodeElems(w *spill.Writer, tag uint64, vs []comp.Value, depth int) {
 	if depth == maxValueDepth {
@@ -117,7 +145,9 @@ func decodeValue(r *spill.Reader, depth int) comp.Value {
 }
 
 // aggBlockCodec encodes a tile-aggregation partial: a presence flag, the
-// accumulators as bulk float slices, the touched mask as a bitmap.
+// accumulators as bulk float slices, the touched mask as a bitmap. It
+// decodes only what aggBlock.merge can fold: every accumulator present
+// and of one width, and a mask that is empty or of that width.
 type aggBlockCodec struct{}
 
 func (aggBlockCodec) Encode(w *spill.Writer, a *aggBlock) {
@@ -134,7 +164,10 @@ func (aggBlockCodec) Encode(w *spill.Writer, a *aggBlock) {
 }
 
 func (aggBlockCodec) Decode(r *spill.Reader) *aggBlock {
-	if r.Uvarint() == 0 {
+	if flag := r.Uvarint(); flag != 1 {
+		if flag != 0 {
+			r.Fail(fmt.Errorf("plan: partial codec: flag %d", flag))
+		}
 		return nil
 	}
 	a := &aggBlock{}
@@ -143,7 +176,26 @@ func (aggBlockCodec) Decode(r *spill.Reader) *aggBlock {
 		a.Accs = append(a.Accs, dataflow.VectorCodec{}.Decode(r))
 	}
 	a.Touched = r.Bools()
+	ok := r.Err() == nil && (len(a.Accs) == 0 || a.Accs[0] != nil)
+	for _, acc := range a.Accs {
+		ok = ok && acc != nil && len(acc.Data) == a.width()
+	}
+	if !ok || (len(a.Touched) != 0 && len(a.Touched) != a.width()) {
+		r.Fail(fmt.Errorf("plan: partial codec: %d accumulators and a %d-wide mask that merge cannot fold", len(a.Accs), len(a.Touched)))
+		return nil
+	}
 	return a
+}
+
+func (aggBlockCodec) Size(a *aggBlock) int64 {
+	if a == nil {
+		return 1
+	}
+	n := 1 + spill.UvarintSize(uint64(len(a.Accs))) + spill.BoolsSize(len(a.Touched))
+	for _, acc := range a.Accs {
+		n += dataflow.VectorCodec{}.Size(acc)
+	}
+	return n
 }
 
 // taggedTileCodec encodes a replicated tile with its source coordinate.
@@ -157,6 +209,10 @@ func (taggedTileCodec) Encode(w *spill.Writer, t taggedTile) {
 func (taggedTileCodec) Decode(r *spill.Reader) taggedTile {
 	src := dataflow.CoordCodec{}.Decode(r)
 	return taggedTile{Src: src, Tile: dataflow.DenseCodec{}.Decode(r)}
+}
+
+func (taggedTileCodec) Size(t taggedTile) int64 {
+	return dataflow.CoordCodec{}.Size(t.Src) + dataflow.DenseCodec{}.Size(t.Tile)
 }
 
 func init() {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -16,11 +17,22 @@ import (
 )
 
 func encodeVal(v comp.Value) ([]byte, error) {
+	return encodeOne[comp.Value](valueCodec{}, v)
+}
+
+// encodeOne is what c's Encode writes for v on a stream, or an error if
+// Size says otherwise.
+func encodeOne[T any](c spill.Codec[T], v T) ([]byte, error) {
 	var buf bytes.Buffer
 	w := spill.NewWriter(&buf)
-	valueCodec{}.Encode(w, v)
-	err := w.Flush()
-	return buf.Bytes(), err
+	c.Encode(w, v)
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	if n := c.Size(v); n != int64(buf.Len()) {
+		return nil, fmt.Errorf("%T: Size says %d bytes, Encode wrote %d", c, n, buf.Len())
+	}
+	return buf.Bytes(), nil
 }
 
 // decodeVal decodes one value and requires the stream to end there.
@@ -129,27 +141,27 @@ func TestValueCodecStrict(t *testing.T) {
 	}
 }
 
-// Every row type exec_coord.go hands to a shuffle, a spill file or a
-// cluster gather has a hand-rolled codec: gob cannot encode an interface
-// holding a comp.Tuple, so a fallback here is a run-time failure under
-// -mem or -cluster, not a slow path.
+// Every row type exec_coord.go and exec_tiled.go hand to a shuffle, a
+// spill file or a cluster gather has a registered codec (spill.For panics
+// on one that has none) whose Size is the bytes it writes.
 func TestCoordShuffleRowsRegistered(t *testing.T) {
-	if !spill.Registered[comp.Value]() {
-		t.Error("comp.Value (chain tuples, result rows, aggregation partials) has no registered codec")
+	check := func(b []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !spill.Registered[dataflow.Pair[string, comp.Value]]() {
-		t.Error("Pair[string, comp.Value] (join sides, reduceByKey, groupByKey) has no registered codec")
-	}
-	// exec_tiled.go's two rows that are not plain tiles.
-	if !spill.Registered[dataflow.Pair[int64, *aggBlock]]() {
-		t.Error("Pair[int64, *aggBlock] (tile-aggregation partials, reduceByKey and groupByKey) has no registered codec")
-	}
-	if !spill.Registered[*aggBlock]() {
-		t.Error("*aggBlock (a total's partial, gathered by Aggregate) has no registered codec")
-	}
-	if !spill.Registered[dataflow.Pair[tiled.Coord, taggedTile]]() {
-		t.Error("Pair[Coord, taggedTile] (Rule 19 replicated tiles) has no registered codec")
-	}
+	// Chain tuples, result rows and aggregation partials; then join
+	// sides, reduceByKey and groupByKey rows.
+	v := comp.Value(comp.T(comp.T(int64(300), int64(-1)), 2.5, "key", comp.L(true, nil)))
+	check(encodeOne(spill.For[comp.Value](), v))
+	check(encodeOne(spill.For[dataflow.Pair[string, comp.Value]](), dataflow.KV("(300,-1)", v)))
+	// exec_tiled.go's rows that are not plain tiles: tile-aggregation
+	// partials, a total's partial, and Rule 19's replicated tiles.
+	check(encodeOne(spill.For[aggRow](), testAggRow(70, 130, 2)))
+	check(encodeOne(spill.For[*aggBlock](), testAggRow(0, 1, 1).Value))
+	check(encodeOne(spill.For[dataflow.Pair[tiled.Coord, taggedTile]](),
+		dataflow.KV(tiled.Coord{I: 64, J: -65}, taggedTile{Src: tiled.Coord{I: 1 << 33}, Tile: linalg.RandDense(3, 5, 0, 1, 9)})))
 }
 
 type aggRow = dataflow.Pair[int64, *aggBlock]
@@ -172,11 +184,28 @@ func testAggRow(key int64, n, monoids int) aggRow {
 // TestAggBlockCodecRoundTrip: partials with no, one and several
 // accumulators, adversarial floats, a nil partial and an empty mask come
 // back bit for bit, in a row whose size is the floats plus a few bytes.
+// A partial merge could not fold — a missing accumulator, accumulators
+// of two widths, a mask of a third — encodes, and fails to decode.
 func TestAggBlockCodecRoundTrip(t *testing.T) {
 	odd := testAggRow(-7, 9, 1)
 	copy(odd.Value.Accs[0].Data, []float64{math.Inf(-1), math.Copysign(0, -1), math.Float64frombits(0x7ff8dead00000001)})
 	rows := []aggRow{testAggRow(3, 100, 1), testAggRow(1<<40, 16, 3), odd,
-		{Key: 5}, {Key: 6, Value: &aggBlock{}}, {Key: 7, Value: &aggBlock{Accs: []*linalg.Vector{nil, linalg.NewVector(0)}}}}
+		{Key: 5}, {Key: 6, Value: &aggBlock{}}, {Key: 7, Value: &aggBlock{Accs: []*linalg.Vector{linalg.NewVector(0), linalg.NewVector(0)}}}}
+	wide := testAggRow(8, 20, 2)
+	for _, bad := range []*aggBlock{
+		{Accs: []*linalg.Vector{nil, linalg.NewVector(0)}},
+		{Accs: []*linalg.Vector{linalg.NewVector(0), nil}},
+		{Accs: []*linalg.Vector{wide.Value.Accs[0], linalg.NewVector(3)}},
+		{Accs: wide.Value.Accs, Touched: make([]bool, 3)},
+	} {
+		blob, err := spill.EncodeRows([]aggRow{dataflow.KV(int64(1), bad)}, spill.For[aggRow]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := aggRows(blob); err == nil {
+			t.Fatalf("partial with %d accumulators and a %d-wide mask decoded as %+v", len(bad.Accs), len(bad.Touched), got[0].Value)
+		}
+	}
 	blob, err := spill.EncodeRows(rows, spill.For[aggRow]())
 	if err != nil {
 		t.Fatal(err)
@@ -239,17 +268,39 @@ func TestTaggedTileCodecRoundTrip(t *testing.T) {
 }
 
 // FuzzAggBlockCodec: arbitrary bytes never panic the decoder of the
-// tile-aggregation rows, and what does decode is a fixed point — it
-// re-encodes to bytes that decode and re-encode to themselves.
+// tile-aggregation rows; what does decode merges with itself, is sized
+// exactly by the codec, and is a fixed point — it re-encodes to bytes
+// that decode and re-encode to themselves.
 func FuzzAggBlockCodec(f *testing.F) {
 	seed, _ := spill.EncodeRows([]aggRow{testAggRow(3, 20, 2), {Key: -1}}, spill.For[aggRow]())
 	f.Add(seed)
 	f.Add([]byte{1, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 1})
 	f.Add([]byte{1, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f, 0xaa})
+	wide := testAggRow(1, 20, 1)
+	for _, bad := range []*aggBlock{
+		{Accs: wide.Value.Accs, Touched: make([]bool, 3)},                            // a 20-wide accumulator under a 3-wide mask
+		{Accs: []*linalg.Vector{wide.Value.Accs[0], linalg.NewVector(3)}},            // two widths
+		{Accs: []*linalg.Vector{linalg.NewVector(2), nil}, Touched: make([]bool, 2)}, // a missing accumulator
+	} {
+		blob, _ := spill.EncodeRows([]aggRow{dataflow.KV(int64(2), bad)}, spill.For[aggRow]())
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := aggRows(data)
 		if err != nil {
 			return
+		}
+		for _, row := range rows {
+			if _, err := encodeOne(spill.For[aggRow](), row); err != nil {
+				t.Fatal(err)
+			}
+			if a := row.Value; a != nil {
+				ms := make([]aggMonoid, len(a.Accs))
+				for k := range ms {
+					ms[k], _ = lookupAggMonoid("+")
+				}
+				a.merge(ms, a)
+			}
 		}
 		b1, err := spill.EncodeRows(rows, spill.For[aggRow]())
 		if err != nil {
@@ -268,30 +319,23 @@ func FuzzAggBlockCodec(f *testing.F) {
 var aggSink []aggRow
 
 // BenchmarkAggBlockCodec round-trips the 16 partials one row-sums query
-// shuffles at the benchmark's shape (tile 100), through the registered
-// codec and through the gob fallback they used to take.
+// shuffles at the benchmark's shape (tile 100) through their codec.
 func BenchmarkAggBlockCodec(b *testing.B) {
 	rows := make([]aggRow, 16)
 	for i := range rows {
 		rows[i] = testAggRow(int64(i), 100, 1)
 	}
-	for _, c := range []struct {
-		name  string
-		codec spill.Codec[aggRow]
-	}{{"typed", spill.For[aggRow]()}, {"gob", spill.GobCodec[aggRow]{}}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(16 * 8 * 100)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				blob, err := spill.EncodeRows(rows, c.codec)
-				if err == nil {
-					aggSink, err = spill.DecodeRows(blob, c.codec)
-				}
-				if err != nil || len(aggSink) != len(rows) {
-					b.Fatal(err)
-				}
-			}
-		})
+	codec := spill.For[aggRow]()
+	b.SetBytes(16 * 8 * 100)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		blob, err := spill.EncodeRows(rows, codec)
+		if err == nil {
+			aggSink, err = spill.DecodeRows(blob, codec)
+		}
+		if err != nil || len(aggSink) != len(rows) {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -347,13 +347,12 @@ func (a *aggBlock) data() [][]float64 {
 	return out
 }
 
-// NumBytes implements shuffle accounting.
-func (a *aggBlock) NumBytes() int64 {
-	var n int64
-	for _, v := range a.Accs {
-		n += v.NumBytes()
+// width is the number of positions the partial holds.
+func (a *aggBlock) width() int {
+	if len(a.Accs) == 0 {
+		return 0
 	}
-	return n + int64(len(a.Touched))
+	return len(a.Accs[0].Data)
 }
 
 // execTileAgg runs the Section 5.3 translation for single-input
@@ -512,10 +511,6 @@ type taggedTile struct {
 	Src  tiled.Coord
 	Tile *linalg.Dense
 }
-
-// NumBytes reports the real payload (coordinate + tile data) so the
-// replication shuffle is not floored at the opaque 16-byte default.
-func (t taggedTile) NumBytes() int64 { return 16 + t.Tile.NumBytes() }
 
 // execReplicate runs the Rule 19 translation: each tile is shipped to
 // the destination tile coordinates I_f(K) induced by the affine output

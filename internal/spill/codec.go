@@ -6,21 +6,20 @@
 // The package is deliberately independent of the dataflow engine: it
 // knows nothing about datasets or stages. Codecs for engine types
 // (pairs, coordinates, tiles) are registered by the packages that own
-// them; anything unregistered falls back to a length-prefixed gob
-// encoding, so every exported-field type can spill.
+// them. A codec also knows how many bytes it writes for a value, which is
+// how the engine sizes a row; a type with no codec cannot be shuffled,
+// cached or gathered.
 package spill
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
-	"sync/atomic"
 )
 
 // Writer is a buffered, sticky-error binary stream writer. Codecs
@@ -236,12 +235,6 @@ func (w *Writer) Bools(vs []bool) {
 	}
 }
 
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.write(b)
-}
-
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
@@ -442,7 +435,7 @@ func (r *Reader) Bools() []bool {
 	return out
 }
 
-// Bytes reads a length-prefixed byte slice.
+// Bytes reads a length-prefixed byte slice, as Writer.String writes one.
 func (r *Reader) Bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil || n == 0 {
@@ -474,37 +467,50 @@ func (r *Reader) Bytes() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
+// UvarintSize is the number of bytes Writer.Uvarint writes for v.
+func UvarintSize(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
+
+// VarintSize is the number of bytes Writer.Varint writes for v.
+func VarintSize(v int64) int64 { return UvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
+
+// F64sSize is the number of bytes Writer.F64s writes for a slice of n.
+func F64sSize(n int) int64 { return UvarintSize(uint64(n)) + 8*int64(n) }
+
+// BoolsSize is the number of bytes Writer.Bools writes for a slice of n.
+func BoolsSize(n int) int64 { return UvarintSize(uint64(n)) + int64(n+7)/8 }
+
+// StringSize is the number of bytes Writer.String writes for s.
+func StringSize(s string) int64 { return UvarintSize(uint64(len(s))) + int64(len(s)) }
+
 // Codec serializes values of one type onto spill streams. Encode must
 // write a self-delimiting record; Decode must read exactly what Encode
-// wrote. Decode reports failure through the Reader's sticky error.
+// wrote, and reports failure through the Reader's sticky error. Size is
+// the exact number of bytes Encode writes for v on a stream with no
+// back-reference table (a run file, EncodeRows): the engine's one measure
+// of a row, behind shuffled bytes, budget reservations and cache sizes.
 type Codec[T any] interface {
 	Encode(w *Writer, v T)
 	Decode(r *Reader) T
+	Size(v T) int64
 }
 
 // registry maps reflect.Type of T to its registered Codec[T].
 var registry sync.Map
 
-// Register installs the preferred codec for T, replacing any previous
+// Register installs the codec for T, replacing any previous
 // registration. Packages register their shuffle row types in init().
 func Register[T any](c Codec[T]) {
 	registry.Store(reflect.TypeFor[T](), c)
 }
 
-// For returns the registered codec for T, falling back to the gob
-// codec so arbitrary exported-field types can always spill.
+// For returns the codec registered for T. A shuffle, a Persist cache and
+// a cluster gather resolve their row codec with it when they are built,
+// so a T with no codec panics there, naming T, before any row is routed.
 func For[T any]() Codec[T] {
 	if c, ok := registry.Load(reflect.TypeFor[T]()); ok {
 		return c.(Codec[T])
 	}
-	return GobCodec[T]{}
-}
-
-// Registered reports whether T has a hand-rolled codec (used by tests
-// to ensure hot-path types never fall back to gob).
-func Registered[T any]() bool {
-	_, ok := registry.Load(reflect.TypeFor[T]())
-	return ok
+	panic(fmt.Sprintf("spill: no codec for %v: register one with spill.Register", reflect.TypeFor[T]()))
 }
 
 // Float64Codec spills bare float64 values.
@@ -512,73 +518,32 @@ type Float64Codec struct{}
 
 func (Float64Codec) Encode(w *Writer, v float64) { w.F64(v) }
 func (Float64Codec) Decode(r *Reader) float64    { return r.F64() }
+func (Float64Codec) Size(float64) int64          { return 8 }
 
 // Int64Codec spills bare int64 values as signed varints.
 type Int64Codec struct{}
 
 func (Int64Codec) Encode(w *Writer, v int64) { w.Varint(v) }
 func (Int64Codec) Decode(r *Reader) int64    { return r.Varint() }
+func (Int64Codec) Size(v int64) int64        { return VarintSize(v) }
 
 // IntCodec spills platform ints as signed varints.
 type IntCodec struct{}
 
 func (IntCodec) Encode(w *Writer, v int) { w.Varint(int64(v)) }
 func (IntCodec) Decode(r *Reader) int    { return int(r.Varint()) }
+func (IntCodec) Size(v int) int64        { return VarintSize(int64(v)) }
 
 // StringCodec spills strings length-prefixed.
 type StringCodec struct{}
 
 func (StringCodec) Encode(w *Writer, v string) { w.String(v) }
 func (StringCodec) Decode(r *Reader) string    { return r.String() }
+func (StringCodec) Size(v string) int64        { return StringSize(v) }
 
 // Float64SliceCodec spills []float64 payloads (tile rows, vectors).
 type Float64SliceCodec struct{}
 
 func (Float64SliceCodec) Encode(w *Writer, v []float64) { w.F64s(v) }
 func (Float64SliceCodec) Decode(r *Reader) []float64    { return r.F64s() }
-
-// gobBufPool recycles encode buffers for the gob fallback.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// GobCodec is the fallback codec for arbitrary T: each record is a
-// length-prefixed, self-contained gob message. It is markedly slower
-// and fatter than the hand-rolled codecs (every record re-sends type
-// info), which is exactly why hot shuffle row types register real
-// codecs; correctness, not speed, is its contract.
-type GobCodec[T any] struct{}
-
-// gobUses counts the records GobCodec has encoded or decoded in this
-// process, for the tests that hold a query path to none.
-var gobUses atomic.Int64
-
-// GobUses reads gobUses.
-func GobUses() int64 { return gobUses.Load() }
-
-func (GobCodec[T]) Encode(w *Writer, v T) {
-	gobUses.Add(1)
-	if w.err != nil {
-		return
-	}
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&v); err != nil {
-		w.err = fmt.Errorf("spill: gob encode: %w", err)
-		gobBufPool.Put(buf)
-		return
-	}
-	w.Bytes(buf.Bytes())
-	gobBufPool.Put(buf)
-}
-
-func (GobCodec[T]) Decode(r *Reader) T {
-	gobUses.Add(1)
-	var v T
-	b := r.Bytes()
-	if r.err != nil {
-		return v
-	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		r.err = fmt.Errorf("spill: gob decode: %w", err)
-	}
-	return v
-}
+func (Float64SliceCodec) Size(v []float64) int64        { return F64sSize(len(v)) }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +18,9 @@ func roundTrip[T any](t *testing.T, c Codec[T], v T) T {
 	c.Encode(w, v)
 	if err := w.Flush(); err != nil {
 		t.Fatalf("encode: %v", err)
+	}
+	if n := c.Size(v); n != int64(buf.Len()) {
+		t.Fatalf("Size says %d bytes, Encode wrote %d", n, buf.Len())
 	}
 	r := NewReader(&buf)
 	got := c.Decode(r)
@@ -88,10 +93,62 @@ func TestFloat64SliceCodec(t *testing.T) {
 	}
 }
 
-type gobRow struct {
+// record is a composite row for tests that need one, with a codec built
+// from the Writer primitives.
+type record struct {
 	Name string
 	Vals []float64
 	N    int64
+}
+
+type recordCodec struct{}
+
+func (recordCodec) Encode(w *Writer, v record) {
+	w.String(v.Name)
+	w.F64s(v.Vals)
+	w.Varint(v.N)
+}
+
+func (recordCodec) Decode(r *Reader) record {
+	return record{Name: r.String(), Vals: r.F64s(), N: r.Varint()}
+}
+
+func (recordCodec) Size(v record) int64 {
+	return StringSize(v.Name) + F64sSize(len(v.Vals)) + VarintSize(v.N)
+}
+
+// TestCompositeCodecRoundTrip: a codec composed of primitives sizes and
+// round-trips a record, its floats bit for bit.
+func TestCompositeCodecRoundTrip(t *testing.T) {
+	v := record{Name: "tile", Vals: []float64{1, 2, math.Inf(1)}, N: -9}
+	got := roundTrip[record](t, recordCodec{}, v)
+	if got.Name != v.Name || got.N != v.N || len(got.Vals) != len(v.Vals) {
+		t.Fatalf("round-trip: %+v -> %+v", v, got)
+	}
+	for i := range v.Vals {
+		if !sameFloat(got.Vals[i], v.Vals[i]) {
+			t.Fatalf("vals[%d]: %v -> %v", i, v.Vals[i], got.Vals[i])
+		}
+	}
+}
+
+// TestVarintSizes: the size functions agree with the Writer at every
+// varint length boundary.
+func TestVarintSizes(t *testing.T) {
+	for _, u := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<56 - 1, 1 << 56, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		var w Writer
+		w.Uvarint(u)
+		if n := UvarintSize(u); n != int64(len(w.buf)) {
+			t.Fatalf("UvarintSize(%d) = %d, Writer wrote %d", u, n, len(w.buf))
+		}
+	}
+	for _, v := range []int64{0, -1, 63, -64, 64, -65, 8191, 8192, math.MaxInt64, math.MinInt64} {
+		var w Writer
+		w.Varint(v)
+		if n := VarintSize(v); n != int64(len(w.buf)) {
+			t.Fatalf("VarintSize(%d) = %d, Writer wrote %d", v, n, len(w.buf))
+		}
+	}
 }
 
 // TestBoolsRoundTrip: bitmaps of every length around a byte and past a
@@ -137,58 +194,22 @@ func TestBoolsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobFallbackRoundTrip(t *testing.T) {
-	v := gobRow{Name: "tile", Vals: []float64{1, 2, math.Inf(1)}, N: -9}
-	before := GobUses()
-	got := roundTrip[gobRow](t, GobCodec[gobRow]{}, v)
-	if used := GobUses() - before; used != 2 {
-		t.Fatalf("one encode and one decode counted as %d gob uses", used)
-	}
-	if got.Name != v.Name || got.N != v.N || len(got.Vals) != len(v.Vals) {
-		t.Fatalf("gob round-trip: %+v -> %+v", v, got)
-	}
-	for i := range v.Vals {
-		if !sameFloat(got.Vals[i], v.Vals[i]) {
-			t.Fatalf("gob vals[%d]: %v -> %v", i, v.Vals[i], got.Vals[i])
-		}
-	}
-}
-
-func TestGobCodecManyRecordsOneStream(t *testing.T) {
-	// Each record must be self-contained: decoding from the middle of a
-	// stream written by independent Encode calls has to work.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	c := GobCodec[gobRow]{}
-	for i := 0; i < 10; i++ {
-		c.Encode(w, gobRow{N: int64(i)})
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
-	for i := 0; i < 10; i++ {
-		got := c.Decode(r)
-		if r.Err() != nil {
-			t.Fatalf("record %d: %v", i, r.Err())
-		}
-		if got.N != int64(i) {
-			t.Fatalf("record %d: N = %d", i, got.N)
-		}
-	}
-}
-
-func TestRegistryFallback(t *testing.T) {
+// TestForPanicsOnUnregistered: a type with no codec has none to fall back
+// on; For names it and the way out.
+func TestForPanicsOnUnregistered(t *testing.T) {
 	type unregistered struct{ X int64 }
-	if Registered[unregistered]() {
-		t.Fatal("unregistered type reported registered")
-	}
-	if _, ok := For[unregistered]().(GobCodec[unregistered]); !ok {
-		t.Fatal("fallback codec is not gob")
-	}
-	Register[unregistered](GobCodec[unregistered]{})
-	if !Registered[unregistered]() {
-		t.Fatal("registered type not found")
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "spill.unregistered") || !strings.Contains(msg, "spill.Register") {
+				t.Fatalf("For of an unregistered type: panic %q", msg)
+			}
+		}()
+		For[unregistered]()
+	}()
+	Register[record](recordCodec{})
+	if _, ok := For[record]().(recordCodec); !ok {
+		t.Fatal("registered codec not found")
 	}
 }
 

@@ -45,6 +45,31 @@ func TestWriteRunRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunBytesAreCodecSizes: a run's Bytes is its row-count header plus,
+// per row, its ord and what the codec's Size says the row takes.
+func TestRunBytesAreCodecSizes(t *testing.T) {
+	rows := []record{{}, {Name: "a", N: -1}, {Name: "tile", Vals: make([]float64, 300), N: 1 << 40}}
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, record{Vals: make([]float64, i%17), N: int64(i * i)})
+	}
+	ord := func(v record) uint64 { return uint64(v.N) }
+	run, err := WriteRunOrdered(t.TempDir(), rows, ord, recordCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Remove()
+	want := UvarintSize(uint64(len(rows)))
+	for _, v := range rows {
+		want += UvarintSize(ord(v)) + recordCodec{}.Size(v)
+	}
+	if run.Bytes != want {
+		t.Fatalf("run holds %d bytes, codec sizes sum to %d", run.Bytes, want)
+	}
+	if fi, err := os.Stat(run.Path); err != nil || fi.Size() != want {
+		t.Fatalf("run file: %v, err %v; want %d bytes", fi, err, want)
+	}
+}
+
 func TestRunRemove(t *testing.T) {
 	run, err := WriteRun(t.TempDir(), []int64{1}, ident, Int64Codec{})
 	if err != nil {
@@ -125,22 +150,32 @@ type row struct {
 
 func rowOrd(r row) uint64 { return uint64(r.K) }
 
+type rowCodec struct{}
+
+func (rowCodec) Encode(w *Writer, r row) {
+	w.Varint(r.K)
+	w.Varint(int64(r.Src))
+}
+
+func (rowCodec) Decode(r *Reader) row { return row{K: r.Varint(), Src: int(r.Varint())} }
+func (rowCodec) Size(r row) int64     { return VarintSize(r.K) + VarintSize(int64(r.Src)) }
+
 func TestMergeIsStableAcrossSources(t *testing.T) {
 	dir := t.TempDir()
 	// Two runs plus memory, all containing key 5; run 0's rows must come
 	// before run 1's, which come before memory's.
-	r0, err := WriteRun(dir, []row{{5, 0}, {5, 0}}, rowOrd, GobCodec[row]{})
+	r0, err := WriteRun(dir, []row{{5, 0}, {5, 0}}, rowOrd, rowCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := WriteRun(dir, []row{{5, 1}}, rowOrd, GobCodec[row]{})
+	r1, err := WriteRun(dir, []row{{5, 1}}, rowOrd, rowCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer RemoveAll([]Run[row]{r0, r1})
 	mem := []row{{5, 2}}
 	var srcs []int
-	if err := Merge([]Run[row]{r0, r1}, mem, rowOrd, GobCodec[row]{}, func(r row) {
+	if err := Merge([]Run[row]{r0, r1}, mem, rowOrd, rowCodec{}, func(r row) {
 		srcs = append(srcs, r.Src)
 	}); err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package spill
 // Wire helpers: the cluster runtime reuses the spill codec registry as
 // its network serialization format, so tiles, pairs, and coordinates
 // cross process boundaries with the same hand-rolled codecs that write
-// run files — no gob on the hot path, and one set of fuzzers covers
-// both the disk and the network decoders.
+// run files, and one set of fuzzers covers both the disk and the network
+// decoders.
 
 import (
 	"bufio"
@@ -15,8 +15,8 @@ import (
 	"sync/atomic"
 )
 
-// init registers the primitive codecs so bare scalars (action partials,
-// counts) ship with the compact encoding instead of the gob fallback.
+// init registers the primitive codecs, for bare scalars (action partials,
+// counts) on the wire.
 func init() {
 	Register[float64](Float64Codec{})
 	Register[int64](Int64Codec{})

@@ -79,16 +79,12 @@ func DecodeRowsHostileCheck(blob []byte) ([]int64, error) {
 
 func TestWireCodecRegistry(t *testing.T) {
 	// wire.go's init must have registered the primitive codecs so the
-	// cluster exchange can look codecs up by type.
-	if !Registered[float64]() {
-		t.Error("float64 codec not registered")
-	}
-	if !Registered[int64]() {
-		t.Error("int64 codec not registered")
-	}
-	if !Registered[[]float64]() {
-		t.Error("[]float64 codec not registered")
-	}
+	// cluster exchange can look codecs up by type; For panics otherwise.
+	For[float64]()
+	For[int64]()
+	For[int]()
+	For[string]()
+	For[[]float64]()
 }
 
 // cell stands in for a tile: a value that recurs by identity when a map
@@ -128,6 +124,13 @@ func (cellCodec) Decode(r *Reader) *cell {
 	c := &cell{vals: r.F64s()}
 	r.Bind(c)
 	return c
+}
+
+func (cellCodec) Size(c *cell) int64 {
+	if c == nil {
+		return 1
+	}
+	return 1 + F64sSize(len(c.vals))
 }
 
 // TestGroupedBlobWritesARepeatOnce: a value that recurs by identity in a

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/memory"
+	"repro/internal/spill"
 )
 
 // TableStats is the size metadata of one input array.
@@ -43,12 +44,28 @@ func (t TableStats) BlockCols() int64 { return ceilDiv(t.Cols, int64(t.Tile)) }
 // NumTiles is the tile cardinality of the array.
 func (t TableStats) NumTiles() int64 { return t.BlockRows() * t.BlockCols() }
 
-// TileBytes is the shuffle payload of one tile (dense float64 data
-// plus the coordinate key).
-func (t TableStats) TileBytes() int64 { return int64(t.Tile)*int64(t.Tile)*8 + 16 }
+// TileBytes is one tile as the tile codec writes it. Edge tiles are
+// padded to full size, so every tile of the array takes this many.
+func (t TableStats) TileBytes() int64 { return dataflow.TileSize(t.Tile, t.Tile, t.Tile*t.Tile) }
 
-// TotalBytes is the materialized size of the whole array.
-func (t TableStats) TotalBytes() int64 { return t.NumTiles() * t.TileBytes() }
+// keyBytes is one block index written as a key varint: the width of the
+// largest. That is exact while every index has the same width — a block
+// grid under 64 a side, where each is one byte — and a bound past it.
+func (t TableStats) keyBytes() int64 {
+	return spill.VarintSize(max(t.BlockRows(), t.BlockCols(), 1) - 1)
+}
+
+// TotalBytes is the encoded size of the array's tile rows, each a tile
+// keyed by its block coordinate.
+func (t TableStats) TotalBytes() int64 { return t.NumTiles() * (t.TileBytes() + 2*t.keyBytes()) }
+
+// PartialBytes is one grouped tile-aggregation partial as its codecs
+// write it: a block-index key, a flag, the accumulator count, aggs
+// accumulators of elems values each, and an elems-wide touched mask.
+func (t TableStats) PartialBytes(elems int64, aggs int) int64 {
+	acc := 1 + spill.F64sSize(int(elems))
+	return t.keyBytes() + 1 + spill.UvarintSize(uint64(aggs)) + int64(aggs)*acc + spill.BoolsSize(int(elems))
+}
 
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {
@@ -62,6 +79,12 @@ func ceilDiv(a, b int64) int64 {
 // intermediate tiles materialized outside the inputs/outputs, and the
 // contraction FLOPs (shared by every strategy, since they compute the
 // same products).
+//
+// Every byte count is what the codecs write for the rows: a tile
+// (TileBytes) plus its key varints (keyBytes each). A group-by-join
+// replica carries four — its grid cell, join key and group — a join input
+// three — its join key and block coordinate — and a partial-product tile
+// two, its output coordinate.
 type MatmulEst struct {
 	// GBJShuffleBytes is the SUMMA group-by-join volume on a p x q
 	// processor grid: every A tile is replicated to q grid columns and
@@ -106,15 +129,13 @@ func EstimateMatmul(a, b TableStats, gridP, gridQ int64, mapParts int) MatmulEst
 	if combined > partials || mapParts <= 0 {
 		combined = partials
 	}
-	tb := a.TileBytes()
-	if bt := b.TileBytes(); bt > tb {
-		tb = bt
-	}
+	tb, kb := max(a.TileBytes(), b.TileBytes()), max(a.keyBytes(), b.keyBytes())
+	inputs := (a.NumTiles() + b.NumTiles()) * (tb + 3*kb)
 	return MatmulEst{
-		GBJShuffleBytes:     (a.NumTiles()*gridQ + b.NumTiles()*gridP) * tb,
-		JoinShuffleBytes:    (a.NumTiles() + b.NumTiles() + combined) * tb,
-		GroupByShuffleBytes: (a.NumTiles() + b.NumTiles() + partials) * tb,
-		JoinTempBytes:       partials * tb,
+		GBJShuffleBytes:     (a.NumTiles()*gridQ + b.NumTiles()*gridP) * (tb + 4*kb),
+		JoinShuffleBytes:    inputs + combined*(tb+2*kb),
+		GroupByShuffleBytes: inputs + partials*(tb+2*kb),
+		JoinTempBytes:       partials * (tb + 2*kb),
 		Flops:               2 * float64(a.Rows) * float64(a.Cols) * float64(b.Cols) * density(a) * density(b),
 		OutTiles:            outTiles,
 	}

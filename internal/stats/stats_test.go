@@ -18,8 +18,17 @@ func TestTableStatsBlocks(t *testing.T) {
 	if s.BlockRows() != 3 || s.BlockCols() != 1 {
 		t.Fatalf("blocks: %dx%d, want 3x1", s.BlockRows(), s.BlockCols())
 	}
-	if s.TileBytes() != 100*100*8+16 {
+	// A flag, rows and cols (100 is a two-byte varint), the cell count
+	// (a two-byte uvarint) and the cells.
+	if s.TileBytes() != 1+2+2+2+100*100*8 {
 		t.Fatalf("tile bytes %d", s.TileBytes())
+	}
+	// Block indices below 64 are one varint byte, up to 8191 two.
+	if s.keyBytes() != 1 || sq(6400, 100).keyBytes() != 1 || sq(6500, 100).keyBytes() != 2 {
+		t.Fatalf("key bytes %d, %d, %d", s.keyBytes(), sq(6400, 100).keyBytes(), sq(6500, 100).keyBytes())
+	}
+	if s.TotalBytes() != 3*(s.TileBytes()+2) {
+		t.Fatalf("total bytes %d", s.TotalBytes())
 	}
 	if s.NumTiles() != 3 {
 		t.Fatalf("num tiles %d", s.NumTiles())
@@ -30,12 +39,14 @@ func TestEstimateMatmulFullGrid(t *testing.T) {
 	a, b := sq(400, 100), sq(400, 100) // 4x4 blocks each
 	est := EstimateMatmul(a, b, 0, 0, 8)
 	tb := a.TileBytes()
-	// Full grid: every A tile to 4 grid cols, every B tile to 4 rows.
-	if want := (16*4 + 16*4) * tb; est.GBJShuffleBytes != want {
+	// Full grid: every A tile to 4 grid cols, every B tile to 4 rows,
+	// each replica keyed by its cell, join key and group.
+	if want := (16*4 + 16*4) * (tb + 4); est.GBJShuffleBytes != want {
 		t.Fatalf("GBJ bytes %d, want %d", est.GBJShuffleBytes, want)
 	}
-	// join: both inputs once + combined partials (min(4*4*4, 8*16)=64).
-	if want := (16 + 16 + 64) * tb; est.JoinShuffleBytes != want {
+	// join: both inputs once, keyed by join key and coordinate, +
+	// combined partials (min(4*4*4, 8*16)=64) keyed by coordinate.
+	if want := (16+16)*(tb+3) + 64*(tb+2); est.JoinShuffleBytes != want {
 		t.Fatalf("join bytes %d, want %d", est.JoinShuffleBytes, want)
 	}
 	// With 4x4 blocks the combiner cannot help (64 partials vs a
@@ -48,7 +59,7 @@ func TestEstimateMatmulFullGrid(t *testing.T) {
 	if deep.GroupByShuffleBytes <= deep.JoinShuffleBytes {
 		t.Fatal("groupByKey estimate must exceed combined reduceByKey on a deep contraction")
 	}
-	if est.JoinTempBytes != 64*tb {
+	if est.JoinTempBytes != 64*(tb+2) {
 		t.Fatalf("temp bytes %d", est.JoinTempBytes)
 	}
 	if est.OutTiles != 16 {

@@ -35,9 +35,6 @@ type Entry struct {
 	V    float64
 }
 
-// NumBytes implements shuffle accounting for entries.
-func (e Entry) NumBytes() int64 { return 24 }
-
 // Matrix is a distributed tiled matrix.
 type Matrix struct {
 	Rows, Cols int64

@@ -44,9 +44,6 @@ type keyedTile struct {
 	Tile *linalg.Dense
 }
 
-// NumBytes reports the tile payload for shuffle accounting.
-func (k keyedTile) NumBytes() int64 { return 16 + k.Tile.NumBytes() }
-
 // byGroupThenKey orders a cell's tiles by group, then join key.
 func byGroupThenKey(x, y keyedTile) int {
 	if c := cmp.Compare(x.G, y.G); c != 0 {
