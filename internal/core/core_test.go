@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +132,40 @@ func TestSessionMetrics(t *testing.T) {
 	m.ToDense() // results are lazy; force the computation
 	if s.Metrics().Shuffles == 0 {
 		t.Fatal("no shuffle recorded for the addition join")
+	}
+}
+
+// TestQueryCostIsThisQuerys: metering a Query reads the stages it ran,
+// not a copy of the session's whole stage log, so the bytes one Query
+// allocates after 2,000 queries are within 2x of what it allocated after
+// 10. Bytes, not time, so the check reads no clock.
+func TestQueryCostIsThisQuerys(t *testing.T) {
+	s := NewSession(Config{TileSize: 16})
+	defer s.Close()
+	s.RegisterRandMatrix("A", 64, 64, 0, 10, 1).Persist()
+	const src = "+/[ a | ((i,j),a) <- A ]"
+	run := func(n int) {
+		for range n {
+			if _, err := s.Query(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// perQuery is the mean bytes allocated by the next n queries.
+	perQuery := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(n)
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+	}
+	const sample = 20
+	run(10)
+	early := perQuery(sample)
+	run(2000 - 10 - sample)
+	late := perQuery(sample)
+	if late > 2*early {
+		t.Fatalf("a query allocates %d bytes after 2,000 queries, %d after 10", late, early)
 	}
 }
 

@@ -144,7 +144,8 @@ type AdaptiveEvent struct {
 }
 
 // MetricsSnapshot is an immutable copy of the metrics: the counter set
-// (promoted, so snap.Tasks reads as before) and the records.
+// (promoted, so snap.Tasks reads as before) and the records. The records
+// of a context's snapshot share its logs: no reader may write to a row.
 type MetricsSnapshot struct {
 	obs.CounterSet
 	// AdaptiveEvents details each rebalance in completion order.
@@ -217,14 +218,17 @@ func (m *Metrics) noteSpill(bytes, rows, files int64) {
 	m.c.SpillFiles.Add(files)
 }
 
-// Snapshot copies the counters and the records.
+// Snapshot copies the counters and takes the records as they stand: the
+// logs are only ever appended to (Reset starts new ones), so the rows up
+// to their current lengths never change, and a snapshot costs the same
+// however many stages the context has run.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MetricsSnapshot{
 		CounterSet:     m.c.Snapshot(),
-		AdaptiveEvents: slices.Clone(m.adaptiveEvents),
-		PerStage:       slices.Clone(m.perStage),
+		AdaptiveEvents: slices.Clip(m.adaptiveEvents),
+		PerStage:       slices.Clip(m.perStage),
 	}
 }
 

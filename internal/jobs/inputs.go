@@ -2,8 +2,6 @@ package jobs
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -31,9 +29,10 @@ func (p QueryParams) inputs(s *core.Session) []input {
 }
 
 // registerInputs binds the inputs as lazily generated matrices: each task
-// that reads a partition regenerates it from the seed. The local reference
-// and the driver-side planner always do; a rank does when its worker keeps
-// nothing resident.
+// that reads a partition regenerates it from the seed. The driver-side
+// planner always does, since it plans and never reads a tile; so does the
+// local reference, which must not share the tiles it is compared with. A
+// rank does when its worker keeps nothing resident (a -mem worker).
 func registerInputs(s *core.Session, p QueryParams) {
 	for _, in := range p.inputs(s) {
 		s.RegisterRandMatrix(in.name, in.spec.Rows, in.spec.Cols, in.spec.Lo, in.spec.Hi, in.spec.Seed)
@@ -41,71 +40,48 @@ func registerInputs(s *core.Session, p QueryParams) {
 	s.RegisterScalar("n", p.N)
 }
 
-// residentInputs is one input set's partitions as far as this rank has
-// read them. The worker keeps it between jobs (cluster.Resident, keyed by
-// the set), so a partition is generated once, by the first task of any job
-// that reads it, and every later job's fresh session reads the same tiles.
-// Ownership stays the engine's p % world: a partition nobody here ran a
-// task over is never generated, and a rank that takes a lost peer's
-// partitions over fills them on first touch like any other. The tiles are
-// shared and never written: every kernel writes a tile it allocated.
-type residentInputs struct {
-	mats  []residentMatrix
-	bytes atomic.Int64 // of the partitions generated so far
-}
+// residentInputs is one input set as far as this rank has read it: each
+// input a tiled.ResidentMatrix, the type the query server keeps its
+// registered matrices in. The worker keeps the set between jobs
+// (cluster.Resident, keyed by the set), so a partition is generated once,
+// by the first task of any job that reads it, and every later job's fresh
+// session reads the same tiles. Ownership stays the engine's p % world: a
+// partition nobody here ran a task over is never generated, and a rank
+// that takes a lost peer's partitions over fills them on first touch like
+// any other.
+type residentInputs []residentInput
 
-type residentMatrix struct {
-	input
-	parts []residentPart
-}
-
-// residentPart fills under its own Once, so concurrent jobs neither
-// generate a partition twice nor wait for one another's other partitions.
-type residentPart struct {
-	once   sync.Once
-	blocks []tiled.Block
+type residentInput struct {
+	name string
+	m    *tiled.ResidentMatrix
 }
 
 // residentFor returns the worker's resident set for p's inputs in s,
 // making it the one the worker keeps if it was keeping another.
-func residentFor(store *cluster.Resident, p QueryParams, s *core.Session) *residentInputs {
+func residentFor(store *cluster.Resident, p QueryParams, s *core.Session) residentInputs {
 	ins := p.inputs(s)
 	return store.Get(fmt.Sprintf("%+v", ins), func() any {
-		r := &residentInputs{mats: make([]residentMatrix, len(ins))}
+		r := make(residentInputs, len(ins))
 		for i, in := range ins {
-			r.mats[i] = residentMatrix{input: in, parts: make([]residentPart, in.spec.NumPartitions())}
+			r[i] = residentInput{in.name, tiled.NewResident(in.spec)}
 		}
 		return r
-	}).(*residentInputs)
-}
-
-// partition returns partition p of matrix m, generating it if this is its
-// first read on this rank, and counts the read into c.
-func (r *residentInputs) partition(m, p int, c *obs.LiveCounters) []tiled.Block {
-	part := &r.mats[m].parts[p]
-	hit := true
-	part.once.Do(func() {
-		hit = false
-		part.blocks = r.mats[m].spec.Partition(p)
-		for _, b := range part.blocks {
-			r.bytes.Add(b.Value.NumBytes())
-		}
-	})
-	if hit {
-		c.ResidentHits.Add(1)
-	} else {
-		c.ResidentMisses.Add(1)
-	}
-	return part.blocks
+	}).(residentInputs)
 }
 
 // bind registers the set's matrices in s as sources over the resident
 // partitions; c is the job's count of their reads.
-func (r *residentInputs) bind(s *core.Session, p QueryParams, c *obs.LiveCounters) {
-	for m := range r.mats {
-		m, spec := m, r.mats[m].spec
-		s.RegisterMatrix(r.mats[m].name, tiled.FromPartitions(s.Engine(), spec.Rows, spec.Cols, spec.N,
-			spec.NumPartitions(), func(p int) []tiled.Block { return r.partition(m, p, c) }))
+func (r residentInputs) bind(s *core.Session, p QueryParams, c *obs.LiveCounters) {
+	for _, in := range r {
+		s.RegisterMatrix(in.name, in.m.Bind(s.Engine(), c))
 	}
 	s.RegisterScalar("n", p.N)
+}
+
+// bytes is the size of the partitions generated so far.
+func (r residentInputs) bytes() (n int64) {
+	for _, in := range r {
+		n += in.m.Bytes()
+	}
+	return n
 }

@@ -193,7 +193,7 @@ func runQuery(p QueryParams, world int, override func(*core.Config), resident *c
 		kept := residentFor(resident, p, s)
 		kept.bind(s, p, &reads)
 		metrics = func() dataflow.MetricsSnapshot {
-			reads.ResidentBytes.Store(kept.bytes.Load())
+			reads.ResidentBytes.Store(kept.bytes())
 			reads.Publish()
 			snap := s.Metrics()
 			snap.CounterSet = obs.MergeCounters(snap.CounterSet, reads.Snapshot())

@@ -71,9 +71,11 @@ type Counters[T any] struct {
 	ServedBytes      T `prom:"sac_cluster_wire_served_bytes_total" rule:"sum" help:"shuffle bytes served over TCP to peer workers"`
 	ResultBytes      T `prom:"sac_cluster_result_bytes_total" rule:"sum" help:"bytes of the result part of the job replies a rank sent the driver"`
 
-	// A worker's resident input partitions (jobs.residentInputs): a task
+	// A worker's resident input partitions (tiled.ResidentMatrix): a task
 	// that reads one finds it generated (hit) or generates it (miss). Zero
-	// on local contexts and on budgeted workers, which keep nothing.
+	// on local contexts and on budgeted workers, which keep nothing. The
+	// query server counts its registered matrices' reads into the same
+	// fields and reports them on /status.
 	ResidentBytes  T `prom:"sac_cluster_resident_bytes" rule:"gauge" help:"bytes of input partitions this worker keeps between jobs"`
 	ResidentHits   T `prom:"sac_cluster_resident_hits_total" rule:"sum" help:"input partition reads served from the worker's resident store"`
 	ResidentMisses T `prom:"sac_cluster_resident_misses_total" rule:"sum" help:"input partitions generated into the worker's resident store"`

@@ -40,6 +40,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/tiled"
 )
 
 // Config shapes the service. The zero value serves: 2 sessions per
@@ -49,7 +50,8 @@ type Config struct {
 	// queries (default: half the cores, at least 2).
 	Sessions int
 	// TileSize, Partitions, MemoryBudget and AdaptiveShuffle configure
-	// each pooled core.Session.
+	// each pooled core.Session. Under a MemoryBudget the server also keeps
+	// no registered matrix resident (see RegisterRandMatrix).
 	TileSize        int
 	Partitions      int
 	MemoryBudget    int64
@@ -91,10 +93,16 @@ type Server struct {
 	backend string // StatusDoc.Backend
 	start   time.Time
 
-	mu       sync.Mutex
-	datasets map[string][2]int64 // name -> rows, cols of registered arrays
+	mu sync.Mutex
+	// datasets are the registered matrices, by name: the one copy of
+	// their tiles every pooled session reads (none is generated under a
+	// memory budget, where the sessions regenerate them instead).
+	datasets map[string]*tiled.ResidentMatrix
 	httpSrv  *http.Server
 	ln       net.Listener
+	// reads counts the sessions' reads of registered partitions: a
+	// ResidentMiss generated one, a ResidentHit found it.
+	reads obs.LiveCounters
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -127,7 +135,7 @@ func New(cfg Config) (*Server, error) {
 		stats:    stats.NewCache(),
 		backend:  "local",
 		start:    time.Now(),
-		datasets: map[string][2]int64{},
+		datasets: map[string]*tiled.ResidentMatrix{},
 	}
 	backends := make([]core.Backend, cfg.Sessions)
 	for i := range backends {
@@ -152,22 +160,36 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) StatsCache() *stats.Cache { return s.stats }
 
 // RegisterRandMatrix registers (or replaces) a deterministically
-// generated rows x cols matrix on every pooled session. Re-registering
-// an existing name with the same shape keeps the compiled-plan caches
-// — plans resolve arrays by name at execution, which is exactly the
-// parameterized re-run the cache amortizes; a new name or a changed
-// shape clears them (shapes are baked into plans).
+// generated rows x cols matrix on every pooled session. The server holds
+// one copy of its tiles (tiled.ResidentMatrix, the type a cluster worker
+// keeps its inputs in), split as the sessions' default partition count
+// splits it: each partition is generated by the first query that reads
+// it, on any session, and every later query on every session reads the
+// same tiles, which no kernel writes. A server with a MemoryBudget keeps
+// nothing outside its budget, so there each session regenerates a
+// partition whenever a task reads it. Replacing a name drops its old
+// tiles. Re-registering an existing name with the same shape keeps the
+// compiled-plan caches — plans resolve arrays by name at execution,
+// which is exactly the parameterized re-run the cache amortizes; a new
+// name or a changed shape clears them (shapes are baked into plans).
 func (s *Server) RegisterRandMatrix(name string, rows, cols int64, lo, hi float64, seed int64) error {
-	shape := [2]int64{rows, cols}
+	if len(s.local) == 0 {
+		return ErrInputsFixed
+	}
+	one := s.local[0]
+	kept := tiled.NewResident(tiled.RandSpec{Rows: rows, Cols: cols, N: one.TileSize(),
+		Parts: one.Engine().DefaultPartitions(), Lo: lo, Hi: hi, Seed: seed})
+	bind := func(sess *core.Session) { sess.RegisterMatrix(name, kept.Bind(sess.Engine(), &s.reads)) }
+	if s.cfg.MemoryBudget > 0 {
+		bind = func(sess *core.Session) { sess.RegisterRandMatrix(name, rows, cols, lo, hi, seed) }
+	}
 	s.mu.Lock()
-	prev, existed := s.datasets[name]
+	prev := s.datasets[name]
 	s.mu.Unlock()
-	err := s.register(existed && prev == shape, func(sess *core.Session) {
-		sess.RegisterRandMatrix(name, rows, cols, lo, hi, seed)
-	})
+	err := s.register(prev != nil && prev.Spec.Rows == rows && prev.Spec.Cols == cols, bind)
 	if err == nil {
 		s.mu.Lock()
-		s.datasets[name] = shape
+		s.datasets[name] = kept
 		s.mu.Unlock()
 	}
 	return err
@@ -585,6 +607,15 @@ type StatusDoc struct {
 		Queries int   `json:"queries"`
 		Runs    int64 `json:"runs"`
 	} `json:"stats_cache"`
+	// Resident is this server's registered matrices: the bytes of the
+	// partitions generated so far, and the sessions' reads that found a
+	// partition generated (hits) or generated it (misses). All zero on a
+	// cluster backend and under a memory budget.
+	Resident struct {
+		Bytes  int64 `json:"bytes"`
+		Hits   int64 `json:"hits"`
+		Misses int64 `json:"misses"`
+	} `json:"resident"`
 }
 
 // Status assembles the live service state. The counter fields read the
@@ -615,7 +646,22 @@ func (s *Server) Status() StatusDoc {
 	doc.Admission.QueueTimeouts = obsQueueTimeouts.Value()
 	doc.StatsCache.Queries = s.stats.Len()
 	doc.StatsCache.Runs = s.stats.TotalRuns()
+	rc := s.residentCounters()
+	doc.Resident.Bytes, doc.Resident.Hits, doc.Resident.Misses = rc.ResidentBytes, rc.ResidentHits, rc.ResidentMisses
 	return doc
+}
+
+// residentCounters is the reads of the registered matrices, with their
+// bytes as ResidentBytes.
+func (s *Server) residentCounters() obs.CounterSet {
+	var n int64
+	s.mu.Lock()
+	for _, m := range s.datasets {
+		n += m.Bytes()
+	}
+	s.mu.Unlock()
+	s.reads.ResidentBytes.Store(n)
+	return s.reads.Snapshot()
 }
 
 // Serve starts the HTTP service on ln and blocks until the listener

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/linalg"
 )
@@ -271,7 +272,8 @@ func TestStreamRejectionIsPlainError(t *testing.T) {
 
 // TestDataReregistration: same-name same-shape data keeps compiled
 // plans (the parameterized re-run path) but flows the NEW data through
-// them; a shape change clears the caches.
+// them — the answer a fresh session gives over it — and drops the old
+// data's resident tiles; a shape change clears the caches.
 func TestDataReregistration(t *testing.T) {
 	s, ts := newTestServer(t, Config{Sessions: 1})
 	if err := s.RegisterRandMatrix("M", 8, 8, 0, 1, 1); err != nil {
@@ -282,9 +284,16 @@ func TestDataReregistration(t *testing.T) {
 	if code != 200 || first.Cached {
 		t.Fatalf("first: HTTP %d cached=%v", code, first.Cached)
 	}
+	const oneM = 8 * 8 * 8 // 4x4 tiles of float64
+	if b := s.Status().Resident.Bytes; b != oneM {
+		t.Fatalf("%d resident bytes after the first query, want %d", b, oneM)
+	}
 	// Same shape, new seed: plan cache survives, data is new.
 	if err := s.RegisterRandMatrix("M", 8, 8, 0, 1, 2); err != nil {
 		t.Fatal(err)
+	}
+	if b := s.Status().Resident.Bytes; b != 0 {
+		t.Fatalf("%d resident bytes after re-registration, want the old data's dropped", b)
 	}
 	second, code, _ := postQuery(t, ts.URL, src)
 	if code != 200 {
@@ -295,6 +304,15 @@ func TestDataReregistration(t *testing.T) {
 	}
 	if second.Result.Text == first.Result.Text {
 		t.Fatal("cached plan returned stale data after re-registration")
+	}
+	fresh := core.NewSession(core.Config{TileSize: 4})
+	defer fresh.Close()
+	fresh.RegisterRandMatrix("M", 8, 8, 0, 1, 2)
+	if want, err := fresh.QueryScalar(src); err != nil || second.Result.Text != comp.Render(want) {
+		t.Fatalf("served %q after re-registration, a fresh session %v (%v)", second.Result.Text, want, err)
+	}
+	if b := s.Status().Resident.Bytes; b != oneM {
+		t.Fatalf("%d resident bytes after the second query, want %d", b, oneM)
 	}
 	// Shape change: plans must be invalidated.
 	if err := s.RegisterRandMatrix("M", 4, 4, 0, 1, 3); err != nil {
@@ -410,6 +428,10 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 	}
 	if doc.StatsCache.Queries == 0 || doc.StatsCache.Runs == 0 {
 		t.Fatalf("executed query not recorded in stats cache: %+v", doc.StatsCache)
+	}
+	// The total read A's four 4x4 tiles, each generated once; B was never read.
+	if doc.Resident.Bytes != 4*4*4*8 || doc.Resident.Misses == 0 {
+		t.Fatalf("resident: %+v", doc.Resident)
 	}
 	mresp, err := http.Get(ts.URL + "/debug/metrics")
 	if err != nil {

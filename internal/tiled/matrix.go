@@ -15,9 +15,12 @@ package tiled
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // Coord is a tile coordinate.
@@ -338,6 +341,60 @@ func (s RandSpec) Partition(p int) []Block {
 // shared with other contexts).
 func FromPartitions(ctx *dataflow.Context, rows, cols int64, n, parts int, part func(p int) []Block) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, N: n, Tiles: dataflow.Generate(ctx, parts, part)}
+}
+
+// ResidentMatrix is a seeded matrix held in memory: spec's partitions,
+// each generated by the first task that reads it and kept for every later
+// read, in this context or any other. A cluster worker keeps one between
+// jobs and the query server one per registered name; a partition nobody
+// reads is never generated. The tiles are shared and never written: every
+// kernel writes only a tile it allocated.
+type ResidentMatrix struct {
+	Spec  RandSpec
+	parts []residentPart
+	bytes atomic.Int64 // of the partitions generated so far
+}
+
+// residentPart fills under its own Once, so concurrent readers neither
+// generate a partition twice nor wait for one another's other partitions.
+type residentPart struct {
+	once   sync.Once
+	blocks []Block
+}
+
+// NewResident returns spec's matrix with no partition generated yet.
+func NewResident(spec RandSpec) *ResidentMatrix {
+	return &ResidentMatrix{Spec: spec, parts: make([]residentPart, spec.NumPartitions())}
+}
+
+// Bytes is the size of the partitions generated so far.
+func (r *ResidentMatrix) Bytes() int64 { return r.bytes.Load() }
+
+// Partition returns partition p, generating it if this is its first read,
+// and counts the read into c.
+func (r *ResidentMatrix) Partition(p int, c *obs.LiveCounters) []Block {
+	part := &r.parts[p]
+	hit := true
+	part.once.Do(func() {
+		hit = false
+		part.blocks = r.Spec.Partition(p)
+		for _, b := range part.blocks {
+			r.bytes.Add(b.Value.NumBytes())
+		}
+	})
+	if hit {
+		c.ResidentHits.Add(1)
+	} else {
+		c.ResidentMisses.Add(1)
+	}
+	return part.blocks
+}
+
+// Bind is the matrix on ctx whose tasks read the resident partitions,
+// counting each read into c.
+func (r *ResidentMatrix) Bind(ctx *dataflow.Context, c *obs.LiveCounters) *Matrix {
+	s := r.Spec
+	return FromPartitions(ctx, s.Rows, s.Cols, s.N, len(r.parts), func(p int) []Block { return r.Partition(p, c) })
 }
 
 // ToDenseRows collects rows [lo, hi) onto the driver as a dense

@@ -1,11 +1,13 @@
 package tiled
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 func tctx() *dataflow.Context { return dataflow.NewLocalContext() }
@@ -184,6 +186,38 @@ func TestRandSpecPartitionsAreRandMatrix(t *testing.T) {
 		if !back.ToDense().Equal(m.ToDense()) {
 			t.Fatalf("%+v: FromPartitions differs from RandMatrix", s)
 		}
+	}
+}
+
+// TestResidentMatrixGeneratesOnce: contexts reading one resident matrix
+// at once generate each partition exactly once between them — one miss
+// per partition, a hit for every other read, one copy's bytes — and each
+// reads the matrix RandMatrix generates.
+func TestResidentMatrixGeneratesOnce(t *testing.T) {
+	const readers = 4
+	s := RandSpec{Rows: 50, Cols: 23, N: 8, Parts: 5, Lo: -1, Hi: 1, Seed: 7}
+	r := NewResident(s)
+	want := RandMatrix(tctx(), s.Rows, s.Cols, s.N, s.Parts, s.Lo, s.Hi, s.Seed).ToDense()
+	var c obs.LiveCounters
+	var wg sync.WaitGroup
+	got := make([]*linalg.Dense, readers)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.Bind(tctx(), &c).ToDense()
+		}()
+	}
+	wg.Wait()
+	for i, d := range got {
+		if !d.Equal(want) {
+			t.Fatalf("reader %d read another matrix than RandMatrix's", i)
+		}
+	}
+	parts, tiles := int64(s.NumPartitions()), ceilDiv(s.Rows, int64(s.N))*ceilDiv(s.Cols, int64(s.N))
+	if c.ResidentMisses.Load() != parts || c.ResidentHits.Load() != (readers-1)*parts || r.Bytes() != tiles*int64(s.N*s.N*8) {
+		t.Fatalf("%d misses, %d hits, %d bytes; want %d, %d, %d", c.ResidentMisses.Load(), c.ResidentHits.Load(),
+			r.Bytes(), parts, (readers-1)*parts, tiles*int64(s.N*s.N*8))
 	}
 }
 
