@@ -220,8 +220,8 @@ func TestProtoRoundTrips(t *testing.T) {
 	}
 	rep := Report{Tasks: 1, Stages: 2, ShuffledBytes: 3, Resubmissions: 4, WallNanos: 5,
 		ServedFetches: 6, MemoryPeak: 7}
-	done := jobDoneMsg{JobID: 9, OK: true, Err: "", Result: []byte("r"), Report: rep}
-	gd, err := decodeJobDone(bytes.Join(done.parts(), nil))
+	done := jobDoneMsg{JobID: 9, OK: true, Err: "", Report: rep}
+	gd, err := decodeJobDone(done.encode())
 	if err != nil || !reflect.DeepEqual(gd, done) {
 		t.Fatalf("jobdone: %+v %v", gd, err)
 	}
@@ -235,7 +235,6 @@ func TestProtoRoundTrips(t *testing.T) {
 		mis.i64(9)
 		mis.i64(1)
 		mis.str("")
-		mis.blob([]byte("r"))
 		mis.blob(bad)
 		if _, err := decodeJobDone(mis.b); err == nil {
 			t.Errorf("jobdone with a %s report decoded without error", name)
@@ -254,7 +253,7 @@ func TestProtoRoundTrips(t *testing.T) {
 		t.Error("stream end with a trailing byte decoded without error")
 	}
 	// Truncated payloads error instead of panicking.
-	for _, blob := range [][]byte{job.encode(), bytes.Join(done.parts(), nil), reg.encode()} {
+	for _, blob := range [][]byte{job.encode(), done.encode(), reg.encode()} {
 		for cut := 0; cut < len(blob); cut++ {
 			func() {
 				defer func() {
@@ -293,7 +292,7 @@ func badReports() map[string][]byte {
 // TestJobStoreFailUnblocksWaiters: a fetch parked on a bucket that
 // will never arrive must resolve to an error the moment the job fails.
 func TestJobStoreFailUnblocksWaiters(t *testing.T) {
-	s := newJobStore()
+	s := newJobStore(nil)
 	var unblocked atomic.Bool
 	errc := make(chan error, 1)
 	go func() {

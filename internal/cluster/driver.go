@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -71,6 +73,7 @@ func (t *RankTelemetry) absorb(m *telemetryMsg) {
 // replied or been declared lost.
 type jobState struct {
 	ranks   []*workerState
+	merge   Merger          // the ranks' results, merged as they arrive
 	replies []*jobDoneMsg   // indexed by rank, nil until JobDone
 	lost    []bool          // indexed by rank, true when the worker died first
 	telem   []RankTelemetry // indexed by rank
@@ -160,7 +163,7 @@ func (d *Driver) acceptLoop() {
 // handleWorker owns one worker's control connection: registration,
 // then heartbeats and job replies until the connection drops.
 func (d *Driver) handleWorker(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, resultBufSize)
 	typ, payload, err := readFrame(br)
 	if err != nil || typ != msgRegister {
 		conn.Close()
@@ -200,8 +203,16 @@ func (d *Driver) handleWorker(conn net.Conn) {
 		d.dropWorker(ws)
 		return
 	}
+	// Every frame but a result is small: they reuse one payload buffer.
 	for {
-		typ, payload, err := readFrame(br)
+		typ, size, err := readFrameHead(br)
+		switch {
+		case err != nil:
+		case typ == msgResult:
+			err = d.takeResult(ws, br, size)
+		default:
+			payload, err = readPayload(br, size, payload)
+		}
 		if err != nil {
 			d.dropWorker(ws)
 			return
@@ -246,6 +257,39 @@ func (d *Driver) handleWorker(conn net.Conn) {
 			d.mu.Unlock()
 		}
 	}
+}
+
+// takeResult reads a Result frame of size bytes off br: the rank's result,
+// which goes straight into its job's merge — a piece's cells land in the
+// answer, never in a buffer of the driver's. A result no job waits for
+// any more (one that timed out) is read and dropped, as is whatever the
+// merge leaves of a reply it refused.
+func (d *Driver) takeResult(ws *workerState, br *bufio.Reader, size uint64) error {
+	var id [8]byte
+	if size < uint64(len(id)) {
+		return fmt.Errorf("cluster: result frame of %d bytes", size)
+	}
+	if _, err := io.ReadFull(br, id[:]); err != nil {
+		return err
+	}
+	jobID := int64(binary.LittleEndian.Uint64(id[:]))
+	result := &io.LimitedReader{R: br, N: int64(size) - int64(len(id))}
+	d.mu.Lock()
+	job, rank := d.jobs[jobID], -1
+	if job != nil {
+		for r, w := range job.ranks {
+			if w == ws && job.replies[r] == nil {
+				rank = r
+			}
+		}
+	}
+	d.mu.Unlock()
+	if rank >= 0 {
+		// A reply that is no part of a result is the merge's to report.
+		_ = job.merge.Add(rank, result, result.N)
+	}
+	_, err := io.Copy(io.Discard, result)
+	return err
 }
 
 // dropWorker marks a worker dead and declares its unanswered ranks
@@ -456,6 +500,7 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 	d.nextJob++
 	job := &jobState{
 		ranks:   ranks,
+		merge:   mergeFor(program)(),
 		replies: make([]*jobDoneMsg, len(ranks)),
 		lost:    make([]bool, len(ranks)),
 		telem:   make([]RankTelemetry, len(ranks)),
@@ -508,7 +553,7 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 
 	res := &RunResult{Workers: make([]WorkerRun, len(ranks)), Attempts: 1}
 	var firstErr string
-	var replies []RankResult
+	replied := 0
 	for r, ws := range ranks {
 		run := WorkerRun{ID: ws.id, Addr: ws.dataAddr, Rank: r, Telemetry: job.telem[r]}
 		switch {
@@ -519,7 +564,7 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 			run.OK = true
 			run.Report = job.replies[r].Report
 			res.Resubmissions += run.Report.Resubmissions
-			replies = append(replies, RankResult{Rank: r, Result: job.replies[r].Result})
+			replied++
 		default:
 			run.Err = job.replies[r].Err
 			run.Report = job.replies[r].Report
@@ -529,13 +574,13 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 		}
 		res.Workers[r] = run
 	}
-	if len(replies) == 0 {
+	result, err := job.merge.Result()
+	if replied == 0 {
 		if firstErr == "" {
 			firstErr = "all workers lost"
 		}
 		return nil, fmt.Errorf("cluster: job %d failed: %s", jobID, firstErr)
 	}
-	result, err := mergeFor(program)(replies)
 	switch {
 	case err == nil:
 		res.Result = result

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -45,6 +46,11 @@ const (
 	// both ship raw; coordinate rows with whole-number values save 45 %,
 	// half-zero tiles 38 %, tiles 90 % zero 85 % — those compress.
 	compressSavingsDenom = 3
+
+	// chunkFrameMax is the largest chunk frame: the flags, the raw length
+	// and a body no longer than a chunk (a compressed one is shorter).
+	// A fetch reads every frame into one buffer of this size.
+	chunkFrameMax = 1 + binary.MaxVarintLen64 + shuffleChunkSize
 )
 
 // errFetchGone marks a fetch the peer answered with FetchGone: the
@@ -152,17 +158,64 @@ func (o *offer) bucket() (bucket, error) {
 // simply waits) or the job fails on this worker, at which point every
 // pending and future fetch gets an error so peers fall back to
 // lineage recompute instead of hanging.
+//
+// The store also holds the job's lease on the worker's buffer pool, which
+// its blobs, fetch frames, tiles and result piece are drawn from. The
+// lease is closed — everything still lent goes back to the pool — once the
+// driver has ended the job (end) and nothing here reads its buffers any
+// more: neither the job's program nor a serve of one of its buckets.
 type jobStore struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	buckets map[string]*offer
 	failed  bool
+	ended   bool
+	users   int // the program while it runs, plus the serves in flight
+	lease   *memory.Lease
 }
 
-func newJobStore() *jobStore {
-	s := &jobStore{buckets: make(map[string]*offer)}
+func newJobStore(lease *memory.Lease) *jobStore {
+	s := &jobStore{buckets: make(map[string]*offer), lease: lease}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// enter admits the job's program as a reader of the store's buffers;
+// false means the job has ended here already.
+func (s *jobStore) enter() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ended {
+		return false
+	}
+	s.users++
+	return true
+}
+
+// leave ends one reader's use, closing the lease if it was the last
+// reader of an ended job.
+func (s *jobStore) leave() {
+	s.mu.Lock()
+	s.users--
+	last := s.ended && s.users == 0
+	s.mu.Unlock()
+	if last {
+		s.lease.Close()
+	}
+}
+
+// end retires the job: pending and later fetches fail, and the lease
+// closes as soon as no reader is left — now, or when the last serve in
+// flight or the program leaves.
+func (s *jobStore) end() {
+	s.mu.Lock()
+	s.failed, s.ended = true, true
+	s.cond.Broadcast()
+	idle := s.users == 0
+	s.mu.Unlock()
+	if idle {
+		s.lease.Close()
+	}
 }
 
 func (s *jobStore) put(key string, o *offer) {
@@ -172,13 +225,23 @@ func (s *jobStore) put(key string, o *offer) {
 	s.mu.Unlock()
 }
 
-// waitGet blocks until key is present or the store failed.
+// waitGet blocks until key is present or the store failed. A bucket it
+// returns is the caller's to serve until it calls leave.
 func (s *jobStore) waitGet(key string) (bucket, error) {
 	s.mu.Lock()
 	for {
-		if o, ok := s.buckets[key]; ok {
+		if s.ended {
 			s.mu.Unlock()
-			return o.bucket()
+			return bucket{}, fmt.Errorf("cluster: job ended on this worker")
+		}
+		if o, ok := s.buckets[key]; ok {
+			s.users++
+			s.mu.Unlock()
+			b, err := o.bucket()
+			if err != nil {
+				s.leave()
+			}
+			return b, err
 		}
 		if s.failed {
 			s.mu.Unlock()
@@ -367,6 +430,12 @@ func newExchange(jobID int64, rank int, peers []string, store *jobStore, pools *
 func (e *Exchange) Rank() int  { return e.rank }
 func (e *Exchange) World() int { return len(e.peers) }
 
+// Lease is the job's account with the worker's buffer pool, nil on a
+// worker that pools nothing; dataflow takes it structurally when the
+// transport is wired into a Context, and its shuffle blobs and decoded
+// tiles draw from it.
+func (e *Exchange) Lease() *memory.Lease { return e.store.lease }
+
 // SetMemory installs the budget manager that bounds per-fetch chunk
 // buffers; dataflow calls this structurally when the transport is
 // wired into a Context.
@@ -477,7 +546,7 @@ type streamReader struct {
 	next     int // next chunk index expected = resume point
 	attempts int // transient retries consumed
 
-	frame    []byte // frame payloads are read into this one buffer, chunk after chunk
+	frame    []byte // frame payloads are read into this one buffer, chunk after chunk, lent by the job's lease
 	cur      []byte // decoded bytes of the current chunk, unconsumed; a raw chunk's lie in frame
 	reserved int64  // memory reservation held for cur
 	rawTotal int64  // raw bytes delivered so far (verified at end)
@@ -512,6 +581,8 @@ func (s *streamReader) TransportErr() error { return s.terr }
 
 func (s *streamReader) Close() error {
 	s.release()
+	s.e.store.lease.Release(s.frame)
+	s.frame = nil
 	if s.conn != nil {
 		if s.done {
 			// Clean end: the connection is positioned at a frame
@@ -584,6 +655,9 @@ func (s *streamReader) fill() error {
 		}
 	}
 	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
+	if s.frame == nil {
+		s.frame = s.e.store.lease.Bytes(chunkFrameMax)[:0]
+	}
 	// cur is empty (Read fills only then), so frame is free to overwrite.
 	typ, payload, err := readFrameInto(s.br, s.frame)
 	if err != nil {

@@ -28,10 +28,10 @@ func init() {
 		}
 	}
 	RegisterProgram("test.partitioned", partitioned(func(env *JobEnv) int { return env.World }))
-	RegisterMerge("test.partitioned", mergePartitioned)
+	RegisterMerge("test.partitioned", Collect(mergePartitioned))
 	// Rank 1 believes in a larger world than the others.
 	RegisterProgram("test.partitioned-diverges", partitioned(func(env *JobEnv) int { return env.World + env.Rank%2 }))
-	RegisterMerge("test.partitioned-diverges", mergePartitioned)
+	RegisterMerge("test.partitioned-diverges", Collect(mergePartitioned))
 }
 
 func mergePartitioned(replies []RankResult) ([]byte, error) {

@@ -32,7 +32,8 @@ const (
 	msgWelcome   = byte(2)  // driver -> worker: accepted, heartbeat period
 	msgHeartbeat = byte(3)  // worker -> driver: liveness (empty payload)
 	msgJob       = byte(4)  // driver -> worker: run program rank r of w
-	msgJobDone   = byte(5)  // worker -> driver: result or error + report
+	msgJobDone   = byte(5)  // worker -> driver: done or error + report
+	msgResult    = byte(14) // worker -> driver: a job's result, ahead of its JobDone
 	msgJobEnd    = byte(6)  // driver -> worker: job finished, drop its store
 	msgFetchGone = byte(9)  // worker -> worker: bucket unavailable (job failed or ended here)
 	msgTelemetry = byte(10) // worker -> driver: span batch + stage rows + counter deltas
@@ -82,25 +83,42 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 // readFrameInto reads one frame, reusing buf for the payload when it is
 // large enough; the payload is then only valid until buf's next use.
 func readFrameInto(r *bufio.Reader, buf []byte) (byte, []byte, error) {
-	typ, err := r.ReadByte()
+	typ, size, err := readFrameHead(r)
 	if err != nil {
 		return 0, nil, err
+	}
+	payload, err := readPayload(r, size, buf)
+	return typ, payload, err
+}
+
+// readFrameHead reads a frame's type and payload length, leaving the
+// payload to be read.
+func readFrameHead(r *bufio.Reader) (byte, uint64, error) {
+	typ, err := r.ReadByte()
+	if err != nil {
+		return 0, 0, err
 	}
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
 	if size > maxFrame {
-		return 0, nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit", size)
+		return 0, 0, fmt.Errorf("cluster: frame of %d bytes exceeds limit", size)
 	}
+	return typ, size, nil
+}
+
+// readPayload reads a payload of size bytes, into buf when it is large
+// enough.
+func readPayload(r *bufio.Reader, size uint64, buf []byte) ([]byte, error) {
 	if uint64(cap(buf)) < size {
 		buf = make([]byte, size)
 	}
 	payload := buf[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return typ, payload, nil
+	return payload, nil
 }
 
 // wireBuf builds varint-framed payloads.
@@ -278,34 +296,32 @@ func decodeJob(p []byte) (jobMsg, error) {
 	return m, c.err
 }
 
+// jobDoneMsg ends a rank's job: it ran its program to the end (OK) or
+// says why not. A rank that ran it sent its result ahead of it, in a
+// Result frame.
 type jobDoneMsg struct {
 	JobID  int64
 	OK     bool
 	Err    string
-	Result []byte
 	Report Report
 }
 
-// parts is the encoded message as writeFrame takes it: what precedes
-// the result (ending in its length), the result itself, and the report
-// after it — an 8 MB result goes to the socket from where it lies.
-func (m *jobDoneMsg) parts() [][]byte {
-	var head, tail wireBuf
-	head.i64(m.JobID)
+func (m *jobDoneMsg) encode() []byte {
+	var w wireBuf
+	w.i64(m.JobID)
 	ok := int64(0)
 	if m.OK {
 		ok = 1
 	}
-	head.i64(ok)
-	head.str(m.Err)
-	head.u64(uint64(len(m.Result)))
-	tail.blob(encodeReport(m.Report))
-	return [][]byte{head.b, m.Result, tail.b}
+	w.i64(ok)
+	w.str(m.Err)
+	w.blob(encodeReport(m.Report))
+	return w.b
 }
 
 func decodeJobDone(p []byte) (jobDoneMsg, error) {
 	c := wireCur{b: p}
-	m := jobDoneMsg{JobID: c.i64(), OK: c.i64() != 0, Err: c.str(), Result: c.blob()}
+	m := jobDoneMsg{JobID: c.i64(), OK: c.i64() != 0, Err: c.str()}
 	rep, err := decodeReport(c.blob())
 	if c.err != nil {
 		return m, c.err

@@ -167,7 +167,7 @@ func TestPooledConnectionsCrossJobs(t *testing.T) {
 		if err := server.Publish("k", blob); err != nil {
 			t.Fatal(err)
 		}
-		e := newExchange(id, 0, []string{"unused-self", addr}, newJobStore(), pools)
+		e := newExchange(id, 0, []string{"unused-self", addr}, newJobStore(nil), pools)
 		e.fetchTimeout, e.dialBackoff = 5*time.Second, 5*time.Millisecond
 		got, err := fetchAll(e, 1, "k")
 		if err != nil || !bytes.Equal(got, blob) {

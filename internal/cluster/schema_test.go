@@ -47,7 +47,7 @@ func TestReportSchemaEndToEnd(t *testing.T) {
 	if err != nil || got != snap {
 		t.Fatalf("report round trip: %v\ngot  %+v\nwant %+v", err, got, snap)
 	}
-	done, err := decodeJobDone(bytes.Join((&jobDoneMsg{JobID: 1, OK: true, Report: snap}).parts(), nil))
+	done, err := decodeJobDone((&jobDoneMsg{JobID: 1, OK: true, Report: snap}).encode())
 	if err != nil || done.Report != snap {
 		t.Fatalf("jobdone round trip: %v %+v", err, done.Report)
 	}

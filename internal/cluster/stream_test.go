@@ -52,7 +52,7 @@ func startDataServer(t *testing.T) (*Worker, string) {
 // clientExchange builds a 2-rank exchange where rank 1 is the given
 // data server and the client is rank 0.
 func clientExchange(jobID int64, serverAddr string) *Exchange {
-	e := newExchange(jobID, 0, []string{"unused-self", serverAddr}, newJobStore(), newPeerPools(dataflow.StreamFetchWindow))
+	e := newExchange(jobID, 0, []string{"unused-self", serverAddr}, newJobStore(nil), newPeerPools(dataflow.StreamFetchWindow))
 	e.fetchTimeout = 5 * time.Second
 	e.dialBackoff = 5 * time.Millisecond
 	return e

@@ -2,19 +2,35 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/memory"
 	"repro/internal/obs"
 )
 
 // endedJobsKept bounds the memory of retired job IDs. A straggler fetch
 // is seconds behind its job's end, not endedJobsKept jobs behind.
 const endedJobsKept = 128
+
+// resultBufSize is the buffer a result crosses the control connection
+// through, on both sides: the worker writes it through one this size, and
+// the driver reads a worker's frames through one (a piece's rows go from
+// it to their offsets in the answer, so a smaller one costs a system call
+// a few rows).
+const resultBufSize = 64 << 10
+
+// poolRetained caps the bytes a worker's buffer pool keeps between jobs:
+// room for the transient buffers of a few concurrent jobs of the size
+// the benchmark runs (about 17 MB a rank for the n = 1000 product on two
+// workers).
+const poolRetained = 64 << 20
 
 // WorkerConfig configures one worker process (or in-process worker in
 // tests).
@@ -29,10 +45,11 @@ type WorkerConfig struct {
 // Worker registers with a driver, heartbeats, runs assigned job
 // programs, and serves this rank's shuffle buckets to peers.
 type Worker struct {
-	cfg     WorkerConfig
-	control net.Conn
-	wmu     sync.Mutex // guards control writes (heartbeats vs JobDone)
-	dataLn  net.Listener
+	cfg      WorkerConfig
+	control  net.Conn
+	wmu      sync.Mutex    // guards control writes (heartbeats vs JobDone) and replyBuf
+	replyBuf *bufio.Writer // the results written to control
+	dataLn   net.Listener
 
 	// smu guards the per-job exchange stores and ended, the IDs of the
 	// last endedJobsKept jobs the driver retired here.
@@ -40,10 +57,12 @@ type Worker struct {
 	stores map[int64]*jobStore
 	ended  []int64
 
-	// What outlives a job: the idle data connections to peers, and what
-	// the programs keep (nil on a budgeted worker, see StartWorker).
+	// What outlives a job: the idle data connections to peers, what the
+	// programs keep, and the jobs' transient buffers (both nil on a
+	// budgeted worker, see StartWorker).
 	pools    *peerPools
 	resident *Resident
+	buffers  *memory.Pool
 
 	// served counts the shuffle fetches and bytes this worker has
 	// answered for its peers, over its lifetime.
@@ -92,12 +111,14 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		// two every fetch goes to the one peer.
 		pools: newPeerPools(cfg.Parallelism * dataflow.StreamFetchWindow),
 	}
-	// What a program keeps resident is outside the memory manager, which
-	// is per job. Until a worker has one manager that its jobs and its
-	// store both reserve from (ROADMAP 3), a budgeted worker keeps
-	// nothing, so residency can never push it past the budget.
+	// What a program keeps resident, and the buffers a job lends from
+	// the pool, are outside the memory manager, which is per job. Until a
+	// worker has one manager that its jobs and its store both reserve
+	// from (ROADMAP 3), a budgeted worker keeps and pools nothing, so
+	// neither can push it past the budget.
 	if cfg.MemoryBudget <= 0 {
 		w.resident = &Resident{}
+		w.buffers = memory.NewPool(poolRetained)
 	}
 	reg := registerMsg{
 		ID:          cfg.ID,
@@ -262,7 +283,7 @@ func (w *Worker) controlLoop(br *bufio.Reader) {
 				// Draining: refuse explicitly so the driver fails the
 				// job instead of waiting for a rank that will never run.
 				refused := jobDoneMsg{JobID: job.JobID, OK: false, Err: "cluster: worker draining"}
-				_ = w.send(msgJobDone, refused.parts()...)
+				_ = w.send(msgJobDone, refused.encode())
 				continue
 			}
 			go func() {
@@ -270,20 +291,27 @@ func (w *Worker) controlLoop(br *bufio.Reader) {
 				w.runJob(job)
 			}()
 		case msgJobEnd:
-			end, err := decodeJobEnd(payload)
-			if err == nil {
-				w.smu.Lock()
-				if s, ok := w.stores[end.JobID]; ok {
-					s.fail() // release any straggler fetch
-					delete(w.stores, end.JobID)
-				}
-				if len(w.ended) == endedJobsKept {
-					w.ended = append(w.ended[:0], w.ended[1:]...)
-				}
-				w.ended = append(w.ended, end.JobID)
-				w.smu.Unlock()
+			if end, err := decodeJobEnd(payload); err == nil {
+				w.endJob(end.JobID)
 			}
 		}
+	}
+}
+
+// endJob retires a job the driver has ended: its store goes, a straggler
+// fetch for it gets FetchGone from now on, and its buffers go back to the
+// pool once the serves of its buckets in flight are done.
+func (w *Worker) endJob(jobID int64) {
+	w.smu.Lock()
+	s := w.stores[jobID]
+	delete(w.stores, jobID)
+	if len(w.ended) == endedJobsKept {
+		w.ended = append(w.ended[:0], w.ended[1:]...)
+	}
+	w.ended = append(w.ended, jobID)
+	w.smu.Unlock()
+	if s != nil {
+		s.end()
 	}
 }
 
@@ -304,7 +332,7 @@ func (w *Worker) storeFor(jobID int64) *jobStore {
 				return nil
 			}
 		}
-		s = newJobStore()
+		s = newJobStore(w.buffers.Lease())
 		w.stores[jobID] = s
 	}
 	return s
@@ -312,11 +340,12 @@ func (w *Worker) storeFor(jobID int64) *jobStore {
 
 func (w *Worker) runJob(job jobMsg) {
 	store := w.storeFor(job.JobID)
-	if store == nil {
+	if store == nil || !store.enter() {
 		refused := jobDoneMsg{JobID: job.JobID, Err: "cluster: job ID already ended on this worker"}
-		_ = w.send(msgJobDone, refused.parts()...)
+		_ = w.send(msgJobDone, refused.encode())
 		return
 	}
+	defer store.leave()
 	exch := newExchange(job.JobID, int(job.Rank), job.Peers, store, w.pools)
 	var telemSeq atomic.Int64
 	env := &JobEnv{
@@ -337,14 +366,66 @@ func (w *Worker) runJob(job jobMsg) {
 	start := time.Now()
 	result, rep, err := w.runProgram(job.Program, env)
 	rep.WallNanos = time.Since(start).Nanoseconds()
-	exch.c.ResultBytes.Add(int64(len(result)))
-	done := jobDoneMsg{JobID: job.JobID, OK: err == nil, Result: result, Report: w.report(rep, exch)}
+	done := jobDoneMsg{JobID: job.JobID, OK: err == nil}
 	if err != nil {
 		done.Err = err.Error()
 		// Peers blocked on our buckets must recompute, not hang.
 		store.fail()
+	} else {
+		size, write := env.replySize, env.reply
+		if write == nil {
+			size, write = int64(len(result)), func(w io.Writer) error {
+				_, err := w.Write(result)
+				return err
+			}
+		}
+		exch.c.ResultBytes.Add(size)
+		// The result goes ahead of the JobDone that reports it sent.
+		_ = w.sendResult(job.JobID, size, write)
 	}
-	_ = w.send(msgJobDone, done.parts()...)
+	done.Report = w.report(rep, exch)
+	_ = w.send(msgJobDone, done.encode())
+}
+
+// sendResult writes a Result frame to the driver: the job ID, 8
+// little-endian bytes, then the size bytes of the result write writes,
+// through the worker's reply buffer. A result that is not size bytes long
+// would leave the driver reading the wrong frames, so the connection is
+// closed instead.
+func (w *Worker) sendResult(jobID, size int64, write func(io.Writer) error) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if w.replyBuf == nil {
+		w.replyBuf = bufio.NewWriterSize(w.control, resultBufSize)
+	}
+	bw := w.replyBuf
+	head := binary.AppendUvarint([]byte{msgResult}, uint64(size)+8)
+	bw.Write(binary.LittleEndian.AppendUint64(head, uint64(jobID)))
+	n := &countingWriter{w: bw}
+	err := write(n)
+	if err == nil && n.n != size {
+		err = fmt.Errorf("cluster: a result of %d bytes wrote %d", size, n.n)
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		bw.Reset(w.control)
+		w.control.Close()
+	}
+	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // report completes a rank's report: the program's own counters merged
@@ -418,6 +499,7 @@ func (w *Worker) serveStream(bw *bufio.Writer, req fetchStreamMsg) bool {
 	if err != nil {
 		return writeFrame(bw, msgFetchGone, []byte(err.Error())) == nil && bw.Flush() == nil
 	}
+	defer store.leave()
 	var end streamEndMsg
 	for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
 		ch := bkt.chunks[i]

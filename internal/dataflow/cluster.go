@@ -219,7 +219,7 @@ func (s *lazyBuckets[T]) encode(bs []int, sg []bucketed[T]) ([]byte, error) {
 	for i, b := range bs {
 		groups[i] = s.read(&sg[b])
 	}
-	return spill.EncodeGroups(groups, s.codec)
+	return spill.EncodeGroups(groups, s.codec, s.ctx.lease)
 }
 
 // encodeOffered encodes this rank's own blob when a peer does ask for it.
@@ -337,7 +337,7 @@ func (s *lazyBuckets[T]) fetched(m, p int) *bucketed[T] {
 	f.once.Do(func() {
 		bs := s.groups(m, p%w)
 		groups, ok := fetchBlob(s.ctx, m%w, blobKey(s.stage.id, m, p%w), func(r io.Reader) ([][]T, error) {
-			return spill.DecodeGroupsFrom(r, s.codec, len(bs))
+			return spill.DecodeGroupsFrom(r, s.codec, len(bs), s.ctx.lease)
 		})
 		if !ok {
 			return

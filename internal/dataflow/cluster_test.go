@@ -625,7 +625,7 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 				return nil, err
 			}
 			defer rc.Close()
-			return spill.DecodeGroupsFrom(rc, spill.For[Pair[int64, float64]](), 2)
+			return spill.DecodeGroupsFrom(rc, spill.For[Pair[int64, float64]](), 2, nil)
 		}
 		segment := func(m, b int) (seg []Pair[int64, float64]) {
 			for _, kv := range rowsOf(m) {

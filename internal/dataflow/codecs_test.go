@@ -170,7 +170,7 @@ func TestDenseCodecBackReference(t *testing.T) {
 	tile := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	twin := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	groups := [][]*linalg.Dense{{tile, nil, tile}, {twin, tile}}
-	blob, err := spill.EncodeGroups(groups, DenseCodec{})
+	blob, err := spill.EncodeGroups(groups, DenseCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDenseCodecBackReference(t *testing.T) {
 	if want := 1 + 1 + (1 + 1 + 1 + 1 + 32) + 1 + 2 + 1 + (1 + 1 + 1 + 1 + 32) + 2; len(blob) != want {
 		t.Fatalf("%d-byte blob, want %d", len(blob), want)
 	}
-	got, err := spill.DecodeGroupsFrom(bytes.NewReader(blob), DenseCodec{}, 2)
+	got, err := spill.DecodeGroupsFrom(bytes.NewReader(blob), DenseCodec{}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDenseCodecBackReference(t *testing.T) {
 	// the index is past the table.
 	block := PairCodec[Coord, *linalg.Dense](CoordCodec{}, DenseCodec{})
 	bad := []byte{1, 2, 0, 0, denseNil, 0, 0, denseRef, 0}
-	if _, err := spill.DecodeGroupsFrom(bytes.NewReader(bad), block, 1); err == nil {
+	if _, err := spill.DecodeGroupsFrom(bytes.NewReader(bad), block, 1, nil); err == nil {
 		t.Fatal("a back-reference to a nil tile decoded")
 	}
 }
@@ -233,7 +233,7 @@ func FuzzDenseCodecDecode(f *testing.F) {
 		} else {
 			consistent(got)
 		}
-		groups, err := spill.DecodeGroupsFrom(bytes.NewReader(data), DenseCodec{}, 1)
+		groups, err := spill.DecodeGroupsFrom(bytes.NewReader(data), DenseCodec{}, 1, nil)
 		if err == nil {
 			for _, d := range groups[0] {
 				consistent(d)

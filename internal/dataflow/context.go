@@ -124,6 +124,13 @@ type Context struct {
 	// hit/miss/return gauges surface in MetricsSnapshot.
 	tilePool linalg.Pool
 
+	// lease is the job's account with its worker's buffer pool, from the
+	// transport (nil for a local context, and on a worker that pools
+	// nothing): the tile pool, the shuffle's blobs and its decoded tiles
+	// draw from it, and what they draw outlives the context until the
+	// worker ends the job.
+	lease *memory.Lease
+
 	// mem is the budgeted memory manager behind out-of-core execution;
 	// nil means unlimited (every reservation grants instantly). The
 	// spill directory is created lazily on first spill.
@@ -200,12 +207,22 @@ func NewContext(conf Config) *Context {
 	if mt, ok := conf.Transport.(interface{ SetMemory(*memory.Manager) }); ok {
 		mt.SetMemory(ctx.mem)
 	}
+	// So does one that lends the job's buffers.
+	if lt, ok := conf.Transport.(interface{ Lease() *memory.Lease }); ok {
+		ctx.lease = lt.Lease()
+		ctx.tilePool.DrawFrom(ctx.lease)
+	}
 	return ctx
 }
 
 // Memory returns the context's memory manager; nil means no budget is
 // set (every method of a nil manager is a granting no-op).
 func (c *Context) Memory() *memory.Manager { return c.mem }
+
+// Lease returns the job's account with its worker's buffer pool; nil for
+// a local context (every method of a nil lease allocates or does
+// nothing).
+func (c *Context) Lease() *memory.Lease { return c.lease }
 
 // spillDir lazily creates and returns the directory spill run files go
 // to.

@@ -41,15 +41,16 @@ func init() {
 			return reply, rep, err
 		},
 		divergeQueryName: func(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
-			reply, rep, err := queryProgram(env)
-			if env.Rank == 1 && len(reply) > 1 {
-				reply[1] ^= 2 // the first dimension's varint
+			reply, rep, err := queryReply(env)
+			b := reply.bytes()
+			if env.Rank == 1 && len(b) > 1 {
+				b[1] ^= 2 // the first dimension's varint
 			}
-			return reply, rep, err
+			return b, rep, err
 		},
 	} {
 		cluster.RegisterProgram(name, prog)
-		cluster.RegisterMerge(name, MergeResult)
+		cluster.RegisterMerge(name, newResultMerger)
 	}
 }
 
@@ -129,7 +130,7 @@ func spyProgram(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
 		c.Transport = spyTransport{env.Exchange}
 		c.WorkerTag = env.WorkerTag
 	}, env.Resident, nil)
-	return reply, snap.CounterSet, err
+	return replyWith(env, reply), snap.CounterSet, err
 }
 
 // resultBytes counts the ranks of a run that replied and sums what they

@@ -7,9 +7,10 @@
 //
 // A result goes back as data too, once: a rank replies with the
 // partitions of a matrix or vector it owns (EncodeResult's piece) and
-// the driver assembles the canonical blob (MergeResult, registered as
-// the program's cluster.Merge) — the bytes RunQueryLocal produces. Lists
-// and scalars, which every rank holds, are replied whole and compared.
+// the driver assembles the canonical blob as the pieces arrive
+// (resultMerger, the program's cluster.Merge) — the bytes RunQueryLocal
+// produces. Lists and scalars, which every rank holds, are replied whole
+// and compared.
 package jobs
 
 import (
@@ -120,16 +121,25 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 
 func init() {
 	cluster.RegisterProgram(QueryName, queryProgram)
-	cluster.RegisterMerge(QueryName, MergeResult)
+	cluster.RegisterMerge(QueryName, newResultMerger)
 }
 
 // queryProgram is one rank of "sac.query". Its reply is EncodeResult's:
 // this rank's piece of a matrix or vector result, or the whole of a list
-// or scalar, which MergeResult makes the canonical blob of on the driver.
+// or scalar, which resultMerger makes the canonical blob of on the
+// driver. A piece is written to the driver's connection straight from the
+// result tiles (JobEnv.Reply).
 func queryProgram(env *cluster.JobEnv) ([]byte, cluster.Report, error) {
+	reply, rep, err := queryReply(env)
+	return replyWith(env, reply), rep, err
+}
+
+// queryReply runs the query of env's params on this rank and returns its
+// reply.
+func queryReply(env *cluster.JobEnv) (encoded, cluster.Report, error) {
 	p, err := DecodeQueryParams(env.Params)
 	if err != nil {
-		return nil, cluster.Report{}, err
+		return encoded{}, cluster.Report{}, err
 	}
 	var pump *telemetryPump
 	if env.Telemetry != nil {
@@ -164,12 +174,12 @@ func (p QueryParams) sessionConfig(world int) core.Config {
 // runQuery builds a fresh session from the params (plus caller
 // overrides), binds the canonical inputs — over the partitions resident
 // keeps, or regenerated from their seeds when it is nil — executes the
-// query, and serializes the result (EncodeResult: the whole of it on a
-// local session, this rank's part on a cluster). The metrics snapshot is
-// taken after serialization: results materialize lazily (EncodeResult's
-// collect drives the final stages), so an earlier snapshot would miss
-// most of the work.
-func runQuery(p QueryParams, world int, override func(*core.Config), resident *cluster.Resident, pump *telemetryPump) ([]byte, dataflow.MetricsSnapshot, error) {
+// query, and serializes the result (encodeResult: the whole of it on a
+// local session, this rank's piece on a cluster, as its writer). The
+// metrics snapshot is taken after serialization: results materialize
+// lazily (encodeResult's collect drives the final stages), so an earlier
+// snapshot would miss most of the work.
+func runQuery(p QueryParams, world int, override func(*core.Config), resident *cluster.Resident, pump *telemetryPump) (encoded, dataflow.MetricsSnapshot, error) {
 	conf := p.sessionConfig(world)
 	if override != nil {
 		override(&conf)
@@ -202,10 +212,10 @@ func runQuery(p QueryParams, world int, override func(*core.Config), resident *c
 	}
 	res, err := s.Query(p.Src)
 	if err != nil {
-		return nil, metrics(), err
+		return encoded{}, metrics(), err
 	}
-	blob, err := EncodeResult(res)
-	return blob, metrics(), err
+	reply, err := encodeResult(res)
+	return reply, metrics(), err
 }
 
 // RunQueryLocal executes the same program on the plain local backend,
@@ -213,8 +223,8 @@ func runQuery(p QueryParams, world int, override func(*core.Config), resident *c
 // distributed runtime's results are byte-compared against in tests and
 // EXPERIMENTS.md.
 func RunQueryLocal(p QueryParams) ([]byte, error) {
-	blob, _, err := runQuery(p, 1, nil, nil, nil)
-	return blob, err
+	reply, _, err := runQuery(p, 1, nil, nil, nil)
+	return reply.blob, err
 }
 
 // DefaultPartitions derives the fallback partition count from the

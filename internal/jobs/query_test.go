@@ -16,6 +16,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/memory"
 	"repro/internal/sacparser"
 )
 
@@ -61,14 +62,14 @@ const spillingBudget = 256
 // a budgeted cluster must reproduce byte for byte.
 func localUnderBudget(t *testing.T, p QueryParams, budget int64, noShuffle bool) []byte {
 	t.Helper()
-	blob, snap, err := runQuery(p, 1, func(c *core.Config) { c.MemoryBudget = budget }, nil, nil)
+	reply, snap, err := runQuery(p, 1, func(c *core.Config) { c.MemoryBudget = budget }, nil, nil)
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
 	if (snap.SpilledBytes > 0) != (budget > 0 && !noShuffle) {
 		t.Fatalf("local under budget %d spilled %d bytes", budget, snap.SpilledBytes)
 	}
-	return blob
+	return reply.blob
 }
 
 func twoSlots(workers int) []int {
@@ -169,8 +170,14 @@ func FuzzQueryParams(f *testing.F) {
 // in-process: clusters of 1, 3 and 8 workers must return byte-identical
 // results to the local backend on the Fig-4 query set — with no memory
 // budget, and with one so small that every rank spills its shuffle
-// segments, against the local backend under the same budget.
+// segments, against the local backend under the same budget. Every
+// buffer and tile a worker's pool takes back is poisoned — NaN cells,
+// 0xA5 bytes — so a reader that used one after its release would change
+// an answer. (A budgeted worker pools nothing: its half runs the unpooled
+// path.)
 func TestClusterQueryMatchesLocal(t *testing.T) {
+	memory.PoisonReleased(true)
+	defer memory.PoisonReleased(false)
 	for _, c := range []struct {
 		world  int
 		budget int64
@@ -293,9 +300,9 @@ func init() {
 			c.Transport = tr
 			c.WorkerTag = env.WorkerTag
 		}, env.Resident, nil)
-		return reply, snap.CounterSet, err
+		return replyWith(env, reply), snap.CounterSet, err
 	})
-	cluster.RegisterMerge(gateQueryName, MergeResult)
+	cluster.RegisterMerge(gateQueryName, newResultMerger)
 }
 
 type gatedTransport struct {

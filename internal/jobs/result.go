@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/comp"
@@ -41,6 +43,10 @@ const (
 	kindMatrixPiece = kindMatrix + pieceOf
 	kindVectorPiece = kindVector + pieceOf
 )
+
+// maxPieceHeader is the longest a piece's header can be: the kind, three
+// varints and a uvarint.
+const maxPieceHeader = 1 + 4*binary.MaxVarintLen64
 
 // maxDenseBytes bounds the cell area MergeResult allocates on a piece
 // header's word. It is the cluster protocol's frame limit: what one reply
@@ -142,13 +148,13 @@ func collectDense[T any](shape denseShape, d *dataflow.Dataset[T], ref func(T) t
 }
 
 // encode serializes what this process holds of the result: the blob, on a
-// local session; a piece, on a rank. Either way each tile's floats are
-// converted once, into a buffer allocated at its final size.
-func (d denseResult) encode() []byte {
+// local session, with each tile's floats converted once into a buffer
+// allocated at its final size; a piece, on a rank, as a writer.
+func (d denseResult) encode() encoded {
 	if d.distributed {
-		return d.piece()
+		return encoded{size: d.pieceSize(), write: d.writePiece}
 	}
-	return d.blob()
+	return encoded{blob: d.blob()}
 }
 
 // blob is the canonical encoding of a result held whole; cells no tile
@@ -165,41 +171,122 @@ func (d denseResult) blob() []byte {
 	return blob
 }
 
-// piece encodes the owned partitions for MergeResult.
-func (d denseResult) piece() []byte {
-	dims := d.dims()
-	size := (1 + len(dims) + 2 + 2*len(d.owned)) * binary.MaxVarintLen64
-	for _, op := range d.owned {
-		for _, t := range op.Rows {
-			size += len(dims)*binary.MaxVarintLen64 + int(8*t.h*t.w)
-		}
+// pieceSize is the length of the piece writePiece writes.
+func (d denseResult) pieceSize() int64 {
+	size := 1 + spill.VarintSize(d.grid.tile) + spill.UvarintSize(uint64(d.parts))
+	for _, dim := range d.dims() {
+		size += spill.VarintSize(dim)
 	}
-	piece := append(make([]byte, 0, size), d.kind+pieceOf)
-	for _, dim := range dims {
-		piece = binary.AppendVarint(piece, dim)
-	}
-	piece = binary.AppendVarint(piece, d.grid.tile)
-	piece = binary.AppendUvarint(piece, uint64(d.parts))
 	for _, op := range d.owned {
-		piece = binary.AppendUvarint(piece, uint64(op.Part))
-		piece = binary.AppendUvarint(piece, uint64(len(op.Rows)))
+		size += spill.UvarintSize(uint64(op.Part)) + spill.UvarintSize(uint64(len(op.Rows)))
 		for _, t := range op.Rows {
 			if d.kind == kindMatrix {
-				piece = binary.AppendVarint(piece, t.i)
+				size += spill.VarintSize(t.i)
 			}
-			piece = binary.AppendVarint(piece, t.j)
-			at := len(piece)
-			piece = piece[:at+int(8*t.h*t.w)]
+			size += spill.VarintSize(t.j) + 8*t.h*t.w
+		}
+	}
+	return size
+}
+
+// pieceBlock is the buffer writePiece converts a piece through.
+const pieceBlock = 64 << 10
+
+// writePiece writes the piece of the owned partitions for MergeResult to
+// w: the header, then per partition its index and its tiles, each a key
+// and the cells inside the matrix. The cells are converted a block at a
+// time (spill.PutF64s) into one small buffer that is written as it fills,
+// so a rank's piece is never held whole: it goes from the result tiles to
+// the driver's connection.
+func (d denseResult) writePiece(w io.Writer) error {
+	buf := make([]byte, 0, min(pieceBlock, max(d.pieceSize(), 64)))
+	var err error
+	flush := func() {
+		if err == nil && len(buf) > 0 {
+			_, err = w.Write(buf)
+		}
+		buf = buf[:0]
+	}
+	key := func(k func([]byte) []byte) {
+		if cap(buf)-len(buf) < 2*binary.MaxVarintLen64 {
+			flush()
+		}
+		buf = k(buf)
+	}
+	cells := func(vs []float64) {
+		for len(vs) > 0 {
+			k := min(len(vs), (cap(buf)-len(buf))/8)
+			if k == 0 {
+				flush()
+				continue
+			}
+			at := len(buf)
+			buf = buf[:at+8*k]
+			spill.PutF64s(buf[at:], vs[:k])
+			vs = vs[k:]
+		}
+	}
+	buf = append(buf, d.kind+pieceOf)
+	for _, dim := range d.dims() {
+		buf = binary.AppendVarint(buf, dim)
+	}
+	buf = binary.AppendVarint(buf, d.grid.tile)
+	buf = binary.AppendUvarint(buf, uint64(d.parts))
+	for _, op := range d.owned {
+		key(func(b []byte) []byte {
+			return binary.AppendUvarint(binary.AppendUvarint(b, uint64(op.Part)), uint64(len(op.Rows)))
+		})
+		for _, t := range op.Rows {
+			key(func(b []byte) []byte {
+				if d.kind == kindMatrix {
+					b = binary.AppendVarint(b, t.i)
+				}
+				return binary.AppendVarint(b, t.j)
+			})
 			if t.stride == t.w || t.h == 1 {
-				spill.PutF64s(piece[at:], t.data[:t.h*t.w])
+				cells(t.data[:t.h*t.w])
 				continue
 			}
 			for r := int64(0); r < t.h; r++ {
-				spill.PutF64s(piece[at+int(8*t.w*r):], t.data[r*t.stride:][:t.w])
+				cells(t.data[r*t.stride:][:t.w])
 			}
 		}
 	}
-	return piece
+	flush()
+	return err
+}
+
+// piece is the piece writePiece writes, in one buffer of its length.
+func (d denseResult) piece() []byte { return d.encode().bytes() }
+
+// encoded is what this process replies with for a query result: the
+// result's bytes held whole (blob), or — a rank's piece — size bytes that
+// write writes.
+type encoded struct {
+	blob  []byte
+	size  int64
+	write func(io.Writer) error
+}
+
+// bytes is the reply in one buffer: the blob, or what write writes into a
+// buffer of its size.
+func (e encoded) bytes() []byte {
+	if e.write == nil {
+		return e.blob
+	}
+	b := bytes.NewBuffer(make([]byte, 0, e.size))
+	e.write(b) // writes to a bytes.Buffer do not fail
+	return b.Bytes()
+}
+
+// replyWith makes e the reply of env's job: it returns the blob, or hands
+// the writer to the worker (JobEnv.Reply), which then writes the piece to
+// the driver's connection.
+func replyWith(env *cluster.JobEnv, e encoded) []byte {
+	if e.write != nil {
+		env.Reply(e.size, e.write)
+	}
+	return e.blob
 }
 
 // EncodeResult serializes what this process holds of a query result. On
@@ -210,6 +297,12 @@ func (d denseResult) piece() []byte {
 // MergeResult; a list or a scalar, which every rank holds whole, is the
 // blob there too.
 func EncodeResult(res *plan.Result) ([]byte, error) {
+	e, err := encodeResult(res)
+	return e.bytes(), err
+}
+
+// encodeResult is EncodeResult with a rank's piece left as its writer.
+func encodeResult(res *plan.Result) (encoded, error) {
 	switch res.Kind() {
 	case "matrix":
 		return matrixResult(res.Matrix).encode(), nil
@@ -221,9 +314,9 @@ func EncodeResult(res *plan.Result) ([]byte, error) {
 			sb.WriteString(comp.Render(row))
 			sb.WriteByte('\n')
 		}
-		return append([]byte{kindList}, sb.String()...), nil
+		return encoded{blob: append([]byte{kindList}, sb.String()...)}, nil
 	default:
-		return append([]byte{kindScalar}, comp.Render(res.Scalar)...), nil
+		return encoded{blob: append([]byte{kindScalar}, comp.Render(res.Scalar)...)}, nil
 	}
 }
 
@@ -305,97 +398,290 @@ func parsePieceHeader(piece []byte) (pieceHeader, error) {
 	return h, nil
 }
 
-// MergeResult is sac.query's cluster.Merge: it makes the canonical blob —
-// the bytes RunQueryLocal returns — of the ranks' replies. A list or a
-// scalar is replicated, and checked as such. A matrix or a vector arrives
-// as pieces, whose rows are copied to their offsets in the blob; that the
-// ranks ran one program to one end shows in the pieces fitting together,
-// which replaces comparing W copies of the whole: every header is the
-// same, every partition 0..parts-1 is in exactly one piece, and every
-// tile lies inside the matrix and appears once. A reply is bytes from
-// another process: nothing in it is believed before it is checked, and the
-// blob is not allocated before every piece has been.
+// resultMerger is sac.query's cluster.Merger: it makes the canonical blob
+// — the bytes RunQueryLocal returns — of the ranks' replies as they
+// arrive. A list or a scalar is replicated, and checked as such: the first
+// reply is the result and every other must equal it. A matrix or a vector
+// arrives as pieces, whose rows are read straight to their offsets in the
+// blob; that the ranks ran one program to one end shows in the pieces
+// fitting together, which replaces comparing W copies of the whole: every
+// header is the same, every partition 0..parts-1 is in exactly one piece,
+// and every tile lies inside the matrix and appears once. A reply is bytes
+// from another process: nothing in it is believed before it is checked,
+// and the blob is allocated once the first piece's header has been.
+//
+// Ranks' replies are read at once, each off its own connection: the lock
+// is held to check and claim a partition or a tile, never across a read,
+// so a rank that stalls mid-piece holds up no other. A reply whose read
+// fails gives its claims back — that rank did not reply — and Result
+// waits for the replies still being read.
+type resultMerger struct {
+	mu     sync.Mutex
+	idle   sync.Cond // on mu: no Add is reading
+	active int       // the Adds reading a reply
+	err    error     // the first reply that is no part of a result
+	done   bool
+	got    bool
+	pieces bool // the kind of the first reply to arrive: pieces, or replicated
+
+	whole     []byte // a replicated result, and the rank it came from
+	wholeRank int
+	wholeSet  bool
+
+	header     []byte // the first piece's, and its rank
+	first      int
+	hdr        pieceHeader
+	blob, body []byte
+	parts      map[uint64]bool   // claimed by a piece
+	tiles      map[[2]int64]bool // claimed by a piece
+}
+
+func newResultMerger() cluster.Merger {
+	m := &resultMerger{}
+	m.idle.L = &m.mu
+	return m
+}
+
+// MergeResult is what the driver's merge makes of replies arriving in the
+// order given: the canonical blob, or an error naming the rank and the
+// cause.
 func MergeResult(replies []cluster.RankResult) ([]byte, error) {
-	if len(replies) == 0 || len(replies[0].Result) == 0 ||
-		(replies[0].Result[0] != kindMatrixPiece && replies[0].Result[0] != kindVectorPiece) {
-		return cluster.Replicated(replies)
+	m := newResultMerger()
+	for _, r := range replies {
+		_ = m.Add(r.Rank, bytes.NewReader(r.Result), int64(len(r.Result))) // a reply that is no part of a result is Result's error
 	}
-	first := replies[0]
-	hdr, err := parsePieceHeader(first.Result)
+	return m.Result()
+}
+
+// claims are the partitions and tiles one piece claimed.
+type claims struct {
+	parts []uint64
+	tiles [][2]int64
+}
+
+func (m *resultMerger) Add(rank int, r io.Reader, size int64) error {
+	m.mu.Lock()
+	if m.done || m.err != nil {
+		m.mu.Unlock()
+		return m.err
+	}
+	m.active++
+	m.mu.Unlock()
+	p := &replyReader{r: r, left: size}
+	var c claims
+	err := m.add(rank, p, &c)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("jobs: rank %d: %v", first.Rank, err)
+		if p.failed == nil && m.err == nil {
+			m.err = err
+		}
+		for _, part := range c.parts {
+			delete(m.parts, part)
+		}
+		for _, t := range c.tiles {
+			delete(m.tiles, t)
+		}
 	}
+	if m.active--; m.active == 0 {
+		m.idle.Broadcast()
+	}
+	return err
+}
+
+func (m *resultMerger) add(rank int, p *replyReader, c *claims) error {
+	head := make([]byte, min(maxPieceHeader, p.left))
+	if err := p.full(head); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	if !m.got {
+		m.got = true
+		m.pieces = len(head) > 0 && (head[0] == kindMatrixPiece || head[0] == kindVectorPiece)
+	}
+	if !m.pieces {
+		m.mu.Unlock()
+		return m.addWhole(rank, p, head)
+	}
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("jobs: rank %d: %s", rank, fmt.Sprintf(format, args...))
+	}
+	if m.header == nil {
+		hdr, err := parsePieceHeader(head)
+		if err != nil {
+			m.mu.Unlock()
+			return bad("%v", err)
+		}
+		m.header, m.first, m.hdr = head[:hdr.size], rank, hdr
+		m.blob, m.body = denseBlob(hdr.kind, hdr.dims()...)
+		m.parts, m.tiles = map[uint64]bool{}, map[[2]int64]bool{}
+	} else if len(head) < len(m.header) || !bytes.Equal(head[:len(m.header)], m.header) {
+		m.mu.Unlock()
+		return bad("piece header differs from rank %d's — SPMD determinism violated", m.first)
+	}
+	hdr, body := m.hdr, m.body
+	p.unread(head[len(m.header):])
+	m.mu.Unlock()
+
 	g, matrix := hdr.grid, hdr.kind == kindMatrix
-	type placed struct {
-		i, j, h, w int64
-		cells      []byte
+	// claim checks a key against what the pieces claimed so far and takes
+	// it; nil means it is this piece's.
+	claim := func(check func() error) error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return check()
 	}
-	var tiles []placed
-	seenPart := map[uint64]bool{}
-	seenTile := map[[2]int64]bool{}
-	for _, reply := range replies {
-		bad := func(format string, args ...any) ([]byte, error) {
-			return nil, fmt.Errorf("jobs: rank %d: %s", reply.Rank, fmt.Sprintf(format, args...))
+	for p.left > 0 {
+		part, err1 := binary.ReadUvarint(p)
+		count, err2 := binary.ReadUvarint(p)
+		if p.failed != nil {
+			return p.failed
 		}
-		if len(reply.Result) < hdr.size || !bytes.Equal(reply.Result[:hdr.size], first.Result[:hdr.size]) {
-			return bad("piece header differs from rank %d's — SPMD determinism violated", first.Rank)
-		}
-		rest := reply.Result[hdr.size:]
-		for len(rest) > 0 {
-			part, n := binary.Uvarint(rest)
-			count, m := binary.Uvarint(rest[max(n, 0):])
-			if n <= 0 || m <= 0 {
-				return bad("piece cut short or overflowing at a partition's head")
-			}
-			rest = rest[n+m:]
+		if err := claim(func() error {
 			switch {
+			case err1 != nil || err2 != nil:
+				return bad("piece cut short or overflowing at a partition's head")
 			case part >= hdr.parts:
 				return bad("partition %d of a result of %d", part, hdr.parts)
-			case seenPart[part]:
+			case m.parts[part]:
 				return bad("partition %d was sent already", part)
-			case count > uint64(len(rest)):
-				return bad("partition %d claims %d tiles in %d bytes", part, count, len(rest))
+			case count > uint64(p.left):
+				return bad("partition %d claims %d tiles in %d bytes", part, count, p.left)
 			}
-			seenPart[part] = true
-			for ; count > 0; count-- {
-				var i, j int64
-				if matrix {
-					if i, n = binary.Varint(rest); n <= 0 {
-						return bad("piece cut short or overflowing at a tile's key")
-					}
-					rest = rest[n:]
-				}
-				if j, n = binary.Varint(rest); n <= 0 {
-					return bad("piece cut short or overflowing at a tile's key")
-				}
-				rest = rest[n:]
-				h, w := g.clip(i, j)
+			m.parts[part] = true
+			c.parts = append(c.parts, part)
+			return nil
+		}); err != nil {
+			return err
+		}
+		for ; count > 0; count-- {
+			var i, j int64
+			var err error
+			if matrix {
+				i, err = binary.ReadVarint(p)
+			}
+			if err == nil {
+				j, err = binary.ReadVarint(p)
+			}
+			if p.failed != nil {
+				return p.failed
+			}
+			h, w := g.clip(i, j)
+			if err := claim(func() error {
 				switch {
+				case err != nil:
+					return bad("piece cut short or overflowing at a tile's key")
 				case h == 0:
 					return bad("tile (%d,%d) lies outside the %d x %d result", i, j, g.rows, g.cols)
-				case seenTile[[2]int64{i, j}]:
+				case m.tiles[[2]int64{i, j}]:
 					return bad("tile (%d,%d) was sent already", i, j)
-				case int64(len(rest)) < 8*h*w:
-					return bad("piece cut short in tile (%d,%d): %d of %d bytes", i, j, len(rest), 8*h*w)
+				case p.left < 8*h*w:
+					return bad("piece cut short in tile (%d,%d): %d of %d bytes", i, j, p.left, 8*h*w)
 				}
-				seenTile[[2]int64{i, j}] = true
-				tiles = append(tiles, placed{i, j, h, w, rest[:8*h*w]})
-				rest = rest[8*h*w:]
+				m.tiles[[2]int64{i, j}] = true
+				c.tiles = append(c.tiles, [2]int64{i, j})
+				return nil
+			}); err != nil {
+				return err
+			}
+			// The tile is this piece's: its rows go to their offsets in
+			// the blob outside the lock.
+			g.scatter(body, i, j, h, w, func(dst []byte, _ int64) {
+				if err == nil {
+					err = p.full(dst)
+				}
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}
-	if uint64(len(seenPart)) != hdr.parts {
+	return nil
+}
+
+// addWhole reads the rest of a replicated reply and checks it against the
+// first one kept.
+func (m *resultMerger) addWhole(rank int, p *replyReader, head []byte) error {
+	reply := make([]byte, len(head)+int(p.left))
+	copy(reply, head)
+	if err := p.full(reply[len(head):]); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.wholeSet {
+		m.whole, m.wholeRank, m.wholeSet = reply, rank, true
+	} else if !bytes.Equal(reply, m.whole) {
+		return fmt.Errorf("rank %d result (%d bytes) differs from rank %d's (%d bytes) — SPMD determinism violated",
+			rank, len(reply), m.wholeRank, len(m.whole))
+	}
+	return nil
+}
+
+func (m *resultMerger) Result() ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.done = true
+	for m.active > 0 {
+		m.idle.Wait()
+	}
+	switch {
+	case m.err != nil:
+		return nil, m.err
+	case !m.got:
+		return nil, fmt.Errorf("no rank replied: %w", cluster.ErrIncomplete)
+	case !m.pieces:
+		if !m.wholeSet {
+			return nil, fmt.Errorf("no rank replied: %w", cluster.ErrIncomplete)
+		}
+		return m.whole, nil
+	case uint64(len(m.parts)) != m.hdr.parts:
 		missing := uint64(0)
-		for seenPart[missing] {
+		for m.parts[missing] {
 			missing++
 		}
-		return nil, fmt.Errorf("jobs: partition %d of %d is in no rank's piece: %w", missing, hdr.parts, cluster.ErrIncomplete)
+		return nil, fmt.Errorf("jobs: partition %d of %d is in no rank's piece: %w", missing, m.hdr.parts, cluster.ErrIncomplete)
 	}
-	blob, body := denseBlob(hdr.kind, hdr.dims()...)
-	for _, t := range tiles {
-		g.scatter(body, t.i, t.j, t.h, t.w, func(dst []byte, r int64) { copy(dst, t.cells[8*t.w*r:]) })
+	return m.blob, nil
+}
+
+// replyReader reads one rank's reply off its stream, counting what is left
+// of it. Running past the reply's end is the reply's fault, and reads as
+// io.EOF; a stream that fails before the end is the transport's (failed).
+type replyReader struct {
+	r      io.Reader
+	left   int64
+	failed error
+	b      [1]byte
+}
+
+func (p *replyReader) ReadByte() (byte, error) {
+	if p.left <= 0 {
+		return 0, io.EOF
 	}
-	return blob, nil
+	if err := p.full(p.b[:]); err != nil {
+		return 0, err
+	}
+	return p.b[0], nil
+}
+
+// unread puts b, read last, back in front of the rest of the reply.
+func (p *replyReader) unread(b []byte) {
+	p.r, p.left = io.MultiReader(bytes.NewReader(b), p.r), p.left+int64(len(b))
+}
+
+// full fills dst from the reply, or fails: io.ErrUnexpectedEOF past its
+// end, the stream's error when that fails.
+func (p *replyReader) full(dst []byte) error {
+	if int64(len(dst)) > p.left {
+		return io.ErrUnexpectedEOF
+	}
+	if _, err := io.ReadFull(p.r, dst); err != nil {
+		p.failed, p.left = err, 0 // the stream has no more of the reply to give
+		return err
+	}
+	p.left -= int64(len(dst))
+	return nil
 }
 
 // SummarizeBlob describes a result blob as core.Summarize describes the

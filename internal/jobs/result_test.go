@@ -152,7 +152,7 @@ func splitPieces(d denseResult, world int) []cluster.RankResult {
 // the whole result encodes to — ragged edges, tiles no partition holds,
 // partitions no tile falls in, a single cell, and worlds with more ranks
 // than partitions included — and what the ranks ship adds up to the cells
-// plus headers.
+// plus headers, each piece in a buffer of exactly its length.
 func TestMergeResultMatchesBlob(t *testing.T) {
 	ctx := dataflow.NewContext(dataflow.Config{DefaultPartitions: 3})
 	defer ctx.Close()
@@ -171,6 +171,9 @@ func TestMergeResultMatchesBlob(t *testing.T) {
 				shipped := 0
 				for _, p := range pieces {
 					shipped += len(p.Result)
+					if cap(p.Result) != len(p.Result) {
+						t.Fatalf("%v %s, world %d: a %d-byte piece in a buffer of %d", shape, name, world, len(p.Result), cap(p.Result))
+					}
 				}
 				tiles := 0
 				for _, op := range d.owned {

@@ -3,6 +3,8 @@ package linalg
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/memory"
 )
 
 // Pool recycles Dense tiles across kernel invocations. Tiled operators
@@ -20,8 +22,14 @@ import (
 //
 // A nil *Pool is valid: Get allocates, Put and the gauges are no-ops,
 // so kernel code threads the pool through unconditionally.
+//
+// A pool that draws from a lease (DrawFrom) — a cluster job's, on a
+// worker — keeps nothing itself: Get borrows the tile's cells from the
+// lease, Put hands them back to it, and what is still out when the job
+// ends the lease takes back then.
 type Pool struct {
 	classes sync.Map // len(Data) -> *sync.Pool of *Dense
+	lease   *memory.Lease
 
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -50,6 +58,16 @@ func (p *Pool) TryGet(rows, cols int) (*Dense, bool) {
 		return NewDense(rows, cols), false
 	}
 	n := rows * cols
+	if p.lease != nil {
+		data, hit := p.lease.Floats(n)
+		if hit {
+			clear(data)
+			p.hits.Add(1)
+		} else {
+			p.misses.Add(1)
+		}
+		return &Dense{Rows: rows, Cols: cols, Data: data}, hit
+	}
 	if cp, ok := p.classes.Load(n); ok {
 		if v := cp.(*sync.Pool).Get(); v != nil {
 			d := v.(*Dense)
@@ -72,6 +90,11 @@ func (p *Pool) Put(d *Dense) {
 	if p == nil || d == nil || len(d.Data) == 0 {
 		return
 	}
+	if p.lease != nil {
+		p.lease.ReleaseFloats(d.Data)
+		p.returns.Add(1)
+		return
+	}
 	n := len(d.Data)
 	cp, ok := p.classes.Load(n)
 	if !ok {
@@ -80,6 +103,10 @@ func (p *Pool) Put(d *Dense) {
 	cp.(*sync.Pool).Put(d)
 	p.returns.Add(1)
 }
+
+// DrawFrom makes the pool lend the cells of its tiles from l. It must be
+// called before the pool's first Get.
+func (p *Pool) DrawFrom(l *memory.Lease) { p.lease = l }
 
 // Stats snapshots the reuse gauges. A nil pool reports zeros.
 func (p *Pool) Stats() PoolStats {

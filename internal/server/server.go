@@ -104,6 +104,10 @@ type Server struct {
 	// ResidentMiss generated one, a ResidentHit found it.
 	reads obs.LiveCounters
 
+	// dmu orders a query's admission against Shutdown: a query joins
+	// inflight only while draining is false, under dmu, and Shutdown sets
+	// draining under dmu before it waits, so no Add can race the Wait.
+	dmu      sync.Mutex
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
@@ -312,14 +316,14 @@ func stageEventOf(st dataflow.StageMetric) stageEvent {
 // runQuery is the shared submit path of /query and /query/stream.
 // sink is nil for the non-streaming endpoint.
 func (s *Server) runQuery(src string, sink *eventSink, admitted func()) (*queryResponse, *httpErr) {
+	s.dmu.Lock()
 	if s.draining.Load() {
+		s.dmu.Unlock()
 		return nil, &httpErr{http.StatusServiceUnavailable, errorJSON{Error: "server draining", Reason: "draining"}}
 	}
 	s.inflight.Add(1)
+	s.dmu.Unlock()
 	defer s.inflight.Done()
-	if s.draining.Load() {
-		return nil, &httpErr{http.StatusServiceUnavailable, errorJSON{Error: "server draining", Reason: "draining"}}
-	}
 
 	sl, err := s.pool.acquire(s.cfg.QueueTimeout)
 	if err != nil {
@@ -704,7 +708,10 @@ func (s *Server) Addr() string {
 // listener (Handler-only use). Returns an error when the deadline
 // passed with queries still running — the sessions are closed anyway.
 func (s *Server) Shutdown(timeout time.Duration) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	s.dmu.Lock()
+	first := s.draining.CompareAndSwap(false, true)
+	s.dmu.Unlock()
+	if !first {
 		return nil
 	}
 	obsDrains.Inc()

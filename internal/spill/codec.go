@@ -20,6 +20,8 @@ import (
 	"math/bits"
 	"reflect"
 	"sync"
+
+	"repro/internal/memory"
 )
 
 // Writer is a buffered, sticky-error binary stream writer. Codecs
@@ -29,16 +31,17 @@ import (
 // The writer owns its buffer, and the primitives encode straight into
 // its free space. Over a stream (NewWriter) the buffer is handed on a
 // block of writerBufSize bytes at a time and reused; with no stream
-// behind it (EncodeRows) it grows and is the result, so an in-memory
-// encode is not staged through a second buffer.
+// behind it (EncodeRows, EncodeGroups) it is allocated at the blob's
+// final size and is the result, so an in-memory encode is not staged
+// through a second buffer. A sizing writer writes nothing: it counts the
+// bytes the same calls would write, which is how an in-memory encode
+// learns its size.
 type Writer struct {
-	out io.Writer // nil: the bytes stay in buf
-	buf []byte
-	n   int64 // bytes handed to out
-	err error
-	// want is the final size an in-memory writer's caller projects, if it
-	// can: the buffer then grows towards it, not by doubling.
-	want int
+	out    io.Writer // nil: the bytes stay in buf
+	buf    []byte
+	n      int64 // bytes handed to out, or counted by a sizing writer
+	err    error
+	sizing bool
 	// refs is the back-reference table of the grouped blob being encoded
 	// (EncodeGroups), nil anywhere else: see Ref.
 	refs map[any]uint64
@@ -101,18 +104,13 @@ func (w *Writer) emit(p []byte) {
 // room returns the buffer with at least k bytes free behind its length.
 // A stream writer's buffer never grows: it has writerSlack free between
 // primitives, and write and F64s ask for no more than is left. An
-// in-memory one grows: to the projected size, no more than fourfold a
-// step so that a projection from unrepresentative first rows wastes a
-// bounded share, and otherwise by doubling.
+// in-memory one is allocated at its final size, so it grows (by doubling)
+// only past a codec whose Size is short of what it writes.
 func (w *Writer) room(k int) []byte {
 	if cap(w.buf)-len(w.buf) >= k {
 		return w.buf
 	}
-	need := len(w.buf) + k
-	size := max(need, 2*cap(w.buf), 64)
-	if w.want >= need {
-		size = min(w.want, 4*need)
-	}
+	size := max(len(w.buf)+k, 2*cap(w.buf), 64)
 	grown := make([]byte, len(w.buf), size)
 	copy(grown, w.buf)
 	w.buf = grown
@@ -131,6 +129,10 @@ func (w *Writer) filled(buf []byte) {
 }
 
 func (w *Writer) write(p []byte) {
+	if w.sizing {
+		w.n += int64(len(p))
+		return
+	}
 	for len(p) > 0 && w.err == nil {
 		k := len(p)
 		if w.out != nil {
@@ -143,22 +145,28 @@ func (w *Writer) write(p []byte) {
 
 // Uvarint writes an unsigned varint.
 func (w *Writer) Uvarint(v uint64) {
-	if w.err == nil {
-		w.filled(binary.AppendUvarint(w.room(binary.MaxVarintLen64), v))
+	if w.sizing {
+		w.n += UvarintSize(v)
+	} else if w.err == nil {
+		w.filled(binary.AppendUvarint(w.room(int(UvarintSize(v))), v))
 	}
 }
 
 // Varint writes a signed (zig-zag) varint.
 func (w *Writer) Varint(v int64) {
-	if w.err == nil {
-		w.filled(binary.AppendVarint(w.room(binary.MaxVarintLen64), v))
+	if w.sizing {
+		w.n += VarintSize(v)
+	} else if w.err == nil {
+		w.filled(binary.AppendVarint(w.room(int(VarintSize(v))), v))
 	}
 }
 
 // F64 writes a float64 as 8 little-endian bytes of its IEEE bits, so
 // NaN payloads and signed zeros round-trip exactly.
 func (w *Writer) F64(v float64) {
-	if w.err == nil {
+	if w.sizing {
+		w.n += 8
+	} else if w.err == nil {
 		w.filled(binary.LittleEndian.AppendUint64(w.room(8), math.Float64bits(v)))
 	}
 }
@@ -168,6 +176,10 @@ func (w *Writer) F64(v float64) {
 // them at once in memory, what the buffer has room for over a stream.
 func (w *Writer) F64s(vs []float64) {
 	w.Uvarint(uint64(len(vs)))
+	if w.sizing {
+		w.n += 8 * int64(len(vs))
+		return
+	}
 	for len(vs) > 0 && w.err == nil {
 		k := len(vs)
 		if w.out != nil {
@@ -222,6 +234,10 @@ func GetF64s(vs []float64, src []byte) {
 // element, the low bit of each byte first.
 func (w *Writer) Bools(vs []bool) {
 	w.Uvarint(uint64(len(vs)))
+	if w.sizing {
+		w.n += int64(len(vs)+7) / 8
+		return
+	}
 	for len(vs) > 0 && w.err == nil {
 		k := min(8, len(vs))
 		var b byte
@@ -270,6 +286,9 @@ type Reader struct {
 	// refs is the back-reference table of the grouped blob being decoded
 	// (DecodeGroupsFrom), nil anywhere else: see Bind.
 	refs []any
+	// lease lends the slices F64s decodes into (DecodeGroupsFrom's), nil
+	// anywhere else: they are allocated.
+	lease *memory.Lease
 }
 
 // readerBufSize is the reader's buffer, and so the largest block F64s
@@ -370,10 +389,11 @@ const lenCheckChunk = 1 << 16
 
 // F64s reads a float64 slice written by Writer.F64s, converting blocks
 // of the buffered stream straight into the slice it returns. The slice
-// is allocated whole when it has at most lenCheckChunk elements (every
-// tile up to 256 x 256) and otherwise doubles from there, each time only
-// once the stream has filled what was allocated before. A stream that
-// ends inside the slice is io.ErrUnexpectedEOF.
+// is drawn whole — from the reader's lease, if it has one — when it has
+// at most lenCheckChunk elements (every tile up to 256 x 256), and
+// otherwise allocated and doubled from there, each time only once the
+// stream has filled what was allocated before. A stream that ends inside
+// the slice is io.ErrUnexpectedEOF.
 func (r *Reader) F64s() []float64 {
 	n := r.Uvarint()
 	if r.err != nil || n == 0 {
@@ -383,7 +403,12 @@ func (r *Reader) F64s() []float64 {
 		r.err = fmt.Errorf("spill: implausible slice length %d", n)
 		return nil
 	}
-	out := make([]float64, min(n, lenCheckChunk))
+	var out []float64
+	if n <= lenCheckChunk {
+		out, _ = r.lease.Floats(int(n))
+	} else {
+		out = make([]float64, lenCheckChunk)
+	}
 	for filled := 0; ; {
 		for filled < len(out) {
 			b, err := r.r.Peek(min(8*(len(out)-filled), readerBufSize))

@@ -13,6 +13,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/memory"
 )
 
 // init registers the primitive codecs, for bare scalars (action partials,
@@ -28,11 +30,15 @@ func init() {
 // EncodeRows serializes rows as one self-contained blob: a uvarint
 // record count followed by the records. The blob is what action
 // partials hand to the cluster transport. The records are encoded into
-// the blob itself, sized from the rows encoded so far: a blob of equal
-// tiles is one allocation, and no row is staged anywhere else.
+// the blob itself, allocated at the length their codec's Size adds up to,
+// and no row is staged anywhere else.
 func EncodeRows[T any](rows []T, c Codec[T]) ([]byte, error) {
-	var w Writer
-	writeRows(&w, rows, c, 0, len(rows))
+	size := UvarintSize(uint64(len(rows)))
+	for i := range rows {
+		size += c.Size(rows[i])
+	}
+	w := Writer{buf: make([]byte, 0, size)}
+	writeRows(&w, rows, c)
 	if w.err != nil {
 		return nil, fmt.Errorf("spill: encode rows: %w", w.err)
 	}
@@ -43,36 +49,35 @@ func EncodeRows[T any](rows []T, c Codec[T]) ([]byte, error) {
 // task's segments for the reduce partitions of one rank: a uvarint group
 // count, then each group as EncodeRows lays out its rows. While it runs
 // the writer keeps a back-reference table (Writer.Ref), so a value that
-// recurs by identity anywhere in the blob is written once.
-func EncodeGroups[T any](groups [][]T, c Codec[T]) ([]byte, error) {
-	w := Writer{refs: make(map[any]uint64)}
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	w.Uvarint(uint64(len(groups)))
-	done := 0
-	for _, g := range groups {
-		writeRows(&w, g, c, done, total)
-		done += len(g)
-	}
+// recurs by identity anywhere in the blob is written once. A sizing pass
+// runs the codec over the groups first, with a table of its own, so a
+// repeated value counts as the back-reference it will be written as; the
+// blob is then drawn from l at exactly that length (allocated, for a nil
+// lease) and is the lease's to take back.
+func EncodeGroups[T any](groups [][]T, c Codec[T], l *memory.Lease) ([]byte, error) {
+	size := Writer{sizing: true, refs: make(map[any]uint64)}
+	writeGroups(&size, groups, c)
+	clear(size.refs)
+	w := Writer{buf: l.Bytes(int(size.n))[:0], refs: size.refs}
+	writeGroups(&w, groups, c)
 	if w.err != nil {
 		return nil, fmt.Errorf("spill: encode groups: %w", w.err)
 	}
 	return w.buf, nil
 }
 
-// writeRows writes a uvarint count and the rows into an in-memory writer,
-// growing its buffer towards the blob's projected size: the mean row so
-// far, rounded up, times the blob's total rows (done of them written
-// before these), plus 1/64 for keys whose varints lengthen along the way.
-func writeRows[T any](w *Writer, rows []T, c Codec[T], done, total int) {
+func writeGroups[T any](w *Writer, groups [][]T, c Codec[T]) {
+	w.Uvarint(uint64(len(groups)))
+	for _, g := range groups {
+		writeRows(w, g, c)
+	}
+}
+
+// writeRows writes a uvarint count and the rows.
+func writeRows[T any](w *Writer, rows []T, c Codec[T]) {
 	w.Uvarint(uint64(len(rows)))
 	for i := range rows {
 		c.Encode(w, rows[i])
-		n := done + i
-		w.want = (len(w.buf) + n) / (n + 1) * total
-		w.want += w.want / 64
 	}
 }
 
@@ -144,11 +149,12 @@ func Bound() int64 { return bound.Load() }
 // DecodeGroupsFrom reverses EncodeGroups against a stream. The blob must
 // hold exactly groups groups — the reduce partitions its reader owns — and
 // a back-reference must point at a value decoded earlier in the blob; any
-// other blob is an error.
-func DecodeGroupsFrom[T any](src io.Reader, c Codec[T], groups int) ([][]T, error) {
+// other blob is an error. The float64 slices the codec decodes are drawn
+// from l (Reader.F64s).
+func DecodeGroupsFrom[T any](src io.Reader, c Codec[T], groups int, l *memory.Lease) ([][]T, error) {
 	r := pooledReader(src)
 	defer r.release()
-	r.refs = []any{}
+	r.refs, r.lease = []any{}, l
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("spill: decode groups: %w", err)

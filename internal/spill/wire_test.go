@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/memory"
 )
 
 func TestEncodeDecodeRowsRoundTrip(t *testing.T) {
@@ -144,7 +146,7 @@ func TestGroupedBlobWritesARepeatOnce(t *testing.T) {
 	b := &cell{vals: []float64{1, 2}}
 	twin := &cell{vals: []float64{1, 2}}
 	groups := [][]*cell{{a, b, a}, nil, {nil, a, twin}}
-	blob, err := EncodeGroups(groups, cellCodec{})
+	blob, err := EncodeGroups(groups, cellCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestGroupedBlobWritesARepeatOnce(t *testing.T) {
 		t.Fatalf("a %d-byte blob for one 8000-byte cell written thrice", len(blob))
 	}
 	before := Bound()
-	got, err := DecodeGroupsFrom(bytes.NewReader(blob), cellCodec{}, 3)
+	got, err := DecodeGroupsFrom(bytes.NewReader(blob), cellCodec{}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestGroupedBlobWritesARepeatOnce(t *testing.T) {
 	if got[0][0] != got[0][2] || got[0][0] != got[2][1] || got[0][1] == got[2][2] {
 		t.Fatal("decoded identities differ from the encoded ones")
 	}
-	if _, err := DecodeGroupsFrom(bytes.NewReader(blob), cellCodec{}, 2); err == nil {
+	if _, err := DecodeGroupsFrom(bytes.NewReader(blob), cellCodec{}, 2, nil); err == nil {
 		t.Fatal("a blob of 3 groups decoded as 2")
 	}
 
@@ -186,6 +188,62 @@ func TestGroupedBlobWritesARepeatOnce(t *testing.T) {
 	}
 }
 
+// keyedCell is a shuffle row in small: a varint key and a cell.
+type keyedCell struct {
+	key uint64
+	c   *cell
+}
+
+type keyedCellCodec struct{}
+
+func (keyedCellCodec) Encode(w *Writer, r keyedCell) {
+	w.Uvarint(r.key)
+	cellCodec{}.Encode(w, r.c)
+}
+
+func (keyedCellCodec) Decode(r *Reader) keyedCell {
+	return keyedCell{key: r.Uvarint(), c: cellCodec{}.Decode(r)}
+}
+
+func (keyedCellCodec) Size(r keyedCell) int64 { return UvarintSize(r.key) + cellCodec{}.Size(r.c) }
+
+// TestGroupedBlobSizedExactly: a grouped blob is allocated once, at its
+// final length — the sizing pass counts a cell the blob repeats as the
+// back-reference it is written as — with keys 1 to 10 bytes wide, with
+// and without repeats. Drawn from a lease, the blob is the same bytes in
+// a buffer of the same exact length; so is EncodeRows' blob.
+func TestGroupedBlobSizedExactly(t *testing.T) {
+	lease := memory.NewPool(1 << 20).Lease()
+	defer lease.Close()
+	a, b := &cell{vals: make([]float64, 100)}, &cell{vals: []float64{1, 2, 3}}
+	for width := 1; width <= 10; width++ {
+		key := uint64(1) << (7 * (width - 1))
+		if UvarintSize(key) != int64(width) {
+			t.Fatalf("key %d is %d bytes wide, want %d", key, UvarintSize(key), width)
+		}
+		for name, groups := range map[string][][]keyedCell{
+			"distinct": {{{key, a}, {key + 1, b}}, nil, {{key, nil}}},
+			"repeats":  {{{key, a}, {key, b}, {key + 1, a}}, {{key, a}, {key, nil}, {key, b}}},
+		} {
+			blob, err := EncodeGroups(groups, keyedCellCodec{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(blob) != len(blob) {
+				t.Errorf("%s, %d-byte keys: a %d-byte blob in a buffer of %d", name, width, len(blob), cap(blob))
+			}
+			leased, err := EncodeGroups(groups, keyedCellCodec{}, lease)
+			if err != nil || !bytes.Equal(leased, blob) || cap(leased) != len(blob) {
+				t.Errorf("%s, %d-byte keys: leased blob of %d/%d bytes (%v), want the %d-byte one", name, width, len(leased), cap(leased), err, len(blob))
+			}
+			rows, err := EncodeRows(groups[0], keyedCellCodec{})
+			if err != nil || cap(rows) != len(rows) {
+				t.Errorf("%s, %d-byte keys: EncodeRows blob of %d bytes in %d (%v)", name, width, len(rows), cap(rows), err)
+			}
+		}
+	}
+}
+
 // FuzzGroupedDecode feeds arbitrary bytes to the grouped decoder, as a
 // rank owning two reduce partitions reads a blob: a group count other
 // than two, a row count past the payload, and a back-reference forward or
@@ -199,7 +257,7 @@ func FuzzGroupedDecode(f *testing.F) {
 		return w.buf
 	}
 	one := cellBytes(1.5)
-	blob, err := EncodeGroups([][]*cell{{{vals: []float64{1.5}}}, nil}, cellCodec{})
+	blob, err := EncodeGroups([][]*cell{{{vals: []float64{1.5}}}, nil}, cellCodec{}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -211,21 +269,21 @@ func FuzzGroupedDecode(f *testing.F) {
 	f.Add(append(append([]byte{2, 1, 1}, one...), 1, 2, 0)) // a reference back across groups
 	f.Add([]byte{2, 2, 0, 2, 0, 0})                         // a reference to a nil cell, which binds nothing
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeGroupsFrom(bytes.NewReader(data), cellCodec{}, 2)
+		got, err := DecodeGroupsFrom(bytes.NewReader(data), cellCodec{}, 2, nil)
 		if err != nil {
 			return
 		}
-		again, err := EncodeGroups(got, cellCodec{})
+		again, err := EncodeGroups(got, cellCodec{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := DecodeGroupsFrom(bytes.NewReader(again), cellCodec{}, 2)
+		back, err := DecodeGroupsFrom(bytes.NewReader(again), cellCodec{}, 2, nil)
 		if err != nil {
 			t.Fatalf("%x decoded, but its re-encoding %x does not: %v", data, again, err)
 		}
 		// Compared as bytes, not with DeepEqual: a NaN payload is equal
 		// to itself only bit for bit, and the bytes pin the sharing too.
-		if twice, err := EncodeGroups(back, cellCodec{}); err != nil || !bytes.Equal(twice, again) {
+		if twice, err := EncodeGroups(back, cellCodec{}, nil); err != nil || !bytes.Equal(twice, again) {
 			t.Fatalf("%x re-encodes to %x, then to %x (%v)", data, again, twice, err)
 		}
 	})

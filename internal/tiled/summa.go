@@ -203,7 +203,10 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 		slices.Sort(keys)
 		// The output tiles escape into the result dataset, so they are
 		// drawn from the pool but never Put back here; recycling happens
-		// when the result matrix is drained (Matrix.Recycle / Drain).
+		// when the result matrix is drained (Matrix.Recycle / Drain) or,
+		// on a cluster rank, where the pool draws from the job's lease:
+		// once the rank's piece of the result is encoded, and at the
+		// latest when the job ends.
 		idx := make(map[Coord]int, len(lgroups)*len(rgroups))
 		out := make([]Block, 0, len(lgroups)*len(rgroups))
 		hits := 0
