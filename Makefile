@@ -70,12 +70,14 @@ spill-test:
 # Distributed-runtime gate (what the CI distributed job runs): the
 # cluster protocol/driver/worker tests plus the driver + 3 sacworker
 # subprocess e2e suite with its SIGKILL worker-loss test, then the
-# in-process SPMD engine tests under race, then the worker buffer pool's
+# in-process SPMD engine tests and the group-by-join's cell per rank
+# under race, then the worker buffer pool's
 # leases and exact blob sizes under race, repeated (the first line runs
 # the poisoned Fig-4 suite and the steady-state allocation pin).
 cluster-test:
 	$(GO) test -count=1 ./internal/cluster ./internal/jobs
 	$(GO) test -race -count=1 -run 'SPMD|MetricsIsolation' ./internal/dataflow
+	$(GO) test -race -count=1 -run 'GBJWire|GBJOneCellPerRank|GBJCellSpreadsOverSlots' ./internal/jobs ./internal/tiled
 	$(GO) test -race -count=5 -run 'JobEndWaitsForServes|BufferPool|GroupedBlobSizedExactly' ./internal/cluster ./internal/memory ./internal/spill
 
 # Observability-plane gate: the metrics registry (concurrent scrape

@@ -115,6 +115,12 @@ func NewSession(conf Config) *Session {
 // repeat compilations of the same query consult.
 func (s *Session) StatsCache() *stats.Cache { return s.stats }
 
+// PlanFor makes Compile and Explain plan for a cluster of world ranks
+// this session is not one of: the planner a cluster driver keeps, whose
+// plan preview names the grid the ranks run (plan.Catalog.SetWorld).
+// Its own Query still runs locally, on the local grid.
+func (s *Session) PlanFor(world int) { s.cat.SetWorld(world) }
+
 // Close releases session resources (spill files, if any). Queries must
 // not run after Close.
 func (s *Session) Close() error { return s.ctx.Close() }

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,12 +12,14 @@ import (
 	"repro/internal/spill"
 )
 
-// gbjDecision compiles p's query the way runQuery's session would and
-// returns the cost model's record of it.
-func gbjDecision(t *testing.T, p QueryParams) *opt.Decision {
+// gbjDecision compiles p's query the way runQuery's session would on a
+// cluster of world ranks (0: a local session) and returns the cost
+// model's record of it.
+func gbjDecision(t *testing.T, p QueryParams, world int) *opt.Decision {
 	t.Helper()
 	s := core.NewSession(core.Config{TileSize: int(p.Tile), Partitions: int(p.Partitions)})
 	defer s.Close()
+	s.PlanFor(world)
 	registerInputs(s, p)
 	c, err := s.Compile(p.Src)
 	if err != nil {
@@ -41,7 +45,7 @@ func gbjParams() QueryParams {
 // shuffle volume is the estimate, exactly.
 func TestGBJEstimateMatchesMeasuredLocal(t *testing.T) {
 	p := gbjParams()
-	d := gbjDecision(t, p)
+	d := gbjDecision(t, p, 0)
 	if d.GridP != 2 || d.GridQ != 3 {
 		t.Fatalf("grid %dx%d, want 2x3 for 4x4 output tiles on 6 partitions", d.GridP, d.GridQ)
 	}
@@ -59,17 +63,17 @@ func TestGBJEstimateMatchesMeasuredLocal(t *testing.T) {
 
 // TestClusterGridIgnoresParallelism is the SPMD invariant: ranks
 // started with different task-slot counts derive the same processor
-// grid, so the stage graphs agree, the result is byte-identical to the
-// local backend, and the cluster as a whole shuffles exactly the
-// estimated volume.
+// grid — the one a planner derives for that world — so the stage graphs
+// agree, the result is byte-identical to the local backend, and the
+// cluster as a whole shuffles exactly the estimated volume.
 func TestClusterGridIgnoresParallelism(t *testing.T) {
 	p := gbjParams()
 	want, err := RunQueryLocal(p)
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
-	d := gbjDecision(t, p)
 	for _, pars := range [][]int{{1, 2, 5}, {1, 2, 3, 4, 5, 6, 7, 16}} {
+		d := gbjDecision(t, p, len(pars))
 		drv := startTestClusterPar(t, pars, 0)
 		base := p
 		base.Src = ""
@@ -91,13 +95,15 @@ func TestClusterGridIgnoresParallelism(t *testing.T) {
 }
 
 // gbjWire counts what the group-by-join of p's two square inputs moves
-// between ranks (DESIGN §11): cell (I, J) of the gridP × gridQ grid is
-// partition (I·q + J) mod P, on rank that mod W; an op(A) tile of block
-// row g is replicated to cells (cellRow(g), j) for j < q, an op(B) tile
-// of block column g to cells (i, cellCol(g)) for i < p, and the map task
-// that emits a tile is the input partition holding it, on its rank. A
-// tile crosses once to each peer rank one of its replicas is bound for
-// (perRank), or once per such replica when nothing shares it (perReplica).
+// between ranks (DESIGN §11): cell I·q + J of the gridP × gridQ grid —
+// one cell per rank, the grid a cluster runs — is partition I·q + J and
+// rank I·q + J; an op(A) tile of block row g is replicated to cells
+// (cellRow(g), j) for j < q, an op(B) tile of block column g to cells
+// (i, cellCol(g)) for i < p, and the map task that emits a tile is the
+// input partition holding it, on its rank (partition mod W). A tile
+// crosses once to each peer rank one of its replicas is bound for
+// (perRank), or once per such replica when nothing shares it
+// (perReplica).
 func gbjWire(p QueryParams, world int, gridP, gridQ int64) (perRank, perReplica int64) {
 	blocks := (p.N + p.Tile - 1) / p.Tile
 	tiles, parts := blocks*blocks, p.Partitions
@@ -108,7 +114,7 @@ func gbjWire(p QueryParams, world int, gridP, gridQ int64) (perRank, perReplica 
 		}
 		return int(m) % world
 	}
-	rankOf := func(i, j int64) int { return int((i*gridQ+j)%parts) % world }
+	rankOf := func(i, j int64) int { return int(i*gridQ + j) }
 	cross := func(from int, cells [][2]int64) {
 		peers := map[int]bool{}
 		for _, c := range cells {
@@ -143,20 +149,31 @@ func gbjWire(p QueryParams, world int, gridP, gridQ int64) (perRank, perReplica 
 // spills every map task's output before it is published the replicas
 // come back from run files as distinct tiles, so each crosses whole: the
 // per-replica count, what the exchange moved when it knew buckets, not
-// ranks. At world 2 that is 144 tiles where it was 288.
+// ranks. With one cell per rank no two replicas of a tile share a rank,
+// so the two counts agree: 150 / 264 / 526 tiles at worlds 2 / 3 / 8,
+// where a grid of one cell per partition moved 144 / 400 / 786 (288 /
+// 461 / 1,044 under the budget).
 func TestGBJWireMatchesRankFormula(t *testing.T) {
-	for _, world := range []int{2, 3, 8} {
+	for _, c := range []struct {
+		world        int
+		gridP, gridQ int64
+		crossed      int64
+	}{{2, 1, 2, 150}, {3, 1, 3, 264}, {8, 2, 4, 526}} {
+		world := c.world
 		p := QueryParams{N: 1000, Tile: 100, SeedA: 1, SeedB: 2, Partitions: int64(DefaultPartitions(world)), Src: fig4Queries[0].src}
 		want, err := RunQueryLocal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := gbjDecision(t, p)
+		d := gbjDecision(t, p, world)
+		if d.GridP != c.gridP || d.GridQ != c.gridQ {
+			t.Fatalf("world %d: grid %dx%d, want %dx%d: one cell per rank", world, d.GridP, d.GridQ, c.gridP, c.gridQ)
+		}
 		perRank, perReplica := gbjWire(p, world, d.GridP, d.GridQ)
 		t.Logf("world %d: %dx%d grid on %d partitions: %d tiles cross per rank, %d per replica",
 			world, d.GridP, d.GridQ, p.Partitions, perRank, perReplica)
-		if world == 2 && (perRank != 144 || perReplica != 288) {
-			t.Fatalf("world 2: %d tiles per rank and %d per replica, want 144 and 288", perRank, perReplica)
+		if perRank != c.crossed || perReplica != c.crossed {
+			t.Fatalf("world %d: %d tiles per rank and %d per replica, want %d and %d", world, perRank, perReplica, c.crossed, c.crossed)
 		}
 		for _, budget := range []int64{0, spillingBudget} {
 			drv := startTestClusterPar(t, twoSlots(world), budget)
@@ -188,6 +205,72 @@ func TestGBJWireMatchesRankFormula(t *testing.T) {
 			if wire != published {
 				t.Errorf("world %d budget %d: %d raw bytes on the wire, %d published for peers", world, budget, wire, published)
 			}
+		}
+	}
+}
+
+// TestGBJOneCellPerRank: on the benchmark's product at worlds 1, 2, 3
+// and 8 the group-by-join's cells, read off the ranks' "kernel: gbj-cell"
+// spans, form the grid the driver's planner names in Explain; no rank
+// runs more than ⌈cells / world⌉ of them; and the ranks' output-tile
+// counts differ by at most one tile column or row of a cell. Dealing the
+// 2 × 4 grid of one cell per partition to 2 ranks by partition mod W gave
+// rank 0 every wide cell: 60 output tiles against 40.
+func TestGBJOneCellPerRank(t *testing.T) {
+	const blocks = 10
+	for _, world := range []int{1, 2, 3, 8} {
+		p := QueryParams{N: 100 * blocks, Tile: 100, SeedA: 1, SeedB: 2, Trace: true}
+		cs := NewClusterSession(startTestClusterPar(t, twoSlots(world), 0), p, time.Minute)
+		q, err := cs.Compile(fig4Queries[0].src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := q.Decision()
+		if grid := fmt.Sprintf("grid %dx%d", d.GridP, d.GridQ); !strings.Contains(q.Explain(), grid) {
+			t.Fatalf("world %d: Explain does not name %s:\n%s", world, grid, q.Explain())
+		}
+		_, run, err := cs.Query(fig4Queries[0].src)
+		if err != nil {
+			t.Fatalf("world %d: %v", world, err)
+		}
+		ran := map[string]bool{}
+		var maxI, maxJ int64
+		lo, hi := int64(blocks*blocks), int64(0)
+		for _, w := range run.Workers {
+			cells, tiles := 0, int64(0)
+			for _, sp := range w.Telemetry.Spans {
+				if sp.Name != "kernel: gbj-cell" {
+					continue
+				}
+				attr := map[string]string{}
+				for i, k := range sp.Keys {
+					attr[k] = sp.Vals[i]
+				}
+				var ci, cj, n int64
+				if _, err := fmt.Sscanf(attr["cell"]+" "+attr["tiles"], "(%d,%d) %d", &ci, &cj, &n); err != nil {
+					t.Fatalf("world %d: gbj-cell span %v: %v", world, attr, err)
+				}
+				if ran[attr["cell"]] {
+					t.Fatalf("world %d: cell %s ran twice", world, attr["cell"])
+				}
+				ran[attr["cell"]] = true
+				maxI, maxJ = max(maxI, ci), max(maxJ, cj)
+				cells++
+				tiles += n
+			}
+			if limit := (int(d.GridP*d.GridQ) + world - 1) / world; cells > limit {
+				t.Errorf("world %d: rank %s ran %d cells, more than ⌈%d/%d⌉", world, w.ID, cells, d.GridP*d.GridQ, world)
+			}
+			lo, hi = min(lo, tiles), max(hi, tiles)
+		}
+		if maxI+1 != d.GridP || maxJ+1 != d.GridQ || int64(len(ran)) != d.GridP*d.GridQ {
+			t.Fatalf("world %d: %d cells ran up to (%d,%d), Explain names grid %dx%d",
+				world, len(ran), maxI, maxJ, d.GridP, d.GridQ)
+		}
+		step := max((blocks+d.GridP-1)/d.GridP, (blocks+d.GridQ-1)/d.GridQ)
+		t.Logf("world %d: grid %dx%d, %d..%d output tiles a rank", world, d.GridP, d.GridQ, lo, hi)
+		if hi-lo > step {
+			t.Errorf("world %d: ranks hold %d..%d output tiles, more apart than one cell row or column (%d)", world, lo, hi, step)
 		}
 	}
 }

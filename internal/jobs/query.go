@@ -239,9 +239,10 @@ func RunQueryLocal(p QueryParams) ([]byte, error) {
 // requires every rank to build the byte-identical graph; rank-local
 // inputs here would make the ranks' shuffles disagree silently.
 // Everything a plan derives from it inherits the property: the
-// group-by-join's processor grid is stats.PickGrid of block counts and
-// this partition count, so it is the same on every rank and runs on
-// the cluster as it does locally. Statistics-driven partition counts
+// group-by-join's processor grid is stats.PickGrid of block counts, this
+// partition count and the world — one cell per rank, cell c on
+// partition c, which rank c owns — so it is the same on every rank and
+// on the driver's planner. Statistics-driven partition counts
 // (stats.PickPartitions) and bucket rebalancing read core counts and
 // runtime load, and stay local-mode-only for that reason:
 // core.Config.AdaptiveShuffle is never set on cluster sessions.

@@ -37,7 +37,8 @@ var _ core.Backend = (*ClusterSession)(nil)
 // NewClusterSession wraps a driver whose workers have registered. base
 // supplies the input-generation and planner parameters every query
 // shares (Src is per-query); a zero Partitions is fixed here, from the
-// live world size, for the planner and for every job alike.
+// live world size, for the planner and for every job alike, and the
+// planner sizes the group-by-join's grid to that world, as the ranks do.
 func NewClusterSession(d *cluster.Driver, base QueryParams, timeout time.Duration) *ClusterSession {
 	if timeout <= 0 {
 		timeout = 10 * time.Minute
@@ -51,6 +52,7 @@ func NewClusterSession(d *cluster.Driver, base QueryParams, timeout time.Duratio
 	conf := base.sessionConfig(world)
 	base.Partitions = int64(conf.Partitions)
 	planner := core.NewSession(conf)
+	planner.PlanFor(world)
 	registerInputs(planner, base)
 	return &ClusterSession{driver: d, planner: planner, base: base, timeout: timeout}
 }

@@ -30,6 +30,10 @@ type StatsProvider interface {
 	// of an SPMD job, so it is false there and in static mode; the
 	// Decision then prices the plan at the inputs' partition counts.
 	Adaptive() bool
+	// World is the rank count of the cluster the plan runs on, 0 for a
+	// local session. It sizes the group-by-join's processor grid
+	// (stats.PickGrid).
+	World() int
 }
 
 // CostEstimate prices one candidate physical translation.
@@ -65,7 +69,8 @@ type Decision struct {
 	Rejected []CostEstimate
 	// GridP x GridQ is the SUMMA processor grid a chosen group-by-join
 	// runs on — the one tiled.GroupByJoin derives from the same block
-	// and partition counts, and the one Chosen.ShuffleBytes prices.
+	// counts, partition count and world, and the one Chosen.ShuffleBytes
+	// prices.
 	GridP, GridQ int64
 	// Parts is the reduce-side partition count picked from the output
 	// cardinality estimate; 0 means the executor's fixed default.
@@ -145,13 +150,14 @@ func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider
 	// (contracted x output cols).
 	aEff, bEff := oriented(sa, st.TransA), oriented(sb, st.TransB)
 	// The cogroup runs at the A input's partition count unless adaptive
-	// planning picks one; the grid follows from whichever it is.
+	// planning picks one; the grid follows from whichever it is and, on a
+	// cluster, from the world.
 	parts, pickedParts := sa.Parts, 0
 	if prov.Adaptive() {
 		pickedParts = stats.PickPartitions(aEff.BlockRows()*bEff.BlockCols(), prov.Parallelism())
 		parts = pickedParts
 	}
-	gridP, gridQ := stats.PickGrid(aEff.BlockRows(), bEff.BlockCols(), aEff.NumTiles(), bEff.NumTiles(), parts)
+	gridP, gridQ := stats.PickGrid(aEff.BlockRows(), bEff.BlockCols(), aEff.NumTiles(), bEff.NumTiles(), parts, prov.World())
 	est := stats.EstimateMatmul(aEff, bEff, gridP, gridQ, parts)
 	cands := []CostEstimate{
 		{Strategy: "summa-gbj", ShuffleBytes: est.GBJShuffleBytes},

@@ -15,6 +15,7 @@ type fakeProvider struct {
 	par      int
 	parts    int
 	adaptive bool
+	world    int
 }
 
 func (p fakeProvider) ArrayStats(string) (stats.TableStats, bool) {
@@ -26,6 +27,7 @@ func (p fakeProvider) ArrayStats(string) (stats.TableStats, bool) {
 }
 func (p fakeProvider) Parallelism() int { return p.par }
 func (p fakeProvider) Adaptive() bool   { return p.adaptive }
+func (p fakeProvider) World() int       { return p.world }
 
 const matmulSrc = `tiled(6,6)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
         kk == k, let v = a*b, group by (i,j) ]`
@@ -112,6 +114,21 @@ func TestCostStaticGridFromPartitions(t *testing.T) {
 		if got := o.(*GroupByJoinStrategy).Decision.Summary(); got != d.Summary() {
 			t.Fatalf("par=%d changed the static decision:\n%s\nvs\n%s", par, got, d.Summary())
 		}
+	}
+}
+
+// TestCostGridFollowsWorld: planned for a cluster, the decision's grid
+// has one cell per rank (the cluster-matmul shape: 1x2 on 2 ranks where
+// a local session on the same 8 partitions gets 2x4), and the estimate
+// prices that grid: A replicated twice, B once.
+func TestCostGridFollowsWorld(t *testing.T) {
+	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 1000, tile: 100, par: 1, parts: 8, world: 2})
+	d := s.(*GroupByJoinStrategy).Decision
+	if d.GridP != 1 || d.GridQ != 2 {
+		t.Fatalf("world 2: grid %dx%d, want 1x2", d.GridP, d.GridQ)
+	}
+	if want := int64(100*2+100*1) * (1 + 3*2 + 100*100*8 + 4); d.Chosen.ShuffleBytes != want {
+		t.Fatalf("estimate %d does not price the 1x2 grid (%d)", d.Chosen.ShuffleBytes, want)
 	}
 }
 

@@ -225,9 +225,7 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 		return nil, fmt.Errorf("plan: group-by-join supports the + monoid, got %s", s.Monoid)
 	}
 	// The partition count is zero (the inputs') unless adaptive planning
-	// picked one. The SUMMA grid is not passed down: GroupByJoin derives
-	// it from the partition count it runs with, and the Decision's grid
-	// is that same derivation, recorded for Explain.
+	// picked one.
 	prod := tiled.Product{TransA: s.TransA, TransB: s.TransB}
 	if d := s.Decision; d != nil {
 		prod.Parts = d.Parts

@@ -25,6 +25,7 @@ type Catalog struct {
 	ctx   *dataflow.Context
 	vals  map[string]any
 	cache *stats.Cache
+	world int
 }
 
 // NewCatalog creates an empty catalog bound to an engine context.
@@ -85,10 +86,29 @@ func (c *Catalog) Parallelism() int { return c.ctx.Conf().Parallelism }
 // (which read this process's core count) are only allowed when the
 // engine runs adaptively and locally — under SPMD every rank must build
 // the byte-identical plan. The SUMMA grid is not behind this gate: it
-// is a function of block and partition counts alone.
+// is a function of block and partition counts and the world alone.
 func (c *Catalog) Adaptive() bool {
 	conf := c.ctx.Conf()
 	return conf.AdaptiveShuffle && conf.Transport == nil
+}
+
+// SetWorld makes the catalog plan for a cluster of world ranks it is not
+// one of: the planner a cluster driver keeps (jobs.ClusterSession), whose
+// Explain and estimates must be about the plan the ranks run. A session
+// that executes what it compiles leaves it unset; a rank's world comes
+// from its Transport.
+func (c *Catalog) SetWorld(world int) *Catalog {
+	c.world = world
+	return c
+}
+
+// World implements opt.StatsProvider: the Transport's rank count on a
+// cluster rank, else SetWorld's, else 0 (local).
+func (c *Catalog) World() int {
+	if t := c.ctx.Conf().Transport; t != nil {
+		return t.World()
+	}
+	return c.world
 }
 
 // isArray reports whether name is bound to a distributed array.

@@ -57,13 +57,14 @@ func startClusterBackend(t *testing.T, p jobs.QueryParams) *jobs.ClusterSession 
 	return cs
 }
 
-// rankSession is the session a rank of a 3-worker cluster builds for p
+// rankSession plans p the way a rank of a 3-worker cluster does
 // (jobs.runQuery): the params' tile, DefaultPartitions(3), the seeded
-// inputs.
+// inputs, and a world of 3, which sizes the group-by-join's grid.
 func rankSession(t *testing.T, p jobs.QueryParams) *core.Session {
 	t.Helper()
 	s := core.NewSession(core.Config{TileSize: int(p.Tile), Partitions: jobs.DefaultPartitions(3)})
 	t.Cleanup(func() { s.Close() })
+	s.PlanFor(3)
 	s.RegisterRandMatrix("A", p.N, p.N, 0, 10, p.SeedA)
 	s.RegisterRandMatrix("B", p.N, p.N, 0, 10, p.SeedB)
 	s.RegisterScalar("n", p.N)
@@ -72,11 +73,11 @@ func rankSession(t *testing.T, p jobs.QueryParams) *core.Session {
 
 // TestClusterBackedPlansWhatTheRanksRun: a cluster-backed server's plan
 // preview and admission estimate come from the cluster session's own
-// planner, so they name the grid a rank's Explain names and the
-// footprint at DefaultPartitions(world). At the parent commit the pool's
-// local sessions planned at the local default partition count: on a
-// 2-core host the Fig-4 product at n = 200, tile 16 previewed grid 2x2
-// and was admitted on 2.4 MB while three ranks ran grid 3x4 at 3.5 MB.
+// planner, so they name the grid a rank's Explain names — one cell per
+// rank, 1x3 — and the footprint at DefaultPartitions(world). Planned by
+// the pool's local sessions instead, the Fig-4 product at n = 200, tile
+// 16 previewed a grid of the local partition count (2x2 on a 2-core
+// host) that no rank runs.
 func TestClusterBackedPlansWhatTheRanksRun(t *testing.T) {
 	p := jobs.QueryParams{N: 200, Tile: 16, SeedA: 1, SeedB: 2}
 	_, ts := newTestServer(t, Config{Sessions: 1, Cluster: startClusterBackend(t, p)})
@@ -88,7 +89,7 @@ func TestClusterBackedPlansWhatTheRanksRun(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("HTTP %d: %+v", code, e)
 	}
-	if got.Plan != want.Explain() || !strings.Contains(got.Plan, "grid 3x4") {
+	if got.Plan != want.Explain() || !strings.Contains(got.Plan, "grid 1x3") {
 		t.Errorf("server previews\n  %s\na rank explains\n  %s", got.Plan, want.Explain())
 	}
 	if got.EstimateBytes != want.EstimateFootprintBytes() {

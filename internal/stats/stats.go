@@ -180,33 +180,42 @@ func PickPartitions(items int64, parallelism int) int {
 // PickGrid chooses the SUMMA processor grid for a group-by-join whose
 // output has groupsY x groupsX tile groups: the p x q grid (p over
 // output tile rows, q over output tile columns) minimizing the
-// replication volume tilesA*q + tilesB*p subject to p*q >= parts (every
-// partition of the cogroup gets a cell), p <= groupsY, q <= groupsX;
-// ties go to the grid with fewer cells. When the output grid has no
-// more cells than there are partitions the full grid is returned — one
-// output tile per cell, the most parallelism the operator has.
+// replication volume tilesA*q + tilesB*p subject to p*q >= cells (every
+// cell target gets a cell), p <= groupsY, q <= groupsX; ties go to the
+// grid with fewer cells. When the output grid has no more tiles than
+// there are cell targets the full grid is returned — one output tile per
+// cell, the most parallelism the operator has.
 //
-// The grid is a pure function of block counts and the partition count:
-// it never reads core counts or load, so every rank of an SPMD job
-// derives the identical grid (PickPartitions does read cores, and is
-// local-adaptive-only for that reason).
-func PickGrid(groupsY, groupsX, tilesA, tilesB int64, parts int) (p, q int64) {
+// The cell targets are the cogroup's parts partitions, or on a cluster
+// of world ranks (world > 0) min(parts, world) of them: the paper's
+// SUMMA runs one cell per processor (§5.4), so cell c lands on partition
+// c, which is rank c, and each rank owns one contiguous block of the
+// output. A local session passes world 0 and gets one cell per
+// partition.
+//
+// The grid is a pure function of block counts, the partition count and
+// the world: it never reads core counts or load, so every rank of an
+// SPMD job derives the identical grid, and so does a driver that plans
+// for them (PickPartitions does read cores, and is local-adaptive-only
+// for that reason).
+func PickGrid(groupsY, groupsX, tilesA, tilesB int64, parts, world int) (p, q int64) {
+	cells := int64(max(parts, 1))
+	if world > 0 {
+		cells = min(cells, int64(world))
+	}
 	if groupsY < 1 {
 		groupsY = 1
 	}
 	if groupsX < 1 {
 		groupsX = 1
 	}
-	if parts < 1 {
-		parts = 1
-	}
-	if groupsY*groupsX <= int64(parts) {
+	if groupsY*groupsX <= cells {
 		return groupsY, groupsX
 	}
 	bestP, bestQ := groupsY, groupsX
 	bestCost := tilesA*groupsX + tilesB*groupsY
 	for cp := int64(1); cp <= groupsY; cp++ {
-		cq := ceilDiv(int64(parts), cp)
+		cq := ceilDiv(cells, cp)
 		if cq > groupsX {
 			continue
 		}

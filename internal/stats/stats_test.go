@@ -91,7 +91,7 @@ func TestPickPartitions(t *testing.T) {
 
 func TestPickGrid(t *testing.T) {
 	a, b := sq(1600, 100), sq(1600, 100) // 16x16 output blocks
-	p, q := PickGrid(a.BlockRows(), b.BlockCols(), a.NumTiles(), b.NumTiles(), 16)
+	p, q := PickGrid(a.BlockRows(), b.BlockCols(), a.NumTiles(), b.NumTiles(), 16, 0)
 	// Square inputs: replication is symmetric, so the minimizer is the
 	// balanced grid.
 	if p != 4 || q != 4 {
@@ -101,18 +101,35 @@ func TestPickGrid(t *testing.T) {
 	// and 4x2 all replicate 600 tiles; the tie goes to the fewest cells
 	// (one per partition), first found.
 	c := sq(1000, 100)
-	if p, q := PickGrid(10, 10, c.NumTiles(), c.NumTiles(), 8); p != 2 || q != 4 {
+	if p, q := PickGrid(10, 10, c.NumTiles(), c.NumTiles(), 8, 0); p != 2 || q != 4 {
 		t.Fatalf("grid %dx%d, want 2x4", p, q)
 	}
 	// A much larger than B: replicate A as little as possible.
-	if p, q := PickGrid(8, 8, 8*64, 8, 8); p != 8 || q != 1 {
+	if p, q := PickGrid(8, 8, 8*64, 8, 8, 0); p != 8 || q != 1 {
 		t.Fatalf("grid %dx%d, want 8x1 (A is 64x heavier)", p, q)
 	}
 	// No more output tiles than partitions: full grid fallback.
 	a2, b2 := sq(200, 100), sq(200, 100)
-	p2, q2 := PickGrid(a2.BlockRows(), b2.BlockCols(), a2.NumTiles(), b2.NumTiles(), 16)
+	p2, q2 := PickGrid(a2.BlockRows(), b2.BlockCols(), a2.NumTiles(), b2.NumTiles(), 16, 0)
 	if p2 != a2.BlockRows() || q2 != b2.BlockCols() {
 		t.Fatalf("small output should use the full grid, got %dx%d", p2, q2)
+	}
+}
+
+// TestPickGridWorld: on a cluster the grid has one cell per rank while
+// there are fewer ranks than partitions — on the cluster-matmul shape
+// (10x10 blocks over DefaultPartitions(world)) 1x2 at world 2, 1x3 at
+// world 3 and 2x4 at world 8 — and the partition count still caps it
+// when there are more ranks than partitions. World 0 is a local session.
+func TestPickGridWorld(t *testing.T) {
+	c := sq(1000, 100)
+	for _, w := range []struct {
+		parts, world int
+		p, q         int64
+	}{{8, 0, 2, 4}, {8, 1, 1, 1}, {8, 2, 1, 2}, {12, 3, 1, 3}, {32, 8, 2, 4}, {4, 8, 2, 2}, {8, 200, 2, 4}} {
+		if p, q := PickGrid(10, 10, c.NumTiles(), c.NumTiles(), w.parts, w.world); p != w.p || q != w.q {
+			t.Errorf("parts %d world %d: grid %dx%d, want %dx%d", w.parts, w.world, p, q, w.p, w.q)
+		}
 	}
 }
 
@@ -126,7 +143,7 @@ func TestPickGridFeasible(t *testing.T) {
 		gy, gx, bk := rng.Int63n(12)+1, rng.Int63n(12)+1, rng.Int63n(12)+1
 		ta, tb := gy*bk, bk*gx
 		for parts := 1; parts <= 40; parts++ {
-			p, q := PickGrid(gy, gx, ta, tb, parts)
+			p, q := PickGrid(gy, gx, ta, tb, parts, 0)
 			if p < 1 || q < 1 || p > gy || q > gx {
 				t.Fatalf("%dx%d groups, parts %d: grid %dx%d outside the output grid", gy, gx, parts, p, q)
 			}

@@ -3,6 +3,8 @@ package tiled
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -135,7 +137,7 @@ func TestGridCellsBalanced(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		gy, gx, bk := rng.Int63n(12)+1, rng.Int63n(12)+1, rng.Int63n(12)+1
 		for parts := 1; parts <= 40; parts++ {
-			p, q := stats.PickGrid(gy, gx, gy*bk, bk*gx, parts)
+			p, q := stats.PickGrid(gy, gx, gy*bk, bk*gx, parts, 0)
 			count := make([]int, parts)
 			for i := int64(0); i < p; i++ {
 				for j := int64(0); j < q; j++ {
@@ -152,6 +154,52 @@ func TestGridCellsBalanced(t *testing.T) {
 			if p*q >= int64(parts) && lo == 0 {
 				t.Fatalf("%dx%d groups, grid %dx%d, parts %d: a partition has no cell", gy, gx, p, q, parts)
 			}
+		}
+	}
+}
+
+// TestGBJCellSpreadsOverSlots: a cell whose task may use four cores runs
+// its products on more than one goroutine — a rank that owns one cell
+// would otherwise leave its other slots idle, since a 16³ product is far
+// below GemmPacked's own split — and gives the same bits as at budget 1,
+// where no goroutine is started, for every orientation and for a combine
+// the GEMM does not run.
+func TestGBJCellSpreadsOverSlots(t *testing.T) {
+	da := linalg.RandDense(96, 80, -1, 1, 41)
+	db := linalg.RandDense(80, 112, -1, 1, 42)
+	run := func(par int, sh Product) (*linalg.Dense, int64) {
+		ctx := dataflow.NewContext(dataflow.Config{Parallelism: par, DefaultPartitions: 1})
+		x, y := da, db
+		if sh.TransA {
+			x = x.Transpose()
+		}
+		if sh.TransB {
+			y = y.Transpose()
+		}
+		// One partition: one cell holds all 6x7 output tiles, and its
+		// task is the only one running, so its budget is par.
+		a, b := FromDense(ctx, x, 16, 1), FromDense(ctx, y, 16, 1)
+		sh.spawned = new(atomic.Int64)
+		got := GroupByJoin(a, b, sh).ToDense()
+		return got, sh.spawned.Load()
+	}
+	shapes := append(slices.Clone(gbjShapes), Product{H: func(out, a, b *linalg.Dense, _ Coord, _ int64) {
+		for i := range out.Data {
+			out.Data[i] += a.Data[i] - 2*b.Data[i]
+		}
+	}})
+	for _, sh := range shapes {
+		label := fmt.Sprintf("transA=%v transB=%v combine=%v", sh.TransA, sh.TransB, sh.H != nil)
+		want, spawned := run(1, sh)
+		if spawned != 0 {
+			t.Fatalf("%s: budget 1 started %d goroutines", label, spawned)
+		}
+		got, spawned := run(4, sh)
+		if spawned == 0 {
+			t.Fatalf("%s: budget 4 ran every product on the cell's own goroutine", label)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: budget 4 differs from budget 1 (max diff %g)", label, got.MaxAbsDiff(want))
 		}
 	}
 }

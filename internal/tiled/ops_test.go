@@ -171,7 +171,7 @@ func TestMultiplyShuffleAccounting(t *testing.T) {
 	// g = 24/4 = 6 blocks per side, 36 tiles per input, 4 partitions:
 	// the processor grid is the p x q PickGrid derives from those, and
 	// A crosses the shuffle q times, B p times.
-	p, q := stats.PickGrid(6, 6, 36, 36, 4)
+	p, q := stats.PickGrid(6, 6, 36, 36, 4, 0)
 	if p*q != 4 {
 		t.Fatalf("grid %dx%d for 4 partitions, want 4 cells", p, q)
 	}

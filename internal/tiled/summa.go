@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataflow"
@@ -30,10 +32,13 @@ import (
 // one output tile per group pair it holds.
 // Compared to the join+reduceByKey translation it shuffles each input
 // tile a bounded number of times instead of shuffling every
-// partial-product tile. The grid is sized to the machine (the cogroup's
-// partition count), not to the tensor tiling: tilesA*q + tilesB*p tiles
+// partial-product tile. The grid is sized to the machine, not to the
+// tensor tiling (stats.PickGrid): one cell per rank on a cluster, one
+// per cogroup partition in a local session. tilesA*q + tilesB*p tiles
 // cross the shuffle, where one cell per output tile would move
-// tilesA*groupsX + tilesB*groupsY.
+// tilesA*groupsX + tilesB*groupsY. A cell spreads each SUMMA step's
+// products over the cores its task may use (splitProducts), so a rank
+// that owns one cell still uses all of its slots.
 
 // keyedTile tags a tile with its join key kx/ky and its group gx/gy —
 // the group travels with the tile so a coarsened grid cell holding
@@ -86,6 +91,9 @@ type Product struct {
 	// grid (clamped to the output tile grid). The result is bitwise
 	// identical for every grid; the tests that prove it set these.
 	gridP, gridQ int64
+	// spawned, when set, counts the goroutines GroupByJoin's cells start
+	// (splitProducts), for the test that sees a cell use its slots.
+	spawned *atomic.Int64
 }
 
 // opIndex maps a (row, column) pair of a stored operand — its dimensions
@@ -123,11 +131,14 @@ func cellPartition(c Coord, gridQ int64, parts int) int {
 // matrices: an A tile's group is its row of op(A) and its join key its
 // column, a B tile's join key its row of op(B) and its group its column.
 // The processor grid and the placement of its cells are pure functions
-// of the block counts and the cogroup's partition count, so every rank
-// of an SPMD job builds the same plan whatever its core count. When the
-// output has no more tiles than there are partitions the grid is the
-// full output grid and every cell holds exactly one output tile. It
-// panics with Dims' error on operands that do not multiply.
+// of the block counts, the cogroup's partition count and the world (the
+// Transport's rank count, 0 locally), so every rank of an SPMD job
+// builds the same plan whatever its core count. On a cluster with fewer
+// ranks than partitions the grid has one cell per rank and cell c is
+// partition c, which rank c owns. When the output has no more tiles than
+// there are cells the grid is the full output grid and every cell holds
+// exactly one output tile. It panics with Dims' error on operands that
+// do not multiply.
 func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 	rows, _, cols, err := prod.Dims(a, b)
 	if err != nil {
@@ -138,11 +149,16 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 		parts = a.Tiles.NumPartitions()
 	}
 	n := a.N
+	ctx := a.Tiles.Context()
+	world := 0
+	if t := ctx.Conf().Transport; t != nil {
+		world = t.World()
+	}
 	groupsY, groupsX := ceilDiv(rows, int64(n)), ceilDiv(cols, int64(n))
 	gridP, gridQ := prod.gridP, prod.gridQ
 	if gridP <= 0 || gridQ <= 0 {
 		gridP, gridQ = stats.PickGrid(groupsY, groupsX,
-			a.BlockRows()*a.BlockCols(), b.BlockRows()*b.BlockCols(), parts)
+			a.BlockRows()*a.BlockCols(), b.BlockRows()*b.BlockCols(), parts, world)
 	}
 	if gridP > groupsY {
 		gridP = groupsY
@@ -172,7 +188,6 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 		return out
 	})
 
-	ctx := a.Tiles.Context()
 	pool := ctx.TilePool()
 	cg := dataflow.CoGroupRouted(as, bs, parts, func(c Coord) int { return cellPartition(c, gridQ, parts) })
 	tiles := dataflow.FlatMap(cg, func(g dataflow.Pair[Coord, dataflow.CoGrouped[keyedTile, keyedTile]]) []Block {
@@ -181,7 +196,6 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 		if sp != nil {
 			start = time.Now()
 		}
-		par := ctx.KernelBudget()
 		// Fix the order matches accumulate in: an output tile sums its
 		// contributions by ascending join key whatever order the shuffle
 		// delivered the tiles in (a budgeted shuffle fills its buckets in
@@ -224,7 +238,9 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 		// One SUMMA step per join key: with the GEMM contraction every A
 		// and B tile of the step is packed once — |rows| + |cols| packed
 		// tiles of pooled scratch, released before the next step — and
-		// the |rows| x |cols| products read the packed operands.
+		// the |rows| x |cols| products read the packed operands. The
+		// steps run in ascending key order; within one, every product
+		// writes a different output tile, so they may run side by side.
 		matches := 0
 		var pa, pb []*linalg.Packed
 		for _, k := range keys {
@@ -238,18 +254,19 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 					pb = append(pb, linalg.PackB(bt.Tile, prod.TransB))
 				}
 			}
-			for i, at := range ats {
-				for j, bt := range bts {
-					g := Coord{I: at.G, J: bt.G}
+			splitProducts(ctx.KernelBudget(), len(ats)*len(bts), prod.spawned, func(lo, hi, par int) {
+				for x := lo; x < hi; x++ {
+					i, j := x/len(bts), x%len(bts)
+					g := Coord{I: ats[i].G, J: bts[j].G}
 					o := out[idx[g]].Value
 					if prod.H != nil {
-						prod.H(o, at.Tile, bt.Tile, g, k)
+						prod.H(o, ats[i].Tile, bts[j].Tile, g, k)
 					} else {
 						linalg.GemmPacked(o, pa[i], pb[j], par)
 					}
-					matches++
 				}
-			}
+			})
+			matches += len(ats) * len(bts)
 			for _, p := range pa {
 				p.Release()
 			}
@@ -271,6 +288,46 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 		return out
 	})
 	return &Matrix{Rows: rows, Cols: cols, N: n, Tiles: tiles}
+}
+
+// splitProducts runs body over the products [0, n) of one SUMMA step,
+// split into contiguous ranges over up to par goroutines, the caller's
+// among them; par is the kernel budget, and each range's products may
+// use par/ranges cores of their own (a large tile's GEMM splits its row
+// panels). Every product of a step writes its own output tile, and the
+// caller waits for all of them before the next step, so an output tile
+// still adds its keys in ascending order and the answer is the same bits
+// at any budget. At budget 1 no goroutine is started; spawned, if not
+// nil, counts those that are. A panic in a range reaches the caller, as
+// it would from the task's own goroutine, once every range has stopped.
+func splitProducts(par, n int, spawned *atomic.Int64, body func(lo, hi, par int)) {
+	w := min(par, n)
+	if w <= 1 {
+		body(0, n, par)
+		return
+	}
+	var wg sync.WaitGroup
+	panics := make([]any, w)
+	defer func() {
+		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
+	}()
+	if spawned != nil {
+		spawned.Add(int64(w - 1))
+	}
+	wg.Add(w - 1)
+	for r := 1; r < w; r++ {
+		go func() {
+			defer wg.Done()
+			defer func() { panics[r] = recover() }()
+			body(r*n/w, (r+1)*n/w, par/w)
+		}()
+	}
+	body(0, n/w, par/w)
 }
 
 // MultiplyGBJ computes A * B with the SUMMA-style group-by-join.
