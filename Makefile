@@ -76,7 +76,7 @@ spill-test:
 # the poisoned Fig-4 suite and the steady-state allocation pin).
 cluster-test:
 	$(GO) test -count=1 ./internal/cluster ./internal/jobs
-	$(GO) test -race -count=1 -run 'SPMD|MetricsIsolation' ./internal/dataflow
+	$(GO) test -race -count=1 -run 'SPMD|MetricsIsolation|ActionRowsMatchAcrossWorlds|RankRowCoversItsTasks' ./internal/dataflow
 	$(GO) test -race -count=1 -run 'GBJWire|GBJOneCellPerRank|GBJCellSpreadsOverSlots' ./internal/jobs ./internal/tiled
 	$(GO) test -race -count=5 -run 'JobEndWaitsForServes|BufferPool|GroupedBlobSizedExactly' ./internal/cluster ./internal/memory ./internal/spill
 
@@ -127,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzKernelMatchesInterpreter$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzValueCodec$$' -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzAggBlockCodec$$' -fuzztime 10s
+	$(GO) test ./internal/diablo -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/linalg -run '^$$' -fuzz '^FuzzGemmShapes$$' -fuzztime 10s
 
 # Figure 4.B under a memory budget: the tables grow spilled-bytes and

@@ -47,8 +47,8 @@ func (ws *workerState) send(typ byte, payload []byte) error {
 }
 
 // RankTelemetry accumulates one rank's observability batches over a
-// job: every span shipped (across all flushes, in order), the stage
-// rows completed so far, and the latest cumulative counters. A lost
+// job: every span shipped (across all flushes, in order) and the stage
+// rows completed so far. A lost
 // rank keeps whatever its periodic flushes delivered — that partial
 // trace is exactly the evidence of what it was doing when it died.
 type RankTelemetry struct {
@@ -57,7 +57,6 @@ type RankTelemetry struct {
 	DroppedSpans int64
 	Spans        []trace.SpanRec
 	Stages       []obs.StageMetric
-	Report       Report
 }
 
 func (t *RankTelemetry) absorb(m *telemetryMsg) {
@@ -66,7 +65,6 @@ func (t *RankTelemetry) absorb(m *telemetryMsg) {
 	t.DroppedSpans = m.Dropped // cumulative, last write wins
 	t.Spans = append(t.Spans, m.Spans...)
 	t.Stages = append(t.Stages, m.Stages...)
-	t.Report = m.Report
 }
 
 // jobState tracks one submitted job until every rank has either

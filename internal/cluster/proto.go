@@ -36,7 +36,7 @@ const (
 	msgResult    = byte(14) // worker -> driver: a job's result, ahead of its JobDone
 	msgJobEnd    = byte(6)  // driver -> worker: job finished, drop its store
 	msgFetchGone = byte(9)  // worker -> worker: bucket unavailable (job failed or ended here)
-	msgTelemetry = byte(10) // worker -> driver: span batch + stage rows + counter deltas
+	msgTelemetry = byte(10) // worker -> driver: span batch + stage rows
 
 	// The data plane. A fetch is one msgFetchStream request answered by
 	// zero or more msgStreamChunk frames and a terminating msgStreamEnd

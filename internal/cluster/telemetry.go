@@ -21,14 +21,13 @@ import (
 
 // TelemetryBatch is one flush of observability data from a running
 // program: the spans that ended since the previous flush, the stage
-// rows completed since the previous flush, the cumulative
-// dropped-span count, and the rank's cumulative counters so far.
+// rows completed since the previous flush, and the cumulative
+// dropped-span count. A rank's counters cross once, in msgJobDone.
 type TelemetryBatch struct {
 	Final   bool
 	Dropped int64
 	Spans   []trace.SpanRec
 	Stages  []obs.StageMetric
-	Report  Report
 }
 
 type telemetryMsg struct {
@@ -91,7 +90,6 @@ func (m *telemetryMsg) encode() []byte {
 		w.dist(st.TaskDur)
 		w.dist(st.PartRecords)
 	}
-	w.blob(encodeReport(m.Report))
 	return w.b
 }
 
@@ -136,10 +134,5 @@ func decodeTelemetry(p []byte) (telemetryMsg, error) {
 		st.Worker, st.TaskDur, st.PartRecords = c.str(), c.dist(), c.dist()
 		m.Stages = append(m.Stages, st)
 	}
-	rep, err := decodeReport(c.blob())
-	if c.err != nil {
-		return m, c.err
-	}
-	m.Report = rep
-	return m, err
+	return m, c.err
 }

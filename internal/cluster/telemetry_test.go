@@ -24,7 +24,6 @@ func init() {
 			if err := env.Telemetry(TelemetryBatch{
 				Spans:  recs,
 				Stages: []obs.StageMetric{{ID: 1, Name: "stage: early", Tasks: 2}},
-				Report: Report{Tasks: 1},
 			}); err != nil {
 				return nil, Report{}, err
 			}
@@ -36,7 +35,6 @@ func init() {
 				Dropped: int64(env.Rank), // distinguishable per rank
 				Spans:   tr.DrainEnded(),
 				Stages:  []obs.StageMetric{{ID: 2, Name: "stage: late", Tasks: 3}},
-				Report:  Report{Tasks: 2},
 			}); err != nil {
 				return nil, Report{}, err
 			}
@@ -65,8 +63,6 @@ func sampleTelemetry() telemetryMsg {
 					TaskDur:     obs.Dist{N: 8, ArgMax: 3, Min: 10, P50: 20, P99: 90, Max: 95},
 					PartRecords: obs.Dist{N: 8, Min: 100, P50: 120, P99: 150, Max: 151}},
 			},
-			Report: Report{Tasks: 8, ShuffledBytes: 4096, WireFetchedBytes: 2048,
-				FetchRetries: 2, FetchGoneEvents: 1},
 		},
 	}
 }
@@ -126,19 +122,6 @@ func TestTelemetryTruncationSafe(t *testing.T) {
 			t.Fatalf("telemetry cut at %d of %d decoded without error", cut, len(blob))
 		}
 	}
-	// So is a report whose field count is not this build's schema's,
-	// one field short or one long, and one with bytes after the last
-	// field.
-	var tail wireBuf
-	tail.blob(encodeReport(m.Report))
-	head := blob[:len(blob)-len(tail.b)]
-	for name, rep := range badReports() {
-		w := wireBuf{b: append([]byte(nil), head...)}
-		w.blob(rep)
-		if _, err := decodeTelemetry(w.b); err == nil {
-			t.Errorf("telemetry with a %s report decoded without error", name)
-		}
-	}
 	// A corrupt span count must not drive a giant allocation.
 	var w wireBuf
 	w.i64(1)       // job
@@ -176,11 +159,7 @@ func TestTelemetryFlowsToDriver(t *testing.T) {
 		if len(tl.Stages) != 2 || tl.Stages[0].Name != "stage: early" || tl.Stages[1].Name != "stage: late" {
 			t.Errorf("rank %d stages = %+v", r, tl.Stages)
 		}
-		// Cumulative report: the later flush wins.
-		if tl.Report.Tasks != 2 {
-			t.Errorf("rank %d telemetry report tasks = %d, want 2", r, tl.Report.Tasks)
-		}
-		// The worker runtime stamps wire counters into every batch.
+		// The rank's counters cross in its JobDone.
 		if wr.Report.Tasks != 2 {
 			t.Errorf("rank %d job report tasks = %d", r, wr.Report.Tasks)
 		}

@@ -359,7 +359,7 @@ func (w *Worker) runJob(job jobMsg) {
 		Resident:     w.resident,
 	}
 	env.Telemetry = func(b TelemetryBatch) error {
-		b.Report = w.report(b.Report, exch)
+		w.publish(exch) // a mid-job scrape reads the rank's counters per flush
 		msg := telemetryMsg{JobID: job.JobID, Seq: telemSeq.Add(1), TelemetryBatch: b}
 		return w.send(msgTelemetry, msg.encode())
 	}
@@ -428,13 +428,18 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// report completes a rank's report: the program's own counters merged
-// with the exchange's wire counters and what this worker has served to
-// peers. Both sets are published to the registry here, so a scrape
-// sees them per telemetry flush.
-func (w *Worker) report(rep Report, exch *Exchange) Report {
+// publish puts the exchange's wire counters and what this worker has
+// served to peers into the metrics registry.
+func (w *Worker) publish(exch *Exchange) {
 	exch.c.Publish()
 	w.served.Publish()
+}
+
+// report completes a rank's report: the program's own counters merged
+// with the exchange's wire counters and what this worker has served to
+// peers, both published.
+func (w *Worker) report(rep Report, exch *Exchange) Report {
+	w.publish(exch)
 	return obs.MergeCounters(obs.MergeCounters(rep, exch.c.Snapshot()), w.served.Snapshot())
 }
 

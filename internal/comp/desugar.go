@@ -33,65 +33,67 @@ func Desugar(e Expr) Expr {
 	return e
 }
 
-// mapExpr applies fn bottom-up over the expression tree.
-func mapExpr(e Expr, fn func(Expr) Expr) Expr {
+// MapExpr applies fn bottom-up over the expression tree: fn sees each
+// node after its children were rewritten, and returns its replacement
+// (the node itself to leave it, which makes MapExpr a visitor).
+func MapExpr(e Expr, fn func(Expr) Expr) Expr {
 	switch x := e.(type) {
 	case Var, Lit:
 		return fn(e)
 	case TupleExpr:
 		elems := make([]Expr, len(x.Elems))
 		for i, s := range x.Elems {
-			elems[i] = mapExpr(s, fn)
+			elems[i] = MapExpr(s, fn)
 		}
 		return fn(TupleExpr{Elems: elems})
 	case BinOp:
-		return fn(BinOp{Op: x.Op, L: mapExpr(x.L, fn), R: mapExpr(x.R, fn)})
+		return fn(BinOp{Op: x.Op, L: MapExpr(x.L, fn), R: MapExpr(x.R, fn)})
 	case UnaryOp:
-		return fn(UnaryOp{Op: x.Op, E: mapExpr(x.E, fn)})
+		return fn(UnaryOp{Op: x.Op, E: MapExpr(x.E, fn)})
 	case Call:
 		args := make([]Expr, len(x.Args))
 		for i, s := range x.Args {
-			args[i] = mapExpr(s, fn)
+			args[i] = MapExpr(s, fn)
 		}
 		return fn(Call{Fn: x.Fn, Args: args})
 	case Index:
 		idxs := make([]Expr, len(x.Idxs))
 		for i, s := range x.Idxs {
-			idxs[i] = mapExpr(s, fn)
+			idxs[i] = MapExpr(s, fn)
 		}
-		return fn(Index{Arr: mapExpr(x.Arr, fn), Idxs: idxs})
+		return fn(Index{Arr: MapExpr(x.Arr, fn), Idxs: idxs})
 	case Reduce:
-		return fn(Reduce{Monoid: x.Monoid, E: mapExpr(x.E, fn)})
+		return fn(Reduce{Monoid: x.Monoid, E: MapExpr(x.E, fn)})
 	case IfExpr:
-		return fn(IfExpr{Cond: mapExpr(x.Cond, fn), Then: mapExpr(x.Then, fn), Else: mapExpr(x.Else, fn)})
+		return fn(IfExpr{Cond: MapExpr(x.Cond, fn), Then: MapExpr(x.Then, fn), Else: MapExpr(x.Else, fn)})
 	case Comprehension:
 		quals := make([]Qualifier, len(x.Quals))
 		for i, q := range x.Quals {
 			quals[i] = mapQual(q, fn)
 		}
-		return fn(Comprehension{Head: mapExpr(x.Head, fn), Quals: quals})
+		return fn(Comprehension{Head: MapExpr(x.Head, fn), Quals: quals})
 	case BuildExpr:
 		args := make([]Expr, len(x.Args))
 		for i, s := range x.Args {
-			args[i] = mapExpr(s, fn)
+			args[i] = MapExpr(s, fn)
 		}
-		return fn(BuildExpr{Builder: x.Builder, Args: args, Body: mapExpr(x.Body, fn)})
+		return fn(BuildExpr{Builder: x.Builder, Args: args, Body: MapExpr(x.Body, fn)})
 	default:
-		panic(fmt.Sprintf("comp: mapExpr: unknown %T", e))
+		panic(fmt.Sprintf("comp: MapExpr: unknown %T", e))
 	}
 }
 
 func mapQual(q Qualifier, fn func(Expr) Expr) Qualifier {
 	switch qq := q.(type) {
 	case Generator:
-		return Generator{Pat: qq.Pat, Src: mapExpr(qq.Src, fn)}
+		return Generator{Pat: qq.Pat, Src: MapExpr(qq.Src, fn)}
 	case LetQual:
-		return LetQual{Pat: qq.Pat, E: mapExpr(qq.E, fn)}
+		return LetQual{Pat: qq.Pat, E: MapExpr(qq.E, fn)}
 	case Guard:
-		return Guard{E: mapExpr(qq.E, fn)}
+		return Guard{E: MapExpr(qq.E, fn)}
 	case GroupBy:
 		if qq.Of != nil {
-			return GroupBy{Pat: qq.Pat, Of: mapExpr(qq.Of, fn)}
+			return GroupBy{Pat: qq.Pat, Of: MapExpr(qq.Of, fn)}
 		}
 		return qq
 	default:
@@ -102,7 +104,7 @@ func mapQual(q Qualifier, fn func(Expr) Expr) Qualifier {
 // desugarGroupByOf rewrites group by p : e into let p = e, group by p
 // everywhere.
 func desugarGroupByOf(e Expr) Expr {
-	return mapExpr(e, func(x Expr) Expr {
+	return MapExpr(e, func(x Expr) Expr {
 		c, ok := x.(Comprehension)
 		if !ok {
 			return x
@@ -129,7 +131,7 @@ func desugarGroupByOf(e Expr) Expr {
 // plus equality guards (Section 2). Index expressions outside a
 // comprehension are left for the evaluator's direct access path.
 func desugarIndexing(e Expr, f *freshCounter) Expr {
-	return mapExpr(e, func(x Expr) Expr {
+	return MapExpr(e, func(x Expr) Expr {
 		c, ok := x.(Comprehension)
 		if !ok {
 			return x
@@ -143,7 +145,7 @@ func desugarComprehensionIndexing(c Comprehension, f *freshCounter) Expr {
 	// rewrite replaces V[e...] with a fresh variable and queues the
 	// generator + guards. Only variable-rooted arrays are rewritten.
 	rewrite := func(e Expr) Expr {
-		return mapExpr(e, func(x Expr) Expr {
+		return MapExpr(e, func(x Expr) Expr {
 			idx, ok := x.(Index)
 			if !ok {
 				return x
@@ -201,7 +203,7 @@ func desugarComprehensionIndexing(c Comprehension, f *freshCounter) Expr {
 // provided the inner comprehension has no group-by (the rule's side
 // condition). Inner variables are renamed to avoid capture.
 func flattenNested(e Expr, f *freshCounter) Expr {
-	return mapExpr(e, func(x Expr) Expr {
+	return MapExpr(e, func(x Expr) Expr {
 		c, ok := x.(Comprehension)
 		if !ok {
 			return x
@@ -427,7 +429,7 @@ func SubstConsts(e Expr, consts map[string]Value) Expr {
 // so (i+1) % n with n folded to a literal becomes (i+1) % 6 in the
 // exact shape the affine-key analysis expects.
 func FoldConstants(e Expr) Expr {
-	return mapExpr(e, func(x Expr) Expr {
+	return MapExpr(e, func(x Expr) Expr {
 		b, ok := x.(BinOp)
 		if !ok {
 			return x

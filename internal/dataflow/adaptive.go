@@ -73,7 +73,7 @@ func (s *lazyBuckets[T]) rebalance() {
 			sizes[b] += sg[b].count()
 		}
 	}
-	before := summarizeDist(append([]int64(nil), sizes...))
+	before := summarizeDist(append([]int64(nil), sizes...), nil)
 	hot := before.ArgMax
 	p50 := before.P50
 	if p50 < 1 {
@@ -161,7 +161,7 @@ func (s *lazyBuckets[T]) rebalance() {
 	m.noteAdaptive(AdaptiveEvent{
 		Stage:        s.name,
 		Before:       before,
-		After:        summarizeDist(sizes),
+		After:        summarizeDist(sizes, nil),
 		MovedRecords: movedRecords,
 		MovedGroups:  movedGroups,
 	})

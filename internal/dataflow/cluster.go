@@ -29,14 +29,15 @@ package dataflow
 // FetchFailures counters record it. Every stage a surviving rank needs
 // therefore completes as long as that rank survives.
 //
-// Actions come in two kinds. One whose value the program itself goes on
-// with (Collect, Count, Reduce, Take) is an all-gather: every rank
-// computes its owned partitions, publishes them, and fetches or
-// recomputes the rest, so all ranks return the same value and stay in
-// step. One whose value leaves the job (CollectOwned: a query result on
-// its way to the driver) stops at the owned partitions — nothing is
-// published or fetched, and a lost rank's partitions are lost with it;
-// the caller above (cluster.Driver) runs the job again.
+// An action runs one gather (below): every rank computes the partitions
+// it owns, each as a task of its own. One whose value the program itself
+// goes on with (Collect, Count, Reduce, Aggregate, Take) also publishes
+// them and fetches or recomputes the rest, so all ranks return the same
+// value and stay in step. One whose value leaves the job (CollectOwned: a
+// query result on its way to the driver) stops at the owned partitions —
+// nothing is published or fetched, and a lost rank's partitions are lost
+// with it; the caller above (cluster.Driver) runs the job again. Either
+// way a rank's stage row counts what that rank computed.
 
 import (
 	"fmt"
@@ -386,53 +387,46 @@ func (s *lazyBuckets[T]) recompute(m int) {
 	}
 }
 
-// spmdGather runs an action's per-partition computation across the
-// cluster: each rank computes and publishes its owned partitions, then
-// fills in the rest by fetching from the owners — recomputing locally
-// (and counting a resubmission) for partitions whose owner died. Every
-// rank returns the identical full set of partials, so every rank
-// drives the identical driver-side fold. It panics before computing
-// anything if T has no registered codec.
-func spmdGather[T any](c *Context, st *Stage, n int, compute func(p int) []T) [][]T {
-	codec := spill.For[T]()
-	out := make([][]T, n)
-	c.runTasksOwned(st, n, func(p int) {
-		out[p] = compute(p)
-		publishRows(c, codec, gatherKey(st.id, p), out[p])
-	})
-	for p := 0; p < n; p++ {
-		if !c.owns(p) {
-			out[p] = spmdFetchPartial(c, codec, st, p, compute)
+// gather runs an action's per-partition work: compute(p), as a task of
+// st, for each partition p in [lo,hi) this process owns — a local context
+// owns all of them — and returns the partials indexed p-lo. With share
+// the action's value is one every rank goes on with (Collect, Count,
+// Reduce, Aggregate, Take: the SPMD program branches on it), so on a
+// cluster each rank also publishes the partials it computed and fetches
+// the rest from their owners, computing a partition itself, as a task of
+// its own and a resubmission, when the owner is gone; every rank then
+// returns the identical partials and drives the identical fold. Without
+// share the other ranks' partials stay nil. A shared gather panics before
+// computing anything if T has no registered codec.
+func gather[T any](c *Context, st *Stage, lo, hi int, share bool, compute func(p int) []T) [][]T {
+	t := c.conf.Transport
+	share = share && t != nil
+	var codec spill.Codec[T]
+	if share {
+		codec = spill.For[T]()
+	}
+	out := make([][]T, hi-lo)
+	c.runTasksOwned(st, lo, hi, func(p int) {
+		out[p-lo] = compute(p)
+		if share {
+			publishRows(c, codec, gatherKey(st.id, p), out[p-lo])
 		}
+	})
+	if !share {
+		return out
+	}
+	for p := lo; p < hi; p++ {
+		if c.owns(p) {
+			continue
+		}
+		rows, ok := fetchBlob(c, p%t.World(), gatherKey(st.id, p), func(r io.Reader) ([]T, error) {
+			return spill.DecodeRowsFrom(r, codec)
+		})
+		if !ok {
+			c.metrics.c.Resubmissions.Add(1)
+			c.runTaskStride(st, p, p+1, 1, func(p int) { rows = compute(p) })
+		}
+		out[p-lo] = rows
 	}
 	return out
-}
-
-// spmdFetchPartial fetches one action partial from its owner, falling
-// back to local recompute when the owner is gone.
-func spmdFetchPartial[T any](c *Context, codec spill.Codec[T], st *Stage, p int, compute func(p int) []T) []T {
-	rows, ok := fetchBlob(c, p%c.conf.Transport.World(), gatherKey(st.id, p), func(r io.Reader) ([]T, error) {
-		return spill.DecodeRowsFrom(r, codec)
-	})
-	if !ok {
-		c.metrics.c.Resubmissions.Add(1)
-		return compute(p)
-	}
-	return rows
-}
-
-// spmdGatherOne is spmdGather for a single partition, used by the
-// sequential Take scan: the owner computes and publishes, everyone
-// else fetches or recomputes. All ranks see identical rows, so all
-// ranks stop the scan at the same partition.
-func spmdGatherOne[T any](c *Context, st *Stage, p int, compute func() []T) []T {
-	codec := spill.For[T]()
-	if c.owns(p) {
-		rows := compute()
-		publishRows(c, codec, gatherKey(st.id, p), rows)
-		c.metrics.c.Tasks.Add(1)
-		st.tasks.Add(1)
-		return rows
-	}
-	return spmdFetchPartial(c, codec, st, p, func(int) []T { return compute() })
 }

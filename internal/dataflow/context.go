@@ -389,28 +389,20 @@ func (e injectedFailure) Error() string {
 // stages running concurrently.
 type capturedPanic struct{ val any }
 
-// runTasks executes body(i) for i in [0,n) on the worker pool, with
-// retry-on-injected-failure, and blocks until all complete. Successful
-// tasks are credited to st (which may be nil for untracked work). A
-// panic in body other than failure injection is re-raised on the
-// calling goroutine; it is not retried, since unlike injected faults it
-// is deterministic.
-func (c *Context) runTasks(st *Stage, n int, body func(i int)) {
-	c.runTaskStride(st, n, 0, 1, body)
-}
-
-// runTasksOwned is the distributed form of runTasks: under a cluster
-// transport only this rank's owned indices (i % world == rank) run
-// locally — the other ranks run theirs — while a local context runs
-// everything. Stage bodies use it so the same code executes one copy
-// of every task across the whole cluster.
-func (c *Context) runTasksOwned(st *Stage, n int, body func(i int)) {
-	t := c.conf.Transport
-	if t == nil {
-		c.runTasks(st, n, body)
-		return
+// runTasksOwned executes body(i) for the indices i in [lo,hi) this
+// process owns (owns) on the worker pool, with retry-on-injected-failure,
+// and blocks until all complete: a local context runs every index, a rank
+// of a cluster its share, the other ranks running theirs. Successful tasks
+// are credited to st. A panic in body other than failure injection is
+// re-raised on the calling goroutine; it is not retried, since unlike
+// injected faults it is deterministic.
+func (c *Context) runTasksOwned(st *Stage, lo, hi int, body func(i int)) {
+	start, stride := lo, 1
+	if t := c.conf.Transport; t != nil {
+		stride = t.World()
+		start += ((t.Rank()-lo)%stride + stride) % stride
 	}
-	c.runTaskStride(st, n, t.Rank(), t.World(), body)
+	c.runTaskStride(st, start, hi, stride, body)
 }
 
 // owns reports whether index i is executed by this process: always,
@@ -420,14 +412,13 @@ func (c *Context) owns(i int) bool {
 	return t == nil || i%t.World() == t.Rank()
 }
 
-// runTaskStride runs body(i) for i = start, start+stride, ... < n.
-func (c *Context) runTaskStride(st *Stage, n, start, stride int, body func(i int)) {
+// runTaskStride runs body(i) for i = start, start+stride, ... < hi as
+// tasks of st.
+func (c *Context) runTaskStride(st *Stage, start, hi, stride int, body func(i int)) {
 	var wg sync.WaitGroup
 	var panicked atomic.Value
-	if st != nil {
-		st.reserveStats(n)
-	}
-	for i := start; i < n; i += stride {
+	st.reserveStats(hi)
+	for i := start; i < hi; i += stride {
 		wg.Add(1)
 		c.sem <- struct{}{}
 		go func(i int) {
@@ -485,11 +476,6 @@ func (c *Context) tryTask(st *Stage, i int, body func(i int)) (err error) {
 	}()
 	if c.shouldFail() {
 		panic(injectedFailure{part: i})
-	}
-	if st == nil {
-		body(i)
-		c.metrics.c.Tasks.Add(1)
-		return nil
 	}
 	if sp = st.span.StartChild("task"); sp != nil {
 		sp.SetAttr("partition", i)

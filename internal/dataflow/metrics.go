@@ -37,23 +37,30 @@ type (
 // stage is flagged as skewed.
 const DefaultSkewThreshold = obs.DefaultSkewThreshold
 
-// summarizeDist computes a Dist over vals, where index i is task or
-// partition i. It sorts vals in place — callers recycle or discard the
-// slice afterwards, so the reorder never escapes.
-func summarizeDist(vals []int64) Dist {
-	if len(vals) == 0 {
-		return Dist{}
-	}
-	d := Dist{N: len(vals), Min: vals[0], Max: vals[0]}
+// summarizeDist computes a Dist over vals[i] for the indices i that ran,
+// ran[i] > 0 (every index when ran is nil), where index i is task or
+// partition i. It packs and sorts vals in place — callers recycle or
+// discard the slice afterwards, so the reorder never escapes. ran may be
+// vals itself, but is then packed too.
+func summarizeDist(vals, ran []int64) Dist {
+	var d Dist
 	for i, v := range vals {
-		if v < d.Min {
+		if ran != nil && (i >= len(ran) || ran[i] == 0) {
+			continue
+		}
+		if d.N == 0 || v < d.Min {
 			d.Min = v
 		}
-		if v > d.Max {
-			d.Max = v
-			d.ArgMax = i
+		if d.N == 0 || v > d.Max {
+			d.Max, d.ArgMax = v, i
 		}
+		vals[d.N] = v
+		d.N++
 	}
+	if d.N == 0 {
+		return Dist{}
+	}
+	vals = vals[:d.N]
 	slices.Sort(vals)
 	rank := func(p int) int64 { // nearest-rank percentile
 		idx := (len(vals)*p + 99) / 100

@@ -187,17 +187,17 @@ func TestTracedStageDAG(t *testing.T) {
 
 // TestDistSummary pins down the nearest-rank percentile math.
 func TestDistSummary(t *testing.T) {
-	d := summarizeDist([]int64{10, 20, 30, 40, 1000})
+	d := summarizeDist([]int64{10, 20, 30, 40, 1000}, nil)
 	if d.N != 5 || d.Min != 10 || d.Max != 1000 || d.ArgMax != 4 {
 		t.Fatalf("bad summary: %+v", d)
 	}
 	if d.P50 != 30 || d.P99 != 1000 {
 		t.Fatalf("percentiles: p50=%d p99=%d, want 30 and 1000", d.P50, d.P99)
 	}
-	if z := summarizeDist(nil); z != (Dist{}) {
+	if z := summarizeDist(nil, nil); z != (Dist{}) {
 		t.Fatalf("empty dist = %+v", z)
 	}
-	one := summarizeDist([]int64{7})
+	one := summarizeDist([]int64{7}, nil)
 	if one.P50 != 7 || one.P99 != 7 || one.N != 1 {
 		t.Fatalf("singleton dist = %+v", one)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/spill"
 )
@@ -230,33 +229,18 @@ func (d *Dataset[T]) runAction(name string, body func(st *Stage)) {
 }
 
 // materialize computes the dataset's partitions in parallel on the worker
-// pool and returns them by partition index. It counts as one stage. Under
-// a cluster transport each rank computes the partitions it owns; what
-// happens to the rest depends on who consumes the result. An action whose
-// value every rank needs to go on (Collect, Take: the SPMD program
-// branches on it) gathers them from their owners, recomputing from lineage
-// when an owner died, so every rank returns the identical full result.
-// With ownedOnly the consumer is outside the job — the driver assembling
-// a query result — and the other ranks' partitions stay nil: nothing is
-// published and nothing fetched.
+// pool and returns them by partition index. It counts as one stage. Each
+// process computes the partitions it owns; the rest are gathered from
+// their owners unless ownedOnly, where the consumer is outside the job —
+// the driver assembling a query result — and they stay nil (see gather).
 func (d *Dataset[T]) materialize(ownedOnly bool) [][]T {
-	out := make([][]T, d.parts)
+	var out [][]T
 	d.runAction("collect", func(st *Stage) {
-		note := func(p int) {
-			n := int64(len(out[p]))
-			st.noteIn(p, n)
-			st.recordsOut.Add(n)
-		}
-		if d.ctx.conf.Transport != nil && !ownedOnly {
-			copy(out, spmdGather(d.ctx, st, d.parts, func(p int) []T { return d.partition(p) }))
-			for p := range out {
-				note(p)
-			}
-			return
-		}
-		d.ctx.runTasksOwned(st, d.parts, func(p int) {
-			out[p] = d.partition(p)
-			note(p)
+		out = gather(d.ctx, st, 0, d.parts, !ownedOnly, func(p int) []T {
+			rows := d.partition(p)
+			st.noteIn(p, int64(len(rows)))
+			st.recordsOut.Add(int64(len(rows)))
+			return rows
 		})
 	})
 	return out
@@ -403,90 +387,58 @@ func CollectOwned[T any](d *Dataset[T]) []OwnedPartition[T] {
 // Count returns the number of elements. The count streams through the
 // fused pipeline without materializing partitions.
 func Count[T any](d *Dataset[T]) int64 {
-	var total atomic.Int64
+	var total int64
 	d.runAction("count", func(st *Stage) {
-		if d.ctx.conf.Transport != nil {
-			counts := spmdGather(d.ctx, st, d.parts, func(p int) []int64 {
-				var n int64
-				d.forEach(p, func(T) { n++ })
-				return []int64{n}
-			})
-			for p, c := range counts {
-				total.Add(c[0])
-				st.noteIn(p, c[0])
-			}
-			return
-		}
-		d.ctx.runTasks(st, d.parts, func(p int) {
+		counts := make([]int64, d.parts) // each partition's partial, without an allocation of its own
+		for _, c := range gather(d.ctx, st, 0, d.parts, true, func(p int) []int64 {
 			var n int64
 			d.forEach(p, func(T) { n++ })
-			total.Add(n)
 			st.noteIn(p, n)
-		})
+			counts[p] = n
+			return counts[p : p+1]
+		}) {
+			total += c[0]
+		}
 	})
-	return total.Load()
+	return total
 }
 
 // Reduce folds all elements with the associative function f: each
-// partition folds in parallel inside its task, and the driver merges
-// the partials in partition order. It panics on an empty dataset.
+// partition folds in parallel inside its task into a 0-or-1-element
+// partial, and the partials merge in partition order. It panics on an
+// empty dataset.
 func Reduce[T any](d *Dataset[T], f func(T, T) T) T {
-	partials := make([]T, d.parts)
-	seen := make([]bool, d.parts)
+	var parts [][]T
 	d.runAction("reduce", func(st *Stage) {
-		if d.ctx.conf.Transport != nil {
-			// Each rank folds its owned partitions, publishes the
-			// 0-or-1-element partial, and gathers the rest; the final
-			// partition-order fold below is identical on every rank.
-			parts := spmdGather(d.ctx, st, d.parts, func(p int) []T {
-				var partial T
-				var any bool
-				d.forEach(p, func(v T) {
-					if !any {
-						partial, any = v, true
-					} else {
-						partial = f(partial, v)
-					}
-				})
-				if !any {
-					return nil
-				}
-				return []T{partial}
-			})
-			for p, rows := range parts {
-				if len(rows) > 0 {
-					partials[p], seen[p] = rows[0], true
-					st.recordsOut.Add(1)
-				}
-			}
-			return
-		}
-		d.ctx.runTasks(st, d.parts, func(p int) {
+		partials := make([]T, d.parts)
+		parts = gather(d.ctx, st, 0, d.parts, true, func(p int) []T {
 			var n int64
 			d.forEach(p, func(v T) {
-				n++
-				if !seen[p] {
-					partials[p], seen[p] = v, true
+				if n == 0 {
+					partials[p] = v
 				} else {
 					partials[p] = f(partials[p], v)
 				}
+				n++
 			})
 			st.noteIn(p, n)
-			if seen[p] {
-				st.recordsOut.Add(1)
+			if n == 0 {
+				return nil
 			}
+			st.recordsOut.Add(1)
+			return partials[p : p+1]
 		})
 	})
 	var acc T
 	any := false
-	for p := range partials {
-		if !seen[p] {
+	for _, partial := range parts {
+		if len(partial) == 0 {
 			continue
 		}
 		if !any {
-			acc, any = partials[p], true
+			acc, any = partial[0], true
 		} else {
-			acc = f(acc, partials[p])
+			acc = f(acc, partial[0])
 		}
 	}
 	if !any {
@@ -497,42 +449,27 @@ func Reduce[T any](d *Dataset[T], f func(T, T) T) T {
 
 // Aggregate folds all elements starting from zero; zero is used once
 // per partition (folded inside the partition's task) and partials are
-// merged in partition order on the driver.
+// merged in partition order.
 func Aggregate[T, A any](d *Dataset[T], zero A, seq func(A, T) A, merge func(A, A) A) A {
-	partials := make([]A, d.parts)
+	var parts [][]A
 	d.runAction("aggregate", func(st *Stage) {
-		if d.ctx.conf.Transport != nil {
-			// Accumulator partials cross ranks with A's registered codec.
-			parts := spmdGather(d.ctx, st, d.parts, func(p int) []A {
-				partial := zero
-				d.forEach(p, func(v T) { partial = seq(partial, v) })
-				return []A{partial}
-			})
-			for p, rows := range parts {
-				partials[p] = rows[0]
-				st.recordsOut.Add(1)
-			}
-			return
-		}
-		d.ctx.runTasks(st, d.parts, func(p int) {
+		partials := make([]A, d.parts)
+		parts = gather(d.ctx, st, 0, d.parts, true, func(p int) []A {
 			partial := zero
 			var n int64
 			d.forEach(p, func(v T) {
 				n++
 				partial = seq(partial, v)
 			})
-			partials[p] = partial
 			st.noteIn(p, n)
 			st.recordsOut.Add(1)
+			partials[p] = partial
+			return partials[p : p+1]
 		})
 	})
-	acc := zero
-	for p, partial := range partials {
-		if p == 0 {
-			acc = partial
-		} else {
-			acc = merge(acc, partial)
-		}
+	acc := parts[0][0]
+	for _, partial := range parts[1:] {
+		acc = merge(acc, partial[0])
 	}
 	return acc
 }
@@ -573,30 +510,21 @@ func Distinct[T any, K comparable](d *Dataset[T], keyOf func(T) K, numPartitions
 
 // Take returns up to n elements, materializing partitions in order
 // until enough are gathered. It runs as a stage whose tasks are the
-// partitions actually scanned.
+// partitions actually scanned; each notes the records it adds to the
+// result. Every rank gathers the same rows, so every rank stops the scan
+// at the same partition.
 func Take[T any](d *Dataset[T], n int) []T {
 	var out []T
 	d.runAction("take", func(st *Stage) {
-		dist := d.ctx.conf.Transport != nil
 		for p := 0; p < d.parts && len(out) < n; p++ {
-			part := p
-			var rows []T
-			if dist {
-				// Owner computes and publishes; every rank sees the same
-				// rows, so every rank stops the scan at the same place.
-				rows = spmdGatherOne(d.ctx, st, part, func() []T { return d.partition(part) })
-			} else {
-				d.ctx.runTasks(st, 1, func(int) { rows = d.partition(part) })
-			}
-			st.noteIn(part, int64(len(rows)))
-			for _, v := range rows {
-				out = append(out, v)
-				if len(out) == n {
-					break
-				}
-			}
+			rows := gather(d.ctx, st, p, p+1, true, func(p int) []T {
+				rows := d.partition(p)
+				st.noteIn(p, int64(len(rows)))
+				st.recordsOut.Add(int64(min(len(rows), n-len(out))))
+				return rows
+			})[0]
+			out = append(out, rows[:min(len(rows), n-len(out))]...)
 		}
-		st.recordsOut.Add(int64(len(out)))
 	})
 	return out
 }

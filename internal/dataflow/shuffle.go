@@ -111,7 +111,7 @@ func newShuffle[T any](d *Dataset[T], name string, parts int, fill func(m int, t
 // eviction.
 func (s *lazyBuckets[T]) runMapSide(st *Stage) {
 	s.seg = make([][]bucketed[T], s.srcParts)
-	s.ctx.runTasksOwned(st, s.srcParts, func(m int) {
+	s.ctx.runTasksOwned(st, 0, s.srcParts, func(m int) {
 		in, sg := s.runTask(m)
 		st.noteIn(m, in)
 		s.publish(m, sg)

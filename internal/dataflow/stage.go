@@ -55,7 +55,9 @@ type Stage struct {
 	span *trace.Span
 
 	// Per-task samples backing the stage's TaskDur / PartRecords
-	// distributions, indexed by task/partition.
+	// distributions, indexed by task/partition. A task that ran here
+	// records a duration of at least 1 ns, so a zero duration marks a
+	// task this process did not run: on a cluster, another rank's.
 	statsMu   sync.Mutex
 	taskDurNs []int64
 	taskRecs  []int64
@@ -107,14 +109,12 @@ func growTo(xs []int64, n int) []int64 {
 	return out
 }
 
-// noteTaskDur records one task attempt's wall time at index i. Repeated
-// attempts on the same index (retries, per-partition driver scans)
-// accumulate.
+// noteTaskDur records task i's wall time, at least 1 ns (see taskDurNs).
 func (s *Stage) noteTaskDur(i int, d time.Duration) {
 	s.statsMu.Lock()
 	s.seedStats()
 	s.taskDurNs = growTo(s.taskDurNs, i+1)
-	s.taskDurNs[i] += d.Nanoseconds()
+	s.taskDurNs[i] += max(d.Nanoseconds(), 1)
 	s.statsMu.Unlock()
 }
 
@@ -169,11 +169,13 @@ func (s *Stage) ensure() {
 			c.metrics.c.Stages.Add(1)
 			// The stage is finished: no task can append samples anymore,
 			// so the slices are summarized without copying and then
-			// recycled for later stages.
+			// recycled for later stages. The row covers the tasks that
+			// ran here.
 			s.statsMu.Lock()
 			durs, recs := s.taskDurNs, s.taskRecs
 			s.taskDurNs, s.taskRecs = nil, nil
 			s.statsMu.Unlock()
+			partRecs := summarizeDist(recs, durs) // before durs packs itself
 			sm := StageMetric{
 				ID:            s.id,
 				Name:          s.name,
@@ -183,15 +185,15 @@ func (s *Stage) ensure() {
 				RecordsIn:     s.recordsIn.Load(),
 				RecordsOut:    s.recordsOut.Load(),
 				ShuffledBytes: s.shuffledBytes.Load(),
-				TaskDur:       summarizeDist(durs),
-				PartRecords:   summarizeDist(recs),
+				PartRecords:   partRecs,
+				TaskDur:       summarizeDist(durs, durs),
 			}
 			c.metrics.c.RecordsIn.Add(sm.RecordsIn)
 			c.metrics.recordStage(sm)
 			if obs.Default.Enabled() {
 				c.metrics.c.Publish()
 				obsStageSeconds.Observe(wall.Seconds())
-				for _, ns := range durs {
+				for _, ns := range durs[:sm.TaskDur.N] { // packed: the tasks that ran here
 					obsTaskSeconds.Observe(float64(ns) / 1e9)
 				}
 			}

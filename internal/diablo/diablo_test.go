@@ -50,10 +50,40 @@ func TestParseErrors(t *testing.T) {
 		"for i = 0, 5 do V[i",
 		"var M: matrix[n]",
 		"@",
+		"var V: vector[n]; for i = 0, n-1 do V[i] += f(1 2)", // arguments need commas
+		"var V: vector[n]; for to = 0, n-1 do V[to] += 1",    // SAC's keywords are reserved
+		"var V: vector[n]; for i = 0, n-1 do V[i] + min= 1",
+		"var V: vector[n]; for i = 0, n-1 do V[i] + = 1", // an update operator is one word
+		"var V: vector[n]; for i = 0, n-1 do V[i] min = 1",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Fatalf("expected error for %q", src)
+		}
+	}
+}
+
+// TestSACOnlyFormsRejected: expressions are read with SAC's grammar, but
+// the loop language does not grow — a form only SAC has is a parse error
+// that names it.
+func TestSACOnlyFormsRejected(t *testing.T) {
+	for _, tc := range []struct{ rhs, form string }{
+		{`"s"`, "a string literal"},
+		{"[ x | (j,x) <- W ]", "a comprehension"},
+		{"vector(n)[ (j,x) | (j,x) <- W ]", "a builder"},
+		{"+/[ x | (j,x) <- W ]", "a reduction"},
+		{"sum/W", "a reduction"},
+		{"(1, 2)", "a tuple"},
+		{"if(!b, 1, 0)", `the operator "!"`},
+		{"W ++ W", `the operator "++"`},
+		{"1 until 3", `the operator "until"`},
+		{"0 to 3", `the operator "to"`},
+		{"M[i, do]", `the reserved word "do"`},
+	} {
+		src := "var V: vector[n]; for i = 0, n-1 do V[i] += " + tc.rhs
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), tc.form) {
+			t.Errorf("%s: error %v, want one naming %s", tc.rhs, err, tc.form)
 		}
 	}
 }

@@ -2,152 +2,136 @@ package diablo
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"unicode"
 
 	"repro/internal/comp"
+	"repro/internal/sacparser"
 )
 
-// A compact lexer and recursive-descent parser for the loop language.
-// Expressions share the SAC operator set (minus comprehensions, which
-// do not occur in loop bodies).
+// The loop language's own grammar is its statements: declarations, loops
+// and array updates. It reads them off SAC's token stream and hands every
+// expression to SAC's expression grammar, so SAC's keywords are reserved
+// words here too. The forms SAC has and loops lack are parse errors
+// (sacOnly).
 
-type tokKind int
-
-const (
-	tEOF tokKind = iota
-	tIdent
-	tInt
-	tFloat
-	tOp
-	tKeyword
-)
-
-type tok struct {
-	kind tokKind
-	text string
-	pos  int
-}
-
-var diabloKeywords = map[string]bool{
-	"var": true, "for": true, "do": true, "vector": true, "matrix": true,
-	"true": true, "false": true, "if": true,
-}
-
-var diabloOps = []string{
-	"+=", "*=", ":=", "min=", "max=", "==", "!=", "<=", ">=", "&&", "||",
-	"(", ")", "[", "]", "{", "}", ",", ";", ":", "+", "-", "*", "/", "%", "<", ">", "=",
-}
-
-func lexProgram(src string) ([]tok, error) {
-	var toks []tok
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case strings.HasPrefix(src[i:], "//"):
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start := i
-			for i < len(src) && (unicode.IsLetter(rune(src[i])) || unicode.IsDigit(rune(src[i])) || src[i] == '_') {
-				i++
-			}
-			text := src[start:i]
-			// min= / max= are operators, not identifiers.
-			if (text == "min" || text == "max") && i < len(src) && src[i] == '=' {
-				i++
-				toks = append(toks, tok{tOp, text + "=", start})
-				continue
-			}
-			kind := tIdent
-			if diabloKeywords[text] {
-				kind = tKeyword
-			}
-			toks = append(toks, tok{kind, text, start})
-		case c >= '0' && c <= '9':
-			start := i
-			kind := tInt
-			for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-				i++
-			}
-			if i+1 < len(src) && src[i] == '.' && src[i+1] >= '0' && src[i+1] <= '9' {
-				kind = tFloat
-				i++
-				for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-					i++
-				}
-			}
-			toks = append(toks, tok{kind, src[start:i], start})
-		default:
-			matched := false
-			for _, op := range diabloOps {
-				if strings.HasPrefix(src[i:], op) {
-					toks = append(toks, tok{tOp, op, i})
-					i += len(op)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("diablo: unexpected character %q at offset %d", c, i)
-			}
-		}
-	}
-	toks = append(toks, tok{kind: tEOF, pos: len(src)})
-	return toks, nil
-}
-
-type prser struct {
-	toks []tok
-	i    int
-}
-
-func (p *prser) peek() tok { return p.toks[p.i] }
-func (p *prser) next() tok { t := p.toks[p.i]; p.i++; return t }
+type prser struct{ s *sacparser.Stream }
 
 func (p *prser) errf(format string, args ...any) error {
-	return fmt.Errorf("diablo: parse error at offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("diablo: %w", p.s.Errorf(format, args...))
 }
 
-func (p *prser) atOp(op string) bool {
-	t := p.peek()
-	return t.kind == tOp && t.text == op
-}
-
-func (p *prser) expectOp(op string) error {
-	if !p.atOp(op) {
-		return p.errf("expected %q, found %q", op, p.peek().text)
+func (p *prser) expect(op string) error {
+	if !p.s.Op(op) {
+		return p.errf("expected %q", op)
 	}
-	p.next()
 	return nil
 }
 
-func (p *prser) atKeyword(kw string) bool {
-	t := p.peek()
-	return t.kind == tKeyword && t.text == kw
+// reserved are the loop language's own words, which SAC reads as names.
+var reserved = map[string]bool{"var": true, "for": true, "do": true, "vector": true, "matrix": true}
+
+// name reads an array or loop variable name.
+func (p *prser) name(what string) (string, error) {
+	n, ok := p.s.Ident()
+	if !ok {
+		return "", p.errf("expected %s", what)
+	}
+	if reserved[n] {
+		return "", p.errf("%q is a reserved word, not %s", n, what)
+	}
+	return n, nil
+}
+
+// expr reads one expression with SAC's grammar.
+func (p *prser) expr() (comp.Expr, error) {
+	e, err := p.s.Expr()
+	if err != nil {
+		return nil, fmt.Errorf("diablo: %w", err)
+	}
+	var form string // the outermost offending form: the walk is bottom-up
+	comp.MapExpr(e, func(x comp.Expr) comp.Expr {
+		if f := sacOnly(x); f != "" {
+			form = f
+		}
+		return x
+	})
+	if form != "" {
+		return nil, p.errf("%s is not part of the loop language: %s", form, e)
+	}
+	return e, nil
+}
+
+// sacOnly names the form of node x if the loop language lacks it, or
+// returns "".
+func sacOnly(x comp.Expr) string {
+	op := ""
+	switch x := x.(type) {
+	case comp.Lit:
+		if _, ok := x.Val.(string); ok {
+			return "a string literal"
+		}
+	case comp.Comprehension:
+		return "a comprehension"
+	case comp.BuildExpr:
+		return "a builder"
+	case comp.Reduce:
+		return "a reduction"
+	case comp.TupleExpr:
+		return "a tuple"
+	case comp.Var:
+		if reserved[x.Name] {
+			return fmt.Sprintf("the reserved word %q", x.Name)
+		}
+	case comp.UnaryOp:
+		op = x.Op
+	}
+	if b, ok := x.(comp.BinOp); ok {
+		op = b.Op
+	}
+	switch op {
+	case "!", "++", "until", "to":
+		return fmt.Sprintf("the operator %q", op)
+	}
+	return ""
+}
+
+// subscripts reads [e1, ..., en], n >= 1.
+func (p *prser) subscripts() ([]comp.Expr, error) {
+	if err := p.expect("["); err != nil {
+		return nil, err
+	}
+	var es []comp.Expr
+	for {
+		e, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		es = append(es, e)
+		if !p.s.Op(",") {
+			break
+		}
+	}
+	if err := p.expect("]"); err != nil {
+		return nil, err
+	}
+	return es, nil
 }
 
 // Parse parses a full DIABLO program.
 func Parse(src string) (*Program, error) {
-	toks, err := lexProgram(src)
+	s, err := sacparser.Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diablo: %w", err)
 	}
-	p := &prser{toks: toks}
+	p := &prser{s: s}
 	prog := &Program{}
-	for p.atKeyword("var") {
+	for p.s.Word("var") {
 		d, err := p.parseDecl()
 		if err != nil {
 			return nil, err
 		}
 		prog.Decls = append(prog.Decls, *d)
 	}
-	for p.peek().kind != tEOF {
+	for !p.s.Done() {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
@@ -166,309 +150,109 @@ func MustParse(src string) *Program {
 	return prog
 }
 
+// parseDecl reads `var` name : vector[n] | matrix[n, m] [;].
 func (p *prser) parseDecl() (*Decl, error) {
-	p.next() // var
-	name := p.peek()
-	if name.kind != tIdent {
-		return nil, p.errf("expected array name")
-	}
-	p.next()
-	if err := p.expectOp(":"); err != nil {
+	name, err := p.name("array name")
+	if err != nil {
 		return nil, err
 	}
-	kind := p.peek()
-	if kind.kind != tKeyword || (kind.text != "vector" && kind.text != "matrix") {
+	if err := p.expect(":"); err != nil {
+		return nil, err
+	}
+	kind, want := "vector", 1
+	if p.s.Word("matrix") {
+		kind, want = "matrix", 2
+	} else if !p.s.Word("vector") {
 		return nil, p.errf("expected vector or matrix type")
 	}
-	p.next()
-	if err := p.expectOp("["); err != nil {
+	dims, err := p.subscripts()
+	if err != nil {
 		return nil, err
 	}
-	var dims []comp.Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		dims = append(dims, e)
-		if p.atOp(",") {
-			p.next()
-			continue
-		}
-		break
-	}
-	if err := p.expectOp("]"); err != nil {
-		return nil, err
-	}
-	if p.atOp(";") {
-		p.next()
-	}
-	want := 1
-	if kind.text == "matrix" {
-		want = 2
-	}
+	p.s.Op(";")
 	if len(dims) != want {
-		return nil, p.errf("%s needs %d dimensions, got %d", kind.text, want, len(dims))
+		return nil, p.errf("%s needs %d dimensions, got %d", kind, want, len(dims))
 	}
-	return &Decl{Name: name.text, Kind: kind.text, Dims: dims}, nil
+	return &Decl{Name: name, Kind: kind, Dims: dims}, nil
 }
 
 func (p *prser) parseStmt() (Stmt, error) {
-	if p.atKeyword("for") {
+	if p.s.Word("for") {
 		return p.parseFor()
 	}
 	return p.parseUpdate()
 }
 
+// parseFor reads `for` v = lo, hi do (stmt | { stmt* }).
 func (p *prser) parseFor() (Stmt, error) {
-	p.next() // for
-	v := p.peek()
-	if v.kind != tIdent {
-		return nil, p.errf("expected loop variable")
-	}
-	p.next()
-	if err := p.expectOp("="); err != nil {
-		return nil, err
-	}
-	lo, err := p.parseExpr()
+	v, err := p.name("loop variable")
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectOp(","); err != nil {
+	if err := p.expect("="); err != nil {
 		return nil, err
 	}
-	hi, err := p.parseExpr()
+	lo, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if !p.atKeyword("do") {
+	if err := p.expect(","); err != nil {
+		return nil, err
+	}
+	hi, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.s.Word("do") {
 		return nil, p.errf("expected 'do'")
 	}
-	p.next()
-	var body []Stmt
-	if p.atOp("{") {
-		p.next()
-		for !p.atOp("}") {
-			s, err := p.parseStmt()
-			if err != nil {
-				return nil, err
-			}
-			body = append(body, s)
-		}
-		p.next()
-	} else {
+	loop := ForStmt{Var: v, Lo: lo, Hi: hi}
+	if !p.s.Op("{") {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		body = []Stmt{s}
+		loop.Body = []Stmt{s}
+		return loop, nil
 	}
-	return ForStmt{Var: v.text, Lo: lo, Hi: hi, Body: body}, nil
+	for !p.s.Op("}") {
+		s, err := p.parseStmt()
+		if err != nil {
+			return nil, err
+		}
+		loop.Body = append(loop.Body, s)
+	}
+	return loop, nil
 }
 
+// parseUpdate reads A[e1, ..., en] op rhs [;].
 func (p *prser) parseUpdate() (Stmt, error) {
-	name := p.peek()
-	if name.kind != tIdent {
-		return nil, p.errf("expected array update, found %q", name.text)
-	}
-	p.next()
-	if err := p.expectOp("["); err != nil {
-		return nil, err
-	}
-	var idxs []comp.Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		idxs = append(idxs, e)
-		if p.atOp(",") {
-			p.next()
-			continue
-		}
-		break
-	}
-	if err := p.expectOp("]"); err != nil {
-		return nil, err
-	}
-	opTok := p.peek()
-	switch opTok.text {
-	case "+=", "*=", ":=", "min=", "max=":
-		p.next()
-	default:
-		return nil, p.errf("expected update operator, found %q", opTok.text)
-	}
-	rhs, err := p.parseExpr()
+	name, err := p.name("array update")
 	if err != nil {
 		return nil, err
 	}
-	if p.atOp(";") {
-		p.next()
-	}
-	return UpdateStmt{Array: name.text, Idxs: idxs, Op: opTok.text, Rhs: rhs}, nil
-}
-
-// --- expressions (same operator set as the SAC DSL) ---
-
-var diabloPrec = [][]string{
-	{"||"},
-	{"&&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"+", "-"},
-	{"*", "/", "%"},
-}
-
-func (p *prser) parseExpr() (comp.Expr, error) { return p.parseBin(0) }
-
-func (p *prser) parseBin(level int) (comp.Expr, error) {
-	if level >= len(diabloPrec) {
-		return p.parseUnary()
-	}
-	left, err := p.parseBin(level + 1)
+	idxs, err := p.subscripts()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		matched := ""
-		if t.kind == tOp {
-			for _, op := range diabloPrec[level] {
-				if t.text == op {
-					matched = op
-					break
-				}
-			}
-		}
-		if matched == "" {
-			return left, nil
-		}
-		p.next()
-		right, err := p.parseBin(level + 1)
-		if err != nil {
-			return nil, err
-		}
-		left = comp.BinOp{Op: matched, L: left, R: right}
+	op := p.updateOp()
+	if op == "" {
+		return nil, p.errf("expected update operator")
 	}
-}
-
-func (p *prser) parseUnary() (comp.Expr, error) {
-	if p.atOp("-") {
-		p.next()
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return comp.UnaryOp{Op: "-", E: e}, nil
-	}
-	return p.parsePostfix()
-}
-
-func (p *prser) parsePostfix() (comp.Expr, error) {
-	e, err := p.parsePrimary()
+	rhs, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	for p.atOp("[") {
-		p.next()
-		var idxs []comp.Expr
-		for {
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			idxs = append(idxs, idx)
-			if p.atOp(",") {
-				p.next()
-				continue
-			}
-			break
-		}
-		if err := p.expectOp("]"); err != nil {
-			return nil, err
-		}
-		e = comp.Index{Arr: e, Idxs: idxs}
-	}
-	return e, nil
+	p.s.Op(";")
+	return UpdateStmt{Array: name, Idxs: idxs, Op: op, Rhs: rhs}, nil
 }
 
-func (p *prser) parsePrimary() (comp.Expr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == tInt:
-		p.next()
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad int %q", t.text)
+// updateOp reads one of :=, +=, *=, min=, max=, or returns "".
+func (p *prser) updateOp() string {
+	for _, op := range []string{":=", "+=", "*=", "min=", "max="} {
+		if p.s.Op(op) {
+			return op
 		}
-		return comp.Lit{Val: v}, nil
-	case t.kind == tFloat:
-		p.next()
-		v, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, p.errf("bad float %q", t.text)
-		}
-		return comp.Lit{Val: v}, nil
-	case t.kind == tKeyword && (t.text == "true" || t.text == "false"):
-		p.next()
-		return comp.Lit{Val: t.text == "true"}, nil
-	case t.kind == tKeyword && t.text == "if":
-		p.next()
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(","); err != nil {
-			return nil, err
-		}
-		then, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(","); err != nil {
-			return nil, err
-		}
-		els, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return comp.IfExpr{Cond: cond, Then: then, Else: els}, nil
-	case t.kind == tIdent:
-		p.next()
-		if p.atOp("(") {
-			p.next()
-			var args []comp.Expr
-			for !p.atOp(")") {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if p.atOp(",") {
-					p.next()
-				}
-			}
-			p.next()
-			return comp.Call{Fn: t.text, Args: args}, nil
-		}
-		return comp.Var{Name: t.text}, nil
-	case t.kind == tOp && t.text == "(":
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	default:
-		return nil, p.errf("unexpected %q", t.text)
 	}
+	return ""
 }

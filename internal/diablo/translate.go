@@ -242,36 +242,14 @@ func (t *translator) groupKey(idxs []comp.Expr) (comp.Pattern, comp.Expr, comp.E
 // evaluation order.
 func collectReads(e comp.Expr) []comp.Index {
 	var out []comp.Index
-	var walk func(comp.Expr)
-	walk = func(x comp.Expr) {
-		switch v := x.(type) {
-		case comp.Index:
-			if _, ok := v.Arr.(comp.Var); ok {
-				out = append(out, v)
+	comp.MapExpr(e, func(x comp.Expr) comp.Expr {
+		if idx, ok := x.(comp.Index); ok {
+			if _, named := idx.Arr.(comp.Var); named {
+				out = append(out, idx)
 			}
-			for _, s := range v.Idxs {
-				walk(s)
-			}
-		case comp.BinOp:
-			walk(v.L)
-			walk(v.R)
-		case comp.UnaryOp:
-			walk(v.E)
-		case comp.Call:
-			for _, s := range v.Args {
-				walk(s)
-			}
-		case comp.TupleExpr:
-			for _, s := range v.Elems {
-				walk(s)
-			}
-		case comp.IfExpr:
-			walk(v.Cond)
-			walk(v.Then)
-			walk(v.Else)
 		}
-	}
-	walk(e)
+		return x
+	})
 	return out
 }
 
@@ -296,41 +274,12 @@ func plainLoopVars(read comp.Index, loops map[string]loopCtx) ([]string, bool) {
 
 // replaceRead substitutes a structurally equal Index read.
 func replaceRead(e comp.Expr, read comp.Index, with comp.Expr) comp.Expr {
-	if idx, ok := e.(comp.Index); ok && exprEqual(idx, read) {
-		return with
-	}
-	switch x := e.(type) {
-	case comp.BinOp:
-		return comp.BinOp{Op: x.Op, L: replaceRead(x.L, read, with), R: replaceRead(x.R, read, with)}
-	case comp.UnaryOp:
-		return comp.UnaryOp{Op: x.Op, E: replaceRead(x.E, read, with)}
-	case comp.Call:
-		args := make([]comp.Expr, len(x.Args))
-		for i, s := range x.Args {
-			args[i] = replaceRead(s, read, with)
+	return comp.MapExpr(e, func(x comp.Expr) comp.Expr {
+		if idx, ok := x.(comp.Index); ok && exprEqual(idx, read) {
+			return with
 		}
-		return comp.Call{Fn: x.Fn, Args: args}
-	case comp.TupleExpr:
-		elems := make([]comp.Expr, len(x.Elems))
-		for i, s := range x.Elems {
-			elems[i] = replaceRead(s, read, with)
-		}
-		return comp.TupleExpr{Elems: elems}
-	case comp.IfExpr:
-		return comp.IfExpr{
-			Cond: replaceRead(x.Cond, read, with),
-			Then: replaceRead(x.Then, read, with),
-			Else: replaceRead(x.Else, read, with),
-		}
-	case comp.Index:
-		idxs := make([]comp.Expr, len(x.Idxs))
-		for i, s := range x.Idxs {
-			idxs[i] = replaceRead(s, read, with)
-		}
-		return comp.Index{Arr: x.Arr, Idxs: idxs}
-	default:
-		return e
-	}
+		return x
+	})
 }
 
 // exprEqual compares expressions by printed form (sufficient for the

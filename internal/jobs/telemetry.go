@@ -75,14 +75,14 @@ func (p *telemetryPump) loop() {
 }
 
 // flush ships one batch: the stage rows completed and spans ended
-// since the previous flush, plus the rank's cumulative report. Empty
-// periodic batches are skipped; the Final batch always goes out so
-// the driver learns the rank's closing counters.
+// since the previous flush. Empty periodic batches are skipped; the
+// Final batch always goes out so the driver learns the rank finished
+// cleanly.
 func (p *telemetryPump) flush(final bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	snap := p.sess.Metrics()
-	b := cluster.TelemetryBatch{Final: final, Report: snap.CounterSet}
+	b := cluster.TelemetryBatch{Final: final}
 	if rows := snap.PerStage; p.sentStages < len(rows) {
 		b.Stages = rows[p.sentStages:]
 		p.sentStages = len(rows)

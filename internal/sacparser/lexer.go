@@ -4,7 +4,8 @@
 //	tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- M, ((kk,j),b) <- N,
 //	            kk == k, let v = a*b, group by (i,j) ]
 //
-// It produces the comp package's AST.
+// It produces the comp package's AST. Its token stream (Stream) also
+// carries DIABLO's loop language, whose expressions are SAC's.
 package sacparser
 
 import (
@@ -207,7 +208,7 @@ func (l *lexer) lexOp() bool {
 		}
 	}
 	switch c := l.src[l.pos]; c {
-	case '(', ')', '[', ']', ',', '+', '-', '*', '/', '%', '<', '>', '=', '|', '!', ':':
+	case '(', ')', '[', ']', '{', '}', ',', ';', '+', '-', '*', '/', '%', '<', '>', '=', '|', '!', ':':
 		l.tokens = append(l.tokens, token{kind: tokOp, text: string(c), pos: l.pos})
 		l.pos++
 		return true

@@ -3,6 +3,7 @@ package sacparser
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/comp"
 )
@@ -22,17 +23,16 @@ var namedMonoids = map[string]bool{
 
 // Parse parses a full SAC expression and returns its AST.
 func Parse(src string) (comp.Expr, error) {
-	toks, err := lex(src)
+	s, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
-	e, err := p.parseExpr()
+	e, err := s.Expr()
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected %s after expression", p.peek())
+	if !s.Done() {
+		return nil, s.p.errf("unexpected %s after expression", s.p.peek())
 	}
 	return e, nil
 }
@@ -44,6 +44,71 @@ func MustParse(src string) comp.Expr {
 		panic(err)
 	}
 	return e
+}
+
+// Stream is a lexed input read a token at a time, for a grammar that
+// embeds SAC expressions: it matches its own tokens with Op, Word and
+// Ident and hands every expression to Expr. DIABLO's loop language
+// (internal/diablo) is read this way, so SAC's keywords are reserved
+// there too.
+type Stream struct{ p parser }
+
+// Lex tokenizes src.
+func Lex(src string) (*Stream, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{parser{toks: toks, src: src}}, nil
+}
+
+// Expr parses one expression at the next token.
+func (s *Stream) Expr() (comp.Expr, error) { return s.p.parseExpr() }
+
+// Op consumes the operator or punctuation op if it comes next: one
+// token, or adjacent tokens that spell it with no space between (the loop
+// language's `+=` and `min=` are SAC's `+` and `min`, then `=`).
+func (s *Stream) Op(op string) bool {
+	pos := s.p.peek().pos
+	for i := s.p.i; op != ""; i++ {
+		t := s.p.toks[i]
+		if t.kind == tokEOF || t.kind == tokString || t.pos != pos || !strings.HasPrefix(op, t.text) {
+			return false
+		}
+		op, pos = op[len(t.text):], pos+len(t.text)
+		if op == "" {
+			s.p.i = i + 1
+		}
+	}
+	return true
+}
+
+// Word consumes the next token if it is the name w.
+func (s *Stream) Word(w string) bool {
+	if t := s.p.peek(); t.kind != tokIdent || t.text != w {
+		return false
+	}
+	s.p.next()
+	return true
+}
+
+// Ident consumes and returns the next token if it is a name (not a
+// keyword).
+func (s *Stream) Ident() (string, bool) {
+	t := s.p.peek()
+	if t.kind != tokIdent {
+		return "", false
+	}
+	s.p.next()
+	return t.text, true
+}
+
+// Done reports whether every token has been consumed.
+func (s *Stream) Done() bool { return s.p.peek().kind == tokEOF }
+
+// Errorf returns a parse error at the offset of the next token.
+func (s *Stream) Errorf(format string, args ...any) error {
+	return fmt.Errorf("parse error at offset %d: %s", s.p.peek().pos, fmt.Sprintf(format, args...))
 }
 
 type parser struct {
@@ -238,7 +303,11 @@ func (p *parser) parsePrimary() (comp.Expr, error) {
 	case t.kind == tokIdent:
 		p.next()
 		if p.atOp("(") {
-			return p.parseCallArgs(t.text)
+			args, err := p.parseArgs()
+			if err != nil {
+				return nil, err
+			}
+			return comp.Call{Fn: t.text, Args: args}, nil
 		}
 		return comp.Var{Name: t.text}, nil
 	case t.kind == tokOp && t.text == "(":
@@ -258,33 +327,40 @@ func isReductionOp(op string) bool {
 	return false
 }
 
+// parseIf parses if(cond, then, else).
 func (p *parser) parseIf() (comp.Expr, error) {
 	p.next() // if
+	args, err := p.parseArgs()
+	if err != nil {
+		return nil, err
+	}
+	if len(args) != 3 {
+		return nil, p.errf("if takes 3 arguments, not %d", len(args))
+	}
+	return comp.IfExpr{Cond: args[0], Then: args[1], Else: args[2]}, nil
+}
+
+// parseArgs parses a parenthesized argument list: () or expressions
+// separated by commas.
+func (p *parser) parseArgs() ([]comp.Expr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	var args []comp.Expr
+	for !p.atOp(")") {
+		if len(args) > 0 {
+			if err := p.expectOp(","); err != nil {
+				return nil, err
+			}
+		}
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, a)
 	}
-	if err := p.expectOp(","); err != nil {
-		return nil, err
-	}
-	then, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(","); err != nil {
-		return nil, err
-	}
-	els, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return comp.IfExpr{Cond: cond, Then: then, Else: els}, nil
+	p.next() // ')'
+	return args, nil
 }
 
 // parseBuild parses builder(args...)[ comprehension ] or builder[...].
@@ -292,18 +368,10 @@ func (p *parser) parseBuild() (comp.Expr, error) {
 	name := p.next().text
 	var args []comp.Expr
 	if p.atOp("(") {
-		p.next()
-		for !p.atOp(")") {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
-			if p.atOp(",") {
-				p.next()
-			}
+		var err error
+		if args, err = p.parseArgs(); err != nil {
+			return nil, err
 		}
-		p.next() // ')'
 	}
 	if !p.atOp("[") {
 		// Not a build after all: `matrix` used as a plain identifier
@@ -320,49 +388,14 @@ func (p *parser) parseBuild() (comp.Expr, error) {
 	return comp.BuildExpr{Builder: name, Args: args, Body: body}, nil
 }
 
-func (p *parser) parseCallArgs(fn string) (comp.Expr, error) {
-	p.next() // '('
-	var args []comp.Expr
-	for !p.atOp(")") {
-		a, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, a)
-		if p.atOp(",") {
-			p.next()
-		}
-	}
-	p.next() // ')'
-	return comp.Call{Fn: fn, Args: args}, nil
-}
-
 // parseParenOrTuple parses (e), (e1, e2, ...), or the unit tuple ().
 func (p *parser) parseParenOrTuple() (comp.Expr, error) {
-	p.next() // '('
-	if p.atOp(")") {
-		p.next()
-		return comp.TupleExpr{}, nil
-	}
-	first, err := p.parseExpr()
+	elems, err := p.parseArgs()
 	if err != nil {
 		return nil, err
 	}
-	if p.atOp(")") {
-		p.next()
-		return first, nil
-	}
-	elems := []comp.Expr{first}
-	for p.atOp(",") {
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		elems = append(elems, e)
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
+	if len(elems) == 1 {
+		return elems[0], nil
 	}
 	return comp.TupleExpr{Elems: elems}, nil
 }

@@ -191,6 +191,10 @@ func TestParseErrors(t *testing.T) {
 		`"unterminated`,
 		"1 @ 2",
 		"[1, 2, 3]",
+		// Arguments are separated by commas.
+		"f(1 2)",
+		"matrix(2 3)[ ((i,j),v) | ((i,j),v) <- A ]",
+		"f(1,)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
