@@ -205,6 +205,9 @@ func (e Index) String() string {
 }
 func (e Reduce) String() string { return fmt.Sprintf("%s/%s", e.Monoid, e.E) }
 func (e Comprehension) String() string {
+	if len(e.Quals) == 0 {
+		return fmt.Sprintf("[ %s ]", e.Head) // the singleton [e]
+	}
 	quals := make([]string, len(e.Quals))
 	for i, q := range e.Quals {
 		quals[i] = q.String()

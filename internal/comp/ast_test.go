@@ -9,16 +9,16 @@ import (
 // the paper's queries contains the expected surface syntax.
 func TestASTStringForms(t *testing.T) {
 	cases := map[string]Expr{
-		"x":                    Var{"x"},
-		"3":                    Lit{int64(3)},
-		"(x, 1)":               TupleExpr{[]Expr{Var{"x"}, Lit{int64(1)}}},
-		"(x + 1)":              BinOp{"+", Var{"x"}, Lit{int64(1)}},
-		"-x":                   UnaryOp{"-", Var{"x"}},
-		"f(x, 2)":              Call{"f", []Expr{Var{"x"}, Lit{int64(2)}}},
-		"M[i, j]":              Index{Var{"M"}, []Expr{Var{"i"}, Var{"j"}}},
-		"+/v":                  Reduce{"+", Var{"v"}},
-		"if(b, 1, 2)":          IfExpr{Var{"b"}, Lit{int64(1)}, Lit{int64(2)}},
-		"matrix(2, 3)[ x |  ]": BuildExpr{"matrix", []Expr{Lit{int64(2)}, Lit{int64(3)}}, Comprehension{Head: Var{"x"}}},
+		"x":                 Var{"x"},
+		"3":                 Lit{int64(3)},
+		"(x, 1)":            TupleExpr{[]Expr{Var{"x"}, Lit{int64(1)}}},
+		"(x + 1)":           BinOp{"+", Var{"x"}, Lit{int64(1)}},
+		"-x":                UnaryOp{"-", Var{"x"}},
+		"f(x, 2)":           Call{"f", []Expr{Var{"x"}, Lit{int64(2)}}},
+		"M[i, j]":           Index{Var{"M"}, []Expr{Var{"i"}, Var{"j"}}},
+		"+/v":               Reduce{"+", Var{"v"}},
+		"if(b, 1, 2)":       IfExpr{Var{"b"}, Lit{int64(1)}, Lit{int64(2)}},
+		"matrix(2, 3)[ x ]": BuildExpr{"matrix", []Expr{Lit{int64(2)}, Lit{int64(3)}}, Comprehension{Head: Var{"x"}}},
 	}
 	for want, e := range cases {
 		if got := e.String(); got != want {

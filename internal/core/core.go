@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/comp"
 	"repro/internal/dataflow"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sacparser"
-	"repro/internal/stats"
 	"repro/internal/tiled"
 )
 
@@ -40,10 +38,6 @@ type Config struct {
 	// Optimizations can disable individual paper optimizations for
 	// ablation studies; the zero value enables everything.
 	Optimizations opt.Options
-	// FailureRate injects task failures to exercise lineage recovery.
-	FailureRate float64
-	// FailureSeed seeds failure injection.
-	FailureSeed int64
 	// MemoryBudget bounds tracked engine memory (shuffle buckets and
 	// Persist caches); work beyond it spills to disk. <= 0 disables
 	// the budget. The SAC_MEMORY_BUDGET environment variable supplies
@@ -53,9 +47,8 @@ type Config struct {
 	// fresh directory under os.TempDir, removed on Close).
 	SpillDir string
 	// AdaptiveShuffle turns on statistics-driven execution: shuffle
-	// boundaries rebalance skewed partitions at stage granularity, the
-	// cost model's estimated partition counts reshape physical plans,
-	// and measured query profiles feed back into repeat compilations.
+	// boundaries rebalance skewed partitions at stage granularity, and
+	// the cost model's estimated partition counts reshape physical plans.
 	// Local-only — a session with a Transport ignores it, because both
 	// read this process's cores and load and SPMD ranks must build
 	// byte-identical plans. (The SUMMA processor grid is not part of
@@ -70,21 +63,13 @@ type Config struct {
 	// WorkerTag names this process in distributed diagnostics (span
 	// attributes, per-worker metric rows).
 	WorkerTag string
-	// StatsCache, when non-nil, is shared with other sessions instead of
-	// this session owning a private one: every session's measured query
-	// profiles land in (and are planned from) the same store. The server
-	// pool uses this so a query observed on one pooled session improves
-	// the plan costing on all of them. stats.Cache is safe for
-	// concurrent use.
-	StatsCache *stats.Cache
 }
 
 // Session is the top-level handle; safe for sequential use.
 type Session struct {
-	conf  Config
-	ctx   *dataflow.Context
-	cat   *plan.Catalog
-	stats *stats.Cache
+	conf Config
+	ctx  *dataflow.Context
+	cat  *plan.Catalog
 }
 
 // NewSession creates a session with its own engine context.
@@ -95,25 +80,14 @@ func NewSession(conf Config) *Session {
 	ctx := dataflow.NewContext(dataflow.Config{
 		Parallelism:       conf.Parallelism,
 		DefaultPartitions: conf.Partitions,
-		FailureRate:       conf.FailureRate,
-		FailureSeed:       conf.FailureSeed,
 		MemoryBudget:      conf.MemoryBudget,
 		SpillDir:          conf.SpillDir,
 		AdaptiveShuffle:   conf.AdaptiveShuffle,
 		Transport:         conf.Transport,
 		WorkerTag:         conf.WorkerTag,
 	})
-	sc := conf.StatsCache
-	if sc == nil {
-		sc = stats.NewCache()
-	}
-	return &Session{conf: conf, ctx: ctx,
-		cat: plan.NewCatalog(ctx).SetStatsCache(sc), stats: sc}
+	return &Session{conf: conf, ctx: ctx, cat: plan.NewCatalog(ctx)}
 }
-
-// StatsCache exposes the session-level measured-statistics cache that
-// repeat compilations of the same query consult.
-func (s *Session) StatsCache() *stats.Cache { return s.stats }
 
 // PlanFor makes Compile and Explain plan for a cluster of world ranks
 // this session is not one of: the planner a cluster driver keeps, whose
@@ -180,25 +154,15 @@ func (s *Session) Compile(src string) (*plan.Compiled, error) {
 	return plan.Compile(e, s.cat, s.conf.Optimizations)
 }
 
-// Query parses, plans, and executes a SAC query. Each run's measured
-// profile (wall time, shuffled bytes, worst task skew) is recorded in
-// the session stats cache, so a repeat compilation of the same source
-// sees the observation in its Decision. Tiled results are lazy — only
-// stages forced during Execute are captured here; Run forces the result
-// and measures it completely.
+// Query parses, plans, and executes a SAC query. Tiled results are
+// lazy: stages run at the result's first action. Run forces the result,
+// measures it and records the run on the plan it ran.
 func (s *Session) Query(src string) (*plan.Result, error) {
 	q, err := s.Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	before := s.ctx.Metrics()
-	start := time.Now()
-	res, err := q.Execute()
-	if err != nil {
-		return nil, err
-	}
-	q.NoteObserved(stats.FromSnapshot(s.ctx.Metrics().Sub(before), time.Since(start).Nanoseconds()))
-	return res, nil
+	return q.Execute()
 }
 
 // QueryMatrix runs a query that must produce a tiled matrix.

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/comp"
 	"repro/internal/linalg"
 	"repro/internal/opt"
-	"repro/internal/stats"
 	"repro/internal/tiled"
 )
 
@@ -188,33 +186,83 @@ func TestSessionCostExplain(t *testing.T) {
 	}
 }
 
-// TestSessionStatsFeedback: after a query runs, re-planning the same
-// source must pick up the measured statistics from the session cache.
+// TestSessionStatsFeedback: a plan that ran carries its run in Explain;
+// a cold plan claims nothing.
 func TestSessionStatsFeedback(t *testing.T) {
 	s := NewSession(Config{TileSize: 3})
-	da := linalg.RandDense(6, 6, 0, 2, 2)
-	db := linalg.RandDense(6, 6, 0, 2, 3)
-	s.RegisterDense("A", da)
-	s.RegisterDense("B", db)
-	src := `tiled(6,6)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
-	          kk == k, let v = a*b, group by (i,j) ]`
-	if ex, _ := s.Explain(src); strings.Contains(ex, "observed") {
+	s.RegisterDense("A", linalg.RandDense(6, 6, 0, 2, 2))
+	s.RegisterDense("B", linalg.RandDense(6, 6, 0, 2, 3))
+	q, err := s.Compile(planObsMatmul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := q.Explain(); strings.Contains(ex, "observed") {
 		t.Fatalf("cold plan claims observed stats:\n%s", ex)
 	}
-	m, err := s.QueryMatrix(src)
+	if _, err := s.Run(q, planObsMatmul, false); err != nil {
+		t.Fatal(err)
+	}
+	if ex := q.Explain(); !strings.Contains(ex, "observed 1 run(s)") {
+		t.Fatalf("plan that ran is missing its measured stats:\n%s", ex)
+	}
+}
+
+const planObsMatmul = `tiled(6,6)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
+	kk == k, let v = a*b, group by (i,j) ]`
+
+// TestPlanKeepsItsObservation: a plan's run profile is its own. Two runs
+// of one Compiled explain as two, while another goroutine explains it
+// (the -race build checks the hand-off); a fresh Compile of the same
+// source has no stats clause; and a coordinate plan, which has no cost
+// decision to estimate from, is admitted on exactly what its run moved.
+func TestPlanKeepsItsObservation(t *testing.T) {
+	s := NewSession(Config{TileSize: 3})
+	defer s.Close()
+	s.RegisterRandMatrix("A", 6, 6, 0, 2, 2)
+	s.RegisterRandMatrix("B", 6, 6, 0, 2, 3)
+	q, err := s.Compile(planObsMatmul)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ToDense() // results are lazy; force the computation
-	if s.StatsCache().Len() == 0 {
-		t.Fatal("query did not feed the session stats cache")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			_ = q.Explain()
+			_ = q.EstimateFootprintBytes()
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		if _, err := s.Run(q, planObsMatmul, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ex, err := s.Explain(src)
+	<-done
+	if ex := q.Explain(); !strings.Contains(ex, "; stats: observed 2 run(s)") {
+		t.Fatalf("plan run twice does not explain two runs:\n%s", ex)
+	}
+	if ex, err := s.Explain(planObsMatmul); err != nil || strings.Contains(ex, "stats:") {
+		t.Fatalf("fresh plan carries a stats clause (err %v):\n%s", err, ex)
+	}
+
+	src := "rdd[ (i, avg/a) | ((i,j),a) <- A, group by i ]"
+	c, err := s.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ex, "observed 1 run(s)") {
-		t.Fatalf("warm plan missing measured stats:\n%s", ex)
+	if c.Decision() != nil {
+		t.Fatalf("coordinate plan has a cost decision: %s", c.Explain())
+	}
+	before := c.EstimateFootprintBytes()
+	out, err := s.Run(c, src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Metrics.ShuffledBytes == 0 {
+		t.Fatal("the grouped coordinate query shuffled nothing")
+	}
+	if after := c.EstimateFootprintBytes(); after-before != out.Metrics.ShuffledBytes {
+		t.Fatalf("footprint rose by %d after the run, want its %d shuffled bytes", after-before, out.Metrics.ShuffledBytes)
 	}
 }
 
@@ -258,22 +306,6 @@ func TestEvalLocal(t *testing.T) {
 	vs := got.(comp.VectorStorage)
 	if !vs.V.Equal(linalg.NewVectorFrom([]float64{3, 7})) {
 		t.Fatalf("local row sums %v", vs.V.Data)
-	}
-}
-
-func TestSessionFailureInjection(t *testing.T) {
-	s := NewSession(Config{TileSize: 2, Partitions: 9, FailureRate: 0.4, FailureSeed: 12})
-	d := linalg.RandDense(6, 6, 0, 1, 13)
-	s.RegisterDense("M", d)
-	v, err := s.QueryVector("tiledvec(6)[ (i, +/m) | ((i,j),m) <- M, group by i ]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.ToDense().EqualApprox(d.RowSums(), 1e-9) {
-		t.Fatal("row sums under failure injection mismatch")
-	}
-	if s.Metrics().TaskFailures == 0 {
-		t.Fatal("no failures injected")
 	}
 }
 
@@ -331,44 +363,6 @@ func TestSessionExplainCoordinateDetail(t *testing.T) {
 	}
 	if !strings.Contains(ex, "generator") || !strings.Contains(ex, "reduceByKey") {
 		t.Fatalf("coordinate detail missing: %s", ex)
-	}
-}
-
-// Sessions given one Config.StatsCache share profile feedback: a query
-// measured on any of them informs planning on all, even when they run
-// concurrently (the server's pooled-session arrangement).
-func TestSessionsShareStatsCache(t *testing.T) {
-	shared := stats.NewCache()
-	sessions := make([]*Session, 3)
-	for i := range sessions {
-		s := NewSession(Config{TileSize: 4, StatsCache: shared})
-		defer s.Close()
-		s.RegisterRandMatrix("M", 8, 8, 0, 1, int64(i+1))
-		if s.StatsCache() != shared {
-			t.Fatal("session did not adopt the shared cache")
-		}
-		sessions[i] = s
-	}
-	// One goroutine per session (sessions are sequential-use); the
-	// sessions themselves run concurrently against the shared cache.
-	var wg sync.WaitGroup
-	for _, s := range sessions {
-		wg.Add(1)
-		go func(s *Session) {
-			defer wg.Done()
-			for r := 0; r < 4; r++ {
-				if _, err := s.QueryScalar("+/[ m | ((i,j),m) <- M ]"); err != nil {
-					t.Error(err)
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	if shared.Len() != 1 {
-		t.Fatalf("shared cache entries = %d, want 1 (same query text)", shared.Len())
-	}
-	if shared.TotalRuns() != 12 {
-		t.Fatalf("shared cache runs = %d, want 12", shared.TotalRuns())
 	}
 }
 

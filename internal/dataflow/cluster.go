@@ -20,9 +20,8 @@ package dataflow
 // backend's, which is what makes cluster results byte-identical to
 // local ones.
 //
-// Fault tolerance is lineage recompute, the same machinery the local
-// retry path exercises: when a fetch fails because the owning peer
-// died, the reading rank runs the lost map task itself from its
+// Fault tolerance is lineage recompute: when a fetch fails because the
+// owning peer died, the reading rank runs the lost map task itself from its
 // lineage (sources are deterministic and replicated; narrow chains are
 // local), exactly like Spark resubmitting a lost task, and from then on
 // holds its segments like any it owns. The Resubmissions /

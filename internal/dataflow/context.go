@@ -21,14 +21,13 @@
 // The engine keeps per-context metrics — bytes and records shuffled,
 // tasks and stages run, per-stage wall time and record counts, bytes
 // pinned by caches — so benchmarks can observe the quantity the paper's
-// optimizations target: shuffle volume. Task failures can be injected;
-// failed tasks are recomputed from lineage, mirroring the
-// fault-tolerance DISC systems provide.
+// optimizations target: shuffle volume. A rank that loses a peer
+// recomputes the peer's lost map output from lineage (cluster.go),
+// mirroring the fault tolerance DISC systems provide.
 package dataflow
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -51,14 +50,6 @@ type Config struct {
 	// shuffles when the caller does not specify one. Defaults to
 	// 2*Parallelism.
 	DefaultPartitions int
-	// FailureRate, if positive, makes each task attempt fail with this
-	// probability (deterministically derived from FailureSeed), to
-	// exercise lineage-based recomputation.
-	FailureRate float64
-	// FailureSeed seeds the failure-injection generator.
-	FailureSeed int64
-	// MaxTaskRetries bounds recomputation attempts per task (default 4).
-	MaxTaskRetries int
 	// MemoryBudget, when positive, bounds the tracked bytes the
 	// engine's shuffle buffers and Persist caches may pin in memory.
 	// Past the budget, shuffle segments spill to run files that read
@@ -104,8 +95,6 @@ type Context struct {
 	metrics  Metrics
 	sem      chan struct{}
 	stageIDs atomic.Int64
-	failMu   sync.Mutex
-	failRng  *rand.Rand
 
 	// trc is the installed tracer plus the span new stages parent
 	// under. A single atomic pointer keeps the tracing-off fast path to
@@ -186,9 +175,6 @@ func NewContext(conf Config) *Context {
 	if conf.DefaultPartitions <= 0 {
 		conf.DefaultPartitions = 2 * conf.Parallelism
 	}
-	if conf.MaxTaskRetries <= 0 {
-		conf.MaxTaskRetries = 4
-	}
 	if conf.AdaptiveMinRows <= 0 {
 		conf.AdaptiveMinRows = 32
 	}
@@ -198,9 +184,6 @@ func NewContext(conf Config) *Context {
 		mem:  memory.New(conf.MemoryBudget),
 	}
 	ctx.metrics.c.Held = ctx.heldElsewhere
-	if conf.FailureRate > 0 {
-		ctx.failRng = rand.New(rand.NewSource(conf.FailureSeed))
-	}
 	// A transport that can bound its per-fetch buffers takes the
 	// context's budget manager (structural, so cluster.Exchange plugs
 	// in without dataflow importing cluster).
@@ -365,24 +348,6 @@ func (c *Context) StartSpan(name string) *trace.Span {
 	return ts.tr.Start(nil, name)
 }
 
-// shouldFail decides (deterministically, given the seed) whether the
-// current task attempt should be failed artificially.
-func (c *Context) shouldFail() bool {
-	if c.failRng == nil {
-		return false
-	}
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	return c.failRng.Float64() < c.conf.FailureRate
-}
-
-// injectedFailure is the error raised by failure injection.
-type injectedFailure struct{ part int }
-
-func (e injectedFailure) Error() string {
-	return fmt.Sprintf("dataflow: injected failure on partition %d", e.part)
-}
-
 // capturedPanic carries a task failure from a worker goroutine to the
 // driver, where it is re-raised. Without the hand-off a panic on a
 // worker goroutine would kill the whole process, including unrelated
@@ -390,12 +355,11 @@ func (e injectedFailure) Error() string {
 type capturedPanic struct{ val any }
 
 // runTasksOwned executes body(i) for the indices i in [lo,hi) this
-// process owns (owns) on the worker pool, with retry-on-injected-failure,
-// and blocks until all complete: a local context runs every index, a rank
-// of a cluster its share, the other ranks running theirs. Successful tasks
-// are credited to st. A panic in body other than failure injection is
-// re-raised on the calling goroutine; it is not retried, since unlike
-// injected faults it is deterministic.
+// process owns (owns) on the worker pool and blocks until all complete: a
+// local context runs every index, a rank of a cluster its share, the other
+// ranks running theirs. Successful tasks are credited to st. A panic in
+// body is re-raised on the calling goroutine, unretried: it is
+// deterministic, so a second attempt would raise it again.
 func (c *Context) runTasksOwned(st *Stage, lo, hi int, body func(i int)) {
 	start, stride := lo, 1
 	if t := c.conf.Transport; t != nil {
@@ -424,22 +388,8 @@ func (c *Context) runTaskStride(st *Stage, start, hi, stride int, body func(i in
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-c.sem }()
-			for attempt := 0; ; attempt++ {
-				err := c.tryTask(st, i, body)
-				if err == nil {
-					return
-				}
-				if tp, ok := err.(taskPanic); ok {
-					panicked.Store(&capturedPanic{val: tp.val})
-					return
-				}
-				c.metrics.c.TaskFailures.Add(1)
-				if attempt+1 >= c.conf.MaxTaskRetries {
-					panicked.Store(&capturedPanic{val: fmt.Errorf(
-						"dataflow: task %d failed after %d attempts: %w",
-						i, attempt+1, err)})
-					return
-				}
+			if p := c.runTask(st, i, body); p != nil {
+				panicked.Store(p)
 			}
 		}(i)
 	}
@@ -449,17 +399,11 @@ func (c *Context) runTaskStride(st *Stage, start, hi, stride int, body func(i in
 	}
 }
 
-// taskPanic wraps a non-injected panic raised by user code inside a
-// task body.
-type taskPanic struct{ val any }
-
-func (e taskPanic) Error() string { return fmt.Sprintf("task panicked: %v", e.val) }
-
-// tryTask runs one attempt of a task, converting injected failures into
-// errors and recording task metrics: wall time per task (feeding the
-// stage's TaskDur distribution) and, when tracing is on, a task span
-// under the stage's span.
-func (c *Context) tryTask(st *Stage, i int, body func(i int)) (err error) {
+// runTask runs one task, recording its metrics: wall time per task
+// (feeding the stage's TaskDur distribution) and, when tracing is on, a
+// task span under the stage's span. A panic in body is returned for the
+// caller to re-raise.
+func (c *Context) runTask(st *Stage, i int, body func(i int)) (failed *capturedPanic) {
 	var sp *trace.Span
 	defer func() {
 		if r := recover(); r != nil {
@@ -467,16 +411,9 @@ func (c *Context) tryTask(st *Stage, i int, body func(i int)) (err error) {
 				sp.SetAttr("error", fmt.Sprint(r))
 				sp.End()
 			}
-			if f, ok := r.(injectedFailure); ok {
-				err = f
-				return
-			}
-			err = taskPanic{val: r}
+			failed = &capturedPanic{val: r}
 		}
 	}()
-	if c.shouldFail() {
-		panic(injectedFailure{part: i})
-	}
 	if sp = st.span.StartChild("task"); sp != nil {
 		sp.SetAttr("partition", i)
 	}

@@ -1,56 +1,10 @@
 package dataflow
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// With failure injection on, tasks are retried from lineage and the
-// results are identical to a failure-free run.
-func TestFaultToleranceRecomputes(t *testing.T) {
-	clean := NewLocalContext()
-	faulty := NewContext(Config{FailureRate: 0.3, FailureSeed: 42, MaxTaskRetries: 50})
-
-	build := func(ctx *Context) map[int]int {
-		var data []Pair[int, int]
-		for i := 0; i < 200; i++ {
-			data = append(data, KV(i%13, i))
-		}
-		d := Parallelize(ctx, data, 8)
-		return CollectAsMap(ReduceByKey(d, func(a, b int) int { return a + b }, 4))
-	}
-
-	want := build(clean)
-	got := build(faulty)
-	if len(got) != len(want) {
-		t.Fatalf("key counts differ: %d vs %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d: %d vs %d", k, got[k], v)
-		}
-	}
-	if faulty.Metrics().TaskFailures == 0 {
-		t.Fatal("expected injected failures to occur")
-	}
-}
-
-func TestFaultExhaustionPanics(t *testing.T) {
-	ctx := NewContext(Config{FailureRate: 1.0, FailureSeed: 1, MaxTaskRetries: 3})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic after retry exhaustion")
-		}
-		err, ok := r.(error)
-		if !ok || !strings.Contains(err.Error(), "failed after 3 attempts") {
-			t.Fatalf("unexpected panic %v", r)
-		}
-	}()
-	Collect(Parallelize(ctx, []int{1, 2, 3}, 2))
-}
 
 func TestMetricsCounting(t *testing.T) {
 	ctx := NewLocalContext()

@@ -251,8 +251,8 @@ func (m *Metrics) Reset(resetHeld func()) {
 
 // String formats the snapshot as a single diagnostics line.
 func (s MetricsSnapshot) String() string {
-	out := fmt.Sprintf("tasks=%d failures=%d stages=%d shuffles=%d shuffledRecords=%d shuffledBytes=%d",
-		s.Tasks, s.TaskFailures, s.Stages, s.Shuffles, s.ShuffledRecords, s.ShuffledBytes)
+	out := fmt.Sprintf("tasks=%d stages=%d shuffles=%d shuffledRecords=%d shuffledBytes=%d",
+		s.Tasks, s.Stages, s.Shuffles, s.ShuffledRecords, s.ShuffledBytes)
 	if s.SpilledBytes > 0 || s.SpillFiles > 0 {
 		out += fmt.Sprintf(" spilledBytes=%d spillFiles=%d mergePasses=%d",
 			s.SpilledBytes, s.SpillFiles, s.MergePasses)

@@ -142,8 +142,8 @@ func (c *Context) newStage(name string, deps []*Stage, body func(*Stage)) *Stage
 
 // ensure runs the stage exactly once: first its dependencies
 // (independent ones concurrently), then its own body. Concurrent
-// callers block until the stage completes. A failure (task retry
-// exhaustion) is recorded and re-panicked to every waiter, so actions
+// callers block until the stage completes. A failure (a task's panic)
+// is recorded and re-panicked to every waiter, so actions
 // observe upstream stage failures. ensure must only be called from
 // driver-side goroutines, never from inside a task.
 func (s *Stage) ensure() {

@@ -82,7 +82,7 @@ func TestJoinMapSidesRunConcurrently(t *testing.T) {
 // A failing stage must propagate its panic to every concurrent waiter,
 // not deadlock the sibling stage.
 func TestConcurrentStageFailurePropagates(t *testing.T) {
-	ctx := NewContext(Config{Parallelism: 4, DefaultPartitions: 2, MaxTaskRetries: 1})
+	ctx := NewContext(Config{Parallelism: 4, DefaultPartitions: 2})
 
 	left := Map(Parallelize(ctx, intRange(8), 2), func(v int) Pair[int, int] {
 		if v == 3 {

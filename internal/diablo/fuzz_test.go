@@ -8,7 +8,10 @@ import (
 
 // FuzzParse feeds arbitrary text to both front ends that share SAC's
 // token stream and expression grammar: neither may panic, whatever the
-// input. Seeds are both packages' test programs.
+// input, and SAC's printer and parser round-trip — whatever
+// sacparser.Parse accepts prints as text that parses back and prints
+// the same. Seeds are both packages' test programs and two inputs that
+// once failed the round trip.
 //
 //	go test ./internal/diablo -run '^$' -fuzz '^FuzzParse$' -fuzztime 60s
 func FuzzParse(f *testing.F) {
@@ -30,11 +33,24 @@ func FuzzParse(f *testing.F) {
 		"[ a | ((a, _), (b)) <- xs ]",
 		"matrix(3, 5)[ ((i,j), +/v) | ((i,k),a) <- M, ((kk,j),b) <- N, kk == k, let v = a*b, group by (i,j) ]",
 		"1 + // comment\n 2",
+		"\"\x10\"",
+		"matrix(0%0)[()]",
 	} {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		sacparser.Parse(src)
 		Parse(src)
+		e, err := sacparser.Parse(src)
+		if err != nil {
+			return
+		}
+		printed := e.String()
+		back, err := sacparser.Parse(printed)
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", src, printed, err)
+		}
+		if again := back.String(); again != printed {
+			t.Fatalf("%q prints as %q, which reprints as %q", src, printed, again)
+		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/sacparser"
 	"repro/internal/stats"
 )
 
@@ -19,9 +20,8 @@ import (
 // preview, a footprint estimate and a plan-cache key are about the plan
 // the ranks execute. Metrics returns the last job's aggregated counters
 // — cluster-merged per-stage rows (PerStage), every rank's own rows
-// (WorkerStages), and one PerWorker row per rank. Each run's measured
-// profile is recorded in the planner's stats cache, so repeated queries
-// observe their history. Safe for concurrent use.
+// (WorkerStages), and one PerWorker row per rank. Run records each
+// run's measured profile on the plan it ran. Safe for concurrent use.
 type ClusterSession struct {
 	driver  *cluster.Driver
 	planner *core.Session
@@ -110,21 +110,17 @@ func (cs *ClusterSession) Run(q *plan.Compiled, src string, traced bool) (*core.
 // without planning it on the driver. Span recording follows the
 // session's base.Trace flag.
 func (cs *ClusterSession) Query(src string) ([]byte, *cluster.RunResult, error) {
-	// The stats-cache key is the same canonical rendering plan.Compile
-	// keys on, so these observations line up with compiler-side lookups;
-	// a source that does not parse fails here, before any rank is asked
+	// A source that does not parse fails here, before any rank is asked
 	// to run it.
-	key, err := plan.CanonicalKey(src)
-	if err != nil {
+	if _, err := sacparser.Parse(src); err != nil {
 		return nil, nil, err
 	}
 	p := cs.base
 	p.Src = src
-	run, snap, wall, err := cs.submit(p)
+	run, _, _, err := cs.submit(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	cs.StatsCache().Record(key, stats.FromSnapshot(snap, wall.Nanoseconds()))
 	return run.Result, run, nil
 }
 
@@ -150,11 +146,6 @@ func (cs *ClusterSession) Metrics() dataflow.MetricsSnapshot {
 	defer cs.mu.Unlock()
 	return cs.last
 }
-
-// StatsCache exposes the planner's measured-statistics cache; each
-// completed cluster query records its profile here under the same
-// canonical key core.Session uses.
-func (cs *ClusterSession) StatsCache() *stats.Cache { return cs.planner.StatsCache() }
 
 // snapshotFrom folds per-worker reports into the cluster-wide
 // snapshot: the ranks' counter sets merged by the schema's rules (sums;

@@ -71,16 +71,3 @@ func TestIterationsDecreaseLoss(t *testing.T) {
 		prev = cur
 	}
 }
-
-func TestStepTiledWithFailureInjection(t *testing.T) {
-	clean := dataflow.NewLocalContext()
-	faulty := dataflow.NewContext(dataflow.Config{FailureRate: 0.15, FailureSeed: 9, MaxTaskRetries: 80})
-	r, p, q := fixture(8, 8, 4)
-	cfg := PaperConfig()
-
-	wantP, _ := StepTiled(tiled.FromDense(clean, r, 2, 2), tiled.FromDense(clean, p, 2, 2), tiled.FromDense(clean, q, 2, 2), cfg)
-	gotP, _ := StepTiled(tiled.FromDense(faulty, r, 2, 2), tiled.FromDense(faulty, p, 2, 2), tiled.FromDense(faulty, q, 2, 2), cfg)
-	if !gotP.ToDense().EqualApprox(wantP.ToDense(), 1e-9) {
-		t.Fatal("failure injection changed factorization result")
-	}
-}

@@ -21,7 +21,6 @@ import (
 // order is the wire order.
 type Counters[T any] struct {
 	Tasks            T `prom:"sac_dataflow_tasks_total" rule:"sum" help:"tasks completed successfully"`
-	TaskFailures     T `prom:"sac_dataflow_task_failures_total" rule:"sum" help:"injected or retried task failures"`
 	Stages           T `prom:"sac_dataflow_stages_total" rule:"sum" help:"stages executed (shuffle map-sides and actions)"`
 	Shuffles         T `prom:"sac_dataflow_shuffles_total" rule:"sum" help:"wide operations performed"`
 	ShuffledRecords  T `prom:"sac_dataflow_shuffled_records_total" rule:"sum" help:"records that crossed a shuffle boundary"`

@@ -75,9 +75,6 @@ type Decision struct {
 	// Parts is the reduce-side partition count picked from the output
 	// cardinality estimate; 0 means the executor's fixed default.
 	Parts int
-	// Observed is non-empty when a session stats cache supplied
-	// measured (rather than estimated) statistics for this query.
-	Observed string
 }
 
 // Summary renders the decision as a single bracketed clause appended
@@ -103,9 +100,6 @@ func (d *Decision) Summary() string {
 	}
 	if d.Parts > 0 {
 		fmt.Fprintf(&b, "; parts %d", d.Parts)
-	}
-	if d.Observed != "" {
-		fmt.Fprintf(&b, "; stats: %s", d.Observed)
 	}
 	return b.String()
 }

@@ -23,7 +23,7 @@ func (p fakeProvider) ArrayStats(string) (stats.TableStats, bool) {
 	if parts == 0 {
 		parts = 8
 	}
-	return stats.TableStats{Rows: p.n, Cols: p.n, Tile: p.tile, Density: 1, Parts: parts}, true
+	return stats.TableStats{Rows: p.n, Cols: p.n, Tile: p.tile, Parts: parts}, true
 }
 func (p fakeProvider) Parallelism() int { return p.par }
 func (p fakeProvider) Adaptive() bool   { return p.adaptive }

@@ -14,16 +14,12 @@ import (
 // input the query reads, the chosen strategy's shuffle and temp
 // volume, and the built output.
 
-// Key returns the canonical cache key of this query: the desugared
-// expression's rendering, the same key the session stats cache records
-// measured profiles under. Whitespace and sugar variants of one query
-// share a key; structurally different queries render differently.
-func (q *Compiled) Key() string { return q.src.String() }
-
-// CanonicalKey computes that key from a query's source without
-// compiling it: parse, desugar, render. It is what every cache outside
-// the compiler (the server's plan cache, the cluster driver's stats
-// cache) keys a source string by; the error is the parse error.
+// CanonicalKey is a query's cache key, computed from its source without
+// compiling it: parse, desugar, render — the rendering of the expression
+// a Compiled plan holds. Whitespace and sugar variants of one query
+// share a key; structurally different queries render differently. The
+// server's plan cache keys a source string by it; the error is the
+// parse error.
 func CanonicalKey(src string) (string, error) {
 	e, err := sacparser.Parse(src)
 	if err != nil {
@@ -70,10 +66,9 @@ func (q *Compiled) outputBytes() int64 {
 
 // EstimateFootprintBytes is the admission-control estimate: resident
 // inputs + the cost model's shuffle and temp volume for the chosen
-// strategy + the materialized output. When the session stats cache
-// holds a measured profile for this query, the observed shuffle volume
-// replaces the estimate if larger — repeats are admitted on
-// observation, not guesswork.
+// strategy + the materialized output. Once the plan has run, its last
+// run's shuffle volume replaces the estimate if larger, so a cached plan
+// is admitted on what it moved, not on guesswork.
 func (q *Compiled) EstimateFootprintBytes() int64 {
 	var total int64
 	for _, ts := range q.InputStats() {
@@ -83,10 +78,6 @@ func (q *Compiled) EstimateFootprintBytes() int64 {
 	if d := q.Decision(); d != nil {
 		moved = d.Chosen.ShuffleBytes + d.Chosen.TempBytes
 	}
-	if q.cat.cache != nil {
-		if m, ok := q.cat.cache.Lookup(q.Key()); ok && m.ShuffledBytes > moved {
-			moved = m.ShuffledBytes
-		}
-	}
+	moved = max(moved, q.observed().ShuffledBytes)
 	return total + moved + q.outputBytes()
 }

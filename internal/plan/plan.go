@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/comp"
 	"repro/internal/dataflow"
@@ -24,7 +25,6 @@ import (
 type Catalog struct {
 	ctx   *dataflow.Context
 	vals  map[string]any
-	cache *stats.Cache
 	world int
 }
 
@@ -54,27 +54,13 @@ func (c *Catalog) BindScalar(name string, v comp.Value) *Catalog {
 	return c
 }
 
-// SetStatsCache installs a session-level measured-statistics cache;
-// compiled queries record their observed run profile into it and
-// repeat compilations of the same source annotate their Decision with
-// the measurement.
-func (c *Catalog) SetStatsCache(sc *stats.Cache) *Catalog {
-	c.cache = sc
-	return c
-}
-
-// StatsCache returns the installed cache (nil if none).
-func (c *Catalog) StatsCache() *stats.Cache { return c.cache }
-
 // ArrayStats implements opt.StatsProvider over the bound arrays.
-// Density is 1 — the tiled layer stores dense blocks; sparsified
-// inputs would refine this from measured statistics.
 func (c *Catalog) ArrayStats(name string) (stats.TableStats, bool) {
 	switch arr := c.vals[name].(type) {
 	case *tiled.Matrix:
-		return stats.TableStats{Rows: arr.Rows, Cols: arr.Cols, Tile: arr.N, Density: 1, Parts: arr.Tiles.NumPartitions()}, true
+		return stats.TableStats{Rows: arr.Rows, Cols: arr.Cols, Tile: arr.N, Parts: arr.Tiles.NumPartitions()}, true
 	case *tiled.Vector:
-		return stats.TableStats{Rows: arr.Size, Cols: 1, Tile: arr.N, Density: 1, Parts: arr.Blocks.NumPartitions()}, true
+		return stats.TableStats{Rows: arr.Size, Cols: 1, Tile: arr.N, Parts: arr.Blocks.NumPartitions()}, true
 	}
 	return stats.TableStats{}, false
 }
@@ -218,19 +204,29 @@ type Compiled struct {
 	// a unit key its results drop.
 	coord *coordPlan
 	bare  bool
+	// obs is this plan's own run profile (NoteObserved), read by Explain
+	// and EstimateFootprintBytes; obsMu lets one goroutine run the plan
+	// while another explains it.
+	obsMu sync.Mutex
+	obs   stats.Measured
 }
 
 // Explain describes the chosen physical translation. Coordinate plans
 // additionally report the derived pipeline: how many generators join
 // and whether the group-by runs as reduceByKey (Rule 13) or collects
-// groups.
+// groups. A cost decision's clause ends with the plan's observed runs
+// ("stats: observed ...") once it has run.
 func (q *Compiled) Explain() string {
 	desc := q.strategy.Describe()
 	if q.coord != nil {
 		desc += "; " + q.coord.String()
 	}
 	if d := q.Decision(); d != nil {
-		desc += " [" + d.Summary() + "]"
+		desc += " [" + d.Summary()
+		if m := q.observed(); m.Runs > 0 {
+			desc += "; stats: " + m.String()
+		}
+		desc += "]"
 	}
 	if q.reduce != "" {
 		return fmt.Sprintf("total %s-aggregation over %s", q.reduce, desc)
@@ -253,25 +249,23 @@ func decisionOf(s opt.Strategy) *opt.Decision {
 	return nil
 }
 
-// NoteObserved records one execution's measured profile into the
-// catalog's stats cache (if installed) and annotates the decision, so
-// a repeat of the same query compiles against observation. Lazy tiled
-// results only account the stages forced before the snapshot was
-// taken; core.Session.Run forces results before recording.
-func (q *Compiled) NoteObserved(m stats.Measured) {
-	if q.cat.cache != nil {
-		q.cat.cache.Record(q.src.String(), m)
-		// Re-read the merged entry so the annotation carries the
-		// cumulative run count, not the raw single-run profile.
-		if merged, ok := q.cat.cache.Lookup(q.src.String()); ok {
-			m = merged
-		}
-	} else if m.Runs == 0 {
-		m.Runs = 1
-	}
-	if d := q.Decision(); d != nil {
-		d.Observed = m.String()
-	}
+// NoteObserved folds one run's measured profile into the plan's own:
+// one more run, that run's wall time and shuffled bytes, and the worst
+// task skew seen. The backends' Run calls it after forcing the result,
+// so the profile covers every stage the query ran.
+func (q *Compiled) NoteObserved(run stats.Measured) {
+	q.obsMu.Lock()
+	defer q.obsMu.Unlock()
+	q.obs.Runs++
+	q.obs.WallNs, q.obs.ShuffledBytes = run.WallNs, run.ShuffledBytes
+	q.obs.MaxSkew = max(q.obs.MaxSkew, run.MaxSkew)
+}
+
+// observed returns the plan's run profile (Runs 0 before its first run).
+func (q *Compiled) observed() stats.Measured {
+	q.obsMu.Lock()
+	defer q.obsMu.Unlock()
+	return q.obs
 }
 
 // Strategy exposes the selected strategy (for tests and ablations).
@@ -392,11 +386,6 @@ func Compile(e comp.Expr, cat *Catalog, opts opt.Options) (*Compiled, error) {
 		q.strategy = strat
 	default:
 		q.strategy = &opt.CoordStrategy{Reason: "rdd builder"}
-	}
-	if d := decisionOf(q.strategy); d != nil && cat.cache != nil {
-		if m, ok := cat.cache.Lookup(e.String()); ok {
-			d.Observed = m.String()
-		}
 	}
 	if err := q.lower(); err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ package sacparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -176,21 +177,19 @@ func (l *lexer) lexString() error {
 			l.tokens = append(l.tokens, token{kind: tokString, text: sb.String(), pos: start})
 			return nil
 		}
-		if c == '\\' && l.pos+1 < len(l.src) {
-			l.pos++
-			switch l.src[l.pos] {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '"':
-				sb.WriteByte('"')
-			case '\\':
-				sb.WriteByte('\\')
-			default:
-				return fmt.Errorf("sac: bad escape \\%c at offset %d", l.src[l.pos], l.pos)
+		if c == '\\' {
+			// Every escape Go's strconv.Quote writes, so a printed
+			// string literal reads back as itself.
+			r, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], '"')
+			if err != nil {
+				return fmt.Errorf("sac: bad escape at offset %d", l.pos)
 			}
-			l.pos++
+			if multibyte {
+				sb.WriteRune(r)
+			} else {
+				sb.WriteByte(byte(r))
+			}
+			l.pos = len(l.src) - len(tail)
 			continue
 		}
 		sb.WriteByte(c)

@@ -2,9 +2,9 @@ package server
 
 import (
 	"container/list"
+	"strings"
 
 	"repro/internal/plan"
-	"repro/internal/stats"
 )
 
 // The compiled-plan cache amortizes compilation across parameterized
@@ -18,20 +18,19 @@ import (
 //
 // Keying is two-level, both levels normalizing away formatting:
 //
-//	alias  stats.Key(src)      whitespace-collapsed raw source; a hit
+//	alias  aliasKey(src)       whitespace-collapsed raw source; a hit
 //	                           here costs one map lookup and skips even
 //	                           the parser
-//	canon  desugared rendering the same canonical key plan.Compile and
-//	                           the stats.Cache use; reached by a cheap
-//	                           parse+desugar, a hit skips analysis and
-//	                           planning
+//	canon  desugared rendering the same canonical key plan.Compile
+//	                           renders; reached by a cheap parse+desugar,
+//	                           a hit skips analysis and planning
 //
 // Two sources that differ only in whitespace (or sugar the desugarer
 // erases) share one canonical entry; structurally different queries
 // render differently and can never collide.
 type planCache struct {
 	cap     int
-	alias   map[string]string        // stats.Key(src) -> canonical key
+	alias   map[string]string        // aliasKey(src) -> canonical key
 	entries map[string]*list.Element // canonical key -> lru element
 	lru     *list.List               // front = most recently used *planEntry
 }
@@ -64,9 +63,13 @@ func newPlanCache(capacity int) *planCache {
 // exported here because the benchmark times it (server.canonical_key_us).
 func CanonicalKey(src string) (string, error) { return plan.CanonicalKey(src) }
 
+// aliasKey is the level-1 key: whitespace runs collapse, so reformatted
+// repeats of the same source share it.
+func aliasKey(src string) string { return strings.Join(strings.Fields(src), " ") }
+
 // lookupAlias is the no-parse fast path.
 func (pc *planCache) lookupAlias(src string) (*plan.Compiled, bool) {
-	canon, ok := pc.alias[stats.Key(src)]
+	canon, ok := pc.alias[aliasKey(src)]
 	if !ok {
 		return nil, false
 	}
@@ -107,7 +110,7 @@ func (pc *planCache) insert(canon string, q *plan.Compiled, src string) {
 }
 
 func (pc *planCache) addAlias(ent *planEntry, src string) {
-	k := stats.Key(src)
+	k := aliasKey(src)
 	if len(ent.aliases) >= maxAliases {
 		return
 	}

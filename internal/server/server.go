@@ -15,7 +15,7 @@
 //	POST /data         (re)register a dataset or scalar on every
 //	                   pooled session (409 when the backend's inputs
 //	                   are fixed)
-//	GET  /status       pool, plan-cache, admission, and stats-cache state
+//	GET  /status       pool, plan-cache, admission, and resident-data state
 //	GET  /healthz      liveness (503 while draining)
 //	GET  /debug/metrics process-wide instrument registry (Prometheus)
 package server
@@ -39,7 +39,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/tiled"
 )
 
@@ -83,10 +82,9 @@ type Config struct {
 // with Serve/ListenAndServe (or mount Handler on your own), and stop
 // with Shutdown (graceful) or Close (immediate).
 type Server struct {
-	cfg   Config
-	pool  *pool
-	adm   *admission
-	stats *stats.Cache
+	cfg  Config
+	pool *pool
+	adm  *admission
 	// local are the sessions this server built, one per slot: what
 	// registration writes to. Empty when every slot shares cfg.Cluster.
 	local   []*core.Session
@@ -114,9 +112,8 @@ type Server struct {
 	queriesDone atomic.Int64 // served by THIS server (obs counters are process-wide)
 }
 
-// New builds the session pool. Every session shares one stats.Cache,
-// so a profile measured on any pooled session informs planning on all
-// of them.
+// New builds the session pool: one local session per slot, or every
+// slot sharing cfg.Cluster.
 func New(cfg Config) (*Server, error) {
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = runtime.GOMAXPROCS(0) / 2
@@ -136,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		adm:      newAdmission(cfg.AdmissionBudget, cfg.MaxQueue, cfg.QueueTimeout),
-		stats:    stats.NewCache(),
 		backend:  "local",
 		start:    time.Now(),
 		datasets: map[string]*tiled.ResidentMatrix{},
@@ -152,16 +148,12 @@ func New(cfg Config) (*Server, error) {
 			Partitions:      cfg.Partitions,
 			MemoryBudget:    cfg.MemoryBudget,
 			AdaptiveShuffle: cfg.AdaptiveShuffle,
-			StatsCache:      s.stats,
 		})
 		backends[i], s.local = sess, append(s.local, sess)
 	}
 	s.pool = newPool(backends, cfg.PlanCacheSize)
 	return s, nil
 }
-
-// StatsCache exposes the pool-shared measured-statistics cache.
-func (s *Server) StatsCache() *stats.Cache { return s.stats }
 
 // RegisterRandMatrix registers (or replaces) a deterministically
 // generated rows x cols matrix on every pooled session. The server holds
@@ -369,8 +361,8 @@ func (s *Server) runQuery(src string, sink *eventSink, admitted func()) (*queryR
 
 	// Run forces the result, so its metrics window and the admission
 	// reservation held around it cover every stage the query runs, and
-	// feeds the backend's stats cache so repeats (on any slot) plan and
-	// are admitted from observation.
+	// records the run on q, so a repeat that hits this slot's plan cache
+	// is admitted on what the plan last moved.
 	stop := s.streamStages(sl, sink)
 	out, err := sl.backend.Run(q, src, false)
 	seen := stop()
@@ -607,10 +599,6 @@ type StatusDoc struct {
 		Rejected      int64 `json:"rejected"`
 		QueueTimeouts int64 `json:"queue_timeouts"`
 	} `json:"admission"`
-	StatsCache struct {
-		Queries int   `json:"queries"`
-		Runs    int64 `json:"runs"`
-	} `json:"stats_cache"`
 	// Resident is this server's registered matrices: the bytes of the
 	// partitions generated so far, and the sessions' reads that found a
 	// partition generated (hits) or generated it (misses). All zero on a
@@ -648,8 +636,6 @@ func (s *Server) Status() StatusDoc {
 	doc.Admission.Admitted = obsAdmitted.Value()
 	doc.Admission.Rejected = obsRejected.Value()
 	doc.Admission.QueueTimeouts = obsQueueTimeouts.Value()
-	doc.StatsCache.Queries = s.stats.Len()
-	doc.StatsCache.Runs = s.stats.TotalRuns()
 	rc := s.residentCounters()
 	doc.Resident.Bytes, doc.Resident.Hits, doc.Resident.Misses = rc.ResidentBytes, rc.ResidentHits, rc.ResidentMisses
 	return doc

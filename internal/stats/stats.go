@@ -1,18 +1,15 @@
 // Package stats is the estimation layer under cost-based planning: it
-// turns input metadata (dimensions, tile size, observed density) and
-// the engine's measured signals (MetricsSnapshot, per-stage Dist
-// histograms) into the cardinality, shuffle-volume, and FLOP estimates
-// the optimizer ranks strategies with, and it picks the physical knobs
-// — reduce-side partition counts and the SUMMA processor grid — that
-// the planner previously hard-coded. A session-level Cache keeps
-// measured per-query stats so repeated queries (k-means/factorization
-// iterations) start from observation rather than estimation.
+// turns input metadata (dimensions, tile size, partition count) into
+// the cardinality and shuffle-volume estimates the optimizer ranks
+// strategies with, and it picks the physical knobs — reduce-side
+// partition counts and the SUMMA processor grid — that the planner
+// previously hard-coded. Measured, read off a run's MetricsSnapshot, is
+// one plan's observed run profile, which Explain reports and admission
+// control reads; it does not feed back into strategy choice.
 package stats
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dataflow"
@@ -24,11 +21,6 @@ import (
 type TableStats struct {
 	Rows, Cols int64
 	Tile       int // tile side N (vectors: block length)
-	// Density is the observed nonzero fraction in [0,1]; 1 when unknown
-	// (the engine stores dense tiles, so shuffle volume is density-
-	// independent today, but FLOP estimates for the sparse path in
-	// ROADMAP item 3 will not be).
-	Density float64
 	// Parts is the partition count of the array's tile dataset. It is
 	// the cogroup partition count a static group-by-join plan runs with,
 	// and therefore what the SUMMA processor grid is derived from.
@@ -75,10 +67,8 @@ func ceilDiv(a, b int64) int64 {
 }
 
 // MatmulEst holds the per-strategy cost estimates for one group-by-join
-// shaped query (A[m,k] x B[k,n]): predicted shuffle bytes, bytes of
-// intermediate tiles materialized outside the inputs/outputs, and the
-// contraction FLOPs (shared by every strategy, since they compute the
-// same products).
+// shaped query (A[m,k] x B[k,n]): predicted shuffle bytes and bytes of
+// intermediate tiles materialized outside the inputs/outputs.
 //
 // Every byte count is what the codecs write for the rows: a tile
 // (TileBytes) plus its key varints (keyBytes each). A group-by-join
@@ -102,10 +92,6 @@ type MatmulEst struct {
 	// materialize before reducing; the GBJ accumulates in place and
 	// materializes nothing extra.
 	JoinTempBytes int64
-	// Flops is the contraction work, scaled by both densities.
-	Flops float64
-	// OutTiles is the output cardinality in tiles.
-	OutTiles int64
 }
 
 // EstimateMatmul prices the strategies for A x B given the inputs,
@@ -121,11 +107,10 @@ func EstimateMatmul(a, b TableStats, gridP, gridQ int64, mapParts int) MatmulEst
 	if gridQ <= 0 || gridQ > bcB {
 		gridQ = bcB
 	}
-	outTiles := brA * bcB
 	partials := brA * bcB * bk
 	// Map-side combine folds partials per (map partition, out coord):
-	// at most min(partials, mapParts * outTiles) tiles survive.
-	combined := int64(mapParts) * outTiles
+	// at most min(partials, mapParts * brA * bcB) tiles survive.
+	combined := int64(mapParts) * brA * bcB
 	if combined > partials || mapParts <= 0 {
 		combined = partials
 	}
@@ -136,8 +121,6 @@ func EstimateMatmul(a, b TableStats, gridP, gridQ int64, mapParts int) MatmulEst
 		JoinShuffleBytes:    inputs + combined*(tb+2*kb),
 		GroupByShuffleBytes: inputs + partials*(tb+2*kb),
 		JoinTempBytes:       partials * (tb + 2*kb),
-		Flops:               2 * float64(a.Rows) * float64(a.Cols) * float64(b.Cols) * density(a) * density(b),
-		OutTiles:            outTiles,
 	}
 }
 
@@ -151,13 +134,6 @@ func EstimateAggregate(m TableStats, groups int64, mapParts int, blockBytes int6
 		combined = partials
 	}
 	return combined * blockBytes, partials * blockBytes
-}
-
-func density(t TableStats) float64 {
-	if t.Density <= 0 || t.Density > 1 {
-		return 1
-	}
-	return t.Density
 }
 
 // PickPartitions chooses a reduce-side partition count from the
@@ -227,18 +203,14 @@ func PickGrid(groupsY, groupsX, tilesA, tilesB int64, parts, world int) (p, q in
 	return bestP, bestQ
 }
 
-// Measured is the observed execution profile of one query, fed back
-// into planning on repeats.
+// Measured is the observed execution profile of one compiled plan,
+// accumulated over its runs (plan.Compiled.NoteObserved).
 type Measured struct {
 	Runs          int64
 	WallNs        int64 // most recent run
-	ShuffledBytes int64
-	Records       int64
+	ShuffledBytes int64 // most recent run
 	// MaxSkew is the worst per-stage task-duration p99/p50 observed.
 	MaxSkew float64
-	// PartRecords is the records-per-partition distribution of the most
-	// skewed stage — the histogram adaptive rebalancing acts on.
-	PartRecords dataflow.Dist
 }
 
 // String renders the profile compactly for Explain annotations.
@@ -251,89 +223,12 @@ func (m Measured) String() string {
 	return s
 }
 
-// Cache is a store of measured query stats, keyed by the normalized
-// query source. Safe for concurrent use from any number of sessions:
-// the server's session pool shares one cache so every pooled session
-// plans against the whole fleet's observations, which makes Lookup a
-// concurrent hot path — reads take only the read lock, and Record's
-// read-merge-write runs entirely under the write lock so two sessions
-// finishing the same query never lose a run count.
-type Cache struct {
-	mu sync.RWMutex
-	m  map[string]Measured
-}
-
-// NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{m: map[string]Measured{}} }
-
-// Key normalizes query source for cache lookup: whitespace runs
-// collapse so reformatted repeats of the same query share an entry.
-func Key(src string) string { return strings.Join(strings.Fields(src), " ") }
-
-// Lookup returns the measured stats for a query, if any.
-func (c *Cache) Lookup(src string) (Measured, bool) {
-	if c == nil {
-		return Measured{}, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m, ok := c.m[Key(src)]
-	return m, ok
-}
-
-// Record merges one run's observations into the entry for src.
-func (c *Cache) Record(src string, m Measured) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.m[Key(src)]
-	m.Runs = prev.Runs + 1
-	if m.MaxSkew < prev.MaxSkew {
-		m.MaxSkew = prev.MaxSkew
-	}
-	c.m[Key(src)] = m
-}
-
-// FromSnapshot extracts a Measured profile from a metrics diff
+// FromSnapshot extracts one run's profile from a metrics diff
 // (typically MetricsSnapshot.Sub around one query execution).
 func FromSnapshot(s dataflow.MetricsSnapshot, wallNs int64) Measured {
-	m := Measured{
-		WallNs:        wallNs,
-		ShuffledBytes: s.ShuffledBytes,
-		Records:       s.ShuffledRecords,
-	}
+	m := Measured{WallNs: wallNs, ShuffledBytes: s.ShuffledBytes}
 	for _, st := range s.PerStage {
-		if sk := st.TaskDur.Skew(); sk > m.MaxSkew {
-			m.MaxSkew = sk
-			m.PartRecords = st.PartRecords
-		}
+		m.MaxSkew = max(m.MaxSkew, st.TaskDur.Skew())
 	}
 	return m
-}
-
-// Len reports the number of cached queries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// TotalRuns sums the recorded run counts over every cached query — a
-// cheap fleet-wide activity figure for status endpoints.
-func (c *Cache) TotalRuns() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var n int64
-	for _, m := range c.m {
-		n += m.Runs
-	}
-	return n
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func sq(n int64, tile int) TableStats {
-	return TableStats{Rows: n, Cols: n, Tile: tile, Density: 1}
+	return TableStats{Rows: n, Cols: n, Tile: tile}
 }
 
 func TestTableStatsBlocks(t *testing.T) {
@@ -61,9 +61,6 @@ func TestEstimateMatmulFullGrid(t *testing.T) {
 	}
 	if est.JoinTempBytes != 64*(tb+2) {
 		t.Fatalf("temp bytes %d", est.JoinTempBytes)
-	}
-	if est.OutTiles != 16 {
-		t.Fatalf("out tiles %d", est.OutTiles)
 	}
 }
 
@@ -160,61 +157,20 @@ func TestPickGridFeasible(t *testing.T) {
 	}
 }
 
-func TestCacheRecordLookup(t *testing.T) {
-	c := NewCache()
-	if _, ok := c.Lookup("q"); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Record("tiled(2,2)[ x ]", Measured{WallNs: 100, MaxSkew: 2})
-	c.Record("tiled(2,2)[  x ]", Measured{WallNs: 50, MaxSkew: 1}) // same query, reformatted
-	m, ok := c.Lookup(" tiled(2,2)[ x ] ")
-	if !ok {
-		t.Fatal("normalized lookup missed")
-	}
-	if m.Runs != 2 {
-		t.Fatalf("runs %d, want 2 (normalized keys must merge)", m.Runs)
-	}
-	if m.WallNs != 50 {
-		t.Fatalf("wall %d, want most recent 50", m.WallNs)
-	}
-	if m.MaxSkew != 2 {
-		t.Fatalf("skew %v, want max-so-far 2", m.MaxSkew)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len %d", c.Len())
-	}
-}
-
-func TestNilCacheSafe(t *testing.T) {
-	var c *Cache
-	c.Record("q", Measured{})
-	if _, ok := c.Lookup("q"); ok {
-		t.Fatal("nil cache hit")
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache len")
-	}
-}
-
 func TestFromSnapshotPicksMostSkewedStage(t *testing.T) {
 	snap := dataflow.MetricsSnapshot{
 		CounterSet: obs.CounterSet{ShuffledBytes: 123, ShuffledRecords: 7},
 		PerStage: []dataflow.StageMetric{
-			{Name: "even", TaskDur: dataflow.Dist{N: 4, P50: 10, P99: 12},
-				PartRecords: dataflow.Dist{N: 4, Max: 5}},
-			{Name: "skewed", TaskDur: dataflow.Dist{N: 4, P50: 10, P99: 90},
-				PartRecords: dataflow.Dist{N: 4, Max: 40}},
+			{Name: "even", TaskDur: dataflow.Dist{N: 4, P50: 10, P99: 12}},
+			{Name: "skewed", TaskDur: dataflow.Dist{N: 4, P50: 10, P99: 90}},
 		},
 	}
 	m := FromSnapshot(snap, 55)
-	if m.WallNs != 55 || m.ShuffledBytes != 123 || m.Records != 7 {
+	if m.WallNs != 55 || m.ShuffledBytes != 123 {
 		t.Fatalf("totals wrong: %+v", m)
 	}
 	if m.MaxSkew != 9 {
 		t.Fatalf("skew %v, want 9", m.MaxSkew)
-	}
-	if m.PartRecords.Max != 40 {
-		t.Fatalf("picked wrong stage's histogram: %+v", m.PartRecords)
 	}
 }
 

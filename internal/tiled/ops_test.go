@@ -275,20 +275,3 @@ func TestQuickTransposeAddCommute(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Fault tolerance: multiplication under failure injection matches the
-// clean run.
-func TestMultiplyWithFailures(t *testing.T) {
-	clean := tctx()
-	faulty := dataflow.NewContext(dataflow.Config{FailureRate: 0.2, FailureSeed: 5, MaxTaskRetries: 60})
-	da := linalg.RandDense(8, 8, 0, 1, 23)
-	db := linalg.RandDense(8, 8, 0, 1, 24)
-	want := JoinMultiply(FromDense(clean, da, 2, 3), FromDense(clean, db, 2, 3), Product{}, true).ToDense()
-	got := JoinMultiply(FromDense(faulty, da, 2, 3), FromDense(faulty, db, 2, 3), Product{}, true).ToDense()
-	if !got.EqualApprox(want, 1e-9) {
-		t.Fatal("failure injection changed the result")
-	}
-	if faulty.Metrics().TaskFailures == 0 {
-		t.Fatal("no failures injected")
-	}
-}
