@@ -76,7 +76,7 @@ spill-test:
 # the poisoned Fig-4 suite and the steady-state allocation pin).
 cluster-test:
 	$(GO) test -count=1 ./internal/cluster ./internal/jobs
-	$(GO) test -race -count=1 -run 'SPMD|MetricsIsolation|ActionRowsMatchAcrossWorlds|RankRowCoversItsTasks' ./internal/dataflow
+	$(GO) test -race -count=1 -run 'SPMD|NoSelfBoundBlob|MetricsIsolation|ActionRowsMatchAcrossWorlds|RankRowCoversItsTasks' ./internal/dataflow
 	$(GO) test -race -count=1 -run 'GBJWire|GBJOneCellPerRank|GBJCellSpreadsOverSlots' ./internal/jobs ./internal/tiled
 	$(GO) test -race -count=5 -run 'JobEndWaitsForServes|BufferPool|GroupedBlobSizedExactly' ./internal/cluster ./internal/memory ./internal/spill
 

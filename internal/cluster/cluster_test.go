@@ -33,15 +33,24 @@ func init() {
 		return []byte(fmt.Sprintf("rank-%d", env.Rank)), Report{}, nil
 	})
 	RegisterProgram("test.exchange-ring", func(env *JobEnv) ([]byte, Report, error) {
-		// Each rank publishes a token; every rank fetches every token
-		// and concatenates in rank order — all ranks must agree.
-		key := fmt.Sprintf("tok.%d", env.Rank)
-		if err := env.Exchange.Publish(key, []byte(fmt.Sprintf("<%d>", env.Rank))); err != nil {
+		// Each rank publishes a token; every rank fetches every peer's
+		// token, reads its own locally (asking itself is refused), and
+		// concatenates in rank order — all ranks must agree.
+		token := []byte(fmt.Sprintf("<%d>", env.Rank))
+		if err := env.Exchange.Publish(fmt.Sprintf("tok.%d", env.Rank), token); err != nil {
 			return nil, Report{}, err
 		}
 		var out bytes.Buffer
 		for r := 0; r < env.World; r++ {
-			blob, err := fetchAll(env.Exchange, r, fmt.Sprintf("tok.%d", r))
+			key := fmt.Sprintf("tok.%d", r)
+			if r == env.Rank {
+				if _, err := fetchAll(env.Exchange, r, key); err == nil {
+					return nil, Report{}, fmt.Errorf("rank %d fetched its own token", r)
+				}
+				out.Write(token)
+				continue
+			}
+			blob, err := fetchAll(env.Exchange, r, key)
 			if err != nil {
 				return nil, Report{}, err
 			}
@@ -240,32 +249,56 @@ func TestProtoRoundTrips(t *testing.T) {
 			t.Errorf("jobdone with a %s report decoded without error", name)
 		}
 	}
+	// Every message decodes from exactly what its writer wrote: one
+	// trailing byte, or a cut anywhere, is an error and never a panic.
+	welcome := welcomeMsg{HeartbeatNanos: 250}
+	jobEnd := jobEndMsg{JobID: 9}
+	fetch := fetchStreamMsg{JobID: 9, Key: "x1.2.3", FirstChunk: 4}
 	end := streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}
-	if got, err := decodeStreamEnd(end.encode()); err != nil || got != end {
-		t.Fatalf("stream end: %+v %v", got, err)
-	}
-	for cut := 0; cut < len(end.encode()); cut++ {
-		if _, err := decodeStreamEnd(end.encode()[:cut]); err == nil {
-			t.Errorf("stream end cut at %d decoded without error", cut)
+	tele := sampleTelemetry()
+	for name, m := range map[string]struct {
+		blob   []byte
+		decode func([]byte) error
+	}{
+		"register":     {reg.encode(), strictly(reg, decodeRegister)},
+		"welcome":      {welcome.encode(), strictly(welcome, decodeWelcome)},
+		"job":          {job.encode(), strictly(job, decodeJob)},
+		"job done":     {done.encode(), strictly(done, decodeJobDone)},
+		"job end":      {jobEnd.encode(), strictly(jobEnd, decodeJobEnd)},
+		"fetch-stream": {fetch.encode(), strictly(fetch, decodeFetchStream)},
+		"stream end":   {end.encode(), strictly(end, decodeStreamEnd)},
+		"telemetry":    {tele.encode(), strictly(tele, decodeTelemetry)},
+	} {
+		if err := m.decode(m.blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	if _, err := decodeStreamEnd(append(end.encode(), 0)); err == nil {
-		t.Error("stream end with a trailing byte decoded without error")
-	}
-	// Truncated payloads error instead of panicking.
-	for _, blob := range [][]byte{job.encode(), done.encode(), reg.encode()} {
-		for cut := 0; cut < len(blob); cut++ {
+		if m.decode(append(m.blob[:len(m.blob):len(m.blob)], 0)) == nil {
+			t.Errorf("%s with a trailing byte decoded without error", name)
+		}
+		for cut := 0; cut < len(m.blob); cut++ {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("decode panicked on truncation: %v", r)
+						t.Fatalf("%s cut at %d: decode panicked: %v", name, cut, r)
 					}
 				}()
-				_, _ = decodeJob(blob[:cut])
-				_, _ = decodeJobDone(blob[:cut])
-				_, _ = decodeRegister(blob[:cut])
+				if m.decode(m.blob[:cut]) == nil {
+					t.Errorf("%s cut at %d decoded without error", name, cut)
+				}
 			}()
 		}
+	}
+}
+
+// strictly adapts a message decoder for TestProtoRoundTrips: an error,
+// or a message other than want, fails.
+func strictly[M any](want M, decode func([]byte) (M, error)) func([]byte) error {
+	return func(p []byte) error {
+		got, err := decode(p)
+		if err == nil && !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("decoded %+v, want %+v", got, want)
+		}
+		return err
 	}
 }
 

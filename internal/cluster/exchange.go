@@ -124,35 +124,6 @@ func makeBucket(blob []byte) bucket {
 	return b
 }
 
-// offer is one key of a jobStore: a bucket, or the promise of one. A
-// published bucket is there from the start; an offered one is encoded
-// and chunked by the first fetch that asks for it, and never if none
-// does.
-type offer struct {
-	once   sync.Once
-	encode func() ([]byte, error) // nil for a published bucket
-	b      bucket
-	err    error
-}
-
-// bucket resolves the offer. It runs the encoder, so callers must not
-// hold the store's lock.
-func (o *offer) bucket() (bucket, error) {
-	o.once.Do(func() {
-		if o.encode == nil {
-			return
-		}
-		blob, err := o.encode()
-		o.encode = nil // the encoder pins the rows it would read
-		if err != nil {
-			o.err = fmt.Errorf("cluster: offered bucket withdrawn: %w", err)
-			return
-		}
-		o.b = makeBucket(blob)
-	})
-	return o.b, o.err
-}
-
 // jobStore holds one job's locally-produced shuffle buckets. Fetches
 // block until the bucket is published (a peer that runs ahead of us
 // simply waits) or the job fails on this worker, at which point every
@@ -167,7 +138,7 @@ func (o *offer) bucket() (bucket, error) {
 type jobStore struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	buckets map[string]*offer
+	buckets map[string]bucket
 	failed  bool
 	ended   bool
 	users   int // the program while it runs, plus the serves in flight
@@ -175,7 +146,7 @@ type jobStore struct {
 }
 
 func newJobStore(lease *memory.Lease) *jobStore {
-	s := &jobStore{buckets: make(map[string]*offer), lease: lease}
+	s := &jobStore{buckets: make(map[string]bucket), lease: lease}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -218,9 +189,9 @@ func (s *jobStore) end() {
 	}
 }
 
-func (s *jobStore) put(key string, o *offer) {
+func (s *jobStore) put(key string, b bucket) {
 	s.mu.Lock()
-	s.buckets[key] = o
+	s.buckets[key] = b
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -234,14 +205,10 @@ func (s *jobStore) waitGet(key string) (bucket, error) {
 			s.mu.Unlock()
 			return bucket{}, fmt.Errorf("cluster: job ended on this worker")
 		}
-		if o, ok := s.buckets[key]; ok {
+		if b, ok := s.buckets[key]; ok {
 			s.users++
 			s.mu.Unlock()
-			b, err := o.bucket()
-			if err != nil {
-				s.leave()
-			}
-			return b, err
+			return b, nil
 		}
 		if s.failed {
 			s.mu.Unlock()
@@ -249,18 +216,6 @@ func (s *jobStore) waitGet(key string) (bucket, error) {
 		}
 		s.cond.Wait()
 	}
-}
-
-// get is the non-blocking lookup used for self-fetches, which are
-// always published before they are read.
-func (s *jobStore) get(key string) (bucket, error) {
-	s.mu.Lock()
-	o, ok := s.buckets[key]
-	s.mu.Unlock()
-	if !ok {
-		return bucket{}, fmt.Errorf("cluster: local bucket %s missing", key)
-	}
-	return o.bucket()
 }
 
 // fail marks the store dead and wakes all waiters with an error.
@@ -445,17 +400,8 @@ func (e *Exchange) SetMemory(m *memory.Manager) { e.mem.Store(m) }
 // bucket is chunked — and, when it pays, compressed — exactly once
 // here; every subsequent fetch serves the stored chunks.
 func (e *Exchange) Publish(key string, blob []byte) error {
-	e.store.put(key, &offer{b: makeBucket(blob)})
+	e.store.put(key, makeBucket(blob))
 	return nil
-}
-
-// Offer registers a bucket no peer is expected to fetch — the blob bound
-// for this rank's own reduce partitions, which a peer reads only when it
-// takes one of them over. encode runs at most once, on the first
-// fetch of key, on the goroutine serving that fetch; an error from it
-// reaches the fetching peer as a lost bucket, and the peer recomputes.
-func (e *Exchange) Offer(key string, encode func() ([]byte, error)) {
-	e.store.put(key, &offer{encode: encode})
 }
 
 // markDead gives up on a rank: later fetches fail fast instead of
@@ -465,12 +411,12 @@ func (e *Exchange) markDead(rank int) {
 	e.pools[rank].drain()
 }
 
-// FetchReader streams the bucket key owned by rank; self-fetches read
-// the local store directly. The reader yields the raw (decompressed)
-// bucket bytes incrementally as chunks arrive, holding at most one
-// chunk — reserved against the memory budget — at a time. Transient
-// stream errors are retried transparently, resuming from the last
-// delivered chunk. Any error means the caller should recompute the
+// FetchReader streams the bucket key owned by rank, a peer: a rank never
+// fetches from itself, and asking is an error. The reader yields the raw
+// (decompressed) bucket bytes incrementally as chunks arrive, holding at
+// most one chunk — reserved against the memory budget — at a time.
+// Transient stream errors are retried transparently, resuming from the
+// last delivered chunk. Any error means the caller should recompute the
 // bucket from lineage — but only FATAL errors (FetchGone, dial or retry
 // exhaustion) mark the rank dead. If the reader fails with a
 // transport-level error (peer died, bucket gone), its TransportErr
@@ -481,54 +427,13 @@ func (e *Exchange) FetchReader(rank int, key string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("cluster: fetch from rank %d of %d", rank, len(e.peers))
 	}
 	if rank == e.rank {
-		b, err := e.store.get(key)
-		if err != nil {
-			return nil, err
-		}
-		return &bucketReader{b: b}, nil
+		return nil, fmt.Errorf("cluster: rank %d fetches %s from itself", rank, key)
 	}
 	if e.dead[rank].Load() {
 		return nil, fmt.Errorf("cluster: rank %d marked dead", rank)
 	}
 	return &streamReader{e: e, rank: rank, key: key}, nil
 }
-
-// bucketReader serves a locally-stored bucket, decompressing one chunk
-// at a time so self-fetches of compressed buckets stay chunk-bounded
-// too.
-type bucketReader struct {
-	b   bucket
-	idx int
-	cur []byte
-}
-
-func (r *bucketReader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.idx >= len(r.b.chunks) {
-			return 0, io.EOF
-		}
-		c := r.b.chunks[r.idx]
-		r.idx++
-		if c.flags&chunkFlagCompressed == 0 {
-			r.cur = c.data
-			continue
-		}
-		raw, err := spill.DecompressBlock(c.data, c.rawLen)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: stored chunk %d corrupt: %w", r.idx-1, err)
-		}
-		r.cur = raw
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
-}
-
-func (r *bucketReader) Close() error { return nil }
-
-// TransportErr is always nil for local reads: a failure here is data
-// corruption, never a reason to recompute.
-func (r *bucketReader) TransportErr() error { return nil }
 
 // streamReader is the client side of one streaming fetch. It connects
 // lazily (the first Read may block until the peer publishes the

@@ -7,6 +7,8 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/memory"
@@ -56,22 +58,15 @@ func TestJobEndWaitsForServes(t *testing.T) {
 	if err := server.Publish("published", blob); err != nil {
 		t.Fatal(err)
 	}
-	encoding, gate := make(chan struct{}), make(chan struct{})
-	server.Offer("offered", func() ([]byte, error) {
-		close(encoding)
-		<-gate
-		b := store.lease.Bytes(len(want))
-		copy(b, want)
-		return b, nil
-	})
-
+	// The serve in flight is held by its connection: the first write
+	// reaching it blocks until the gate opens.
 	var inflight bytes.Buffer
+	conn := &gatedWriter{w: &inflight, writing: make(chan struct{}), gate: make(chan struct{})}
 	done := make(chan bool)
 	go func() {
-		bw := bufio.NewWriter(&inflight)
-		done <- w.serveStream(bw, fetchStreamMsg{JobID: 11, Key: "offered"})
+		done <- w.serveStream(bufio.NewWriter(conn), fetchStreamMsg{JobID: 11, Key: "published"})
 	}()
-	<-encoding
+	<-conn.writing
 	w.endJob(11)
 
 	var late bytes.Buffer
@@ -86,7 +81,7 @@ func TestJobEndWaitsForServes(t *testing.T) {
 		t.Fatal("the published blob was recycled while a serve of the job was in flight")
 	}
 
-	close(gate)
+	close(conn.gate)
 	if !<-done {
 		t.Fatal("in-flight serve broke the connection")
 	}
@@ -98,7 +93,21 @@ func TestJobEndWaitsForServes(t *testing.T) {
 			t.Fatalf("byte %d of the published blob is %#x after the last serve left: the job's lease never closed", i, b)
 		}
 	}
-	if held := w.buffers.Held(); held != 2*int64(len(want)) {
-		t.Fatalf("the pool holds %d bytes, want the job's two %d-byte blobs", held, len(want))
+	if held := w.buffers.Held(); held != int64(len(want)) {
+		t.Fatalf("the pool holds %d bytes, want the job's one %d-byte blob", held, len(want))
 	}
+}
+
+// gatedWriter is a connection that takes a serve's bytes only once gate
+// is closed; writing is closed when the first write arrives.
+type gatedWriter struct {
+	w             io.Writer
+	writing, gate chan struct{}
+	once          sync.Once
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.writing) })
+	<-g.gate
+	return g.w.Write(p)
 }

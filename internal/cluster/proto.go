@@ -147,8 +147,8 @@ func (c *wireCur) fail(what string) {
 	}
 }
 
-// end reports the sticky error, or the bytes left over after what —
-// for frames whose reader must not accept more than the writer wrote.
+// end reports the sticky error, or the bytes left over after what: a
+// message's reader accepts no more than its writer wrote.
 func (c *wireCur) end(what string) error {
 	if c.err == nil && len(c.b) != 0 {
 		return fmt.Errorf("cluster: %d trailing bytes after %s", len(c.b), what)
@@ -247,7 +247,7 @@ func (m *registerMsg) encode() []byte {
 func decodeRegister(p []byte) (registerMsg, error) {
 	c := wireCur{b: p}
 	m := registerMsg{ID: c.str(), DataAddr: c.str(), Parallelism: c.i64(), MemBudget: c.i64()}
-	return m, c.err
+	return m, c.end("register")
 }
 
 type welcomeMsg struct {
@@ -263,7 +263,7 @@ func (m *welcomeMsg) encode() []byte {
 func decodeWelcome(p []byte) (welcomeMsg, error) {
 	c := wireCur{b: p}
 	m := welcomeMsg{HeartbeatNanos: c.i64()}
-	return m, c.err
+	return m, c.end("welcome")
 }
 
 // jobMsg assigns one rank of a job: which program to run, this
@@ -293,7 +293,7 @@ func decodeJob(p []byte) (jobMsg, error) {
 	c := wireCur{b: p}
 	m := jobMsg{JobID: c.i64(), Program: c.str(), Rank: c.i64(), World: c.i64(),
 		Peers: c.strs(), Params: c.blob()}
-	return m, c.err
+	return m, c.end("job")
 }
 
 // jobDoneMsg ends a rank's job: it ran its program to the end (OK) or
@@ -323,8 +323,8 @@ func decodeJobDone(p []byte) (jobDoneMsg, error) {
 	c := wireCur{b: p}
 	m := jobDoneMsg{JobID: c.i64(), OK: c.i64() != 0, Err: c.str()}
 	rep, err := decodeReport(c.blob())
-	if c.err != nil {
-		return m, c.err
+	if end := c.end("job done"); end != nil {
+		return m, end
 	}
 	m.Report = rep
 	return m, err
@@ -343,7 +343,7 @@ func (m *jobEndMsg) encode() []byte {
 func decodeJobEnd(p []byte) (jobEndMsg, error) {
 	c := wireCur{b: p}
 	m := jobEndMsg{JobID: c.i64()}
-	return m, c.err
+	return m, c.end("job end")
 }
 
 // fetchStreamMsg asks a peer to stream one bucket as chunks, starting
@@ -370,7 +370,7 @@ func decodeFetchStream(p []byte) (fetchStreamMsg, error) {
 	if m.FirstChunk < 0 {
 		c.fail("fetch-stream first chunk")
 	}
-	return m, c.err
+	return m, c.end("fetch-stream")
 }
 
 // writeChunkFrame writes one chunk as a msgStreamChunk frame: a flags

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,45 +359,6 @@ func TestFetchAfterJobEnd(t *testing.T) {
 	}
 	if n := stores(); n != 0 {
 		t.Fatalf("straggler fetch re-created a store: %d stores", n)
-	}
-}
-
-// TestOfferedBucketEncodedOnFirstFetch: an offered bucket costs nothing
-// until a peer asks for it, is encoded once however many ask, serves the
-// bytes a published one would, and reaches the peer as a lost bucket —
-// recompute, do not retry — when its encoder withdraws it.
-func TestOfferedBucketEncodedOnFirstFetch(t *testing.T) {
-	w, addr := startDataServer(t)
-	server := newExchange(8, 1, nil, w.storeFor(8), newPeerPools(0))
-	blob := tileBucket(t, 7, 100, 0.5) // three chunks
-	var encodes atomic.Int64
-	server.Offer("kept", func() ([]byte, error) { encodes.Add(1); return blob, nil })
-	server.Offer("unread", func() ([]byte, error) { encodes.Add(1); return blob, nil })
-	server.Offer("withdrawn", func() ([]byte, error) { return nil, fmt.Errorf("rows already folded") })
-	if encodes.Load() != 0 {
-		t.Fatal("an offer was encoded before any fetch")
-	}
-	e := clientExchange(8, addr)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got, err := fetchAll(e, 1, "kept"); err != nil || !bytes.Equal(got, blob) {
-				t.Errorf("offered bucket fetched as %d bytes (%v), want %d", len(got), err, len(blob))
-			}
-		}()
-	}
-	wg.Wait()
-	if n := encodes.Load(); n != 1 {
-		t.Fatalf("4 fetches of one offer (and none of another) ran %d encodes", n)
-	}
-	if _, err := fetchAll(e, 1, "withdrawn"); err == nil || !strings.Contains(err.Error(), "rows already folded") {
-		t.Fatalf("withdrawn offer: %v", err)
-	}
-	if e.c.FetchGoneEvents.Load() != 1 || e.c.FetchRetries.Load() != 0 || !e.dead[1].Load() {
-		t.Fatalf("withdrawn offer should read as a lost bucket: %d FetchGone, %d retries, dead=%v",
-			e.c.FetchGoneEvents.Load(), e.c.FetchRetries.Load(), e.dead[1].Load())
 	}
 }
 

@@ -134,5 +134,5 @@ func decodeTelemetry(p []byte) (telemetryMsg, error) {
 		st.Worker, st.TaskDur, st.PartRecords = c.str(), c.dist(), c.dist()
 		m.Stages = append(m.Stages, st)
 	}
-	return m, c.err
+	return m, c.end("telemetry")
 }

@@ -8,35 +8,39 @@ package dataflow
 //
 // A shuffle is the one segment store of shuffle.go with a Transport
 // beside it: a rank holds the segments of the map tasks it ran, and
-// also publishes them, encoded with the row type's spill codec, as one
-// blob per map task and destination rank — the segments for the reduce
-// partitions that rank owns, in one grouped blob that writes a value
-// repeated inside it once (spill.EncodeGroups). The first
-// reduce task on a rank that lacks map task m fetches m's blob for that
-// rank once and files its segments beside the rank's own, so sibling
-// partitions read them without fetching again. A reduce partition is
-// still every map task's segment in map-task order (co-partitioned narrow
-// reads are entirely local by construction). That order is the local
-// backend's, which is what makes cluster results byte-identical to
-// local ones.
+// publishes, encoded with the row type's spill codec, one blob per map
+// task and peer rank — the segments for the reduce partitions that peer
+// owns, in one grouped blob that writes a value repeated inside it once
+// (spill.EncodeGroups). A rank publishes only what a peer reads: its own
+// partitions' segments it reads where they rest, a narrow
+// (co-partitioned) exchange reads on-rank only, and a world of one
+// publishes nothing. The first reduce task on a rank that lacks map task
+// m fetches m's blob for that rank once and files its segments beside
+// the rank's own, so sibling partitions read them without fetching
+// again. A reduce partition is still every map task's segment in
+// map-task order. That order is the local backend's, which is what makes
+// cluster results byte-identical to local ones.
 //
 // Fault tolerance is lineage recompute: when a fetch fails because the
 // owning peer died, the reading rank runs the lost map task itself from its
 // lineage (sources are deterministic and replicated; narrow chains are
 // local), exactly like Spark resubmitting a lost task, and from then on
-// holds its segments like any it owns. The Resubmissions /
-// FetchFailures counters record it. Every stage a surviving rank needs
-// therefore completes as long as that rank survives.
+// holds its segments like any it owns. A rank that takes over a lost
+// rank's partition recomputes the lost rank's own map tasks too: their
+// segments for it were never published, and died with their owner. The
+// Resubmissions / FetchFailures counters record it. Every stage a
+// surviving rank needs therefore completes as long as that rank survives.
 //
 // An action runs one gather (below): every rank computes the partitions
 // it owns, each as a task of its own. One whose value the program itself
 // goes on with (Collect, Count, Reduce, Aggregate, Take) also publishes
-// them and fetches or recomputes the rest, so all ranks return the same
-// value and stay in step. One whose value leaves the job (CollectOwned: a
-// query result on its way to the driver) stops at the owned partitions —
-// nothing is published or fetched, and a lost rank's partitions are lost
-// with it; the caller above (cluster.Driver) runs the job again. Either
-// way a rank's stage row counts what that rank computed.
+// them to its peers, if it has any, and fetches or recomputes the rest,
+// so all ranks return the same value and stay in step. One whose value
+// leaves the job (CollectOwned: a query result on its way to the driver)
+// stops at the owned partitions — nothing is published or fetched, and a
+// lost rank's partitions are lost with it; the caller above
+// (cluster.Driver) runs the job again. Either way a rank's stage row
+// counts what that rank computed.
 
 import (
 	"fmt"
@@ -59,11 +63,11 @@ type Transport interface {
 	// Publish stores blob under key in this rank's shuffle store,
 	// where peers can fetch it.
 	Publish(key string, blob []byte) error
-	// FetchReader streams the blob published under key by rank, so the
-	// consumer decodes while bytes are still arriving. The first read
-	// blocks until the owner publishes; it or any later read fails when
-	// the owner is dead or unreachable, and the caller falls back to
-	// lineage recompute.
+	// FetchReader streams the blob published under key by rank, a peer
+	// (a rank never fetches from itself), so the consumer decodes while
+	// bytes are still arriving. The first read blocks until the owner
+	// publishes; it or any later read fails when the owner is dead or
+	// unreachable, and the caller falls back to lineage recompute.
 	//
 	// If a returned reader can fail mid-stream for transport reasons
 	// (the peer died), it should also implement `TransportErr() error`
@@ -151,59 +155,36 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// offerer is the optional part of a Transport that can hold a blob as a
-// promise: encode runs at most once, on the first fetch of key, on a
-// goroutine of the transport's; if it fails the fetching peer sees the
-// blob as lost and recomputes it from lineage.
-type offerer interface {
-	Offer(key string, encode func() ([]byte, error))
-}
-
-// groups lists the reduce partitions the blob of map task m for rank r
-// carries, ascending: those r owns (b ≡ r mod W). A narrow exchange's map
-// task fills only partition m, which m's own rank owns, so its one blob
-// is that rank's and carries that one group; it has none for the others.
-func (s *lazyBuckets[T]) groups(m, r int) []int {
-	w := s.ctx.conf.Transport.World()
-	if s.narrow {
-		if m%w != r {
-			return nil
-		}
-		return []int{m}
-	}
+// groups lists the reduce partitions the blob of a map task for rank r
+// carries, ascending: those r owns (b ≡ r mod W).
+func (s *lazyBuckets[T]) groups(r int) []int {
 	var bs []int
-	for b := r; b < s.parts; b += w {
+	for b := r; b < s.parts; b += s.ctx.conf.Transport.World() {
 		bs = append(bs, b)
 	}
 	return bs
 }
 
 // publish makes map task m's segments available to the peers: one blob
-// per rank that owns reduce partitions, holding this task's segments for
-// them. A local context has nobody to publish to.
-//
-// The blob for this rank's own partitions is read here, from seg, and
-// fetched by a peer only if one takes a partition over; where the
-// transport can hold a promise it is offered, not encoded. A narrow
-// (co-partitioned) exchange has only that blob, so its reads stay on-rank
-// and no data crosses the network.
+// per other rank that owns reduce partitions, holding this task's
+// segments for them. A local context and a narrow exchange have nobody
+// to publish to.
 func (s *lazyBuckets[T]) publish(m int, sg []bucketed[T]) {
 	t := s.ctx.conf.Transport
-	if t == nil {
+	if t == nil || s.narrow {
 		return
 	}
-	off, _ := t.(offerer)
 	for r := 0; r < t.World(); r++ {
-		bs := s.groups(m, r)
-		if len(bs) == 0 {
+		bs := s.groups(r)
+		if r == t.Rank() || len(bs) == 0 {
 			continue
+		}
+		groups := make([][]T, len(bs))
+		for i, b := range bs {
+			groups[i] = s.read(&sg[b])
 		}
 		key := blobKey(s.stage.id, m, r)
-		if off != nil && r == t.Rank() {
-			off.Offer(key, func() ([]byte, error) { return s.encodeOffered(bs, sg) })
-			continue
-		}
-		blob, err := s.encode(bs, sg)
+		blob, err := spill.EncodeGroups(groups, s.codec, s.ctx.lease)
 		if err == nil {
 			err = t.Publish(key, blob)
 		}
@@ -211,38 +192,6 @@ func (s *lazyBuckets[T]) publish(m int, sg []bucketed[T]) {
 			panic(fmt.Errorf("dataflow: publish %s: %w", key, err))
 		}
 	}
-}
-
-// encode writes map task segments sg of partitions bs as one blob.
-func (s *lazyBuckets[T]) encode(bs []int, sg []bucketed[T]) ([]byte, error) {
-	groups := make([][]T, len(bs))
-	for i, b := range bs {
-		groups[i] = s.read(&sg[b])
-	}
-	return spill.EncodeGroups(groups, s.codec, s.ctx.lease)
-}
-
-// encodeOffered encodes this rank's own blob when a peer does ask for it.
-// It can do so as long as this rank has assembled none of the blob's
-// partitions: from then on that partition's rows are the partition's (and
-// a mutating fold may have changed them), so the offer is withdrawn and
-// the peer recomputes the map task, as it would for a lost rank.
-func (s *lazyBuckets[T]) encodeOffered(bs []int, sg []bucketed[T]) (blob []byte, err error) {
-	defer func() {
-		// A run file that cannot be read back panics; this is a
-		// transport goroutine, and the peer has lineage to fall back on.
-		if r := recover(); r != nil {
-			err = fmt.Errorf("dataflow: %s: offered blob: %v", s.name, r)
-		}
-	}()
-	for _, b := range bs {
-		s.pmu[b].Lock()
-		defer s.pmu[b].Unlock()
-		if s.done[b] {
-			return nil, fmt.Errorf("dataflow: %s: partition %d already assembled here", s.name, b)
-		}
-	}
-	return s.encode(bs, sg)
 }
 
 // StreamFetchWindow bounds the concurrent blob fetches one reduce task
@@ -317,12 +266,16 @@ type fetchedBlob[T any] struct {
 // fetched returns this rank's copy of map task m's segment for partition
 // p, out of the blob m's owner published for p's rank: the first reader
 // fetches the blob and files all its segments, later readers of any of
-// its partitions find them filed. It returns nil if the owner could not
-// serve the blob. p's rank is this one, or — when this rank computes
-// another's partition after a loss — the rank whose buckets the blob
-// holds, which is why the blob is filed under it.
+// its partitions find them filed. p's rank is this one, or — when this
+// rank computes another's partition after a loss — the rank whose
+// buckets the blob holds, which is why the blob is filed under it. It
+// returns nil if the owner could not serve the blob, or never published
+// it: a map task's segments for its own rank's partitions.
 func (s *lazyBuckets[T]) fetched(m, p int) *bucketed[T] {
 	w := s.ctx.conf.Transport.World()
+	if m%w == p%w {
+		return nil
+	}
 	id := [2]int{m, p % w}
 	s.mu.Lock()
 	f := s.got[id]
@@ -335,7 +288,7 @@ func (s *lazyBuckets[T]) fetched(m, p int) *bucketed[T] {
 	}
 	s.mu.Unlock()
 	f.once.Do(func() {
-		bs := s.groups(m, p%w)
+		bs := s.groups(p % w)
 		groups, ok := fetchBlob(s.ctx, m%w, blobKey(s.stage.id, m, p%w), func(r io.Reader) ([][]T, error) {
 			return spill.DecodeGroupsFrom(r, s.codec, len(bs), s.ctx.lease)
 		})
@@ -391,19 +344,20 @@ func (s *lazyBuckets[T]) recompute(m int) {
 // owns all of them — and returns the partials indexed p-lo. With share
 // the action's value is one every rank goes on with (Collect, Count,
 // Reduce, Aggregate, Take: the SPMD program branches on it), so on a
-// cluster each rank also publishes the partials it computed and fetches
-// the rest from their owners, computing a partition itself, as a task of
-// its own and a resubmission, when the owner is gone; every rank then
-// returns the identical partials and drives the identical fold. Without
-// share the other ranks' partials stay nil. A shared gather panics before
-// computing anything if T has no registered codec.
+// cluster of more than one rank each rank also publishes the partials it
+// computed and fetches the rest from their owners, computing a partition
+// itself, as a task of its own and a resubmission, when the owner is
+// gone; every rank then returns the identical partials and drives the
+// identical fold. Without share the other ranks' partials stay nil. A
+// shared gather under a Transport panics before computing anything if T
+// has no registered codec, whatever the world.
 func gather[T any](c *Context, st *Stage, lo, hi int, share bool, compute func(p int) []T) [][]T {
 	t := c.conf.Transport
-	share = share && t != nil
 	var codec spill.Codec[T]
-	if share {
+	if share && t != nil {
 		codec = spill.For[T]()
 	}
+	share = share && t != nil && t.World() > 1
 	out := make([][]T, hi-lo)
 	c.runTasksOwned(st, lo, hi, func(p int) {
 		out[p-lo] = compute(p)

@@ -9,34 +9,31 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/spill"
 	"repro/internal/trace"
 )
 
 // memHub is an in-process cluster fabric: one blob store per rank with
 // blocking fetches, peer-death simulation (a killed rank's store is
 // dropped, like a SIGKILLed process), and a publish-count trigger that
-// kills a rank mid-shuffle-write. Like cluster.Exchange it takes offers:
-// blobs encoded by the first fetch that asks for them.
+// kills a rank mid-shuffle-write. A fetch from the fetching rank itself,
+// or of a shuffle blob from the rank it is keyed for — one no rank
+// publishes — panics the rank that asks: a regression fails its test
+// instead of waiting forever for a blob that never comes.
 type memHub struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	world   int
-	blobs   []map[string][]byte
-	offers  []map[string]*memOffer
-	dead    []bool
-	killAt  []int // kill rank r after this many publishes; -1 = never
-	tearAt  []int // tear remote streams FROM rank r after this many bytes; -1 = never
-	pubs    []int
-	offered int // offers registered, on all ranks
-	encoded int // offers a fetch made good
+	mu     sync.Mutex
+	cond   *sync.Cond
+	world  int
+	blobs  []map[string][]byte
+	dead   []bool
+	killAt []int // kill rank r after this many publishes; -1 = never
+	tearAt []int // tear streams FROM rank r after this many bytes; -1 = never
+	pubs   []int
 }
 
 func newMemHub(world int) *memHub {
 	h := &memHub{
 		world:  world,
 		blobs:  make([]map[string][]byte, world),
-		offers: make([]map[string]*memOffer, world),
 		dead:   make([]bool, world),
 		killAt: make([]int, world),
 		tearAt: make([]int, world),
@@ -45,7 +42,6 @@ func newMemHub(world int) *memHub {
 	h.cond = sync.NewCond(&h.mu)
 	for r := range h.blobs {
 		h.blobs[r] = make(map[string][]byte)
-		h.offers[r] = make(map[string]*memOffer)
 		h.killAt[r] = -1
 		h.tearAt[r] = -1
 	}
@@ -53,6 +49,20 @@ func newMemHub(world int) *memHub {
 }
 
 func (h *memHub) transport(rank int) *memTransport { return &memTransport{h: h, rank: rank} }
+
+// kill drops rank r's store and fails every fetch from it, pending or
+// later, as a SIGKILLed process's peers see it.
+func (h *memHub) kill(r int) {
+	h.mu.Lock()
+	h.killLocked(r)
+	h.mu.Unlock()
+}
+
+func (h *memHub) killLocked(r int) {
+	h.dead[r] = true
+	h.blobs[r] = make(map[string][]byte)
+	h.cond.Broadcast()
+}
 
 // killAfter arranges for rank r's next publish past n to fail and drop
 // its whole store, modeling a worker killed mid-map-stage.
@@ -62,9 +72,9 @@ func (h *memHub) killAfter(r, n int) {
 	h.mu.Unlock()
 }
 
-// tearStreams makes every REMOTE stream read from rank r fail with a
-// transport error once n bytes have been delivered, modeling a
-// connection torn down mid-transfer (the peer itself stays alive).
+// tearStreams makes every stream read from rank r fail with a transport
+// error once n bytes have been delivered, modeling a connection torn
+// down mid-transfer (the peer itself stays alive).
 func (h *memHub) tearStreams(r, n int) {
 	h.mu.Lock()
 	h.tearAt[r] = n
@@ -87,10 +97,7 @@ func (t *memTransport) Publish(key string, blob []byte) error {
 		return errors.New("memtransport: this rank is dead")
 	}
 	if h.killAt[t.rank] >= 0 && h.pubs[t.rank] >= h.killAt[t.rank] {
-		h.dead[t.rank] = true
-		h.blobs[t.rank] = make(map[string][]byte)
-		h.offers[t.rank] = make(map[string]*memOffer)
-		h.cond.Broadcast()
+		h.killLocked(t.rank)
 		return errors.New("memtransport: killed mid-publish")
 	}
 	h.pubs[t.rank]++
@@ -99,25 +106,12 @@ func (t *memTransport) Publish(key string, blob []byte) error {
 	return nil
 }
 
-// memOffer is a blob the first fetch encodes; every fetch of it sees
-// that one outcome.
-type memOffer struct {
-	once   sync.Once
-	encode func() ([]byte, error)
-	blob   []byte
-	err    error
-}
-
-// Offer registers a blob to be encoded by the first fetch of key.
-func (t *memTransport) Offer(key string, encode func() ([]byte, error)) {
-	h := t.h
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.dead[t.rank] {
-		h.offers[t.rank][key] = &memOffer{encode: encode}
-		h.offered++
-		h.cond.Broadcast()
-	}
+// selfBound reports whether key names a shuffle blob,
+// x<exchange>.<map task>.<rank>, keyed for rank.
+func selfBound(key string, rank int) bool {
+	var exch, m, to int
+	n, _ := fmt.Sscanf(key, "x%d.%d.%d", &exch, &m, &to)
+	return n == 3 && to == rank
 }
 
 // FetchReader blocks until rank has published key (or died), then hands
@@ -125,6 +119,9 @@ func (t *memTransport) Offer(key string, encode func() ([]byte, error)) {
 // mid-stream surfaces as a transport error, and tearStreams injects torn
 // connections.
 func (t *memTransport) FetchReader(rank int, key string) (io.ReadCloser, error) {
+	if rank == t.rank || selfBound(key, rank) {
+		panic(fmt.Sprintf("memtransport: rank %d asked rank %d for %s, which it never publishes", t.rank, rank, key))
+	}
 	h := t.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -133,26 +130,7 @@ func (t *memTransport) FetchReader(rank int, key string) (io.ReadCloser, error) 
 			return nil, fmt.Errorf("memtransport: rank %d is dead", rank)
 		}
 		if blob, ok := h.blobs[rank][key]; ok {
-			tear := -1
-			if rank != t.rank {
-				tear = h.tearAt[rank]
-			}
-			return &memStreamReader{t: t, from: rank, blob: blob, tear: tear}, nil
-		}
-		if o, ok := h.offers[rank][key]; ok {
-			// The encoder takes the offering shuffle's partition lock, which a
-			// reader waiting on this hub may hold: run it with the hub open.
-			h.mu.Unlock()
-			o.once.Do(func() { o.blob, o.err = o.encode() })
-			h.mu.Lock()
-			if o.err != nil {
-				return nil, fmt.Errorf("memtransport: rank %d withdrew %s: %w", rank, key, o.err)
-			}
-			if _, ok := h.blobs[rank][key]; !ok && !h.dead[rank] {
-				h.encoded++
-				h.blobs[rank][key] = o.blob
-			}
-			continue
+			return &memStreamReader{t: t, from: rank, blob: blob, tear: h.tearAt[rank]}, nil
 		}
 		h.cond.Wait()
 	}
@@ -171,19 +149,17 @@ func (r *memStreamReader) Read(p []byte) (int, error) {
 	if r.terr != nil {
 		return 0, r.terr
 	}
-	if r.from != r.t.rank {
-		h := r.t.h
-		h.mu.Lock()
-		dead := h.dead[r.from]
-		h.mu.Unlock()
-		if dead {
-			r.terr = fmt.Errorf("memtransport: rank %d died mid-stream", r.from)
-			return 0, r.terr
-		}
-		if r.tear >= 0 && r.off >= r.tear {
-			r.terr = errors.New("memtransport: stream torn mid-transfer")
-			return 0, r.terr
-		}
+	h := r.t.h
+	h.mu.Lock()
+	dead := h.dead[r.from]
+	h.mu.Unlock()
+	if dead {
+		r.terr = fmt.Errorf("memtransport: rank %d died mid-stream", r.from)
+		return 0, r.terr
+	}
+	if r.tear >= 0 && r.off >= r.tear {
+		r.terr = errors.New("memtransport: stream torn mid-transfer")
+		return 0, r.terr
 	}
 	if r.off >= len(r.blob) {
 		return 0, io.EOF
@@ -195,7 +171,7 @@ func (r *memStreamReader) Read(p []byte) (int, error) {
 	if rem := len(r.blob) - r.off; n > rem {
 		n = rem
 	}
-	if r.from != r.t.rank && r.tear >= 0 && r.off+n > r.tear {
+	if r.tear >= 0 && r.off+n > r.tear {
 		n = r.tear - r.off
 	}
 	copy(p, r.blob[r.off:r.off+n])
@@ -266,7 +242,12 @@ func onRanks[R any](hub *memHub, world int, tweak func(*Config), program func(*C
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			defer func() { panics[r] = recover() }()
+			defer func() {
+				// A rank that panicked is a dead process to its peers.
+				if panics[r] = recover(); panics[r] != nil {
+					hub.kill(r)
+				}
+			}()
 			conf := Config{
 				Parallelism: 2,
 				Transport:   hub.transport(r),
@@ -548,16 +529,13 @@ func TestSPMDStreamTearRecomputes(t *testing.T) {
 	}
 }
 
-// TestSPMDSelfBoundSegmentOnDemand covers the blob a rank writes for its
-// own reduce partitions, which it offers to the transport and does not
-// encode: a run without failures encodes none of them; a rank lost
-// mid-shuffle leaves the survivors the answer the local backend gives;
-// and a peer that does ask gets the blob an eager publish would have
-// stored — every one of the rank's partitions, as a group — for as long
-// as the owner can still produce it: until it has assembled one of those
-// partitions in memory, indefinitely once the segments rest in run
-// files, and a withdrawal, never other bytes, after.
-func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
+// TestNoSelfBoundBlob: a rank publishes only what a peer reads. No rank
+// publishes a shuffle blob keyed for itself, a world of one publishes
+// nothing at all, and a rank lost mid-shuffle leaves the survivors the
+// answer the local backend gives: a partition they take over recomputes
+// the lost rank's own map tasks, whose segments for it were never
+// published (the hub panics a rank that asks for one).
+func TestNoSelfBoundBlob(t *testing.T) {
 	for _, world := range []int{1, 3, 8} {
 		for _, budget := range spmdBudgets {
 			hub := newMemHub(world)
@@ -567,9 +545,22 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 					t.Fatalf("world %d budget %d: rank %d panicked: %v", world, budget, r, p)
 				}
 			}
-			if hub.offered == 0 || hub.encoded != 0 {
-				t.Errorf("world %d budget %d: %d segments offered, %d of them encoded; want some and none",
-					world, budget, hub.offered, hub.encoded)
+			if world == 1 && hub.pubs[0] != 0 {
+				t.Errorf("budget %d: a world of one published %d blobs", budget, hub.pubs[0])
+			}
+			shuffled := 0
+			for r, blobs := range hub.blobs {
+				for key := range blobs {
+					if selfBound(key, r) {
+						t.Errorf("world %d budget %d: rank %d published %s, its own", world, budget, r, key)
+					}
+					if key[0] == 'x' {
+						shuffled++
+					}
+				}
+			}
+			if world > 1 && shuffled == 0 {
+				t.Errorf("world %d budget %d: no shuffle blob published", world, budget)
 			}
 		}
 	}
@@ -592,83 +583,13 @@ func TestSPMDSelfBoundSegmentOnDemand(t *testing.T) {
 				t.Fatalf("budget %d: surviving rank %d panicked: %v", budget, r, panics[r])
 			}
 			if !reflect.DeepEqual(results[r], want) {
-				t.Errorf("budget %d: surviving rank %d differs from local after losing a rank that had offered segments", budget, r)
+				t.Errorf("budget %d: surviving rank %d differs from local after losing a rank mid-shuffle", budget, r)
 			}
 			resub += metrics[r].Resubmissions
 		}
 		if resub == 0 {
 			t.Errorf("budget %d: no map task of the lost rank was resubmitted", budget)
 		}
-	}
-
-	for _, budget := range spmdBudgets {
-		// Rank 0 of two runs a shuffle's map side alone; rank 1 never
-		// comes up, and asks only through fetch below.
-		const parts, srcParts = 4, 4
-		hub := newMemHub(2)
-		ctx := NewContext(Config{Parallelism: 2, Transport: hub.transport(0), MemoryBudget: budget})
-		rowsOf := func(m int) []Pair[int64, float64] {
-			rows := make([]Pair[int64, float64], 50)
-			for i := range rows {
-				rows[i] = KV(int64(m*50+i), float64(i)+0.25)
-			}
-			return rows
-		}
-		route := pairRoute[int64, float64](parts)
-		lb := exchange(Generate(ctx, srcParts, rowsOf), parts, route, false)
-		lb.stage.ensure()
-		// Map tasks 0 and 2 are rank 0's, and so are partitions 0 and 2:
-		// its blob of either map task holds those two groups.
-		fetch := func(m int) ([][]Pair[int64, float64], error) {
-			rc, err := hub.transport(1).FetchReader(0, blobKey(lb.stage.id, m, 0))
-			if err != nil {
-				return nil, err
-			}
-			defer rc.Close()
-			return spill.DecodeGroupsFrom(rc, spill.For[Pair[int64, float64]](), 2, nil)
-		}
-		segment := func(m, b int) (seg []Pair[int64, float64]) {
-			for _, kv := range rowsOf(m) {
-				if route(kv) == b {
-					seg = append(seg, kv)
-				}
-			}
-			return seg
-		}
-		blob := func(m int) [][]Pair[int64, float64] { return [][]Pair[int64, float64]{segment(m, 0), segment(m, 2)} }
-		before := hub.encoded
-		if got, err := fetch(0); err != nil || !reflect.DeepEqual(got, blob(0)) {
-			t.Fatalf("budget %d: offered blob of map task 0 fetched as %v (%v), want %v", budget, got, err, blob(0))
-		}
-		if _, err := fetch(0); err != nil || hub.encoded != before+1 {
-			t.Fatalf("budget %d: second fetch of one offer: %v, %d encodes", budget, err, hub.encoded-before)
-		}
-		// Rank 0 now assembles partition 2 (recomputing absent rank 1's map
-		// tasks). In memory the segments' rows pass to the partition and
-		// the offer of map task 2's blob lapses; spilled, they stay in
-		// their run files.
-		hub.mu.Lock()
-		hub.dead[1] = true
-		hub.cond.Broadcast()
-		hub.mu.Unlock()
-		var all []Pair[int64, float64]
-		for m := 0; m < srcParts; m++ {
-			all = append(all, segment(m, 2)...)
-		}
-		if got := lb.get(2); !reflect.DeepEqual(got, all) {
-			t.Fatalf("budget %d: partition 2 assembled as %d rows, want %d", budget, len(got), len(all))
-		}
-		hub.mu.Lock()
-		hub.dead[1] = false
-		hub.mu.Unlock()
-		got, err := fetch(2)
-		switch {
-		case budget == 0 && err == nil:
-			t.Fatalf("an offer outlived its partition's assembly: fetched %v", got)
-		case budget > 0 && (err != nil || !reflect.DeepEqual(got, blob(2))):
-			t.Fatalf("budget %d: spilled blob fetched after its partition was read: %v, %v", budget, got, err)
-		}
-		ctx.Close()
 	}
 }
 

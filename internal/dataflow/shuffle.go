@@ -40,9 +40,9 @@ func (b *bucketed[T]) count() int64 {
 // Where a segment rests is a property of the context, not a mode of
 // the shuffle: with a memory budget segments reserve tracked bytes and
 // spill to run files when refused (oocore.go); with a Transport a rank
-// holds the segments of the map tasks it ran, publishes them, and
-// fetches the others from their owners or recomputes them from lineage
-// (cluster.go). The two stack. Either way partition p is the
+// holds the segments of the map tasks it ran, publishes those its peers
+// read, and fetches the others from their owners or recomputes them from
+// lineage (cluster.go). The two stack. Either way partition p is the
 // concatenation of seg[0][p], seg[1][p], ... in that order, so the
 // reduce-side row order is a function of the map outputs alone.
 type lazyBuckets[T any] struct {

@@ -58,15 +58,14 @@ func init() {
 // this process's in-process workers all writing to the one log.
 var exchangeSpy struct {
 	sync.Mutex
-	published map[string]int // key -> blob bytes handed to Publish
-	offered   map[string]bool
+	published map[string]int   // key -> blob bytes handed to Publish
 	fetched   map[string]int64 // key -> bytes read from the peer's stream
 }
 
 func resetExchangeSpy() {
 	exchangeSpy.Lock()
 	defer exchangeSpy.Unlock()
-	exchangeSpy.published, exchangeSpy.offered, exchangeSpy.fetched = map[string]int{}, map[string]bool{}, map[string]int64{}
+	exchangeSpy.published, exchangeSpy.fetched = map[string]int{}, map[string]int64{}
 }
 
 // spyTransport is a rank's exchange with every call noted; the key a rank
@@ -80,13 +79,6 @@ func (s spyTransport) Publish(key string, blob []byte) error {
 	exchangeSpy.published[s.note(key)] = len(blob)
 	exchangeSpy.Unlock()
 	return s.Exchange.Publish(key, blob)
-}
-
-func (s spyTransport) Offer(key string, encode func() ([]byte, error)) {
-	exchangeSpy.Lock()
-	exchangeSpy.offered[s.note(key)] = true
-	exchangeSpy.Unlock()
-	s.Exchange.Offer(key, encode)
 }
 
 func (s spyTransport) FetchReader(rank int, key string) (io.ReadCloser, error) {
@@ -230,10 +222,10 @@ func TestPartitionedResultParity(t *testing.T) {
 
 // TestResultCrossesOnce: for a matrix and a vector result on worlds of 2,
 // 3 and 8 the ranks put nothing on the fabric but shuffle blobs — no
-// gather key is published, offered or fetched — every blob a rank
-// publishes is bound for another rank (its own it only offers), and what
-// the ranks fetch from each other is exactly those blobs, so no result
-// byte travels between ranks; the driver receives the cells once.
+// gather key is published or fetched — no rank publishes a blob keyed
+// for itself, and what the ranks fetch from each other is exactly the
+// blobs they publish, so no result byte travels between ranks; the
+// driver receives the cells once.
 func TestResultCrossesOnce(t *testing.T) {
 	for _, world := range []int{2, 3, 8} {
 		d := startTestClusterPar(t, twoSlots(world), 0)
@@ -258,14 +250,9 @@ func TestResultCrossesOnce(t *testing.T) {
 			var peerBound, fetchedBytes, remoteFetched int64
 			for key, size := range exchangeSpy.published {
 				if !peerBoundBlob(key) {
-					t.Fatalf("world %d: published %q", world, key)
+					t.Fatalf("world %d: published %q, not a shuffle blob for a peer", world, key)
 				}
 				peerBound += int64(size)
-			}
-			for key := range exchangeSpy.offered {
-				if _, k, _ := strings.Cut(key, "/"); k[0] != 'x' || peerBoundBlob(key) {
-					t.Fatalf("world %d: offered %q", world, key)
-				}
 			}
 			for key, n := range exchangeSpy.fetched {
 				if _, key, _ := strings.Cut(key, "/"); key[0] != 'x' {

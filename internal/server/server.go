@@ -66,9 +66,6 @@ type Config struct {
 	QueueTimeout time.Duration
 	// PlanCacheSize caps compiled plans per pooled session (default 64).
 	PlanCacheSize int
-	// StreamInterval is the stage-telemetry poll period of the NDJSON
-	// endpoint (default 100ms).
-	StreamInterval time.Duration
 	// Cluster, when non-nil, is the one backend every slot compiles and
 	// runs on (a jobs.ClusterSession, which plans against the catalog its
 	// ranks rebuild) instead of a core.Session of its own; the slots then
@@ -126,9 +123,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 32
-	}
-	if cfg.StreamInterval <= 0 {
-		cfg.StreamInterval = 100 * time.Millisecond
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -382,6 +376,11 @@ func (s *Server) runQuery(src string, sink *eventSink, admitted func()) (*queryR
 	return resp, nil
 }
 
+// streamInterval is the stage-telemetry poll period of the NDJSON
+// endpoint: a row reaches the client at most this late, and rows still
+// unseen at the end go out in the final flush.
+const streamInterval = 100 * time.Millisecond
+
 // streamStages polls the executing session's metrics and emits a stage
 // event for each newly completed stage. Only a session this server owns
 // is polled: the slot holds it exclusively, so its live counters are
@@ -398,7 +397,7 @@ func (s *Server) streamStages(sl *slot, sink *eventSink) (stop func() int) {
 	result := make(chan int, 1)
 	go func() {
 		seen := 0
-		t := time.NewTicker(s.cfg.StreamInterval)
+		t := time.NewTicker(streamInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -202,7 +202,7 @@ func TestAdmissionEndToEnd(t *testing.T) {
 }
 
 func TestStreamEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{Sessions: 1, StreamInterval: 5 * time.Millisecond})
+	s, ts := newTestServer(t, Config{Sessions: 1})
 	registerAB(t, s)
 	body, _ := json.Marshal(map[string]string{"query": matmul66})
 	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
