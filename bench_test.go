@@ -375,7 +375,7 @@ func BenchmarkExt_MatVec(b *testing.B) {
 	dataflow.Count(x.Blocks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dataflow.Count(m.MatVec(x).Blocks)
+		dataflow.Count(m.MatVecOp(x, false).Blocks)
 	}
 }
 
@@ -391,19 +391,5 @@ func BenchmarkExt_SparseMatVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dataflow.Count(m.MatVec(x).Blocks)
-	}
-}
-
-func BenchmarkExt_SparseTimesDense(b *testing.B) {
-	ctx := benchCtx()
-	coo := linalg.RandSparseCOO(800, 800, 0.05, 5, 5)
-	s := tiled.SparseFromCOO(ctx, coo, benchTile, benchParts)
-	s.Tiles.Persist()
-	d := tiled.RandMatrix(ctx, 800, 200, benchTile, benchParts, 0, 1, 6).Persist()
-	dataflow.Count(s.Tiles)
-	dataflow.Count(d.Tiles)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dataflow.Count(s.MultiplyDense(d).Tiles)
 	}
 }

@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -35,11 +34,6 @@ type Config struct {
 	// shuffles and caches beyond it spill to disk and the figure tables
 	// grow spilled-bytes / merge-pass columns. <= 0 disables spilling.
 	MemoryBudget int64
-}
-
-// DefaultConfig returns laptop-scale settings.
-func DefaultConfig() Config {
-	return Config{TileSize: 100, Partitions: 8}
 }
 
 // Point is one measurement: a problem size and per-system metrics.
@@ -483,22 +477,4 @@ func force[T any](ctx *dataflow.Context, d *dataflow.Dataset[T]) {
 // forceBlocks materializes a result dataset.
 func forceBlocks[T any](d *dataflow.Dataset[T]) {
 	dataflow.Count(d)
-}
-
-// SortedSystems returns the systems of a point ordered by time.
-func (p Point) SortedSystems() []string {
-	type kv struct {
-		k string
-		v float64
-	}
-	var xs []kv
-	for k, v := range p.Seconds {
-		xs = append(xs, kv{k, v})
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i].v < xs[j].v })
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = x.k
-	}
-	return out
 }

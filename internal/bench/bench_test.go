@@ -99,14 +99,6 @@ func TestRatios(t *testing.T) {
 	}
 }
 
-func TestSortedSystems(t *testing.T) {
-	p := Point{Seconds: map[string]float64{"x": 3, "y": 1, "z": 2}}
-	got := p.SortedSystems()
-	if got[0] != "y" || got[1] != "z" || got[2] != "x" {
-		t.Fatalf("order %v", got)
-	}
-}
-
 func TestAblationReduceByKeyShuffleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,6 +34,40 @@ func init() {
 	// Rank 1 believes in a larger world than the others.
 	RegisterProgram("test.partitioned-diverges", partitioned(func(env *JobEnv) int { return env.World + env.Rank%2 }))
 	RegisterMerge("test.partitioned-diverges", Collect(mergePartitioned))
+}
+
+// Collect is the Merge that reads each reply whole and hands them, in rank
+// order, to merge once the job has settled.
+func Collect(merge func(replies []RankResult) ([]byte, error)) Merge {
+	return func() Merger { return &collected{merge: merge} }
+}
+
+type collected struct {
+	merge   func([]RankResult) ([]byte, error)
+	mu      sync.Mutex
+	replies []RankResult
+	done    bool
+}
+
+func (c *collected) Add(rank int, r io.Reader, size int64) error {
+	reply := make([]byte, size)
+	if _, err := io.ReadFull(r, reply); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.done {
+		c.replies = append(c.replies, RankResult{Rank: rank, Result: reply})
+	}
+	return nil
+}
+
+func (c *collected) Result() ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.done = true
+	sort.Slice(c.replies, func(i, j int) bool { return c.replies[i].Rank < c.replies[j].Rank })
+	return c.merge(c.replies)
 }
 
 func mergePartitioned(replies []RankResult) ([]byte, error) {

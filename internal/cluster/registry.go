@@ -87,55 +87,48 @@ type Merge func() Merger
 // ErrIncomplete is the Merger error for a result with a part missing.
 var ErrIncomplete = errors.New("result incomplete")
 
-// Collect is the Merge that reads each reply whole and hands them, in rank
-// order, to merge once the job has settled.
-func Collect(merge func(replies []RankResult) ([]byte, error)) Merge {
-	return func() Merger { return &collected{merge: merge} }
+// Replicated is the Merge of a program without one of its own: every rank
+// computed the whole result, so the first reply to arrive is the result
+// and every other must equal it byte for byte.
+func Replicated() Merger { return &replicated{} }
+
+type replicated struct {
+	mu    sync.Mutex
+	first []byte // the first reply, and the rank it came from
+	rank  int
+	err   error // the first reply that differs
+	done  bool
 }
 
-type collected struct {
-	merge   func([]RankResult) ([]byte, error)
-	mu      sync.Mutex
-	replies []RankResult
-	done    bool
-}
-
-func (c *collected) Add(rank int, r io.Reader, size int64) error {
+func (m *replicated) Add(rank int, r io.Reader, size int64) error {
 	reply := make([]byte, size)
 	if _, err := io.ReadFull(r, reply); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.done {
-		c.replies = append(c.replies, RankResult{Rank: rank, Result: reply})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case m.done || m.err != nil:
+	case m.first == nil:
+		m.first, m.rank = reply, rank
+	case !bytes.Equal(reply, m.first):
+		m.err = fmt.Errorf("rank %d result (%d bytes) differs from rank %d's (%d bytes) — SPMD determinism violated",
+			rank, len(reply), m.rank, len(m.first))
 	}
-	return nil
+	return m.err
 }
 
-func (c *collected) Result() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.done = true
-	sort.Slice(c.replies, func(i, j int) bool { return c.replies[i].Rank < c.replies[j].Rank })
-	return c.merge(c.replies)
-}
-
-// Replicated merges the replies of a program without a Merge (through
-// Collect): every rank computed the whole result, so any reply is the
-// result and the others must be equal to it byte for byte.
-func Replicated(replies []RankResult) ([]byte, error) {
-	if len(replies) == 0 {
+func (m *replicated) Result() ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.done = true
+	switch {
+	case m.err != nil:
+		return nil, m.err
+	case m.first == nil:
 		return nil, fmt.Errorf("no rank replied: %w", ErrIncomplete)
 	}
-	first := replies[0]
-	for _, r := range replies[1:] {
-		if !bytes.Equal(first.Result, r.Result) {
-			return nil, fmt.Errorf("rank %d result (%d bytes) differs from rank %d's (%d bytes) — SPMD determinism violated",
-				r.Rank, len(r.Result), first.Rank, len(first.Result))
-		}
-	}
-	return first.Result, nil
+	return m.first, nil
 }
 
 var (
@@ -167,14 +160,14 @@ func RegisterMerge(name string, m Merge) {
 	merges[name] = m
 }
 
-// mergeFor returns the program's Merge, Replicated's when it has none.
+// mergeFor returns the program's Merge, Replicated when it has none.
 func mergeFor(name string) Merge {
 	progMu.RLock()
 	defer progMu.RUnlock()
 	if m, ok := merges[name]; ok {
 		return m
 	}
-	return Collect(Replicated)
+	return Replicated
 }
 
 func lookupProgram(name string) (Program, error) {

@@ -115,12 +115,3 @@ func TestEvalBuiltinErrors(t *testing.T) {
 		t.Fatal("division by zero should error")
 	}
 }
-
-func TestBindAll(t *testing.T) {
-	env := (*Env)(nil).BindAll(map[string]Value{"a": int64(1), "b": int64(2)})
-	va, _ := env.Lookup("a")
-	vb, _ := env.Lookup("b")
-	if va != int64(1) || vb != int64(2) {
-		t.Fatal("BindAll lookup")
-	}
-}

@@ -27,15 +27,6 @@ func (e *Env) Lookup(name string) (Value, bool) {
 	return nil, false
 }
 
-// BindAll extends e with every entry of m (iteration order is
-// irrelevant because names are distinct frames).
-func (e *Env) BindAll(m map[string]Value) *Env {
-	for k, v := range m {
-		e = e.Bind(k, v)
-	}
-	return e
-}
-
 // Eval evaluates an expression in env, returning an error instead of
 // panicking on calculus type errors.
 func Eval(e Expr, env *Env) (v Value, err error) {

@@ -311,7 +311,7 @@ func TestGroupByOfSugar(t *testing.T) {
 		},
 	}
 	v := VectorStorage{V: linalg.NewVectorFrom([]float64{1, 10, 2, 20, 3})}
-	got := SortByKey(MustEval(q, env0(map[string]Value{"V": v})).(List))
+	got := sortByKey(MustEval(q, env0(map[string]Value{"V": v})).(List))
 	want := L(T(int64(0), 6.0), T(int64(1), 30.0))
 	if !Equal(got, want) {
 		t.Fatalf("got %v", Render(got))

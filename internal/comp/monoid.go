@@ -177,31 +177,3 @@ func ReduceList(name string, l List) (Value, error) {
 	}
 	return MonoidFinalize(name, acc), nil
 }
-
-// ProductMonoid builds the component-wise product ⊕1 x ... x ⊕n over
-// tuple accumulators (the ⊗ of Rule 12).
-func ProductMonoid(ms []Monoid) Monoid {
-	comm := true
-	for _, m := range ms {
-		comm = comm && m.Commutative
-	}
-	return Monoid{
-		Name:        "product",
-		Commutative: comm,
-		Zero: func() Value {
-			t := make(Tuple, len(ms))
-			for i, m := range ms {
-				t[i] = m.Zero()
-			}
-			return t
-		},
-		Op: func(a, b Value) Value {
-			ta, tb := MustTuple(a), MustTuple(b)
-			t := make(Tuple, len(ms))
-			for i, m := range ms {
-				t[i] = m.Op(ta[i], tb[i])
-			}
-			return t
-		},
-	}
-}

@@ -91,26 +91,6 @@ func TestConcatMonoid(t *testing.T) {
 	}
 }
 
-func TestProductMonoid(t *testing.T) {
-	plus, _ := LookupMonoid("+")
-	count, _ := LookupMonoid("count")
-	prod := ProductMonoid([]Monoid{plus, count})
-	if !prod.Commutative {
-		t.Fatal("product of commutative monoids should commute")
-	}
-	acc := prod.Zero()
-	acc = prod.Op(acc, T(2.0, int64(1)))
-	acc = prod.Op(acc, T(3.0, int64(1)))
-	if !Equal(acc, T(5.0, int64(2))) {
-		t.Fatalf("product acc %v", Render(acc))
-	}
-
-	concat, _ := LookupMonoid("++")
-	if ProductMonoid([]Monoid{plus, concat}).Commutative {
-		t.Fatal("product with non-commutative factor must not commute")
-	}
-}
-
 func TestMonoidLiftFinalize(t *testing.T) {
 	if MonoidLift("count", "whatever") != int64(1) {
 		t.Fatal("count lift")

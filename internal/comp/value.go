@@ -13,7 +13,6 @@ package comp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -217,16 +216,4 @@ func Render(v Value) string {
 	default:
 		return fmt.Sprintf("%v", x)
 	}
-}
-
-// SortByKey sorts an association list (List of Tuple{key,val}) by the
-// canonical key string; used to make results deterministic in tests
-// and output.
-func SortByKey(l List) List {
-	out := make(List, len(l))
-	copy(out, l)
-	sort.SliceStable(out, func(i, j int) bool {
-		return KeyString(MustTuple(out[i])[0]) < KeyString(MustTuple(out[j])[0])
-	})
-	return out
 }

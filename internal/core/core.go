@@ -110,11 +110,6 @@ func (s *Session) RegisterMatrix(name string, m *tiled.Matrix) {
 	s.cat.BindMatrix(name, m)
 }
 
-// RegisterVector binds an existing tiled vector.
-func (s *Session) RegisterVector(name string, v *tiled.Vector) {
-	s.cat.BindVector(name, v)
-}
-
 // RegisterDense tiles and distributes a driver-side dense matrix.
 func (s *Session) RegisterDense(name string, d *linalg.Dense) *tiled.Matrix {
 	m := tiled.FromDense(s.ctx, d, s.conf.TileSize, 0)
@@ -126,15 +121,6 @@ func (s *Session) RegisterDense(name string, d *linalg.Dense) *tiled.Matrix {
 // uniform values in [lo, hi), generated distributedly from seed.
 func (s *Session) RegisterRandMatrix(name string, rows, cols int64, lo, hi float64, seed int64) *tiled.Matrix {
 	m := tiled.RandMatrix(s.ctx, rows, cols, s.conf.TileSize, 0, lo, hi, seed)
-	s.cat.BindMatrix(name, m)
-	return m
-}
-
-// RegisterSparse distributes a sparse COO matrix as a (dense-tiled)
-// block matrix, the storage the paper's evaluation uses for the
-// factorization input R.
-func (s *Session) RegisterSparse(name string, c *linalg.COO) *tiled.Matrix {
-	m := tiled.FromDense(s.ctx, c.ToDense(), s.conf.TileSize, 0)
 	s.cat.BindMatrix(name, m)
 	return m
 }
@@ -187,18 +173,6 @@ func (s *Session) QueryVector(src string) (*tiled.Vector, error) {
 		return nil, fmt.Errorf("core: query produced a %s, not a vector", res.Kind())
 	}
 	return res.Vector, nil
-}
-
-// QueryScalar runs a total-aggregation query.
-func (s *Session) QueryScalar(src string) (comp.Value, error) {
-	res, err := s.Query(src)
-	if err != nil {
-		return nil, err
-	}
-	if res.Kind() != "scalar" {
-		return nil, fmt.Errorf("core: query produced a %s, not a scalar", res.Kind())
-	}
-	return res.Scalar, nil
 }
 
 // Explain returns the chosen physical translation of a query.

@@ -67,10 +67,11 @@ func TestSessionScalarQuery(t *testing.T) {
 	s := NewSession(Config{TileSize: 4})
 	d := linalg.RandDense(8, 8, 0, 1, 6)
 	s.RegisterDense("M", d)
-	got, err := s.QueryScalar("+/[ m | ((i,j),m) <- M ]")
+	res, err := s.Query("+/[ m | ((i,j),m) <- M ]")
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Scalar
 	if diff := comp.MustFloat(got) - d.Sum(); diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("sum %v vs %v", got, d.Sum())
 	}
@@ -106,15 +107,6 @@ func TestSessionParseError(t *testing.T) {
 	s := NewSession(Config{})
 	if _, err := s.Query("tiled(2,2)[ broken"); err == nil {
 		t.Fatal("expected parse error")
-	}
-}
-
-func TestSessionRegisterSparse(t *testing.T) {
-	s := NewSession(Config{TileSize: 4})
-	c := linalg.RandSparseCOO(9, 9, 0.2, 5, 9)
-	m := s.RegisterSparse("R", c)
-	if !m.ToDense().Equal(c.ToDense()) {
-		t.Fatal("sparse registration mismatch")
 	}
 }
 
@@ -314,7 +306,7 @@ func TestSessionRegisterTiledDirect(t *testing.T) {
 	m := tiled.RandMatrix(s.Engine(), 6, 6, 3, 0, 0, 1, 14)
 	s.RegisterMatrix("X", m)
 	v := tiled.VectorFromDense(s.Engine(), linalg.RandVector(6, 0, 1, 15), 3, 0)
-	s.RegisterVector("V", v)
+	s.cat.BindVector("V", v)
 	got, err := s.QueryVector("tiledvec(6)[ (i, x*2.0) | (i,x) <- V ]")
 	if err != nil {
 		t.Fatal(err)
@@ -343,10 +335,11 @@ for i = 0, n-1 do
 		t.Fatalf("plans %v", plans)
 	}
 	// The loop result is bound in the catalog for follow-up queries.
-	got, err := s.QueryScalar("+/[ v | (i,v) <- V ]")
+	res, err := s.Query("+/[ v | (i,v) <- V ]")
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Scalar
 	if diff := comp.MustFloat(got) - d.Sum(); diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("total %v vs %v", got, d.Sum())
 	}

@@ -36,7 +36,6 @@ var actionRowCases = []struct {
 	}},
 	{"collect", func(c *Context) { Collect(sizedInput(c)) }},
 	{"collectOwned", func(c *Context) { CollectOwned(sizedInput(c)) }},
-	{"take", func(c *Context) { Take(sizedInput(c), 3) }}, // scans partitions 0, 1 and 2
 }
 
 // rowCounts is what a stage row says about the work, as opposed to its

@@ -26,6 +26,10 @@ import (
 // holds whole, and exchanging one is a protocol this engine does not
 // have.
 
+// adaptiveMinRows is the record count the hot bucket must reach before
+// rebalancing is considered, so tiny shuffles are never touched.
+const adaptiveMinRows = 32
+
 // adaptiveEnabled reports whether this context rebalances shuffle
 // buckets at stage boundaries. Never under SPMD: a rank sees only its
 // own map tasks' share of the histogram, and diverging bucket layouts
@@ -57,7 +61,7 @@ func (s *lazyBuckets[T]) mayAdapt() bool {
 
 // rebalance runs once per shuffle, single-threaded, at the end of the
 // map-side stage body (before any reduce task reads a bucket). It fires
-// only when the hot bucket is both absolutely large (AdaptiveMinRows)
+// only when the hot bucket is both absolutely large (adaptiveMinRows)
 // and relatively skewed (DefaultSkewThreshold × the median), then
 // greedily moves the hot bucket's largest key groups to the smallest
 // buckets while each move strictly improves balance. A single giant key
@@ -66,7 +70,6 @@ func (s *lazyBuckets[T]) rebalance() {
 	if !s.mayAdapt() {
 		return
 	}
-	conf := s.ctx.conf
 	sizes := make([]int64, s.parts)
 	for _, sg := range s.seg {
 		for b := range sg {
@@ -79,7 +82,7 @@ func (s *lazyBuckets[T]) rebalance() {
 	if p50 < 1 {
 		p50 = 1
 	}
-	if before.Max < int64(conf.AdaptiveMinRows) ||
+	if before.Max < adaptiveMinRows ||
 		float64(before.Max) <= DefaultSkewThreshold*float64(p50) {
 		return
 	}

@@ -27,15 +27,14 @@ func underAdaptBudgets(t *testing.T, body func(t *testing.T, budget int64)) {
 	}
 }
 
-// adaptCtx builds a context with adaptive rebalancing on, a low row
-// floor so small test inputs qualify, and the given memory budget.
+// adaptCtx builds a context with adaptive rebalancing on or off and the
+// given memory budget.
 func adaptCtx(t *testing.T, adaptive bool, budget int64) *Context {
 	t.Helper()
 	ctx := NewContext(Config{
 		Parallelism:       8,
 		DefaultPartitions: 8,
 		AdaptiveShuffle:   adaptive,
-		AdaptiveMinRows:   8,
 		MemoryBudget:      budget,
 	})
 	t.Cleanup(func() {
@@ -59,7 +58,9 @@ func collideInto(n, parts, p int) []int64 {
 }
 
 func sortedPairs[V any](d *Dataset[Pair[int64, V]]) []Pair[int64, V] {
-	return SortedCollect(d, func(a, b Pair[int64, V]) bool { return a.Key < b.Key })
+	out := Collect(d)
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // TestAdaptiveReduceByKeyExactAndBalanced: all keys in one bucket;
@@ -182,8 +183,9 @@ func TestAdaptiveSingleGroupNoop(t *testing.T) {
 }
 
 // TestAdaptivePartitionByKeyProperty is the randomized property test:
-// across seeds, partition counts, and skew shapes, adaptive
-// ReduceByKey must agree with a local reference fold.
+// across seeds, partition counts, and skew shapes, the key shuffles —
+// adaptive ReduceByKey and GroupByKey — must agree with a local
+// reference fold.
 func TestAdaptivePartitionByKeyProperty(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
@@ -204,14 +206,19 @@ func TestAdaptivePartitionByKeyProperty(t *testing.T) {
 				ref[k] += v
 			}
 			ctx := adaptCtx(t, true, 0)
-			red := ReduceByKey(Parallelize(ctx, rows, parts), func(a, b int64) int64 { return a + b }, parts)
-			got := sortedPairs(red)
-			if len(got) != len(ref) {
-				t.Fatalf("got %d keys, want %d", len(got), len(ref))
+			in := Parallelize(ctx, rows, parts)
+			red := sortedPairs(ReduceByKey(in, func(a, b int64) int64 { return a + b }, parts))
+			grouped := sortedPairs(GroupByKey(in, parts))
+			if len(red) != len(ref) || len(grouped) != len(ref) {
+				t.Fatalf("got %d reduced and %d grouped keys, want %d", len(red), len(grouped), len(ref))
 			}
-			for _, p := range got {
-				if ref[p.Key] != p.Value {
-					t.Fatalf("key %d: got %d, want %d", p.Key, p.Value, ref[p.Key])
+			for i, p := range red {
+				var sum int64
+				for _, v := range grouped[i].Value {
+					sum += v
+				}
+				if ref[p.Key] != p.Value || grouped[i].Key != p.Key || sum != p.Value {
+					t.Fatalf("key %d: reduced %d, grouped sum %d, want %d", p.Key, p.Value, sum, ref[p.Key])
 				}
 			}
 		})
@@ -237,16 +244,15 @@ func TestAdaptiveSpreadsDownstreamWork(t *testing.T) {
 		ctx := adaptCtx(t, adaptive, 0)
 		held = make([]int, parts)
 		red := ReduceByKey(Parallelize(ctx, rows, parts), func(a, b float64) float64 { return a + b }, parts)
-		work := MapPartitions(red, func(p int, rows []Pair[int64, float64]) []float64 {
+		work := newStreamDataset(ctx, parts, "work", red.deps, func(p int, emit func(float64)) {
+			rows := red.partition(p)
 			held[p] = len(rows)
 			if len(rows) > 0 && meet != nil {
 				meet()
 			}
-			out := make([]float64, len(rows))
-			for i, r := range rows {
-				out[i] = r.Value
+			for _, r := range rows {
+				emit(r.Value)
 			}
-			return out
 		})
 		return held, Reduce(work, func(a, b float64) float64 { return a + b })
 	}

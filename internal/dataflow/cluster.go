@@ -33,7 +33,7 @@ package dataflow
 //
 // An action runs one gather (below): every rank computes the partitions
 // it owns, each as a task of its own. One whose value the program itself
-// goes on with (Collect, Count, Reduce, Aggregate, Take) also publishes
+// goes on with (Collect, Count, Reduce, Aggregate) also publishes
 // them to its peers, if it has any, and fetches or recomputes the rest,
 // so all ranks return the same value and stay in step. One whose value
 // leaves the job (CollectOwned: a query result on its way to the driver)
@@ -343,7 +343,7 @@ func (s *lazyBuckets[T]) recompute(m int) {
 // st, for each partition p in [lo,hi) this process owns — a local context
 // owns all of them — and returns the partials indexed p-lo. With share
 // the action's value is one every rank goes on with (Collect, Count,
-// Reduce, Aggregate, Take: the SPMD program branches on it), so on a
+// Reduce, Aggregate: the SPMD program branches on it), so on a
 // cluster of more than one rank each rank also publishes the partials it
 // computed and fetches the rest from their owners, computing a partition
 // itself, as a task of its own and a resubmission, when the owner is

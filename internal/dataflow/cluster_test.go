@@ -194,7 +194,6 @@ type spmdResult struct {
 	count      int64
 	reduced    float64
 	agg        float64
-	take       []int64
 }
 
 // runSPMDProgram is the deterministic job every rank (and the local
@@ -211,23 +210,26 @@ func runSPMDProgram(ctx *Context) spmdResult {
 		return rows
 	})
 	sums := ReduceByKey(base, func(a, b float64) float64 { return a + b }, 4)
-	counts := ReduceByKey(MapValues(base, func(float64) int64 { return 1 }),
+	counts := ReduceByKey(Map(base, func(p Pair[int64, float64]) Pair[int64, int64] { return KV(p.Key, int64(1)) }),
 		func(a, b int64) int64 { return a + b }, 4)
 	narrow := Join(sums, counts, 4) // both sides hash-partitioned by key into 4
 	wide := Join(sums, counts, 3)   // forces both exchanges
 	grouped := GroupByKey(base, 5)
-	weigh := func(j JoinedPair[float64, int64]) float64 { return j.Left * float64(j.Right) }
-	vals := Values(base)
+	weigh := func(j Pair[int64, JoinedPair[float64, int64]]) Pair[int64, float64] {
+		return KV(j.Key, j.Value.Left*float64(j.Value.Right))
+	}
+	vals := Map(base, func(p Pair[int64, float64]) float64 { return p.Value })
 	return spmdResult{
-		sums:       Collect(sums),
-		grouped:    Collect(MapValues(grouped, func(vs []float64) int64 { return int64(len(vs)) })),
-		joined:     Collect(MapValues(narrow, weigh)),
-		wideJoined: Collect(MapValues(wide, weigh)),
-		reparted:   Collect(Repartition(Keys(base), 5)),
+		sums: Collect(sums),
+		grouped: Collect(Map(grouped, func(g Pair[int64, []float64]) Pair[int64, int64] {
+			return KV(g.Key, int64(len(g.Value)))
+		})),
+		joined:     Collect(Map(narrow, weigh)),
+		wideJoined: Collect(Map(wide, weigh)),
+		reparted:   Collect(Repartition(Map(base, func(p Pair[int64, float64]) int64 { return p.Key }), 5)),
 		count:      Count(base),
 		reduced:    Reduce(vals, func(a, b float64) float64 { return a + b }),
 		agg:        Aggregate(vals, 0.0, func(a float64, v float64) float64 { return a + v }, func(a, b float64) float64 { return a + b }),
-		take:       Take(Keys(base), 7),
 	}
 }
 
@@ -411,7 +413,7 @@ func TestSPMDNarrowJoinStaysLocal(t *testing.T) {
 					return rows
 				})
 				a := ReduceByKey(base, func(x, y int64) int64 { return x + y }, 4)
-				b := ReduceByKey(MapValues(base, func(int64) int64 { return 1 }),
+				b := ReduceByKey(Map(base, func(p Pair[int64, int64]) Pair[int64, int64] { return KV(p.Key, int64(1)) }),
 					func(x, y int64) int64 { return x + y }, 4)
 				Count(Join(a, b, joinParts))
 				fetches[r] = ctx.Metrics().RemoteFetches

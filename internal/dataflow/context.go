@@ -69,10 +69,6 @@ type Config struct {
 	// under a cluster Transport, where every rank must make identical
 	// decisions.
 	AdaptiveShuffle bool
-	// AdaptiveMinRows is the minimum record count of the hot bucket
-	// before rebalancing is considered, so tiny shuffles are never
-	// touched. Defaults to 32.
-	AdaptiveMinRows int
 	// Transport, when non-nil, switches the context into distributed
 	// SPMD execution: this process is one rank of Transport.World()
 	// identical processes all building the same deterministic graph.
@@ -175,9 +171,6 @@ func NewContext(conf Config) *Context {
 	if conf.DefaultPartitions <= 0 {
 		conf.DefaultPartitions = 2 * conf.Parallelism
 	}
-	if conf.AdaptiveMinRows <= 0 {
-		conf.AdaptiveMinRows = 32
-	}
 	ctx := &Context{
 		conf: conf,
 		sem:  make(chan struct{}, conf.Parallelism),
@@ -197,10 +190,6 @@ func NewContext(conf Config) *Context {
 	}
 	return ctx
 }
-
-// Memory returns the context's memory manager; nil means no budget is
-// set (every method of a nil manager is a granting no-op).
-func (c *Context) Memory() *memory.Manager { return c.mem }
 
 // Lease returns the job's account with its worker's buffer pool; nil for
 // a local context (every method of a nil lease allocates or does

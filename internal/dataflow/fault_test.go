@@ -52,26 +52,6 @@ func TestCoordHashSpreads(t *testing.T) {
 	}
 }
 
-func TestGridPartition(t *testing.T) {
-	// 4x4 grid of blocks, 2x2 blocks per partition cell -> 2x2 = 4 partitions.
-	seen := map[int]bool{}
-	for i := int64(0); i < 4; i++ {
-		for j := int64(0); j < 4; j++ {
-			p := GridPartition(Coord{i, j}, 4, 4, 2, 2)
-			if p < 0 || p >= 4 {
-				t.Fatalf("partition %d out of range", p)
-			}
-			seen[p] = true
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("grid partitioner used %d of 4 cells", len(seen))
-	}
-	if GridPartition(Coord{0, 0}, 4, 4, 2, 2) != GridPartition(Coord{1, 1}, 4, 4, 2, 2) {
-		t.Fatal("blocks in the same grid cell should share a partition")
-	}
-}
-
 func TestHashAnyCoversTypes(t *testing.T) {
 	// Distinct values of each supported type should hash differently
 	// (not a strict requirement, but catches degenerate implementations).
@@ -120,8 +100,8 @@ func TestChainedShufflesSingleWorker(t *testing.T) {
 	d := Parallelize(ctx, pairsOf(100), 10)
 	s1 := ReduceByKey(d, func(a, b int) int { return a + b }, 7)
 	s2 := GroupByKey(Map(s1, func(p Pair[int, int]) Pair[int, int] { return KV(p.Key%2, p.Value) }), 3)
-	s3 := ReduceByKey(MapValues(s2, func(vs []int) int { return len(vs) }), func(a, b int) int { return a + b }, 2)
-	got := CollectAsMap(s3)
+	s3 := ReduceByKey(Map(s2, func(g Pair[int, []int]) Pair[int, int] { return KV(g.Key, len(g.Value)) }), func(a, b int) int { return a + b }, 2)
+	got := collectMap(s3)
 	if got[0]+got[1] != 5 {
 		t.Fatalf("expected 5 keys total, got %v", got)
 	}

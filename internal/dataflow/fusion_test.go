@@ -8,9 +8,9 @@ import (
 
 // The push-based pipeline must be observationally equivalent to the old
 // materialize-a-slice-per-operator semantics. This property test builds
-// random chains of narrow operators (map, filter, flatMap, union) and
-// checks the fused execution element-for-element against a driver-side
-// reference evaluation on plain slices, including Count and Take views.
+// random chains of narrow operators (map, filter, flatMap) and checks
+// the fused execution element-for-element against a driver-side
+// reference evaluation on plain slices, including the Count view.
 func TestFusedChainMatchesSliceSemantics(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		trial := trial
@@ -25,7 +25,7 @@ func TestFusedChainMatchesSliceSemantics(t *testing.T) {
 			steps := 1 + rng.Intn(8)
 			var shape []string
 			for s := 0; s < steps; s++ {
-				switch op := rng.Intn(4); op {
+				switch op := rng.Intn(3); op {
 				case 0: // map
 					a, b := 1+rng.Intn(5), rng.Intn(100)
 					ds = Map(ds, func(v int) int { return a*v + b })
@@ -50,11 +50,6 @@ func TestFusedChainMatchesSliceSemantics(t *testing.T) {
 					ds = FlatMap(ds, f)
 					ref = flatMapSlice(ref, f)
 					shape = append(shape, "flatMap")
-				case 3: // union with a fresh source
-					extra := randInts(rng, rng.Intn(60))
-					ds = Union(ds, Parallelize(ctx, extra, 1+rng.Intn(3)))
-					ref = append(ref, extra...)
-					shape = append(shape, "union")
 				}
 			}
 
@@ -68,18 +63,6 @@ func TestFusedChainMatchesSliceSemantics(t *testing.T) {
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("chain %v: element %d = %d, want %d", shape, i, got[i], ref[i])
-				}
-			}
-			if len(ref) > 0 {
-				n := 1 + rng.Intn(len(ref))
-				tk := Take(ds, n)
-				if len(tk) != n {
-					t.Fatalf("chain %v: Take(%d) returned %d elements", shape, n, len(tk))
-				}
-				for i := 0; i < n; i++ {
-					if tk[i] != ref[i] {
-						t.Fatalf("chain %v: Take(%d)[%d] = %d, want %d", shape, n, i, tk[i], ref[i])
-					}
 				}
 			}
 		})
@@ -96,13 +79,12 @@ func TestNarrowChainRunsAsOneStage(t *testing.T) {
 			Map(ds, func(v int) int { return v * 2 }),
 			func(v int) bool { return v%3 != 0 }),
 		func(v int) []int { return []int{v, -v} })
-	chained = Union(chained, Map(ds, func(v int) int { return v + 1 }))
 
 	ctx.ResetMetrics()
 	n := Count(chained)
 	snap := ctx.Metrics()
-	if want := int64(2*len(filterSlice(mapSlice(intRange(1000), func(v int) int { return v * 2 }),
-		func(v int) bool { return v%3 != 0 })) + 1000); n != want {
+	if want := int64(2 * len(filterSlice(mapSlice(intRange(1000), func(v int) int { return v * 2 }),
+		func(v int) bool { return v%3 != 0 }))); n != want {
 		t.Fatalf("Count = %d, want %d", n, want)
 	}
 	if snap.Stages != 1 {

@@ -261,7 +261,7 @@ func TestOutOfCoreUnpersistReleasesEverything(t *testing.T) {
 	if s := ctx.Metrics(); s.CachedBytes != 0 {
 		t.Fatalf("cached-bytes gauge %d after unpersist, want 0", s.CachedBytes)
 	}
-	if used := ctx.Memory().Stats().Used; used != 0 {
+	if used := ctx.mem.Stats().Used; used != 0 {
 		t.Fatalf("budget ledger holds %d bytes after unpersist, want 0", used)
 	}
 	if peak := ctx.Metrics().MemoryPeak; peak > 2*int64(budget) {

@@ -82,13 +82,3 @@ func partitionOf[K comparable](k K, n int) int {
 // and tests can construct deliberately colliding (adversarially
 // skewed) key sets and verify routing from outside the package.
 func KeyPartition[K comparable](k K, n int) int { return partitionOf(k, n) }
-
-// GridPartition maps a block coordinate to a partition the way Spark
-// MLlib's GridPartitioner does: the (rowsPerPart x colsPerPart) grid
-// cell of the coordinate, linearized.
-func GridPartition(c Coord, gridRows, gridCols, rowsPerPart, colsPerPart int) int {
-	r := int(c.I) / rowsPerPart
-	col := int(c.J) / colsPerPart
-	nc := (gridCols + colsPerPart - 1) / colsPerPart
-	return r*nc + col
-}

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/spill"
@@ -99,17 +98,11 @@ func (d *Dataset[T]) withKeyParts(parts int) *Dataset[T] {
 	return d
 }
 
-// KeyPartitioned reports the recorded hash-partitioning (0 = none).
-func (d *Dataset[T]) KeyPartitioned() int { return d.keyParts }
-
 // Context returns the owning context.
 func (d *Dataset[T]) Context() *Context { return d.ctx }
 
 // NumPartitions returns the partition count.
 func (d *Dataset[T]) NumPartitions() int { return d.parts }
-
-// Name returns the operator name (for diagnostics).
-func (d *Dataset[T]) Name() string { return d.name }
 
 // Persist marks the dataset to cache partition contents on first
 // computation, like RDD.cache. It panics if T has no registered codec.
@@ -316,32 +309,6 @@ func FlatMapEmit[T, U any](d *Dataset[T], f func(v T, emit func(U))) *Dataset[U]
 	})
 }
 
-// MapPartitions transforms each whole partition at once. The input
-// partition materializes (f needs the full slice), making this a
-// fusion barrier within the stage; the output streams onward.
-func MapPartitions[T, U any](d *Dataset[T], f func(part int, rows []T) []U) *Dataset[U] {
-	return newStreamDataset(d.ctx, d.parts, "mapPartitions", d.deps, func(p int, emit func(U)) {
-		for _, u := range f(p, d.partition(p)) {
-			emit(u)
-		}
-	})
-}
-
-// Union concatenates two datasets (no shuffle; partitions are appended).
-func Union[T any](a, b *Dataset[T]) *Dataset[T] {
-	if a.ctx != b.ctx {
-		panic("dataflow: union across contexts")
-	}
-	return newStreamDataset(a.ctx, a.parts+b.parts, "union", mergeDeps(a.deps, b.deps),
-		func(p int, emit func(T)) {
-			if p < a.parts {
-				a.forEach(p, emit)
-			} else {
-				b.forEach(p-a.parts, emit)
-			}
-		})
-}
-
 // Collect materializes the dataset and returns all elements in
 // partition order.
 func Collect[T any](d *Dataset[T]) []T {
@@ -474,14 +441,6 @@ func Aggregate[T, A any](d *Dataset[T], zero A, seq func(A, T) A, merge func(A, 
 	return acc
 }
 
-// SortedCollect collects and sorts with less; handy for deterministic
-// test assertions.
-func SortedCollect[T any](d *Dataset[T], less func(a, b T) bool) []T {
-	out := Collect(d)
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
-}
-
 // Repartition redistributes elements round-robin into numPartitions
 // partitions through a shuffle.
 func Repartition[T any](d *Dataset[T], numPartitions int) *Dataset[T] {
@@ -498,33 +457,4 @@ func Repartition[T any](d *Dataset[T], numPartitions int) *Dataset[T] {
 		return int64(i)
 	})
 	return newSliceDataset(d.ctx, numPartitions, "repartition", []*Stage{lb.stage}, lb.get)
-}
-
-// Distinct removes duplicate elements (by the canonical key of keyOf)
-// through a shuffle.
-func Distinct[T any, K comparable](d *Dataset[T], keyOf func(T) K, numPartitions int) *Dataset[T] {
-	keyed := Map(d, func(v T) Pair[K, T] { return KV(keyOf(v), v) })
-	reduced := ReduceByKey(keyed, func(a, _ T) T { return a }, numPartitions)
-	return Values(reduced)
-}
-
-// Take returns up to n elements, materializing partitions in order
-// until enough are gathered. It runs as a stage whose tasks are the
-// partitions actually scanned; each notes the records it adds to the
-// result. Every rank gathers the same rows, so every rank stops the scan
-// at the same partition.
-func Take[T any](d *Dataset[T], n int) []T {
-	var out []T
-	d.runAction("take", func(st *Stage) {
-		for p := 0; p < d.parts && len(out) < n; p++ {
-			rows := gather(d.ctx, st, p, p+1, true, func(p int) []T {
-				rows := d.partition(p)
-				st.noteIn(p, int64(len(rows)))
-				st.recordsOut.Add(int64(min(len(rows), n-len(out))))
-				return rows
-			})[0]
-			out = append(out, rows[:min(len(rows), n-len(out))]...)
-		}
-	})
-	return out
 }

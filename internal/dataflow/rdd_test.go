@@ -61,29 +61,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsSeesWholePartition(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, intRange(20), 4)
-	sums := MapPartitions(d, func(_ int, rows []int) []int {
-		s := 0
-		for _, v := range rows {
-			s += v
-		}
-		return []int{s}
-	})
-	got := Collect(sums)
-	if len(got) != 4 {
-		t.Fatalf("partials %v", got)
-	}
-	total := 0
-	for _, v := range got {
-		total += v
-	}
-	if total != 190 {
-		t.Fatalf("total %d", total)
-	}
-}
-
 func TestCountReduceAggregate(t *testing.T) {
 	ctx := NewLocalContext()
 	d := Parallelize(ctx, intRange(11), 3)
@@ -106,16 +83,6 @@ func TestReduceEmptyPanics(t *testing.T) {
 		}
 	}()
 	Reduce(Parallelize(ctx, []int{}, 1), func(a, b int) int { return a + b })
-}
-
-func TestUnion(t *testing.T) {
-	ctx := NewLocalContext()
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3}, 1)
-	got := Collect(Union(a, b))
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("union %v", got)
-	}
 }
 
 func TestGenerate(t *testing.T) {
@@ -159,15 +126,6 @@ func TestRepartitionPreservesElements(t *testing.T) {
 	}
 }
 
-func TestSortedCollect(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, []int{3, 1, 2}, 2)
-	got := SortedCollect(d, func(a, b int) bool { return a < b })
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("sorted %v", got)
-	}
-}
-
 // Property: results of map+reduce are independent of partition count.
 func TestQuickPartitionIndependence(t *testing.T) {
 	ctx := NewLocalContext()
@@ -207,27 +165,5 @@ func TestLazinessNoComputeBeforeAction(t *testing.T) {
 	Collect(m)
 	if !computed.Load() {
 		t.Fatal("action should trigger compute")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, []int{3, 1, 3, 2, 1, 3}, 3)
-	got := SortedCollect(Distinct(d, func(x int) int { return x }, 2),
-		func(a, b int) bool { return a < b })
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("distinct %v", got)
-	}
-}
-
-func TestTake(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, intRange(100), 5)
-	got := Take(d, 7)
-	if len(got) != 7 || got[0] != 0 || got[6] != 6 {
-		t.Fatalf("take %v", got)
-	}
-	if got := Take(d, 1000); len(got) != 100 {
-		t.Fatalf("take beyond size: %d", len(got))
 	}
 }

@@ -397,47 +397,6 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) 
 	return ds.withKeyParts(numPartitions)
 }
 
-// AggregateByKey folds values per key into an accumulator of a
-// different type, with map-side partial aggregation.
-func AggregateByKey[K comparable, V, A any](d *Dataset[Pair[K, V]], zero func() A, seq func(A, V) A, merge func(A, A) A, numPartitions int) *Dataset[Pair[K, A]] {
-	partials := MapPartitions(d, func(_ int, rows []Pair[K, V]) []Pair[K, A] {
-		acc := make(map[K]A, len(rows))
-		order := make([]K, 0)
-		for _, kv := range rows {
-			a, ok := acc[kv.Key]
-			if !ok {
-				a = zero()
-				order = append(order, kv.Key)
-			}
-			acc[kv.Key] = seq(a, kv.Value)
-		}
-		out := make([]Pair[K, A], len(order))
-		for i, k := range order {
-			out[i] = KV(k, acc[k])
-		}
-		return out
-	})
-	return ReduceByKey(partials, merge, numPartitions)
-}
-
-// MapValues transforms the value of each pair, keeping the key; the
-// partitioning survives (keys are untouched), so downstream joins on
-// the result stay narrow.
-func MapValues[K comparable, V, W any](d *Dataset[Pair[K, V]], f func(V) W) *Dataset[Pair[K, W]] {
-	out := Map(d, func(p Pair[K, V]) Pair[K, W] { return KV(p.Key, f(p.Value)) })
-	return out.withKeyParts(d.keyParts)
-}
-
-// Keys projects the keys of a pair dataset.
-func Keys[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[K] {
-	return Map(d, func(p Pair[K, V]) K { return p.Key })
-}
-
-// Values projects the values of a pair dataset.
-func Values[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[V] {
-	return Map(d, func(p Pair[K, V]) V { return p.Value })
-}
-
 // JoinedPair is one match of an inner join.
 type JoinedPair[A, B any] struct {
 	Left  A
@@ -528,36 +487,4 @@ func coGroup[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[P
 				emit(KV(k, *acc[k]))
 			}
 		})
-}
-
-// PartitionByKey hash-shuffles a pair dataset so that all records of a
-// key land in the same partition (Spark's partitionBy).
-func PartitionByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) *Dataset[Pair[K, V]] {
-	if numPartitions <= 0 {
-		numPartitions = d.ctx.DefaultPartitions()
-	}
-	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), true).
-		withAdapt(pairOrd[K, V])
-	out := newSliceDataset(d.ctx, numPartitions, "partitionBy", []*Stage{lb.stage}, lb.get)
-	if lb.mayAdapt() {
-		return out // rebalancing breaks hash-co-partitioning; see ReduceByKey
-	}
-	return out.withKeyParts(numPartitions)
-}
-
-// CollectAsMap collects a pair dataset into a map; later duplicates of
-// a key overwrite earlier ones.
-func CollectAsMap[K comparable, V any](d *Dataset[Pair[K, V]]) map[K]V {
-	rows := Collect(d)
-	m := make(map[K]V, len(rows))
-	for _, kv := range rows {
-		m[kv.Key] = kv.Value
-	}
-	return m
-}
-
-// CountByKey returns the number of records per key.
-func CountByKey[K comparable, V any](d *Dataset[Pair[K, V]]) map[K]int64 {
-	counts := ReduceByKey(MapValues(d, func(V) int64 { return 1 }), func(a, b int64) int64 { return a + b }, 0)
-	return CollectAsMap(counts)
 }

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// collectMap collects a pair dataset into a map; later duplicates of a
+// key overwrite earlier ones.
+func collectMap[K comparable, V any](d *Dataset[Pair[K, V]]) map[K]V {
+	m := map[K]V{}
+	for _, kv := range Collect(d) {
+		m[kv.Key] = kv.Value
+	}
+	return m
+}
+
 func pairsOf(n int) []Pair[int, int] {
 	ps := make([]Pair[int, int], n)
 	for i := range ps {
@@ -18,7 +28,7 @@ func TestReduceByKeySums(t *testing.T) {
 	ctx := NewLocalContext()
 	d := Parallelize(ctx, pairsOf(20), 4)
 	r := ReduceByKey(d, func(a, b int) int { return a + b }, 3)
-	got := CollectAsMap(r)
+	got := collectMap(r)
 	// keys 0..4, values i for i%5==k: k, k+5, k+10, k+15 -> 4k+30
 	for k := 0; k < 5; k++ {
 		if got[k] != 4*k+30 {
@@ -31,7 +41,7 @@ func TestGroupByKeyCollectsAll(t *testing.T) {
 	ctx := NewLocalContext()
 	d := Parallelize(ctx, pairsOf(20), 4)
 	g := GroupByKey(d, 3)
-	got := CollectAsMap(g)
+	got := collectMap(g)
 	if len(got) != 5 {
 		t.Fatalf("keys %d", len(got))
 	}
@@ -51,13 +61,13 @@ func TestGroupByKeyCollectsAll(t *testing.T) {
 func TestReduceByKeyEquivalentToGroupByKeyFold(t *testing.T) {
 	ctx := NewLocalContext()
 	d := Parallelize(ctx, pairsOf(100), 7)
-	viaReduce := CollectAsMap(ReduceByKey(d, func(a, b int) int { return a + b }, 4))
-	viaGroup := CollectAsMap(MapValues(GroupByKey(d, 4), func(vs []int) int {
+	viaReduce := collectMap(ReduceByKey(d, func(a, b int) int { return a + b }, 4))
+	viaGroup := collectMap(Map(GroupByKey(d, 4), func(g Pair[int, []int]) Pair[int, int] {
 		s := 0
-		for _, v := range vs {
+		for _, v := range g.Value {
 			s += v
 		}
-		return s
+		return KV(g.Key, s)
 	}))
 	if len(viaReduce) != len(viaGroup) {
 		t.Fatal("key sets differ")
@@ -91,21 +101,6 @@ func TestReduceByKeyShufflesLessThanGroupByKey(t *testing.T) {
 	}
 }
 
-func TestAggregateByKey(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, pairsOf(20), 4)
-	counts := AggregateByKey(d,
-		func() int { return 0 },
-		func(a int, _ int) int { return a + 1 },
-		func(a, b int) int { return a + b }, 0)
-	got := CollectAsMap(counts)
-	for k := 0; k < 5; k++ {
-		if got[k] != 4 {
-			t.Fatalf("key %d count %d", k, got[k])
-		}
-	}
-}
-
 func TestJoin(t *testing.T) {
 	ctx := NewLocalContext()
 	left := Parallelize(ctx, []Pair[string, int]{KV("a", 1), KV("b", 2), KV("a", 3)}, 2)
@@ -135,7 +130,7 @@ func TestCoGroup(t *testing.T) {
 	ctx := NewLocalContext()
 	left := Parallelize(ctx, []Pair[int, int]{KV(1, 10), KV(2, 20), KV(1, 11)}, 2)
 	right := Parallelize(ctx, []Pair[int, string]{KV(1, "a"), KV(3, "c")}, 2)
-	got := CollectAsMap(CoGroup(left, right, 2))
+	got := collectMap(CoGroup(left, right, 2))
 	if len(got) != 3 {
 		t.Fatalf("cogroup keys %d", len(got))
 	}
@@ -167,10 +162,10 @@ func TestCoGroupRoutedPlacement(t *testing.T) {
 			r = append(r, KV(k, "r"))
 		}
 	}
-	left := PartitionByKey(Parallelize(ctx, l, 3), parts)
-	right := PartitionByKey(Parallelize(ctx, r, 3), parts)
+	left := ReduceByKey(Parallelize(ctx, l, 3), func(a, b int) int { return a + b }, parts)
+	right := ReduceByKey(Parallelize(ctx, r, 3), func(a, b string) string { return a + b }, parts)
 	route := func(k int) int { return (parts - 1) - k%parts }
-	Count(left) // run the partitionBy shuffles, then count only the cogroup's
+	Count(left) // run the reduceBy shuffles, then count only the cogroup's
 	Count(right)
 	ctx.ResetMetrics()
 	cg := CoGroupRouted(left, right, parts, route)
@@ -184,7 +179,7 @@ func TestCoGroupRoutedPlacement(t *testing.T) {
 			if want := route(g.Key); p != want {
 				t.Fatalf("key %d in partition %d, routed to %d", g.Key, p, want)
 			}
-			if len(g.Value.Left) != 2 || len(g.Value.Right) != (g.Key+1)%2 {
+			if len(g.Value.Left) != 1 || g.Value.Left[0] != 20*g.Key+1 || len(g.Value.Right) != (g.Key+1)%2 {
 				t.Fatalf("key %d groups %+v", g.Key, g.Value)
 			}
 		}
@@ -192,49 +187,8 @@ func TestCoGroupRoutedPlacement(t *testing.T) {
 	if seen != keys {
 		t.Fatalf("%d groups, want %d", seen, keys)
 	}
-	if m := ctx.Metrics(); m.ShuffledRecords != int64(len(l)+len(r)) {
-		t.Fatalf("routed cogroup shuffled %d records, want all %d (never a narrow read)", m.ShuffledRecords, len(l)+len(r))
-	}
-}
-
-func TestPartitionByKeyColocation(t *testing.T) {
-	ctx := NewLocalContext()
-	var data []Pair[int, int]
-	for i := 0; i < 60; i++ {
-		data = append(data, KV(i%6, i))
-	}
-	d := PartitionByKey(Parallelize(ctx, data, 5), 4)
-	parts := d.materialize(false)
-	seen := map[int]int{}
-	for p, rows := range parts {
-		for _, kv := range rows {
-			if prev, ok := seen[kv.Key]; ok && prev != p {
-				t.Fatalf("key %d in partitions %d and %d", kv.Key, prev, p)
-			}
-			seen[kv.Key] = p
-		}
-	}
-	if len(seen) != 6 {
-		t.Fatalf("lost keys: %v", seen)
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, pairsOf(25), 3)
-	got := CountByKey(d)
-	if got[0] != 5 || got[4] != 5 {
-		t.Fatalf("counts %v", got)
-	}
-}
-
-func TestKeysValues(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, []Pair[int, string]{KV(1, "a"), KV(2, "b")}, 1)
-	ks := Collect(Keys(d))
-	vs := Collect(Values(d))
-	if ks[0] != 1 || ks[1] != 2 || vs[0] != "a" || vs[1] != "b" {
-		t.Fatalf("keys %v values %v", ks, vs)
+	if m := ctx.Metrics(); m.ShuffledRecords != keys+int64(len(r)) {
+		t.Fatalf("routed cogroup shuffled %d records, want all %d (never a narrow read)", m.ShuffledRecords, keys+len(r))
 	}
 }
 
@@ -249,8 +203,8 @@ func TestQuickReduceByKeyPartitionIndependence(t *testing.T) {
 		if len(data) == 0 {
 			return true
 		}
-		a := CollectAsMap(ReduceByKey(Parallelize(ctx, data, int(p1%8)+1), func(a, b int) int { return a + b }, int(p2%8)+1))
-		b := CollectAsMap(ReduceByKey(Parallelize(ctx, data, int(p2%8)+1), func(a, b int) int { return a + b }, int(p1%8)+1))
+		a := collectMap(ReduceByKey(Parallelize(ctx, data, int(p1%8)+1), func(a, b int) int { return a + b }, int(p2%8)+1))
+		b := collectMap(ReduceByKey(Parallelize(ctx, data, int(p2%8)+1), func(a, b int) int { return a + b }, int(p1%8)+1))
 		if len(a) != len(b) {
 			return false
 		}
@@ -329,13 +283,13 @@ func TestCoPartitionedJoinSkipsExchange(t *testing.T) {
 	ctx := NewLocalContext()
 	d := Parallelize(ctx, pairsOf(100), 5)
 	a := ReduceByKey(d, func(x, y int) int { return x + y }, 4)
-	b := ReduceByKey(MapValues(d, func(v int) int { return v * 2 }), func(x, y int) int { return x + y }, 4)
+	b := ReduceByKey(Map(d, func(p Pair[int, int]) Pair[int, int] { return KV(p.Key, p.Value*2) }), func(x, y int) int { return x + y }, 4)
 	Collect(a)
 	Collect(b)
 	ctx.ResetMetrics()
 
 	j := Join(a, b, 4)
-	got := CollectAsMap(j)
+	got := collectMap(j)
 	if ctx.Metrics().ShuffledRecords != 0 {
 		t.Fatalf("co-partitioned join shuffled %d records", ctx.Metrics().ShuffledRecords)
 	}
@@ -358,7 +312,7 @@ func TestMismatchedPartitioningStillExchanges(t *testing.T) {
 	Collect(a)
 	Collect(b)
 	ctx.ResetMetrics()
-	got := CollectAsMap(Join(a, b, 4))
+	got := collectMap(Join(a, b, 4))
 	if len(got) != 5 {
 		t.Fatalf("join keys %d", len(got))
 	}
@@ -372,28 +326,21 @@ func TestMismatchedPartitioningStillExchanges(t *testing.T) {
 	}
 }
 
-// MapValues preserves partitioning; Map does not.
-func TestMapValuesPreservesPartitioning(t *testing.T) {
+// A key shuffle records its hash partitioning; Map (which may rekey)
+// drops it.
+func TestShufflesRecordKeyPartitioning(t *testing.T) {
 	ctx := NewLocalContext()
 	d := Parallelize(ctx, pairsOf(20), 4)
 	r := ReduceByKey(d, func(x, y int) int { return x + y }, 4)
-	if r.KeyPartitioned() != 4 {
-		t.Fatalf("reduceByKey partitioning %d", r.KeyPartitioned())
-	}
-	mv := MapValues(r, func(v int) int { return v + 1 })
-	if mv.KeyPartitioned() != 4 {
-		t.Fatal("MapValues lost partitioning")
+	if r.keyParts != 4 {
+		t.Fatalf("reduceByKey partitioning %d", r.keyParts)
 	}
 	m := Map(r, func(p Pair[int, int]) Pair[int, int] { return KV(p.Key+1, p.Value) })
-	if m.KeyPartitioned() != 0 {
+	if m.keyParts != 0 {
 		t.Fatal("Map (which may rekey) must drop partitioning")
 	}
-	pb := PartitionByKey(d, 3)
-	if pb.KeyPartitioned() != 3 {
-		t.Fatal("partitionBy should record partitioning")
-	}
 	g := GroupByKey(d, 5)
-	if g.KeyPartitioned() != 5 {
+	if g.keyParts != 5 {
 		t.Fatal("groupByKey should record partitioning")
 	}
 }

@@ -190,12 +190,10 @@ func (s *Stage) ensure() {
 			}
 			c.metrics.c.RecordsIn.Add(sm.RecordsIn)
 			c.metrics.recordStage(sm)
-			if obs.Default.Enabled() {
-				c.metrics.c.Publish()
-				obsStageSeconds.Observe(wall.Seconds())
-				for _, ns := range durs[:sm.TaskDur.N] { // packed: the tasks that ran here
-					obsTaskSeconds.Observe(float64(ns) / 1e9)
-				}
+			c.metrics.c.Publish()
+			obsStageSeconds.Observe(wall.Seconds())
+			for _, ns := range durs[:sm.TaskDur.N] { // packed: the tasks that ran here
+				obsTaskSeconds.Observe(float64(ns) / 1e9)
 			}
 			c.putStatBuf(durs)
 			c.putStatBuf(recs)
@@ -248,27 +246,4 @@ func waitStages(stages []*Stage) {
 	if f := failure.Load(); f != nil {
 		panic(f)
 	}
-}
-
-// mergeDeps unions two dependency lists (deduplicated by identity);
-// used by operators with several parents.
-func mergeDeps(a, b []*Stage) []*Stage {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]*Stage, len(a), len(a)+len(b))
-	copy(out, a)
-outer:
-	for _, st := range b {
-		for _, have := range out {
-			if have == st {
-				continue outer
-			}
-		}
-		out = append(out, st)
-	}
-	return out
 }

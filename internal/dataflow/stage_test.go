@@ -141,38 +141,6 @@ func TestUnpersistReleasesCache(t *testing.T) {
 	}
 }
 
-// Take is an action and must appear in the stage/task accounting like
-// any other.
-func TestTakeCountsAsStage(t *testing.T) {
-	ctx := NewContext(Config{Parallelism: 2, DefaultPartitions: 4})
-	ds := Map(Parallelize(ctx, intRange(100), 4), func(v int) int { return v + 1 })
-
-	ctx.ResetMetrics()
-	got := Take(ds, 5)
-	if len(got) != 5 {
-		t.Fatalf("Take(5) returned %d elements", len(got))
-	}
-	snap := ctx.Metrics()
-	if snap.Stages != 1 {
-		t.Fatalf("Take ran %d stages, want 1", snap.Stages)
-	}
-	if snap.Tasks == 0 {
-		t.Fatal("Take recorded no tasks")
-	}
-	var found bool
-	for _, s := range snap.PerStage {
-		if strings.HasPrefix(s.Name, "take(") {
-			found = true
-			if s.Tasks == 0 {
-				t.Fatalf("take stage recorded no tasks: %+v", s)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no take stage in per-stage metrics: %v", snap.PerStage)
-	}
-}
-
 // Independent actions issued from separate goroutines also overlap on
 // the stage scheduler (the driver is not serialized).
 func TestIndependentActionsOverlap(t *testing.T) {

@@ -400,10 +400,10 @@ func parsePieceHeader(piece []byte) (pieceHeader, error) {
 
 // resultMerger is sac.query's cluster.Merger: it makes the canonical blob
 // — the bytes RunQueryLocal returns — of the ranks' replies as they
-// arrive. A list or a scalar is replicated, and checked as such: the first
-// reply is the result and every other must equal it. A matrix or a vector
-// arrives as pieces, whose rows are read straight to their offsets in the
-// blob; that the ranks ran one program to one end shows in the pieces
+// arrive. A list or a scalar is replicated, and goes to cluster.Replicated:
+// the first reply is the result and every other must equal it. A matrix or
+// a vector arrives as pieces, whose rows are read straight to their offsets
+// in the blob; that the ranks ran one program to one end shows in the pieces
 // fitting together, which replaces comparing W copies of the whole: every
 // header is the same, every partition 0..parts-1 is in exactly one piece,
 // and every tile lies inside the matrix and appears once. A reply is bytes
@@ -423,10 +423,7 @@ type resultMerger struct {
 	done   bool
 	got    bool
 	pieces bool // the kind of the first reply to arrive: pieces, or replicated
-
-	whole     []byte // a replicated result, and the rank it came from
-	wholeRank int
-	wholeSet  bool
+	whole  cluster.Merger
 
 	header     []byte // the first piece's, and its rank
 	first      int
@@ -437,7 +434,7 @@ type resultMerger struct {
 }
 
 func newResultMerger() cluster.Merger {
-	m := &resultMerger{}
+	m := &resultMerger{whole: cluster.Replicated()}
 	m.idle.L = &m.mu
 	return m
 }
@@ -501,7 +498,8 @@ func (m *resultMerger) add(rank int, p *replyReader, c *claims) error {
 	}
 	if !m.pieces {
 		m.mu.Unlock()
-		return m.addWhole(rank, p, head)
+		p.unread(head)
+		return m.whole.Add(rank, p, p.left)
 	}
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("jobs: rank %d: %s", rank, fmt.Sprintf(format, args...))
@@ -599,25 +597,6 @@ func (m *resultMerger) add(rank int, p *replyReader, c *claims) error {
 	return nil
 }
 
-// addWhole reads the rest of a replicated reply and checks it against the
-// first one kept.
-func (m *resultMerger) addWhole(rank int, p *replyReader, head []byte) error {
-	reply := make([]byte, len(head)+int(p.left))
-	copy(reply, head)
-	if err := p.full(reply[len(head):]); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.wholeSet {
-		m.whole, m.wholeRank, m.wholeSet = reply, rank, true
-	} else if !bytes.Equal(reply, m.whole) {
-		return fmt.Errorf("rank %d result (%d bytes) differs from rank %d's (%d bytes) — SPMD determinism violated",
-			rank, len(reply), m.wholeRank, len(m.whole))
-	}
-	return nil
-}
-
 func (m *resultMerger) Result() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -631,10 +610,7 @@ func (m *resultMerger) Result() ([]byte, error) {
 	case !m.got:
 		return nil, fmt.Errorf("no rank replied: %w", cluster.ErrIncomplete)
 	case !m.pieces:
-		if !m.wholeSet {
-			return nil, fmt.Errorf("no rank replied: %w", cluster.ErrIncomplete)
-		}
-		return m.whole, nil
+		return m.whole.Result()
 	case uint64(len(m.parts)) != m.hdr.parts:
 		missing := uint64(0)
 		for m.parts[missing] {
@@ -653,6 +629,17 @@ type replyReader struct {
 	left   int64
 	failed error
 	b      [1]byte
+}
+
+func (p *replyReader) Read(b []byte) (int, error) {
+	if p.left <= 0 {
+		return 0, io.EOF
+	}
+	b = b[:min(int64(len(b)), p.left)]
+	if err := p.full(b); err != nil {
+		return 0, err
+	}
+	return len(b), nil
 }
 
 func (p *replyReader) ReadByte() (byte, error) {

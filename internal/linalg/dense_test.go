@@ -194,7 +194,4 @@ func TestNumBytes(t *testing.T) {
 	if NewDense(10, 10).NumBytes() != 800 {
 		t.Fatal("NumBytes should be 8 per element")
 	}
-	if NewVector(7).NumBytes() != 56 {
-		t.Fatal("vector NumBytes")
-	}
 }

@@ -120,13 +120,6 @@ func Mul(a, b *Dense) *Dense {
 	return c
 }
 
-// ParMul returns A*B as a new matrix using the parallel kernel.
-func ParMul(a, b *Dense) *Dense {
-	c := NewDense(a.Rows, b.Cols)
-	ParGemm(c, a, b)
-	return c
-}
-
 // parMinWork is the element-op volume below which parRows runs inline:
 // goroutine spawn plus WaitGroup rendezvous costs on the order of
 // microseconds, which dwarfs the loop body for small tiles.

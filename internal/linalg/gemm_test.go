@@ -24,7 +24,8 @@ func TestParGemmMatchesSerial(t *testing.T) {
 	a := RandDense(37, 23, -1, 1, 11)
 	b := RandDense(23, 41, -1, 1, 12)
 	want := Mul(a, b)
-	got := ParMul(a, b)
+	got := NewDense(37, 41)
+	ParGemm(got, a, b)
 	if !got.EqualApprox(want, 1e-9) {
 		t.Fatalf("ParGemm mismatch: %g", got.MaxAbsDiff(want))
 	}

@@ -108,48 +108,6 @@ func (lu *LU) Solve(b *Vector) (*Vector, error) {
 	return x, nil
 }
 
-// SolveMatrix solves A X = B column-wise.
-func (lu *LU) SolveMatrix(b *Dense) (*Dense, error) {
-	n := lu.Factors.Rows
-	if b.Rows != n {
-		return nil, ErrShape
-	}
-	out := NewDense(n, b.Cols)
-	col := NewVector(n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			col.Data[i] = b.At(i, j)
-		}
-		x, err := lu.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x.Data[i])
-		}
-	}
-	return out, nil
-}
-
-// Det returns the determinant of the factorized matrix.
-func (lu *LU) Det() float64 {
-	d := lu.Sign
-	n := lu.Factors.Rows
-	for i := 0; i < n; i++ {
-		d *= lu.Factors.At(i, i)
-	}
-	return d
-}
-
-// Inverse computes A^{-1} via LU factorization.
-func Inverse(a *Dense) (*Dense, error) {
-	lu, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return lu.SolveMatrix(Eye(a.Rows))
-}
-
 // Solve computes x with A x = b in one call.
 func Solve(a *Dense, b *Vector) (*Vector, error) {
 	lu, err := Factorize(a)

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -60,43 +59,12 @@ func TestSolve(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := wellConditioned(7, 4)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Mul(a, inv).EqualApprox(Eye(7), 1e-8) {
-		t.Fatal("A * A^-1 != I")
-	}
-	if !Mul(inv, a).EqualApprox(Eye(7), 1e-8) {
-		t.Fatal("A^-1 * A != I")
-	}
-}
-
-func TestDeterminant(t *testing.T) {
-	// Known 2x2 determinant.
-	a := NewDenseFrom(2, 2, []float64{3, 1, 4, 2})
-	lu, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()-2) > 1e-12 {
-		t.Fatalf("det %v want 2", lu.Det())
-	}
-	// Identity has determinant 1; permutations flip the sign.
-	luI, _ := Factorize(Eye(4))
-	if math.Abs(luI.Det()-1) > 1e-12 {
-		t.Fatal("det(I) != 1")
-	}
-}
-
 func TestSingularDetection(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{1, 2, 2, 4}) // rank 1
 	if _, err := Factorize(a); err != ErrSingular {
 		t.Fatalf("expected ErrSingular, got %v", err)
 	}
-	if _, err := Inverse(NewDense(3, 3)); err == nil {
+	if _, err := Factorize(NewDense(3, 3)); err == nil {
 		t.Fatal("zero matrix must be singular")
 	}
 }
@@ -107,32 +75,15 @@ func TestFactorizeShapeError(t *testing.T) {
 	}
 }
 
-func TestSolveMatrix(t *testing.T) {
-	a := wellConditioned(5, 5)
-	xTrue := RandDense(5, 3, -1, 1, 6)
-	b := Mul(a, xTrue)
-	lu, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := lu.SolveMatrix(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.EqualApprox(xTrue, 1e-8) {
-		t.Fatal("matrix solve mismatch")
-	}
-}
-
 func TestPivotingHandlesZeroLeadingElement(t *testing.T) {
 	// Without pivoting this matrix fails at the first pivot.
 	a := NewDenseFrom(2, 2, []float64{0, 1, 1, 0})
-	inv, err := Inverse(a)
+	x, err := Solve(a, NewVectorFrom([]float64{2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Mul(a, inv).EqualApprox(Eye(2), 1e-12) {
-		t.Fatal("permutation inverse wrong")
+	if x.Data[0] != 3 || x.Data[1] != 2 {
+		t.Fatalf("permutation solve wrong: %v", x.Data)
 	}
 }
 
@@ -148,26 +99,6 @@ func TestQuickSolveRoundTrip(t *testing.T) {
 			return false
 		}
 		return got.EqualApprox(x, 1e-7)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: det(A*B) == det(A)*det(B) within relative tolerance.
-func TestQuickDetMultiplicative(t *testing.T) {
-	f := func(seed int64) bool {
-		a := wellConditioned(4, seed)
-		b := wellConditioned(4, seed+9)
-		luA, errA := Factorize(a)
-		luB, errB := Factorize(b)
-		luAB, errAB := Factorize(Mul(a, b))
-		if errA != nil || errB != nil || errAB != nil {
-			return false
-		}
-		want := luA.Det() * luB.Det()
-		got := luAB.Det()
-		return math.Abs(got-want) <= 1e-9*math.Abs(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

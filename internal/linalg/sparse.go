@@ -143,20 +143,3 @@ func (m *CSR) SpMV(v *Vector) *Vector {
 	}
 	return out
 }
-
-// SpMM computes C += A*B where A is CSR and B, C are dense.
-func SpMM(c *Dense, a *CSR, b *Dense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	for i := 0; i < a.Rows; i++ {
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for idx := a.RowPtr[i]; idx < a.RowPtr[i+1]; idx++ {
-			aik := a.Val[idx]
-			brow := b.Data[a.ColIdx[idx]*b.Cols : (a.ColIdx[idx]+1)*b.Cols]
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
-			}
-		}
-	}
-}

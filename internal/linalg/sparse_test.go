@@ -88,18 +88,6 @@ func TestSpMVMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSpMMMatchesDense(t *testing.T) {
-	coo := RandSparseCOO(12, 9, 0.3, 5, 11)
-	csr := COOToCSR(coo)
-	b := RandDense(9, 6, -1, 1, 12)
-	want := Mul(coo.ToDense(), b)
-	got := NewDense(12, 6)
-	SpMM(got, csr, b)
-	if !got.EqualApprox(want, 1e-9) {
-		t.Fatal("SpMM mismatch")
-	}
-}
-
 func TestRandSparseDensity(t *testing.T) {
 	c := RandSparseCOO(100, 100, 0.1, 5, 13)
 	frac := float64(c.NNZ()) / 10000

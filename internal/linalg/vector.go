@@ -38,9 +38,6 @@ func (v *Vector) Clone() *Vector {
 	return &Vector{Data: d}
 }
 
-// NumBytes returns the approximate payload size for shuffle accounting.
-func (v *Vector) NumBytes() int64 { return int64(len(v.Data)) * 8 }
-
 // AddInPlace accumulates w into v element-wise. This is the paper's
 // addVectors reducer for vector blocks.
 func (v *Vector) AddInPlace(w *Vector) *Vector {
@@ -51,11 +48,6 @@ func (v *Vector) AddInPlace(w *Vector) *Vector {
 		v.Data[i] += x
 	}
 	return v
-}
-
-// AddVectors returns a new vector v + w.
-func AddVectors(v, w *Vector) *Vector {
-	return v.Clone().AddInPlace(w)
 }
 
 // ScaleInPlace multiplies every element by a.
@@ -77,9 +69,6 @@ func Dot(v, w *Vector) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm.
-func (v *Vector) Norm2() float64 { return math.Sqrt(Dot(v, v)) }
 
 // Sum returns the sum of all elements.
 func (v *Vector) Sum() float64 {
@@ -110,17 +99,6 @@ func (v *Vector) EqualApprox(w *Vector, tol float64) bool {
 	}
 	for i, x := range v.Data {
 		if math.Abs(x-w.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSorted reports whether consecutive elements are non-decreasing; this
-// is the paper's total-aggregation example &&/[ v <= w | ... ].
-func (v *Vector) IsSorted() bool {
-	for i := 0; i+1 < len(v.Data); i++ {
-		if v.Data[i] > v.Data[i+1] {
 			return false
 		}
 	}

@@ -23,30 +23,14 @@ func TestVectorBasics(t *testing.T) {
 	}
 }
 
-func TestAddVectors(t *testing.T) {
-	v := NewVectorFrom([]float64{1, 2, 3})
-	w := NewVectorFrom([]float64{10, 20, 30})
-	got := AddVectors(v, w)
-	if !got.Equal(NewVectorFrom([]float64{11, 22, 33})) {
-		t.Fatalf("add %v", got.Data)
-	}
-	if !v.Equal(NewVectorFrom([]float64{1, 2, 3})) {
-		t.Fatal("AddVectors mutated input")
-	}
-	v.AddInPlace(w)
-	if !v.Equal(got) {
-		t.Fatal("AddInPlace mismatch")
-	}
-}
-
 func TestDotOuterNorm(t *testing.T) {
 	v := NewVectorFrom([]float64{1, 2})
 	w := NewVectorFrom([]float64{3, 4})
 	if Dot(v, w) != 11 {
 		t.Fatalf("dot %v", Dot(v, w))
 	}
-	if math.Abs(w.Norm2()-5) > 1e-12 {
-		t.Fatalf("norm %v", w.Norm2())
+	if norm := math.Sqrt(Dot(w, w)); math.Abs(norm-5) > 1e-12 {
+		t.Fatalf("norm %v", norm)
 	}
 }
 
@@ -57,18 +41,6 @@ func TestDotShapePanic(t *testing.T) {
 		}
 	}()
 	Dot(NewVector(2), NewVector(3))
-}
-
-func TestIsSorted(t *testing.T) {
-	if !NewVectorFrom([]float64{1, 1, 2, 5}).IsSorted() {
-		t.Fatal("sorted vector misreported")
-	}
-	if NewVectorFrom([]float64{1, 3, 2}).IsSorted() {
-		t.Fatal("unsorted vector misreported")
-	}
-	if !NewVector(0).IsSorted() || !NewVector(1).IsSorted() {
-		t.Fatal("degenerate cases")
-	}
 }
 
 func TestMatVecAndVecMat(t *testing.T) {

@@ -7,10 +7,7 @@
 // traffic served to peers — are process-level facts: a worker process
 // is one scrape target, whatever sessions it runs. Instruments are
 // resolved once (package-level vars or a one-time lookup), so the hot
-// path is a single atomic add with no map access and no allocation;
-// when the registry is disabled every instrument method is one atomic
-// load and an early return, keeping the tracing/metrics-off cost at the
-// one-pointer-check bar the span tracer set.
+// path is a single atomic add with no map access and no allocation.
 //
 // The engine's scalar counters are not registered by hand: counters.go
 // declares each once, as a field of the counter schema, and derives its
@@ -31,18 +28,16 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. Add is one atomic add
-// (plus one atomic enabled-load); the zero value is usable but
-// unregistered — use Registry.Counter.
+// Counter is a monotonically increasing metric. Add is one atomic add;
+// the zero value is usable but unregistered — use Registry.Counter.
 type Counter struct {
-	v   atomic.Int64
-	reg *Registry
+	v atomic.Int64
 }
 
-// Add increments the counter by d (no-op when the registry is
-// disabled; negative deltas are ignored to keep counters monotone).
+// Add increments the counter by d (negative deltas are ignored to keep
+// counters monotone).
 func (c *Counter) Add(d int64) {
-	if c == nil || !c.reg.enabled() || d <= 0 {
+	if c == nil || d <= 0 {
 		return
 	}
 	c.v.Add(d)
@@ -62,13 +57,12 @@ func (c *Counter) Value() int64 {
 // Gauge is a value that can go up and down (bytes in use, live
 // workers).
 type Gauge struct {
-	v   atomic.Int64
-	reg *Registry
+	v atomic.Int64
 }
 
 // Set stores the gauge's current value.
 func (g *Gauge) Set(v int64) {
-	if g == nil || !g.reg.enabled() {
+	if g == nil {
 		return
 	}
 	g.v.Store(v)
@@ -76,7 +70,7 @@ func (g *Gauge) Set(v int64) {
 
 // Add moves the gauge by d (either sign).
 func (g *Gauge) Add(d int64) {
-	if g == nil || !g.reg.enabled() {
+	if g == nil {
 		return
 	}
 	g.v.Add(d)
@@ -94,7 +88,6 @@ func (g *Gauge) Value() int64 {
 // Observe is a linear scan over ~16 boundaries plus two atomic adds —
 // no allocation, safe from any number of goroutines.
 type Histogram struct {
-	reg     *Registry
 	bounds  []float64 // upper bounds, ascending; +Inf implied
 	buckets []atomic.Int64
 	count   atomic.Int64
@@ -103,7 +96,7 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.reg.enabled() {
+	if h == nil {
 		return
 	}
 	i := 0
@@ -149,22 +142,20 @@ var DefSecondsBuckets = []float64{
 type instrument struct {
 	name string
 	help string
-	kind string // "counter", "gauge", "histogram", "gaugefunc"
+	kind string // "counter", "gauge", "histogram"
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
-	f    func() float64
 }
 
 // Registry owns a namespace of instruments. The zero value is not
 // usable; use NewRegistry or the package Default.
 type Registry struct {
-	mu   sync.Mutex
-	by   map[string]*instrument
-	offQ atomic.Bool // true = disabled: instruments early-return
+	mu sync.Mutex
+	by map[string]*instrument
 }
 
-// NewRegistry returns an enabled, empty registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{by: make(map[string]*instrument)}
 }
@@ -172,17 +163,6 @@ func NewRegistry() *Registry {
 // Default is the process-wide registry the engine layers register into
 // and the debug endpoints export.
 var Default = NewRegistry()
-
-// enabled is the hot-path gate; nil registries read as disabled.
-func (r *Registry) enabled() bool { return r != nil && !r.offQ.Load() }
-
-// SetEnabled turns the whole registry on or off. Disabled instruments
-// cost one atomic load per call and record nothing; the exposition
-// still serves whatever was recorded before the switch.
-func (r *Registry) SetEnabled(on bool) { r.offQ.Store(!on) }
-
-// Enabled reports whether the registry is recording.
-func (r *Registry) Enabled() bool { return r.enabled() }
 
 // lookup returns the named instrument, creating it with make when
 // absent; it panics when the name is already registered as a different
@@ -205,7 +185,7 @@ func (r *Registry) lookup(name, help, kind string, make func() *instrument) *ins
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
 	in := r.lookup(name, help, "counter", func() *instrument {
-		return &instrument{c: &Counter{reg: r}}
+		return &instrument{c: &Counter{}}
 	})
 	return in.c
 }
@@ -213,26 +193,16 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge returns the named gauge, registering it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	in := r.lookup(name, help, "gauge", func() *instrument {
-		return &instrument{g: &Gauge{reg: r}}
+		return &instrument{g: &Gauge{}}
 	})
 	return in.g
-}
-
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-// Re-registering a name replaces the callback (a fresh session takes
-// over the live gauge).
-func (r *Registry) GaugeFunc(name, help string, f func() float64) {
-	in := r.lookup(name, help, "gaugefunc", func() *instrument { return &instrument{} })
-	r.mu.Lock()
-	in.f = f
-	r.mu.Unlock()
 }
 
 // Histogram returns the named histogram with the given upper bounds
 // (ascending; a +Inf bucket is implicit), registering it on first use.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	in := r.lookup(name, help, "histogram", func() *instrument {
-		h := &Histogram{reg: r, bounds: append([]float64(nil), bounds...)}
+		h := &Histogram{bounds: append([]float64(nil), bounds...)}
 		h.buckets = make([]atomic.Int64, len(bounds)+1)
 		return &instrument{h: h}
 	})
@@ -260,8 +230,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", in.name, in.name, in.c.Value())
 		case "gauge":
 			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", in.name, in.name, in.g.Value())
-		case "gaugefunc":
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", in.name, in.name, formatFloat(in.f()))
 		case "histogram":
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", in.name)
 			var cum int64

@@ -70,53 +70,11 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestDisabledRegistryRecordsNothing(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("sac_test_off_total", "")
-	h := r.Histogram("sac_test_off_seconds", "", []float64{1})
-	c.Add(5)
-	r.SetEnabled(false)
-	c.Add(5)
-	h.Observe(0.5)
-	if c.Value() != 5 {
-		t.Fatalf("disabled counter moved: %d", c.Value())
-	}
-	if h.Count() != 0 {
-		t.Fatalf("disabled histogram observed: %d", h.Count())
-	}
-	r.SetEnabled(true)
-	c.Inc()
-	if c.Value() != 6 {
-		t.Fatalf("re-enabled counter = %d, want 6", c.Value())
-	}
-}
-
-func TestGaugeFuncScrapesCallback(t *testing.T) {
-	r := NewRegistry()
-	v := 1.5
-	r.GaugeFunc("sac_test_live", "live value", func() float64 { return v })
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "sac_test_live 1.5") {
-		t.Fatalf("gauge func not scraped:\n%s", b.String())
-	}
-	// Re-registering replaces the callback.
-	r.GaugeFunc("sac_test_live", "live value", func() float64 { return 9 })
-	b.Reset()
-	_ = r.WritePrometheus(&b)
-	if !strings.Contains(b.String(), "sac_test_live 9") {
-		t.Fatalf("replaced gauge func not scraped:\n%s", b.String())
-	}
-}
-
 func TestExpositionValidates(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sac_test_a_total", "a counter").Add(3)
 	r.Gauge("sac_test_b", "a gauge").Set(-7)
 	r.Histogram("sac_test_c_seconds", "a histogram", DefSecondsBuckets).Observe(0.2)
-	r.GaugeFunc("sac_test_d", "a gauge func", func() float64 { return 0.25 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -125,8 +83,8 @@ func TestExpositionValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, b.String())
 	}
-	// 1 counter + 1 gauge + (len(buckets)+1 bucket lines + sum + count) + 1 gauge func
-	want := 1 + 1 + (len(DefSecondsBuckets) + 1 + 2) + 1
+	// 1 counter + 1 gauge + (len(buckets)+1 bucket lines + sum + count)
+	want := 1 + 1 + (len(DefSecondsBuckets) + 1 + 2)
 	if n != want {
 		t.Fatalf("%d samples, want %d:\n%s", n, want, b.String())
 	}

@@ -239,7 +239,7 @@ func TestFuzzStrategyCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[q.Strategy().Kind()] = true
+		seen[q.strategy.Kind()] = true
 		if _, err := q.Execute(); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}

@@ -533,7 +533,7 @@ func TestGroupByJoinCombineReadsIndexVars(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", src, err)
 					}
-					if k := q.Strategy().Kind(); k != "group-by-join" && k != "join-reduce" {
+					if k := q.strategy.Kind(); k != "group-by-join" && k != "join-reduce" {
 						t.Fatalf("%s: strategy %s", src, k)
 					}
 					res, _, err := q.Force(false)

@@ -46,7 +46,7 @@ func runProduct(t *testing.T, src string, opts opt.Options, budget int64, da, db
 	if err != nil {
 		t.Fatalf("compile %s: %v", src, err)
 	}
-	if _, ok := q.Strategy().(*opt.GroupByJoinStrategy); !ok {
+	if _, ok := q.strategy.(*opt.GroupByJoinStrategy); !ok {
 		t.Fatalf("%s: strategy %s, want a group-by-join", src, q.Explain())
 	}
 	res, err := q.Execute()

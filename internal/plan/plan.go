@@ -33,9 +33,6 @@ func NewCatalog(ctx *dataflow.Context) *Catalog {
 	return &Catalog{ctx: ctx, vals: map[string]any{}}
 }
 
-// Context returns the engine context.
-func (c *Catalog) Context() *dataflow.Context { return c.ctx }
-
 // BindMatrix registers a tiled matrix.
 func (c *Catalog) BindMatrix(name string, m *tiled.Matrix) *Catalog {
 	c.vals[name] = m
@@ -267,9 +264,6 @@ func (q *Compiled) observed() stats.Measured {
 	defer q.obsMu.Unlock()
 	return q.obs
 }
-
-// Strategy exposes the selected strategy (for tests and ablations).
-func (q *Compiled) Strategy() opt.Strategy { return q.strategy }
 
 // Force is the one forcing execution: it runs the query and materializes
 // a lazy tiled result before returning (persisting it, so a later

@@ -51,7 +51,7 @@ func runQuery(t *testing.T, f *fixture, src string, opts opt.Options) (*Result, 
 
 func wantStrategy(t *testing.T, q *Compiled, kind string) {
 	t.Helper()
-	if got := q.Strategy().Kind(); got != kind {
+	if got := q.strategy.Kind(); got != kind {
 		t.Fatalf("strategy %q, want %q\nexplain: %s", got, kind, q.Explain())
 	}
 }
@@ -452,8 +452,8 @@ func TestPlanMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Strategy().Kind() != "matvec" {
-		t.Fatalf("strategy %s (%s)", q.Strategy().Kind(), q.Explain())
+	if q.strategy.Kind() != "matvec" {
+		t.Fatalf("strategy %s (%s)", q.strategy.Kind(), q.Explain())
 	}
 	res, err := q.Execute()
 	if err != nil {
@@ -477,8 +477,8 @@ func TestPlanMatVecOfTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Strategy().Kind() != "matvec" {
-		t.Fatalf("strategy %s", q.Strategy().Kind())
+	if q.strategy.Kind() != "matvec" {
+		t.Fatalf("strategy %s", q.strategy.Kind())
 	}
 	res, err := q.Execute()
 	if err != nil {
@@ -503,8 +503,8 @@ func TestPlanMatVecVectorFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Strategy().Kind() != "matvec" {
-		t.Fatalf("strategy %s", q.Strategy().Kind())
+	if q.strategy.Kind() != "matvec" {
+		t.Fatalf("strategy %s", q.strategy.Kind())
 	}
 	res, err := q.Execute()
 	if err != nil {
@@ -658,8 +658,8 @@ func TestPlanHavingClause(t *testing.T) {
 	cat := NewCatalog(ctx).BindVector("V", tiled.VectorFromDense(ctx, v, 2, 2))
 	src := "rdd[ (k, +/x) | (i,x) <- V, group by k: i % 3, count(x) > 1 ]"
 	res, q := runQueryCat(t, cat, src)
-	if q.Strategy().Kind() != "coordinate" {
-		t.Fatalf("strategy %s", q.Strategy().Kind())
+	if q.strategy.Kind() != "coordinate" {
+		t.Fatalf("strategy %s", q.strategy.Kind())
 	}
 	if len(res.List) != 2 {
 		t.Fatalf("groups after having: %d (%s)", len(res.List), comp.Render(comp.List(res.List)))
@@ -763,7 +763,7 @@ func TestPlanGenericContractionKernel(t *testing.T) {
 	}
 	for _, opts := range []opt.Options{{}, {DisableGBJ: true}, {DisableGBJ: true, DisableReduceByKey: true}} {
 		res, q := runQuery(t, f, src, opts)
-		if q.Strategy().Kind() == "coordinate" {
+		if q.strategy.Kind() == "coordinate" {
 			t.Fatalf("generic contraction should stay on the block path: %s", q.Explain())
 		}
 		if !res.Matrix.ToDense().EqualApprox(want, 1e-9) {
@@ -872,8 +872,8 @@ func TestPlanVectorZip(t *testing.T) {
 		BindVector("Y", tiled.VectorFromDense(ctx, y, 3, 2))
 	src := "tiledvec(7)[ (i, a*b) | (i,a) <- X, (j,b) <- Y, j == i ]"
 	res, q := runQueryCat(t, cat, src)
-	if q.Strategy().Kind() != "tile-zip" {
-		t.Fatalf("strategy %s", q.Strategy().Kind())
+	if q.strategy.Kind() != "tile-zip" {
+		t.Fatalf("strategy %s", q.strategy.Kind())
 	}
 	want := linalg.NewVector(7)
 	for i := 0; i < 7; i++ {
@@ -970,8 +970,8 @@ func TestPlanSingleReadStencil(t *testing.T) {
 	src := `tiled(n,n)[ ((i,j), 2.0*v) | i <- 0 until n, j <- 0 until n,
 	          ((ii,jj),v) <- A, ii == i-1, jj == j ]`
 	res, q := runQueryCat(t, cat, src)
-	if q.Strategy().Kind() != "coordinate" {
-		t.Fatalf("strategy %s", q.Strategy().Kind())
+	if q.strategy.Kind() != "coordinate" {
+		t.Fatalf("strategy %s", q.strategy.Kind())
 	}
 	got := res.Matrix.ToDense()
 	for i := 0; i < n; i++ {

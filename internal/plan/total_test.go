@@ -87,7 +87,7 @@ func TestTotalAggMatchesCoordinate(t *testing.T) {
 								if h == "i" && (m == "min" || m == "max") {
 									kind = "coordinate"
 								}
-								if q.Strategy().Kind() != kind {
+								if q.strategy.Kind() != kind {
 									t.Fatalf("%s: %s, want %s", desc, q.Explain(), kind)
 								}
 								if !sameValue(res.Scalar, want[src]) {
@@ -291,7 +291,7 @@ func TestTileAggHeadKey(t *testing.T) {
 			!strings.Contains(err.Error(), "tiledvec key must have 1 component") {
 			t.Fatalf("%s: a two-component vector key compiled: %v", m, err)
 		}
-		if _, q := compileRun(t, cat, "tiledvec(6)[ (0, "+m+"/a) | ((i,j),a) <- A, group by i ]", opt.Options{}); q.Strategy().Kind() != "coordinate" {
+		if _, q := compileRun(t, cat, "tiledvec(6)[ (0, "+m+"/a) | ((i,j),a) <- A, group by i ]", opt.Options{}); q.strategy.Kind() != "coordinate" {
 			t.Fatalf("%s: a constant key planned %s", m, q.Explain())
 		}
 	}

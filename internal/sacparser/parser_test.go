@@ -1,6 +1,7 @@
 package sacparser
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -94,7 +95,10 @@ func TestParseGuardsAndLets(t *testing.T) {
 func TestParseGroupBy(t *testing.T) {
 	e := MustParse("[ (k, +/v) | (i,v) <- V, group by k: i % 2 ]")
 	env := (*comp.Env)(nil).Bind("V", comp.VectorStorage{V: linalg.NewVectorFrom([]float64{1, 10, 2, 20})})
-	got := comp.SortByKey(comp.MustEval(e, env).(comp.List))
+	got := comp.MustEval(e, env).(comp.List)
+	sort.Slice(got, func(i, j int) bool { // by key
+		return comp.MustTuple(got[i])[0].(int64) < comp.MustTuple(got[j])[0].(int64)
+	})
 	want := comp.L(comp.T(int64(0), 3.0), comp.T(int64(1), 30.0))
 	if !comp.Equal(got, want) {
 		t.Fatalf("got %v", comp.Render(got))

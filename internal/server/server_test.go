@@ -143,10 +143,11 @@ func TestAdmissionEndToEnd(t *testing.T) {
 	ref := core.NewSession(core.Config{TileSize: 4})
 	defer ref.Close()
 	ref.RegisterRandMatrix("A", 6, 6, 0, 1, 4)
-	wantVal, err := ref.QueryScalar("+/[ m | ((i,j),m) <- A ]")
+	wantRes, err := ref.Query("+/[ m | ((i,j),m) <- A ]")
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantVal := wantRes.Scalar
 	want, ok := wantVal.(float64)
 	if !ok {
 		t.Fatalf("reference sum is %T", wantVal)
@@ -308,7 +309,8 @@ func TestDataReregistration(t *testing.T) {
 	fresh := core.NewSession(core.Config{TileSize: 4})
 	defer fresh.Close()
 	fresh.RegisterRandMatrix("M", 8, 8, 0, 1, 2)
-	if want, err := fresh.QueryScalar(src); err != nil || second.Result.Text != comp.Render(want) {
+	want, err := fresh.Query(src)
+	if err != nil || second.Result.Text != comp.Render(want.Scalar) {
 		t.Fatalf("served %q after re-registration, a fresh session %v (%v)", second.Result.Text, want, err)
 	}
 	if b := s.Status().Resident.Bytes; b != oneM {

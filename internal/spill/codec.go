@@ -65,9 +65,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{out: w, buf: make([]byte, 0, writerBufSize+writerSlack)}
 }
 
-// Err returns the latched write error, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Count returns the bytes written so far (buffered included).
 func (w *Writer) Count() int64 { return w.n + int64(len(w.buf)) }
 

@@ -160,13 +160,12 @@ func TestRandSpecPartitionsAreRandMatrix(t *testing.T) {
 		if m.Tiles.NumPartitions() != s.NumPartitions() {
 			t.Fatalf("%+v: RandMatrix has %d partitions, the spec %d", s, m.Tiles.NumPartitions(), s.NumPartitions())
 		}
-		want := dataflow.Collect(dataflow.MapPartitions(m.Tiles, func(p int, rows []Block) []tagged {
-			out := make([]tagged, len(rows))
-			for i, b := range rows {
-				out[i] = tagged{p, b}
+		var want []tagged
+		for _, op := range dataflow.CollectOwned(m.Tiles) {
+			for _, b := range op.Rows {
+				want = append(want, tagged{op.Part, b})
 			}
-			return out
-		}))
+		}
 		var got []tagged
 		for p := 0; p < s.NumPartitions(); p++ {
 			for _, b := range s.Partition(p) {
@@ -236,20 +235,9 @@ func TestVectorRoundTrip(t *testing.T) {
 func TestVectorOps(t *testing.T) {
 	ctx := tctx()
 	v := linalg.RandVector(9, -1, 1, 4)
-	w := linalg.RandVector(9, -1, 1, 5)
 	bv := VectorFromDense(ctx, v, 4, 2)
-	bw := VectorFromDense(ctx, w, 4, 2)
-	if !bv.Add(bw).ToDense().EqualApprox(linalg.AddVectors(v, w), 1e-12) {
-		t.Fatal("vector add")
-	}
 	if !bv.Scale(2).ToDense().EqualApprox(v.Clone().ScaleInPlace(2), 1e-12) {
 		t.Fatal("vector scale")
-	}
-	if got, want := bv.Dot(bw), linalg.Dot(v, w); !approx(got, want, 1e-9) {
-		t.Fatalf("dot %v vs %v", got, want)
-	}
-	if got, want := bv.Sum(), v.Sum(); !approx(got, want, 1e-9) {
-		t.Fatalf("sum %v vs %v", got, want)
 	}
 }
 

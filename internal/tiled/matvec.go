@@ -12,9 +12,6 @@ import (
 // block, and partials reduce by destination coordinate with vector
 // addition.
 
-// MatVec computes y = M * x for a tiled matrix and block vector.
-func (m *Matrix) MatVec(x *Vector) *Vector { return m.MatVecOp(x, false) }
-
 // MatVecOp computes y = op(M) * x, op(M) being M, or Mᵀ when trans,
 // without materializing Mᵀ: a tile joins the vector block of its
 // contracted coordinate — its column, or its row — and its partial lands

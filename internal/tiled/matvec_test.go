@@ -14,7 +14,7 @@ func TestMatVecMatchesDense(t *testing.T) {
 	x := linalg.RandVector(5, -1, 1, 62)
 	m := FromDense(ctx, d, 3, 2)
 	bx := VectorFromDense(ctx, x, 3, 2)
-	got := m.MatVec(bx).ToDense()
+	got := m.MatVecOp(bx, false).ToDense()
 	if !got.EqualApprox(linalg.MatVec(d, x), 1e-9) {
 		t.Fatal("matvec mismatch")
 	}
@@ -42,7 +42,7 @@ func TestMatVecShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.MatVec(x)
+	m.MatVecOp(x, false)
 }
 
 // Property: M(x + y) = Mx + My on tiled structures.
@@ -55,8 +55,8 @@ func TestQuickMatVecLinearity(t *testing.T) {
 		m := FromDense(ctx, d, 3, 2)
 		bx := VectorFromDense(ctx, x, 3, 2)
 		by := VectorFromDense(ctx, y, 3, 2)
-		left := m.MatVec(bx.Add(by)).ToDense()
-		right := m.MatVec(bx).ToDense().AddInPlace(m.MatVec(by).ToDense())
+		left := m.MatVecOp(VectorFromDense(ctx, x.Clone().AddInPlace(y), 3, 2), false).ToDense()
+		right := m.MatVecOp(bx, false).ToDense().AddInPlace(m.MatVecOp(by, false).ToDense())
 		return left.EqualApprox(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -21,21 +21,6 @@ import (
 //   - group-by queries (Section 5.3): join + per-tile partial
 //     aggregation + reduceByKey over tiles (JoinMultiply, RowSums).
 
-// MapTiles applies an elementwise tile kernel, preserving tiling; the
-// kernel must return a fresh or in-place-updated tile of the same
-// shape. Narrow operation: zero shuffle.
-func (m *Matrix) MapTiles(f func(*linalg.Dense) *linalg.Dense) *Matrix {
-	tiles := dataflow.Map(m.Tiles, func(b Block) Block {
-		return dataflow.KV(b.Key, f(b.Value))
-	})
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, N: m.N, Tiles: tiles}
-}
-
-// Scale returns s * M (tiling-preserving, narrow).
-func (m *Matrix) Scale(s float64) *Matrix {
-	return m.MapTiles(func(t *linalg.Dense) *linalg.Dense { return linalg.Scale(t, s) })
-}
-
 // zipTiles joins two tile datasets on tile coordinates and applies a
 // binary tile kernel. This is the Rule 17 translation: the join
 // shuffles tiles once to co-locate coordinates but needs no group-by.
@@ -194,18 +179,6 @@ func (m *Matrix) RowSums() *Vector {
 		return x.AddInPlace(y)
 	}, parts)
 	return &Vector{Size: m.Rows, N: m.N, Blocks: reduced}
-}
-
-// ColSums computes V_j = sum_i M_ij symmetrically.
-func (m *Matrix) ColSums() *Vector {
-	parts := m.Tiles.NumPartitions()
-	partials := dataflow.Map(m.Tiles, func(b Block) VBlock {
-		return dataflow.KV(b.Key.J, b.Value.ColSums())
-	})
-	reduced := dataflow.ReduceByKey(partials, func(x, y *linalg.Vector) *linalg.Vector {
-		return x.AddInPlace(y)
-	}, parts)
-	return &Vector{Size: m.Cols, N: m.N, Blocks: reduced}
 }
 
 // FrobeniusNorm2 computes the squared Frobenius norm, used by the

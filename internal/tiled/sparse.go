@@ -1,8 +1,6 @@
 package tiled
 
 import (
-	"fmt"
-
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
 )
@@ -52,14 +50,6 @@ func (m *SparseMatrix) BlockRows() int64 { return ceilDiv(m.Rows, int64(m.N)) }
 // BlockCols returns the number of tile columns.
 func (m *SparseMatrix) BlockCols() int64 { return ceilDiv(m.Cols, int64(m.N)) }
 
-// NNZ returns the total stored nonzeros.
-func (m *SparseMatrix) NNZ() int64 {
-	counts := dataflow.Map(m.Tiles, func(b SparseBlock) int64 { return int64(b.Value.NNZ()) })
-	return dataflow.Aggregate(counts, int64(0),
-		func(a, x int64) int64 { return a + x },
-		func(a, b int64) int64 { return a + b })
-}
-
 // ToDense collects to a driver-side dense matrix.
 func (m *SparseMatrix) ToDense() *linalg.Dense {
 	out := linalg.NewDense(int(m.Rows), int(m.Cols))
@@ -75,64 +65,6 @@ func (m *SparseMatrix) ToDense() *linalg.Dense {
 			}
 		}
 	}
-	return out
-}
-
-// ToTiled densifies into the standard tiled representation.
-func (m *SparseMatrix) ToTiled(ctx *dataflow.Context) *Matrix {
-	tiles := dataflow.Map(m.Tiles, func(b SparseBlock) Block {
-		return dataflow.KV(b.Key, b.Value.ToDense())
-	})
-	out := &Matrix{Rows: m.Rows, Cols: m.Cols, N: m.N, Tiles: tiles}
-	return out.fillMissing(ctx)
-}
-
-// Sparsify presents the matrix as coordinate entries (only nonzeros).
-func (m *SparseMatrix) Sparsify() *dataflow.Dataset[Entry] {
-	n := m.N
-	return dataflow.FlatMap(m.Tiles, func(b SparseBlock) []Entry {
-		out := make([]Entry, 0, b.Value.NNZ())
-		rowOff := b.Key.I * int64(n)
-		colOff := b.Key.J * int64(n)
-		for i := 0; i < b.Value.Rows; i++ {
-			for idx := b.Value.RowPtr[i]; idx < b.Value.RowPtr[i+1]; idx++ {
-				out = append(out, Entry{
-					I: rowOff + int64(i),
-					J: colOff + int64(b.Value.ColIdx[idx]),
-					V: b.Value.Val[idx],
-				})
-			}
-		}
-		return out
-	})
-}
-
-// MultiplyDense computes S * D (sparse times dense tiled) with the
-// Section 5.3 join + reduceByKey translation and an SpMM tile kernel.
-// Sparse tiles join only the dense tiles they touch, so work scales
-// with stored tiles rather than the full grid.
-func (m *SparseMatrix) MultiplyDense(d *Matrix) *Matrix {
-	if m.Cols != d.Rows || m.N != d.N {
-		panic(fmt.Sprintf("tiled: sparse multiply shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, d.Rows, d.Cols))
-	}
-	parts := d.Tiles.NumPartitions()
-	left := dataflow.Map(m.Tiles, func(t SparseBlock) dataflow.Pair[int64, SparseBlock] {
-		return dataflow.KV(t.Key.J, t)
-	})
-	right := dataflow.Map(d.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.I, t)
-	})
-	joined := dataflow.Join(left, right, parts)
-	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[SparseBlock, Block]]) Block {
-		st, dt := p.Value.Left, p.Value.Right
-		c := linalg.NewDense(m.N, m.N)
-		linalg.SpMM(c, st.Value, dt.Value)
-		return dataflow.KV(Coord{I: st.Key.I, J: dt.Key.J}, c)
-	})
-	reduced := dataflow.ReduceByKey(products, func(x, y *linalg.Dense) *linalg.Dense {
-		return linalg.AddInPlace(x, y)
-	}, parts)
-	out := &Matrix{Rows: m.Rows, Cols: d.Cols, N: m.N, Tiles: reduced}
 	return out
 }
 
@@ -172,29 +104,4 @@ func (v *Vector) fillMissingBlocks() *Vector {
 	}
 	return &Vector{Size: v.Size, N: v.N,
 		Blocks: dataflow.Parallelize(v.Blocks.Context(), blocks, v.Blocks.NumPartitions())}
-}
-
-// Scale multiplies every stored value by s (narrow; structure
-// preserved).
-func (m *SparseMatrix) Scale(s float64) *SparseMatrix {
-	tiles := dataflow.Map(m.Tiles, func(b SparseBlock) SparseBlock {
-		out := &linalg.CSR{Rows: b.Value.Rows, Cols: b.Value.Cols,
-			RowPtr: b.Value.RowPtr, ColIdx: b.Value.ColIdx,
-			Val: make([]float64, len(b.Value.Val))}
-		for i, v := range b.Value.Val {
-			out.Val[i] = v * s
-		}
-		return dataflow.KV(b.Key, out)
-	})
-	return &SparseMatrix{Rows: m.Rows, Cols: m.Cols, N: m.N, Tiles: tiles}
-}
-
-// Transpose swaps tile coordinates and transposes each CSR tile (via
-// its dense form; tiles are small).
-func (m *SparseMatrix) Transpose() *SparseMatrix {
-	tiles := dataflow.Map(m.Tiles, func(b SparseBlock) SparseBlock {
-		t := linalg.DenseToCOO(b.Value.ToDense().Transpose())
-		return dataflow.KV(Coord{I: b.Key.J, J: b.Key.I}, linalg.COOToCSR(t))
-	})
-	return &SparseMatrix{Rows: m.Cols, Cols: m.Rows, N: m.N, Tiles: tiles}
 }

@@ -1,8 +1,6 @@
 package tiled
 
 import (
-	"fmt"
-
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
 )
@@ -20,19 +18,6 @@ type Vector struct {
 
 // NumBlocks returns the number of blocks.
 func (v *Vector) NumBlocks() int64 { return ceilDiv(v.Size, int64(v.N)) }
-
-// Persist caches the block dataset.
-func (v *Vector) Persist() *Vector {
-	v.Blocks.Persist()
-	return v
-}
-
-// Unpersist drops the block cache; the vector stays computable from
-// lineage.
-func (v *Vector) Unpersist() *Vector {
-	v.Blocks.Unpersist()
-	return v
-}
 
 // VectorFromDense partitions a driver-side vector into blocks.
 func VectorFromDense(ctx *dataflow.Context, d *linalg.Vector, n int, numPartitions int) *Vector {
@@ -87,46 +72,12 @@ func (v *Vector) ToDense() *linalg.Vector {
 	return out
 }
 
-// Add returns v + w block-wise (tiling-preserving).
-func (v *Vector) Add(w *Vector) *Vector {
-	if v.Size != w.Size || v.N != w.N {
-		panic(fmt.Sprintf("tiled: incompatible vectors %d/%d vs %d/%d", v.Size, v.N, w.Size, w.N))
-	}
-	j := dataflow.Join(v.Blocks, w.Blocks, v.Blocks.NumPartitions())
-	blocks := dataflow.Map(j, func(p dataflow.Pair[int64, dataflow.JoinedPair[*linalg.Vector, *linalg.Vector]]) VBlock {
-		return dataflow.KV(p.Key, linalg.AddVectors(p.Value.Left, p.Value.Right))
-	})
-	return &Vector{Size: v.Size, N: v.N, Blocks: blocks}
-}
-
 // Scale returns s * v (narrow).
 func (v *Vector) Scale(s float64) *Vector {
 	blocks := dataflow.Map(v.Blocks, func(b VBlock) VBlock {
 		return dataflow.KV(b.Key, b.Value.Clone().ScaleInPlace(s))
 	})
 	return &Vector{Size: v.Size, N: v.N, Blocks: blocks}
-}
-
-// Dot computes the inner product of two block vectors.
-func (v *Vector) Dot(w *Vector) float64 {
-	if v.Size != w.Size || v.N != w.N {
-		panic("tiled: dot shape mismatch")
-	}
-	j := dataflow.Join(v.Blocks, w.Blocks, v.Blocks.NumPartitions())
-	parts := dataflow.Map(j, func(p dataflow.Pair[int64, dataflow.JoinedPair[*linalg.Vector, *linalg.Vector]]) float64 {
-		return linalg.Dot(p.Value.Left, p.Value.Right)
-	})
-	return dataflow.Aggregate(parts, 0.0,
-		func(a, x float64) float64 { return a + x },
-		func(a, b float64) float64 { return a + b })
-}
-
-// Sum computes the total aggregation +/v.
-func (v *Vector) Sum() float64 {
-	parts := dataflow.Map(v.Blocks, func(b VBlock) float64 { return b.Value.Sum() })
-	return dataflow.Aggregate(parts, 0.0,
-		func(a, x float64) float64 { return a + x },
-		func(a, b float64) float64 { return a + b })
 }
 
 // AddScalar adds c to every in-bounds element (padding cells of the
