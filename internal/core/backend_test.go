@@ -48,11 +48,12 @@ func TestBackendAnalyzeReport(t *testing.T) {
 		"result: 8x8 tiled matrix (sum=",
 		"stages:",
 		"taskP99",
-		// The totals line and the group-by-join's cell spans both say
-		// which micro-kernel the GFLOP/s came from.
+		// The totals line names the CPU's kernel set, and the
+		// group-by-join's cell spans the micro-kernel their 4×4 tile
+		// products ran, so a GFLOP/s figure says where it came from.
 		" kernel=" + linalg.KernelName() + "\n",
 		"kernel: gbj-cell",
-		`kernel="` + linalg.KernelName() + `"`,
+		`kernel="` + linalg.KernelFor(4, 4) + `"`,
 		"trace:",
 		"phase: execute",
 		"stage: ",

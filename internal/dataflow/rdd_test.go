@@ -167,3 +167,41 @@ func TestLazinessNoComputeBeforeAction(t *testing.T) {
 		t.Fatal("action should trigger compute")
 	}
 }
+
+// TestFillKeys: every key of [0, n) appears once, with its value where
+// the input had one and zero() where it did not, in the partition the
+// key hashes to — over an input already hash-partitioned by key (read
+// in place, no stage added) and over one that is not (exchanged by key).
+func TestFillKeys(t *testing.T) {
+	const n, parts = 20, 3
+	ctx := NewContext(Config{Parallelism: 2, DefaultPartitions: parts})
+	var rows []Pair[int64, int64]
+	for k := int64(0); k < n; k += 3 {
+		rows = append(rows, KV(k, k+100))
+	}
+	for name, d := range map[string]*Dataset[Pair[int64, int64]]{
+		"hashed":   ReduceByKey(Parallelize(ctx, rows, parts), func(a, b int64) int64 { return a + b }, parts),
+		"unhashed": Parallelize(ctx, rows, parts),
+	} {
+		filled := FillKeys(d, n, func() int64 { return -1 })
+		if name == "hashed" && len(filled.deps) != len(d.deps) {
+			t.Errorf("hashed: filling added a stage")
+		}
+		seen := map[int64]bool{}
+		for p, part := range filled.materialize(false) {
+			for _, kv := range part {
+				want := int64(-1)
+				if kv.Key%3 == 0 {
+					want = kv.Key + 100
+				}
+				if seen[kv.Key] || kv.Value != want || partitionOf(kv.Key, parts) != p {
+					t.Fatalf("%s: key %d value %d in partition %d (seen %v)", name, kv.Key, kv.Value, p, seen[kv.Key])
+				}
+				seen[kv.Key] = true
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("%s: %d keys, want %d", name, len(seen), n)
+		}
+	}
+}

@@ -397,6 +397,32 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) 
 	return ds.withKeyParts(numPartitions)
 }
 
+// FillKeys returns d with (k, zero()) added for every key k in [0, n)
+// that d lacks: a dense index space (the blocks of a vector) whose
+// producer skips the keys nothing contributed to. A missing key is
+// emitted in the partition it hashes to, on the reduce side — in place
+// when d is already hash-partitioned by key, after an exchange by key
+// otherwise — so nothing is gathered to the driver.
+func FillKeys[V any](d *Dataset[Pair[int64, V]], n int64, zero func() V) *Dataset[Pair[int64, V]] {
+	parts := d.parts
+	if d.keyParts != parts {
+		lb := exchange(d, parts, pairRoute[int64, V](parts), true)
+		d = newSliceDataset(d.ctx, parts, "partitionByKey", []*Stage{lb.stage}, lb.get)
+	}
+	return newStreamDataset(d.ctx, parts, "fillKeys", d.deps, func(p int, emit func(Pair[int64, V])) {
+		seen := make(map[int64]bool)
+		d.forEach(p, func(kv Pair[int64, V]) {
+			seen[kv.Key] = true
+			emit(kv)
+		})
+		for k := int64(0); k < n; k++ {
+			if !seen[k] && partitionOf(k, parts) == p {
+				emit(KV(k, zero()))
+			}
+		}
+	}).withKeyParts(parts)
+}
+
 // JoinedPair is one match of an inner join.
 type JoinedPair[A, B any] struct {
 	Left  A

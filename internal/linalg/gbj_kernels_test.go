@@ -54,7 +54,7 @@ func TestGBJBitIdenticalAcrossKernels(t *testing.T) {
 			}
 			if !got.Equal(want) {
 				t.Errorf("%s on %s differs from the first kernel's result (max diff %g)",
-					r.name, linalg.KernelName(), got.MaxAbsDiff(want))
+					r.name, linalg.KernelFor(tile, tile), got.MaxAbsDiff(want))
 			}
 		}
 	})

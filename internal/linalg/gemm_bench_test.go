@@ -30,18 +30,18 @@ func BenchmarkGemmTile(b *testing.B) {
 			b.Run(name("pack-a"), func(b *testing.B) {
 				withKernel(b, k)
 				for i := 0; i < b.N; i++ {
-					PackA(x, false).Release()
+					PackA(x, false, n).Release()
 				}
 			})
 			b.Run(name("pack-b"), func(b *testing.B) {
 				withKernel(b, k)
 				for i := 0; i < b.N; i++ {
-					PackB(y, false).Release()
+					PackB(y, false, n).Release()
 				}
 			})
 			b.Run(name("packed"), func(b *testing.B) {
 				withKernel(b, k)
-				px, py := PackA(x, false), PackB(y, false)
+				px, py := PackA(x, false, n), PackB(y, false, n)
 				defer px.Release()
 				defer py.Release()
 				b.ResetTimer()
@@ -81,8 +81,8 @@ func BenchmarkGemmCrossover(b *testing.B) {
 // serially and with its rows split over two workers: the measurement
 // behind parMinFlops.
 func BenchmarkGemmSplit(b *testing.B) {
-	kern := active
 	for _, n := range []int{100, 128, 160, 200, 256} {
+		kern := kernelFor(n, n)
 		x := operandA(RandDense(n, n, -1, 1, 11), false)
 		y := operandB(RandDense(n, n, -1, 1, 12), false)
 		c := NewDense(n, n)

@@ -6,12 +6,13 @@ package linalg
 // blocking: the n dimension is split into Nc-wide column slabs (L3),
 // the k dimension into Kc-deep panels (packed B stays L2/L3 resident),
 // and the m dimension into Mc-tall panels (packed A stays L1/L2
-// resident). Inside a macro-tile, the mr×nr register-tiled
-// micro-kernel the CPU supports (gemm_kernel.go: AVX-512 8×16, AVX2
-// 4×8, portable 4×8) walks the packed panels.
+// resident). Inside a macro-tile, an mr×nr register-tiled micro-kernel
+// the CPU supports (gemm_kernel.go: AVX-512 8×16 or 20×8, chosen per
+// product shape by kernelFor; AVX2 4×8; portable 4×8) walks the packed
+// panels.
 //
 // Packing rewrites the operand panels into the exact order the
-// micro-kernel streams them, mr and nr being the active kernel's:
+// micro-kernel streams them, mr and nr being the chosen kernel's:
 //
 //	packed A: column-major micro-panels of mr rows —
 //	          ap[i0*kc + p*mr + i] = op(A)[ic+i0+i][pc+p]
@@ -39,12 +40,13 @@ package linalg
 
 import "sync"
 
-// Cache blocking parameters, multiples of every kernel's micro-tile.
-// Float64 working-set targets: packed A panel Mc×Kc = 256 KiB (L2),
-// packed B slab Kc×Nc = 1 MiB (L3 slice), one micro-panel pair
-// Kc×(mr+nr) = 48 KiB at 8×16 (L1).
+// Cache blocking parameters, multiples of every kernel's micro-tile
+// (mr 4, 8 and 20; nr 8 and 16). Float64 working-set targets: packed A
+// panel Mc×Kc = 320 KiB (L2), packed B slab Kc×Nc = 1 MiB (L3 slice),
+// one micro-panel pair Kc×(mr+nr) = 48 KiB at 8×16, 56 KiB at 20×8
+// (L1).
 const (
-	blockM = 128 // Mc: rows per packed A panel
+	blockM = 160 // Mc: rows per packed A panel
 	blockK = 256 // Kc: shared dimension per packing round
 	blockN = 512 // Nc: columns per packed B slab
 )
@@ -127,7 +129,7 @@ func gemmBlocked(c, a, b *Dense, transA, transB bool, par int) {
 	if transA {
 		k = a.Rows
 	}
-	gemmDrive(active, c, operandA(a, transA), operandB(b, transB), k, par)
+	gemmDrive(kernelFor(c.Rows, c.Cols), c, operandA(a, transA), operandB(b, transB), k, par)
 }
 
 // gemmDrive is the loop nest around the micro-kernel kern: C += A·B

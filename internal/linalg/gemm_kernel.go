@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"strings"
+)
 
 // kernel is one register-tiled micro-kernel and the pack layout it
 // streams: packed A is column-major micro-panels of mr rows, packed B
@@ -25,15 +28,56 @@ type kernel struct {
 // against bit for bit.
 var portableKernel = kernel{name: "portable", mr: 4, nr: 8, tile: microKernelGeneric}
 
-// active is the kernel every blocked multiply runs. It is a pure
-// function of the CPU, chosen once at init (the widest kernels[i] the
-// hardware and OS support); only tests reassign it.
-var active = kernels[len(kernels)-1]
+// forced, when set, is the kernel every product runs whatever its
+// shape. Only tests set it (withKernel), to run each kernel of the host
+// on shapes the chooser would not give it.
+var forced *kernel
 
-// KernelName names the micro-kernel the blocked GEMM runs on this CPU:
-// "avx512-8x16", "avx2-4x8" or "portable". Spans and status pages
-// carry it so a GFLOP/s figure says which kernel produced it.
-func KernelName() string { return active.name }
+// kernelFor is the kernel a C(m×n) product runs: choices[0], unless
+// another of this CPU's choices pads m×n to a micro-tile area at least
+// 8 % below choices[0]'s. On AVX-512 that gives 20×8 to 100-wide tiles
+// (−10.7 %, 65 micro-tiles where 8×16 runs 91) and to 20 and 40, and
+// keeps 8×16 at 16, 32, 64, 96, 104, 128 and above, where 20×8 pads as
+// much or more, or measured slower (DESIGN §8). It is a pure function
+// of (m, n) and the CPU; both operands of a product and its loop nest
+// agree on it.
+func kernelFor(m, n int) *kernel {
+	if forced != nil {
+		return forced
+	}
+	return choose(choices, m, n)
+}
+
+// choose is kernelFor's rule over the candidate list ks, default first.
+func choose(ks []*kernel, m, n int) *kernel {
+	best := ks[0]
+	base := best.padded(m, n)
+	area := base
+	for _, k := range ks[1:] {
+		if a := k.padded(m, n); 25*a <= 23*base && a < area {
+			best, area = k, a
+		}
+	}
+	return best
+}
+
+// padded is the area m×n covers once rounded up to whole micro-tiles.
+func (k *kernel) padded(m, n int) int { return roundUp(m, k.mr) * roundUp(n, k.nr) }
+
+// KernelName names the micro-kernels the blocked GEMM chooses among on
+// this CPU: "avx512-8x16+avx512-20x8", "avx2-4x8" or "portable". Status
+// pages and reports carry it so a GFLOP/s figure says which kernels
+// produced it; KernelFor names the one a given product shape runs.
+func KernelName() string {
+	names := make([]string, len(choices))
+	for i, k := range choices {
+		names[i] = k.name
+	}
+	return strings.Join(names, "+")
+}
+
+// KernelFor names the micro-kernel a C(m×n) product runs on this CPU.
+func KernelFor(m, n int) string { return kernelFor(m, n).name }
 
 // microKernelGeneric is kernel.tile in portable Go. math.FMA is one
 // fused multiply-add (the hardware instruction on amd64 with FMA and

@@ -21,7 +21,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// Both micro-kernels share one contract (kernel.tile in gemm_kernel.go)
+// Every micro-kernel shares one contract (kernel.tile in gemm_kernel.go)
 // and one register assignment outside the vector file:
 //	CX  kc loop counter
 //	SI  ap (packed A micro-panel: kc steps of mr doubles)
@@ -310,6 +310,194 @@ update:
 	JZ   done
 	ADDQ DX, DI
 	AVX512_ROW(Z14, Z15)
+
+done:
+	VZEROUPPER
+	RET
+
+// One k step of the 20×8 tile: ao and bo are the byte offsets of the
+// step's A column and B row from SI and BX. Each FMA broadcasts its A
+// element straight from memory, so one register holds the B row and
+// twenty hold the tile.
+#define AVX512_20X8_STEP(ao, bo) \
+	VMOVUPD          bo(BX), Z20; \
+	VFMADD231PD.BCST ao(SI), Z20, Z0; \
+	VFMADD231PD.BCST ao+8(SI), Z20, Z1; \
+	VFMADD231PD.BCST ao+16(SI), Z20, Z2; \
+	VFMADD231PD.BCST ao+24(SI), Z20, Z3; \
+	VFMADD231PD.BCST ao+32(SI), Z20, Z4; \
+	VFMADD231PD.BCST ao+40(SI), Z20, Z5; \
+	VFMADD231PD.BCST ao+48(SI), Z20, Z6; \
+	VFMADD231PD.BCST ao+56(SI), Z20, Z7; \
+	VFMADD231PD.BCST ao+64(SI), Z20, Z8; \
+	VFMADD231PD.BCST ao+72(SI), Z20, Z9; \
+	VFMADD231PD.BCST ao+80(SI), Z20, Z10; \
+	VFMADD231PD.BCST ao+88(SI), Z20, Z11; \
+	VFMADD231PD.BCST ao+96(SI), Z20, Z12; \
+	VFMADD231PD.BCST ao+104(SI), Z20, Z13; \
+	VFMADD231PD.BCST ao+112(SI), Z20, Z14; \
+	VFMADD231PD.BCST ao+120(SI), Z20, Z15; \
+	VFMADD231PD.BCST ao+128(SI), Z20, Z16; \
+	VFMADD231PD.BCST ao+136(SI), Z20, Z17; \
+	VFMADD231PD.BCST ao+144(SI), Z20, Z18; \
+	VFMADD231PD.BCST ao+152(SI), Z20, Z19
+
+// One C row of the 20×8 tile under the opmask K1 (columns 0..7).
+#define AVX512_ROW8(acc) \
+	VADDPD  (DI), acc, K1, acc; \
+	VMOVUPD acc, K1, (DI)
+
+// func microKernelAVX512x20(kc int, ap, bp, c []float64, ldc, mr, nr int)
+//
+//	Z0..Z19   C accumulators: Z(i) = row i, cols 0..7
+//	Z20       current B row
+//	K1        column mask of a C row
+TEXT ·microKernelAVX512x20(SB), NOSPLIT, $0-104
+	MOVQ kc+0(FP), CX
+	MOVQ ap_base+8(FP), SI
+	MOVQ bp_base+32(FP), BX
+	MOVQ c_base+56(FP), DI
+	MOVQ ldc+80(FP), DX
+	MOVQ mr+88(FP), R8
+	MOVQ nr+96(FP), R9
+	SHLQ $3, DX
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+
+	// Ask for the C tile now, as the 8×16 kernel does; a row of 8
+	// doubles spans up to two cache lines.
+	MOVQ DI, R11
+	MOVQ $20, R10
+prefetch:
+	PREFETCHT0 (R11)
+	PREFETCHT0 63(R11)
+	ADDQ       DX, R11
+	DECQ       R10
+	JNZ        prefetch
+
+	// Two k steps per trip, then the odd one.
+	MOVQ CX, R10
+	SHRQ $1, CX
+	JZ   tail
+
+	PCALIGN $64
+loop2:
+	AVX512_20X8_STEP(0, 0)
+	AVX512_20X8_STEP(160, 64)
+	ADDQ $320, SI
+	ADDQ $128, BX
+	DECQ CX
+	JNZ  loop2
+
+tail:
+	TESTQ $1, R10
+	JZ    update
+	AVX512_20X8_STEP(0, 0)
+
+update:
+	// K1 = (1 << nr) - 1.
+	MOVQ  R9, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K1
+
+	AVX512_ROW8(Z0)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z1)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z2)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z3)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z4)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z5)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z6)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z7)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z8)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z9)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z10)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z11)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z12)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z13)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z14)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z15)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z16)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z17)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z18)
+	DECQ R8
+	JZ   done
+	ADDQ DX, DI
+	AVX512_ROW8(Z19)
 
 done:
 	VZEROUPPER

@@ -2,6 +2,7 @@
 
 package linalg
 
-// kernels lists the micro-kernels this build can run, narrowest first:
-// off amd64 (or under the purego tag) only the portable one.
-var kernels = []*kernel{&portableKernel}
+// kernels lists the micro-kernels this build can run, narrowest first,
+// and choices the ones a product picks among: off amd64 (or under the
+// purego tag) only the portable one.
+var kernels, choices = []*kernel{&portableKernel}, []*kernel{&portableKernel}

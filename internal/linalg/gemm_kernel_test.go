@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -146,7 +148,7 @@ func checkShapeOnEveryKernel(t testing.TB, seed int64, m, n, k int) {
 	oa, ob := noiseDense(seed, m, k), noiseDense(seed+1, k, n)
 	c0 := noiseDense(seed+2, m, n) // nonzero C checks += semantics
 	var ref []float64
-	defer func(prev *kernel) { active = prev }(active)
+	defer func(prev *kernel) { forced = prev }(forced)
 	for _, o := range orientations {
 		a, b := oa, ob
 		if o.transA {
@@ -158,7 +160,7 @@ func checkShapeOnEveryKernel(t testing.TB, seed int64, m, n, k int) {
 		a, ca := carveDense(a)
 		b, cb := carveDense(b)
 		for _, kern := range kernels {
-			active = kern
+			forced = kern
 			c, cc := carveDense(c0)
 			gemmBlocked(c, a, b, o.transA, o.transB, 1)
 			label := fmt.Sprintf("%s %dx%dx%d transA=%v transB=%v", kern.name, m, n, k, o.transA, o.transB)
@@ -180,22 +182,37 @@ func checkShapeOnEveryKernel(t testing.TB, seed int64, m, n, k int) {
 	}
 }
 
-// sweepDims: every size up to one past the widest register tile, then
-// sizes around the micro-tile multiples (96 / 100 / 104 — the engine's
-// tile and its neighbours) and around the cache-blocking parameters.
+// sweepDims: every size up to one past the tallest register tile (20
+// rows), then sizes around the micro-tile multiples (96 / 100 / 104 —
+// the engine's tile and its neighbours, on both sides of kernelFor's
+// switch between 20×8 and 8×16) and around the cache-blocking
+// parameters.
 var sweepDims = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
-	31, 33, 96, 100, 104, 127, 129, 257, 513}
+	18, 19, 20, 21, 31, 33, 96, 100, 104, 159, 161, 257, 513}
+
+// raceSweepDims stand in for sweepDims under the race detector, which
+// slows the sweep's products many times over and has nothing to find in
+// them (each runs on one goroutine): one under, at and one past every
+// register tile's mr and nr, and the engine's tile. The full sweep runs
+// without it.
+var raceSweepDims = []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 19, 20, 21, 100}
 
 // sweepShapes is sweepDims cubed, less the triples above 2¹⁸
-// multiply-adds: the full cross product is 3.7 G of them per
-// orientation and kernel, 90 % in the 1,510 largest triples, which add
-// no fringe case the rest lacks. The cubes among those and one past
-// every blocking parameter in each position are put back by name.
+// multiply-adds: the full cross product is 4.8 G of them per
+// orientation and kernel, 88 % in the 2,173 largest triples, which add
+// no fringe case the rest lacks. The cubes among those and one past every
+// blocking parameter in each position (Mc + 1 = 161, Kc + 1 = 257,
+// Nc + 1 = 513) are put back by name, as are the engine's tile with its
+// neighbour on the other side of kernelFor's switch.
 func sweepShapes() [][3]int {
+	dims := sweepDims
+	if raceDetector {
+		dims = raceSweepDims
+	}
 	var shapes [][3]int
-	for _, m := range sweepDims {
-		for _, n := range sweepDims {
-			for _, k := range sweepDims {
+	for _, m := range dims {
+		for _, n := range dims {
+			for _, k := range dims {
 				if m*n*k <= 1<<18 {
 					shapes = append(shapes, [3]int{m, n, k})
 				}
@@ -203,9 +220,9 @@ func sweepShapes() [][3]int {
 		}
 	}
 	return append(shapes,
-		[3]int{96, 96, 96}, [3]int{100, 100, 100}, [3]int{104, 104, 104}, [3]int{127, 127, 127},
-		[3]int{129, 129, 129}, [3]int{257, 257, 257}, [3]int{100, 513, 100}, [3]int{257, 100, 104},
-		[3]int{129, 513, 257}, [3]int{513, 129, 257}, [3]int{513, 17, 513})
+		[3]int{96, 96, 96}, [3]int{100, 100, 100}, [3]int{104, 104, 104}, [3]int{100, 104, 100},
+		[3]int{104, 100, 100}, [3]int{161, 161, 161}, [3]int{257, 257, 257}, [3]int{100, 513, 100},
+		[3]int{257, 100, 104}, [3]int{161, 513, 257}, [3]int{513, 161, 257}, [3]int{513, 17, 513})
 }
 
 // orientations are the four of C += op(A)·op(B): NN, TN, NT and TT.
@@ -219,18 +236,78 @@ func TestGemmFringeSweep(t *testing.T) {
 	}
 }
 
+// TestKernelChooser: kernelFor's rule over the AVX-512 pair gives 20×8
+// to the shapes it pads at least 8 % less than 8×16 does (the engine's
+// 100-wide tile, 20, 40) and 8×16 to the rest, 128 among them, where
+// 20×8 measured slower; on an AVX-512 host kernelFor itself answers so.
+// withKernel overrides the choice for every shape.
+func TestKernelChooser(t *testing.T) {
+	k8x16 := &kernel{name: "8x16", mr: 8, nr: 16}
+	k20x8 := &kernel{name: "20x8", mr: 20, nr: 8}
+	onAVX512 := strings.HasPrefix(KernelName(), "avx512")
+	for _, c := range []struct {
+		m, n int
+		want *kernel
+	}{
+		{100, 100, k20x8}, {20, 20, k20x8}, {40, 40, k20x8},
+		{16, 16, k8x16}, {32, 32, k8x16}, {64, 64, k8x16}, {96, 96, k8x16},
+		{104, 104, k8x16}, {128, 128, k8x16}, {512, 512, k8x16}, {1000, 1000, k8x16},
+	} {
+		if got := choose([]*kernel{k8x16, k20x8}, c.m, c.n); got != c.want {
+			t.Errorf("%dx%d: chose %s, want %s", c.m, c.n, got.name, c.want.name)
+		}
+		if got := kernelFor(c.m, c.n); onAVX512 && (got.mr != c.want.mr || got.nr != c.want.nr) {
+			t.Errorf("%dx%d: this host runs %s, want the %s tile", c.m, c.n, got.name, c.want.name)
+		}
+	}
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			withKernel(t, k)
+			for _, d := range []int{1, 16, 20, 100, 104, 128, 1000} {
+				if got := kernelFor(d, d); got != k {
+					t.Errorf("%dx%d runs %s with %s forced", d, d, got.name, k.name)
+				}
+			}
+		})
+	}
+}
+
+// TestKernelSet logs the kernels this host runs — the set every kernel
+// test here covered (run it with -v) — and checks what the loop nest
+// assumes of them: the portable kernel among them, the chooser's
+// candidates among them, and every register tile dividing the cache
+// blocks.
+func TestKernelSet(t *testing.T) {
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+		if blockM%k.mr != 0 || blockN%k.nr != 0 {
+			t.Errorf("%s: Mc = %d or Nc = %d is not a multiple of its %d×%d tile", k.name, blockM, blockN, k.mr, k.nr)
+		}
+	}
+	t.Logf("kernels: %s; a product chooses among %s", strings.Join(names, " "), KernelName())
+	if kernels[0] != &portableKernel {
+		t.Errorf("kernels start with %s, not the portable kernel", kernels[0].name)
+	}
+	for _, c := range choices {
+		if !slices.Contains(kernels, c) {
+			t.Errorf("chooser candidate %s is not among this host's kernels", c.name)
+		}
+	}
+}
+
 // TestVectorHostNeverRunsPortableKernel: on an AVX2-or-better host the
 // scalar kernel is out of the product — fringes go through the vector
 // kernels' masked update — whichever entry point and worker budget.
 func TestVectorHostNeverRunsPortableKernel(t *testing.T) {
-	if active == &portableKernel {
+	if choices[0] == &portableKernel {
 		t.Skip("the portable kernel is this build's only one")
 	}
 	calls := countPortableCalls(t)
 	for i, d := range sweepShapes() {
 		a, b := noiseDense(int64(i), d[0], d[2]), noiseDense(int64(i)+1, d[2], d[1])
 		gemmBlocked(NewDense(d[0], d[1]), a, b, false, false, 2)
-		pa, pb := PackA(a, false), PackB(b, false)
+		pa, pb := PackA(a, false, d[1]), PackB(b, false, d[0])
 		GemmPacked(NewDense(d[0], d[1]), pa, pb, 1)
 		pa.Release()
 		pb.Release()
@@ -310,7 +387,7 @@ func TestGemmPackedMatchesGemm(t *testing.T) {
 				want := noiseDense(int64(i)+2, m, n).Clone()
 				got := want.Clone()
 				gemmBlocked(want, a, b, o.transA, o.transB, 1)
-				pa, pb := PackA(a, o.transA), PackB(b, o.transB)
+				pa, pb := PackA(a, o.transA, n), PackB(b, o.transB, m)
 				GemmPacked(got, pa, pb, 1+i%3)
 				pa.Release()
 				pb.Release()

@@ -24,23 +24,31 @@ type Packed struct {
 var packedPool = sync.Pool{New: func() any { return new(Packed) }}
 
 // PackA packs op(A) — A, or Aᵀ when trans — as the left operand of
-// GemmPacked.
-func PackA(a *Dense, trans bool) *Packed { return pack(a, trans, false) }
+// GemmPacked, for a product with n columns: the micro-kernel, hence the
+// layout, is chosen per product shape, and PackB must be told the rows.
+func PackA(a *Dense, trans bool, n int) *Packed { return pack(a, trans, false, n) }
 
 // PackB packs op(B) — B, or Bᵀ when trans — as the right operand of
-// GemmPacked.
-func PackB(b *Dense, trans bool) *Packed { return pack(b, trans, true) }
+// GemmPacked, for a product with m rows.
+func PackB(b *Dense, trans bool, m int) *Packed { return pack(b, trans, true, m) }
 
-func pack(s *Dense, trans, bSide bool) *Packed {
-	kern := active
-	o, w := operandA(s, trans), kern.mr
+// pack packs s as one side of a product whose other side spans partner
+// (columns of C for the A side, rows for the B side).
+func pack(s *Dense, trans, bSide bool, partner int) *Packed {
+	o := operandA(s, trans)
 	if bSide {
-		o, w = operandB(s, trans), kern.nr
+		o = operandB(s, trans)
 	}
 	// The shared dimension runs along s's rows or its columns.
 	k, x := s.Cols, s.Rows
 	if o.kMajor {
 		k, x = s.Rows, s.Cols
+	}
+	kern := kernelFor(x, partner)
+	w := kern.mr
+	if bSide {
+		kern = kernelFor(partner, x)
+		w = kern.nr
 	}
 	p := packedPool.Get().(*Packed)
 	p.kern, p.bSide, p.x, p.xPad, p.k = kern, bSide, x, roundUp(x, w), k
@@ -60,7 +68,8 @@ func (p *Packed) Release() { packedPool.Put(p) }
 
 // GemmPacked computes C += op(A)·op(B) from operands packed by PackA
 // and PackB, with at most par workers. The result equals the matching
-// GemmOp call bit for bit.
+// GemmOp call bit for bit. Operands packed for different kernels (for
+// another product shape) are refused.
 func GemmPacked(c *Dense, a, b *Packed, par int) {
 	if a.bSide || !b.bSide || a.kern != b.kern || a.k != b.k || c.Rows != a.x || c.Cols != b.x {
 		panic(ErrShape)

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // TestGBJGridEquality: any processor grid — the one derived from the
@@ -200,6 +202,49 @@ func TestGBJCellSpreadsOverSlots(t *testing.T) {
 		}
 		if !got.Equal(want) {
 			t.Fatalf("%s: budget 4 differs from budget 1 (max diff %g)", label, got.MaxAbsDiff(want))
+		}
+	}
+}
+
+// TestGBJSpanNamesTheShapesKernel: a gbj-cell span names the
+// micro-kernel its tile products ran, chosen per tile shape. On an
+// AVX-512 host a 100-wide tile runs 20×8 (the 8×16 tile pads it to
+// 104×112) and a 16-wide one 8×16; elsewhere the CPU has one kernel.
+func TestGBJSpanNamesTheShapesKernel(t *testing.T) {
+	avx512 := strings.HasPrefix(linalg.KernelName(), "avx512")
+	for _, c := range []struct {
+		tile int
+		want string
+	}{{100, "avx512-20x8"}, {16, "avx512-8x16"}} {
+		if !avx512 {
+			c.want = linalg.KernelName()
+		}
+		ctx := dataflow.NewContext(dataflow.Config{Parallelism: 2, DefaultPartitions: 2})
+		tr := trace.New()
+		ctx.SetTracer(tr)
+		n := int64(2 * c.tile)
+		a := RandMatrix(ctx, n, n, c.tile, 2, -1, 1, 1)
+		b := RandMatrix(ctx, n, n, c.tile, 2, -1, 1, 2)
+		GroupByJoin(a, b, Product{}).Drain()
+		ctx.SetTracer(nil)
+		cells := 0
+		for _, sp := range tr.Spans() {
+			if sp.Name != "kernel: gbj-cell" {
+				continue
+			}
+			cells++
+			var kernel any
+			for _, at := range sp.Attrs() {
+				if at.Key == "kernel" {
+					kernel = at.Value
+				}
+			}
+			if kernel != c.want {
+				t.Errorf("tile %d: gbj-cell span says kernel %v, want %s", c.tile, kernel, c.want)
+			}
+		}
+		if cells == 0 {
+			t.Fatalf("tile %d: no gbj-cell span recorded", c.tile)
 		}
 	}
 }

@@ -115,7 +115,7 @@ func JoinMultiply(a, b *Matrix, prod Product, reduceByKey bool) *Matrix {
 		if sp != nil {
 			sp.SetAttr("tile", fmt.Sprintf("(%d,%d)", g.I, g.J))
 			sp.SetAttr("k", p.Key)
-			setKernelAttrs(sp, gemmFlops(a.N, 1), time.Since(start), hit)
+			setKernelAttrs(sp, a.N, 1, time.Since(start), hit)
 			sp.End()
 		}
 		return dataflow.KV(g, c)
@@ -145,20 +145,17 @@ func JoinMultiply(a, b *Matrix, prod Product, reduceByKey bool) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, N: a.N, Tiles: summed}
 }
 
-// gemmFlops is the flop count of matches n×n tile multiplies.
-func gemmFlops(n int, matches int) float64 {
-	return 2 * float64(matches) * float64(n) * float64(n) * float64(n)
-}
-
-// setKernelAttrs records a kernel span's achieved GFLOP/s, the GEMM
-// micro-kernel that achieved it and whether its output tile was served
-// from the tile pool; sac -analyze and the Perfetto export surface all
-// three per tile.
-func setKernelAttrs(sp *trace.Span, flops float64, elapsed time.Duration, poolHit bool) {
+// setKernelAttrs records a kernel span's achieved GFLOP/s over its
+// matches n×n tile multiplies, the GEMM micro-kernel that ran them
+// (chosen for the n×n product shape) and whether its output tile was
+// served from the tile pool; sac -analyze and the Perfetto export
+// surface all three per tile.
+func setKernelAttrs(sp *trace.Span, n, matches int, elapsed time.Duration, poolHit bool) {
 	if s := elapsed.Seconds(); s > 0 {
+		flops := 2 * float64(matches) * float64(n) * float64(n) * float64(n)
 		sp.SetAttr("GFLOP/s", math.Round(flops/s/1e7)/100)
 	}
-	sp.SetAttr("kernel", linalg.KernelName())
+	sp.SetAttr("kernel", linalg.KernelFor(n, n))
 	if poolHit {
 		sp.SetAttr("pool", "hit")
 	} else {

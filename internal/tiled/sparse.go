@@ -89,19 +89,9 @@ func (m *SparseMatrix) MatVec(x *Vector) *Vector {
 }
 
 // fillMissingBlocks adds zero blocks for coordinates with no partial
-// result (rows whose sparse tiles are entirely absent).
+// result (rows whose sparse tiles are entirely absent), where the
+// block's key hashes on the reduce side: no gather to the driver.
 func (v *Vector) fillMissingBlocks() *Vector {
-	blocks := dataflow.Collect(v.Blocks)
-	present := map[int64]bool{}
-	for _, b := range blocks {
-		present[b.Key] = true
-	}
-	nb := v.NumBlocks()
-	for bi := int64(0); bi < nb; bi++ {
-		if !present[bi] {
-			blocks = append(blocks, dataflow.KV(bi, linalg.NewVector(v.N)))
-		}
-	}
 	return &Vector{Size: v.Size, N: v.N,
-		Blocks: dataflow.Parallelize(v.Blocks.Context(), blocks, v.Blocks.NumPartitions())}
+		Blocks: dataflow.FillKeys(v.Blocks, v.NumBlocks(), func() *linalg.Vector { return linalg.NewVector(v.N) })}
 }

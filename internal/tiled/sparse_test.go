@@ -74,3 +74,53 @@ func TestSparseSpaceAdvantage(t *testing.T) {
 		t.Fatalf("sparse %d tiles vs dense %d", sparseTiles, denseTiles)
 	}
 }
+
+// TestSparseMatVecFillsEmptyTileRowOnReduceSide: a matrix whose middle
+// tile row stores nothing still yields every block of y once, the empty
+// row's block all zeros, with the answer unchanged; the blocks the
+// reduce produced none for are added on the reduce side, so building
+// the product runs nothing until an action asks for it (it used to
+// gather the whole vector to the driver and parallelize it back).
+// BuildVector fills its missing blocks the same way.
+func TestSparseMatVecFillsEmptyTileRowOnReduceSide(t *testing.T) {
+	ctx := tctx()
+	c := linalg.NewCOO(9, 9)
+	c.Append(0, 4, 2)
+	c.Append(2, 8, 3)
+	c.Append(7, 1, 5) // tile rows 0 and 2; tile row 1 (rows 3..5) is empty
+	x := linalg.RandVector(9, 1, 2, 79)
+	sm := SparseFromCOO(ctx, c, 3, 2)
+	bx := VectorFromDense(ctx, x, 3, 2)
+	for name, build := range map[string]func() *Vector{
+		"MatVec": func() *Vector { return sm.MatVec(bx) },
+		"BuildVector": func() *Vector {
+			elems := dataflow.Parallelize(ctx, []dataflow.Pair[int64, float64]{
+				dataflow.KV(int64(0), 1.0), dataflow.KV(int64(2), 2.0), dataflow.KV(int64(8), 3.0)}, 2)
+			return BuildVector(9, 3, elems, 2)
+		},
+	} {
+		before := ctx.Metrics().Stages
+		v := build()
+		if ran := ctx.Metrics().Stages - before; ran != 0 {
+			t.Fatalf("%s: building the vector ran %d stages", name, ran)
+		}
+		blocks := dataflow.Collect(v.Blocks)
+		seen := map[int64]*linalg.Vector{}
+		for _, b := range blocks {
+			if seen[b.Key] != nil {
+				t.Fatalf("%s: block %d twice", name, b.Key)
+			}
+			seen[b.Key] = b.Value
+		}
+		if int64(len(seen)) != v.NumBlocks() {
+			t.Fatalf("%s: %d blocks, want %d", name, len(seen), v.NumBlocks())
+		}
+		if !seen[1].Equal(linalg.NewVector(3)) {
+			t.Fatalf("%s: block 1 is %v, want zeros", name, seen[1].Data)
+		}
+	}
+	want := linalg.MatVec(c.ToDense(), x)
+	if got := sm.MatVec(bx).ToDense(); !got.Equal(want) {
+		t.Fatalf("matvec %v, want %v", got.Data, want.Data)
+	}
+}

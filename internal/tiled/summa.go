@@ -248,10 +248,10 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 			if prod.H == nil {
 				pa, pb = pa[:0], pb[:0]
 				for _, at := range ats {
-					pa = append(pa, linalg.PackA(at.Tile, prod.TransA))
+					pa = append(pa, linalg.PackA(at.Tile, prod.TransA, n))
 				}
 				for _, bt := range bts {
-					pb = append(pb, linalg.PackB(bt.Tile, prod.TransB))
+					pb = append(pb, linalg.PackB(bt.Tile, prod.TransB, n))
 				}
 			}
 			splitProducts(ctx.KernelBudget(), len(ats)*len(bts), prod.spawned, func(lo, hi, par int) {
@@ -281,7 +281,7 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 			sp.SetAttr("tiles", len(out))
 			sp.SetAttr("matches", matches)
 			if prod.H == nil {
-				setKernelAttrs(sp, gemmFlops(n, matches), time.Since(start), hits == len(out) && len(out) > 0)
+				setKernelAttrs(sp, n, matches, time.Since(start), hits == len(out) && len(out) > 0)
 			}
 			sp.End()
 		}
