@@ -89,9 +89,11 @@ obs-test:
 # Query-service gate (what the CI serve job runs first): the server
 # package under race — pool, plan cache (incl. the whitespace/structure
 # property tests), admission semaphore, HTTP endpoints, drain e2es —
-# plus the estimates admission prices and the worker drain suite.
+# plus the estimates admission prices, a local Run that must keep no
+# cache or reservation, and the worker drain suite.
 serve-test:
 	$(GO) test -race -count=1 ./internal/server ./internal/stats
+	$(GO) test -race -count=1 -run RunLeavesNothingCached ./internal/core
 	$(GO) test -count=1 -run Drain ./internal/cluster ./internal/jobs
 
 # Replay a mixed 2000-query workload against an in-process sacserver

@@ -10,6 +10,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/plan"
 	"repro/internal/stats"
+	"repro/internal/tiled"
 	"repro/internal/trace"
 )
 
@@ -100,13 +101,23 @@ type Summary struct {
 // ListPreview is how many rows of a list a Summary quotes.
 const ListPreview = 10
 
-// Summarize forces res once more (Run persisted it) and describes it.
+// Summarize describes res. A result Force returned is described from
+// the tiles its one action collected; a lazy one (Execute's) is
+// collected here, which runs its stages.
 func Summarize(res *plan.Result) Summary {
 	switch res.Kind() {
 	case "matrix":
-		return MatrixSummary(res.Matrix.ToDense())
+		tiles := res.Tiles
+		if tiles == nil {
+			tiles = dataflow.Collect(res.Matrix.Tiles)
+		}
+		return matrixSummary(res.Matrix, tiles)
 	case "vector":
-		return VectorSummary(res.Vector.ToDense())
+		blocks := res.Blocks
+		if blocks == nil {
+			blocks = dataflow.Collect(res.Vector.Blocks)
+		}
+		return vectorSummary(res.Vector, blocks)
 	case "list":
 		return ListSummary(len(res.List), func(i int) string { return comp.Render(res.List[i]) })
 	default:
@@ -114,23 +125,109 @@ func Summarize(res *plan.Result) Summary {
 	}
 }
 
-// MatrixSummary describes a dense matrix.
-func MatrixSummary(d *linalg.Dense) Summary {
-	s := Summary{Kind: "matrix", Rows: int64(d.Rows), Cols: int64(d.Cols), Sum: d.Sum()}
-	for i := 0; i < d.Rows && d.Rows <= 8 && d.Cols <= 8; i++ {
-		s.Values = append(s.Values, d.Data[i*d.Cols:][:d.Cols])
+// matrixSummary describes m from its collected tiles, walking them row
+// by row across the tile grid, so the sum adds the cells in the order
+// the dense matrix holds them. As in tiled.Matrix.ToDense, cells no tile
+// covers are zero, a tile outside the matrix is dropped and of two
+// tiles at one key the later counts.
+func matrixSummary(m *tiled.Matrix, tiles []tiled.Block) Summary {
+	n := int64(m.N)
+	tr, tc := m.BlockRows(), m.BlockCols()
+	grid := make([]*linalg.Dense, tr*tc)
+	for _, b := range tiles {
+		if i, j := b.Key.I, b.Key.J; i >= 0 && i < tr && j >= 0 && j < tc {
+			grid[i*tc+j] = b.Value
+		}
 	}
-	return s
+	d := NewMatrixSummary(m.Rows, m.Cols)
+	for i := int64(0); i < m.Rows; i++ {
+		row, r := grid[i/n*tc:][:tc], int(i%n)
+		for j, t := range row {
+			w := min(n, m.Cols-int64(j)*n)
+			if t == nil {
+				d.zeros(w)
+			} else {
+				d.Cells(t.Data[r*t.Cols:][:w])
+			}
+		}
+	}
+	return d.Summary()
 }
 
-// VectorSummary describes a dense vector.
-func VectorSummary(v *linalg.Vector) Summary {
-	s := Summary{Kind: "vector", Size: int64(v.Len()), Sum: v.Sum()}
-	if v.Len() <= 16 {
-		s.Values = [][]float64{v.Data}
+// vectorSummary is matrixSummary for a block vector.
+func vectorSummary(v *tiled.Vector, blocks []tiled.VBlock) Summary {
+	n := int64(v.N)
+	grid := make([]*linalg.Vector, (v.Size+n-1)/n)
+	for _, b := range blocks {
+		if b.Key >= 0 && b.Key < int64(len(grid)) {
+			grid[b.Key] = b.Value
+		}
 	}
-	return s
+	d := NewVectorSummary(v.Size)
+	for k, b := range grid {
+		if w := min(n, v.Size-int64(k)*n); b == nil {
+			d.zeros(w)
+		} else {
+			d.Cells(b.Data[:w])
+		}
+	}
+	return d.Summary()
 }
+
+// DenseSummary builds the Summary of a matrix or a vector from its cells
+// fed in row-major order — from a result's tiles (Summarize) or from a
+// result blob's bytes (jobs.SummarizeBlob) — so both describe one result
+// bit for bit. The sum adds the cells in that order from +0; a zero cell
+// leaves it as it is (it is never -0), which is what lets zeros skip the
+// cells no tile covers.
+type DenseSummary struct {
+	s    Summary
+	vals []float64 // the inlined values, row-major; nil when there are too many
+	at   int64     // cells fed so far
+}
+
+// NewMatrixSummary starts the summary of a rows x cols matrix, whose
+// values are inlined up to 8x8.
+func NewMatrixSummary(rows, cols int64) *DenseSummary {
+	d := &DenseSummary{s: Summary{Kind: "matrix", Rows: rows, Cols: cols}}
+	if rows <= 8 && cols <= 8 {
+		d.vals = make([]float64, rows*cols)
+		for i := int64(0); i < rows; i++ {
+			d.s.Values = append(d.s.Values, d.vals[i*cols:][:cols])
+		}
+	}
+	return d
+}
+
+// NewVectorSummary starts the summary of a vector of size cells, whose
+// values are inlined up to 16.
+func NewVectorSummary(size int64) *DenseSummary {
+	d := &DenseSummary{s: Summary{Kind: "vector", Size: size}}
+	if size <= 16 {
+		d.vals = make([]float64, size)
+		d.s.Values = [][]float64{d.vals}
+	}
+	return d
+}
+
+// Cells feeds the next cells.
+func (d *DenseSummary) Cells(xs []float64) {
+	sum := d.s.Sum
+	for _, x := range xs {
+		sum += x
+	}
+	d.s.Sum = sum
+	if d.vals != nil {
+		copy(d.vals[d.at:], xs)
+	}
+	d.at += int64(len(xs))
+}
+
+// zeros feeds n zero cells.
+func (d *DenseSummary) zeros(n int64) { d.at += n }
+
+// Summary is the finished description.
+func (d *DenseSummary) Summary() Summary { return d.s }
 
 // ListSummary describes a list of n rows; row renders the i-th, and is
 // asked for the first ListPreview at most.

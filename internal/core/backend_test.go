@@ -117,3 +117,44 @@ func TestBackendRunForcesAndSummarizes(t *testing.T) {
 		t.Errorf("failing run returned outcome %+v, error %v", failed, err)
 	}
 }
+
+// TestRunLeavesNothingCached: Run forces its result with one action and
+// describes what that action returned, so a Run keeps nothing: no Persist
+// cache (CachedBytes stays 0), no memory reservation past its end, and no
+// stage runs after its metrics window closes. Before, each Run cached its
+// result for the life of the session — 32,880 B per transpose at n = 64,
+// tile 16 — and under a budget kept the reservation too.
+func TestRunLeavesNothingCached(t *testing.T) {
+	const src = "tiled(n, n)[ ((j,i), a) | ((i,j),a) <- A ]"
+	for _, budget := range []int64{0, 64 << 20} {
+		s := NewSession(Config{TileSize: 16, Partitions: 4, MemoryBudget: budget})
+		s.RegisterRandMatrix("A", 64, 64, 0, 10, 1)
+		s.RegisterScalar("n", int64(64))
+		q, err := s.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := s.Metrics().MemoryUsed
+		var sum float64
+		for r := 0; r < 200; r++ {
+			out, err := s.Run(q, src, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := s.Metrics()
+			if m.CachedBytes != 0 || m.MemoryUsed != used {
+				t.Fatalf("budget %d, run %d: %d B cached and %d B reserved after the run, %d before",
+					budget, r, m.CachedBytes, m.MemoryUsed, used)
+			}
+			if m.Stages != out.Metrics.Stages {
+				t.Fatalf("budget %d, run %d: the session ran %d stages, the run metered %d", budget, r, m.Stages, out.Metrics.Stages)
+			}
+			if r == 0 {
+				sum = out.Summary.Sum
+			} else if out.Summary.Sum != sum || out.Summary.Rows != 64 {
+				t.Fatalf("budget %d, run %d: summary %s, the first run's sum was %v", budget, r, out.Summary.Head(), sum)
+			}
+		}
+		s.Close()
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/linalg"
 	"repro/internal/plan"
 	"repro/internal/spill"
 	"repro/internal/tiled"
@@ -689,13 +688,13 @@ func SummarizeBlob(blob []byte) core.Summary {
 		if !ok {
 			return malformed("malformed result (matrix header in %d bytes)", len(blob))
 		}
-		return core.MatrixSummary(linalg.NewDenseFrom(int(dims[0]), int(dims[1]), f64s(cells)))
+		return summarizeCells(core.NewMatrixSummary(dims[0], dims[1]), cells)
 	case kindVector:
-		_, cells, ok := denseHeader(body, 1)
+		dims, cells, ok := denseHeader(body, 1)
 		if !ok {
 			return malformed("malformed result (vector header in %d bytes)", len(blob))
 		}
-		return core.VectorSummary(linalg.NewVectorFrom(f64s(cells)))
+		return summarizeCells(core.NewVectorSummary(dims[0]), cells)
 	case kindList:
 		text := string(body)
 		head := strings.SplitN(text, "\n", core.ListPreview+1)
@@ -734,8 +733,15 @@ func denseHeader(body []byte, n int) (dims []int64, cells []byte, ok bool) {
 	return dims, body, uint64(len(body)) == want
 }
 
-func f64s(cells []byte) []float64 {
-	vs := make([]float64, len(cells)/8)
-	spill.GetF64s(vs, cells)
-	return vs
+// summarizeCells feeds d a blob's little-endian cells where they lie,
+// decoding them a few at a time, and returns the summary.
+func summarizeCells(d *core.DenseSummary, cells []byte) core.Summary {
+	var buf [512]float64
+	for len(cells) >= 8 {
+		vs := buf[:min(len(buf), len(cells)/8)]
+		spill.GetF64s(vs, cells)
+		d.Cells(vs)
+		cells = cells[8*len(vs):]
+	}
+	return d.Summary()
 }

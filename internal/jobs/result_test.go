@@ -61,10 +61,13 @@ func TestSummarizeBlobMalformed(t *testing.T) {
 }
 
 // TestSummarizeBlobMatchesResult: the summary decoded from a result's
-// blob is the summary of the result itself, bit for bit, for every kind
-// — inlined values, list previews past their cut and an empty list
-// included — so a cluster-backed /query reply cannot differ from a local
-// one in anything but where it was computed.
+// blob is the summary Run makes of the result itself — from the tiles
+// its one action collected (plan.Result.Collect) — bit for bit, and so
+// is the summary of the lazy result and of its dense form, for every
+// kind: inlined values, list previews past their cut and an empty list
+// included, and tiles or blocks missing, ragged edges, no rows or no
+// columns, and cells of -0.0. A cluster-backed /query reply cannot differ
+// from a local one in anything but where it was computed.
 func TestSummarizeBlobMatchesResult(t *testing.T) {
 	ctx := dataflow.NewContext(dataflow.Config{DefaultPartitions: 3})
 	defer ctx.Close()
@@ -75,11 +78,53 @@ func TestSummarizeBlobMatchesResult(t *testing.T) {
 		}
 		return l
 	}
+	negZero := math.Copysign(0, -1)
+	// withCells rewrites m's tiles: set(i, j) gives cell (i, j) of the
+	// matrix a new value, or keeps it.
+	withCells := func(m *tiled.Matrix, set func(i, j int64, x float64) float64) *tiled.Matrix {
+		out := *m
+		out.Tiles = dataflow.Map(m.Tiles, func(b tiled.Block) tiled.Block {
+			d := b.Value.Clone()
+			for r := 0; r < d.Rows; r++ {
+				for c := 0; c < d.Cols; c++ {
+					i, j := b.Key.I*int64(m.N)+int64(r), b.Key.J*int64(m.N)+int64(c)
+					d.Set(r, c, set(i, j, d.At(r, c)))
+				}
+			}
+			return tiled.Block{Key: b.Key, Value: d}
+		})
+		return &out
+	}
+	sparse := func(m *tiled.Matrix) *tiled.Matrix {
+		out := *m
+		out.Tiles = dataflow.Filter(m.Tiles, func(b tiled.Block) bool { return (b.Key.I+b.Key.J)%2 == 0 })
+		return &out
+	}
+	holed := func(v *tiled.Vector) *tiled.Vector {
+		out := *v
+		out.Blocks = dataflow.Filter(v.Blocks, func(b tiled.VBlock) bool { return b.Key != 1 })
+		return &out
+	}
 	small := tiled.RandMatrix(ctx, 7, 8, 4, 3, -5, 5, 1)
 	big := tiled.RandMatrix(ctx, 100, 37, 10, 3, -5, 5, 2)
+	ragged := tiled.RandMatrix(ctx, 13, 7, 4, 3, -5, 5, 3)
+	noRows, noCols := tiled.RandMatrix(ctx, 0, 5, 4, 3, -5, 5, 4), tiled.RandMatrix(ctx, 5, 0, 4, 3, -5, 5, 5)
+	firstNegZero := withCells(small, func(i, j int64, x float64) float64 {
+		if i == 0 && j == 0 {
+			return negZero
+		}
+		return x
+	})
+	allNegZero := withCells(ragged, func(int64, int64, float64) float64 { return negZero })
 	for name, res := range map[string]*plan.Result{
 		"inlined matrix": {Matrix: small}, "matrix": {Matrix: big},
 		"inlined vector": {Vector: small.RowSums()}, "vector": {Vector: big.RowSums()},
+		"matrix with tiles missing": {Matrix: sparse(big)}, "inlined matrix with tiles missing": {Matrix: sparse(small)},
+		"vector with a block missing": {Vector: holed(big.RowSums())}, "inlined vector with a block missing": {Vector: holed(ragged.RowSums())},
+		"ragged matrix": {Matrix: ragged}, "ragged vector": {Vector: ragged.RowSums()},
+		"0-row matrix": {Matrix: noRows}, "0-column matrix": {Matrix: noCols}, "0-cell vector": {Vector: noRows.RowSums()},
+		"first cell -0": {Matrix: firstNegZero}, "first cell -0, tiles missing": {Matrix: sparse(firstNegZero)},
+		"every cell -0": {Matrix: allNegZero}, "every cell -0, vector": {Vector: allNegZero.RowSums()},
 		"list": {List: list(3)}, "cut list": {List: list(25)}, "empty list": {List: list(0)},
 		"scalar": {Scalar: 2.5}, "int scalar": {Scalar: int64(7)},
 	} {
@@ -87,14 +132,63 @@ func TestSummarizeBlobMatchesResult(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, want := SummarizeBlob(blob), core.Summarize(res)
-		if !reflect.DeepEqual(got, want) || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {
+		forced := *res
+		forced.Collect()
+		got, want := SummarizeBlob(blob), core.Summarize(&forced)
+		if !sameSummary(got, want) {
 			t.Errorf("%s: blob summary %+v, result summary %+v", name, got, want)
 		}
 		if want.Kind == "malformed" || got.String() != want.String() {
 			t.Errorf("%s: prints %q from the blob, %q from the result", name, got, want)
 		}
+		if lazy := core.Summarize(res); !sameSummary(lazy, want) {
+			t.Errorf("%s: lazy result summary %+v, forced %+v", name, lazy, want)
+		}
+		if dense, ok := denseSummary(res); ok && !sameSummary(dense, want) {
+			t.Errorf("%s: dense summary %+v, from the tiles %+v", name, dense, want)
+		}
 	}
+}
+
+// sameSummary is reflect.DeepEqual with the floats compared bit for bit,
+// which tells -0.0 from 0.
+func sameSummary(a, b core.Summary) bool {
+	bits := func(s core.Summary) (sum uint64, vals [][]uint64) {
+		for _, row := range s.Values {
+			r := make([]uint64, len(row))
+			for i, x := range row {
+				r[i] = math.Float64bits(x)
+			}
+			vals = append(vals, r)
+		}
+		return math.Float64bits(s.Sum), vals
+	}
+	as, av := bits(a)
+	bs, bv := bits(b)
+	return reflect.DeepEqual(a, b) && as == bs && reflect.DeepEqual(av, bv)
+}
+
+// denseSummary describes a matrix or a vector result through its dense
+// form, as Summarize did before it read tiles: the row-major sum of
+// Dense.Sum and the values up to 8x8 (16).
+func denseSummary(res *plan.Result) (core.Summary, bool) {
+	switch {
+	case res.Matrix != nil:
+		d := res.Matrix.ToDense()
+		s := core.Summary{Kind: "matrix", Rows: int64(d.Rows), Cols: int64(d.Cols), Sum: d.Sum()}
+		for i := 0; i < d.Rows && d.Rows <= 8 && d.Cols <= 8; i++ {
+			s.Values = append(s.Values, d.Data[i*d.Cols:][:d.Cols])
+		}
+		return s, true
+	case res.Vector != nil:
+		v := res.Vector.ToDense()
+		s := core.Summary{Kind: "vector", Size: int64(v.Len()), Sum: v.Sum()}
+		if v.Len() <= 16 {
+			s.Values = [][]float64{v.Data}
+		}
+		return s, true
+	}
+	return core.Summary{}, false
 }
 
 // TestEncodeResultMatchesDense: the blob built tile by tile is the one

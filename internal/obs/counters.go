@@ -10,8 +10,10 @@ package obs
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Counters is the schema. T is atomic.Int64 for a live set (so the hot
@@ -122,8 +124,11 @@ type CounterField struct {
 }
 
 // Schema lists the counters in declaration (= wire) order. Building it
-// panics on a half-declared counter, so no binary runs with one.
+// panics on a half-declared counter, or on a field the array views
+// (fields, liveFields) would misread, so no binary runs with either.
 var Schema = func() []CounterField {
+	checkLayout(reflect.TypeOf(CounterSet{}), reflect.TypeOf(int64(0)))
+	checkLayout(reflect.TypeOf(Counters[atomic.Int64]{}), reflect.TypeOf(atomic.Int64{}))
 	t := reflect.TypeOf(CounterSet{})
 	s := make([]CounterField, t.NumField())
 	for i := range s {
@@ -154,35 +159,51 @@ func schemaField(f reflect.StructField) (CounterField, error) {
 	return cf, nil
 }
 
-// fields is s as the struct value whose i-th field Schema[i] describes,
-// which every per-counter loop ranges over. Reflection here allocates
-// nothing, and the loops run per stage, report or query, never per
-// record.
-func fields(s *CounterSet) reflect.Value { return reflect.ValueOf(s).Elem() }
+// nCounters is the schema's length as a constant, which the array views
+// need: every field is one 8-byte word (checkLayout).
+const nCounters = unsafe.Sizeof(CounterSet{}) / 8
+
+// checkLayout panics unless t is nCounters fields of type elem, the i-th
+// at byte offset 8·i — the layout of [nCounters]elem, which is what lets
+// fields and liveFields view a counter struct as that array.
+func checkLayout(t, elem reflect.Type) {
+	if t.NumField() != int(nCounters) || t.Size() != 8*nCounters {
+		panic(fmt.Sprintf("obs: %s has %d fields in %d bytes, want %d one-word fields", t, t.NumField(), t.Size(), nCounters))
+	}
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.Type != elem || f.Offset != uintptr(8*i) {
+			panic(fmt.Sprintf("obs: counter %s is a %s at offset %d, want a %s at %d", f.Name, f.Type, f.Offset, elem, 8*i))
+		}
+	}
+}
+
+// fields is s as the array whose i-th element is the counter Schema[i]
+// describes, which every per-counter loop ranges over: a plain indexed
+// load or store, with no reflection, since the loops run at every stage
+// end (Publish) as well as per report and query.
+func fields(s *CounterSet) *[nCounters]int64 { return (*[nCounters]int64)(unsafe.Pointer(s)) }
+
+// liveFields is fields for a live set.
+func liveFields(c *Counters[atomic.Int64]) *[nCounters]atomic.Int64 {
+	return (*[nCounters]atomic.Int64)(unsafe.Pointer(c))
+}
 
 // CounterValues lists s's values in schema order.
-func CounterValues(s CounterSet) []int64 {
-	vals := make([]int64, len(Schema))
-	for i := range vals {
-		vals[i] = fields(&s).Field(i).Int()
-	}
-	return vals
-}
+func CounterValues(s CounterSet) []int64 { return slices.Clone(fields(&s)[:]) }
 
 // CountersFrom is the inverse of CounterValues.
 func CountersFrom(vals []int64) (s CounterSet) {
-	for i, v := range vals {
-		fields(&s).Field(i).SetInt(v)
-	}
+	copy(fields(&s)[:len(vals)], vals)
 	return s
 }
 
 // SubCounters returns s - t: sum counters are diffed; high-water marks
 // and levels cannot be, and keep s's (the later) value.
 func SubCounters(s, t CounterSet) CounterSet {
-	for i, f := range Schema {
-		if v := fields(&s).Field(i); f.Rule == Sum {
-			v.SetInt(v.Int() - fields(&t).Field(i).Int())
+	v, w := fields(&s), fields(&t)
+	for i := range v {
+		if Schema[i].Rule == Sum {
+			v[i] -= w[i]
 		}
 	}
 	return s
@@ -191,11 +212,12 @@ func SubCounters(s, t CounterSet) CounterSet {
 // MergeCounters folds two ranks' (or two sources') sets into one by
 // each counter's rule.
 func MergeCounters(a, b CounterSet) CounterSet {
-	for i, f := range Schema {
-		if v, w := fields(&a).Field(i), fields(&b).Field(i).Int(); f.Rule == Max {
-			v.SetInt(max(v.Int(), w))
+	v, w := fields(&a), fields(&b)
+	for i := range v {
+		if Schema[i].Rule == Max {
+			v[i] = max(v[i], w[i])
 		} else {
-			v.SetInt(v.Int() + w)
+			v[i] += w[i]
 		}
 	}
 	return a
@@ -223,12 +245,12 @@ func (l *LiveCounters) Snapshot() CounterSet { return l.read(false) }
 // read and zeroed in one atomic swap, so an increment racing with a
 // reset lands either in the returned set or in the live one afterwards.
 func (l *LiveCounters) read(reset bool) (s CounterSet) {
-	live := reflect.ValueOf(&l.Counters).Elem()
-	for i, f := range Schema {
-		if c := live.Field(i).Addr().Interface().(*atomic.Int64); reset && f.Rule != Level {
-			fields(&s).Field(i).SetInt(c.Swap(0))
+	live, v := liveFields(&l.Counters), fields(&s)
+	for i := range v {
+		if reset && Schema[i].Rule != Level {
+			v[i] = live[i].Swap(0)
 		} else {
-			fields(&s).Field(i).SetInt(c.Load())
+			v[i] = live[i].Load()
 		}
 	}
 	if l.Held != nil {
@@ -251,12 +273,13 @@ func (l *LiveCounters) Publish() {
 }
 
 func (l *LiveCounters) publish(s CounterSet) {
-	for i, f := range Schema {
-		switch cur, prev := fields(&s).Field(i).Int(), fields(&l.pub).Field(i).Int(); {
+	cur, prev := fields(&s), fields(&l.pub)
+	for i := range cur {
+		switch f := &Schema[i]; {
 		case f.Rule == Sum:
-			f.counter.Add(cur - prev)
-		case cur != prev:
-			f.gauge.Set(cur)
+			f.counter.Add(cur[i] - prev[i])
+		case cur[i] != prev[i]:
+			f.gauge.Set(cur[i])
 		}
 	}
 	l.pub = s

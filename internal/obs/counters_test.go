@@ -263,3 +263,143 @@ func TestDesignListsTheSchemaSeries(t *testing.T) {
 		t.Errorf("DESIGN.md lists %s, which is not a schema series", name)
 	}
 }
+
+// byReflection is the reflection reference the array views are held to:
+// the i-th field of a set, read through reflect.
+func byReflection(s CounterSet) []int64 {
+	rv := reflect.ValueOf(s)
+	vals := make([]int64, rv.NumField())
+	for i := range vals {
+		vals[i] = rv.Field(i).Int()
+	}
+	return vals
+}
+
+// setByReflection writes vals into a set field by field through reflect.
+func setByReflection(vals []int64) (s CounterSet) {
+	rv := reflect.ValueOf(&s).Elem()
+	for i, v := range vals {
+		rv.Field(i).SetInt(v)
+	}
+	return s
+}
+
+// TestArrayViewMatchesReflection: every schema loop indexes the counter
+// struct as an array, and that array's i-th element is the struct's i-th
+// field — for a set and for a live set — in every loop: CounterValues,
+// CountersFrom, SubCounters, MergeCounters, Snapshot and Reset. Values
+// are written and read back by reflection, a different one per field, so
+// a view that is off by a field or a word cannot agree by accident.
+func TestArrayViewMatchesReflection(t *testing.T) {
+	n := reflect.TypeOf(CounterSet{}).NumField()
+	if n != len(Schema) || int(nCounters) != n {
+		t.Fatalf("the struct has %d fields, the schema %d, the array view %d", n, len(Schema), nCounters)
+	}
+	av, bv := make([]int64, n), make([]int64, n)
+	for i := range av {
+		av[i], bv[i] = 1_000_003*int64(i+1), 7*int64(i+1)+int64(i*i)
+	}
+	a, b := setByReflection(av), setByReflection(bv)
+	if got := CounterValues(a); !reflect.DeepEqual(got, av) {
+		t.Errorf("CounterValues = %v, reflection reads %v", got, av)
+	}
+	if got := byReflection(CountersFrom(av)); !reflect.DeepEqual(got, av) {
+		t.Errorf("CountersFrom wrote %v, want %v", got, av)
+	}
+	wantSub, wantMerge := make([]int64, n), make([]int64, n)
+	for i, f := range Schema {
+		wantSub[i], wantMerge[i] = av[i], av[i]+bv[i]
+		switch f.Rule {
+		case Sum:
+			wantSub[i] = av[i] - bv[i]
+		case Max:
+			wantMerge[i] = max(av[i], bv[i])
+		}
+	}
+	if got := byReflection(SubCounters(a, b)); !reflect.DeepEqual(got, wantSub) {
+		t.Errorf("SubCounters = %v, want %v", got, wantSub)
+	}
+	if got := byReflection(MergeCounters(a, b)); !reflect.DeepEqual(got, wantMerge) {
+		t.Errorf("MergeCounters = %v, want %v", got, wantMerge)
+	}
+
+	var live LiveCounters
+	lv := reflect.ValueOf(&live.Counters).Elem()
+	for i, v := range av {
+		lv.Field(i).Addr().Interface().(*atomic.Int64).Store(v)
+	}
+	if got := byReflection(live.Snapshot()); !reflect.DeepEqual(got, av) {
+		t.Errorf("Snapshot = %v, reflection wrote %v", got, av)
+	}
+	live.Reset(nil)
+	for i, f := range Schema {
+		want := int64(0)
+		if f.Rule == Level {
+			want = av[i]
+		}
+		if got := lv.Field(i).Addr().Interface().(*atomic.Int64).Load(); got != want {
+			t.Errorf("%s (%s) holds %d after Reset, want %d", f.Name, f.Rule, got, want)
+		}
+	}
+}
+
+// TestCheckLayoutRejectsMisfits: a struct the array view would misread —
+// one field too many, or a field of another type — panics.
+func TestCheckLayoutRejectsMisfits(t *testing.T) {
+	type longer struct {
+		Counters[int64]
+		Extra int32
+	}
+	for _, tc := range []struct {
+		name     string
+		typ, elm reflect.Type
+	}{
+		{"a field too many", reflect.TypeOf(longer{}), reflect.TypeOf(int64(0))},
+		{"int64 fields for a live set", reflect.TypeOf(CounterSet{}), reflect.TypeOf(atomic.Int64{})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: checkLayout did not panic", tc.name)
+				}
+			}()
+			checkLayout(tc.typ, tc.elm)
+		}()
+	}
+}
+
+// The per-stage cost of the schema loops: every stage end publishes the
+// engine's live set, and every Run resets it, snapshots it and diffs two
+// snapshots.
+func BenchmarkLiveCountersPublish(b *testing.B) {
+	var live LiveCounters
+	for i := 0; i < b.N; i++ {
+		live.Tasks.Add(1)
+		live.Publish()
+	}
+}
+
+func BenchmarkLiveCountersSnapshot(b *testing.B) {
+	var live LiveCounters
+	var s CounterSet
+	for i := 0; i < b.N; i++ {
+		s = live.Snapshot()
+	}
+	_ = s
+}
+
+func BenchmarkLiveCountersReset(b *testing.B) {
+	var live LiveCounters
+	for i := 0; i < b.N; i++ {
+		live.Tasks.Add(1)
+		live.Reset(nil)
+	}
+}
+
+func BenchmarkSubCounters(b *testing.B) {
+	x, y := distinct(1000, 7), distinct(5, 11)
+	for i := 0; i < b.N; i++ {
+		x = SubCounters(x, y)
+	}
+	_ = x
+}

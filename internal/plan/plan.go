@@ -166,6 +166,25 @@ type Result struct {
 	Vector *tiled.Vector
 	List   comp.List
 	Scalar comp.Value
+
+	// Tiles and Blocks hold what Collect gathered of a matrix or a
+	// vector result, in partition order; nil until then (Execute returns
+	// lazy datasets, Force collected ones).
+	Tiles  []tiled.Block
+	Blocks []tiled.VBlock
+}
+
+// Collect runs a matrix or a vector result's one action, gathering its
+// tiles into Tiles or Blocks; a list or a scalar is already whole. The
+// datasets stay lazy and uncached: another action on them runs their
+// stages again.
+func (r *Result) Collect() {
+	switch {
+	case r.Matrix != nil:
+		r.Tiles = dataflow.Collect(r.Matrix.Tiles)
+	case r.Vector != nil:
+		r.Blocks = dataflow.Collect(r.Vector.Blocks)
+	}
 }
 
 // Kind reports which result field is set.
@@ -265,10 +284,11 @@ func (q *Compiled) observed() stats.Measured {
 	return q.obs
 }
 
-// Force is the one forcing execution: it runs the query and materializes
-// a lazy tiled result before returning (persisting it, so a later
-// rendering does not repeat the work), which puts every stage the query
-// runs inside the caller's metrics window and admission reservation.
+// Force is the one forcing execution: it runs the query and collects a
+// lazy tiled result (Result.Collect) before returning — one action, whose
+// tiles are what the caller renders, so nothing is persisted and no
+// second action reads them back — which puts every stage the query runs
+// inside the caller's metrics window and admission reservation.
 // With traced set the run records a span tree — a query span holding a
 // plan phase (the chosen translation) and an execute phase under which
 // every engine stage, task and tile kernel attaches; forcing inside the
@@ -299,14 +319,7 @@ func (q *Compiled) Force(traced bool) (*Result, *trace.Tracer, error) {
 	if err != nil {
 		return nil, tr, err
 	}
-	switch {
-	case res.Matrix != nil:
-		res.Matrix.Tiles.Persist()
-		dataflow.Count(res.Matrix.Tiles)
-	case res.Vector != nil:
-		res.Vector.Blocks.Persist()
-		dataflow.Count(res.Vector.Blocks)
-	}
+	res.Collect()
 	return res, tr, nil
 }
 
