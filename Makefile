@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet fmt race test benchmark-test bench bench-adaptive bench-smoke bench-kernels bench-spill spill-test cluster-test obs-test serve-test bench-serve fuzz stages trace check
+.PHONY: all tier1 vet fmt race test benchmark-test bench bench-adaptive bench-smoke bench-placement bench-kernels bench-spill spill-test cluster-test obs-test serve-test bench-serve fuzz stages trace check
 
 all: tier1
 
@@ -37,6 +37,17 @@ test: tier1 race
 # Narrow-chain fusion benchmarks with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench 'NarrowChain|Fig4B' -benchmem -benchtime 10x .
+
+# Where the linker put the benchmark's yardstick: harness.yardstickChunk's
+# address in cmd/bench built as benchmark/run.sh builds it, and its offset
+# mod 64. The yardstick scales every end-to-end time and its speed follows
+# that offset, so compare two builds end to end only at equal offsets.
+bench-placement:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	(cd benchmark && GOWORK=off GOTOOLCHAIN=local $(GO) build -o "$$tmp/bench" ./cmd/bench) || exit 1; \
+	a=$$($(GO) tool nm "$$tmp/bench" | awk '$$3 == "repro/benchmark/harness.yardstickChunk" { print $$1 }'); \
+	[ -n "$$a" ] || { echo "harness.yardstickChunk not found"; exit 1; }; \
+	echo "harness.yardstickChunk 0x$$a, $$((0x$$a % 64)) mod 64"
 
 # Local GEMM kernel GFLOP/s table (naive/ikj/blocked/blocked-par), the
 # tile product decomposed per micro-kernel at the engine's size (call =

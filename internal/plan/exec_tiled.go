@@ -252,18 +252,17 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 // aggMonoid is the scalar accumulation of one TileAgg aggregation.
 type aggMonoid struct {
 	zero float64
-	op   func(a, b float64) float64
-	sum  bool // op is +: folded without the call
-	one  bool // count: every element lifts to 1
+	op   func(a, b float64) float64 // nil when add
+	add  bool                       // + and count: applied inline, not called
+	one  bool                       // count: every element lifts to 1
 }
 
 func lookupAggMonoid(name string) (aggMonoid, error) {
-	add := func(a, b float64) float64 { return a + b }
 	switch name {
 	case "+":
-		return aggMonoid{op: add, sum: true}, nil
+		return aggMonoid{add: true}, nil
 	case "count":
-		return aggMonoid{op: add, one: true}, nil
+		return aggMonoid{add: true, one: true}, nil
 	case "*":
 		return aggMonoid{zero: 1, op: func(a, b float64) float64 { return a * b }}, nil
 	case "min":
@@ -276,11 +275,35 @@ func lookupAggMonoid(name string) (aggMonoid, error) {
 
 // fold accumulates the live lanes of row v left to right: lane j into
 // acc[j*step], so step 0 folds the row into one accumulator (group by
-// row) and step 1 adds it to a row of accumulators (group by column).
-// Rows arrive top to bottom, which fixes every accumulator's fold order
-// whatever the backend.
-func (m aggMonoid) fold(acc []float64, step int, v []float64, mask []bool) {
-	if m.sum && mask == nil && step == 0 {
+// row, or a total) and step 1 adds it to a row of accumulators (group by
+// column). Rows arrive top to bottom — from the row driver, or straight
+// from the tile for a pass-through kernel — which fixes every
+// accumulator's fold order whatever the backend.
+func (m *aggMonoid) fold(acc []float64, step int, v []float64, mask []bool) {
+	switch {
+	case mask != nil || !m.add:
+		for j, x := range v {
+			if mask == nil || mask[j] {
+				if m.one {
+					x = 1
+				}
+				if p := j * step; m.add {
+					acc[p] += x
+				} else {
+					acc[p] = m.op(acc[p], x)
+				}
+			}
+		}
+	case m.one && step == 0:
+		// Exact: a count is an integer below 2^53, so adding the row's
+		// lanes at once gives the bits of adding 1 per lane.
+		acc[0] += float64(len(v))
+	case m.one:
+		acc = acc[:len(v)]
+		for j := range acc {
+			acc[j]++
+		}
+	case step == 0:
 		// In a register: a row sum is one dependent chain of adds, which
 		// is unrolled, in order, so the chain's latency and not the loop
 		// decides its speed. The five-instruction loop ran ~40 % slower
@@ -296,14 +319,10 @@ func (m aggMonoid) fold(acc []float64, step int, v []float64, mask []bool) {
 			s += x
 		}
 		acc[0] = s
-		return
-	}
-	for j, x := range v {
-		if mask == nil || mask[j] {
-			if m.one {
-				x = 1
-			}
-			acc[j*step] = m.op(acc[j*step], x)
+	default:
+		acc = acc[:len(v)]
+		for j, x := range v {
+			acc[j] += x
 		}
 	}
 }
@@ -326,8 +345,10 @@ func newAggBlock(ms []aggMonoid, n int, touched bool) *aggBlock {
 	}
 	for k, m := range ms {
 		acc.Accs[k] = linalg.NewVector(n)
-		for j := range acc.Accs[k].Data {
-			acc.Accs[k].Data[j] = m.zero
+		if m.zero != 0 {
+			for j := range acc.Accs[k].Data {
+				acc.Accs[k].Data[j] = m.zero
+			}
 		}
 	}
 	return acc
@@ -336,14 +357,96 @@ func newAggBlock(ms []aggMonoid, n int, touched bool) *aggBlock {
 // merge folds partial b into a.
 func (a *aggBlock) merge(ms []aggMonoid, b *aggBlock) *aggBlock {
 	for k, m := range ms {
-		for i := range a.Accs[k].Data {
-			a.Accs[k].Data[i] = m.op(a.Accs[k].Data[i], b.Accs[k].Data[i])
+		x, y := a.Accs[k].Data, b.Accs[k].Data
+		y = y[:len(x)]
+		if m.add {
+			for i := range x {
+				x[i] += y[i]
+			}
+			continue
+		}
+		for i := range x {
+			x[i] = m.op(x[i], y[i])
 		}
 	}
 	for i := range a.Touched {
 		a.Touched[i] = a.Touched[i] || b.Touched[i]
 	}
 	return a
+}
+
+// grouping says where a row's lanes fold: all into one accumulator (a
+// total), into the row's own (group by row), or each into its column's
+// (group by column).
+type grouping uint8
+
+const (
+	groupTotal grouping = iota
+	groupRow
+	groupCol
+)
+
+// at is where row i's lanes fold, the first at column lo: the first
+// lane's accumulator p, and the stride between lanes' (aggMonoid.fold).
+func (g grouping) at(i, lo int) (p, step int) {
+	switch g {
+	case groupRow:
+		return i, 0
+	case groupCol:
+		return lo, 1
+	}
+	return 0, 0
+}
+
+// fold folds kernel k's values over span s into the partial, marking the
+// positions a live lane reached. A pass-through kernel's values are the
+// tile's own rows, so they go straight from the tile to aggMonoid.fold —
+// the rows, row order and accumulators the row driver would hand over,
+// with every lane live.
+func (a *aggBlock) fold(k *kernel, ms []aggMonoid, g grouping, s span) {
+	if !k.pass {
+		k.run(s, nil, func(i, lo int, vals [][]float64, mask []bool) { a.add(ms, g, i, lo, vals, mask) })
+		return
+	}
+	if s.h == 0 || s.w == 0 {
+		return
+	}
+	if a.Touched != nil {
+		reached := s.h // the rows; grouped by column, the columns
+		if g == groupCol {
+			reached = s.w
+		}
+		for j := range a.Touched[:reached] {
+			a.Touched[j] = true
+		}
+	}
+	for i := 0; i < s.h; i++ {
+		off := i * s.stride
+		p, step := g.at(i, 0)
+		for e, v := range k.vals {
+			ms[e].fold(a.Accs[e].Data[p:], step, s.src[v.slot.id][off:off+s.w], nil)
+		}
+	}
+}
+
+// add folds one row the row driver hands over: row i's live lanes (mask;
+// nil = all), the first at column lo.
+func (a *aggBlock) add(ms []aggMonoid, g grouping, i, lo int, vals [][]float64, mask []bool) {
+	p, step := g.at(i, lo)
+	switch {
+	case a.Touched == nil:
+	case mask == nil && step == 0:
+		a.Touched[p] = true
+	default:
+		for j := range vals[0] {
+			if mask == nil || mask[j] {
+				a.Touched[p+j*step] = true
+			}
+		}
+	}
+	for e, v := range vals {
+		ms[e].fold(a.Accs[e].Data[p:], step, v, mask)
+	}
 }
 
 // data lists the accumulators' rows, the finalize kernel's value slots.
@@ -390,7 +493,10 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	if len(s.KeyPos) != 1 {
 		return nil, fmt.Errorf("plan: tile aggregation supports one group key, got %d", len(s.KeyPos))
 	}
-	byRow := s.KeyPos[0] == 0
+	byRow, g := s.KeyPos[0] == 0, groupRow
+	if !byRow {
+		g = groupCol
+	}
 	n, rows, cols := m.N, m.Rows, m.Cols
 	parts := m.Tiles.NumPartitions()
 	if d := s.Decision; d != nil && d.Parts > 0 {
@@ -403,24 +509,7 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 		if !byRow {
 			key = b.Key.J
 		}
-		q.cell.run(tileSpan(b.Key, n, rows, cols, nil, b.Value.Data), nil, func(i, lo int, vals [][]float64, mask []bool) {
-			p, step := i, 0 // the row's first accumulator, and the stride between lanes'
-			if !byRow {
-				p, step = lo, 1
-			}
-			if mask == nil && byRow {
-				acc.Touched[i] = true
-			} else {
-				for j := range vals[0] {
-					if mask == nil || mask[j] {
-						acc.Touched[p+j*step] = true
-					}
-				}
-			}
-			for k, v := range vals {
-				monoids[k].fold(acc.Accs[k].Data[p:], step, v, mask)
-			}
-		})
+		acc.fold(q.cell, monoids, g, tileSpan(b.Key, n, rows, cols, nil, b.Value.Data))
 		return dataflow.KV(key, acc)
 	})
 
@@ -489,18 +578,17 @@ func (q *Compiled) execTotalAgg(s *opt.TileAggStrategy, ms []aggMonoid) (*Result
 	return &Result{Scalar: v[0]}, nil
 }
 
-// foldTotal is execTotalAgg's action over one array's tiles. A partition
-// with no tiles has a nil partial, which merges as the identity.
+// foldTotal is execTotalAgg's action over one array's tiles: each tile's
+// rows fold into the partition's running total through aggBlock.fold —
+// straight from the tile for a pass-through kernel (+/a, count/a, avg/a),
+// through the row driver otherwise, in the same row order either way. A
+// partition with no tiles has a nil partial, which merges as the identity.
 func foldTotal[T any](k *kernel, ms []aggMonoid, tiles *dataflow.Dataset[T], spanOf func(T) span) *aggBlock {
 	return dataflow.Aggregate(tiles, nil, func(acc *aggBlock, t T) *aggBlock {
 		if acc == nil {
 			acc = newAggBlock(ms, 1, false)
 		}
-		k.run(spanOf(t), nil, func(_, _ int, vals [][]float64, mask []bool) {
-			for e, v := range vals {
-				ms[e].fold(acc.Accs[e].Data, 0, v, mask)
-			}
-		})
+		acc.fold(k, ms, groupTotal, spanOf(t))
 		return acc
 	}, func(x, y *aggBlock) *aggBlock {
 		if x == nil {

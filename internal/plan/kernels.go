@@ -323,6 +323,7 @@ type kernel struct {
 	nval     int     // value slots
 	nidx     int     // index slots
 	nbuf     int     // scratch rows: one per node plus the driver's two masks
+	pass     bool    // no guard or filter, every value a bare value slot: rows need no evaluation
 	frames   sync.Pool
 }
 
@@ -365,6 +366,8 @@ func lowerKernel(slots map[string]slot, lets []comp.LetQual, filters []comp.Expr
 		k.vals = append(k.vals, c.as(n, tFloat, v))
 	}
 	k.nbuf = c.next + 2
+	k.pass = k.rowGuard == nil && k.colGuard == nil && len(k.filters) == 0 &&
+		!slices.ContainsFunc(k.vals, func(n *node) bool { return n.op != "val" })
 	return k, nil
 }
 
@@ -456,8 +459,30 @@ func clip(dim, key int64, n int) int {
 // tile), evaluates the kernel, and hands the row over: written to s.dst
 // if set — rejected lanes keep the builder default 0 — and passed to
 // emit (row i, first lane lo, the value rows, live lanes; nil = all).
-// in, if non-nil, pre-selects row i's lanes.
+// in, if non-nil, pre-selects row i's lanes. A pass-through kernel takes
+// no frame and evaluates nothing: its value rows are the source rows
+// themselves, which is what evaluating a bare value slot returns.
 func (k *kernel) run(s span, in func(i int) []bool, emit func(i, lo int, vals [][]float64, mask []bool)) {
+	if k.pass {
+		vals := make([][]float64, len(k.vals))
+		for i := 0; i < s.h && s.w > 0; i++ {
+			off := i * s.stride
+			for x, v := range k.vals {
+				vals[x] = s.src[v.slot.id][off : off+s.w]
+			}
+			var mask []bool
+			if in != nil {
+				mask = in(i)[:s.w]
+			}
+			if s.dst != nil {
+				store(s.dst[off:], vals[0], mask)
+			}
+			if emit != nil {
+				emit(i, 0, vals, mask)
+			}
+		}
+		return
+	}
 	fr := k.frame()
 	defer k.release(fr)
 	lo, hi := 0, s.w
@@ -493,16 +518,22 @@ func (k *kernel) run(s span, in func(i int) []bool, emit func(i, lo int, vals []
 		}
 		mask := k.row(fr, live)
 		if s.dst != nil {
-			dst := s.dst[off : off+w]
-			copy(dst, fr.out[0])
-			for j, ok := range mask {
-				if !ok {
-					dst[j] = 0
-				}
-			}
+			store(s.dst[off:], fr.out[0], mask)
 		}
 		if emit != nil {
 			emit(i, lo, fr.out, mask)
+		}
+	}
+}
+
+// store writes a row's values to dst, rejected lanes as the builder
+// default 0.
+func store(dst, v []float64, mask []bool) {
+	dst = dst[:len(v)]
+	copy(dst, v)
+	for j, ok := range mask {
+		if !ok {
+			dst[j] = 0
 		}
 	}
 }

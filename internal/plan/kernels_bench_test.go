@@ -13,7 +13,8 @@ import (
 // BenchmarkCompiledVsHandwritten times the three Fig 4.A / Fig 1 shapes
 // through the kernel compiler and through the hand-written tiled
 // operators on the same persisted inputs (n=2000, tile 100, 8
-// partitions) and reports compiled/handwritten — the
+// partitions; rowsums-n1000 is the 8 MB input cluster-rowsum folds,
+// against 32 MB at n=2000) and reports compiled/handwritten — the
 // plan.compiled_vs_handwritten layer metric of ROADMAP item 2, kept here
 // until a benchmark PR lifts it into benchmark/. Both sides are forced
 // with the same Count action; compile time is included on the compiled
@@ -26,22 +27,27 @@ func BenchmarkCompiledVsHandwritten(b *testing.B) {
 	mb := tiled.RandMatrix(ctx, n, n, tile, parts, 0, 10, 2).Persist()
 	dataflow.Count(ma.Tiles)
 	dataflow.Count(mb.Tiles)
+	ms := tiled.RandMatrix(ctx, n/2, n/2, tile, parts, 0, 10, 3).Persist()
+	dataflow.Count(ms.Tiles)
 	cat := NewCatalog(ctx).BindMatrix("A", ma).BindMatrix("B", mb).BindScalar("n", int64(n))
+	small := NewCatalog(ctx).BindMatrix("A", ms).BindScalar("n", int64(n/2))
 
+	const rowsums = "tiledvec(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]"
 	for _, c := range []struct {
 		name, src string
+		cat       *Catalog
 		hand      func()
 	}{
-		{"add", "tiled(n,n)[ ((i,j), a+b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]",
+		{"add", "tiled(n,n)[ ((i,j), a+b) | ((i,j),a) <- A, ((ii,jj),b) <- B, ii == i, jj == j ]", cat,
 			func() { dataflow.Count(ma.Add(mb).Tiles) }},
-		{"transpose", "tiled(n,n)[ ((j,i), a) | ((i,j),a) <- A ]",
+		{"transpose", "tiled(n,n)[ ((j,i), a) | ((i,j),a) <- A ]", cat,
 			func() { dataflow.Count(ma.Transpose().Tiles) }},
-		{"rowsums", "tiledvec(n)[ (i, +/a) | ((i,j),a) <- A, group by i ]",
-			func() { dataflow.Count(ma.RowSums().Blocks) }},
+		{"rowsums", rowsums, cat, func() { dataflow.Count(ma.RowSums().Blocks) }},
+		{"rowsums-n1000", rowsums, small, func() { dataflow.Count(ms.RowSums().Blocks) }},
 	} {
 		e := sacparser.MustParse(c.src)
 		compiled := func() {
-			q, err := Compile(e, cat, opt.Options{})
+			q, err := Compile(e, c.cat, opt.Options{})
 			if err == nil {
 				_, _, err = q.Force(false)
 			}
@@ -62,8 +68,8 @@ func BenchmarkCompiledVsHandwritten(b *testing.B) {
 				c.hand()
 				th += time.Since(t)
 			}
-			b.ReportMetric(float64(tc.Milliseconds())/float64(b.N), "compiled-ms")
-			b.ReportMetric(float64(th.Milliseconds())/float64(b.N), "handwritten-ms")
+			b.ReportMetric(tc.Seconds()*1e3/float64(b.N), "compiled-ms")
+			b.ReportMetric(th.Seconds()*1e3/float64(b.N), "handwritten-ms")
 			b.ReportMetric(float64(tc)/float64(th), "compiled/handwritten")
 		})
 	}
