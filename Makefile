@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet fmt race test benchmark-test bench bench-adaptive bench-smoke bench-placement bench-kernels bench-spill spill-test cluster-test obs-test serve-test bench-serve fuzz stages trace check
+.PHONY: all tier1 vet fmt race test benchmark-test bench bench-smoke bench-placement bench-kernels bench-spill spill-test cluster-test obs-test serve-test bench-serve fuzz stages trace check
 
 all: tier1
 
@@ -57,13 +57,6 @@ bench-kernels:
 	$(GO) run ./cmd/sacbench -fig kernels
 	$(GO) test -run '^$$' -bench 'GemmTile|GBJCell' -benchtime 300ms ./internal/linalg
 	$(GO) test -run '^$$' -bench 'Kernels_' -benchmem -benchtime 2x .
-
-# Adaptive-vs-static skew suite (what the CI adaptive job runs):
-# adversarially skewed shuffles under both policies, with wall clock,
-# shuffle bytes, and post-split partition balance written to
-# BENCH_adaptive.json.
-bench-adaptive:
-	$(GO) run ./cmd/sacbench -fig adaptive -json BENCH_adaptive.json
 
 # Out-of-core test gate: the end-to-end spill tests under a tight
 # process-wide budget, then the cluster parity suites under the same

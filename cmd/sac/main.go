@@ -18,10 +18,9 @@
 //
 //	sac history eventlog/query-*.jsonl
 //
-// -adaptive turns on statistics-driven planning (partition counts from
-// cardinality estimates) and adaptive stage-boundary repartitioning
-// for local sessions; plans then show the picked counts in their cost
-// clause, next to the processor grid every group-by-join plan names.
+// Every group-by-join plan names in its cost clause the processor grid
+// it runs on, which follows from the block counts, the partition count
+// and, with -cluster, the world.
 package main
 
 import (
@@ -100,7 +99,6 @@ func main() {
 	debugAddr := flag.String("debug", "", "serve /debug endpoints (pprof, live metrics, stage table) on this address while running")
 	runStdin := flag.Bool("run-stdin", false, "read one query per line from stdin")
 	loop := flag.Bool("loop", false, "read a DIABLO loop program from stdin, translate and run it")
-	adaptive := flag.Bool("adaptive", false, "enable statistics-driven planning and adaptive stage-boundary repartitioning (local sessions only; cluster queries always run the static SPMD plan)")
 	noGBJ := flag.Bool("no-gbj", false, "disable the Section 5.4 group-by-join")
 	noRBK := flag.Bool("no-reducebykey", false, "disable Rule 13 (use groupByKey)")
 	seed := flag.Int64("seed", 1, "random seed for the generated matrices")
@@ -123,10 +121,9 @@ func main() {
 
 	newLocal := func() *core.Session {
 		s := core.NewSession(core.Config{
-			TileSize:        *tile,
-			MemoryBudget:    budget,
-			AdaptiveShuffle: *adaptive,
-			Optimizations:   opt.Options{DisableGBJ: *noGBJ, DisableReduceByKey: *noRBK},
+			TileSize:      *tile,
+			MemoryBudget:  budget,
+			Optimizations: opt.Options{DisableGBJ: *noGBJ, DisableReduceByKey: *noRBK},
 		})
 		s.RegisterRandMatrix("A", *n, *n, 0, 10, *seed)
 		s.RegisterRandMatrix("B", *n, *n, 0, 10, *seed+1)
@@ -140,8 +137,7 @@ func main() {
 	// This is the one place that knows where queries run: with -cluster
 	// on registered sacworker processes, through a session that plans on
 	// the driver exactly as its ranks will (same inputs, same partition
-	// count — -adaptive and -mem shape local sessions only, because SPMD
-	// ranks must build byte-identical stage graphs and each worker has
+	// count — -mem shapes local sessions only, because each worker has
 	// its own budget); otherwise in this process. Everything below holds
 	// a core.Backend.
 	var b core.Backend

@@ -69,24 +69,13 @@ func TestCLIQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query failed: %v\n%s", err, out)
 	}
-	for _, want := range []string{"SUMMA", "grid 2x2", "result:", "metrics:"} {
+	for _, want := range []string{"SUMMA", "cost: summa-gbj", "rejected:", "grid 2x2", "result:", "metrics:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
-}
-
-func TestCLIAdaptiveQuery(t *testing.T) {
-	out, err := runSac(t, "", "-n", "8", "-tile", "4", "-adaptive",
-		"-query", "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]")
-	if err != nil {
-		t.Fatalf("adaptive query failed: %v\n%s", err, out)
-	}
-	// The plan line must carry the cost clause with the adaptive knobs.
-	for _, want := range []string{"cost: summa-gbj", "rejected:", "parts ", "result:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
+	if strings.Contains(out, "parts ") {
+		t.Fatalf("the plan names a partition count of its own:\n%s", out)
 	}
 }
 

@@ -9,8 +9,6 @@
 //	sacbench -fig all -quick      # everything, small sizes
 //	sacbench -fig stages          # per-stage timing table for a GBJ multiply
 //	sacbench -fig 4b -stages      # append the stage table to any figure run
-//	sacbench -fig adaptive -json BENCH_adaptive.json
-//	                              # skewed adaptive-vs-static suite + JSON artifact
 //	sacbench -fig 4b -json out.json  # machine-readable per-stage doc for any figure
 //	sacbench -trace out.json      # Chrome trace of a GBJ multiply (Perfetto)
 //	sacbench -fig 4b -mem 64MiB   # out-of-core run: spill columns appear in the tables
@@ -31,7 +29,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 4a, 4b, 4c, ablation, kernels, adaptive, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 4a, 4b, 4c, ablation, kernels, stages, all")
 	tile := flag.Int("tile", 100, "tile size N (the paper used 1000)")
 	parts := flag.Int("parts", 8, "dataset partitions (the paper had 8 executors)")
 	k := flag.Int64("k", 100, "factorization rank k (the paper used 1000)")
@@ -41,7 +39,7 @@ func main() {
 	sizesFlag := flag.String("sizes", "", "comma-separated matrix side lengths, overriding defaults")
 	traceOut := flag.String("trace", "", "run a traced GBJ multiply, write Chrome trace JSON to this file, and exit")
 	debugAddr := flag.String("debug", "", "serve /debug endpoints (pprof, live metrics, stage table) on this address during the run")
-	jsonOut := flag.String("json", "", "write a machine-readable JSON artifact to this file: the adaptive suite for -fig adaptive, the per-stage/histogram document otherwise")
+	jsonOut := flag.String("json", "", "write the per-stage/histogram document of the last measured run as JSON to this file")
 	flag.Parse()
 
 	budget := memory.BudgetFromEnv(0)
@@ -130,26 +128,6 @@ func main() {
 		fmt.Println(bench.AblationCoordinate(cfg, []int64{100, 150}).Format())
 		fmt.Println(bench.AblationTileSize(cfg, mulSizes[0], []int{25, 50, 100, 200}).Format())
 	}
-	writeJSON := func(doc any) {
-		if *jsonOut == "" {
-			return
-		}
-		blob, err := json.MarshalIndent(doc, "", " ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sacbench: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-	runAdaptive := func() {
-		s := bench.Adaptive(cfg)
-		fmt.Println(s.Format())
-		writeJSON(s)
-	}
-
 	switch *fig {
 	case "4a":
 		run4a()
@@ -163,9 +141,6 @@ func main() {
 		runKernels()
 	case "stages":
 		runStages()
-		return
-	case "adaptive":
-		runAdaptive()
 		return
 	case "all":
 		run4a()
@@ -181,7 +156,18 @@ func main() {
 	}
 	// For figure runs, -json exports the per-stage counters and skew
 	// histograms of the most recent measured context.
-	writeJSON(debug.StagesJSON(bench.CurrentMetrics()))
+	if *jsonOut == "" {
+		return
+	}
+	blob, err := json.MarshalIndent(debug.StagesJSON(bench.CurrentMetrics()), "", " ")
+	if err == nil {
+		err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sacbench: writing %s: %v\n", *jsonOut, err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", *jsonOut)
 }
 
 func min(a, b int) int {

@@ -63,7 +63,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 32, "bounded admission queue length; submissions beyond it are rejected immediately")
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "how long one query may wait in the admission queue")
 	planCache := flag.Int("plan-cache", 64, "compiled plans cached per pooled session")
-	adaptive := flag.Bool("adaptive", false, "enable statistics-driven planning and adaptive stage-boundary repartitioning")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: how long to let in-flight queries finish before closing")
 	clusterAddr := flag.String("cluster", "", "run as a distributed driver: listen for sacworker registrations on this address and execute queries on the cluster")
 	clusterWorkers := flag.Int("cluster-workers", 1, "with -cluster: how many workers to wait for before serving")
@@ -78,7 +77,6 @@ func main() {
 		MaxQueue:        *maxQueue,
 		QueueTimeout:    *queueTimeout,
 		PlanCacheSize:   *planCache,
-		AdaptiveShuffle: *adaptive,
 	}
 
 	// The one place that knows where queries run. In cluster mode the

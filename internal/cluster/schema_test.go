@@ -21,8 +21,7 @@ import (
 var legacySeries = []string{
 	"sac_dataflow_stages_total", "sac_dataflow_tasks_total", "sac_dataflow_records_in_total",
 	"sac_dataflow_shuffled_bytes_total", "sac_dataflow_spilled_bytes_total", "sac_dataflow_spill_files_total",
-	"sac_dataflow_merge_passes_total", "sac_dataflow_adaptive_rebalances_total",
-	"sac_dataflow_adaptive_moved_records_total",
+	"sac_dataflow_merge_passes_total",
 	"sac_cluster_wire_fetched_bytes_total", "sac_cluster_wire_raw_bytes_total",
 	"sac_cluster_wire_served_bytes_total", "sac_cluster_chunks_fetched_total",
 	"sac_cluster_conn_pool_hits_total", "sac_cluster_conn_pool_misses_total",

@@ -46,14 +46,6 @@ type Config struct {
 	// SpillDir overrides where spill run files are written (default: a
 	// fresh directory under os.TempDir, removed on Close).
 	SpillDir string
-	// AdaptiveShuffle turns on statistics-driven execution: shuffle
-	// boundaries rebalance skewed partitions at stage granularity, and
-	// the cost model's estimated partition counts reshape physical plans.
-	// Local-only — a session with a Transport ignores it, because both
-	// read this process's cores and load and SPMD ranks must build
-	// byte-identical plans. (The SUMMA processor grid is not part of
-	// this: it follows from the partition count on every backend.)
-	AdaptiveShuffle bool
 	// Transport, when non-nil, makes this session one rank of a
 	// multi-process SPMD cluster: it runs the tasks it owns and
 	// exchanges shuffle buckets with its peers through the transport
@@ -82,7 +74,6 @@ func NewSession(conf Config) *Session {
 		DefaultPartitions: conf.Partitions,
 		MemoryBudget:      conf.MemoryBudget,
 		SpillDir:          conf.SpillDir,
-		AdaptiveShuffle:   conf.AdaptiveShuffle,
 		Transport:         conf.Transport,
 		WorkerTag:         conf.WorkerTag,
 	})

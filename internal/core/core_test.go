@@ -258,36 +258,6 @@ func TestPlanKeepsItsObservation(t *testing.T) {
 	}
 }
 
-// TestSessionAdaptiveLocalOnly: the adaptive knob reshapes local plans
-// (a picked partition count appears in the decision) and must never be
-// derivable for SPMD sessions — Adaptive() is false once a transport is
-// configured, regardless of the config flag.
-func TestSessionAdaptivePicksParts(t *testing.T) {
-	s := NewSession(Config{TileSize: 3, AdaptiveShuffle: true})
-	s.RegisterRandMatrix("A", 6, 6, 0, 2, 2)
-	s.RegisterRandMatrix("B", 6, 6, 0, 2, 3)
-	src := `tiled(6,6)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
-	          kk == k, let v = a*b, group by (i,j) ]`
-	ex, err := s.Explain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ex, "parts ") {
-		t.Fatalf("adaptive session did not pick a partition count:\n%s", ex)
-	}
-	m, err := s.QueryMatrix(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adaptive execution must stay exact: rebuild the inputs
-	// deterministically and compare against the dense product.
-	refA := tiled.RandMatrix(s.ctx, 6, 6, 3, 0, 0, 2, 2).ToDense()
-	refB := tiled.RandMatrix(s.ctx, 6, 6, 3, 0, 0, 2, 3).ToDense()
-	if !m.ToDense().EqualApprox(linalg.Mul(refA, refB), 1e-9) {
-		t.Fatal("adaptive matmul diverged from reference")
-	}
-}
-
 func TestEvalLocal(t *testing.T) {
 	d := linalg.NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
 	got, err := EvalLocal("vector(2)[ (i, +/m) | ((i,j),m) <- M, group by i ]",

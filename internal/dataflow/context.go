@@ -61,14 +61,6 @@ type Config struct {
 	// fresh directory under the OS temp dir, created on first spill
 	// and removed by Close.
 	SpillDir string
-	// AdaptiveShuffle enables adaptive stage boundaries: after each
-	// shuffle map-side, the engine rebalances lopsided reduce buckets
-	// by moving whole key groups out of the argmax-skewed bucket into
-	// the smallest ones (see adaptive.go). Results are unchanged; only
-	// their distribution across reduce tasks is. Ignored — always off —
-	// under a cluster Transport, where every rank must make identical
-	// decisions.
-	AdaptiveShuffle bool
 	// Transport, when non-nil, switches the context into distributed
 	// SPMD execution: this process is one rank of Transport.World()
 	// identical processes all building the same deterministic graph.

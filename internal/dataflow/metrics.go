@@ -15,15 +15,14 @@ import (
 
 // Metrics accumulates engine counters: the scalar counters of the
 // schema (obs.Counters; tasks bump them atomically and concurrently)
-// plus the per-stage and per-rebalance records.
+// plus the per-stage records.
 type Metrics struct {
 	c obs.LiveCounters
 
 	stagesInFlight atomic.Int64
 
-	mu             sync.Mutex // guards the two record logs
-	perStage       []StageMetric
-	adaptiveEvents []AdaptiveEvent
+	mu       sync.Mutex // guards the record log
+	perStage []StageMetric
 }
 
 // Dist and StageMetric are declared beside the counter schema, with
@@ -32,10 +31,6 @@ type (
 	Dist        = obs.Dist
 	StageMetric = obs.StageMetric
 )
-
-// DefaultSkewThreshold is the task-duration p99/p50 ratio above which a
-// stage is flagged as skewed.
-const DefaultSkewThreshold = obs.DefaultSkewThreshold
 
 // summarizeDist computes a Dist over vals[i] for the indices i that ran,
 // ran[i] > 0 (every index when ran is nil), where index i is task or
@@ -135,28 +130,11 @@ func MergeStageRows(rows []StageMetric) []StageMetric {
 	return out
 }
 
-// AdaptiveEvent records one adaptive stage-boundary rebalance: the
-// records-per-partition distribution of the shuffle's buckets before
-// and after, and the volume moved out of the hot (argmax) bucket.
-type AdaptiveEvent struct {
-	// Stage is the shuffle's name (e.g. "shuffle(reduceByKey)").
-	Stage string
-	// Before and After summarize records per reduce bucket around the
-	// rebalance; Before.ArgMax is the hot bucket that was split.
-	Before, After Dist
-	// MovedRecords and MovedGroups count the rows and whole key groups
-	// relocated from the hot bucket to the smallest ones.
-	MovedRecords int64
-	MovedGroups  int64
-}
-
 // MetricsSnapshot is an immutable copy of the metrics: the counter set
 // (promoted, so snap.Tasks reads as before) and the records. The records
 // of a context's snapshot share its logs: no reader may write to a row.
 type MetricsSnapshot struct {
 	obs.CounterSet
-	// AdaptiveEvents details each rebalance in completion order.
-	AdaptiveEvents []AdaptiveEvent
 	// PerStage lists every completed stage in completion order with its
 	// wall time, task count, records in/out, shuffled bytes, and
 	// task-duration / records-per-partition distributions.
@@ -210,13 +188,6 @@ func (m *Metrics) recordStage(s StageMetric) {
 	m.mu.Unlock()
 }
 
-// noteAdaptive appends one adaptive rebalance record.
-func (m *Metrics) noteAdaptive(e AdaptiveEvent) {
-	m.mu.Lock()
-	m.adaptiveEvents = append(m.adaptiveEvents, e)
-	m.mu.Unlock()
-}
-
 // noteSpill credits one spill event: bytes and rows written across
 // files new run files.
 func (m *Metrics) noteSpill(bytes, rows, files int64) {
@@ -233,9 +204,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MetricsSnapshot{
-		CounterSet:     m.c.Snapshot(),
-		AdaptiveEvents: slices.Clip(m.adaptiveEvents),
-		PerStage:       slices.Clip(m.perStage),
+		CounterSet: m.c.Snapshot(),
+		PerStage:   slices.Clip(m.perStage),
 	}
 }
 
@@ -245,7 +215,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 func (m *Metrics) Reset(resetHeld func()) {
 	m.c.Reset(resetHeld)
 	m.mu.Lock()
-	m.perStage, m.adaptiveEvents = nil, nil
+	m.perStage = nil
 	m.mu.Unlock()
 }
 
@@ -261,17 +231,13 @@ func (s MetricsSnapshot) String() string {
 		out += fmt.Sprintf(" remoteFetches=%d remoteFetchedBytes=%d fetchFailures=%d resubmissions=%d",
 			s.RemoteFetches, s.RemoteFetchedBytes, s.FetchFailures, s.Resubmissions)
 	}
-	if s.AdaptiveRebalances > 0 {
-		out += fmt.Sprintf(" adaptiveRebalances=%d adaptiveMovedRecords=%d",
-			s.AdaptiveRebalances, s.AdaptiveMovedRecords)
-	}
 	return out
 }
 
 // FormatStages renders the per-stage execution table: one row per
 // completed stage with wall time, tasks, records in/out, shuffled
 // bytes, and the task-duration distribution (p50/p99/skew). Stages
-// whose skew exceeds DefaultSkewThreshold are flagged below the table
+// whose skew exceeds obs.DefaultSkewThreshold are flagged below the table
 // with the suspect partition.
 func (s MetricsSnapshot) FormatStages() string {
 	var b strings.Builder
@@ -297,15 +263,6 @@ func (s MetricsSnapshot) FormatStages() string {
 	}
 	for _, w := range s.StragglerWarnings(0) {
 		fmt.Fprintf(&b, "warning: %s\n", w)
-	}
-	if s.AdaptiveRebalances > 0 {
-		fmt.Fprintf(&b, "adaptive: %d rebalances moved %d records (%d key groups)\n",
-			s.AdaptiveRebalances, s.AdaptiveMovedRecords, s.AdaptiveMovedGroups)
-		for _, e := range s.AdaptiveEvents {
-			fmt.Fprintf(&b, "  %s: bucket %d held %d records (p50=%d) -> max %d after moving %d records in %d groups\n",
-				e.Stage, e.Before.ArgMax, e.Before.Max, e.Before.P50,
-				e.After.Max, e.MovedRecords, e.MovedGroups)
-		}
 	}
 	fmt.Fprintf(&b, "max concurrent stages: %d\n", s.MaxConcurrentStages)
 	if gets := s.PoolHits + s.PoolMisses; gets > 0 {
@@ -393,7 +350,7 @@ func (s MetricsSnapshot) FormatWorkers() string {
 }
 
 // SkewWarnings lists the per-stage skew diagnoses whose task-duration
-// p99/p50 exceeds threshold (<= 0 uses DefaultSkewThreshold), each
+// p99/p50 exceeds threshold (<= 0 uses obs.DefaultSkewThreshold), each
 // naming the suspect partition. This is the hook skew-mitigation work
 // builds on.
 func (s MetricsSnapshot) SkewWarnings(threshold float64) []string {
@@ -479,7 +436,6 @@ func (s MetricsSnapshot) StragglerWarnings(threshold float64) []string {
 func (s MetricsSnapshot) Sub(t MetricsSnapshot) MetricsSnapshot {
 	s.CounterSet = obs.SubCounters(s.CounterSet, t.CounterSet)
 	s.PerStage = s.PerStage[min(len(t.PerStage), len(s.PerStage)):]
-	s.AdaptiveEvents = s.AdaptiveEvents[min(len(t.AdaptiveEvents), len(s.AdaptiveEvents)):]
 	s.MaxConcurrentStages = maxOverlap(s.PerStage)
 	return s
 }

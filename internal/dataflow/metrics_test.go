@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -95,8 +96,8 @@ func TestSkewHistograms(t *testing.T) {
 	if st.TaskDur.N != parts || st.TaskDur.ArgMax != 0 {
 		t.Fatalf("task-duration distribution missed the straggler: %+v", st.TaskDur)
 	}
-	if st.TaskDur.Skew() <= DefaultSkewThreshold {
-		t.Fatalf("duration p99/p50 = %.1f, want > %.1f", st.TaskDur.Skew(), DefaultSkewThreshold)
+	if st.TaskDur.Skew() <= obs.DefaultSkewThreshold {
+		t.Fatalf("duration p99/p50 = %.1f, want > %.1f", st.TaskDur.Skew(), obs.DefaultSkewThreshold)
 	}
 
 	w, ok := st.SkewWarning(0)

@@ -76,9 +76,3 @@ func hashString(s string) uint64 {
 func partitionOf[K comparable](k K, n int) int {
 	return int(hashAny(k) % uint64(n))
 }
-
-// KeyPartition reports the reduce partition the engine's hash
-// partitioner assigns key k among n partitions. Exported so benchmarks
-// and tests can construct deliberately colliding (adversarially
-// skewed) key sets and verify routing from outside the package.
-func KeyPartition[K comparable](k K, n int) int { return partitionOf(k, n) }

@@ -63,10 +63,6 @@ type lazyBuckets[T any] struct {
 	// narrow marks a co-partitioned read that moves no data: map task m
 	// fills only bucket m. It is excluded from the shuffle metrics.
 	narrow bool
-	// adapt, when non-nil, opts the shuffle into adaptive stage-boundary
-	// rebalancing; it maps a row to its key-group ordinal, the unit that
-	// must move between buckets atomically. See adaptive.go.
-	adapt func(T) uint64
 
 	// fill is the map side: it routes input partition m's rows into tb
 	// and returns the input-record count. It runs once per map task
@@ -107,8 +103,7 @@ func newShuffle[T any](d *Dataset[T], name string, parts int, fill func(m int, t
 
 // runMapSide is the map-side stage body: every map task this rank owns
 // fills its segments through the one writer, then the stage accounts
-// for what it produced, rebalances if it may, and opens the store to
-// eviction.
+// for what it produced and opens the store to eviction.
 func (s *lazyBuckets[T]) runMapSide(st *Stage) {
 	s.seg = make([][]bucketed[T], s.srcParts)
 	s.ctx.runTasksOwned(st, 0, s.srcParts, func(m int) {
@@ -129,7 +124,6 @@ func (s *lazyBuckets[T]) runMapSide(st *Stage) {
 		s.ctx.metrics.c.Shuffles.Add(1)
 		s.ctx.metrics.c.ShuffledRecords.Add(recs)
 		s.ctx.metrics.c.ShuffledBytes.Add(bytes)
-		s.rebalance()
 		s.ctx.mem.RegisterEvictor(s.evict)
 	}
 }
@@ -202,7 +196,7 @@ func (s *lazyBuckets[T]) get(p int) []T {
 	if s.done[p] {
 		return s.out[p]
 	}
-	lo, hi := 0, len(s.seg)
+	lo, hi := 0, s.srcParts
 	if s.narrow {
 		lo, hi = p, p+1
 	}
@@ -332,7 +326,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(V, V)
 		})
 		flush()
 		return in
-	}).withAdapt(pairOrd[K, V])
+	})
 	// Reduce side: fold the shuffled partials per key, in first-seen key
 	// order.
 	lb.fold = func() (func([]Pair[K, V]), func() []Pair[K, V]) {
@@ -357,14 +351,8 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], combine func(V, V)
 		}
 		return absorb, finish
 	}
-	out := newSliceDataset(d.ctx, numPartitions, "reduceByKey", []*Stage{lb.stage}, lb.get)
-	if lb.mayAdapt() {
-		// Rebalancing may move keys off their hash bucket, so the output
-		// is no longer hash-co-partitioned: downstream keyed operators
-		// must do a full exchange rather than a narrow read.
-		return out
-	}
-	return out.withKeyParts(numPartitions)
+	return newSliceDataset(d.ctx, numPartitions, "reduceByKey", []*Stage{lb.stage}, lb.get).
+		withKeyParts(numPartitions)
 }
 
 // GroupByKey collects all values per key into a slice. Unlike
@@ -375,8 +363,7 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) 
 	if numPartitions <= 0 {
 		numPartitions = d.ctx.DefaultPartitions()
 	}
-	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), true).
-		withAdapt(pairOrd[K, V])
+	lb := exchange(d, numPartitions, pairRoute[K, V](numPartitions), true)
 	ds := newStreamDataset(d.ctx, numPartitions, "groupByKey", []*Stage{lb.stage},
 		func(p int, emit func(Pair[K, []V])) {
 			acc := make(map[K][]V)
@@ -391,9 +378,6 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], numPartitions int) 
 				emit(KV(k, acc[k]))
 			}
 		})
-	if lb.mayAdapt() {
-		return ds // rebalancing breaks hash-co-partitioning; see ReduceByKey
-	}
 	return ds.withKeyParts(numPartitions)
 }
 

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -58,23 +59,50 @@ func TestGroupByKeyCollectsAll(t *testing.T) {
 	}
 }
 
-func TestReduceByKeyEquivalentToGroupByKeyFold(t *testing.T) {
-	ctx := NewLocalContext()
-	d := Parallelize(ctx, pairsOf(100), 7)
-	viaReduce := collectMap(ReduceByKey(d, func(a, b int) int { return a + b }, 4))
-	viaGroup := collectMap(Map(GroupByKey(d, 4), func(g Pair[int, []int]) Pair[int, int] {
-		s := 0
-		for _, v := range g.Value {
-			s += v
+// skewedPairs is n pairs over a key space of keys with a third of the
+// rows on key 0: a hot reduce bucket beside near-empty ones.
+func skewedPairs(n, keys int, seed int64) []Pair[int, int] {
+	rng := rand.New(rand.NewSource(seed))
+	ps := make([]Pair[int, int], n)
+	for i := range ps {
+		k := rng.Intn(keys)
+		if rng.Intn(3) == 0 {
+			k = 0
 		}
-		return KV(g.Key, s)
-	}))
-	if len(viaReduce) != len(viaGroup) {
-		t.Fatal("key sets differ")
+		ps[i] = KV(k, rng.Intn(1000))
 	}
-	for k, v := range viaReduce {
-		if viaGroup[k] != v {
-			t.Fatalf("key %d: %d vs %d", k, v, viaGroup[k])
+	return ps
+}
+
+func TestReduceByKeyEquivalentToGroupByKeyFold(t *testing.T) {
+	for _, in := range []struct {
+		rows             []Pair[int, int]
+		srcParts, rParts int
+	}{
+		{pairsOf(100), 7, 4},
+		{skewedPairs(2000, 64, 1), 5, 8},
+	} {
+		ctx := NewLocalContext()
+		want := map[int]int{}
+		for _, p := range in.rows {
+			want[p.Key] += p.Value
+		}
+		d := Parallelize(ctx, in.rows, in.srcParts)
+		viaReduce := collectMap(ReduceByKey(d, func(a, b int) int { return a + b }, in.rParts))
+		viaGroup := collectMap(Map(GroupByKey(d, in.rParts), func(g Pair[int, []int]) Pair[int, int] {
+			s := 0
+			for _, v := range g.Value {
+				s += v
+			}
+			return KV(g.Key, s)
+		}))
+		if len(viaReduce) != len(want) || len(viaGroup) != len(want) {
+			t.Fatalf("%d reduced and %d grouped keys, want %d", len(viaReduce), len(viaGroup), len(want))
+		}
+		for k, v := range want {
+			if viaReduce[k] != v || viaGroup[k] != v {
+				t.Fatalf("key %d: reduced %d, grouped %d, want %d", k, viaReduce[k], viaGroup[k], v)
+			}
 		}
 	}
 }

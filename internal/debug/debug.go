@@ -82,28 +82,16 @@ type stageJSON struct {
 	SkewWarning   string   `json:"skew_warning,omitempty"`
 }
 
-// adaptiveJSON is one stage-boundary rebalance event.
-type adaptiveJSON struct {
-	Stage        string   `json:"stage"`
-	Before       distJSON `json:"before"`
-	After        distJSON `json:"after"`
-	MovedRecords int64    `json:"moved_records"`
-	MovedGroups  int64    `json:"moved_groups"`
-}
-
 // stagesDoc is the /debug/stages.json document. On cluster snapshots
 // Stages carries the merged view and WorkerStages every rank's own
 // rows; locally WorkerStages is absent.
 type stagesDoc struct {
-	Stages       []stageJSON    `json:"stages"`
-	WorkerStages []stageJSON    `json:"worker_stages,omitempty"`
-	Stragglers   []string       `json:"stragglers,omitempty"`
-	Adaptive     []adaptiveJSON `json:"adaptive,omitempty"`
+	Stages       []stageJSON `json:"stages"`
+	WorkerStages []stageJSON `json:"worker_stages,omitempty"`
+	Stragglers   []string    `json:"stragglers,omitempty"`
 	Totals       struct {
 		ShuffledBytes   int64 `json:"shuffled_bytes"`
 		ShuffledRecords int64 `json:"shuffled_records"`
-		Rebalances      int64 `json:"adaptive_rebalances"`
-		MovedRecords    int64 `json:"adaptive_moved_records"`
 	} `json:"totals"`
 }
 
@@ -134,16 +122,8 @@ func StagesJSON(m dataflow.MetricsSnapshot) any {
 		doc.WorkerStages = append(doc.WorkerStages, toStageJSON(st))
 	}
 	doc.Stragglers = m.StragglerWarnings(0)
-	for _, e := range m.AdaptiveEvents {
-		doc.Adaptive = append(doc.Adaptive, adaptiveJSON{
-			Stage: e.Stage, Before: toDistJSON(e.Before), After: toDistJSON(e.After),
-			MovedRecords: e.MovedRecords, MovedGroups: e.MovedGroups,
-		})
-	}
 	doc.Totals.ShuffledBytes = m.ShuffledBytes
 	doc.Totals.ShuffledRecords = m.ShuffledRecords
-	doc.Totals.Rebalances = m.AdaptiveRebalances
-	doc.Totals.MovedRecords = m.AdaptiveMovedRecords
 	return doc
 }
 
@@ -162,8 +142,8 @@ type Server struct {
 //	                    Prometheus text exposition format
 //	/debug/metrics.json the current MetricsSnapshot as JSON
 //	/debug/stages       the per-stage execution table as text
-//	/debug/stages.json  per-stage counters, Dist histograms, per-worker
-//	                    rows (cluster), and adaptive rebalances as JSON
+//	/debug/stages.json  per-stage counters, Dist histograms and per-worker
+//	                    rows (cluster) as JSON
 //	/debug/memory       memory budget and spill gauges as JSON
 func Serve(addr string, src Source) (*Server, error) {
 	mux := http.NewServeMux()
@@ -254,7 +234,7 @@ func Serve(addr string, src Source) (*Server, error) {
 <li><a href="/debug/metrics">/debug/metrics</a> — Prometheus scrape target (text exposition)</li>
 <li><a href="/debug/metrics.json">/debug/metrics.json</a> — live metrics snapshot (JSON)</li>
 <li><a href="/debug/stages">/debug/stages</a> — per-stage execution table</li>
-<li><a href="/debug/stages.json">/debug/stages.json</a> — per-stage counters, skew histograms, per-worker rows, adaptive rebalances (JSON)</li>
+<li><a href="/debug/stages.json">/debug/stages.json</a> — per-stage counters, skew histograms, per-worker rows (JSON)</li>
 <li><a href="/debug/memory">/debug/memory</a> — memory budget and spill gauges (JSON)</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — Go profiles</li>
 </ul></body></html>`)

@@ -1,7 +1,7 @@
 // Package eventlog is the persistent third leg of the observability
 // plane: one JSONL file per query recording what the planner chose and
 // what the engine measured — the plan decision, every stage's
-// execution record, adaptive rebalances, worker losses, spill
+// execution record, worker losses, spill
 // pressure, and the complete metrics snapshot. A log replays into the
 // exact stage summary the live run printed (`sac history <file>`), so
 // a slow query can be diagnosed after the fact, on another machine,
@@ -28,7 +28,6 @@ const (
 	KindQueryStart = "query.start"  // Query, Time
 	KindPlan       = "plan"         // Plan (the chosen physical translation)
 	KindStage      = "stage"        // Stage (one completed stage's record)
-	KindAdaptive   = "adaptive"     // Adaptive (one stage-boundary rebalance)
 	KindWorkerLost = "worker.lost"  // Worker (a rank that died mid-job)
 	KindSpill      = "spill"        // SpilledBytes/SpillFiles summary
 	KindMetrics    = "metrics"      // Metrics (the full final snapshot)
@@ -51,9 +50,8 @@ type Event struct {
 	SpilledBytes int64 `json:"spilledBytes,omitempty"`
 	SpillFiles   int64 `json:"spillFiles,omitempty"`
 
-	Stage    *dataflow.StageMetric     `json:"stage,omitempty"`
-	Adaptive *dataflow.AdaptiveEvent   `json:"adaptive,omitempty"`
-	Metrics  *dataflow.MetricsSnapshot `json:"metrics,omitempty"`
+	Stage   *dataflow.StageMetric     `json:"stage,omitempty"`
+	Metrics *dataflow.MetricsSnapshot `json:"metrics,omitempty"`
 }
 
 // Writer appends events to one query's log file.
@@ -108,7 +106,7 @@ func FileName(t time.Time, n int) string {
 }
 
 // LogRun writes one query's complete record: start, plan, per-stage
-// rows, adaptive rebalances, worker losses, spill pressure, the full
+// rows, worker losses, spill pressure, the full
 // metrics snapshot, and the finish marker. o is the run's outcome — its
 // Metrics cover exactly the run, so the stage rows are the run's — or,
 // with runErr set, as much of one as the caller has (a plan that
@@ -126,11 +124,6 @@ func LogRun(w *Writer, query string, o *core.Outcome, runErr error) error {
 	}
 	for i := range snap.PerStage {
 		if err := w.Emit(Event{Kind: KindStage, Stage: &snap.PerStage[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range snap.AdaptiveEvents {
-		if err := w.Emit(Event{Kind: KindAdaptive, Adaptive: &snap.AdaptiveEvents[i]}); err != nil {
 			return err
 		}
 	}

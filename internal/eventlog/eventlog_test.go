@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,6 +111,34 @@ func TestReplayToleratesGrowth(t *testing.T) {
 		t.Fatal("unknown event dropped")
 	}
 
+	// A log written when shuffles could rebalance their buckets carries
+	// an "adaptive" record and two counters the schema has since dropped:
+	// the record stays as an unknown kind, the counters are ignored, and
+	// the report `sac history` prints is the same.
+	before, err := Replay(strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatalf("replay log: %v", err)
+	}
+	old := []string{lines[0], `{"time":"2026-08-07T00:00:00Z","kind":"adaptive","adaptive":` +
+		`{"Stage":"shuffle(reduceByKey)","Before":{"N":8,"Min":0,"P50":0,"P99":64,"Max":64,"ArgMax":0},` +
+		`"After":{"N":8,"Min":7,"P50":8,"P99":9,"Max":9,"ArgMax":3},"MovedRecords":56,"MovedGroups":56}}`}
+	for _, l := range lines[1:] {
+		if strings.Contains(l, `"kind":"metrics"`) {
+			l = withRetiredCounters(t, l)
+		}
+		old = append(old, l)
+	}
+	oldRun, err := Replay(strings.NewReader(strings.Join(old, "\n")))
+	if err != nil {
+		t.Fatalf("replay log with retired records: %v", err)
+	}
+	if got := oldRun.Events[1].Kind; got != "adaptive" {
+		t.Fatalf("retired record replayed as kind %q", got)
+	}
+	if got, want := oldRun.Format(), before.Format(); got != want {
+		t.Fatalf("retired records changed the report:\n%s\nwant:\n%s", got, want)
+	}
+
 	// Truncate before the metrics record: stage events must survive.
 	cut := -1
 	for i, l := range lines {
@@ -140,6 +169,32 @@ func TestReplayToleratesGrowth(t *testing.T) {
 	if _, err := Replay(strings.NewReader("")); err == nil {
 		t.Fatal("empty log replayed")
 	}
+}
+
+// withRetiredCounters adds the adaptive-rebalance counters an earlier
+// schema wrote to a metrics record's snapshot.
+func withRetiredCounters(t *testing.T, line string) string {
+	t.Helper()
+	var e, m map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(line), &e); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(e["metrics"], &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m["ShuffledBytes"]; !ok {
+		t.Fatalf("no counters at the snapshot's top level: %s", e["metrics"])
+	}
+	m["AdaptiveRebalances"], m["AdaptiveMovedRecords"] = json.RawMessage("1"), json.RawMessage("56")
+	var err error
+	if e["metrics"], err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // TestFileName pins the session-relative naming scheme.

@@ -242,10 +242,7 @@ func RunQueryLocal(p QueryParams) ([]byte, error) {
 // group-by-join's processor grid is stats.PickGrid of block counts, this
 // partition count and the world — one cell per rank, cell c on
 // partition c, which rank c owns — so it is the same on every rank and
-// on the driver's planner. Statistics-driven partition counts
-// (stats.PickPartitions) and bucket rebalancing read core counts and
-// runtime load, and stay local-mode-only for that reason:
-// core.Config.AdaptiveShuffle is never set on cluster sessions.
+// on the driver's planner. No plan reads a core count or load.
 func DefaultPartitions(world int) int {
 	if p := 4 * world; p > 8 {
 		return p

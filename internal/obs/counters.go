@@ -81,12 +81,6 @@ type Counters[T any] struct {
 	ResidentHits   T `prom:"sac_cluster_resident_hits_total" rule:"sum" help:"input partition reads served from the worker's resident store"`
 	ResidentMisses T `prom:"sac_cluster_resident_misses_total" rule:"sum" help:"input partitions generated into the worker's resident store"`
 
-	// Adaptive stage-boundary rebalances (zero unless
-	// Config.AdaptiveShuffle is on, and always under SPMD).
-	AdaptiveRebalances   T `prom:"sac_dataflow_adaptive_rebalances_total" rule:"sum" help:"shuffle boundaries rebalanced by the adaptive planner"`
-	AdaptiveMovedRecords T `prom:"sac_dataflow_adaptive_moved_records_total" rule:"sum" help:"records moved out of hot buckets by adaptive rebalances"`
-	AdaptiveMovedGroups  T `prom:"sac_dataflow_adaptive_moved_groups_total" rule:"sum" help:"whole key groups moved out of hot buckets by adaptive rebalances"`
-
 	// Ranks run concurrently, so the merged wall is the slowest rank's.
 	WallNanos T `prom:"sac_cluster_job_wall_nanoseconds" rule:"max" help:"wall time of the last job program run by a rank"`
 }

@@ -12,24 +12,18 @@ import (
 // selection in strategy.go: Choose decides which translations are
 // *applicable* (the paper's Rules 12-19), ChooseWithStats prices the
 // applicable candidates with the internal/stats estimates and records
-// the outcome — chosen estimate, rejected alternatives, the SUMMA
-// processor grid the group-by-join will run on, and (adaptive mode
-// only) the reduce partition counts derived from the statistics — in a
-// Decision attached to the strategy, which Explain and sac -analyze
-// render.
+// the outcome — chosen estimate, rejected alternatives and the SUMMA
+// processor grid the group-by-join will run on — in a Decision attached
+// to the strategy, which Explain and sac -analyze render. A Decision is
+// a pure function of the query, the input statistics and the world: it
+// reads no core count or load, so every rank of an SPMD job and the
+// driver that plans for them derive the same one.
 
 // StatsProvider supplies the estimation inputs at selection time;
 // internal/plan's Catalog implements it over the registered arrays.
 type StatsProvider interface {
 	// ArrayStats returns size metadata for a registered array name.
 	ArrayStats(name string) (stats.TableStats, bool)
-	// Parallelism is the engine's concurrent-task budget.
-	Parallelism() int
-	// Adaptive reports whether estimates may pick reduce-side partition
-	// counts. Those read the core count, which differs between the ranks
-	// of an SPMD job, so it is false there and in static mode; the
-	// Decision then prices the plan at the inputs' partition counts.
-	Adaptive() bool
 	// World is the rank count of the cluster the plan runs on, 0 for a
 	// local session. It sizes the group-by-join's processor grid
 	// (stats.PickGrid).
@@ -61,9 +55,9 @@ func (c CostEstimate) render() string {
 	return s
 }
 
-// Decision records why the optimizer picked the plan it did and which
-// physical knobs the estimates chose. Attached to cost-ranked
-// strategies; nil when no statistics were available.
+// Decision records why the optimizer picked the plan it did and the
+// processor grid it priced. Attached to cost-ranked strategies; nil when
+// no statistics were available.
 type Decision struct {
 	Chosen   CostEstimate
 	Rejected []CostEstimate
@@ -72,9 +66,6 @@ type Decision struct {
 	// counts, partition count and world, and the one Chosen.ShuffleBytes
 	// prices.
 	GridP, GridQ int64
-	// Parts is the reduce-side partition count picked from the output
-	// cardinality estimate; 0 means the executor's fixed default.
-	Parts int
 }
 
 // Summary renders the decision as a single bracketed clause appended
@@ -97,9 +88,6 @@ func (d *Decision) Summary() string {
 	}
 	if d.GridP > 0 && d.GridQ > 0 {
 		fmt.Fprintf(&b, "; grid %dx%d", d.GridP, d.GridQ)
-	}
-	if d.Parts > 0 {
-		fmt.Fprintf(&b, "; parts %d", d.Parts)
 	}
 	return b.String()
 }
@@ -143,16 +131,10 @@ func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider
 	// The estimator prices op(A) (output rows x contracted) times op(B)
 	// (contracted x output cols).
 	aEff, bEff := oriented(sa, st.TransA), oriented(sb, st.TransB)
-	// The cogroup runs at the A input's partition count unless adaptive
-	// planning picks one; the grid follows from whichever it is and, on a
-	// cluster, from the world.
-	parts, pickedParts := sa.Parts, 0
-	if prov.Adaptive() {
-		pickedParts = stats.PickPartitions(aEff.BlockRows()*bEff.BlockCols(), prov.Parallelism())
-		parts = pickedParts
-	}
-	gridP, gridQ := stats.PickGrid(aEff.BlockRows(), bEff.BlockCols(), aEff.NumTiles(), bEff.NumTiles(), parts, prov.World())
-	est := stats.EstimateMatmul(aEff, bEff, gridP, gridQ, parts)
+	// The cogroup runs at the A input's partition count; the grid
+	// follows from it and, on a cluster, from the world.
+	gridP, gridQ := stats.PickGrid(aEff.BlockRows(), bEff.BlockCols(), aEff.NumTiles(), bEff.NumTiles(), sa.Parts, prov.World())
+	est := stats.EstimateMatmul(aEff, bEff, gridP, gridQ, sa.Parts)
 	cands := []CostEstimate{
 		{Strategy: "summa-gbj", ShuffleBytes: est.GBJShuffleBytes},
 		{Strategy: "join+reduceByKey", ShuffleBytes: est.JoinShuffleBytes, TempBytes: est.JoinTempBytes},
@@ -187,7 +169,7 @@ func decideGroupByJoin(st *GroupByJoinStrategy, opts Options, prov StatsProvider
 		st.UseReduceBy = best == 1
 	}
 
-	d := &Decision{Chosen: cands[best], Parts: pickedParts}
+	d := &Decision{Chosen: cands[best]}
 	if st.UseGBJ {
 		d.GridP, d.GridQ = gridP, gridQ
 	}
@@ -248,9 +230,6 @@ func decideTileAgg(st *TileAggStrategy, opts Options, prov StatsProvider) *Decis
 		best = 1
 	}
 	d := &Decision{Chosen: cands[best]}
-	if prov.Adaptive() {
-		d.Parts = stats.PickPartitions(groups, prov.Parallelism())
-	}
 	r := cands[1-best]
 	if best == 1 {
 		r.Reason = "disabled"

@@ -10,12 +10,10 @@ import (
 // fakeProvider supplies fixed square-matrix statistics; parts defaults
 // to 8 input partitions.
 type fakeProvider struct {
-	n        int64
-	tile     int
-	par      int
-	parts    int
-	adaptive bool
-	world    int
+	n     int64
+	tile  int
+	parts int
+	world int
 }
 
 func (p fakeProvider) ArrayStats(string) (stats.TableStats, bool) {
@@ -25,9 +23,7 @@ func (p fakeProvider) ArrayStats(string) (stats.TableStats, bool) {
 	}
 	return stats.TableStats{Rows: p.n, Cols: p.n, Tile: p.tile, Parts: parts}, true
 }
-func (p fakeProvider) Parallelism() int { return p.par }
-func (p fakeProvider) Adaptive() bool   { return p.adaptive }
-func (p fakeProvider) World() int       { return p.world }
+func (p fakeProvider) World() int { return p.world }
 
 const matmulSrc = `tiled(6,6)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B,
         kk == k, let v = a*b, group by (i,j) ]`
@@ -48,7 +44,7 @@ func chooseStats(t *testing.T, src string, opts Options, prov StatsProvider) Str
 // estimated shuffle bytes.
 func TestCostKeepsGBJ(t *testing.T) {
 	for _, parts := range []int{1, 2, 8, 64, 200} {
-		s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100, par: 2, parts: parts})
+		s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100, parts: parts})
 		gbj, ok := s.(*GroupByJoinStrategy)
 		if !ok {
 			t.Fatalf("parts=%d: got %T", parts, s)
@@ -72,7 +68,7 @@ func TestCostKeepsGBJ(t *testing.T) {
 // TestCostRespectsAblation: with GBJ disabled the decision must fall to
 // join+reduceByKey and record why GBJ lost.
 func TestCostRespectsAblation(t *testing.T) {
-	s := chooseStats(t, matmulSrc, Options{DisableGBJ: true}, fakeProvider{n: 800, tile: 100, par: 8})
+	s := chooseStats(t, matmulSrc, Options{DisableGBJ: true}, fakeProvider{n: 800, tile: 100})
 	gbj := s.(*GroupByJoinStrategy)
 	if gbj.UseGBJ || !gbj.UseReduceBy {
 		t.Fatalf("ablation ignored: UseGBJ=%v UseReduceBy=%v", gbj.UseGBJ, gbj.UseReduceBy)
@@ -92,28 +88,24 @@ func TestCostRespectsAblation(t *testing.T) {
 	}
 }
 
-// TestCostStaticGridFromPartitions: without adaptive mode the decision
-// still carries the processor grid — derived from the inputs' partition
-// count, priced as it will run — but no partition count of its own, and
-// nothing in it moves with the core count (every SPMD rank must render
-// the same plan).
+// TestCostStaticGridFromPartitions: the decision carries the processor
+// grid derived from the inputs' partition count — coarser than the
+// 32x32 output, one cell per partition — priced as it will run, and no
+// partition count of its own.
 func TestCostStaticGridFromPartitions(t *testing.T) {
-	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: 4, parts: 8})
+	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, parts: 8})
 	d := s.(*GroupByJoinStrategy).Decision
-	if d.GridP != 2 || d.GridQ != 4 || d.Parts != 0 {
-		t.Fatalf("static decision: grid %dx%d parts %d, want 2x4 and 0", d.GridP, d.GridQ, d.Parts)
+	if d.GridP != 2 || d.GridQ != 4 {
+		t.Fatalf("decision: grid %dx%d, want 2x4", d.GridP, d.GridQ)
+	}
+	if sum := d.Summary(); strings.Contains(sum, "parts ") {
+		t.Fatalf("decision names a partition count: %s", sum)
 	}
 	// 32x32 tiles per input, A replicated 4 times and B twice; a replica
 	// is its tile (a flag, three two-byte varints and the cells) and four
 	// one-byte keys.
 	if want := int64(1024*4+1024*2) * (1 + 3*2 + 100*100*8 + 4); d.Chosen.ShuffleBytes != want {
 		t.Fatalf("estimate %d does not price the 2x4 grid (%d)", d.Chosen.ShuffleBytes, want)
-	}
-	for _, par := range []int{1, 2, 64} {
-		o := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: par, parts: 8})
-		if got := o.(*GroupByJoinStrategy).Decision.Summary(); got != d.Summary() {
-			t.Fatalf("par=%d changed the static decision:\n%s\nvs\n%s", par, got, d.Summary())
-		}
 	}
 }
 
@@ -122,7 +114,7 @@ func TestCostStaticGridFromPartitions(t *testing.T) {
 // a local session on the same 8 partitions gets 2x4), and the estimate
 // prices that grid: A replicated twice, B once.
 func TestCostGridFollowsWorld(t *testing.T) {
-	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 1000, tile: 100, par: 1, parts: 8, world: 2})
+	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 1000, tile: 100, parts: 8, world: 2})
 	d := s.(*GroupByJoinStrategy).Decision
 	if d.GridP != 1 || d.GridQ != 2 {
 		t.Fatalf("world 2: grid %dx%d, want 1x2", d.GridP, d.GridQ)
@@ -132,34 +124,12 @@ func TestCostGridFollowsWorld(t *testing.T) {
 	}
 }
 
-// TestCostAdaptivePicksKnobs: in adaptive mode a large output gets an
-// estimated partition count and the grid that follows from it.
-func TestCostAdaptivePicksKnobs(t *testing.T) {
-	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 3200, tile: 100, par: 4, adaptive: true})
-	d := s.(*GroupByJoinStrategy).Decision
-	if d.GridP <= 0 || d.GridQ <= 0 {
-		t.Fatalf("no grid picked: %dx%d", d.GridP, d.GridQ)
-	}
-	if d.GridP >= 32 || d.GridQ >= 32 {
-		t.Fatalf("grid %dx%d not coarsened below the 32x32 output", d.GridP, d.GridQ)
-	}
-	if d.Parts <= 0 {
-		t.Fatal("no partition count picked")
-	}
-	if d.Parts != stats.PickPartitions(32*32, 4) {
-		t.Fatalf("parts %d disagrees with PickPartitions", d.Parts)
-	}
-	if d.GridP*d.GridQ < int64(d.Parts) {
-		t.Fatalf("grid %dx%d leaves some of the %d picked partitions empty", d.GridP, d.GridQ, d.Parts)
-	}
-}
-
 // TestDecisionSummary: the Explain clause must name the chosen
 // strategy, the rejected alternatives, and the estimates.
 func TestDecisionSummary(t *testing.T) {
-	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100, par: 8, adaptive: true})
+	s := chooseStats(t, matmulSrc, Options{}, fakeProvider{n: 800, tile: 100})
 	sum := s.(*GroupByJoinStrategy).Decision.Summary()
-	for _, want := range []string{"cost: summa-gbj", "shuffle", "rejected:", "join+reduceByKey", "join+groupByKey", "grid ", "parts "} {
+	for _, want := range []string{"cost: summa-gbj", "shuffle", "rejected:", "join+reduceByKey", "join+groupByKey", "grid "} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary %q missing %q", sum, want)
 		}
@@ -174,7 +144,7 @@ func TestDecisionSummary(t *testing.T) {
 // reduceByKey and flips only under the ablation flag.
 func TestCostTileAgg(t *testing.T) {
 	src := `tiledvec(6)[ (i, +/m) | ((i,j),m) <- M, group by i ]`
-	s := chooseStats(t, src, Options{}, fakeProvider{n: 800, tile: 100, par: 8})
+	s := chooseStats(t, src, Options{}, fakeProvider{n: 800, tile: 100})
 	agg, ok := s.(*TileAggStrategy)
 	if !ok {
 		t.Fatalf("got %T", s)
@@ -182,15 +152,15 @@ func TestCostTileAgg(t *testing.T) {
 	if agg.Decision == nil || agg.Decision.Chosen.Strategy != "reduceByKey" {
 		t.Fatalf("decision %+v", agg.Decision)
 	}
-	s2 := chooseStats(t, src, Options{DisableReduceByKey: true}, fakeProvider{n: 800, tile: 100, par: 8})
+	s2 := chooseStats(t, src, Options{DisableReduceByKey: true}, fakeProvider{n: 800, tile: 100})
 	d2 := s2.(*TileAggStrategy).Decision
 	if d2.Chosen.Strategy != "groupByKey" {
 		t.Fatalf("ablated decision chose %q", d2.Chosen.Strategy)
 	}
 	// The empty key (a total) moves nothing and names no shuffle.
 	info, monoid := extractTotal(t, "+/[ m | ((i,j),m) <- M ]")
-	d3 := ChooseTotal(info, monoid, Options{}, fakeProvider{n: 800, tile: 100, par: 8, adaptive: true}).(*TileAggStrategy).Decision
-	if sum := d3.Summary(); d3.Chosen.ShuffleBytes != 0 || d3.Parts != 0 || len(d3.Rejected) != 0 || strings.Contains(sum, "ByKey") {
+	d3 := ChooseTotal(info, monoid, Options{}, fakeProvider{n: 800, tile: 100}).(*TileAggStrategy).Decision
+	if sum := d3.Summary(); d3.Chosen.ShuffleBytes != 0 || len(d3.Rejected) != 0 || strings.Contains(sum, "ByKey") {
 		t.Fatalf("total decision %+v: %s", d3, sum)
 	}
 }

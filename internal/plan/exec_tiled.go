@@ -224,12 +224,7 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 	if s.Monoid != "+" {
 		return nil, fmt.Errorf("plan: group-by-join supports the + monoid, got %s", s.Monoid)
 	}
-	// The partition count is zero (the inputs') unless adaptive planning
-	// picked one.
 	prod := tiled.Product{TransA: s.TransA, TransB: s.TransB}
-	if d := s.Decision; d != nil {
-		prod.Parts = d.Parts
-	}
 	rows, inner, cols, err := prod.Dims(a, b)
 	if err != nil {
 		return nil, err
@@ -499,9 +494,6 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	}
 	n, rows, cols := m.N, m.Rows, m.Cols
 	parts := m.Tiles.NumPartitions()
-	if d := s.Decision; d != nil && d.Parts > 0 {
-		parts = d.Parts
-	}
 
 	partials := dataflow.Map(m.Tiles, func(b tiled.Block) dataflow.Pair[int64, *aggBlock] {
 		acc := newAggBlock(monoids, n, true)

@@ -62,19 +62,6 @@ func (c *Catalog) ArrayStats(name string) (stats.TableStats, bool) {
 	return stats.TableStats{}, false
 }
 
-// Parallelism implements opt.StatsProvider.
-func (c *Catalog) Parallelism() int { return c.ctx.Conf().Parallelism }
-
-// Adaptive implements opt.StatsProvider: estimated partition counts
-// (which read this process's core count) are only allowed when the
-// engine runs adaptively and locally — under SPMD every rank must build
-// the byte-identical plan. The SUMMA grid is not behind this gate: it
-// is a function of block and partition counts and the world alone.
-func (c *Catalog) Adaptive() bool {
-	conf := c.ctx.Conf()
-	return conf.AdaptiveShuffle && conf.Transport == nil
-}
-
 // SetWorld makes the catalog plan for a cluster of world ranks it is not
 // one of: the planner a cluster driver keeps (jobs.ClusterSession), whose
 // Explain and estimates must be about the plan the ranks run. A session

@@ -48,13 +48,12 @@ type Config struct {
 	// Sessions is the pool size — the maximum concurrently executing
 	// queries (default: half the cores, at least 2).
 	Sessions int
-	// TileSize, Partitions, MemoryBudget and AdaptiveShuffle configure
-	// each pooled core.Session. Under a MemoryBudget the server also keeps
-	// no registered matrix resident (see RegisterRandMatrix).
-	TileSize        int
-	Partitions      int
-	MemoryBudget    int64
-	AdaptiveShuffle bool
+	// TileSize, Partitions and MemoryBudget configure each pooled
+	// core.Session. Under a MemoryBudget the server also keeps no
+	// registered matrix resident (see RegisterRandMatrix).
+	TileSize     int
+	Partitions   int
+	MemoryBudget int64
 	// AdmissionBudget bounds the summed footprint estimates of
 	// concurrently admitted queries; 0 disables admission control.
 	AdmissionBudget int64
@@ -138,10 +137,9 @@ func New(cfg Config) (*Server, error) {
 			continue
 		}
 		sess := core.NewSession(core.Config{
-			TileSize:        cfg.TileSize,
-			Partitions:      cfg.Partitions,
-			MemoryBudget:    cfg.MemoryBudget,
-			AdaptiveShuffle: cfg.AdaptiveShuffle,
+			TileSize:     cfg.TileSize,
+			Partitions:   cfg.Partitions,
+			MemoryBudget: cfg.MemoryBudget,
 		})
 		backends[i], s.local = sess, append(s.local, sess)
 	}

@@ -136,23 +136,6 @@ func EstimateAggregate(m TableStats, groups int64, mapParts int, blockBytes int6
 	return combined * blockBytes, partials * blockBytes
 }
 
-// PickPartitions chooses a reduce-side partition count from the
-// estimated output cardinality: about two waves per core (Spark's
-// rule of thumb) but never more partitions than items to put in them.
-func PickPartitions(items int64, parallelism int) int {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	p := int64(2 * parallelism)
-	if items > 0 && p > items {
-		p = items
-	}
-	if p < 1 {
-		p = 1
-	}
-	return int(p)
-}
-
 // PickGrid chooses the SUMMA processor grid for a group-by-join whose
 // output has groupsY x groupsX tile groups: the p x q grid (p over
 // output tile rows, q over output tile columns) minimizing the
@@ -172,8 +155,7 @@ func PickPartitions(items int64, parallelism int) int {
 // The grid is a pure function of block counts, the partition count and
 // the world: it never reads core counts or load, so every rank of an
 // SPMD job derives the identical grid, and so does a driver that plans
-// for them (PickPartitions does read cores, and is local-adaptive-only
-// for that reason).
+// for them.
 func PickGrid(groupsY, groupsX, tilesA, tilesB int64, parts, world int) (p, q int64) {
 	cells := int64(max(parts, 1))
 	if world > 0 {

@@ -74,18 +74,6 @@ func TestEstimateMatmulCoarseGridCheaper(t *testing.T) {
 	}
 }
 
-func TestPickPartitions(t *testing.T) {
-	if got := PickPartitions(1000, 8); got != 16 {
-		t.Fatalf("PickPartitions(1000, 8) = %d, want 16", got)
-	}
-	if got := PickPartitions(3, 8); got != 3 {
-		t.Fatalf("never more partitions than items: got %d", got)
-	}
-	if got := PickPartitions(0, 0); got < 1 {
-		t.Fatalf("must stay positive: got %d", got)
-	}
-}
-
 func TestPickGrid(t *testing.T) {
 	a, b := sq(1600, 100), sq(1600, 100) // 16x16 output blocks
 	p, q := PickGrid(a.BlockRows(), b.BlockCols(), a.NumTiles(), b.NumTiles(), 16, 0)

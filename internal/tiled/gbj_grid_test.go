@@ -23,9 +23,8 @@ func TestGBJGridEquality(t *testing.T) {
 	ctx := tctx()
 	da := linalg.RandDense(24, 20, -1, 1, 21)
 	db := linalg.RandDense(20, 16, -1, 1, 22)
-	a := FromDense(ctx, da, 4, 3)
 	b := FromDense(ctx, db, 4, 3)
-	want := a.MultiplyGBJ(b).ToDense()
+	want := FromDense(ctx, da, 4, 3).MultiplyGBJ(b).ToDense()
 	if !want.EqualApprox(linalg.Mul(da, db), 1e-9) {
 		t.Fatal("reference GBJ multiply is itself wrong")
 	}
@@ -33,17 +32,19 @@ func TestGBJGridEquality(t *testing.T) {
 		p, q  int64
 		parts int
 	}{
-		{1, 1, 0}, // everything in one cell
-		{2, 3, 0},
-		{3, 2, 5},  // coarse grid + explicit partition count
+		{1, 1, 3}, // everything in one cell
+		{2, 3, 3},
+		{3, 2, 5},  // coarse grid + another partition count
 		{6, 4, 11}, // full output grid (6x4 blocks), odd parts
-		{9, 9, 0},  // grid larger than the output: must clamp, not break
+		{9, 9, 3},  // grid larger than the output: must clamp, not break
 		{0, 0, 1},  // derived grid, one partition: 1x1
 		{0, 0, 7},  // derived grid, more cells than partitions
 		{0, 0, 64}, // parts >= output tiles: falls back to the full grid
 	}
 	for _, g := range grids {
-		got := GroupByJoin(a, b, Product{gridP: g.p, gridQ: g.q, Parts: g.parts}).ToDense()
+		// The cogroup runs at A's partition count.
+		a := FromDense(ctx, da, 4, g.parts)
+		got := GroupByJoin(a, b, Product{gridP: g.p, gridQ: g.q}).ToDense()
 		if !got.Equal(want) {
 			t.Fatalf("grid %dx%d parts %d: result differs from canonical GBJ (max diff %g)",
 				g.p, g.q, g.parts, got.MaxAbsDiff(want))

@@ -79,10 +79,7 @@ func JoinMultiply(a, b *Matrix, prod Product, reduceByKey bool) *Matrix {
 	if err != nil {
 		panic(err)
 	}
-	parts := prod.Parts
-	if parts <= 0 {
-		parts = a.Tiles.NumPartitions()
-	}
+	parts := a.Tiles.NumPartitions()
 	ctx := a.Tiles.Context()
 	pool := ctx.TilePool()
 	contract := prod.H

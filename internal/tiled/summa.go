@@ -85,8 +85,6 @@ type Product struct {
 	// tiles, to be read through TransA and TransB. Nil is the tile GEMM
 	// out += op(a)·op(b).
 	H func(out, a, b *linalg.Dense, g Coord, k int64)
-	// Parts overrides the shuffle's partition count; 0 uses A's.
-	Parts int
 	// gridP x gridQ, when both positive, override GroupByJoin's processor
 	// grid (clamped to the output tile grid). The result is bitwise
 	// identical for every grid; the tests that prove it set these.
@@ -144,10 +142,7 @@ func GroupByJoin(a, b *Matrix, prod Product) *Matrix {
 	if err != nil {
 		panic(err)
 	}
-	parts := prod.Parts
-	if parts <= 0 {
-		parts = a.Tiles.NumPartitions()
-	}
+	parts := a.Tiles.NumPartitions()
 	n := a.N
 	ctx := a.Tiles.Context()
 	world := 0
