@@ -22,8 +22,8 @@ fmt:
 
 # Full test suite under the race detector; the stage scheduler runs
 # independent shuffle map-sides concurrently, and the counter schema's
-# live sets (internal/obs) are written by task goroutines while the
-# telemetry pump reads them, and internal/plan's row kernels share a
+# live sets (internal/obs) are written by task goroutines while stage
+# ends and the report path publish them, and internal/plan's row kernels share a
 # pool of scratch frames across concurrent tasks, so -race is
 # load-bearing. ./... includes
 # the schema's package, the cluster/jobs Report|Telemetry|Snapshot|

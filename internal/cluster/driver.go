@@ -46,35 +46,23 @@ func (ws *workerState) send(typ byte, payload []byte) error {
 	return writeFrame(ws.conn, typ, payload)
 }
 
-// RankTelemetry accumulates one rank's observability batches over a
-// job: every span shipped (across all flushes, in order) and the stage
-// rows completed so far. A lost
-// rank keeps whatever its periodic flushes delivered — that partial
-// trace is exactly the evidence of what it was doing when it died.
+// RankTelemetry is what one rank observed of its run, sent in its job
+// reply after its counters: the stage rows it recorded, and when it was
+// traced the spans it recorded (unfinished ones as they stood) and how
+// many its buffer limit dropped.
 type RankTelemetry struct {
-	Received     bool // at least one batch arrived
-	Final        bool // the pre-reply flush arrived (rank finished cleanly)
 	DroppedSpans int64
 	Spans        []trace.SpanRec
 	Stages       []obs.StageMetric
-}
-
-func (t *RankTelemetry) absorb(m *telemetryMsg) {
-	t.Received = true
-	t.Final = t.Final || m.Final
-	t.DroppedSpans = m.Dropped // cumulative, last write wins
-	t.Spans = append(t.Spans, m.Spans...)
-	t.Stages = append(t.Stages, m.Stages...)
 }
 
 // jobState tracks one submitted job until every rank has either
 // replied or been declared lost.
 type jobState struct {
 	ranks   []*workerState
-	merge   Merger          // the ranks' results, merged as they arrive
-	replies []*jobDoneMsg   // indexed by rank, nil until JobDone
-	lost    []bool          // indexed by rank, true when the worker died first
-	telem   []RankTelemetry // indexed by rank
+	merge   Merger        // the ranks' results, merged as they arrive
+	replies []*jobDoneMsg // indexed by rank, nil until JobDone
+	lost    []bool        // indexed by rank, true when the worker died first
 }
 
 func (j *jobState) settled() bool {
@@ -237,22 +225,6 @@ func (d *Driver) handleWorker(conn net.Conn) {
 				d.cond.Broadcast()
 			}
 			d.mu.Unlock()
-		case msgTelemetry:
-			tm, err := decodeTelemetry(payload)
-			if err != nil {
-				// A malformed telemetry frame is diagnostic loss, not a
-				// reason to kill the worker's jobs.
-				continue
-			}
-			d.mu.Lock()
-			if job, ok := d.jobs[tm.JobID]; ok {
-				for r, w := range job.ranks {
-					if w == ws {
-						job.telem[r].absorb(&tm)
-					}
-				}
-			}
-			d.mu.Unlock()
 		}
 	}
 }
@@ -409,9 +381,9 @@ type WorkerRun struct {
 	Lost   bool // worker died before replying
 	Err    string
 	Report Report
-	// Telemetry is the rank's accumulated observability stream: spans,
-	// stage rows, and the dropped-span count. Empty (Received=false)
-	// when the program never flushed — e.g. tracing was not requested.
+	// Telemetry is what the rank's reply carried of its run: stage rows,
+	// and spans with the dropped-span count when it was traced. Empty
+	// for a lost rank and for a program that hands over none.
 	Telemetry RankTelemetry
 }
 
@@ -428,15 +400,14 @@ type RunResult struct {
 	Attempts      int   // times the job was submitted: 1, or 2 after a loss
 }
 
-// MergedTrace reassembles every rank's shipped spans into one tracer
-// (one synthetic lane per worker, in rank order), or nil when no rank
-// shipped any spans — tracing was off for the job, even if stage rows
-// and reports still flowed.
+// MergedTrace reassembles every rank's spans into one tracer (one
+// synthetic lane per worker, in rank order), or nil when no rank sent any
+// spans or dropped any — tracing was off for the job, even if stage rows
+// and reports still crossed.
 func (r *RunResult) MergedTrace() *trace.Tracer {
 	var groups []trace.WorkerTrace
 	for _, w := range r.Workers {
-		if !w.Telemetry.Received ||
-			(len(w.Telemetry.Spans) == 0 && w.Telemetry.DroppedSpans == 0) {
+		if len(w.Telemetry.Spans) == 0 && w.Telemetry.DroppedSpans == 0 {
 			continue
 		}
 		groups = append(groups, trace.WorkerTrace{
@@ -501,7 +472,6 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 		merge:   mergeFor(program)(),
 		replies: make([]*jobDoneMsg, len(ranks)),
 		lost:    make([]bool, len(ranks)),
-		telem:   make([]RankTelemetry, len(ranks)),
 	}
 	d.jobs[jobID] = job
 	peers := make([]string, len(ranks))
@@ -553,7 +523,7 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 	var firstErr string
 	replied := 0
 	for r, ws := range ranks {
-		run := WorkerRun{ID: ws.id, Addr: ws.dataAddr, Rank: r, Telemetry: job.telem[r]}
+		run := WorkerRun{ID: ws.id, Addr: ws.dataAddr, Rank: r}
 		switch {
 		case job.lost[r]:
 			run.Lost = true
@@ -561,11 +531,13 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 		case job.replies[r].OK:
 			run.OK = true
 			run.Report = job.replies[r].Report
+			run.Telemetry = job.replies[r].Telemetry
 			res.Resubmissions += run.Report.Resubmissions
 			replied++
 		default:
 			run.Err = job.replies[r].Err
 			run.Report = job.replies[r].Report
+			run.Telemetry = job.replies[r].Telemetry
 			if firstErr == "" {
 				firstErr = run.Err
 			}

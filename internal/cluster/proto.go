@@ -21,8 +21,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Control- and data-plane message types. A frame is one type byte, a
@@ -36,7 +38,6 @@ const (
 	msgResult    = byte(14) // worker -> driver: a job's result, ahead of its JobDone
 	msgJobEnd    = byte(6)  // driver -> worker: job finished, drop its store
 	msgFetchGone = byte(9)  // worker -> worker: bucket unavailable (job failed or ended here)
-	msgTelemetry = byte(10) // worker -> driver: span batch + stage rows
 
 	// The data plane. A fetch is one msgFetchStream request answered by
 	// zero or more msgStreamChunk frames and a terminating msgStreamEnd
@@ -226,6 +227,86 @@ func (c *wireCur) strs() []string {
 	return out
 }
 
+// count reads a list's length. No list of a frame is longer than the
+// frame, so a larger count is an error, not a giant allocation.
+func (c *wireCur) count(what string) int {
+	n := c.u64()
+	if c.err == nil && n > maxFrame {
+		c.err = fmt.Errorf("cluster: %s count %d exceeds limit", what, n)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// span writes one trace span record: IDs, name, times, attributes.
+func (w *wireBuf) span(s trace.SpanRec) {
+	w.i64(s.ID)
+	w.i64(s.ParentID)
+	w.str(s.Name)
+	w.i64(s.StartNs)
+	w.i64(s.EndNs)
+	w.u64(uint64(len(s.Keys)))
+	for i := range s.Keys {
+		w.str(s.Keys[i])
+		w.str(s.Vals[i])
+	}
+}
+
+func (c *wireCur) span() trace.SpanRec {
+	s := trace.SpanRec{ID: c.i64(), ParentID: c.i64(), Name: c.str(),
+		StartNs: c.i64(), EndNs: c.i64()}
+	for n := c.count("span attribute"); n > 0 && c.err == nil; n-- {
+		s.Keys = append(s.Keys, c.str())
+		s.Vals = append(s.Vals, c.str())
+	}
+	return s
+}
+
+// stage writes one stage row; a zero Start crosses as 0 and stays zero.
+func (w *wireBuf) stage(st obs.StageMetric) {
+	var startNs int64
+	if !st.Start.IsZero() {
+		startNs = st.Start.UnixNano()
+	}
+	w.i64(st.ID)
+	w.str(st.Name)
+	w.i64(startNs)
+	w.i64(int64(st.Wall))
+	w.i64(st.Tasks)
+	w.i64(st.RecordsIn)
+	w.i64(st.RecordsOut)
+	w.i64(st.ShuffledBytes)
+	w.str(st.Worker)
+	w.dist(st.TaskDur)
+	w.dist(st.PartRecords)
+}
+
+func (c *wireCur) stage() obs.StageMetric {
+	st := obs.StageMetric{ID: c.i64(), Name: c.str()}
+	if startNs := c.i64(); startNs != 0 {
+		st.Start = time.Unix(0, startNs)
+	}
+	st.Wall = time.Duration(c.i64())
+	st.Tasks, st.RecordsIn, st.RecordsOut, st.ShuffledBytes = c.i64(), c.i64(), c.i64(), c.i64()
+	st.Worker, st.TaskDur, st.PartRecords = c.str(), c.dist(), c.dist()
+	return st
+}
+
+func (w *wireBuf) dist(d obs.Dist) {
+	w.i64(int64(d.N))
+	w.i64(d.Min)
+	w.i64(d.P50)
+	w.i64(d.P99)
+	w.i64(d.Max)
+	w.i64(int64(d.ArgMax))
+}
+
+func (c *wireCur) dist() obs.Dist {
+	return obs.Dist{N: int(c.i64()), Min: c.i64(), P50: c.i64(), P99: c.i64(), Max: c.i64(), ArgMax: int(c.i64())}
+}
+
 // registerMsg is the worker's hello: identity, where peers can fetch
 // shuffle data from it, and its execution capacity.
 type registerMsg struct {
@@ -298,12 +379,14 @@ func decodeJob(p []byte) (jobMsg, error) {
 
 // jobDoneMsg ends a rank's job: it ran its program to the end (OK) or
 // says why not. A rank that ran it sent its result ahead of it, in a
-// Result frame.
+// Result frame. What the rank observed of its run crosses here too,
+// after its counters: its stage rows, and its spans when it was traced.
 type jobDoneMsg struct {
-	JobID  int64
-	OK     bool
-	Err    string
-	Report Report
+	JobID     int64
+	OK        bool
+	Err       string
+	Report    Report
+	Telemetry RankTelemetry
 }
 
 func (m *jobDoneMsg) encode() []byte {
@@ -316,6 +399,15 @@ func (m *jobDoneMsg) encode() []byte {
 	w.i64(ok)
 	w.str(m.Err)
 	w.blob(encodeReport(m.Report))
+	w.i64(m.Telemetry.DroppedSpans)
+	w.u64(uint64(len(m.Telemetry.Spans)))
+	for _, s := range m.Telemetry.Spans {
+		w.span(s)
+	}
+	w.u64(uint64(len(m.Telemetry.Stages)))
+	for _, st := range m.Telemetry.Stages {
+		w.stage(st)
+	}
 	return w.b
 }
 
@@ -323,6 +415,13 @@ func decodeJobDone(p []byte) (jobDoneMsg, error) {
 	c := wireCur{b: p}
 	m := jobDoneMsg{JobID: c.i64(), OK: c.i64() != 0, Err: c.str()}
 	rep, err := decodeReport(c.blob())
+	m.Telemetry.DroppedSpans = c.i64()
+	for n := c.count("span"); n > 0 && c.err == nil; n-- {
+		m.Telemetry.Spans = append(m.Telemetry.Spans, c.span())
+	}
+	for n := c.count("stage"); n > 0 && c.err == nil; n-- {
+		m.Telemetry.Stages = append(m.Telemetry.Stages, c.stage())
+	}
 	if end := c.end("job done"); end != nil {
 		return m, end
 	}

@@ -7,6 +7,9 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // JobEnv is everything a job program gets from the runtime: its rank
@@ -25,16 +28,10 @@ type JobEnv struct {
 	// again; nil when this worker keeps nothing (it has a memory budget)
 	// or there is no worker (local tests).
 	Resident *Resident
-	// Telemetry, when non-nil, ships one observability batch to the
-	// driver. Programs call it from a periodic ticker with the spans /
-	// stage rows completed since the previous flush, and once more with
-	// Final=true right before returning — the worker sends that last
-	// batch ahead of the job reply on the same ordered connection. Nil
-	// when the runtime has no driver attached (local tests).
-	Telemetry func(TelemetryBatch) error
 
 	replySize int64                 // set by Reply
 	reply     func(io.Writer) error // set by Reply
+	observed  RankTelemetry         // set by Observe
 }
 
 // Reply makes the job's result the size bytes write writes, in place of
@@ -45,6 +42,15 @@ type JobEnv struct {
 // into one of its size first.
 func (e *JobEnv) Reply(size int64, write func(io.Writer) error) {
 	e.replySize, e.reply = size, write
+}
+
+// Observe hands over what the rank observed of its run: the stage rows
+// it recorded, the spans it recorded and how many of them its tracer
+// dropped. The worker sends them in the job reply after the report,
+// whether or not the program succeeds; a program that never calls it
+// sends none.
+func (e *JobEnv) Observe(stages []obs.StageMetric, spans []trace.SpanRec, dropped int64) {
+	e.observed = RankTelemetry{DroppedSpans: dropped, Spans: spans, Stages: stages}
 }
 
 // Program is a deterministic SPMD job: every rank runs the same

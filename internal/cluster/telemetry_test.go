@@ -12,125 +12,100 @@ import (
 )
 
 func init() {
-	// test.telemetry flushes two batches — one periodic-style, one
-	// final — each with spans and a stage row, so driver-side
-	// accumulation and ordering can be asserted end to end.
+	// test.telemetry hands over two spans and two stage rows, so the
+	// driver's view of each rank's run can be asserted end to end.
 	RegisterProgram("test.telemetry", func(env *JobEnv) ([]byte, Report, error) {
 		tr := trace.NewAt(func() time.Time { return time.Unix(0, int64(env.Rank)*1000) })
 		tr.SetAutoAttr("worker", env.WorkerTag)
 		tr.Start(nil, "query").End()
-		if env.Telemetry != nil {
-			recs := tr.DrainEnded()
-			if err := env.Telemetry(TelemetryBatch{
-				Spans:  recs,
-				Stages: []obs.StageMetric{{ID: 1, Name: "stage: early", Tasks: 2}},
-			}); err != nil {
-				return nil, Report{}, err
-			}
-		}
 		tr.Start(nil, "collect").End()
-		if env.Telemetry != nil {
-			if err := env.Telemetry(TelemetryBatch{
-				Final:   true,
-				Dropped: int64(env.Rank), // distinguishable per rank
-				Spans:   tr.DrainEnded(),
-				Stages:  []obs.StageMetric{{ID: 2, Name: "stage: late", Tasks: 3}},
-			}); err != nil {
-				return nil, Report{}, err
-			}
-		}
+		spans, _ := tr.Export()
+		env.Observe([]obs.StageMetric{
+			{ID: 1, Name: "stage: early", Tasks: 2},
+			{ID: 2, Name: "stage: late", Tasks: 3},
+		}, spans, int64(env.Rank)) // a dropped count distinguishable per rank
 		return []byte("done"), Report{Tasks: 2}, nil
 	})
 }
 
-func sampleTelemetry() telemetryMsg {
-	return telemetryMsg{
-		JobID: 42,
-		Seq:   3,
-		TelemetryBatch: TelemetryBatch{
-			Final:   true,
-			Dropped: 17,
-			Spans: []trace.SpanRec{
-				{ID: 1, Name: "query", StartNs: 100, EndNs: 900,
-					Keys: []string{"worker"}, Vals: []string{"w0"}},
-				{ID: 2, ParentID: 1, Name: "stage: shuffle", StartNs: 150, EndNs: 800,
-					Keys: []string{"worker", "partitions"}, Vals: []string{"w0", "8"}},
-				{ID: 3, ParentID: 2, Name: "task", StartNs: 200}, // unfinished, no attrs
-			},
-			Stages: []obs.StageMetric{
-				{ID: 1, Name: "stage: shuffle", Start: time.Unix(0, 150), Wall: 650,
-					Tasks: 8, RecordsIn: 1000, RecordsOut: 500, ShuffledBytes: 4096,
-					TaskDur:     obs.Dist{N: 8, ArgMax: 3, Min: 10, P50: 20, P99: 90, Max: 95},
-					PartRecords: obs.Dist{N: 8, Min: 100, P50: 120, P99: 150, Max: 151}},
-			},
+// sampleTelemetry is a rank's run as its reply carries it: a dropped
+// count, finished and unfinished spans with and without attributes, and
+// stage rows with every field set or, for Start, unset.
+func sampleTelemetry() RankTelemetry {
+	return RankTelemetry{
+		DroppedSpans: 17,
+		Spans: []trace.SpanRec{
+			{ID: 1, Name: "query", StartNs: 100, EndNs: 900,
+				Keys: []string{"worker"}, Vals: []string{"w0"}},
+			{ID: 2, ParentID: 1, Name: "stage: shuffle", StartNs: 150, EndNs: 800,
+				Keys: []string{"worker", "partitions"}, Vals: []string{"w0", "8"}},
+			{ID: 3, ParentID: 2, Name: "task", StartNs: 200}, // unfinished, no attrs
+		},
+		Stages: []obs.StageMetric{
+			{ID: 5, Name: "stage: shuffle(join)",
+				Start: time.Unix(12, 345), Wall: 90 * time.Millisecond,
+				Tasks: 8, RecordsIn: 100, RecordsOut: 50, ShuffledBytes: 4096,
+				Worker:      "w7",
+				TaskDur:     obs.Dist{N: 8, Min: 1, P50: 5, P99: 80, Max: 90, ArgMax: 3},
+				PartRecords: obs.Dist{N: 8, Min: 10, P50: 12, P99: 15, Max: 16, ArgMax: 1}},
+			{ID: 6, Name: "stage: collect"}, // no Start: the zero time survives
 		},
 	}
 }
 
+// TestTelemetryRoundTrip: a reply's telemetry decodes to what was sent,
+// on a failed reply too, and a reply with none decodes to none.
 func TestTelemetryRoundTrip(t *testing.T) {
-	m := sampleTelemetry()
-	got, err := decodeTelemetry(m.encode())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip drifted:\ngot:  %+v\nwant: %+v", got, m)
-	}
-	// Empty batch (no spans, no stages) round-trips too.
-	empty := telemetryMsg{JobID: 1, Seq: 1}
-	ge, err := decodeTelemetry(empty.encode())
-	if err != nil || ge.JobID != 1 || len(ge.Spans) != 0 || len(ge.Stages) != 0 {
-		t.Fatalf("empty round trip: %+v %v", ge, err)
+	for _, m := range []jobDoneMsg{
+		{JobID: 42, Err: "query failed", Telemetry: sampleTelemetry()},
+		{JobID: 1, OK: true},
+	} {
+		got, err := decodeJobDone(m.encode())
+		if err != nil || !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip drifted: %v\ngot:  %+v\nwant: %+v", err, got, m)
+		}
 	}
 }
 
 // TestStageRowRoundTrip pins the stage record's wire form: what a rank
-// ships is what the driver reads, every field, set or unset.
+// sends is what the driver reads, every field, set or unset.
 func TestStageRowRoundTrip(t *testing.T) {
-	m := telemetryMsg{TelemetryBatch: TelemetryBatch{Stages: []obs.StageMetric{
-		{ID: 5, Name: "stage: shuffle(join)",
-			Start: time.Unix(12, 345), Wall: 90 * time.Millisecond,
-			Tasks: 8, RecordsIn: 100, RecordsOut: 50, ShuffledBytes: 4096,
-			Worker:      "w7",
-			TaskDur:     obs.Dist{N: 8, Min: 1, P50: 5, P99: 80, Max: 90, ArgMax: 3},
-			PartRecords: obs.Dist{N: 8, Min: 10, P50: 12, P99: 15, Max: 16, ArgMax: 1}},
-		{ID: 6, Name: "stage: collect"}, // no Start: the zero time survives
-	}}}
-	got, err := decodeTelemetry(m.encode())
-	if err != nil || !reflect.DeepEqual(got.Stages, m.Stages) {
-		t.Fatalf("round trip drifted: %v\ngot:  %+v\nwant: %+v", err, got.Stages, m.Stages)
+	m := jobDoneMsg{OK: true, Telemetry: RankTelemetry{Stages: sampleTelemetry().Stages}}
+	got, err := decodeJobDone(m.encode())
+	if err != nil || !reflect.DeepEqual(got.Telemetry.Stages, m.Telemetry.Stages) {
+		t.Fatalf("round trip drifted: %v\ngot:  %+v\nwant: %+v", err, got.Telemetry.Stages, m.Telemetry.Stages)
 	}
 }
 
+// TestTelemetryTruncationSafe: a span, stage or attribute count larger
+// than any frame is an error, not a giant allocation.
 func TestTelemetryTruncationSafe(t *testing.T) {
-	m := sampleTelemetry()
-	blob := m.encode()
-	for cut := 0; cut < len(blob); cut++ {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("decode panicked at cut %d: %v", cut, r)
-				}
-			}()
-			_, _ = decodeTelemetry(blob[:cut])
-		}()
+	head := func() *wireBuf {
+		var w wireBuf
+		w.i64(9) // job
+		w.i64(1) // ok
+		w.str("")
+		w.blob(encodeReport(Report{}))
+		w.i64(0) // dropped
+		return &w
 	}
-	// Every proper prefix is short somewhere: a frame cut anywhere must
-	// be an error, never a batch with zero-filled counters.
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := decodeTelemetry(blob[:cut]); err == nil {
-			t.Fatalf("telemetry cut at %d of %d decoded without error", cut, len(blob))
+	spans := head()
+	spans.u64(1 << 40)
+	stages := head()
+	stages.u64(0)
+	stages.u64(1 << 40)
+	attrs := head()
+	attrs.u64(1)
+	attrs.i64(1)
+	attrs.i64(0)
+	attrs.str("task")
+	attrs.i64(1)
+	attrs.i64(2)
+	attrs.u64(1 << 40)
+	for name, w := range map[string]*wireBuf{"span": spans, "stage": stages, "attribute": attrs} {
+		if _, err := decodeJobDone(w.b); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Errorf("absurd %s count: err = %v", name, err)
 		}
-	}
-	// A corrupt span count must not drive a giant allocation.
-	var w wireBuf
-	w.i64(1)       // job
-	w.i64(1)       // seq
-	w.i64(0)       // final
-	w.i64(0)       // dropped
-	w.u64(1 << 40) // absurd span count
-	if _, err := decodeTelemetry(w.b); err == nil {
-		t.Fatal("absurd span count decoded without error")
 	}
 }
 
@@ -142,13 +117,9 @@ func TestTelemetryFlowsToDriver(t *testing.T) {
 	}
 	for r, wr := range res.Workers {
 		tl := wr.Telemetry
-		if !tl.Received || !tl.Final {
-			t.Fatalf("rank %d: telemetry received=%v final=%v", r, tl.Received, tl.Final)
-		}
 		if tl.DroppedSpans != int64(r) {
 			t.Errorf("rank %d: dropped=%d, want %d", r, tl.DroppedSpans, r)
 		}
-		// Both flushes accumulated in order.
 		var names []string
 		for _, s := range tl.Spans {
 			names = append(names, s.Name)
@@ -159,7 +130,7 @@ func TestTelemetryFlowsToDriver(t *testing.T) {
 		if len(tl.Stages) != 2 || tl.Stages[0].Name != "stage: early" || tl.Stages[1].Name != "stage: late" {
 			t.Errorf("rank %d stages = %+v", r, tl.Stages)
 		}
-		// The rank's counters cross in its JobDone.
+		// The rank's counters cross in the same reply.
 		if wr.Report.Tasks != 2 {
 			t.Errorf("rank %d job report tasks = %d", r, wr.Report.Tasks)
 		}
@@ -187,11 +158,11 @@ func TestTelemetryNilWhenNotFlushed(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	for _, wr := range res.Workers {
-		if wr.Telemetry.Received {
-			t.Fatalf("echo program never flushed, but rank %d has telemetry", wr.Rank)
+		if !reflect.DeepEqual(wr.Telemetry, RankTelemetry{}) {
+			t.Fatalf("echo program observed nothing, but rank %d has telemetry %+v", wr.Rank, wr.Telemetry)
 		}
 	}
 	if res.MergedTrace() != nil {
-		t.Fatal("merged trace should be nil when no rank flushed")
+		t.Fatal("merged trace should be nil when no rank sent spans")
 	}
 }

@@ -347,7 +347,6 @@ func (w *Worker) runJob(job jobMsg) {
 	}
 	defer store.leave()
 	exch := newExchange(job.JobID, int(job.Rank), job.Peers, store, w.pools)
-	var telemSeq atomic.Int64
 	env := &JobEnv{
 		Rank:         int(job.Rank),
 		World:        int(job.World),
@@ -358,15 +357,10 @@ func (w *Worker) runJob(job jobMsg) {
 		WorkerTag:    w.cfg.ID,
 		Resident:     w.resident,
 	}
-	env.Telemetry = func(b TelemetryBatch) error {
-		w.publish(exch) // a mid-job scrape reads the rank's counters per flush
-		msg := telemetryMsg{JobID: job.JobID, Seq: telemSeq.Add(1), TelemetryBatch: b}
-		return w.send(msgTelemetry, msg.encode())
-	}
 	start := time.Now()
 	result, rep, err := w.runProgram(job.Program, env)
 	rep.WallNanos = time.Since(start).Nanoseconds()
-	done := jobDoneMsg{JobID: job.JobID, OK: err == nil}
+	done := jobDoneMsg{JobID: job.JobID, OK: err == nil, Telemetry: env.observed}
 	if err != nil {
 		done.Err = err.Error()
 		// Peers blocked on our buckets must recompute, not hang.
@@ -428,18 +422,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// publish puts the exchange's wire counters and what this worker has
-// served to peers into the metrics registry.
-func (w *Worker) publish(exch *Exchange) {
-	exch.c.Publish()
-	w.served.Publish()
-}
-
 // report completes a rank's report: the program's own counters merged
 // with the exchange's wire counters and what this worker has served to
-// peers, both published.
+// peers, both published to the metrics registry.
 func (w *Worker) report(rep Report, exch *Exchange) Report {
-	w.publish(exch)
+	exch.c.Publish()
+	w.served.Publish()
 	return obs.MergeCounters(obs.MergeCounters(rep, exch.c.Snapshot()), w.served.Snapshot())
 }
 

@@ -25,10 +25,11 @@ type Backend interface {
 	Compile(src string) (*plan.Compiled, error)
 	// Run executes a plan Compile returned for src (callers that cache
 	// plans pass any source with the same canonical key), forcing lazy
-	// results, and records the measured profile in the backend's stats
-	// cache; traced also records the span tree. The Outcome is never
-	// nil: beside an error it holds the plan and what was measured
-	// before the failure, which is what an event log keeps of it.
+	// results, and records the run's measured profile on the plan it ran
+	// (plan.Compiled.NoteObserved); traced also records the span tree.
+	// The Outcome is never nil: beside an error it holds the plan and
+	// what was measured before the failure, which is what an event log
+	// keeps of it.
 	Run(q *plan.Compiled, src string, traced bool) (*Outcome, error)
 	// Metrics is what a debug endpoint shows between runs: the last run
 	// finished. A local session starts it over when Run does and shows

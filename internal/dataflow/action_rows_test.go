@@ -138,7 +138,11 @@ func TestRankRowCoversItsTasks(t *testing.T) {
 					parts = append(parts, p)
 					recs = append(recs, int64(rowSizes[p]))
 				}
-				want := summarizeDist(append([]int64(nil), recs...), nil)
+				ran := make([]int64, len(recs))
+				for i := range ran {
+					ran[i] = 1
+				}
+				want := summarizeDist(append([]int64(nil), recs...), ran)
 				if want.N > 0 {
 					want.ArgMax = parts[want.ArgMax] // a row names the partition
 				}

@@ -33,14 +33,13 @@ type (
 )
 
 // summarizeDist computes a Dist over vals[i] for the indices i that ran,
-// ran[i] > 0 (every index when ran is nil), where index i is task or
-// partition i. It packs and sorts vals in place — callers recycle or
-// discard the slice afterwards, so the reorder never escapes. ran may be
-// vals itself, but is then packed too.
+// ran[i] > 0, where index i is task or partition i. It packs and sorts
+// vals in place — callers recycle or discard the slice afterwards, so the
+// reorder never escapes. ran may be vals itself, but is then packed too.
 func summarizeDist(vals, ran []int64) Dist {
 	var d Dist
 	for i, v := range vals {
-		if ran != nil && (i >= len(ran) || ran[i] == 0) {
+		if i >= len(ran) || ran[i] == 0 {
 			continue
 		}
 		if d.N == 0 || v < d.Min {

@@ -188,7 +188,8 @@ func TestTracedStageDAG(t *testing.T) {
 
 // TestDistSummary pins down the nearest-rank percentile math.
 func TestDistSummary(t *testing.T) {
-	d := summarizeDist([]int64{10, 20, 30, 40, 1000}, nil)
+	ran := []int64{1, 1, 1, 1, 1}
+	d := summarizeDist([]int64{10, 20, 30, 40, 1000}, ran)
 	if d.N != 5 || d.Min != 10 || d.Max != 1000 || d.ArgMax != 4 {
 		t.Fatalf("bad summary: %+v", d)
 	}
@@ -198,7 +199,7 @@ func TestDistSummary(t *testing.T) {
 	if z := summarizeDist(nil, nil); z != (Dist{}) {
 		t.Fatalf("empty dist = %+v", z)
 	}
-	one := summarizeDist([]int64{7}, nil)
+	one := summarizeDist([]int64{7}, ran)
 	if one.P50 != 7 || one.P99 != 7 || one.N != 1 {
 		t.Fatalf("singleton dist = %+v", one)
 	}

@@ -161,12 +161,7 @@ func Serve(addr string, src Source) (*Server, error) {
 		}
 		return src.Metrics(), true
 	}
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.Default.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.Handle("/debug/metrics", obs.Default)
 	mux.HandleFunc("/debug/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		m, ok := snapshot(w)
 		if !ok {

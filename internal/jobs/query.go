@@ -22,6 +22,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/trace"
 )
 
 // QueryName is the registered program executing one SAC query.
@@ -40,9 +41,9 @@ type QueryParams struct {
 	Partitions   int64
 	DisableGBJ   bool
 	DisableRBK   bool
-	// Trace asks every rank to record execution spans and stream them
-	// to the driver, which merges them into one cluster-wide trace
-	// (per-rank lanes). Stage rows and counter reports flow regardless;
+	// Trace asks every rank to record execution spans and send them in
+	// its job reply; the driver merges them into one cluster-wide trace
+	// (per-rank lanes). Stage rows and counter reports cross regardless;
 	// Trace only controls span recording.
 	Trace bool
 }
@@ -141,16 +142,18 @@ func queryReply(env *cluster.JobEnv) (encoded, cluster.Report, error) {
 	if err != nil {
 		return encoded{}, cluster.Report{}, err
 	}
-	var pump *telemetryPump
-	if env.Telemetry != nil {
-		pump = newTelemetryPump(env.Telemetry, p.Trace)
+	var tr *trace.Tracer
+	if p.Trace {
+		tr = trace.New()
 	}
 	reply, snap, err := runQuery(p, env.World, func(c *core.Config) {
 		c.Parallelism = env.Parallelism
 		c.MemoryBudget = env.MemoryBudget
 		c.Transport = env.Exchange
 		c.WorkerTag = env.WorkerTag
-	}, env.Resident, pump)
+	}, env.Resident, tr)
+	spans, dropped := tr.Export()
+	env.Observe(snap.PerStage, spans, dropped)
 	return reply, snap.CounterSet, err
 }
 
@@ -178,20 +181,22 @@ func (p QueryParams) sessionConfig(world int) core.Config {
 // local session, this rank's piece on a cluster, as its writer). The
 // metrics snapshot is taken after serialization: results materialize
 // lazily (encodeResult's collect drives the final stages), so an earlier
-// snapshot would miss most of the work.
-func runQuery(p QueryParams, world int, override func(*core.Config), resident *cluster.Resident, pump *telemetryPump) (encoded, dataflow.MetricsSnapshot, error) {
+// snapshot would miss most of the work. With a tracer, the engine records
+// its spans into it under a "query" root, which has ended by the time
+// runQuery returns.
+func runQuery(p QueryParams, world int, override func(*core.Config), resident *cluster.Resident, tr *trace.Tracer) (encoded, dataflow.MetricsSnapshot, error) {
 	conf := p.sessionConfig(world)
 	if override != nil {
 		override(&conf)
 	}
 	s := core.NewSession(conf)
 	defer s.Close()
-	if pump != nil {
-		// finish runs before Close (LIFO), so the final flush still
-		// sees the session's metrics; the worker runtime sends it
-		// ahead of the job reply.
-		pump.attach(s, conf.WorkerTag, p.Src)
-		defer pump.finish()
+	if tr != nil {
+		s.Engine().SetTracer(tr) // tags every span with the worker, the root too
+		root := tr.Start(nil, "query")
+		root.SetAttr("src", p.Src)
+		s.Engine().SetTraceRoot(root)
+		defer root.End()
 	}
 	// The session, its context, stage IDs, metrics and plan are this
 	// job's; only the input tiles outlive it (DESIGN §10).

@@ -150,9 +150,9 @@ func (cs *ClusterSession) Metrics() dataflow.MetricsSnapshot {
 // snapshotFrom folds per-worker reports into the cluster-wide
 // snapshot: the ranks' counter sets merged by the schema's rules (sums;
 // high-water marks take the largest), one PerWorker row per rank
-// annotated with the driver's liveness view, every
-// telemetry-reporting rank's stage rows (WorkerStages, each stamped
-// with its worker), and the cluster-merged stage table (PerStage).
+// annotated with the driver's liveness view, every replying rank's
+// stage rows (WorkerStages, each stamped with its worker), and the
+// cluster-merged stage table (PerStage).
 // Resubmissions is the run's, summed over every attempt.
 func snapshotFrom(run *cluster.RunResult, infos []cluster.WorkerInfo) dataflow.MetricsSnapshot {
 	alive := make(map[string]bool, len(infos))

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -245,6 +246,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// ServeHTTP answers a scrape with WritePrometheus: a process's
+// /debug/metrics is its registry, mounted as the handler.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// WritePrometheus fails only when w does: the scraper hung up, and
+	// no status is left to send it.
+	_ = r.WritePrometheus(w)
 }
 
 // formatFloat renders a float the way Prometheus clients expect:

@@ -1,5 +1,6 @@
 // The per-stage record: the one row type behind the engine's stage
-// table, the telemetry stream's stage rows and the cluster-merged view.
+// table, the stage rows a rank's job reply carries and the cluster-merged
+// view.
 
 package obs
 

@@ -475,12 +475,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.Default.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	mux.Handle("/debug/metrics", obs.Default)
 	return mux
 }
 

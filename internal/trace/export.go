@@ -1,8 +1,8 @@
-// Wire-friendly span export and cross-process merge. Cluster workers
-// drain their tracer into SpanRec batches, ship them to the driver
-// over the control plane, and the driver reassembles the batches into
-// one Tracer — synthetic per-worker roots keep every rank on its own
-// lane in the merged tree and Chrome trace.
+// Wire-friendly span export and cross-process merge. A cluster worker
+// exports its tracer as SpanRecs at the end of a job and sends them to
+// the driver in its job reply, and the driver reassembles every rank's
+// records into one Tracer — synthetic per-worker roots keep every rank
+// on its own lane in the merged tree and Chrome trace.
 
 package trace
 
@@ -58,40 +58,9 @@ func (t *Tracer) Export() ([]SpanRec, int64) {
 	return recs, t.Dropped()
 }
 
-// DrainEnded removes the spans that have already ended from the buffer
-// and returns them as records (oldest first); unfinished spans stay
-// retained. This is the periodic-flush path: each tick ships the
-// completed spans and frees their buffer slots, so a long job's trace
-// memory stays bounded on the worker while the driver accumulates the
-// full history. Nil-safe.
-func (t *Tracer) DrainEnded() []SpanRec {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ordered := t.orderedLocked()
-	var recs []SpanRec
-	keep := t.ring[:0]
-	for _, s := range ordered {
-		if s.endTime().IsZero() {
-			keep = append(keep, s)
-		} else {
-			recs = append(recs, recOf(s))
-		}
-	}
-	// Clear the vacated tail so dropped spans are collectable.
-	for i := len(keep); i < len(t.ring); i++ {
-		t.ring[i] = nil
-	}
-	t.ring = keep
-	t.head = 0
-	return recs
-}
-
 // WorkerTrace is one worker's contribution to a merged trace: its
-// identity tag, every span record it shipped (across all flushes, in
-// shipping order), and how many spans its buffer limit discarded.
+// identity tag, the span records it sent (oldest first), and how many
+// spans its buffer limit discarded.
 type WorkerTrace struct {
 	Worker  string
 	Dropped int64

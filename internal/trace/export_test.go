@@ -67,29 +67,6 @@ func TestOrphanedChildReRootsInTree(t *testing.T) {
 	}
 }
 
-func TestDrainEndedKeepsUnfinished(t *testing.T) {
-	tr := NewAt(fakeClock())
-	root := tr.Start(nil, "root") // stays open
-	root.StartChild("a").End()
-	root.StartChild("b").End()
-	got := tr.DrainEnded()
-	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" {
-		t.Fatalf("drained %v, want [a b]", got)
-	}
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Name != "root" {
-		t.Fatalf("retained = %v, want the unfinished root", spans)
-	}
-	// Second drain is empty until more spans end.
-	if got := tr.DrainEnded(); len(got) != 0 {
-		t.Fatalf("re-drain returned %v", got)
-	}
-	root.End()
-	if got := tr.DrainEnded(); len(got) != 1 || got[0].Name != "root" {
-		t.Fatalf("final drain = %v, want [root]", got)
-	}
-}
-
 func TestExportRecordFields(t *testing.T) {
 	tr := NewAt(fakeClock())
 	tr.SetAutoAttr("worker", "w1")
