@@ -228,7 +228,7 @@ func TestProtoRoundTrips(t *testing.T) {
 		t.Fatalf("job: %+v %v", got, err)
 	}
 	rep := Report{Tasks: 1, Stages: 2, ShuffledBytes: 3, Resubmissions: 4, WallNanos: 5,
-		ServedFetches: 6, MemoryPeak: 7}
+		ChunksFetched: 6, MemoryPeak: 7}
 	done := jobDoneMsg{JobID: 9, OK: true, Err: "", Report: rep, Telemetry: sampleTelemetry()}
 	gd, err := decodeJobDone(done.encode())
 	if err != nil || !reflect.DeepEqual(gd, done) {
@@ -257,7 +257,7 @@ func TestProtoRoundTrips(t *testing.T) {
 	welcome := welcomeMsg{HeartbeatNanos: 250}
 	jobEnd := jobEndMsg{JobID: 9}
 	fetch := fetchStreamMsg{JobID: 9, Key: "x1.2.3", FirstChunk: 4}
-	end := streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}
+	end := streamEndMsg{Chunks: 3, Bytes: 1 << 20}
 	for name, m := range map[string]struct {
 		blob   []byte
 		decode func([]byte) error

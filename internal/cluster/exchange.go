@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,44 +13,13 @@ import (
 
 	"repro/internal/memory"
 	"repro/internal/obs"
-	"repro/internal/spill"
 )
 
-const (
-	// shuffleChunkSize is the raw-byte chunking granularity of published
-	// buckets. It bounds both sides of a streaming fetch: the server
-	// frames at most one chunk at a time and the client holds at most
-	// one decoded chunk, so a 1 GiB bucket costs ~256 KiB of per-fetch
-	// memory, not 1 GiB.
-	shuffleChunkSize = 256 << 10
-
-	// compressSampleSize is how much of a bucket's head makeBucket
-	// compresses to decide whether the bucket is worth compressing: the
-	// decision costs microseconds whatever the bucket's size.
-	compressSampleSize = 4 << 10
-
-	// compressSavingsDenom is the break-even of that decision: a bucket
-	// (and then each chunk) is stored compressed only when compression
-	// saves at least 1/compressSavingsDenom of the raw size.
-	// spill.CompressBlock runs at about 320 MB/s per core on tile
-	// payloads (the benchmark's spill.compress_mbs), so compressing B
-	// bytes costs B/320 MB/s of CPU and, saving the fraction s, takes
-	// s*B off the wire: it pays only on a link slower than s * 320 MB/s
-	// per core. An eighth (the threshold until PR 19) pays below 40 MB/s;
-	// a third pays up to ~107 MB/s, gigabit Ethernet, the slowest link a
-	// cluster is expected to run on. Measured on a chunk of each payload
-	// (TestBucketHeuristic): dense random tiles save nothing (a blob
-	// writes a tile it repeats once, so no chunk holds one twice for the
-	// compressor to find), coordinate rows with random values 20 % —
-	// both ship raw; coordinate rows with whole-number values save 45 %,
-	// half-zero tiles 38 %, tiles 90 % zero 85 % — those compress.
-	compressSavingsDenom = 3
-
-	// chunkFrameMax is the largest chunk frame: the flags, the raw length
-	// and a body no longer than a chunk (a compressed one is shorter).
-	// A fetch reads every frame into one buffer of this size.
-	chunkFrameMax = 1 + binary.MaxVarintLen64 + shuffleChunkSize
-)
+// shuffleChunkSize is the chunking granularity of published buckets. It
+// bounds both sides of a streaming fetch: the server frames at most one
+// chunk at a time and the client holds at most one chunk, so a 1 GiB
+// bucket costs ~256 KiB of per-fetch memory, not 1 GiB.
+const shuffleChunkSize = 256 << 10
 
 // errFetchGone marks a fetch the peer answered with FetchGone: the
 // bucket is unrecoverable there (its job failed), so retrying the same
@@ -75,60 +43,22 @@ func retryableFetch(err error) bool {
 		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
-// chunk is one stored piece of a published bucket. data is either
-// rawLen raw bytes or a compressed block that inflates to rawLen.
-type chunk struct {
-	flags  byte
-	rawLen int
-	data   []byte
+// chunkOf is chunk i of a published blob: its bytes from i chunks in,
+// at most a chunk of them. A bucket is chunked only here, on serve, so
+// chunk boundaries are a function of the blob alone and a resumed
+// stream is byte-identical to an uninterrupted one.
+func chunkOf(blob []byte, i int) []byte {
+	return blob[i*shuffleChunkSize : min((i+1)*shuffleChunkSize, len(blob))]
 }
 
-// bucket is what the store keeps under one key — a shuffle blob (one map
-// task's segments for one rank's reduce partitions) or an action
-// partial — chunked (and possibly compressed) once at publish time so
-// every fetch serves the same bytes without re-encoding.
-type bucket struct {
-	chunks   []chunk
-	rawBytes int64
-}
+// chunkCount is how many chunks a blob of n bytes streams as.
+func chunkCount(n int) int { return (n + shuffleChunkSize - 1) / shuffleChunkSize }
 
-// compressionPays reports whether packed bytes for raw bytes is a saving
-// past the break-even.
-func compressionPays(packed, raw int) bool {
-	return packed <= raw-raw/compressSavingsDenom
-}
-
-// makeBucket chunks blob and applies the per-bucket compression
-// heuristic: compress a sample of the head, and compress the chunks only
-// if the sample pays. A chunk that then does not pay is stored raw.
-func makeBucket(blob []byte) bucket {
-	b := bucket{rawBytes: int64(len(blob))}
-	if len(blob) == 0 {
-		return b
-	}
-	// A bucket no larger than the sample is its own probe.
-	compress := len(blob) <= compressSampleSize ||
-		compressionPays(len(spill.CompressBlock(blob[:compressSampleSize])), compressSampleSize)
-	n := (len(blob) + shuffleChunkSize - 1) / shuffleChunkSize
-	b.chunks = make([]chunk, 0, n)
-	for off := 0; off < len(blob); off += shuffleChunkSize {
-		raw := blob[off:min(off+shuffleChunkSize, len(blob))]
-		c := chunk{rawLen: len(raw), data: raw}
-		if compress {
-			if packed := spill.CompressBlock(raw); compressionPays(len(packed), len(raw)) {
-				c.flags, c.data = chunkFlagCompressed, packed
-			}
-		}
-		b.chunks = append(b.chunks, c)
-	}
-	return b
-}
-
-// jobStore holds one job's locally-produced shuffle buckets. Fetches
-// block until the bucket is published (a peer that runs ahead of us
-// simply waits) or the job fails on this worker, at which point every
-// pending and future fetch gets an error so peers fall back to
-// lineage recompute instead of hanging.
+// jobStore holds one job's locally-produced shuffle buckets, each the
+// blob as published. Fetches block until the bucket is published (a
+// peer that runs ahead of us simply waits) or the job fails on this
+// worker, at which point every pending and future fetch gets an error so
+// peers fall back to lineage recompute instead of hanging.
 //
 // The store also holds the job's lease on the worker's buffer pool, which
 // its blobs, fetch frames, tiles and result piece are drawn from. The
@@ -138,7 +68,7 @@ func makeBucket(blob []byte) bucket {
 type jobStore struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	buckets map[string]bucket
+	buckets map[string][]byte
 	failed  bool
 	ended   bool
 	users   int // the program while it runs, plus the serves in flight
@@ -146,7 +76,7 @@ type jobStore struct {
 }
 
 func newJobStore(lease *memory.Lease) *jobStore {
-	s := &jobStore{buckets: make(map[string]bucket), lease: lease}
+	s := &jobStore{buckets: make(map[string][]byte), lease: lease}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -189,21 +119,21 @@ func (s *jobStore) end() {
 	}
 }
 
-func (s *jobStore) put(key string, b bucket) {
+func (s *jobStore) put(key string, blob []byte) {
 	s.mu.Lock()
-	s.buckets[key] = b
+	s.buckets[key] = blob
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// waitGet blocks until key is present or the store failed. A bucket it
+// waitGet blocks until key is present or the store failed. A blob it
 // returns is the caller's to serve until it calls leave.
-func (s *jobStore) waitGet(key string) (bucket, error) {
+func (s *jobStore) waitGet(key string) ([]byte, error) {
 	s.mu.Lock()
 	for {
 		if s.ended {
 			s.mu.Unlock()
-			return bucket{}, fmt.Errorf("cluster: job ended on this worker")
+			return nil, fmt.Errorf("cluster: job ended on this worker")
 		}
 		if b, ok := s.buckets[key]; ok {
 			s.users++
@@ -212,7 +142,7 @@ func (s *jobStore) waitGet(key string) (bucket, error) {
 		}
 		if s.failed {
 			s.mu.Unlock()
-			return bucket{}, fmt.Errorf("cluster: job failed on this worker")
+			return nil, fmt.Errorf("cluster: job failed on this worker")
 		}
 		s.cond.Wait()
 	}
@@ -396,11 +326,10 @@ func (e *Exchange) Lease() *memory.Lease { return e.store.lease }
 // wired into a Context.
 func (e *Exchange) SetMemory(m *memory.Manager) { e.mem.Store(m) }
 
-// Publish stores a locally-produced bucket for peers to fetch. The
-// bucket is chunked — and, when it pays, compressed — exactly once
-// here; every subsequent fetch serves the stored chunks.
+// Publish stores a locally-produced bucket for peers to fetch; every
+// fetch serves the blob's own bytes, chunk by chunk.
 func (e *Exchange) Publish(key string, blob []byte) error {
-	e.store.put(key, makeBucket(blob))
+	e.store.put(key, blob)
 	return nil
 }
 
@@ -412,9 +341,9 @@ func (e *Exchange) markDead(rank int) {
 }
 
 // FetchReader streams the bucket key owned by rank, a peer: a rank never
-// fetches from itself, and asking is an error. The reader yields the raw
-// (decompressed) bucket bytes incrementally as chunks arrive, holding at
-// most one chunk — reserved against the memory budget — at a time.
+// fetches from itself, and asking is an error. The reader yields the
+// bucket bytes incrementally as chunks arrive, holding at most one
+// chunk — reserved against the memory budget — at a time.
 // Transient stream errors are retried transparently, resuming from the
 // last delivered chunk. Any error means the caller should recompute the
 // bucket from lineage — but only FATAL errors (FetchGone, dial or retry
@@ -438,7 +367,7 @@ func (e *Exchange) FetchReader(rank int, key string) (io.ReadCloser, error) {
 // streamReader is the client side of one streaming fetch. It connects
 // lazily (the first Read may block until the peer publishes the
 // bucket — that wait IS the pipeline: other fetches progress
-// meanwhile), decodes one chunk at a time under a memory reservation,
+// meanwhile), holds one chunk at a time under a memory reservation,
 // and transparently resumes after transient failures via FirstChunk.
 type streamReader struct {
 	e    *Exchange
@@ -447,14 +376,14 @@ type streamReader struct {
 
 	conn     net.Conn
 	br       *bufio.Reader
-	got      int // chunks received on the CURRENT connection
-	next     int // next chunk index expected = resume point
-	attempts int // transient retries consumed
+	got      int   // chunks received on the CURRENT connection
+	gotBytes int64 // their bytes, checked against the stream end
+	next     int   // next chunk index expected = resume point
+	attempts int   // transient retries consumed
 
 	frame    []byte // frame payloads are read into this one buffer, chunk after chunk, lent by the job's lease
-	cur      []byte // decoded bytes of the current chunk, unconsumed; a raw chunk's lie in frame
+	cur      []byte // the current chunk's unconsumed bytes, in frame
 	reserved int64  // memory reservation held for cur
-	rawTotal int64  // raw bytes delivered so far (verified at end)
 	done     bool
 	terr     error // transport-level failure, set once
 }
@@ -561,49 +490,32 @@ func (s *streamReader) fill() error {
 	}
 	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
 	if s.frame == nil {
-		s.frame = s.e.store.lease.Bytes(chunkFrameMax)[:0]
+		s.frame = s.e.store.lease.Bytes(shuffleChunkSize)[:0]
 	}
-	// cur is empty (Read fills only then), so frame is free to overwrite.
-	typ, payload, err := readFrameInto(s.br, s.frame)
+	// No frame of a stream is longer than a chunk, so each is read into
+	// frame, which is free to overwrite: cur is empty (Read fills only
+	// then).
+	typ, size, err := readFrameHead(s.br)
 	if err != nil {
 		return s.retry(fmt.Errorf("cluster: read stream from rank %d: %w", s.rank, err))
 	}
-	s.frame = payload[:0]
+	if size > shuffleChunkSize {
+		return s.fail(fmt.Errorf("cluster: rank %d sent a %d-byte frame, more than a chunk", s.rank, size))
+	}
+	payload, err := readPayload(s.br, size, s.frame)
+	if err != nil {
+		return s.retry(fmt.Errorf("cluster: read stream from rank %d: %w", s.rank, err))
+	}
 	switch typ {
 	case msgStreamChunk:
-		flags, rawLen, body, err := decodeChunkFrame(payload)
-		if err != nil {
-			return s.fail(fmt.Errorf("cluster: rank %d sent bad chunk frame: %w", s.rank, err))
-		}
-		s.e.mem.Load().Reserve(int64(rawLen))
-		s.reserved = int64(rawLen)
-		if flags&chunkFlagCompressed != 0 {
-			raw, err := spill.DecompressBlock(body, rawLen)
-			if err != nil {
-				// Corrupt payload is NOT a transport error: terr stays
-				// nil so the consumer knows recompute won't help.
-				s.release()
-				s.done = true
-				if s.conn != nil {
-					s.conn.Close()
-					s.conn, s.br = nil, nil
-				}
-				return fmt.Errorf("cluster: chunk %d from rank %d corrupt: %w", s.next, s.rank, err)
-			}
-			s.cur = raw
-		} else {
-			if len(body) != rawLen {
-				s.release()
-				return s.fail(fmt.Errorf("cluster: rank %d chunk %d: %d raw bytes, header says %d",
-					s.rank, s.next, len(body), rawLen))
-			}
-			s.cur = body
-		}
+		s.e.mem.Load().Reserve(int64(len(payload)))
+		s.reserved = int64(len(payload))
+		s.cur = payload
 		s.next++
 		s.got++
-		s.rawTotal += int64(rawLen)
-		s.e.c.WireFetchedBytes.Add(int64(len(payload)))
-		s.e.c.WireRawBytes.Add(int64(rawLen))
+		s.gotBytes += int64(len(payload))
+		s.e.c.WireFetchedBytes.Add(frameBytes(len(payload)))
+		s.e.c.WireRawBytes.Add(int64(len(payload)))
 		s.e.c.ChunksFetched.Add(1)
 		return nil
 	case msgStreamEnd:
@@ -611,14 +523,11 @@ func (s *streamReader) fill() error {
 		if err != nil {
 			return s.fail(fmt.Errorf("cluster: rank %d sent bad stream end: %w", s.rank, err))
 		}
-		if wantRaw := end.RawBytes; s.got > 0 && wantRaw >= 0 {
-			// The totals cover this response only; with resumes the
-			// client-side sum is authoritative, so only sanity-check
-			// the single-connection case.
-			if s.attempts == 0 && (int64(s.got) != end.Chunks || s.rawTotal != wantRaw) {
-				return s.fail(fmt.Errorf("cluster: rank %d stream mismatch: got %d chunks/%d raw, peer sent %d/%d",
-					s.rank, s.got, s.rawTotal, end.Chunks, wantRaw))
-			}
+		// The totals cover this response, from the FirstChunk it asked
+		// for: what this connection received, resumed or not.
+		if int64(s.got) != end.Chunks || s.gotBytes != end.Bytes {
+			return s.fail(fmt.Errorf("cluster: rank %d stream mismatch: got %d chunks/%d bytes, peer sent %d/%d",
+				s.rank, s.got, s.gotBytes, end.Chunks, end.Bytes))
 		}
 		s.done = true
 		return nil
@@ -636,7 +545,7 @@ func (s *streamReader) connect() error {
 	if s.conn != nil {
 		return nil
 	}
-	s.got = 0
+	s.got, s.gotBytes = 0, 0
 	if c := s.e.pools[s.rank].get(); c != nil {
 		s.conn, s.br = c, bufio.NewReader(c)
 		s.e.c.ConnPoolHits.Add(1)

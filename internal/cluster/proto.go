@@ -43,15 +43,8 @@ const (
 	// zero or more msgStreamChunk frames and a terminating msgStreamEnd
 	// (or msgFetchGone).
 	msgFetchStream = byte(11) // worker -> worker: chunked bucket request
-	msgStreamChunk = byte(12) // worker -> worker: one bucket chunk
+	msgStreamChunk = byte(12) // worker -> worker: one bucket chunk, its bytes as published
 	msgStreamEnd   = byte(13) // worker -> worker: stream totals / terminator
-)
-
-// streamChunk flag bits, one byte per chunk.
-const (
-	// chunkFlagCompressed: the chunk body is a spill.CompressBlock
-	// block that inflates to RawLen bytes.
-	chunkFlagCompressed = byte(1) << 0
 )
 
 // maxFrame bounds a frame payload so a corrupt length prefix cannot
@@ -76,19 +69,20 @@ func writeFrame(w io.Writer, typ byte, parts ...[]byte) error {
 	return err
 }
 
-// readFrame reads one frame into a payload of its own.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
-	return readFrameInto(r, nil)
+// frameBytes is what a frame with an n-byte payload takes on the wire:
+// the type byte, the uvarint length and the payload.
+func frameBytes(n int) int64 {
+	var head [binary.MaxVarintLen64]byte
+	return int64(1 + binary.PutUvarint(head[:], uint64(n)) + n)
 }
 
-// readFrameInto reads one frame, reusing buf for the payload when it is
-// large enough; the payload is then only valid until buf's next use.
-func readFrameInto(r *bufio.Reader, buf []byte) (byte, []byte, error) {
+// readFrame reads one frame into a payload of its own.
+func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	typ, size, err := readFrameHead(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	payload, err := readPayload(r, size, buf)
+	payload, err := readPayload(r, size, nil)
 	return typ, payload, err
 }
 
@@ -472,47 +466,16 @@ func decodeFetchStream(p []byte) (fetchStreamMsg, error) {
 	return m, c.end("fetch-stream")
 }
 
-// writeChunkFrame writes one chunk as a msgStreamChunk frame: a flags
-// byte, the decompressed length, then the body (compressed or raw per
-// the flag), which goes to w from the stored bucket without a copy.
-func writeChunkFrame(w io.Writer, flags byte, rawLen int, body []byte) error {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = flags
-	n := binary.PutUvarint(hdr[1:], uint64(rawLen))
-	return writeFrame(w, msgStreamChunk, hdr[:1+n], body)
-}
-
-// decodeChunkFrame parses the payload writeChunkFrame framed. RawLen is
-// bounded by maxFrame so a corrupt header cannot drive a giant
-// decompression allocation; the body is NOT copied (it aliases p).
-func decodeChunkFrame(p []byte) (flags byte, rawLen int, body []byte, err error) {
-	if len(p) < 1 {
-		return 0, 0, nil, fmt.Errorf("cluster: empty chunk frame")
-	}
-	flags = p[0]
-	c := wireCur{b: p[1:]}
-	n := c.u64()
-	if c.err != nil {
-		return 0, 0, nil, c.err
-	}
-	if n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("cluster: chunk raw length %d exceeds limit", n)
-	}
-	return flags, int(n), c.b, nil
-}
-
 // streamEndMsg closes a chunk stream with totals the client verifies.
 type streamEndMsg struct {
-	Chunks    int64 // chunks sent in THIS response (from FirstChunk on)
-	RawBytes  int64 // decompressed bytes represented by those chunks
-	WireBytes int64 // bytes as actually framed on the wire
+	Chunks int64 // chunks sent in THIS response (from FirstChunk on)
+	Bytes  int64 // the bytes of those chunks
 }
 
 func (m *streamEndMsg) encode() []byte {
 	var w wireBuf
 	w.i64(m.Chunks)
-	w.i64(m.RawBytes)
-	w.i64(m.WireBytes)
+	w.i64(m.Bytes)
 	return w.b
 }
 
@@ -521,7 +484,7 @@ func (m *streamEndMsg) encode() []byte {
 // padded frame is a protocol error, not a set of zeros.
 func decodeStreamEnd(p []byte) (streamEndMsg, error) {
 	c := wireCur{b: p}
-	m := streamEndMsg{Chunks: c.i64(), RawBytes: c.i64(), WireBytes: c.i64()}
+	m := streamEndMsg{Chunks: c.i64(), Bytes: c.i64()}
 	return m, c.end("stream end")
 }
 

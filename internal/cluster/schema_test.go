@@ -23,7 +23,7 @@ var legacySeries = []string{
 	"sac_dataflow_shuffled_bytes_total", "sac_dataflow_spilled_bytes_total", "sac_dataflow_spill_files_total",
 	"sac_dataflow_merge_passes_total",
 	"sac_cluster_wire_fetched_bytes_total", "sac_cluster_wire_raw_bytes_total",
-	"sac_cluster_wire_served_bytes_total", "sac_cluster_chunks_fetched_total",
+	"sac_cluster_chunks_fetched_total",
 	"sac_cluster_conn_pool_hits_total", "sac_cluster_conn_pool_misses_total",
 	"sac_cluster_fetch_retries_total", "sac_cluster_fetch_gone_total",
 	"sac_dataflow_stage_seconds_count", "sac_dataflow_task_seconds_count",

@@ -1,8 +1,8 @@
 package cluster
 
-// Streaming data-plane tests: chunked/compressed fetch parity with the
-// published bytes, transparent resume after transient stream errors
-// (the rank must NOT be marked dead), fatal FetchGone classification —
+// Streaming data-plane tests: chunked fetch parity with the published
+// bytes and the exact wire count, transparent resume after transient
+// stream errors (the rank must NOT be marked dead), fatal FetchGone classification —
 // for a failed job and for one that already ended — connection-pool
 // reuse, and memory-bounded fetches.
 
@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -21,12 +20,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comp"
 	"repro/internal/dataflow"
-	"repro/internal/linalg"
 	"repro/internal/memory"
-	_ "repro/internal/plan" // registers the coordinate rows' codec
-	"repro/internal/spill"
 )
 
 // startDataServer runs just the worker's data plane: a listener and the
@@ -69,21 +64,31 @@ func fetchAll(e *Exchange, rank int, key string) ([]byte, error) {
 
 func testBlobs() map[string][]byte {
 	rng := rand.New(rand.NewSource(42))
-	random := make([]byte, 3*shuffleChunkSize+777) // 4 chunks, incompressible
+	random := make([]byte, 3*shuffleChunkSize+777) // 4 chunks, the last short
 	rng.Read(random)
 	return map[string][]byte{
 		"empty":      {},
 		"tiny":       []byte("hello"),
 		"one-chunk":  bytes.Repeat([]byte("abc"), 1000),
-		"repetitive": bytes.Repeat([]byte("0123456789abcdef"), 5*shuffleChunkSize/16), // 5 chunks, compressible
+		"repetitive": bytes.Repeat([]byte("0123456789abcdef"), 5*shuffleChunkSize/16), // 5 whole chunks
 		"random":     random,
 	}
 }
 
+// chunkFraming is what the chunk frames of an n-byte blob add to its
+// bytes on the wire: each chunk's type byte and uvarint length.
+func chunkFraming(n int) (framing int64) {
+	for i := 0; i < chunkCount(n); i++ {
+		size := min(n-i*shuffleChunkSize, shuffleChunkSize)
+		framing += frameBytes(size) - int64(size)
+	}
+	return framing
+}
+
 // TestStreamFetchParity: every blob shape — empty, sub-chunk, several
-// compressible chunks, several incompressible ones — comes back from
-// the data server byte for byte, whichever way the publish-side probe
-// stored its chunks.
+// whole chunks, several with a short last one — comes back from the
+// data server byte for byte, and the wire bytes are exactly its bytes
+// plus its chunk frames' heads.
 func TestStreamFetchParity(t *testing.T) {
 	w, addr := startDataServer(t)
 	server := newExchange(1, 1, nil, w.storeFor(1), newPeerPools(0))
@@ -100,19 +105,11 @@ func TestStreamFetchParity(t *testing.T) {
 			t.Fatalf("%s: fetched %d bytes, want %d (content mismatch)", name, len(got), len(blob))
 		}
 		wire, raw, chunks := e.c.WireFetchedBytes.Load(), e.c.WireRawBytes.Load(), e.c.ChunksFetched.Load()
-		if raw != int64(len(blob)) || (chunks == 0) != (len(blob) == 0) {
+		if raw != int64(len(blob)) || chunks != int64(chunkCount(len(blob))) {
 			t.Fatalf("%s: counted %d raw bytes in %d chunks for a %d-byte blob", name, raw, chunks, len(blob))
 		}
-		switch name {
-		case "repetitive":
-			if wire >= raw {
-				t.Fatalf("compression saved nothing: wire=%d raw=%d", wire, raw)
-			}
-		case "random":
-			// Stored raw by the probe: framing is the only overhead.
-			if wire < raw || wire > raw+16*chunks {
-				t.Fatalf("incompressible blob: wire=%d raw=%d in %d chunks", wire, raw, chunks)
-			}
+		if want := raw + chunkFraming(len(blob)); wire != want {
+			t.Fatalf("%s: %d bytes on the wire, want %d raw + %d of chunk frame heads", name, wire, raw, want-raw)
 		}
 		if e.dead[1].Load() {
 			t.Fatal("healthy rank marked dead")
@@ -136,22 +133,17 @@ func TestConnPoolReuse(t *testing.T) {
 	}
 }
 
-// TestTransientStreamErrorResumes is the regression test for the PR 5
-// bug where ANY fetch error permanently killed the rank: a server that
-// drops the connection mid-stream must cost a transparent retry — the
-// client resumes from the next chunk, the result is byte-identical,
-// and the rank is NOT marked dead.
-func TestTransientStreamErrorResumes(t *testing.T) {
-	blob := bytes.Repeat([]byte("stream-me-"), 4*shuffleChunkSize/10)
-	bkt := makeBucket(blob)
-	if len(bkt.chunks) < 2 {
-		t.Fatal("test bucket must span several chunks")
-	}
+// resumingPeer is a data server for one blob that hangs up after the
+// first chunk of its first response and answers every later request in
+// full, its stream end claiming overclaim chunks more than it sent. It
+// returns its address and the FirstChunk of each request it saw.
+func resumingPeer(t *testing.T, blob []byte, overclaim int64) (string, func() []int64) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	var fcMu sync.Mutex
 	var firstChunks []int64
 	var conns atomic.Int64
@@ -176,14 +168,14 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 				fcMu.Lock()
 				firstChunks = append(firstChunks, req.FirstChunk)
 				fcMu.Unlock()
-				var end streamEndMsg
-				for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
-					ch := bkt.chunks[i]
-					if writeChunkFrame(conn, ch.flags, ch.rawLen, ch.data) != nil {
+				end := streamEndMsg{Chunks: overclaim}
+				for i := int(req.FirstChunk); i < chunkCount(len(blob)); i++ {
+					ch := chunkOf(blob, i)
+					if writeFrame(conn, msgStreamChunk, ch) != nil {
 						return
 					}
 					end.Chunks++
-					end.RawBytes += int64(ch.rawLen)
+					end.Bytes += int64(len(ch))
 					if kill {
 						return // hang up mid-stream after one chunk
 					}
@@ -192,7 +184,27 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 			}(conn, n == 1)
 		}
 	}()
-	e := clientExchange(3, ln.Addr().String())
+	return ln.Addr().String(), func() []int64 {
+		fcMu.Lock()
+		defer fcMu.Unlock()
+		return append([]int64(nil), firstChunks...)
+	}
+}
+
+// TestTransientStreamErrorResumes is the regression test for the PR 5
+// bug where ANY fetch error permanently killed the rank: a server that
+// drops the connection mid-stream must cost a transparent retry — the
+// client resumes from the next chunk, the result is byte-identical,
+// and the rank is NOT marked dead. The resumed response's stream end is
+// checked like a first one: claiming a chunk more than it sent fails
+// the fetch as a transport error.
+func TestTransientStreamErrorResumes(t *testing.T) {
+	blob := bytes.Repeat([]byte("stream-me-"), 4*shuffleChunkSize/10)
+	if chunkCount(len(blob)) < 2 {
+		t.Fatal("test bucket must span several chunks")
+	}
+	addr, requests := resumingPeer(t, blob, 0)
+	e := clientExchange(3, addr)
 	got, err := fetchAll(e, 1, "x")
 	if err != nil {
 		t.Fatalf("fetch across mid-stream hangup: %v", err)
@@ -206,16 +218,27 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 	if e.c.FetchRetries.Load() == 0 {
 		t.Fatal("no retry counted for the hangup")
 	}
-	fcMu.Lock()
-	resumed := len(firstChunks) >= 2 && firstChunks[0] == 0 && firstChunks[1] > 0
-	seen := append([]int64(nil), firstChunks...)
-	fcMu.Unlock()
-	if !resumed {
+	if seen := requests(); len(seen) < 2 || seen[0] != 0 || seen[1] == 0 {
 		t.Fatalf("expected a resume with FirstChunk > 0, saw requests %v", seen)
 	}
 	// A later fetch from the same (healthy) rank must still work.
 	if _, err := fetchAll(e, 1, "x"); err != nil {
 		t.Fatalf("rank unusable after recovered transient error: %v", err)
+	}
+
+	addr, requests = resumingPeer(t, blob, 1)
+	e = clientExchange(3, addr)
+	rc, err := e.FetchReader(1, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(rc)
+	rc.Close()
+	if terr := rc.(*streamReader).TransportErr(); err == nil || terr == nil {
+		t.Fatalf("resumed stream whose end claims a chunk more: read error %v, transport error %v", err, terr)
+	}
+	if seen := requests(); len(seen) != 2 || seen[1] == 0 {
+		t.Fatalf("expected the mismatch on a resumed response, saw requests %v", seen)
 	}
 }
 
@@ -246,32 +269,26 @@ func scriptedPeer(t *testing.T, reply func(w io.Writer)) string {
 }
 
 // TestMalformedChunksAreErrors: what a peer sends is checked before it is
-// believed. A compressed chunk that does not inflate is corrupt payload —
-// an error with no transport error behind it, so the consumer does not
-// recompute what would come out the same — while a raw chunk shorter
-// than its header says, a chunk claiming more than maxFrame raw bytes
-// and a frame longer than maxFrame are the peer's fault and fail the
-// fetch as transport errors, all without allocating what they claim.
+// believed. A frame longer than maxFrame, a chunk longer than a chunk and
+// a stream end that claims a chunk more than was sent are the peer's
+// fault and fail the fetch as transport errors, all without allocating
+// what they claim.
 func TestMalformedChunksAreErrors(t *testing.T) {
-	oversized := func(w io.Writer) {
-		hdr := binary.AppendUvarint([]byte{msgStreamChunk}, maxFrame+1)
-		_, _ = w.Write(hdr)
-	}
 	for _, tc := range []struct {
-		name      string
-		reply     func(w io.Writer)
-		transport bool
+		name  string
+		reply func(w io.Writer)
 	}{
-		{"compressed chunk that does not inflate", func(w io.Writer) {
-			_ = writeChunkFrame(w, chunkFlagCompressed, 1000, []byte{200, 1, 2, 3})
-		}, false},
-		{"raw chunk shorter than its header", func(w io.Writer) {
-			_ = writeChunkFrame(w, 0, 1000, []byte("short"))
-		}, true},
-		{"chunk claiming more than maxFrame", func(w io.Writer) {
-			_ = writeChunkFrame(w, chunkFlagCompressed, maxFrame+1, []byte{1})
-		}, true},
-		{"frame longer than maxFrame", oversized, true},
+		{"frame longer than maxFrame", func(w io.Writer) {
+			_, _ = w.Write(binary.AppendUvarint([]byte{msgStreamChunk}, maxFrame+1))
+		}},
+		{"chunk longer than a chunk", func(w io.Writer) {
+			_ = writeFrame(w, msgStreamChunk, make([]byte, shuffleChunkSize+1))
+			_ = writeFrame(w, msgStreamEnd, (&streamEndMsg{Chunks: 1, Bytes: shuffleChunkSize + 1}).encode())
+		}},
+		{"stream end claiming a chunk more than sent", func(w io.Writer) {
+			_ = writeFrame(w, msgStreamChunk, []byte("hello"))
+			_ = writeFrame(w, msgStreamEnd, (&streamEndMsg{Chunks: 2, Bytes: 5}).encode())
+		}},
 	} {
 		e := clientExchange(9, scriptedPeer(t, tc.reply))
 		e.streamRetries = 0
@@ -290,9 +307,8 @@ func TestMalformedChunksAreErrors(t *testing.T) {
 			t.Errorf("%s: read without error", tc.name)
 			continue
 		}
-		terr := rc.(interface{ TransportErr() error }).TransportErr()
-		if (terr != nil) != tc.transport {
-			t.Errorf("%s: transport error %v, want one: %v (read error: %v)", tc.name, terr, tc.transport, err)
+		if terr := rc.(*streamReader).TransportErr(); terr == nil {
+			t.Errorf("%s: no transport error behind read error %v", tc.name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: the failed fetch allocated %d bytes", tc.name, grew)
@@ -402,186 +418,58 @@ func TestMemoryBoundedFetch(t *testing.T) {
 	}
 }
 
-// tileBucket is a shuffle bucket of the group-by-join: count n x n tiles
-// keyed by the join's k and their coordinates, in the wire encoding.
-// zeros is the share of each tile's cells left zero; the rest are
-// uniform in [0,10), which no block compressor shortens.
-func tileBucket(tb testing.TB, count, n int, zeros float64) []byte {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(int64(count)))
-	type row = dataflow.Pair[int64, dataflow.Pair[dataflow.Coord, *linalg.Dense]]
-	rows := make([]row, count)
-	for i := range rows {
-		tile := linalg.NewDense(n, n)
-		for c := range tile.Data {
-			if rng.Float64() >= zeros {
-				tile.Data[c] = 10 * rng.Float64()
-			}
+// fetchReply runs one fetch against a peer whose answer to the request
+// is reply's bytes, over an in-memory connection, with no retry: what
+// the fetch read, its error, and the exchange that counted it.
+func fetchReply(reply []byte, mem *memory.Manager) ([]byte, *Exchange, error) {
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		if typ, _, err := readFrame(bufio.NewReader(server)); err == nil && typ == msgFetchStream {
+			_, _ = server.Write(reply)
 		}
-		rows[i] = dataflow.KV(int64(i%10), dataflow.KV(dataflow.Coord{I: int64(i / 10), J: int64(i % 10)}, tile))
-	}
-	blob, err := spill.EncodeRows(rows, spill.For[row]())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return blob
+	}()
+	e := clientExchange(1, "unused")
+	e.streamRetries = 0
+	e.SetMemory(mem)
+	e.pools[1].put(client)
+	defer e.pools[1].close()
+	got, err := fetchAll(e, 1, "k")
+	return got, e, err
 }
 
-// coordBucket is a bucket of the coordinate fallback's join: count
-// ((i,k), a) elements under the rendered join key, in the wire encoding.
-// a is uniform in [0,10), or with whole a whole number below 10 (an
-// adjacency or count matrix), whose float64 is six zero bytes in eight.
-func coordBucket(tb testing.TB, count int, whole bool) []byte {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(int64(count)))
-	type row = dataflow.Pair[string, comp.Value]
-	rows := make([]row, count)
-	for i := range rows {
-		ik := comp.Tuple{int64(i / 1000), int64(i % 1000)}
-		a := 10 * rng.Float64()
-		if whole {
-			a = math.Floor(a)
-		}
-		rows[i] = dataflow.KV(comp.Render(ik[1]), comp.Value(comp.Tuple{ik, a}))
-	}
-	blob, err := spill.EncodeRows(rows, spill.For[row]())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return blob
-}
-
-// storedCompressed counts the bucket's chunks stored compressed and
-// checks every chunk against the raw bytes it stands for.
-func storedCompressed(t *testing.T, blob []byte, b bucket) (compressed int) {
-	t.Helper()
-	var raw []byte
-	for i, c := range b.chunks {
-		if c.flags&chunkFlagCompressed == 0 {
-			raw = append(raw, c.data...)
-			continue
-		}
-		compressed++
-		if !compressionPays(len(c.data), c.rawLen) {
-			t.Fatalf("chunk %d stored compressed at %d of %d bytes, short of the break-even", i, len(c.data), c.rawLen)
-		}
-		plain, err := spill.DecompressBlock(c.data, c.rawLen)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
-		}
-		raw = append(raw, plain...)
-	}
-	if !bytes.Equal(raw, blob) {
-		t.Fatal("the bucket's chunks do not add up to the published bytes")
-	}
-	return compressed
-}
-
-// TestBucketHeuristic: the publish-side probe compresses the buckets on
-// which compression pays and stores the others raw — and finds out from
-// a sample of the bucket's head, not by compressing a chunk of it.
-func TestBucketHeuristic(t *testing.T) {
-	rep := bytes.Repeat([]byte("abcd"), shuffleChunkSize)
-	rng := rand.New(rand.NewSource(1))
-	rnd := make([]byte, 2*shuffleChunkSize)
-	rng.Read(rnd)
-	for _, tc := range []struct {
-		name       string
-		blob       []byte
-		compressed bool
-	}{
-		{"repetitive bytes", rep, true},
-		{"random bytes", rnd, false},
-		{"dense random tiles", tileBucket(t, 50, 100, 0), false},
-		{"tiles 90% zero", tileBucket(t, 50, 100, 0.9), true},
-		// Random values leave a fifth to save, short of the break-even.
-		{"coordinate rows", coordBucket(t, 100_000, false), false},
-		{"coordinate rows, whole values", coordBucket(t, 100_000, true), true},
-		{"tiny compressible", bytes.Repeat([]byte{7}, 100), true},
-		{"tiny random", rnd[:100], false},
-	} {
-		if len(tc.blob) > 2*compressSampleSize && len(tc.blob) < 2*shuffleChunkSize {
-			t.Fatalf("%s: a %d-byte bucket does not span the chunks the case is about", tc.name, len(tc.blob))
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b := makeBucket(tc.blob)
-		runtime.ReadMemStats(&after)
-		chunks := len(b.chunks)
-		if got := storedCompressed(t, tc.blob, b); tc.compressed && got != chunks || !tc.compressed && got != 0 {
-			t.Errorf("%s: %d of %d chunks stored compressed", tc.name, got, chunks)
-		}
-		// CompressBlock allocates its input's size for its output, so what
-		// makeBucket allocated bounds what it compressed: for a bucket it
-		// stores raw, the sample (and at most a 64 KiB match table the pool
-		// had dropped), nothing like a chunk.
-		if grew := after.TotalAlloc - before.TotalAlloc; !tc.compressed && grew > shuffleChunkSize/2 {
-			t.Errorf("%s: deciding to store %d bytes raw allocated %d bytes; the decision is to touch only a %d-byte sample",
-				tc.name, len(tc.blob), grew, compressSampleSize)
-		}
-	}
-}
-
-var bucketSink bucket
-
-// BenchmarkMakeBucket is the publish-side cost per bucket byte on the
-// three payloads the exchange sees: dense tiles (stored raw after the
-// sample), zero-heavy tiles and coordinate rows (compressed).
-func BenchmarkMakeBucket(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		blob []byte
-	}{
-		{"dense", tileBucket(b, 3, 100, 0)}, // one chunk; cluster-matmul's blobs are three or four
-		{"sparse", tileBucket(b, 3, 100, 0.9)},
-		{"coord", coordBucket(b, 10_000, true)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(bc.blob)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bucketSink = makeBucket(bc.blob)
-			}
-		})
-	}
-}
-
-// FuzzChunkFrame hardens the streaming decoders against corrupt and
-// truncated frames: they must error, never panic, and the frame
-// encoder must round-trip.
+// FuzzChunkFrame hardens the client side of a fetch against whatever a
+// peer answers: the fuzzer's bytes, read as the frames of a reply, end
+// the fetch with the chunks' bytes, counted exactly, or with an error —
+// never a panic, and never a reservation left held. The same bytes, as
+// a fetch-stream request or a stream end, decode to an error or to a
+// message whose encoding decodes back to it.
 func FuzzChunkFrame(f *testing.F) {
-	// chunkPayload is the payload of the frame writeChunkFrame writes.
-	chunkPayload := func(flags byte, rawLen int, body []byte) []byte {
-		var frame bytes.Buffer
-		if err := writeChunkFrame(&frame, flags, rawLen, body); err != nil {
-			f.Fatal(err)
-		}
-		typ, payload, err := readFrame(bufio.NewReader(&frame))
-		if err != nil || typ != msgStreamChunk {
-			f.Fatalf("chunk frame read back as type %d: %v", typ, err)
-		}
-		return payload
+	frame := func(typ byte, payload []byte) []byte {
+		return append(binary.AppendUvarint([]byte{typ}, uint64(len(payload))), payload...)
 	}
-	f.Add(chunkPayload(0, 5, []byte("hello")))
-	f.Add(chunkPayload(chunkFlagCompressed, 100, []byte{1, 2, 3}))
+	end := func(chunks, n int64) []byte { return (&streamEndMsg{Chunks: chunks, Bytes: n}).encode() }
+	whole := append(frame(msgStreamChunk, []byte("hello")), frame(msgStreamEnd, end(1, 5))...)
+	f.Add(whole)
+	f.Add(whole[:len(whole)-2]) // cut inside the stream end
+	f.Add(append(frame(msgStreamChunk, []byte("hello")), frame(msgStreamEnd, end(2, 5))...))
+	f.Add(frame(msgStreamEnd, end(0, 0)))
+	f.Add(frame(msgFetchGone, []byte("gone")))
 	f.Add((&fetchStreamMsg{JobID: 1, Key: "x1.2.3", FirstChunk: 7}).encode())
-	f.Add((&streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}).encode())
+	f.Add(end(3, 1<<20))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	ch := chunkPayload(chunkFlagCompressed, 1<<20, bytes.Repeat([]byte{7}, 64))
-	f.Add(ch[:len(ch)/2]) // truncated chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flags, rawLen, body, err := decodeChunkFrame(data)
+		mem := memory.New(1 << 30)
+		got, e, err := fetchReply(data, mem)
+		if mem.Used() != 0 {
+			t.Fatalf("the fetch left %d bytes reserved", mem.Used())
+		}
 		if err == nil {
-			if rawLen > maxFrame || rawLen < 0 {
-				t.Fatalf("decoder admitted bad rawLen %d", rawLen)
-			}
-			// Re-encoding the decoded values must decode back to the
-			// same values (the encoding is canonical; the input may
-			// have used non-minimal varints).
-			f2, r2, b2, err2 := decodeChunkFrame(chunkPayload(flags, rawLen, body))
-			if err2 != nil || f2 != flags || r2 != rawLen || !bytes.Equal(b2, body) {
-				t.Fatalf("chunk frame not canonical: %v", err2)
+			raw, wire, chunks := e.c.WireRawBytes.Load(), e.c.WireFetchedBytes.Load(), e.c.ChunksFetched.Load()
+			if raw != int64(len(got)) || wire < raw+2*chunks || wire > int64(len(data)) {
+				t.Fatalf("a %d-byte fetch counted %d raw and %d wire bytes in %d chunks from a %d-byte reply",
+					len(got), raw, wire, chunks, len(data))
 			}
 		}
 		if m, err := decodeFetchStream(data); err == nil {
@@ -593,6 +481,11 @@ func FuzzChunkFrame(f *testing.F) {
 				t.Fatalf("fetch-stream not canonical: %+v vs %+v (%v)", m, m2, err2)
 			}
 		}
-		_, _ = decodeStreamEnd(data)
+		if m, err := decodeStreamEnd(data); err == nil {
+			m2, err2 := decodeStreamEnd(m.encode())
+			if err2 != nil || m2 != m {
+				t.Fatalf("stream end not canonical: %+v vs %+v (%v)", m, m2, err2)
+			}
+		}
 	})
 }

@@ -64,10 +64,6 @@ type Worker struct {
 	resident *Resident
 	buffers  *memory.Pool
 
-	// served counts the shuffle fetches and bytes this worker has
-	// answered for its peers, over its lifetime.
-	served obs.LiveCounters
-
 	// amu guards the drain state: the count of jobs this rank is
 	// executing and whether new jobs are being refused.
 	amu      sync.Mutex
@@ -423,12 +419,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // report completes a rank's report: the program's own counters merged
-// with the exchange's wire counters and what this worker has served to
-// peers, both published to the metrics registry.
+// with the exchange's wire counters, which it publishes to the metrics
+// registry.
 func (w *Worker) report(rep Report, exch *Exchange) Report {
 	exch.c.Publish()
-	w.served.Publish()
-	return obs.MergeCounters(obs.MergeCounters(rep, exch.c.Snapshot()), w.served.Snapshot())
+	return obs.MergeCounters(rep, exch.c.Snapshot())
 }
 
 // runProgram looks up and runs the named program, converting panics
@@ -464,7 +459,6 @@ func (w *Worker) dataLoop() {
 // connections). Anything unrecognized closes the connection.
 func (w *Worker) serveData(conn net.Conn) {
 	defer conn.Close()
-	defer w.served.Publish() // what was served after this rank's last report
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
@@ -479,31 +473,27 @@ func (w *Worker) serveData(conn net.Conn) {
 	}
 }
 
-// serveStream answers one chunked bucket request: every stored chunk
-// from FirstChunk on, as stored — compressed buckets cost zero
-// re-encoding — then the totals. Returns false when the connection is
-// unusable.
+// serveStream answers one chunked bucket request: every chunk of the
+// stored blob from FirstChunk on, handed to the connection where it
+// lies, then the totals. Returns false when the connection is unusable.
 func (w *Worker) serveStream(bw *bufio.Writer, req fetchStreamMsg) bool {
 	store := w.storeFor(req.JobID)
 	if store == nil {
 		return writeFrame(bw, msgFetchGone, []byte("cluster: job ended on this worker")) == nil && bw.Flush() == nil
 	}
-	bkt, err := store.waitGet(req.Key)
+	blob, err := store.waitGet(req.Key)
 	if err != nil {
 		return writeFrame(bw, msgFetchGone, []byte(err.Error())) == nil && bw.Flush() == nil
 	}
 	defer store.leave()
 	var end streamEndMsg
-	for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
-		ch := bkt.chunks[i]
-		if writeChunkFrame(bw, ch.flags, ch.rawLen, ch.data) != nil {
+	for i := int(req.FirstChunk); i < chunkCount(len(blob)); i++ {
+		ch := chunkOf(blob, i)
+		if writeFrame(bw, msgStreamChunk, ch) != nil {
 			return false
 		}
 		end.Chunks++
-		end.RawBytes += int64(ch.rawLen)
-		end.WireBytes += int64(len(ch.data))
+		end.Bytes += int64(len(ch))
 	}
-	w.served.ServedFetches.Add(1)
-	w.served.ServedBytes.Add(end.WireBytes)
 	return writeFrame(bw, msgStreamEnd, end.encode()) == nil && bw.Flush() == nil
 }

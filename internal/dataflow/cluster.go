@@ -120,17 +120,15 @@ func publishRows[T any](c *Context, codec spill.Codec[T], key string, rows []T) 
 func fetchBlob[R any](c *Context, rank int, key string, decode func(io.Reader) (R, error)) (out R, ok bool) {
 	rc, err := c.conf.Transport.FetchReader(rank, key)
 	if err == nil {
-		cr := &countingReader{r: rc}
-		out, err = decode(cr)
+		out, err = decode(rc)
 		if err == nil {
 			// Drain the trailing stream terminator so a cleanly-finished
 			// connection goes back to the transport's pool on Close.
-			_, err = io.Copy(io.Discard, cr)
+			_, err = io.Copy(io.Discard, rc)
 		}
 		rc.Close()
 		if err == nil {
 			c.metrics.c.RemoteFetches.Add(1)
-			c.metrics.c.RemoteFetchedBytes.Add(cr.n)
 			return out, true
 		}
 		if transportErr(rc) == nil {
@@ -140,19 +138,6 @@ func fetchBlob[R any](c *Context, rank int, key string, decode func(io.Reader) (
 	c.metrics.c.FetchFailures.Add(1)
 	var zero R
 	return zero, false
-}
-
-// countingReader counts the (decompressed) bytes a streaming fetch
-// delivered, for the RemoteFetchedBytes metric.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // groups lists the reduce partitions the blob of a map task for rank r

@@ -227,8 +227,8 @@ func (s MetricsSnapshot) String() string {
 			s.SpilledBytes, s.SpillFiles, s.MergePasses)
 	}
 	if s.RemoteFetches > 0 || s.FetchFailures > 0 || s.Resubmissions > 0 {
-		out += fmt.Sprintf(" remoteFetches=%d remoteFetchedBytes=%d fetchFailures=%d resubmissions=%d",
-			s.RemoteFetches, s.RemoteFetchedBytes, s.FetchFailures, s.Resubmissions)
+		out += fmt.Sprintf(" remoteFetches=%d fetchFailures=%d resubmissions=%d",
+			s.RemoteFetches, s.FetchFailures, s.Resubmissions)
 	}
 	return out
 }
@@ -281,13 +281,10 @@ func (s MetricsSnapshot) FormatStages() string {
 	if s.RemoteFetches > 0 || s.FetchFailures > 0 || s.Resubmissions > 0 ||
 		s.WireFetchedBytes > 0 || s.FetchRetries > 0 || s.FetchGoneEvents > 0 {
 		line := fmt.Sprintf("cluster: %d remote fetches (%s), %d fetch failures, %d resubmissions",
-			s.RemoteFetches, memory.FormatBytes(s.RemoteFetchedBytes),
+			s.RemoteFetches, memory.FormatBytes(s.WireRawBytes),
 			s.FetchFailures, s.Resubmissions)
 		if s.WireFetchedBytes > 0 {
 			line += fmt.Sprintf(", %s on the wire", memory.FormatBytes(s.WireFetchedBytes))
-		}
-		if raw, wire := s.WireRawBytes, s.WireFetchedBytes; raw > wire {
-			line += fmt.Sprintf(" (%s raw, %.1fx compression)", memory.FormatBytes(raw), float64(raw)/float64(wire))
 		}
 		if s.ChunksFetched > 0 {
 			line += fmt.Sprintf(", %d chunks", s.ChunksFetched)
@@ -310,8 +307,8 @@ func (s MetricsSnapshot) FormatStages() string {
 }
 
 // FormatWorkers renders the per-worker rows of a distributed job: one
-// line per worker with its reported engine counters, data served to
-// peers, the bytes of the result it sent the driver, the input partitions
+// line per worker with its reported engine counters, the bytes of the
+// result it sent the driver, the input partitions
 // it keeps resident (with this job's reads of them: found / generated),
 // and liveness. Empty snapshots render an empty string.
 func (s MetricsSnapshot) FormatWorkers() string {
@@ -319,9 +316,9 @@ func (s MetricsSnapshot) FormatWorkers() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%4s  %-22s %-6s %7s %8s %12s %12s %9s %9s %10s %8s %12s %10s %10s %9s\n",
+	fmt.Fprintf(&b, "%4s  %-22s %-6s %7s %8s %12s %12s %9s %10s %8s %12s %10s %10s %9s\n",
 		"rank", "worker", "state", "tasks", "stages", "shufRecords", "shufBytes",
-		"fetches", "served", "result", "resub", "wall", "memPeak", "resident", "hit/miss")
+		"fetches", "result", "resub", "wall", "memPeak", "resident", "hit/miss")
 	for _, w := range s.PerWorker {
 		state := "alive"
 		switch {
@@ -335,13 +332,13 @@ func (s MetricsSnapshot) FormatWorkers() string {
 			name = name[:19] + "..."
 		}
 		if w.Lost {
-			fmt.Fprintf(&b, "%4d  %-22s %-6s %7s %8s %12s %12s %9s %9s %10s %8s %12s %10s %10s %9s\n",
-				w.Rank, name, state, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
+			fmt.Fprintf(&b, "%4d  %-22s %-6s %7s %8s %12s %12s %9s %10s %8s %12s %10s %10s %9s\n",
+				w.Rank, name, state, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
-		fmt.Fprintf(&b, "%4d  %-22s %-6s %7d %8d %12d %12d %9d %9d %10s %8d %12s %10s %10s %9s\n",
+		fmt.Fprintf(&b, "%4d  %-22s %-6s %7d %8d %12d %12d %9d %10s %8d %12s %10s %10s %9s\n",
 			w.Rank, name, state, w.Tasks, w.Stages, w.ShuffledRecords, w.ShuffledBytes,
-			w.RemoteFetches, w.ServedFetches, memory.FormatBytes(w.ResultBytes), w.Resubmissions,
+			w.RemoteFetches, memory.FormatBytes(w.ResultBytes), w.Resubmissions,
 			time.Duration(w.WallNanos).Round(time.Millisecond), memory.FormatBytes(w.MemoryPeak),
 			memory.FormatBytes(w.ResidentBytes), fmt.Sprintf("%d/%d", w.ResidentHits, w.ResidentMisses))
 	}

@@ -112,9 +112,9 @@ func TestReplayToleratesGrowth(t *testing.T) {
 	}
 
 	// A log written when shuffles could rebalance their buckets carries
-	// an "adaptive" record and two counters the schema has since dropped:
-	// the record stays as an unknown kind, the counters are ignored, and
-	// the report `sac history` prints is the same.
+	// an "adaptive" record, and older logs carry counters the schema has
+	// since dropped: the record stays as an unknown kind, the counters
+	// are ignored, and the report `sac history` prints is the same.
 	before, err := Replay(strings.NewReader(strings.Join(lines, "\n")))
 	if err != nil {
 		t.Fatalf("replay log: %v", err)
@@ -171,8 +171,9 @@ func TestReplayToleratesGrowth(t *testing.T) {
 	}
 }
 
-// withRetiredCounters adds the adaptive-rebalance counters an earlier
-// schema wrote to a metrics record's snapshot.
+// withRetiredCounters adds the counters an earlier schema wrote to a
+// metrics record's snapshot: the adaptive rebalancer's, the engine's count
+// of fetched bytes and the data server's served pair.
 func withRetiredCounters(t *testing.T, line string) string {
 	t.Helper()
 	var e, m map[string]json.RawMessage
@@ -185,7 +186,10 @@ func withRetiredCounters(t *testing.T, line string) string {
 	if _, ok := m["ShuffledBytes"]; !ok {
 		t.Fatalf("no counters at the snapshot's top level: %s", e["metrics"])
 	}
-	m["AdaptiveRebalances"], m["AdaptiveMovedRecords"] = json.RawMessage("1"), json.RawMessage("56")
+	for key, v := range map[string]string{"AdaptiveRebalances": "1", "AdaptiveMovedRecords": "56",
+		"RemoteFetchedBytes": "4096", "ServedFetches": "3", "ServedBytes": "4096"} {
+		m[key] = json.RawMessage(v)
+	}
 	var err error
 	if e["metrics"], err = json.Marshal(m); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func BenchmarkQueryCluster3(b *testing.B) {
 // resident and the peer connections pooled. Beside ns/op and B/op it
 // reports dials/op, the fetches that found no pooled connection; what
 // crossed between the ranks: fetches/op (shuffle blobs, one per map task
-// and rank), chunks/op and wire_B/op (their decompressed bytes); and
+// and rank), chunks/op and wire_B/op (their bytes, frame heads aside); and
 // result_B/op from the ranks to the driver.
 func benchCluster2(b *testing.B, src string) {
 	d, err := cluster.NewDriver(cluster.DriverConfig{})

@@ -7,6 +7,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Test programs around sac.query, each merged by MergeResult like it.
@@ -225,7 +227,9 @@ func TestPartitionedResultParity(t *testing.T) {
 // gather key is published or fetched — no rank publishes a blob keyed
 // for itself, and what the ranks fetch from each other is exactly the
 // blobs they publish, so no result byte travels between ranks; the
-// driver receives the cells once.
+// driver receives the cells once. The wire counters say the same bytes:
+// the raw bytes are the peer-bound blobs' (ROADMAP 11(c)), and the wire
+// bytes those plus the chunk frames' heads.
 func TestResultCrossesOnce(t *testing.T) {
 	for _, world := range []int{2, 3, 8} {
 		d := startTestClusterPar(t, twoSlots(world), 0)
@@ -247,7 +251,7 @@ func TestResultCrossesOnce(t *testing.T) {
 			checkShippedOnce(t, run, run.Result, p)
 
 			exchangeSpy.Lock()
-			var peerBound, fetchedBytes, remoteFetched int64
+			var peerBound, fetchedBytes int64
 			for key, size := range exchangeSpy.published {
 				if !peerBoundBlob(key) {
 					t.Fatalf("world %d: published %q, not a shuffle blob for a peer", world, key)
@@ -261,14 +265,41 @@ func TestResultCrossesOnce(t *testing.T) {
 				fetchedBytes += n
 			}
 			exchangeSpy.Unlock()
+			var wire obs.CounterSet
 			for _, w := range run.Workers {
-				remoteFetched += w.Report.RemoteFetchedBytes
+				wire = obs.MergeCounters(wire, w.Report)
 			}
-			if peerBound == 0 || fetchedBytes != peerBound || remoteFetched != peerBound {
-				t.Fatalf("world %d: %d bytes published for peers, %d fetched (%d by the engine's count)",
-					world, peerBound, fetchedBytes, remoteFetched)
+			if peerBound == 0 || fetchedBytes != peerBound || wire.WireRawBytes != peerBound {
+				t.Fatalf("world %d: %d bytes published for peers, %d fetched (%d by the wire count)",
+					world, peerBound, fetchedBytes, wire.WireRawBytes)
 			}
+			checkWireExact(t, wire)
 		}
+	}
+}
+
+// wireChunk is the exchange's chunk size (cluster's shuffleChunkSize): a
+// fetch of n bytes arrives as the chunks of n cut every wireChunk bytes.
+const wireChunk = 256 << 10
+
+// checkWireExact holds a spied run's merged wire counters to the bytes
+// its ranks read from each other: WireRawBytes is their sum, and
+// WireFetchedBytes that plus each chunk frame's type byte and uvarint
+// length.
+func checkWireExact(t *testing.T, c obs.CounterSet) {
+	t.Helper()
+	exchangeSpy.Lock()
+	var fetched, framing int64
+	for _, n := range exchangeSpy.fetched {
+		fetched += n
+		for ; n > 0; n -= min(n, wireChunk) {
+			framing += 1 + int64(len(binary.AppendUvarint(nil, uint64(min(n, wireChunk)))))
+		}
+	}
+	exchangeSpy.Unlock()
+	if c.WireRawBytes != fetched || c.WireFetchedBytes != fetched+framing {
+		t.Fatalf("%d bytes fetched in frames with %d bytes of heads, but %d raw and %d wire bytes counted",
+			fetched, framing, c.WireRawBytes, c.WireFetchedBytes)
 	}
 }
 

@@ -53,23 +53,20 @@ type Counters[T any] struct {
 	MaxConcurrentStages T `prom:"sac_dataflow_max_concurrent_stages" rule:"max" help:"high-water mark of stages executing simultaneously"`
 
 	// SPMD shuffle, as the engine sees it (zero on local contexts).
-	RemoteFetches      T `prom:"sac_dataflow_remote_fetches_total" rule:"sum" help:"shuffle blobs (one per map task and rank) and action partials pulled from peer workers"`
-	RemoteFetchedBytes T `prom:"sac_dataflow_remote_fetched_bytes_total" rule:"sum" help:"decoded bytes of the shuffle blobs and action partials pulled from peer workers"`
-	FetchFailures      T `prom:"sac_dataflow_fetch_failures_total" rule:"sum" help:"fetches that failed because the owning peer was dead or unreachable"`
-	Resubmissions      T `prom:"sac_dataflow_resubmissions_total" rule:"sum" help:"map tasks recomputed from lineage to cover for a lost peer"`
+	RemoteFetches T `prom:"sac_dataflow_remote_fetches_total" rule:"sum" help:"shuffle blobs (one per map task and rank) and action partials pulled from peer workers"`
+	FetchFailures T `prom:"sac_dataflow_fetch_failures_total" rule:"sum" help:"fetches that failed because the owning peer was dead or unreachable"`
+	Resubmissions T `prom:"sac_dataflow_resubmissions_total" rule:"sum" help:"map tasks recomputed from lineage to cover for a lost peer"`
 
-	// The data plane, as the cluster exchange and the worker's data
-	// server see it. Raw minus fetched wire bytes is what compression
-	// kept off the network.
-	WireFetchedBytes T `prom:"sac_cluster_wire_fetched_bytes_total" rule:"sum" help:"shuffle bytes pulled over TCP from peer data servers (post-compression)"`
+	// The data plane, as the cluster exchange sees it. A chunk crosses
+	// as it was published, so the wire bytes are the raw bytes plus each
+	// chunk frame's type byte and length.
+	WireFetchedBytes T `prom:"sac_cluster_wire_fetched_bytes_total" rule:"sum" help:"shuffle bytes pulled over TCP from peer data servers, chunk frames whole"`
 	FetchRetries     T `prom:"sac_cluster_fetch_retries_total" rule:"sum" help:"fetch attempts retried after a transient dial or stream error"`
 	FetchGoneEvents  T `prom:"sac_cluster_fetch_gone_total" rule:"sum" help:"FetchGone replies received (peer lost the blob, forcing recompute)"`
-	WireRawBytes     T `prom:"sac_cluster_wire_raw_bytes_total" rule:"sum" help:"decompressed shuffle bytes represented by fetched chunks"`
+	WireRawBytes     T `prom:"sac_cluster_wire_raw_bytes_total" rule:"sum" help:"shuffle bytes of the chunks pulled from peer data servers"`
 	ChunksFetched    T `prom:"sac_cluster_chunks_fetched_total" rule:"sum" help:"shuffle chunks pulled from peer data servers"`
 	ConnPoolHits     T `prom:"sac_cluster_conn_pool_hits_total" rule:"sum" help:"data-plane fetches that reused a pooled peer connection"`
 	ConnPoolMisses   T `prom:"sac_cluster_conn_pool_misses_total" rule:"sum" help:"data-plane fetches that had to dial a fresh peer connection"`
-	ServedFetches    T `prom:"sac_cluster_served_fetches_total" rule:"sum" help:"shuffle fetches this worker answered for its peers"`
-	ServedBytes      T `prom:"sac_cluster_wire_served_bytes_total" rule:"sum" help:"shuffle bytes served over TCP to peer workers"`
 	ResultBytes      T `prom:"sac_cluster_result_bytes_total" rule:"sum" help:"bytes of the result part of the job replies a rank sent the driver"`
 
 	// A worker's resident input partitions (tiled.ResidentMatrix): a task
@@ -217,8 +214,8 @@ func MergeCounters(a, b CounterSet) CounterSet {
 	return a
 }
 
-// LiveCounters is a counter set being counted into: the engine context,
-// the cluster exchange and the worker's data server each own one.
+// LiveCounters is a counter set being counted into: the engine context
+// and the cluster exchange each own one.
 type LiveCounters struct {
 	Counters[atomic.Int64]
 

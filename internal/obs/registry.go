@@ -4,7 +4,7 @@
 //
 // The registry is process-wide (the Default registry) because the
 // quantities it tracks — stages run, bytes shuffled and spilled, wire
-// traffic served to peers — are process-level facts: a worker process
+// traffic fetched from peers — are process-level facts: a worker process
 // is one scrape target, whatever sessions it runs. Instruments are
 // resolved once (package-level vars or a one-time lookup), so the hot
 // path is a single atomic add with no map access and no allocation.
