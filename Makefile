@@ -85,10 +85,10 @@ cluster-test:
 	$(GO) test -race -count=5 -run 'JobEndWaitsForServes|BufferPool|GroupedBlobSizedExactly' ./internal/cluster ./internal/memory ./internal/spill
 
 # Observability-plane gate: the metrics registry (concurrent scrape
-# hammer), span ring buffer and cluster trace merge, query event-log
-# replay, and debug HTTP endpoints, all under the race detector.
+# hammer), span ring buffer, cluster trace merge and span replay, and
+# debug HTTP endpoints, all under the race detector.
 obs-test:
-	$(GO) test -race -count=1 ./internal/obs ./internal/trace ./internal/eventlog ./internal/debug
+	$(GO) test -race -count=1 ./internal/obs ./internal/trace ./internal/debug
 
 # Query-service gate (what the CI serve job runs first): the server
 # package under race — pool, plan cache (incl. the whitespace/structure
@@ -144,10 +144,15 @@ bench-spill:
 stages:
 	$(GO) run ./cmd/sacbench -fig stages -sizes 400
 
-# Quick traced GBJ multiply; load trace.json in chrome://tracing or
-# https://ui.perfetto.dev.
+# Quick traced GBJ multiply: -analyze records its spans in the query's
+# record, and `sac history -chrome` writes them as trace.json; load it in
+# chrome://tracing or https://ui.perfetto.dev.
 trace:
-	$(GO) run ./cmd/sacbench -trace trace.json -sizes 300
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/sac" ./cmd/sac && \
+	"$$tmp/sac" -n 300 -eventlog "$$tmp/eventlog" \
+		-analyze 'tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]' >/dev/null && \
+	"$$tmp/sac" history -chrome trace.json "$$tmp"/eventlog/query-*.jsonl >/dev/null
 
 # The benchmark is a module of its own (benchmark/go.mod replaces repro
 # with ../), so the root ./... never builds it: an API change under

@@ -12,11 +12,14 @@
 // statistics, and the span tree; with -cluster the report merges every
 // rank's telemetry (one trace lane per worker, straggler warnings
 // naming machines). -debug serves pprof, a Prometheus scrape target,
-// and live metrics over HTTP while queries run. -trace writes the last
-// executed query's spans as Chrome trace_event JSON. -eventlog records
-// one JSONL file per query, replayable offline:
+// and live metrics over HTTP while queries run. -eventlog writes each
+// query's record (core.Record: plan, result or error, metrics, and the
+// spans of an -analyze run) as one JSON file. `sac history` prints the
+// report -analyze printed from the file alone, and -chrome writes the
+// record's spans as Chrome trace_event JSON:
 //
 //	sac history eventlog/query-*.jsonl
+//	sac history -chrome trace.json eventlog/query-20261020-101500-001.jsonl
 //
 // Every group-by-join plan names in its cost clause the processor grid
 // it runs on, which follows from the block counts, the partition count
@@ -35,24 +38,33 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debug"
-	"repro/internal/eventlog"
 	"repro/internal/jobs"
 	"repro/internal/memory"
 	"repro/internal/opt"
-	"repro/internal/trace"
 )
 
-// runHistory is the `sac history <file>...` subcommand: it replays
-// query event logs and prints each run's report — no session, no
-// cluster, just the files.
-func runHistory(paths []string) int {
-	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sac history <query-log.jsonl> ...")
+// runHistory is the `sac history [-chrome out.json] <file>...`
+// subcommand: it reads query records and prints each run's report — no
+// session, no cluster, just the files — and with -chrome writes the one
+// record's spans as Chrome trace_event JSON.
+func runHistory(args []string) int {
+	fs := flag.NewFlagSet("history", flag.ContinueOnError)
+	chrome := fs.String("chrome", "", "write the record's spans as Chrome trace_event JSON to this file (open it in chrome://tracing or https://ui.perfetto.dev)")
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: sac history [-chrome out.json] <query-record.jsonl> ...")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	paths := fs.Args()
+	if len(paths) == 0 || *chrome != "" && len(paths) != 1 {
+		fs.Usage()
 		return 2
 	}
 	exit := 0
 	for i, path := range paths {
-		run, err := eventlog.ReplayFile(path)
+		rec, err := readRecord(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sac: history: %v\n", err)
 			exit = 1
@@ -61,8 +73,14 @@ func runHistory(paths []string) int {
 		if i > 0 {
 			fmt.Println()
 		}
-		fmt.Printf("== %s ==\n", path)
-		fmt.Print(run.Format())
+		fmt.Print(rec.Report())
+		if *chrome != "" {
+			if err := writeChrome(*chrome, rec); err != nil {
+				fmt.Fprintf(os.Stderr, "sac: history: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(os.Stderr, "trace: wrote %s\n", *chrome)
+		}
 	}
 	return exit
 }
@@ -106,8 +124,7 @@ func main() {
 	clusterAddr := flag.String("cluster", "", "run as a distributed driver: listen for sacworker registrations on this address and execute queries on the cluster")
 	clusterWorkers := flag.Int("cluster-workers", 1, "with -cluster: how many workers to wait for before running queries")
 	clusterWait := flag.Duration("cluster-wait", time.Minute, "with -cluster: how long to wait for workers to register")
-	traceOut := flag.String("trace", "", "write the last executed query's spans as Chrome trace_event JSON to this file (cluster runs record every rank, one lane per worker)")
-	eventlogDir := flag.String("eventlog", "", "record one replayable JSONL event log per query under this directory (read them back with `sac history <file>`)")
+	eventlogDir := flag.String("eventlog", "", "write one JSON record of each query's run under this directory (read them back with `sac history <file>`)")
 	flag.Parse()
 
 	budget := memory.BudgetFromEnv(0)
@@ -170,38 +187,27 @@ func main() {
 	}
 
 	exit := 0
-	// logRun appends one query's event log (a no-op without -eventlog).
+	// logRun writes one query's record (a no-op without -eventlog).
 	// Files are named after the session start plus a per-session query
 	// counter, so a scripted -run-stdin session leaves an ordered trail.
 	sessionStart := time.Now()
 	queryN := 0
-	logRun := func(src string, out *core.Outcome, runErr error) {
+	logRun := func(rec *core.Record) {
 		if *eventlogDir == "" {
 			return
 		}
 		queryN++
-		path := filepath.Join(*eventlogDir, eventlog.FileName(sessionStart, queryN))
-		w, err := eventlog.NewWriter(path)
-		if err == nil {
-			err = eventlog.LogRun(w, src, out, runErr)
-			if cerr := w.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		path := filepath.Join(*eventlogDir, recordFileName(sessionStart, queryN))
+		if err := writeRecord(path, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "sac: eventlog: %v\n", err)
 			exit = 1
 			return
 		}
 		fmt.Printf("eventlog: %s\n", path)
 	}
-	// lastTrace holds the most recent traced run (-trace or -analyze; a
-	// cluster run records every rank) for the -trace file written before
-	// exit.
-	var lastTrace *trace.Tracer
 	// runOne is the one way a query runs: compile, preview the plan,
-	// run, print. analyze traces the run and prints the EXPLAIN ANALYZE
-	// report instead of the result and metrics lines.
+	// run, print. analyze traces the run and prints its record's EXPLAIN
+	// ANALYZE report instead of the result and metrics lines.
 	runOne := func(src string, analyze bool) {
 		src = strings.TrimSpace(src)
 		if src == "" {
@@ -213,20 +219,16 @@ func main() {
 			if !analyze {
 				fmt.Printf("plan: %s\n", q.Explain())
 			}
-			out, err = b.Run(q, src, analyze || *traceOut != "")
+			out, err = b.Run(q, src, analyze)
 		}
-		if out.Trace != nil {
-			lastTrace = out.Trace
-		}
-		if err != nil {
+		rec := out.Record(src, err)
+		switch {
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "sac: %v\n", err)
-			logRun(src, out, err)
 			exit = 1
-			return
-		}
-		if analyze {
-			fmt.Print(out.Report())
-		} else {
+		case analyze:
+			fmt.Print(rec.Report())
+		default:
 			fmt.Printf("result: %s\n", out.Summary)
 			fmt.Printf("metrics: %s\n", out.Metrics)
 			fmt.Print(out.Metrics.FormatWorkers())
@@ -241,7 +243,7 @@ func main() {
 					lost, out.Metrics.Resubmissions)
 			}
 		}
-		logRun(src, out, nil)
+		logRun(rec)
 	}
 
 	switch {
@@ -265,22 +267,6 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *traceOut != "" {
-		switch {
-		case lastTrace == nil:
-			fmt.Fprintln(os.Stderr, "sac: -trace: no trace recorded (run a query with -query, -run-stdin, or -analyze)")
-			if exit == 0 {
-				exit = 1
-			}
-		default:
-			if err := lastTrace.WriteChromeFile(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "sac: -trace: %v\n", err)
-				exit = 1
-			} else {
-				fmt.Printf("trace: wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-			}
-		}
 	}
 	// Disconnect workers and remove the session's spill directory
 	// (os.Exit skips defers).

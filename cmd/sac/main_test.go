@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -120,6 +121,62 @@ func TestCLIAnalyze(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analyze output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCLIHistory: `sac history` prints from the -eventlog record exactly
+// the report -analyze printed, and -chrome writes the record's spans as a
+// Chrome trace.
+func TestCLIHistory(t *testing.T) {
+	dir := t.TempDir()
+	out, err := runSac(t, "", "-n", "8", "-tile", "4", "-eventlog", dir,
+		"-analyze", "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]")
+	if err != nil {
+		t.Fatalf("analyze failed: %v\n%s", err, out)
+	}
+	report, logLine, ok := strings.Cut(out, "eventlog: ")
+	if !ok {
+		t.Fatalf("no eventlog line:\n%s", out)
+	}
+	path := strings.TrimSpace(logLine)
+	replayed, err := runSac(t, "", "history", path)
+	if err != nil || replayed != report {
+		t.Fatalf("history (%v) drifted from the live report:\nlive:\n%s\nhistory:\n%s", err, report, replayed)
+	}
+
+	chrome := filepath.Join(dir, "trace.json")
+	if out, err := runSac(t, "", "history", "-chrome", chrome, path); err != nil || !strings.Contains(out, "trace: wrote") {
+		t.Fatalf("history -chrome: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var sawQuery, sawStage, sawTask bool
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			t.Fatalf("unexpected event phase %q", ev.Ph)
+		}
+		sawQuery = sawQuery || ev.Name == "query"
+		sawStage = sawStage || strings.HasPrefix(ev.Name, "stage:")
+		sawTask = sawTask || ev.Name == "task"
+	}
+	if !sawQuery || !sawStage || !sawTask {
+		t.Fatalf("trace missing span kinds (query=%v stage=%v task=%v) among %d events",
+			sawQuery, sawStage, sawTask, len(doc.TraceEvents))
+	}
+
+	if out, err := runSac(t, "", "history", filepath.Join(dir, "missing.jsonl")); err == nil {
+		t.Fatalf("history of a missing file succeeded:\n%s", out)
 	}
 }
 

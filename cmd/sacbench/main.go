@@ -10,9 +10,7 @@
 //	sacbench -fig stages          # per-stage timing table for a GBJ multiply
 //	sacbench -fig 4b -stages      # append the stage table to any figure run
 //	sacbench -fig 4b -json out.json  # machine-readable per-stage doc for any figure
-//	sacbench -trace out.json      # Chrome trace of a GBJ multiply (Perfetto)
 //	sacbench -fig 4b -mem 64MiB   # out-of-core run: spill columns appear in the tables
-//	sacbench -fig all -debug :6060  # live pprof/metrics while the run is hot
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/dataflow"
 	"repro/internal/debug"
 	"repro/internal/memory"
 )
@@ -37,8 +34,6 @@ func main() {
 	stages := flag.Bool("stages", false, "print a per-stage timing table for a GBJ multiply after the figures")
 	mem := flag.String("mem", "", "engine memory budget (e.g. 64MiB); work beyond it spills to disk and the tables gain spill columns. Default: $SAC_MEMORY_BUDGET, else unlimited")
 	sizesFlag := flag.String("sizes", "", "comma-separated matrix side lengths, overriding defaults")
-	traceOut := flag.String("trace", "", "run a traced GBJ multiply, write Chrome trace JSON to this file, and exit")
-	debugAddr := flag.String("debug", "", "serve /debug endpoints (pprof, live metrics, stage table) on this address during the run")
 	jsonOut := flag.String("json", "", "write the per-stage/histogram document of the last measured run as JSON to this file")
 	flag.Parse()
 
@@ -75,27 +70,6 @@ func main() {
 			sizes = append(sizes, v)
 		}
 		addSizes, mulSizes, facSizes = sizes, sizes, sizes
-	}
-
-	if *debugAddr != "" {
-		srv, err := debug.Serve(*debugAddr, liveMetrics{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sacbench: debug endpoint: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("debug endpoint: http://%s/\n", srv.Addr())
-	}
-
-	if *traceOut != "" {
-		tr, table := bench.TracedGBJ(cfg, mulSizes[0])
-		if err := tr.WriteChromeFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "sacbench: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(table)
-		fmt.Printf("wrote Chrome trace to %s — load it in chrome://tracing or https://ui.perfetto.dev\n", *traceOut)
-		return
 	}
 
 	run4a := func() {
@@ -169,16 +143,3 @@ func main() {
 	}
 	fmt.Printf("wrote %s\n", *jsonOut)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// liveMetrics adapts the bench package's most recent engine context to
-// the debug.Source interface.
-type liveMetrics struct{}
-
-func (liveMetrics) Metrics() dataflow.MetricsSnapshot { return bench.CurrentMetrics() }

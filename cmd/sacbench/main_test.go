@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -94,51 +93,6 @@ func TestBenchKernelsTiny(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestBenchTrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real measurements")
-	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	out := runBench(t, "-trace", path, "-tile", "25", "-sizes", "50")
-	for _, want := range []string{"Traced SAC GBJ multiply", "taskP99", "wrote Chrome trace to"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("trace file: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	var sawQuery, sawStage, sawTask bool
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			t.Fatalf("unexpected event phase %q", ev.Ph)
-		}
-		switch {
-		case strings.HasPrefix(ev.Name, "query:"):
-			sawQuery = true
-		case strings.HasPrefix(ev.Name, "stage:"):
-			sawStage = true
-		case ev.Name == "task":
-			sawTask = true
-		}
-	}
-	if !sawQuery || !sawStage || !sawTask {
-		t.Fatalf("trace missing span kinds (query=%v stage=%v task=%v) among %d events",
-			sawQuery, sawStage, sawTask, len(doc.TraceEvents))
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sacparser"
 	"repro/internal/tiled"
-	"repro/internal/trace"
 )
 
 // Config sizes a benchmark run. The paper used 1000x1000 tiles on a
@@ -133,9 +132,8 @@ func (s Series) Ratios(fast, slow string) (maxRatio float64) {
 	return maxRatio
 }
 
-// currentCtx remembers the most recently created bench context so a
-// live debug endpoint (sacbench -debug) can report its metrics while a
-// run is in flight.
+// currentCtx remembers the most recently created bench context, whose
+// metrics `sacbench -json` exports after a figure run.
 var currentCtx atomic.Pointer[dataflow.Context]
 
 // CurrentMetrics snapshots the metrics of the most recently created
@@ -433,37 +431,6 @@ func StageBreakdown(cfg Config, n int64) string {
 	out.WriteString(ctx.Metrics().FormatStages())
 	closeCtx(ctx)
 	return out.String()
-}
-
-// TracedGBJ runs one SAC GBJ matrix multiplication of side n with
-// tracing enabled and returns the tracer (export with WriteChromeFile
-// for chrome://tracing / Perfetto) plus the per-stage table of just
-// that query. Task spans nest under stage spans under the query span.
-func TracedGBJ(cfg Config, n int64) (*trace.Tracer, string) {
-	ctx := newCtx(cfg)
-	a := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 1)
-	b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
-	force(ctx, a.Tiles)
-	force(ctx, b.Tiles)
-
-	tr := trace.New()
-	root := tr.Start(nil, "query: gbj-multiply")
-	root.SetAttr("n", n)
-	root.SetAttr("tile", cfg.TileSize)
-	root.SetAttr("partitions", cfg.Partitions)
-	ctx.SetTracer(tr)
-	ctx.SetTraceRoot(root)
-	before := ctx.Metrics()
-	forceBlocks(a.MultiplyGBJ(b).Tiles)
-	ctx.SetTracer(nil)
-	root.End()
-
-	var out strings.Builder
-	fmt.Fprintf(&out, "# Traced SAC GBJ multiply, n=%d, tile=%d, %d partitions\n",
-		n, cfg.TileSize, cfg.Partitions)
-	out.WriteString(ctx.Metrics().Sub(before).FormatStages())
-	closeCtx(ctx)
-	return tr, out.String()
 }
 
 // force materializes a dataset and caches it so setup work is

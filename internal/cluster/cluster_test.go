@@ -200,11 +200,21 @@ func TestProgramPanicIsContained(t *testing.T) {
 	}
 }
 
+// TestAllFail: a job that fails on every rank is an error, and beside it
+// the RunResult keeps every rank's row and the error it replied with.
 func TestAllFail(t *testing.T) {
 	d, _ := startCluster(t, 2, 3*time.Second)
-	_, err := d.Run("test.no-such-program", nil, 10*time.Second)
+	res, err := d.Run("test.no-such-program", nil, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "unknown program") {
 		t.Fatalf("want unknown-program failure, got %v", err)
+	}
+	if res == nil || len(res.Workers) != 2 {
+		t.Fatalf("failed job kept %+v", res)
+	}
+	for r, w := range res.Workers {
+		if w.OK || w.Lost || w.Rank != r || !strings.Contains(w.Err, "unknown program") {
+			t.Errorf("rank %d row %+v", r, w)
+		}
 	}
 }
 

@@ -431,33 +431,38 @@ func (r *RunResult) MergedTrace() *trace.Tracer {
 // submits the job once more, under a new ID, to the workers still alive,
 // within what is left of timeout. Losing every rank, or a rank of the
 // second attempt, is an error.
+//
+// A job that failed after its ranks replied comes back with its
+// RunResult beside the error: what every rank reported and measured up
+// to the failure.
 func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*RunResult, error) {
 	deadline := time.Now().Add(timeout)
 	first, err := d.runOnce(program, params, timeout)
-	if err == nil {
-		return first, nil
-	}
-	if first == nil || first.LostWorkers == 0 || !errors.Is(err, ErrIncomplete) {
-		return nil, err
+	if err == nil || first == nil || first.LostWorkers == 0 || !errors.Is(err, ErrIncomplete) {
+		return first, err
 	}
 	res, err := d.runOnce(program, params, time.Until(deadline))
-	if err != nil {
-		return nil, fmt.Errorf("%w (re-run after losing %d worker(s) of the first attempt)", err, first.LostWorkers)
-	}
-	for _, w := range first.Workers {
-		if w.Lost {
-			res.Workers = append(res.Workers, w)
+	if res == nil {
+		res = first
+	} else {
+		for _, w := range first.Workers {
+			if w.Lost {
+				res.Workers = append(res.Workers, w)
+			}
 		}
+		res.LostWorkers += first.LostWorkers
+		res.Resubmissions += first.Resubmissions
+		res.Attempts += first.Attempts
 	}
-	res.LostWorkers += first.LostWorkers
-	res.Resubmissions += first.Resubmissions
-	res.Attempts += first.Attempts
-	return res, nil
+	if err != nil {
+		err = fmt.Errorf("%w (re-run after losing %d worker(s) of the first attempt)", err, first.LostWorkers)
+	}
+	return res, err
 }
 
 // runOnce is one attempt at a job on the workers alive now. The
-// RunResult comes back with an ErrIncomplete error too, so Run can see
-// whether a loss explains the hole.
+// RunResult comes back beside a failure once the ranks have settled,
+// so Run can see whether a loss explains an ErrIncomplete hole.
 func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (*RunResult, error) {
 	d.mu.Lock()
 	ranks := d.liveWorkersLocked()
@@ -545,22 +550,18 @@ func (d *Driver) runOnce(program string, params []byte, timeout time.Duration) (
 		res.Workers[r] = run
 	}
 	result, err := job.merge.Result()
-	if replied == 0 {
-		if firstErr == "" {
-			firstErr = "all workers lost"
-		}
-		return nil, fmt.Errorf("cluster: job %d failed: %s", jobID, firstErr)
-	}
 	switch {
-	case err == nil:
+	case replied > 0 && err == nil:
 		res.Result = result
 		return res, nil
-	case errors.Is(err, ErrIncomplete) && firstErr != "":
-		// The hole is the part of a rank that said why it has none.
-		return nil, fmt.Errorf("cluster: job %d failed: %s", jobID, firstErr)
-	default:
+	case replied > 0 && (firstErr == "" || !errors.Is(err, ErrIncomplete)):
 		return res, fmt.Errorf("cluster: job %d: %w", jobID, err)
+	case firstErr == "":
+		firstErr = "all workers lost"
 	}
+	// No rank replied, or the hole is the part of a rank that said why it
+	// has none.
+	return res, fmt.Errorf("cluster: job %d failed: %s", jobID, firstErr)
 }
 
 // endJob tells the ranks to drop the job's exchange store.

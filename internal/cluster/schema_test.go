@@ -2,8 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/eventlog"
 	"repro/internal/obs"
 )
 
@@ -32,7 +30,7 @@ var legacySeries = []string{
 // TestReportSchemaEndToEnd walks one counter set, a distinct value in
 // every field, through everything that is derived from the schema: live
 // set -> snapshot -> wire report -> cross-rank merge -> Prometheus
-// exposition -> the event log's JSON metrics record and back. A field
+// exposition -> a query record's JSON and back. A field
 // added to obs.Counters is covered here with no edit.
 func TestReportSchemaEndToEnd(t *testing.T) {
 	var live obs.LiveCounters
@@ -94,32 +92,24 @@ func TestReportSchemaEndToEnd(t *testing.T) {
 		}
 	}
 
-	// JSON: the event log's metrics record replays to the same set,
-	// under the field names as keys.
-	path := filepath.Join(t.TempDir(), "q.jsonl")
-	w, err := eventlog.NewWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// JSON: a query record's metrics read back as the same set, under
+	// the field names as keys.
 	in := dataflow.MetricsSnapshot{CounterSet: merged,
 		PerWorker: []dataflow.WorkerStat{{ID: "w0", Alive: true, CounterSet: snap}}}
-	if err := eventlog.LogRun(w, "q", &core.Outcome{Metrics: in}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	run, err := eventlog.ReplayFile(path)
+	raw, err := json.Marshal((&core.Outcome{Metrics: in}).Record("q", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Snapshot.CounterSet != merged || len(run.Snapshot.PerWorker) != 1 || run.Snapshot.PerWorker[0].CounterSet != snap {
-		t.Fatalf("event log round trip drifted:\ngot  %+v\nwant %+v", run.Snapshot, in)
+	var rec core.Record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
 	}
-	raw, _ := os.ReadFile(path)
+	if got := rec.Metrics; got.CounterSet != merged || len(got.PerWorker) != 1 || got.PerWorker[0].CounterSet != snap {
+		t.Fatalf("record round trip drifted:\ngot  %+v\nwant %+v", got, in)
+	}
 	for _, f := range obs.Schema {
 		if !bytes.Contains(raw, []byte(`"`+f.Name+`":`)) {
-			t.Errorf("metrics record has no key %q", f.Name)
+			t.Errorf("record's metrics have no key %q", f.Name)
 		}
 	}
 }

@@ -18,7 +18,8 @@ import (
 // jobs.ClusterSession on a worker cluster. A front end picks one where
 // it is constructed and holds only this afterwards; everything it shows
 // a user — the plan preview, the footprint estimate, the result, the
-// metrics, the EXPLAIN ANALYZE report — comes through these four calls.
+// metrics, the EXPLAIN ANALYZE report (Outcome.Record) — comes through
+// these four calls.
 type Backend interface {
 	// Compile plans src against the catalog the backend executes on, so
 	// Explain and EstimateFootprintBytes describe what Run will do.
@@ -28,7 +29,7 @@ type Backend interface {
 	// results, and records the run's measured profile on the plan it ran
 	// (plan.Compiled.NoteObserved); traced also records the span tree.
 	// The Outcome is never nil: beside an error it holds the plan and
-	// what was measured before the failure, which is what an event log
+	// what was measured before the failure, which is what its Record
 	// keeps of it.
 	Run(q *plan.Compiled, src string, traced bool) (*Outcome, error)
 	// Metrics is what a debug endpoint shows between runs: the last run
@@ -51,20 +52,72 @@ type Outcome struct {
 	Wall  time.Duration
 }
 
-// Report renders the run as EXPLAIN ANALYZE: the chosen plan (carrying
-// the observation this run just recorded), the result, the totals, the
-// stage table with its skew and straggler warnings and per-worker rows,
-// and the span tree of a traced run. The totals name this process's GEMM
-// micro-kernel; on a cluster each rank names its own on its kernel
-// spans.
-func (o *Outcome) Report() string {
+// Record is what a run leaves behind: one value that `sac -analyze`
+// prints, `sac -eventlog` writes as one JSON object and `sac history`
+// reads back and prints, so the live report and the replayed one are one
+// function of one value. Unknown keys are ignored on decoding, so a
+// record written by an older or newer build still reads.
+type Record struct {
+	Query  string `json:"query"`
+	Plan   string `json:"plan,omitempty"` // empty when the query did not compile
+	Result string `json:"result,omitempty"`
+	Error  string `json:"error,omitempty"`
+	WallNs int64  `json:"wallNs"`
+	// Kernel is the recording process's GEMM micro-kernel set; on a
+	// cluster each rank names its own on its kernel spans.
+	Kernel  string                   `json:"kernel"`
+	Metrics dataflow.MetricsSnapshot `json:"metrics"`
+	// Spans is the run's trace as Export gives it (a cluster run's holds
+	// one synthetic root per rank), empty when the run was not traced.
+	Spans        []trace.SpanRec `json:"spans,omitempty"`
+	DroppedSpans int64           `json:"droppedSpans,omitempty"`
+}
+
+// Record describes the run of src; err is the error Run returned
+// beside o, or the compile error of a query that never ran.
+func (o *Outcome) Record(src string, err error) *Record {
+	r := &Record{Query: src, Result: o.Summary.Head(), WallNs: o.Wall.Nanoseconds(),
+		Kernel: linalg.KernelName(), Metrics: o.Metrics}
+	if o.Plan != nil {
+		r.Plan = o.Plan.Explain()
+	}
+	if err != nil {
+		r.Error = err.Error()
+	}
+	r.Spans, r.DroppedSpans = o.Trace.Export()
+	return r
+}
+
+// Trace rebuilds the run's span tree, or is nil for an untraced run.
+func (r *Record) Trace() *trace.Tracer {
+	if len(r.Spans) == 0 && r.DroppedSpans == 0 {
+		return nil
+	}
+	return trace.Replay(r.Spans, r.DroppedSpans)
+}
+
+// Report renders the record as EXPLAIN ANALYZE: the query, the chosen
+// plan (carrying the observation the run recorded), the result or the
+// error, the wall time, the totals, the stage table with its skew and
+// straggler warnings and per-worker rows, and the span tree of a traced
+// run.
+func (r *Record) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: %s\nresult: %s\n", o.Plan.Explain(), o.Summary.Head())
-	fmt.Fprintf(&b, "totals: %s kernel=%s\n\nstages:\n", o.Metrics, linalg.KernelName())
-	b.WriteString(o.Metrics.FormatStages())
-	if o.Trace != nil {
+	fmt.Fprintf(&b, "query: %s\n", r.Query)
+	if r.Plan != "" {
+		fmt.Fprintf(&b, "plan: %s\n", r.Plan)
+	}
+	if r.Error != "" {
+		fmt.Fprintf(&b, "error: %s\n", r.Error)
+	} else {
+		fmt.Fprintf(&b, "result: %s\n", r.Result)
+	}
+	fmt.Fprintf(&b, "wall: %s\n", time.Duration(r.WallNs).Round(time.Microsecond))
+	fmt.Fprintf(&b, "totals: %s kernel=%s\n\nstages:\n", r.Metrics, r.Kernel)
+	b.WriteString(r.Metrics.FormatStages())
+	if tr := r.Trace(); tr != nil {
 		b.WriteString("\ntrace:\n")
-		b.WriteString(o.Trace.Tree())
+		b.WriteString(tr.Tree())
 	}
 	return b.String()
 }
@@ -245,8 +298,7 @@ func ListSummary(n int, row func(i int) string) Summary {
 	return Summary{Kind: "list", Size: int64(n), Text: b.String()}
 }
 
-// Head is the one line sac prints after "result:" and the event log
-// keeps.
+// Head is the one line sac prints after "result:" and a Record keeps.
 func (s Summary) Head() string {
 	switch s.Kind {
 	case "matrix":

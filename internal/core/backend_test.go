@@ -42,7 +42,7 @@ func TestBackendAnalyzeReport(t *testing.T) {
 	// report: Run starts the metrics window over.
 	run(t, s, "tiled(n, n)[ ((i,j), a + 1.0) | ((i,j),a) <- A ]", true)
 	out := run(t, s, matmulSrc, true)
-	report := out.Report()
+	report := out.Record(matmulSrc, nil).Report()
 	for _, want := range []string{
 		"plan: tiled([8 8]) <- SUMMA group-by-join",
 		"result: 8x8 tiled matrix (sum=",

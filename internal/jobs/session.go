@@ -97,12 +97,16 @@ func (cs *ClusterSession) Run(q *plan.Compiled, src string, traced bool) (*core.
 	p.Src = src
 	p.Trace = p.Trace || traced
 	run, snap, wall, err := cs.submit(p)
+	out := &core.Outcome{Plan: q, Metrics: snap, Wall: wall}
+	if run != nil {
+		out.Trace = run.MergedTrace()
+	}
 	if err != nil {
-		return &core.Outcome{Plan: q, Wall: wall}, err
+		return out, err
 	}
 	q.NoteObserved(stats.FromSnapshot(snap, wall.Nanoseconds()))
-	return &core.Outcome{Plan: q, Summary: SummarizeBlob(run.Result), Metrics: snap,
-		Trace: run.MergedTrace(), Wall: wall}, nil
+	out.Summary = SummarizeBlob(run.Result)
+	return out, nil
 }
 
 // Query runs one SAC query on the cluster and returns the canonical
@@ -125,18 +129,19 @@ func (cs *ClusterSession) Query(src string) ([]byte, *cluster.RunResult, error) 
 }
 
 // submit runs one job and, once it has settled, makes its merged
-// snapshot what Metrics returns.
+// snapshot what Metrics returns. A job that failed after its ranks
+// replied is folded too, and comes back beside the error.
 func (cs *ClusterSession) submit(p QueryParams) (*cluster.RunResult, dataflow.MetricsSnapshot, time.Duration, error) {
 	start := time.Now()
 	run, err := cs.driver.Run(QueryName, p.Encode(), cs.timeout)
-	if err != nil {
+	if run == nil {
 		return nil, dataflow.MetricsSnapshot{}, time.Since(start), err
 	}
 	snap := snapshotFrom(run, cs.driver.Workers())
 	cs.mu.Lock()
 	cs.last = snap
 	cs.mu.Unlock()
-	return run, snap, time.Since(start), nil
+	return run, snap, time.Since(start), err
 }
 
 // Metrics returns the last completed job's aggregated snapshot

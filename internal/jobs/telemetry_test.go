@@ -1,11 +1,14 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 )
@@ -104,8 +107,11 @@ func TestClusterMergedStageTable(t *testing.T) {
 }
 
 // TestClusterAnalyzeMergedTrace runs a traced query on a 3-worker
-// cluster and checks its Report carries the merged stage table plus one
-// trace lane per rank.
+// cluster and checks its report carries the merged stage table plus one
+// trace lane per rank, and that the record, written as JSON and read
+// back, prints the same report byte for byte and a Chrome trace with the
+// same lanes — what `sac -analyze`, `sac history` and `sac history
+// -chrome` print of it.
 func TestClusterAnalyzeMergedTrace(t *testing.T) {
 	d := startTestClusterPar(t, twoSlots(3), 0)
 	cs := NewClusterSession(d, baseParams(), time.Minute)
@@ -118,8 +124,14 @@ func TestClusterAnalyzeMergedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	report := out.Report()
-	for _, want := range []string{"plan: ", "result: ", "stages:", "trace:", "totals:"} {
+	if out.Trace == nil {
+		t.Fatal("traced run returned no merged trace")
+	}
+	rec := out.Record(src, nil)
+	report := rec.Report()
+	for _, want := range []string{"plan: ", "result: ", "stages:", "trace:", "totals:",
+		"stage:", // engine stage spans crossed the wire into the merged tree
+	} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
@@ -129,13 +141,75 @@ func TestClusterAnalyzeMergedTrace(t *testing.T) {
 			t.Fatalf("report missing rank w%d trace lane:\n%s", i, report)
 		}
 	}
-	// Stage spans from the engine made it across the wire into the
-	// merged tree.
-	if !strings.Contains(report, "stage:") {
-		t.Fatalf("report has no stage spans:\n%s", report)
+
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Trace == nil {
-		t.Fatal("traced run returned no merged trace")
+	var replayed core.Record
+	if err := json.Unmarshal(raw, &replayed); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed.Report(); got != report {
+		t.Fatalf("replayed report drifted:\nlive:\n%s\nreplayed:\n%s", report, got)
+	}
+	var chrome bytes.Buffer
+	if err := replayed.Trace().WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Tid  int64  `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatalf("replayed Chrome trace: %v", err)
+	}
+	lanes := map[string]int64{}
+	for _, e := range doc.TraceEvents {
+		if strings.HasPrefix(e.Name, "worker: ") {
+			lanes[e.Name] = e.Tid
+		}
+	}
+	if len(lanes) != 3 || lanes["worker: w0"] == lanes["worker: w1"] || lanes["worker: w1"] == lanes["worker: w2"] ||
+		lanes["worker: w0"] == 0 || lanes["worker: w2"] == 0 {
+		t.Fatalf("replayed Chrome trace lanes %v, want one each for worker: w0..w2", lanes)
+	}
+}
+
+// TestClusterRunFailureKeepsWhatWasMeasured: a query that fails on every
+// rank still hands back, beside the error, each rank's row and spans, as
+// a local Session.Run keeps what it measured (core.Backend.Run), and its
+// record prints the error.
+func TestClusterRunFailureKeepsWhatWasMeasured(t *testing.T) {
+	d := startTestClusterPar(t, twoSlots(3), 0)
+	cs := NewClusterSession(d, baseParams(), time.Minute)
+	src := "+/[ i / (j - j) | ((i,j),a) <- A ]" // every tile divides by zero
+	q, err := cs.Compile(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	out, err := cs.Run(q, src, true)
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("want a division by zero, got %v", err)
+	}
+	if len(out.Metrics.PerWorker) != 3 || out.Trace == nil {
+		t.Fatalf("failed run kept %d worker rows, trace %v", len(out.Metrics.PerWorker), out.Trace != nil)
+	}
+	for i, w := range out.Metrics.PerWorker {
+		if w.ID != fmt.Sprintf("w%d", i) || w.Lost || w.WallNanos == 0 {
+			t.Errorf("rank %d row %+v", i, w)
+		}
+	}
+	if cs.Metrics().PerWorker == nil {
+		t.Error("Metrics does not show the failed run")
+	}
+	report := out.Record(src, err).Report()
+	for _, want := range []string{"plan: ", "error: ", "division by zero", "worker: w2"} {
+		if !strings.Contains(report, want) {
+			t.Fatalf("report missing %q:\n%s", want, report)
+		}
 	}
 }
 

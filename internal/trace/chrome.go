@@ -13,7 +13,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -75,14 +74,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		}
 
 		children := childIndex(spans)
-		for _, kids := range children {
-			sort.SliceStable(kids, func(i, j int) bool {
-				if !kids[i].Start.Equal(kids[j].Start) {
-					return kids[i].Start.Before(kids[j].Start)
-				}
-				return kids[i].ID < kids[j].ID
-			})
-		}
 
 		tids := make(map[int64]int64, len(spans))
 		var nextTid int64
@@ -141,17 +132,4 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-// WriteChromeFile writes the Chrome trace to path.
-func (t *Tracer) WriteChromeFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,8 +1,9 @@
-// Wire-friendly span export and cross-process merge. A cluster worker
-// exports its tracer as SpanRecs at the end of a job and sends them to
-// the driver in its job reply, and the driver reassembles every rank's
-// records into one Tracer — synthetic per-worker roots keep every rank
-// on its own lane in the merged tree and Chrome trace.
+// Span export, cross-process merge and replay. A cluster worker exports
+// its tracer as SpanRecs at the end of a job and sends them to the driver
+// in its job reply, and the driver reassembles every rank's records into
+// one Tracer — synthetic per-worker roots keep every rank on its own lane
+// in the merged tree and Chrome trace. A query's record (core.Record)
+// keeps the same SpanRecs, and Replay turns them back into a Tracer.
 
 package trace
 
@@ -16,13 +17,13 @@ import (
 // parallel Keys/Vals slices. IDs are the recording tracer's — unique
 // per worker, remapped on merge.
 type SpanRec struct {
-	ID       int64
-	ParentID int64
-	Name     string
-	StartNs  int64
-	EndNs    int64
-	Keys     []string
-	Vals     []string
+	ID       int64    `json:"id"`
+	ParentID int64    `json:"parent,omitempty"`
+	Name     string   `json:"name"`
+	StartNs  int64    `json:"start"`
+	EndNs    int64    `json:"end,omitempty"`
+	Keys     []string `json:"keys,omitempty"`
+	Vals     []string `json:"vals,omitempty"`
 }
 
 func recOf(s *Span) SpanRec {
@@ -74,8 +75,7 @@ type WorkerTrace struct {
 // (dropped, or cut off by worker loss) re-root under that worker span
 // rather than vanishing. Groups are laid out in the order given —
 // callers sort by rank for deterministic output. Dropped counts sum
-// into the merged tracer's header. Attribute values arrive
-// stringified, so the merged tree prints every value quoted.
+// into the merged tracer's header.
 func Merge(groups []WorkerTrace) *Tracer {
 	total := 1
 	for _, g := range groups {
@@ -93,12 +93,7 @@ func Merge(groups []WorkerTrace) *Tracer {
 			if lo == 0 || r.StartNs < lo {
 				lo = r.StartNs
 			}
-			if r.EndNs > hi {
-				hi = r.EndNs
-			}
-			if r.StartNs > hi {
-				hi = r.StartNs
-			}
+			hi = max(hi, r.StartNs, r.EndNs)
 		}
 		t.nextID++
 		root := &Span{tr: t, ID: t.nextID, Name: "worker: " + name,
@@ -108,27 +103,40 @@ func Merge(groups []WorkerTrace) *Tracer {
 			root.attrs = append(root.attrs, Attr{Key: "dropped", Value: g.Dropped})
 		}
 		t.ring = append(t.ring, root)
-		idmap := make(map[int64]int64, len(g.Spans))
-		for _, r := range g.Spans {
-			t.nextID++
-			idmap[r.ID] = t.nextID
-		}
-		for _, r := range g.Spans {
-			s := &Span{tr: t, ID: idmap[r.ID], Name: r.Name,
-				Start: time.Unix(0, r.StartNs)}
-			if r.EndNs != 0 {
-				s.end = time.Unix(0, r.EndNs)
-			}
-			if pid, ok := idmap[r.ParentID]; ok && r.ParentID != 0 {
-				s.ParentID = pid
-			} else {
-				s.ParentID = root.ID
-			}
-			for i := range r.Keys {
-				s.attrs = append(s.attrs, Attr{Key: r.Keys[i], Value: r.Vals[i]})
-			}
-			t.ring = append(t.ring, s)
-		}
+		t.add(g.Spans, root.ID)
 	}
 	return t
+}
+
+// Replay rebuilds the tracer that Export read recs and dropped from,
+// so its Tree and Chrome trace render as that tracer's did.
+func Replay(recs []SpanRec, dropped int64) *Tracer {
+	t := &Tracer{now: time.Now, limit: max(1, len(recs)), dropped: dropped}
+	t.add(recs, 0)
+	return t
+}
+
+// add appends recs as spans under fresh IDs, in order; a record whose
+// parent is not among them hangs under root.
+func (t *Tracer) add(recs []SpanRec, root int64) {
+	idmap := make(map[int64]int64, len(recs))
+	for _, r := range recs {
+		t.nextID++
+		idmap[r.ID] = t.nextID
+	}
+	for _, r := range recs {
+		s := &Span{tr: t, ID: idmap[r.ID], ParentID: root, Name: r.Name,
+			Start: time.Unix(0, r.StartNs)}
+		if r.EndNs != 0 {
+			s.end = time.Unix(0, r.EndNs)
+		}
+		if pid, ok := idmap[r.ParentID]; ok && r.ParentID != 0 {
+			s.ParentID = pid
+		}
+		s.attrs = make([]Attr, len(r.Keys))
+		for i, k := range r.Keys {
+			s.attrs[i] = Attr{Key: k, Value: r.Vals[i]}
+		}
+		t.ring = append(t.ring, s)
+	}
 }

@@ -214,3 +214,27 @@ func TestMergedChromeGolden(t *testing.T) {
 		t.Fatalf("merged chrome trace drifted from golden (run with -update)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
+
+// TestReplayRendersAsLive: a tracer rebuilt from its export prints the
+// tree the live one did — the drop header, orphans re-rooted, and every
+// attribute the same whether it was set as a number or replayed as a
+// string (numbers bare, anything else quoted).
+func TestReplayRendersAsLive(t *testing.T) {
+	tr := buildSample()
+	tr.SetLimit(5) // drops the query root and its plan phase
+	recs, dropped := tr.Export()
+	live, replayed := tr.Tree(), Replay(recs, dropped).Tree()
+	if replayed != live {
+		t.Fatalf("replayed tree drifted:\nlive:\n%s\nreplayed:\n%s", live, replayed)
+	}
+	for _, want := range []string{"[trace: 2 span(s) dropped", "partition=1", "stage: shuffle(B)"} {
+		if !strings.Contains(replayed, want) {
+			t.Fatalf("replayed tree missing %q:\n%s", want, replayed)
+		}
+	}
+	full := buildSample()
+	recs, _ = full.Export()
+	if got := Replay(recs, 0).Tree(); got != full.Tree() || !strings.Contains(got, `plan="A*B"`) {
+		t.Fatalf("replayed tree:\n%s\nlive:\n%s", got, full.Tree())
+	}
+}

@@ -18,6 +18,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -242,10 +243,11 @@ func (s *Span) endTime() time.Time {
 	return s.end
 }
 
-// childIndex maps parent span ID → children for a span snapshot. A
-// span whose parent is absent from the snapshot (dropped by the buffer
-// limit, or never shipped from a worker) is re-rooted under parent 0
-// so it still renders instead of silently vanishing.
+// childIndex maps parent span ID → children for a span snapshot, each
+// list in start order (ties by ID). A span whose parent is absent from
+// the snapshot (dropped by the buffer limit, or never shipped from a
+// worker) is re-rooted under parent 0 so it still renders instead of
+// silently vanishing.
 func childIndex(spans []*Span) map[int64][]*Span {
 	present := make(map[int64]bool, len(spans))
 	for _, s := range spans {
@@ -259,7 +261,27 @@ func childIndex(spans []*Span) map[int64][]*Span {
 		}
 		children[p] = append(children[p], s)
 	}
+	for _, kids := range children {
+		sort.SliceStable(kids, func(i, j int) bool {
+			if !kids[i].Start.Equal(kids[j].Start) {
+				return kids[i].Start.Before(kids[j].Start)
+			}
+			return kids[i].ID < kids[j].ID
+		})
+	}
 	return children
+}
+
+// attrText is how Tree prints an attribute value: bare when it reads as
+// a number, quoted otherwise. It looks only at the value's text, so a
+// span replayed from its record, whose values are all strings, prints as
+// the live span did.
+func attrText(v any) string {
+	s := fmt.Sprint(v)
+	if _, err := strconv.ParseFloat(s, 64); err == nil {
+		return s
+	}
+	return strconv.Quote(s)
 }
 
 // Tree renders the recorded spans as an indented hierarchy with
@@ -269,16 +291,7 @@ func (t *Tracer) Tree() string {
 	if t == nil {
 		return ""
 	}
-	spans := t.Spans()
-	children := childIndex(spans)
-	for _, kids := range children {
-		sort.SliceStable(kids, func(i, j int) bool {
-			if !kids[i].Start.Equal(kids[j].Start) {
-				return kids[i].Start.Before(kids[j].Start)
-			}
-			return kids[i].ID < kids[j].ID
-		})
-	}
+	children := childIndex(t.Spans())
 	var b strings.Builder
 	if d := t.Dropped(); d > 0 {
 		fmt.Fprintf(&b, "[trace: %d span(s) dropped by buffer limit]\n", d)
@@ -293,11 +306,7 @@ func (t *Tracer) Tree() string {
 			b.WriteString(" (unfinished)")
 		}
 		for _, a := range s.Attrs() {
-			if str, ok := a.Value.(string); ok {
-				fmt.Fprintf(&b, " %s=%q", a.Key, str)
-			} else {
-				fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-			}
+			fmt.Fprintf(&b, " %s=%s", a.Key, attrText(a.Value))
 		}
 		b.WriteByte('\n')
 		kids := children[s.ID]
